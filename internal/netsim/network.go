@@ -129,8 +129,19 @@ type regionState struct {
 	counters *metrics.Counters
 	trace    *trace.Recorder
 
-	active []transmission // frames transmitted by this region's nodes
-	remote []transmission // ghost frames published by other regions
+	// heard[id] is this region's view of the in-flight frames audible
+	// at node id — those whose sender has id among its out-links: the
+	// region's own frames from transmit time, other regions' ghosts from
+	// the barrier after they start. Carrier sense and the collision
+	// fold scan only the receiver's list, so their cost follows the
+	// radio neighbourhood, not the network (DESIGN.md §12). The view is
+	// per region because a cross-region receiver's collision is resolved
+	// on the sender's goroutine (§18). asks[id] marks the nodes this
+	// region can ever ask about — its own and their out-link neighbours
+	// — so the barrier skips ghosts nobody here could hear of (nil when
+	// serial: there are no ghosts).
+	heard  [][]transmission
+	asks   []bool
 	ghosts []transmission // local frames started since the last barrier
 	outbox []outDelivery  // cross-region deliveries since the last barrier
 
@@ -141,23 +152,17 @@ type regionState struct {
 	scratch   []interferer // collision-fold gather buffer
 }
 
-func (r *regionState) pruneActive(now Time) {
-	kept := r.active[:0]
-	for _, tx := range r.active {
-		if tx.end > now {
-			kept = append(kept, tx)
+// hear records tx as audible at node id, dropping from id's list the
+// frames that ended by now.
+func (r *regionState) hear(id NodeID, tx transmission, now Time) {
+	l := r.heard[id]
+	kept := l[:0]
+	for _, old := range l {
+		if old.end > now {
+			kept = append(kept, old)
 		}
 	}
-	r.active = kept
-	if len(r.remote) > 0 {
-		keptR := r.remote[:0]
-		for _, tx := range r.remote {
-			if tx.end > now {
-				keptR = append(keptR, tx)
-			}
-		}
-		r.remote = keptR
-	}
+	r.heard[id] = append(kept, tx)
 }
 
 // Network binds a topology, a simulator, per-node applications and the
@@ -275,6 +280,9 @@ func (n *Network) buildRegions() {
 			n.regs[r] = reg
 		}
 	}
+	for _, reg := range n.regs {
+		reg.heard = make([][]transmission, n.Topo.N)
+	}
 	for i, a := range n.api {
 		if a != nil {
 			a.reg = n.regs[n.part.region[i]]
@@ -371,6 +379,18 @@ func (n *Network) Start() {
 		copy(n.qualFlat[i*nn:(i+1)*nn], n.Topo.Quality[i])
 	}
 	n.Topo.OutLinks(0)
+	if len(n.regs) > 1 {
+		for _, reg := range n.regs {
+			reg.asks = make([]bool, nn)
+		}
+		for i := 0; i < nn; i++ {
+			asks := n.regs[n.part.region[i]].asks
+			asks[i] = true
+			for _, lk := range n.Topo.OutLinks(NodeID(i)) {
+				asks[lk.Dst] = true
+			}
+		}
+	}
 	for i, app := range n.apps {
 		if app != nil {
 			app.Init(n.api[i])
@@ -606,12 +626,7 @@ func visible(tx transmission, floor Time) bool { return tx.start < floor }
 // radios detect energy from transmissions too weak to decode.
 func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 	floor := gridFloor(now, n.window)
-	for _, tx := range reg.active {
-		if visible(tx, floor) && tx.end > now && tx.src != id && n.quality(tx.src, id) > 0.08 {
-			return true
-		}
-	}
-	for _, tx := range reg.remote {
+	for _, tx := range reg.heard[id] {
 		if visible(tx, floor) && tx.end > now && tx.src != id && n.quality(tx.src, id) > 0.08 {
 			return true
 		}
@@ -619,7 +634,7 @@ func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 	return false
 }
 
-// collided reports whether a frame from src spanning [start,end) is
+// collided reports whether a frame from src starting at start is
 // destroyed at receiver dst by other visible overlapping frames.
 // Destruction is probabilistic, scaled by each interferer's signal at
 // the receiver, with a capture effect: a clearly stronger frame
@@ -629,34 +644,42 @@ func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 // one random draw from the sender's stream per receiver — so the
 // outcome is independent of the order interference state accumulated
 // in (the region-parallel determinism contract).
-func (n *Network) collided(reg *regionState, rng *rand.Rand, src, dst NodeID, start, end Time) bool {
+func (n *Network) collided(reg *regionState, rng *rand.Rand, src, dst NodeID, start Time) bool {
 	if !n.Params.Collisions {
 		return false
 	}
-	qs := n.quality(src, dst)
-	floor := gridFloor(start, n.window)
-	sc := reg.scratch[:0]
-	gather := func(txs []transmission) {
-		for _, tx := range txs {
-			if tx.src == src || tx.src == dst {
-				continue
-			}
-			if !visible(tx, floor) || tx.end <= start {
-				continue
-			}
-			qi := n.quality(tx.src, dst)
-			if qi <= 0.1 || qs >= 2*qi {
-				continue // captured: interferer too weak to matter
-			}
-			sc = append(sc, interferer{src: tx.src, start: tx.start, qi: qi})
-		}
-	}
-	gather(reg.active)
-	gather(reg.remote)
-	reg.scratch = sc[:0]
+	sc := n.interferers(reg, src, dst, start)
 	if len(sc) == 0 {
 		return false
 	}
+	survive := 1.0
+	for _, in := range sc {
+		survive *= 1 - 0.7*in.qi
+	}
+	return rng.Float64() < 1-survive
+}
+
+// interferers returns, in (src, start) order, the visible frames
+// audible at dst that overlap a frame from src starting at start and
+// are strong enough to destroy it. The result aliases reg.scratch.
+func (n *Network) interferers(reg *regionState, src, dst NodeID, start Time) []interferer {
+	qs := n.quality(src, dst)
+	floor := gridFloor(start, n.window)
+	sc := reg.scratch[:0]
+	for _, tx := range reg.heard[dst] {
+		if tx.src == src || tx.src == dst {
+			continue
+		}
+		if !visible(tx, floor) || tx.end <= start {
+			continue
+		}
+		qi := n.quality(tx.src, dst)
+		if qi <= 0.1 || qs >= 2*qi {
+			continue // captured: interferer too weak to matter
+		}
+		sc = append(sc, interferer{src: tx.src, start: tx.start, qi: qi})
+	}
+	reg.scratch = sc[:0]
 	// Insertion sort by (src, start): a node transmits one frame at a
 	// time, so the key is unique; the list is tiny.
 	for i := 1; i < len(sc); i++ {
@@ -665,11 +688,7 @@ func (n *Network) collided(reg *regionState, rng *rand.Rand, src, dst NodeID, st
 			sc[j], sc[j-1] = sc[j-1], sc[j]
 		}
 	}
-	survive := 1.0
-	for _, in := range sc {
-		survive *= 1 - 0.7*in.qi
-	}
-	return rng.Float64() < 1-survive
+	return sc
 }
 
 // recvSlot is one receiver of an in-air frame. gi is the receiver's
@@ -793,7 +812,6 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 	n.txSeq[src]++
 	p.Seq = n.txSeq[src]
 	now := a.sim.Now()
-	reg.pruneActive(now)
 	dur := n.txDuration(p.Size)
 	tx := transmission{src: src, start: now, end: now + dur}
 
@@ -811,6 +829,10 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 	rowBase := int(src) * n.Topo.N
 	for gi, lk := range n.Topo.OutLinks(src) {
 		dst := lk.Dst
+		// On the air at dst whatever becomes of the frame there. Hearing
+		// it before resolving it is safe: a frame never interferes with
+		// itself and nothing is visible before the next grid point.
+		reg.hear(dst, tx, now)
 		j := int(dst)
 		if n.dead[j] || n.apps[j] == nil {
 			continue
@@ -832,7 +854,7 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 		if q <= 0 || rng.Float64() >= q {
 			continue
 		}
-		if n.collided(reg, rng, src, dst, tx.start, tx.end) {
+		if n.collided(reg, rng, src, dst, tx.start) {
 			reg.counters.CountDrop(metrics.DropCollision)
 			if reg.trace != nil {
 				reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(dst),
@@ -873,7 +895,6 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 			delivered = true
 		}
 	}
-	reg.active = append(reg.active, tx)
 	if parallel {
 		reg.ghosts = append(reg.ghosts, tx)
 	}

@@ -151,29 +151,21 @@ func (n *Network) runCtlEvent(stamped bool) {
 
 // exchange is the barrier body: runs with every worker parked.
 func (n *Network) exchange(E Time) {
-	// Ghost transmissions started this window become visible to every
-	// other region's carrier sense and collision model from the next
-	// grid point (ascending region order keeps remote lists, and the
-	// sorted collision fold over them, deterministic).
-	for _, reg := range n.regs {
-		if len(reg.remote) > 0 {
-			kept := reg.remote[:0]
-			for _, tx := range reg.remote {
-				if tx.end > E {
-					kept = append(kept, tx)
-				}
-			}
-			reg.remote = kept
-		}
-	}
+	// Ghost transmissions started this window become audible, from the
+	// next grid point, in the view of every other region that can ask
+	// about one of their receivers. Append order cannot matter: carrier
+	// sense is an OR over the list and the collision fold sorts its
+	// interferers.
 	for _, reg := range n.regs {
 		for _, tx := range reg.ghosts {
 			if tx.end <= E {
 				continue // already over; never visible off-region
 			}
-			for _, other := range n.regs {
-				if other != reg {
-					other.remote = append(other.remote, tx)
+			for _, lk := range n.Topo.OutLinks(tx.src) {
+				for _, other := range n.regs {
+					if other != reg && other.asks[lk.Dst] {
+						other.hear(lk.Dst, tx, E)
+					}
 				}
 			}
 		}

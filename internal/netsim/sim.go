@@ -74,7 +74,7 @@ type event struct {
 	phase  prof.Phase // wall-time attribution bucket for the event body
 }
 
-func eventLess(a, b event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -88,7 +88,7 @@ func eventLess(a, b event) bool {
 // The zero value is not usable; use NewSimulator.
 type Simulator struct {
 	now    Time
-	events []event // binary min-heap ordered by (at, origin, oseq)
+	events []event // 4-ary min-heap ordered by (at, origin, oseq)
 	seq    uint64  // control-plane oseq counter
 	rng    *rand.Rand
 	seed   int64
@@ -126,19 +126,28 @@ func (s *Simulator) SetProfiler(p *prof.Profiler) { s.prof = p }
 // Profiler returns the attached profiler (nil when profiling is off).
 func (s *Simulator) Profiler() *prof.Profiler { return s.prof }
 
+// The heap is 4-ary: at the scale tier's depth (≈8k 64-byte events) it
+// has half the levels of a binary heap and a node's children sit in
+// four adjacent cache lines. Both sifts move a hole and store the
+// moving event once instead of swapping at every level. (at, origin,
+// oseq) is a total order within a heap, so arity cannot change dispatch
+// order.
+const heapArity = 4
+
 // push inserts e into the event heap (sift-up on a plain slice; no
 // container/heap interface boxing on this per-event path).
 func (s *Simulator) push(e event) {
 	h := append(s.events, e)
 	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
+		parent := (i - 1) / heapArity
+		if !eventLess(&e, &h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 	s.events = h
 }
 
@@ -147,26 +156,36 @@ func (s *Simulator) pop() event {
 	h := s.events
 	top := h[0]
 	last := len(h) - 1
-	h[0] = h[last]
+	e := h[last]
 	h[last] = event{} // drop fn/task references for the GC
 	h = h[:last]
+	s.events = h
+	if last == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && eventLess(h[l], h[smallest]) {
-			smallest = l
-		}
-		if r < last && eventLess(h[r], h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		first := heapArity*i + 1
+		if first >= last {
 			break
 		}
-		h[i], h[smallest] = h[smallest], h[i]
+		end := first + heapArity
+		if end > last {
+			end = last
+		}
+		smallest := first
+		for c := first + 1; c < end; c++ {
+			if eventLess(&h[c], &h[smallest]) {
+				smallest = c
+			}
+		}
+		if !eventLess(&h[smallest], &e) {
+			break
+		}
+		h[i] = h[smallest]
 		i = smallest
 	}
-	s.events = h
+	h[i] = e
 	return top
 }
 

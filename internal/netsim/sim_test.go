@@ -202,7 +202,7 @@ func TestEventHeapOrdering(t *testing.T) {
 	var prev event
 	for i := 0; i < 50; i++ {
 		e := s.pop()
-		if i > 0 && eventLess(e, prev) {
+		if i > 0 && eventLess(&e, &prev) {
 			t.Fatalf("pop %d out of order: %v after %v", i, e.at, prev.at)
 		}
 		prev = e

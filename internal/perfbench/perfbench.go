@@ -34,6 +34,7 @@ import (
 	"scoop/internal/policy"
 	"scoop/internal/prof"
 	"scoop/internal/trace"
+	"scoop/internal/trickle"
 	"scoop/internal/workload"
 )
 
@@ -66,6 +67,50 @@ func Benches() []Bench {
 		{"trace/emit/ring", benchTraceRing},
 		{"prof/emit/disabled", benchProfDisabled},
 		{"prof/emit/enabled", benchProfEnabled},
+		{"trickle/ontimer/retired1k", benchTrickleRetired},
+	}
+}
+
+// trickleApp hosts one Trickle instance and nothing else.
+type trickleApp struct {
+	cfg trickle.Config
+	tr  *trickle.Trickle
+}
+
+func (a *trickleApp) Init(api *netsim.NodeAPI) {
+	// Item 0 is kept alive for ever by a Reset from its own send.
+	a.tr = trickle.New(api, 0, a.cfg, func(k trickle.Key) {
+		if k == 0 {
+			a.tr.Reset(k)
+		}
+	})
+}
+func (a *trickleApp) Receive(*netsim.Packet) {}
+func (a *trickleApp) Snoop(*netsim.Packet)   {}
+func (a *trickleApp) Timer(int)              { a.tr.OnTimer() }
+
+// benchTrickleRetired pins the Trickle tick to the live item count
+// (DESIGN.md §12): one live item next to 1000 retired ones — the shape
+// a node's query Trickle has late in a query-heavy run. One op is one
+// timer event; it must stay zero allocs/op and must not grow with the
+// retired set.
+func benchTrickleRetired(b *testing.B) {
+	b.ReportAllocs()
+	sim := netsim.NewSimulator(1)
+	net := netsim.NewNetwork(sim, netsim.NewTopology(1), metrics.NewCounters(), netsim.DefaultParams())
+	app := &trickleApp{cfg: trickle.Config{TauLow: 100, TauHigh: 100, K: 1, MaxRounds: 1}}
+	net.Attach(0, app)
+	net.Start()
+	for k := trickle.Key(1); k <= 1000; k++ {
+		app.tr.Add(k)
+	}
+	sim.Run(netsim.Second) // one interval each, then retired
+	app.tr.Add(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !sim.Step() {
+			b.Fatal("trickle timer chain died")
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 package routing
 
 import (
-	"sort"
+	"slices"
 
 	"scoop/internal/netsim"
 )
@@ -27,7 +27,6 @@ type NeighborInfo struct {
 }
 
 type neighborState struct {
-	id        netsim.NodeID
 	lastSeq   uint32
 	received  int
 	missed    int
@@ -52,10 +51,13 @@ func (s *neighborState) quality() float64 {
 // paper's experiments); the stalest entry is evicted when full, and
 // entries not heard from for evictAfter are dropped, "thus adapting to
 // changes in network connectivity". Entries live in a flat bounded
-// slice in insertion order, compacted in place on eviction.
+// slice in insertion order, compacted in place on eviction. The keys
+// sit in their own parallel array: the per-snoop lookup scans 2-byte
+// ids (one cache line at capacity 32), not 32-byte entries.
 type NeighborTable struct {
 	cap        int
 	evictAfter netsim.Time
+	ids        []netsim.NodeID // ids[i] keys entries[i]
 	entries    []neighborState
 }
 
@@ -67,19 +69,13 @@ func NewNeighborTable(capacity int, evictAfter netsim.Time) *NeighborTable {
 	return &NeighborTable{
 		cap:        capacity,
 		evictAfter: evictAfter,
+		ids:        make([]netsim.NodeID, 0, capacity),
 		entries:    make([]neighborState, 0, capacity),
 	}
 }
 
 // find returns the index of id's entry, or -1.
-func (t *NeighborTable) find(id netsim.NodeID) int {
-	for i := range t.entries {
-		if t.entries[i].id == id {
-			return i
-		}
-	}
-	return -1
-}
+func (t *NeighborTable) find(id netsim.NodeID) int { return slices.Index(t.ids, id) }
 
 // Observe records that a packet with sequence number seq was heard from
 // id at time now.
@@ -92,8 +88,9 @@ func (t *NeighborTable) Observe(id netsim.NodeID, seq uint32, now netsim.Time) {
 				return // table still full of fresher entries
 			}
 		}
+		t.ids = append(t.ids, id)
 		t.entries = append(t.entries, neighborState{
-			id: id, lastSeq: seq, received: 1, lastHeard: now,
+			lastSeq: seq, received: 1, lastHeard: now,
 		})
 		return
 	}
@@ -136,7 +133,8 @@ func (t *NeighborTable) evictStalest(now netsim.Time) {
 
 // remove deletes entry i, preserving insertion order.
 func (t *NeighborTable) remove(i int) {
-	t.entries = append(t.entries[:i], t.entries[i+1:]...)
+	t.ids = slices.Delete(t.ids, i, i+1)
+	t.entries = slices.Delete(t.entries, i, i+1)
 }
 
 // Expire drops entries not heard from within the eviction window.
@@ -144,13 +142,14 @@ func (t *NeighborTable) Expire(now netsim.Time) {
 	if t.evictAfter <= 0 {
 		return
 	}
-	kept := t.entries[:0]
-	for _, s := range t.entries {
+	k := 0
+	for i, s := range t.entries {
 		if now-s.lastHeard <= t.evictAfter {
-			kept = append(kept, s)
+			t.ids[k], t.entries[k] = t.ids[i], s
+			k++
 		}
 	}
-	t.entries = kept
+	t.ids, t.entries = t.ids[:k], t.entries[:k]
 }
 
 // Quality returns the current link-quality estimate for id (0 when
@@ -188,7 +187,7 @@ func (t *NeighborTable) Best(n int) []NeighborInfo {
 	}
 	out := make([]NeighborInfo, 0, n)
 	for i := range t.entries {
-		cand := NeighborInfo{ID: t.entries[i].id, Quality: t.entries[i].quality()}
+		cand := NeighborInfo{ID: t.ids[i], Quality: t.entries[i].quality()}
 		if len(out) == n {
 			if n == 0 || !best(cand, out[n-1]) {
 				continue
@@ -208,17 +207,14 @@ func (t *NeighborTable) Best(n int) []NeighborInfo {
 
 // IDs returns all tracked neighbor IDs in ascending order.
 func (t *NeighborTable) IDs() []netsim.NodeID {
-	ids := make([]netsim.NodeID, 0, len(t.entries))
-	for i := range t.entries {
-		ids = append(ids, t.entries[i].id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := append(make([]netsim.NodeID, 0, len(t.ids)), t.ids...)
+	slices.Sort(ids)
 	return ids
 }
 
-// descendant is one DescendantSet entry: origin is reached via child.
+// descendant is one DescendantSet entry: its origin is reached via
+// child.
 type descendant struct {
-	origin  netsim.NodeID
 	child   netsim.NodeID
 	touched netsim.Time
 }
@@ -228,9 +224,11 @@ type descendant struct {
 // tree (paper §5.1). Bounded capacity (32 in the experiments) with
 // stalest-entry eviction; overflow merely degrades routing, it never
 // breaks it (packets fall back to the parent path). Entries live in a
-// flat bounded slice like the neighbor table's.
+// flat bounded slice keyed by a parallel origin array, like the
+// neighbor table's.
 type DescendantSet struct {
 	cap     int
+	origins []netsim.NodeID // origins[i] keys entries[i]
 	entries []descendant
 }
 
@@ -239,16 +237,19 @@ func NewDescendantSet(capacity int) *DescendantSet {
 	if capacity <= 0 {
 		panic("routing: non-positive descendant set capacity")
 	}
-	return &DescendantSet{cap: capacity, entries: make([]descendant, 0, capacity)}
+	return &DescendantSet{
+		cap:     capacity,
+		origins: make([]netsim.NodeID, 0, capacity),
+		entries: make([]descendant, 0, capacity),
+	}
 }
 
-func (d *DescendantSet) find(origin netsim.NodeID) int {
-	for i := range d.entries {
-		if d.entries[i].origin == origin {
-			return i
-		}
-	}
-	return -1
+func (d *DescendantSet) find(origin netsim.NodeID) int { return slices.Index(d.origins, origin) }
+
+// remove deletes entry i, preserving insertion order.
+func (d *DescendantSet) remove(i int) {
+	d.origins = slices.Delete(d.origins, i, i+1)
+	d.entries = slices.Delete(d.entries, i, i+1)
 }
 
 // Record notes that packets from origin arrive via child, i.e. origin
@@ -263,9 +264,10 @@ func (d *DescendantSet) Record(origin, child netsim.NodeID, now netsim.Time) {
 					oldest, victim = d.entries[k].touched, k
 				}
 			}
-			d.entries = append(d.entries[:victim], d.entries[victim+1:]...)
+			d.remove(victim)
 		}
-		d.entries = append(d.entries, descendant{origin: origin, child: child, touched: now})
+		d.origins = append(d.origins, origin)
+		d.entries = append(d.entries, descendant{child: child, touched: now})
 		return
 	}
 	d.entries[i].child = child
@@ -283,7 +285,7 @@ func (d *DescendantSet) NextHop(dst netsim.NodeID) (netsim.NodeID, bool) {
 // Forget drops a descendant (e.g. when delivery via its branch fails).
 func (d *DescendantSet) Forget(dst netsim.NodeID) {
 	if i := d.find(dst); i >= 0 {
-		d.entries = append(d.entries[:i], d.entries[i+1:]...)
+		d.remove(i)
 	}
 }
 
@@ -292,10 +294,7 @@ func (d *DescendantSet) Len() int { return len(d.entries) }
 
 // IDs returns all descendants in ascending order.
 func (d *DescendantSet) IDs() []netsim.NodeID {
-	ids := make([]netsim.NodeID, 0, len(d.entries))
-	for i := range d.entries {
-		ids = append(ids, d.entries[i].origin)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := append(make([]netsim.NodeID, 0, len(d.origins)), d.origins...)
+	slices.Sort(ids)
 	return ids
 }

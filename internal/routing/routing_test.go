@@ -64,6 +64,37 @@ func TestNeighborTableExpire(t *testing.T) {
 	}
 }
 
+// The key array and the entry array must move together: dropping an
+// entry from the middle (Expire) or the front (eviction) may not hand a
+// surviving neighbor another neighbor's counters.
+func TestNeighborTableKeysFollowEntries(t *testing.T) {
+	nt := NewNeighborTable(3, 100)
+	for s := uint32(1); s <= 4; s++ {
+		nt.Observe(10, s, 50) // 4/6
+	}
+	nt.Observe(20, 1, 0) // stale by t=150
+	nt.Observe(30, 1, 60)
+	nt.Observe(30, 3, 60) // 2 received, 1 missed → 2/5
+	q10, q30 := nt.Quality(10), nt.Quality(30)
+	nt.Expire(150)
+	if nt.Contains(20) || nt.Len() != 2 {
+		t.Fatalf("Expire kept the stale middle entry (len %d)", nt.Len())
+	}
+	if nt.Quality(10) != q10 || nt.Quality(30) != q30 {
+		t.Fatalf("qualities moved across Expire: %v %v, want %v %v",
+			nt.Quality(10), nt.Quality(30), q10, q30)
+	}
+	nt.Observe(40, 1, 70)
+	nt.Observe(50, 1, 80) // full: evicts 10, the stalest
+	if nt.Contains(10) || nt.Quality(30) != q30 || nt.Quality(40) != 1.0/3 || nt.Quality(50) != 1.0/3 {
+		t.Fatalf("after eviction: ids %v, q30 %v q40 %v q50 %v",
+			nt.IDs(), nt.Quality(30), nt.Quality(40), nt.Quality(50))
+	}
+	if best := nt.Best(1); len(best) != 1 || best[0].ID != 30 {
+		t.Fatalf("Best(1) = %+v, want node 30", best)
+	}
+}
+
 func TestNeighborTableBestSorted(t *testing.T) {
 	nt := NewNeighborTable(8, 0)
 	// Node 1: perfect. Node 2: 50%.
@@ -116,6 +147,13 @@ func TestDescendantSetRecordAndNextHop(t *testing.T) {
 	d.Forget(10)
 	if _, ok := d.NextHop(10); ok {
 		t.Fatal("forgotten descendant still resolves")
+	}
+	// Forgetting the middle entry must not re-key its neighbours.
+	if hop, ok := d.NextHop(9); !ok || hop != 3 {
+		t.Fatalf("NextHop(9) = %d,%v after Forget(10)", hop, ok)
+	}
+	if hop, ok := d.NextHop(11); !ok || hop != 4 {
+		t.Fatalf("NextHop(11) = %d,%v after Forget(10)", hop, ok)
 	}
 }
 

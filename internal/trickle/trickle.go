@@ -16,7 +16,8 @@
 package trickle
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"scoop/internal/netsim"
 )
@@ -57,14 +58,26 @@ type itemState struct {
 	retired bool
 }
 
+// liveItem is one non-retired item: its key and its state in items.
+type liveItem struct {
+	key Key
+	st  *itemState
+}
+
 // Trickle multiplexes any number of per-item Trickle timers onto a
 // single NodeAPI timer.
+//
+// A tick costs O(live items), never O(items ever added): retired items
+// stay in items (Has, Len and Reset keep their meaning) but leave live,
+// the only thing OnTimer and rearm walk (DESIGN.md §12).
 type Trickle struct {
 	api     *netsim.NodeAPI
 	cfg     Config
 	timerID int
 	send    func(Key)
 	items   map[Key]*itemState
+	live    []liveItem // non-retired items in ascending key order
+	due     []Key      // OnTimer's send list, reused across ticks
 }
 
 // New creates a Trickle instance. send is invoked from the timer
@@ -87,14 +100,29 @@ func New(api *netsim.NodeAPI, timerID int, cfg Config, send func(Key)) *Trickle 
 func (t *Trickle) Add(key Key) {
 	st := &itemState{}
 	t.items[key] = st
+	if i, ok := t.findLive(key); ok {
+		t.live[i].st = st
+	} else {
+		t.live = slices.Insert(t.live, i, liveItem{key, st})
+	}
 	t.startInterval(st, t.cfg.TauLow)
 	t.rearm()
+}
+
+// findLive returns key's position in live, or where it would insert.
+func (t *Trickle) findLive(key Key) (int, bool) {
+	return slices.BinarySearchFunc(t.live, key, func(it liveItem, k Key) int {
+		return cmp.Compare(it.key, k)
+	})
 }
 
 // Remove stops dissemination of key (e.g. the chunk belongs to a
 // superseded storage index).
 func (t *Trickle) Remove(key Key) {
 	delete(t.items, key)
+	if i, ok := t.findLive(key); ok {
+		t.live = slices.Delete(t.live, i, i+1)
+	}
 	t.rearm()
 }
 
@@ -120,7 +148,11 @@ func (t *Trickle) Heard(key Key) {
 func (t *Trickle) Reset(key Key) {
 	if st, ok := t.items[key]; ok {
 		st.rounds = 0
-		st.retired = false
+		if st.retired {
+			st.retired = false
+			i, _ := t.findLive(key)
+			t.live = slices.Insert(t.live, i, liveItem{key, st})
+		}
 		t.startInterval(st, t.cfg.TauLow)
 		t.rearm()
 	}
@@ -144,11 +176,8 @@ func (t *Trickle) startInterval(st *itemState, tau netsim.Time) {
 func (t *Trickle) rearm() {
 	var next netsim.Time = -1
 	now := t.api.Now()
-	//scoop:allow maprange pure min over virtual deadlines, order-independent (no RNG, no FP, no sends)
-	for _, st := range t.items {
-		if st.retired {
-			continue
-		}
+	for _, it := range t.live {
+		st := it.st
 		d := st.fireAt
 		if st.fired {
 			d = st.endAt
@@ -175,21 +204,15 @@ func (t *Trickle) rearm() {
 // simulations to be reproducible.
 func (t *Trickle) OnTimer() {
 	now := t.api.Now()
-	keys := make([]Key, 0, len(t.items))
-	for key := range t.items {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var due []Key
-	for _, key := range keys {
-		st := t.items[key]
-		if st.retired {
-			continue
-		}
+	due := t.due[:0]
+	// Walk live in place, compacting out the items this tick retires.
+	w := 0
+	for _, it := range t.live {
+		st := it.st
 		if !st.fired && now >= st.fireAt {
 			st.fired = true
 			if st.heard < t.cfg.K {
-				due = append(due, key)
+				due = append(due, it.key)
 			}
 		}
 		if now >= st.endAt {
@@ -200,7 +223,12 @@ func (t *Trickle) OnTimer() {
 			}
 			t.startInterval(st, st.tau*2)
 		}
+		t.live[w] = it
+		w++
 	}
+	clear(t.live[w:])
+	t.live = t.live[:w]
+	t.due = due
 	t.rearm()
 	// Send after rearming so a send callback that mutates the item set
 	// (Add/Remove) sees a consistent timer.

@@ -1,6 +1,9 @@
 package trickle
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"scoop/internal/metrics"
@@ -199,5 +202,295 @@ func TestTrickleReAddRestartsFast(t *testing.T) {
 	sim.Run(sim.Now() + 3*netsim.Second)
 	if len(h.sends)-n < 2 {
 		t.Fatalf("re-Add did not restart fast gossip (%d new sends)", len(h.sends)-n)
+	}
+}
+
+// refTrickle is the pre-live-list implementation, kept as the reference
+// model: every tick collects every key ever added from the map, sorts
+// them and skips the retired ones, and rearm ranges the same map. Its
+// cost grows with run history; its behaviour is the specification.
+type refTrickle struct {
+	api     *netsim.NodeAPI
+	cfg     Config
+	timerID int
+	send    func(Key)
+	items   map[Key]*itemState
+}
+
+func (t *refTrickle) Add(key Key) {
+	st := &itemState{}
+	t.items[key] = st
+	t.startInterval(st, t.cfg.TauLow)
+	t.rearm()
+}
+
+func (t *refTrickle) Remove(key Key) {
+	delete(t.items, key)
+	t.rearm()
+}
+
+func (t *refTrickle) Has(key Key) bool { _, ok := t.items[key]; return ok }
+func (t *refTrickle) Len() int         { return len(t.items) }
+
+func (t *refTrickle) Heard(key Key) {
+	if st, ok := t.items[key]; ok {
+		st.heard++
+	}
+}
+
+func (t *refTrickle) Reset(key Key) {
+	if st, ok := t.items[key]; ok {
+		st.rounds = 0
+		st.retired = false
+		t.startInterval(st, t.cfg.TauLow)
+		t.rearm()
+	}
+}
+
+func (t *refTrickle) startInterval(st *itemState, tau netsim.Time) {
+	if tau > t.cfg.TauHigh {
+		tau = t.cfg.TauHigh
+	}
+	st.tau = tau
+	st.heard = 0
+	st.fired = false
+	now := t.api.Now()
+	half := tau / 2
+	st.fireAt = now + half + netsim.Time(t.api.RandIntn(int(half)+1))
+	st.endAt = now + tau
+}
+
+func (t *refTrickle) rearm() {
+	var next netsim.Time = -1
+	now := t.api.Now()
+	for _, st := range t.items {
+		if st.retired {
+			continue
+		}
+		d := st.fireAt
+		if st.fired {
+			d = st.endAt
+		}
+		if next < 0 || d < next {
+			next = d
+		}
+	}
+	if next < 0 {
+		t.api.CancelTimer(t.timerID)
+		return
+	}
+	delay := next - now
+	if delay < 1 {
+		delay = 1
+	}
+	t.api.SetTimer(t.timerID, delay)
+}
+
+func (t *refTrickle) OnTimer() {
+	now := t.api.Now()
+	keys := make([]Key, 0, len(t.items))
+	for key := range t.items {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var due []Key
+	for _, key := range keys {
+		st := t.items[key]
+		if st.retired {
+			continue
+		}
+		if !st.fired && now >= st.fireAt {
+			st.fired = true
+			if st.heard < t.cfg.K {
+				due = append(due, key)
+			}
+		}
+		if now >= st.endAt {
+			st.rounds++
+			if t.cfg.MaxRounds > 0 && st.rounds >= t.cfg.MaxRounds {
+				st.retired = true
+				continue
+			}
+			t.startInterval(st, st.tau*2)
+		}
+	}
+	t.rearm()
+	for _, key := range due {
+		if _, ok := t.items[key]; ok {
+			t.send(key)
+		}
+	}
+}
+
+// gossip is what the equivalence driver needs of either implementation.
+type gossip interface {
+	Add(Key)
+	Remove(Key)
+	Reset(Key)
+	Heard(Key)
+	OnTimer()
+	Has(Key) bool
+	Len() int
+}
+
+// modelApp hosts one implementation on node 0 and logs everything
+// observable from outside: each timer fire and each send, with its
+// virtual time. Sends of keys divisible by 5 remove the key and sends
+// of keys ≡ 3 mod 7 add a neighbour key, so the send loop runs against
+// an item set that mutates under it.
+type modelApp struct {
+	ref bool
+	cfg Config
+	g   gossip
+	api *netsim.NodeAPI
+	log []string
+}
+
+func (m *modelApp) Init(api *netsim.NodeAPI) {
+	m.api = api
+	send := func(k Key) {
+		m.log = append(m.log, fmt.Sprintf("%d send %d", api.Now(), k))
+		switch {
+		case k%5 == 0:
+			m.g.Remove(k)
+		case k%7 == 3:
+			m.g.Add(k + 1)
+		}
+	}
+	if m.ref {
+		m.g = &refTrickle{api: api, cfg: m.cfg, timerID: trickleTimer, send: send,
+			items: make(map[Key]*itemState)}
+	} else {
+		m.g = New(api, trickleTimer, m.cfg, send)
+	}
+}
+func (m *modelApp) Receive(p *netsim.Packet) {}
+func (m *modelApp) Snoop(p *netsim.Packet)   {}
+func (m *modelApp) Timer(id int) {
+	m.log = append(m.log, fmt.Sprintf("%d timer", m.api.Now()))
+	m.g.OnTimer()
+}
+
+func newModel(ref bool, cfg Config, seed int64) (*modelApp, *netsim.Simulator) {
+	topo := netsim.NewTopology(1)
+	sim := netsim.NewSimulator(seed)
+	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
+	m := &modelApp{ref: ref, cfg: cfg}
+	net.Attach(0, m)
+	net.Start()
+	return m, sim
+}
+
+// TestOnTimerMatchesReferenceModel drives the live-list implementation
+// and the reference model with one random script of Add / Remove /
+// Reset / Heard / spurious OnTimer calls on a shared seed and requires
+// the same sends in the same order at the same times, the same timer
+// fires (so the same arms), the same number of scheduled events, the
+// same membership, and the same position in the node's random stream.
+func TestOnTimerMatchesReferenceModel(t *testing.T) {
+	cfgs := []Config{
+		{TauLow: 200, TauHigh: 3 * netsim.Second, K: 1, MaxRounds: 3},
+		{TauLow: 500, TauHigh: 8 * netsim.Second, K: 2, MaxRounds: 0},
+		{TauLow: 100, TauHigh: 100, K: 1, MaxRounds: 1},
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		cfg := cfgs[seed%int64(len(cfgs))]
+		got, gotSim := newModel(false, cfg, seed)
+		want, wantSim := newModel(true, cfg, seed)
+		script := rand.New(rand.NewSource(seed * 977))
+		at := netsim.Time(0)
+		for op := 0; op < 400; op++ {
+			at += netsim.Time(script.Intn(400))
+			kind, key := script.Intn(10), Key(script.Intn(16))
+			for _, m := range []struct {
+				app *modelApp
+				sim *netsim.Simulator
+			}{{got, gotSim}, {want, wantSim}} {
+				g := m.app
+				m.sim.At(at, func() {
+					switch kind {
+					case 0, 1, 2, 3:
+						g.g.Add(key)
+					case 4:
+						g.g.Remove(key)
+					case 5, 6:
+						g.g.Reset(key)
+					case 7, 8:
+						g.g.Heard(key)
+					case 9:
+						g.g.OnTimer()
+					}
+				})
+			}
+		}
+		end := at + 30*netsim.Second
+		gotSim.Run(end)
+		wantSim.Run(end)
+		if len(got.log) < 100 {
+			t.Fatalf("seed %d: only %d log lines; script too quiet to prove anything", seed, len(got.log))
+		}
+		for i := 0; i < len(got.log) && i < len(want.log); i++ {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: log line %d: got %q, want %q", seed, i, got.log[i], want.log[i])
+			}
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: %d log lines, reference has %d", seed, len(got.log), len(want.log))
+		}
+		if g, w := gotSim.Pending(), wantSim.Pending(); g != w {
+			t.Fatalf("seed %d: %d events pending, reference has %d (different timer arms)", seed, g, w)
+		}
+		if g, w := got.g.Len(), want.g.Len(); g != w {
+			t.Fatalf("seed %d: Len %d, reference %d", seed, g, w)
+		}
+		for k := Key(0); k < 20; k++ {
+			if got.g.Has(k) != want.g.Has(k) {
+				t.Fatalf("seed %d: Has(%d) differs from reference", seed, k)
+			}
+		}
+		if g, w := got.api.RandIntn(1<<30), want.api.RandIntn(1<<30); g != w {
+			t.Fatalf("seed %d: random stream position differs from reference", seed)
+		}
+	}
+}
+
+// TestOnTimerIgnoresRetired pins the tick cost to the live item count:
+// with one live item and 10 000 retired ones a tick visits one item and
+// allocates nothing.
+func TestOnTimerIgnoresRetired(t *testing.T) {
+	cfg := Config{TauLow: 100, TauHigh: 100, K: 1, MaxRounds: 1}
+	topo := netsim.NewTopology(1)
+	sim := netsim.NewSimulator(1)
+	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
+	sends := 0
+	h := &harness{cfg: cfg}
+	net.Attach(0, h)
+	net.Start()
+	h.tr.send = func(Key) { sends++ }
+	for k := Key(1); k <= 10000; k++ {
+		h.tr.Add(k)
+	}
+	sim.Run(netsim.Second) // MaxRounds 1: every item retires after one interval
+	if len(h.tr.live) != 0 || h.tr.Len() != 10000 || sim.Pending() != 0 {
+		t.Fatalf("after retirement: live %d, Len %d, pending %d; want 0, 10000, 0",
+			len(h.tr.live), h.tr.Len(), sim.Pending())
+	}
+	// One immortal item: Reset every tick from the send callback.
+	h.tr.send = func(k Key) { sends++; h.tr.Reset(k) }
+	h.tr.Add(0)
+	sends = 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if !sim.Step() {
+			t.Fatal("timer chain died")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("OnTimer allocates %.1f/op with 10000 retired items; want 0", allocs)
+	}
+	if len(h.tr.live) != 1 || h.tr.Len() != 10001 {
+		t.Fatalf("live %d, Len %d; want 1, 10001", len(h.tr.live), h.tr.Len())
+	}
+	if sends == 0 {
+		t.Fatal("the live item never sent")
 	}
 }
