@@ -543,11 +543,17 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 	if cfg.CheckInvariants || ForceInvariants {
 		chk = invariant.New()
 		net.OnPurge = func(id netsim.NodeID, p *netsim.Packet) {
-			// A reboot drains the send queue; batched readings in it
-			// are RAM losses the radio-side accounting never sees.
+			// A reboot drains the send queue, and a kill strands the
+			// acked frames still in the air towards the node; batched
+			// readings in either are losses the radio-side accounting
+			// never sees.
+			reason := "reboot-queue"
+			if p.Dst == id {
+				reason = "died-mid-air"
+			}
 			if dm, ok := p.Payload.(*core.DataMsg); ok {
 				for _, r := range dm.Readings {
-					chk.LostReading(r.Producer, r.Time, "reboot-queue")
+					chk.LostReading(r.Producer, r.Time, reason)
 				}
 			}
 		}

@@ -8,15 +8,21 @@ import (
 	"scoop/internal/policy"
 )
 
-// quick returns a shortened single-trial configuration. Under -short
-// the runs shrink further (the full suite simulates ~18s of wall
-// time), keeping only warm-up plus enough active time for the
-// cross-policy assertions to stay robust.
-func quick(p policy.Name, source string) Config {
+// atQuick returns a single-trial configuration at the Quick scale
+// (22 virtual minutes, 6 of them warm-up).
+func atQuick(p policy.Name, source string) Config {
 	cfg := Default()
 	cfg.Policy = p
 	cfg.Source = source
 	Quick.apply(&cfg)
+	return cfg
+}
+
+// quick is atQuick, shrunk further under -short (the full suite
+// simulates ~18s of wall time) to warm-up plus enough active time for
+// the assertions that use it to stay robust.
+func quick(p policy.Name, source string) Config {
+	cfg := atQuick(p, source)
 	if testing.Short() {
 		cfg.Duration = 12 * netsim.Minute
 		cfg.Warmup = 4 * netsim.Minute
@@ -35,19 +41,22 @@ func total(t *testing.T, cfg Config) float64 {
 
 // The paper's headline comparison (Figure 3, middle): under the
 // default workload SCOOP beats both send-to-base and store-local.
+// Always run at the Quick length: measured over 25 seeds (REAL, N=63),
+// the 8 active minutes of the -short length cannot carry the claim at
+// all (BASE/SCOOP 1.06–1.60, LOCAL/SCOOP 0.88–1.30), Quick gives
+// BASE/SCOOP 1.36–1.86 (median 1.62) and LOCAL/SCOOP 1.13–1.58, and
+// the paper's 40/10 minutes 1.40–2.03 and 1.26–1.65.
 func TestPolicyOrderingOnReal(t *testing.T) {
-	scoop := total(t, quick(policy.Scoop, "real"))
-	local := total(t, quick(policy.Local, "real"))
-	base := total(t, quick(policy.Base, "real"))
+	scoop := total(t, atQuick(policy.Scoop, "real"))
+	local := total(t, atQuick(policy.Local, "real"))
+	base := total(t, atQuick(policy.Base, "real"))
 	if scoop >= base {
 		t.Fatalf("SCOOP (%.0f) not cheaper than BASE (%.0f)", scoop, base)
 	}
 	if scoop >= local {
 		t.Fatalf("SCOOP (%.0f) not cheaper than LOCAL (%.0f)", scoop, local)
 	}
-	// The paper reports SCOOP at roughly a quarter of the baselines'
-	// cost; require at least a 1.4× win in the shortened runs.
-	if base/scoop < 1.4 {
+	if base/scoop < 1.25 {
 		t.Fatalf("SCOOP/BASE improvement only %.2fx", base/scoop)
 	}
 }

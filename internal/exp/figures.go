@@ -428,7 +428,7 @@ func FigureAgg(scale Scale, seed int64) (Table, map[string][]Result) {
 // GHT/TAG regime. Reported per cell: total messages, messages per
 // node, end-to-end data delivery, and the simulator's own throughput
 // (wall-clock seconds and virtual-seconds-per-wall-second), which is
-// the number BENCH_scale.json tracks over time. Delivery degrading as
+// what bench/ measures as sim_rate on scale1000. Delivery degrading as
 // N grows is the finding, not a bug: the protocol's funnel toward one
 // basestation saturates the fixed-capacity MAC exactly as the paper's
 // saturation discussion predicts.

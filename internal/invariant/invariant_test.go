@@ -1,0 +1,103 @@
+package invariant
+
+import (
+	"strings"
+	"testing"
+)
+
+// clean drives every check with a sequence that satisfies it: readings
+// stored, lost or in flight; increasing index IDs; an aggregate that
+// counts each target once; every query settled once with an honest
+// bound. Each violating case below runs it first, so the one breach it
+// adds is the only difference from a clean run.
+func clean(c *Checker) {
+	c.ProducedReading(1, 100)
+	c.StoredReading(1, 100)
+	c.StoredReading(1, 100) // at-least-once duplicate
+	c.ProducedReading(2, 100)
+	c.LostReading(2, 100, "retries")
+	c.ProducedReading(3, 100)
+	c.InFlightReading(3, 100)
+	c.RecordIndexIDs([]uint16{1, 2, 5})
+	c.AggResult(7, 4, 4)
+	c.QueryVerdicts(2, []VerdictInfo{
+		{QID: 1, Terminal: true},
+		{QID: 2, Terminal: true, Degraded: true, ErrBound: 0.2, SummaryBound: 0.1},
+	})
+}
+
+func TestCleanRunHasNoViolations(t *testing.T) {
+	c := New()
+	clean(c)
+	if vs := c.Violations(); vs != nil {
+		t.Fatalf("clean run reported %q", vs)
+	}
+	if p, s, l, f := c.Stats(); p != 3 || s != 1 || l != 1 || f != 1 {
+		t.Fatalf("stats = %d produced, %d stored, %d lost, %d in flight", p, s, l, f)
+	}
+}
+
+// Each sequence breaks one invariant and must be reported as exactly
+// one violation: the checker can fail, and no check shadows another.
+func TestEachCheckTripsAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		breach func(c *Checker)
+		want   string
+	}{
+		{"vanished reading", func(c *Checker) {
+			c.ProducedReading(4, 200)
+		}, "reading (node 4, t=200) vanished"},
+		{"ghost reading", func(c *Checker) {
+			c.StoredReading(5, 200)
+		}, "ghost reading (node 5, t=200)"},
+		{"reading produced twice", func(c *Checker) {
+			c.ProducedReading(1, 100)
+		}, "produced 2 times"},
+		{"agg double count", func(c *Checker) {
+			c.AggResult(8, 5, 4)
+		}, "agg query 8: 5 contributors folded for 4 targeted nodes"},
+		{"index ID repeats", func(c *Checker) {
+			c.RecordIndexIDs([]uint16{3, 3})
+		}, "index generation 3 follows 3"},
+		{"index ID goes back", func(c *Checker) {
+			c.RecordIndexIDs([]uint16{1, 4, 2})
+		}, "index generation 2 follows 4"},
+		{"query settled twice", func(c *Checker) {
+			c.QueryVerdicts(1, []VerdictInfo{{QID: 9, Terminal: true}, {QID: 9, Terminal: true}})
+		}, "query 9: settled more than once"},
+		{"query never settled", func(c *Checker) {
+			c.QueryVerdicts(2, []VerdictInfo{{QID: 9, Terminal: true}})
+		}, "2 queries issued but 1 reached a verdict"},
+		{"non-terminal verdict", func(c *Checker) {
+			c.QueryVerdicts(1, []VerdictInfo{{QID: 9}})
+		}, "query 9: settled with non-terminal verdict"},
+		{"degraded bound too tight", func(c *Checker) {
+			c.QueryVerdicts(1, []VerdictInfo{
+				{QID: 9, Terminal: true, Degraded: true, ErrBound: 0.05, SummaryBound: 0.1}})
+		}, "query 9: degraded answer reports bound 0.0500 tighter than the summary bound 0.1000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New()
+			clean(c)
+			tc.breach(c)
+			vs := c.Violations()
+			if len(vs) != 1 || !strings.Contains(vs[0], tc.want) {
+				t.Fatalf("violations = %q, want exactly one containing %q", vs, tc.want)
+			}
+		})
+	}
+}
+
+// A systemic conservation failure is reported as maxReported examples
+// plus a count.
+func TestVanishedReadingsAreCapped(t *testing.T) {
+	c := New()
+	for i := 0; i < maxReported+3; i++ {
+		c.ProducedReading(uint16(i), 1)
+	}
+	vs := c.Violations()
+	if len(vs) != maxReported+1 || !strings.Contains(vs[maxReported], "and 3 more vanished readings") {
+		t.Fatalf("violations = %q", vs)
+	}
+}

@@ -14,7 +14,7 @@
 //     loop anywhere in the module — the exact query.latestPerNode bug
 //     class that once flipped aggErr bits in committed artifacts.
 //   - walltime: no time.Now/Since/Until outside the wall-clock
-//     accounting packages (perfbench, sweep) — simulations are pure
+//     accounting packages (prof, sweep) — simulations are pure
 //     functions of their seed.
 //   - globalrand: no process-global math/rand draws or
 //     constant-seeded sources in deterministic packages — randomness

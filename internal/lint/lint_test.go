@@ -113,11 +113,10 @@ func TestAllowGrammar(t *testing.T) {
 // contract names.
 func TestLoadDeterministicFlag(t *testing.T) {
 	for rel, want := range map[string]bool{
-		"../core":      true,
-		"../trickle":   true,
-		"../netsim":    true,
-		"../sweep":     false,
-		"../perfbench": false,
+		"../core":    true,
+		"../trickle": true,
+		"../netsim":  true,
+		"../sweep":   false,
 	} {
 		pkgs, err := lint.Load(rel, ".")
 		if err != nil {

@@ -1,7 +1,7 @@
 // Package walltime is a scooplint fixture: wall-clock reads in
 // simulation code. Loaded without the deterministic flag — the rule
 // binds every package except the wall-clock accounting ones
-// (perfbench, sweep) and tests.
+// (prof, sweep) and tests.
 package walltime
 
 import "time"

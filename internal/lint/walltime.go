@@ -5,17 +5,15 @@ import (
 )
 
 // walltimeExempt lists the module-relative directories whose whole
-// job is wall-clock accounting: the perf harness measures real time
-// by definition, sweep reports grid wall time to the operator, and
-// prof is the wall-clock attribution profiler — wall time is its
-// subject matter, quarantined behind its nil-Profiler default
-// (DESIGN.md §17). Everywhere else the simulation clock (netsim.Time)
+// job is wall-clock accounting: sweep reports grid wall time to the
+// operator, and prof is the wall-clock attribution profiler — wall
+// time is its subject matter, quarantined behind its nil-Profiler
+// default (DESIGN.md §17). Everywhere else the simulation clock (netsim.Time)
 // is the only time; a stray time.Now in protocol code would tie
 // behaviour — and committed artifacts — to the machine, not the seed.
 var walltimeExempt = map[string]bool{
-	"internal/perfbench": true,
-	"internal/prof":      true,
-	"internal/sweep":     true,
+	"internal/prof":  true,
+	"internal/sweep": true,
 }
 
 // walltimeFuncs are the time-package functions that read the wall
@@ -48,7 +46,7 @@ var Walltime = &Analyzer{
 				if fn == nil || fn.Pkg().Path() != "time" || !walltimeFuncs[fn.Name()] {
 					return true
 				}
-				pass.Reportf(sel.Pos(), "wall-clock time.%s: a simulation is a pure function of its seed, so behaviour must only read the virtual clock (DESIGN.md §2); wall time lives in the quarantined measurement packages (internal/prof, internal/perfbench, internal/sweep — DESIGN.md §17), and other measurement-only code needs //scoop:allow walltime <reason>", fn.Name())
+				pass.Reportf(sel.Pos(), "wall-clock time.%s: a simulation is a pure function of its seed, so behaviour must only read the virtual clock (DESIGN.md §2); wall time lives in the quarantined measurement packages (internal/prof, internal/sweep — DESIGN.md §17), and other measurement-only code needs //scoop:allow walltime <reason>", fn.Name())
 				return true
 			})
 		}

@@ -179,11 +179,14 @@ type Network struct {
 	Counters *metrics.Counters
 	Params   Params
 
-	// OnPurge, when non-nil, is called for every queued packet a node
-	// loses to a reboot (Network.Restart drains the send queue without
-	// running completion callbacks — a rebooted mote forgets its RAM).
-	// Invariant-checking harnesses use it to keep loss accounting
-	// conservative.
+	// OnPurge, when non-nil, is called for every packet a node failure
+	// destroys without the sender's completion callback saying so. Two
+	// cases: a queued packet id loses to a reboot (Network.Restart
+	// drains the send queue — a rebooted mote forgets its RAM), and an
+	// in-air frame unicast to id, already acked at the start of its
+	// airtime, that id will miss because Network.Kill took it down
+	// before the airtime ended (p.Dst == id). Invariant-checking
+	// harnesses use it to keep loss accounting conservative.
 	OnPurge func(id NodeID, p *Packet)
 
 	// Trace, when non-nil, receives a flight-recorder event for every
@@ -415,6 +418,23 @@ func (n *Network) Run(until Time) {
 func (n *Network) Kill(id NodeID) {
 	n.dead[id] = true
 	n.Trace.Emit(trace.Event{Kind: trace.NodeDown, Node: uint16(id)})
+	if n.OnPurge == nil {
+		return
+	}
+	// The link-layer ack was resolved when each frame went on the air;
+	// delivery skips a receiver that is dead when it lands.
+	for _, reg := range n.regs {
+		for _, d := range reg.inflight {
+			if d.p.Dst != id {
+				continue
+			}
+			for _, s := range d.recv {
+				if s.dst == id {
+					n.OnPurge(id, &d.p)
+				}
+			}
+		}
+	}
 }
 
 // Revive brings a dead node back (its protocol state is whatever the

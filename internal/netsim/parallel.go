@@ -34,11 +34,15 @@ type regionWorker struct {
 func (n *Network) runParallel(until Time) {
 	w := n.window
 	ctl := n.Sim
-	stamped := n.Trace != nil
-	if p := ctl.Profiler(); p != nil {
-		p.LoopBegin()
-		defer p.LoopEnd()
+	// Control bodies (queries, dynamics, purges) emit through the parent
+	// recorder and any region fork, so a control event stamps the whole
+	// family with its canonical key and they merge into serial order.
+	var stampCtl func(origin int32, oseq uint64)
+	if n.Trace != nil {
+		stampCtl = n.Trace.SetStampCtl
 	}
+	ctl.prof.LoopBegin()
+	defer ctl.prof.LoopEnd()
 
 	workers := make([]regionWorker, len(n.regs))
 	for i, reg := range n.regs {
@@ -46,15 +50,12 @@ func (n *Network) runParallel(until Time) {
 		workers[i] = rw
 		//scoop:allow goroutine region worker: confined to its own regionState; barrier channels carry the happens-before edges
 		go func(reg *regionState, rw regionWorker) {
-			p := reg.sim.Profiler()
+			var stamp func(origin int32, oseq uint64)
+			if reg.trace != nil {
+				stamp = reg.trace.SetStamp
+			}
 			for end := range rw.end {
-				if p != nil {
-					p.LoopBegin()
-				}
-				reg.sim.runWindow(end, reg.trace)
-				if p != nil {
-					p.LoopEnd()
-				}
+				reg.sim.runWindow(end, stamp)
 				rw.done <- struct{}{}
 			}
 		}(reg, rw)
@@ -75,7 +76,7 @@ func (n *Network) runParallel(until Time) {
 			if !ok || tc > T || tc > until {
 				break
 			}
-			n.runCtlEvent(stamped)
+			ctl.dispatch(stampCtl)
 		}
 		if ctl.Halted() || T > until {
 			break
@@ -127,25 +128,6 @@ func (n *Network) runParallel(until Time) {
 	n.advanceRegions(until)
 	if !ctl.Halted() && ctl.Now() < until {
 		ctl.now = until
-	}
-}
-
-// runCtlEvent pops and runs one control-plane event, stamping every
-// recorder with its canonical key first so trace emissions from
-// control bodies (queries, dynamics, purges) merge into serial order.
-func (n *Network) runCtlEvent(stamped bool) {
-	s := n.Sim
-	e := s.pop()
-	s.now = e.at
-	if stamped {
-		n.Trace.SetStampCtl(e.origin, e.oseq)
-	}
-	if p := s.prof; p != nil {
-		p.BeginEvent(e.phase, len(s.events)+1, int64(e.at-e.sched))
-		e.run()
-		p.EndEvent()
-	} else {
-		e.run()
 	}
 }
 

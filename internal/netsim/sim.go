@@ -37,7 +37,6 @@ import (
 	"math/rand"
 
 	"scoop/internal/prof"
-	"scoop/internal/trace"
 )
 
 // Time is virtual simulation time in milliseconds.
@@ -234,96 +233,73 @@ func (e event) run() {
 	e.task.Run()
 }
 
+// dispatch pops the earliest event, moves the clock to it and runs its
+// body: the one pop-and-run site every loop below shares, each with its
+// own admission test. stamp, when non-nil, receives the event's
+// canonical key before the body runs (region loops position their
+// trace recorder with it). Under a profiler the pop records the heap
+// depth (popped event included) and the event's scheduled→fired dwell,
+// and the body accrues to the event's phase until EndEvent returns
+// attribution to the heap phase. The profiler's methods are nil-safe;
+// the check here only spares the unprofiled loop two calls per event.
+func (s *Simulator) dispatch(stamp func(origin int32, oseq uint64)) {
+	e := s.pop()
+	s.now = e.at
+	if stamp != nil {
+		stamp(e.origin, e.oseq)
+	}
+	p := s.prof
+	if p == nil {
+		e.run()
+		return
+	}
+	p.BeginEvent(e.phase, len(s.events)+1, int64(e.at-e.sched))
+	e.run()
+	p.EndEvent()
+}
+
+// runnable reports whether an event is pending and Halt was not called.
+func (s *Simulator) runnable() bool { return len(s.events) > 0 && !s.halted }
+
 // Run processes events in time order until the clock reaches `until`
 // or the queue drains. Events scheduled exactly at `until` still run.
 // If an event calls Halt, the loop stops with the clock at that event's
 // time: later same-tick events never ran, so the clock must not claim
 // the run reached `until`.
 func (s *Simulator) Run(until Time) {
-	if s.prof != nil {
-		s.runProfiled(until)
-	} else {
-		for len(s.events) > 0 && !s.halted {
-			if s.events[0].at > until {
-				break
-			}
-			e := s.pop()
-			s.now = e.at
-			e.run()
-		}
+	s.prof.LoopBegin()
+	for s.runnable() && s.events[0].at <= until {
+		s.dispatch(nil)
 	}
+	s.prof.LoopEnd()
 	if !s.halted && s.now < until {
 		s.now = until
 	}
 }
 
-// runProfiled is Run's instrumented twin: identical event selection
-// and dispatch, plus per-event attribution. Each pop records the heap
-// depth (popped event included) and the event's scheduled→fired dwell,
-// then the body accrues to the event's phase until EndEvent returns
-// attribution to the heap phase.
-func (s *Simulator) runProfiled(until Time) {
-	p := s.prof
-	p.LoopBegin()
-	for len(s.events) > 0 && !s.halted {
-		if s.events[0].at > until {
-			break
-		}
-		e := s.pop()
-		s.now = e.at
-		p.BeginEvent(e.phase, len(s.events)+1, int64(e.at-e.sched))
-		e.run()
-		p.EndEvent()
-	}
-	p.LoopEnd()
-}
-
 // runWindow processes events strictly before end — the conservative
 // lookahead window the parallel coordinator granted this region. The
 // clock is left at the last executed event; the coordinator advances it
-// to the barrier time after cross-region exchange. rec, when non-nil,
-// is a buffering recorder that receives each event's canonical stamp
-// before the body runs, so merged parallel traces reproduce the serial
-// emission order. The caller brackets windows with the profiler's
-// LoopBegin/LoopEnd.
-func (s *Simulator) runWindow(end Time, rec *trace.Recorder) {
-	p := s.prof
-	for len(s.events) > 0 && !s.halted {
-		if s.events[0].at >= end {
-			break
-		}
-		e := s.pop()
-		s.now = e.at
-		if rec != nil {
-			rec.SetStamp(e.origin, e.oseq)
-		}
-		if p != nil {
-			p.BeginEvent(e.phase, len(s.events)+1, int64(e.at-e.sched))
-			e.run()
-			p.EndEvent()
-		} else {
-			e.run()
-		}
+// to the barrier time after cross-region exchange. stamp positions the
+// region's buffering recorder at each event (see dispatch), so merged
+// parallel traces reproduce the serial emission order.
+func (s *Simulator) runWindow(end Time, stamp func(origin int32, oseq uint64)) {
+	s.prof.LoopBegin()
+	for s.runnable() && s.events[0].at < end {
+		s.dispatch(stamp)
 	}
+	s.prof.LoopEnd()
 }
 
 // Step runs the single earliest pending event, returning false if the
 // queue is empty. Mainly useful in tests.
 func (s *Simulator) Step() bool {
-	if len(s.events) == 0 || s.halted {
+	if !s.runnable() {
 		return false
 	}
-	e := s.pop()
-	s.now = e.at
-	if p := s.prof; p != nil {
-		p.LoopBegin()
-		p.BeginEvent(e.phase, len(s.events)+1, int64(e.at-e.sched))
-		e.run()
-		p.EndEvent()
-		p.LoopEnd()
-	} else {
-		e.run()
-	}
+	s.prof.LoopBegin()
+	s.dispatch(nil)
+	s.prof.LoopEnd()
 	return true
 }
 

@@ -1,40 +1,28 @@
-// Package perfbench defines the repo's hot-path performance
-// benchmarks as plain functions, so the same code runs both as `go
-// test -bench` benchmarks (netsim/core/root bench files wrap them) and
-// inside cmd/scoopperf, which records the numbers into the committed
-// BENCH_scale.json artifact and gates CI on allocs/op regressions.
-//
-// Two kinds of measurements exist:
-//
-//   - Micro benches (Benches): per-simulated-event cost of the netsim
-//     radio fan-out and the full core protocol stack, at several
-//     network sizes. allocs/op is machine-independent and gated;
-//     ns/op and bytes/op are recorded for trend reading only.
-//   - Sim-rate probes (SimRates): end-to-end virtual-time-per-
-//     wallclock-time of a full SCOOP experiment at N ∈ {65, 250,
-//     1000}, the scale-tier headline number. Wall-clock dependent, so
-//     recorded but never gated.
+// Package perfbench defines the repo's hot-path micro benchmarks as
+// plain functions: the per-simulated-event cost of the netsim radio
+// fan-out and the full core protocol stack at several network sizes,
+// the basestation's warm reindex, the per-reply path through the query
+// reliability layer, and trace emission into the ring sink. Two
+// callers run them: the root BenchmarkHotPaths (`go test -bench`) and
+// bench/, the repo's benchmark, which times four of them by name for
+// its isolated per-layer metrics. The zero-allocation contracts are
+// plain tests next to the code they pin (TestReplyPathZeroAllocs here,
+// the AllocsPerRun tests in trace, prof and trickle); end-to-end sim
+// rate and allocations per virtual second are bench/'s to measure.
 package perfbench
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
-	"sort"
 	"testing"
-	"time"
 
 	"scoop/internal/core"
-	"scoop/internal/exp"
 	"scoop/internal/histogram"
 	"scoop/internal/index"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
-	"scoop/internal/prof"
 	"scoop/internal/trace"
-	"scoop/internal/trickle"
 	"scoop/internal/workload"
 )
 
@@ -44,12 +32,9 @@ type Bench struct {
 	Fn   func(b *testing.B)
 }
 
-// Benches returns the gated hot-path micro benches in artifact order.
-// The index/rebuild/* entries are additionally gated on ns/op (20%
-// tolerance); they pin GOMAXPROCS=1 so the measurement is pure serial
-// CPU work — a baseline from a many-core machine would otherwise be
-// unreachable for a small CI runner (and vice versa) through the
-// builder's parallel fan-out.
+// Benches returns the hot-path micro benches. bench/ looks up
+// netsim/flood/n1000, index/rebuild/n1000, core/reply/rel-off and
+// trace/emit/ring by name.
 func Benches() []Bench {
 	return []Bench{
 		{"netsim/flood/n65", func(b *testing.B) { benchNetsimFlood(b, 65) }},
@@ -58,72 +43,12 @@ func Benches() []Bench {
 		{"core/scoop/n65", func(b *testing.B) { benchCoreScoop(b, 65) }},
 		{"core/scoop/n250", func(b *testing.B) { benchCoreScoop(b, 250) }},
 		{"core/scoop/n1000", func(b *testing.B) { benchCoreScoop(b, 1000) }},
-		{"core/reply/rel-off", benchReplyRelOff},
-		{"core/reply/rel-settled", benchReplyRelSettled},
+		{"core/reply/rel-off", func(b *testing.B) { benchReply(b, replyRelOff) }},
+		{"core/reply/rel-settled", func(b *testing.B) { benchReply(b, replyRelSettled) }},
 		{"index/rebuild/n65", func(b *testing.B) { benchIndexRebuild(b, 65) }},
 		{"index/rebuild/n250", func(b *testing.B) { benchIndexRebuild(b, 250) }},
 		{"index/rebuild/n1000", func(b *testing.B) { benchIndexRebuild(b, 1000) }},
-		{"trace/emit/disabled", benchTraceDisabled},
 		{"trace/emit/ring", benchTraceRing},
-		{"prof/emit/disabled", benchProfDisabled},
-		{"prof/emit/enabled", benchProfEnabled},
-		{"trickle/ontimer/retired1k", benchTrickleRetired},
-	}
-}
-
-// trickleApp hosts one Trickle instance and nothing else.
-type trickleApp struct {
-	cfg trickle.Config
-	tr  *trickle.Trickle
-}
-
-func (a *trickleApp) Init(api *netsim.NodeAPI) {
-	// Item 0 is kept alive for ever by a Reset from its own send.
-	a.tr = trickle.New(api, 0, a.cfg, func(k trickle.Key) {
-		if k == 0 {
-			a.tr.Reset(k)
-		}
-	})
-}
-func (a *trickleApp) Receive(*netsim.Packet) {}
-func (a *trickleApp) Snoop(*netsim.Packet)   {}
-func (a *trickleApp) Timer(int)              { a.tr.OnTimer() }
-
-// benchTrickleRetired pins the Trickle tick to the live item count
-// (DESIGN.md §12): one live item next to 1000 retired ones — the shape
-// a node's query Trickle has late in a query-heavy run. One op is one
-// timer event; it must stay zero allocs/op and must not grow with the
-// retired set.
-func benchTrickleRetired(b *testing.B) {
-	b.ReportAllocs()
-	sim := netsim.NewSimulator(1)
-	net := netsim.NewNetwork(sim, netsim.NewTopology(1), metrics.NewCounters(), netsim.DefaultParams())
-	app := &trickleApp{cfg: trickle.Config{TauLow: 100, TauHigh: 100, K: 1, MaxRounds: 1}}
-	net.Attach(0, app)
-	net.Start()
-	for k := trickle.Key(1); k <= 1000; k++ {
-		app.tr.Add(k)
-	}
-	sim.Run(netsim.Second) // one interval each, then retired
-	app.tr.Add(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !sim.Step() {
-			b.Fatal("trickle timer chain died")
-		}
-	}
-}
-
-// benchTraceDisabled pins the flight recorder's disabled-path cost:
-// Emit on a nil Recorder must stay zero allocs/op (the hot netsim
-// sites additionally skip Event construction behind a nil check; this
-// measures the protocol-layer sites that call Emit unconditionally).
-func benchTraceDisabled(b *testing.B) {
-	b.ReportAllocs()
-	var rec *trace.Recorder
-	for i := 0; i < b.N; i++ {
-		rec.Emit(trace.Event{Kind: trace.PacketSend, Node: 1, Peer: 2,
-			Class: metrics.Data, Size: 30})
 	}
 }
 
@@ -139,41 +64,6 @@ func benchTraceRing(b *testing.B) {
 		rec.Emit(trace.Event{Kind: trace.PacketSend, Node: 1, Peer: 2,
 			Class: metrics.Data, Size: 30})
 	}
-}
-
-// benchProfDisabled pins the profiler's disabled-path cost: the full
-// per-event call sequence (BeginEvent, a nested Enter/Exit span,
-// EndEvent) on a nil Profiler must stay zero allocs/op — it is one nil
-// branch per call, cheap enough to leave unconditionally in the event
-// loop and protocol hot paths.
-func benchProfDisabled(b *testing.B) {
-	b.ReportAllocs()
-	var p *prof.Profiler
-	for i := 0; i < b.N; i++ {
-		p.BeginEvent(prof.PhaseRadio, 5, 12)
-		prev := p.Enter(prof.PhaseNodeRecv)
-		p.Exit(prev)
-		p.EndEvent()
-	}
-}
-
-// benchProfEnabled pins the enabled-path cost of the same sequence:
-// attribution flushes, counter updates and histogram records must stay
-// zero allocs/op so profiling never perturbs the allocation behaviour
-// it observes.
-func benchProfEnabled(b *testing.B) {
-	b.ReportAllocs()
-	p := prof.New()
-	p.LoopBegin()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.BeginEvent(prof.PhaseRadio, 5, 12)
-		prev := p.Enter(prof.PhaseNodeRecv)
-		p.Exit(prev)
-		p.EndEvent()
-	}
-	b.StopTimer()
-	p.LoopEnd()
 }
 
 // floodApp is a minimal netsim application that keeps the radio busy:
@@ -243,23 +133,23 @@ func benchCoreScoop(b *testing.B, n int) {
 	}
 }
 
-// replyBenchBase builds a warmed 20-node SCOOP network, issues one
-// wide tuple query, runs `settle` more virtual time, and returns the
-// base plus the query's last wire ID — the fixture for the per-reply
-// hot-path benches below.
-func replyBenchBase(b *testing.B, deadline netsim.Time, retryMax int, settle netsim.Time) (*core.Base, uint16) {
+// replyFixture builds a warmed 20-node SCOOP network, issues one wide
+// tuple query, runs `settle` more virtual time, and returns the base
+// plus a reply from node 1 under the query's last wire ID — the fixture
+// for the per-reply hot path (benches below, TestReplyPathZeroAllocs).
+func replyFixture(tb testing.TB, deadline netsim.Time, retryMax int, settle netsim.Time) (*core.Base, *netsim.Packet) {
 	const n = 20
 	topo := netsim.GridTopology(n, 2.5, 7)
 	sim := netsim.NewSimulator(13)
 	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
 	src, err := workload.NewSource("real", n, 17)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	lo, hi := src.Domain()
 	ccfg, err := policy.Config(policy.Scoop, n, lo, hi)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ccfg.QueryDeadline = deadline
 	ccfg.QueryRetryMax = retryMax
@@ -275,37 +165,33 @@ func replyBenchBase(b *testing.B, deadline netsim.Time, retryMax int, settle net
 		base.IssueQuery(workload.Query{ValueLo: lo, ValueHi: hi, TimeLo: 0, TimeHi: 4 * netsim.Minute})
 	})
 	sim.Run(sim.Now() + 1 + settle)
-	return base, base.LastQueryID()
+	return base, &netsim.Packet{Class: metrics.Reply, Src: 1, Origin: 1,
+		Payload: &core.ReplyMsg{QueryID: base.LastQueryID(), Node: 1}}
 }
 
-// benchReplyRelOff pins the reliability layer's disabled-path cost on
-// the per-reply hot path: with Config.QueryDeadline zero (the §19
-// layer off) a duplicate reply through Base.Receive must stay zero
-// allocs/op — the layer adds only the wire-ID resolve and the nil
-// deadline check to pre-reliability reply handling.
-func benchReplyRelOff(b *testing.B) {
-	base, qid := replyBenchBase(b, 0, 0, 10*netsim.Second)
-	pkt := &netsim.Packet{Class: metrics.Reply, Src: 1, Origin: 1,
-		Payload: &core.ReplyMsg{QueryID: qid, Node: 1}}
-	base.Receive(pkt) // mark node 1 replied; every timed op is then a duplicate
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base.Receive(pkt)
-	}
+// replyRelOff is the reliability layer's disabled path: with
+// Config.QueryDeadline zero (the §19 layer off) every reply after the
+// first is a duplicate, and the layer adds only the wire-ID resolve and
+// the nil deadline check to pre-reliability reply handling.
+func replyRelOff(tb testing.TB) (*core.Base, *netsim.Packet) {
+	base, pkt := replyFixture(tb, 0, 0, 10*netsim.Second)
+	base.Receive(pkt) // mark node 1 replied
+	return base, pkt
 }
 
-// benchReplyRelSettled pins the enabled layer's post-settlement cost:
-// once a query's verdict is journalled and its collection state
-// evicted, a late reply must be dropped by the eviction guard at zero
-// allocs/op — straggler traffic after a retry storm cannot tax the
-// base.
-func benchReplyRelSettled(b *testing.B) {
-	// 8s deadline, one retry: settled (and evicted) well inside the
-	// extra virtual minute the fixture runs.
-	base, qid := replyBenchBase(b, 8*netsim.Second, 1, netsim.Minute)
-	pkt := &netsim.Packet{Class: metrics.Reply, Src: 1, Origin: 1,
-		Payload: &core.ReplyMsg{QueryID: qid, Node: 1}}
+// replyRelSettled is the enabled layer's post-settlement path: 8 s
+// deadline, one retry, so the query's verdict is journalled and its
+// collection state evicted well inside the extra virtual minute; a late
+// reply is dropped by the eviction guard — straggler traffic after a
+// retry storm cannot tax the base.
+func replyRelSettled(tb testing.TB) (*core.Base, *netsim.Packet) {
+	return replyFixture(tb, 8*netsim.Second, 1, netsim.Minute)
+}
+
+// benchReply times Base.Receive on one of the two reply paths above;
+// both must stay zero allocs/op (TestReplyPathZeroAllocs).
+func benchReply(b *testing.B, fixture func(testing.TB) (*core.Base, *netsim.Packet)) {
+	base, pkt := fixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -410,7 +296,7 @@ func (s *rebuildScenario) step(moveLink bool) index.BuildInput {
 // plus one link-moving epoch (full SPT) — so ns/op and allocs/op do
 // not depend on which b.N the harness happens to pick. A modulo
 // schedule instead ("every 4th op moves a link") made the measured
-// epoch mix a function of b.N and the gate machine-dependent.
+// epoch mix a function of b.N.
 const rebuildEpochsPerOp = 4
 
 // benchIndexRebuild measures steady-state basestation reindexing:
@@ -418,8 +304,8 @@ const rebuildEpochsPerOp = 4
 // the incremental owner search, via a warm Builder exactly as
 // core.Base drives it. Per-op numbers are per four-epoch cycle —
 // three stats-drift rebuilds plus one link-move rebuild. GOMAXPROCS
-// is pinned to 1 for the duration: the ns/op gate needs a number
-// that does not scale with the measuring machine's core count
+// is pinned to 1 for the duration: bench's index.rebuild_n1000_ms
+// needs a number that does not scale with the machine's core count
 // (parallel-path correctness is pinned separately by the GOMAXPROCS
 // determinism tests in internal/index).
 func benchIndexRebuild(b *testing.B, n int) {
@@ -441,72 +327,4 @@ func benchIndexRebuild(b *testing.B, n int) {
 			bl.BuildOwners(&in)
 		}
 	}
-}
-
-// SimRate is one end-to-end throughput probe: how many virtual
-// milliseconds of a full SCOOP experiment one wall-clock second buys.
-// Regions > 1 runs the trial on the region-parallel event loop —
-// results are bit-identical to serial by construction (the
-// differential harness pins this), so the probe measures pure engine
-// overhead/speedup at that K.
-type SimRate struct {
-	N        int
-	Duration netsim.Time
-	Regions  int
-}
-
-// SimRates returns the scale-tier probe points. Durations shrink as N
-// grows so the whole artifact regenerates in well under a CI minute;
-// the 40-virtual-minute 1000-node acceptance run lives in
-// TestScaleTier1000 instead. The 1000-node cell is additionally probed
-// on the parallel engine at K ∈ {2, 4}: on a single-core runner these
-// record the coordination overhead, on a multi-core machine the
-// speedup — either way the committed number is the honest one for the
-// machine that produced the artifact.
-func SimRates() []SimRate {
-	return []SimRate{
-		{N: 65, Duration: 10 * netsim.Minute},
-		{N: 250, Duration: 6 * netsim.Minute},
-		{N: 1000, Duration: 4 * netsim.Minute},
-		{N: 1000, Duration: 4 * netsim.Minute, Regions: 2},
-		{N: 1000, Duration: 4 * netsim.Minute, Regions: 4},
-	}
-}
-
-// simRateSamples is how many times RunSimRate repeats each probe; the
-// median is reported, so one GC pause or scheduler hiccup in a single
-// run cannot skew the recorded trajectory point.
-const simRateSamples = 3
-
-// RunSimRate executes one probe simRateSamples times and returns the
-// median virtual-seconds simulated per wall-clock second. Each sample
-// starts from a collected heap: when the probes run after the micro
-// benches in one scoopperf process, the benches' residual garbage and
-// inflated GC goal otherwise tax the probe by integer factors and the
-// artifact records the process history instead of the engine.
-func RunSimRate(p SimRate) (float64, error) {
-	cfg := exp.Default()
-	cfg.N = p.N
-	cfg.Topology = "grid"
-	cfg.Duration = p.Duration
-	cfg.Warmup = p.Duration / 4
-	cfg.Trials = 1
-	cfg.Seed = 3
-	cfg.Regions = p.Regions
-	rates := make([]float64, 0, simRateSamples)
-	for s := 0; s < simRateSamples; s++ {
-		runtime.GC()
-		debug.FreeOSMemory()
-		start := time.Now()
-		if _, err := exp.Run(cfg); err != nil {
-			return 0, fmt.Errorf("perfbench: sim-rate N=%d: %w", p.N, err)
-		}
-		wall := time.Since(start).Seconds()
-		if wall <= 0 {
-			wall = 1e-9
-		}
-		rates = append(rates, float64(p.Duration)/1000/wall)
-	}
-	sort.Float64s(rates)
-	return rates[len(rates)/2], nil
 }

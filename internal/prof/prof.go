@@ -1,14 +1,13 @@
 // Package prof is the simulator's wall-clock attribution profiler: it
 // answers "where does the wall time of a run actually go" with a
-// per-phase breakdown of the netsim event loop, the instrument
-// ROADMAP item 1 (the parallel event engine) needs before any
-// optimisation claim is checkable.
+// per-phase breakdown of the netsim event loop, the instrument an
+// optimisation claim about the engine is checked with.
 //
 // Attribution model: while a profiled Simulator.Run is executing,
-// every instant belongs to exactly one Phase. The event loop opens
-// each popped event with BeginEvent (attributing the pop/dispatch gap
-// to PhaseHeap and the event body to the phase recorded at schedule
-// time), and instrumented inner spans — reindex inside a timer event,
+// every instant belongs to exactly one Phase. The event loop
+// (Simulator.dispatch) opens each popped event with BeginEvent
+// (attributing the pop/dispatch gap to PhaseHeap and the event body to
+// the phase recorded at schedule time), and instrumented inner spans — reindex inside a timer event,
 // the planner inside a harness closure, trace emission anywhere —
 // re-attribute nested work with Enter/Exit. Phase wall times therefore
 // sum to the loop wall time by construction: coverage is structural,
@@ -17,17 +16,17 @@
 //
 // Quarantine contract (DESIGN.md §17): this package is the only
 // simulation-adjacent code allowed to read the wall clock (scooplint's
-// walltime allowlist names it explicitly, next to perfbench and
-// sweep). Wall time flows out of it exclusively through Snapshot —
-// into the operator-facing BENCH_profile.json artifact — and never
-// into simulation behaviour or committed sweep artifacts: a profiled
-// run is byte-identical to an unprofiled one.
+// walltime allowlist names it explicitly, next to sweep). Wall time
+// flows out of it exclusively through Snapshot — exp.TrialResult.Prof,
+// which bench/ turns into its per-layer shares — and never into
+// simulation behaviour or committed artifacts: a profiled run is
+// byte-identical to an unprofiled one.
 //
 // Cost contract: a nil *Profiler is valid and means "profiling off".
 // Every method nil-checks and returns immediately — zero allocations,
 // one predictable branch — so instrumentation sites stay in the hot
-// path unconditionally (the trace.Recorder pattern, gated by the
-// prof/emit/* entries in BENCH_scale.json).
+// path unconditionally (the trace.Recorder pattern, held by
+// TestDisabledHotPathZeroAlloc and TestEnabledHotPathZeroAlloc).
 package prof
 
 import (
@@ -92,8 +91,7 @@ var phaseNames = [NumPhases]string{
 	PhaseHarness:    "harness",
 }
 
-// String returns the phase's wire name (stable: part of the
-// BENCH_profile.json schema).
+// String returns the phase's name.
 func (p Phase) String() string {
 	if p < NumPhases {
 		return phaseNames[p]
@@ -285,29 +283,16 @@ func (s *Snapshot) AttributedNs() int64 {
 	return t
 }
 
+// MinCoverage is the floor on Coverage a profiled run must reach. The
+// attribution model yields ~1.0 structurally; anything below this
+// means an instrumentation hole.
+const MinCoverage = 0.95
+
 // Coverage returns the fraction of loop wall time attributed to named
-// phases (1.0 structurally; the artifact records it as evidence).
+// phases (1.0 structurally; bench reports it as prof.coverage).
 func (s *Snapshot) Coverage() float64 {
 	if s.LoopNs == 0 {
 		return 0
 	}
 	return float64(s.AttributedNs()) / float64(s.LoopNs)
-}
-
-// TopPhases returns every phase with attributed time, heaviest first
-// (ties broken by phase order for determinism).
-func (s *Snapshot) TopPhases() []Phase {
-	var out []Phase
-	for p := Phase(0); p < NumPhases; p++ {
-		if s.Wall[p] > 0 || s.Count[p] > 0 {
-			out = append(out, p)
-		}
-	}
-	// Insertion sort by wall desc: NumPhases is tiny.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && s.Wall[out[j]] > s.Wall[out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

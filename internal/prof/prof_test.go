@@ -1,9 +1,6 @@
 package prof
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestPhaseNamesRoundTrip(t *testing.T) {
 	for p := Phase(0); p < NumPhases; p++ {
@@ -122,34 +119,5 @@ func TestEnabledHotPathZeroAlloc(t *testing.T) {
 	p.LoopEnd()
 	if allocs != 0 {
 		t.Fatalf("enabled hot path allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestProfileAndTable(t *testing.T) {
-	p := New()
-	p.LoopBegin()
-	for i := 0; i < 10; i++ {
-		p.BeginEvent(PhaseMAC, i+1, int64(i))
-		p.EndEvent()
-	}
-	p.LoopEnd()
-	pr := p.Snapshot()
-	profile := pr.Profile(65, 600)
-	if profile.N != 65 || profile.Events != 10 {
-		t.Fatalf("profile = %+v", profile)
-	}
-	var share float64
-	for _, r := range profile.Phases {
-		share += r.Share
-	}
-	if share < 0.999 || share > 1.001 {
-		t.Fatalf("shares sum to %f", share)
-	}
-	var sb strings.Builder
-	if err := profile.WriteTable(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "mac-timer") || !strings.Contains(sb.String(), "n=65") {
-		t.Fatalf("table:\n%s", sb.String())
 	}
 }

@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"scoop/internal/exp"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
 )
@@ -154,5 +156,50 @@ func TestChurnCellRunsDeterministically(t *testing.T) {
 	a.Cells[0].ReindexWallMS, b.Cells[0].ReindexWallMS = 0, 0
 	if a.Cells[0] != b.Cells[0] {
 		t.Fatalf("sweep cell not deterministic:\n%+v\n%+v", a.Cells[0], b.Cells[0])
+	}
+}
+
+// A unicast frame whose receiver is killed inside the frame's airtime is
+// acked at the start of airtime and skipped at delivery, so the readings
+// it carries are lost with the sender believing them delivered.
+// Network.Kill reports such frames through OnPurge; before it did, these
+// three cells of the Figure 3 churn grid (16/4 virtual minutes) each
+// reported a vanished reading. Serial and Regions=4 must both be clean.
+func TestChurnKillMidAirIsLossAccounted(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		key  string
+	}{
+		{4, "base/uniform/n63/loss0.2/unique/churn0.15"},
+		{6, "base/uniform/n63/loss0/random/churn0.15"},
+		{7, "base/uniform/n63/loss0/random/churn0.15"},
+	} {
+		g := Grid{
+			Policies:       []policy.Name{policy.Scoop, policy.Local, policy.Base, policy.HashSim},
+			Topologies:     []string{"uniform"},
+			Sizes:          []int{63},
+			LossRates:      []float64{0, 0.2},
+			ChurnRates:     []float64{0, 0.15},
+			Sources:        []string{"real", "gaussian", "unique", "random"},
+			Duration:       16 * netsim.Minute,
+			Warmup:         4 * netsim.Minute,
+			SampleInterval: 15 * netsim.Second,
+			QueryInterval:  15 * netsim.Second,
+			Trials:         1,
+			Seed:           tc.seed,
+		}
+		cells := g.Cells()
+		i := slices.IndexFunc(cells, func(c Cell) bool { return c.Key() == tc.key })
+		if i < 0 {
+			t.Fatalf("grid has no cell %s", tc.key)
+		}
+		for _, regions := range []int{0, 4} {
+			g.Regions = regions
+			cfg := g.config(cells[i])
+			cfg.CheckInvariants = true
+			if _, err := exp.Run(cfg); err != nil {
+				t.Errorf("seed %d regions %d %s: %v", tc.seed, regions, tc.key, err)
+			}
+		}
 	}
 }

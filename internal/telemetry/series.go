@@ -1,9 +1,7 @@
 // Package telemetry aggregates flight-recorder events into fixed-width
 // sim-time windows: delivery rate, bytes by message class, drops by
 // cause, reading throughput and reindex cost per window. A Series is a
-// trace.Sink, so it can ride a live simulation next to other sinks; it
-// is also the substrate a streaming exporter (ROADMAP item 3, scoopd)
-// can publish from, since every window is a plain counter snapshot.
+// trace.Sink, so it can ride a live simulation next to other sinks.
 //
 // Everything here is deterministic: windows are keyed by integer
 // division of the virtual timestamp, counters are integers, and

@@ -1,8 +1,9 @@
 package scoop
 
-// Scale-tier hot-path benchmarks: the same measurements cmd/scoopperf
-// records into BENCH_scale.json, exposed to `go test -bench` so local
-// work gets allocs/op feedback without running the artifact tool.
+// Scale-tier hot-path benchmarks: internal/perfbench's micro benches
+// (four of which bench/ times for its isolated per-layer metrics),
+// exposed to `go test -bench` so local work gets ns/op and allocs/op
+// feedback without a benchmark run.
 //
 //	go test -bench 'HotPaths' -benchtime 1x .
 
