@@ -10,7 +10,6 @@ import (
 	"scoop/internal/query"
 	"scoop/internal/storage"
 	"scoop/internal/trace"
-	"scoop/internal/trickle"
 	"scoop/internal/workload"
 )
 
@@ -24,9 +23,9 @@ type aggCombine struct {
 	hops     uint8
 	wantOwn  bool
 	dueOwn   netsim.Time
-	q        *AggQueryMsg // set while wantOwn, for the local scan
-	retries  int          // flush attempts deferred for lack of a route
-	nodes    Bitmap       // contributor bitmap (Track queries only)
+	q        *QueryMsg // set while wantOwn, for the local scan
+	retries  int       // flush attempts deferred for lack of a route
+	nodes    Bitmap    // contributor bitmap (Track queries only)
 }
 
 // Retry budgets. A combined partial folds a whole subtree, so unlike
@@ -66,27 +65,11 @@ func scanPartial(store *storage.DataBuffer, vlo, vhi int, tlo, thi netsim.Time) 
 	return p
 }
 
-// onAggQuery processes an aggregate query packet: feed Trickle
-// suppression, relay selectively (same bitmap rule as tuple queries),
-// and — when targeted — schedule the local scan so that deep nodes
-// answer before their ancestors flush (paper-lineage TAG epoch
-// scheduling, adapted to Scoop's jittered timers).
-func (n *Node) onAggQuery(q *AggQueryMsg) {
-	key := queryKey(q.ID)
-	if int(q.ID) < len(n.aggQueries) && n.aggQueries[q.ID] != nil {
-		n.qGos.Heard(key)
-		return
-	}
-	n.aggQueries = dense.Grow(n.aggQueries, int(q.ID))
-	n.aggQueries[q.ID] = q
-	if n.shouldRelay(&q.Bitmap) {
-		n.qGos.Add(key)
-	}
-	n.aggAnswered = dense.Grow(n.aggAnswered, int(q.ID))
-	if !q.Bitmap.Has(n.api.ID()) || n.aggAnswered[q.ID] {
-		return
-	}
-	n.aggAnswered[q.ID] = true
+// scheduleOwnPartial is how a targeted node answers an aggregate
+// query: it schedules the local scan so that deep nodes answer before
+// their ancestors flush (paper-lineage TAG epoch scheduling, adapted to
+// Scoop's jittered timers).
+func (n *Node) scheduleOwnPartial(q *QueryMsg) {
 	n.stats.AggQueriesHeard++
 	e := n.aggEntry(q.ID)
 	e.wantOwn = true
@@ -261,28 +244,6 @@ func (n *Node) transmitAggReply(m *AggReplyMsg, to netsim.NodeID, attempt int) {
 // ---------------------------------------------------------------------
 // Basestation side: plan selection, dissemination, answer assembly.
 
-// pendingAgg tracks one issued aggregate query at the basestation.
-type pendingAgg struct {
-	q        query.AggQuery
-	plan     query.Plan
-	est      query.Estimate
-	part     query.Partial
-	contribs int
-	expected int
-	issued   netsim.Time
-	answered bool
-
-	// Reliability layer state (DESIGN.md §19); all zero when
-	// Config.QueryDeadline is 0.
-	targets  Bitmap      // the issued target set
-	nodes    Bitmap      // contributors heard so far (across attempts)
-	deadline netsim.Time // next retry/settle point
-	attempt  int         // re-issues so far
-	verdict  Verdict     // terminal verdict once settled
-	wires    []uint16    // retry wire IDs mapping back to this query
-	logIdx   int         // 1+index into the durable journal; 0 = none
-}
-
 // IssueAgg plans and executes one aggregate query, returning the
 // planner's decision. Depending on the plan the answer is available
 // immediately (summary), or assembles as partials / tuple replies
@@ -326,34 +287,27 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 	})
 	b.cfg.Prof.Exit(profPrev)
 
+	pq := &pendingQuery{plan: dec.Plan, q: q, est: est}
+	wq := workload.Query{
+		ValueLo: q.ValueLo, ValueHi: q.ValueHi,
+		TimeLo: q.TimeLo, TimeHi: q.TimeHi,
+	}
 	switch dec.Plan {
 	case query.PlanSummary:
+		// Answered on the spot from the retained summaries: nothing goes
+		// on the air, and the reliability layer settles it complete.
 		b.stats.PlanSummaryChosen++
 		b.stats.SummaryAnswered++
 		b.qidNext++
-		pa := &pendingAgg{
-			q: q, plan: dec.Plan, est: est,
-			issued: b.api.Now(), answered: true,
-		}
-		b.pendingAgg = dense.Grow(b.pendingAgg, int(b.qidNext))
-		b.pendingAgg[b.qidNext] = pa
+		pq.issued, pq.answered = b.api.Now(), true
+		b.pending = dense.Grow(b.pending, int(b.qidNext))
+		b.pending[b.qidNext] = pq
 		b.stats.AggAnswered++
-		b.relRegisterAgg(b.qidNext, pa)
+		b.relRegister(b.qidNext, pq, wq)
 
 	case query.PlanTuple:
 		b.stats.PlanTupleChosen++
-		wq := workload.Query{
-			ValueLo: q.ValueLo, ValueHi: q.ValueHi,
-			TimeLo: q.TimeLo, TimeHi: q.TimeHi,
-		}
-		b.issueTupleQuery(wq, targets)
-		// The tuple pendingQuery owns the verdict; the agg wrapper just
-		// carries the operator and the estimate degradation falls back
-		// to.
-		b.pendingAgg = dense.Grow(b.pendingAgg, int(b.qidNext))
-		b.pendingAgg[b.qidNext] = &pendingAgg{
-			q: q, plan: dec.Plan, est: est, issued: b.api.Now(),
-		}
+		b.issueTuple(pq, wq, targets)
 
 	case query.PlanAgg, query.PlanFlood:
 		if dec.Plan == query.PlanAgg {
@@ -365,42 +319,14 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 				targets = b.allNodes()
 			}
 		}
-		b.qidNext++
-		msg := &AggQueryMsg{
-			ID: b.qidNext, Op: q.Op,
-			ValueLo: q.ValueLo, ValueHi: q.ValueHi,
-			TimeLo: q.TimeLo, TimeHi: q.TimeHi,
-			Track: b.relOn(),
-		}
-		pa := &pendingAgg{q: q, plan: dec.Plan, est: est, issued: b.api.Now()}
-		for _, id := range targets {
-			if id == b.api.ID() {
-				continue
-			}
-			msg.Bitmap.Set(id)
-			if msg.Track {
-				pa.targets.Set(id)
-			}
-			pa.expected++
-		}
 		// The base folds in its own store (owned plus washed-up
 		// readings) at zero radio cost.
-		pa.part = scanPartial(b.store, q.ValueLo, q.ValueHi, q.TimeLo, q.TimeHi)
-		b.pendingAgg = dense.Grow(b.pendingAgg, int(msg.ID))
-		b.pendingAgg[msg.ID] = pa
-		b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryIssued, Node: uint16(b.api.ID()),
-			Flag: uint8(dec.Plan), ID: msg.ID, Value: int64(pa.expected)})
-		if pa.expected > 0 {
-			b.aggOut = dense.Grow(b.aggOut, int(msg.ID))
-			b.aggOut[msg.ID] = msg
-			b.qGos.Add(queryKey(msg.ID))
-			b.sendAggQuery(queryKey(msg.ID))
-			b.qGos.Heard(queryKey(msg.ID)) // count our own broadcast
-		} else {
-			pa.answered = true
+		pq.part = scanPartial(b.store, q.ValueLo, q.ValueHi, q.TimeLo, q.TimeHi)
+		b.issue(pq, queryPacket(wq, q.Op, b.relOn()), wq, targets)
+		if pq.expected == 0 {
+			pq.answered = true
 			b.stats.AggAnswered++
 		}
-		b.relRegisterAgg(msg.ID, pa)
 	}
 	return dec
 }
@@ -414,13 +340,9 @@ func (b *Base) onAggReply(m *AggReplyMsg) {
 }
 
 func (b *Base) aggReply(m *AggReplyMsg) {
-	qid := b.resolveWire(m.QueryID)
-	if int(qid) >= len(b.pendingAgg) {
+	qid, pq := b.collecting(m.QueryID)
+	if pq == nil {
 		return
-	}
-	pa := b.pendingAgg[qid]
-	if pa == nil || pa.verdict != VerdictOpen {
-		return // settled (reliability layer): late partials are dropped
 	}
 	// The per-sender (query, seq) dedup stays keyed on the wire ID:
 	// node flush sequence numbers are per wire query.
@@ -428,57 +350,59 @@ func (b *Base) aggReply(m *AggReplyMsg) {
 		return
 	}
 	if !m.Nodes.Empty() {
-		if pa.nodes.Intersects(&m.Nodes) {
+		if pq.heard.Intersects(&m.Nodes) {
 			// A retry re-scanned owners an earlier attempt already
 			// folded in; merging would double count, so the whole
 			// partial is dropped (conservative — a combined partial
 			// mixing new and seen owners is discarded with them).
 			return
 		}
-		pa.nodes.Or(&m.Nodes)
+		pq.heard.Or(&m.Nodes)
 	}
-	pa.part.Merge(m.Part)
-	pa.contribs += int(m.Contribs)
+	pq.part.Merge(m.Part)
+	pq.contribs += int(m.Contribs)
 	b.stats.AggPartialsReceived++
 	b.stats.AggContributors += int64(m.Contribs)
-	if !pa.answered {
-		pa.answered = true
+	if !pq.answered {
+		pq.answered = true
 		b.stats.AggAnswered++
-		b.stats.AggFirstAnswerMS += int64(b.api.Now() - pa.issued)
+		b.stats.AggFirstAnswerMS += int64(b.api.Now() - pq.issued)
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryAnswered, Node: uint16(b.api.ID()),
-			ID: qid, Value: int64(pa.contribs)})
+			ID: qid, Value: int64(pq.contribs)})
 	}
-	if pa.deadline != 0 && pa.nodes.Count() >= pa.expected {
-		// Every targeted owner accounted for: settle complete now.
-		b.settleAgg(qid, pa, true)
+	b.settleIfComplete(qid, pq)
+}
+
+// aggregate returns the record of an issued aggregate query; nil for
+// an unknown ID and for a plain tuple query.
+func (b *Base) aggregate(qid uint16) *pendingQuery {
+	if int(qid) >= len(b.pending) || b.pending[qid] == nil || !b.pending[qid].q.Op.Aggregate() {
+		return nil
 	}
+	return b.pending[qid]
 }
 
 // AggAnswer evaluates the current answer of an issued aggregate
 // query. ok is false while nothing has arrived (or the plan cannot
 // answer the operator yet).
 func (b *Base) AggAnswer(qid uint16) (float64, query.Plan, bool) {
-	if int(qid) >= len(b.pendingAgg) || b.pendingAgg[qid] == nil {
+	pq := b.aggregate(qid)
+	if pq == nil {
 		return 0, query.PlanAuto, false
 	}
-	pa := b.pendingAgg[qid]
-	if pa.verdict == VerdictDegraded {
+	if pq.verdict == VerdictDegraded {
 		// Settled degraded: the answer is the widened summary estimate
 		// (query.Degrade), not the partial result.
-		return pa.est.Value, pa.plan, true
+		return pq.est.Value, pq.plan, true
 	}
-	switch pa.plan {
+	switch pq.plan {
 	case query.PlanSummary:
-		return pa.est.Value, pa.plan, true
+		return pq.est.Value, pq.plan, true
 	case query.PlanTuple:
-		if int(qid) >= len(b.pending) || b.pending[qid] == nil {
-			return 0, pa.plan, false
+		if pq.q.Op == query.OpCount {
+			return float64(pq.total), pq.plan, true
 		}
-		pq := b.pending[qid]
-		if pa.q.Op == query.OpCount {
-			return float64(pq.total), pa.plan, true
-		}
-		if pa.q.Op == query.OpQuantile {
+		if pq.q.Op == query.OpQuantile {
 			// Quantiles cannot merge into partials; the tuple plan
 			// computes them at the base over the (possibly truncated)
 			// returned set.
@@ -487,33 +411,33 @@ func (b *Base) AggAnswer(qid uint16) (float64, query.Plan, bool) {
 				vals = append(vals, r.Value)
 			}
 			if len(vals) == 0 {
-				return 0, pa.plan, false
+				return 0, pq.plan, false
 			}
 			sort.Ints(vals)
-			idx := int(pa.q.Quantile * float64(len(vals)))
+			idx := int(pq.q.Quantile * float64(len(vals)))
 			if idx >= len(vals) {
 				idx = len(vals) - 1
 			}
-			return float64(vals[idx]), pa.plan, true
+			return float64(vals[idx]), pq.plan, true
 		}
 		var p query.Partial
 		for _, r := range pq.readings {
 			p.Add(r.Value)
 		}
-		v, ok := p.Answer(pa.q.Op)
-		return v, pa.plan, ok
+		v, ok := p.Answer(pq.q.Op)
+		return v, pq.plan, ok
 	default:
-		v, ok := pa.part.Answer(pa.q.Op)
-		return v, pa.plan, ok
+		v, ok := pq.part.Answer(pq.q.Op)
+		return v, pq.plan, ok
 	}
 }
 
 // AggContribs reports how many nodes (plus the base's own scan, not
-// counted) contributed to an aggregate answer, and how many were
-// expected. Diagnostics/tests.
+// counted) contributed partials to an aggregate answer, and how many
+// nodes were targeted. Diagnostics/tests.
 func (b *Base) AggContribs(qid uint16) (got, expected int) {
-	if int(qid) < len(b.pendingAgg) && b.pendingAgg[qid] != nil {
-		return b.pendingAgg[qid].contribs, b.pendingAgg[qid].expected
+	if pq := b.aggregate(qid); pq != nil {
+		return pq.contribs, pq.expected
 	}
 	return 0, 0
 }
@@ -548,20 +472,4 @@ func (b *Base) avgDepth(targets []netsim.NodeID) float64 {
 		}
 	}
 	return total / float64(len(targets))
-}
-
-// sendAggQuery is the aggregate branch of the base's query-Trickle
-// transmit callback.
-func (b *Base) sendAggQuery(key trickle.Key) {
-	if int(key) >= len(b.aggOut) || b.aggOut[key] == nil {
-		return
-	}
-	q := b.aggOut[key]
-	b.api.Broadcast(&netsim.Packet{
-		Class:        metrics.Query,
-		Origin:       b.api.ID(),
-		OriginParent: netsim.NoNode,
-		Size:         aggQuerySize(q),
-		Payload:      q,
-	})
 }

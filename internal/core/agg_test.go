@@ -267,12 +267,12 @@ func TestAggPartialDedupAndTTL(t *testing.T) {
 func TestDuplicateAggQueriesAnsweredOnce(t *testing.T) {
 	tn := newTestNet(t, meshTopo(3, 0.95), aggTestConfig(), nil, 19)
 	tn.sim.Run(6 * netsim.Minute)
-	q := &AggQueryMsg{ID: 600, Op: query.OpCount, ValueLo: 0, ValueHi: 20,
+	q := &QueryMsg{ID: 600, Op: query.OpCount, ValueLo: 0, ValueHi: 20,
 		TimeLo: 0, TimeHi: tn.sim.Now()}
 	q.Bitmap.Set(1)
-	tn.nodes[1].onAggQuery(q)
-	tn.nodes[1].onAggQuery(q)
-	tn.nodes[1].onAggQuery(q)
+	tn.nodes[1].onQuery(q)
+	tn.nodes[1].onQuery(q)
+	tn.nodes[1].onQuery(q)
 	tn.sim.Run(tn.sim.Now() + 30*netsim.Second)
 	if tn.stats.AggQueriesHeard != 1 {
 		t.Fatalf("node heard the same agg query %d times", tn.stats.AggQueriesHeard)

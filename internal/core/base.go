@@ -31,21 +31,31 @@ type loggedQuery struct {
 	ranged bool
 }
 
-// pendingQuery tracks reply collection for one issued query. replied
-// is dense by node ID (sized to the network), part of the scale tier's
-// no-hot-path-maps convention.
+// pendingQuery is the basestation's one record per issued query,
+// tuple or aggregate. Every plan gets a query out and tells who is
+// still silent the same way; plans differ only in what they collect.
 type pendingQuery struct {
-	expected int
-	replied  []bool
+	plan     query.Plan     // PlanTuple for IssueQuery; the planner's choice for IssueAgg
+	q        query.AggQuery // aggregates only: operator, quantile, ranges
+	est      query.Estimate // aggregates only: the summary answer, or what degradation falls back to
+	issued   netsim.Time
+	expected int    // targeted nodes (the base excluded)
+	heard    Bitmap // owners heard, across attempts: reply dedup and the retry layer's silent set
+	answered bool   // aggregates only: counted in AggAnswered
+
+	// Tuple collector (PlanTuple).
 	readings []storage.Reading // tuples carried back (reply payloads are capped)
 	total    int               // total matches reported (uncapped node counts)
 
-	// Reliability layer state (DESIGN.md §19); all zero when
+	// Partial collector (PlanAgg, PlanFlood).
+	part     query.Partial
+	contribs int
+
+	// Reliability layer state (DESIGN.md §19); msg aside, all zero when
 	// Config.QueryDeadline is 0.
 	msg      *QueryMsg   // the issued packet (retries narrow its bitmap)
 	deadline netsim.Time // next retry/settle point
 	attempt  int         // re-issues so far
-	got      int         // distinct owners heard (across attempts)
 	verdict  Verdict     // terminal verdict once settled
 	wires    []uint16    // retry wire IDs mapping back to this query
 	logIdx   int         // 1+index into the durable journal; 0 = none
@@ -72,12 +82,13 @@ type Base struct {
 	chunks     map[trickle.Key]index.Chunk
 	mapGos     *trickle.Trickle
 	qGos       *trickle.Trickle
-	queriesOut []*QueryMsg // dense by query ID
+	queriesOut []*QueryMsg // queries under gossip, dense by wire query ID
 
-	queryLog []loggedQuery
-	pending  []*pendingQuery // dense by query ID
-	qidNext  uint16
-	remaps   int // scheduled remaps run so far (RemapLimit bookkeeping)
+	queryLog     []loggedQuery
+	pending      []*pendingQuery // dense by query ID
+	seenAggParts seenTable       // partial-aggregate message dedup
+	qidNext      uint16
+	remaps       int // scheduled remaps run so far (RemapLimit bookkeeping)
 
 	// Reliability layer (DESIGN.md §19). retryOf and relNextAt are RAM
 	// (lost on restart); openLog and verdicts are journal state that
@@ -95,12 +106,6 @@ type Base struct {
 	builder    index.Builder
 	statsInput []index.NodeStat
 	profProb   []float64
-
-	// Aggregate query engine: outstanding agg queries under gossip,
-	// per-query answer assembly, and partial-message dedup.
-	aggOut       []*AggQueryMsg // dense by query ID
-	pendingAgg   []*pendingAgg  // dense by query ID
-	seenAggParts seenTable
 }
 
 // NewBase creates the basestation; index construction begins at the
@@ -139,13 +144,11 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.chunks = make(map[trickle.Key]index.Chunk)
 	b.queriesOut = nil
 	b.pending = nil
-	b.aggOut = nil
-	b.pendingAgg = nil
 	b.seenAggParts.reset()
 	b.retryOf = nil
 	b.relNextAt = 0
 	b.graph = index.NewGraph(api.N())
-	b.builder = index.Builder{DirtyEpsilon: b.cfg.ReindexEpsilon, Trace: b.cfg.Trace}
+	b.builder = index.Builder{Trace: b.cfg.Trace}
 	b.statsInput = make([]index.NodeStat, api.N())
 	b.profProb = make([]float64, b.cfg.DomainMax-b.cfg.DomainMin+1)
 	b.mapGos = trickle.New(api, timerMapping, b.cfg.MappingTrickle, b.sendChunk)
@@ -217,8 +220,6 @@ func (b *Base) receive(p *netsim.Packet) {
 	case *MappingMsg:
 		b.mapGos.Heard(mapKey(m.Chunk.IndexID, m.Chunk.Num))
 	case *QueryMsg:
-		b.qGos.Heard(queryKey(m.ID))
-	case *AggQueryMsg:
 		b.qGos.Heard(queryKey(m.ID))
 	}
 }
@@ -294,19 +295,23 @@ func (b *Base) onData(m *DataMsg) {
 	}
 }
 
+// collecting resolves a reply's wire query ID to the query still
+// collecting for it; nil for an unknown query and for one that already
+// settled (reliability layer), whose late replies are dropped.
+func (b *Base) collecting(wire uint16) (uint16, *pendingQuery) {
+	qid := b.resolveWire(wire)
+	if int(qid) >= len(b.pending) || b.pending[qid] == nil || b.pending[qid].verdict != VerdictOpen {
+		return qid, nil
+	}
+	return qid, b.pending[qid]
+}
+
 func (b *Base) onReply(m *ReplyMsg) {
-	qid := b.resolveWire(m.QueryID)
-	if int(qid) >= len(b.pending) {
+	qid, pq := b.collecting(m.QueryID)
+	if pq == nil || pq.heard.Has(m.Node) {
 		return
 	}
-	pq := b.pending[qid]
-	// A nil replied table means the query already settled and was
-	// evicted (reliability layer); late replies are dropped.
-	if pq == nil || pq.replied == nil || pq.replied[m.Node] {
-		return
-	}
-	pq.replied[m.Node] = true
-	pq.got++
+	pq.heard.Set(m.Node)
 	pq.readings = append(pq.readings, m.Readings...)
 	pq.total += m.Count
 	b.stats.RepliesReceived++
@@ -317,11 +322,7 @@ func (b *Base) onReply(m *ReplyMsg) {
 				ID: qid, Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 		}
 	}
-	if pq.deadline != 0 && pq.got >= pq.expected {
-		// Every owner heard: settle complete without waiting for the
-		// deadline, freeing the collection state immediately.
-		b.settleTuple(qid, pq, true)
-	}
+	b.settleIfComplete(qid, pq)
 }
 
 // LastQueryID returns the ID of the most recently issued query.
@@ -494,53 +495,77 @@ func (b *Base) IssueQuery(q workload.Query) []netsim.NodeID {
 		lg.lo, lg.hi, lg.ranged = q.ValueLo, q.ValueHi, true
 	}
 	b.queryLog = append(b.queryLog, lg)
-	return b.issueTupleQuery(q, b.targets(q))
+	targets := b.targets(q)
+	b.issueTuple(&pendingQuery{plan: query.PlanTuple}, q, targets)
+	return targets
 }
 
-// issueTupleQuery builds, registers and disseminates the tuple-return
-// query packet for an already-computed target set (shared by
-// IssueQuery and the aggregate planner's tuple plan).
-func (b *Base) issueTupleQuery(q workload.Query, targets []netsim.NodeID) []netsim.NodeID {
-	b.qidNext++
-	msg := &QueryMsg{
-		ID:     b.qidNext,
-		TimeLo: q.TimeLo,
-		TimeHi: q.TimeHi,
-	}
+// issueTuple issues pq as a tuple-return query for an already-computed
+// target set (shared by IssueQuery and the aggregate planner's tuple
+// plan).
+func (b *Base) issueTuple(pq *pendingQuery, q workload.Query, targets []netsim.NodeID) {
+	msg := queryPacket(q, query.OpSelect, false)
+	// The base also scans its own store (readings it owns plus
+	// washed-up data) at no message cost.
+	b.scanLocal(msg, pq)
+	b.issue(pq, msg, q, targets)
+	b.stats.RepliesExpected += int64(pq.expected)
+}
+
+// queryPacket builds the packet asking for q with operator op; issue
+// (or recovery) fills in the ID and the bitmap.
+func queryPacket(q workload.Query, op query.Op, track bool) *QueryMsg {
+	msg := &QueryMsg{Op: op, TimeLo: q.TimeLo, TimeHi: q.TimeHi, Track: track}
 	if q.IsNodeQuery() {
 		msg.ValueLo, msg.ValueHi = 1, 0 // no value constraint
 	} else {
 		msg.ValueLo, msg.ValueHi = q.ValueLo, q.ValueHi
 	}
-	expected := 0
+	return msg
+}
+
+// address marks every non-base target in msg's bitmap, counts it into
+// pq.expected, and keeps msg as the packet pq's retries narrow.
+func (b *Base) address(pq *pendingQuery, msg *QueryMsg, targets []netsim.NodeID) {
 	for _, id := range targets {
 		if id == b.api.ID() {
 			continue
 		}
 		msg.Bitmap.Set(id)
-		expected++
+		pq.expected++
 	}
-	pq := &pendingQuery{expected: expected, replied: make([]bool, b.api.N())}
+	pq.msg = msg
+}
+
+// issue is the one way a query gets out (paper §5.5), whatever it
+// collects: give pq the next query ID, address msg to the targets, put
+// it under query gossip when anyone is targeted, and hand the query to
+// the reliability layer.
+func (b *Base) issue(pq *pendingQuery, msg *QueryMsg, wq workload.Query, targets []netsim.NodeID) {
+	b.qidNext++
+	msg.ID = b.qidNext
+	pq.issued = b.api.Now()
+	b.address(pq, msg, targets)
 	b.pending = dense.Grow(b.pending, int(msg.ID))
 	b.pending[msg.ID] = pq
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryIssued, Node: uint16(b.api.ID()),
-		Flag: uint8(query.PlanTuple), ID: msg.ID, Value: int64(expected)})
-	// The base also scans its own store (readings it owns plus
-	// washed-up data) at no message cost.
-	b.scanLocal(msg, pq)
-	b.relRegisterTuple(msg, pq, q)
-	if expected == 0 {
-		return targets
+		Flag: uint8(pq.plan), ID: msg.ID, Value: int64(pq.expected)})
+	if pq.expected > 0 {
+		b.gossip(msg)
 	}
-	b.stats.RepliesExpected += int64(expected)
+	b.relRegister(msg.ID, pq, wq)
+}
+
+// gossip registers one outbound query packet (a first issue or a
+// retry) and kicks off its dissemination immediately rather than
+// waiting for the first Trickle fire.
+func (b *Base) gossip(msg *QueryMsg) {
 	b.queriesOut = dense.Grow(b.queriesOut, int(msg.ID))
 	b.queriesOut[msg.ID] = msg
-	b.qGos.Add(queryKey(msg.ID))
-	// Kick off dissemination immediately rather than waiting for the
-	// first Trickle fire.
-	b.sendQuery(queryKey(msg.ID))
-	b.qGos.Heard(queryKey(msg.ID)) // count our own broadcast
-	return targets
+	key := queryKey(msg.ID)
+	b.qGos.Add(key)
+	b.sendQuery(key)
+	b.qGos.Heard(key) // count our own broadcast
 }
 
 // AnswerFromStore resolves a query entirely against the basestation's
@@ -713,20 +738,17 @@ func (b *Base) sendChunkNow(key trickle.Key) {
 	})
 }
 
-// sendQuery is the query-Trickle transmit callback; tuple and
-// aggregate queries share the ID space, so the key resolves in
-// exactly one of the two outbound tables.
+// sendQuery is the query-Trickle transmit callback.
 func (b *Base) sendQuery(key trickle.Key) {
-	if qid := int(key); qid < len(b.queriesOut) && b.queriesOut[qid] != nil {
-		q := b.queriesOut[qid]
-		b.api.Broadcast(&netsim.Packet{
-			Class:        metrics.Query,
-			Origin:       b.api.ID(),
-			OriginParent: netsim.NoNode,
-			Size:         querySize(q),
-			Payload:      q,
-		})
+	if int(key) >= len(b.queriesOut) || b.queriesOut[key] == nil {
 		return
 	}
-	b.sendAggQuery(key)
+	q := b.queriesOut[key]
+	b.api.Broadcast(&netsim.Packet{
+		Class:        metrics.Query,
+		Origin:       b.api.ID(),
+		OriginParent: netsim.NoNode,
+		Size:         querySize(q),
+		Payload:      q,
+	})
 }

@@ -88,15 +88,6 @@ type Config struct {
 	// experiments set it to a few summary intervals.
 	StatStaleAfter netsim.Time
 
-	// ReindexEpsilon is the relative change below which the
-	// incremental index builder treats contributor weights, query
-	// probabilities and xmits entries as unchanged between rebuilds
-	// (index.Builder.DirtyEpsilon). 0 — the default, and what every
-	// committed baseline runs — means exact: incremental rebuilds are
-	// bit-identical to from-scratch ones. Positive values trade that
-	// exactness for fewer recomputations under noisy link estimators.
-	ReindexEpsilon float64
-
 	// ReplyMaxReadings caps readings carried in one reply message.
 	ReplyMaxReadings int
 	// QueryStatsWindow is how many recent queries feed the query
@@ -231,16 +222,22 @@ type ReadingProbe interface {
 	LostReading(producer uint16, t int64, reason string)
 }
 
-// SharedRunState is the cross-region slice of reading accounting for
-// region-parallel runs: the per-reading storage dedup table and the
-// invariant probe see events from every region (a reading produced in
-// one region is stored at an owner in another), so they live behind
-// one mutex instead of in any single region's RunStats shard. Both
+// SharedRunState is the per-reading slice of run accounting: the
+// storage dedup table and the invariant probe. It sits behind one mutex
+// because in a region-parallel run it sees events from every region (a
+// reading produced in one region is stored at an owner in another),
+// so it cannot live in any single region's RunStats shard. Both
 // accounts are set-valued — a reading's first-storage bit and its
 // probe lifecycle flags — so the cross-region arrival order the mutex
 // admits cannot change totals or verdicts, only interleaving.
 type SharedRunState struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// seen deduplicates storage events per reading, so the success rate
+	// is not inflated by at-least-once retransmission duplicates (an ack
+	// loss makes the sender retry a reading the receiver already
+	// stored). Sample times per producer are almost always observed in
+	// increasing order, so the seenTable's max-key fast path makes this
+	// O(1) per store event (DESIGN.md §12).
 	seen  seenTable
 	probe ReadingProbe
 }
@@ -253,19 +250,12 @@ func NewSharedRunState(probe ReadingProbe) *SharedRunState {
 // RunStats aggregates end-to-end delivery outcomes across a run, the
 // numbers behind the paper's "93% of data messages stored" and "78% of
 // query results retrieved" and the 85%-found-owner routing result.
-// One RunStats is shared by all nodes of a simulation when serial; a
-// region-parallel run gives every region its own shard (all counters
-// are plain int64 adds, so shards merge by field-wise sum) linked to
-// one SharedRunState for the cross-region dedup and probe state.
+// One RunStats is shared by all nodes of a region; all counters are
+// plain int64 adds, so a run's shards merge by field-wise sum (Add).
 type RunStats struct {
-	// Probe, when non-nil, observes per-reading events (invariant
-	// checking). Set before the simulation starts. When Shared is set,
-	// the shared probe is used instead and this field must be nil.
-	Probe ReadingProbe
-
-	// Shared, when non-nil, routes per-reading dedup and probe traffic
-	// through the mutex-protected cross-region state (region-parallel
-	// runs). Serial runs leave it nil and pay no lock.
+	// Shared is the run's per-reading dedup and probe state, one for all
+	// shards of a run. A RunStats left without one makes its own on
+	// first use (no probe) — enough for a single-shard run.
 	Shared *SharedRunState
 
 	Produced      int64 // readings sampled
@@ -274,14 +264,6 @@ type RunStats struct {
 	StoredAtBase  int64 // readings that fell back to the base (owner not found)
 	LostData      int64 // sender-perceived losses (ack never seen)
 
-	// storedSeen deduplicates storage events per reading, so the
-	// success rate is not inflated by at-least-once retransmission
-	// duplicates (an ack loss makes the sender retry a reading the
-	// receiver already stored). Sample times per producer are almost
-	// always observed in increasing order, so the seenTable's
-	// max-key fast path makes this O(1) per store event (DESIGN.md
-	// §12), where the pre-scale-tier code paid a hash-map hit.
-	storedSeen seenTable
 	// StoredUnique counts distinct readings stored at least once.
 	StoredUnique      int64
 	QueriesIssued     int64
@@ -332,27 +314,74 @@ type RunStats struct {
 	DegradedAnswers      int64 // answers served via summary degradation
 }
 
+// Add folds src's counters into s field by field — how a run's shards
+// and an experiment's trials merge. TestRunStatsAddCoversEveryCounter
+// fails when a new counter is missing here.
+func (s *RunStats) Add(src *RunStats) {
+	s.Produced += src.Produced
+	s.StoredLocal += src.StoredLocal
+	s.StoredAtOwner += src.StoredAtOwner
+	s.StoredAtBase += src.StoredAtBase
+	s.LostData += src.LostData
+	s.StoredUnique += src.StoredUnique
+	s.QueriesIssued += src.QueriesIssued
+	s.RepliesExpected += src.RepliesExpected
+	s.QueriesHeard += src.QueriesHeard
+	s.RepliesSent += src.RepliesSent
+	s.RepliesForwarded += src.RepliesForwarded
+	s.RepliesReceived += src.RepliesReceived
+	s.TuplesReturned += src.TuplesReturned
+	s.SummariesSent += src.SummariesSent
+	s.SummariesReceived += src.SummariesReceived
+	s.IndexesBuilt += src.IndexesBuilt
+	s.IndexesSuppressed += src.IndexesSuppressed
+	s.SummaryAnswered += src.SummaryAnswered
+	s.ReindexValues += src.ReindexValues
+	s.ReindexRecomputed += src.ReindexRecomputed
+	s.ReindexSPTSources += src.ReindexSPTSources
+	s.ReindexFull += src.ReindexFull
+	s.ReindexWallNanos += src.ReindexWallNanos
+	s.AggQueriesIssued += src.AggQueriesIssued
+	s.AggQueriesHeard += src.AggQueriesHeard
+	s.AggRepliesSent += src.AggRepliesSent
+	s.AggPartialsReceived += src.AggPartialsReceived
+	s.AggCombined += src.AggCombined
+	s.AggContributors += src.AggContributors
+	s.AggAnswered += src.AggAnswered
+	s.AggFirstAnswerMS += src.AggFirstAnswerMS
+	s.PlanSummaryChosen += src.PlanSummaryChosen
+	s.PlanAggChosen += src.PlanAggChosen
+	s.PlanTupleChosen += src.PlanTupleChosen
+	s.PlanFloodChosen += src.PlanFloodChosen
+	s.QueryRetries += src.QueryRetries
+	s.QueryVerdictComplete += src.QueryVerdictComplete
+	s.QueryVerdictPartial += src.QueryVerdictPartial
+	s.QueryVerdictDegraded += src.QueryVerdictDegraded
+	s.QueryVerdictFailed += src.QueryVerdictFailed
+	s.DegradedAnswers += src.DegradedAnswers
+}
+
+// shared returns the run's per-reading state, making a private one for
+// a RunStats that was handed none.
+func (s *RunStats) shared() *SharedRunState {
+	if s.Shared == nil {
+		s.Shared = &SharedRunState{}
+	}
+	return s.Shared
+}
+
 // MarkStored records that the reading (producer, sampled at time t)
 // was stored somewhere, and reports whether this is its first storage
 // event. Nodes call it on every store; duplicates return false.
 func (s *RunStats) MarkStored(producer uint16, t int64) bool {
-	if sh := s.Shared; sh != nil {
-		sh.mu.Lock()
-		if sh.probe != nil {
-			sh.probe.StoredReading(producer, t)
-		}
-		dup := sh.seen.Seen(netsim.NodeID(producer), uint64(t))
-		sh.mu.Unlock()
-		if dup {
-			return false
-		}
-		s.StoredUnique++
-		return true
+	sh := s.shared()
+	sh.mu.Lock()
+	if sh.probe != nil {
+		sh.probe.StoredReading(producer, t)
 	}
-	if s.Probe != nil {
-		s.Probe.StoredReading(producer, t)
-	}
-	if s.storedSeen.Seen(netsim.NodeID(producer), uint64(t)) {
+	dup := sh.seen.Seen(netsim.NodeID(producer), uint64(t))
+	sh.mu.Unlock()
+	if dup {
 		return false
 	}
 	s.StoredUnique++
@@ -362,45 +391,10 @@ func (s *RunStats) MarkStored(producer uint16, t int64) bool {
 // noteProduced accounts one sampled reading.
 func (s *RunStats) noteProduced(producer uint16, t int64) {
 	s.Produced++
-	if sh := s.Shared; sh != nil {
-		if sh.probe != nil {
-			sh.mu.Lock()
-			sh.probe.ProducedReading(producer, t)
-			sh.mu.Unlock()
-		}
-		return
-	}
-	if s.Probe != nil {
-		s.Probe.ProducedReading(producer, t)
-	}
-}
-
-// probeActive reports whether a conservation probe is attached,
-// directly or through the shared cross-region state. Code outside the
-// counter methods must use this (never s.Probe directly): in
-// region-parallel runs the probe lives behind Shared and the direct
-// field is nil.
-func (s *RunStats) probeActive() bool {
-	if sh := s.Shared; sh != nil {
-		return sh.probe != nil
-	}
-	return s.Probe != nil
-}
-
-// probeLostReading reports one lost reading to the probe (if any)
-// without touching the deterministic counters — the reboot-purge path,
-// where LostData deliberately counts only radio-side losses.
-func (s *RunStats) probeLostReading(producer uint16, t int64, reason string) {
-	if sh := s.Shared; sh != nil {
-		if sh.probe != nil {
-			sh.mu.Lock()
-			sh.probe.LostReading(producer, t, reason)
-			sh.mu.Unlock()
-		}
-		return
-	}
-	if s.Probe != nil {
-		s.Probe.LostReading(producer, t, reason)
+	if sh := s.shared(); sh.probe != nil {
+		sh.mu.Lock()
+		sh.probe.ProducedReading(producer, t)
+		sh.mu.Unlock()
 	}
 }
 
@@ -410,23 +404,23 @@ func (s *RunStats) probeLostReading(producer uint16, t int64, reason string) {
 // at-least-once).
 func (s *RunStats) loseReadings(rs []storage.Reading, cause metrics.DropCause) {
 	s.LostData += int64(len(rs))
-	if sh := s.Shared; sh != nil {
-		if sh.probe != nil {
-			sh.mu.Lock()
-			reason := cause.String()
-			for _, r := range rs {
-				sh.probe.LostReading(r.Producer, r.Time, reason)
-			}
-			sh.mu.Unlock()
-		}
+	s.probeLost(rs, cause)
+}
+
+// probeLost reports lost readings to the probe (if any) without
+// touching the deterministic counters — on its own, the reboot-purge
+// path, where LostData deliberately counts only radio-side losses.
+func (s *RunStats) probeLost(rs []storage.Reading, cause metrics.DropCause) {
+	sh := s.shared()
+	if sh.probe == nil || len(rs) == 0 {
 		return
 	}
-	if s.Probe != nil {
-		reason := cause.String()
-		for _, r := range rs {
-			s.Probe.LostReading(r.Producer, r.Time, reason)
-		}
+	reason := cause.String()
+	sh.mu.Lock()
+	for _, r := range rs {
+		sh.probe.LostReading(r.Producer, r.Time, reason)
 	}
+	sh.mu.Unlock()
 }
 
 // Stored returns all storage events (including retransmission

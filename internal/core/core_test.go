@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"scoop/internal/index"
@@ -488,6 +489,33 @@ func TestRunStatsRates(t *testing.T) {
 	s.StoredAtOwner, s.StoredAtBase = 85, 15
 	if s.OwnerHitRate() != 0.85 {
 		t.Fatalf("owner hit = %f", s.OwnerHitRate())
+	}
+}
+
+// TestRunStatsAddCoversEveryCounter: Add lists its fields by hand, so a
+// counter added to RunStats and forgotten there would silently read 0
+// in multi-trial and Regions > 1 results. Every exported int64 field
+// gets a distinct value and must come out summed.
+func TestRunStatsAddCoversEveryCounter(t *testing.T) {
+	var src RunStats
+	sv := reflect.ValueOf(&src).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Type().Field(i); f.IsExported() && f.Type.Kind() == reflect.Int64 {
+			sv.Field(i).SetInt(int64(100 + i))
+		}
+	}
+	var dst RunStats
+	dst.Add(&src)
+	dst.Add(&src)
+	dv := reflect.ValueOf(dst)
+	for i := 0; i < dv.NumField(); i++ {
+		f := dv.Type().Field(i)
+		if !f.IsExported() || f.Type.Kind() != reflect.Int64 {
+			continue
+		}
+		if got, want := dv.Field(i).Int(), int64(2*(100+i)); got != want {
+			t.Errorf("RunStats.Add misses %s: got %d, want %d", f.Name, got, want)
+		}
 	}
 }
 

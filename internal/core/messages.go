@@ -56,20 +56,41 @@ type MappingMsg struct {
 
 func mappingSize(m *MappingMsg) int { return 12 + 5*len(m.Chunk.Entries) }
 
-// QueryMsg is a query packet (paper §5.5): a bitmap of nodes expected
+// QueryMsg is the query packet (paper §5.5): a bitmap of nodes expected
 // to answer, plus the value and time ranges of interest. A node-list
-// query has ValueLo > ValueHi (no value constraint).
+// query has ValueLo > ValueHi (no value constraint). Op selects what
+// comes back: query.OpSelect, the zero value, asks for the matching
+// tuples (ReplyMsg); any aggregate operator asks targeted nodes for
+// partial-aggregate state instead, which intermediate nodes combine on
+// the way up (AggReplyMsg, TAG-style in-network aggregation).
 type QueryMsg struct {
 	ID               uint16
 	Bitmap           Bitmap
+	Op               query.Op
 	ValueLo, ValueHi int
 	TimeLo, TimeHi   netsim.Time
+	// Track asks targeted nodes to carry a contributor bitmap in their
+	// partials so the base can tell which owners a combined partial
+	// folds in — the reliability layer's retry targeting needs it. Set
+	// only on aggregate queries, and only when Config.QueryDeadline > 0.
+	Track bool
 }
 
 // wantsValues reports whether the query constrains values.
 func (q *QueryMsg) wantsValues() bool { return q.ValueLo <= q.ValueHi }
 
-func querySize(q *QueryMsg) int { return q.Bitmap.Bytes() + 14 }
+// querySize is the paper's tuple-query packet plus one operator byte
+// on aggregate queries and one more for the Track flag when set.
+func querySize(q *QueryMsg) int {
+	n := q.Bitmap.Bytes() + 14
+	if q.Op != query.OpSelect {
+		n++
+	}
+	if q.Track {
+		n++
+	}
+	return n
+}
 
 // ReplyMsg carries a node's matching tuples back to the basestation.
 // Count is the total number of matches; Readings is capped at
@@ -83,34 +104,6 @@ type ReplyMsg struct {
 }
 
 func replySize(m *ReplyMsg) int { return 8 + 4*len(m.Readings) }
-
-// AggQueryMsg is an aggregate query packet: like QueryMsg it carries
-// the bitmap of nodes expected to answer and the value/time ranges of
-// interest, plus the aggregate operator. Targeted nodes reply with
-// partial-aggregate state instead of tuples; intermediate nodes
-// combine partials on the way up (TAG-style in-network aggregation).
-type AggQueryMsg struct {
-	ID               uint16
-	Bitmap           Bitmap
-	Op               query.Op
-	ValueLo, ValueHi int
-	TimeLo, TimeHi   netsim.Time
-	// Track asks targeted nodes to carry a contributor bitmap in their
-	// partials so the base can tell which owners a combined partial
-	// folds in — the reliability layer's retry targeting needs it. Off
-	// (the pre-§19 wire format) unless Config.QueryDeadline > 0.
-	Track bool
-}
-
-// aggQuerySize mirrors querySize plus one operator byte; the Track
-// flag costs one more byte only when set.
-func aggQuerySize(q *AggQueryMsg) int {
-	n := q.Bitmap.Bytes() + 14 + 1
-	if q.Track {
-		n++
-	}
-	return n
-}
 
 // AggReplyMsg carries mergeable partial-aggregate state one hop
 // toward the basestation. Node is the sender of this (possibly

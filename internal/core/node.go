@@ -47,20 +47,18 @@ type Node struct {
 
 	// Query state is indexed by dense query ID (the basestation issues
 	// IDs sequentially), replacing the per-delivery hash maps of the
-	// pre-scale-tier code (DESIGN.md §12).
-	queries  []*QueryMsg
-	answered []bool
-	qGos     *trickle.Trickle
+	// pre-scale-tier code (DESIGN.md §12). A query of either kind is
+	// known from its first packet on, so every later copy only feeds
+	// Trickle suppression and a node answers each query ID once.
+	queries []*QueryMsg
+	qGos    *trickle.Trickle
 
-	// Aggregate query engine (in-network partial-aggregate combining):
-	// known agg queries, answered-once marks, the per-query combine
+	// In-network partial-aggregate combining: the per-query combine
 	// buffer, per-query flush sequence numbers, and the shared flush
 	// deadline (0 when the timer is unarmed). All dense by query ID.
-	aggQueries  []*AggQueryMsg
-	aggAnswered []bool
-	aggPending  []*aggCombine
-	aggSeq      []uint8
-	aggFlushAt  netsim.Time
+	aggPending []*aggCombine
+	aggSeq     []uint8
+	aggFlushAt netsim.Time
 
 	// Pending data batches, one per destination owner (paper §5.4
 	// batches "up to n readings destined for the same node"; keeping
@@ -118,14 +116,12 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	// power are gone for good — tell the conservation probe and the
 	// flight recorder before the buffers are recreated. (LostData
 	// itself counts only radio-path losses, as before.)
-	if n.stats.probeActive() || n.cfg.Trace != nil {
-		for _, rs := range n.batchq {
-			for _, r := range rs {
-				n.stats.probeLostReading(r.Producer, r.Time, metrics.DropReboot.String())
-				n.cfg.Trace.Emit(trace.Event{Kind: trace.ReadingLost,
-					Node: uint16(api.ID()), Cause: metrics.DropReboot,
-					Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
-			}
+	for _, rs := range n.batchq {
+		n.stats.probeLost(rs, metrics.DropReboot)
+		for _, r := range rs {
+			n.cfg.Trace.Emit(trace.Event{Kind: trace.ReadingLost,
+				Node: uint16(api.ID()), Cause: metrics.DropReboot,
+				Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 		}
 	}
 	n.api = api
@@ -135,9 +131,6 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	n.asm = index.NewAssembler()
 	n.chunks = make(map[trickle.Key]index.Chunk)
 	n.queries = nil
-	n.answered = nil
-	n.aggQueries = nil
-	n.aggAnswered = nil
 	n.aggPending = nil
 	n.aggSeq = nil
 	n.aggFlushAt = 0
@@ -245,8 +238,6 @@ func (n *Node) receive(p *netsim.Packet) {
 		n.onChunk(m.Chunk)
 	case *QueryMsg:
 		n.onQuery(m)
-	case *AggQueryMsg:
-		n.onAggQuery(m)
 	}
 }
 
@@ -577,7 +568,8 @@ func (n *Node) sendChunkNow(key trickle.Key) {
 // onQuery processes a query packet: feed Trickle suppression, decide
 // whether to re-broadcast (Scoop's selective dissemination uses the
 // bitmap plus the neighbor and descendants lists, paper §5.5), and
-// answer if targeted.
+// answer if targeted — with tuples, or for an aggregate operator with
+// a partial scheduled into the combine buffer.
 func (n *Node) onQuery(q *QueryMsg) {
 	key := queryKey(q.ID)
 	if int(q.ID) < len(n.queries) && n.queries[q.ID] != nil {
@@ -589,21 +581,23 @@ func (n *Node) onQuery(q *QueryMsg) {
 	if n.shouldRelay(&q.Bitmap) {
 		n.qGos.Add(key)
 	}
-	n.answered = dense.Grow(n.answered, int(q.ID))
-	if q.Bitmap.Has(n.api.ID()) && !n.answered[q.ID] {
-		n.answered[q.ID] = true
-		n.stats.QueriesHeard++
-		// Jitter the reply so a widely-targeted query does not trigger
-		// a synchronized reply storm (the paper notes it takes several
-		// seconds for the first replies to come back).
-		qc := q
-		n.api.SetTimer(timerReply, netsim.Time(50+n.api.RandIntn(int(4*netsim.Second))))
-		n.pendingAnswers = append(n.pendingAnswers, qc)
+	if !q.Bitmap.Has(n.api.ID()) {
+		return
 	}
+	if q.Op.Aggregate() {
+		n.scheduleOwnPartial(q)
+		return
+	}
+	n.stats.QueriesHeard++
+	// Jitter the reply so a widely-targeted query does not trigger a
+	// synchronized reply storm (the paper notes it takes several
+	// seconds for the first replies to come back).
+	n.api.SetTimer(timerReply, netsim.Time(50+n.api.RandIntn(int(4*netsim.Second))))
+	n.pendingAnswers = append(n.pendingAnswers, q)
 }
 
-// shouldRelay reports whether this node re-broadcasts a (tuple or
-// aggregate) query: only when some targeted node other than itself is
+// shouldRelay reports whether this node re-broadcasts a query: only
+// when some targeted node other than itself is
 // plausibly reachable through it (a known neighbor or recorded
 // descendant). Iterates the bitmap words directly — at 1000 nodes a
 // materialised ID slice per received query is real garbage.
@@ -627,31 +621,19 @@ func (n *Node) shouldRelay(bm *Bitmap) bool {
 	return false
 }
 
-// sendQuery is the query-Trickle transmit callback; tuple and
-// aggregate queries share the basestation's ID space, so the key
-// resolves in exactly one of the two maps.
+// sendQuery is the query-Trickle transmit callback.
 func (n *Node) sendQuery(key trickle.Key) {
-	if qid := int(key); qid < len(n.queries) && n.queries[qid] != nil {
-		q := n.queries[qid]
-		n.api.Broadcast(&netsim.Packet{
-			Class:        metrics.Query,
-			Origin:       n.api.ID(),
-			OriginParent: n.tree.Parent(),
-			Size:         querySize(q),
-			Payload:      q,
-		})
+	if int(key) >= len(n.queries) || n.queries[key] == nil {
 		return
 	}
-	if qid := int(key); qid < len(n.aggQueries) && n.aggQueries[qid] != nil {
-		q := n.aggQueries[qid]
-		n.api.Broadcast(&netsim.Packet{
-			Class:        metrics.Query,
-			Origin:       n.api.ID(),
-			OriginParent: n.tree.Parent(),
-			Size:         aggQuerySize(q),
-			Payload:      q,
-		})
-	}
+	q := n.queries[key]
+	n.api.Broadcast(&netsim.Packet{
+		Class:        metrics.Query,
+		Origin:       n.api.ID(),
+		OriginParent: n.tree.Parent(),
+		Size:         querySize(q),
+		Payload:      q,
+	})
 }
 
 // answer linearly scans the data buffer (paper §5.5) and sends a reply

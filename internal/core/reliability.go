@@ -92,10 +92,9 @@ type VerdictRecord struct {
 // in-RAM pending state. Settling marks it closed.
 type openQuery struct {
 	qid     uint16
-	agg     bool
 	plan    query.Plan
-	wq      workload.Query // tuple queries
-	aq      query.AggQuery // aggregate queries
+	wq      workload.Query // what to ask: value and time ranges, or the node list
+	aq      query.AggQuery // aggregate queries: the operator and its parameters
 	attempt int
 	closed  bool
 }
@@ -110,20 +109,21 @@ func (b *Base) VerdictLog() []VerdictRecord { return b.verdicts }
 // journalled — the number that must reach a terminal verdict.
 func (b *Base) QueryJournalLen() int { return len(b.openLog) }
 
-// PendingOpen counts queries still holding live collection state
-// (reply tables, deadline clocks). The regression hook for the
-// unbounded pending-state fix: with the reliability layer on, every
-// query eventually settles and evicts, so this returns to zero even
-// under 100% reply loss.
+// onClock reports whether pq is on the deadline clock and not
+// yet settled.
+func (pq *pendingQuery) onClock() bool {
+	return pq != nil && pq.deadline != 0 && pq.verdict == VerdictOpen
+}
+
+// PendingOpen counts queries still on the deadline clock, holding live
+// collection state. The regression hook for the unbounded
+// pending-state fix: with the reliability layer on, every query
+// eventually settles and evicts, so this returns to zero even under
+// 100% reply loss.
 func (b *Base) PendingOpen() int {
 	n := 0
 	for _, pq := range b.pending {
-		if pq != nil && pq.replied != nil {
-			n++
-		}
-	}
-	for _, pa := range b.pendingAgg {
-		if pa != nil && pa.deadline != 0 && pa.verdict == VerdictOpen {
+		if pq.onClock() {
 			n++
 		}
 	}
@@ -139,38 +139,27 @@ func (b *Base) relArm(at netsim.Time) {
 	b.api.SetTimer(timerRel, at-b.api.Now())
 }
 
-// relRegisterTuple attaches reliability state to a freshly issued
-// tuple query: journal it, and either settle immediately (nothing to
-// wait for) or start the deadline clock.
-func (b *Base) relRegisterTuple(msg *QueryMsg, pq *pendingQuery, wq workload.Query) {
+// relRegister attaches reliability state to a freshly issued query:
+// journal it and start it.
+func (b *Base) relRegister(qid uint16, pq *pendingQuery, wq workload.Query) {
 	if !b.relOn() {
 		return
 	}
-	pq.msg = msg
 	pq.logIdx = len(b.openLog) + 1
-	b.openLog = append(b.openLog, openQuery{qid: msg.ID, plan: query.PlanTuple, wq: wq})
+	b.openLog = append(b.openLog, openQuery{qid: qid, plan: pq.plan, wq: wq, aq: pq.q})
+	b.relStart(qid, pq)
+}
+
+// relStart settles a journalled query immediately when there is nobody
+// to wait for (no targets: a summary-plan aggregate, an empty owner
+// set), and otherwise starts its deadline clock.
+func (b *Base) relStart(qid uint16, pq *pendingQuery) {
 	if pq.expected == 0 {
-		b.settleTuple(msg.ID, pq, true)
+		b.settle(qid, pq, true)
 		return
 	}
 	pq.deadline = b.api.Now() + b.cfg.QueryDeadline
 	b.relArm(pq.deadline)
-}
-
-// relRegisterAgg is relRegisterTuple's aggregate twin. Summary-plan
-// queries are answered at issue time and settle complete on the spot.
-func (b *Base) relRegisterAgg(qid uint16, pa *pendingAgg) {
-	if !b.relOn() {
-		return
-	}
-	pa.logIdx = len(b.openLog) + 1
-	b.openLog = append(b.openLog, openQuery{qid: qid, agg: true, plan: pa.plan, aq: pa.q})
-	if pa.plan == query.PlanSummary || pa.expected == 0 {
-		b.settleAgg(qid, pa, true)
-		return
-	}
-	pa.deadline = b.api.Now() + b.cfg.QueryDeadline
-	b.relArm(pa.deadline)
 }
 
 // resolveWire maps a reply's wire query ID back to the original query
@@ -183,44 +172,28 @@ func (b *Base) resolveWire(qid uint16) uint16 {
 }
 
 // relTimer fires at the earliest pending deadline: retry or settle
-// every due query, then re-arm for the next one. Both pending tables
-// are dense by query ID, so the walk order — and therefore the retry
+// every due query, then re-arm for the next one. The pending table is
+// dense by query ID, so the walk order — and therefore the retry
 // wire-ID assignment — is deterministic.
 func (b *Base) relTimer() {
 	now := b.api.Now()
 	b.relNextAt = 0
 	var next netsim.Time
-	note := func(at netsim.Time) {
-		if next == 0 || at < next {
-			next = at
-		}
-	}
-	for id := range b.pending {
-		pq := b.pending[id]
-		if pq == nil || pq.verdict != VerdictOpen || pq.deadline == 0 {
-			continue
-		}
-		if now < pq.deadline {
-			note(pq.deadline)
-			continue
-		}
-		b.tupleDeadline(uint16(id), pq)
-		if pq.verdict == VerdictOpen {
-			note(pq.deadline)
-		}
-	}
-	for id := range b.pendingAgg {
-		pa := b.pendingAgg[id]
-		if pa == nil || pa.verdict != VerdictOpen || pa.deadline == 0 {
-			continue
-		}
-		if now < pa.deadline {
-			note(pa.deadline)
-			continue
-		}
-		b.aggDeadline(uint16(id), pa)
-		if pa.verdict == VerdictOpen {
-			note(pa.deadline)
+	// Two passes, tuple collectors before partial collectors: retries
+	// draw fresh wire IDs in walk order, and the committed
+	// fault-campaign baseline and trace JSONL observe the IDs that
+	// order hands out.
+	for _, partials := range [2]bool{false, true} {
+		for id, pq := range b.pending {
+			if !pq.onClock() || (pq.plan != query.PlanTuple) != partials {
+				continue
+			}
+			if now >= pq.deadline {
+				b.relDeadline(uint16(id), pq)
+			}
+			if pq.verdict == VerdictOpen && (next == 0 || pq.deadline < next) {
+				next = pq.deadline
+			}
 		}
 	}
 	if next != 0 {
@@ -228,200 +201,93 @@ func (b *Base) relTimer() {
 	}
 }
 
-// tupleDeadline handles one expired tuple-query deadline: re-ask the
-// silent owners if budget remains, otherwise settle.
-func (b *Base) tupleDeadline(qid uint16, pq *pendingQuery) {
-	if pq.got >= pq.expected || pq.attempt >= b.cfg.QueryRetryMax {
-		b.settleTuple(qid, pq, true)
-		return
-	}
+// relDeadline handles one expired deadline: re-ask the silent owners
+// if budget remains, otherwise settle. Retries ride fresh wire IDs:
+// nodes answer each query ID exactly once, so re-asking under the
+// original ID would be suppressed everywhere.
+func (b *Base) relDeadline(qid uint16, pq *pendingQuery) {
 	var silent Bitmap
-	cnt := 0
-	for _, id := range pq.msg.Bitmap.IDs() {
-		if !pq.replied[id] {
-			silent.Set(id)
-			cnt++
-		}
+	if pq.heard.Count() < pq.expected && pq.attempt < b.cfg.QueryRetryMax {
+		silent = pq.msg.Bitmap.AndNot(&pq.heard)
 	}
-	if cnt == 0 {
-		b.settleTuple(qid, pq, true)
+	if silent.Empty() {
+		b.settle(qid, pq, true)
 		return
 	}
 	pq.attempt++
 	b.qidNext++
-	wire := b.qidNext
-	m := &QueryMsg{
-		ID: wire, Bitmap: silent,
-		ValueLo: pq.msg.ValueLo, ValueHi: pq.msg.ValueHi,
-		TimeLo: pq.msg.TimeLo, TimeHi: pq.msg.TimeHi,
-	}
-	b.retryOf = dense.Grow(b.retryOf, int(wire))
-	b.retryOf[wire] = qid
-	pq.wires = append(pq.wires, wire)
-	b.queriesOut = dense.Grow(b.queriesOut, int(wire))
-	b.queriesOut[wire] = m
-	b.relLaunchRetry(qid, wire, cnt, pq.attempt)
-	pq.deadline = b.api.Now() + b.cfg.QueryDeadline<<uint(pq.attempt)
-	if pq.logIdx > 0 {
-		b.openLog[pq.logIdx-1].attempt = pq.attempt
-	}
-}
-
-// aggDeadline is tupleDeadline's aggregate twin; the silent set comes
-// from the contributor bitmaps Track queries collect.
-func (b *Base) aggDeadline(qid uint16, pa *pendingAgg) {
-	if pa.nodes.Count() >= pa.expected || pa.attempt >= b.cfg.QueryRetryMax {
-		b.settleAgg(qid, pa, true)
-		return
-	}
-	silent := pa.targets.AndNot(&pa.nodes)
-	cnt := silent.Count()
-	if cnt == 0 {
-		b.settleAgg(qid, pa, true)
-		return
-	}
-	pa.attempt++
-	b.qidNext++
-	wire := b.qidNext
-	m := &AggQueryMsg{
-		ID: wire, Bitmap: silent, Op: pa.q.Op,
-		ValueLo: pa.q.ValueLo, ValueHi: pa.q.ValueHi,
-		TimeLo: pa.q.TimeLo, TimeHi: pa.q.TimeHi,
-		Track: true,
-	}
-	b.retryOf = dense.Grow(b.retryOf, int(wire))
-	b.retryOf[wire] = qid
-	pa.wires = append(pa.wires, wire)
-	b.aggOut = dense.Grow(b.aggOut, int(wire))
-	b.aggOut[wire] = m
-	b.relLaunchRetry(qid, wire, cnt, pa.attempt)
-	pa.deadline = b.api.Now() + b.cfg.QueryDeadline<<uint(pa.attempt)
-	if pa.logIdx > 0 {
-		b.openLog[pa.logIdx-1].attempt = pa.attempt
-	}
-}
-
-// relLaunchRetry pushes one registered retry packet into query gossip
-// and accounts it. Retries ride fresh wire IDs: nodes answer each
-// query ID exactly once, so re-asking under the original ID would be
-// suppressed everywhere.
-func (b *Base) relLaunchRetry(qid, wire uint16, silent, attempt int) {
-	b.qGos.Add(queryKey(wire))
-	b.sendQuery(queryKey(wire))
-	b.qGos.Heard(queryKey(wire)) // count our own broadcast
+	m := *pq.msg
+	m.ID, m.Bitmap = b.qidNext, silent
+	b.retryOf = dense.Grow(b.retryOf, int(m.ID))
+	b.retryOf[m.ID] = qid
+	pq.wires = append(pq.wires, m.ID)
+	b.gossip(&m)
 	b.stats.QueryRetries++
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryRetry, Node: uint16(b.api.ID()),
-		ID: qid, Value: int64(silent), Aux: int64(attempt)})
+		ID: qid, Value: int64(silent.Count()), Aux: int64(pq.attempt)})
+	pq.deadline = b.api.Now() + b.cfg.QueryDeadline<<uint(pq.attempt)
+	b.openLog[pq.logIdx-1].attempt = pq.attempt
 }
 
-// settleTuple assigns a tuple query its terminal verdict and evicts
-// its collection state. The collected readings stay (QueryResults and
-// tuple-plan aggregate answers read them); the replied table, retry
-// mappings and gossip entries go.
-func (b *Base) settleTuple(qid uint16, pq *pendingQuery, emit bool) {
-	var v Verdict
-	var errB, sumB float64
-	var pa *pendingAgg
-	if int(qid) < len(b.pendingAgg) {
-		pa = b.pendingAgg[qid]
+// settleIfComplete settles a query on the deadline clock as soon as
+// every targeted owner is heard, without waiting for the deadline.
+func (b *Base) settleIfComplete(qid uint16, pq *pendingQuery) {
+	if pq.deadline != 0 && pq.heard.Count() >= pq.expected {
+		b.settle(qid, pq, true)
 	}
+}
+
+// settle assigns a query its terminal verdict, journals it, and evicts
+// its collection state: the heard bitmap, the issued packet, retry
+// mappings and gossip entries go — the fix for the unbounded
+// pending-state growth the pre-§19 base suffered under reply loss. What
+// was collected stays (QueryResults and AggAnswer read it); a degraded
+// verdict swaps an aggregate's answer to the widened summary estimate
+// (AggAnswer serves est.Value with its error bound).
+func (b *Base) settle(qid uint16, pq *pendingQuery, emit bool) {
+	rec := VerdictRecord{QID: qid, Verdict: VerdictFailed, Got: pq.heard.Count(), Expected: pq.expected}
 	switch {
-	case pq.got >= pq.expected:
-		v = VerdictComplete
-	case pa != nil && pa.est.Valid:
-		v = VerdictDegraded
-		sumB = pa.est.ErrBound
-		pa.est = query.Degrade(pa.est, float64(pq.got)/float64(pq.expected))
-		errB = pa.est.ErrBound
-	case pq.got > 0 || pq.total > 0:
-		v = VerdictPartial
+	case rec.Got >= rec.Expected:
+		rec.Verdict = VerdictComplete
+		b.stats.QueryVerdictComplete++
+	case pq.est.Valid:
+		rec.Verdict = VerdictDegraded
+		rec.SummaryBound = pq.est.ErrBound
+		pq.est = query.Degrade(pq.est, float64(rec.Got)/float64(rec.Expected))
+		rec.ErrBound = pq.est.ErrBound
+		b.stats.QueryVerdictDegraded++
+		b.stats.DegradedAnswers++
+		// AggAnswered counts partial-plan answers only; a tuple-plan
+		// aggregate never enters it.
+		if pq.plan != query.PlanTuple && !pq.answered {
+			pq.answered = true
+			b.stats.AggAnswered++
+		}
+	case rec.Got > 0 || pq.total > 0:
+		rec.Verdict = VerdictPartial
+		b.stats.QueryVerdictPartial++
 	default:
-		v = VerdictFailed
+		b.stats.QueryVerdictFailed++
 	}
-	pq.verdict = v
-	if pa != nil {
-		pa.verdict = v
+	pq.verdict = rec.Verdict
+	if emit {
+		b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryVerdict, Node: uint16(b.api.ID()),
+			Flag: uint8(rec.Verdict), ID: qid, Value: int64(rec.Got), Aux: int64(rec.Expected)})
 	}
-	b.settleVerdict(qid, v, pq.got, pq.expected, errB, sumB, pq.logIdx, emit)
-	pq.replied = nil
-	pq.msg = nil
+	b.verdicts = append(b.verdicts, rec)
+	b.openLog[pq.logIdx-1].closed = true
 	b.relDropWire(qid)
 	for _, w := range pq.wires {
 		b.relDropWire(w)
 	}
-	pq.wires = nil
+	pq.wires, pq.msg, pq.heard = nil, nil, Bitmap{}
 }
 
-// settleAgg assigns an aggregate query its terminal verdict. A
-// degraded verdict swaps the answer to the widened summary estimate
-// (AggAnswer serves est.Value with its error bound).
-func (b *Base) settleAgg(qid uint16, pa *pendingAgg, emit bool) {
-	heard := pa.nodes.Count()
-	var v Verdict
-	var errB, sumB float64
-	switch {
-	case heard >= pa.expected:
-		v = VerdictComplete
-	case pa.est.Valid:
-		v = VerdictDegraded
-		sumB = pa.est.ErrBound
-		pa.est = query.Degrade(pa.est, float64(heard)/float64(pa.expected))
-		errB = pa.est.ErrBound
-		if !pa.answered {
-			pa.answered = true
-			b.stats.AggAnswered++
-		}
-	case pa.contribs > 0:
-		v = VerdictPartial
-	default:
-		v = VerdictFailed
-	}
-	pa.verdict = v
-	b.settleVerdict(qid, v, heard, pa.expected, errB, sumB, pa.logIdx, emit)
-	b.relDropWire(qid)
-	for _, w := range pa.wires {
-		b.relDropWire(w)
-	}
-	pa.wires = nil
-}
-
-// settleVerdict is the shared settle tail: counters, the optional
-// trace event, the durable verdict record, and journal closure.
-func (b *Base) settleVerdict(qid uint16, v Verdict, got, expected int, errB, sumB float64, logIdx int, emit bool) {
-	switch v {
-	case VerdictComplete:
-		b.stats.QueryVerdictComplete++
-	case VerdictPartial:
-		b.stats.QueryVerdictPartial++
-	case VerdictDegraded:
-		b.stats.QueryVerdictDegraded++
-		b.stats.DegradedAnswers++
-	case VerdictFailed:
-		b.stats.QueryVerdictFailed++
-	}
-	if emit {
-		b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryVerdict, Node: uint16(b.api.ID()),
-			Flag: uint8(v), ID: qid, Value: int64(got), Aux: int64(expected)})
-	}
-	b.verdicts = append(b.verdicts, VerdictRecord{
-		QID: qid, Verdict: v, Got: got, Expected: expected,
-		ErrBound: errB, SummaryBound: sumB,
-	})
-	if logIdx > 0 {
-		b.openLog[logIdx-1].closed = true
-	}
-}
-
-// relDropWire evicts one wire query ID from the outbound tables and
-// query gossip — the fix for the unbounded pending-state growth the
-// pre-§19 base suffered under reply loss.
+// relDropWire evicts one wire query ID from the outbound table, query
+// gossip and the retry mapping.
 func (b *Base) relDropWire(w uint16) {
 	if int(w) < len(b.queriesOut) && b.queriesOut[w] != nil {
 		b.queriesOut[w] = nil
-		b.qGos.Remove(queryKey(w))
-	}
-	if int(w) < len(b.aggOut) && b.aggOut[w] != nil {
-		b.aggOut[w] = nil
 		b.qGos.Remove(queryKey(w))
 	}
 	if int(w) < len(b.retryOf) {
@@ -435,88 +301,38 @@ func (b *Base) relDropWire(w uint16) {
 // post-run and therefore emits no trace events (region-parallel trace
 // merge is closed by then); counters and the verdict log are enough.
 func (b *Base) FinalizeVerdicts() {
-	if !b.relOn() {
-		return
-	}
-	for id := range b.pending {
-		pq := b.pending[id]
-		if pq != nil && pq.deadline != 0 && pq.verdict == VerdictOpen {
-			b.settleTuple(uint16(id), pq, false)
-		}
-	}
-	for id := range b.pendingAgg {
-		pa := b.pendingAgg[id]
-		if pa != nil && pa.deadline != 0 && pa.verdict == VerdictOpen {
-			b.settleAgg(uint16(id), pa, false)
+	for id, pq := range b.pending {
+		if pq.onClock() {
+			b.settle(uint16(id), pq, false)
 		}
 	}
 }
 
 // recoverOpenQueries rebuilds pending-query state from the durable
 // journal after a basestation restart: every journalled query not yet
-// settled is re-registered with a fresh deadline, and the ordinary
-// deadline machinery re-asks its owners. Replies addressed to
-// pre-restart retry wire IDs are dropped — the retry mapping was RAM.
+// settled is re-registered against the current owner set with a fresh
+// deadline, and the ordinary deadline machinery re-asks its owners.
+// Replies addressed to pre-restart retry wire IDs are dropped — the
+// retry mapping was RAM. So was the operator and estimate of a
+// tuple-plan aggregate, which comes back as the plain tuple query it
+// put on the air.
 func (b *Base) recoverOpenQueries() {
-	if !b.relOn() {
-		return
-	}
-	now := b.api.Now()
 	for i := range b.openLog {
 		e := &b.openLog[i]
 		if e.closed {
 			continue
 		}
-		if e.agg {
-			targets, _ := b.rangeTargets(e.aq.ValueLo, e.aq.ValueHi, e.aq.TimeLo, e.aq.TimeHi)
-			pa := &pendingAgg{
-				q: e.aq, plan: e.plan, issued: now,
-				attempt: e.attempt, logIdx: i + 1,
-			}
-			pa.est = query.EstimateFromSummaries(e.aq, b.summarySnapshots())
-			for _, id := range targets {
-				if id == b.api.ID() {
-					continue
-				}
-				pa.targets.Set(id)
-				pa.expected++
-			}
-			b.pendingAgg = dense.Grow(b.pendingAgg, int(e.qid))
-			b.pendingAgg[e.qid] = pa
-			if pa.expected == 0 {
-				b.settleAgg(e.qid, pa, true)
-				continue
-			}
-			pa.deadline = now + b.cfg.QueryDeadline
-			b.relArm(pa.deadline)
-			continue
+		pq := &pendingQuery{plan: e.plan, issued: b.api.Now(), attempt: e.attempt, logIdx: i + 1}
+		msg := queryPacket(e.wq, query.OpSelect, false)
+		if e.plan != query.PlanTuple {
+			pq.q = e.aq
+			pq.est = query.EstimateFromSummaries(e.aq, b.summarySnapshots())
+			msg.Op, msg.Track = e.aq.Op, true
 		}
-		targets := b.targets(e.wq)
-		msg := &QueryMsg{ID: e.qid, TimeLo: e.wq.TimeLo, TimeHi: e.wq.TimeHi}
-		if e.wq.IsNodeQuery() {
-			msg.ValueLo, msg.ValueHi = 1, 0
-		} else {
-			msg.ValueLo, msg.ValueHi = e.wq.ValueLo, e.wq.ValueHi
-		}
-		expected := 0
-		for _, id := range targets {
-			if id == b.api.ID() {
-				continue
-			}
-			msg.Bitmap.Set(id)
-			expected++
-		}
-		pq := &pendingQuery{
-			expected: expected, replied: make([]bool, b.api.N()),
-			msg: msg, attempt: e.attempt, logIdx: i + 1,
-		}
+		msg.ID = e.qid
+		b.address(pq, msg, b.targets(e.wq))
 		b.pending = dense.Grow(b.pending, int(e.qid))
 		b.pending[e.qid] = pq
-		if expected == 0 {
-			b.settleTuple(e.qid, pq, true)
-			continue
-		}
-		pq.deadline = now + b.cfg.QueryDeadline
-		b.relArm(pq.deadline)
+		b.relStart(e.qid, pq)
 	}
 }

@@ -55,38 +55,121 @@ func relConfig() Config {
 	return cfg
 }
 
+// queryShapes are the three ways a query collects its answer; the one
+// §19 state machine must treat them alike.
+var queryShapes = []struct {
+	name  string
+	agg   bool       // issued through IssueAgg
+	force query.Plan // AggForcePlan
+}{
+	{name: "tuple query"},
+	{name: "agg-plan aggregate", agg: true, force: query.PlanAgg},
+	{name: "tuple-plan aggregate", agg: true, force: query.PlanTuple},
+}
+
 // TestPendingEvictsUnderTotalReplyLoss is the regression test for the
-// unbounded pending-state growth the pre-§19 base suffered: queries
-// whose replies never arrive now settle to a terminal verdict when the
-// retry budget runs out, and their collection state is evicted.
+// unbounded pending-state growth the pre-§19 base suffered, over every
+// query shape: queries whose replies never arrive retry, settle to
+// exactly one terminal verdict when the budget runs out, and evict
+// their collection state; replies straggling in afterwards — under the
+// original ID or a retry wire ID — change nothing.
 func TestPendingEvictsUnderTotalReplyLoss(t *testing.T) {
-	tn := newTestNet(t, meshTopo(6, 0.9), relConfig(), nil, 11)
-	tn.sim.At(5*netsim.Minute, func() {
-		tn.net.SetBlackout(1, 5, true) // total silence: nothing gets through
-	})
-	for i := 0; i < 3; i++ {
-		at := 5*netsim.Minute + netsim.Time(i+1)*netsim.Second
-		tn.sim.At(at, func() {
-			tn.base.IssueQuery(workload.Query{ValueLo: 0, ValueHi: 20, TimeLo: 0, TimeHi: at})
+	for i, shape := range queryShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			cfg := relConfig()
+			cfg.AggForcePlan = shape.force
+			tn := newTestNet(t, meshTopo(6, 0.9), cfg, nil, 11+int64(i))
+			tn.sim.At(5*netsim.Minute, func() {
+				tn.net.SetBlackout(1, 5, true) // total silence: nothing gets through
+			})
+			for i := 0; i < 3; i++ {
+				at := 5*netsim.Minute + netsim.Time(i+1)*netsim.Second
+				tn.sim.At(at, func() {
+					if shape.agg {
+						tn.base.IssueAgg(query.AggQuery{Op: query.OpCount, ValueLo: 0, ValueHi: 20,
+							TimeLo: 2 * netsim.Minute, TimeHi: at})
+					} else {
+						tn.base.IssueQuery(workload.Query{ValueLo: 0, ValueHi: 20, TimeLo: 0, TimeHi: at})
+					}
+				})
+			}
+			tn.sim.Run(10 * netsim.Minute)
+			if tn.stats.QueryRetries == 0 {
+				t.Fatal("no retries under total loss: deadline machinery never fired")
+			}
+			settled := func(when string) {
+				t.Helper()
+				if n := tn.base.QueryJournalLen(); n != 3 {
+					t.Fatalf("%s: journalled %d queries, want 3", when, n)
+				}
+				seen := map[uint16]bool{}
+				for _, rec := range tn.base.VerdictLog() {
+					if rec.Verdict == VerdictOpen || rec.Verdict == VerdictComplete || seen[rec.QID] {
+						t.Fatalf("%s: verdict log %+v: want one incomplete terminal verdict per query", when, tn.base.VerdictLog())
+					}
+					seen[rec.QID] = true
+				}
+				terminal := tn.stats.QueryVerdictPartial + tn.stats.QueryVerdictDegraded + tn.stats.QueryVerdictFailed
+				if len(seen) != 3 || terminal != 3 {
+					t.Fatalf("%s: %d verdict records, counters sum to %d; want 3 and 3", when, len(seen), terminal)
+				}
+				if open := tn.base.PendingOpen(); open != 0 {
+					t.Fatalf("%s: %d pending queries still hold collection state", when, open)
+				}
+			}
+			settled("after the retry budget")
+			last := tn.base.LastQueryID() // the three queries plus their retry wires
+			if int(last) != 3+int(tn.stats.QueryRetries) {
+				t.Fatalf("last query ID %d, want 3 queries + %d retries", last, tn.stats.QueryRetries)
+			}
+			for id := uint16(1); id <= last; id++ {
+				if tn.base.queriesOut[id] != nil || tn.base.qGos.Has(queryKey(id)) || tn.base.retryOf[id] != 0 {
+					t.Fatalf("wire query %d survives settling: out=%v gossiped=%v retryOf=%d", id,
+						tn.base.queriesOut[id] != nil, tn.base.qGos.Has(queryKey(id)), tn.base.retryOf[id])
+				}
+			}
+			before := *tn.stats
+			for _, wire := range []uint16{1, last} {
+				tn.base.onReply(&ReplyMsg{QueryID: wire, Node: 1, Count: 1, Readings: oneReading(7, 1, netsim.Minute)})
+				var nodes Bitmap
+				nodes.Set(1)
+				tn.base.aggReply(&AggReplyMsg{QueryID: wire, Node: 1, Contribs: 1,
+					Part: query.Partial{Count: 1, Sum: 7, Min: 7, Max: 7}, Nodes: nodes})
+			}
+			settled("after late replies")
+			if *tn.stats != before {
+				t.Fatalf("late replies moved counters:\n before %+v\n after  %+v", before, *tn.stats)
+			}
 		})
 	}
-	tn.sim.Run(10 * netsim.Minute)
-	if n := tn.base.QueryJournalLen(); n != 3 {
-		t.Fatalf("journalled %d queries, want 3", n)
+}
+
+// TestRetryWireOrderTuplesBeforePartials pins the order relTimer hands
+// out retry wire IDs when queries of both kinds share a deadline: every
+// due tuple collector first, then every due partial collector, each in
+// ascending query ID. The committed fault-campaign baseline and trace
+// JSONL carry the IDs this order produces.
+func TestRetryWireOrderTuplesBeforePartials(t *testing.T) {
+	cfg := relConfig()
+	cfg.AggForcePlan = query.PlanAgg
+	tn := newTestNet(t, meshTopo(6, 0.95), cfg, nil, 15)
+	tn.sim.At(5*netsim.Minute-netsim.Second, func() { tn.net.SetBlackout(1, 5, true) })
+	tn.sim.At(5*netsim.Minute, func() {
+		tn.base.IssueAgg(query.AggQuery{Op: query.OpCount, ValueLo: 0, ValueHi: 20,
+			TimeLo: 2 * netsim.Minute, TimeHi: 5 * netsim.Minute}) // query 1
+		tn.base.IssueQuery(workload.Query{ValueLo: 0, ValueHi: 20, TimeLo: 0, TimeHi: 5 * netsim.Minute}) // query 2
+	})
+	tn.sim.Run(5*netsim.Minute + cfg.QueryDeadline + netsim.Second)
+	if tn.stats.QueryRetries != 2 || tn.base.LastQueryID() != 4 {
+		t.Fatalf("%d retries, last query ID %d; want both queries retried once (IDs 3 and 4)",
+			tn.stats.QueryRetries, tn.base.LastQueryID())
 	}
-	if got := len(tn.base.VerdictLog()); got != 3 {
-		t.Fatalf("%d verdicts for 3 queries: every query must settle exactly once", got)
+	if tn.base.retryOf[3] != 2 || tn.base.retryOf[4] != 1 {
+		t.Fatalf("retry wire 3 -> query %d, wire 4 -> query %d; want the tuple query (2) retried before the lower-ID aggregate (1)",
+			tn.base.retryOf[3], tn.base.retryOf[4])
 	}
-	terminal := tn.stats.QueryVerdictComplete + tn.stats.QueryVerdictPartial +
-		tn.stats.QueryVerdictDegraded + tn.stats.QueryVerdictFailed
-	if terminal != 3 {
-		t.Fatalf("verdict counters sum to %d, want 3", terminal)
-	}
-	if tn.stats.QueryRetries == 0 {
-		t.Fatal("no retries under total loss: deadline machinery never fired")
-	}
-	if open := tn.base.PendingOpen(); open != 0 {
-		t.Fatalf("%d pending queries still hold collection state after settling", open)
+	if m := tn.base.queriesOut[4]; m.Op != query.OpCount || !m.Track {
+		t.Fatalf("aggregate retry packet %+v lost its operator or Track flag", m)
 	}
 }
 

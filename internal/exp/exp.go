@@ -377,7 +377,7 @@ func Run(cfg Config) (Result, error) {
 	var sum metrics.Breakdown
 	for _, tr := range res.PerTrial {
 		sum = sum.Add(tr.Breakdown)
-		addStats(&res.Stats, &tr.Stats)
+		res.Stats.Add(&tr.Stats)
 		res.Agg.add(tr.Agg)
 		res.QueryBytes += float64(tr.QueryBytes)
 		res.ReplyBytes += float64(tr.ReplyBytes)
@@ -535,13 +535,14 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 		}
 	}
 
-	// Run statistics: one RunStats when serial; per-region shards
-	// (merged field-wise on read) plus one SharedRunState for the
-	// cross-region dedup table and invariant probe when parallel.
-	stats := &core.RunStats{}
+	// Run statistics: one RunStats shard per region (merged field-wise
+	// on read), all on one SharedRunState holding the per-reading dedup
+	// table and the invariant probe.
 	var chk *invariant.Checker
+	var probe core.ReadingProbe // a nil interface unless invariants are on
 	if cfg.CheckInvariants || ForceInvariants {
 		chk = invariant.New()
+		probe = chk
 		net.OnPurge = func(id netsim.NodeID, p *netsim.Packet) {
 			// A reboot drains the send queue, and a kill strands the
 			// acked frames still in the air towards the node; batched
@@ -558,39 +559,26 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 			}
 		}
 	}
-	shards := []*core.RunStats{stats}
-	rcfgs := []core.Config{ccfg}
-	if nreg > 1 {
-		// The typed-nil trap: a nil *invariant.Checker must not become a
-		// non-nil ReadingProbe interface.
-		var probe core.ReadingProbe
-		if chk != nil {
-			probe = chk
-		}
-		shared := core.NewSharedRunState(probe)
-		shards = make([]*core.RunStats, nreg)
-		rcfgs = make([]core.Config, nreg)
-		for r := 0; r < nreg; r++ {
-			shards[r] = &core.RunStats{Shared: shared}
-			rcfgs[r] = ccfg
+	shared := core.NewSharedRunState(probe)
+	shards := make([]*core.RunStats, nreg)
+	rcfgs := make([]core.Config, nreg)
+	for r := 0; r < nreg; r++ {
+		shards[r] = &core.RunStats{Shared: shared}
+		rcfgs[r] = ccfg
+		if nreg > 1 {
 			rcfgs[r].Trace = net.RegionTrace(r)
 			if regProfs != nil {
 				rcfgs[r].Prof = regProfs[r]
 			}
 		}
-	} else if chk != nil {
-		stats.Probe = chk
 	}
-	// readStats returns the live merged view; under parallelism it is
-	// only callable from control-plane events (regions quiesce at
+	// readStats returns the live merged counters; under parallelism it
+	// is only callable from control-plane events (regions quiesce at
 	// barriers) and after the run.
 	readStats := func() core.RunStats {
-		if nreg <= 1 {
-			return *stats
-		}
 		var m core.RunStats
 		for _, sh := range shards {
-			addStats(&m, sh)
+			m.Add(sh)
 		}
 		return m
 	}
@@ -761,13 +749,9 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 		}
 		tr.Prof = &s
 	}
-	if nreg > 1 {
-		// Fold the per-region shards into the merged views the rest of
-		// the accounting below reads.
-		merged := readStats()
-		*stats = merged
-		net.MergeCounters(ctr)
-	}
+	// Fold the per-region counter shards into the merged view the
+	// accounting below reads (nothing to fold when serial).
+	net.MergeCounters(ctr)
 
 	// Settle the aggregate answers against ground truth captured at
 	// issue time. An aggregate over an empty match set has no defined
@@ -842,7 +826,7 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 	}
 
 	tr.Breakdown = ctr.Snapshot()
-	tr.Stats = *stats
+	tr.Stats = readStats()
 	tr.QueryBytes = ctr.SentBytesClass(metrics.Query)
 	tr.ReplyBytes = ctr.SentBytesClass(metrics.Reply)
 	tr.AggReplyBytes = ctr.SentBytesClass(metrics.AggReply)
@@ -971,48 +955,4 @@ func runAnalyticalHash(cfg Config) (Result, error) {
 	}
 	res.Breakdown = sum.Scale(1.0 / float64(cfg.Trials))
 	return res, nil
-}
-
-func addStats(dst, src *core.RunStats) {
-	dst.Produced += src.Produced
-	dst.StoredLocal += src.StoredLocal
-	dst.StoredAtOwner += src.StoredAtOwner
-	dst.StoredAtBase += src.StoredAtBase
-	dst.LostData += src.LostData
-	dst.StoredUnique += src.StoredUnique
-	dst.QueriesIssued += src.QueriesIssued
-	dst.RepliesExpected += src.RepliesExpected
-	dst.QueriesHeard += src.QueriesHeard
-	dst.RepliesSent += src.RepliesSent
-	dst.RepliesForwarded += src.RepliesForwarded
-	dst.RepliesReceived += src.RepliesReceived
-	dst.TuplesReturned += src.TuplesReturned
-	dst.SummariesSent += src.SummariesSent
-	dst.SummariesReceived += src.SummariesReceived
-	dst.IndexesBuilt += src.IndexesBuilt
-	dst.IndexesSuppressed += src.IndexesSuppressed
-	dst.SummaryAnswered += src.SummaryAnswered
-	dst.ReindexValues += src.ReindexValues
-	dst.ReindexRecomputed += src.ReindexRecomputed
-	dst.ReindexSPTSources += src.ReindexSPTSources
-	dst.ReindexFull += src.ReindexFull
-	dst.ReindexWallNanos += src.ReindexWallNanos
-	dst.AggQueriesIssued += src.AggQueriesIssued
-	dst.AggQueriesHeard += src.AggQueriesHeard
-	dst.AggRepliesSent += src.AggRepliesSent
-	dst.AggPartialsReceived += src.AggPartialsReceived
-	dst.AggCombined += src.AggCombined
-	dst.AggContributors += src.AggContributors
-	dst.AggAnswered += src.AggAnswered
-	dst.AggFirstAnswerMS += src.AggFirstAnswerMS
-	dst.PlanSummaryChosen += src.PlanSummaryChosen
-	dst.PlanAggChosen += src.PlanAggChosen
-	dst.PlanTupleChosen += src.PlanTupleChosen
-	dst.PlanFloodChosen += src.PlanFloodChosen
-	dst.QueryRetries += src.QueryRetries
-	dst.QueryVerdictComplete += src.QueryVerdictComplete
-	dst.QueryVerdictPartial += src.QueryVerdictPartial
-	dst.QueryVerdictDegraded += src.QueryVerdictDegraded
-	dst.QueryVerdictFailed += src.QueryVerdictFailed
-	dst.DegradedAnswers += src.DegradedAnswers
 }

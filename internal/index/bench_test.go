@@ -187,21 +187,3 @@ func BenchmarkChunksAndAssemble(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBuildOwnerSets measures the §4 owner-set extension (k=2).
-func BenchmarkBuildOwnerSets(b *testing.B) {
-	in := paperScaleInput(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildOwnerSets(in, 2)
-	}
-}
-
-// BenchmarkBuildRangeOwners measures the §4 range-placement extension.
-func BenchmarkBuildRangeOwners(b *testing.B) {
-	in := paperScaleInput(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildRangeOwners(uint16(i+1), in, 10)
-	}
-}

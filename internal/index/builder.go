@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"time"
 
 	"scoop/internal/netsim"
@@ -29,8 +28,7 @@ type BuildStats struct {
 // Between rebuilds the Builder tracks dirty values: a value's
 // best-owner search re-runs only when its contributor weights, its
 // query-profile entry, the query round-trip table, or the xmits row of
-// one of its contributors changed beyond DirtyEpsilon. With the
-// default epsilon of 0 ("changed at all"), the incremental result is
+// one of its contributors changed at all, so the incremental result is
 // bit-identical to a from-scratch BuildOwners — the property
 // TestBuilderMatchesScratch pins. The sequential contiguity pass
 // (which couples value i to value i-1's owner) always re-runs over the
@@ -39,15 +37,6 @@ type BuildStats struct {
 // The zero value is ready to use. A Builder must not be shared between
 // goroutines.
 type Builder struct {
-	// DirtyEpsilon is the relative change below which contributor
-	// weights, query probabilities and xmits entries count as
-	// unchanged for dirty tracking. 0 means exact: any bit change
-	// dirties the value, and incremental output is identical to a
-	// full rebuild. Positive values trade exactness for fewer
-	// recomputations under noisy link estimators; committed sweep
-	// baselines all run with 0.
-	DirtyEpsilon float64
-
 	// Trace, when non-nil, receives ReindexBegin/ReindexEnd events
 	// for every BuildOwners call. The wall-clock probe in BuildStats
 	// never enters the trace (DESIGN.md §16): ReindexEnd carries only
@@ -245,7 +234,7 @@ func (b *Builder) diffRows(n int) bool {
 		changed := false
 		row, prow := next[p*n:(p+1)*n], old[p*n:(p+1)*n]
 		for j := range row {
-			if changedBeyond(row[j], prow[j], b.DirtyEpsilon) {
+			if differ(row[j], prow[j]) {
 				changed = true
 				break
 			}
@@ -288,13 +277,13 @@ func (b *Builder) collectDirty(V int, rowsChangedAny bool) {
 	k := b.ctCur()
 	cur, old := &b.cts[k], &b.cts[k^1]
 	qp, qpOld := b.qprob[k], b.qprob[k^1]
-	rateChanged := changedBeyond(b.qrate[k], b.qrate[k^1], b.DirtyEpsilon)
+	rateChanged := differ(b.qrate[k], b.qrate[k^1])
 	rtChanged := false
 	if len(b.rt[k]) != len(b.rt[k^1]) {
 		rtChanged = true
 	} else {
 		for o := range b.rt[k] {
-			if changedBeyond(b.rt[k][o], b.rt[k^1][o], b.DirtyEpsilon) {
+			if differ(b.rt[k][o], b.rt[k^1][o]) {
 				rtChanged = true
 				break
 			}
@@ -310,7 +299,7 @@ func (b *Builder) collectDirty(V int, rowsChangedAny bool) {
 func (b *Builder) valueDirty(i int, cur, old *contribTable, qp, qpOld []float64,
 	rateChanged, rtChanged, rowsChangedAny bool) bool {
 	// Query-profile entry changed (including appearing/disappearing).
-	if changedBeyond(qp[i], qpOld[i], b.DirtyEpsilon) {
+	if differ(qp[i], qpOld[i]) {
 		return true
 	}
 	queried := qp[i] > 0 && b.qrate[b.ctCur()] > 0
@@ -330,7 +319,7 @@ func (b *Builder) valueDirty(i int, cur, old *contribTable, qp, qpOld []float64,
 	}
 	for k := int32(0); k < chi-clo; k++ {
 		if cur.prods[clo+k] != old.prods[olo+k] ||
-			changedBeyond(cur.weights[clo+k], old.weights[olo+k], b.DirtyEpsilon) {
+			differ(cur.weights[clo+k], old.weights[olo+k]) {
 			return true
 		}
 	}
@@ -443,23 +432,9 @@ func (b *Builder) argminDirty(in *BuildInput, n int) {
 // xmits buffer index, which only advances when the graph changes).
 func (b *Builder) ctCur() int { return b.ctFlip }
 
-// changedBeyond reports whether two cost inputs differ by more than
-// the relative epsilon. Any two unreachable (≥ Inf) values count as
-// equal; with eps == 0 any bit difference counts as changed.
-func changedBeyond(a, c, eps float64) bool {
-	if a == c {
-		return false
-	}
-	if a >= Inf && c >= Inf {
-		return false
-	}
-	if eps == 0 {
-		return true
-	}
-	d := math.Abs(a - c)
-	m := math.Abs(a)
-	if ac := math.Abs(c); ac > m {
-		m = ac
-	}
-	return d > eps*m
+// differ reports whether two cost inputs changed for dirty tracking:
+// any bit difference counts, except that any two unreachable (≥ Inf)
+// values are equal.
+func differ(a, c float64) bool {
+	return a != c && !(a >= Inf && c >= Inf)
 }

@@ -319,45 +319,6 @@ func TestBuilderChooseIndexMatchesPackage(t *testing.T) {
 	}
 }
 
-// TestBuilderDirtyEpsilon: with a loose epsilon, sub-threshold weight
-// jitter must not dirty any value's argmin search (the contiguity
-// pass still re-runs against fresh costs, so individual range borders
-// may shift — the documented approximation), while a structural change
-// must still dirty its values.
-func TestBuilderDirtyEpsilon(t *testing.T) {
-	w := newWorld(20, 40, 9)
-	var b Builder
-	b.DirtyEpsilon = 0.05
-	in := w.input()
-	in.Graph = w.g
-	b.BuildOwners(&in)
-
-	// Jitter every rate by 1% — far below the 5% epsilon.
-	for i := 1; i < w.n; i++ {
-		w.rates[i] *= 1.01
-	}
-	in2 := w.input()
-	in2.Graph = w.g
-	second := append([]netsim.NodeID(nil), b.BuildOwners(&in2)...)
-	if st := b.LastStats(); st.Recomputed != 0 {
-		t.Fatalf("sub-epsilon jitter recomputed %d values", st.Recomputed)
-	}
-	for i, o := range second {
-		if int(o) >= w.n {
-			t.Fatalf("value %d assigned to nonexistent owner %d", i, o)
-		}
-	}
-
-	// A structural change (node death) must still dirty its values.
-	w.centers[3] = -1
-	in3 := w.input()
-	in3.Graph = w.g
-	b.BuildOwners(&in3)
-	if st := b.LastStats(); st.Recomputed == 0 {
-		t.Fatal("node death dirtied nothing")
-	}
-}
-
 // TestBuilderGOMAXPROCSDeterminism pins the parallel owner search: a
 // scenario big enough that both the SPT fan-out and the dirty-value
 // argmin clear the parallel grain must build bit-identical owners at
