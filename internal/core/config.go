@@ -237,7 +237,7 @@ type SharedRunState struct {
 	// loss makes the sender retry a reading the receiver already
 	// stored). Sample times per producer are almost always observed in
 	// increasing order, so the seenTable's max-key fast path makes this
-	// O(1) per store event (DESIGN.md §12).
+	// one row lookup per store event, no scan (DESIGN.md §12).
 	seen  seenTable
 	probe ReadingProbe
 }

@@ -64,11 +64,10 @@ type Node struct {
 	// batches "up to n readings destined for the same node"; keeping
 	// one open batch per owner instead of flushing on every owner
 	// change preserves the batching win when consecutive samples
-	// straddle a range boundary — see DESIGN.md §6). batchq is dense
-	// by owner ID; batchOwners counts owners with a pending batch.
-	batchq      [][]storage.Reading
-	batchOwners int
-	batchSID    uint16
+	// straddle a range boundary — see DESIGN.md §6). batchq holds the
+	// owners with a pending batch, and only those.
+	batchq   idTable[[]storage.Reading]
+	batchSID uint16
 
 	pendingAnswers []*QueryMsg // queries awaiting the jittered reply
 
@@ -101,7 +100,7 @@ func (n *Node) Store() *storage.DataBuffer { return n.store }
 // conservation invariant. Test/diagnostic accessor.
 func (n *Node) PendingBatchReadings() []storage.Reading {
 	var out []storage.Reading
-	for _, rs := range n.batchq {
+	for _, rs := range n.batchq.vals {
 		out = append(out, rs...)
 	}
 	return out
@@ -116,7 +115,7 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	// power are gone for good — tell the conservation probe and the
 	// flight recorder before the buffers are recreated. (LostData
 	// itself counts only radio-path losses, as before.)
-	for _, rs := range n.batchq {
+	for _, rs := range n.batchq.vals {
 		n.stats.probeLost(rs, metrics.DropReboot)
 		for _, r := range rs {
 			n.cfg.Trace.Emit(trace.Event{Kind: trace.ReadingLost,
@@ -137,8 +136,7 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	n.seenSummaries.reset()
 	n.seenReplies.reset()
 	n.seenAggParts.reset()
-	n.batchq = make([][]storage.Reading, api.N())
-	n.batchOwners = 0
+	n.batchq = idTable[[]storage.Reading]{}
 	n.mapGos = trickle.New(api, timerMapping, n.cfg.MappingTrickle, n.sendChunk)
 	n.qGos = trickle.New(api, timerQuery, n.cfg.QueryTrickle, n.sendQuery)
 
@@ -294,16 +292,18 @@ func (n *Node) takeSample() {
 		return
 	}
 	// Batch readings destined for the same owner (paper: up to 5).
-	if n.batchOwners == 0 {
+	if len(n.batchq.ids) == 0 {
 		n.api.SetTimer(timerBatch, n.cfg.BatchTimeout)
 	}
 	n.batchSID = sid
-	if len(n.batchq[owner]) == 0 {
-		n.batchOwners++
+	rs := n.batchq.at(owner)
+	if *rs == nil {
+		*rs = make([]storage.Reading, 0, n.cfg.BatchSize)
 	}
-	n.batchq[owner] = append(n.batchq[owner], r)
-	if len(n.batchq[owner]) >= n.cfg.BatchSize {
-		n.flushOwner(owner)
+	*rs = append(*rs, r)
+	if full := *rs; len(full) >= n.cfg.BatchSize {
+		n.batchq.remove(owner)
+		n.routeData(&DataMsg{Readings: full, Owner: owner, SID: sid})
 	}
 }
 
@@ -320,26 +320,13 @@ func (n *Node) lookupOwner(v int) (netsim.NodeID, uint16, bool) {
 	return o, n.cur.ID, true
 }
 
-// flushOwner launches the pending batch for one owner.
-func (n *Node) flushOwner(owner netsim.NodeID) {
-	rs := n.batchq[owner]
-	if len(rs) == 0 {
-		return
-	}
-	n.batchq[owner] = nil
-	n.batchOwners--
-	n.routeData(&DataMsg{Readings: rs, Owner: owner, SID: n.batchSID})
-}
-
-// flushBatch launches every pending batch (timeout path). The dense
-// per-owner array is walked in ascending owner order — the same order
-// the pre-scale-tier map-and-sort produced.
+// flushBatch launches every pending batch (timeout path), in ascending
+// owner order — trace lines and the senders' random draws follow it.
 func (n *Node) flushBatch() {
-	for o := range n.batchq {
-		if len(n.batchq[o]) > 0 {
-			n.flushOwner(netsim.NodeID(o))
-		}
+	for i, owner := range n.batchq.ids {
+		n.routeData(&DataMsg{Readings: n.batchq.vals[i], Owner: owner, SID: n.batchSID})
 	}
+	n.batchq.clear()
 	n.api.CancelTimer(timerBatch)
 }
 

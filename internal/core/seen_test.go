@@ -1,0 +1,115 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"scoop/internal/dense"
+	"scoop/internal/netsim"
+)
+
+// refSeen is the dense-row table seenTable used to be, kept as the
+// reference model: rows indexed by origin ID and grown to the highest
+// origin heard from, so one summary relayed from node 900 costs 900
+// rows. Its cost follows the network; its answers are the
+// specification.
+type refSeen struct {
+	rows []seenRow
+}
+
+func (s *refSeen) Seen(origin netsim.NodeID, key uint64) bool {
+	i := int(origin)
+	s.rows = dense.Grow(s.rows, i)
+	r := &s.rows[i]
+	if !r.any || key > r.max {
+		r.keys = append(r.keys, key)
+		r.max, r.any = key, true
+		return false
+	}
+	for k := len(r.keys) - 1; k >= 0; k-- {
+		if r.keys[k] == key {
+			return true
+		}
+	}
+	r.keys = append(r.keys, key)
+	return false
+}
+
+func (s *refSeen) reset() { s.rows = nil }
+
+// TestSeenMatchesReferenceModel feeds the sparse table and the dense one
+// the same random (origin, key) stream — per-origin keys mostly rising,
+// mixed with immediate duplicates, old duplicates, never-seen keys below
+// the maximum, key 0, and a reset now and then — and requires the same
+// answer from every call.
+func TestSeenMatchesReferenceModel(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got seenTable
+		var want refSeen
+		origins := 1 + rng.Intn(60)
+		next := make([]uint64, 1024) // per-origin rising key
+		var history [][2]uint64      // every (origin, key) asked since the last reset
+		var dups, lateFresh int
+		for step := 0; step < 3000; step++ {
+			var origin netsim.NodeID
+			var key uint64
+			switch p := rng.Intn(100); {
+			case p < 1:
+				got.reset()
+				want.reset()
+				history = history[:0]
+				continue
+			case p < 60 || len(history) == 0: // in order
+				origin = netsim.NodeID(rng.Intn(origins) * (1 + rng.Intn(17)) % 1024)
+				next[origin] += uint64(rng.Intn(3)) // +0 repeats the last key (or asks key 0 first)
+				key = next[origin]
+			case p < 75: // link-layer retransmission: the key just asked
+				h := history[len(history)-1]
+				origin, key = netsim.NodeID(h[0]), h[1]
+			case p < 90: // an old duplicate
+				h := history[rng.Intn(len(history))]
+				origin, key = netsim.NodeID(h[0]), h[1]
+			default: // out of order: somewhere below the origin's maximum
+				h := history[rng.Intn(len(history))]
+				origin, key = netsim.NodeID(h[0]), uint64(rng.Int63n(int64(h[1])+1))
+			}
+			history = append(history, [2]uint64{uint64(origin), key})
+			g, w := got.Seen(origin, key), want.Seen(origin, key)
+			if g != w {
+				t.Fatalf("seed %d step %d: Seen(%d, %d) = %v, reference %v", seed, step, origin, key, g, w)
+			}
+			if w {
+				dups++
+			} else if key < next[origin] {
+				lateFresh++
+			}
+		}
+		if dups < 500 || lateFresh < 20 {
+			t.Fatalf("seed %d: %d duplicates, %d fresh out-of-order keys; comparison has no power", seed, dups, lateFresh)
+		}
+		if !slices.IsSorted(got.rows.ids) || len(got.rows.ids) != len(got.rows.vals) {
+			t.Fatalf("seed %d: table holds ids %v for %d rows", seed, got.rows.ids, len(got.rows.vals))
+		}
+	}
+}
+
+// TestSeenRepeatedKeyAllocsZero pins the steady state of the per-delivery
+// path: a retransmitted copy from a known origin is recognised without
+// allocating, however many origins the table holds.
+func TestSeenRepeatedKeyAllocsZero(t *testing.T) {
+	var s seenTable
+	for o := netsim.NodeID(1); o <= 500; o++ {
+		for k := uint64(1); k <= 20; k++ {
+			s.Seen(o*2, k)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if !s.Seen(400, 20) || !s.Seen(400, 3) {
+			t.Fatal("recorded key not recognised")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Seen of a repeated key allocates %v times per call", allocs)
+	}
+}

@@ -1,6 +1,13 @@
 package netsim
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"scoop/internal/metrics"
+)
 
 // TestOutLinksMatchQualityScan pins the determinism contract of the
 // cached out-link lists: for every node they must enumerate exactly
@@ -79,5 +86,56 @@ func TestScaleTierTopologies(t *testing.T) {
 		if maxDeg == 0 || maxDeg > 60 {
 			t.Fatalf("n=%d: max degree %d outside (0,60] — radio range no longer local", n, maxDeg)
 		}
+	}
+}
+
+// inertApp does nothing: the footprint test wants the network's own
+// bytes, not a protocol's.
+type inertApp struct{}
+
+func (inertApp) Init(*NodeAPI)   {}
+func (inertApp) Receive(*Packet) {}
+func (inertApp) Snoop(*Packet)   {}
+func (inertApp) Timer(int)       {}
+
+// TestNetworkFootprintLinearInLinks is the machine-independent guard of
+// DESIGN.md §12's "no per-node state sized by the network" for the
+// radio: on the grid, where degree is bounded, doubling the nodes may
+// at most double (2.5× with slack for the edge effect and size classes)
+// the bytes NewNetwork + Attach + Start allocate — per-link tables, not
+// N×N ones. On the parent commit this test fails with a ratio of 3.48
+// (21 624 624 B at N = 1000, 75 240 544 B at N = 2000: linkScale and
+// qualFlat were N×N float64 arrays).
+func TestNetworkFootprintLinearInLinks(t *testing.T) {
+	// GridTopology's placement without its MaxNodes bound.
+	grid := func(n int) *Topology {
+		r := rand.New(rand.NewSource(9))
+		topo := &Topology{N: n, Pos: make([]Point, n), Quality: make([][]float64, n)}
+		cols := int(math.Ceil(math.Sqrt(float64(n))))
+		for i := range topo.Quality {
+			topo.Quality[i] = make([]float64, n)
+			topo.Pos[i] = Point{X: float64(i % cols), Y: float64(i / cols)}
+		}
+		fillLinks(topo, 2.5, r)
+		topo.OutLinks(0) // the topology, link tables included, is built beforehand
+		return topo
+	}
+	networkBytes := func(topo *Topology) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net := NewNetwork(NewSimulator(1), topo, metrics.NewCounters(), DefaultParams())
+		for i := 0; i < topo.N; i++ {
+			net.Attach(NodeID(i), inertApp{})
+		}
+		net.Start()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(net)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := networkBytes(grid(1000)), networkBytes(grid(2000))
+	t.Logf("network set-up allocates %d B at N=1000, %d B at N=2000", small, large)
+	if ratio := float64(large) / float64(small); ratio > 2.5 {
+		t.Fatalf("network set-up allocates %d B at N=1000 and %d B at N=2000: ×%.2f, want ≤ ×2.5 (linear in links)",
+			small, large, ratio)
 	}
 }

@@ -96,6 +96,16 @@ type transmission struct {
 	start, end Time
 }
 
+// audible is one in-flight frame in a receiver's heard list, with the
+// index of the link it arrives over — what carrier sense and the
+// collision fold need to read its signal strength there in O(1). (li
+// sits in src's padding: 24 bytes, like the bare transmission.)
+type audible struct {
+	src        NodeID
+	li         int32
+	start, end Time
+}
+
 // interferer is one candidate colliding frame during the collision
 // fold, keyed for the deterministic (src, start) fold order.
 type interferer struct {
@@ -140,7 +150,7 @@ type regionState struct {
 	// region can ever ask about — its own and their out-link neighbours
 	// — so the barrier skips ghosts nobody here could hear of (nil when
 	// serial: there are no ghosts).
-	heard  [][]transmission
+	heard  [][]audible
 	asks   []bool
 	ghosts []transmission // local frames started since the last barrier
 	outbox []outDelivery  // cross-region deliveries since the last barrier
@@ -152,9 +162,9 @@ type regionState struct {
 	scratch   []interferer // collision-fold gather buffer
 }
 
-// hear records tx as audible at node id, dropping from id's list the
-// frames that ended by now.
-func (r *regionState) hear(id NodeID, tx transmission, now Time) {
+// hear records tx as audible at node id over link li, dropping from
+// id's list the frames that ended by now.
+func (r *regionState) hear(id NodeID, li int32, tx transmission, now Time) {
 	l := r.heard[id]
 	kept := l[:0]
 	for _, old := range l {
@@ -162,17 +172,18 @@ func (r *regionState) hear(id NodeID, tx transmission, now Time) {
 			kept = append(kept, old)
 		}
 	}
-	r.heard[id] = append(kept, tx)
+	r.heard[id] = append(kept, audible{src: tx.src, li: li, start: tx.start, end: tx.end})
 }
 
 // Network binds a topology, a simulator, per-node applications and the
 // message counters into one runnable radio network.
 //
 // The per-event hot path is allocation-free in steady state (DESIGN.md
-// §12): link tables are flat slices keyed by dense node index, each
-// transmission schedules a single pooled delivery task shared by every
-// receiver, and the cloned packet it carries is recycled after the
-// last callback returns.
+// §12): per-link state sits in flat slices parallel to the topology's
+// link array (memory follows the links, not N²), each transmission
+// schedules a single pooled delivery task shared by every receiver, and
+// the cloned packet it carries is recycled after the last callback
+// returns.
 type Network struct {
 	Sim      *Simulator
 	Topo     *Topology
@@ -199,13 +210,18 @@ type Network struct {
 	apps      []App
 	api       []*NodeAPI
 	dead      []bool
-	linkScale []float64 // flat N×N link degradation factors
-	blockMask []uint8   // flat N×N fault-blocked link bits, lazily allocated
+	linkScale []float64 // per-link degradation factors, parallel to Topo.links
 	burstLoss float64   // correlated burst-loss fraction (0: no burst window active)
-	qualFlat  []float64 // flat copy of Topo.Quality, built at Start
 	txSeq     []uint32
 	nextOseq  []uint64 // per-origin canonical schedule counters
 	started   bool
+
+	// The active fault windows (SetBlackout, SetPartition): at most one
+	// of each. faults holds their block bits, so the per-link check on a
+	// fault-free network is one compare.
+	faults            uint8
+	blackLo, blackHi  NodeID // blackout stripe [lo, hi]
+	partitionBoundary NodeID // cut between {id < boundary} and the rest
 
 	nregions int // requested K (0/1: serial)
 	part     *Partition
@@ -215,8 +231,10 @@ type Network struct {
 
 // NewNetwork creates a network over topo driven by sim. counters may be
 // shared with other observers but must only be used from this
-// simulation's goroutine.
+// simulation's goroutine. The topology's link tables are frozen here
+// (built if this is their first use).
 func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, params Params) *Network {
+	topo.OutLinks(0)
 	n := &Network{
 		Sim:       sim,
 		Topo:      topo,
@@ -227,11 +245,9 @@ func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, para
 		dead:      make([]bool, topo.N),
 		txSeq:     make([]uint32, topo.N),
 		nextOseq:  make([]uint64, topo.N),
-		linkScale: make([]float64, topo.N*topo.N),
+		linkScale: make([]float64, len(topo.links)),
 	}
-	for i := range n.linkScale {
-		n.linkScale[i] = 1
-	}
+	n.ScaleAllLinks(1)
 	return n
 }
 
@@ -284,7 +300,7 @@ func (n *Network) buildRegions() {
 		}
 	}
 	for _, reg := range n.regs {
-		reg.heard = make([][]transmission, n.Topo.N)
+		reg.heard = make([][]audible, n.Topo.N)
 	}
 	for i, a := range n.api {
 		if a != nil {
@@ -374,14 +390,7 @@ func (n *Network) Start() {
 	if n.regs == nil {
 		n.buildRegions()
 	}
-	// Freeze the link tables: force the topology's out-link lists and
-	// take a flat copy of the quality matrix for O(1) pair lookups.
 	nn := n.Topo.N
-	n.qualFlat = make([]float64, nn*nn)
-	for i := 0; i < nn; i++ {
-		copy(n.qualFlat[i*nn:(i+1)*nn], n.Topo.Quality[i])
-	}
-	n.Topo.OutLinks(0)
 	if len(n.regs) > 1 {
 		for _, reg := range n.regs {
 			reg.asks = make([]bool, nn)
@@ -482,8 +491,11 @@ func (n *Network) Dead(id NodeID) bool { return n.dead[id] }
 
 // ScaleLink multiplies the delivery probability of the directed link
 // src→dst by f (clamped to [0,1] at use). Used to inject interference.
+// A pair with no link has nothing to scale: the call is a no-op.
 func (n *Network) ScaleLink(src, dst NodeID, f float64) {
-	n.linkScale[int(src)*n.Topo.N+int(dst)] = f
+	if li := n.Topo.linkIndex(src, dst); li >= 0 {
+		n.linkScale[li] = f
+	}
 }
 
 // ScaleAllLinks applies ScaleLink to every directed link, modelling a
@@ -494,19 +506,35 @@ func (n *Network) ScaleAllLinks(f float64) {
 	}
 }
 
-// Fault-primitive block bits (Network.blockMask). A link is blocked
-// while any bit is set; the bit identifies which primitive to charge a
-// typed drop to (blackout wins when both overlap).
+// Fault-primitive block bits (Network.faults, Network.blocked). A link
+// is blocked while any bit is set; the bit identifies which primitive
+// to charge a typed drop to (blackout wins when both overlap).
 const (
 	blockBlackout uint8 = 1 << iota
 	blockPartition
 )
 
-func (n *Network) ensureBlockMask() []uint8 {
-	if n.blockMask == nil {
-		n.blockMask = make([]uint8, n.Topo.N*n.Topo.N)
+// setFault switches one primitive's bit in n.faults.
+func (n *Network) setFault(bit uint8, on bool) {
+	if on {
+		n.faults |= bit
+	} else {
+		n.faults &^= bit
 	}
-	return n.blockMask
+}
+
+// blocked returns the block bits of the active fault windows covering
+// the pair src→dst (whether or not a link joins them).
+func (n *Network) blocked(src, dst NodeID) uint8 {
+	var m uint8
+	if n.faults&blockBlackout != 0 &&
+		(src >= n.blackLo && src <= n.blackHi || dst >= n.blackLo && dst <= n.blackHi) {
+		m |= blockBlackout
+	}
+	if n.faults&blockPartition != 0 && (src < n.partitionBoundary) != (dst < n.partitionBoundary) {
+		m |= blockPartition
+	}
+	return m
 }
 
 // SetBlackout switches a regional blackout over the node stripe
@@ -514,24 +542,11 @@ func (n *Network) ensureBlockMask() []uint8 {
 // blocked while the window is active. Blocked links lose frames before
 // any random draw, so the sender's substream advances identically for
 // every region count. Control-plane only (dynamics events at barriers);
-// windows of the same primitive must not overlap.
+// windows of the same primitive must not overlap: one stripe is active
+// at a time, and switching off names the stripe that was switched on.
 func (n *Network) SetBlackout(lo, hi NodeID, on bool) {
-	mask := n.ensureBlockMask()
-	nn := n.Topo.N
-	for i := 0; i < nn; i++ {
-		inStripe := NodeID(i) >= lo && NodeID(i) <= hi
-		row := i * nn
-		for j := 0; j < nn; j++ {
-			if !inStripe && !(NodeID(j) >= lo && NodeID(j) <= hi) {
-				continue
-			}
-			if on {
-				mask[row+j] |= blockBlackout
-			} else {
-				mask[row+j] &^= blockBlackout
-			}
-		}
-	}
+	n.blackLo, n.blackHi = lo, hi
+	n.setFault(blockBlackout, on)
 }
 
 // SetPartition switches a network partition on or off: every directed
@@ -539,21 +554,8 @@ func (n *Network) SetBlackout(lo, hi NodeID, on bool) {
 // blocked while the cut is active. Control-plane only; cut windows must
 // not overlap.
 func (n *Network) SetPartition(boundary NodeID, on bool) {
-	mask := n.ensureBlockMask()
-	nn := n.Topo.N
-	for i := 0; i < nn; i++ {
-		row := i * nn
-		for j := 0; j < nn; j++ {
-			if (NodeID(i) < boundary) == (NodeID(j) < boundary) {
-				continue
-			}
-			if on {
-				mask[row+j] |= blockPartition
-			} else {
-				mask[row+j] &^= blockPartition
-			}
-		}
-	}
+	n.partitionBoundary = boundary
+	n.setFault(blockPartition, on)
 }
 
 // SetBurst sets the correlated burst-loss fraction: while f > 0, every
@@ -576,8 +578,8 @@ func (n *Network) SetBurst(f float64) {
 // (blackout over partition when both cover the link), everything else
 // to plain retry exhaustion.
 func (n *Network) dropCause(src, dst NodeID) metrics.DropCause {
-	if n.blockMask != nil && int(dst) < n.Topo.N {
-		switch m := n.blockMask[int(src)*n.Topo.N+int(dst)]; {
+	if int(dst) < n.Topo.N {
+		switch m := n.blocked(src, dst); {
 		case m&blockBlackout != 0:
 			return metrics.DropBlackout
 		case m&blockPartition != 0:
@@ -590,19 +592,13 @@ func (n *Network) dropCause(src, dst NodeID) metrics.DropCause {
 	return metrics.DropRetries
 }
 
-// quality returns the effective delivery probability src→dst now.
-func (n *Network) quality(src, dst NodeID) float64 {
-	i := int(src)*n.Topo.N + int(dst)
-	var base float64
-	if n.qualFlat != nil {
-		base = n.qualFlat[i]
-	} else {
-		base = n.Topo.Quality[src][dst] // pre-Start (tests poking directly)
-	}
-	if n.blockMask != nil && n.blockMask[i] != 0 {
+// linkQuality returns the effective delivery probability now over link
+// li, which runs src→dst.
+func (n *Network) linkQuality(li int32, src, dst NodeID) float64 {
+	if n.faults != 0 && n.blocked(src, dst) != 0 {
 		return 0
 	}
-	q := base * n.linkScale[i]
+	q := n.Topo.links[li].Quality * n.linkScale[li]
 	if n.burstLoss > 0 {
 		q *= 1 - n.burstLoss
 	}
@@ -632,13 +628,14 @@ func (n *Network) oseqNext(id NodeID) uint64 {
 	return n.nextOseq[id]
 }
 
-// visible reports whether tx is visible to carrier sense and the
-// collision model at virtual time `floor` = gridFloor(now): radios
-// detect a frame only from the next visibility grid point after it
-// starts. The rule depends on the fixed grid alone, so every region —
-// having exchanged ghost transmissions at the barrier on or before
-// that grid point — computes the same answer regardless of K.
-func visible(tx transmission, floor Time) bool { return tx.start < floor }
+// visible reports whether a frame begun at start is visible to carrier
+// sense and the collision model at virtual time `floor` =
+// gridFloor(now): radios detect a frame only from the next visibility
+// grid point after it starts. The rule depends on the fixed grid alone,
+// so every region — having exchanged ghost transmissions at the barrier
+// on or before that grid point — computes the same answer regardless
+// of K.
+func visible(start, floor Time) bool { return start < floor }
 
 // channelBusyAt reports whether any visible in-flight transmission is
 // audible at node id right now (for carrier sense). The sense
@@ -647,15 +644,17 @@ func visible(tx transmission, floor Time) bool { return tx.start < floor }
 func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 	floor := gridFloor(now, n.window)
 	for _, tx := range reg.heard[id] {
-		if visible(tx, floor) && tx.end > now && tx.src != id && n.quality(tx.src, id) > 0.08 {
+		if visible(tx.start, floor) && tx.end > now && tx.src != id &&
+			n.linkQuality(tx.li, tx.src, id) > 0.08 {
 			return true
 		}
 	}
 	return false
 }
 
-// collided reports whether a frame from src starting at start is
-// destroyed at receiver dst by other visible overlapping frames.
+// collided reports whether a frame from src starting at start, arriving
+// at receiver dst over a link of effective quality qs, is destroyed
+// there by other visible overlapping frames.
 // Destruction is probabilistic, scaled by each interferer's signal at
 // the receiver, with a capture effect: a clearly stronger frame
 // survives interference from a much weaker one, as real narrow-band
@@ -664,11 +663,11 @@ func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 // one random draw from the sender's stream per receiver — so the
 // outcome is independent of the order interference state accumulated
 // in (the region-parallel determinism contract).
-func (n *Network) collided(reg *regionState, rng *rand.Rand, src, dst NodeID, start Time) bool {
+func (n *Network) collided(reg *regionState, rng *rand.Rand, qs float64, src, dst NodeID, start Time) bool {
 	if !n.Params.Collisions {
 		return false
 	}
-	sc := n.interferers(reg, src, dst, start)
+	sc := n.interferersAt(reg, qs, src, dst, start)
 	if len(sc) == 0 {
 		return false
 	}
@@ -679,21 +678,21 @@ func (n *Network) collided(reg *regionState, rng *rand.Rand, src, dst NodeID, st
 	return rng.Float64() < 1-survive
 }
 
-// interferers returns, in (src, start) order, the visible frames
+// interferersAt returns, in (src, start) order, the visible frames
 // audible at dst that overlap a frame from src starting at start and
-// are strong enough to destroy it. The result aliases reg.scratch.
-func (n *Network) interferers(reg *regionState, src, dst NodeID, start Time) []interferer {
-	qs := n.quality(src, dst)
+// are strong enough to destroy it; qs is the effective quality of the
+// link src→dst the frame arrives over. The result aliases reg.scratch.
+func (n *Network) interferersAt(reg *regionState, qs float64, src, dst NodeID, start Time) []interferer {
 	floor := gridFloor(start, n.window)
 	sc := reg.scratch[:0]
 	for _, tx := range reg.heard[dst] {
 		if tx.src == src || tx.src == dst {
 			continue
 		}
-		if !visible(tx, floor) || tx.end <= start {
+		if !visible(tx.start, floor) || tx.end <= start {
 			continue
 		}
-		qi := n.quality(tx.src, dst)
+		qi := n.linkQuality(tx.li, tx.src, dst)
 		if qi <= 0.1 || qs >= 2*qi {
 			continue // captured: interferer too weak to matter
 		}
@@ -846,25 +845,26 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 	parallel := len(n.regs) > 1
 	var d *delivery
 	var oseq uint64
-	rowBase := int(src) * n.Topo.N
+	base := n.Topo.linkBase[src]
 	for gi, lk := range n.Topo.OutLinks(src) {
 		dst := lk.Dst
+		li := base + int32(gi)
 		// On the air at dst whatever becomes of the frame there. Hearing
 		// it before resolving it is safe: a frame never interferes with
 		// itself and nothing is visible before the next grid point.
-		reg.hear(dst, tx, now)
+		reg.hear(dst, li, tx, now)
 		j := int(dst)
 		if n.dead[j] || n.apps[j] == nil {
 			continue
 		}
-		if n.blockMask != nil && n.blockMask[rowBase+j] != 0 {
+		if n.faults != 0 && n.blocked(src, dst) != 0 {
 			// Fault-blocked link: the frame dies before the per-link
 			// draw, exactly like a q=0 link, so the sender's substream
 			// advances identically whether or not a window is active
 			// elsewhere.
 			continue
 		}
-		q := lk.Quality * n.linkScale[rowBase+j]
+		q := lk.Quality * n.linkScale[li]
 		if n.burstLoss > 0 {
 			q *= 1 - n.burstLoss
 		}
@@ -874,7 +874,7 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 		if q <= 0 || rng.Float64() >= q {
 			continue
 		}
-		if n.collided(reg, rng, src, dst, tx.start) {
+		if n.collided(reg, rng, q, src, dst, tx.start) {
 			reg.counters.CountDrop(metrics.DropCollision)
 			if reg.trace != nil {
 				reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(dst),
@@ -903,7 +903,10 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 		if isAddressee && p.Dst == dst {
 			// Model the link-layer ack on the reverse link; ack frames
 			// are short and more robust than data frames.
-			aq := n.quality(dst, src) * n.Params.AckQualityBonus
+			aq := 0.0
+			if rev := n.Topo.revLink[li]; rev >= 0 {
+				aq = n.linkQuality(rev, dst, src) * n.Params.AckQualityBonus
+			}
 			if aq > 1 {
 				aq = 1
 			}

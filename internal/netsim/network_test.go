@@ -196,6 +196,45 @@ func TestScaleLinkBlocksDelivery(t *testing.T) {
 	}
 }
 
+// ScaleLink on a pair no link joins — out of range, a node with itself,
+// the dead direction of a one-way link — changes nothing, before Start
+// as after it.
+func TestScaleLinkWithoutLinkIsNoOp(t *testing.T) {
+	topo := pairTopology(1, 0, 1, 1) // 0→1 is one-way; 0 and 2 are out of range
+	sim := NewSimulator(7)
+	net := NewNetwork(sim, topo, metrics.NewCounters(), DefaultParams())
+	recs := make([]*recorder, topo.N)
+	for i := range recs {
+		recs[i] = &recorder{}
+		net.Attach(NodeID(i), recs[i])
+	}
+	poke := func() {
+		net.ScaleLink(0, 2, 5)
+		net.ScaleLink(2, 0, 5)
+		net.ScaleLink(1, 0, 5)
+		net.ScaleLink(1, 1, 5)
+	}
+	poke()
+	net.Start()
+	poke()
+	for _, pair := range [][2]NodeID{{0, 2}, {2, 0}, {1, 0}, {1, 1}} {
+		if q := net.quality(pair[0], pair[1]); q != 0 {
+			t.Fatalf("quality(%d→%d) = %v on a pair with no link", pair[0], pair[1], q)
+		}
+	}
+	for _, pair := range [][2]NodeID{{0, 1}, {1, 2}, {2, 1}} {
+		if q := net.quality(pair[0], pair[1]); q != 1 {
+			t.Fatalf("quality(%d→%d) = %v; scaling a missing link touched a real one", pair[0], pair[1], q)
+		}
+	}
+	net.api[1].Broadcast(&Packet{Class: metrics.Query, Size: 20})
+	sim.Run(Minute)
+	if len(recs[0].received) != 0 || len(recs[2].received) != 1 {
+		t.Fatalf("broadcast from 1 reached 0 %d times and 2 %d times, want 0 and 1",
+			len(recs[0].received), len(recs[2].received))
+	}
+}
+
 func TestScaleAllLinksBlackout(t *testing.T) {
 	net, recs, _ := newTestNet(pairTopology(1, 1, 1, 1), 8)
 	net.ScaleAllLinks(0)

@@ -143,10 +143,11 @@ func (n *Network) exchange(E Time) {
 			if tx.end <= E {
 				continue // already over; never visible off-region
 			}
-			for _, lk := range n.Topo.OutLinks(tx.src) {
+			base := n.Topo.linkBase[tx.src]
+			for gi, lk := range n.Topo.OutLinks(tx.src) {
 				for _, other := range n.regs {
 					if other != reg && other.asks[lk.Dst] {
-						other.hear(lk.Dst, tx, E)
+						other.hear(lk.Dst, base+int32(gi), tx, E)
 					}
 				}
 			}

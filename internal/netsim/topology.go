@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -24,23 +26,31 @@ func (p Point) Dist(q Point) float64 {
 // ("connections are slightly asymmetric, as in most real wireless
 // networks"; audible pairs have loss rates from ~25% to ~90%).
 //
-// A topology is immutable once a Network starts on it: the per-node
-// out-link lists (OutLinks) and the network's flattened quality table
-// are derived from Quality exactly once, so the hot transmit fan-out
-// never rescans the N×N matrix. Mutate Quality only before Start (or
-// call InvalidateLinks after).
+// A topology is immutable once a Network is created on it: the link
+// tables (OutLinks and the arrays beside it) are derived from Quality
+// exactly once and the network keeps its own per-link state parallel to
+// them, so the hot transmit fan-out never rescans the N×N matrix.
+// Mutate Quality only before NewNetwork, and call InvalidateLinks if
+// OutLinks was already used.
 type Topology struct {
 	N       int
 	Pos     []Point
 	Quality [][]float64
 
-	// outLinks caches each node's audible out-links in ascending
-	// destination order — built once, reused for every transmission
-	// (the scale tier's dense-index convention, DESIGN.md §12). The
-	// ascending order is also a determinism contract: the transmit
-	// loop draws per-receiver randomness in exactly this order, so it
-	// must match a fresh scan of Quality row by row.
+	// links holds every audible directed link, grouped by source in
+	// ascending source then destination order; a link's position in it
+	// is its link index, the key of everything kept per link. outLinks[i]
+	// is node i's group, a slice of links starting at linkBase[i] —
+	// built once, reused for every transmission (DESIGN.md §12). The
+	// ascending order is also a determinism contract: the transmit loop
+	// draws per-receiver randomness in exactly this order, so it must
+	// match a fresh scan of Quality row by row. revLink[li] is the index
+	// of li's reverse link (the one an ack travels), -1 for a one-way
+	// link.
+	links    []Link
 	outLinks [][]Link
+	linkBase []int32
+	revLink  []int32
 }
 
 // Link is one directed audible link: the destination and the delivery
@@ -74,6 +84,7 @@ func (t *Topology) OutLinks(i NodeID) []Link {
 
 func (t *Topology) buildOutLinks() {
 	t.outLinks = make([][]Link, t.N)
+	t.linkBase = make([]int32, t.N)
 	// One backing array for all lists keeps them cache-adjacent.
 	total := 0
 	for i := 0; i < t.N; i++ {
@@ -91,13 +102,34 @@ func (t *Topology) buildOutLinks() {
 				backing = append(backing, Link{Dst: NodeID(j), Quality: t.Quality[i][j]})
 			}
 		}
+		t.linkBase[i] = int32(start)
 		t.outLinks[i] = backing[start:len(backing):len(backing)]
+	}
+	t.links = backing
+	t.revLink = make([]int32, total)
+	for i := 0; i < t.N; i++ {
+		for k, lk := range t.outLinks[i] {
+			t.revLink[int(t.linkBase[i])+k] = t.linkIndex(lk.Dst, NodeID(i))
+		}
 	}
 }
 
-// InvalidateLinks drops the cached out-link lists; the next OutLinks
-// call rebuilds them from Quality. Tests that edit Quality after
-// first use need this — the stock generators never do.
+// linkIndex returns the link index of src→dst, -1 when dst cannot hear
+// src. A binary search of src's out-links: the per-frame paths carry
+// link indices instead (Network.transmit).
+func (t *Topology) linkIndex(src, dst NodeID) int32 {
+	k, ok := slices.BinarySearchFunc(t.OutLinks(src), dst,
+		func(lk Link, dst NodeID) int { return cmp.Compare(lk.Dst, dst) })
+	if !ok {
+		return -1
+	}
+	return t.linkBase[src] + int32(k)
+}
+
+// InvalidateLinks drops the cached link tables; the next OutLinks call
+// rebuilds them from Quality. Tests that edit Quality after first use
+// need this — the stock generators never do — and only before a Network
+// is created on the topology.
 func (t *Topology) InvalidateLinks() { t.outLinks = nil }
 
 // Neighbors returns the nodes that can hear i at all.

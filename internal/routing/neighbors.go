@@ -83,10 +83,7 @@ func (t *NeighborTable) Observe(id netsim.NodeID, seq uint32, now netsim.Time) {
 	i := t.find(id)
 	if i < 0 {
 		if len(t.entries) >= t.cap {
-			t.evictStalest(now)
-			if len(t.entries) >= t.cap {
-				return // table still full of fresher entries
-			}
+			t.evictStalest()
 		}
 		t.ids = append(t.ids, id)
 		t.entries = append(t.entries, neighborState{
@@ -115,20 +112,18 @@ func (t *NeighborTable) Observe(id netsim.NodeID, seq uint32, now netsim.Time) {
 	}
 }
 
-// evictStalest drops the least recently heard entry. Ties break toward
-// the earliest-inserted entry — a fixed, deterministic rule where the
-// old map-backed table left the victim to random iteration order.
-func (t *NeighborTable) evictStalest(now netsim.Time) {
-	victim := -1
-	oldest := netsim.Time(1<<62 - 1)
+// evictStalest drops the least recently heard entry of a full table, so
+// a newcomer is always admitted. Ties break toward the earliest-inserted
+// entry — a fixed, deterministic rule where the old map-backed table
+// left the victim to random iteration order.
+func (t *NeighborTable) evictStalest() {
+	victim := 0
 	for i := range t.entries {
-		if t.entries[i].lastHeard < oldest {
-			oldest, victim = t.entries[i].lastHeard, i
+		if t.entries[i].lastHeard < t.entries[victim].lastHeard {
+			victim = i
 		}
 	}
-	if victim >= 0 && (t.evictAfter == 0 || now-oldest >= 0) {
-		t.remove(victim)
-	}
+	t.remove(victim)
 }
 
 // remove deletes entry i, preserving insertion order.

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +50,28 @@ func TestNeighborTableCapacityEviction(t *testing.T) {
 	}
 	if !nt.Contains(5) {
 		t.Fatal("newest entry missing")
+	}
+}
+
+// A full table always admits a newcomer, whatever the eviction window:
+// the stalest entry goes, and among equally stale ones the one inserted
+// first — also when every entry was heard at this very instant.
+func TestNeighborTableFullAlwaysAdmits(t *testing.T) {
+	for _, evictAfter := range []netsim.Time{0, 90 * netsim.Second} {
+		nt := NewNeighborTable(3, evictAfter)
+		nt.Observe(7, 1, 100)
+		nt.Observe(5, 1, 100)
+		nt.Observe(9, 1, 100)
+		nt.Observe(4, 1, 100) // all four heard at t=100: 7 was inserted first
+		if ids := nt.IDs(); !slices.Equal(ids, []netsim.NodeID{4, 5, 9}) {
+			t.Fatalf("evictAfter %d: tie evicted the wrong entry, table %v", evictAfter, ids)
+		}
+		nt.Observe(5, 2, 200)
+		nt.Observe(4, 2, 200) // 9 is now the stalest, though inserted after 5
+		nt.Observe(6, 1, 200)
+		if ids := nt.IDs(); !slices.Equal(ids, []netsim.NodeID{4, 5, 6}) {
+			t.Fatalf("evictAfter %d: stalest entry not evicted, table %v", evictAfter, ids)
+		}
 	}
 }
 
@@ -415,5 +439,51 @@ func TestCycleDetectionIgnoresForwardedTraffic(t *testing.T) {
 	})
 	if tr.Parent() != netsim.NoNode {
 		t.Fatal("node 2 kept its parent despite a beacon-advertised cycle")
+	}
+}
+
+// treeMeter is an App that measures the bytes NewTree allocates.
+type treeMeter struct{ bytes uint64 }
+
+func (m *treeMeter) Init(api *netsim.NodeAPI) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tree := NewTree(api, false, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tree)
+	m.bytes = after.TotalAlloc - before.TotalAlloc
+}
+func (*treeMeter) Receive(*netsim.Packet) {}
+func (*treeMeter) Snoop(*netsim.Packet)   {}
+func (*treeMeter) Timer(int)              {}
+
+// TestTreeFootprintIndependentOfN: a node's routing state costs the same
+// bytes in a 100-node network and a 4000-node one (DESIGN.md §12, "no
+// per-node state sized by the network"). On the parent commit this test
+// fails with 2 960 B against 38 816 B — outEst/outSet were
+// indexed by every node ID.
+func TestTreeFootprintIndependentOfN(t *testing.T) {
+	newTreeBytes := func(n int) uint64 {
+		// No links and no constructor bound (netsim.MaxNodes): every row
+		// of the quality matrix is the same zero row.
+		row := make([]float64, n)
+		topo := &netsim.Topology{N: n, Pos: make([]netsim.Point, n), Quality: make([][]float64, n)}
+		for i := range topo.Quality {
+			topo.Quality[i] = row
+		}
+		// The smallest of three, so a stray runtime allocation between
+		// the two readings cannot count.
+		best := ^uint64(0)
+		for rep := 0; rep < 3; rep++ {
+			net := netsim.NewNetwork(netsim.NewSimulator(1), topo, metrics.NewCounters(), netsim.DefaultParams())
+			m := &treeMeter{}
+			net.Attach(1, m)
+			net.Start()
+			best = min(best, m.bytes)
+		}
+		return best
+	}
+	if small, large := newTreeBytes(100), newTreeBytes(4000); small != large {
+		t.Fatalf("NewTree allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
 	}
 }

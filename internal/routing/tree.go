@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 )
@@ -62,12 +64,14 @@ type Tree struct {
 	rebroadct uint32 // last round this node re-broadcast
 	timerID   int
 
-	// outEst[k] is how well k hears us (our outbound delivery
-	// probability to k), learned from k's beacon estimate exchange.
-	// Dense by node ID (with a known-flag array), consulted on every
-	// routed data message.
+	// outEst[i] is how well outIDs[i] hears us (our outbound delivery
+	// probability to it), learned from its beacon estimate exchange and
+	// consulted on every routed data message. One entry per neighbour
+	// that ever reported us, in first-report order — the same flat
+	// parallel-array layout as the neighbor table, bounded by the radio
+	// neighbourhood rather than the network (DESIGN.md §12).
+	outIDs []netsim.NodeID
 	outEst []float64
-	outSet []bool
 }
 
 // NewTree creates the routing state for one node. isBase marks the
@@ -80,8 +84,10 @@ func NewTree(api *netsim.NodeAPI, isBase bool, cfg Config) *Tree {
 		Neighbors:   NewNeighborTable(cfg.NeighborCap, cfg.EvictAfter),
 		Descendants: NewDescendantSet(cfg.DescendantCap),
 		parent:      netsim.NoNode,
-		outEst:      make([]float64, api.N()),
-		outSet:      make([]bool, api.N()),
+		// Who reports us is who hears us, about who we hear: start at
+		// the neighbor table's bound (and grow past it if need be).
+		outIDs: make([]netsim.NodeID, 0, cfg.NeighborCap),
+		outEst: make([]float64, 0, cfg.NeighborCap),
 	}
 	if isBase {
 		t.etx = 0
@@ -173,8 +179,12 @@ func (t *Tree) onBeacon(from netsim.NodeID, b Beacon) {
 	me := t.api.ID()
 	for _, e := range b.Estimates {
 		if e.ID == me {
-			t.outEst[from] = e.Quality
-			t.outSet[from] = true
+			if i := slices.Index(t.outIDs, from); i >= 0 {
+				t.outEst[i] = e.Quality
+			} else {
+				t.outIDs = append(t.outIDs, from)
+				t.outEst = append(t.outEst, e.Quality)
+			}
 		}
 	}
 	if t.isBase {
@@ -219,8 +229,8 @@ func (t *Tree) onBeacon(from netsim.NodeID, b Beacon) {
 // neighbor id: the neighbor's advertised estimate when available,
 // otherwise the inbound estimate discounted for asymmetry.
 func (t *Tree) OutQuality(id netsim.NodeID) float64 {
-	if t.outSet[id] {
-		return t.outEst[id]
+	if i := slices.Index(t.outIDs, id); i >= 0 {
+		return t.outEst[i]
 	}
 	return t.Neighbors.Quality(id) * 0.8
 }

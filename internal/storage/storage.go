@@ -18,11 +18,14 @@ type Reading struct {
 
 // DataBuffer is the node's circular Flash data buffer. When full, new
 // writes overwrite the oldest entries, like the paper's round-robin
-// Flash log. The zero value is unusable; use NewDataBuffer.
+// Flash log. The backing slice grows with what is stored, up to the
+// capacity, and is a ring from then on: a mote's log costs memory for
+// the readings it holds, not for the Flash it could fill (DESIGN.md
+// §12). The zero value is unusable; use NewDataBuffer.
 type DataBuffer struct {
-	buf   []Reading
-	next  int
-	count int
+	buf   []Reading // len < capacity: append order; len == capacity: ring
+	cap   int
+	next  int // ring slot the next Store overwrites (the oldest reading)
 	wraps int64
 }
 
@@ -31,26 +34,35 @@ func NewDataBuffer(capacity int) *DataBuffer {
 	if capacity <= 0 {
 		panic("storage: non-positive capacity")
 	}
-	return &DataBuffer{buf: make([]Reading, capacity)}
+	return &DataBuffer{cap: capacity}
 }
 
 // Store appends r, overwriting the oldest reading when full.
 func (b *DataBuffer) Store(r Reading) {
-	if b.count == len(b.buf) {
-		b.wraps++
+	if len(b.buf) < b.cap {
+		if len(b.buf) == cap(b.buf) {
+			// Double, but never past the capacity: a full log occupies
+			// what the capacity says, not append's next size step.
+			grown := make([]Reading, len(b.buf), min(max(2*len(b.buf), 32), b.cap))
+			copy(grown, b.buf)
+			b.buf = grown
+		}
+		b.buf = append(b.buf, r)
+		return
 	}
+	b.wraps++
 	b.buf[b.next] = r
-	b.next = (b.next + 1) % len(b.buf)
-	if b.count < len(b.buf) {
-		b.count++
+	b.next++
+	if b.next == b.cap {
+		b.next = 0
 	}
 }
 
 // Len reports the number of readings currently stored.
-func (b *DataBuffer) Len() int { return b.count }
+func (b *DataBuffer) Len() int { return len(b.buf) }
 
 // Cap reports the buffer capacity.
-func (b *DataBuffer) Cap() int { return len(b.buf) }
+func (b *DataBuffer) Cap() int { return b.cap }
 
 // Overwritten reports how many readings have been lost to wrap-around,
 // for storage-burden experiments.
@@ -60,12 +72,14 @@ func (b *DataBuffer) Overwritten() int64 { return b.wraps }
 // each; fn returning false stops the scan. This mirrors the paper's
 // linear Flash scan at query time.
 func (b *DataBuffer) Scan(fn func(Reading) bool) {
-	start := 0
-	if b.count == len(b.buf) {
-		start = b.next
+	// next is 0 until the buffer is full, so both runs are oldest-first.
+	for _, r := range b.buf[b.next:] {
+		if !fn(r) {
+			return
+		}
 	}
-	for i := 0; i < b.count; i++ {
-		if !fn(b.buf[(start+i)%len(b.buf)]) {
+	for _, r := range b.buf[:b.next] {
+		if !fn(r) {
 			return
 		}
 	}

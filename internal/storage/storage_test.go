@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -208,5 +210,120 @@ func TestRecentBufferMinMaxSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRing is the eager ring DataBuffer used to be, kept as the
+// reference model: the whole capacity is allocated and zeroed up front
+// and indexed modulo the capacity from the first Store. Its cost is the
+// Flash a mote could fill; its answers are the specification.
+type refRing struct {
+	buf   []Reading
+	next  int
+	count int
+	wraps int64
+}
+
+func newRefRing(capacity int) *refRing { return &refRing{buf: make([]Reading, capacity)} }
+
+func (b *refRing) Store(r Reading) {
+	if b.count == len(b.buf) {
+		b.wraps++
+	}
+	b.buf[b.next] = r
+	b.next = (b.next + 1) % len(b.buf)
+	if b.count < len(b.buf) {
+		b.count++
+	}
+}
+
+func (b *refRing) Scan(fn func(Reading) bool) {
+	start := 0
+	if b.count == len(b.buf) {
+		start = b.next
+	}
+	for i := 0; i < b.count; i++ {
+		if !fn(b.buf[(start+i)%len(b.buf)]) {
+			return
+		}
+	}
+}
+
+func (b *refRing) Select(vmin, vmax int, tmin, tmax int64) []Reading {
+	var out []Reading
+	b.Scan(func(r Reading) bool {
+		if r.Value >= vmin && r.Value <= vmax && r.Time >= tmin && r.Time <= tmax {
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
+}
+
+// TestDataBufferMatchesReferenceRing drives the grow-on-demand buffer
+// and the eager ring with the same random Store / Scan / early-stopped
+// Scan / Select stream and requires the same answer from every call,
+// through the fill → wrap boundary and several laps past it. Capacities
+// 1 and 2 and a stream that ends exactly at fill are the edge cases.
+func TestDataBufferMatchesReferenceRing(t *testing.T) {
+	scan := func(s interface{ Scan(func(Reading) bool) }, limit int) []Reading {
+		var out []Reading
+		s.Scan(func(r Reading) bool {
+			out = append(out, r)
+			return limit < 0 || len(out) < limit
+		})
+		return out
+	}
+	for seed := int64(0); seed < 48; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := []int{1, 2, 3, 8, 9, 37, 64, 200}[seed%8]
+		stores := capacity * (1 + rng.Intn(4)) // 1× ends exactly at fill
+		if seed%8 >= 4 {
+			stores += rng.Intn(capacity)
+		}
+		b, ref := NewDataBuffer(capacity), newRefRing(capacity)
+		check := func(step int) {
+			t.Helper()
+			if b.Len() != ref.count || b.Cap() != len(ref.buf) || b.Overwritten() != ref.wraps {
+				t.Fatalf("seed %d step %d: len/cap/overwritten %d/%d/%d, reference %d/%d/%d", seed, step,
+					b.Len(), b.Cap(), b.Overwritten(), ref.count, len(ref.buf), ref.wraps)
+			}
+			if got, want := scan(b, -1), scan(ref, -1); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Scan %v, reference %v", seed, step, got, want)
+			}
+			limit := 1 + rng.Intn(capacity)
+			if got, want := scan(b, limit), scan(ref, limit); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Scan stopped at %d %v, reference %v", seed, step, limit, got, want)
+			}
+			vlo, tlo := rng.Intn(50), int64(rng.Intn(stores+1))
+			vhi, thi := vlo+rng.Intn(50), tlo+int64(rng.Intn(stores+1))
+			if got, want := b.Select(vlo, vhi, tlo, thi), ref.Select(vlo, vhi, tlo, thi); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Select %v, reference %v", seed, step, got, want)
+			}
+		}
+		check(0)
+		for i := 1; i <= stores; i++ {
+			r := Reading{Producer: uint16(rng.Intn(9)), Value: rng.Intn(100), Time: int64(i)}
+			b.Store(r)
+			ref.Store(r)
+			if capacity <= 9 || rng.Intn(4) == 0 || i == capacity || i == capacity+1 || i == stores {
+				check(i)
+			}
+		}
+	}
+}
+
+// TestDataBufferStoreAtCapacityAllocsZero pins the steady state: once
+// the log is full, Store overwrites in place.
+func TestDataBufferStoreAtCapacityAllocsZero(t *testing.T) {
+	b := NewDataBuffer(100)
+	for i := 0; i < 100; i++ {
+		b.Store(Reading{Value: i})
+	}
+	if cap(b.buf) != 100 {
+		t.Fatalf("full buffer backs %d readings, want its capacity 100", cap(b.buf))
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { b.Store(Reading{Value: 7}) }); allocs != 0 {
+		t.Fatalf("Store at capacity allocates %v times per call", allocs)
 	}
 }
