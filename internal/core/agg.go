@@ -52,16 +52,7 @@ func aggPartKey(qid uint16, seq uint8) uint64 {
 // ranges into a partial aggregate.
 func scanPartial(store *storage.DataBuffer, vlo, vhi int, tlo, thi netsim.Time) query.Partial {
 	var p query.Partial
-	store.Scan(func(r storage.Reading) bool {
-		if r.Time < int64(tlo) || r.Time > int64(thi) {
-			return true
-		}
-		if r.Value < vlo || r.Value > vhi {
-			return true
-		}
-		p.Add(r.Value)
-		return true
-	})
+	store.Select(vlo, vhi, int64(tlo), int64(thi), func(r storage.Reading) { p.Add(r.Value) })
 	return p
 }
 

@@ -581,26 +581,20 @@ func (b *Base) AnswerFromStore(q workload.Query) int {
 		lg.lo, lg.hi, lg.ranged = q.ValueLo, q.ValueHi, true
 	}
 	b.queryLog = append(b.queryLog, lg)
+	vlo, vhi := q.ValueLo, q.ValueHi
 	var wanted map[netsim.NodeID]bool
 	if q.IsNodeQuery() {
+		vlo, vhi = 1, 0 // no value constraint
 		wanted = make(map[netsim.NodeID]bool, len(q.Nodes))
 		for _, id := range q.Nodes {
 			wanted[id] = true
 		}
 	}
 	count := 0
-	b.store.Scan(func(r storage.Reading) bool {
-		if r.Time < int64(q.TimeLo) || r.Time > int64(q.TimeHi) {
-			return true
+	b.store.Select(vlo, vhi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
+		if wanted == nil || wanted[netsim.NodeID(r.Producer)] {
+			count++
 		}
-		if wanted == nil && (r.Value < q.ValueLo || r.Value > q.ValueHi) {
-			return true
-		}
-		if wanted != nil && !wanted[netsim.NodeID(r.Producer)] {
-			return true
-		}
-		count++
-		return true
 	})
 	b.stats.TuplesReturned += int64(count)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryAnswered, Node: uint16(b.api.ID()),
@@ -610,16 +604,9 @@ func (b *Base) AnswerFromStore(q workload.Query) int {
 
 func (b *Base) scanLocal(q *QueryMsg, pq *pendingQuery) {
 	count := 0
-	b.store.Scan(func(r storage.Reading) bool {
-		if r.Time < int64(q.TimeLo) || r.Time > int64(q.TimeHi) {
-			return true
-		}
-		if q.wantsValues() && (r.Value < q.ValueLo || r.Value > q.ValueHi) {
-			return true
-		}
+	b.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
 		count++
 		pq.readings = append(pq.readings, r)
-		return true
 	})
 	pq.total += count
 	b.stats.TuplesReturned += int64(count)

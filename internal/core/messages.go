@@ -58,7 +58,8 @@ func mappingSize(m *MappingMsg) int { return 12 + 5*len(m.Chunk.Entries) }
 
 // QueryMsg is the query packet (paper §5.5): a bitmap of nodes expected
 // to answer, plus the value and time ranges of interest. A node-list
-// query has ValueLo > ValueHi (no value constraint). Op selects what
+// query has ValueLo > ValueHi (no value constraint, the convention
+// storage.DataBuffer.Select reads). Op selects what
 // comes back: query.OpSelect, the zero value, asks for the matching
 // tuples (ReplyMsg); any aggregate operator asks targeted nodes for
 // partial-aggregate state instead, which intermediate nodes combine on
@@ -75,9 +76,6 @@ type QueryMsg struct {
 	// only on aggregate queries, and only when Config.QueryDeadline > 0.
 	Track bool
 }
-
-// wantsValues reports whether the query constrains values.
-func (q *QueryMsg) wantsValues() bool { return q.ValueLo <= q.ValueHi }
 
 // querySize is the paper's tuple-query packet plus one operator byte
 // on aggregate queries and one more for the Track flag when set.

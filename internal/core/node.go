@@ -627,15 +627,8 @@ func (n *Node) sendQuery(key trickle.Key) {
 // toward the basestation — "even if no tuples matched the query".
 func (n *Node) answer(q *QueryMsg) {
 	var matches []storage.Reading
-	n.store.Scan(func(r storage.Reading) bool {
-		if r.Time < int64(q.TimeLo) || r.Time > int64(q.TimeHi) {
-			return true
-		}
-		if q.wantsValues() && (r.Value < q.ValueLo || r.Value > q.ValueHi) {
-			return true
-		}
+	n.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
 		matches = append(matches, r)
-		return true
 	})
 	carried := matches
 	if len(carried) > n.cfg.ReplyMaxReadings {

@@ -131,10 +131,6 @@ func (s *Script) Empty() bool { return s == nil || len(s.Events) == 0 }
 // shifts (the harness then wraps the source in a workload.Drift).
 func (s *Script) HasData() bool { return s.has(DataShift) }
 
-// HasQuery reports whether the script contains query hot-range
-// migrations.
-func (s *Script) HasQuery() bool { return s.has(QueryShift) }
-
 // HasChurn reports whether the script kills or revives nodes.
 func (s *Script) HasChurn() bool { return s.has(NodeDown) || s.has(NodeUp) }
 
@@ -369,18 +365,6 @@ func Churn(n int, start, stop, every, downFor netsim.Time, frac float64, seed in
 // increments between start and stop. steps==1 is an abrupt shift at
 // stop.
 func DataDrift(start, stop netsim.Time, steps int, total float64) Script {
-	return ramp(DataShift, start, stop, steps, 0, total)
-}
-
-// QueryDrift builds a query hot-range migration from the `from`
-// center to the `to` center (fractions of the domain) in `steps`
-// moves between start and stop. The first event also switches the
-// generator from uniform placement to hot-range placement.
-func QueryDrift(start, stop netsim.Time, steps int, from, to float64) Script {
-	return ramp(QueryShift, start, stop, steps, from, to)
-}
-
-func ramp(k Kind, start, stop netsim.Time, steps int, from, to float64) Script {
 	if steps < 1 {
 		steps = 1
 	}
@@ -390,20 +374,8 @@ func ramp(k Kind, start, stop netsim.Time, steps int, from, to float64) Script {
 	var s Script
 	for i := 1; i <= steps; i++ {
 		at := start + netsim.Time(int64(stop-start)*int64(i)/int64(steps))
-		v := from + (to-from)*float64(i)/float64(steps)
-		s.Events = append(s.Events, Event{At: at, Kind: k, Value: v})
-	}
-	return s
-}
-
-// LossRamp builds a network-wide interference ramp from loss fraction
-// `from` to `to` in `steps` increments between start and stop, then
-// restores the base loss at clearAt (clearAt <= stop disables the
-// restore).
-func LossRamp(start, stop netsim.Time, steps int, from, to float64, clearAt netsim.Time) Script {
-	s := ramp(NetLoss, start, stop, steps, from, to)
-	if clearAt > stop {
-		s.Events = append(s.Events, Event{At: clearAt, Kind: NetLoss, Value: 0})
+		v := total * float64(i) / float64(steps)
+		s.Events = append(s.Events, Event{At: at, Kind: DataShift, Value: v})
 	}
 	return s
 }

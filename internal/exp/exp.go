@@ -850,16 +850,11 @@ func aggGroundTruth(base *core.Base, nodes []*core.Node, q query.AggQuery) (floa
 	var values []int
 	wantValues := q.Op == query.OpQuantile
 	scan := func(buf *storage.DataBuffer) {
-		buf.Scan(func(r storage.Reading) bool {
-			if r.Time < int64(q.TimeLo) || r.Time > int64(q.TimeHi) ||
-				r.Value < q.ValueLo || r.Value > q.ValueHi {
-				return true
-			}
+		buf.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
 			part.Add(r.Value)
 			if wantValues {
 				values = append(values, r.Value)
 			}
-			return true
 		})
 	}
 	scan(base.Store())

@@ -93,14 +93,6 @@ func (ix *Index) Owners(lo, hi int) []netsim.NodeID {
 	return out
 }
 
-// NumValues returns the size of the value domain the index covers.
-func (ix *Index) NumValues() int {
-	if ix.Local || len(ix.Entries) == 0 {
-		return 0
-	}
-	return ix.MaxValue - ix.MinValue + 1
-}
-
 // Similarity returns the fraction of the value domain mapped to the
 // same owner by both indices. The basestation suppresses dissemination
 // of a new index that is very similar to the previous one (paper §5.3).

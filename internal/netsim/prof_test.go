@@ -41,14 +41,14 @@ func TestProfiledRunIdenticalOrder(t *testing.T) {
 }
 
 // The simulator attributes every popped event to a phase and records
-// scheduled→fired dwell and heap depth.
+// the heap depth at each pop.
 func TestProfilerAttributionAndDwell(t *testing.T) {
 	p := prof.New()
 	s := NewSimulator(1)
 	s.SetProfiler(p)
 	s.At(10, func() {})
 	s.At(10, func() {
-		s.After(25, func() {}) // dwell 25 ms
+		s.After(25, func() {})
 	})
 	s.Run(100)
 
@@ -63,10 +63,10 @@ func TestProfilerAttributionAndDwell(t *testing.T) {
 	if snap.Depth.Total() != 3 {
 		t.Fatalf("depth samples = %d, want 3", snap.Depth.Total())
 	}
-	// Two events scheduled at sim start dwell 10 ms; the nested one
-	// dwells 25 ms, so the max dwell bucket must cover 25.
-	if max := snap.Dwell[prof.PhaseHarness].Max(); max != 25 {
-		t.Fatalf("max dwell = %d ms, want 25", max)
+	// Both events are queued when the first pops; the nested one pops
+	// alone.
+	if max := snap.Depth.Max(); max != 2 {
+		t.Fatalf("max heap depth = %d, want 2", max)
 	}
 	if snap.LoopNs < snap.AttributedNs() {
 		t.Fatalf("attributed %d ns exceeds loop %d ns", snap.AttributedNs(), snap.LoopNs)

@@ -28,9 +28,9 @@
 //     barrier — never on same-window cross-region timing.
 //
 // The event loop is allocation-conscious (DESIGN.md §12): events live in
-// a hand-rolled heap of plain structs (no interface boxing), and hot
-// callers schedule pooled Task objects via AtTask/AfterTask instead of
-// fresh closures.
+// a hand-rolled heap of plain structs (no interface boxing), and the
+// network's hot paths schedule pooled Task objects instead of fresh
+// closures.
 package netsim
 
 import (
@@ -63,15 +63,21 @@ type Task interface{ Run() }
 // events landing at t.
 const ctlOrigin int32 = -1
 
+// event is one heap element: 40 bytes, of which only task's two words
+// are pointers the heap sifts move under the write barrier.
 type event struct {
 	at     Time
-	origin int32  // canonical tie-break: producing node, or ctlOrigin
-	oseq   uint64 // per-origin schedule sequence (second tie-break)
-	sched  Time   // when the event was scheduled (profiler dwell = at−sched)
-	fn     func()
-	task   Task
+	origin int32      // canonical tie-break: producing node, or ctlOrigin
 	phase  prof.Phase // wall-time attribution bucket for the event body
+	oseq   uint64     // per-origin schedule sequence (second tie-break)
+	task   Task
 }
+
+// funcTask is the body of an At/After closure. A func value is
+// pointer-shaped, so storing one in a Task does not allocate.
+type funcTask func()
+
+func (f funcTask) Run() { f() }
 
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
@@ -125,12 +131,11 @@ func (s *Simulator) SetProfiler(p *prof.Profiler) { s.prof = p }
 // Profiler returns the attached profiler (nil when profiling is off).
 func (s *Simulator) Profiler() *prof.Profiler { return s.prof }
 
-// The heap is 4-ary: at the scale tier's depth (≈8k 64-byte events) it
-// has half the levels of a binary heap and a node's children sit in
-// four adjacent cache lines. Both sifts move a hole and store the
-// moving event once instead of swapping at every level. (at, origin,
-// oseq) is a total order within a heap, so arity cannot change dispatch
-// order.
+// The heap is 4-ary: at the scale tier's depth (≈8k 40-byte events) it
+// has half the levels of a binary heap and a node's children are 160
+// adjacent bytes. Both sifts move a hole and store the moving event
+// once instead of swapping at every level. (at, origin, oseq) is a
+// total order within a heap, so arity cannot change dispatch order.
 const heapArity = 4
 
 // push inserts e into the event heap (sift-up on a plain slice; no
@@ -156,7 +161,7 @@ func (s *Simulator) pop() event {
 	top := h[0]
 	last := len(h) - 1
 	e := h[last]
-	h[last] = event{} // drop fn/task references for the GC
+	h[last] = event{} // drop the task reference for the GC
 	h = h[:last]
 	s.events = h
 	if last == 0 {
@@ -188,17 +193,6 @@ func (s *Simulator) pop() event {
 	return top
 }
 
-// schedule enqueues one control-plane event. The phase tags the event
-// body for wall-time attribution; it is carried unconditionally (one
-// store) so attaching a profiler never changes the heap's contents.
-func (s *Simulator) schedule(t Time, fn func(), task Task, ph prof.Phase) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.push(event{at: t, origin: ctlOrigin, oseq: s.seq, sched: s.now, fn: fn, task: task, phase: ph})
-}
-
 // scheduleOrigin enqueues a node-origin event carrying its canonical
 // (origin, oseq) key. The caller owns oseq allocation: network.go hands
 // out per-origin counters, and all scheduling for origin X happens in
@@ -207,41 +201,34 @@ func (s *Simulator) scheduleOrigin(t Time, origin NodeID, oseq uint64, task Task
 	if t < s.now {
 		t = s.now
 	}
-	s.push(event{at: t, origin: int32(origin), oseq: oseq, sched: s.now, task: task, phase: ph})
+	s.push(event{at: t, origin: int32(origin), oseq: oseq, task: task, phase: ph})
 }
 
-// At schedules fn to run at absolute virtual time t. Events scheduled
-// in the past run immediately at the current time (never before it).
-// Externally scheduled closures attribute to the harness phase.
-func (s *Simulator) At(t Time, fn func()) { s.schedule(t, fn, nil, prof.PhaseHarness) }
+// At schedules fn to run at absolute virtual time t, as a control-plane
+// event. Events scheduled in the past run immediately at the current
+// time (never before it). Externally scheduled closures attribute to
+// the harness phase; the phase is carried unconditionally (one store)
+// so attaching a profiler never changes the heap's contents.
+func (s *Simulator) At(t Time, fn func()) {
+	if t < s.now {
+		t = s.now
+	}
+	s.seq++
+	s.push(event{at: t, origin: ctlOrigin, oseq: s.seq, task: funcTask(fn), phase: prof.PhaseHarness})
+}
 
 // After schedules fn to run d milliseconds from now.
 func (s *Simulator) After(d Time, fn func()) { s.At(s.now+d, fn) }
-
-// AtTask schedules task.Run at absolute virtual time t, without
-// allocating a closure. Semantics match At.
-func (s *Simulator) AtTask(t Time, task Task) { s.schedule(t, nil, task, prof.PhaseHarness) }
-
-// AfterTask schedules task.Run d milliseconds from now.
-func (s *Simulator) AfterTask(d Time, task Task) { s.AtTask(s.now+d, task) }
-
-func (e event) run() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.task.Run()
-}
 
 // dispatch pops the earliest event, moves the clock to it and runs its
 // body: the one pop-and-run site every loop below shares, each with its
 // own admission test. stamp, when non-nil, receives the event's
 // canonical key before the body runs (region loops position their
 // trace recorder with it). Under a profiler the pop records the heap
-// depth (popped event included) and the event's scheduled→fired dwell,
-// and the body accrues to the event's phase until EndEvent returns
-// attribution to the heap phase. The profiler's methods are nil-safe;
-// the check here only spares the unprofiled loop two calls per event.
+// depth (popped event included), and the body accrues to the event's
+// phase until EndEvent returns attribution to the heap phase. The
+// profiler's methods are nil-safe; the check here only spares the
+// unprofiled loop two calls per event.
 func (s *Simulator) dispatch(stamp func(origin int32, oseq uint64)) {
 	e := s.pop()
 	s.now = e.at
@@ -250,11 +237,11 @@ func (s *Simulator) dispatch(stamp func(origin int32, oseq uint64)) {
 	}
 	p := s.prof
 	if p == nil {
-		e.run()
+		e.task.Run()
 		return
 	}
-	p.BeginEvent(e.phase, len(s.events)+1, int64(e.at-e.sched))
-	e.run()
+	p.BeginEvent(e.phase, len(s.events)+1)
+	e.task.Run()
 	p.EndEvent()
 }
 

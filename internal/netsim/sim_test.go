@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSimulatorOrdering(t *testing.T) {
@@ -209,5 +210,39 @@ func TestEventHeapOrdering(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("Pending after drain = %d", s.Pending())
+	}
+}
+
+// A heap element is five words, two of them pointers (the Task). The
+// parent of this guard carried a schedule time and a second body form
+// (fn func()) beside the task: 64 bytes, three pointer words. Every
+// sift moves whole events under the write barrier, so the size is a
+// machine-independent cost counter.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 40", got)
+	}
+}
+
+// At stores the closure in the event's Task through funcTask; a func
+// value is pointer-shaped, so the conversion must not box. The heap
+// slice is warmed first so append does not grow inside the measurement.
+func TestAtPrebuiltClosureAllocsZero(t *testing.T) {
+	s := NewSimulator(1)
+	fired := 0
+	fn := func() { fired++ }
+	for i := 0; i < 64; i++ {
+		s.At(Time(i), fn)
+	}
+	s.Run(64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.At(s.Now()+1, fn)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At of a pre-built closure allocates %.1f/op, want 0", allocs)
+	}
+	if fired != 64+1001 {
+		t.Fatalf("fired %d closures, want %d", fired, 64+1001)
 	}
 }

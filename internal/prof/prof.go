@@ -7,12 +7,12 @@
 // every instant belongs to exactly one Phase. The event loop
 // (Simulator.dispatch) opens each popped event with BeginEvent
 // (attributing the pop/dispatch gap to PhaseHeap and the event body to
-// the phase recorded at schedule time), and instrumented inner spans — reindex inside a timer event,
-// the planner inside a harness closure, trace emission anywhere —
-// re-attribute nested work with Enter/Exit. Phase wall times therefore
-// sum to the loop wall time by construction: coverage is structural,
-// not sampled. BeginEvent also feeds the heap-shape histograms: queue
-// depth at pop and sim-time dwell (scheduled→fired lag) per phase.
+// the phase recorded at schedule time), and instrumented inner spans —
+// reindex inside a timer event, the planner inside a harness closure,
+// trace emission anywhere — re-attribute nested work with Enter/Exit.
+// Phase wall times therefore sum to the loop wall time by
+// construction: coverage is structural, not sampled. BeginEvent also
+// feeds the heap-shape histogram: queue depth at pop.
 //
 // Quarantine contract (DESIGN.md §17): this package is the only
 // simulation-adjacent code allowed to read the wall clock (scooplint's
@@ -99,26 +99,14 @@ func (p Phase) String() string {
 	return "invalid"
 }
 
-// ParsePhase maps a wire name back to its Phase.
-func ParsePhase(s string) (Phase, bool) {
-	for p := Phase(0); p < NumPhases; p++ {
-		if phaseNames[p] == s {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // Profiler accumulates wall-clock attribution for one simulation run.
 // It belongs to the run's single event-loop goroutine (not safe for
 // concurrent use). The nil Profiler is the disabled state: every
 // method returns immediately.
 type Profiler struct {
-	wall  [NumPhases]int64          // attributed wall ns per phase
-	count [NumPhases]int64          // attributed spans per phase
-	max   [NumPhases]int64          // longest single attributed span, ns
-	dwell [NumPhases]histogram.Log2 // scheduled→fired lag per event phase, virtual ms
-	depth histogram.Log2            // heap depth at pop (popped event included)
+	wall  [NumPhases]int64 // attributed wall ns per phase
+	count [NumPhases]int64 // attributed spans per phase
+	depth histogram.Log2   // heap depth at pop (popped event included)
 
 	loopNs  int64 // wall ns between LoopBegin and LoopEnd, summed
 	events  int64 // events popped under profiling
@@ -141,11 +129,7 @@ func (p *Profiler) nanotime() int64 { return int64(time.Since(p.base)) }
 // flush attributes the wall time since the last boundary to the
 // current phase and advances the boundary.
 func (p *Profiler) flush(now int64) {
-	d := now - p.mark
-	p.wall[p.cur] += d
-	if d > p.max[p.cur] {
-		p.max[p.cur] = d
-	}
+	p.wall[p.cur] += now - p.mark
 	p.mark = now
 }
 
@@ -176,9 +160,9 @@ func (p *Profiler) LoopEnd() {
 
 // BeginEvent opens one popped heap event: the time since the previous
 // boundary goes to PhaseHeap (or whatever phase was current), the
-// event body will accrue to ph, and the heap-shape histograms record
-// the queue depth at pop and the event's sim-time dwell in virtual ms.
-func (p *Profiler) BeginEvent(ph Phase, depth int, dwellMS int64) {
+// event body will accrue to ph, and the heap-shape histogram records
+// the queue depth at pop.
+func (p *Profiler) BeginEvent(ph Phase, depth int) {
 	if p == nil || !p.running {
 		return
 	}
@@ -187,7 +171,6 @@ func (p *Profiler) BeginEvent(ph Phase, depth int, dwellMS int64) {
 	p.count[ph]++
 	p.events++
 	p.depth.Record(int64(depth))
-	p.dwell[ph].Record(dwellMS)
 }
 
 // EndEvent closes the current event, returning attribution to
@@ -225,14 +208,15 @@ func (p *Profiler) Exit(prev Phase) {
 }
 
 // Snapshot is the Profiler's accumulated state, copied out for
-// reporting. Plain data: safe to hand across goroutines.
+// reporting. Plain data: safe to hand across goroutines. bench/ reads
+// Wall (through AttributedNs and Coverage too), Events and Depth;
+// Count is what tests use to prove an instrumented span fired, which
+// Wall > 0 cannot on a coarse clock.
 type Snapshot struct {
 	LoopNs int64 // total profiled loop wall time, ns
 	Events int64 // heap events popped under profiling
 	Wall   [NumPhases]int64
 	Count  [NumPhases]int64
-	Max    [NumPhases]int64
-	Dwell  [NumPhases]histogram.Log2
 	Depth  histogram.Log2
 }
 
@@ -247,28 +231,22 @@ func (p *Profiler) Snapshot() Snapshot {
 		Events: p.events,
 		Wall:   p.wall,
 		Count:  p.count,
-		Max:    p.max,
-		Dwell:  p.dwell,
 		Depth:  p.depth,
 	}
 }
 
 // Merge folds another snapshot into s: wall, counts, event totals and
-// histograms sum; per-phase maxima take the max. Region-parallel runs
-// merge every region's profiler (and the control plane's) into the one
-// attribution artifact the serial engine would have produced — wall
-// totals then reflect aggregate CPU time across worker goroutines, not
-// elapsed wall-clock time.
+// the depth histogram sum. Region-parallel runs merge every region's
+// profiler (and the control plane's) into the one attribution artifact
+// the serial engine would have produced — wall totals then reflect
+// aggregate CPU time across worker goroutines, not elapsed wall-clock
+// time.
 func (s *Snapshot) Merge(o Snapshot) {
 	s.LoopNs += o.LoopNs
 	s.Events += o.Events
 	for p := 0; p < int(NumPhases); p++ {
 		s.Wall[p] += o.Wall[p]
 		s.Count[p] += o.Count[p]
-		if o.Max[p] > s.Max[p] {
-			s.Max[p] = o.Max[p]
-		}
-		s.Dwell[p].Merge(o.Dwell[p])
 	}
 	s.Depth.Merge(o.Depth)
 }

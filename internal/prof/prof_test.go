@@ -2,22 +2,26 @@ package prof
 
 import "testing"
 
+// Every phase has a name of its own (bench/ and test failures print
+// them), and an out-of-range value does not index past the table.
 func TestPhaseNamesRoundTrip(t *testing.T) {
+	seen := map[string]Phase{}
 	for p := Phase(0); p < NumPhases; p++ {
-		got, ok := ParsePhase(p.String())
-		if !ok || got != p {
-			t.Fatalf("ParsePhase(%q) = %v, %v", p.String(), got, ok)
+		name := p.String()
+		if q, dup := seen[name]; dup || name == "" || name == "invalid" {
+			t.Fatalf("phase %d is named %q (also phase %d)", p, name, q)
 		}
+		seen[name] = p
 	}
-	if _, ok := ParsePhase("nope"); ok {
-		t.Fatal("ParsePhase accepted an unknown name")
+	if got := NumPhases.String(); got != "invalid" {
+		t.Fatalf("NumPhases.String() = %q, want \"invalid\"", got)
 	}
 }
 
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
 	p.LoopBegin()
-	p.BeginEvent(PhaseRadio, 3, 10)
+	p.BeginEvent(PhaseRadio, 3)
 	prev := p.Enter(PhaseReindex)
 	p.Exit(prev)
 	p.EndEvent()
@@ -43,11 +47,11 @@ func TestIdleProfilerIgnoresSpans(t *testing.T) {
 func TestAttributionStructure(t *testing.T) {
 	p := New()
 	p.LoopBegin()
-	p.BeginEvent(PhaseMAC, 5, 100)
+	p.BeginEvent(PhaseMAC, 5)
 	prev := p.Enter(PhaseReindex)
 	p.Exit(prev)
 	p.EndEvent()
-	p.BeginEvent(PhaseRadio, 2, 3)
+	p.BeginEvent(PhaseRadio, 2)
 	p.EndEvent()
 	p.LoopEnd()
 
@@ -60,10 +64,6 @@ func TestAttributionStructure(t *testing.T) {
 	}
 	if s.Depth.Total() != 2 || s.Depth.Max() != 5 {
 		t.Fatalf("depth histogram: total=%d max=%d", s.Depth.Total(), s.Depth.Max())
-	}
-	if s.Dwell[PhaseMAC].Max() != 100 || s.Dwell[PhaseRadio].Max() != 3 {
-		t.Fatalf("dwell histograms: mac=%d radio=%d",
-			s.Dwell[PhaseMAC].Max(), s.Dwell[PhaseRadio].Max())
 	}
 	if s.LoopNs <= 0 {
 		t.Fatalf("LoopNs = %d, want > 0", s.LoopNs)
@@ -81,7 +81,7 @@ func TestLoopAccumulatesAcrossSections(t *testing.T) {
 	p := New()
 	for i := 0; i < 3; i++ {
 		p.LoopBegin()
-		p.BeginEvent(PhaseHarness, 1, 0)
+		p.BeginEvent(PhaseHarness, 1)
 		p.EndEvent()
 		p.LoopEnd()
 	}
@@ -97,7 +97,7 @@ func TestLoopAccumulatesAcrossSections(t *testing.T) {
 func TestDisabledHotPathZeroAlloc(t *testing.T) {
 	var p *Profiler
 	allocs := testing.AllocsPerRun(1000, func() {
-		p.BeginEvent(PhaseRadio, 4, 1)
+		p.BeginEvent(PhaseRadio, 4)
 		prev := p.Enter(PhaseTraceEmit)
 		p.Exit(prev)
 		p.EndEvent()
@@ -111,7 +111,7 @@ func TestEnabledHotPathZeroAlloc(t *testing.T) {
 	p := New()
 	p.LoopBegin()
 	allocs := testing.AllocsPerRun(1000, func() {
-		p.BeginEvent(PhaseRadio, 4, 1)
+		p.BeginEvent(PhaseRadio, 4)
 		prev := p.Enter(PhaseTraceEmit)
 		p.Exit(prev)
 		p.EndEvent()

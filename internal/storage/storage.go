@@ -85,17 +85,20 @@ func (b *DataBuffer) Scan(fn func(Reading) bool) {
 	}
 }
 
-// Select returns the stored readings with Value in [vmin,vmax] and
-// Time in [tmin,tmax] (inclusive bounds).
-func (b *DataBuffer) Select(vmin, vmax int, tmin, tmax int64) []Reading {
-	var out []Reading
-	b.Scan(func(r Reading) bool {
-		if r.Value >= vmin && r.Value <= vmax && r.Time >= tmin && r.Time <= tmax {
-			out = append(out, r)
+// Select calls fn, oldest-first, for every stored reading with Time in
+// [tmin,tmax] and Value in [vmin,vmax] (inclusive bounds): the one
+// window test behind every query-time scan. An inverted value range
+// (vmin > vmax) means "no value filter" — how a node-list query, which
+// constrains producers rather than values, travels.
+func (b *DataBuffer) Select(vmin, vmax int, tmin, tmax int64, fn func(Reading)) {
+	anyValue := vmin > vmax
+	for _, run := range [2][]Reading{b.buf[b.next:], b.buf[:b.next]} {
+		for _, r := range run {
+			if r.Time >= tmin && r.Time <= tmax && (anyValue || r.Value >= vmin && r.Value <= vmax) {
+				fn(r)
+			}
 		}
-		return true
-	})
-	return out
+	}
 }
 
 // RecentBuffer is the fixed-size round-robin buffer of a node's own

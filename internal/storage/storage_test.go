@@ -58,12 +58,21 @@ func TestDataBufferScanEarlyStop(t *testing.T) {
 	}
 }
 
+// collect gathers what Select hands its callback.
+func collect(s interface {
+	Select(vmin, vmax int, tmin, tmax int64, fn func(Reading))
+}, vmin, vmax int, tmin, tmax int64) []Reading {
+	var out []Reading
+	s.Select(vmin, vmax, tmin, tmax, func(r Reading) { out = append(out, r) })
+	return out
+}
+
 func TestDataBufferSelect(t *testing.T) {
 	b := NewDataBuffer(100)
 	for i := 0; i < 50; i++ {
 		b.Store(Reading{Producer: uint16(i % 3), Value: i % 10, Time: int64(i * 100)})
 	}
-	got := b.Select(3, 5, 1000, 3000)
+	got := collect(b, 3, 5, 1000, 3000)
 	for _, r := range got {
 		if r.Value < 3 || r.Value > 5 {
 			t.Fatalf("value %d outside range", r.Value)
@@ -83,11 +92,16 @@ func TestDataBufferSelect(t *testing.T) {
 	if len(got) != want {
 		t.Fatalf("select returned %d readings, want %d", len(got), want)
 	}
+	// An inverted value range lifts the value filter, not the time one:
+	// times 1000..3000 are the 21 readings i = 10..30.
+	if got := collect(b, 1, 0, 1000, 3000); len(got) != 21 {
+		t.Fatalf("inverted value range returned %d readings, want 21", len(got))
+	}
 }
 
 func TestDataBufferSelectEmpty(t *testing.T) {
 	b := NewDataBuffer(5)
-	if got := b.Select(0, 100, 0, 100); len(got) != 0 {
+	if got := collect(b, 0, 100, 0, 100); len(got) != 0 {
 		t.Fatalf("select on empty buffer returned %d readings", len(got))
 	}
 }
@@ -249,15 +263,13 @@ func (b *refRing) Scan(fn func(Reading) bool) {
 	}
 }
 
-func (b *refRing) Select(vmin, vmax int, tmin, tmax int64) []Reading {
-	var out []Reading
+func (b *refRing) Select(vmin, vmax int, tmin, tmax int64, fn func(Reading)) {
 	b.Scan(func(r Reading) bool {
-		if r.Value >= vmin && r.Value <= vmax && r.Time >= tmin && r.Time <= tmax {
-			out = append(out, r)
+		if (vmin > vmax || r.Value >= vmin && r.Value <= vmax) && r.Time >= tmin && r.Time <= tmax {
+			fn(r)
 		}
 		return true
 	})
-	return out
 }
 
 // TestDataBufferMatchesReferenceRing drives the grow-on-demand buffer
@@ -297,7 +309,7 @@ func TestDataBufferMatchesReferenceRing(t *testing.T) {
 			}
 			vlo, tlo := rng.Intn(50), int64(rng.Intn(stores+1))
 			vhi, thi := vlo+rng.Intn(50), tlo+int64(rng.Intn(stores+1))
-			if got, want := b.Select(vlo, vhi, tlo, thi), ref.Select(vlo, vhi, tlo, thi); !slices.Equal(got, want) {
+			if got, want := collect(b, vlo, vhi, tlo, thi), collect(ref, vlo, vhi, tlo, thi); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: Select %v, reference %v", seed, step, got, want)
 			}
 		}

@@ -41,12 +41,15 @@ type RangeGen struct {
 
 	// Hot-range mode: when hotCenter >= 0, query placement is no
 	// longer uniform but normally distributed around the center (a
-	// fraction of the domain), with hotSpread (also a fraction)
-	// standard deviation. Dynamics scripts migrate the center mid-run
-	// to model a shifting query workload.
+	// fraction of the domain) with standard deviation hotSpread.
+	// Dynamics scripts migrate the center mid-run to model a shifting
+	// query workload.
 	hotCenter float64
-	hotSpread float64
 }
+
+// hotSpread is the hot-range standard deviation, a fraction of the
+// domain.
+const hotSpread = 0.06
 
 // NewRangeGen returns the paper's default query generator over the
 // given value domain.
@@ -59,7 +62,6 @@ func NewRangeGen(domainLo, domainHi int, seed int64) *RangeGen {
 		WidthHi:       0.05,
 		HistoryWindow: 2 * netsim.Minute,
 		hotCenter:     -1,
-		hotSpread:     0.06,
 	}
 }
 
@@ -67,10 +69,6 @@ func NewRangeGen(domainLo, domainHi int, seed int64) *RangeGen {
 // frac of the domain (implements dynamics.QueryShifter). A negative
 // frac restores uniform placement.
 func (g *RangeGen) SetHotCenter(frac float64) { g.hotCenter = frac }
-
-// SetHotSpread sets the hot-range standard deviation as a fraction of
-// the domain.
-func (g *RangeGen) SetHotSpread(frac float64) { g.hotSpread = frac }
 
 // Next implements Generator.
 func (g *RangeGen) Next(now netsim.Time) Query {
@@ -82,7 +80,7 @@ func (g *RangeGen) Next(now netsim.Time) Query {
 	}
 	var lo int
 	if g.hotCenter >= 0 {
-		center := g.hotCenter + g.rng.NormFloat64()*g.hotSpread
+		center := g.hotCenter + g.rng.NormFloat64()*hotSpread
 		lo = g.domainLo + int(center*float64(domain)) - width/2
 		if lo < g.domainLo {
 			lo = g.domainLo
