@@ -16,12 +16,16 @@ import (
 	"os"
 	"time"
 
-	"scoop"
+	"scoop/internal/exp"
+	"scoop/internal/netsim"
+	"scoop/internal/policy"
+	"scoop/internal/trace"
 )
 
-// parseFlags builds the experiment configuration from argv (without
-// the program name). Separate from main so tests can drive it.
-func parseFlags(args []string) (scoop.ExperimentConfig, error) {
+// parseFlags builds the experiment configuration and the -trace path
+// from argv (without the program name). Separate from main so tests
+// can drive it.
+func parseFlags(args []string) (exp.Config, string, error) {
 	fs := flag.NewFlagSet("scoopsim", flag.ContinueOnError)
 	var (
 		policyF  = fs.String("policy", "scoop", "storage policy: scoop, local, base, hash, hashsim")
@@ -39,55 +43,81 @@ func parseFlags(args []string) (scoop.ExperimentConfig, error) {
 		traceF   = fs.String("trace", "", "write the first trial's flight-recorder events to this JSONL file")
 	)
 	if err := fs.Parse(args); err != nil {
-		return scoop.ExperimentConfig{}, err
+		return exp.Config{}, "", err
 	}
-	return scoop.ExperimentConfig{
-		Policy:         scoop.Policy(*policyF),
-		Source:         scoop.Source(*source),
-		Topology:       scoop.Topology(*topology),
-		Nodes:          *nodes,
-		Duration:       *duration,
-		Warmup:         *warmup,
-		SampleInterval: *sample,
-		QueryInterval:  *query,
-		NodePercent:    *nodePct,
-		TraceJSONL:     *traceF,
+	vt := func(d time.Duration) netsim.Time { return netsim.Time(d.Milliseconds()) }
+	return exp.Config{
+		Policy:         policy.Name(*policyF),
+		Source:         *source,
+		Topology:       *topology,
+		N:              *nodes,
+		Duration:       vt(*duration),
+		Warmup:         vt(*warmup),
+		SampleInterval: vt(*sample),
+		QueryInterval:  vt(*query),
+		NodePct:        *nodePct,
 		Regions:        *regions,
 		Trials:         *trials,
 		Seed:           *seed,
-	}, nil
+	}, *traceF, nil
+}
+
+// run executes the experiment; with a trace path the flight recorder
+// streams the first trial's events there as JSONL — one structured,
+// sim-time-stamped event per line, byte-identical across runs with the
+// same configuration and seed (inspect it with cmd/scoopflight).
+func run(cfg exp.Config, tracePath string) (exp.Result, error) {
+	if tracePath == "" {
+		return exp.Run(cfg)
+	}
+	tf, err := os.Create(tracePath)
+	if err != nil {
+		return exp.Result{}, fmt.Errorf("trace file: %w", err)
+	}
+	cfg.Trace = true
+	cfg.TraceSinks = func(trial int) []trace.Sink {
+		if trial != 0 {
+			return nil // one deterministic event stream, not an interleaving
+		}
+		return []trace.Sink{trace.NewJSONL(tf)}
+	}
+	res, err := exp.Run(cfg)
+	if cerr := tf.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("trace file: %w", cerr)
+	}
+	return res, err
 }
 
 func main() {
-	cfg, err := parseFlags(os.Args[1:])
+	cfg, tracePath, err := parseFlags(os.Args[1:])
 	if err != nil {
 		if err == flag.ErrHelp {
 			os.Exit(0)
 		}
 		os.Exit(2)
 	}
-	res, err := scoop.RunExperiment(cfg)
+	res, err := run(cfg, tracePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scoopsim:", err)
 		os.Exit(1)
 	}
 
-	b := res.Breakdown
+	b, s := res.Breakdown, res.Stats
 	fmt.Printf("policy=%s source=%s topology=%s nodes=%d trials=%d\n",
-		cfg.Policy, cfg.Source, cfg.Topology, cfg.Nodes, cfg.Trials)
+		cfg.Policy, cfg.Source, cfg.Topology, cfg.N, cfg.Trials)
 	fmt.Printf("messages (mean/trial): total=%.0f\n", b.Total())
 	fmt.Printf("  data=%.0f summary=%.0f mapping=%.0f query=%.0f reply=%.0f (beacons=%.0f)\n",
 		b.Data, b.Summary, b.Mapping, b.Query, b.Reply, b.Beacon)
-	if res.Produced > 0 {
+	if s.Produced > 0 {
 		fmt.Printf("data:   produced=%d stored=%d success=%.0f%% owner-hit=%.0f%%\n",
-			res.Produced, res.StoredUnique, 100*res.DataSuccess, 100*res.OwnerHitRate)
+			s.Produced, s.StoredUnique, 100*s.DataSuccessRate(), 100*s.OwnerHitRate())
 	}
-	if res.QueriesIssued > 0 {
+	if s.QueriesIssued > 0 {
 		fmt.Printf("query:  issued=%d tuples=%d reply-success=%.0f%%\n",
-			res.QueriesIssued, res.TuplesReturned, 100*res.QuerySuccess)
+			s.QueriesIssued, s.TuplesReturned, 100*s.QuerySuccessRate())
 	}
-	if res.IndexesBuilt > 0 {
-		fmt.Printf("index:  built=%d suppressed=%d\n", res.IndexesBuilt, res.IndexSuppressed)
+	if s.IndexesBuilt > 0 {
+		fmt.Printf("index:  built=%d suppressed=%d\n", s.IndexesBuilt, s.IndexesSuppressed)
 	}
-	fmt.Printf("root:   sent=%.0f received=%.0f\n", res.RootSent, res.RootReceived)
+	fmt.Printf("root:   sent=%.0f received=%.0f\n", res.RootSent, res.RootRecv)
 }

@@ -1,38 +1,31 @@
 // Command scoopsweep runs a parameter-sweep grid — the cross-product
 // of storage policy × topology × network size × link-loss rate ×
-// churn rate × data drift × reindexing × query mix × workload source
-// — in parallel on a bounded worker pool, writes a deterministic JSON
-// artifact, and optionally gates the results against a committed
-// baseline.
+// churn rate × data drift × reindexing × query mix × faults × retry ×
+// workload source — in parallel on a bounded worker pool and writes a
+// deterministic JSON artifact. The grid is a file (sweep.ReadGrid; the
+// committed ones are testdata/*.grid.json), not flags:
 //
-//	scoopsweep                                # default 24-cell grid
-//	scoopsweep -parallel 8 -out sweep.json    # explicit artifact path
-//	scoopsweep -baseline testdata/sweep-ci-baseline.json   # CI gate
-//	scoopsweep -policies scoop,base -sizes 32,63,101 -loss 0,0.2
-//	scoopsweep -policies scoop -churn 0,0.15 -drift 0,0.4 \
-//	    -reindex on,off                       # adaptivity under dynamics
-//	scoopsweep -policies scoop -querymix 0,0.5,1   # aggregate query engine
-//	scoopsweep -policies scoop -loss 0.4 -querymix 0.5 \
-//	    -faults none,blackout,campaign -retry off,on   # fault campaign
-//	scoopsweep -scale 65,250,1000 -duration 10m    # scale tier (grid topology)
+//	scoopsweep                                     # sweep.Default(), 24 cells
+//	scoopsweep testdata/sweep-dynamics.grid.json   # a declared grid
+//	scoopsweep -parallel 8 -out sweep.json grid.json
+//	scoopsweep -check testdata/sweep-ci-baseline.json testdata/sweep-ci.grid.json
 //
-// The same -seed always produces byte-identical artifacts, whatever
-// -parallel is, so committed sweeps are diffable performance records.
+// The same grid always produces byte-identical artifacts, whatever
+// -parallel and -regions are, so -check gates on byte equality with a
+// committed artifact and prints the differing cells when it fails;
+// -out <artifact> regenerates one after an intentional protocol change.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
-	"scoop/internal/dynamics"
-	"scoop/internal/netsim"
-	"scoop/internal/policy"
 	"scoop/internal/sweep"
 )
 
@@ -41,194 +34,45 @@ type cli struct {
 	grid     sweep.Grid
 	parallel int
 	out      string
-	baseline string
-	tol      float64
+	check    string
 }
 
 // parseArgs builds the sweep configuration from argv (without the
-// program name). Usage and error text go to errw. Kept separate from
-// main so tests can drive it.
+// program name), reading the grid file if one is named. Usage and
+// error text go to errw. Kept separate from main so tests can drive it.
 func parseArgs(args []string, errw io.Writer) (cli, error) {
 	fs := flag.NewFlagSet("scoopsweep", flag.ContinueOnError)
 	fs.SetOutput(errw)
-
-	name := fs.String("name", "default", "sweep name; also names the artifact sweep-<name>.json")
-	policies := fs.String("policies", "scoop,local,hash,base", "comma-separated storage policies")
-	topos := fs.String("topos", "uniform", "comma-separated topologies: uniform, testbed, grid")
-	sizes := fs.String("sizes", "32,63", "comma-separated network sizes (incl. basestation)")
-	loss := fs.String("loss", "0,0.1,0.2", "comma-separated link-loss rates in [0,1)")
-	churn := fs.String("churn", "0", "comma-separated churn rates: fraction of nodes cycled per 90s round, each in [0,1)")
-	drift := fs.String("drift", "0", "comma-separated data-drift totals: fraction of the domain the distribution walks mid-run, each in [-1,1]")
-	reindex := fs.String("reindex", "on", "comma-separated reindexing modes: on, off (off freezes the first index)")
-	reindexEvery := fs.Duration("reindex-every", 0, "index-rebuild epoch length (0: protocol default, 240s)")
-	querymix := fs.String("querymix", "0", "comma-separated aggregate-query fractions in [0,1] (0: pure tuple workload)")
-	faults := fs.String("faults", "", "comma-separated fault scenarios: blackout, partition, burst, baserestart, campaign; \"none\" for the fault-free cell (empty flag: fault-free only)")
-	retry := fs.String("retry", "off", "comma-separated reliability-layer modes: off, on (on arms deadline retries + summary degradation)")
-	scaleSizes := fs.String("scale", "", "comma-separated scale-tier sizes (e.g. 65,250,1000): adds scoop/hash/local cells on the grid topology at each size")
-	sources := fs.String("sources", "real", "comma-separated workload sources")
-	duration := fs.Duration("duration", 22*time.Minute, "virtual run length per cell")
-	warmup := fs.Duration("warmup", 6*time.Minute, "virtual warm-up per cell")
-	trials := fs.Int("trials", 1, "trials per cell")
-	seed := fs.Int64("seed", 1, "base seed; per-cell seeds are derived from it")
+	fs.Usage = func() {
+		fmt.Fprintln(errw, "usage: scoopsweep [flags] [grid.json]   (no file: the default 24-cell grid)")
+		fs.PrintDefaults()
+	}
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max cells running concurrently")
 	regions := fs.Int("regions", 0, "parallel event-loop regions per cell network (0/1: serial; results are identical for every value)")
-	out := fs.String("out", "", "artifact path (default sweep-<name>.json; \"-\" for none)")
-	baseline := fs.String("baseline", "", "baseline artifact to gate against (empty: no gate)")
-	tol := fs.Float64("tol", sweep.DefaultTolerance, "gate tolerance (relative regression; 0 gates strictly)")
-
+	out := fs.String("out", "", "artifact path (default sweep-<name>.json)")
+	check := fs.String("check", "", "committed artifact the fresh one must equal byte for byte (exit 1 with a per-cell diff otherwise)")
 	if err := fs.Parse(args); err != nil {
 		return cli{}, err
 	}
-	if fs.NArg() > 0 {
-		return cli{}, fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
-	}
 
 	g := sweep.Default()
-	g.Name = *name
-	g.Duration = netsim.Time(duration.Milliseconds())
-	g.Warmup = netsim.Time(warmup.Milliseconds())
-	g.Trials = *trials
-	g.Seed = *seed
+	switch fs.NArg() {
+	case 0:
+	case 1:
+		var err error
+		if g, err = sweep.ReadGrid(fs.Arg(0)); err != nil {
+			return cli{}, err
+		}
+	default:
+		return cli{}, fmt.Errorf("unexpected arguments after the grid file: %s", strings.Join(fs.Args()[1:], " "))
+	}
 	g.Regions = *regions
-
-	g.Policies = nil
-	for _, p := range splitList(*policies) {
-		g.Policies = append(g.Policies, policy.Name(p))
-	}
-	g.Topologies = splitList(*topos)
-	g.Sources = splitList(*sources)
-
-	var err error
-	if g.Sizes, err = parseInts(*sizes); err != nil {
-		return cli{}, fmt.Errorf("-sizes: %w", err)
-	}
-	if g.ScaleSizes, err = parseInts(*scaleSizes); err != nil {
-		return cli{}, fmt.Errorf("-scale: %w", err)
-	}
-	for _, n := range append(append([]int(nil), g.Sizes...), g.ScaleSizes...) {
-		if n < 2 || n > netsim.MaxNodes {
-			return cli{}, fmt.Errorf("network size %d outside [2,%d]", n, netsim.MaxNodes)
-		}
-	}
-	if g.LossRates, err = parseFloats(*loss); err != nil {
-		return cli{}, fmt.Errorf("-loss: %w", err)
-	}
-	for _, l := range g.LossRates {
-		if l < 0 || l >= 1 {
-			return cli{}, fmt.Errorf("-loss: rate %g outside [0,1)", l)
-		}
-	}
-	if g.ChurnRates, err = parseFloats(*churn); err != nil {
-		return cli{}, fmt.Errorf("-churn: %w", err)
-	}
-	for _, c := range g.ChurnRates {
-		if c < 0 || c >= 1 {
-			return cli{}, fmt.Errorf("-churn: rate %g outside [0,1)", c)
-		}
-	}
-	if g.DriftRates, err = parseFloats(*drift); err != nil {
-		return cli{}, fmt.Errorf("-drift: %w", err)
-	}
-	for _, d := range g.DriftRates {
-		if d < -1 || d > 1 {
-			return cli{}, fmt.Errorf("-drift: total %g outside [-1,1]", d)
-		}
-	}
-	g.Reindex = nil
-	for _, m := range splitList(*reindex) {
-		switch m {
-		case "on":
-			g.Reindex = append(g.Reindex, true)
-		case "off":
-			g.Reindex = append(g.Reindex, false)
-		default:
-			return cli{}, fmt.Errorf("-reindex: unknown mode %q (want on, off)", m)
-		}
-	}
-	if g.QueryMixes, err = parseFloats(*querymix); err != nil {
-		return cli{}, fmt.Errorf("-querymix: %w", err)
-	}
-	for _, m := range g.QueryMixes {
-		if m < 0 || m > 1 {
-			return cli{}, fmt.Errorf("-querymix: fraction %g outside [0,1]", m)
-		}
-	}
-	g.Faults = nil
-	known := make(map[string]bool)
-	for _, s := range dynamics.FaultScenarios() {
-		known[s] = true
-	}
-	for _, f := range splitList(*faults) {
-		if f == "none" {
-			f = ""
-		}
-		if f != "" && !known[f] {
-			return cli{}, fmt.Errorf("-faults: unknown scenario %q (want one of %v, or none)",
-				f, dynamics.FaultScenarios())
-		}
-		g.Faults = append(g.Faults, f)
-	}
-	g.Retry = nil
-	for _, m := range splitList(*retry) {
-		switch m {
-		case "on":
-			g.Retry = append(g.Retry, true)
-		case "off":
-			g.Retry = append(g.Retry, false)
-		default:
-			return cli{}, fmt.Errorf("-retry: unknown mode %q (want on, off)", m)
-		}
-	}
-	if *reindexEvery < 0 {
-		return cli{}, fmt.Errorf("-reindex-every: negative epoch %v", *reindexEvery)
-	}
-	g.ReindexInterval = netsim.Time(reindexEvery.Milliseconds())
-	if g.Duration <= g.Warmup {
-		return cli{}, fmt.Errorf("-duration %v must exceed -warmup %v", *duration, *warmup)
-	}
-	if *tol < 0 {
-		return cli{}, fmt.Errorf("-tol: tolerance %g must be >= 0", *tol)
-	}
 
 	path := *out
 	if path == "" {
 		path = "sweep-" + g.Name + ".json"
 	}
-	return cli{grid: g, parallel: *parallel, out: path, baseline: *baseline, tol: *tol}, nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return cli{grid: g, parallel: *parallel, out: path, check: *check}, nil
 }
 
 // run executes the sweep and returns the process exit code.
@@ -240,6 +84,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stderr, "scoopsweep:", err)
 		return 2
+	}
+	var want sweep.Report
+	var committed []byte
+	if c.check != "" {
+		// Before the run: a mistyped path should not cost a sweep, and
+		// -out may name the same file.
+		if want, err = sweep.ReadFile(c.check); err == nil {
+			committed, err = os.ReadFile(c.check)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "scoopsweep:", err)
+			return 1
+		}
 	}
 
 	cells := c.grid.Cells()
@@ -270,26 +127,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	//scoop:allow walltime operator progress line on stderr, outside any simulation
 	fmt.Fprintf(stderr, "scoopsweep: grid done in %.1fs\n", time.Since(start).Seconds())
 
-	if c.out != "-" {
-		if err := sweep.WriteFile(c.out, rep); err != nil {
-			fmt.Fprintln(stderr, "scoopsweep:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s (%d cells)\n", c.out, len(rep.Cells))
+	if err := sweep.WriteFile(c.out, rep); err != nil {
+		fmt.Fprintln(stderr, "scoopsweep:", err)
+		return 1
 	}
+	fmt.Fprintf(stdout, "wrote %s (%d cells)\n", c.out, len(rep.Cells))
 
-	if c.baseline != "" {
-		base, err := sweep.ReadFile(c.baseline)
+	if c.check != "" {
+		got, err := os.ReadFile(c.out)
 		if err != nil {
 			fmt.Fprintln(stderr, "scoopsweep:", err)
 			return 1
 		}
-		if err := sweep.GateError(sweep.Gate(rep, base, c.tol)); err != nil {
-			fmt.Fprintln(stderr, "scoopsweep:", err)
+		if !bytes.Equal(got, committed) {
+			fmt.Fprintf(stderr, "scoopsweep: %s differs from %s:\n", c.out, c.check)
+			for _, line := range sweep.Diff(rep, want) {
+				fmt.Fprintln(stderr, "  "+line)
+			}
 			return 1
 		}
-		fmt.Fprintf(stdout, "gate passed against %s (tolerance %.0f%%)\n",
-			c.baseline, 100*c.tol)
+		fmt.Fprintf(stdout, "%s reproduces %s byte for byte\n", c.out, c.check)
 	}
 	return 0
 }

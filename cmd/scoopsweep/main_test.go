@@ -8,42 +8,41 @@ import (
 	"strings"
 	"testing"
 
-	"scoop/internal/policy"
 	"scoop/internal/sweep"
 )
+
+// oneCell is a grid file whose single cell runs in milliseconds.
+const oneCell = `{"name": "smoke", "policies": ["scoop"], "sizes": [12],
+	"duration": "4m", "warmup": "1m", "queryInterval": "15s", "seed": 3}`
+
+func writeFile(t *testing.T, name, data string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 func TestParseArgsDefaults(t *testing.T) {
 	c, err := parseArgs(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.grid.Cells()); got < 24 {
-		t.Fatalf("default grid has %d cells; want >= 24", got)
+	if got, want := c.grid.Cells(), sweep.Default().Cells(); len(got) != len(want) || len(got) < 24 {
+		t.Fatalf("no grid file gives %d cells; sweep.Default() has %d, want >= 24", len(got), len(want))
 	}
-	wantPolicies := []policy.Name{policy.Scoop, policy.Local, policy.Hash, policy.Base}
-	if len(c.grid.Policies) != len(wantPolicies) {
-		t.Fatalf("default policies: %v", c.grid.Policies)
-	}
-	for i, p := range wantPolicies {
-		if c.grid.Policies[i] != p {
-			t.Fatalf("default policies: %v", c.grid.Policies)
-		}
-	}
-	if c.out != "sweep-default.json" {
-		t.Fatalf("default artifact path %q", c.out)
-	}
-	if c.tol != sweep.DefaultTolerance {
-		t.Fatalf("default tolerance %v", c.tol)
+	if c.out != "sweep-default.json" || c.check != "" {
+		t.Fatalf("default artifact path %q, check %q", c.out, c.check)
 	}
 }
 
 func TestParseArgsGridSpec(t *testing.T) {
-	c, err := parseArgs([]string{
-		"-name", "ci", "-policies", "scoop,base", "-topos", "uniform,grid",
-		"-sizes", "12,24", "-loss", "0,0.25", "-sources", "real,unique",
-		"-duration", "8m", "-warmup", "2m", "-trials", "2",
-		"-seed", "99", "-parallel", "3",
-	}, io.Discard)
+	grid := writeFile(t, "ci.grid.json", `{"name": "ci", "policies": ["scoop", "base"],
+		"topologies": ["uniform", "grid"], "sizes": [12, 24], "lossRates": [0, 0.25],
+		"sources": ["real", "unique"], "duration": "8m", "warmup": "2m",
+		"trials": 2, "seed": 99}`)
+	c, err := parseArgs([]string{"-parallel", "3", "-regions", "4", grid}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestParseArgsGridSpec(t *testing.T) {
 	if len(g.Cells()) != 2*2*2*2*2 {
 		t.Fatalf("grid expands to %d cells", len(g.Cells()))
 	}
-	if g.Seed != 99 || g.Trials != 2 || c.parallel != 3 {
+	if g.Seed != 99 || g.Trials != 2 || g.Regions != 4 || c.parallel != 3 {
 		t.Fatalf("parsed grid: %+v parallel=%d", g, c.parallel)
 	}
 	if c.out != "sweep-ci.json" {
@@ -60,15 +59,13 @@ func TestParseArgsGridSpec(t *testing.T) {
 }
 
 func TestParseArgsRejectsBadInput(t *testing.T) {
+	grid := writeFile(t, "ok.grid.json", oneCell)
 	cases := [][]string{
-		{"-sizes", "twelve"},
-		{"-loss", "0.1,nope"},
-		{"-loss", "1.0"},
-		{"-loss", "-0.2"},
-		{"-tol", "-0.1"},
-		{"-duration", "5m", "-warmup", "10m"},
 		{"-no-such-flag"},
-		{"stray-positional"},
+		{"-policies", "scoop"}, // the grid is a file now
+		{filepath.Join(t.TempDir(), "absent.grid.json")},
+		{writeFile(t, "typo.grid.json", `{"polices": ["scoop"]}`)},
+		{grid, "second-positional"},
 	}
 	for _, args := range cases {
 		if _, err := parseArgs(args, io.Discard); err == nil {
@@ -77,20 +74,35 @@ func TestParseArgsRejectsBadInput(t *testing.T) {
 	}
 }
 
+// The command line is the four run-mode flags and nothing else.
+func TestUsageListsRunModeFlagsOnly(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("-h exits %d", code)
+	}
+	var flags []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags = append(flags, strings.Fields(line)[0])
+		}
+	}
+	if got := strings.Join(flags, " "); got != "-check -out -parallel -regions" {
+		t.Fatalf("flags: %s\n%s", got, stderr.String())
+	}
+}
+
 // End-to-end smoke test: a 1-cell sweep runs, writes its artifact, and
-// gates cleanly against itself; a doctored baseline trips the gate.
+// -check passes against that artifact; one edited number fails it with
+// a line naming the cell, the field and both values.
 func TestRunWritesArtifactAndGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation cell")
 	}
+	grid := writeFile(t, "smoke.grid.json", oneCell)
 	dir := t.TempDir()
 	out := filepath.Join(dir, "sweep-smoke.json")
-	args := []string{
-		"-policies", "scoop", "-sizes", "12", "-loss", "0", "-sources", "real",
-		"-duration", "4m", "-warmup", "1m", "-out", out, "-parallel", "1",
-	}
 	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-out", out, "-parallel", "1", grid}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
 	}
 	rep, err := sweep.ReadFile(out)
@@ -101,44 +113,47 @@ func TestRunWritesArtifactAndGates(t *testing.T) {
 		t.Fatalf("artifact: %+v", rep)
 	}
 
-	// Gate against itself: must pass.
+	again := filepath.Join(dir, "again.json")
 	stdout.Reset()
-	if code := run(append(args, "-baseline", out), &stdout, &stderr); code != 0 {
-		t.Fatalf("self-gate failed (%d): %s", code, stderr.String())
+	if code := run([]string{"-out", again, "-check", out, grid}, &stdout, &stderr); code != 0 {
+		t.Fatalf("check against own output failed (%d): %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "gate passed") {
-		t.Fatalf("no gate confirmation in output: %q", stdout.String())
+	if !strings.Contains(stdout.String(), "byte for byte") {
+		t.Fatalf("no confirmation in output: %q", stdout.String())
 	}
 
-	// Gate against a baseline demanding 20% fewer messages: must fail.
-	rep.Cells[0].Msgs *= 0.8
+	msgs := rep.Cells[0].Msgs
+	rep.Cells[0].Msgs = msgs + 1
 	doctored := filepath.Join(dir, "sweep-doctored.json")
 	if err := sweep.WriteFile(doctored, rep); err != nil {
 		t.Fatal(err)
 	}
 	stderr.Reset()
-	if code := run(append(args, "-baseline", doctored), &stdout, &stderr); code == 0 {
-		t.Fatal("gate passed against a 20 percent tighter baseline")
+	if code := run([]string{"-out", again, "-check", doctored, grid}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d against an artifact with one number edited", code)
 	}
-	if !strings.Contains(stderr.String(), "regression") {
-		t.Fatalf("no regression report: %q", stderr.String())
+	want := "cell 0 scoop/uniform/n12/loss0/real: msgs: got"
+	if !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr does not name the cell and field (%q):\n%s", want, stderr.String())
 	}
 }
 
+// Neither a missing -check artifact nor a malformed axis value costs a
+// simulation: both fail before the first cell runs.
 func TestRunRejectsMissingBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a simulation cell")
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-policies", "scoop", "-sizes", "12", "-loss", "0",
-		"-duration", "4m", "-warmup", "1m", "-out", "-", "-parallel", "1",
-		"-baseline", filepath.Join(t.TempDir(), "absent.json"),
-	}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("missing baseline accepted")
-	}
-	if _, err := os.Stat("sweep-default.json"); err == nil {
-		t.Fatal("-out - still wrote an artifact in the working directory")
+	for name, args := range map[string][]string{
+		"missing -check": {"-check", filepath.Join(t.TempDir(), "absent.json"),
+			writeFile(t, "ok.grid.json", oneCell)},
+		"oversized cell": {writeFile(t, "big.grid.json",
+			`{"sizes": [12, 1100], "duration": "4m", "warmup": "1m"}`)},
+	} {
+		var stdout, stderr bytes.Buffer
+		args = append([]string{"-out", filepath.Join(t.TempDir(), "never.json")}, args...)
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%s: exit %d\n%s", name, code, stderr.String())
+		}
+		if strings.Contains(stderr.String(), "msgs=") || stdout.Len() != 0 {
+			t.Errorf("%s: a cell ran or an artifact was written:\n%s%s", name, stderr.String(), stdout.String())
+		}
 	}
 }

@@ -171,7 +171,12 @@ func TestConfigValidate(t *testing.T) {
 		mutate func(*Config)
 		want   string
 	}{
-		{"small-n", func(c *Config) { c.N = 1 }, "too small"},
+		{"small-n", func(c *Config) { c.N = 1 }, "network size 1 outside"},
+		// Past netsim.MaxNodes NewTopology panics inside a trial goroutine.
+		{"large-n", func(c *Config) { c.N = 1100 }, "outside [2,1024]"},
+		{"bad-policy", func(c *Config) { c.Policy = "scop" }, "unknown policy"},
+		{"bad-source", func(c *Config) { c.Source = "bogus" }, "unknown source"},
+		{"bad-topology", func(c *Config) { c.Topology = "torus" }, "unknown topology"},
 		{"loss-low", func(c *Config) { c.LinkLoss = -0.1 }, "link loss"},
 		{"loss-high", func(c *Config) { c.LinkLoss = 1 }, "link loss"},
 		{"no-duration", func(c *Config) { c.Duration = 0 }, "duration"},

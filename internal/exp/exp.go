@@ -7,6 +7,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -188,11 +189,22 @@ func Default() Config {
 }
 
 // Validate rejects configurations that would otherwise yield silent
-// nonsense runs (a negative loss rate, a warm-up longer than the run).
-// Run calls it; drivers building configs by hand can call it early.
+// nonsense runs (a negative loss rate, a warm-up longer than the run)
+// or fail inside a trial goroutine (a network past netsim.MaxNodes, a
+// misspelt policy, source or topology). Run calls it; drivers building
+// configs by hand can call it early.
 func (c Config) Validate() error {
-	if c.N < 2 {
-		return fmt.Errorf("exp: network size %d too small (need the basestation plus at least one node)", c.N)
+	if c.N < 2 || c.N > netsim.MaxNodes {
+		return fmt.Errorf("exp: network size %d outside [2,%d] (the basestation plus at least one node, up to the simulator's bound)", c.N, netsim.MaxNodes)
+	}
+	if !slices.Contains([]policy.Name{policy.Scoop, policy.Local, policy.Base, policy.Hash, policy.HashSim}, c.Policy) {
+		return fmt.Errorf("exp: unknown policy %q", c.Policy)
+	}
+	if !slices.Contains(workload.SourceNames(), c.Source) {
+		return fmt.Errorf("exp: unknown source %q (want one of %v)", c.Source, workload.SourceNames())
+	}
+	if !slices.Contains([]string{"", "uniform", "testbed", "grid"}, c.Topology) { // buildTopology's cases
+		return fmt.Errorf("exp: unknown topology %q", c.Topology)
 	}
 	if c.LinkLoss < 0 || c.LinkLoss >= 1 {
 		return fmt.Errorf("exp: link loss %v outside [0,1)", c.LinkLoss)

@@ -34,7 +34,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
+	"time"
 
 	"scoop/internal/prof"
 )
@@ -51,6 +53,22 @@ const (
 
 // Seconds converts a floating-point second count to virtual Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
+
+// UnmarshalText reads a Go duration string ("15s", "22m") of whole,
+// non-negative milliseconds — how hand-written input files (sweep grid
+// files) spell virtual time. There is deliberately no MarshalText:
+// encoded artifacts keep Time as a plain integer.
+func (t *Time) UnmarshalText(text []byte) error {
+	d, err := time.ParseDuration(string(text))
+	if err != nil {
+		return err
+	}
+	if d < 0 || d%time.Millisecond != 0 {
+		return fmt.Errorf("netsim: duration %q is not a whole, non-negative number of milliseconds", text)
+	}
+	*t = Time(d.Milliseconds())
+	return nil
+}
 
 // Task is a schedulable unit of work. Hot paths implement it on pooled
 // structs so scheduling an event does not allocate a closure.

@@ -20,11 +20,6 @@ func TestCellKeyAggMixBackwardCompatible(t *testing.T) {
 	if got := mixed.Key(); got != want {
 		t.Fatalf("mixed key = %q, want %q", got, want)
 	}
-	r := CellResult{Policy: "scoop", Topology: "uniform", N: 16,
-		AggMix: 0.5, Source: "real"}
-	if r.Key() != want {
-		t.Fatalf("result key = %q", r.Key())
-	}
 }
 
 // Aggregate mixes only make sense for the Scoop policy: BASE answers
@@ -44,14 +39,14 @@ func TestCellsSkipComparatorAggMix(t *testing.T) {
 		if c.AggMix > 0 && c.Policy != policy.Scoop {
 			t.Fatalf("comparator agg cell generated: %s", c.Key())
 		}
-		if err := g.config(c).Validate(); err != nil {
+		if _, err := g.config(c); err != nil {
 			t.Fatalf("cell %s invalid: %v", c.Key(), err)
 		}
 	}
 }
 
 // An agg-mix cell records aggregate answer quality and planner
-// decisions into the artifact, and its key gates against itself.
+// decisions into the artifact.
 func TestAggMixCellEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation cell")
@@ -79,16 +74,5 @@ func TestAggMixCellEndToEnd(t *testing.T) {
 	}
 	if c.PlanSummary+c.PlanAgg+c.PlanTuple+c.PlanFlood == 0 {
 		t.Fatal("no planner decisions recorded")
-	}
-	if v := Gate(rep, rep, 0); len(v) != 0 {
-		t.Fatalf("self-gate violations: %v", v)
-	}
-	// A doctored baseline demanding better answer delivery trips the
-	// aggAnswered gate.
-	doctored := rep
-	doctored.Cells = append([]CellResult(nil), rep.Cells...)
-	doctored.Cells[0].AggAnswered *= 1.5
-	if v := Gate(rep, doctored, 0.1); len(v) == 0 {
-		t.Fatal("aggAnswered regression not gated")
 	}
 }

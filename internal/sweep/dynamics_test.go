@@ -23,12 +23,6 @@ func TestCellKeyBackwardCompatible(t *testing.T) {
 	if got := dyn.Key(); got != want {
 		t.Fatalf("dynamic key = %q, want %q", got, want)
 	}
-	// CellResult computes the identical key.
-	r := CellResult{Policy: "scoop", Topology: "uniform", N: 16,
-		Churn: 0.15, Drift: 0.4, NoReindex: true, Source: "real"}
-	if r.Key() != want {
-		t.Fatalf("result key = %q", r.Key())
-	}
 }
 
 // The analytical HASH policy cannot simulate perturbations, so the
@@ -48,7 +42,7 @@ func TestCellsSkipAnalyticalHashDynamics(t *testing.T) {
 		if c.Policy == policy.Hash && c.Churn > 0 {
 			t.Fatalf("hash churn cell generated: %s", c.Key())
 		}
-		if err := g.config(c).Validate(); err != nil {
+		if _, err := g.config(c); err != nil {
 			t.Fatalf("cell %s invalid: %v", c.Key(), err)
 		}
 	}
@@ -95,15 +89,15 @@ func TestCellsExpandDynamicsAxes(t *testing.T) {
 	}
 	// A perturbed, no-reindex cell builds a dynamics config.
 	for _, c := range cells {
-		cfg := g.config(c)
+		cfg, err := g.config(c)
+		if err != nil {
+			t.Fatalf("cell %s: invalid config: %v", c.Key(), err)
+		}
 		if (c.Churn > 0 || c.Drift != 0) != !cfg.Dynamics.Empty() {
 			t.Fatalf("cell %s: dynamics script presence mismatch", c.Key())
 		}
 		if cfg.DisableReindex != c.NoReindex {
 			t.Fatalf("cell %s: reindex mapping wrong", c.Key())
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("cell %s: invalid config: %v", c.Key(), err)
 		}
 	}
 }
@@ -195,7 +189,10 @@ func TestChurnKillMidAirIsLossAccounted(t *testing.T) {
 		}
 		for _, regions := range []int{0, 4} {
 			g.Regions = regions
-			cfg := g.config(cells[i])
+			cfg, err := g.config(cells[i])
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg.CheckInvariants = true
 			if _, err := exp.Run(cfg); err != nil {
 				t.Errorf("seed %d regions %d %s: %v", tc.seed, regions, tc.key, err)

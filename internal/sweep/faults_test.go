@@ -2,73 +2,24 @@ package sweep
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
-
-	"scoop/internal/dynamics"
-	"scoop/internal/netsim"
-	"scoop/internal/policy"
 )
 
-// faultsGrid is the committed fault campaign
-// (testdata/sweep-faults-baseline.json): every scripted fault scenario
-// (plus the fault-free reference) × reliability layer off/on, at 40%
-// ambient link loss over a mixed tuple/aggregate workload. Each cell
-// records completeness, the verdict census, retry count and the
-// per-class byte overheads, so the artifact is the one-file answer to
-// "what does each fault do to query answering, and what does the
-// recovery cost".
-func faultsGrid() Grid {
-	return Grid{
-		Name:           "faults-campaign",
-		Policies:       []policy.Name{policy.Scoop},
-		Topologies:     []string{"uniform"},
-		Sizes:          []int{20},
-		LossRates:      []float64{0.4},
-		QueryMixes:     []float64{0.5},
-		Faults:         append([]string{""}, dynamics.FaultScenarios()...),
-		Retry:          []bool{false, true},
-		Sources:        []string{"real"},
-		Duration:       30 * netsim.Minute,
-		Warmup:         2 * netsim.Minute,
-		SampleInterval: 15 * netsim.Second,
-		QueryInterval:  15 * netsim.Second,
-		Trials:         1,
-		Seed:           17,
-	}
-}
-
-// TestFaultCampaignBaseline regenerates the fault campaign and
-// requires byte-for-byte equality with the committed artifact, then
-// asserts the campaign's headline acceptance numbers on the fresh
-// report: under 40% loss plus the regional blackout, the reliability
-// layer lifts completeness to >= 0.95 over the no-retry baseline at no
-// more than 2x the fault-free query-class bytes.
+// TestFaultCampaignBaseline asserts the campaign's headline acceptance
+// numbers on the committed artifact (which
+// TestCommittedArtifactsReproduce holds byte-equal to a fresh run of
+// testdata/sweep-faults.grid.json: every scripted fault scenario plus
+// the fault-free reference × reliability layer off/on, at 40% ambient
+// link loss over a mixed tuple/aggregate workload): under 40% loss plus
+// the regional blackout, the reliability layer lifts completeness to
+// >= 0.95 over the no-retry baseline at no more than 2x the fault-free
+// query-class bytes.
 func TestFaultCampaignBaseline(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "sweep-faults-baseline.json"))
+	rep, err := ReadFile(filepath.Join("testdata", "sweep-faults-baseline.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(faultsGrid(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := filepath.Join(t.TempDir(), "faults.json")
-	if err := WriteFile(tmp, rep); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("fault campaign is not byte-identical to the committed artifact.\n"+
-			"If this change to simulated behaviour is intentional, regenerate "+
-			"testdata/sweep-faults-baseline.json (SCOOP_REGEN_FAULTS=1) and "+
-			"justify it in the commit.\ngot %d bytes, want %d bytes", len(got), len(want))
-	}
-
 	byKey := map[string]CellResult{}
 	for _, c := range rep.Cells {
 		byKey[c.Key()] = c
@@ -110,49 +61,10 @@ func TestFaultCampaignRegionsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign twice is too slow for -short")
 	}
-	serial, err := Run(faultsGrid(), Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := faultsGrid()
+	g := committedGrid(t, "sweep-faults.grid.json")
+	serial := artifact(t, g, Options{Parallel: 2})
 	g.Regions = 4
-	par, err := Run(g, Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa := filepath.Join(t.TempDir(), "serial.json")
-	pb := filepath.Join(t.TempDir(), "regions.json")
-	if err := WriteFile(pa, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(pb, par); err != nil {
-		t.Fatal(err)
-	}
-	ba, err := os.ReadFile(pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := os.ReadFile(pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ba, bb) {
+	if !bytes.Equal(serial, artifact(t, g, Options{Parallel: 2})) {
 		t.Fatal("same fault campaign, different artifacts between the serial and 4-region engines")
-	}
-}
-
-// TestRegenerateFaultsBaseline rewrites the committed campaign
-// artifact in place when SCOOP_REGEN_FAULTS=1 is set — the blessed
-// regeneration path after an intentional protocol change.
-func TestRegenerateFaultsBaseline(t *testing.T) {
-	if os.Getenv("SCOOP_REGEN_FAULTS") != "1" {
-		t.Skip("set SCOOP_REGEN_FAULTS=1 to rewrite testdata artifacts")
-	}
-	rep, err := Run(faultsGrid(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(filepath.Join("testdata", "sweep-faults-baseline.json"), rep); err != nil {
-		t.Fatal(err)
 	}
 }

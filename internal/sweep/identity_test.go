@@ -5,126 +5,89 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"scoop/internal/netsim"
-	"scoop/internal/policy"
 )
 
-// identityGrid is the pinned N=65 grid whose artifact is committed at
-// testdata/sweep-identity-n65.json. The artifact was generated BEFORE
-// the scale-tier hot-path overhaul (object pooling, dense node
-// indices, flattened link tables), so regenerating it byte-identically
-// proves the overhaul changed no simulated behaviour at the paper's
-// scale — the determinism constraint of DESIGN.md §2/§12, asserted
-// directly rather than via the 10%-tolerance CI gates.
-func identityGrid() Grid {
-	return Grid{
-		Name:           "identity-n65",
-		Policies:       []policy.Name{policy.Scoop, policy.Local},
-		Topologies:     []string{"uniform"},
-		Sizes:          []int{65},
-		LossRates:      []float64{0, 0.2},
-		Sources:        []string{"real"},
-		Duration:       10 * netsim.Minute,
-		Warmup:         3 * netsim.Minute,
-		SampleInterval: 15 * netsim.Second,
-		QueryInterval:  15 * netsim.Second,
-		Trials:         1,
-		Seed:           42,
+func committedGrid(t *testing.T, name string) Grid {
+	t.Helper()
+	g, err := ReadGrid(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g
 }
 
-// TestCellResultIdentityN65 regenerates the pinned cells and requires
-// byte-for-byte equality with the committed artifact — not "within
-// tolerance". If an intentional protocol change fails this test,
-// regenerate the artifact (see the committed file's grid above) in the
-// same commit and say why in the message.
-func TestCellResultIdentityN65(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "sweep-identity-n65.json"))
+// artifact runs the grid and returns the bytes WriteFile persists.
+func artifact(t *testing.T, g Grid, opts Options) []byte {
+	t.Helper()
+	rep, err := Run(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(identityGrid(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := filepath.Join(t.TempDir(), "identity.json")
+	tmp := filepath.Join(t.TempDir(), "artifact.json")
 	if err := WriteFile(tmp, rep); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(tmp)
+	data, err := os.ReadFile(tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("N=65 cells are not byte-identical to the pre-overhaul artifact.\n"+
-			"If this change to simulated behaviour is intentional, regenerate "+
-			"testdata/sweep-identity-n65.json and justify it in the commit.\n"+
-			"got %d bytes, want %d bytes", len(got), len(want))
-	}
+	return data
 }
 
-// identityGrid250 is the scale-tier pin: one N=250 Scoop cell on the
-// grid topology, its artifact committed at
-// testdata/sweep-identity-n250.json. It exists because the N=65 pin
-// cannot see scale-only code paths (dense index rebuild batching,
-// region partitioning overheads) — and it regenerates under the
-// REGION-PARALLEL engine (Regions=4), so the committed bytes are
-// themselves a standing proof that the parallel event loop reproduces
-// the serial artifact (TestCellResultIdentityN250 checks both engines
-// against the same file).
-func identityGrid250() Grid {
-	return Grid{
-		Name:           "identity-n250",
-		Policies:       []policy.Name{policy.Scoop},
-		Topologies:     []string{"grid"},
-		Sizes:          []int{250},
-		LossRates:      []float64{0.1},
-		Sources:        []string{"real"},
-		Duration:       8 * netsim.Minute,
-		Warmup:         3 * netsim.Minute,
-		SampleInterval: 15 * netsim.Second,
-		QueryInterval:  15 * netsim.Second,
-		Trials:         1,
-		Seed:           42,
-	}
-}
-
-// TestCellResultIdentityN250 regenerates the pinned N=250 cell on BOTH
-// engines — serial and 4-region parallel — and requires byte-for-byte
-// equality with the committed artifact for each. A failure on one
-// engine only is a parallel-determinism bug; a failure on both is a
-// (possibly intentional) protocol change — regenerate the artifact in
-// the same commit and say why in the message.
-func TestCellResultIdentityN250(t *testing.T) {
-	if testing.Short() {
-		t.Skip("N=250 cell is too slow for -short")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "sweep-identity-n250.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, regions := range []int{0, 4} {
-		g := identityGrid250()
-		g.Regions = regions
-		rep, err := Run(g, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmp := filepath.Join(t.TempDir(), "identity250.json")
-		if err := WriteFile(tmp, rep); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(tmp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("N=250 cell (regions=%d) is not byte-identical to the committed artifact.\n"+
-				"If this change to simulated behaviour is intentional, regenerate "+
-				"testdata/sweep-identity-n250.json and justify it in the commit.\n"+
-				"got %d bytes, want %d bytes", regions, len(got), len(want))
-		}
+// TestCommittedArtifactsReproduce regenerates each committed artifact
+// of this package from the grid file beside it and requires
+// byte-for-byte equality — not "within tolerance". The repo-root
+// artifacts (testdata/sweep-{ci,dynamics,agg}-baseline.json) are held
+// the same way by CI through `scoopsweep -check`.
+//
+//   - identity-n65 was generated BEFORE the scale-tier hot-path overhaul
+//     (object pooling, dense node indices, flattened link tables), so
+//     reproducing it proves no simulated behaviour has changed at the
+//     paper's scale since — the determinism constraint of DESIGN.md
+//     §2/§12.
+//   - identity-n250 pins the scale-only code paths the N=65 cells cannot
+//     see (dense index rebuild batching, region partitioning). It was
+//     written by the 4-region engine and is checked on both, so the
+//     committed bytes are a standing proof that the parallel event loop
+//     reproduces the serial artifact: a failure on one engine only is a
+//     parallel-determinism bug.
+//   - faults-baseline is the fault campaign (DESIGN.md §19); its
+//     headline numbers are asserted by TestFaultCampaignBaseline.
+//
+// A failure on every engine is a (possibly intentional) protocol
+// change: regenerate with
+//
+//	go run ./cmd/scoopsweep [-regions 4] -out <artifact> <grid>
+//
+// in the same commit and say why in the message.
+func TestCommittedArtifactsReproduce(t *testing.T) {
+	for _, tc := range []struct {
+		artifact, grid string
+		regions        []int
+		long           bool
+	}{
+		{artifact: "sweep-identity-n65.json", grid: "sweep-identity-n65.grid.json", regions: []int{0}},
+		{artifact: "sweep-identity-n250.json", grid: "sweep-identity-n250.grid.json", regions: []int{0, 4}, long: true},
+		{artifact: "sweep-faults-baseline.json", grid: "sweep-faults.grid.json", regions: []int{0}},
+	} {
+		t.Run(tc.artifact, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("N=250 cell is too slow for -short")
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.artifact))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := committedGrid(t, tc.grid)
+			for _, regions := range tc.regions {
+				g.Regions = regions
+				if got := artifact(t, g, Options{}); !bytes.Equal(got, want) {
+					t.Errorf("regions=%d: not byte-identical to testdata/%s (got %d bytes, want %d); "+
+						"scoopsweep -check prints the differing cells",
+						regions, tc.artifact, len(got), len(want))
+				}
+			}
+		})
 	}
 }
 
@@ -133,62 +96,11 @@ func TestCellResultIdentityN250(t *testing.T) {
 // running every cell on the 4-region parallel engine must reproduce
 // the serial bytes exactly.
 func TestRunRegionsIdentical(t *testing.T) {
-	serial, err := Run(identityGrid(), Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := identityGrid()
+	g := committedGrid(t, "sweep-identity-n65.grid.json")
+	serial := artifact(t, g, Options{Parallel: 1})
 	g.Regions = 4
-	par, err := Run(g, Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa := filepath.Join(t.TempDir(), "serial.json")
-	pb := filepath.Join(t.TempDir(), "regions.json")
-	if err := WriteFile(pa, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(pb, par); err != nil {
-		t.Fatal(err)
-	}
-	ba, err := os.ReadFile(pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := os.ReadFile(pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ba, bb) {
+	if !bytes.Equal(serial, artifact(t, g, Options{Parallel: 2})) {
 		t.Fatal("same grid, different artifacts between the serial and 4-region engines")
-	}
-}
-
-// TestRegenerateIdentityArtifacts rewrites the committed identity
-// artifacts in place when SCOOP_REGEN_IDENTITY=1 is set — the blessed
-// regeneration path after an intentional protocol change. The N=65
-// artifact is produced by the serial engine; the N=250 artifact is
-// deliberately produced by the 4-region parallel engine, so the
-// committed bytes double as a cross-engine identity witness.
-func TestRegenerateIdentityArtifacts(t *testing.T) {
-	if os.Getenv("SCOOP_REGEN_IDENTITY") != "1" {
-		t.Skip("set SCOOP_REGEN_IDENTITY=1 to rewrite testdata artifacts")
-	}
-	rep, err := Run(identityGrid(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(filepath.Join("testdata", "sweep-identity-n65.json"), rep); err != nil {
-		t.Fatal(err)
-	}
-	g := identityGrid250()
-	g.Regions = 4
-	rep, err = Run(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(filepath.Join("testdata", "sweep-identity-n250.json"), rep); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -200,31 +112,8 @@ func TestRunRepeatable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("identity test already covers one regeneration")
 	}
-	a, err := Run(identityGrid(), Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(identityGrid(), Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa := filepath.Join(t.TempDir(), "a.json")
-	pb := filepath.Join(t.TempDir(), "b.json")
-	if err := WriteFile(pa, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(pb, b); err != nil {
-		t.Fatal(err)
-	}
-	ba, err := os.ReadFile(pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := os.ReadFile(pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ba, bb) {
+	g := committedGrid(t, "sweep-identity-n65.grid.json")
+	if !bytes.Equal(artifact(t, g, Options{Parallel: 1}), artifact(t, g, Options{Parallel: 4})) {
 		t.Fatal("same grid, different artifacts across parallelism levels")
 	}
 }

@@ -10,9 +10,9 @@
 // sweep is reproducible regardless of how many workers run it or in
 // which order cells are scheduled: the same base seed always yields a
 // byte-identical JSON artifact. Committed artifacts double as
-// performance baselines — Gate compares a fresh sweep against one and
-// fails on >tolerance regressions, giving the repo a CI-enforced
-// performance trajectory.
+// baselines: a grid file (ReadGrid) beside each one regenerates it, CI
+// requires the bytes to match, and Diff names the cells and fields
+// that moved when they do not.
 package sweep
 
 import (
@@ -28,8 +28,13 @@ import (
 )
 
 // Grid declares a parameter sweep: the axes whose cross-product forms
-// the cells, plus the run parameters every cell shares. The zero value
-// is unusable; start from Default.
+// the cells, plus the run parameters every cell shares. Default is the
+// stock grid; in the zero value every axis is its single default and
+// the run parameters are exp.Default's, with queries off.
+//
+// A grid file (ReadGrid) is this struct as a JSON object keyed by
+// field name, first letter lowered: {"name": "ci", "sizes": [16, 24],
+// "duration": "8m", "queryInterval": "15s", ...}.
 type Grid struct {
 	Name string // artifact label ("ci", "nightly", ...)
 
@@ -90,7 +95,7 @@ type Grid struct {
 	// enters neither cell keys nor the JSON artifact — the identity
 	// tests hold sweeps at Regions=4 to byte-equality with serial
 	// baselines.
-	Regions int
+	Regions int `json:"-"`
 }
 
 // Default returns a 24-cell quick-scale grid: the paper's four
@@ -113,32 +118,34 @@ func Default() Grid {
 	}
 }
 
-// Cell is one grid point.
+// Cell is one grid point. Its JSON form opens every CellResult in an
+// artifact; the dynamics, query-mix and fault fields are omitted at
+// their defaults so artifacts older than those axes keep their bytes.
 type Cell struct {
-	Index    int
-	Policy   policy.Name
-	Topology string
-	N        int
-	Loss     float64
-	Churn    float64
-	Drift    float64
+	Index    int         `json:"index"`
+	Policy   policy.Name `json:"policy"`
+	Topology string      `json:"topology"`
+	N        int         `json:"n"`
+	Loss     float64     `json:"loss"`
+	Churn    float64     `json:"churn,omitempty"`
+	Drift    float64     `json:"drift,omitempty"`
 	// NoReindex freezes the first index (negative polarity so the
 	// zero value — and every pre-dynamics baseline artifact — means
 	// "reindexing on", the protocol default).
-	NoReindex bool
+	NoReindex bool `json:"noReindex,omitempty"`
 	// AggMix is the aggregate fraction of the query stream (0: pure
 	// tuple workload, the pre-agg default).
-	AggMix float64
+	AggMix float64 `json:"aggMix,omitempty"`
 	// Faults names the injected fault scenario ("": fault-free).
-	Faults string
+	Faults string `json:"faults,omitempty"`
 	// Retry arms the query reliability layer (deadline retries plus
 	// summary degradation); false is the pre-§19 default.
-	Retry  bool
-	Source string
+	Retry  bool   `json:"retry,omitempty"`
+	Source string `json:"source"`
 }
 
 // Key returns the cell's stable identity, independent of its index —
-// the join key Gate matches baseline cells on. Dynamics components
+// the join key Diff matches artifact cells on. Dynamics components
 // appear only when non-default, so keys from pre-dynamics baseline
 // artifacts still match their cells.
 func (c Cell) Key() string {
@@ -171,6 +178,24 @@ func orDefault[T any](axis []T, def T) []T {
 	return axis
 }
 
+// scoopOnly reports whether the cell sets an axis only the Scoop policy
+// has a mechanism for: an adaptive loop to freeze, a query planner for
+// aggregate mixes (BASE answers for free at the basestation, analytical
+// HASH has no simulation), a query reliability layer for faults and
+// retries to exercise. On a comparator such a cell would repeat the
+// plain cell under a misleading key, so Cells omits it.
+func (c Cell) scoopOnly() bool {
+	return c.NoReindex || c.AggMix > 0 || c.Faults != "" || c.Retry
+}
+
+// pick returns the axis value selected by the lowest digit of the
+// mixed-radix number *r and shifts that digit out.
+func pick[T any](axis []T, r *int) T {
+	v := axis[*r%len(axis)]
+	*r /= len(axis)
+	return v
+}
+
 // Cells expands the grid's cross-product in deterministic order
 // (Policies outermost, then topology, size, loss, churn, drift,
 // reindex, query mix, faults, retry, with Sources innermost).
@@ -186,86 +211,51 @@ func (g Grid) Cells() []Cell {
 	faults := orDefault(g.Faults, "")
 	retries := orDefault(g.Retry, false)
 	sources := orDefault(g.Sources, "real")
-	total := len(policies)*len(topos)*len(sizes)*len(losses)*
-		len(churns)*len(drifts)*len(reindex)*len(mixes)*
-		len(faults)*len(retries)*len(sources) +
-		3*len(g.ScaleSizes)
-	cells := make([]Cell, 0, total)
-	appendScaleCells := func() {
-		seen := make(map[string]bool, len(cells))
-		for _, c := range cells {
-			seen[c.Key()] = true
+	product := len(policies) * len(topos) * len(sizes) * len(losses) *
+		len(churns) * len(drifts) * len(reindex) * len(mixes) *
+		len(faults) * len(retries) * len(sources)
+	cells := make([]Cell, 0, product+3*len(g.ScaleSizes))
+	for i := 0; i < product; i++ {
+		// Count in mixed radix, the innermost axis the fastest digit.
+		r := i
+		var c Cell
+		c.Source = pick(sources, &r)
+		c.Retry = pick(retries, &r)
+		c.Faults = pick(faults, &r)
+		c.AggMix = pick(mixes, &r)
+		c.NoReindex = !pick(reindex, &r)
+		c.Drift = pick(drifts, &r)
+		c.Churn = pick(churns, &r)
+		c.Loss = pick(losses, &r)
+		c.N = pick(sizes, &r)
+		c.Topology = pick(topos, &r)
+		c.Policy = pick(policies, &r)
+		if c.Policy != policy.Scoop && c.scoopOnly() {
+			continue
 		}
-		for _, n := range g.ScaleSizes {
-			for _, p := range []policy.Name{policy.Scoop, policy.Hash, policy.Local} {
-				c := Cell{Index: len(cells), Policy: p, Topology: "grid",
-					N: n, Source: sources[0]}
-				if seen[c.Key()] {
-					continue // already covered by the main grid
-				}
-				cells = append(cells, c)
+		if c.Policy == policy.Hash && (c.Churn > 0 || c.Drift != 0) {
+			// Analytical HASH has no simulation to perturb; exp.Run
+			// rejects the combination, so the grid omits it (hashsim
+			// covers it).
+			continue
+		}
+		c.Index = len(cells)
+		cells = append(cells, c)
+	}
+	seen := make(map[string]bool, len(cells))
+	for _, c := range cells {
+		seen[c.Key()] = true
+	}
+	for _, n := range g.ScaleSizes {
+		for _, p := range []policy.Name{policy.Scoop, policy.Hash, policy.Local} {
+			c := Cell{Index: len(cells), Policy: p, Topology: "grid",
+				N: n, Source: sources[0]}
+			if seen[c.Key()] {
+				continue // already covered by the main grid
 			}
+			cells = append(cells, c)
 		}
 	}
-	for _, p := range policies {
-		for _, topo := range topos {
-			for _, n := range sizes {
-				for _, loss := range losses {
-					for _, churn := range churns {
-						for _, drift := range drifts {
-							if p == policy.Hash && (churn > 0 || drift != 0) {
-								// Analytical HASH has no simulation to
-								// perturb; exp.Run rejects the combination,
-								// so the grid omits it (hashsim covers it).
-								continue
-							}
-							for _, ri := range reindex {
-								if !ri && p != policy.Scoop {
-									// Only Scoop has an adaptive loop to
-									// freeze; a comparator "noreindex" cell
-									// would duplicate the normal cell under
-									// a misleading key.
-									continue
-								}
-								for _, mix := range mixes {
-									if mix > 0 && p != policy.Scoop {
-										// Aggregate mixes exercise the query
-										// planner, which only Scoop runs:
-										// BASE answers for free at the
-										// basestation and analytical HASH has
-										// no simulation.
-										continue
-									}
-									for _, flt := range faults {
-										if flt != "" && p != policy.Scoop {
-											// Fault scenarios exercise the query
-											// reliability layer, which only Scoop
-											// carries.
-											continue
-										}
-										for _, rty := range retries {
-											if rty && p != policy.Scoop {
-												continue
-											}
-											for _, src := range sources {
-												cells = append(cells, Cell{
-													Index: len(cells), Policy: p, Topology: topo,
-													N: n, Loss: loss, Churn: churn, Drift: drift,
-													NoReindex: !ri, AggMix: mix,
-													Faults: flt, Retry: rty, Source: src,
-												})
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	appendScaleCells()
 	return cells
 }
 
@@ -282,8 +272,16 @@ func CellSeed(base int64, index int) int64 {
 	return int64(z &^ (1 << 63))
 }
 
-// config assembles the exp.Config for one cell.
-func (g Grid) config(c Cell) exp.Config {
+// config assembles and validates the exp.Config for one cell. It
+// builds no topology or network, so Run can afford it for every cell
+// before the first one starts.
+func (g Grid) config(c Cell) (exp.Config, error) {
+	if c.Churn < 0 || c.Churn >= 1 {
+		return exp.Config{}, fmt.Errorf("sweep: churn rate %g outside [0,1)", c.Churn)
+	}
+	if c.Drift < -1 || c.Drift > 1 {
+		return exp.Config{}, fmt.Errorf("sweep: drift total %g outside [-1,1]", c.Drift)
+	}
 	cfg := exp.Default()
 	cfg.Policy = c.Policy
 	cfg.Topology = c.Topology
@@ -300,11 +298,7 @@ func (g Grid) config(c Cell) exp.Config {
 		cfg.SampleInterval = g.SampleInterval
 	}
 	cfg.QueryInterval = g.QueryInterval
-	if g.Trials > 0 {
-		cfg.Trials = g.Trials
-	} else {
-		cfg.Trials = 1
-	}
+	cfg.Trials = g.Trials // exp.Run reads <= 0 as 1
 	cfg.Seed = CellSeed(g.Seed, c.Index)
 	cfg.Regions = g.Regions
 	cfg.ReindexInterval = g.ReindexInterval
@@ -315,11 +309,6 @@ func (g Grid) config(c Cell) exp.Config {
 		// alongside the network plans.
 		cfg.AggErrBudget = 0.25
 	}
-	if c.Churn > 0 || c.Drift != 0 {
-		script := dynamics.Standard(c.N, cfg.Warmup, cfg.Duration,
-			c.Churn, c.Drift, cfg.Seed+101)
-		cfg.Dynamics = &script
-	}
 	cfg.Faults = c.Faults
 	if c.Retry {
 		// The campaign's reference reliability tuning: an 8 s initial
@@ -328,7 +317,17 @@ func (g Grid) config(c Cell) exp.Config {
 		cfg.QueryDeadline = 8 * netsim.Second
 		cfg.QueryRetryMax = 7
 	}
-	return cfg
+	// Validate before generating the churn script, whose size follows
+	// N and the run length.
+	if err := cfg.Validate(); err != nil {
+		return exp.Config{}, err
+	}
+	if c.Churn > 0 || c.Drift != 0 {
+		script := dynamics.Standard(c.N, cfg.Warmup, cfg.Duration,
+			c.Churn, c.Drift, cfg.Seed+101)
+		cfg.Dynamics = &script
+	}
+	return cfg, nil
 }
 
 // CellResult captures one finished cell. All fields serialised to JSON
@@ -336,19 +335,8 @@ func (g Grid) config(c Cell) exp.Config {
 // captured for operator visibility but excluded from artifacts so
 // committed baselines stay byte-stable.
 type CellResult struct {
-	Index     int     `json:"index"`
-	Policy    string  `json:"policy"`
-	Topology  string  `json:"topology"`
-	N         int     `json:"n"`
-	Loss      float64 `json:"loss"`
-	Churn     float64 `json:"churn,omitempty"`
-	Drift     float64 `json:"drift,omitempty"`
-	NoReindex bool    `json:"noReindex,omitempty"`
-	AggMix    float64 `json:"aggMix,omitempty"`
-	Faults    string  `json:"faults,omitempty"`
-	Retry     bool    `json:"retry,omitempty"`
-	Source    string  `json:"source"`
-	Seed      int64   `json:"seed"`
+	Cell
+	Seed int64 `json:"seed"`
 
 	// Message counts (mean per trial, beacons excluded from Msgs), the
 	// paper's cost metric and the gate's headline number.
@@ -420,16 +408,8 @@ type CellResult struct {
 	ReindexWallMS     float64 `json:"-"`
 }
 
-// Key returns the cell identity key (see Cell.Key).
-func (r CellResult) Key() string {
-	return Cell{Policy: policy.Name(r.Policy), Topology: r.Topology,
-		N: r.N, Loss: r.Loss, Churn: r.Churn, Drift: r.Drift,
-		NoReindex: r.NoReindex, AggMix: r.AggMix,
-		Faults: r.Faults, Retry: r.Retry, Source: r.Source}.Key()
-}
-
-// Report is a finished sweep: the artifact WriteFile persists and Gate
-// consumes.
+// Report is a finished sweep: the artifact WriteFile persists and Diff
+// compares.
 type Report struct {
 	Name  string       `json:"name"`
 	Seed  int64        `json:"seed"`
@@ -446,18 +426,37 @@ type Options struct {
 	Progress func(CellResult)
 }
 
+// plan expands the grid and assembles every cell's configuration,
+// refusing the whole grid on the first cell that does not validate.
+func (g Grid) plan() ([]Cell, []exp.Config, error) {
+	cells := g.Cells()
+	if len(cells) == 0 {
+		return nil, nil, fmt.Errorf("sweep: empty grid")
+	}
+	cfgs := make([]exp.Config, len(cells))
+	for i, c := range cells {
+		var err error
+		if cfgs[i], err = g.config(c); err != nil {
+			return nil, nil, fmt.Errorf("sweep: cell %d (%s): %w", i, c.Key(), err)
+		}
+	}
+	return cells, cfgs, nil
+}
+
 // Run executes every cell of the grid on a bounded worker pool and
-// returns the results ordered by cell index. The report is identical
-// whatever Parallel is: each cell's seed depends only on (base seed,
-// index), and cells share no mutable state.
+// returns the results ordered by cell index. Every cell's configuration
+// is validated (plan) before the first cell starts, so a bad axis value
+// costs no simulation time. The report is identical whatever Parallel is:
+// each cell's seed depends only on (base seed, index), and cells share
+// no mutable state.
 func Run(g Grid, opts Options) (Report, error) {
 	workers := opts.Parallel
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	cells := g.Cells()
-	if len(cells) == 0 {
-		return Report{}, fmt.Errorf("sweep: empty grid")
+	cells, cfgs, err := g.plan()
+	if err != nil {
+		return Report{}, err
 	}
 	if workers > len(cells) {
 		workers = len(cells)
@@ -472,7 +471,7 @@ func Run(g Grid, opts Options) (Report, error) {
 		go func() {
 			defer wg.Done()
 			for c := range work {
-				results[c.Index], errs[c.Index] = runCell(g, c)
+				results[c.Index], errs[c.Index] = runCell(c, cfgs[c.Index])
 				if errs[c.Index] == nil && opts.Progress != nil {
 					opts.Progress(results[c.Index])
 				}
@@ -493,8 +492,7 @@ func Run(g Grid, opts Options) (Report, error) {
 	return Report{Name: g.Name, Seed: g.Seed, Cells: results}, nil
 }
 
-func runCell(g Grid, c Cell) (CellResult, error) {
-	cfg := g.config(c)
+func runCell(c Cell, cfg exp.Config) (CellResult, error) {
 	start := time.Now()
 	res, err := exp.Run(cfg)
 	if err != nil {
@@ -502,19 +500,8 @@ func runCell(g Grid, c Cell) (CellResult, error) {
 	}
 	b := res.Breakdown
 	out := CellResult{
-		Index:     c.Index,
-		Policy:    string(c.Policy),
-		Topology:  c.Topology,
-		N:         c.N,
-		Loss:      c.Loss,
-		Churn:     c.Churn,
-		Drift:     c.Drift,
-		NoReindex: c.NoReindex,
-		AggMix:    c.AggMix,
-		Faults:    c.Faults,
-		Retry:     c.Retry,
-		Source:    c.Source,
-		Seed:      cfg.Seed,
+		Cell: c,
+		Seed: cfg.Seed,
 
 		Msgs:     b.Total(),
 		Data:     b.Data,

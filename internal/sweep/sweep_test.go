@@ -2,8 +2,14 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"scoop/internal/netsim"
@@ -138,23 +144,47 @@ func TestLossAxisAffectsResults(t *testing.T) {
 	}
 }
 
+// Every malformed axis value fails in Run's up-front pass: the error
+// names the cell, and no cell has run.
 func TestRunRejectsBadCells(t *testing.T) {
-	g := tinyGrid()
-	g.Sources = []string{"no-such-source"}
-	if _, err := Run(g, Options{Parallel: 2}); err == nil {
-		t.Fatal("unknown workload source accepted")
-	}
-	g = tinyGrid()
-	g.LossRates = []float64{1.5}
-	if _, err := Run(g, Options{Parallel: 2}); err == nil {
-		t.Fatal("loss rate 1.5 accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Grid)
+		want   string // cell key prefix or fragment the error must carry
+	}{
+		{"source", func(g *Grid) { g.Sources = []string{"no-such-source"} }, "/no-such-source)"},
+		{"loss", func(g *Grid) { g.LossRates = []float64{0, 1.5} }, "/loss1.5/"},
+		{"size", func(g *Grid) { g.Sizes = []int{12, 1100} }, "/n1100/"},
+		{"scale-size", func(g *Grid) { g.ScaleSizes = []int{1100} }, "grid/n1100/"},
+		{"churn", func(g *Grid) { g.ChurnRates = []float64{1.5} }, "/churn1.5)"},
+		{"drift", func(g *Grid) { g.DriftRates = []float64{-2} }, "/drift-2)"},
+		{"fault", func(g *Grid) { g.Faults = []string{"", "earthquake"} }, "/faults-earthquake)"},
+		{"policy", func(g *Grid) { g.Policies = []policy.Name{policy.Scoop, "scop"} }, "(scop/"},
+		{"topology", func(g *Grid) { g.Topologies = []string{"torus"} }, "/torus/"},
+		{"warmup", func(g *Grid) { g.Warmup = g.Duration }, "warmup"},
+	} {
+		g := tinyGrid()
+		tc.mutate(&g)
+		ran := 0
+		_, err := Run(g, Options{Parallel: 1, Progress: func(CellResult) { ran++ }})
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if ran != 0 {
+			t.Errorf("%s: %d cells ran before the rejection", tc.name, ran)
+		}
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	rep := Report{Name: "rt", Seed: 3, Cells: []CellResult{{
-		Index: 0, Policy: "scoop", Topology: "uniform", N: 12,
-		Loss: 0.1, Source: "real", Seed: 42, Msgs: 100, DataSuccess: 0.9,
+		Cell: Cell{Index: 0, Policy: "scoop", Topology: "uniform", N: 12,
+			Loss: 0.1, Source: "real"},
+		Seed: 42, Msgs: 100, DataSuccess: 0.9,
 	}}}
 	path := filepath.Join(t.TempDir(), "sweep-rt.json")
 	if err := WriteFile(path, rep); err != nil {
@@ -170,82 +200,186 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func baselinePair() (Report, Report) {
-	base := Report{Name: "b", Cells: []CellResult{
-		{Policy: "scoop", Topology: "uniform", N: 63, Loss: 0, Source: "real",
-			Msgs: 1000, DataSuccess: 0.90},
-		{Policy: "base", Topology: "uniform", N: 63, Loss: 0, Source: "real",
-			Msgs: 4000, DataSuccess: 0.95},
-	}}
-	cur := Report{Name: "c", Cells: append([]CellResult(nil), base.Cells...)}
-	return cur, base
+// Every committed artifact's bytes hang on this encoding: CellResult's
+// keys, their order, and which ones omitempty drops. The literal was
+// captured from the commit before Cell was embedded (when CellResult
+// declared the twelve identity fields itself).
+func TestCellResultJSONGolden(t *testing.T) {
+	r := CellResult{
+		Cell: Cell{Index: 1, Policy: "scoop", Topology: "grid", N: 65, Loss: 0.1,
+			Churn: 0.15, Drift: 0.3, NoReindex: true, AggMix: 0.5,
+			Faults: "blackout", Retry: true, Source: "real"},
+		Seed: 42,
+		Msgs: 1000.5, Data: 2, Summary: 3, Mapping: 4, Query: 5, Reply: 6, AggReply: 7, Beacon: 8,
+		DataSuccess: 0.9, QuerySuccess: 0.8, OwnerHit: 0.7,
+		AggAnswered: 0.6, AggErr: 0.05, PlanSummary: 9, PlanAgg: 10, PlanTuple: 11, PlanFlood: 12,
+		Completeness: 0.95, VerdictComplete: 13, VerdictPartial: 14, VerdictDegraded: 15,
+		VerdictFailed: 16, Retries: 17, AggFirstMS: 18.5,
+		Perturbed: true, ReconvS: 19.5, DeliveryDuring: 0.4, DeliveryAfter: 0.85,
+		WallMS: 20, ReindexBuilds: 21, ReindexValues: 22, ReindexRecomputed: 23,
+		ReindexSPT: 24, ReindexWallMS: 25,
+	}
+	const want = `{"index":1,"policy":"scoop","topology":"grid","n":65,"loss":0.1,"churn":0.15,"drift":0.3,"noReindex":true,"aggMix":0.5,"faults":"blackout","retry":true,"source":"real","seed":42,"msgs":1000.5,"data":2,"summary":3,"mapping":4,"query":5,"reply":6,"aggReply":7,"beacon":8,"dataSuccess":0.9,"querySuccess":0.8,"ownerHit":0.7,"aggAnswered":0.6,"aggErr":0.05,"planSummary":9,"planAgg":10,"planTuple":11,"planFlood":12,"completeness":0.95,"verdictComplete":13,"verdictPartial":14,"verdictDegraded":15,"verdictFailed":16,"retries":17,"aggFirstMS":18.5,"perturbed":true,"reconvS":19.5,"deliveryDuring":0.4,"deliveryAfter":0.85}`
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("CellResult encoding moved:\n got %s\nwant %s", got, want)
+	}
+	// A field added later must join the literal above, or omitempty
+	// would hide it from this test.
+	var zero func(v reflect.Value, path string)
+	zero = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			name := path + v.Type().Field(i).Name
+			if f := v.Field(i); f.Kind() == reflect.Struct {
+				zero(f, name+".")
+			} else if f.IsZero() {
+				t.Errorf("%s is zero in the golden value", name)
+			}
+		}
+	}
+	zero(reflect.ValueOf(r), "")
 }
 
-// The acceptance property for the gate: a synthetic >10% message
-// regression in one cell must fail, while <=10% drift passes.
-func TestGateFailsOnSyntheticRegression(t *testing.T) {
-	cur, base := baselinePair()
-	cur.Cells[0].Msgs = 1250 // +25%: well past the 10% tolerance
-	v := Gate(cur, base, 0.10)
-	if len(v) != 1 {
-		t.Fatalf("got %d violations, want 1: %v", len(v), v)
+// The cell order fixes every cell's index and, through CellSeed, its
+// seed, so an artifact reproduces only while Cells enumerates exactly
+// as it did when the artifact was written. Both expectations were
+// captured from the commit whose Cells was an eleven-deep loop nest
+// with one "Scoop-only" continue per axis.
+func TestCellsOrderGolden(t *testing.T) {
+	lines := func(g Grid) []string {
+		var out []string
+		for _, c := range g.Cells() {
+			out = append(out, fmt.Sprintf("%d %s", c.Index, c.Key()))
+		}
+		return out
 	}
-	if v[0].Metric != "msgs" || v[0].Cell != base.Cells[0].Key() {
-		t.Fatalf("wrong violation: %+v", v[0])
+	// Two values on the policy axis and every axis with a Scoop-only
+	// value; the first scale size repeats main-grid cells.
+	small := Grid{
+		Policies:   []policy.Name{policy.Scoop, policy.Hash, policy.Base},
+		Topologies: []string{"grid"},
+		Sizes:      []int{16},
+		LossRates:  []float64{0},
+		ChurnRates: []float64{0, 0.15},
+		Reindex:    []bool{true, false},
+		QueryMixes: []float64{0, 0.5},
+		Faults:     []string{"", "blackout"},
+		Retry:      []bool{false, true},
+		Sources:    []string{"unique"},
+		ScaleSizes: []int{16, 65},
 	}
-	if err := GateError(v); err == nil {
-		t.Fatal("GateError passed a regression")
+	want := []string{
+		"0 scoop/grid/n16/loss0/unique",
+		"1 scoop/grid/n16/loss0/unique/retry",
+		"2 scoop/grid/n16/loss0/unique/faults-blackout",
+		"3 scoop/grid/n16/loss0/unique/faults-blackout/retry",
+		"4 scoop/grid/n16/loss0/unique/agg0.5",
+		"5 scoop/grid/n16/loss0/unique/agg0.5/retry",
+		"6 scoop/grid/n16/loss0/unique/agg0.5/faults-blackout",
+		"7 scoop/grid/n16/loss0/unique/agg0.5/faults-blackout/retry",
+		"8 scoop/grid/n16/loss0/unique/noreindex",
+		"9 scoop/grid/n16/loss0/unique/noreindex/retry",
+		"10 scoop/grid/n16/loss0/unique/noreindex/faults-blackout",
+		"11 scoop/grid/n16/loss0/unique/noreindex/faults-blackout/retry",
+		"12 scoop/grid/n16/loss0/unique/noreindex/agg0.5",
+		"13 scoop/grid/n16/loss0/unique/noreindex/agg0.5/retry",
+		"14 scoop/grid/n16/loss0/unique/noreindex/agg0.5/faults-blackout",
+		"15 scoop/grid/n16/loss0/unique/noreindex/agg0.5/faults-blackout/retry",
+		"16 scoop/grid/n16/loss0/unique/churn0.15",
+		"17 scoop/grid/n16/loss0/unique/churn0.15/retry",
+		"18 scoop/grid/n16/loss0/unique/churn0.15/faults-blackout",
+		"19 scoop/grid/n16/loss0/unique/churn0.15/faults-blackout/retry",
+		"20 scoop/grid/n16/loss0/unique/churn0.15/agg0.5",
+		"21 scoop/grid/n16/loss0/unique/churn0.15/agg0.5/retry",
+		"22 scoop/grid/n16/loss0/unique/churn0.15/agg0.5/faults-blackout",
+		"23 scoop/grid/n16/loss0/unique/churn0.15/agg0.5/faults-blackout/retry",
+		"24 scoop/grid/n16/loss0/unique/churn0.15/noreindex",
+		"25 scoop/grid/n16/loss0/unique/churn0.15/noreindex/retry",
+		"26 scoop/grid/n16/loss0/unique/churn0.15/noreindex/faults-blackout",
+		"27 scoop/grid/n16/loss0/unique/churn0.15/noreindex/faults-blackout/retry",
+		"28 scoop/grid/n16/loss0/unique/churn0.15/noreindex/agg0.5",
+		"29 scoop/grid/n16/loss0/unique/churn0.15/noreindex/agg0.5/retry",
+		"30 scoop/grid/n16/loss0/unique/churn0.15/noreindex/agg0.5/faults-blackout",
+		"31 scoop/grid/n16/loss0/unique/churn0.15/noreindex/agg0.5/faults-blackout/retry",
+		"32 hash/grid/n16/loss0/unique",
+		"33 base/grid/n16/loss0/unique",
+		"34 base/grid/n16/loss0/unique/churn0.15",
+		"35 local/grid/n16/loss0/unique",
+		"36 scoop/grid/n65/loss0/unique",
+		"37 hash/grid/n65/loss0/unique",
+		"38 local/grid/n65/loss0/unique",
+	}
+	if got := lines(small); !slices.Equal(got, want) {
+		t.Errorf("small grid enumerates as\n%s\nwant\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Two values on all eleven axes pin the whole nesting order; 1108
+	// keys are held by count and digest rather than spelt out.
+	full := Grid{
+		Policies:   []policy.Name{policy.Scoop, policy.Hash, policy.Base},
+		Topologies: []string{"uniform", "grid"},
+		Sizes:      []int{16, 24},
+		LossRates:  []float64{0, 0.2},
+		ChurnRates: []float64{0, 0.15},
+		DriftRates: []float64{0, 0.3},
+		Reindex:    []bool{true, false},
+		QueryMixes: []float64{0, 0.5},
+		Faults:     []string{"", "blackout"},
+		Retry:      []bool{false, true},
+		Sources:    []string{"real", "unique"},
+		ScaleSizes: []int{24, 65},
+	}
+	got := lines(full)
+	sum := sha256.Sum256([]byte(strings.Join(got, "\n") + "\n"))
+	const wantSum = "9e557bd7c07d0c520bf73ea382f6f1d3fbeed47e9566f12112ab3f73b1a37b7d"
+	if len(got) != 1108 || hex.EncodeToString(sum[:]) != wantSum {
+		t.Errorf("full grid: %d cells, digest %x; want 1108, %s", len(got), sum, wantSum)
 	}
 }
 
-func TestGatePassesWithinTolerance(t *testing.T) {
-	cur, base := baselinePair()
-	cur.Cells[0].Msgs = 1080 // +8%: inside tolerance
-	cur.Cells[1].Msgs = 2500 // improvement: always fine
-	cur.Cells[1].DataSuccess = 0.99
-	if v := Gate(cur, base, 0.10); len(v) != 0 {
-		t.Fatalf("unexpected violations: %v", v)
+func TestDiff(t *testing.T) {
+	cell := func(index int, p policy.Name, msgs float64) CellResult {
+		return CellResult{Cell: Cell{Index: index, Policy: p, Topology: "uniform",
+			N: 63, Source: "real"}, Msgs: msgs, DataSuccess: 0.9}
 	}
-	if err := GateError(nil); err != nil {
-		t.Fatalf("GateError failed a clean gate: %v", err)
-	}
-}
-
-func TestGateCatchesDeliveryRegression(t *testing.T) {
-	cur, base := baselinePair()
-	cur.Cells[1].DataSuccess = 0.70 // -26%
-	v := Gate(cur, base, 0.10)
-	if len(v) != 1 || v[0].Metric != "dataSuccess" {
-		t.Fatalf("delivery regression not caught: %v", v)
-	}
-}
-
-func TestGateCatchesMissingCell(t *testing.T) {
-	cur, base := baselinePair()
-	cur.Cells = cur.Cells[:1]
-	v := Gate(cur, base, 0.10)
-	if len(v) != 1 || v[0].Metric != "missing" {
-		t.Fatalf("missing cell not caught: %v", v)
-	}
-}
-
-func TestGateDefaultTolerance(t *testing.T) {
-	cur, base := baselinePair()
-	cur.Cells[0].Msgs = 1090 // +9% passes under the default 10%
-	if v := Gate(cur, base, -1); len(v) != 0 {
-		t.Fatalf("default tolerance rejected +9%%: %v", v)
-	}
-	cur.Cells[0].Msgs = 1150 // +15% fails
-	if v := Gate(cur, base, -1); len(v) != 1 {
-		t.Fatalf("default tolerance passed +15%%: %v", v)
-	}
-}
-
-// tol == 0 means what it says: strict gating, not the default.
-func TestGateZeroToleranceIsStrict(t *testing.T) {
-	cur, base := baselinePair()
-	cur.Cells[0].Msgs = 1001 // +0.1%
-	if v := Gate(cur, base, 0); len(v) != 1 {
-		t.Fatalf("zero tolerance passed a +0.1%% regression: %v", v)
+	want := Report{Name: "b", Seed: 1, Cells: []CellResult{
+		cell(0, policy.Scoop, 1000), cell(1, policy.Base, 4000), cell(2, policy.Local, 3000)}}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Report)
+		lines  []string
+	}{
+		{"identical", func(*Report) {}, nil},
+		{"one-field", func(r *Report) { r.Cells[1].Msgs = 4001 }, []string{
+			"cell 1 base/uniform/n63/loss0/real: msgs: got 4001, want 4000"}},
+		{"missing-and-extra", func(r *Report) { r.Cells[1] = cell(1, policy.HashSim, 4000) }, []string{
+			"cell 1 base/uniform/n63/loss0/real: want it, got no such cell",
+			"cell 1 hashsim/uniform/n63/loss0/real: got it, want no such cell"}},
+		// Want's cells in index order, a cell's fields in artifact
+		// order, got-only cells last — whatever order got lists them in.
+		{"ordered", func(r *Report) {
+			r.Seed = 2
+			r.Cells[2].DataSuccess, r.Cells[2].Msgs, r.Cells[2].Index = 0.5, 3, 7
+			r.Cells[0].Seed = 9
+			r.Cells = []CellResult{cell(3, policy.Hash, 1), r.Cells[2], r.Cells[0]}
+		}, []string{
+			"seed: got 2, want 1",
+			"cell 0 scoop/uniform/n63/loss0/real: seed: got 9, want 0",
+			"cell 1 base/uniform/n63/loss0/real: want it, got no such cell",
+			"cell 2 local/uniform/n63/loss0/real: index: got 7, want 2",
+			"cell 2 local/uniform/n63/loss0/real: msgs: got 3, want 3000",
+			"cell 2 local/uniform/n63/loss0/real: dataSuccess: got 0.5, want 0.9",
+			"cell 3 hash/uniform/n63/loss0/real: got it, want no such cell"}},
+	} {
+		got := Report{Name: want.Name, Seed: want.Seed, Cells: slices.Clone(want.Cells)}
+		tc.mutate(&got)
+		if lines := Diff(got, want); !slices.Equal(lines, tc.lines) {
+			t.Errorf("%s: Diff =\n  %s\nwant\n  %s", tc.name,
+				strings.Join(lines, "\n  "), strings.Join(tc.lines, "\n  "))
+		}
 	}
 }

@@ -7,14 +7,11 @@
 // comparator storage policies (LOCAL, BASE, HASH) from the paper's
 // evaluation.
 //
-// Two entry points cover most uses:
-//
-//   - RunExperiment runs a complete policy × workload experiment and
-//     returns message breakdowns and delivery statistics, the unit of
-//     the paper's figures.
-//   - NewSimulation gives step-by-step control over one simulated
-//     network: advance virtual time, issue queries, inspect the
-//     storage index — the API the runnable examples build on.
+// NewSimulation is the entry point: step-by-step control over one
+// simulated network — advance virtual time, issue queries, inspect the
+// storage index — the API the runnable examples build on. Whole
+// policy × workload experiments, the unit of the paper's figures, are
+// commands: cmd/scoopsim runs one, cmd/scoopsweep a grid of them.
 //
 // All radio, protocol and workload behaviour lives in internal/
 // packages; this package is the stable facade.
@@ -23,15 +20,12 @@ package scoop
 import (
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"scoop/internal/core"
-	"scoop/internal/exp"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
-	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
 
@@ -72,95 +66,29 @@ const (
 	TopologyGrid    Topology = "grid"
 )
 
-// ExperimentConfig describes one experiment. The zero value is not
-// runnable; start from DefaultExperiment.
-type ExperimentConfig struct {
-	Policy   Policy
-	Source   Source
-	Topology Topology
-	Nodes    int // network size including the basestation (≤ netsim.MaxNodes)
-
-	Duration time.Duration // total virtual run time
-	Warmup   time.Duration // tree stabilisation before sampling
-
-	SampleInterval time.Duration
-	QueryInterval  time.Duration // 0 disables queries
-	// NodePercent, when ≥ 0, switches to node-list queries over this
-	// fraction of nodes (the paper's Figure 4 sweep); negative uses
-	// value-range queries over 1–5% of the attribute domain.
-	NodePercent float64
-
-	// AggregateRatio, in [0,1], lifts this fraction of value-range
-	// queries into aggregate queries (COUNT/SUM/AVG/MIN/MAX/quantile)
-	// answered by the cost-based query planner: from retained
-	// summaries when the error budget permits, by in-network
-	// partial-aggregate combining, by tuple return, or by flooding.
-	AggregateRatio float64
-	// AggregateErrBudget is the relative accuracy each aggregate
-	// tolerates from an approximate summary-served answer; 0 demands
-	// exact plans.
-	AggregateErrBudget float64
-
-	// TraceJSONL, when non-empty, switches on the flight recorder for
-	// the first trial and streams its events to this file as JSONL —
-	// one structured, sim-time-stamped event per line, byte-identical
-	// across runs with the same configuration and seed. Inspect it
-	// with cmd/scoopflight.
-	TraceJSONL string
-
-	// Regions, when > 1, runs each trial's network on a conservatively
-	// synchronised parallel event loop with this many spatial regions.
-	// It is a run-mode knob, not a model parameter: results are
-	// bit-identical for every value (0 and 1 select the serial loop).
-	Regions int
-
-	Trials int
-	Seed   int64
-}
-
-// DefaultExperiment returns the paper's default parameters: 62 nodes
-// plus a basestation, REAL data, 15-second sample and query intervals,
-// 40-minute runs with a 10-minute warm-up, three trials.
-func DefaultExperiment() ExperimentConfig {
-	return ExperimentConfig{
-		Policy:         PolicyScoop,
-		Source:         SourceReal,
-		Topology:       TopologyUniform,
-		Nodes:          63,
-		Duration:       40 * time.Minute,
-		Warmup:         10 * time.Minute,
-		SampleInterval: 15 * time.Second,
-		QueryInterval:  15 * time.Second,
-		NodePercent:    -1,
-		Trials:         3,
-		Seed:           1,
-	}
-}
-
 // Breakdown reports transmissions by message class, the paper's cost
 // metric (routing-tree beacons are accounted separately since every
 // policy pays them equally).
 type Breakdown struct {
-	Data     float64
-	Summary  float64
-	Mapping  float64
-	Query    float64
-	Reply    float64
-	AggReply float64 // combined partial-aggregate replies
-	Beacon   float64
+	Data    float64
+	Summary float64
+	Mapping float64
+	Query   float64
+	Reply   float64
+	Beacon  float64
 }
 
 // Total returns the comparison-metric total (beacons excluded), as in
 // the paper's figures.
 func (b Breakdown) Total() float64 {
-	return b.Data + b.Summary + b.Mapping + b.Query + b.Reply + b.AggReply
+	return b.Data + b.Summary + b.Mapping + b.Query + b.Reply
 }
 
-// ExperimentResult aggregates an experiment's outcome across trials.
+// ExperimentResult summarises a simulation's outcome so far.
 type ExperimentResult struct {
-	Breakdown Breakdown // mean transmissions per trial
+	Breakdown Breakdown
 
-	// Delivery statistics summed over trials.
+	// Delivery statistics.
 	Produced        int64
 	StoredUnique    int64
 	DataSuccess     float64 // fraction of readings durably stored
@@ -170,101 +98,6 @@ type ExperimentResult struct {
 	TuplesReturned  int64
 	IndexesBuilt    int64
 	IndexSuppressed int64
-
-	// Aggregate query engine outcomes (AggregateRatio > 0 runs).
-	AggIssued   int64
-	AggAnswered int64
-	AggMeanErr  float64 // mean absolute relative answer error
-
-	// Root-node load (mean per trial), for skew comparisons.
-	RootSent, RootReceived float64
-}
-
-// RunExperiment executes the experiment (trials run concurrently) and
-// returns aggregated results.
-func RunExperiment(cfg ExperimentConfig) (ExperimentResult, error) {
-	ec, err := toExpConfig(cfg)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	var tf *os.File
-	if cfg.TraceJSONL != "" {
-		tf, err = os.Create(cfg.TraceJSONL)
-		if err != nil {
-			return ExperimentResult{}, fmt.Errorf("scoop: trace file: %w", err)
-		}
-		ec.Trace = true
-		ec.TraceSinks = func(trial int) []trace.Sink {
-			if trial != 0 {
-				return nil // one deterministic event stream, not an interleaving
-			}
-			return []trace.Sink{trace.NewJSONL(tf)}
-		}
-	}
-	res, err := exp.Run(ec)
-	if tf != nil {
-		if cerr := tf.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("scoop: trace file: %w", cerr)
-		}
-	}
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	return fromExpResult(res), nil
-}
-
-func toExpConfig(cfg ExperimentConfig) (exp.Config, error) {
-	if cfg.Nodes < 2 || cfg.Nodes > netsim.MaxNodes {
-		return exp.Config{}, fmt.Errorf("scoop: node count %d outside [2,%d]", cfg.Nodes, netsim.MaxNodes)
-	}
-	if cfg.Duration <= cfg.Warmup {
-		return exp.Config{}, fmt.Errorf("scoop: duration %v must exceed warmup %v", cfg.Duration, cfg.Warmup)
-	}
-	return exp.Config{
-		Policy:         policy.Name(cfg.Policy),
-		Source:         string(cfg.Source),
-		N:              cfg.Nodes,
-		Topology:       string(cfg.Topology),
-		Duration:       vt(cfg.Duration),
-		Warmup:         vt(cfg.Warmup),
-		SampleInterval: vt(cfg.SampleInterval),
-		QueryInterval:  vt(cfg.QueryInterval),
-		NodePct:        cfg.NodePercent,
-		AggRatio:       cfg.AggregateRatio,
-		AggErrBudget:   cfg.AggregateErrBudget,
-		Regions:        cfg.Regions,
-		Trials:         cfg.Trials,
-		Seed:           cfg.Seed,
-	}, nil
-}
-
-func fromExpResult(res exp.Result) ExperimentResult {
-	s := res.Stats
-	return ExperimentResult{
-		Breakdown: Breakdown{
-			Data:     res.Breakdown.Data,
-			Summary:  res.Breakdown.Summary,
-			Mapping:  res.Breakdown.Mapping,
-			Query:    res.Breakdown.Query,
-			Reply:    res.Breakdown.Reply,
-			AggReply: res.Breakdown.AggReply,
-			Beacon:   res.Breakdown.Beacon,
-		},
-		Produced:        s.Produced,
-		StoredUnique:    s.StoredUnique,
-		DataSuccess:     s.DataSuccessRate(),
-		OwnerHitRate:    s.OwnerHitRate(),
-		QuerySuccess:    s.QuerySuccessRate(),
-		QueriesIssued:   s.QueriesIssued,
-		TuplesReturned:  s.TuplesReturned,
-		IndexesBuilt:    s.IndexesBuilt,
-		IndexSuppressed: s.IndexesSuppressed,
-		AggIssued:       int64(res.Agg.Issued),
-		AggAnswered:     int64(res.Agg.Answered),
-		AggMeanErr:      res.Agg.MeanErr(),
-		RootSent:        res.RootSent,
-		RootReceived:    res.RootRecv,
-	}
 }
 
 // vt converts wall-style durations to virtual simulator time.

@@ -5,70 +5,6 @@ import (
 	"time"
 )
 
-func quickExperiment() ExperimentConfig {
-	cfg := DefaultExperiment()
-	cfg.Duration = 20 * time.Minute
-	cfg.Warmup = 6 * time.Minute
-	cfg.Trials = 1
-	return cfg
-}
-
-func TestRunExperimentScoop(t *testing.T) {
-	res, err := RunExperiment(quickExperiment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Breakdown.Total() == 0 {
-		t.Fatal("no messages counted")
-	}
-	if res.Produced == 0 || res.StoredUnique == 0 {
-		t.Fatal("no data produced/stored")
-	}
-	if res.DataSuccess < 0.7 {
-		t.Fatalf("data success %.2f too low", res.DataSuccess)
-	}
-	if res.IndexesBuilt == 0 {
-		t.Fatal("no indexes built")
-	}
-}
-
-func TestRunExperimentPolicies(t *testing.T) {
-	for _, p := range []Policy{PolicyLocal, PolicyBase, PolicyHash} {
-		cfg := quickExperiment()
-		cfg.Policy = p
-		res, err := RunExperiment(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if res.Breakdown.Total() == 0 {
-			t.Fatalf("%s produced no traffic", p)
-		}
-	}
-}
-
-func TestRunExperimentValidation(t *testing.T) {
-	cfg := quickExperiment()
-	cfg.Nodes = 1
-	if _, err := RunExperiment(cfg); err == nil {
-		t.Fatal("accepted 1-node network")
-	}
-	cfg = quickExperiment()
-	cfg.Nodes = 2000 // above the scale-tier bound (netsim.MaxNodes = 1024)
-	if _, err := RunExperiment(cfg); err == nil {
-		t.Fatal("accepted oversized network")
-	}
-	cfg = quickExperiment()
-	cfg.Warmup = cfg.Duration
-	if _, err := RunExperiment(cfg); err == nil {
-		t.Fatal("accepted warmup >= duration")
-	}
-	cfg = quickExperiment()
-	cfg.Source = "bogus"
-	if _, err := RunExperiment(cfg); err == nil {
-		t.Fatal("accepted unknown source")
-	}
-}
-
 func TestSimulationLifecycle(t *testing.T) {
 	sim, err := NewSimulation(SimulationConfig{
 		Nodes:  20,
@@ -201,28 +137,8 @@ func TestSimulationKillRevive(t *testing.T) {
 }
 
 func TestBreakdownTotalExcludesBeacons(t *testing.T) {
-	b := Breakdown{Data: 1, Summary: 2, Mapping: 3, Query: 4, Reply: 5, AggReply: 6, Beacon: 100}
-	if b.Total() != 21 {
+	b := Breakdown{Data: 1, Summary: 2, Mapping: 3, Query: 4, Reply: 5, Beacon: 100}
+	if b.Total() != 15 {
 		t.Fatalf("total = %f", b.Total())
-	}
-}
-
-func TestRunExperimentAggregates(t *testing.T) {
-	cfg := quickExperiment()
-	cfg.Nodes = 16
-	cfg.AggregateRatio = 1
-	cfg.AggregateErrBudget = 0.25
-	res, err := RunExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AggIssued == 0 {
-		t.Fatal("no aggregates issued")
-	}
-	if res.AggAnswered < res.AggIssued/2 {
-		t.Fatalf("only %d of %d aggregates answered", res.AggAnswered, res.AggIssued)
-	}
-	if res.AggMeanErr > 1 {
-		t.Fatalf("mean aggregate error %.2f implausible", res.AggMeanErr)
 	}
 }
