@@ -205,31 +205,40 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 		Nodes: e.nodes,
 	}
 	n.stats.AggRepliesSent++
-	n.transmitAggReply(m, n.tree.Parent(), 0)
+	(&aggSend{n: n, m: m, to: n.tree.Parent()}).send()
 }
 
-// transmitAggReply sends one partial to the parent chosen at launch,
-// re-sending the identical message to the SAME destination on
-// link-layer failure: per-receiver (sender, query, seq) dedup then
-// makes duplicates idempotent, so at-least-once delivery cannot
-// double count. (Re-routing a resend to a new parent could double
-// count: the first frame may have been delivered with only its ack
-// lost.)
-func (n *Node) transmitAggReply(m *AggReplyMsg, to netsim.NodeID, attempt int) {
-	n.api.Send(&netsim.Packet{
+// aggSend sends one partial to the parent chosen at launch, re-sending
+// the identical message to the SAME destination on link-layer failure:
+// per-receiver (sender, query, seq) dedup then makes duplicates
+// idempotent, so at-least-once delivery cannot double count.
+// (Re-routing a resend to a new parent could double count: the first
+// frame may have been delivered with only its ack lost.)
+type aggSend struct {
+	n       *Node
+	m       *AggReplyMsg
+	to      netsim.NodeID
+	attempt int
+}
+
+func (s *aggSend) send() {
+	s.n.api.Send(&netsim.Packet{
 		Class:        metrics.AggReply,
-		Dst:          to,
-		Origin:       n.api.ID(),
-		OriginParent: n.tree.Parent(),
-		Size:         aggReplySize(m),
-		Payload:      m,
-	}, func(ok bool) {
-		if !ok && attempt < aggSendRetries {
-			n.cfg.Trace.Emit(trace.Event{Kind: trace.AggResent, Node: uint16(n.api.ID()),
-				ID: m.QueryID, Aux: int64(attempt + 1)})
-			n.transmitAggReply(m, to, attempt+1)
-		}
-	})
+		Dst:          s.to,
+		Origin:       s.n.api.ID(),
+		OriginParent: s.n.tree.Parent(),
+		Size:         aggReplySize(s.m),
+		Payload:      s.m,
+	}, s)
+}
+
+func (s *aggSend) SendDone(ok bool) {
+	if !ok && s.attempt < aggSendRetries {
+		s.attempt++
+		s.n.cfg.Trace.Emit(trace.Event{Kind: trace.AggResent, Node: uint16(s.n.api.ID()),
+			ID: s.m.QueryID, Aux: int64(s.attempt)})
+		s.send()
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -421,7 +421,7 @@ func (b *Base) buildInput() index.BuildInput {
 		}
 	}
 	// …and from the base's own neighbor table.
-	for _, nb := range b.tree.Neighbors.Best(n) {
+	for _, nb := range b.tree.Neighbors.Best(make([]routing.NeighborInfo, 0, b.tree.Neighbors.Len()), n) {
 		g.Report(nb.ID, b.api.ID(), nb.Quality)
 	}
 	nodes := b.statsInput

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"scoop/internal/dense"
 	"scoop/internal/histogram"
@@ -186,7 +187,7 @@ func (n *Node) Timer(id int) {
 		for _, q := range n.pendingAnswers {
 			n.answer(q)
 		}
-		n.pendingAnswers = nil
+		n.pendingAnswers = n.pendingAnswers[:0] // n.queries holds them anyway
 	case timerAggFlush:
 		n.flushAgg()
 	}
@@ -352,24 +353,20 @@ func (n *Node) handleData(m *DataMsg) {
 		return
 	}
 	// Rule 1: a newer index here rewrites the destination. Readings in
-	// one batch may now map to different owners; regroup (in owner
-	// order, so runs are reproducible).
+	// one batch may now map to different owners; regroup in owner order
+	// (so runs are reproducible) by sorting a copy, out-of-domain values
+	// heading for the base (0), and send each run of it.
 	if n.cur != nil && !n.cur.Local && n.cur.ID > m.SID {
-		groups := make(map[netsim.NodeID][]storage.Reading)
-		var order []netsim.NodeID
-		for _, r := range m.Readings {
-			o, ok := n.cur.Owner(r.Value)
-			if !ok {
-				o = 0 // out-of-domain values head for the base
+		owner := func(r storage.Reading) netsim.NodeID { o, _ := n.cur.Owner(r.Value); return o }
+		rs := slices.Clone(m.Readings)
+		slices.SortStableFunc(rs, func(a, b storage.Reading) int { return cmp.Compare(owner(a), owner(b)) })
+		for len(rs) > 0 {
+			k := 1
+			for k < len(rs) && owner(rs[k]) == owner(rs[0]) {
+				k++
 			}
-			if _, seen := groups[o]; !seen {
-				order = append(order, o)
-			}
-			groups[o] = append(groups[o], r)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, o := range order {
-			n.routeData(&DataMsg{Readings: groups[o], Owner: o, SID: n.cur.ID, Hops: m.Hops})
+			n.routeData(&DataMsg{Readings: rs[:k:k], Owner: owner(rs[0]), SID: n.cur.ID, Hops: m.Hops})
+			rs = rs[k:]
 		}
 		return
 	}
@@ -396,61 +393,64 @@ func (n *Node) routeData(m *DataMsg) {
 		}
 		return
 	}
-	// Rule 3: the owner is a direct neighbor — shortcut the tree.
-	// Only links of reasonable quality qualify: shortcutting over a
-	// barely-audible link wastes a full retransmission budget before
-	// falling back (property P4: avoid lossy links).
-	if n.cfg.NeighborShortcut && n.tree.OutQuality(m.Owner) >= 0.4 {
-		n.sendData(m, m.Owner, func(ok bool) {
-			if !ok {
-				// Shortcut failed; fall back to tree routing.
-				n.treeRouteData(m)
-			}
-		})
-		return
-	}
-	n.treeRouteData(m)
+	h := &dataHop{n: n, msg: *m}
+	h.msg.Hops++
+	h.route(3)
 }
 
-// treeRouteData applies rules 5 and 6.
-func (n *Node) treeRouteData(m *DataMsg) {
-	// Rule 5: owner is a known descendant — route down that branch.
-	if child, ok := n.tree.Descendants.NextHop(m.Owner); ok && child != n.tree.Parent() {
-		n.sendData(m, child, func(ok bool) {
-			if !ok {
-				n.tree.Descendants.Forget(m.Owner)
-				n.sendToParent(m)
-			}
-		})
-		return
-	}
-	// Rule 6: send toward the basestation.
-	n.sendToParent(m)
+// dataHop is one data message leaving this node, in one object: the
+// payload its frames carry (&msg, Hops counting this hop) and the
+// completion the MAC reports to. A failed rule falls back to the next
+// by re-sending the same hop: a sent msg never changes.
+type dataHop struct {
+	msg  DataMsg
+	n    *Node
+	rule int // the routing rule (3, 5 or 6) that chose the frame in flight
 }
 
-func (n *Node) sendToParent(m *DataMsg) {
-	if !n.tree.HasRoute() {
-		n.loseReadings(m.Readings, metrics.DropNoRoute)
+// route sends the hop by the first of rules 3, 5 and 6, from rule
+// `from` on, that applies.
+func (h *dataHop) route(from int) {
+	n, owner := h.n, h.msg.Owner
+	to := n.tree.Parent()
+	if from <= 3 && n.cfg.NeighborShortcut && n.tree.OutQuality(owner) >= 0.4 {
+		// Rule 3: the owner is a direct neighbor — shortcut the tree.
+		// Only links of reasonable quality qualify: shortcutting over a
+		// barely-audible link wastes a full retransmission budget before
+		// falling back (property P4: avoid lossy links).
+		h.rule, to = 3, owner
+	} else if child, ok := n.tree.Descendants.NextHop(owner); from <= 5 && ok && child != to {
+		// Rule 5: owner is a known descendant — route down that branch.
+		h.rule, to = 5, child
+	} else if n.tree.HasRoute() {
+		h.rule = 6 // Rule 6: send toward the basestation.
+	} else {
+		n.loseReadings(h.msg.Readings, metrics.DropNoRoute)
 		return
 	}
-	n.sendData(m, n.tree.Parent(), func(ok bool) {
-		if !ok {
-			n.loseReadings(m.Readings, metrics.DropRadio)
-		}
-	})
-}
-
-func (n *Node) sendData(m *DataMsg, to netsim.NodeID, done func(bool)) {
-	fwd := *m
-	fwd.Hops++
 	n.api.Send(&netsim.Packet{
 		Class:        metrics.Data,
 		Dst:          to,
 		Origin:       n.api.ID(),
 		OriginParent: n.tree.Parent(),
-		Size:         dataSize(&fwd),
-		Payload:      &fwd,
-	}, done)
+		Size:         dataSize(&h.msg),
+		Payload:      &h.msg,
+	}, h)
+}
+
+// SendDone is the link layer's verdict on the frame in flight: a failed
+// rule falls back to the next, a failed rule 6 loses the readings.
+func (h *dataHop) SendDone(ok bool) {
+	switch {
+	case ok:
+	case h.rule == 6:
+		h.n.loseReadings(h.msg.Readings, metrics.DropRadio)
+	case h.rule == 5:
+		h.n.tree.Descendants.Forget(h.msg.Owner)
+		fallthrough
+	default:
+		h.route(h.rule + 1)
+	}
 }
 
 // sendSummary builds and launches this node's periodic summary message
@@ -472,7 +472,7 @@ func (n *Node) sendSummary() {
 		Max:         max,
 		Sum:         sum,
 		Rate:        float64(n.samplesSinceSummary) / (float64(n.cfg.SummaryInterval) / float64(netsim.Second)),
-		Neighbors:   n.tree.Neighbors.Best(n.cfg.NeighborReport),
+		Neighbors:   n.tree.Neighbors.Best(make([]routing.NeighborInfo, 0, n.cfg.NeighborReport), n.cfg.NeighborReport),
 		LastIndexID: lastID,
 		SentAt:      n.api.Now(),
 	}

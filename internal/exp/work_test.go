@@ -1,0 +1,57 @@
+package exp
+
+import (
+	"runtime"
+	"testing"
+
+	"scoop/internal/netsim"
+)
+
+// TestWorkPerVirtualSecond holds the simulator's work on one fixed cell
+// — the paper's SCOOP/REAL, uniform N = 63, 40 virtual minutes, seed 1
+// — to a budget. Heap events dispatched and frames put on the air are
+// machine-independent and repeat exactly, so they are held at zero
+// tolerance: a change that moves either has changed what the protocol
+// or the engine does, and must say so by editing the number. Heap
+// objects allocated repeat to within a few, so they are held under a
+// ceiling (DESIGN.md §12, "A frame is allocated once").
+func TestWorkPerVirtualSecond(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full paper-scale cell")
+	}
+	// Serial on purpose: runtime.MemStats.Mallocs is process-wide.
+	const (
+		wantEvents = 233120
+		wantTx     = 53743
+		// Measured 23.5 mallocs/vs (66.5 before the send ring); 10 % headroom.
+		maxMallocsPerVS = 26.0
+	)
+	defer func(on bool) { ForceInvariants = on }(ForceInvariants)
+	ForceInvariants = false // the checker's ledger is the harness's garbage, not the simulator's
+
+	cfg := Default()
+	cfg.Trials = 1
+	cfg.Profile = true // counts dispatched events; allocation-free (prof.TestEnabledHotPathZeroAlloc)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := float64(cfg.Duration) / float64(netsim.Second)
+	events := res.PerTrial[0].Prof.Events
+	tx := int64(res.Breakdown.Total() + res.Breakdown.Beacon)
+	mallocs := float64(after.Mallocs-before.Mallocs) / vs
+	t.Logf("%.0f vs: %d events (%.2f/vs), %d transmissions (%.2f/vs), %.2f mallocs/vs",
+		vs, events, float64(events)/vs, tx, float64(tx)/vs, mallocs)
+	if events != wantEvents {
+		t.Errorf("dispatched %d heap events, want exactly %d", events, wantEvents)
+	}
+	if tx != wantTx {
+		t.Errorf("%d transmissions, want exactly %d", tx, wantTx)
+	}
+	if mallocs > maxMallocsPerVS {
+		t.Errorf("%.2f mallocs per virtual second, ceiling %.1f", mallocs, maxMallocsPerVS)
+	}
+}

@@ -19,9 +19,9 @@
 //   - globalrand: no process-global math/rand draws or
 //     constant-seeded sources in deterministic packages — randomness
 //     must flow from the per-trial seeded stream.
-//   - packetretain: a *netsim.Packet received via Receive/Snoop is
-//     simulator-owned and valid only during the callback — copy,
-//     never retain.
+//   - packetretain: a *netsim.Packet handed to Receive/Snoop or to a
+//     netsim hook (OnPurge, ForEachQueued …) is simulator-owned and
+//     valid only during the callback — copy, never retain.
 //   - goroutine: no `go` statement in deterministic packages without
 //     a reviewed confinement argument — the region scheduler's
 //     barrier-synchronised workers are the sanctioned exception.

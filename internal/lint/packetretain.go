@@ -13,33 +13,52 @@ import (
 // simulator-owned and valid only during the callback. Retaining the
 // pointer — storing it in a field or slice, sending it on a channel,
 // or capturing it in a closure that outlives the callback — reads
-// whatever the pool recycles into it next.
+// whatever the pool recycles into it next. Network.OnPurge and the
+// ForEachQueued/ForEachInFlight visitors get the same kind of pointer.
 //
 // The analyzer tracks the packet parameters of any method or function
-// named Receive or Snoop (plus local aliases of them) outside
-// package netsim itself, which owns the pool and may do as it
-// pleases. Reading fields and copying the struct (cp := *p) are fine.
+// named Receive or Snoop and of any function literal handed to netsim
+// (plus local aliases of them) outside package netsim itself, which
+// owns the pool and may do as it pleases. Reading fields and copying
+// the struct (cp := *p) are fine.
 var Packetretain = &Analyzer{
 	Name: "packetretain",
-	Doc:  "retaining a simulator-owned *netsim.Packet past the Receive/Snoop callback (DESIGN.md §12)",
+	Doc:  "retaining a simulator-owned *netsim.Packet past the callback it was handed to (DESIGN.md §12)",
 	Run: func(pass *Pass) {
 		if strings.HasSuffix(pass.Rel, "internal/netsim") {
 			return
 		}
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if name := fd.Name.Name; name != "Receive" && name != "Snoop" {
-					continue
-				}
-				tracked := packetParams(pass, fd)
-				if len(tracked) > 0 {
-					checkRetention(pass, fd, tracked)
-				}
+		check := func(callback string, ft *ast.FuncType, body *ast.BlockStmt) {
+			if tracked := packetParams(pass, ft); body != nil && len(tracked) > 0 {
+				checkRetention(pass, callback, body, tracked)
 			}
+		}
+		hook := func(sel, fn ast.Expr) { // fn a literal, sel a netsim field or method
+			lit, isLit := fn.(*ast.FuncLit)
+			sx, _ := sel.(*ast.SelectorExpr)
+			if to := pass.Info.Selections[sx]; isLit && to != nil && to.Obj().Pkg() != nil &&
+				strings.HasSuffix(to.Obj().Pkg().Path(), "internal/netsim") {
+				check(to.Obj().Name(), lit.Type, lit.Body)
+			}
+		}
+		for _, f := range pass.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Name.Name == "Receive" || n.Name.Name == "Snoop" {
+						check(n.Name.Name, n.Type, n.Body)
+					}
+				case *ast.AssignStmt: // net.OnPurge = func(id, p) {…}
+					for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
+						hook(n.Lhs[i], n.Rhs[i])
+					}
+				case *ast.CallExpr: // net.ForEachQueued(func(id, p) {…})
+					for _, arg := range n.Args {
+						hook(n.Fun, arg)
+					}
+				}
+				return true
+			})
 		}
 	},
 }
@@ -58,10 +77,10 @@ func isPacketPtr(t types.Type) bool {
 		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/netsim")
 }
 
-// packetParams collects the *netsim.Packet parameters of fd.
-func packetParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
+// packetParams collects the *netsim.Packet parameters of a function.
+func packetParams(pass *Pass, ft *ast.FuncType) map[types.Object]bool {
 	tracked := map[types.Object]bool{}
-	for _, field := range fd.Type.Params.List {
+	for _, field := range ft.Params.List {
 		for _, name := range field.Names {
 			if obj := pass.Info.Defs[name]; obj != nil && isPacketPtr(obj.Type()) {
 				tracked[obj] = true
@@ -73,7 +92,7 @@ func packetParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
 
 // checkRetention walks the callback body flagging every way the bare
 // tracked pointer can outlive the call.
-func checkRetention(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]bool) {
+func checkRetention(pass *Pass, callback string, body *ast.BlockStmt, tracked map[types.Object]bool) {
 	info := pass.Info
 	isTracked := func(e ast.Expr) bool {
 		id, ok := e.(*ast.Ident)
@@ -82,7 +101,7 @@ func checkRetention(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]bool)
 	// FuncLits that are invoked on the spot run inside the callback;
 	// any other literal may be stored or scheduled and outlive it.
 	immediate := map[*ast.FuncLit]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if lit, ok := call.Fun.(*ast.FuncLit); ok {
 				immediate[lit] = true
@@ -91,7 +110,7 @@ func checkRetention(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]bool)
 		return true
 	})
 	report := func(n ast.Node, how string) {
-		pass.Reportf(n.Pos(), "%s retains a simulator-owned *netsim.Packet: it is valid only during the %s callback — copy the struct, never the pointer (DESIGN.md §12)", how, fd.Name.Name)
+		pass.Reportf(n.Pos(), "%s retains a simulator-owned *netsim.Packet: it is valid only during the %s callback — copy the struct, never the pointer (DESIGN.md §12)", how, callback)
 	}
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -111,7 +130,7 @@ func checkRetention(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]bool)
 				}
 				if id, ok := lhs.(*ast.Ident); ok {
 					obj := info.ObjectOf(id)
-					if declaredWithin(obj, fd.Body) {
+					if declaredWithin(obj, body) {
 						// Local alias: track it too.
 						tracked[obj] = true
 						continue
@@ -169,5 +188,5 @@ func checkRetention(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]bool)
 		}
 		return true
 	}
-	ast.Inspect(fd.Body, walk)
+	ast.Inspect(body, walk)
 }

@@ -65,3 +65,37 @@ func (k *keeper) Receive(p *netsim.Packet) {
 func (k *keeper) consume() { k.seen = nil }
 
 func observe(p *netsim.Packet) { _ = p.Size }
+
+// The send side hands out simulator-owned pointers too: into a node's
+// queue ring (OnPurge on reboot, ForEachQueued) and into an in-air
+// delivery (OnPurge on kill, ForEachInFlight). Each is good for the
+// call only.
+type harness struct {
+	lost   []*netsim.Packet
+	sizes  []int
+	queued map[netsim.NodeID]*netsim.Packet
+}
+
+func (h *harness) wire(net *netsim.Network) {
+	net.OnPurge = func(id netsim.NodeID, p *netsim.Packet) {
+		h.lost = append(h.lost, p)        // want `appending to a slice`
+		h.sizes = append(h.sizes, p.Size) // reading a field is fine
+	}
+
+	net.ForEachQueued(func(id netsim.NodeID, p *netsim.Packet) {
+		h.queued[id] = p // want `storing in h\.queued\[id\]`
+		observe(p)
+	})
+
+	cp := new(netsim.Packet)
+	net.ForEachInFlight(func(p *netsim.Packet) {
+		*cp = *p  // copying the struct is the legal pattern
+		stash = p // want `assigning to stash`
+	})
+
+	// Only literals are followed: a visitor installed by name is its
+	// author's business, like helper above.
+	net.ForEachInFlight(keepInFlight)
+}
+
+func keepInFlight(p *netsim.Packet) { stash = p }

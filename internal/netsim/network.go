@@ -197,7 +197,7 @@ type Network struct {
 	// in-air frame unicast to id, already acked at the start of its
 	// airtime, that id will miss because Network.Kill took it down
 	// before the airtime ended (p.Dst == id). Invariant-checking
-	// harnesses use it to keep loss accounting conservative.
+	// harnesses use it to keep loss accounting conservative (p: this call only).
 	OnPurge func(id NodeID, p *Packet)
 
 	// Trace, when non-nil, receives a flight-recorder event for every
@@ -464,18 +464,19 @@ func (n *Network) Restart(id NodeID) {
 		return
 	}
 	if n.OnPurge != nil {
-		for _, j := range a.queue {
-			n.OnPurge(id, j.p)
+		for k := 0; k < a.qlen; k++ {
+			n.OnPurge(id, &a.slot(k).p)
 		}
 	}
 	if n.Trace != nil {
-		for _, j := range a.queue {
+		for k := 0; k < a.qlen; k++ {
 			n.Trace.Emit(trace.Event{Kind: trace.PacketPurge, Node: uint16(id),
-				Class: j.p.Class, Cause: metrics.DropReboot, Size: int32(j.p.Size)})
+				Class: a.slot(k).p.Class, Cause: metrics.DropReboot, Size: int32(a.slot(k).p.Size)})
 		}
 		n.Trace.Emit(trace.Event{Kind: trace.NodeRestart, Node: uint16(id)})
 	}
-	a.queue = nil
+	clear(a.queue)
+	a.qhead, a.qlen = 0, 0
 	a.busy = false
 	a.jobGen++
 	for t := range a.timerGen {
@@ -793,8 +794,8 @@ func (r *regionState) releaseDelivery(d *delivery) {
 }
 
 // ForEachInFlight visits the header copy of every frame currently on
-// the air (transmitted, not yet delivered). Diagnostic/invariant use;
-// control-plane only.
+// the air (transmitted, not yet delivered), valid only during the call.
+// Diagnostic/invariant use; control-plane only.
 func (n *Network) ForEachInFlight(fn func(p *Packet)) {
 	for _, reg := range n.regs {
 		for _, d := range reg.inflight {
@@ -804,15 +805,15 @@ func (n *Network) ForEachInFlight(fn func(p *Packet)) {
 }
 
 // ForEachQueued visits every packet waiting in any node's send queue,
-// including the head job whose transmission attempts are in progress.
-// Diagnostic/invariant use; control-plane only.
+// head job (transmission attempts in progress) first; p is valid only
+// during the call. Diagnostic/invariant use; control-plane only.
 func (n *Network) ForEachQueued(fn func(id NodeID, p *Packet)) {
 	for i, a := range n.api {
 		if a == nil {
 			continue
 		}
-		for _, j := range a.queue {
-			fn(NodeID(i), j.p)
+		for k := 0; k < a.qlen; k++ {
+			fn(NodeID(i), &a.slot(k).p)
 		}
 	}
 }
@@ -948,11 +949,11 @@ func (r *regionState) addOutSlot(to int32, at Time, origin NodeID, oseq uint64, 
 	})
 }
 
-// sendJob is one queued outgoing frame.
+// sendJob is one queued outgoing frame, held by value from Send to jobDone.
 type sendJob struct {
-	p          *Packet
+	p          Packet
 	requireAck bool
-	done       func(bool)
+	done       interface{ SendDone(ok bool) }
 }
 
 // timerTask is the pooled scheduled form of one armed timer.
@@ -1001,10 +1002,18 @@ type NodeAPI struct {
 	id       NodeID
 	rng      *rand.Rand // per-node substream: all protocol randomness
 	timerGen []uint64   // per-timer-ID arm generation, grown on demand
-	queue    []sendJob
 	busy     bool
 	jobGen   uint64 // invalidates in-flight attempt events on job change
+
+	// The send queue is a ring: qlen jobs, the one under transmission at
+	// queue[qhead]. It grows on demand up to Params.QueueCap and is kept
+	// across drains and reboots; a popped slot is zeroed.
+	queue       []sendJob
+	qhead, qlen int
 }
+
+// slot returns the k-th queued job, head first; good until the next enqueue or pop.
+func (a *NodeAPI) slot(k int) *sendJob { return &a.queue[(a.qhead+k)%len(a.queue)] }
 
 // ID returns this node's identifier.
 func (a *NodeAPI) ID() NodeID { return a.id }
@@ -1029,59 +1038,70 @@ func (a *NodeAPI) Rand() func() float64 { return a.rng.Float64 }
 // node's substream.
 func (a *NodeAPI) RandIntn(n int) int { return a.rng.Intn(n) }
 
-// Send enqueues p for unicast to p.Dst with CSMA backoff, link-layer
-// acks and bounded retransmission. Every transmission attempt is
-// counted as one message of p.Class (the paper's cost metric counts
-// transmissions). The done callback, if non-nil, reports eventual
-// link-layer success.
-func (a *NodeAPI) Send(p *Packet, done func(ok bool)) {
+// Send enqueues a copy of p (the caller's *Packet is free again on
+// return) for unicast to p.Dst with CSMA backoff, link-layer acks and
+// bounded retransmission. Every transmission attempt is counted as one
+// message of p.Class (the paper's cost metric counts transmissions).
+// done, if non-nil, is told of eventual link-layer success.
+func (a *NodeAPI) Send(p *Packet, done interface{ SendDone(ok bool) }) {
 	if p.Dst == Broadcast {
 		panic("netsim: Send with broadcast destination; use Broadcast")
 	}
 	p.Src = a.id
-	a.enqueue(sendJob{p: p, requireAck: true, done: done})
+	a.enqueue(p, true, done)
 }
 
-// Broadcast enqueues p for a single transmission to every audible
-// neighbour, with CSMA backoff but no acknowledgement or retry.
+// Broadcast enqueues a copy of p for a single transmission to every
+// audible neighbour, with CSMA backoff but no acknowledgement or retry.
 func (a *NodeAPI) Broadcast(p *Packet) {
 	p.Src = a.id
 	p.Dst = Broadcast
-	a.enqueue(sendJob{p: p, requireAck: false})
+	a.enqueue(p, false, nil)
 }
 
-func (a *NodeAPI) enqueue(j sendJob) {
-	if len(a.queue) >= a.net.Params.QueueCap {
+func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done interface{ SendDone(ok bool) }) {
+	if a.qlen >= a.net.Params.QueueCap {
 		a.reg.counters.CountDrop(metrics.DropQueue)
 		if a.reg.trace != nil {
 			a.reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
-				Peer: uint16(j.p.Dst), Class: j.p.Class, Cause: metrics.DropQueue,
-				Size: int32(j.p.Size)})
+				Peer: uint16(p.Dst), Class: p.Class, Cause: metrics.DropQueue,
+				Size: int32(p.Size)})
 		}
-		if j.done != nil {
-			j.done(false)
+		if done != nil {
+			done.SendDone(false)
 		}
 		return
 	}
-	a.queue = append(a.queue, j)
+	if a.qlen == len(a.queue) { // full ring: double it, head first
+		grown := make([]sendJob, min(max(4, 2*a.qlen), a.net.Params.QueueCap))
+		for k := range a.queue {
+			grown[k] = *a.slot(k)
+		}
+		a.queue, a.qhead = grown, 0
+	}
+	a.qlen++
+	*a.slot(a.qlen - 1) = sendJob{p: *p, requireAck: requireAck, done: done}
 	if !a.busy {
 		a.busy = true
 		a.attempt(1, 0)
 	}
 }
 
-// jobDone completes the head-of-queue job and starts the next one.
+// jobDone completes the head-of-queue job and starts the next one. The
+// completion runs last, on a consistent ring: it may enqueue.
 func (a *NodeAPI) jobDone(ok bool) {
-	j := a.queue[0]
-	a.queue = a.queue[1:]
+	head := a.slot(0)
+	done := head.done
+	*head = sendJob{} // its payload and completion are collectable
+	a.qhead, a.qlen = (a.qhead+1)%len(a.queue), a.qlen-1
 	a.jobGen++
-	if len(a.queue) == 0 {
+	if a.qlen == 0 {
 		a.busy = false
 	} else {
 		a.attempt(1, 0)
 	}
-	if j.done != nil {
-		j.done(ok)
+	if done != nil {
+		done.SendDone(ok)
 	}
 }
 
@@ -1109,17 +1129,16 @@ func (a *NodeAPI) attempt(try, defers int) {
 
 func (a *NodeAPI) step(gen uint64, try, defers int) {
 	net := a.net
-	if gen != a.jobGen || len(a.queue) == 0 {
+	if gen != a.jobGen || a.qlen == 0 {
 		return
 	}
 	if net.dead[a.id] {
-		// Drain the whole queue: a dead mote delivers nothing.
-		for len(a.queue) > 0 {
+		// A dead mote delivers nothing: drain the queue, completions' sends too.
+		for a.qlen > 0 {
 			a.jobDone(false)
 		}
 		return
 	}
-	j := a.queue[0]
 	if net.Params.CarrierSense && defers < net.Params.MaxDefers &&
 		net.channelBusyAt(a.reg, a.id, a.sim.Now()) {
 		// Channel busy: defer without spending a transmission.
@@ -1127,7 +1146,8 @@ func (a *NodeAPI) step(gen uint64, try, defers int) {
 			gen, try, defers+1)
 		return
 	}
-	ok := net.transmit(a, j.p, j.requireAck)
+	j := a.slot(0)
+	ok := net.transmit(a, &j.p, j.requireAck)
 	if !j.requireAck || ok {
 		a.jobDone(true)
 		return

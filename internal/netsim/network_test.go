@@ -25,6 +25,11 @@ func (r *recorder) Receive(p *Packet) { cp := *p; r.received = append(r.received
 func (r *recorder) Snoop(p *Packet)   { cp := *p; r.snooped = append(r.snooped, &cp) }
 func (r *recorder) Timer(id int)      { r.timers = append(r.timers, id) }
 
+// doneFunc adapts a closure to Send's completion argument.
+type doneFunc func(ok bool)
+
+func (f doneFunc) SendDone(ok bool) { f(ok) }
+
 // pairTopology builds a 3-node chain 0—1—2 with given qualities.
 func pairTopology(q01, q10, q12, q21 float64) *Topology {
 	t := NewTopology(3)
@@ -50,7 +55,7 @@ func newTestNet(topo *Topology, seed int64) (*Network, []*recorder, *metrics.Cou
 func TestUnicastPerfectLink(t *testing.T) {
 	net, recs, ctr := newTestNet(pairTopology(1, 1, 0, 0), 1)
 	delivered := false
-	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, func(ok bool) { delivered = ok })
+	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, doneFunc(func(ok bool) { delivered = ok }))
 	net.Sim.Run(Minute)
 	if !delivered {
 		t.Fatal("send callback reported failure on perfect link")
@@ -73,7 +78,7 @@ func TestUnicastRetransmitsOnLoss(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		net, _, ctr := newTestNet(pairTopology(0.3, 0.9, 0, 0), seed)
 		ok := false
-		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, func(b bool) { ok = b })
+		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, doneFunc(func(b bool) { ok = b }))
 		net.Sim.Run(Minute)
 		attempts += ctr.Sent(metrics.Data)
 		if ok {
@@ -100,7 +105,7 @@ func TestUnicastRespectsMaxAttempts(t *testing.T) {
 	}
 	net.Start()
 	var done, ok bool
-	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, func(b bool) { done, ok = true, b })
+	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, doneFunc(func(b bool) { done, ok = true, b }))
 	sim.Run(Minute)
 	if !done || ok {
 		t.Fatalf("done=%v ok=%v; want done and failed", done, ok)
@@ -170,7 +175,7 @@ func TestDeadSenderDropsPacket(t *testing.T) {
 	net, recs, _ := newTestNet(pairTopology(1, 1, 0, 0), 6)
 	net.Kill(0)
 	var done, ok bool
-	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, func(b bool) { done, ok = true, b })
+	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, doneFunc(func(b bool) { done, ok = true, b }))
 	net.Sim.Run(Minute)
 	if !done || ok {
 		t.Fatalf("dead sender: done=%v ok=%v, want done && !ok", done, ok)
@@ -451,16 +456,16 @@ func TestCarrierSenseDefers(t *testing.T) {
 	net.Start()
 	ok := 0
 	for i := 0; i < 20; i++ {
-		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 150}, func(b bool) {
+		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 150}, doneFunc(func(b bool) {
 			if b {
 				ok++
 			}
-		})
-		net.api[2].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 150}, func(b bool) {
+		}))
+		net.api[2].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 150}, doneFunc(func(b bool) {
 			if b {
 				ok++
 			}
-		})
+		}))
 	}
 	sim.Run(Minute)
 	if ok < 25 { // 40 sends on 0.95 links; CSMA should save most
@@ -473,7 +478,7 @@ func TestDeadNodeDrainsQueue(t *testing.T) {
 	net, _, _ := newTestNet(topo, 24)
 	results := 0
 	for i := 0; i < 5; i++ {
-		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, func(bool) { results++ })
+		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, doneFunc(func(bool) { results++ }))
 	}
 	net.Kill(0)
 	net.Sim.Run(Minute)

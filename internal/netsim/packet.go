@@ -37,6 +37,8 @@ const MaxNodes = 1024
 // by the simulator and recycled through a pool once the delivery
 // callback returns. Applications must not retain or mutate it; copy
 // the struct (payloads are immutable by convention and may be kept).
+// Send/Broadcast copy the frame, so the caller's *Packet is free again at
+// once; what OnPurge and ForEachQueued/InFlight hand out lasts one call.
 type Packet struct {
 	Class metrics.Class // message class for accounting
 	Src   NodeID        // link-layer sender of this transmission

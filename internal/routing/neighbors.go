@@ -170,34 +170,34 @@ func best(a, b NeighborInfo) bool {
 	return a.ID < b.ID
 }
 
-// Best returns up to n entries sorted by descending quality, the list
-// shipped in summary messages (12 in the paper's experiments). The
-// result is freshly allocated — callers embed it in message payloads
-// that outlive the table state — but the selection is an incremental
-// top-n insertion over the bounded table, not a full sort of a
-// rebuilt copy.
-func (t *NeighborTable) Best(n int) []NeighborInfo {
+// Best appends to dst up to n entries sorted by descending quality, the
+// list shipped in beacons and summary messages (8 and 12 in the paper's
+// experiments). The list outlives the table state inside a message
+// payload, so the caller supplies its storage (a beacon keeps it
+// inline); the selection is an incremental top-n insertion over the
+// bounded table and allocates nothing while dst has room.
+func (t *NeighborTable) Best(dst []NeighborInfo, n int) []NeighborInfo {
 	if n > len(t.entries) {
 		n = len(t.entries)
 	}
-	out := make([]NeighborInfo, 0, n)
+	base := len(dst)
 	for i := range t.entries {
 		cand := NeighborInfo{ID: t.ids[i], Quality: t.entries[i].quality()}
-		if len(out) == n {
-			if n == 0 || !best(cand, out[n-1]) {
+		if len(dst)-base == n {
+			if n == 0 || !best(cand, dst[len(dst)-1]) {
 				continue
 			}
-			out = out[:n-1]
+			dst = dst[:len(dst)-1]
 		}
-		// Insertion into the (short) sorted prefix.
-		k := len(out)
-		out = append(out, cand)
-		for k > 0 && best(out[k], out[k-1]) {
-			out[k], out[k-1] = out[k-1], out[k]
+		// Insertion into the (short) sorted suffix.
+		k := len(dst)
+		dst = append(dst, cand)
+		for k > base && best(dst[k], dst[k-1]) {
+			dst[k], dst[k-1] = dst[k-1], dst[k]
 			k--
 		}
 	}
-	return out
+	return dst
 }
 
 // IDs returns all tracked neighbor IDs in ascending order.

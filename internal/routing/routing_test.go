@@ -114,7 +114,7 @@ func TestNeighborTableKeysFollowEntries(t *testing.T) {
 		t.Fatalf("after eviction: ids %v, q30 %v q40 %v q50 %v",
 			nt.IDs(), nt.Quality(30), nt.Quality(40), nt.Quality(50))
 	}
-	if best := nt.Best(1); len(best) != 1 || best[0].ID != 30 {
+	if best := nt.Best(nil, 1); len(best) != 1 || best[0].ID != 30 {
 		t.Fatalf("Best(1) = %+v, want node 30", best)
 	}
 }
@@ -128,14 +128,14 @@ func TestNeighborTableBestSorted(t *testing.T) {
 	for _, s := range []uint32{2, 4, 6, 8, 10} {
 		nt.Observe(2, s, 0)
 	}
-	best := nt.Best(12)
+	best := nt.Best(nil, 12)
 	if len(best) != 2 || best[0].ID != 1 || best[1].ID != 2 {
 		t.Fatalf("best = %+v", best)
 	}
 	if best[0].Quality <= best[1].Quality {
 		t.Fatal("best not sorted by quality")
 	}
-	if got := nt.Best(1); len(got) != 1 {
+	if got := nt.Best(nil, 1); len(got) != 1 {
 		t.Fatalf("Best(1) returned %d entries", len(got))
 	}
 }
@@ -487,3 +487,45 @@ func TestTreeFootprintIndependentOfN(t *testing.T) {
 		t.Fatalf("NewTree allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
 	}
 }
+
+// TestBeaconOneAlloc: broadcasting a beacon costs one object, the
+// *Beacon with its estimates inline (DESIGN.md §12) — the frame is
+// copied into the sender's queue ring and the top-n selection fills the
+// beacon's own array.
+func TestBeaconOneAlloc(t *testing.T) {
+	topo := netsim.NewTopology(2)
+	topo.Pos = make([]netsim.Point, 2)
+	topo.Quality[0][1], topo.Quality[1][0] = 1, 1
+	sim := netsim.NewSimulator(1)
+	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
+	app, heard := &treeApp{}, &beaconSink{}
+	net.Attach(0, app)
+	net.Attach(1, heard)
+	net.Start()
+	for id := netsim.NodeID(10); id < 22; id++ { // more neighbours than a beacon carries
+		app.tree.Neighbors.Observe(id, 1, 0)
+	}
+	beacon := func() {
+		app.tree.broadcastBeacon()
+		sim.Run(sim.Now() + 200*netsim.Millisecond) // backoff + airtime; the fake neighbours expire after 90 s
+	}
+	beacon() // warm the queue ring and the MAC pools
+	if allocs := testing.AllocsPerRun(100, beacon); allocs != 1 {
+		t.Fatalf("one broadcastBeacon allocates %v objects, want 1", allocs)
+	}
+	if heard.beacons != 102 || heard.estimates != 8 {
+		t.Fatalf("heard %d beacons, the last with %d estimates; want 102 with 8",
+			heard.beacons, heard.estimates)
+	}
+}
+
+// beaconSink counts the beacons it receives.
+type beaconSink struct{ beacons, estimates int }
+
+func (*beaconSink) Init(*netsim.NodeAPI) {}
+func (s *beaconSink) Receive(p *netsim.Packet) {
+	s.beacons++
+	s.estimates = len(p.Payload.(*Beacon).Estimates)
+}
+func (*beaconSink) Snoop(*netsim.Packet) {}
+func (*beaconSink) Timer(int)            {}

@@ -16,12 +16,14 @@ import (
 // its best neighbors. Radios only measure how well they *hear* a
 // neighbor; to route data the sender needs the reverse direction —
 // how well the neighbor hears *it* — so estimates are exchanged in
-// beacons, exactly as Woo et al.'s link estimator and CTP do.
+// beacons, exactly as Woo et al.'s link estimator and CTP do. A beacon
+// travels as *Beacon, one object: Estimates slices its own est array.
 type Beacon struct {
 	Round     uint32  // dissemination round, incremented by the base
 	Hops      uint8   // sender's tree depth
 	ETX       float64 // sender's expected transmissions to the base
 	Estimates []NeighborInfo
+	est       [8]NeighborInfo
 }
 
 // Config tunes the tree protocol. Zero value is unusable; use
@@ -138,13 +140,14 @@ func (t *Tree) OnTimer() {
 }
 
 func (t *Tree) broadcastBeacon() {
-	est := t.Neighbors.Best(8)
+	b := &Beacon{Round: t.round, Hops: t.hops, ETX: t.etx}
+	b.Estimates = t.Neighbors.Best(b.est[:0], len(b.est))
 	t.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Beacon,
 		Origin:       t.api.ID(),
 		OriginParent: t.parent,
-		Size:         12 + 3*len(est),
-		Payload:      Beacon{Round: t.round, Hops: t.hops, ETX: t.etx, Estimates: est},
+		Size:         12 + 3*len(b.Estimates),
+		Payload:      b,
 	})
 }
 
@@ -164,7 +167,7 @@ func (t *Tree) Observe(p *netsim.Packet) {
 		t.etx = 1e9
 		t.hops = 0xFF
 	}
-	if b, ok := p.Payload.(Beacon); ok && p.Class == metrics.Beacon {
+	if b, ok := p.Payload.(*Beacon); ok && p.Class == metrics.Beacon {
 		t.onBeacon(p.Src, b)
 	}
 }
@@ -173,7 +176,7 @@ func (t *Tree) Observe(p *netsim.Packet) {
 // advertised ETX plus the local inbound-link ETX. Ties and loops are
 // avoided by requiring strictly better cost and a shallower advertised
 // round path.
-func (t *Tree) onBeacon(from netsim.NodeID, b Beacon) {
+func (t *Tree) onBeacon(from netsim.NodeID, b *Beacon) {
 	// Harvest the estimate exchange: if the sender reports hearing us
 	// with quality q, that is our outbound delivery probability to it.
 	me := t.api.ID()

@@ -76,8 +76,9 @@ type Trickle struct {
 	timerID int
 	send    func(Key)
 	items   map[Key]*itemState
-	live    []liveItem // non-retired items in ascending key order
-	due     []Key      // OnTimer's send list, reused across ticks
+	live    []liveItem  // non-retired items in ascending key order
+	due     []Key       // OnTimer's send list, reused across ticks
+	fresh   []itemState // unused states: a new key takes one, eight keys per allocation
 }
 
 // New creates a Trickle instance. send is invoked from the timer
@@ -98,11 +99,16 @@ func New(api *netsim.NodeAPI, timerID int, cfg Config, send func(Key)) *Trickle 
 
 // Add starts (or restarts) dissemination of key at the fast interval.
 func (t *Trickle) Add(key Key) {
-	st := &itemState{}
-	t.items[key] = st
-	if i, ok := t.findLive(key); ok {
-		t.live[i].st = st
-	} else {
+	st, ok := t.items[key]
+	if !ok {
+		if len(t.fresh) == 0 {
+			t.fresh = make([]itemState, 8)
+		}
+		st, t.fresh = &t.fresh[0], t.fresh[1:]
+		t.items[key] = st
+	}
+	*st = itemState{}
+	if i, ok := t.findLive(key); !ok {
 		t.live = slices.Insert(t.live, i, liveItem{key, st})
 	}
 	t.startInterval(st, t.cfg.TauLow)
