@@ -25,17 +25,23 @@ func (m *initMeter) Receive(p *netsim.Packet) { m.node.Receive(p) }
 func (m *initMeter) Snoop(p *netsim.Packet)   { m.node.Snoop(p) }
 func (m *initMeter) Timer(id int)             { m.node.Timer(id) }
 
-// nodeInitBytes returns what Node.Init allocates for node 1 of an
-// n-node network with no links: the smallest of three fresh networks,
-// so a stray runtime allocation between the two readings cannot count.
-func nodeInitBytes(n int) uint64 {
-	// No links and no constructor bound (netsim.MaxNodes): every row of
-	// the quality matrix is the same zero row.
+// linklessTopology is an n-node topology with no links and no
+// constructor bound (netsim.MaxNodes): every row of the quality matrix
+// is the same zero row.
+func linklessTopology(n int) *netsim.Topology {
 	row := make([]float64, n)
 	topo := &netsim.Topology{N: n, Pos: make([]netsim.Point, n), Quality: make([][]float64, n)}
 	for i := range topo.Quality {
 		topo.Quality[i] = row
 	}
+	return topo
+}
+
+// nodeInitBytes returns what Node.Init allocates for node 1 of an
+// n-node network with no links: the smallest of three fresh networks,
+// so a stray runtime allocation between the two readings cannot count.
+func nodeInitBytes(n int) uint64 {
+	topo := linklessTopology(n)
 	best := ^uint64(0)
 	for rep := 0; rep < 3; rep++ {
 		net := netsim.NewNetwork(netsim.NewSimulator(1), topo, metrics.NewCounters(), netsim.DefaultParams())
@@ -53,14 +59,15 @@ func nodeInitBytes(n int) uint64 {
 // byte. On the parent commit this test fails with 105 312 B at N = 100
 // against 236 784 B at N = 4000: the eager flash ring (98 304 B) in
 // both, the per-owner batch array and the tree's per-node link
-// estimates in the difference.
+// estimates in the difference. The count itself is pinned: 3 024 B,
+// down from 3 536 B when the tree's link-estimator entries were 32
+// bytes each (routing.TestTreeFootprintIndependentOfN has that half).
 func TestNodeFootprintIndependentOfN(t *testing.T) {
 	small, large := nodeInitBytes(100), nodeInitBytes(4000)
 	if small != large {
 		t.Fatalf("Node.Init allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
 	}
-	t.Logf("Node.Init allocates %d B", small)
-	if small > 16<<10 {
-		t.Fatalf("Node.Init allocates %d B; a booting mote holds no data yet", small)
+	if small != 3024 {
+		t.Fatalf("Node.Init allocates %d B, want 3024; a booting mote holds no data yet", small)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"scoop/internal/dense"
@@ -584,23 +583,16 @@ func (n *Node) onQuery(q *QueryMsg) {
 }
 
 // shouldRelay reports whether this node re-broadcasts a query: only
-// when some targeted node other than itself is
-// plausibly reachable through it (a known neighbor or recorded
-// descendant). Iterates the bitmap words directly — at 1000 nodes a
-// materialised ID slice per received query is real garbage.
+// when some targeted node other than itself is plausibly reachable
+// through it (a known neighbor or recorded descendant). Asked from the
+// short side — the two bounded tables probe the bitmap, at most
+// NeighborCap + DescendantCap lookups — not by walking up to N target
+// bits through both tables.
 func (n *Node) shouldRelay(bm *Bitmap) bool {
 	me := n.api.ID()
-	for wi, w := range bm.Words() {
-		for w != 0 {
-			id := netsim.NodeID(wi*64 + bits.TrailingZeros64(w))
-			w &= w - 1
-			if id == me {
-				continue
-			}
-			if n.tree.Neighbors.Contains(id) {
-				return true
-			}
-			if _, ok := n.tree.Descendants.NextHop(id); ok {
+	for _, ids := range [...][]netsim.NodeID{n.tree.Neighbors.Tracked(), n.tree.Descendants.Tracked()} {
+		for _, id := range ids {
+			if id != me && bm.Has(id) {
 				return true
 			}
 		}

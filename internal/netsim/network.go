@@ -368,7 +368,7 @@ func (n *Network) Attach(id NodeID, app App) {
 		panic("netsim: Attach after Start")
 	}
 	n.apps[id] = app
-	a := &NodeAPI{net: n, id: id,
+	a := &NodeAPI{net: n, id: id, sim: n.Sim,
 		rng: rand.New(rand.NewSource(substreamSeed(n.Sim.Seed(), id)))}
 	if n.regs != nil {
 		a.reg = n.regs[n.part.region[id]]
@@ -998,7 +998,7 @@ func (s *stepTask) Run() {
 type NodeAPI struct {
 	net      *Network
 	reg      *regionState
-	sim      *Simulator // the node's region clock (== net.Sim when serial)
+	sim      *Simulator // the node's region clock (== net.Sim when serial), set by Attach
 	id       NodeID
 	rng      *rand.Rand // per-node substream: all protocol randomness
 	timerGen []uint64   // per-timer-ID arm generation, grown on demand
@@ -1022,12 +1022,14 @@ func (a *NodeAPI) ID() NodeID { return a.id }
 func (a *NodeAPI) N() int { return a.net.Topo.N }
 
 // Now returns the current virtual time (the node's region clock).
-func (a *NodeAPI) Now() Time {
-	if a.sim != nil {
-		return a.sim.Now()
-	}
-	return a.net.Sim.Now()
-}
+func (a *NodeAPI) Now() Time { return a.sim.Now() }
+
+// Clock returns the simulator whose Now is this node's Now — the
+// node's region engine, the network's own when serial — for a layer
+// that reads the time on every frame to keep beside its state. It is
+// final once Start runs Init; node code reads it and schedules nothing
+// on it.
+func (a *NodeAPI) Clock() *Simulator { return a.sim }
 
 // Rand exposes this node's deterministic random substream. Draw order
 // within the substream is fixed by the node's own event order, never

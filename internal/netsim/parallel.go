@@ -71,12 +71,7 @@ func (n *Network) runParallel(until Time) {
 		// Run control events due at or before T. They execute with every
 		// region quiesced at the barrier and, like the serial heap's
 		// ctlOrigin ordering, before any node event at the same time.
-		for !ctl.Halted() {
-			tc, ok := ctl.nextAt()
-			if !ok || tc > T || tc > until {
-				break
-			}
-			ctl.dispatch(stampCtl)
+		for ctl.dispatch(min(T, until), stampCtl) {
 		}
 		if ctl.Halted() || T > until {
 			break

@@ -76,6 +76,26 @@ func TestProfilerAttributionAndDwell(t *testing.T) {
 	}
 }
 
+// The depth a pop records counts both tiers of the queue, the wheel's
+// near events and the heap's far ones, as Pending does: three are
+// queued when the first pops, one of them in the wheel.
+func TestProfilerDepthCountsBothTiers(t *testing.T) {
+	p := prof.New()
+	s := NewSimulator(1)
+	s.SetProfiler(p)
+	s.At(10, func() {})
+	s.At(10*Second, func() {})
+	s.At(20*Second, func() {})
+	if s.near != 1 || len(s.events) != 2 || s.Pending() != 3 {
+		t.Fatalf("wheel holds %d, heap %d, Pending = %d; want 1, 2, 3", s.near, len(s.events), s.Pending())
+	}
+	s.Run(Minute)
+	snap := p.Snapshot()
+	if max := snap.Depth.Max(); max != 3 {
+		t.Fatalf("max recorded depth = %d, want 3", max)
+	}
+}
+
 // Network-scheduled work lands in the radio and MAC phases.
 func TestProfilerNetworkPhases(t *testing.T) {
 	p := prof.New()

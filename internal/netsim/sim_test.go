@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -189,27 +190,181 @@ func TestSeconds(t *testing.T) {
 	}
 }
 
-func TestEventHeapOrdering(t *testing.T) {
-	// Push events in random time order and verify the hand-rolled heap
-	// pops them back sorted by (time, schedule order).
-	s := NewSimulator(1)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		s.push(event{at: Time(r.Intn(100)), oseq: uint64(i)})
-	}
-	if s.Pending() != 50 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-	var prev event
-	for i := 0; i < 50; i++ {
-		e := s.pop()
-		if i > 0 && eventLess(&e, &prev) {
-			t.Fatalf("pop %d out of order: %v after %v", i, e.at, prev.at)
+// queueRef is the reference model of the two-tier event queue: every
+// pending event in one list kept sorted by eventLess, its front the
+// first. Each scheduled event is a queueTask, so the harness sees the
+// real dispatch order from inside the loops under test.
+type queueRef struct {
+	t         *testing.T
+	s         *Simulator
+	r         *rand.Rand
+	pending   []event   // sorted by eventLess
+	oseq      [8]uint64 // per-origin schedule counters, ctlOrigin first
+	spawn     int       // schedule calls still to be made from inside events
+	ran       int
+	scheduled int
+}
+
+type queueTask struct {
+	q      *queueRef
+	at     Time
+	origin int32
+	oseq   uint64
+}
+
+// schedule queues one event d ms from now, in both queues.
+func (q *queueRef) schedule(d Time, origin int32) {
+	q.oseq[origin+1]++
+	tk := &queueTask{q: q, at: q.s.now + d, origin: origin, oseq: q.oseq[origin+1]}
+	e := event{at: tk.at, origin: origin, oseq: tk.oseq, task: tk}
+	q.s.push(e)
+	i, _ := slices.BinarySearchFunc(q.pending, e, func(a, b event) int {
+		if eventLess(&a, &b) {
+			return -1
 		}
-		prev = e
+		return 1 // keys are unique: never equal
+	})
+	q.pending = slices.Insert(q.pending, i, e)
+	q.scheduled++
+}
+
+// delay draws from the mix the wheel has to get right: its edges, the
+// MAC range inside it, and the protocol timers beyond it.
+func (q *queueRef) delay() Time {
+	switch q.r.Intn(10) {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return wheelSpan - 1
+	case 3:
+		return wheelSpan
+	case 4:
+		return wheelSpan + 1
+	case 5, 6:
+		return Time(1+q.r.Intn(90)) * Second
+	default:
+		return Time(5 + q.r.Intn(246))
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d", s.Pending())
+}
+
+func (q *queueRef) scheduleRandom() {
+	if q.r.Intn(12) == 0 {
+		// One millisecond, many origins.
+		d := q.delay()
+		for i := 0; i < 19; i++ {
+			q.schedule(d, int32(q.r.Intn(len(q.oseq)))-1)
+		}
+		return
+	}
+	q.schedule(q.delay(), int32(q.r.Intn(len(q.oseq)))-1)
+}
+
+// agree holds Pending and nextAt to the reference.
+func (q *queueRef) agree(where string) {
+	q.t.Helper()
+	if got := q.s.Pending(); got != len(q.pending) {
+		q.t.Fatalf("%s: Pending = %d, reference holds %d", where, got, len(q.pending))
+	}
+	at, ok := q.s.nextAt()
+	if ok != (len(q.pending) > 0) {
+		q.t.Fatalf("%s: nextAt ok = %v with %d pending", where, ok, len(q.pending))
+	}
+	if ok && at != q.pending[0].at {
+		q.t.Fatalf("%s: nextAt = %d, reference front is at %d", where, at, q.pending[0].at)
+	}
+}
+
+func (tk *queueTask) Run() {
+	q := tk.q
+	want := q.pending[0]
+	if want.task != Task(tk) {
+		q.t.Fatalf("event %d: ran (%d, %d, %d), reference front is (%d, %d, %d)",
+			q.ran, tk.at, tk.origin, tk.oseq, want.at, want.origin, want.oseq)
+	}
+	if q.s.now != tk.at {
+		q.t.Fatalf("event %d: clock %d, event due at %d", q.ran, q.s.now, tk.at)
+	}
+	q.pending = slices.Delete(q.pending, 0, 1)
+	q.ran++
+	for n := q.r.Intn(4); n > 0 && q.spawn > 0; n-- {
+		q.spawn--
+		q.scheduleRandom()
+	}
+	q.agree("inside an event")
+}
+
+// The two-tier queue against its reference, over random schedules and
+// every loop that pops: dispatch order, Pending and nextAt must match
+// at every step.
+func TestEventHeapOrdering(t *testing.T) {
+	// A lone wheel event is found from every clock position, the slots
+	// behind now in its own bitmap word included.
+	lone := NewSimulator(1)
+	for now := Time(1000); now < 1000+wheelSpan; now++ {
+		for d := Time(0); d < wheelSpan; d++ {
+			lone.now = now
+			ran := false
+			lone.At(now+d, func() { ran = true })
+			if at, ok := lone.nextAt(); !ok || at != now+d {
+				t.Fatalf("now %d: nextAt = %d, %v with one event at %d", now, at, ok, now+d)
+			}
+			lone.Run(now + d)
+			if !ran || lone.Pending() != 0 {
+				t.Fatalf("now %d: event at %d ran = %v, %d pending", now, now+d, ran, lone.Pending())
+			}
+		}
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		s := NewSimulator(seed)
+		q := &queueRef{t: t, s: s, r: rand.New(rand.NewSource(seed)), spawn: 800}
+		for i := 0; i < 40; i++ {
+			q.scheduleRandom()
+		}
+		q.agree("after the initial schedule")
+		for len(q.pending) > 0 {
+			front := q.pending[0].at
+			switch q.r.Intn(4) {
+			case 0:
+				if !s.Step() {
+					t.Fatalf("seed %d: Step = false with %d pending", seed, len(q.pending))
+				}
+			case 1:
+				// Stop between two slots (or short of the front) and
+				// resume from there on the next round.
+				until := s.now + Time(q.r.Intn(2*wheelSpan))
+				s.Run(until)
+				if s.now != until {
+					t.Fatalf("seed %d: Run(%d) left the clock at %d", seed, until, s.now)
+				}
+				if len(q.pending) > 0 && q.pending[0].at <= until {
+					t.Fatalf("seed %d: Run(%d) left an event at %d", seed, until, q.pending[0].at)
+				}
+			default:
+				// A window ending exactly on a pending event (the front,
+				// or whichever comes up a little later): it must not run.
+				end := front
+				if q.r.Intn(2) == 0 {
+					end = q.pending[q.r.Intn(len(q.pending))].at
+				}
+				before := q.ran
+				s.runWindow(end, nil)
+				if len(q.pending) == 0 || q.pending[0].at < end {
+					t.Fatalf("seed %d: runWindow(%d) left work before its end", seed, end)
+				}
+				if end == front && q.ran != before {
+					t.Fatalf("seed %d: runWindow(%d) ran the event at its end", seed, end)
+				}
+				if s.now < end {
+					s.now = end // what advanceRegions does at the barrier
+				}
+			}
+			q.agree("between loops")
+		}
+		if q.spawn != 0 || q.ran != q.scheduled {
+			t.Fatalf("seed %d: %d spawns unspent, ran %d of %d events", seed, q.spawn, q.ran, q.scheduled)
+		}
 	}
 }
 

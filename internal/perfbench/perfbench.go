@@ -1,6 +1,7 @@
 // Package perfbench defines the repo's hot-path micro benchmarks as
 // plain functions: the per-simulated-event cost of the netsim radio
 // fan-out and the full core protocol stack at several network sizes,
+// the event queue at the scale tier's depth and delay mix,
 // the basestation's warm reindex, the per-reply path through the query
 // reliability layer, and trace emission into the ring sink. Two
 // callers run them: the root BenchmarkHotPaths (`go test -bench`) and
@@ -40,6 +41,7 @@ func Benches() []Bench {
 		{"netsim/flood/n65", func(b *testing.B) { benchNetsimFlood(b, 65) }},
 		{"netsim/flood/n250", func(b *testing.B) { benchNetsimFlood(b, 250) }},
 		{"netsim/flood/n1000", func(b *testing.B) { benchNetsimFlood(b, 1000) }},
+		{"netsim/queue/n1000", benchNetsimQueue},
 		{"core/scoop/n65", func(b *testing.B) { benchCoreScoop(b, 65) }},
 		{"core/scoop/n250", func(b *testing.B) { benchCoreScoop(b, 250) }},
 		{"core/scoop/n1000", func(b *testing.B) { benchCoreScoop(b, 1000) }},
@@ -100,6 +102,38 @@ func benchNetsimFlood(b *testing.B, n int) {
 		}
 		net.Start()
 		sim.Run(netsim.Minute)
+	}
+}
+
+// benchNetsimQueue measures the event queue alone at the scale tier's
+// shape: a standing 8 192 pending events, each replaced as it runs by
+// one drawn from the delay mix measured on scale1000 — 80 % due in
+// 5–250 ms (MAC steps and frame deliveries), 20 % in 1–110 s (the
+// protocol's timers, which is what the standing population then mostly
+// is). One op is one pop, one empty body and one push.
+func benchNetsimQueue(b *testing.B) {
+	b.ReportAllocs()
+	sim := netsim.NewSimulator(1)
+	x := uint64(1)
+	delay := func() netsim.Time {
+		x = x*6364136223846793005 + 1442695040888963407 // a cheap LCG: the draw must not be the cost
+		r := x >> 33
+		if r%5 == 0 {
+			return netsim.Second + netsim.Time(r>>3)%(109*netsim.Second)
+		}
+		return 5 + netsim.Time(r>>3)%246
+	}
+	var fn func()
+	fn = func() { sim.After(delay(), fn) }
+	for i := 0; i < 8192; i++ {
+		sim.After(delay(), fn)
+	}
+	for i := 0; i < 200_000; i++ { // two timer periods: the mix of residents has settled
+		sim.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Step()
 	}
 }
 

@@ -8,7 +8,11 @@
 // (DESIGN.md §12): an Observe on the per-delivery hot path is a linear
 // scan of at most the capacity (32 in the paper's experiments), with
 // no hashing, no allocation and no rebuild-from-scratch — at 1000
-// nodes every delivered or snooped frame lands here.
+// nodes every delivered or snooped frame lands here, each on a
+// different node, so the path is laid out by the cache lines it
+// fetches: the Tree holds the neighbor table by value beside its clock
+// and id, and past the Tree a snoop reads the 2-byte id array and the
+// line of one 16-byte entry.
 package routing
 
 import (
@@ -26,10 +30,13 @@ type NeighborInfo struct {
 	Quality float64 // estimated delivery probability neighbor→me
 }
 
+// neighborState is 16 bytes, four to a cache line. The counters are
+// windowed: Observe halves them once they pass 64 and adds at most
+// 1 + 16 in one call, so neither ever exceeds 81.
 type neighborState struct {
 	lastSeq   uint32
-	received  int
-	missed    int
+	received  uint16
+	missed    uint16
 	lastHeard netsim.Time
 }
 
@@ -39,7 +46,7 @@ type neighborState struct {
 // keeps one lucky reception from reading as a perfect link — routing
 // over such phantom links is how congestion hubs form.
 func (s *neighborState) quality() float64 {
-	total := s.received + s.missed
+	total := int(s.received) + int(s.missed)
 	if total == 0 {
 		return 0
 	}
@@ -53,12 +60,13 @@ func (s *neighborState) quality() float64 {
 // changes in network connectivity". Entries live in a flat bounded
 // slice in insertion order, compacted in place on eviction. The keys
 // sit in their own parallel array: the per-snoop lookup scans 2-byte
-// ids (one cache line at capacity 32), not 32-byte entries.
+// ids (one cache line at capacity 32), then touches the one line its
+// 16-byte entry is on.
 type NeighborTable struct {
-	cap        int
-	evictAfter netsim.Time
 	ids        []netsim.NodeID // ids[i] keys entries[i]
 	entries    []neighborState
+	cap        int
+	evictAfter netsim.Time
 }
 
 // NewNeighborTable returns a table bounded to capacity entries.
@@ -93,11 +101,11 @@ func (t *NeighborTable) Observe(id netsim.NodeID, seq uint32, now netsim.Time) {
 	}
 	s := &t.entries[i]
 	if seq > s.lastSeq {
-		miss := int(seq-s.lastSeq) - 1
+		miss := seq - s.lastSeq - 1
 		if miss > 16 {
 			miss = 16 // a long silence is staleness, not 100 losses
 		}
-		s.missed += miss
+		s.missed += uint16(miss)
 		s.lastSeq = seq
 		s.received++
 	} else {
@@ -200,6 +208,11 @@ func (t *NeighborTable) Best(dst []NeighborInfo, n int) []NeighborInfo {
 	return dst
 }
 
+// Tracked returns the tracked neighbor IDs in table order without
+// copying: the table's own key array, read-only and good until the next
+// Observe or Expire.
+func (t *NeighborTable) Tracked() []netsim.NodeID { return t.ids }
+
 // IDs returns all tracked neighbor IDs in ascending order.
 func (t *NeighborTable) IDs() []netsim.NodeID {
 	ids := append(make([]netsim.NodeID, 0, len(t.ids)), t.ids...)
@@ -286,6 +299,11 @@ func (d *DescendantSet) Forget(dst netsim.NodeID) {
 
 // Len reports the number of tracked descendants.
 func (d *DescendantSet) Len() int { return len(d.entries) }
+
+// Tracked returns the recorded descendants in table order without
+// copying: the set's own key array, read-only and good until the next
+// Record or Forget.
+func (d *DescendantSet) Tracked() []netsim.NodeID { return d.origins }
 
 // IDs returns all descendants in ascending order.
 func (d *DescendantSet) IDs() []netsim.NodeID {

@@ -461,7 +461,9 @@ func (*treeMeter) Timer(int)              {}
 // bytes in a 100-node network and a 4000-node one (DESIGN.md §12, "no
 // per-node state sized by the network"). On the parent commit this test
 // fails with 2 960 B against 38 816 B — outEst/outSet were
-// indexed by every node ID.
+// indexed by every node ID. The count itself is pinned: 1 760 B, down
+// from 2 272 B when a link-estimator entry was 32 bytes (the 32-entry
+// table is 512 B now, not 1 024) and the table an object of its own.
 func TestTreeFootprintIndependentOfN(t *testing.T) {
 	newTreeBytes := func(n int) uint64 {
 		// No links and no constructor bound (netsim.MaxNodes): every row
@@ -483,8 +485,12 @@ func TestTreeFootprintIndependentOfN(t *testing.T) {
 		}
 		return best
 	}
-	if small, large := newTreeBytes(100), newTreeBytes(4000); small != large {
+	small, large := newTreeBytes(100), newTreeBytes(4000)
+	if small != large {
 		t.Fatalf("NewTree allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
+	}
+	if small != 1760 {
+		t.Fatalf("NewTree allocates %d B, want 1760", small)
 	}
 }
 

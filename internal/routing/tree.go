@@ -51,12 +51,20 @@ func DefaultConfig() Config {
 // a node application: the application forwards heard beacons and timer
 // ticks, and consults the tree for parent/descendant/neighbor routing
 // decisions.
+//
+// Observe runs for every frame the node hears, 4 300 times a virtual
+// second at N = 1000, so what it reads leads the struct: the node's
+// region clock (NodeAPI.Clock, final before any Init runs), the neighbor
+// table by value, and the node's id — a snoop never loads the NodeAPI
+// or a table header of its own.
 type Tree struct {
-	api    *netsim.NodeAPI
-	cfg    Config
-	isBase bool
+	clock     *netsim.Simulator
+	Neighbors NeighborTable
+	id        netsim.NodeID
+	isBase    bool
 
-	Neighbors   *NeighborTable
+	api         *netsim.NodeAPI
+	cfg         Config
 	Descendants *DescendantSet
 
 	parent    netsim.NodeID
@@ -80,10 +88,12 @@ type Tree struct {
 // tree root (node 0 in Scoop).
 func NewTree(api *netsim.NodeAPI, isBase bool, cfg Config) *Tree {
 	t := &Tree{
+		clock:       api.Clock(),
+		Neighbors:   *NewNeighborTable(cfg.NeighborCap, cfg.EvictAfter), // inlined: built in place, no table object
+		id:          api.ID(),
+		isBase:      isBase,
 		api:         api,
 		cfg:         cfg,
-		isBase:      isBase,
-		Neighbors:   NewNeighborTable(cfg.NeighborCap, cfg.EvictAfter),
 		Descendants: NewDescendantSet(cfg.DescendantCap),
 		parent:      netsim.NoNode,
 		// Who reports us is who hears us, about who we hear: start at
@@ -125,7 +135,7 @@ func (t *Tree) OnTimer() {
 		t.api.SetTimer(t.timerID, t.cfg.BeaconInterval)
 		return
 	}
-	t.Neighbors.Expire(t.api.Now())
+	t.Neighbors.Expire(t.clock.Now())
 	if t.parent != netsim.NoNode && !t.Neighbors.Contains(t.parent) {
 		// Parent fell silent: detach and wait for the next beacon wave.
 		t.parent = netsim.NoNode
@@ -144,7 +154,7 @@ func (t *Tree) broadcastBeacon() {
 	b.Estimates = t.Neighbors.Best(b.est[:0], len(b.est))
 	t.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Beacon,
-		Origin:       t.api.ID(),
+		Origin:       t.id,
 		OriginParent: t.parent,
 		Size:         12 + 3*len(b.Estimates),
 		Payload:      b,
@@ -154,9 +164,9 @@ func (t *Tree) broadcastBeacon() {
 // Observe must be called for every packet heard (received or snooped),
 // so link qualities stay current and beacons drive parent selection.
 func (t *Tree) Observe(p *netsim.Packet) {
-	t.Neighbors.Observe(p.Src, p.Seq, t.api.Now())
-	if !t.isBase && p.Class == metrics.Beacon && p.Src == t.parent &&
-		p.OriginParent == t.api.ID() && t.api.ID() > p.Src {
+	t.Neighbors.Observe(p.Src, p.Seq, t.clock.Now())
+	if p.Class == metrics.Beacon && !t.isBase && p.Src == t.parent &&
+		p.OriginParent == t.id && t.id > p.Src {
 		// Our parent's own beacon advertises us as *its* parent: a
 		// two-node routing cycle born from stale advertisements. The
 		// higher ID detaches and rejoins on the next beacon wave. Only
@@ -179,9 +189,8 @@ func (t *Tree) Observe(p *netsim.Packet) {
 func (t *Tree) onBeacon(from netsim.NodeID, b *Beacon) {
 	// Harvest the estimate exchange: if the sender reports hearing us
 	// with quality q, that is our outbound delivery probability to it.
-	me := t.api.ID()
 	for _, e := range b.Estimates {
-		if e.ID == me {
+		if e.ID == t.id {
 			if i := slices.Index(t.outIDs, from); i >= 0 {
 				t.outEst[i] = e.Quality
 			} else {
@@ -256,8 +265,8 @@ func (t *Tree) Round() uint32 { return t.round }
 // RecordUpstream notes that a packet from origin was routed through us
 // by child, updating the descendants list.
 func (t *Tree) RecordUpstream(origin, child netsim.NodeID) {
-	if origin == t.api.ID() {
+	if origin == t.id {
 		return
 	}
-	t.Descendants.Record(origin, child, t.api.Now())
+	t.Descendants.Record(origin, child, t.clock.Now())
 }
