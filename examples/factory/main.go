@@ -15,7 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"scoop"
@@ -29,24 +29,24 @@ const (
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(99))
+	rng := rand.New(rand.NewPCG(99, 0))
 
 	// Vibration classifier: class 1-20 per machine per sample window.
 	sampler := func(node int, elapsed time.Duration) int {
 		switch node {
 		case faulty1:
-			return 14 + rng.Intn(7) // 14..20, chronically bad
+			return 14 + rng.IntN(7) // 14..20, chronically bad
 		case faulty2:
 			if rng.Float64() < 0.3 {
-				return highClass + rng.Intn(5)
+				return highClass + rng.IntN(5)
 			}
-			return 3 + rng.Intn(4)
+			return 3 + rng.IntN(4)
 		default:
 			// Healthy machines: low classes with occasional bumps.
 			if rng.Float64() < 0.05 {
-				return 8 + rng.Intn(5)
+				return 8 + rng.IntN(5)
 			}
-			return 1 + rng.Intn(5)
+			return 1 + rng.IntN(5)
 		}
 	}
 

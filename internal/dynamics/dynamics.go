@@ -17,7 +17,7 @@ package dynamics
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"scoop/internal/netsim"
@@ -333,7 +333,7 @@ func Churn(n int, start, stop, every, downFor netsim.Time, frac float64, seed in
 	if k < 1 {
 		k = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewPCG(uint64(seed), 0))
 	upAt := make(map[netsim.NodeID]netsim.Time)
 	var s Script
 	for t := start; t <= stop; t += every {
@@ -346,11 +346,7 @@ func Churn(n int, start, stop, every, downFor netsim.Time, frac float64, seed in
 		rng.Shuffle(len(candidates), func(i, j int) {
 			candidates[i], candidates[j] = candidates[j], candidates[i]
 		})
-		kk := k
-		if kk > len(candidates) {
-			kk = len(candidates)
-		}
-		for _, id := range candidates[:kk] {
+		for _, id := range candidates[:min(k, len(candidates))] {
 			s.Events = append(s.Events,
 				Event{At: t, Kind: NodeDown, Node: id},
 				Event{At: t + downFor, Kind: NodeUp, Node: id})

@@ -2,7 +2,7 @@ package dynamics
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"scoop/internal/netsim"
 )
@@ -79,8 +79,8 @@ func FaultScenario(name string, n int, warmup, duration netsim.Time, seed int64)
 	if n < 4 || active <= 0 {
 		return Script{}, fmt.Errorf("dynamics: fault scenario %q needs n >= 4 and duration > warmup", name)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	jitter := func() netsim.Time { return netsim.Time(rng.Int63n(int64(15 * netsim.Second))) }
+	rng := rand.New(rand.NewPCG(uint64(seed), 0))
+	jitter := func() netsim.Time { return netsim.Time(rng.Int64N(int64(15 * netsim.Second))) }
 
 	// The blackout stripe is the second quarter of the non-base IDs;
 	// the partition boundary splits the ID space in half.

@@ -21,10 +21,10 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 	}
 	// Serial on purpose: runtime.MemStats.Mallocs is process-wide.
 	const (
-		wantEvents = 233120
-		wantTx     = 53743
-		// Measured 23.5 mallocs/vs (66.5 before the send ring); 10 % headroom.
-		maxMallocsPerVS = 26.0
+		wantEvents = 217296
+		wantTx     = 47612
+		// Measured 22.1 mallocs/vs (66.5 before the send ring); 10 % headroom.
+		maxMallocsPerVS = 24.5
 	)
 	defer func(on bool) { ForceInvariants = on }(ForceInvariants)
 	ForceInvariants = false // the checker's ledger is the harness's garbage, not the simulator's
@@ -53,5 +53,48 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 	}
 	if mallocs > maxMallocsPerVS {
 		t.Errorf("%.2f mallocs per virtual second, ceiling %.1f", mallocs, maxMallocsPerVS)
+	}
+}
+
+// TestSetupFootprint holds what a trial costs before its first event:
+// the default cell cut to one virtual millisecond with no warm-up, so
+// topology, network, nodes, source and harness are built and nothing
+// runs. Every sweep cell and each of the suite's small networks pays
+// this. Bytes and objects repeat to within a few; the smallest of three
+// is held under a ceiling (DESIGN.md §12, "A draw stays on the node's
+// line"). On the parent commit this test fails with 1 096 600 B and
+// 2 099 objects: two 4.9 KB math/rand tables and their two Rands a node.
+func TestSetupFootprint(t *testing.T) {
+	const (
+		// Measured 393 960 B and 1 845 objects; the object ceiling is the
+		// parent's 2 106 less three a node.
+		maxBytes   = 450_000
+		maxMallocs = 2106 - 3*63
+	)
+	defer func(on bool) { ForceInvariants = on }(ForceInvariants)
+	ForceInvariants = false
+
+	cfg := Default()
+	cfg.Trials = 1
+	cfg.Duration = netsim.Millisecond
+	cfg.Warmup = 0
+	bytes, mallocs := ^uint64(0), ^uint64(0)
+	for rep := 0; rep < 3; rep++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("N = %d set-up: %d B in %d objects", cfg.N, bytes, mallocs)
+	if bytes > maxBytes {
+		t.Errorf("set-up allocates %d B, ceiling %d", bytes, maxBytes)
+	}
+	if mallocs > maxMallocs {
+		t.Errorf("set-up allocates %d objects, ceiling %d", mallocs, maxMallocs)
 	}
 }

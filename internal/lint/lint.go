@@ -16,9 +16,9 @@
 //   - walltime: no time.Now/Since/Until outside the wall-clock
 //     accounting packages (prof, sweep) — simulations are pure
 //     functions of their seed.
-//   - globalrand: no process-global math/rand draws or
-//     constant-seeded sources in deterministic packages — randomness
-//     must flow from the per-trial seeded stream.
+//   - globalrand: no process-global math/rand(/v2) draws, constant
+//     seeds or v1 imports in deterministic packages — randomness
+//     must flow from a stream seeded by the trial.
 //   - packetretain: a *netsim.Packet handed to Receive/Snoop or to a
 //     netsim hook (OnPurge, ForEachQueued …) is simulator-owned and
 //     valid only during the callback — copy, never retain.

@@ -3,12 +3,12 @@
 // the deterministic flag forced on.
 package globalrand
 
-import "math/rand"
+import "math/rand/v2"
 
 // draw uses the process-global source: two trials sharing the
 // process would perturb each other's streams.
 func draw() int {
-	return rand.Intn(10) // want `process-global source`
+	return rand.IntN(10) // want `process-global source`
 }
 
 // shuffle is the same defect through a different entry point.
@@ -16,6 +16,11 @@ func shuffle(xs []int) {
 	rand.Shuffle(len(xs), func(i, j int) { // want `process-global source`
 		xs[i], xs[j] = xs[j], xs[i]
 	})
+}
+
+// generic is v2's type-parameterised draw, global like the rest.
+func generic() int64 {
+	return rand.N[int64](10) // want `process-global source`
 }
 
 // value without a call is still a reference to the global source.
@@ -26,29 +31,41 @@ func picker() func() float64 {
 // fixedSeed decouples this stream from the trial seed: every trial,
 // whatever its seed, gets the same sequence here.
 func fixedSeed() *rand.Rand {
-	return rand.New(rand.NewSource(42)) // want `constant seed`
+	return rand.New(rand.NewPCG(42, 7)) // want `constant seed`
 }
 
 // derivedConst is still a compile-time constant underneath.
 func derivedConst() *rand.Rand {
 	const base = 6
-	return rand.New(rand.NewSource(base * 7)) // want `constant seed`
+	return rand.New(rand.NewPCG(base*7, base)) // want `constant seed`
 }
 
-// seeded is the blessed pattern: the seed flows in from the trial.
+// fixedKey is the same defect on the other generator.
+func fixedKey() *rand.Rand {
+	return rand.New(rand.NewChaCha8([32]byte{1, 2, 3})) // want `constant seed`
+}
+
+// seeded is the blessed pattern: the seed flows in from the trial, and
+// a constant second word only names the stream.
 func seeded(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	return rand.New(rand.NewPCG(uint64(seed), 0))
 }
 
 // derived seeds (per-cell offsets) are fine too — not constants.
 func derived(seed int64, cell int) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1000 + int64(cell)))
+	return rand.New(rand.NewPCG(uint64(seed)*1000, uint64(cell)))
+}
+
+// byValue seeds a generator held inline, the per-node form.
+func byValue(p *rand.PCG, seed uint64) rand.Rand {
+	p.Seed(seed, 1)
+	return *rand.New(p)
 }
 
 // explicit streams are the whole point: methods on *rand.Rand are
-// never flagged.
-func use(r *rand.Rand) int {
-	return r.Intn(10) + int(r.Int63n(5))
+// never flagged, and a Zipf draws from the stream it is given.
+func use(r *rand.Rand) uint64 {
+	return uint64(r.IntN(10)) + uint64(r.Int64N(5)) + rand.NewZipf(r, 1.1, 1, 100).Uint64()
 }
 
 // allowedJitter is a reviewed exception (e.g. non-simulation tooling

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -109,14 +108,13 @@ func (inertApp) Timer(int)       {}
 func TestNetworkFootprintLinearInLinks(t *testing.T) {
 	// GridTopology's placement without its MaxNodes bound.
 	grid := func(n int) *Topology {
-		r := rand.New(rand.NewSource(9))
 		topo := &Topology{N: n, Pos: make([]Point, n), Quality: make([][]float64, n)}
 		cols := int(math.Ceil(math.Sqrt(float64(n))))
 		for i := range topo.Quality {
 			topo.Quality[i] = make([]float64, n)
 			topo.Pos[i] = Point{X: float64(i % cols), Y: float64(i / cols)}
 		}
-		fillLinks(topo, 2.5, r)
+		fillLinks(topo, 2.5, newTestRand(9))
 		topo.OutLinks(0) // the topology, link tables included, is built beforehand
 		return topo
 	}

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"scoop/internal/dense"
 	"scoop/internal/metrics"
@@ -290,7 +290,7 @@ func (n *Network) buildRegions() {
 			reg := &regionState{
 				id:       r,
 				counters: metrics.NewCounters(),
-				sim:      NewSimulator(substreamSeed(n.Sim.Seed(), NodeID(n.Topo.N+r))),
+				sim:      NewSimulator(n.Sim.seed),
 			}
 			if n.Trace != nil {
 				sim := reg.sim
@@ -368,8 +368,8 @@ func (n *Network) Attach(id NodeID, app App) {
 		panic("netsim: Attach after Start")
 	}
 	n.apps[id] = app
-	a := &NodeAPI{net: n, id: id, sim: n.Sim,
-		rng: rand.New(rand.NewSource(substreamSeed(n.Sim.Seed(), id)))}
+	a := &NodeAPI{net: n, id: id, sim: n.Sim}
+	a.rng = NodeStream(&a.pcg, n.Sim.seed, id)
 	if n.regs != nil {
 		a.reg = n.regs[n.part.region[id]]
 		a.sim = a.reg.sim
@@ -842,7 +842,6 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 	}
 
 	delivered := false
-	rng := a.rng
 	parallel := len(n.regs) > 1
 	var d *delivery
 	var oseq uint64
@@ -872,10 +871,10 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 		if q > 1 {
 			q = 1
 		}
-		if q <= 0 || rng.Float64() >= q {
+		if q <= 0 || a.rng.Float64() >= q {
 			continue
 		}
-		if n.collided(reg, rng, q, src, dst, tx.start) {
+		if n.collided(reg, &a.rng, q, src, dst, tx.start) {
 			reg.counters.CountDrop(metrics.DropCollision)
 			if reg.trace != nil {
 				reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(dst),
@@ -911,7 +910,7 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 			if aq > 1 {
 				aq = 1
 			}
-			if !requireAck || rng.Float64() < aq {
+			if !requireAck || a.rng.Float64() < aq {
 				delivered = true
 			}
 		}
@@ -1000,8 +999,9 @@ type NodeAPI struct {
 	reg      *regionState
 	sim      *Simulator // the node's region clock (== net.Sim when serial), set by Attach
 	id       NodeID
-	rng      *rand.Rand // per-node substream: all protocol randomness
-	timerGen []uint64   // per-timer-ID arm generation, grown on demand
+	pcg      rand.PCG  // per-node substream, held inline: all protocol randomness
+	rng      rand.Rand // draws from pcg
+	timerGen []uint64  // per-timer-ID arm generation, grown on demand
 	busy     bool
 	jobGen   uint64 // invalidates in-flight attempt events on job change
 
@@ -1031,14 +1031,10 @@ func (a *NodeAPI) Now() Time { return a.sim.Now() }
 // on it.
 func (a *NodeAPI) Clock() *Simulator { return a.sim }
 
-// Rand exposes this node's deterministic random substream. Draw order
-// within the substream is fixed by the node's own event order, never
-// by global interleaving — the region-parallel determinism contract.
-func (a *NodeAPI) Rand() func() float64 { return a.rng.Float64 }
-
-// RandIntn returns a deterministic uniform int in [0,n) from the
-// node's substream.
-func (a *NodeAPI) RandIntn(n int) int { return a.rng.Intn(n) }
+// RandIntn returns a uniform int in [0,n) from the node's substream,
+// whose draw order is fixed by the node's own event order, never by
+// global interleaving — the region-parallel determinism contract.
+func (a *NodeAPI) RandIntn(n int) int { return a.rng.IntN(n) }
 
 // Send enqueues a copy of p (the caller's *Packet is free again on
 // return) for unicast to p.Dst with CSMA backoff, link-layer acks and
@@ -1197,7 +1193,7 @@ func (a *NodeAPI) randBetween(lo, hi Time) Time {
 	if hi <= lo {
 		return lo
 	}
-	return lo + Time(a.rng.Int63n(int64(hi-lo)))
+	return lo + Time(a.rng.Int64N(int64(hi-lo)))
 }
 
 func (a *NodeAPI) String() string { return fmt.Sprintf("node(%d)", a.id) }

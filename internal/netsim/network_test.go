@@ -1,14 +1,14 @@
 package netsim
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"scoop/internal/metrics"
 )
 
 // newTestRand gives topology property tests a seeded random stream.
-func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewPCG(uint64(seed), 0)) }
 
 // recorder is a minimal App capturing deliveries for tests. Delivered
 // packets are owned by the simulator and recycled after the callback

@@ -19,9 +19,8 @@
 //     oseq is a per-origin schedule counter — queue order never depends
 //     on which region popped what when;
 //   - every random draw comes from the per-node substream of the node
-//     whose protocol logic is drawing (Simulator.Rand is reserved for
-//     the control plane), so draw order within a stream is fixed by
-//     that node's own event order;
+//     whose protocol logic is drawing, so draw order within a stream is
+//     fixed by that node's own event order;
 //   - radio visibility is windowed on a fixed time grid, so carrier
 //     sense and interference depend only on transmissions begun before
 //     the current grid point — state every region has seen at the last
@@ -38,7 +37,7 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"scoop/internal/prof"
@@ -138,8 +137,7 @@ type Simulator struct {
 	near   int                    // events in the wheel
 	occ    [wheelSpan / 64]uint64 // bit i set: slot i is non-empty
 	seq    uint64                 // control-plane oseq counter
-	rng    *rand.Rand
-	seed   int64
+	seed   int64                  // what the nodes' substreams derive from
 	halted bool
 	prof   *prof.Profiler   // nil: profiling off (the default)
 	heads  [wheelSpan]int32 // slot i's bucket: a list through nodes, -1 empty
@@ -162,11 +160,11 @@ type wheelNode struct {
 	next int32
 }
 
-// NewSimulator returns a simulator whose random stream is seeded with
-// seed. Two simulators with the same seed and the same schedule of
+// NewSimulator returns a simulator whose nodes' random streams derive
+// from seed. Two simulators with the same seed and the same schedule of
 // callbacks produce identical runs.
 func NewSimulator(seed int64) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed, free: -1}
+	s := &Simulator{seed: seed, free: -1}
 	for i := range s.heads {
 		s.heads[i] = -1
 	}
@@ -175,17 +173,6 @@ func NewSimulator(seed int64) *Simulator {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Rand returns the simulator's deterministic control-plane random
-// stream. Node protocol logic must not draw from it — NodeAPI exposes
-// per-node substreams derived from Seed, so node draw order is
-// independent of global event interleaving (the region-parallel
-// determinism contract).
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Seed returns the seed this simulator (and its derived per-node
-// substreams) was built from.
-func (s *Simulator) Seed() int64 { return s.seed }
 
 // SetProfiler attaches a wall-clock attribution profiler to the event
 // loop (nil detaches). Profiling observes wall time only — scheduling,
@@ -465,12 +452,14 @@ func (s *Simulator) nextAt() (Time, bool) {
 	return s.events[0].at, true
 }
 
-// substreamSeed derives the per-node RNG substream seed for node id
-// from a simulator seed, via one splitmix64 round: statistically
-// independent streams, stable across K and GOMAXPROCS.
-func substreamSeed(seed int64, id NodeID) int64 {
+// NodeStream seeds p as node id's substream of seed — one splitmix64
+// round over (seed, id), then the id: statistically independent streams,
+// stable across K, GOMAXPROCS and attach order — and returns the Rand
+// over it. NodeAPI's and a workload source's streams are made here.
+func NodeStream(p *rand.PCG, seed int64, id NodeID) rand.Rand {
 	z := uint64(seed) + (uint64(id)+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	p.Seed(z^(z>>31), uint64(id))
+	return *rand.New(p)
 }

@@ -122,12 +122,13 @@ func TestSimulatorStep(t *testing.T) {
 func TestSimulatorDeterminism(t *testing.T) {
 	run := func(seed int64) []int64 {
 		s := NewSimulator(seed)
+		r := rand.New(rand.NewSource(seed))
 		var draws []int64
 		var tick func()
 		tick = func() {
-			draws = append(draws, s.Rand().Int63n(1000))
+			draws = append(draws, r.Int63n(1000))
 			if len(draws) < 20 {
-				s.After(Time(s.Rand().Int63n(50)+1), tick)
+				s.After(Time(r.Int63n(50)+1), tick)
 			}
 		}
 		s.After(1, tick)

@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 	"sort"
 )
@@ -265,7 +265,7 @@ func ensureConnected(t *Topology, r *rand.Rand) {
 // expressed in grid spacings (e.g. 2.5 means a node hears nodes up to
 // 2.5 cells away).
 func GridTopology(n int, radioRangeCells float64, seed int64) *Topology {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rand.NewPCG(uint64(seed), 0))
 	t := NewTopology(n)
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	for i := 0; i < n; i++ {
@@ -289,7 +289,7 @@ func GridTopology(n int, radioRangeCells float64, seed int64) *Topology {
 // matching the Intel-lab trace where node numbering follows the
 // floorplan.
 func UniformTopology(n int, side, radioRange float64, seed int64) *Topology {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rand.NewPCG(uint64(seed), 0))
 	t := NewTopology(n)
 	pts := make([]Point, n)
 	for i := range pts {
@@ -328,7 +328,7 @@ func UniformTopology(n int, side, radioRange float64, seed int64) *Topology {
 // that testbed and simulation results differ only by such topology
 // effects. The basestation sits at one end of the corridor.
 func TestbedTopology(n int, seed int64) *Topology {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rand.NewPCG(uint64(seed), 0))
 	t := NewTopology(n)
 	// 4 rows of offices along a long corridor.
 	rows := 4

@@ -3,8 +3,8 @@
 // fan-out and the full core protocol stack at several network sizes,
 // the event queue at the scale tier's depth and delay mix,
 // the basestation's warm reindex, the per-reply path through the query
-// reliability layer, and trace emission into the ring sink. Two
-// callers run them: the root BenchmarkHotPaths (`go test -bench`) and
+// reliability layer, trace emission into the ring sink and one trial's
+// set-up. Two callers: the root BenchmarkHotPaths (`go test -bench`) and
 // bench/, the repo's benchmark, which times four of them by name for
 // its isolated per-layer metrics. The zero-allocation contracts are
 // plain tests next to the code they pin (TestReplyPathZeroAllocs here,
@@ -13,11 +13,12 @@
 package perfbench
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
 	"scoop/internal/core"
+	"scoop/internal/exp"
 	"scoop/internal/histogram"
 	"scoop/internal/index"
 	"scoop/internal/metrics"
@@ -51,6 +52,20 @@ func Benches() []Bench {
 		{"index/rebuild/n250", func(b *testing.B) { benchIndexRebuild(b, 250) }},
 		{"index/rebuild/n1000", func(b *testing.B) { benchIndexRebuild(b, 1000) }},
 		{"trace/emit/ring", benchTraceRing},
+		{"exp/setup/n63", benchExpSetup},
+	}
+}
+
+// benchExpSetup is what a trial costs before its first event: the paper
+// cell cut to 1 ms, no warm-up (exp.TestSetupFootprint holds the bytes).
+func benchExpSetup(b *testing.B) {
+	b.ReportAllocs()
+	cfg := exp.Default()
+	cfg.Trials, cfg.Duration, cfg.Warmup = 1, netsim.Millisecond, 0
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -255,7 +270,7 @@ type rebuildScenario struct {
 func newRebuildScenario(n int) *rebuildScenario {
 	s := &rebuildScenario{
 		n: n, domain: 151,
-		r:       rand.New(rand.NewSource(int64(n) * 7)),
+		r:       rand.New(rand.NewPCG(uint64(n)*7, 0)),
 		g:       index.NewGraph(n),
 		centers: make([]int, n),
 		hists:   make([]histogram.Histogram, n),
@@ -263,13 +278,13 @@ func newRebuildScenario(n int) *rebuildScenario {
 	}
 	for i := 0; i < n; i++ {
 		for d := 0; d < 12; d++ {
-			j := netsim.NodeID(s.r.Intn(n))
+			j := netsim.NodeID(s.r.IntN(n))
 			if int(j) != i {
 				s.links = append(s.links, [2]netsim.NodeID{netsim.NodeID(i), j})
 				s.linkQ = append(s.linkQ, 0.2+0.75*s.r.Float64())
 			}
 		}
-		s.centers[i] = s.r.Intn(s.domain)
+		s.centers[i] = s.r.IntN(s.domain)
 		s.refreshHist(i)
 	}
 	s.prob = make([]float64, s.domain)
@@ -301,12 +316,12 @@ func (s *rebuildScenario) refreshHist(i int) {
 func (s *rebuildScenario) step(moveLink bool) index.BuildInput {
 	// ~3% of nodes report a shifted distribution.
 	for k := 0; k < 1+s.n/32; k++ {
-		i := 1 + s.r.Intn(s.n-1)
-		s.centers[i] = (s.centers[i] + 5 + s.r.Intn(11)) % s.domain
+		i := 1 + s.r.IntN(s.n-1)
+		s.centers[i] = (s.centers[i] + 5 + s.r.IntN(11)) % s.domain
 		s.refreshHist(i)
 	}
 	if moveLink {
-		e := s.r.Intn(len(s.links))
+		e := s.r.IntN(len(s.links))
 		s.linkQ[e] = 0.2 + 0.75*s.r.Float64()
 	}
 	s.g.Reset()

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"scoop/internal/netsim"
 	"scoop/internal/query"
@@ -47,7 +47,7 @@ type MixedGen struct {
 // aggregates carrying the given error budget.
 func NewMixedGen(tuple Generator, aggRatio, errBudget float64, seed int64) *MixedGen {
 	return &MixedGen{
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rand.New(rand.NewPCG(uint64(seed), 0)),
 		Tuple:     tuple,
 		AggRatio:  aggRatio,
 		ErrBudget: errBudget,

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"scoop/internal/netsim"
 )
@@ -55,7 +55,7 @@ const hotSpread = 0.06
 // given value domain.
 func NewRangeGen(domainLo, domainHi int, seed int64) *RangeGen {
 	return &RangeGen{
-		rng:           rand.New(rand.NewSource(seed)),
+		rng:           rand.New(rand.NewPCG(uint64(seed), 0)),
 		domainLo:      domainLo,
 		domainHi:      domainHi,
 		WidthLo:       0.01,
@@ -89,7 +89,7 @@ func (g *RangeGen) Next(now netsim.Time) Query {
 			lo = g.domainHi - width + 1
 		}
 	} else {
-		lo = g.domainLo + g.rng.Intn(domain-width+1)
+		lo = g.domainLo + g.rng.IntN(domain-width+1)
 	}
 	tlo := now - g.HistoryWindow
 	if tlo < 0 {
@@ -111,7 +111,7 @@ type NodePctGen struct {
 // non-base nodes each time.
 func NewNodePctGen(n int, pct float64, seed int64) *NodePctGen {
 	return &NodePctGen{
-		rng:           rand.New(rand.NewSource(seed)),
+		rng:           rand.New(rand.NewPCG(uint64(seed), 0)),
 		n:             n,
 		Pct:           pct,
 		HistoryWindow: 5 * netsim.Minute,
@@ -120,13 +120,7 @@ func NewNodePctGen(n int, pct float64, seed int64) *NodePctGen {
 
 // Next implements Generator.
 func (g *NodePctGen) Next(now netsim.Time) Query {
-	count := int(float64(g.n-1)*g.Pct + 0.5)
-	if count < 1 {
-		count = 1
-	}
-	if count > g.n-1 {
-		count = g.n - 1
-	}
+	count := min(max(int(float64(g.n-1)*g.Pct+0.5), 1), g.n-1)
 	perm := g.rng.Perm(g.n - 1)
 	nodes := make([]netsim.NodeID, count)
 	for i := 0; i < count; i++ {

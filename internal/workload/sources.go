@@ -17,7 +17,7 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"scoop/internal/netsim"
 )
@@ -101,15 +101,13 @@ func (e *Equal) Name() string { return "equal" }
 // Random makes every node produce uniform values in [0,100]: no
 // predictability for Scoop to exploit (paper: "degenerates into
 // performance equivalent to BASE or HASH").
-type Random struct{ rngs []*rand.Rand }
+type Random struct{ rngs []rand.Rand }
 
 // NewRandom returns the RANDOM source for an n-node network.
-func NewRandom(n int, seed int64) *Random {
-	return &Random{rngs: nodeStreams(n, seed)}
-}
+func NewRandom(n int, seed int64) *Random { return &Random{rngs: nodeStreams(n, seed)} }
 
 // Next implements Source.
-func (r *Random) Next(id netsim.NodeID, _ netsim.Time) int { return r.rngs[id].Intn(101) }
+func (r *Random) Next(id netsim.NodeID, _ netsim.Time) int { return r.rngs[id].IntN(101) }
 
 // Domain implements Source.
 func (r *Random) Domain() (int, int) { return 0, 100 }
@@ -121,13 +119,13 @@ func (r *Random) Name() string { return "random" }
 // at construction; samples come from N(µ_i, 10) (variance 10, paper
 // §6), clamped to the domain. Models independent stationary sensors.
 type Gaussian struct {
-	rngs  []*rand.Rand
+	rngs  []rand.Rand
 	means []float64
 }
 
 // NewGaussian returns the GAUSSIAN source for an n-node network.
 func NewGaussian(n int, seed int64) *Gaussian {
-	rng := rand.New(rand.NewSource(seed)) // constructor stream: means only
+	rng := rand.New(rand.NewPCG(uint64(seed), 0)) // constructor stream: means only
 	g := &Gaussian{rngs: nodeStreams(n, seed), means: make([]float64, n)}
 	for i := range g.means {
 		g.means[i] = rng.Float64() * 100
@@ -157,7 +155,7 @@ func (g *Gaussian) Mean(id netsim.NodeID) float64 { return g.means[id] }
 // multi-sample step events (lights toggling). Domain [0,150], V≈150,
 // matching the paper's "V was at about 150".
 type Real struct {
-	rngs     []*rand.Rand
+	rngs     []rand.Rand
 	offsets  []float64 // per-node cluster offset
 	noise    []float64 // per-node AR(1) state
 	spikeFor []int     // samples remaining in a step event
@@ -173,7 +171,7 @@ const RealMax = 150
 
 // NewReal returns the REAL source for an n-node network.
 func NewReal(n int, seed int64) *Real {
-	rng := rand.New(rand.NewSource(seed)) // constructor stream: cluster layout only
+	rng := rand.New(rand.NewPCG(uint64(seed), 0)) // constructor stream: cluster layout only
 	r := &Real{
 		rngs:        nodeStreams(n, seed),
 		offsets:     make([]float64, n),
@@ -210,13 +208,13 @@ func (r *Real) Next(id netsim.NodeID, t netsim.Time) int {
 	base := 75 + 12*math.Sin(2*math.Pi*float64(t)/float64(60*netsim.Minute))
 	// AR(1) temporal noise.
 	i := int(id)
-	rng := r.rngs[i]
+	rng := &r.rngs[i]
 	r.noise[i] = r.ARCoeff*r.noise[i] + rng.NormFloat64()*3
 	// Step events.
 	if r.spikeFor[i] > 0 {
 		r.spikeFor[i]--
 	} else if rng.Float64() < r.SpikeProb {
-		r.spikeFor[i] = 3 + rng.Intn(8)
+		r.spikeFor[i] = 3 + rng.IntN(8)
 		r.spikeAmp[i] = 25 + rng.Float64()*25
 	}
 	spike := 0.0
@@ -234,15 +232,13 @@ func (r *Real) Domain() (int, int) { return 0, RealMax }
 func (r *Real) Name() string { return "real" }
 
 // nodeStreams derives one independent random substream per node from a
-// source seed (splitmix64, matching netsim's per-node substream
-// scheme), so each node's draw sequence is its own.
-func nodeStreams(n int, seed int64) []*rand.Rand {
-	rngs := make([]*rand.Rand, n)
+// source seed (netsim's per-node scheme), so each node's draw sequence is
+// its own. All n generators are one block, the Rands over them another.
+func nodeStreams(n int, seed int64) []rand.Rand {
+	pcgs := make([]rand.PCG, n)
+	rngs := make([]rand.Rand, n)
 	for i := range rngs {
-		z := uint64(seed) + (uint64(i)+1)*0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		rngs[i] = rand.New(rand.NewSource(int64(z ^ (z >> 31))))
+		rngs[i] = netsim.NodeStream(&pcgs[i], seed, netsim.NodeID(i))
 	}
 	return rngs
 }

@@ -236,3 +236,21 @@ func TestNodePctGenBounds(t *testing.T) {
 		t.Fatalf("pct >1 queried %d nodes, want all 62", got)
 	}
 }
+
+// TestNodeStreamsOneBlock: a source's per-node streams are two slices —
+// the generators and the Rands over them — not two objects a node, so
+// constructing any source allocates a handful of objects whatever N is.
+// On the parent commit this test fails with 8 002 objects for RANDOM at
+// N = 4 000 (a 4.9 KB table and a Rand per node).
+func TestNodeStreamsOneBlock(t *testing.T) {
+	for _, name := range SourceNames() {
+		objects := testing.AllocsPerRun(3, func() {
+			if _, err := NewSource(name, 4000, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if objects > 10 {
+			t.Errorf("NewSource(%q) allocates %.0f objects at N = 4000, want at most 10", name, objects)
+		}
+	}
+}
