@@ -47,7 +47,8 @@ func chainTopo(n int, q float64) *netsim.Topology {
 		t.Pos[i] = netsim.Point{X: float64(i)}
 	}
 	for i := 0; i+1 < n; i++ {
-		t.Quality[i][i+1], t.Quality[i+1][i] = q, q
+		t.SetQuality(netsim.NodeID(i), netsim.NodeID(i+1), q)
+		t.SetQuality(netsim.NodeID(i+1), netsim.NodeID(i), q)
 	}
 	return t
 }
@@ -59,7 +60,7 @@ func meshTopo(n int, q float64) *netsim.Topology {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j {
-				t.Quality[i][j] = q
+				t.SetQuality(netsim.NodeID(i), netsim.NodeID(j), q)
 			}
 		}
 	}

@@ -26,15 +26,9 @@ func (m *initMeter) Snoop(p *netsim.Packet)   { m.node.Snoop(p) }
 func (m *initMeter) Timer(id int)             { m.node.Timer(id) }
 
 // linklessTopology is an n-node topology with no links and no
-// constructor bound (netsim.MaxNodes): every row of the quality matrix
-// is the same zero row.
+// constructor bound (netsim.MaxNodes).
 func linklessTopology(n int) *netsim.Topology {
-	row := make([]float64, n)
-	topo := &netsim.Topology{N: n, Pos: make([]netsim.Point, n), Quality: make([][]float64, n)}
-	for i := range topo.Quality {
-		topo.Quality[i] = row
-	}
-	return topo
+	return &netsim.Topology{N: n, Pos: make([]netsim.Point, n)}
 }
 
 // nodeInitBytes returns what Node.Init allocates for node 1 of an

@@ -66,19 +66,35 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 // 2 099 objects: two 4.9 KB math/rand tables and their two Rands a node.
 func TestSetupFootprint(t *testing.T) {
 	const (
-		// Measured 393 960 B and 1 845 objects; the object ceiling is the
-		// parent's 2 106 less three a node.
+		// Measured 369 408 B and 1 797 objects (393 960 B and 1 845 with
+		// the dense Quality matrix and index.Graph); the object ceiling
+		// is PR 24's parent's 2 106 less three a node.
 		maxBytes   = 450_000
 		maxMallocs = 2106 - 3*63
 	)
+	cfg := Default()
+	bytes, mallocs := setupFootprint(t, cfg)
+	t.Logf("N = %d set-up: %d B in %d objects", cfg.N, bytes, mallocs)
+	if bytes > maxBytes {
+		t.Errorf("set-up allocates %d B, ceiling %d", bytes, maxBytes)
+	}
+	if mallocs > maxMallocs {
+		t.Errorf("set-up allocates %d objects, ceiling %d", mallocs, maxMallocs)
+	}
+}
+
+// setupFootprint returns what cfg's trial allocates before its first
+// event — cut to one virtual millisecond with no warm-up — in bytes and
+// objects, the smallest of three.
+func setupFootprint(t *testing.T, cfg Config) (bytes, mallocs uint64) {
+	t.Helper()
 	defer func(on bool) { ForceInvariants = on }(ForceInvariants)
 	ForceInvariants = false
 
-	cfg := Default()
 	cfg.Trials = 1
 	cfg.Duration = netsim.Millisecond
 	cfg.Warmup = 0
-	bytes, mallocs := ^uint64(0), ^uint64(0)
+	bytes, mallocs = ^uint64(0), ^uint64(0)
 	for rep := 0; rep < 3; rep++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -90,11 +106,26 @@ func TestSetupFootprint(t *testing.T) {
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 	}
-	t.Logf("N = %d set-up: %d B in %d objects", cfg.N, bytes, mallocs)
-	if bytes > maxBytes {
-		t.Errorf("set-up allocates %d B, ceiling %d", bytes, maxBytes)
-	}
-	if mallocs > maxMallocs {
-		t.Errorf("set-up allocates %d objects, ceiling %d", mallocs, maxMallocs)
+	return bytes, mallocs
+}
+
+// TestSetupFootprintLinearInN: on the grid, where degree is bounded,
+// quadrupling the nodes may at most quintuple what a trial's set-up
+// allocates — per-node and per-link state, no N×N array (DESIGN.md §12).
+// Measured 1 320 136 B against 5 578 880 B (×4.23). On the parent
+// commit this test fails with 2 231 416 B against 21 024 680 B (×9.42):
+// the topology's Quality matrix and the basestation's dense index.Graph,
+// 8 MB each at N = 1000.
+func TestSetupFootprintLinearInN(t *testing.T) {
+	cfg := Default()
+	cfg.Topology = "grid"
+	cfg.N = 250
+	small, _ := setupFootprint(t, cfg)
+	cfg.N = 1000
+	large, _ := setupFootprint(t, cfg)
+	t.Logf("grid set-up allocates %d B at N = 250, %d B at N = 1000", small, large)
+	if ratio := float64(large) / float64(small); ratio > 5 {
+		t.Fatalf("grid set-up allocates %d B at N = 250 and %d B at N = 1000: ×%.2f, want ≤ ×5 (linear in N)",
+			small, large, ratio)
 	}
 }

@@ -71,18 +71,18 @@ func TestXmitsIgnoresUnusableLinks(t *testing.T) {
 func TestGraphReportClamps(t *testing.T) {
 	g := NewGraph(2)
 	g.Report(0, 1, 1.5)
-	if g.Quality[0][1] != 1 {
-		t.Fatalf("quality not clamped: %f", g.Quality[0][1])
+	if q := denseOf(g).q[0][1]; q != 1 {
+		t.Fatalf("quality not clamped: %f", q)
 	}
 	g.Report(0, 1, -0.5)
-	if g.Quality[0][1] != 0 {
-		t.Fatalf("negative quality kept: %f", g.Quality[0][1])
+	if q := denseOf(g).q[0][1]; q != 0 {
+		t.Fatalf("negative quality kept: %f", q)
 	}
 	g.Report(0, 0, 0.9) // self-report ignored
-	if g.Quality[0][0] != 0 {
-		t.Fatal("self link recorded")
-	}
 	g.Report(7, 1, 0.9) // out of range ignored
+	if len(g.reports) != 2 {
+		t.Fatalf("%d reports kept, want 2: self and out-of-range reports are ignored", len(g.reports))
+	}
 }
 
 // Property: the xmits matrix satisfies the triangle inequality (it is

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"time"
 
 	"scoop/internal/netsim"
@@ -44,12 +45,14 @@ type Builder struct {
 	// FullRebuild).
 	Trace *trace.Recorder
 
-	// Sparse shortest-path state, double-buffered so the previous
-	// matrix survives for row comparison.
+	// Sparse shortest-path state. The adjacency is double-buffered so an
+	// unchanged link graph skips the pass; the xmits matrix is not: a
+	// row is solved into worker scratch and compared before it is
+	// copied in (solveAllPairs), which is what rowChanged records.
 	adj      [2]csr
-	bufs     [2]xbuf
-	cur      int // index of the buffer holding the latest xmits
-	heaps    []spHeap
+	cur      int // index of the adjacency of the latest xmits
+	xmits    xbuf
+	workers  []spWorker
 	haveAdj  bool // adj[cur] holds the previous build's graph
 	external bool // last build used caller-provided xmits (no CSR state)
 
@@ -143,20 +146,21 @@ func (b *Builder) BuildOwners(in *BuildInput) []netsim.NodeID {
 		next := 1 - b.cur
 		b.adj[next].build(in.Graph)
 		b.stats.Edges = len(b.adj[next].to)
-		if !full && b.haveAdj && b.adj[next].equal(&b.adj[b.cur]) {
-			// Link graph unchanged: the previous matrix is still
-			// exact, every xmits row is clean, no SPT work.
-		} else {
-			b.bufs[next].ensure(n)
-			solveAllPairs(&b.adj[next], b.bufs[next].rows, &b.heaps)
-			b.stats.SPTSources = n
+		// An unchanged link graph leaves the matrix exact: every xmits
+		// row is clean, no SPT work.
+		if full || !b.haveAdj || !b.adj[next].equal(&b.adj[b.cur]) {
+			b.xmits.ensure(n)
+			var changed []bool
 			if !full {
-				rowsChangedAny = b.diffRows(n)
+				b.rowChanged = slices.Grow(b.rowChanged[:0], n)[:n]
+				changed = b.rowChanged
 			}
+			rowsChangedAny = solveAllPairs(&b.adj[next], b.xmits.rows, changed, &b.workers)
+			b.stats.SPTSources = n
 			b.cur = next
 		}
 		b.haveAdj = true
-		in.Xmits = b.bufs[b.cur].rows
+		in.Xmits = b.xmits.rows
 	}
 
 	// 2. Cost-model inputs: contributor table, query profile, query
@@ -218,31 +222,6 @@ func (b *Builder) BuildOwners(in *BuildInput) []netsim.NodeID {
 			Size: int32(V), Value: int64(b.stats.Recomputed), Aux: int64(b.stats.SPTSources)})
 	}
 	return b.owners
-}
-
-// diffRows compares the fresh xmits matrix against the previous one
-// row by row, filling rowChanged and reporting whether anything
-// changed at all.
-func (b *Builder) diffRows(n int) bool {
-	if cap(b.rowChanged) < n {
-		b.rowChanged = make([]bool, n)
-	}
-	b.rowChanged = b.rowChanged[:n]
-	next, old := b.bufs[1-b.cur].flat, b.bufs[b.cur].flat
-	any := false
-	for p := 0; p < n; p++ {
-		changed := false
-		row, prow := next[p*n:(p+1)*n], old[p*n:(p+1)*n]
-		for j := range row {
-			if differ(row[j], prow[j]) {
-				changed = true
-				break
-			}
-		}
-		b.rowChanged[p] = changed
-		any = any || changed
-	}
-	return any
 }
 
 // swapCostModel rebuilds the contributor table, query-probability row

@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -197,6 +198,11 @@ func (w *world) apply(e dynamics.Event) {
 // must produce exactly the owners a from-scratch naive build computes
 // from the same inputs — including the steps where nothing changed at
 // all and the builder recomputes nothing.
+//
+// Every rebuild after a seed's first that re-ran the shortest-path pass
+// must also leave rowChanged exactly as the old two-buffer Builder's
+// diffRows computed it from the previous and the new matrix; each seed
+// ends on a rebuild where exactly one node's reported links changed.
 func TestBuilderMatchesScratch(t *testing.T) {
 	sawIncremental, sawZeroDirty, sawSPTSkip := false, false, false
 	for seed := int64(1); seed <= 6; seed++ {
@@ -204,6 +210,40 @@ func TestBuilderMatchesScratch(t *testing.T) {
 		w := newWorld(n, 60, seed)
 		script := dynamics.Standard(n, 60_000, 1_200_000, 0.2, 0.5, seed)
 		var b Builder
+		var prev [][]float64 // the previous rebuild's xmits matrix
+		rebuild := func(step int) {
+			in := w.input()
+			in.Graph = w.g
+			got := append([]netsim.NodeID(nil), b.BuildOwners(&in)...)
+			st := b.LastStats()
+
+			ref := in
+			ref.Graph = nil
+			ref.Xmits = copyRows(in.Xmits)
+			want := naiveOwners(ref)
+
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d: incremental owner[%d] = %d, scratch = %d (recomputed %d/%d, full=%v)",
+						seed, step, i, got[i], want[i], st.Recomputed, st.Values, st.FullRebuild)
+				}
+			}
+			if prev != nil && st.SPTSources > 0 {
+				if want := diffRowsRef(prev, ref.Xmits); !slices.Equal(b.rowChanged, want) {
+					t.Fatalf("seed %d step %d: rowChanged %v, two-buffer diffRows %v", seed, step, b.rowChanged, want)
+				}
+			}
+			prev = ref.Xmits
+			if !st.FullRebuild && st.Recomputed < st.Values {
+				sawIncremental = true
+			}
+			if st.Recomputed == 0 {
+				sawZeroDirty = true
+			}
+			if st.SPTSources == 0 {
+				sawSPTSkip = true
+			}
+		}
 		events := script.Events
 		// Process events in batches, with repeated no-change rebuilds
 		// interleaved so the zero-dirty fast path is exercised too.
@@ -221,32 +261,31 @@ func TestBuilderMatchesScratch(t *testing.T) {
 				events = events[batch:]
 			}
 			step++
-
-			in := w.input()
-			in.Graph = w.g
-			got := append([]netsim.NodeID(nil), b.BuildOwners(&in)...)
-			st := b.LastStats()
-
-			ref := in
-			ref.Graph = nil
-			ref.Xmits = copyRows(in.Xmits)
-			want := naiveOwners(ref)
-
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d step %d: incremental owner[%d] = %d, scratch = %d (recomputed %d/%d, full=%v)",
-						seed, step, i, got[i], want[i], st.Recomputed, st.Values, st.FullRebuild)
+			rebuild(step)
+		}
+		// Exactly one node's reported links change: the live node whose
+		// summary names the most neighbours reports each of them at a
+		// third lower quality.
+		reporter, most := -1, 0
+		for v := 0; v < n; v++ {
+			cnt := 0
+			for k := range w.links {
+				if k[1] == v && w.centers[k[0]] >= 0 {
+					cnt++
 				}
 			}
-			if !st.FullRebuild && st.Recomputed < st.Values {
-				sawIncremental = true
+			if w.centers[v] >= 0 && cnt > most {
+				reporter, most = v, cnt
 			}
-			if st.Recomputed == 0 {
-				sawZeroDirty = true
+		}
+		for k, q := range w.links {
+			if k[1] == reporter {
+				w.links[k] = q * 2 / 3
 			}
-			if st.SPTSources == 0 {
-				sawSPTSkip = true
-			}
+		}
+		rebuild(step + 1)
+		if b.LastStats().SPTSources == 0 || !slices.Contains(b.rowChanged, true) {
+			t.Fatalf("seed %d: node %d's %d reported links changed, but no xmits row did", seed, reporter, most)
 		}
 	}
 	if !sawIncremental {
@@ -352,10 +391,78 @@ func TestBuilderGOMAXPROCSDeterminism(t *testing.T) {
 	}
 }
 
+// diffRowsRef is the two-buffer Builder's diffRows, the reference for
+// rowChanged: row p changed when any entry differs (differ) from the
+// previous matrix's.
+func diffRowsRef(prev, cur [][]float64) []bool {
+	out := make([]bool, len(cur))
+	for p := range cur {
+		for j := range cur[p] {
+			if differ(cur[p][j], prev[p][j]) {
+				out[p] = true
+				break
+			}
+		}
+	}
+	return out
+}
+
 func copyRows(rows [][]float64) [][]float64 {
 	out := make([][]float64, len(rows))
 	for i, r := range rows {
 		out[i] = append([]float64(nil), r...)
 	}
 	return out
+}
+
+// TestBuilderHoldsOneMatrix: the basestation's reindex state at
+// N = 1000 — NewGraph, then two rebuilds of one Builder with the link
+// graph changed between them, so the second re-runs the shortest-path
+// pass row against row — allocates the one xmits matrix (8 MB) and,
+// beside it, only what grows with n, the reports and the value domain:
+// 4.2–5.9 MB measured across GOMAXPROCS 1 and 8 and the race detector
+// (the report list, two adjacencies with their sort scratch, two
+// contributor tables, per-worker scratch). The 7 MiB allowance is less
+// than one more n×n float64 array, so any second matrix fails. On the
+// parent commit this test fails with 26 598 368 B: the dense Graph and
+// the Builder's second xmits buffer, 8 MB each.
+func TestBuilderHoldsOneMatrix(t *testing.T) {
+	const n = 1000
+	_, in := rebuildBenchScenario(n, 11)
+	type link struct {
+		from, to netsim.NodeID
+		q        float64
+	}
+	r := rand.New(rand.NewSource(12))
+	var links []link
+	for i := 0; i < n; i++ {
+		for d := 0; d < 12; d++ {
+			if j := r.Intn(n); j != i {
+				links = append(links, link{netsim.NodeID(i), netsim.NodeID(j), 0.2 + 0.75*r.Float64()})
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewGraph(n)
+	var b Builder
+	for round := 0; round < 2; round++ {
+		g.Reset()
+		for _, l := range links {
+			g.Report(l.from, l.to, l.q)
+		}
+		in := in
+		in.Graph = g
+		b.BuildOwners(&in)
+		links[0].q /= 2
+	}
+	runtime.ReadMemStats(&after)
+	if b.LastStats().SPTSources != n || len(b.rowChanged) != n {
+		t.Fatal("the second rebuild did not re-run the shortest-path pass row against row")
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewGraph + 2 rebuilds at N = %d, E = %d: %d B", n, len(links), bytes)
+	if budget := uint64(8*n*n + 7<<20); bytes > budget {
+		t.Fatalf("NewGraph + 2 rebuilds allocate %d B, want ≤ %d (one %d B xmits matrix + 7 MiB)", bytes, budget, 8*n*n)
+	}
 }

@@ -12,52 +12,41 @@ const Inf = math.MaxFloat64 / 4
 // Graph holds the basestation's view of link qualities, built from the
 // topology section of summary messages (each node's best-connected
 // neighbors with estimated inbound quality) plus the origin/parent
-// fields in Scoop packet headers (paper §5.2). Quality[i][j] estimates
-// the delivery probability of one transmission i→j.
+// fields in Scoop packet headers (paper §5.2).
 //
-// Quality's row slices share one flat backing array (the same trick
-// the xmits matrix uses), so an n-node graph is two allocations and
-// Reset can recycle it across index rebuilds without churning the
-// allocator.
+// A node reports only its ~12 best neighbors, so the graph is kept as
+// what arrived: a list of reports, packed into the shortest-path pass's
+// CSR adjacency in O(N + reports) (csr.build). Reset truncates the list,
+// so the basestation reuses one Graph across index rebuilds.
 type Graph struct {
 	N       int
-	Quality [][]float64
-	flat    []float64
+	reports []linkReport
+}
+
+// linkReport is one observation: one transmission from→to is delivered
+// with probability q.
+type linkReport struct {
+	from, to int32
+	q        float64
 }
 
 // NewGraph returns an n-node graph with no links.
-func NewGraph(n int) *Graph {
-	g := &Graph{N: n, Quality: make([][]float64, n), flat: make([]float64, n*n)}
-	for i := range g.Quality {
-		g.Quality[i] = g.flat[i*n : (i+1)*n : (i+1)*n]
-	}
-	return g
-}
+func NewGraph(n int) *Graph { return &Graph{N: n} }
 
 // Reset clears every link observation so the graph can be rebuilt from
-// the next batch of summaries. The basestation keeps one Graph alive
-// across rebuilds instead of reallocating an n×n matrix each epoch.
-func (g *Graph) Reset() {
-	for i := range g.flat {
-		g.flat[i] = 0
-	}
-}
+// the next batch of summaries.
+func (g *Graph) Reset() { g.reports = g.reports[:0] }
 
 // Report records a link-quality observation: node `to` reported
-// hearing `from` with the given delivery probability. Newer reports
-// overwrite older ones (the basestation keeps the last summary per
-// node).
+// hearing `from` with the given delivery probability, clamped to [0, 1].
+// The last report of a pair is the one that counts (the basestation
+// keeps the last summary per node); self-reports and IDs outside the
+// graph are ignored.
 func (g *Graph) Report(from, to netsim.NodeID, quality float64) {
 	if int(from) >= g.N || int(to) >= g.N || from == to {
 		return
 	}
-	if quality < 0 {
-		quality = 0
-	}
-	if quality > 1 {
-		quality = 1
-	}
-	g.Quality[from][to] = quality
+	g.reports = append(g.reports, linkReport{from: int32(from), to: int32(to), q: min(max(quality, 0), 1)})
 }
 
 // minUsableQuality guards the ETX metric against wildly expensive
@@ -74,11 +63,16 @@ const minUsableQuality = 0.125
 // graph is sparse: per-source Dijkstra over a CSR adjacency is
 // O(n·(E + n log n)) instead of the dense Floyd–Warshall's O(n³),
 // which is what keeps 1000-node index rebuilds off the simulation's
-// critical path. Convenience wrapper over a throwaway solver; the
-// basestation's Builder keeps a warm solver with reusable scratch.
+// critical path. Convenience wrapper with fresh scratch per call; the
+// basestation's Builder keeps its scratch across rebuilds.
 func (g *Graph) Xmits() [][]float64 {
-	var s spSolver
-	return s.allPairs(g)
+	var adj csr
+	var x xbuf
+	var workers []spWorker
+	adj.build(g)
+	x.ensure(g.N)
+	solveAllPairs(&adj, x.rows, nil, &workers)
+	return x.rows
 }
 
 // RoundTrip returns xmits(base→o→base) given a precomputed matrix:

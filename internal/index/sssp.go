@@ -2,6 +2,7 @@ package index
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -12,8 +13,8 @@ import (
 //
 // Determinism rules (DESIGN.md, reindex pipeline):
 //   - Each source's distance row depends only on the CSR arrays, which
-//     are built by a row-major scan of the quality matrix — workers
-//     write disjoint rows, so the result is bit-identical whatever
+//     are a pure function of the Graph's reports — workers write
+//     disjoint rows, so the result is bit-identical whatever
 //     GOMAXPROCS is (pinned by TestXmitsGOMAXPROCSDeterminism).
 //   - The heap orders by (distance, node ID): floating-point distance
 //     ties pop the lower node ID first, so even the relaxation order —
@@ -24,52 +25,65 @@ import (
 
 // csr is a compressed-sparse-row adjacency: edges of row i live in
 // to[head[i]:head[i+1]] (ascending target order) with cost w (ETX,
-// 1/quality). All slices are reused across rebuilds.
+// 1/quality). All slices, the sort scratch included, are reused across
+// rebuilds.
 type csr struct {
 	n    int
 	head []int32
 	to   []int32
 	w    []float64
+
+	sorted, tmp []linkReport
 }
 
-// build fills the CSR from the graph's quality matrix, reusing the
-// receiver's slices. Only links at or above minUsableQuality become
-// edges (the same rule the dense pass applies).
+// build packs the graph's reports into the CSR, reusing the receiver's
+// slices. Two stable counting sorts, by target and then by source, put
+// each source's reports in ascending target order with a pair's reports
+// in arrival order, so the last of each run is the one that counts.
+// Only links at or above minUsableQuality become edges (the same rule
+// the dense pass applies).
 func (c *csr) build(g *Graph) {
 	n := g.N
 	c.n = n
-	if cap(c.head) < n+1 {
-		c.head = make([]int32, n+1)
-	}
-	c.head = c.head[:n+1]
-	edges := 0
-	for i := 0; i < n; i++ {
-		c.head[i] = int32(edges)
-		row := g.Quality[i]
-		for j := 0; j < n; j++ {
-			if row[j] >= minUsableQuality {
-				edges++
-			}
+	c.head = slices.Grow(c.head[:0], n+1)[:n+1]
+	c.tmp = countingSort(c.tmp, g.reports, c.head, func(r linkReport) int32 { return r.to })
+	c.sorted = countingSort(c.sorted, c.tmp, c.head, func(r linkReport) int32 { return r.from })
+	c.to, c.w = slices.Grow(c.to[:0], len(c.sorted)), slices.Grow(c.w[:0], len(c.sorted))
+	row := int32(0)
+	for k, r := range c.sorted {
+		if k+1 < len(c.sorted) && c.sorted[k+1].from == r.from && c.sorted[k+1].to == r.to {
+			continue // a later report of the pair overrides this one
 		}
-	}
-	c.head[n] = int32(edges)
-	if cap(c.to) < edges {
-		c.to = make([]int32, edges)
-		c.w = make([]float64, edges)
-	}
-	c.to = c.to[:edges]
-	c.w = c.w[:edges]
-	e := 0
-	for i := 0; i < n; i++ {
-		row := g.Quality[i]
-		for j := 0; j < n; j++ {
-			if q := row[j]; q >= minUsableQuality {
-				c.to[e] = int32(j)
-				c.w[e] = 1.0 / q
-				e++
-			}
+		if r.q < minUsableQuality {
+			continue
 		}
+		for ; row <= r.from; row++ {
+			c.head[row] = int32(len(c.to))
+		}
+		c.to = append(c.to, r.to)
+		c.w = append(c.w, 1.0/r.q)
 	}
+	for ; int(row) <= n; row++ {
+		c.head[row] = int32(len(c.to))
+	}
+}
+
+// countingSort stably sorts src into dst (resized) by key, which must
+// lie in [0, len(count)-1); count is scratch.
+func countingSort(dst, src []linkReport, count []int32, key func(linkReport) int32) []linkReport {
+	clear(count)
+	for _, r := range src {
+		count[key(r)+1]++
+	}
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	dst = slices.Grow(dst[:0], len(src))[:len(src)]
+	for _, r := range src {
+		dst[count[key(r)]] = r
+		count[key(r)]++
+	}
+	return dst
 }
 
 // equal reports whether two CSR snapshots describe the same weighted
@@ -221,31 +235,50 @@ func parallelFor(workers, items, totalWork int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
+// spWorker is one worker's scratch: its Dijkstra heap and, when rows
+// are compared before they are stored, the row it solves into.
+type spWorker struct {
+	heap spHeap
+	row  []float64
+}
+
 // solveAllPairs runs per-source Dijkstra for every row of the matrix.
-// rows must hold adj.n slices of length adj.n; heaps grows to one
-// scratch heap per worker. Workers write disjoint rows, so the result
-// is scheduling-independent.
-func solveAllPairs(adj *csr, rows [][]float64, heaps *[]spHeap) {
+// rows must hold adj.n slices of length adj.n; workers grows to one
+// scratch per worker. With changed nil every row is solved in place.
+// Otherwise each row is solved into its worker's scratch row,
+// changed[src] records whether it differs from the stored one (differ,
+// any entry), and it is copied in; the result reports whether any row
+// changed. Workers write disjoint rows, so the result is
+// scheduling-independent.
+func solveAllPairs(adj *csr, rows [][]float64, changed []bool, workers *[]spWorker) bool {
 	n := adj.n
 	maxW := maxWorkers()
-	if cap(*heaps) < maxW {
-		*heaps = make([]spHeap, maxW)
+	if len(*workers) < maxW {
+		*workers = append(*workers, make([]spWorker, maxW-len(*workers))...)
 	}
-	*heaps = (*heaps)[:maxW]
 	// Rough per-source cost: one heap operation per edge plus the row
 	// init; n sources total.
 	work := n * (len(adj.to) + n)
 	parallelFor(maxW, n, work, func(worker, lo, hi int) {
-		heap := &(*heaps)[worker]
+		w := &(*workers)[worker]
+		if changed != nil {
+			w.row = slices.Grow(w.row[:0], n)[:n]
+		}
 		for src := lo; src < hi; src++ {
-			dijkstra(adj, int32(src), rows[src], heap)
+			if changed == nil {
+				dijkstra(adj, int32(src), rows[src], &w.heap)
+				continue
+			}
+			dijkstra(adj, int32(src), w.row, &w.heap)
+			changed[src] = !slices.EqualFunc(w.row, rows[src], func(a, b float64) bool { return !differ(a, b) })
+			copy(rows[src], w.row)
 		}
 	})
+	return slices.Contains(changed, true)
 }
 
 // xbuf is one all-pairs distance matrix: a flat backing array plus its
-// row views. The Builder double-buffers two of these so the previous
-// rebuild's matrix survives for dirty-row comparison.
+// row views.
 type xbuf struct {
 	flat []float64
 	rows [][]float64
@@ -265,22 +298,4 @@ func (x *xbuf) ensure(n int) {
 	for i := 0; i < n; i++ {
 		x.rows[i] = x.flat[i*n : (i+1)*n : (i+1)*n]
 	}
-}
-
-// spSolver runs the sparse all-pairs pass with reusable scratch: the
-// CSR arrays, the flat distance matrix, and one heap per worker.
-type spSolver struct {
-	adj   csr
-	buf   xbuf
-	heaps []spHeap
-}
-
-// allPairs computes the full xmits matrix for g. The returned row
-// slices view the solver's flat buffer and are invalidated by the next
-// call.
-func (s *spSolver) allPairs(g *Graph) [][]float64 {
-	s.adj.build(g)
-	s.buf.ensure(g.N)
-	solveAllPairs(&s.adj, s.buf.rows, &s.heaps)
-	return s.buf.rows
 }

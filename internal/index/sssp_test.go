@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"scoop/internal/netsim"
@@ -137,16 +138,73 @@ func TestGraphReset(t *testing.T) {
 	g.Report(0, 1, 0.9)
 	g.Report(1, 2, 0.8)
 	g.Reset()
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if g.Quality[i][j] != 0 {
-				t.Fatalf("Quality[%d][%d] = %v after Reset", i, j, g.Quality[i][j])
+	for i, row := range denseOf(g).q {
+		for j, q := range row {
+			if q != 0 {
+				t.Fatalf("quality[%d][%d] = %v after Reset", i, j, q)
 			}
 		}
 	}
 	g.Report(0, 1, 0.5)
 	if x := g.Xmits(); x[0][1] != 2 {
 		t.Fatalf("xmits after Reset+Report = %v, want 2", x[0][1])
+	}
+}
+
+// TestGraphCSRMatchesDense holds the report list to the dense matrix it
+// replaced: over random Report sequences — pairs reported again, a later
+// 0 over a positive report, qualities clamped below 0 and above 1,
+// self-reports, IDs out of range, Reset between batches, one csr reused
+// across graph sizes — the sparse Graph packs into a CSR (head, to, w)
+// bit-equal to the dense matrix's row-major scan.
+func TestGraphCSRMatchesDense(t *testing.T) {
+	var c csr
+	var zeroed, clamped, ignored int
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(40)
+		g := NewGraph(n)
+		for batch := 0; batch < 3; batch++ {
+			g.Reset()
+			d := newDenseGraph(n)
+			var from, to netsim.NodeID
+			for k := r.Intn(8 * n); k > 0; k-- {
+				if k == 1 || r.Intn(4) != 0 { // else: the previous pair again
+					from, to = netsim.NodeID(r.Intn(n+2)), netsim.NodeID(r.Intn(n+2))
+				}
+				q := r.Float64()
+				switch r.Intn(6) {
+				case 0:
+					q = 0
+				case 1:
+					q = -q
+				case 2:
+					q++
+				case 3:
+					q = minUsableQuality
+				}
+				switch {
+				case int(from) >= n || int(to) >= n || from == to:
+					ignored++
+				case q <= 0 && d.q[from][to] > 0:
+					zeroed++
+				case q < 0 || q > 1:
+					clamped++
+				}
+				g.Report(from, to, q)
+				d.report(from, to, q)
+			}
+			c.build(g)
+			want := d.csr()
+			if !slices.Equal(c.head, want.head) || !slices.Equal(c.to, want.to) ||
+				!slices.EqualFunc(c.w, want.w, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("seed %d batch %d (n = %d): CSR\n head %v\n to %v\n w %v\nwant\n head %v\n to %v\n w %v",
+					seed, batch, n, c.head, c.to, c.w, want.head, want.to, want.w)
+			}
+		}
+	}
+	if zeroed == 0 || clamped == 0 || ignored == 0 {
+		t.Fatalf("sequences never exercised a case: %d zeroing overwrites, %d clamps, %d ignored reports", zeroed, clamped, ignored)
 	}
 }
 
@@ -158,6 +216,61 @@ func snapshot(rows [][]float64) []float64 {
 	return out
 }
 
+// denseGraph is the Graph this package kept before the report list
+// (PR 25): an N×N quality matrix each report overwrites in place,
+// scanned row by row into the CSR. It stays as the reference model the
+// sparse Graph is held to, and as XmitsDense's input.
+type denseGraph struct {
+	n int
+	q [][]float64
+}
+
+func newDenseGraph(n int) *denseGraph {
+	d := &denseGraph{n: n, q: make([][]float64, n)}
+	for i := range d.q {
+		d.q[i] = make([]float64, n)
+	}
+	return d
+}
+
+func (d *denseGraph) report(from, to netsim.NodeID, quality float64) {
+	if int(from) >= d.n || int(to) >= d.n || from == to {
+		return
+	}
+	if quality < 0 {
+		quality = 0
+	}
+	if quality > 1 {
+		quality = 1
+	}
+	d.q[from][to] = quality
+}
+
+// csr is the row-major scan the dense csr.build did.
+func (d *denseGraph) csr() csr {
+	c := csr{n: d.n, head: make([]int32, d.n+1)}
+	for i, row := range d.q {
+		c.head[i] = int32(len(c.to))
+		for j, q := range row {
+			if q >= minUsableQuality {
+				c.to = append(c.to, int32(j))
+				c.w = append(c.w, 1.0/q)
+			}
+		}
+	}
+	c.head[d.n] = int32(len(c.to))
+	return c
+}
+
+// denseOf replays g's reports into the dense matrix.
+func denseOf(g *Graph) *denseGraph {
+	d := newDenseGraph(g.N)
+	for _, r := range g.reports {
+		d.report(netsim.NodeID(r.from), netsim.NodeID(r.to), r.q)
+	}
+	return d
+}
+
 // XmitsDense is the original dense Floyd–Warshall pass, kept as the
 // reference implementation the sparse solver is equivalence-tested
 // against (and for ablation benches). Its results agree with Xmits up
@@ -166,6 +279,7 @@ func snapshot(rows [][]float64) []float64 {
 // of the same path.
 func (g *Graph) XmitsDense() [][]float64 {
 	n := g.N
+	q := denseOf(g).q
 	// One flat backing array: row slices share it, so the O(n²) matrix
 	// is a single allocation and the k-loop walks contiguous memory.
 	flat := make([]float64, n*n)
@@ -176,8 +290,8 @@ func (g *Graph) XmitsDense() [][]float64 {
 			switch {
 			case i == j:
 				d[i][j] = 0
-			case g.Quality[i][j] >= minUsableQuality:
-				d[i][j] = 1.0 / g.Quality[i][j]
+			case q[i][j] >= minUsableQuality:
+				d[i][j] = 1.0 / q[i][j]
 			default:
 				d[i][j] = Inf
 			}

@@ -264,8 +264,8 @@ func TestCrossRegionCollisionUsesSendersView(t *testing.T) {
 		topo := NewTopology(4)
 		topo.Pos = []Point{{0, 0}, {1, 0}, {5, 0}, {6, 0}} // S, filler | R, I
 		const S, R, I = 0, 2, 3
-		topo.Quality[S][R] = 1
-		topo.Quality[I][R] = 0.9
+		topo.SetQuality(S, R, 1)
+		topo.SetQuality(I, R, 0.9)
 		sim := NewSimulator(3)
 		params := DefaultParams()
 		params.BackoffMin, params.BackoffMax = backoff, backoff // frames start exactly timer+backoff

@@ -8,61 +8,26 @@ import (
 	"scoop/internal/metrics"
 )
 
-// TestOutLinksMatchQualityScan pins the determinism contract of the
-// cached out-link lists: for every node they must enumerate exactly
-// the audible destinations of a fresh Quality-row scan, in ascending
-// destination order — the transmit loop draws per-receiver randomness
-// in list order, so any deviation silently changes every simulation.
-func TestOutLinksMatchQualityScan(t *testing.T) {
-	for _, topo := range []*Topology{
-		GridTopology(64, 2.5, 7),
-		UniformTopology(63, 8, 3.5, 11),
-		TestbedTopology(62, 3),
-	} {
-		for i := 0; i < topo.N; i++ {
-			links := topo.OutLinks(NodeID(i))
-			k := 0
-			for j := 0; j < topo.N; j++ {
-				if i == j || topo.Quality[i][j] <= 0 {
-					continue
-				}
-				if k >= len(links) {
-					t.Fatalf("node %d: out-link list too short (%d entries)", i, len(links))
-				}
-				if links[k].Dst != NodeID(j) || links[k].Quality != topo.Quality[i][j] {
-					t.Fatalf("node %d link %d: got (%d,%v), want (%d,%v)",
-						i, k, links[k].Dst, links[k].Quality, j, topo.Quality[i][j])
-				}
-				k++
-			}
-			if k != len(links) {
-				t.Fatalf("node %d: %d extra out-links", i, len(links)-k)
-			}
-		}
-	}
-}
-
-// TestOutLinksBuiltOnce verifies the lists are computed once and
-// reused — the hot transmit path must not rescan the N×N matrix — and
-// that InvalidateLinks forces a rebuild after a manual Quality edit.
+// TestOutLinksBuiltOnce verifies the lists are views of the one link
+// array, not rebuilt or copied per call — the hot transmit path reads
+// them on every frame — and that SetQuality's edits show at once:
+// there is no cached copy left to go stale.
 func TestOutLinksBuiltOnce(t *testing.T) {
 	topo := GridTopology(16, 2.5, 5)
 	a := topo.OutLinks(1)
 	b := topo.OutLinks(1)
 	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("OutLinks rebuilt between calls (lists must be cached)")
+		t.Fatal("OutLinks rebuilt between calls (lists must be views)")
 	}
-	// Mutating Quality without invalidation keeps the stale cache (the
-	// documented contract: topologies are immutable once in use) …
 	dst := a[0].Dst
-	topo.Quality[1][dst] = 0
-	if got := topo.OutLinks(1); len(got) != len(a) {
-		t.Fatal("cache unexpectedly rebuilt without InvalidateLinks")
+	n := len(a)
+	topo.SetQuality(1, dst, 0)
+	if got := topo.OutLinks(1); len(got) != n-1 || topo.Quality(1, dst) != 0 {
+		t.Fatalf("after removing 1→%d: %d links, want %d", dst, len(got), n-1)
 	}
-	// … and InvalidateLinks picks the edit up.
-	topo.InvalidateLinks()
-	if got := topo.OutLinks(1); len(got) != len(a)-1 {
-		t.Fatalf("after invalidate: %d links, want %d", len(topo.OutLinks(1)), len(a)-1)
+	topo.SetQuality(1, dst, 0.5)
+	if got := topo.OutLinks(1); len(got) != n || got[0] != (Link{dst, 0.5}) {
+		t.Fatalf("after restoring 1→%d: %v", dst, got)
 	}
 }
 
@@ -108,14 +73,12 @@ func (inertApp) Timer(int)       {}
 func TestNetworkFootprintLinearInLinks(t *testing.T) {
 	// GridTopology's placement without its MaxNodes bound.
 	grid := func(n int) *Topology {
-		topo := &Topology{N: n, Pos: make([]Point, n), Quality: make([][]float64, n)}
+		topo := &Topology{N: n, Pos: make([]Point, n)}
 		cols := int(math.Ceil(math.Sqrt(float64(n))))
-		for i := range topo.Quality {
-			topo.Quality[i] = make([]float64, n)
+		for i := range topo.Pos {
 			topo.Pos[i] = Point{X: float64(i % cols), Y: float64(i / cols)}
 		}
-		fillLinks(topo, 2.5, newTestRand(9))
-		topo.OutLinks(0) // the topology, link tables included, is built beforehand
+		fillLinks(topo, 2.5, newTestRand(9), nil)
 		return topo
 	}
 	networkBytes := func(topo *Topology) uint64 {

@@ -231,10 +231,11 @@ type Network struct {
 
 // NewNetwork creates a network over topo driven by sim. counters may be
 // shared with other observers but must only be used from this
-// simulation's goroutine. The topology's link tables are frozen here
-// (built if this is their first use).
+// simulation's goroutine. The topology is frozen here: its links are
+// what the network's per-link state is parallel to, so SetQuality
+// panics from now on.
 func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, params Params) *Network {
-	topo.OutLinks(0)
+	topo.freeze()
 	n := &Network{
 		Sim:       sim,
 		Topo:      topo,

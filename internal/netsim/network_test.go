@@ -34,8 +34,10 @@ func (f doneFunc) SendDone(ok bool) { f(ok) }
 func pairTopology(q01, q10, q12, q21 float64) *Topology {
 	t := NewTopology(3)
 	t.Pos = []Point{{0, 0}, {1, 0}, {2, 0}}
-	t.Quality[0][1], t.Quality[1][0] = q01, q10
-	t.Quality[1][2], t.Quality[2][1] = q12, q21
+	t.SetQuality(0, 1, q01)
+	t.SetQuality(1, 0, q10)
+	t.SetQuality(1, 2, q12)
+	t.SetQuality(2, 1, q21)
 	return t
 }
 
@@ -135,8 +137,10 @@ func TestSnoopOnOverhear(t *testing.T) {
 	// 0 sends unicast to 1; node 2 hears 0 as well and must snoop.
 	topo := NewTopology(3)
 	topo.Pos = make([]Point, 3)
-	topo.Quality[0][1], topo.Quality[1][0] = 1, 1
-	topo.Quality[0][2], topo.Quality[2][0] = 1, 1
+	topo.SetQuality(0, 1, 1)
+	topo.SetQuality(1, 0, 1)
+	topo.SetQuality(0, 2, 1)
+	topo.SetQuality(2, 0, 1)
 	net, recs, _ := newTestNet(topo, 5)
 	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, nil)
 	net.Sim.Run(Minute)
@@ -305,7 +309,8 @@ func TestCollisionsDropOverlapping(t *testing.T) {
 	var collisions int64
 	for seed := int64(0); seed < 30; seed++ {
 		topo := pairTopology(1, 1, 0, 0)
-		topo.Quality[2][1], topo.Quality[1][2] = 1, 1
+		topo.SetQuality(2, 1, 1)
+		topo.SetQuality(1, 2, 1)
 		sim := NewSimulator(seed)
 		ctr := metrics.NewCounters()
 		p := DefaultParams()
@@ -329,7 +334,8 @@ func TestCollisionsDropOverlapping(t *testing.T) {
 
 func TestCollisionsDisabled(t *testing.T) {
 	topo := pairTopology(1, 1, 0, 0)
-	topo.Quality[2][1], topo.Quality[1][2] = 1, 1
+	topo.SetQuality(2, 1, 1)
+	topo.SetQuality(1, 2, 1)
 	sim := NewSimulator(5)
 	ctr := metrics.NewCounters()
 	p := DefaultParams()
@@ -441,7 +447,7 @@ func TestCarrierSenseDefers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if i != j {
-				topo.Quality[i][j] = 0.95
+				topo.SetQuality(NodeID(i), NodeID(j), 0.95)
 			}
 		}
 	}

@@ -72,16 +72,17 @@ func (p *Partition) Size(r int) int { return p.sizes[r] }
 // one audible link (either direction) to a node in another region —
 // the nodes whose transmissions become cross-region boundary events.
 func (p *Partition) BoundaryNodes(topo *Topology) []NodeID {
-	var out []NodeID
+	boundary := make([]bool, topo.N)
 	for i := 0; i < topo.N; i++ {
-		ri := p.region[i]
-		boundary := false
-		for j := 0; j < topo.N && !boundary; j++ {
-			if p.region[j] != ri && (topo.Quality[i][j] > 0 || topo.Quality[j][i] > 0) {
-				boundary = true
+		for _, lk := range topo.OutLinks(NodeID(i)) {
+			if p.region[i] != p.region[lk.Dst] {
+				boundary[i], boundary[lk.Dst] = true, true
 			}
 		}
-		if boundary {
+	}
+	var out []NodeID
+	for i, b := range boundary {
+		if b {
 			out = append(out, NodeID(i))
 		}
 	}

@@ -121,9 +121,12 @@ func TestPartitionDeterministic(t *testing.T) {
 func TestBoundaryNodes(t *testing.T) {
 	topo := NewTopology(4)
 	topo.Pos = []Point{{0, 0}, {1, 0}, {2, 0}, {3, 0}}
-	topo.Quality[0][1], topo.Quality[1][0] = 1, 1
-	topo.Quality[1][2], topo.Quality[2][1] = 1, 1
-	topo.Quality[2][3], topo.Quality[3][2] = 1, 1
+	topo.SetQuality(0, 1, 1)
+	topo.SetQuality(1, 0, 1)
+	topo.SetQuality(1, 2, 1)
+	topo.SetQuality(2, 1, 1)
+	topo.SetQuality(2, 3, 1)
+	topo.SetQuality(3, 2, 1)
 	p := PartitionTopology(topo, 2)
 	got := p.BoundaryNodes(topo)
 	want := []NodeID{1, 2}
@@ -131,13 +134,14 @@ func TestBoundaryNodes(t *testing.T) {
 		t.Fatalf("boundary nodes = %v, want %v", got, want)
 	}
 	// One-directional audibility still makes both endpoints boundary.
-	topo.Quality[2][1] = 0
+	topo.SetQuality(2, 1, 0)
 	got = p.BoundaryNodes(topo)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("asymmetric link: boundary nodes = %v, want %v", got, want)
 	}
 	// An isolated split (no cross links) has no boundary nodes.
-	topo.Quality[1][2], topo.Quality[2][1] = 0, 0
+	topo.SetQuality(1, 2, 0)
+	topo.SetQuality(2, 1, 0)
 	if got := p.BoundaryNodes(topo); len(got) != 0 {
 		t.Fatalf("severed chain: boundary nodes = %v, want none", got)
 	}
@@ -232,7 +236,8 @@ func TestTwoRegionWindowEdgeDelivery(t *testing.T) {
 	run := func(regions int) []arrival {
 		topo := NewTopology(2)
 		topo.Pos = []Point{{0, 0}, {5, 0}}
-		topo.Quality[0][1], topo.Quality[1][0] = 1, 1
+		topo.SetQuality(0, 1, 1)
+		topo.SetQuality(1, 0, 1)
 		sim := NewSimulator(9)
 		net := NewNetwork(sim, topo, metrics.NewCounters(), DefaultParams())
 		if regions > 1 {

@@ -22,7 +22,8 @@ func ringNet(t *testing.T, seed int64) (*Network, *NodeAPI, *recorder, *metrics.
 func ringNetTo(seed int64, rx App, sinks ...trace.Sink) (*Network, *metrics.Counters) {
 	topo := NewTopology(2)
 	topo.Pos = make([]Point, 2)
-	topo.Quality[0][1], topo.Quality[1][0] = 1, 1
+	topo.SetQuality(0, 1, 1)
+	topo.SetQuality(1, 0, 1)
 	p := DefaultParams()
 	p.QueueCap = 4
 	ctr := metrics.NewCounters()

@@ -71,7 +71,8 @@ func TestRestartResumesTimers(t *testing.T) {
 func TestRestartDrainsSendQueue(t *testing.T) {
 	topo := NewTopology(2)
 	topo.Pos = make([]Point, 2)
-	topo.Quality[0][1], topo.Quality[1][0] = 1, 1
+	topo.SetQuality(0, 1, 1)
+	topo.SetQuality(1, 0, 1)
 	sim := NewSimulator(2)
 	ctr := metrics.NewCounters()
 	net := NewNetwork(sim, topo, ctr, DefaultParams())

@@ -9,13 +9,10 @@ import (
 )
 
 // linklessNetwork is an n-node network of k regions on a topology with
-// no links (every row of the quality matrix the same zero row), every
-// node attached: last to first when reversed.
+// no links, every node attached: last to first when reversed.
 func linklessNetwork(n int, seed int64, k int, reversed bool) *Network {
-	row := make([]float64, n)
-	topo := &Topology{N: n, Pos: make([]Point, n), Quality: make([][]float64, n)}
-	for i := range topo.Quality {
-		topo.Quality[i] = row
+	topo := &Topology{N: n, Pos: make([]Point, n)}
+	for i := range topo.Pos {
 		topo.Pos[i] = Point{X: float64(i % 32), Y: float64(i / 32)}
 	}
 	net := NewNetwork(NewSimulator(seed), topo, metrics.NewCounters(), DefaultParams())

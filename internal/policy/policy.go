@@ -113,15 +113,7 @@ type HashWorkload struct {
 //   - Every query contacts the owners of its value range directly:
 //     one base→owner→base round trip per distinct owner.
 func AnalyticalHash(topo *netsim.Topology, w HashWorkload) metrics.Breakdown {
-	g := index.NewGraph(topo.N)
-	for i := 0; i < topo.N; i++ {
-		for j := 0; j < topo.N; j++ {
-			if i != j {
-				g.Report(netsim.NodeID(i), netsim.NodeID(j), topo.Quality[i][j])
-			}
-		}
-	}
-	x := g.Xmits()
+	x := trueXmits(topo)
 	var data float64
 	for p := 1; p < topo.N; p++ {
 		var mean float64
@@ -175,15 +167,7 @@ func AnalyticalHash(topo *netsim.Topology, w HashWorkload) metrics.Breakdown {
 // "analytically in our simulator", i.e. under the simulator's cost
 // conditions.
 func AnalyticalBaseData(topo *netsim.Topology, w HashWorkload) float64 {
-	g := index.NewGraph(topo.N)
-	for i := 0; i < topo.N; i++ {
-		for j := 0; j < topo.N; j++ {
-			if i != j {
-				g.Report(netsim.NodeID(i), netsim.NodeID(j), topo.Quality[i][j])
-			}
-		}
-	}
-	x := g.Xmits()
+	x := trueXmits(topo)
 	var data float64
 	for p := 1; p < topo.N; p++ {
 		if x[p][0] >= index.Inf {
@@ -192,4 +176,17 @@ func AnalyticalBaseData(topo *netsim.Topology, w HashWorkload) float64 {
 		data += w.SamplesPerNode * x[p][0]
 	}
 	return data
+}
+
+// trueXmits is the xmits matrix over the true topology: every audible
+// link reported at its real quality, the model both analytical
+// policies evaluate under.
+func trueXmits(topo *netsim.Topology) [][]float64 {
+	g := index.NewGraph(topo.N)
+	for i := 0; i < topo.N; i++ {
+		for _, lk := range topo.OutLinks(netsim.NodeID(i)) {
+			g.Report(netsim.NodeID(i), lk.Dst, lk.Quality)
+		}
+	}
+	return g.Xmits()
 }

@@ -340,8 +340,9 @@ func TestTreeReformsAfterParentDeath(t *testing.T) {
 	// few beacon rounds 3 must re-parent through the other branch.
 	topo := netsim.NewTopology(4)
 	topo.Pos = make([]netsim.Point, 4)
-	set := func(i, j int, q float64) {
-		topo.Quality[i][j], topo.Quality[j][i] = q, q
+	set := func(i, j netsim.NodeID, q float64) {
+		topo.SetQuality(i, j, q)
+		topo.SetQuality(j, i, q)
 	}
 	set(0, 1, 0.7)
 	set(0, 2, 0.6)
@@ -412,7 +413,8 @@ func TestCycleDetectionIgnoresForwardedTraffic(t *testing.T) {
 		topo.Pos[i] = netsim.Point{X: float64(i)}
 	}
 	for i := 0; i+1 < 4; i++ {
-		topo.Quality[i][i+1], topo.Quality[i+1][i] = 1.0, 1.0
+		topo.SetQuality(netsim.NodeID(i), netsim.NodeID(i+1), 1.0)
+		topo.SetQuality(netsim.NodeID(i+1), netsim.NodeID(i), 1.0)
 	}
 	apps, sim := buildTreeNetwork(topo, 31)
 	sim.Run(2 * netsim.Minute)
@@ -466,13 +468,8 @@ func (*treeMeter) Timer(int)              {}
 // table is 512 B now, not 1 024) and the table an object of its own.
 func TestTreeFootprintIndependentOfN(t *testing.T) {
 	newTreeBytes := func(n int) uint64 {
-		// No links and no constructor bound (netsim.MaxNodes): every row
-		// of the quality matrix is the same zero row.
-		row := make([]float64, n)
-		topo := &netsim.Topology{N: n, Pos: make([]netsim.Point, n), Quality: make([][]float64, n)}
-		for i := range topo.Quality {
-			topo.Quality[i] = row
-		}
+		// No links and no constructor bound (netsim.MaxNodes).
+		topo := &netsim.Topology{N: n, Pos: make([]netsim.Point, n)}
 		// The smallest of three, so a stray runtime allocation between
 		// the two readings cannot count.
 		best := ^uint64(0)
@@ -501,7 +498,8 @@ func TestTreeFootprintIndependentOfN(t *testing.T) {
 func TestBeaconOneAlloc(t *testing.T) {
 	topo := netsim.NewTopology(2)
 	topo.Pos = make([]netsim.Point, 2)
-	topo.Quality[0][1], topo.Quality[1][0] = 1, 1
+	topo.SetQuality(0, 1, 1)
+	topo.SetQuality(1, 0, 1)
 	sim := netsim.NewSimulator(1)
 	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
 	app, heard := &treeApp{}, &beaconSink{}

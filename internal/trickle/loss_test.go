@@ -71,7 +71,8 @@ func lossyLine(n int, q float64, cfg Config, seed int64) (*netsim.Simulator, []*
 		topo.Pos[i] = netsim.Point{X: float64(i)}
 	}
 	for i := 0; i+1 < n; i++ {
-		topo.Quality[i][i+1], topo.Quality[i+1][i] = q, q
+		topo.SetQuality(netsim.NodeID(i), netsim.NodeID(i+1), q)
+		topo.SetQuality(netsim.NodeID(i+1), netsim.NodeID(i), q)
 	}
 	sim := netsim.NewSimulator(seed)
 	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
@@ -152,7 +153,8 @@ func TestSuppressionUnderLoss(t *testing.T) {
 	countSends := func(q float64, seed int64) int64 {
 		topo := netsim.NewTopology(2)
 		topo.Pos = make([]netsim.Point, 2)
-		topo.Quality[0][1], topo.Quality[1][0] = q, q
+		topo.SetQuality(0, 1, q)
+		topo.SetQuality(1, 0, q)
 		sim := netsim.NewSimulator(seed)
 		ctr := metrics.NewCounters()
 		net := netsim.NewNetwork(sim, topo, ctr, netsim.DefaultParams())

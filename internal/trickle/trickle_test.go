@@ -33,7 +33,8 @@ func (h *harness) Timer(id int) {
 func newHarness(cfg Config, seed int64) (*harness, *netsim.Simulator) {
 	topo := netsim.NewTopology(2)
 	topo.Pos = make([]netsim.Point, 2)
-	topo.Quality[0][1], topo.Quality[1][0] = 1, 1
+	topo.SetQuality(0, 1, 1)
+	topo.SetQuality(1, 0, 1)
 	sim := netsim.NewSimulator(seed)
 	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
 	h := &harness{cfg: cfg}
