@@ -84,6 +84,8 @@ type Base struct {
 	qGos       *trickle.Trickle
 	queriesOut []*QueryMsg // queries under gossip, dense by wire query ID
 
+	mappings netsim.FreeList[MappingMsg] // recycled chunk payloads (netsim.Refs)
+
 	queryLog     []loggedQuery
 	pending      []*pendingQuery // dense by query ID
 	seenAggParts seenTable       // partial-aggregate message dedup
@@ -713,7 +715,7 @@ func (b *Base) sendChunkNow(key trickle.Key) {
 	if !ok {
 		return
 	}
-	m := &MappingMsg{Chunk: c}
+	m := newMapping(&b.mappings, c)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.ChunkSent, Node: uint16(b.api.ID()),
 		ID: c.IndexID, Value: int64(c.Num)})
 	b.api.Broadcast(&netsim.Packet{
@@ -723,6 +725,7 @@ func (b *Base) sendChunkNow(key trickle.Key) {
 		Size:         mappingSize(m),
 		Payload:      m,
 	})
+	netsim.Release(m)
 }
 
 // sendQuery is the query-Trickle transmit callback.

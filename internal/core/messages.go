@@ -16,7 +16,8 @@ import (
 // routing tree (paper §5.2): a coarse histogram over recent readings,
 // min/max/sum of those readings, the node's production rate, its
 // best-connected neighbors, and the ID of the last complete storage
-// index it holds.
+// index it holds. It is a shared payload (netsim.Packet): the
+// basestation keeps every summary it receives, so none is reused.
 type SummaryMsg struct {
 	Node          netsim.NodeID
 	Hist          histogram.Histogram
@@ -38,20 +39,57 @@ func summarySize(m *SummaryMsg) int {
 // DataMsg carries batched readings toward their owner (paper §5.4).
 // Owner and SID may be rewritten in flight by nodes holding a newer
 // storage index (routing rule 1). Hops is a TTL against transient
-// routing loops.
+// routing loops. It is a recycled payload (netsim.Packet): it travels
+// inside the sender's dataHop, which owns Readings and goes back to
+// the sender's free list after the last delivery, so a forwarder copies
+// the readings into a hop of its own.
 type DataMsg struct {
+	netsim.Refs
 	Readings []storage.Reading
 	Owner    netsim.NodeID
 	SID      uint16
 	Hops     uint8
+	hop      *dataHop
+}
+
+// Recycle implements netsim.Recycled.
+func (m *DataMsg) Recycle() {
+	if h := m.hop; h != nil {
+		n, rs := h.n, m.Readings
+		clear(rs)
+		*h = dataHop{msg: DataMsg{Readings: rs[:0]}}
+		n.hops.Put(h)
+	}
 }
 
 func dataSize(m *DataMsg) int { return 10 + 4*len(m.Readings) }
 
 // MappingMsg is one storage-index chunk under Trickle dissemination
-// (paper §5.3).
+// (paper §5.3). It is a recycled payload (netsim.Packet), back on its
+// sender's free list after the last delivery; the chunk's Entries are
+// shared — the index they slice is immutable — so a receiver keeps the
+// Chunk by value.
 type MappingMsg struct {
+	netsim.Refs
 	Chunk index.Chunk
+	free  *netsim.FreeList[MappingMsg]
+}
+
+// Recycle implements netsim.Recycled.
+func (m *MappingMsg) Recycle() {
+	if free := m.free; free != nil {
+		*m = MappingMsg{}
+		free.Put(m)
+	}
+}
+
+// newMapping takes a MappingMsg for chunk c off free, with the sender's
+// reference held.
+func newMapping(free *netsim.FreeList[MappingMsg], c index.Chunk) *MappingMsg {
+	m := free.Get()
+	m.Chunk, m.free = c, free
+	netsim.Hold(m)
+	return m
 }
 
 func mappingSize(m *MappingMsg) int { return 12 + 5*len(m.Chunk.Entries) }
@@ -63,7 +101,9 @@ func mappingSize(m *MappingMsg) int { return 12 + 5*len(m.Chunk.Entries) }
 // comes back: query.OpSelect, the zero value, asks for the matching
 // tuples (ReplyMsg); any aggregate operator asks targeted nodes for
 // partial-aggregate state instead, which intermediate nodes combine on
-// the way up (AggReplyMsg, TAG-style in-network aggregation).
+// the way up (AggReplyMsg, TAG-style in-network aggregation). It is a
+// shared payload (netsim.Packet): every relay keeps the query it heard
+// and re-broadcasts that same object under Trickle.
 type QueryMsg struct {
 	ID               uint16
 	Bitmap           Bitmap
@@ -92,13 +132,28 @@ func querySize(q *QueryMsg) int {
 
 // ReplyMsg carries a node's matching tuples back to the basestation.
 // Count is the total number of matches; Readings is capped at
-// ReplyMaxReadings (packet size), as a mote reply would be.
+// ReplyMaxReadings (packet size), as a mote reply would be. It is a
+// recycled payload (netsim.Packet) that owns Readings: back on its
+// sender's free list after the last delivery, so a forwarder copies it
+// into a reply of its own.
 type ReplyMsg struct {
+	netsim.Refs
 	QueryID  uint16
 	Node     netsim.NodeID
 	Count    int
 	Readings []storage.Reading
 	Hops     uint8 // forwarding TTL
+	free     *netsim.FreeList[ReplyMsg]
+}
+
+// Recycle implements netsim.Recycled.
+func (m *ReplyMsg) Recycle() {
+	if free := m.free; free != nil {
+		rs := m.Readings
+		clear(rs)
+		*m = ReplyMsg{Readings: rs[:0]}
+		free.Put(m)
+	}
 }
 
 func replySize(m *ReplyMsg) int { return 8 + 4*len(m.Readings) }

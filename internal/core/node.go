@@ -65,9 +65,13 @@ type Node struct {
 	// one open batch per owner instead of flushing on every owner
 	// change preserves the batching win when consecutive samples
 	// straddle a range boundary — see DESIGN.md §6). batchq holds the
-	// owners with a pending batch, and only those.
-	batchq   idTable[[]storage.Reading]
-	batchSID uint16
+	// owners with a pending batch, and only those. A launched batch's
+	// buffer goes to spareBatches for the next one (its hop copies what
+	// it sends); regroup is rule 1's reusable sort buffer.
+	batchq       idTable[[]storage.Reading]
+	batchSID     uint16
+	spareBatches [][]storage.Reading
+	regroup      []storage.Reading
 
 	pendingAnswers []*QueryMsg // queries awaiting the jittered reply
 
@@ -79,6 +83,14 @@ type Node struct {
 	seenAggParts  seenTable
 
 	samplesSinceSummary int
+
+	// Free lists of the recycled payloads this node sends (netsim.Refs):
+	// data hops, replies and mapping chunks come back here after their
+	// last delivery. They are allocation caches, not mote RAM, so a
+	// reboot keeps them.
+	hops     netsim.FreeList[dataHop]
+	replies  netsim.FreeList[ReplyMsg]
+	mappings netsim.FreeList[MappingMsg]
 }
 
 // NewNode creates a Scoop node that begins sampling at the absolute
@@ -221,10 +233,12 @@ func (n *Node) receive(p *netsim.Packet) {
 	case *ReplyMsg:
 		n.learnDescendant(p)
 		if int(m.Hops) <= n.cfg.MaxHops && !n.seenReplies.Seen(m.Node, uint64(m.QueryID)) {
-			fwd := *m
-			fwd.Hops++
+			fwd := n.newReply()
+			fwd.QueryID, fwd.Node, fwd.Count, fwd.Hops = m.QueryID, m.Node, m.Count, m.Hops+1
+			fwd.Readings = append(fwd.Readings, m.Readings...)
 			n.stats.RepliesForwarded++
-			n.forwardUp(p, &fwd, metrics.Reply, replySize(m))
+			n.forwardUp(p, fwd, metrics.Reply, replySize(m))
+			netsim.Release(fwd)
 		}
 	case *AggReplyMsg:
 		n.learnDescendant(p)
@@ -298,12 +312,17 @@ func (n *Node) takeSample() {
 	n.batchSID = sid
 	rs := n.batchq.at(owner)
 	if *rs == nil {
-		*rs = make([]storage.Reading, 0, n.cfg.BatchSize)
+		if k := len(n.spareBatches); k > 0 {
+			*rs, n.spareBatches = n.spareBatches[k-1], n.spareBatches[:k-1]
+		} else {
+			*rs = make([]storage.Reading, 0, n.cfg.BatchSize)
+		}
 	}
 	*rs = append(*rs, r)
 	if full := *rs; len(full) >= n.cfg.BatchSize {
 		n.batchq.remove(owner)
-		n.routeData(&DataMsg{Readings: full, Owner: owner, SID: sid})
+		n.routeData(full, owner, sid, 0)
+		n.spareBatches = append(n.spareBatches, full[:0])
 	}
 }
 
@@ -324,7 +343,9 @@ func (n *Node) lookupOwner(v int) (netsim.NodeID, uint16, bool) {
 // owner order — trace lines and the senders' random draws follow it.
 func (n *Node) flushBatch() {
 	for i, owner := range n.batchq.ids {
-		n.routeData(&DataMsg{Readings: n.batchq.vals[i], Owner: owner, SID: n.batchSID})
+		rs := n.batchq.vals[i]
+		n.routeData(rs, owner, n.batchSID, 0)
+		n.spareBatches = append(n.spareBatches, rs[:0])
 	}
 	n.batchq.clear()
 	n.api.CancelTimer(timerBatch)
@@ -357,27 +378,30 @@ func (n *Node) handleData(m *DataMsg) {
 	// heading for the base (0), and send each run of it.
 	if n.cur != nil && !n.cur.Local && n.cur.ID > m.SID {
 		owner := func(r storage.Reading) netsim.NodeID { o, _ := n.cur.Owner(r.Value); return o }
-		rs := slices.Clone(m.Readings)
+		n.regroup = append(n.regroup[:0], m.Readings...)
+		rs := n.regroup
 		slices.SortStableFunc(rs, func(a, b storage.Reading) int { return cmp.Compare(owner(a), owner(b)) })
 		for len(rs) > 0 {
 			k := 1
 			for k < len(rs) && owner(rs[k]) == owner(rs[0]) {
 				k++
 			}
-			n.routeData(&DataMsg{Readings: rs[:k:k], Owner: owner(rs[0]), SID: n.cur.ID, Hops: m.Hops})
+			n.routeData(rs[:k], owner(rs[0]), n.cur.ID, m.Hops)
 			rs = rs[k:]
 		}
 		return
 	}
-	n.routeData(m)
+	n.routeData(m.Readings, m.Owner, m.SID, m.Hops)
 }
 
-// routeData applies rules 2–6 (rule 4 lives in the basestation app).
-func (n *Node) routeData(m *DataMsg) {
+// routeData applies rules 2–6 (rule 4 lives in the basestation app) to
+// readings bound for owner under index sid, hops hops from where they
+// were batched. Rules 3–6 copy them into a hop of this node's own.
+func (n *Node) routeData(rs []storage.Reading, owner netsim.NodeID, sid uint16, hops uint8) {
 	me := n.api.ID()
 	// Rule 2: we are the owner.
-	if m.Owner == me {
-		for _, r := range m.Readings {
+	if owner == me {
+		for _, r := range rs {
 			n.store.Store(r)
 			n.stats.MarkStored(r.Producer, r.Time)
 			site := trace.StoreOwner
@@ -392,19 +416,28 @@ func (n *Node) routeData(m *DataMsg) {
 		}
 		return
 	}
-	h := &dataHop{n: n, msg: *m}
-	h.msg.Hops++
+	h := n.hops.Get()
+	h.n, h.msg.hop = n, h
+	if h.msg.Readings == nil { // a new hop: its own array, unless a batch outgrows it
+		h.msg.Readings = h.buf[:0]
+	}
+	h.msg.Readings = append(h.msg.Readings, rs...)
+	h.msg.Owner, h.msg.SID, h.msg.Hops = owner, sid, hops+1
+	netsim.Hold(&h.msg)
 	h.route(3)
 }
 
 // dataHop is one data message leaving this node, in one object: the
-// payload its frames carry (&msg, Hops counting this hop) and the
-// completion the MAC reports to. A failed rule falls back to the next
-// by re-sending the same hop: a sent msg never changes.
+// payload its frames carry (&msg, Hops counting this hop, Readings
+// slicing buf) and the completion the MAC reports to. A failed rule
+// falls back to the next by re-sending the same hop: a sent msg never
+// changes. The hop holds the sender's reference on msg until its last
+// verdict; the last delivery then returns it to the node's free list.
 type dataHop struct {
 	msg  DataMsg
 	n    *Node
-	rule int // the routing rule (3, 5 or 6) that chose the frame in flight
+	rule int                // the routing rule (3, 5 or 6) that chose the frame in flight
+	buf  [5]storage.Reading // msg.Readings' array at the paper's batch size
 }
 
 // route sends the hop by the first of rules 3, 5 and 6, from rule
@@ -425,6 +458,7 @@ func (h *dataHop) route(from int) {
 		h.rule = 6 // Rule 6: send toward the basestation.
 	} else {
 		n.loseReadings(h.msg.Readings, metrics.DropNoRoute)
+		netsim.Release(&h.msg)
 		return
 	}
 	n.api.Send(&netsim.Packet{
@@ -449,7 +483,9 @@ func (h *dataHop) SendDone(ok bool) {
 		fallthrough
 	default:
 		h.route(h.rule + 1)
+		return
 	}
+	netsim.Release(&h.msg)
 }
 
 // sendSummary builds and launches this node's periodic summary message
@@ -541,7 +577,7 @@ func (n *Node) sendChunkNow(key trickle.Key) {
 	}
 	n.cfg.Trace.Emit(trace.Event{Kind: trace.ChunkSent, Node: uint16(n.api.ID()),
 		ID: c.IndexID, Value: int64(c.Num)})
-	m := &MappingMsg{Chunk: c}
+	m := newMapping(&n.mappings, c)
 	n.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Mapping,
 		Origin:       n.api.ID(),
@@ -549,6 +585,7 @@ func (n *Node) sendChunkNow(key trickle.Key) {
 		Size:         mappingSize(m),
 		Payload:      m,
 	})
+	netsim.Release(m)
 }
 
 // onQuery processes a query packet: feed Trickle suppression, decide
@@ -616,29 +653,39 @@ func (n *Node) sendQuery(key trickle.Key) {
 }
 
 // answer linearly scans the data buffer (paper §5.5) and sends a reply
-// toward the basestation — "even if no tuples matched the query".
+// toward the basestation — "even if no tuples matched the query". The
+// scan appends the first ReplyMaxReadings matches straight into the
+// reply's own buffer and counts the rest.
 func (n *Node) answer(q *QueryMsg) {
-	var matches []storage.Reading
+	m := n.newReply()
+	m.QueryID, m.Node = q.ID, n.api.ID()
 	n.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
-		matches = append(matches, r)
+		if m.Count < n.cfg.ReplyMaxReadings {
+			m.Readings = append(m.Readings, r)
+		}
+		m.Count++
 	})
-	carried := matches
-	if len(carried) > n.cfg.ReplyMaxReadings {
-		carried = carried[:n.cfg.ReplyMaxReadings]
-	}
-	m := &ReplyMsg{QueryID: q.ID, Node: n.api.ID(), Count: len(matches), Readings: carried}
 	n.cfg.Trace.Emit(trace.Event{Kind: trace.QueryAnswered, Node: uint16(n.api.ID()),
-		ID: q.ID, Value: int64(len(matches))})
-	if !n.tree.HasRoute() {
-		return
+		ID: q.ID, Value: int64(m.Count)})
+	if n.tree.HasRoute() {
+		n.stats.RepliesSent++
+		n.api.Send(&netsim.Packet{
+			Class:        metrics.Reply,
+			Dst:          n.tree.Parent(),
+			Origin:       n.api.ID(),
+			OriginParent: n.tree.Parent(),
+			Size:         replySize(m),
+			Payload:      m,
+		}, nil)
 	}
-	n.stats.RepliesSent++
-	n.api.Send(&netsim.Packet{
-		Class:        metrics.Reply,
-		Dst:          n.tree.Parent(),
-		Origin:       n.api.ID(),
-		OriginParent: n.tree.Parent(),
-		Size:         replySize(m),
-		Payload:      m,
-	}, nil)
+	netsim.Release(m)
+}
+
+// newReply takes a ReplyMsg off the node's free list, with the sender's
+// reference held.
+func (n *Node) newReply() *ReplyMsg {
+	m := n.replies.Get()
+	m.free = &n.replies
+	netsim.Hold(m)
+	return m
 }

@@ -21,7 +21,8 @@
 //     must flow from a stream seeded by the trial.
 //   - packetretain: a *netsim.Packet handed to Receive/Snoop or to a
 //     netsim hook (OnPurge, ForEachQueued …) is simulator-owned and
-//     valid only during the callback — copy, never retain.
+//     valid only during the callback, and so is a recycled payload
+//     reached from it, slices included — copy, never retain.
 //   - goroutine: no `go` statement in deterministic packages without
 //     a reviewed confinement argument — the region scheduler's
 //     barrier-synchronised workers are the sanctioned exception.

@@ -2,7 +2,8 @@
 // simulator-owned *netsim.Packet can escape a Receive/Snoop callback.
 // Since the §12 pooling overhaul the packet lives in a pool and is
 // recycled the moment the callback returns — a retained pointer reads
-// someone else's packet later.
+// someone else's packet later. A recycled payload reached from it goes
+// back to its sender's free list the same way, with its slices.
 package packetretain
 
 import (
@@ -99,3 +100,83 @@ func (h *harness) wire(net *netsim.Network) {
 }
 
 func keepInFlight(p *netsim.Packet) { stash = p }
+
+// msg is a recycled payload: it embeds netsim.Refs, so after its last
+// delivery it goes back to its sender's free list and is zeroed there.
+type msg struct {
+	netsim.Refs
+	Readings []int
+	Owner    int
+}
+
+func (m *msg) Recycle() {}
+
+// shared is an ordinary payload type: receivers may keep it.
+type shared struct{ IDs []int }
+
+type node struct {
+	keep    *msg
+	kept    []*msg
+	rs      []int
+	ch      chan []int
+	copyOf  msg
+	hop     *hop
+	cb      func()
+	mine    []int
+	owner   int
+	queries []*shared
+	ids     []int
+}
+
+type hop struct{ m msg }
+
+func (n *node) Receive(p *netsim.Packet) {
+	switch m := p.Payload.(type) {
+	case *msg:
+		n.keep = m                    // want `storing in n\.keep retains a recycled payload:`
+		n.kept = append(n.kept, m)    // want `appending to a slice retains a recycled payload:`
+		n.cb = func() { _ = m.Owner } // want `capturing in a closure that may outlive the callback retains a recycled payload:`
+		n.rs = m.Readings             // want `storing in n\.rs retains a recycled payload's slice`
+		n.ch <- m.Readings[1:]        // want `sending on a channel retains a recycled payload's slice`
+		n.copyOf = *m                 // want `storing in n\.copyOf retains a struct copy of a recycled payload`
+		n.hop = &hop{m: *m}           // want `storing in a composite literal retains a struct copy`
+		fwd := *m                     // a local copy: tracked, not yet a violation
+		fwd.Owner++
+		n.forward(&fwd) // want `taking the address of a copy retains a struct copy`
+		rs := m.Readings
+		n.rs = rs                // want `storing in n\.rs retains a recycled payload's slice`
+		n.handle(m)              // followed into handle, which keeps a slice
+		_ = n.pick(m)            // followed into pick, which returns the pointer
+		n.inspect(m, m.Readings) // followed into inspect, which only reads
+
+		// The allowed forms: read fields, copy the elements, copy a
+		// message field by field.
+		n.owner = m.Owner
+		n.mine = append(n.mine[:0], m.Readings...)
+		own := &msg{Owner: m.Owner, Readings: append([]int(nil), m.Readings...)}
+		n.forward(own)
+	case *shared:
+		n.queries = append(n.queries, m) // a shared payload may be kept
+		n.ids = m.IDs
+	}
+	if m, ok := p.Payload.(*msg); ok {
+		n.keep = m // want `storing in n\.keep retains a recycled payload:`
+	}
+}
+
+func (n *node) handle(m *msg) {
+	n.rs = m.Readings[:1] // want `storing in n\.rs retains a recycled payload's slice`
+}
+
+func (n *node) pick(m *msg) *msg {
+	return m // want `returning it retains a recycled payload:`
+}
+
+func (n *node) inspect(m *msg, rs []int) {
+	n.owner = m.Owner + len(rs)
+	for _, v := range rs {
+		n.mine = append(n.mine, v)
+	}
+}
+
+func (n *node) forward(m *msg) { n.owner = m.Owner }

@@ -476,6 +476,11 @@ func (n *Network) Restart(id NodeID) {
 		}
 		n.Trace.Emit(trace.Event{Kind: trace.NodeRestart, Node: uint16(id)})
 	}
+	for k := 0; k < a.qlen; k++ {
+		if rc := a.slot(k).rc; rc != nil {
+			Release(rc)
+		}
+	}
 	clear(a.queue)
 	a.qhead, a.qlen = 0, 0
 	a.busy = false
@@ -731,7 +736,8 @@ type recvSlot struct {
 type delivery struct {
 	net  *Network
 	reg  *regionState
-	p    Packet // header copy taken at transmit time
+	p    Packet   // header copy taken at transmit time
+	rc   Recycled // p.Payload's reference until the last receiver returns (nil: none)
 	recv []recvSlot
 	idx  int // position in reg.inflight
 }
@@ -790,8 +796,12 @@ func (r *regionState) releaseDelivery(d *delivery) {
 	r.inflight[d.idx] = r.inflight[last]
 	r.inflight[d.idx].idx = d.idx
 	r.inflight = r.inflight[:last]
-	d.p = Packet{}
+	rc := d.rc
+	d.p, d.rc = Packet{}, nil
 	r.delivPool = append(r.delivPool, d)
+	if rc != nil {
+		Release(rc)
+	}
 }
 
 // ForEachInFlight visits the header copy of every frame currently on
@@ -819,15 +829,17 @@ func (n *Network) ForEachQueued(fn func(id NodeID, p *Packet)) {
 	}
 }
 
-// transmit puts one frame on the air from a's node and returns whether
-// dst received it (for unicast ack modelling). It fans the frame out
-// to every audible neighbour — same-region receivers onto one pooled
-// delivery task, cross-region receivers into per-region outbox entries
-// the coordinator schedules at the next barrier. Every random draw
+// transmit puts job's frame on the air from a's node and returns
+// whether dst received it (for unicast ack modelling). It fans the
+// frame out to every audible neighbour — same-region receivers onto one
+// pooled delivery task, which holds a reference on a recycled payload,
+// cross-region receivers into per-region outbox entries the coordinator
+// schedules at the next barrier, which pin it. Every random draw
 // (per-link loss, collision folds, the ack) comes from the sender's
 // substream, in out-link order, so the resolution is identical for
 // every K.
-func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
+func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
+	p, rc := &job.p, job.rc
 	src := a.id
 	reg := a.reg
 	n.txSeq[src]++
@@ -894,10 +906,16 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 			oseq = n.oseqNext(src)
 		}
 		if rd := n.RegionOf(dst); parallel && rd != reg.id {
+			if rc != nil {
+				rc.refs().pinned = true
+			}
 			reg.addOutSlot(int32(rd), tx.end, src, oseq, p, slot)
 		} else {
 			if d == nil {
 				d = reg.newDelivery(n, p)
+				if d.rc = rc; rc != nil {
+					Hold(rc)
+				}
 			}
 			d.recv = append(d.recv, slot)
 		}
@@ -911,7 +929,7 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 			if aq > 1 {
 				aq = 1
 			}
-			if !requireAck || a.rng.Float64() < aq {
+			if !job.requireAck || a.rng.Float64() < aq {
 				delivered = true
 			}
 		}
@@ -952,6 +970,7 @@ func (r *regionState) addOutSlot(to int32, at Time, origin NodeID, oseq uint64, 
 // sendJob is one queued outgoing frame, held by value from Send to jobDone.
 type sendJob struct {
 	p          Packet
+	rc         Recycled // p.Payload when recycled: the slot's reference
 	requireAck bool
 	done       interface{ SendDone(ok bool) }
 }
@@ -1078,8 +1097,12 @@ func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done interface{ SendDone(o
 		}
 		a.queue, a.qhead = grown, 0
 	}
+	rc, _ := p.Payload.(Recycled)
+	if rc != nil {
+		Hold(rc)
+	}
 	a.qlen++
-	*a.slot(a.qlen - 1) = sendJob{p: *p, requireAck: requireAck, done: done}
+	*a.slot(a.qlen - 1) = sendJob{p: *p, rc: rc, requireAck: requireAck, done: done}
 	if !a.busy {
 		a.busy = true
 		a.attempt(1, 0)
@@ -1087,10 +1110,12 @@ func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done interface{ SendDone(o
 }
 
 // jobDone completes the head-of-queue job and starts the next one. The
-// completion runs last, on a consistent ring: it may enqueue.
+// completion runs on a consistent ring, so it may enqueue; the slot's
+// reference on a recycled payload is dropped after it, so a completion
+// that re-sends the payload finds it intact.
 func (a *NodeAPI) jobDone(ok bool) {
 	head := a.slot(0)
-	done := head.done
+	done, rc := head.done, head.rc
 	*head = sendJob{} // its payload and completion are collectable
 	a.qhead, a.qlen = (a.qhead+1)%len(a.queue), a.qlen-1
 	a.jobGen++
@@ -1101,6 +1126,9 @@ func (a *NodeAPI) jobDone(ok bool) {
 	}
 	if done != nil {
 		done.SendDone(ok)
+	}
+	if rc != nil {
+		Release(rc)
 	}
 }
 
@@ -1146,7 +1174,7 @@ func (a *NodeAPI) step(gen uint64, try, defers int) {
 		return
 	}
 	j := a.slot(0)
-	ok := net.transmit(a, &j.p, j.requireAck)
+	ok := net.transmit(a, j)
 	if !j.requireAck || ok {
 		a.jobDone(true)
 		return

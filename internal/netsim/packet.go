@@ -36,9 +36,22 @@ const MaxNodes = 1024
 // Ownership: the *Packet passed to App.Receive and App.Snoop is owned
 // by the simulator and recycled through a pool once the delivery
 // callback returns. Applications must not retain or mutate it; copy
-// the struct (payloads are immutable by convention and may be kept).
-// Send/Broadcast copy the frame, so the caller's *Packet is free again at
-// once; what OnPurge and ForEachQueued/InFlight hand out lasts one call.
+// the header fields they need. Send/Broadcast copy the frame, so the
+// caller's *Packet is free again at once; what OnPurge and
+// ForEachQueued/InFlight hand out lasts one call.
+//
+// A payload is one of two classes (DESIGN.md §12):
+//
+//   - Recycled (the default): borrowed for the length of the call, like
+//     the *Packet. A receiver copies whatever it keeps, slice fields
+//     included — the object goes back to its sender's free list after
+//     its last delivery and is zeroed there. A type that embeds Refs is
+//     reference counted and reused (see Recycled); scooplint's
+//     packetretain flags a kept pointer or slice of one.
+//   - Shared: immutable once sent, so any receiver may keep it. Query
+//     and summary messages are shared (Trickle relays the query it
+//     heard, the basestation keeps every summary), as are the entries
+//     of a mapping chunk.
 type Packet struct {
 	Class metrics.Class // message class for accounting
 	Src   NodeID        // link-layer sender of this transmission
@@ -50,4 +63,72 @@ type Packet struct {
 
 	Size    int // approximate bytes on air, including headers
 	Payload any
+}
+
+// Refs is the reference count a recycled payload embeds. Its sender
+// holds one reference from creation until it is done with the payload
+// (Hold, then Release); netsim holds one per send-queue slot, until the
+// slot is popped or drained, and one per same-region delivery task,
+// until its last receiver returns. The last Release recycles the
+// payload. A payload heard across a region boundary is pinned instead:
+// its ghost delivery runs on another region's goroutine, so it is never
+// recycled and the count is only ever touched on the sender's.
+type Refs struct {
+	n      int32
+	pinned bool
+}
+
+func (r *Refs) refs() *Refs { return r }
+
+// Recycled is a payload type that embeds Refs: the last Release calls
+// its Recycle, which zeroes it and pushes it onto the free list it was
+// taken from.
+type Recycled interface {
+	refs() *Refs
+	Recycle()
+}
+
+// Hold takes a reference on p.
+func Hold(p Recycled) { p.refs().n++ }
+
+// Release drops a reference on p, recycling p when it was the last and
+// no cross-region delivery pinned it.
+func Release(p Recycled) {
+	r := p.refs()
+	r.n--
+	switch {
+	case r.n < 0:
+		panic("netsim: payload released more often than held")
+	case r.n == 0 && !r.pinned:
+		p.Recycle()
+	}
+}
+
+// freeListCap bounds every free list: a node keeps at most this many
+// spare payloads of one type, however many a burst had in flight.
+const freeListCap = 8
+
+// FreeList is a sender's LIFO of recycled payloads of one type.
+type FreeList[T any] struct{ items []*T }
+
+// Get pops the most recently recycled payload, or allocates a zero one.
+func (l *FreeList[T]) Get() *T {
+	k := len(l.items)
+	if k == 0 {
+		return new(T)
+	}
+	x := l.items[k-1]
+	l.items[k-1] = nil
+	l.items = l.items[:k-1]
+	return x
+}
+
+// Put pushes x, already zeroed by its Recycle, unless the list is full.
+func (l *FreeList[T]) Put(x *T) {
+	if l.items == nil {
+		l.items = make([]*T, 0, freeListCap)
+	}
+	if len(l.items) < freeListCap {
+		l.items = append(l.items, x)
+	}
 }

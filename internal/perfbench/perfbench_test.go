@@ -1,19 +1,27 @@
 package perfbench
 
 import (
+	"flag"
 	"testing"
 
 	"scoop/internal/core"
 	"scoop/internal/netsim"
 )
 
-// TestBenchesRunnable executes each registered bench, so a broken
-// bench fails tests rather than the benchmark run. Skipped under
-// -short (the 1000-node bench alone is seconds of work).
+// TestBenchesRunnable executes each registered bench once, so a broken
+// bench fails tests rather than the benchmark run: one iteration
+// (-test.benchtime=1x, restored after) proves it runs, as bench/'s
+// isolated metrics call them, without calibrating each to a second.
+// Skipped under -short (the 1000-node benches are still seconds of work).
 func TestBenchesRunnable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every hot-path bench")
 	}
+	prev := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("test.benchtime", prev)
 	for _, be := range Benches() {
 		be := be
 		t.Run(be.Name, func(t *testing.T) {

@@ -463,9 +463,11 @@ func (*treeMeter) Timer(int)              {}
 // bytes in a 100-node network and a 4000-node one (DESIGN.md §12, "no
 // per-node state sized by the network"). On the parent commit this test
 // fails with 2 960 B against 38 816 B — outEst/outSet were
-// indexed by every node ID. The count itself is pinned: 1 760 B, down
+// indexed by every node ID. The count itself is pinned: 1 776 B, down
 // from 2 272 B when a link-estimator entry was 32 bytes (the 32-entry
-// table is 512 B now, not 1 024) and the table an object of its own.
+// table is 512 B now, not 1 024) and the table an object of its own;
+// the beacon free list's header added 16 (its array comes with the
+// first recycled beacon).
 func TestTreeFootprintIndependentOfN(t *testing.T) {
 	newTreeBytes := func(n int) uint64 {
 		// No links and no constructor bound (netsim.MaxNodes).
@@ -486,16 +488,17 @@ func TestTreeFootprintIndependentOfN(t *testing.T) {
 	if small != large {
 		t.Fatalf("NewTree allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
 	}
-	if small != 1760 {
-		t.Fatalf("NewTree allocates %d B, want 1760", small)
+	if small != 1776 {
+		t.Fatalf("NewTree allocates %d B, want 1776", small)
 	}
 }
 
-// TestBeaconOneAlloc: broadcasting a beacon costs one object, the
-// *Beacon with its estimates inline (DESIGN.md §12) — the frame is
-// copied into the sender's queue ring and the top-n selection fills the
-// beacon's own array.
-func TestBeaconOneAlloc(t *testing.T) {
+// TestBeaconZeroAllocs: a steady-state beacon allocates nothing
+// (DESIGN.md §12). The frame is copied into the sender's queue ring, the
+// top-n selection fills the beacon's own array, and the *Beacon itself
+// comes off the tree's free list, where its last delivery put the one
+// broadcast before it.
+func TestBeaconZeroAllocs(t *testing.T) {
 	topo := netsim.NewTopology(2)
 	topo.Pos = make([]netsim.Point, 2)
 	topo.SetQuality(0, 1, 1)
@@ -513,9 +516,9 @@ func TestBeaconOneAlloc(t *testing.T) {
 		app.tree.broadcastBeacon()
 		sim.Run(sim.Now() + 200*netsim.Millisecond) // backoff + airtime; the fake neighbours expire after 90 s
 	}
-	beacon() // warm the queue ring and the MAC pools
-	if allocs := testing.AllocsPerRun(100, beacon); allocs != 1 {
-		t.Fatalf("one broadcastBeacon allocates %v objects, want 1", allocs)
+	beacon() // warm the queue ring, the MAC pools and the free list
+	if allocs := testing.AllocsPerRun(100, beacon); allocs != 0 {
+		t.Fatalf("one broadcastBeacon allocates %v objects, want 0", allocs)
 	}
 	if heard.beacons != 102 || heard.estimates != 8 {
 		t.Fatalf("heard %d beacons, the last with %d estimates; want 102 with 8",

@@ -18,12 +18,25 @@ import (
 // how well the neighbor hears *it* — so estimates are exchanged in
 // beacons, exactly as Woo et al.'s link estimator and CTP do. A beacon
 // travels as *Beacon, one object: Estimates slices its own est array.
+// It is a recycled payload (netsim.Packet): after its last delivery it
+// goes back to the sending tree's free list, so a receiver copies what
+// it keeps.
 type Beacon struct {
+	netsim.Refs
 	Round     uint32  // dissemination round, incremented by the base
 	Hops      uint8   // sender's tree depth
 	ETX       float64 // sender's expected transmissions to the base
 	Estimates []NeighborInfo
 	est       [8]NeighborInfo
+	free      *netsim.FreeList[Beacon]
+}
+
+// Recycle implements netsim.Recycled.
+func (b *Beacon) Recycle() {
+	if free := b.free; free != nil {
+		*b = Beacon{}
+		free.Put(b)
+	}
 }
 
 // Config tunes the tree protocol. Zero value is unusable; use
@@ -82,6 +95,8 @@ type Tree struct {
 	// neighbourhood rather than the network (DESIGN.md §12).
 	outIDs []netsim.NodeID
 	outEst []float64
+
+	beacons netsim.FreeList[Beacon]
 }
 
 // NewTree creates the routing state for one node. isBase marks the
@@ -150,8 +165,10 @@ func (t *Tree) OnTimer() {
 }
 
 func (t *Tree) broadcastBeacon() {
-	b := &Beacon{Round: t.round, Hops: t.hops, ETX: t.etx}
+	b := t.beacons.Get()
+	b.Round, b.Hops, b.ETX, b.free = t.round, t.hops, t.etx, &t.beacons
 	b.Estimates = t.Neighbors.Best(b.est[:0], len(b.est))
+	netsim.Hold(b)
 	t.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Beacon,
 		Origin:       t.id,
@@ -159,6 +176,7 @@ func (t *Tree) broadcastBeacon() {
 		Size:         12 + 3*len(b.Estimates),
 		Payload:      b,
 	})
+	netsim.Release(b)
 }
 
 // Observe must be called for every packet heard (received or snooped),

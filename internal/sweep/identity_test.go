@@ -34,12 +34,15 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 	return data
 }
 
-// TestCommittedArtifactsReproduce regenerates each committed artifact
-// of this package from the grid file beside it and requires
-// byte-for-byte equality — not "within tolerance". The repo-root
-// artifacts (testdata/sweep-{ci,dynamics,agg}-baseline.json) are held
-// the same way by CI through `scoopsweep -check`.
+// TestCommittedArtifactsReproduce regenerates each of the six committed
+// artifacts from the grid file beside it and requires byte-for-byte
+// equality — not "within tolerance". Three live in this package's
+// testdata; the repo-root ones are the sweep gates:
 //
+//   - sweep-ci-baseline (policy × size × loss × source), sweep-dynamics-
+//     baseline (the churn/drift/reindex axes with the frozen-index
+//     ablation cells) and sweep-agg-baseline (the query-mix axis through
+//     the cost-based planner and in-network aggregation).
 //   - identity-n65 was generated BEFORE the scale-tier hot-path overhaul
 //     (object pooling, dense node indices, flattened link tables), so
 //     reproducing it proves no simulated behaviour has changed at the
@@ -61,30 +64,37 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 //
 // in the same commit and say why in the message.
 func TestCommittedArtifactsReproduce(t *testing.T) {
+	const root = "../../testdata"
 	for _, tc := range []struct {
-		artifact, grid string
-		regions        []int
-		long           bool
+		dir, artifact, grid string
+		regions             []int
+		long                bool
 	}{
-		{artifact: "sweep-identity-n65.json", grid: "sweep-identity-n65.grid.json", regions: []int{0}},
-		{artifact: "sweep-identity-n250.json", grid: "sweep-identity-n250.grid.json", regions: []int{0, 4}, long: true},
-		{artifact: "sweep-faults-baseline.json", grid: "sweep-faults.grid.json", regions: []int{0}},
+		{dir: root, artifact: "sweep-ci-baseline.json", grid: "sweep-ci.grid.json", regions: []int{0}},
+		{dir: root, artifact: "sweep-dynamics-baseline.json", grid: "sweep-dynamics.grid.json", regions: []int{0}},
+		{dir: root, artifact: "sweep-agg-baseline.json", grid: "sweep-agg.grid.json", regions: []int{0}},
+		{dir: "testdata", artifact: "sweep-identity-n65.json", grid: "sweep-identity-n65.grid.json", regions: []int{0}},
+		{dir: "testdata", artifact: "sweep-identity-n250.json", grid: "sweep-identity-n250.grid.json", regions: []int{0, 4}, long: true},
+		{dir: "testdata", artifact: "sweep-faults-baseline.json", grid: "sweep-faults.grid.json", regions: []int{0}},
 	} {
 		t.Run(tc.artifact, func(t *testing.T) {
 			if tc.long && testing.Short() {
 				t.Skip("N=250 cell is too slow for -short")
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", tc.artifact))
+			want, err := os.ReadFile(filepath.Join(tc.dir, tc.artifact))
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := committedGrid(t, tc.grid)
+			g, err := ReadGrid(filepath.Join(tc.dir, tc.grid))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, regions := range tc.regions {
 				g.Regions = regions
 				if got := artifact(t, g, Options{}); !bytes.Equal(got, want) {
-					t.Errorf("regions=%d: not byte-identical to testdata/%s (got %d bytes, want %d); "+
+					t.Errorf("regions=%d: not byte-identical to %s (got %d bytes, want %d); "+
 						"scoopsweep -check prints the differing cells",
-						regions, tc.artifact, len(got), len(want))
+						regions, filepath.Join(tc.dir, tc.artifact), len(got), len(want))
 				}
 			}
 		})
