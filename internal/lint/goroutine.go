@@ -6,11 +6,15 @@ import "go/ast"
 // Simulation code is single-goroutine by contract: event-loop state,
 // per-node RNG streams and trace recorders are all unsynchronised, so
 // an unreviewed goroutine is a data race and a determinism hole at
-// once. The one sanctioned exception is the region scheduler
-// (netsim's parallel event loop), where every spawned worker is
-// confined to its own regionState and synchronised through barrier
-// channels — those sites carry a //scoop:allow goroutine annotation
-// naming that argument, which is exactly the review this rule forces.
+// once. The sanctioned seams are the region scheduler (netsim's
+// parallel event loop), where every worker is confined to its own
+// regionState and synchronised through barrier channels, and the
+// flight recorder's JSONL encoder (internal/trace), which touches only
+// the event blocks handed to it and the sink's writer, each handoff
+// ordered by a channel receive; the reindex fork-join in internal/index
+// writes disjoint rows and joins before any is read. Each site carries
+// a //scoop:allow goroutine annotation naming its argument, which is
+// exactly the review this rule forces.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc:  "goroutine spawned in a deterministic package without a reviewed confinement argument (DESIGN.md §18)",

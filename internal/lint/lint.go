@@ -25,7 +25,8 @@
 //     reached from it, slices included — copy, never retain.
 //   - goroutine: no `go` statement in deterministic packages without
 //     a reviewed confinement argument — the region scheduler's
-//     barrier-synchronised workers are the sanctioned exception.
+//     barrier-synchronised workers and the flight recorder's JSONL
+//     encoder are the sanctioned seams.
 //
 // A finding is suppressed by an annotation on the same line or the
 // line above:

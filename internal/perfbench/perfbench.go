@@ -3,7 +3,7 @@
 // fan-out and the full core protocol stack at several network sizes,
 // the event queue at the scale tier's depth and delay mix,
 // the basestation's warm reindex, the per-reply path through the query
-// reliability layer, trace emission into the ring sink and one trial's
+// reliability layer, trace emission into the ring and JSONL sinks and one trial's
 // set-up. Two callers: the root BenchmarkHotPaths (`go test -bench`) and
 // bench/, the repo's benchmark, which times four of them by name for
 // its isolated per-layer metrics. The zero-allocation contracts are
@@ -13,6 +13,7 @@
 package perfbench
 
 import (
+	"io"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -52,6 +53,7 @@ func Benches() []Bench {
 		{"index/rebuild/n250", func(b *testing.B) { benchIndexRebuild(b, 250) }},
 		{"index/rebuild/n1000", func(b *testing.B) { benchIndexRebuild(b, 1000) }},
 		{"trace/emit/ring", benchTraceRing},
+		{"trace/emit/jsonl", benchTraceJSONL},
 		{"exp/setup/n63", benchExpSetup},
 	}
 }
@@ -80,6 +82,36 @@ func benchTraceRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec.Emit(trace.Event{Kind: trace.PacketSend, Node: 1, Peer: 2,
 			Class: metrics.Data, Size: 30})
+	}
+}
+
+// benchTraceJSONL emits a mix shaped like a grid run's trace (mostly
+// radio events, some reading lifecycle) into the JSONL sink over a
+// discarding writer; zero allocs/op once the block pool exists. The
+// encoder runs beside the loop and here nothing else does, so it is
+// the slower side: ns/op is the sink's per-event throughput, an upper
+// bound on what a traced run's event loop pays per event.
+func benchTraceJSONL(b *testing.B) {
+	b.ReportAllocs()
+	mix := [8]trace.Event{
+		{Kind: trace.PacketSend, Node: 17, Peer: 4, Class: metrics.Beacon, Size: 24},
+		{Kind: trace.PacketSnoop, Node: 18, Peer: 17, Class: metrics.Beacon, Size: 24},
+		{Kind: trace.PacketSnoop, Node: 33, Peer: 17, Class: metrics.Beacon, Size: 24},
+		{Kind: trace.PacketRecv, Node: 4, Peer: 17, Class: metrics.Data, Size: 30},
+		{Kind: trace.PacketDrop, Node: 16, Peer: 17, Class: metrics.Data, Cause: metrics.DropCollision, Size: 30},
+		{Kind: trace.ReadingSampled, Node: 17, Producer: 17, SampleT: 1_215_000, Value: 61},
+		{Kind: trace.ReadingStored, Node: 4, Flag: trace.StoreOwner, Producer: 17, SampleT: 1_215_000, Value: 61},
+		{Kind: trace.PacketSend, Node: 4, Peer: 0, Class: metrics.Summary, Size: 46},
+	}
+	var now int64
+	rec := trace.New(func() int64 { now++; return now }, trace.NewJSONL(io.Discard))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Emit(mix[i&7])
+	}
+	b.StopTimer()
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -67,38 +67,122 @@ func AppendJSON(b []byte, e Event) []byte {
 	return append(b, '}')
 }
 
-// JSONL is a sink writing one JSON object per line. Writes are
-// buffered; Close flushes. The first write error is retained and
-// returned by Close (later records are dropped).
+// The JSONL sink hands events to its encoder in blocks of jsonlBlock,
+// out of a pool of jsonlPool blocks: one filling on the event loop,
+// the others queued for or being encoded, so the loop waits only when
+// the encoder is a whole pool behind.
+const (
+	jsonlBlock = 512
+	jsonlPool  = 3
+)
+
+// JSONL is a sink writing one JSON object per line. Record only copies
+// the event into a block; a full block goes to one encoder goroutine,
+// which formats and writes blocks strictly in the order they were
+// handed over, so the bytes are those of encoding every event inline.
+// The goroutine starts when the first block fills; a trace shorter
+// than a block is encoded by Close. Writes are buffered; Close flushes
+// and returns the first write error (later records are dropped).
 type JSONL struct {
-	w   *bufio.Writer
-	buf []byte
-	err error
+	blk []Event // the block Record is filling
+
+	full chan []Event // filled blocks, event loop → encoder; nil until started
+	free chan []Event // emptied blocks, encoder → event loop
+	done chan error   // the encoder's result, sent once it has drained full
+
+	closed bool
+	err    error
+
+	// Touched only by the encoder, or by Close when it never started.
+	w    *bufio.Writer
+	line []byte
 }
 
-// NewJSONL returns a JSONL sink over w. The caller retains ownership
-// of any underlying file: Close flushes but does not close it.
+// NewJSONL returns a JSONL sink over w. The writer belongs to the sink
+// until Close returns: the encoder goroutine writes to it, so nothing
+// else may touch it before then. The caller retains ownership of any
+// underlying file: Close flushes but does not close it.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: bufio.NewWriter(w), buf: make([]byte, 0, 160)}
+	return &JSONL{
+		blk:  make([]Event, 0, jsonlBlock),
+		w:    bufio.NewWriter(w),
+		line: make([]byte, 0, 160),
+	}
 }
 
 // Record implements Sink.
 func (s *JSONL) Record(e Event) {
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendJSON(s.buf[:0], e)
-	s.buf = append(s.buf, '\n')
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
+	s.blk = append(s.blk, e)
+	if len(s.blk) == jsonlBlock {
+		s.handoff()
 	}
 }
 
-// Close implements Sink: flush buffered lines and report the first
-// error seen.
+// handoff sends the filled block to the encoder, starting it on the
+// first call, and takes an emptied block back.
+func (s *JSONL) handoff() {
+	if s.full == nil {
+		// Both channels hold every block of the pool, so neither side
+		// ever blocks on a send.
+		s.full = make(chan []Event, jsonlPool)
+		s.free = make(chan []Event, jsonlPool)
+		s.done = make(chan error, 1)
+		for i := 1; i < jsonlPool; i++ {
+			s.free <- make([]Event, 0, jsonlBlock)
+		}
+		//scoop:allow goroutine JSONL encoder: touches only the blocks it receives and the sink's writer, and a channel receive orders every handoff
+		go s.encode()
+	}
+	s.full <- s.blk
+	s.blk = <-s.free
+}
+
+// encode runs on the encoder goroutine until Close closes full. After
+// a write error it keeps returning blocks without encoding them, so
+// Record never waits on a failed writer.
+func (s *JSONL) encode() {
+	var err error
+	for blk := range s.full {
+		if err == nil {
+			err = s.write(blk)
+		}
+		s.free <- blk[:0]
+	}
+	if err == nil {
+		err = s.w.Flush()
+	}
+	s.done <- err
+}
+
+// write encodes blk one line at a time into the buffered writer.
+func (s *JSONL) write(blk []Event) error {
+	for _, e := range blk {
+		s.line = AppendJSON(s.line[:0], e)
+		s.line = append(s.line, '\n')
+		if _, err := s.w.Write(s.line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close implements Sink: hand over the last partial block, wait for
+// the encoder to write and flush everything, and report the first
+// error seen. The encoder goroutine has finished when Close returns;
+// a second Close returns the same error.
 func (s *JSONL) Close() error {
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
+	if s.closed {
+		return s.err
+	}
+	s.closed = true
+	if s.full == nil {
+		if s.err = s.write(s.blk); s.err == nil {
+			s.err = s.w.Flush()
+		}
+	} else {
+		s.full <- s.blk
+		close(s.full)
+		s.err = <-s.done
 	}
 	return s.err
 }
