@@ -41,14 +41,14 @@ func TestAggWorkloadEndToEnd(t *testing.T) {
 	// a 1-5%-width random-range workload (narrow ranges tuple, wider
 	// or uncovered ones aggregate/flood/summary).
 	plans := 0
-	for _, n := range []int{res.Agg.PlanSummary, res.Agg.PlanAgg,
-		res.Agg.PlanTuple, res.Agg.PlanFlood} {
+	for _, n := range []int64{res.Stats.PlanSummaryChosen, res.Stats.PlanAggChosen,
+		res.Stats.PlanTupleChosen, res.Stats.PlanFloodChosen} {
 		if n > 0 {
 			plans++
 		}
 	}
 	if plans < 2 {
-		t.Fatalf("planner used %d plan kinds: %+v", plans, res.Agg)
+		t.Fatalf("planner used %d plan kinds: %+v", plans, res.Stats)
 	}
 	if res.Agg.MeanErr() > 1.0 {
 		t.Fatalf("mean answer error %.2f implausibly large", res.Agg.MeanErr())

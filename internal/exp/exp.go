@@ -6,21 +6,16 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"scoop/internal/core"
 	"scoop/internal/dynamics"
-	"scoop/internal/invariant"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
 	"scoop/internal/prof"
 	"scoop/internal/query"
-	"scoop/internal/storage"
 	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
@@ -203,8 +198,8 @@ func (c Config) Validate() error {
 	if !slices.Contains(workload.SourceNames(), c.Source) {
 		return fmt.Errorf("exp: unknown source %q (want one of %v)", c.Source, workload.SourceNames())
 	}
-	if !slices.Contains([]string{"", "uniform", "testbed", "grid"}, c.Topology) { // buildTopology's cases
-		return fmt.Errorf("exp: unknown topology %q", c.Topology)
+	if _, err := netsim.Layout(c.Topology); err != nil {
+		return err
 	}
 	if c.LinkLoss < 0 || c.LinkLoss >= 1 {
 		return fmt.Errorf("exp: link loss %v outside [0,1)", c.LinkLoss)
@@ -272,17 +267,14 @@ func (c Config) Validate() error {
 }
 
 // AggEval accounts the aggregate query engine's end-to-end quality
-// for one trial: how many aggregates were issued and answered, the
+// for one trial: how many aggregates were issued and answered, and the
 // summed absolute relative error against ground truth (computed by
-// scanning every store at issue time), and the planner's decisions.
+// scanning every store at issue time). The planner's decisions are
+// RunStats.Plan*Chosen.
 type AggEval struct {
-	Issued      int
-	Answered    int
-	ErrSum      float64
-	PlanSummary int
-	PlanAgg     int
-	PlanTuple   int
-	PlanFlood   int
+	Issued   int
+	Answered int
+	ErrSum   float64
 }
 
 // MeanErr returns the mean absolute relative answer error.
@@ -297,10 +289,6 @@ func (e *AggEval) add(o AggEval) {
 	e.Issued += o.Issued
 	e.Answered += o.Answered
 	e.ErrSum += o.ErrSum
-	e.PlanSummary += o.PlanSummary
-	e.PlanAgg += o.PlanAgg
-	e.PlanTuple += o.PlanTuple
-	e.PlanFlood += o.PlanFlood
 }
 
 // TrialResult captures one trial's outcome.
@@ -315,9 +303,8 @@ type TrialResult struct {
 	Timeline metrics.Timeline
 	// Agg holds aggregate-engine accounting (zero when AggRatio is 0).
 	Agg AggEval
-	// Per-class sent bytes on the query path, for bytes-per-answer
+	// Per-class sent bytes on the reply path, for bytes-per-answer
 	// comparisons across physical plans.
-	QueryBytes    int64
 	ReplyBytes    int64
 	AggReplyBytes int64
 	// Trace holds the last traceRingCap flight-recorder events when
@@ -328,18 +315,19 @@ type TrialResult struct {
 	Prof *prof.Snapshot
 }
 
-// Result aggregates an experiment cell.
+// Result aggregates an experiment cell: the mean of each per-trial
+// figure, or the sum for Stats and Agg. Energy's MostLoaded pair names
+// one trial's node and stays on PerTrial.
 type Result struct {
 	Config    Config
 	PerTrial  []TrialResult
-	Breakdown metrics.Breakdown    // mean across trials
-	Stats     core.RunStats        // summed across trials
-	RootSent  float64              // mean
-	RootRecv  float64              // mean
-	Energy    metrics.EnergyReport // mean across trials
-	Agg       AggEval              // summed across trials
-	// Mean per-class sent bytes across trials.
-	QueryBytes    float64
+	Breakdown metrics.Breakdown
+	Stats     core.RunStats
+	RootSent  float64
+	RootRecv  float64
+	Energy    metrics.EnergyReport
+	Agg       AggEval
+	// Per-class sent bytes on the reply path.
 	ReplyBytes    float64
 	AggReplyBytes float64
 }
@@ -377,7 +365,13 @@ func Run(cfg Config) (Result, error) {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			res.PerTrial[t], errs[t] = runTrial(cfg, t)
+			tr, err := NewTrial(cfg, t, nil)
+			if err != nil {
+				errs[t] = err
+				return
+			}
+			tr.Run(cfg.Duration)
+			res.PerTrial[t], errs[t] = tr.Finish()
 		}(t)
 	}
 	wg.Wait()
@@ -391,7 +385,6 @@ func Run(cfg Config) (Result, error) {
 		sum = sum.Add(tr.Breakdown)
 		res.Stats.Add(&tr.Stats)
 		res.Agg.add(tr.Agg)
-		res.QueryBytes += float64(tr.QueryBytes)
 		res.ReplyBytes += float64(tr.ReplyBytes)
 		res.AggReplyBytes += float64(tr.AggReplyBytes)
 		res.RootSent += float64(tr.RootSent)
@@ -405,7 +398,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	f := 1.0 / float64(cfg.Trials)
 	res.Breakdown = sum.Scale(f)
-	res.QueryBytes *= f
 	res.ReplyBytes *= f
 	res.AggReplyBytes *= f
 	res.RootSent *= f
@@ -419,476 +411,6 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// MustRun is Run for drivers with static, known-good configs.
-func MustRun(cfg Config) Result {
-	res, err := Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-func runTrial(cfg Config, trial int) (TrialResult, error) {
-	seed := cfg.Seed + int64(trial)*7919
-	topo, err := buildTopology(cfg.Topology, cfg.N, seed)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	sim := netsim.NewSimulator(seed ^ 0x53c00b)
-	ctr := metrics.NewCounters()
-	net := netsim.NewNetwork(sim, topo, ctr, netsim.DefaultParams())
-	if cfg.LinkLoss > 0 {
-		net.ScaleAllLinks(1 - cfg.LinkLoss)
-	}
-
-	// The fault axis resolves per trial (seeded window jitter) and
-	// rides the same control-plane timeline as any other dynamics.
-	dyn := cfg.Dynamics
-	if cfg.Faults != "" {
-		fs, err := dynamics.FaultScenario(cfg.Faults, cfg.N, cfg.Warmup, cfg.Duration, seed+211)
-		if err != nil {
-			return TrialResult{}, err
-		}
-		var merged dynamics.Script
-		if dyn != nil {
-			merged.Append(*dyn)
-		}
-		merged.Append(fs)
-		dyn = &merged
-	}
-
-	src, err := workload.NewSource(cfg.Source, cfg.N, seed+13)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	lo, hi := src.Domain()
-	// A script with data-distribution shifts samples through a drift
-	// wrapper whose offset the scheduled events move.
-	sampler := src
-	var drift *workload.Drift
-	if dyn.HasData() {
-		drift = workload.NewDrift(src)
-		sampler = drift
-	}
-	ccfg, err := policy.Config(cfg.Policy, cfg.N, lo, hi)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	ccfg.SampleInterval = cfg.SampleInterval
-	if cfg.ReindexInterval > 0 {
-		ccfg.RemapInterval = cfg.ReindexInterval
-	}
-	if cfg.DisableReindex {
-		// Build the first index from post-warm-up statistics as
-		// usual, then freeze it: the network keeps a plausible static
-		// index, it just never adapts. (DisableRemap would never
-		// build one at all, degenerating into store-local.)
-		ccfg.RemapLimit = 1
-	}
-	if dyn.HasChurn() && ccfg.StatStaleAfter == 0 {
-		// Under churn, dead nodes must age out of index construction.
-		ccfg.StatStaleAfter = 3 * ccfg.SummaryInterval
-	}
-	ccfg.AggForcePlan = cfg.AggForce
-	ccfg.QueryDeadline = cfg.QueryDeadline
-	ccfg.QueryRetryMax = cfg.QueryRetryMax
-	if cfg.Modify != nil {
-		cfg.Modify(&ccfg)
-	}
-
-	// Flight recorder: one recorder per trial, clocked by this trial's
-	// simulator, fanned out to the configured sinks (default: a
-	// bounded in-memory ring handed back on the TrialResult).
-	var rec *trace.Recorder
-	var ring *trace.Ring
-	if cfg.Trace {
-		var sinks []trace.Sink
-		if cfg.TraceSinks != nil {
-			sinks = cfg.TraceSinks(trial)
-		} else {
-			ring = trace.NewRing(traceRingCap)
-			sinks = []trace.Sink{ring}
-		}
-		if len(sinks) > 0 {
-			rec = trace.New(func() int64 { return int64(sim.Now()) }, sinks...)
-			rec.Follow(cfg.TraceReading)
-		} else {
-			ring = nil
-		}
-	}
-	net.Trace = rec
-	ccfg.Trace = rec
-
-	// Region partitioning must happen after the trace recorder is in
-	// place (the parallel engine forks it per region) and before apps
-	// attach, so every node binds to its region's simulator.
-	if cfg.Regions > 1 {
-		net.SetRegions(cfg.Regions)
-	}
-	nreg := net.Regions()
-
-	// Wall-clock attribution profiler: observation-only, so it hangs
-	// off the simulators and config without touching protocol state.
-	// Region-parallel runs profile every region's event loop plus the
-	// control plane and merge the snapshots.
-	var pr *prof.Profiler
-	var regProfs []*prof.Profiler
-	if cfg.Profile {
-		pr = prof.New()
-		sim.SetProfiler(pr)
-		ccfg.Prof = pr
-		rec.SetProfiler(pr)
-		if nreg > 1 {
-			regProfs = make([]*prof.Profiler, nreg)
-			for r := range regProfs {
-				regProfs[r] = prof.New()
-				net.RegionSim(r).SetProfiler(regProfs[r])
-			}
-		}
-	}
-
-	// Run statistics: one RunStats shard per region (merged field-wise
-	// on read), all on one SharedRunState holding the per-reading dedup
-	// table and the invariant probe.
-	var chk *invariant.Checker
-	var probe core.ReadingProbe // a nil interface unless invariants are on
-	if cfg.CheckInvariants || ForceInvariants {
-		chk = invariant.New()
-		probe = chk
-		net.OnPurge = func(id netsim.NodeID, p *netsim.Packet) {
-			// A reboot drains the send queue, and a kill strands the
-			// acked frames still in the air towards the node; batched
-			// readings in either are losses the radio-side accounting
-			// never sees.
-			reason := "reboot-queue"
-			if p.Dst == id {
-				reason = "died-mid-air"
-			}
-			if dm, ok := p.Payload.(*core.DataMsg); ok {
-				for _, r := range dm.Readings {
-					chk.LostReading(r.Producer, r.Time, reason)
-				}
-			}
-		}
-	}
-	shared := core.NewSharedRunState(probe)
-	shards := make([]*core.RunStats, nreg)
-	rcfgs := make([]core.Config, nreg)
-	for r := 0; r < nreg; r++ {
-		shards[r] = &core.RunStats{Shared: shared}
-		rcfgs[r] = ccfg
-		if nreg > 1 {
-			rcfgs[r].Trace = net.RegionTrace(r)
-			if regProfs != nil {
-				rcfgs[r].Prof = regProfs[r]
-			}
-		}
-	}
-	// readStats returns the live merged counters; under parallelism it
-	// is only callable from control-plane events (regions quiesce at
-	// barriers) and after the run.
-	readStats := func() core.RunStats {
-		var m core.RunStats
-		for _, sh := range shards {
-			m.Add(sh)
-		}
-		return m
-	}
-	baseReg := net.RegionOf(0)
-	base := core.NewBase(rcfgs[baseReg], shards[baseReg], cfg.Warmup)
-	net.Attach(0, base)
-	nodes := make([]*core.Node, cfg.N)
-	for i := 1; i < cfg.N; i++ {
-		r := net.RegionOf(netsim.NodeID(i))
-		nodes[i] = core.NewNode(rcfgs[r], shards[r], sampler.Next, cfg.Warmup)
-		net.Attach(netsim.NodeID(i), nodes[i])
-	}
-	net.Start()
-
-	var gen workload.Generator
-	if cfg.QueryInterval > 0 {
-		if cfg.NodePct >= 0 {
-			gen = workload.NewNodePctGen(cfg.N, cfg.NodePct, seed+29)
-		} else {
-			rg := workload.NewRangeGen(lo, hi, seed+29)
-			if cfg.QueryWidth > 0 {
-				rg.WidthLo, rg.WidthHi = cfg.QueryWidth, cfg.QueryWidth
-			}
-			gen = rg
-		}
-	}
-
-	tr := TrialResult{}
-	if !dyn.Empty() {
-		tg := dynamics.Targets{
-			Net:      net,
-			LossBase: 1 - cfg.LinkLoss,
-			Trace:    rec,
-			Observer: func(ev dynamics.Event) {
-				tr.Timeline.AddMark(int64(sim.Now()), ev.Kind.String())
-			},
-		}
-		if drift != nil {
-			tg.Data = drift
-		}
-		if rg, ok := gen.(*workload.RangeGen); ok {
-			tg.Query = rg
-		}
-		dyn.Attach(sim, tg)
-	}
-
-	if win := cfg.windowInterval(); win > 0 {
-		prevStats := readStats()
-		prevB := net.CountersBreakdown()
-		var tickW func()
-		tickW = func() {
-			cur := readStats()
-			b := net.CountersBreakdown()
-			now := sim.Now()
-			tr.Timeline.Windows = append(tr.Timeline.Windows, metrics.TransitionWindow{
-				Start:           int64(now - win),
-				End:             int64(now),
-				Produced:        cur.Produced - prevStats.Produced,
-				StoredUnique:    cur.StoredUnique - prevStats.StoredUnique,
-				StoredAtOwner:   cur.StoredAtOwner - prevStats.StoredAtOwner,
-				StoredAtBase:    cur.StoredAtBase - prevStats.StoredAtBase,
-				RepliesExpected: cur.RepliesExpected - prevStats.RepliesExpected,
-				RepliesReceived: cur.RepliesReceived - prevStats.RepliesReceived,
-				Msgs:            b.Total() - prevB.Total(),
-				Data:            b.Data - prevB.Data,
-			})
-			prevStats, prevB = cur, b
-			if now+win <= cfg.Duration {
-				sim.After(win, tickW)
-			}
-		}
-		sim.At(cfg.Warmup+win, tickW)
-	}
-
-	// The aggregate mix applies to value-range workloads on policies
-	// that actually issue network queries.
-	var mixed *workload.MixedGen
-	if cfg.QueryInterval > 0 && cfg.AggRatio > 0 && cfg.NodePct < 0 &&
-		cfg.Policy != policy.Base {
-		mixed = workload.NewMixedGen(gen, cfg.AggRatio, cfg.AggErrBudget, seed+31)
-		mixed.Ops = cfg.AggOps
-	}
-	type aggIssued struct {
-		qid     uint16
-		op      query.Op
-		gt      float64
-		gtValid bool
-	}
-	var aggLog []aggIssued
-
-	if cfg.QueryInterval > 0 {
-		var tick func()
-		tick = func() {
-			var req workload.Request
-			if mixed != nil {
-				req = mixed.NextRequest(sim.Now())
-			} else {
-				req = workload.Request{Query: gen.Next(sim.Now())}
-			}
-			q := req.Query
-			if cfg.Policy == policy.Local && q.IsNodeQuery() {
-				// Figure 4 semantics: under LOCAL the basestation
-				// cannot know which nodes hold the data of interest,
-				// so every query floods all nodes regardless of the
-				// queried fraction (paper: "LOCAL is unaffected …
-				// since it has to always query all nodes").
-				q = workload.Query{ValueLo: lo, ValueHi: hi,
-					TimeLo: q.TimeLo, TimeHi: q.TimeHi}
-			}
-			// Queries never reach back before sampling started.
-			if q.TimeLo < cfg.Warmup {
-				q.TimeLo = cfg.Warmup
-			}
-			switch {
-			case cfg.Policy == policy.Base:
-				// Send-to-base answers queries from its local store at
-				// zero network cost (paper §6: "queries have no
-				// associated cost" for BASE).
-				base.AnswerFromStore(q)
-			case req.Agg != nil:
-				aq := *req.Agg
-				if aq.TimeLo < cfg.Warmup {
-					aq.TimeLo = cfg.Warmup
-				}
-				rec := aggIssued{op: aq.Op}
-				rec.gt, rec.gtValid = aggGroundTruth(base, nodes, aq)
-				dec := base.IssueAgg(aq)
-				rec.qid = base.LastQueryID()
-				tr.Agg.Issued++
-				switch dec.Plan {
-				case query.PlanSummary:
-					tr.Agg.PlanSummary++
-				case query.PlanAgg:
-					tr.Agg.PlanAgg++
-				case query.PlanTuple:
-					tr.Agg.PlanTuple++
-				case query.PlanFlood:
-					tr.Agg.PlanFlood++
-				}
-				aggLog = append(aggLog, rec)
-			default:
-				base.IssueQuery(q)
-			}
-			if sim.Now()+cfg.QueryInterval <= cfg.Duration {
-				sim.After(cfg.QueryInterval, tick)
-			}
-		}
-		sim.At(cfg.Warmup+cfg.QueryInterval, tick)
-	}
-
-	net.Run(cfg.Duration)
-
-	// Settle every still-open query to its terminal verdict before the
-	// stats shards are merged and read (no trace events are emitted
-	// post-run, so region-parallel byte identity is preserved).
-	base.FinalizeVerdicts()
-
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			return TrialResult{}, fmt.Errorf("exp: closing trace sinks (trial %d): %w", trial, err)
-		}
-		tr.Trace = ring
-	}
-	if pr != nil {
-		s := pr.Snapshot()
-		for _, rp := range regProfs {
-			s.Merge(rp.Snapshot())
-		}
-		tr.Prof = &s
-	}
-	// Fold the per-region counter shards into the merged view the
-	// accounting below reads (nothing to fold when serial).
-	net.MergeCounters(ctr)
-
-	// Settle the aggregate answers against ground truth captured at
-	// issue time. An aggregate over an empty match set has no defined
-	// answer; when ground truth agrees nothing matched, that is a
-	// correct (error-free) outcome, not a missing one.
-	for _, rec := range aggLog {
-		ans, _, ok := base.AggAnswer(rec.qid)
-		switch {
-		case ok && rec.gtValid:
-			tr.Agg.Answered++
-			den := math.Abs(rec.gt)
-			if den < 1 {
-				den = 1
-			}
-			tr.Agg.ErrSum += math.Abs(ans-rec.gt) / den
-		case ok, !rec.gtValid:
-			tr.Agg.Answered++
-		}
-	}
-
-	if chk != nil {
-		// Conservation needs to know what is legitimately still in
-		// flight: batch buffers, send queues, frames on the air.
-		for _, nd := range nodes {
-			if nd == nil {
-				continue
-			}
-			for _, r := range nd.PendingBatchReadings() {
-				chk.InFlightReading(r.Producer, r.Time)
-			}
-		}
-		inFlight := func(p *netsim.Packet) {
-			if dm, ok := p.Payload.(*core.DataMsg); ok {
-				for _, r := range dm.Readings {
-					chk.InFlightReading(r.Producer, r.Time)
-				}
-			}
-		}
-		net.ForEachQueued(func(_ netsim.NodeID, p *netsim.Packet) { inFlight(p) })
-		net.ForEachInFlight(inFlight)
-		hist := base.IndexHistory()
-		ids := make([]uint16, len(hist))
-		for i, ix := range hist {
-			ids[i] = ix.ID
-		}
-		chk.RecordIndexIDs(ids)
-		for _, rec := range aggLog {
-			got, expected := base.AggContribs(rec.qid)
-			chk.AggResult(rec.qid, got, expected)
-		}
-		if cfg.QueryDeadline > 0 {
-			// Reliability-layer contracts: every issued query settles to
-			// a terminal verdict exactly once, and degraded answers never
-			// report tighter bounds than the summary math allows.
-			recs := base.VerdictLog()
-			infos := make([]invariant.VerdictInfo, len(recs))
-			for i, r := range recs {
-				infos[i] = invariant.VerdictInfo{
-					QID:          r.QID,
-					Terminal:     r.Verdict != core.VerdictOpen,
-					Degraded:     r.Verdict == core.VerdictDegraded,
-					ErrBound:     r.ErrBound,
-					SummaryBound: r.SummaryBound,
-				}
-			}
-			chk.QueryVerdicts(base.QueryJournalLen(), infos)
-		}
-		if vs := chk.Violations(); len(vs) != 0 {
-			return TrialResult{}, fmt.Errorf("exp: invariant violations (policy %s, trial %d, seed %d):\n  %s",
-				cfg.Policy, trial, seed, strings.Join(vs, "\n  "))
-		}
-	}
-
-	tr.Breakdown = ctr.Snapshot()
-	tr.Stats = readStats()
-	tr.QueryBytes = ctr.SentBytesClass(metrics.Query)
-	tr.ReplyBytes = ctr.SentBytesClass(metrics.Reply)
-	tr.AggReplyBytes = ctr.SentBytesClass(metrics.AggReply)
-	tr.Energy = metrics.DefaultEnergyModel().Energy(ctr, cfg.N, float64(cfg.Duration)/1000)
-	for _, c := range metrics.Classes() {
-		if c == metrics.Beacon {
-			continue
-		}
-		tr.RootSent += ctr.SentBy(0, c)
-		tr.RootRecv += ctr.ReceivedBy(0, c)
-	}
-	return tr, nil
-}
-
-// aggGroundTruth evaluates the aggregate's true answer over every
-// reading currently stored anywhere (node stores plus the base's)
-// matching the value and time ranges. ok is false when nothing
-// matches (and for COUNT the zero answer is still valid).
-func aggGroundTruth(base *core.Base, nodes []*core.Node, q query.AggQuery) (float64, bool) {
-	var part query.Partial
-	var values []int
-	wantValues := q.Op == query.OpQuantile
-	scan := func(buf *storage.DataBuffer) {
-		buf.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
-			part.Add(r.Value)
-			if wantValues {
-				values = append(values, r.Value)
-			}
-		})
-	}
-	scan(base.Store())
-	for _, n := range nodes {
-		if n != nil {
-			scan(n.Store())
-		}
-	}
-	if wantValues {
-		if len(values) == 0 {
-			return 0, false
-		}
-		sort.Ints(values)
-		idx := int(q.Quantile * float64(len(values)))
-		if idx >= len(values) {
-			idx = len(values) - 1
-		}
-		return float64(values[idx]), true
-	}
-	return part.Answer(q.Op)
-}
-
 // windowInterval resolves the effective transition-metrics sampling
 // width: the explicit setting, or 30 s when a dynamics script is
 // present, else 0 (no timeline).
@@ -900,19 +422,6 @@ func (c Config) windowInterval() netsim.Time {
 		return 30 * netsim.Second
 	}
 	return 0
-}
-
-func buildTopology(name string, n int, seed int64) (*netsim.Topology, error) {
-	switch name {
-	case "", "uniform":
-		side := math.Sqrt(float64(n)) * 1.008
-		return netsim.UniformTopology(n, side, 3.5, seed), nil
-	case "testbed":
-		return netsim.TestbedTopology(n, seed), nil
-	case "grid":
-		return netsim.GridTopology(n, 2.5, seed), nil
-	}
-	return nil, fmt.Errorf("exp: unknown topology %q", name)
 }
 
 // runAnalyticalHash evaluates the HASH policy analytically over the
@@ -945,12 +454,13 @@ func runAnalyticalHash(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	layout, err := netsim.Layout(cfg.Topology)
+	if err != nil {
+		return Result{}, err
+	}
 	var sum metrics.Breakdown
 	for t := 0; t < cfg.Trials; t++ {
-		topo, err := buildTopology(cfg.Topology, cfg.N, cfg.Seed+int64(t)*7919)
-		if err != nil {
-			return Result{}, err
-		}
+		topo := layout(cfg.N, cfg.Seed+int64(t)*7919)
 		b := policy.AnalyticalHash(topo, w)
 		factor := 1.0
 		if ab := policy.AnalyticalBaseData(topo, w); ab > 0 && t < len(baseRes.PerTrial) {

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"scoop/internal/core"
@@ -236,9 +238,15 @@ func TestScalesTo100Nodes(t *testing.T) {
 	}
 }
 
+// TestTrialsRunConcurrentlyAndMerge holds Run's fold of PerTrial into a
+// Result, field by field through reflection, so a field added to both
+// without a fold fails here: Stats is the sum by RunStats.Add, every
+// leaf of Agg the sum, and every other leaf the mean. The aggregate mix
+// makes each leaf non-zero in some trial, so a missing fold shows.
 func TestTrialsRunConcurrentlyAndMerge(t *testing.T) {
 	cfg := quick(policy.Scoop, "real")
 	cfg.Trials = 3
+	cfg.AggRatio = 0.5
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,12 +254,80 @@ func TestTrialsRunConcurrentlyAndMerge(t *testing.T) {
 	if len(r.PerTrial) != 3 {
 		t.Fatalf("per-trial results: %d", len(r.PerTrial))
 	}
-	var sum float64
-	for _, tr := range r.PerTrial {
-		sum += tr.Breakdown.Total()
+	rv := reflect.ValueOf(r)
+	for i := 0; i < rv.NumField(); i++ {
+		name := rv.Type().Field(i).Name
+		if name == "Config" || name == "PerTrial" {
+			continue
+		}
+		if name == "Stats" {
+			var want core.RunStats
+			for _, tr := range r.PerTrial {
+				want.Add(&tr.Stats)
+			}
+			if !reflect.DeepEqual(r.Stats, want) {
+				t.Errorf("Stats %+v, want the trials' sum %+v", r.Stats, want)
+			}
+			continue
+		}
+		per := make([]reflect.Value, len(r.PerTrial))
+		for k, tr := range r.PerTrial {
+			if per[k] = reflect.ValueOf(tr).FieldByName(name); !per[k].IsValid() {
+				t.Fatalf("Result.%s has no TrialResult field to fold", name)
+			}
+		}
+		checkFold(t, name, rv.Field(i), per, name == "Agg")
 	}
-	if diff := r.Breakdown.Total() - sum/3; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("mean mismatch: %.2f vs %.2f", r.Breakdown.Total(), sum/3)
+}
+
+// notFolded lists the Result leaves that stay on PerTrial: the most
+// loaded node is one trial's node, not a quantity to average.
+var notFolded = map[string]bool{"Energy.MostLoadedNode": true, "Energy.MostLoadedJ": true}
+
+// checkFold compares got, a Result leaf or struct, with the sum (or
+// mean) of the same field across per.
+func checkFold(t *testing.T, path string, got reflect.Value, per []reflect.Value, sum bool) {
+	t.Helper()
+	if got.Kind() == reflect.Struct {
+		for i := 0; i < got.NumField(); i++ {
+			p := path + "." + got.Type().Field(i).Name
+			if notFolded[p] {
+				continue
+			}
+			sub := make([]reflect.Value, len(per))
+			for k := range per {
+				sub[k] = per[k].Field(i)
+			}
+			checkFold(t, p, got.Field(i), sub, sum)
+		}
+		return
+	}
+	num := func(v reflect.Value) float64 {
+		switch {
+		case v.CanInt():
+			return float64(v.Int())
+		case v.CanUint():
+			return float64(v.Uint())
+		case v.CanFloat():
+			return v.Float()
+		}
+		t.Fatalf("%s: %s is not a number to fold", path, v.Type())
+		return 0
+	}
+	var want float64
+	nonzero := false
+	for _, v := range per {
+		want += num(v)
+		nonzero = nonzero || num(v) != 0
+	}
+	if !sum {
+		want /= float64(len(per))
+	}
+	if g := num(got); math.Abs(g-want) > 1e-9*math.Max(1, math.Abs(want)) {
+		t.Errorf("Result.%s = %v, want %v", path, g, want)
+	}
+	if !nonzero {
+		t.Errorf("Result.%s is zero in every trial, so its fold goes unchecked", path)
 	}
 }
 

@@ -69,6 +69,20 @@ func (s Scale) apply(cfg *Config) {
 	}
 }
 
+// run runs the paper's default cell at this scale and seed with mod's
+// changes on top. The figures' configs are static, so an error is a bug.
+func (s Scale) run(seed int64, mod func(*Config)) Result {
+	cfg := Default()
+	cfg.Seed = seed
+	s.apply(&cfg)
+	mod(&cfg)
+	res, err := Run(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func breakdownRow(label string, r Result) []string {
 	b := r.Breakdown
 	return []string{
@@ -103,13 +117,9 @@ func Figure3Left(scale Scale, seed int64) (Table, []Result) {
 	}
 	var results []Result
 	for _, c := range cells {
-		cfg := Default()
-		cfg.Topology = "testbed"
-		cfg.Policy = c.policy
-		cfg.Source = c.source
-		cfg.Seed = seed
-		scale.apply(&cfg)
-		r := MustRun(cfg)
+		r := scale.run(seed, func(cfg *Config) {
+			cfg.Topology, cfg.Policy, cfg.Source = "testbed", c.policy, c.source
+		})
 		results = append(results, r)
 		t.Rows = append(t.Rows, breakdownRow(fmt.Sprintf("%s/%s", c.policy, c.source), r))
 	}
@@ -125,11 +135,7 @@ func Figure3Middle(scale Scale, seed int64) (Table, []Result) {
 	}
 	var results []Result
 	for _, p := range policy.Names() {
-		cfg := Default()
-		cfg.Policy = p
-		cfg.Seed = seed
-		scale.apply(&cfg)
-		r := MustRun(cfg)
+		r := scale.run(seed, func(cfg *Config) { cfg.Policy = p })
 		results = append(results, r)
 		t.Rows = append(t.Rows, breakdownRow(string(p), r))
 	}
@@ -145,11 +151,7 @@ func Figure3Right(scale Scale, seed int64) (Table, []Result) {
 	}
 	var results []Result
 	for _, src := range []string{"unique", "equal", "real", "gaussian", "random"} {
-		cfg := Default()
-		cfg.Source = src
-		cfg.Seed = seed
-		scale.apply(&cfg)
-		r := MustRun(cfg)
+		r := scale.run(seed, func(cfg *Config) { cfg.Source = src })
 		results = append(results, r)
 		t.Rows = append(t.Rows, breakdownRow(src, r))
 	}
@@ -168,12 +170,7 @@ func Figure4(scale Scale, seed int64) (Table, map[policy.Name][]Result) {
 	for _, pct := range pcts {
 		row := []string{fmt.Sprintf("%.0f%%", pct*100)}
 		for _, p := range []policy.Name{policy.Scoop, policy.Local, policy.Base} {
-			cfg := Default()
-			cfg.Policy = p
-			cfg.NodePct = pct
-			cfg.Seed = seed
-			scale.apply(&cfg)
-			r := MustRun(cfg)
+			r := scale.run(seed, func(cfg *Config) { cfg.Policy, cfg.NodePct = p, pct })
 			byPolicy[p] = append(byPolicy[p], r)
 			row = append(row, fmt.Sprintf("%.0f", r.Breakdown.Total()))
 		}
@@ -195,12 +192,7 @@ func Figure5(scale Scale, seed int64) (Table, map[policy.Name][]Result) {
 	for _, iv := range intervals {
 		row := []string{fmt.Sprintf("%ds", iv/netsim.Second)}
 		for _, p := range []policy.Name{policy.Scoop, policy.Local, policy.Base} {
-			cfg := Default()
-			cfg.Policy = p
-			cfg.QueryInterval = iv
-			cfg.Seed = seed
-			scale.apply(&cfg)
-			r := MustRun(cfg)
+			r := scale.run(seed, func(cfg *Config) { cfg.Policy, cfg.QueryInterval = p, iv })
 			byPolicy[p] = append(byPolicy[p], r)
 			row = append(row, fmt.Sprintf("%.0f", r.Breakdown.Total()))
 		}
@@ -224,12 +216,7 @@ func SampleIntervalSweep(scale Scale, seed int64) (Table, map[string][]Result) {
 	for _, iv := range intervals {
 		row := []string{fmt.Sprintf("%ds", iv/netsim.Second)}
 		for _, src := range sources {
-			cfg := Default()
-			cfg.Source = src
-			cfg.SampleInterval = iv
-			cfg.Seed = seed
-			scale.apply(&cfg)
-			r := MustRun(cfg)
+			r := scale.run(seed, func(cfg *Config) { cfg.Source, cfg.SampleInterval = src, iv })
 			bySource[src] = append(bySource[src], r)
 			row = append(row, fmt.Sprintf("%.0f", r.Breakdown.Total()))
 		}
@@ -242,11 +229,7 @@ func SampleIntervalSweep(scale Scale, seed int64) (Table, map[string][]Result) {
 // stored, ~78% of query results retrieved, ~85% of routed readings
 // reaching their owner, on the testbed.
 func LossRates(scale Scale, seed int64) (Table, Result) {
-	cfg := Default()
-	cfg.Topology = "testbed"
-	cfg.Seed = seed
-	scale.apply(&cfg)
-	r := MustRun(cfg)
+	r := scale.run(seed, func(cfg *Config) { cfg.Topology = "testbed" })
 	t := Table{
 		Title:  "Loss rates (SCOOP, testbed)",
 		Header: []string{"metric", "measured", "paper"},
@@ -269,11 +252,7 @@ func RootSkew(scale Scale, seed int64) (Table, []Result) {
 	}
 	var results []Result
 	for _, p := range []policy.Name{policy.Scoop, policy.Base, policy.Local} {
-		cfg := Default()
-		cfg.Policy = p
-		cfg.Seed = seed
-		scale.apply(&cfg)
-		r := MustRun(cfg)
+		r := scale.run(seed, func(cfg *Config) { cfg.Policy = p })
 		results = append(results, r)
 		t.Rows = append(t.Rows, []string{
 			string(p),
@@ -299,12 +278,7 @@ func Scaling(scale Scale, seed int64) (Table, map[string][]Result) {
 		row := []string{fmt.Sprintf("%d", n)}
 		var totals []float64
 		for _, src := range sources {
-			cfg := Default()
-			cfg.N = n
-			cfg.Source = src
-			cfg.Seed = seed
-			scale.apply(&cfg)
-			r := MustRun(cfg)
+			r := scale.run(seed, func(cfg *Config) { cfg.N, cfg.Source = n, src })
 			bySource[src] = append(bySource[src], r)
 			totals = append(totals, r.Breakdown.Total())
 			row = append(row, fmt.Sprintf("%.0f", r.Breakdown.Total()))
@@ -344,19 +318,17 @@ func FigureChurn(scale Scale, seed int64) (Table, map[string][]Result) {
 		row := []string{sc.name}
 		var deliv []string
 		for _, p := range pols {
-			cfg := Default()
-			cfg.Policy = p
-			cfg.Seed = seed
-			scale.apply(&cfg)
-			// Adapt faster than the default 240 s epoch so recovery
-			// fits inside the run.
-			cfg.ReindexInterval = 2 * netsim.Minute
-			if sc.churn > 0 || sc.drift != 0 {
-				script := dynamics.Standard(cfg.N, cfg.Warmup, cfg.Duration,
-					sc.churn, sc.drift, seed+17)
-				cfg.Dynamics = &script
-			}
-			r := MustRun(cfg)
+			r := scale.run(seed, func(cfg *Config) {
+				cfg.Policy = p
+				// Adapt faster than the default 240 s epoch so recovery
+				// fits inside the run.
+				cfg.ReindexInterval = 2 * netsim.Minute
+				if sc.churn > 0 || sc.drift != 0 {
+					script := dynamics.Standard(cfg.N, cfg.Warmup, cfg.Duration,
+						sc.churn, sc.drift, seed+17)
+					cfg.Dynamics = &script
+				}
+			})
 			byScenario[sc.name] = append(byScenario[sc.name], r)
 			row = append(row, fmt.Sprintf("%.0f", r.Breakdown.Total()))
 			deliv = append(deliv, fmt.Sprintf("%.0f%%", 100*r.Stats.DataSuccessRate()))
@@ -396,22 +368,17 @@ func FigureAgg(scale Scale, seed int64) (Table, map[string][]Result) {
 			row := []string{fmt.Sprintf("%d", n), fmt.Sprintf("%g", loss)}
 			var errs []string
 			for _, v := range variants {
-				cfg := Default()
-				cfg.N = n
-				cfg.LinkLoss = loss
-				cfg.AggRatio = 1
-				// Half-domain aggregates: the large-result regime the
-				// planner routes to in-network combining. Exact
-				// operators only, so every variant can execute its
-				// forced plan (quantiles are summary-only).
-				cfg.QueryWidth = 0.5
-				cfg.AggOps = []query.Op{query.OpCount, query.OpSum,
-					query.OpAvg, query.OpMin, query.OpMax}
-				cfg.AggErrBudget = v.budget
-				cfg.AggForce = v.force
-				cfg.Seed = seed
-				scale.apply(&cfg)
-				r := MustRun(cfg)
+				r := scale.run(seed, func(cfg *Config) {
+					cfg.N, cfg.LinkLoss, cfg.AggRatio = n, loss, 1
+					// Half-domain aggregates: the large-result regime the
+					// planner routes to in-network combining. Exact
+					// operators only, so every variant can execute its
+					// forced plan (quantiles are summary-only).
+					cfg.QueryWidth = 0.5
+					cfg.AggOps = []query.Op{query.OpCount, query.OpSum,
+						query.OpAvg, query.OpMin, query.OpMax}
+					cfg.AggErrBudget, cfg.AggForce = v.budget, v.force
+				})
 				byVariant[v.name] = append(byVariant[v.name], r)
 				row = append(row, fmt.Sprintf("%.0f", r.BytesPerAnswer()))
 				errs = append(errs, fmt.Sprintf("%.3f", r.Agg.MeanErr()))
@@ -445,19 +412,13 @@ func FigureScale(scale Scale, seed int64) (Table, map[int][]Result) {
 		var scoopRes, hashRes Result
 		wall, simSec := 0.0, 0.0
 		for _, p := range []policy.Name{policy.Scoop, policy.Hash} {
-			cfg := Default()
-			cfg.Policy = p
-			cfg.N = n
-			cfg.Topology = "grid"
-			cfg.Seed = seed
-			scale.apply(&cfg)
 			start := time.Now() //scoop:allow walltime scale-figure throughput probe, printed to the operator only
-			r := MustRun(cfg)
+			r := scale.run(seed, func(cfg *Config) { cfg.Policy, cfg.N, cfg.Topology = p, n, "grid" })
 			if p == policy.Scoop {
 				wall = time.Since(start).Seconds() //scoop:allow walltime scale-figure throughput probe, printed to the operator only
 				// Trials run concurrently, so the throughput column is
 				// aggregate virtual seconds simulated per wall second.
-				simSec = float64(cfg.Duration) / 1000 * float64(cfg.Trials)
+				simSec = float64(r.Config.Duration) / 1000 * float64(r.Config.Trials)
 				scoopRes = r
 			} else {
 				hashRes = r
@@ -494,11 +455,7 @@ func EnergyTable(scale Scale, seed int64) (Table, []Result) {
 	}
 	var results []Result
 	for _, p := range []policy.Name{policy.Scoop, policy.Local, policy.Base} {
-		cfg := Default()
-		cfg.Policy = p
-		cfg.Seed = seed
-		scale.apply(&cfg)
-		r := MustRun(cfg)
+		r := scale.run(seed, func(cfg *Config) { cfg.Policy = p })
 		results = append(results, r)
 		e := r.Energy
 		t.Rows = append(t.Rows, []string{

@@ -1,0 +1,551 @@
+package exp
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+
+	"scoop/internal/core"
+	"scoop/internal/dynamics"
+	"scoop/internal/invariant"
+	"scoop/internal/metrics"
+	"scoop/internal/netsim"
+	"scoop/internal/policy"
+	"scoop/internal/prof"
+	"scoop/internal/query"
+	"scoop/internal/storage"
+	"scoop/internal/trace"
+	"scoop/internal/workload"
+)
+
+// Trial is one simulated run of an experiment cell, staged the way the
+// paper's §6 method runs one (DESIGN.md §2, "A trial in four stages"):
+// NewTrial builds the world and attaches the basestation and motes to
+// it, Run drives virtual time forward, and Finish settles and collects
+// the TrialResult. Run (the package function) is NewTrial → Run(Duration)
+// → Finish for each of a cell's trials. A caller that wants to observe
+// the run between events steps it with repeated Run calls instead and
+// gets the same result. A Trial is not safe for concurrent use.
+type Trial struct {
+	cfg   Config
+	trial int
+	seed  int64 // Config.Seed + 7919·trial, the root of every per-trial stream
+
+	// build
+	sim     *netsim.Simulator
+	ctr     *metrics.Counters
+	net     *netsim.Network
+	dyn     *dynamics.Script // Config.Dynamics plus the trial's fault scenario
+	sampler workload.Source  // the source, behind drift when the script shifts data
+	drift   *workload.Drift
+	lo, hi  int // the source's value domain
+	ccfg    core.Config
+
+	// attach
+	rec      *trace.Recorder
+	ring     *trace.Ring // the default sink, handed back on the result
+	pr       *prof.Profiler
+	regProfs []*prof.Profiler // per region, when profiling a parallel run
+	chk      *invariant.Checker
+	shards   []*core.RunStats // one per region
+	base     *core.Base
+	nodes    []*core.Node // by node ID; nodes[0] is nil
+
+	// drive
+	armed  bool
+	gen    workload.Generator
+	mixed  *workload.MixedGen
+	aggLog []aggIssued
+	res    TrialResult // Timeline and Agg.Issued fill in while it runs
+}
+
+// aggIssued is an aggregate query as issued, with the ground truth
+// captured at issue time to settle its answer against.
+type aggIssued struct {
+	qid     uint16
+	gt      float64
+	gtValid bool
+}
+
+// NewTrial builds and attaches trial number trial of cfg, seeded as Run
+// seeds that trial, ready to Run. wrap, when non-nil, is handed every
+// protocol instance — the basestation as node 0, then each mote — and
+// what it returns is attached in its place; a wrapper that forwards
+// every call unchanged leaves the run the one Run makes. NewTrial
+// rejects what Validate rejects, and the analytical HASH policy, which
+// has nothing to simulate.
+func NewTrial(cfg Config, trial int, wrap func(id netsim.NodeID, app netsim.App) netsim.App) (*Trial, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Policy == policy.Hash {
+		return nil, fmt.Errorf("exp: the analytical hash policy has no trial to simulate (use hashsim)")
+	}
+	t := &Trial{cfg: cfg, trial: trial, seed: cfg.Seed + int64(trial)*7919}
+	if err := t.build(); err != nil {
+		return nil, err
+	}
+	t.attach(wrap)
+	return t, nil
+}
+
+// build lays out the trial's world: the topology and radio network, the
+// perturbation script with the trial's fault windows merged in, the data
+// source and the protocol configuration. Nothing is attached yet.
+func (t *Trial) build() error {
+	cfg := &t.cfg
+	layout, err := netsim.Layout(cfg.Topology)
+	if err != nil {
+		return err
+	}
+	t.sim = netsim.NewSimulator(t.seed ^ 0x53c00b)
+	t.ctr = metrics.NewCounters()
+	t.net = netsim.NewNetwork(t.sim, layout(cfg.N, t.seed), t.ctr, netsim.DefaultParams())
+	if cfg.LinkLoss > 0 {
+		t.net.ScaleAllLinks(1 - cfg.LinkLoss)
+	}
+
+	// The fault axis resolves per trial (seeded window jitter) and
+	// rides the same control-plane timeline as any other dynamics.
+	t.dyn = cfg.Dynamics
+	if cfg.Faults != "" {
+		fs, err := dynamics.FaultScenario(cfg.Faults, cfg.N, cfg.Warmup, cfg.Duration, t.seed+211)
+		if err != nil {
+			return err
+		}
+		var merged dynamics.Script
+		if t.dyn != nil {
+			merged.Append(*t.dyn)
+		}
+		merged.Append(fs)
+		t.dyn = &merged
+	}
+
+	src, err := workload.NewSource(cfg.Source, cfg.N, t.seed+13)
+	if err != nil {
+		return err
+	}
+	t.lo, t.hi = src.Domain()
+	// A script with data-distribution shifts samples through a drift
+	// wrapper whose offset the scheduled events move.
+	t.sampler = src
+	if t.dyn.HasData() {
+		t.drift = workload.NewDrift(src)
+		t.sampler = t.drift
+	}
+	if t.ccfg, err = policy.Config(cfg.Policy, cfg.N, t.lo, t.hi); err != nil {
+		return err
+	}
+	t.ccfg.SampleInterval = cfg.SampleInterval
+	if cfg.ReindexInterval > 0 {
+		t.ccfg.RemapInterval = cfg.ReindexInterval
+	}
+	if cfg.DisableReindex {
+		// Build the first index from post-warm-up statistics as usual,
+		// then freeze it: the network keeps a plausible static index, it
+		// just never adapts. (DisableRemap would never build one at all,
+		// degenerating into store-local.)
+		t.ccfg.RemapLimit = 1
+	}
+	if t.dyn.HasChurn() && t.ccfg.StatStaleAfter == 0 {
+		// Under churn, dead nodes must age out of index construction.
+		t.ccfg.StatStaleAfter = 3 * t.ccfg.SummaryInterval
+	}
+	t.ccfg.AggForcePlan = cfg.AggForce
+	t.ccfg.QueryDeadline = cfg.QueryDeadline
+	t.ccfg.QueryRetryMax = cfg.QueryRetryMax
+	if cfg.Modify != nil {
+		cfg.Modify(&t.ccfg)
+	}
+	return nil
+}
+
+// attach puts the observers and the protocol stack on the network, in
+// the order they depend on each other: the flight recorder, the region
+// split (the parallel engine forks the recorder per region, and every
+// node binds to its region's simulator), the profiler, the statistics
+// shards with the invariant probe, then the basestation and the motes.
+func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
+	cfg := &t.cfg
+	if cfg.Trace {
+		// One recorder per trial, clocked by this trial's simulator, fanned
+		// out to the configured sinks (default: a bounded in-memory ring).
+		var sinks []trace.Sink
+		if cfg.TraceSinks != nil {
+			sinks = cfg.TraceSinks(t.trial)
+		} else {
+			t.ring = trace.NewRing(traceRingCap)
+			sinks = []trace.Sink{t.ring}
+		}
+		if len(sinks) > 0 {
+			t.rec = trace.New(func() int64 { return int64(t.sim.Now()) }, sinks...)
+			t.rec.Follow(cfg.TraceReading)
+		}
+	}
+	t.net.Trace = t.rec
+	t.ccfg.Trace = t.rec
+
+	if cfg.Regions > 1 {
+		t.net.SetRegions(cfg.Regions)
+	}
+	nreg := t.net.Regions()
+
+	// Observation-only: the profiler hangs off the simulators and config
+	// without touching protocol state. A region-parallel run profiles
+	// every region's event loop plus the control plane.
+	if cfg.Profile {
+		t.pr = prof.New()
+		t.sim.SetProfiler(t.pr)
+		t.ccfg.Prof = t.pr
+		t.rec.SetProfiler(t.pr)
+		if nreg > 1 {
+			t.regProfs = make([]*prof.Profiler, nreg)
+			for r := range t.regProfs {
+				t.regProfs[r] = prof.New()
+				t.net.RegionSim(r).SetProfiler(t.regProfs[r])
+			}
+		}
+	}
+
+	// One RunStats shard per region, all on one SharedRunState holding
+	// the per-reading dedup table and the invariant probe.
+	var probe core.ReadingProbe // a nil interface unless invariants are on
+	if cfg.CheckInvariants || ForceInvariants {
+		t.chk = invariant.New()
+		probe = t.chk
+		t.net.OnPurge = t.purged
+	}
+	shared := core.NewSharedRunState(probe)
+	t.shards = make([]*core.RunStats, nreg)
+	rcfgs := make([]core.Config, nreg)
+	for r := range t.shards {
+		t.shards[r] = &core.RunStats{Shared: shared}
+		rcfgs[r] = t.ccfg
+		if nreg > 1 {
+			rcfgs[r].Trace = t.net.RegionTrace(r)
+			if t.regProfs != nil {
+				rcfgs[r].Prof = t.regProfs[r]
+			}
+		}
+	}
+
+	if wrap == nil {
+		wrap = func(_ netsim.NodeID, app netsim.App) netsim.App { return app }
+	}
+	baseReg := t.net.RegionOf(0)
+	t.base = core.NewBase(rcfgs[baseReg], t.shards[baseReg], cfg.Warmup)
+	t.net.Attach(0, wrap(0, t.base))
+	t.nodes = make([]*core.Node, cfg.N)
+	for i := 1; i < cfg.N; i++ {
+		id := netsim.NodeID(i)
+		r := t.net.RegionOf(id)
+		t.nodes[i] = core.NewNode(rcfgs[r], t.shards[r], t.sampler.Next, cfg.Warmup)
+		t.net.Attach(id, wrap(id, t.nodes[i]))
+	}
+	t.net.Start()
+}
+
+// purged tells the invariant checker about readings a purge destroys: a
+// reboot drains the send queue, and a kill strands the acked frames
+// still in the air towards the node; batched readings in either are
+// losses the radio-side accounting never sees.
+func (t *Trial) purged(id netsim.NodeID, p *netsim.Packet) {
+	reason := "reboot-queue"
+	if p.Dst == id {
+		reason = "died-mid-air"
+	}
+	if dm, ok := p.Payload.(*core.DataMsg); ok {
+		for _, r := range dm.Readings {
+			t.chk.LostReading(r.Producer, r.Time, reason)
+		}
+	}
+}
+
+// stats returns the live merged counters; under parallelism it is only
+// callable from control-plane events (regions quiesce at barriers) and
+// after the run.
+func (t *Trial) stats() core.RunStats {
+	var m core.RunStats
+	for _, sh := range t.shards {
+		m.Add(sh)
+	}
+	return m
+}
+
+// Run drives the trial to virtual time until; events at until still
+// run. The first call arms the drive stage's schedules — the
+// perturbation script, the transition-window ticker and the query
+// ticker, none of which fires past Config.Duration — and a run stepped
+// through rising untils is the run one call to the last of them makes.
+func (t *Trial) Run(until netsim.Time) {
+	if !t.armed {
+		t.armed = true
+		t.arm()
+	}
+	t.net.Run(until)
+}
+
+// arm schedules the drive stage's control-plane events.
+func (t *Trial) arm() {
+	cfg := &t.cfg
+	if cfg.QueryInterval > 0 {
+		if cfg.NodePct >= 0 {
+			t.gen = workload.NewNodePctGen(cfg.N, cfg.NodePct, t.seed+29)
+		} else {
+			rg := workload.NewRangeGen(t.lo, t.hi, t.seed+29)
+			if cfg.QueryWidth > 0 {
+				rg.WidthLo, rg.WidthHi = cfg.QueryWidth, cfg.QueryWidth
+			}
+			t.gen = rg
+		}
+		// The aggregate mix applies to value-range workloads on policies
+		// that actually issue network queries.
+		if cfg.AggRatio > 0 && cfg.NodePct < 0 && cfg.Policy != policy.Base {
+			t.mixed = workload.NewMixedGen(t.gen, cfg.AggRatio, cfg.AggErrBudget, t.seed+31)
+			t.mixed.Ops = cfg.AggOps
+		}
+	}
+
+	if !t.dyn.Empty() {
+		tg := dynamics.Targets{
+			Net:      t.net,
+			LossBase: 1 - cfg.LinkLoss,
+			Trace:    t.rec,
+			Observer: func(ev dynamics.Event) {
+				t.res.Timeline.AddMark(int64(t.sim.Now()), ev.Kind.String())
+			},
+		}
+		if t.drift != nil {
+			tg.Data = t.drift
+		}
+		if rg, ok := t.gen.(*workload.RangeGen); ok {
+			tg.Query = rg
+		}
+		t.dyn.Attach(t.sim, tg)
+	}
+
+	if win := cfg.windowInterval(); win > 0 {
+		t.armWindows(win)
+	}
+	if cfg.QueryInterval > 0 {
+		var tick func()
+		tick = func() {
+			t.issueQuery()
+			if t.sim.Now()+cfg.QueryInterval <= cfg.Duration {
+				t.sim.After(cfg.QueryInterval, tick)
+			}
+		}
+		t.sim.At(cfg.Warmup+cfg.QueryInterval, tick)
+	}
+}
+
+// armWindows samples the run's statistics every win after warm-up into
+// the transition timeline.
+func (t *Trial) armWindows(win netsim.Time) {
+	prevStats := t.stats()
+	prevB := t.net.CountersBreakdown()
+	var tick func()
+	tick = func() {
+		cur := t.stats()
+		b := t.net.CountersBreakdown()
+		now := t.sim.Now()
+		t.res.Timeline.Windows = append(t.res.Timeline.Windows, metrics.TransitionWindow{
+			Start:           int64(now - win),
+			End:             int64(now),
+			Produced:        cur.Produced - prevStats.Produced,
+			StoredUnique:    cur.StoredUnique - prevStats.StoredUnique,
+			StoredAtOwner:   cur.StoredAtOwner - prevStats.StoredAtOwner,
+			StoredAtBase:    cur.StoredAtBase - prevStats.StoredAtBase,
+			RepliesExpected: cur.RepliesExpected - prevStats.RepliesExpected,
+			RepliesReceived: cur.RepliesReceived - prevStats.RepliesReceived,
+			Msgs:            b.Total() - prevB.Total(),
+			Data:            b.Data - prevB.Data,
+		})
+		prevStats, prevB = cur, b
+		if now+win <= t.cfg.Duration {
+			t.sim.After(win, tick)
+		}
+	}
+	t.sim.At(t.cfg.Warmup+win, tick)
+}
+
+// issueQuery is one query tick: the next request of the workload, as a
+// tuple query or an aggregate.
+func (t *Trial) issueQuery() {
+	cfg := &t.cfg
+	var req workload.Request
+	if t.mixed != nil {
+		req = t.mixed.NextRequest(t.sim.Now())
+	} else {
+		req = workload.Request{Query: t.gen.Next(t.sim.Now())}
+	}
+	q := req.Query
+	if cfg.Policy == policy.Local && q.IsNodeQuery() {
+		// Figure 4 semantics: under LOCAL the basestation cannot know
+		// which nodes hold the data of interest, so every query floods
+		// all nodes regardless of the queried fraction (paper: "LOCAL is
+		// unaffected … since it has to always query all nodes").
+		q = workload.Query{ValueLo: t.lo, ValueHi: t.hi, TimeLo: q.TimeLo, TimeHi: q.TimeHi}
+	}
+	// Queries never reach back before sampling started.
+	q.TimeLo = max(q.TimeLo, cfg.Warmup)
+	switch {
+	case cfg.Policy == policy.Base:
+		// Send-to-base answers queries from its local store at zero
+		// network cost (paper §6: "queries have no associated cost" for
+		// BASE).
+		t.base.AnswerFromStore(q)
+	case req.Agg != nil:
+		aq := *req.Agg
+		aq.TimeLo = max(aq.TimeLo, cfg.Warmup)
+		var rec aggIssued
+		rec.gt, rec.gtValid = aggGroundTruth(t.base, t.nodes, aq)
+		t.base.IssueAgg(aq)
+		rec.qid = t.base.LastQueryID()
+		t.res.Agg.Issued++
+		t.aggLog = append(t.aggLog, rec)
+	default:
+		t.base.IssueQuery(q)
+	}
+}
+
+// Finish settles the trial and collects its result: every still-open
+// query gets its terminal verdict, the trace sinks close, profiles and
+// per-region counters merge, aggregate answers are scored against
+// ground truth, and the invariant checker gives its verdict. Call it
+// once, after the last Run.
+func (t *Trial) Finish() (TrialResult, error) {
+	// Settle before the stats shards are merged and read (no trace events
+	// are emitted post-run, so region-parallel byte identity holds).
+	t.base.FinalizeVerdicts()
+	tr := &t.res
+	if t.rec != nil {
+		if err := t.rec.Close(); err != nil {
+			return TrialResult{}, fmt.Errorf("exp: closing trace sinks (trial %d): %w", t.trial, err)
+		}
+		tr.Trace = t.ring
+	}
+	if t.pr != nil {
+		s := t.pr.Snapshot()
+		for _, rp := range t.regProfs {
+			s.Merge(rp.Snapshot())
+		}
+		tr.Prof = &s
+	}
+	// Fold the per-region counter shards into the merged view the
+	// accounting below reads (nothing to fold when serial).
+	t.net.MergeCounters(t.ctr)
+
+	// An aggregate over an empty match set has no defined answer; when
+	// ground truth agrees nothing matched, that is a correct (error-free)
+	// outcome, not a missing one.
+	for _, rec := range t.aggLog {
+		ans, _, ok := t.base.AggAnswer(rec.qid)
+		if ok || !rec.gtValid {
+			tr.Agg.Answered++
+		}
+		if ok && rec.gtValid {
+			tr.Agg.ErrSum += math.Abs(ans-rec.gt) / max(math.Abs(rec.gt), 1)
+		}
+	}
+	if t.chk != nil {
+		if vs := t.violations(); len(vs) != 0 {
+			return TrialResult{}, fmt.Errorf("exp: invariant violations (policy %s, trial %d, seed %d):\n  %s",
+				t.cfg.Policy, t.trial, t.seed, strings.Join(vs, "\n  "))
+		}
+	}
+
+	tr.Breakdown = t.ctr.Snapshot()
+	tr.Stats = t.stats()
+	tr.ReplyBytes = t.ctr.SentBytesClass(metrics.Reply)
+	tr.AggReplyBytes = t.ctr.SentBytesClass(metrics.AggReply)
+	tr.Energy = metrics.DefaultEnergyModel().Energy(t.ctr, t.cfg.N, float64(t.cfg.Duration)/1000)
+	for _, c := range metrics.Classes() {
+		if c != metrics.Beacon {
+			tr.RootSent += t.ctr.SentBy(0, c)
+			tr.RootRecv += t.ctr.ReceivedBy(0, c)
+		}
+	}
+	return *tr, nil
+}
+
+// violations hands the checker what it needs to know at the end of the
+// run and returns its verdict. Conservation needs what is legitimately
+// still in flight: batch buffers, send queues, frames on the air.
+func (t *Trial) violations() []string {
+	chk := t.chk
+	for _, nd := range t.nodes[1:] {
+		for _, r := range nd.PendingBatchReadings() {
+			chk.InFlightReading(r.Producer, r.Time)
+		}
+	}
+	inFlight := func(p *netsim.Packet) {
+		if dm, ok := p.Payload.(*core.DataMsg); ok {
+			for _, r := range dm.Readings {
+				chk.InFlightReading(r.Producer, r.Time)
+			}
+		}
+	}
+	t.net.ForEachQueued(func(_ netsim.NodeID, p *netsim.Packet) { inFlight(p) })
+	t.net.ForEachInFlight(inFlight)
+	hist := t.base.IndexHistory()
+	ids := make([]uint16, len(hist))
+	for i, ix := range hist {
+		ids[i] = ix.ID
+	}
+	chk.RecordIndexIDs(ids)
+	for _, rec := range t.aggLog {
+		got, expected := t.base.AggContribs(rec.qid)
+		chk.AggResult(rec.qid, got, expected)
+	}
+	if t.cfg.QueryDeadline > 0 {
+		// Reliability-layer contracts: every issued query settles to a
+		// terminal verdict exactly once, and degraded answers never report
+		// tighter bounds than the summary math allows.
+		recs := t.base.VerdictLog()
+		infos := make([]invariant.VerdictInfo, len(recs))
+		for i, r := range recs {
+			infos[i] = invariant.VerdictInfo{
+				QID:          r.QID,
+				Terminal:     r.Verdict != core.VerdictOpen,
+				Degraded:     r.Verdict == core.VerdictDegraded,
+				ErrBound:     r.ErrBound,
+				SummaryBound: r.SummaryBound,
+			}
+		}
+		chk.QueryVerdicts(t.base.QueryJournalLen(), infos)
+	}
+	return chk.Violations()
+}
+
+// aggGroundTruth evaluates the aggregate's true answer over every
+// reading currently stored anywhere (node stores plus the base's)
+// matching the value and time ranges. ok is false when nothing
+// matches (and for COUNT the zero answer is still valid).
+func aggGroundTruth(base *core.Base, nodes []*core.Node, q query.AggQuery) (float64, bool) {
+	var part query.Partial
+	var values []int
+	wantValues := q.Op == query.OpQuantile
+	scan := func(buf *storage.DataBuffer) {
+		buf.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
+			part.Add(r.Value)
+			if wantValues {
+				values = append(values, r.Value)
+			}
+		})
+	}
+	scan(base.Store())
+	for _, n := range nodes[1:] {
+		scan(n.Store())
+	}
+	if wantValues {
+		if len(values) == 0 {
+			return 0, false
+		}
+		sort.Ints(values)
+		idx := min(int(q.Quantile*float64(len(values))), len(values)-1)
+		return float64(values[idx]), true
+	}
+	return part.Answer(q.Op)
+}

@@ -161,42 +161,6 @@ func (t *contribTable) cost(in *BuildInput, o netsim.NodeID, vi int) float64 {
 	return c
 }
 
-// BuildOwners runs the paper's indexing algorithm: for every value in
-// the domain, try every node (including the basestation) as owner and
-// keep the cheapest. Exact ties break toward the previous value's
-// owner, then toward the lower node ID, so results are deterministic
-// and compact.
-//
-// The paper's complexity is O(V·n²) (V values, n owners, n
-// producers); the implementation visits only producers that actually
-// emit each value (contribTable) and, through a Builder, only values
-// whose cost inputs changed since the last build. This one-shot form
-// runs a throwaway Builder; the basestation keeps a warm one.
-func BuildOwners(in BuildInput) []netsim.NodeID {
-	var b Builder
-	return append([]netsim.NodeID(nil), b.BuildOwners(&in)...)
-}
-
-// Build runs BuildOwners and compacts the result into an Index with
-// the given generation ID.
-func Build(id uint16, in BuildInput) *Index {
-	var b Builder
-	return b.Build(id, &in)
-}
-
-// EvaluateIndexCost returns the total expected messages per second of
-// an arbitrary (non-local) index under the observed statistics —
-// used to compare against the store-local alternative, to cost the
-// analytical HASH baseline, and in ablation benches. The contributor
-// table is built once for the whole evaluation instead of re-scanning
-// every node's histogram per (owner, value) pair.
-func EvaluateIndexCost(ix *Index, in BuildInput) float64 {
-	in.fillXmits()
-	var ct contribTable
-	ct.build(&in)
-	return evalIndexCost(&ct, ix, &in)
-}
-
 // fillXmits honors the BuildInput contract for direct cost queries:
 // when the caller set Graph instead of Xmits, run the sparse pass.
 func (in *BuildInput) fillXmits() {
@@ -246,17 +210,4 @@ func StoreLocalCost(in BuildInput) float64 {
 		replies += x
 	}
 	return in.Query.Rate * (flood + replies)
-}
-
-// ChooseIndex builds the cost-optimal index and then compares it with
-// the store-local alternative, returning the cheaper of the two
-// (paper §4: "the basestation, therefore, also evaluates the expected
-// cost of a 'store-local' storage index and uses it if the expected
-// cost is lower"). Experiments that disable the fallback call Build
-// directly. The evaluation shares the contributor table the owner
-// search already built, so the comparison is free of redundant
-// histogram scans.
-func ChooseIndex(id uint16, in BuildInput) *Index {
-	var b Builder
-	return b.ChooseIndex(id, &in)
 }

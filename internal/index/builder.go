@@ -95,10 +95,11 @@ func (b *Builder) Build(id uint16, in *BuildInput) *Index {
 	return New(id, in.MinValue, b.BuildOwners(in))
 }
 
-// ChooseIndex builds the cost-optimal index and compares it with the
-// store-local alternative (paper §4), like the package-level
-// ChooseIndex but with every cost drawn from the builder's precomputed
-// contributor table.
+// ChooseIndex builds the cost-optimal index and returns it or the
+// store-local alternative, whichever is cheaper (paper §4: "the
+// basestation, therefore, also evaluates the expected cost of a
+// 'store-local' storage index and uses it if the expected cost is
+// lower"), costing both from the contributor table the build filled.
 func (b *Builder) ChooseIndex(id uint16, in *BuildInput) *Index {
 	ix := b.Build(id, in)
 	if StoreLocalCost(*in) < b.evaluate(ix, in) {
@@ -107,16 +108,20 @@ func (b *Builder) ChooseIndex(id uint16, in *BuildInput) *Index {
 	return ix
 }
 
-// evaluate is EvaluateIndexCost over the builder's current contributor
-// table (valid until the next BuildOwners call).
+// evaluate returns the index's expected messages per second over the
+// builder's current contributor table (valid until the next BuildOwners
+// call).
 func (b *Builder) evaluate(ix *Index, in *BuildInput) float64 {
 	return evalIndexCost(&b.cts[b.ctCur()], ix, in)
 }
 
-// BuildOwners computes the owner assignment for the current input,
-// recomputing only dirty values when previous state is compatible.
-// The returned slice is builder-owned scratch, invalidated by the
-// next call.
+// BuildOwners runs the paper's indexing algorithm: for every value in
+// the domain, try every node (the basestation included) as owner and
+// keep the cheapest; exact ties break toward the previous value's owner,
+// then toward the lower node ID, so results are deterministic and
+// compact. Only dirty values are recomputed when previous state is
+// compatible. The returned slice is builder-owned scratch, invalidated
+// by the next call.
 func (b *Builder) BuildOwners(in *BuildInput) []netsim.NodeID {
 	start := time.Now() //scoop:allow walltime BuildStats wall probe, json:"-" everywhere — never enters artifacts (DESIGN.md §14)
 	n := in.N

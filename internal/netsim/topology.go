@@ -375,6 +375,25 @@ func ensureConnected(t *Topology, r *rand.Rand) {
 // comes from it, in a fixed order, so a seed names one topology.
 func topologyRand(seed int64) *rand.Rand { return rand.New(rand.NewPCG(uint64(seed), 0)) }
 
+// Layout returns the generator of a named node layout, the names every
+// configuration uses: "uniform" (or ""), the paper's simulated square,
+// sized 1.008·√n with radio range 3.5 for its ~20 % connectivity;
+// "testbed"; and "grid", with a 2.5-cell range. Looking a name up
+// builds nothing, so validation can afford it.
+func Layout(name string) (func(n int, seed int64) *Topology, error) {
+	switch name {
+	case "", "uniform":
+		return func(n int, seed int64) *Topology {
+			return UniformTopology(n, 1.008*math.Sqrt(float64(n)), 3.5, seed)
+		}, nil
+	case "testbed":
+		return TestbedTopology, nil
+	case "grid":
+		return func(n int, seed int64) *Topology { return GridTopology(n, 2.5, seed) }, nil
+	}
+	return nil, fmt.Errorf("netsim: unknown topology %q (want uniform, testbed or grid)", name)
+}
+
 // GridTopology places n nodes on a jittered grid with the basestation
 // at one corner, the layout of typical indoor testbeds. radioRange is
 // expressed in grid spacings (e.g. 2.5 means a node hears nodes up to

@@ -541,10 +541,10 @@ func runCell(c Cell, cfg exp.Config) (CellResult, error) {
 	if res.Agg.Issued > 0 {
 		out.AggAnswered = float64(res.Agg.Answered) / float64(res.Agg.Issued)
 		out.AggErr = res.Agg.MeanErr()
-		out.PlanSummary = float64(res.Agg.PlanSummary)
-		out.PlanAgg = float64(res.Agg.PlanAgg)
-		out.PlanTuple = float64(res.Agg.PlanTuple)
-		out.PlanFlood = float64(res.Agg.PlanFlood)
+		out.PlanSummary = float64(res.Stats.PlanSummaryChosen)
+		out.PlanAgg = float64(res.Stats.PlanAggChosen)
+		out.PlanTuple = float64(res.Stats.PlanTupleChosen)
+		out.PlanFlood = float64(res.Stats.PlanFloodChosen)
 	}
 
 	// Transition metrics: mean across trials that recorded a

@@ -19,7 +19,6 @@ package scoop
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"scoop/internal/core"
@@ -125,7 +124,8 @@ type SimulationConfig struct {
 	Warmup   time.Duration // sampling starts after this
 	Seed     int64
 
-	// SampleInterval defaults to the paper's 15 s when zero.
+	// SampleInterval defaults to the paper's 15 s when zero; it must be
+	// at least the simulator's 1 ms tick.
 	SampleInterval time.Duration
 	// Sampler, when non-nil, overrides Source with a custom per-node
 	// value function (e.g. a domain-specific signal). It receives the
@@ -169,17 +169,16 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if cfg.SampleInterval == 0 {
 		cfg.SampleInterval = 15 * time.Second
 	}
-
-	var topo *netsim.Topology
-	switch cfg.Topology {
-	case "", TopologyUniform:
-		topo = netsim.UniformTopology(cfg.Nodes, sideFor(cfg.Nodes), 3.5, cfg.Seed)
-	case TopologyTestbed:
-		topo = netsim.TestbedTopology(cfg.Nodes, cfg.Seed)
-	case TopologyGrid:
-		topo = netsim.GridTopology(cfg.Nodes, 2.5, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("scoop: unknown topology %q", cfg.Topology)
+	// exp.Config.Validate's bounds, on the virtual clock's 1 ms tick.
+	if cfg.Warmup < 0 {
+		return nil, fmt.Errorf("scoop: negative warmup %v", cfg.Warmup)
+	}
+	if vt(cfg.SampleInterval) <= 0 {
+		return nil, fmt.Errorf("scoop: sample interval %v is under the simulator's 1 ms tick", cfg.SampleInterval)
+	}
+	layout, err := netsim.Layout(string(cfg.Topology))
+	if err != nil {
+		return nil, err
 	}
 
 	var sampler core.Sampler
@@ -220,7 +219,7 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 		stats: &core.RunStats{},
 		n:     cfg.Nodes,
 	}
-	s.net = netsim.NewNetwork(s.sim, topo, s.ctr, netsim.DefaultParams())
+	s.net = netsim.NewNetwork(s.sim, layout(cfg.Nodes, cfg.Seed), s.ctr, netsim.DefaultParams())
 	s.base = core.NewBase(ccfg, s.stats, vt(cfg.Warmup))
 	s.net.Attach(0, s.base)
 	for i := 1; i < cfg.Nodes; i++ {
@@ -354,9 +353,3 @@ func (s *Simulation) RestartNode(id int) { s.net.Restart(netsim.NodeID(id)) }
 
 // Nodes returns the network size including the basestation.
 func (s *Simulation) Nodes() int { return s.n }
-
-func sideFor(n int) float64 {
-	// Matches the experiment harness: density comparable to the
-	// paper's ~20%-connectivity layout.
-	return 1.008 * math.Sqrt(float64(n))
-}

@@ -1,6 +1,7 @@
 package scoop
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -117,6 +118,35 @@ func TestSimulationCustomSamplerNeedsDomain(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("accepted sampler without domain")
+	}
+}
+
+// Bad timings come back as errors: a sample interval under the virtual
+// clock's 1 ms tick used to panic inside a node's first timer draw, and
+// a negative warm-up was silently accepted.
+func TestSimulationRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  SimulationConfig
+		want string
+	}{
+		{"negative-sample", SimulationConfig{SampleInterval: -time.Second}, "sample interval"},
+		{"sub-ms-sample", SimulationConfig{SampleInterval: 500 * time.Microsecond}, "sample interval"},
+		{"negative-warmup", SimulationConfig{Warmup: -time.Minute}, "warmup"},
+		{"bad-topology", SimulationConfig{Topology: "torus"}, "unknown topology"},
+		{"too-many-nodes", SimulationConfig{Nodes: 2000}, "node count"},
+	} {
+		_, err := NewSimulation(tc.cfg)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := NewSimulation(SimulationConfig{Nodes: 5, SampleInterval: time.Millisecond}); err != nil {
+		t.Fatalf("a 1 ms sample interval is valid: %v", err)
 	}
 }
 
