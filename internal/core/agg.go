@@ -78,17 +78,18 @@ func (n *Node) scheduleOwnPartial(q *QueryMsg) {
 	n.armAggFlush(e.dueOwn)
 }
 
-// onAggPartial merges a descendant's combined partial into the local
-// buffer and holds it briefly for further combining — the in-network
-// aggregation step that replaces per-hop tuple forwarding.
-func (n *Node) onAggPartial(m *AggReplyMsg) {
+// onAggPartial merges a descendant's combined partial, heard in a frame
+// with header hops, into the local buffer and holds it briefly for
+// further combining — the in-network aggregation step that replaces
+// per-hop tuple forwarding.
+func (n *Node) onAggPartial(m *AggReplyMsg, hops uint8) {
 	prev := n.cfg.Prof.Enter(prof.PhaseAggCombine)
-	n.aggPartial(m)
+	n.aggPartial(m, hops)
 	n.cfg.Prof.Exit(prev)
 }
 
-func (n *Node) aggPartial(m *AggReplyMsg) {
-	if int(m.Hops) > n.cfg.MaxHops {
+func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
+	if int(hops) > n.cfg.MaxHops {
 		return
 	}
 	if n.seenAggParts.Seen(m.Node, aggPartKey(m.QueryID, m.Seq)) {
@@ -98,7 +99,7 @@ func (n *Node) aggPartial(m *AggReplyMsg) {
 	e.part.Merge(m.Part)
 	e.contribs += int(m.Contribs)
 	e.nodes.Or(&m.Nodes)
-	if h := m.Hops + 1; h > e.hops {
+	if h := hops + 1; h > e.hops {
 		e.hops = h
 	}
 	n.stats.AggCombined++
@@ -199,13 +200,12 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 		Seq:      seq,
 		Contribs: uint16(e.contribs),
 		Part:     e.part,
-		// onAggPartial already counted one hop per merge; a fresh
-		// local partial starts at zero.
-		Hops:  e.hops,
-		Nodes: e.nodes,
+		Nodes:    e.nodes,
 	}
 	n.stats.AggRepliesSent++
-	(&aggSend{n: n, m: m, to: n.tree.Parent()}).send()
+	// onAggPartial already counted one hop per merge; a fresh local
+	// partial starts at zero.
+	(&aggSend{n: n, m: m, hops: e.hops, to: n.tree.Parent()}).send()
 }
 
 // aggSend sends one partial to the parent chosen at launch, re-sending
@@ -217,6 +217,7 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 type aggSend struct {
 	n       *Node
 	m       *AggReplyMsg
+	hops    uint8 // the frame's header Hops
 	to      netsim.NodeID
 	attempt int
 }
@@ -224,6 +225,7 @@ type aggSend struct {
 func (s *aggSend) send() {
 	s.n.api.Send(&netsim.Packet{
 		Class:        metrics.AggReply,
+		Hops:         s.hops,
 		Dst:          s.to,
 		Origin:       s.n.api.ID(),
 		OriginParent: s.n.tree.Parent(),
@@ -457,16 +459,16 @@ func (b *Base) summarySnapshots() []query.SummarySnapshot {
 }
 
 // avgDepth estimates the mean routing-tree depth of the target set
-// from the hop counts summaries travelled; nodes with no summary yet
-// count at the fallback depth 2.
+// from the hop counts summaries travelled (their frames' header Hops);
+// nodes with no summary yet count at the fallback depth 2.
 func (b *Base) avgDepth(targets []netsim.NodeID) float64 {
 	if len(targets) == 0 {
 		return 1
 	}
 	total := 0.0
 	for _, id := range targets {
-		if s := b.latest[id]; s != nil {
-			total += float64(s.Hops) + 1
+		if b.latest[id] != nil {
+			total += float64(b.latestHops[id]) + 1
 		} else {
 			total += 2
 		}

@@ -250,14 +250,14 @@ func TestAggPartialDedupAndTTL(t *testing.T) {
 	n1 := tn.nodes[1]
 	m := &AggReplyMsg{QueryID: 500, Node: 2, Seq: 0, Contribs: 1,
 		Part: query.Partial{Count: 4, Sum: 40, Min: 5, Max: 15}}
-	n1.onAggPartial(m)
-	n1.onAggPartial(m) // retransmission duplicate
+	n1.onAggPartial(m, 0)
+	n1.onAggPartial(m, 0) // retransmission duplicate
 	if e := n1.aggPending[500]; e == nil || e.part.Count != 4 || e.contribs != 1 {
 		t.Fatalf("dedup failed: %+v", n1.aggPending[500])
 	}
 	over := &AggReplyMsg{QueryID: 501, Node: 2, Seq: 0, Contribs: 1,
-		Part: query.Partial{Count: 1, Sum: 1}, Hops: uint8(cfg.MaxHops + 1)}
-	n1.onAggPartial(over)
+		Part: query.Partial{Count: 1, Sum: 1}}
+	n1.onAggPartial(over, uint8(cfg.MaxHops+1))
 	if 501 < len(n1.aggPending) && n1.aggPending[501] != nil {
 		t.Fatal("over-TTL partial accepted")
 	}

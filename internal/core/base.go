@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"scoop/internal/dense"
@@ -72,14 +73,16 @@ type Base struct {
 	tree  *routing.Tree
 	store *storage.DataBuffer
 
-	latest  []*SummaryMsg // last summary per node, dense by node ID
-	latestN int           // nodes with at least one summary
-	history []*SummaryMsg // never discarded (paper §5.5)
+	latest     []*SummaryMsg // last summary per node, dense by node ID
+	latestHops []uint8       // the header Hops latest[id] arrived with
+	latestN    int           // nodes with at least one summary
+	history    []*SummaryMsg // never discarded (paper §5.5)
 
 	cur        *index.Index
 	records    []indexRecord
 	nextID     uint16
 	chunks     map[trickle.Key]index.Chunk
+	chunkKeys  []trickle.Key // sortedChunkKeys/resetChunks scratch
 	mapGos     *trickle.Trickle
 	qGos       *trickle.Trickle
 	queriesOut []*QueryMsg // queries under gossip, dense by wire query ID
@@ -142,6 +145,7 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.tree = routing.NewTree(api, true, b.cfg.Tree)
 	b.store = storage.NewDataBuffer(1 << 18)
 	b.latest = make([]*SummaryMsg, api.N())
+	b.latestHops = make([]uint8, api.N())
 	b.latestN = 0
 	b.chunks = make(map[trickle.Key]index.Chunk)
 	b.queriesOut = nil
@@ -209,7 +213,7 @@ func (b *Base) receive(p *netsim.Packet) {
 	switch m := p.Payload.(type) {
 	case *SummaryMsg:
 		b.tree.RecordUpstream(p.Origin, p.Src)
-		b.onSummary(m)
+		b.onSummary(m, p.Hops)
 	case *DataMsg:
 		b.tree.RecordUpstream(p.Origin, p.Src)
 		b.onData(m)
@@ -229,52 +233,54 @@ func (b *Base) receive(p *netsim.Packet) {
 // Snoop implements netsim.App.
 func (b *Base) Snoop(p *netsim.Packet) { b.tree.Observe(p) }
 
-func (b *Base) onSummary(m *SummaryMsg) {
+func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
 	b.stats.SummariesReceived++
 	if b.latest[m.Node] == nil {
 		b.latestN++
 	}
-	b.latest[m.Node] = m
+	b.latest[m.Node], b.latestHops[m.Node] = m, hops
 	b.history = append(b.history, m)
 	// Trickle inconsistency detection: a summary advertising an
 	// outdated index (a rebooted node reports 0) restarts fast gossip
 	// of the current generation's chunks, which would otherwise have
 	// retired after MaxRounds and left the node index-less forever.
 	if b.cur != nil && m.LastIndexID < b.cur.ID {
-		resetChunks(b.chunks, b.cur.ID, b.mapGos)
+		b.chunkKeys = resetChunks(b.chunkKeys, b.chunks, b.cur.ID, b.mapGos)
 	}
+}
+
+// sortedChunkKeys returns the chunk map's keys in ascending order, in
+// buf's array. Chunk purges call Trickle.Remove per key and each call
+// re-arms the shared timer, so the iteration must be deterministic
+// (DESIGN.md §2); base.Remap and node.onChunk share this helper so the
+// rule cannot drift between them.
+func sortedChunkKeys(buf []trickle.Key, chunks map[trickle.Key]index.Chunk) []trickle.Key {
+	buf = slices.Grow(buf[:0], len(chunks))
+	for k := range chunks {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // resetChunks drops every mapping chunk of generation curID back to
 // the fast Trickle interval, in key order (each reset draws
-// randomness, so iteration must be deterministic). Shared by the base
-// and node inconsistency-detection paths so the Trickle rule cannot
-// drift between them.
-// sortedChunkKeys returns the chunk map's keys in ascending order.
-// Chunk purges call Trickle.Remove per key and each call re-arms the
-// shared timer, so the iteration must be deterministic (DESIGN.md §2);
-// base.Remap and node.onChunk share this helper so the rule cannot
-// drift between them.
-func sortedChunkKeys(chunks map[trickle.Key]index.Chunk) []trickle.Key {
-	ks := make([]trickle.Key, 0, len(chunks))
-	for k := range chunks {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func resetChunks(chunks map[trickle.Key]index.Chunk, curID uint16, g *trickle.Trickle) {
-	var ks []trickle.Key
+// randomness, so iteration must be deterministic), and returns buf,
+// the scratch it sorted the keys in. Shared by the base and node
+// inconsistency-detection paths so the Trickle rule cannot drift
+// between them.
+func resetChunks(buf []trickle.Key, chunks map[trickle.Key]index.Chunk, curID uint16, g *trickle.Trickle) []trickle.Key {
+	buf = slices.Grow(buf[:0], len(chunks))
 	for k, c := range chunks {
 		if c.IndexID == curID {
-			ks = append(ks, k)
+			buf = append(buf, k)
 		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	for _, k := range ks {
+	slices.Sort(buf)
+	for _, k := range buf {
 		g.Reset(k)
 	}
+	return buf
 }
 
 // onData implements routing rule 4: data arriving at the basestation
@@ -379,7 +385,8 @@ func (b *Base) remap() {
 	// Replace the gossip set with the new generation's chunks, in key
 	// order: each Trickle.Remove re-arms the shared timer, so the
 	// purge sequence must not depend on map iteration order.
-	for _, k := range sortedChunkKeys(b.chunks) {
+	b.chunkKeys = sortedChunkKeys(b.chunkKeys, b.chunks)
+	for _, k := range b.chunkKeys {
 		delete(b.chunks, k)
 		b.mapGos.Remove(k)
 	}

@@ -386,7 +386,7 @@ func TestRule1RewritesInFlight(t *testing.T) {
 	// rewrites to itself and stores.
 	tn.nodes[3].handleData(&DataMsg{
 		Readings: oneReading(9, 3, tn.sim.Now()), Owner: 1, SID: 5,
-	})
+	}, 0)
 	tn.sim.Run(tn.sim.Now() + 30*netsim.Second)
 	found := false
 	tn.nodes[2].Store().Scan(func(r storage.Reading) bool {
@@ -407,8 +407,8 @@ func TestDataTTLDropsLoopingPackets(t *testing.T) {
 	lost := tn.stats.LostData
 	tn.nodes[1].handleData(&DataMsg{
 		Readings: oneReading(4, 2, tn.sim.Now()),
-		Owner:    2, SID: 1, Hops: uint8(cfg.MaxHops + 1),
-	})
+		Owner:    2, SID: 1,
+	}, uint8(cfg.MaxHops)) // MaxHops transmissions before this one: one too many
 	if tn.stats.LostData != lost+1 {
 		t.Fatal("over-TTL packet not dropped")
 	}

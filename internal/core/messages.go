@@ -17,7 +17,9 @@ import (
 // min/max/sum of those readings, the node's production rate, its
 // best-connected neighbors, and the ID of the last complete storage
 // index it holds. It is a shared payload (netsim.Packet): the
-// basestation keeps every summary it receives, so none is reused.
+// basestation keeps every summary it receives, so none is reused, and a
+// relay forwards the very message it heard (its TTL is the frame
+// header's Hops).
 type SummaryMsg struct {
 	Node          netsim.NodeID
 	Hist          histogram.Histogram
@@ -26,7 +28,6 @@ type SummaryMsg struct {
 	Neighbors     []routing.NeighborInfo
 	LastIndexID   uint16
 	SentAt        netsim.Time
-	Hops          uint8 // forwarding TTL
 }
 
 // summarySize approximates the on-air bytes of a summary message:
@@ -38,17 +39,15 @@ func summarySize(m *SummaryMsg) int {
 
 // DataMsg carries batched readings toward their owner (paper §5.4).
 // Owner and SID may be rewritten in flight by nodes holding a newer
-// storage index (routing rule 1). Hops is a TTL against transient
-// routing loops. It is a recycled payload (netsim.Packet): it travels
-// inside the sender's dataHop, which owns Readings and goes back to
-// the sender's free list after the last delivery, so a forwarder copies
-// the readings into a hop of its own.
+// storage index (routing rule 1). It is a recycled payload
+// (netsim.Packet): it travels inside the sender's dataHop, which owns
+// Readings and goes back to the sender's free list after the last
+// delivery, so a forwarder copies the readings into a hop of its own.
 type DataMsg struct {
 	netsim.Refs
 	Readings []storage.Reading
 	Owner    netsim.NodeID
 	SID      uint16
-	Hops     uint8
 	hop      *dataHop
 }
 
@@ -142,7 +141,6 @@ type ReplyMsg struct {
 	Node     netsim.NodeID
 	Count    int
 	Readings []storage.Reading
-	Hops     uint8 // forwarding TTL
 	free     *netsim.FreeList[ReplyMsg]
 }
 
@@ -163,15 +161,14 @@ func replySize(m *ReplyMsg) int { return 8 + 4*len(m.Readings) }
 // combined) partial; Seq distinguishes successive flushes by the same
 // sender so retransmitted duplicates are dropped without double
 // counting; Contribs counts the distinct targeted nodes folded into
-// Part; Hops is the largest hop count any merged partial has
-// travelled, a TTL against transient routing loops.
+// Part. Its frame's Hops is the largest hop count any merged partial
+// has travelled.
 type AggReplyMsg struct {
 	QueryID  uint16
 	Node     netsim.NodeID
 	Seq      uint8
 	Contribs uint16
 	Part     query.Partial
-	Hops     uint8
 	// Nodes is the contributor bitmap: which targeted nodes this
 	// partial folds in. Carried only for Track queries; empty (and
 	// free on the air) otherwise.

@@ -36,14 +36,16 @@ type Node struct {
 	sample Sampler
 	start  netsim.Time // when sampling begins (after tree warm-up)
 
-	tree   *routing.Tree
-	recent *storage.RecentBuffer
-	store  *storage.DataBuffer
+	tree       *routing.Tree
+	recent     *storage.RecentBuffer
+	recentVals []int // sendSummary's copy of recent, reused
+	store      *storage.DataBuffer
 
-	asm    *index.Assembler
-	cur    *index.Index // newest complete storage index (nil: none yet)
-	chunks map[trickle.Key]index.Chunk
-	mapGos *trickle.Trickle
+	asm       *index.Assembler
+	cur       *index.Index // newest complete storage index (nil: none yet)
+	chunks    map[trickle.Key]index.Chunk
+	chunkKeys []trickle.Key // sortedChunkKeys/resetChunks scratch
+	mapGos    *trickle.Trickle
 
 	// Query state is indexed by dense query ID (the basestation issues
 	// IDs sequentially), replacing the per-delivery hash maps of the
@@ -68,10 +70,13 @@ type Node struct {
 	// owners with a pending batch, and only those. A launched batch's
 	// buffer goes to spareBatches for the next one (its hop copies what
 	// it sends); regroup is rule 1's reusable sort buffer.
-	batchq       idTable[[]storage.Reading]
-	batchSID     uint16
-	spareBatches [][]storage.Reading
-	regroup      []storage.Reading
+	batchq   idTable[[]storage.Reading]
+	batchSID uint16
+	// samplesSinceSummary shares batchSID's word, keeping the Node at
+	// 896 bytes, a malloc size class (a word more rounds it up to 1 KB).
+	samplesSinceSummary int32
+	spareBatches        [][]storage.Reading
+	regroup             []storage.Reading
 
 	pendingAnswers []*QueryMsg // queries awaiting the jittered reply
 
@@ -81,8 +86,6 @@ type Node struct {
 	seenSummaries seenTable
 	seenReplies   seenTable
 	seenAggParts  seenTable
-
-	samplesSinceSummary int
 
 	// Free lists of the recycled payloads this node sends (netsim.Refs):
 	// data hops, replies and mapping chunks come back here after their
@@ -223,18 +226,18 @@ func (n *Node) receive(p *netsim.Packet) {
 		// our current generation so it catches up (mapping chunks
 		// retire after MaxRounds and would otherwise stay silent).
 		if n.cur != nil && !n.cur.Local && m.LastIndexID < n.cur.ID {
-			resetChunks(n.chunks, n.cur.ID, n.mapGos)
+			n.chunkKeys = resetChunks(n.chunkKeys, n.chunks, n.cur.ID, n.mapGos)
 		}
-		if int(m.Hops) <= n.cfg.MaxHops && !n.seenSummaries.Seen(m.Node, uint64(m.SentAt)) {
-			fwd := *m
-			fwd.Hops++
-			n.forwardUp(p, &fwd, metrics.Summary, summarySize(m))
+		// A summary is shared and immutable: the relay forwards the
+		// message it heard, the hop count riding in the frame header.
+		if int(p.Hops) <= n.cfg.MaxHops && !n.seenSummaries.Seen(m.Node, uint64(m.SentAt)) {
+			n.forwardUp(p, m, metrics.Summary, summarySize(m))
 		}
 	case *ReplyMsg:
 		n.learnDescendant(p)
-		if int(m.Hops) <= n.cfg.MaxHops && !n.seenReplies.Seen(m.Node, uint64(m.QueryID)) {
+		if int(p.Hops) <= n.cfg.MaxHops && !n.seenReplies.Seen(m.Node, uint64(m.QueryID)) {
 			fwd := n.newReply()
-			fwd.QueryID, fwd.Node, fwd.Count, fwd.Hops = m.QueryID, m.Node, m.Count, m.Hops+1
+			fwd.QueryID, fwd.Node, fwd.Count = m.QueryID, m.Node, m.Count
 			fwd.Readings = append(fwd.Readings, m.Readings...)
 			n.stats.RepliesForwarded++
 			n.forwardUp(p, fwd, metrics.Reply, replySize(m))
@@ -242,10 +245,10 @@ func (n *Node) receive(p *netsim.Packet) {
 		}
 	case *AggReplyMsg:
 		n.learnDescendant(p)
-		n.onAggPartial(m)
+		n.onAggPartial(m, p.Hops)
 	case *DataMsg:
 		n.learnDescendant(p)
-		n.handleData(m)
+		n.handleData(m, p.Hops)
 	case *MappingMsg:
 		n.onChunk(m.Chunk)
 	case *QueryMsg:
@@ -267,13 +270,15 @@ func (n *Node) learnDescendant(p *netsim.Packet) {
 	}
 }
 
-// forwardUp relays a summary or reply one hop toward the basestation.
+// forwardUp relays a summary or reply one hop toward the basestation,
+// one hop further than p travelled.
 func (n *Node) forwardUp(p *netsim.Packet, payload any, class metrics.Class, size int) {
 	if !n.tree.HasRoute() {
 		return // nowhere to go; the message is lost
 	}
 	fwd := &netsim.Packet{
 		Class:        class,
+		Hops:         p.Hops + 1,
 		Dst:          n.tree.Parent(),
 		Origin:       p.Origin,
 		OriginParent: p.OriginParent,
@@ -364,14 +369,17 @@ func (n *Node) loseReadings(rs []storage.Reading, cause metrics.DropCause) {
 	}
 }
 
-// handleData applies the paper's six routing rules to a received (or
-// locally produced) data message.
-func (n *Node) handleData(m *DataMsg) {
-	// TTL guard against transient routing loops.
-	if int(m.Hops) > n.cfg.MaxHops {
+// handleData applies the paper's six routing rules to a data message
+// received in a frame with header hops.
+func (n *Node) handleData(m *DataMsg, hops uint8) {
+	// TTL guard against transient routing loops. Unlike a relayed
+	// summary or reply, data counts the hop it arrived over: readings
+	// that took more than MaxHops transmissions to get here are dropped.
+	if int(hops) >= n.cfg.MaxHops {
 		n.loseReadings(m.Readings, metrics.DropTTL)
 		return
 	}
+	hops++ // what this node's frames carry
 	// Rule 1: a newer index here rewrites the destination. Readings in
 	// one batch may now map to different owners; regroup in owner order
 	// (so runs are reproducible) by sorting a copy, out-of-domain values
@@ -386,17 +394,18 @@ func (n *Node) handleData(m *DataMsg) {
 			for k < len(rs) && owner(rs[k]) == owner(rs[0]) {
 				k++
 			}
-			n.routeData(rs[:k], owner(rs[0]), n.cur.ID, m.Hops)
+			n.routeData(rs[:k], owner(rs[0]), n.cur.ID, hops)
 			rs = rs[k:]
 		}
 		return
 	}
-	n.routeData(m.Readings, m.Owner, m.SID, m.Hops)
+	n.routeData(m.Readings, m.Owner, m.SID, hops)
 }
 
 // routeData applies rules 2–6 (rule 4 lives in the basestation app) to
-// readings bound for owner under index sid, hops hops from where they
-// were batched. Rules 3–6 copy them into a hop of this node's own.
+// readings bound for owner under index sid, sending them with header
+// hops (0 where they were batched). Rules 3–6 copy them into a hop of
+// this node's own.
 func (n *Node) routeData(rs []storage.Reading, owner netsim.NodeID, sid uint16, hops uint8) {
 	me := n.api.ID()
 	// Rule 2: we are the owner.
@@ -422,21 +431,22 @@ func (n *Node) routeData(rs []storage.Reading, owner netsim.NodeID, sid uint16, 
 		h.msg.Readings = h.buf[:0]
 	}
 	h.msg.Readings = append(h.msg.Readings, rs...)
-	h.msg.Owner, h.msg.SID, h.msg.Hops = owner, sid, hops+1
+	h.msg.Owner, h.msg.SID, h.hops = owner, sid, hops
 	netsim.Hold(&h.msg)
 	h.route(3)
 }
 
 // dataHop is one data message leaving this node, in one object: the
-// payload its frames carry (&msg, Hops counting this hop, Readings
-// slicing buf) and the completion the MAC reports to. A failed rule
-// falls back to the next by re-sending the same hop: a sent msg never
+// payload its frames carry (&msg, Readings slicing buf), their header
+// hop count, and the completion the MAC reports to. A failed rule falls
+// back to the next by re-sending the same hop: a sent msg never
 // changes. The hop holds the sender's reference on msg until its last
 // verdict; the last delivery then returns it to the node's free list.
 type dataHop struct {
 	msg  DataMsg
 	n    *Node
 	rule int                // the routing rule (3, 5 or 6) that chose the frame in flight
+	hops uint8              // the frames' header Hops
 	buf  [5]storage.Reading // msg.Readings' array at the paper's batch size
 }
 
@@ -463,6 +473,7 @@ func (h *dataHop) route(from int) {
 	}
 	n.api.Send(&netsim.Packet{
 		Class:        metrics.Data,
+		Hops:         h.hops,
 		Dst:          to,
 		Origin:       n.api.ID(),
 		OriginParent: n.tree.Parent(),
@@ -500,9 +511,10 @@ func (n *Node) sendSummary() {
 	if n.cur != nil {
 		lastID = n.cur.ID
 	}
+	n.recentVals = n.recent.AppendValues(slices.Grow(n.recentVals[:0], n.cfg.RecentBufSize))
 	m := &SummaryMsg{
 		Node:        n.api.ID(),
-		Hist:        histogram.Build(n.recent.Values(), n.cfg.NBins),
+		Hist:        histogram.Build(n.recentVals, n.cfg.NBins),
 		Min:         min,
 		Max:         max,
 		Sum:         sum,
@@ -541,7 +553,7 @@ func (n *Node) handleChunk(c index.Chunk) {
 	if n.cur != nil && c.IndexID < n.cur.ID {
 		// A neighbor is gossiping a stale generation: speed up our own
 		// gossip so it catches up (Trickle inconsistency rule).
-		resetChunks(n.chunks, n.cur.ID, n.mapGos)
+		n.chunkKeys = resetChunks(n.chunkKeys, n.chunks, n.cur.ID, n.mapGos)
 		return
 	}
 	n.chunks[key] = c
@@ -553,7 +565,8 @@ func (n *Node) handleChunk(c index.Chunk) {
 		// Stop gossiping superseded generations, in key order: each
 		// Trickle.Remove re-arms the shared timer, so the purge
 		// sequence must not depend on map iteration order.
-		for _, k := range sortedChunkKeys(n.chunks) {
+		n.chunkKeys = sortedChunkKeys(n.chunkKeys, n.chunks)
+		for _, k := range n.chunkKeys {
 			if n.chunks[k].IndexID < n.cur.ID {
 				delete(n.chunks, k)
 				n.mapGos.Remove(k)

@@ -8,20 +8,32 @@ import (
 	"scoop/internal/routing"
 )
 
-// sinkApp counts what it receives by class and keeps nothing.
-type sinkApp struct{ got [metrics.NumClasses]int }
+// sinkApp counts what it receives by class and keeps nothing but the
+// last summary it heard (a shared payload) and that frame's hop count.
+type sinkApp struct {
+	got         [metrics.NumClasses]int
+	summary     *SummaryMsg
+	summaryHops uint8
+}
 
-func (s *sinkApp) Init(*netsim.NodeAPI)     {}
-func (s *sinkApp) Receive(p *netsim.Packet) { s.got[p.Class]++ }
-func (s *sinkApp) Snoop(*netsim.Packet)     {}
-func (s *sinkApp) Timer(int)                {}
+func (s *sinkApp) Init(*netsim.NodeAPI) {}
+func (s *sinkApp) Receive(p *netsim.Packet) {
+	s.got[p.Class]++
+	if m, ok := p.Payload.(*SummaryMsg); ok {
+		s.summary, s.summaryHops = m, p.Hops
+	}
+}
+func (s *sinkApp) Snoop(*netsim.Packet) {}
+func (s *sinkApp) Timer(int)            {}
 
 // TestForwardZeroAllocs holds the forwarding half of the payload rule
 // (DESIGN.md §12) to zero allocations in steady state: node 1 relays a
-// data batch and a reply from node 2 to its parent 0. Each relay copies
-// the borrowed payload into a hop or reply of node 1's own, taken off
-// its free list, and the relayed frame's last delivery puts it back —
-// neither the received payload nor its readings are kept.
+// data batch, a reply and a summary from node 2 to its parent 0. Each
+// relay copies a borrowed payload into a hop or reply of node 1's own,
+// taken off its free list, and the relayed frame's last delivery puts
+// it back — neither the received payload nor its readings are kept. A
+// summary is shared: the relay forwards the message it heard, one hop
+// further in the frame header.
 func TestForwardZeroAllocs(t *testing.T) {
 	topo := chainTopo(3, 1)
 	sim := netsim.NewSimulator(1)
@@ -47,21 +59,30 @@ func TestForwardZeroAllocs(t *testing.T) {
 		Payload: &DataMsg{Readings: oneReading(7, 2, 0), Owner: 0, SID: 1}}
 	reply := &ReplyMsg{Node: 2, Count: 3, Readings: oneReading(7, 2, 0)}
 	replyPkt := &netsim.Packet{Class: metrics.Reply, Src: 2, Dst: 1, Origin: 2, OriginParent: 1, Payload: reply}
+	summary := &SummaryMsg{Node: 2}
+	summaryPkt := &netsim.Packet{Class: metrics.Summary, Hops: 3, Src: 2, Dst: 1, Origin: 2, OriginParent: 1, Payload: summary}
 	seq := uint32(1)
 	relay := func() {
 		seq++
-		data.Seq, replyPkt.Seq = seq, seq
-		reply.QueryID++ // a new query each time: replies are deduplicated per query
+		data.Seq, replyPkt.Seq, summaryPkt.Seq = seq, seq, seq
+		reply.QueryID++  // a new query each time: replies are deduplicated per query
+		summary.SentAt++ // and summaries per send time
 		node.Receive(data)
 		node.Receive(replyPkt)
+		node.Receive(summaryPkt)
 		sim.Run(sim.Now() + netsim.Second)
 	}
 	relay() // warm the free lists, the queue ring and the MAC pools
 	if allocs := testing.AllocsPerRun(100, relay); allocs != 0 {
-		t.Fatalf("relaying a data hop and a reply allocates %v objects, want 0", allocs)
+		t.Fatalf("relaying a data hop, a reply and a summary allocates %v objects, want 0", allocs)
 	}
-	if sink.got[metrics.Data] != 102 || sink.got[metrics.Reply] != 102 {
-		t.Fatalf("the parent received %d data and %d reply frames, want 102 each",
-			sink.got[metrics.Data], sink.got[metrics.Reply])
+	for _, c := range []metrics.Class{metrics.Data, metrics.Reply, metrics.Summary} {
+		if sink.got[c] != 102 {
+			t.Fatalf("the parent received %d %v frames, want 102", sink.got[c], c)
+		}
+	}
+	if sink.summary != summary || sink.summaryHops != summaryPkt.Hops+1 {
+		t.Fatalf("the relayed summary is %p with header Hops %d, want the received %p with Hops %d",
+			sink.summary, sink.summaryHops, summary, summaryPkt.Hops+1)
 	}
 }

@@ -47,22 +47,60 @@ func (t *idTable[V]) clear() {
 	t.ids, t.vals = t.ids[:0], t.vals[:0]
 }
 
-// seenRow is one origin's dedup history: an append-only key list plus
-// the maximum key seen, which gives an O(1) fast path for the common
-// case — per-origin keys (summary timestamps, query IDs, flush
-// sequence numbers) arrive in increasing order, so a fresh key is
-// usually above every key recorded before and needs no scan at all.
+// seenRow is one origin's dedup history: every key recorded, the
+// newest two inline and the older ones spilled, oldest first, to a
+// slice that starts at seenSpill keys — most rows hold a handful, so a
+// row of two keys never allocates and one of six allocates once, and
+// no row reserves room it may never use — plus the maximum key seen,
+// which gives an O(1) fast path for the common case: per-origin keys
+// (summary timestamps, query IDs, flush sequence numbers) arrive in
+// increasing order, so a fresh key is usually above every key recorded
+// before and needs no scan at all.
 type seenRow struct {
-	keys []uint64
-	max  uint64
-	any  bool
+	max    uint64
+	newest [2]uint64 // newest[n-1] the last key recorded
+	n      uint8     // keys in newest (0 only before the first)
+	older  []uint64
+}
+
+// seenSpill is the capacity a row's spill slice starts at.
+const seenSpill = 4
+
+// record appends key as the row's newest.
+func (r *seenRow) record(key uint64) {
+	if r.n < uint8(len(r.newest)) {
+		r.newest[r.n] = key
+		r.n++
+		return
+	}
+	if r.older == nil {
+		r.older = make([]uint64, 0, seenSpill)
+	}
+	r.older = append(r.older, r.newest[0])
+	r.newest[0], r.newest[1] = r.newest[1], key
+}
+
+// has reports whether key was recorded, scanning newest-first, where
+// recent keys cluster.
+func (r *seenRow) has(key uint64) bool {
+	for k := int(r.n) - 1; k >= 0; k-- {
+		if r.newest[k] == key {
+			return true
+		}
+	}
+	for k := len(r.older) - 1; k >= 0; k-- {
+		if r.older[k] == key {
+			return true
+		}
+	}
+	return false
 }
 
 // seenTable is the forwarding-dedup store: one row per origin actually
 // heard from, replacing the old flat hash maps on the per-delivery path
 // (DESIGN.md §12). New in-order keys append without scanning;
 // duplicates (link-layer retransmissions) and the rare out-of-order key
-// scan the row backwards, where recent keys cluster.
+// scan the row newest-first.
 type seenTable struct {
 	rows idTable[seenRow]
 }
@@ -71,17 +109,13 @@ type seenTable struct {
 // if not (check-and-mark).
 func (s *seenTable) Seen(origin netsim.NodeID, key uint64) bool {
 	r := s.rows.at(origin)
-	if !r.any || key > r.max {
-		r.keys = append(r.keys, key)
-		r.max, r.any = key, true
-		return false
+	switch {
+	case r.n == 0 || key > r.max:
+		r.max = key
+	case r.has(key):
+		return true
 	}
-	for k := len(r.keys) - 1; k >= 0; k-- {
-		if r.keys[k] == key {
-			return true
-		}
-	}
-	r.keys = append(r.keys, key)
+	r.record(key)
 	return false
 }
 

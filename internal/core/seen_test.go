@@ -12,27 +12,19 @@ import (
 // refSeen is the dense-row table seenTable used to be, kept as the
 // reference model: rows indexed by origin ID and grown to the highest
 // origin heard from, so one summary relayed from node 900 costs 900
-// rows. Its cost follows the network; its answers are the
-// specification.
+// rows, each a plain list of every key recorded. Its cost follows the
+// network; its answers are the specification.
 type refSeen struct {
-	rows []seenRow
+	rows [][]uint64
 }
 
 func (s *refSeen) Seen(origin netsim.NodeID, key uint64) bool {
 	i := int(origin)
 	s.rows = dense.Grow(s.rows, i)
-	r := &s.rows[i]
-	if !r.any || key > r.max {
-		r.keys = append(r.keys, key)
-		r.max, r.any = key, true
-		return false
+	if slices.Contains(s.rows[i], key) {
+		return true
 	}
-	for k := len(r.keys) - 1; k >= 0; k-- {
-		if r.keys[k] == key {
-			return true
-		}
-	}
-	r.keys = append(r.keys, key)
+	s.rows[i] = append(s.rows[i], key)
 	return false
 }
 
@@ -112,4 +104,43 @@ func TestSeenRepeatedKeyAllocsZero(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Seen of a repeated key allocates %v times per call", allocs)
 	}
+}
+
+// FuzzSeenTable holds the table to exact set membership over arbitrary
+// op streams: Seen answers true exactly when (origin, key) was recorded
+// since the last reset, however the keys of an origin arrive —
+// repeated, out of order, or an old duplicate long after its row has
+// spilled to the older keys. Each op is three bytes: 0xFF resets,
+// anything else picks one of 255 origins spread over the ID space, and
+// the next two bytes are a 16-bit key, so duplicates are common.
+func FuzzSeenTable(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 1, 0, 1})                           // an immediate duplicate
+	f.Add([]byte{1, 0, 5, 1, 0, 3, 1, 0, 5, 1, 0, 3})         // out of order, then both again
+	f.Add([]byte{1, 0, 0, 2, 0, 0, 0xFF, 0, 0, 1, 0, 0})      // key 0 from two origins, reset, again
+	f.Add([]byte{9, 0, 1, 9, 0, 2, 9, 0, 3, 9, 0, 4, 9, 0, 5, // a row spilling past its first array…
+		9, 0, 6, 9, 0, 7, 9, 0, 8, 9, 0, 9, 9, 0, 1}) // …then its oldest key again
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var s seenTable
+		ref := map[netsim.NodeID]map[uint64]bool{}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			if ops[0] == 0xFF {
+				s.reset()
+				clear(ref)
+				continue
+			}
+			origin := netsim.NodeID(ops[0]) * 4
+			key := uint64(ops[1])<<8 | uint64(ops[2])
+			if ref[origin] == nil {
+				ref[origin] = map[uint64]bool{}
+			}
+			want := ref[origin][key]
+			ref[origin][key] = true
+			if got := s.Seen(origin, key); got != want {
+				t.Fatalf("Seen(%d, %d) = %v, want %v", origin, key, got, want)
+			}
+		}
+		if !slices.IsSorted(s.rows.ids) || len(s.rows.ids) != len(ref) {
+			t.Fatalf("table holds rows %v for %d origins", s.rows.ids, len(ref))
+		}
+	})
 }

@@ -22,7 +22,8 @@
 //   - packetretain: a *netsim.Packet handed to Receive/Snoop or to a
 //     netsim hook (OnPurge, ForEachQueued …) is simulator-owned and
 //     valid only during the callback, and so is a recycled payload
-//     reached from it, slices included — copy, never retain.
+//     reached from it, slices included — copy, never retain. A shared
+//     payload reached from it may be kept but never written.
 //   - goroutine: no `go` statement in deterministic packages without
 //     a reviewed confinement argument — the region scheduler's
 //     barrier-synchronised workers and the flight recorder's JSONL

@@ -53,6 +53,17 @@ func TestPacketretain(t *testing.T) {
 	lint.AnalyzerTest(t, "testdata/src/packetretain", false, lint.Packetretain)
 }
 
+// A shared payload reached from a packet may be kept but not written:
+// one fixture of writes that must each fire, one of reads, keeps and
+// copies that must stay silent.
+func TestPacketretainSharedWrites(t *testing.T) {
+	lint.AnalyzerTest(t, "testdata/src/sharedwrite", false, lint.Packetretain)
+}
+
+func TestPacketretainSharedReads(t *testing.T) {
+	lint.AnalyzerTest(t, "testdata/src/sharedread", false, lint.Packetretain)
+}
+
 // TestMaprangeNotDeterministic pins the deterministic-package gate:
 // the same fixture, loaded without the flag, must be silent.
 func TestMaprangeNotDeterministic(t *testing.T) {

@@ -25,6 +25,16 @@ import (
 // buffers) or letting a struct copy of it escape, since the copy's
 // slice fields still point into the payload.
 //
+// A shared payload — core's QueryMsg and SummaryMsg — may be kept, but
+// it is immutable once sent: a relay forwards the very message it heard
+// and the basestation keeps every summary, so a write through one
+// reached from a tracked packet changes what every other holder sees.
+// Assigning or incrementing through it (m.Min = …, m.Hops++, including
+// through a pointer or slice taken from it), clearing or copying into
+// its slices, and calling a pointer method on it or on one of its
+// fields are findings; a pointer method of the same package is
+// followed instead, and only its writes count.
+//
 // The analyzer tracks the packet parameters of any method or function
 // named Receive, Snoop or Observe (routing's per-frame hook) and of any
 // function literal handed to netsim, plus local aliases, outside
@@ -50,7 +60,7 @@ var Packetretain = &Analyzer{
 				}
 			}
 		}
-		visited := map[types.Object]bool{}
+		visited := map[visit]bool{}
 		check := func(callback string, ft *ast.FuncType, body *ast.BlockStmt) {
 			tracked := map[types.Object]borrow{}
 			for _, obj := range params(pass, ft) {
@@ -103,7 +113,38 @@ const (
 	borrowPayload        // a pointer to a recycled payload
 	borrowSlice          // a slice field of a recycled payload (or a reslice of one)
 	borrowCopy           // a struct copy of a recycled payload that has slice fields
+	borrowShared         // a shared payload, or a pointer, slice or map reached through one
 )
+
+// visit is a parameter checked as tracked with one borrow kind.
+type visit struct {
+	obj types.Object
+	k   borrow
+}
+
+// sharedPayloads names core's shared payload types (netsim.Packet).
+var sharedPayloads = map[string]bool{"QueryMsg": true, "SummaryMsg": true}
+
+// isSharedPtr reports whether t points to a shared payload type.
+func isSharedPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Pkg() != nil && sharedPayloads[named.Obj().Name()] &&
+		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/core")
+}
+
+// isRef reports whether a value of type t refers to memory it does not
+// hold: a pointer, slice or map.
+func isRef(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return true
+	}
+	return false
+}
 
 // isNetsimNamed reports whether t is the netsim type called name.
 func isNetsimNamed(t types.Type, name string) bool {
@@ -181,7 +222,7 @@ type retention struct {
 	body     *ast.BlockStmt
 	tracked  map[types.Object]borrow
 	decls    map[*types.Func]*ast.FuncDecl // the package's functions, for following calls
-	visited  map[types.Object]bool         // parameters already checked as tracked
+	visited  map[visit]bool                // parameters already checked as tracked
 }
 
 // classify reports what kind of borrowed value e evaluates to.
@@ -191,23 +232,83 @@ func (r *retention) classify(e ast.Expr) borrow {
 	case *ast.Ident:
 		return r.tracked[info.ObjectOf(e)]
 	case *ast.TypeAssertExpr: // p.Payload.(*T)
-		if e.Type != nil && r.isPayloadOf(e.X) && isRecycledPtr(info.TypeOf(e.Type)) {
-			return borrowPayload
+		if e.Type != nil && r.isPayloadOf(e.X) {
+			switch t := info.TypeOf(e.Type); {
+			case isRecycledPtr(t):
+				return borrowPayload
+			case isSharedPtr(t):
+				return borrowShared
+			}
 		}
 	case *ast.SelectorExpr: // m.Readings
-		if k := r.classify(e.X); (k == borrowPayload || k == borrowCopy) && isSlice(info.TypeOf(e)) {
+		k := r.classify(e.X)
+		if (k == borrowPayload || k == borrowCopy) && isSlice(info.TypeOf(e)) {
 			return borrowSlice
+		}
+		if k == borrowShared && isRef(info.TypeOf(e)) {
+			return borrowShared
+		}
+	case *ast.UnaryExpr: // &m.Bitmap
+		if e.Op == token.AND && r.intoShared(e.X) {
+			return borrowShared
 		}
 	case *ast.StarExpr: // *m
 		if r.classify(e.X) == borrowPayload && hasSliceField(info.TypeOf(e)) {
 			return borrowCopy
 		}
 	case *ast.SliceExpr: // m.Readings[i:j]
-		if r.classify(e.X) == borrowSlice {
-			return borrowSlice
+		if k := r.classify(e.X); k == borrowSlice || k == borrowShared {
+			return k
 		}
 	}
 	return borrowNone
+}
+
+// sharedReceiver reports whether the method selection sel, called on x,
+// takes a pointer into a shared payload: a pointer receiver given x's
+// address (x inside the payload) or x itself (a tracked pointer).
+func (r *retention) sharedReceiver(sel *types.Selection, x ast.Expr) bool {
+	sig := sel.Obj().Type().(*types.Signature)
+	if _, ptr := sig.Recv().Type().(*types.Pointer); !ptr {
+		return false // a value receiver works on a copy
+	}
+	if _, ptr := r.pass.Info.TypeOf(x).Underlying().(*types.Pointer); ptr {
+		return r.classify(x) == borrowShared
+	}
+	return r.intoShared(x)
+}
+
+// intoShared reports whether the location e names lies inside a shared
+// payload: a field, element or pointee reached from a tracked shared
+// value (the tracked variable itself is only a local binding).
+func (r *retention) intoShared(e ast.Expr) bool {
+	inside := false
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return inside && r.tracked[r.pass.Info.ObjectOf(x)] == borrowShared
+		case *ast.SelectorExpr:
+			if sel := r.pass.Info.Selections[x]; sel == nil || sel.Kind() != types.FieldVal {
+				return false
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return false
+		}
+		inside = true
+	}
+}
+
+// writesShared reports a write to the location e names when it lies
+// inside a shared payload.
+func (r *retention) writesShared(e ast.Expr, verb string) {
+	if r.intoShared(e) {
+		r.report(e, borrowShared, verb+" "+types.ExprString(e))
+	}
 }
 
 // isPayloadOf reports whether x is the Payload field of a tracked packet.
@@ -223,10 +324,19 @@ var retainMsg = [...]string{
 	borrowPayload: "%s retains a recycled payload: it goes back to its sender's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
 	borrowSlice:   "%s retains a recycled payload's slice: the buffer goes back to its sender's free list after the %s callback — copy the elements, append(dst, s...) (DESIGN.md §12)",
 	borrowCopy:    "%s retains a struct copy of a recycled payload: its slice fields still point into the payload, which goes back to its sender's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
+	borrowShared:  "%s writes a shared payload reached from the %s callback: it is immutable once sent — relays forward it as heard and the basestation keeps it — so change a copy (DESIGN.md §12)",
 }
 
 func (r *retention) report(n ast.Node, k borrow, how string) {
 	r.pass.Reportf(n.Pos(), retainMsg[k], how, r.callback)
+}
+
+// retained reports a tracked value kept past the callback, unless it is
+// a shared payload, which may be kept.
+func (r *retention) retained(n ast.Node, k borrow, how string) {
+	if k != borrowShared {
+		r.report(n, k, how)
+	}
 }
 
 // check walks the body flagging every way a tracked value can outlive
@@ -249,12 +359,25 @@ func (r *retention) check() {
 		case *ast.TypeSwitchStmt: // switch m := p.Payload.(type)
 			if a, ok := n.Assign.(*ast.AssignStmt); ok && r.isPayloadOf(a.Rhs[0].(*ast.TypeAssertExpr).X) {
 				for _, clause := range n.Body.List {
-					if obj := info.Implicits[clause]; obj != nil && isRecycledPtr(obj.Type()) {
+					switch obj := info.Implicits[clause]; {
+					case obj == nil:
+					case isRecycledPtr(obj.Type()):
 						r.tracked[obj] = borrowPayload
+					case isSharedPtr(obj.Type()):
+						r.tracked[obj] = borrowShared
 					}
 				}
 			}
+		case *ast.IncDecStmt:
+			verb := "incrementing"
+			if n.Tok == token.DEC {
+				verb = "decrementing"
+			}
+			r.writesShared(n.X, verb)
 		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				r.writesShared(lhs, "assigning to")
+			}
 			rhs := n.Rhs
 			if len(n.Lhs) == 2 && len(rhs) == 1 { // b, ok := p.Payload.(*T)
 				if _, ok := ast.Unparen(rhs[0]).(*ast.TypeAssertExpr); ok {
@@ -275,26 +398,31 @@ func (r *retention) check() {
 						r.tracked[obj] = k // a local alias: track it too
 						continue
 					}
-					r.report(n, k, "assigning to "+types.ExprString(lhs))
+					r.retained(n, k, "assigning to "+types.ExprString(lhs))
 					continue
 				}
-				r.report(n, k, "storing in "+types.ExprString(lhs))
+				r.retained(n, k, "storing in "+types.ExprString(lhs))
 			}
 		case *ast.CallExpr:
-			if builtinName(info, n) == "append" {
+			switch builtinName(info, n) {
+			case "append":
 				for i, arg := range n.Args[1:] {
 					k := r.classify(arg)
 					spread := n.Ellipsis.IsValid() && i == len(n.Args)-2
 					if k != borrowNone && !(spread && k == borrowSlice) {
-						r.report(arg, k, "appending to a slice")
+						r.retained(arg, k, "appending to a slice")
 					}
 				}
 				return true
+			case "copy", "clear":
+				if dst := n.Args[0]; r.classify(dst) == borrowShared {
+					r.report(dst, borrowShared, "calling "+builtinName(info, n)+" on "+types.ExprString(dst))
+				}
 			}
 			r.follow(n)
 		case *ast.SendStmt:
 			if k := r.classify(n.Value); k != borrowNone {
-				r.report(n, k, "sending on a channel")
+				r.retained(n, k, "sending on a channel")
 			}
 		case *ast.CompositeLit:
 			for _, elt := range n.Elts {
@@ -303,13 +431,13 @@ func (r *retention) check() {
 					v = kv.Value
 				}
 				if k := r.classify(v); k != borrowNone {
-					r.report(v, k, "storing in a composite literal")
+					r.retained(v, k, "storing in a composite literal")
 				}
 			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				if k := r.classify(res); k != borrowNone {
-					r.report(res, k, "returning it")
+					r.retained(res, k, "returning it")
 				}
 			}
 		case *ast.UnaryExpr:
@@ -323,14 +451,17 @@ func (r *retention) check() {
 			captured := false
 			ast.Inspect(n.Body, func(m ast.Node) bool {
 				if id, ok := m.(*ast.Ident); ok && !captured {
-					if k := r.tracked[info.ObjectOf(id)]; k != borrowNone {
+					if k := r.tracked[info.ObjectOf(id)]; k != borrowNone && k != borrowShared {
 						r.report(id, k, "capturing in a closure that may outlive the callback")
 						captured = true
 					}
 				}
 				return !captured
 			})
-			return false // inner uses already reported once
+			// A closure that keeps only shared payloads is walked for
+			// writes through them; inner uses of anything else were
+			// already reported once.
+			return !captured
 		}
 		return true
 	})
@@ -339,17 +470,24 @@ func (r *retention) check() {
 // follow checks a call to a function declared in this package with
 // every tracked argument tracked as the parameter it binds: passing a
 // borrowed value down the stack is fine only if the callee keeps it no
-// more than the callback may.
+// more than the callback may. A pointer method called on a shared
+// payload, or on a field of one, is followed with its receiver tracked;
+// one declared elsewhere cannot be, so the call is the finding.
 func (r *retention) follow(call *ast.CallExpr) {
 	var id *ast.Ident
+	var recv ast.Expr // the operand of a pointer method that shares a payload's memory
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = f
 	case *ast.SelectorExpr:
-		if sel := r.pass.Info.Selections[f]; sel != nil && sel.Kind() == types.MethodExpr {
+		sel := r.pass.Info.Selections[f]
+		if sel != nil && sel.Kind() == types.MethodExpr {
 			return // T.m(recv, …): arguments shifted by the receiver
 		}
 		id = f.Sel
+		if sel != nil && sel.Kind() == types.MethodVal && r.sharedReceiver(sel, f.X) {
+			recv = f.X
+		}
 	}
 	if id == nil {
 		return
@@ -359,6 +497,9 @@ func (r *retention) follow(call *ast.CallExpr) {
 		return
 	}
 	decl := r.decls[fn.Origin()]
+	if decl == nil && recv != nil {
+		r.report(call, borrowShared, "calling pointer method "+fn.Name()+" on "+types.ExprString(recv))
+	}
 	if decl == nil || call.Ellipsis.IsValid() {
 		return
 	}
@@ -367,13 +508,18 @@ func (r *retention) follow(call *ast.CallExpr) {
 		ps = ps[:len(ps)-1]
 	}
 	tracked := map[types.Object]borrow{}
-	for i, arg := range call.Args {
-		if i >= len(ps) || ps[i] == nil || r.visited[ps[i]] {
-			continue
+	track := func(p types.Object, k borrow) {
+		if p != nil && k != borrowNone && !r.visited[visit{p, k}] {
+			tracked[p] = k
+			r.visited[visit{p, k}] = true
 		}
-		if k := r.classify(arg); k != borrowNone {
-			tracked[ps[i]] = k
-			r.visited[ps[i]] = true
+	}
+	if recv != nil && len(decl.Recv.List[0].Names) == 1 {
+		track(r.pass.Info.Defs[decl.Recv.List[0].Names[0]], borrowShared)
+	}
+	for i, arg := range call.Args {
+		if i < len(ps) {
+			track(ps[i], r.classify(arg))
 		}
 	}
 	if len(tracked) > 0 {

@@ -1,0 +1,54 @@
+// Package sharedwrite is a scooplint fixture: every way a Receive
+// callback can write a shared payload — core's QueryMsg and SummaryMsg,
+// immutable once sent. A relay forwards the summary it heard and the
+// basestation keeps it, so a write here changes what every other
+// holder of the message sees.
+package sharedwrite
+
+import (
+	"scoop/internal/core"
+	"scoop/internal/netsim"
+	"scoop/internal/routing"
+)
+
+type relay struct {
+	hops  uint8
+	ids   []netsim.NodeID
+	nb    []routing.NeighborInfo
+	last  *core.SummaryMsg
+	query *core.QueryMsg
+}
+
+func (r *relay) Receive(p *netsim.Packet) {
+	switch m := p.Payload.(type) {
+	case *core.SummaryMsg:
+		m.Min = 0                                                 // want `assigning to m\.Min writes a shared payload reached from the Receive callback`
+		m.Sum += 3                                                // want `assigning to m\.Sum writes a shared payload`
+		m.LastIndexID++                                           // want `incrementing m\.LastIndexID writes a shared payload`
+		m.Hist.Counts[0]--                                        // want `decrementing m\.Hist\.Counts\[0\] writes a shared payload`
+		m.Neighbors[1].Quality = 1                                // want `assigning to m\.Neighbors\[1\]\.Quality writes a shared payload`
+		*m = core.SummaryMsg{}                                    // want `assigning to \*m writes a shared payload`
+		m.Neighbors = append(m.Neighbors, routing.NeighborInfo{}) // want `assigning to m\.Neighbors writes a shared payload`
+		copy(m.Neighbors, r.nb)                                   // want `calling copy on m\.Neighbors writes a shared payload`
+		nb := m.Neighbors                                         // an alias into the payload: tracked
+		nb[0].ID = 3                                              // want `assigning to nb\[0\]\.ID writes a shared payload`
+		clear(nb)                                                 // want `calling clear on nb writes a shared payload`
+		min := &m.Min                                             // a pointer into the payload: tracked
+		*min = 1                                                  // want `assigning to \*min writes a shared payload`
+		r.bump(m)                                                 // followed into bump, which writes
+		go func() { m.Max = 0 }()                                 // want `assigning to m\.Max writes a shared payload`
+	case *core.QueryMsg:
+		q := p.Payload.(*core.QueryMsg)
+		q.Bitmap.Set(4)          // want `calling pointer method Set on q\.Bitmap writes a shared payload`
+		q.ValueLo, r.hops = 0, 1 // want `assigning to q\.ValueLo writes a shared payload`
+		r.widen(&m.Bitmap)       // followed into widen, which writes through the pointer
+	}
+}
+
+func (r *relay) bump(m *core.SummaryMsg) {
+	m.Rate *= 2 // want `assigning to m\.Rate writes a shared payload`
+}
+
+func (r *relay) widen(b *core.Bitmap) {
+	b.Or(b) // want `calling pointer method Or on b writes a shared payload`
+}

@@ -162,6 +162,23 @@ type regionState struct {
 	scratch   []interferer // collision-fold gather buffer
 }
 
+// heardSlots is how many frames a node's audible list holds in its
+// region's shared backing array; a longer list spills to an array of
+// its own through append. Few lists ever grow past it.
+const heardSlots = 4
+
+// newAudibleLists returns n empty audible lists, each with its first
+// heardSlots slots carved from one backing array rather than grown one
+// doubling at a time.
+func newAudibleLists(n int) [][]audible {
+	lists := make([][]audible, n)
+	backing := make([]audible, n*heardSlots)
+	for id := range lists {
+		lists[id], backing = backing[:0:heardSlots], backing[heardSlots:]
+	}
+	return lists
+}
+
 // hear records tx as audible at node id over link li, dropping from
 // id's list the frames that ended by now.
 func (r *regionState) hear(id NodeID, li int32, tx transmission, now Time) {
@@ -301,7 +318,7 @@ func (n *Network) buildRegions() {
 		}
 	}
 	for _, reg := range n.regs {
-		reg.heard = make([][]audible, n.Topo.N)
+		reg.heard = newAudibleLists(n.Topo.N)
 	}
 	for i, a := range n.api {
 		if a != nil {

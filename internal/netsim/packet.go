@@ -31,7 +31,11 @@ const MaxNodes = 1024
 // routing-tree parent), which the basestation uses to learn the tree
 // (paper §5.2), plus a per-sender monotonically increasing sequence
 // number that neighbours use to estimate link quality by counting gaps
-// (paper §5.2, "snooping").
+// (paper §5.2, "snooping"). Hops is the forwarding TTL against
+// transient routing loops (paper §5.1): the transmissions the frame's
+// content made before this one, 0 from its origin; a relay sends the
+// received Hops + 1. It lives in the header, not the payload, so a relay
+// can forward a shared payload as heard.
 //
 // Ownership: the *Packet passed to App.Receive and App.Snoop is owned
 // by the simulator and recycled through a pool once the delivery
@@ -54,6 +58,7 @@ const MaxNodes = 1024
 //     of a mapping chunk.
 type Packet struct {
 	Class metrics.Class // message class for accounting
+	Hops  uint8         // forwarding TTL (in Class's padding: the frame stays 40 bytes)
 	Src   NodeID        // link-layer sender of this transmission
 	Dst   NodeID        // link-layer destination, or Broadcast
 

@@ -380,6 +380,14 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
+// A frame is five words: the send ring, the delivery task and the MAC's
+// pools copy it by value. The TTL byte sits in Class's padding.
+func TestPacketLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 40", got)
+	}
+}
+
 // At stores the closure in the event's Task through funcTask; a func
 // value is pointer-shaped, so the conversion must not box. The heap
 // slice is warmed first so append does not grow inside the measurement.

@@ -130,32 +130,30 @@ func (b *RecentBuffer) Add(v int) {
 // Len reports how many readings are buffered.
 func (b *RecentBuffer) Len() int { return b.count }
 
-// Values returns the buffered readings oldest-first.
-func (b *RecentBuffer) Values() []int {
-	out := make([]int, 0, b.count)
-	start := 0
+// AppendValues appends the buffered readings to dst, oldest-first, and
+// returns the extended slice: a caller that keeps dst between calls
+// reads the ring without allocating.
+func (b *RecentBuffer) AppendValues(dst []int) []int {
+	start := 0 // the oldest reading: slot 0 until the ring wraps
 	if b.count == len(b.buf) {
 		start = b.next
 	}
-	for i := 0; i < b.count; i++ {
-		out = append(out, b.buf[(start+i)%len(b.buf)])
-	}
-	return out
+	dst = append(dst, b.buf[start:b.count]...)
+	return append(dst, b.buf[:start]...)
 }
 
 // MinMaxSum returns the smallest and largest buffered value and the sum
 // of all buffered values — the extra summary-message fields the paper
 // sends alongside the histogram. ok is false when the buffer is empty.
+// It folds the ring in place, in slot order: none of the three depends
+// on the order.
 func (b *RecentBuffer) MinMaxSum() (min, max, sum int, ok bool) {
 	if b.count == 0 {
 		return 0, 0, 0, false
 	}
-	first := true
-	for _, v := range b.Values() {
-		if first {
-			min, max = v, v
-			first = false
-		}
+	vals := b.buf[:b.count]
+	min, max = vals[0], vals[0]
+	for _, v := range vals {
 		if v < min {
 			min = v
 		}

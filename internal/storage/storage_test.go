@@ -151,7 +151,7 @@ func TestRecentBufferRoundRobin(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		b.Add(i * 10)
 	}
-	vals := b.Values()
+	vals := b.AppendValues(nil)
 	want := []int{30, 40, 50}
 	if len(vals) != 3 {
 		t.Fatalf("len = %d", len(vals))
@@ -183,7 +183,7 @@ func TestRecentBufferPartialFill(t *testing.T) {
 	if b.Len() != 1 {
 		t.Fatalf("len = %d", b.Len())
 	}
-	if vals := b.Values(); len(vals) != 1 || vals[0] != 7 {
+	if vals := b.AppendValues(nil); len(vals) != 1 || vals[0] != 7 {
 		t.Fatalf("values = %v", vals)
 	}
 }
@@ -197,7 +197,8 @@ func TestNewRecentBufferPanics(t *testing.T) {
 	NewRecentBuffer(-1)
 }
 
-// Property: MinMaxSum agrees with a direct computation over Values().
+// Property: AppendValues is the last readings added, oldest-first, and
+// MinMaxSum agrees with a direct computation over them.
 func TestRecentBufferMinMaxSumProperty(t *testing.T) {
 	f := func(vals []int16, size uint8) bool {
 		n := int(size%30) + 1
@@ -206,7 +207,19 @@ func TestRecentBufferMinMaxSumProperty(t *testing.T) {
 			b.Add(int(v))
 		}
 		min, max, sum, ok := b.MinMaxSum()
-		vv := b.Values()
+		vv := b.AppendValues([]int{-1})[1:] // appends after what dst holds
+		kept := len(vals)
+		if kept > n {
+			kept = n
+		}
+		if len(vv) != kept {
+			return false
+		}
+		for i, v := range vv {
+			if v != int(vals[len(vals)-len(vv)+i]) {
+				return false
+			}
+		}
 		if len(vv) == 0 {
 			return !ok
 		}
@@ -337,5 +350,31 @@ func TestDataBufferStoreAtCapacityAllocsZero(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { b.Store(Reading{Value: 7}) }); allocs != 0 {
 		t.Fatalf("Store at capacity allocates %v times per call", allocs)
+	}
+}
+
+// A summary reads the ring twice — min/max/sum, then the values for the
+// histogram — and neither read allocates once the caller's buffer has
+// the ring's size.
+func TestRecentBufferReadsAllocsZero(t *testing.T) {
+	b := NewRecentBuffer(30)
+	for v := 0; v < 45; v++ {
+		b.Add(v)
+	}
+	buf := make([]int, 0, 30)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, ok := b.MinMaxSum(); !ok {
+			t.Fatal("MinMaxSum on a full buffer reported !ok")
+		}
+	}); allocs != 0 {
+		t.Errorf("MinMaxSum allocates %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = b.AppendValues(buf[:0])
+	}); allocs != 0 {
+		t.Errorf("AppendValues into a reused buffer allocates %v times per call, want 0", allocs)
+	}
+	if len(buf) != 30 || buf[0] != 15 || buf[29] != 44 {
+		t.Fatalf("AppendValues = %v, want 15..44", buf)
 	}
 }
