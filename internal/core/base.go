@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"scoop/internal/dense"
@@ -81,8 +80,7 @@ type Base struct {
 	cur        *index.Index
 	records    []indexRecord
 	nextID     uint16
-	chunks     map[trickle.Key]index.Chunk
-	chunkKeys  []trickle.Key // sortedChunkKeys/resetChunks scratch
+	chunks     index.ChunkSet // the current generation's, under gossip
 	mapGos     *trickle.Trickle
 	qGos       *trickle.Trickle
 	queriesOut []*QueryMsg // queries under gossip, dense by wire query ID
@@ -147,7 +145,7 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.latest = make([]*SummaryMsg, api.N())
 	b.latestHops = make([]uint8, api.N())
 	b.latestN = 0
-	b.chunks = make(map[trickle.Key]index.Chunk)
+	b.chunks.Clear()
 	b.queriesOut = nil
 	b.pending = nil
 	b.seenAggParts.reset()
@@ -245,42 +243,29 @@ func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
 	// of the current generation's chunks, which would otherwise have
 	// retired after MaxRounds and left the node index-less forever.
 	if b.cur != nil && m.LastIndexID < b.cur.ID {
-		b.chunkKeys = resetChunks(b.chunkKeys, b.chunks, b.cur.ID, b.mapGos)
+		resetChunks(&b.chunks, b.cur.ID, b.mapGos)
 	}
 }
 
-// sortedChunkKeys returns the chunk map's keys in ascending order, in
-// buf's array. Chunk purges call Trickle.Remove per key and each call
-// re-arms the shared timer, so the iteration must be deterministic
-// (DESIGN.md §2); base.Remap and node.onChunk share this helper so the
-// rule cannot drift between them.
-func sortedChunkKeys(buf []trickle.Key, chunks map[trickle.Key]index.Chunk) []trickle.Key {
-	buf = slices.Grow(buf[:0], len(chunks))
-	for k := range chunks {
-		buf = append(buf, k)
+// dropChunks stops gossiping every chunk of a generation older than id
+// and drops it, in key order: each Trickle.Remove re-arms the shared
+// timer, so the sequence must be deterministic (DESIGN.md §2). Shared
+// by base.Remap and node.onChunk so the rule cannot drift between them.
+func dropChunks(chunks *index.ChunkSet, id uint16, g *trickle.Trickle) {
+	for _, c := range chunks.Before(id) {
+		g.Remove(mapKey(c.IndexID, c.Num))
 	}
-	slices.Sort(buf)
-	return buf
+	chunks.DropBefore(id)
 }
 
 // resetChunks drops every mapping chunk of generation curID back to
 // the fast Trickle interval, in key order (each reset draws
-// randomness, so iteration must be deterministic), and returns buf,
-// the scratch it sorted the keys in. Shared by the base and node
-// inconsistency-detection paths so the Trickle rule cannot drift
-// between them.
-func resetChunks(buf []trickle.Key, chunks map[trickle.Key]index.Chunk, curID uint16, g *trickle.Trickle) []trickle.Key {
-	buf = slices.Grow(buf[:0], len(chunks))
-	for k, c := range chunks {
-		if c.IndexID == curID {
-			buf = append(buf, k)
-		}
+// randomness). Shared by the base and node inconsistency-detection
+// paths so the Trickle rule cannot drift between them.
+func resetChunks(chunks *index.ChunkSet, curID uint16, g *trickle.Trickle) {
+	for _, c := range chunks.Generation(curID) {
+		g.Reset(mapKey(c.IndexID, c.Num))
 	}
-	slices.Sort(buf)
-	for _, k := range buf {
-		g.Reset(k)
-	}
-	return buf
 }
 
 // onData implements routing rule 4: data arriving at the basestation
@@ -382,19 +367,12 @@ func (b *Base) remap() {
 	b.nextID = id
 	b.cur = ix
 	b.records = append(b.records, indexRecord{ix: ix, at: b.api.Now()})
-	// Replace the gossip set with the new generation's chunks, in key
-	// order: each Trickle.Remove re-arms the shared timer, so the
-	// purge sequence must not depend on map iteration order.
-	b.chunkKeys = sortedChunkKeys(b.chunkKeys, b.chunks)
-	for _, k := range b.chunkKeys {
-		delete(b.chunks, k)
-		b.mapGos.Remove(k)
-	}
+	// Replace the gossip set with the new generation's chunks.
+	dropChunks(&b.chunks, id, b.mapGos)
 	chunks := ix.Chunks(b.cfg.ChunkEntries)
 	for _, c := range chunks {
-		k := mapKey(c.IndexID, c.Num)
-		b.chunks[k] = c
-		b.mapGos.Add(k)
+		b.chunks.Insert(c)
+		b.mapGos.Add(mapKey(c.IndexID, c.Num))
 	}
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.IndexAdopted, Node: uint16(b.api.ID()),
 		ID: id, Value: int64(len(chunks))})
@@ -718,7 +696,7 @@ func (b *Base) sendChunk(key trickle.Key) {
 }
 
 func (b *Base) sendChunkNow(key trickle.Key) {
-	c, ok := b.chunks[key]
+	c, ok := b.chunks.Get(chunkOf(key))
 	if !ok {
 		return
 	}

@@ -25,6 +25,9 @@ func mapKey(indexID uint16, num uint8) trickle.Key {
 	return trickle.Key(indexID)<<8 | trickle.Key(num)
 }
 
+// chunkOf decodes a mapping chunk's Trickle key.
+func chunkOf(key trickle.Key) (indexID uint16, num uint8) { return uint16(key >> 8), uint8(key) }
+
 // queryKey encodes a query's identity for Trickle.
 func queryKey(id uint16) trickle.Key { return trickle.Key(id) }
 
@@ -41,11 +44,9 @@ type Node struct {
 	recentVals []int // sendSummary's copy of recent, reused
 	store      *storage.DataBuffer
 
-	asm       *index.Assembler
-	cur       *index.Index // newest complete storage index (nil: none yet)
-	chunks    map[trickle.Key]index.Chunk
-	chunkKeys []trickle.Key // sortedChunkKeys/resetChunks scratch
-	mapGos    *trickle.Trickle
+	cur    *index.Index   // newest complete storage index (nil: none yet)
+	chunks index.ChunkSet // gossip store and assembler, generations ≥ cur's
+	mapGos *trickle.Trickle
 
 	// Query state is indexed by dense query ID (the basestation issues
 	// IDs sequentially), replacing the per-delivery hash maps of the
@@ -125,11 +126,20 @@ func (n *Node) PendingBatchReadings() []storage.Reading {
 func (n *Node) Tree() *routing.Tree { return n.tree }
 
 // Init implements netsim.App.
+//
+// Init doubles as the reboot path (Network.Restart): a rebooted mote
+// loses every piece of RAM state, including its assembled storage
+// index and any pending replies — it is index-less until Trickle
+// redissemination reaches it (or a Preload applies). The first Init
+// builds the protocol state; a reboot clears the same structures in
+// place, so their arrays stay as allocation caches, like the free
+// lists, and the node is in exactly the state a first boot leaves
+// (core.TestRestartClearsStateInPlace).
 func (n *Node) Init(api *netsim.NodeAPI) {
 	// Reboot accounting: readings batched in RAM when the mote loses
 	// power are gone for good — tell the conservation probe and the
-	// flight recorder before the buffers are recreated. (LostData
-	// itself counts only radio-path losses, as before.)
+	// flight recorder before the buffers are cleared. (LostData itself
+	// counts only radio-path losses, as before.)
 	for _, rs := range n.batchq.vals {
 		n.stats.probeLost(rs, metrics.DropReboot)
 		for _, r := range rs {
@@ -137,30 +147,35 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 				Node: uint16(api.ID()), Cause: metrics.DropReboot,
 				Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 		}
+		n.spareBatches = append(n.spareBatches, rs[:0])
 	}
-	n.api = api
-	n.tree = routing.NewTree(api, false, n.cfg.Tree)
-	n.recent = storage.NewRecentBuffer(n.cfg.RecentBufSize)
-	n.store = storage.NewDataBuffer(n.cfg.DataBufCap)
-	n.asm = index.NewAssembler()
-	n.chunks = make(map[trickle.Key]index.Chunk)
-	n.queries = nil
-	n.aggPending = nil
-	n.aggSeq = nil
+	if n.api != api { // first boot: build
+		n.api = api
+		n.tree = routing.NewTree(api, false, n.cfg.Tree)
+		n.recent = storage.NewRecentBuffer(n.cfg.RecentBufSize)
+		n.store = storage.NewDataBuffer(n.cfg.DataBufCap)
+		n.mapGos = trickle.New(api, timerMapping, n.cfg.MappingTrickle, n.sendChunk)
+		n.qGos = trickle.New(api, timerQuery, n.cfg.QueryTrickle, n.sendQuery)
+	} else { // a reboot on the same radio: clear in place
+		n.tree.Reset()
+		n.recent.Clear()
+		n.store.Clear()
+		n.mapGos.Clear()
+		n.qGos.Clear()
+	}
+	n.chunks.Clear()
+	clear(n.queries)
+	n.queries = n.queries[:0]
+	clear(n.aggPending)
+	n.aggPending, n.aggSeq = n.aggPending[:0], n.aggSeq[:0]
+	clear(n.pendingAnswers)
+	n.pendingAnswers = n.pendingAnswers[:0]
 	n.aggFlushAt = 0
 	n.seenSummaries.reset()
 	n.seenReplies.reset()
 	n.seenAggParts.reset()
-	n.batchq = idTable[[]storage.Reading]{}
-	n.mapGos = trickle.New(api, timerMapping, n.cfg.MappingTrickle, n.sendChunk)
-	n.qGos = trickle.New(api, timerQuery, n.cfg.QueryTrickle, n.sendQuery)
-
-	// Init doubles as the reboot path (Network.Restart): a rebooted
-	// mote loses every piece of RAM state, including its assembled
-	// storage index and any pending replies — it is index-less until
-	// Trickle redissemination reaches it (or a Preload applies).
+	n.batchq.clear()
 	n.cur = n.cfg.Preload
-	n.pendingAnswers = nil
 	n.batchSID = 0
 	n.samplesSinceSummary = 0
 	n.tree.Start(timerTree)
@@ -226,7 +241,7 @@ func (n *Node) receive(p *netsim.Packet) {
 		// our current generation so it catches up (mapping chunks
 		// retire after MaxRounds and would otherwise stay silent).
 		if n.cur != nil && !n.cur.Local && m.LastIndexID < n.cur.ID {
-			n.chunkKeys = resetChunks(n.chunkKeys, n.chunks, n.cur.ID, n.mapGos)
+			resetChunks(&n.chunks, n.cur.ID, n.mapGos)
 		}
 		// A summary is shared and immutable: the relay forwards the
 		// message it heard, the hop count riding in the frame header.
@@ -546,32 +561,23 @@ func (n *Node) onChunk(c index.Chunk) {
 
 func (n *Node) handleChunk(c index.Chunk) {
 	key := mapKey(c.IndexID, c.Num)
-	if _, held := n.chunks[key]; held {
+	if _, held := n.chunks.Get(c.IndexID, c.Num); held {
 		n.mapGos.Heard(key)
 		return
 	}
 	if n.cur != nil && c.IndexID < n.cur.ID {
 		// A neighbor is gossiping a stale generation: speed up our own
 		// gossip so it catches up (Trickle inconsistency rule).
-		n.chunkKeys = resetChunks(n.chunkKeys, n.chunks, n.cur.ID, n.mapGos)
+		resetChunks(&n.chunks, n.cur.ID, n.mapGos)
 		return
 	}
-	n.chunks[key] = c
+	n.chunks.Insert(c)
 	n.mapGos.Add(key)
-	if complete := n.asm.Offer(c); complete != nil {
+	if complete := n.chunks.Complete(c.IndexID, c.Total); complete != nil {
 		if n.cur == nil || complete.ID > n.cur.ID {
 			n.cur = complete
 		}
-		// Stop gossiping superseded generations, in key order: each
-		// Trickle.Remove re-arms the shared timer, so the purge
-		// sequence must not depend on map iteration order.
-		n.chunkKeys = sortedChunkKeys(n.chunkKeys, n.chunks)
-		for _, k := range n.chunkKeys {
-			if n.chunks[k].IndexID < n.cur.ID {
-				delete(n.chunks, k)
-				n.mapGos.Remove(k)
-			}
-		}
+		dropChunks(&n.chunks, n.cur.ID, n.mapGos) // superseded generations
 	}
 }
 
@@ -584,7 +590,7 @@ func (n *Node) sendChunk(key trickle.Key) {
 }
 
 func (n *Node) sendChunkNow(key trickle.Key) {
-	c, ok := n.chunks[key]
+	c, ok := n.chunks.Get(chunkOf(key))
 	if !ok {
 		return
 	}

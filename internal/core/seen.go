@@ -48,61 +48,76 @@ func (t *idTable[V]) clear() {
 }
 
 // seenRow is one origin's dedup history: every key recorded, the
-// newest two inline and the older ones spilled, oldest first, to a
-// slice that starts at seenSpill keys — most rows hold a handful, so a
-// row of two keys never allocates and one of six allocates once, and
-// no row reserves room it may never use — plus the maximum key seen,
-// which gives an O(1) fast path for the common case: per-origin keys
-// (summary timestamps, query IDs, flush sequence numbers) arrive in
-// increasing order, so a fresh key is usually above every key recorded
-// before and needs no scan at all.
+// newest two inline and the older ones spilled, oldest first, to the
+// row's segment of its table's shared spill array — most rows hold a
+// handful, so a row of two keys never spills — plus the maximum key
+// seen, which gives an O(1) fast path for the common case: per-origin
+// keys (summary timestamps, query IDs, flush sequence numbers) arrive
+// in increasing order, so a fresh key is usually above every key
+// recorded before and needs no scan at all.
 type seenRow struct {
 	max    uint64
 	newest [2]uint64 // newest[n-1] the last key recorded
 	n      uint8     // keys in newest (0 only before the first)
-	older  []uint64
+	// The older keys are spill[off : off+old], in a segment of room keys.
+	off, old, room int32
 }
 
-// seenSpill is the capacity a row's spill slice starts at.
+// seenSpill is the size of a row's first spill segment.
 const seenSpill = 4
-
-// record appends key as the row's newest.
-func (r *seenRow) record(key uint64) {
-	if r.n < uint8(len(r.newest)) {
-		r.newest[r.n] = key
-		r.n++
-		return
-	}
-	if r.older == nil {
-		r.older = make([]uint64, 0, seenSpill)
-	}
-	r.older = append(r.older, r.newest[0])
-	r.newest[0], r.newest[1] = r.newest[1], key
-}
-
-// has reports whether key was recorded, scanning newest-first, where
-// recent keys cluster.
-func (r *seenRow) has(key uint64) bool {
-	for k := int(r.n) - 1; k >= 0; k-- {
-		if r.newest[k] == key {
-			return true
-		}
-	}
-	for k := len(r.older) - 1; k >= 0; k-- {
-		if r.older[k] == key {
-			return true
-		}
-	}
-	return false
-}
 
 // seenTable is the forwarding-dedup store: one row per origin actually
 // heard from, replacing the old flat hash maps on the per-delivery path
 // (DESIGN.md §12). New in-order keys append without scanning;
 // duplicates (link-layer retransmissions) and the rare out-of-order key
-// scan the row newest-first.
+// scan the row newest-first. All rows spill into one array: a row that
+// fills its segment moves to the array's end at twice the size, leaving
+// the old segment unused until the next reset.
 type seenTable struct {
-	rows idTable[seenRow]
+	rows  idTable[seenRow]
+	spill []uint64
+}
+
+// record appends key as r's newest.
+func (s *seenTable) record(r *seenRow, key uint64) {
+	if r.n < uint8(len(r.newest)) {
+		r.newest[r.n] = key
+		r.n++
+		return
+	}
+	if r.old == r.room {
+		room := max(2*r.room, seenSpill)
+		off := int32(len(s.spill))
+		if need := int(off + room); need > cap(s.spill) {
+			// Double, where append would grow a long array by a quarter.
+			grown := make([]uint64, off, max(2*cap(s.spill), need))
+			copy(grown, s.spill)
+			s.spill = grown
+		}
+		s.spill = s.spill[:off+room]
+		copy(s.spill[off:], s.spill[r.off:r.off+r.old])
+		r.off, r.room = off, room
+	}
+	s.spill[r.off+r.old] = r.newest[0]
+	r.old++
+	r.newest[0], r.newest[1] = r.newest[1], key
+}
+
+// has reports whether r recorded key, scanning newest-first, where
+// recent keys cluster.
+func (s *seenTable) has(r *seenRow, key uint64) bool {
+	for k := int(r.n) - 1; k >= 0; k-- {
+		if r.newest[k] == key {
+			return true
+		}
+	}
+	older := s.spill[r.off : r.off+r.old]
+	for k := len(older) - 1; k >= 0; k-- {
+		if older[k] == key {
+			return true
+		}
+	}
+	return false
 }
 
 // Seen reports whether (origin, key) was recorded before, recording it
@@ -112,12 +127,16 @@ func (s *seenTable) Seen(origin netsim.NodeID, key uint64) bool {
 	switch {
 	case r.n == 0 || key > r.max:
 		r.max = key
-	case r.has(key):
+	case s.has(r, key):
 		return true
 	}
-	r.record(key)
+	s.record(r, key)
 	return false
 }
 
-// reset forgets everything (the reboot path: dedup state is RAM).
-func (s *seenTable) reset() { s.rows = idTable[seenRow]{} }
+// reset forgets everything (the reboot path: dedup state is RAM),
+// keeping the arrays for reuse.
+func (s *seenTable) reset() {
+	s.rows.clear()
+	s.spill = s.spill[:0]
+}

@@ -4,14 +4,17 @@ import (
 	"runtime"
 	"testing"
 
+	"scoop/internal/dynamics"
 	"scoop/internal/netsim"
 )
 
 // TestWorkPerVirtualSecond holds the simulator's work on fixed cells to
-// a budget: the paper's SCOOP/REAL, uniform N = 63, 40 virtual minutes,
-// and a grid N = 250 whose deeper tree makes most traffic relayed
-// traffic (summaries, replies and data hops through the dedup tables),
-// both at seed 1. Heap events dispatched and frames put on the air are
+// a budget: the paper's SCOOP/REAL, uniform N = 63, 40 virtual minutes;
+// the same cell under the fig3 sweep's churn-0.15 script, whose reboots
+// must clear a mote's state in place rather than allocate it again; and
+// a grid N = 250 whose deeper tree makes most traffic relayed traffic
+// (summaries, replies and data hops through the dedup tables), all at
+// seed 1. Heap events dispatched and frames put on the air are
 // machine-independent and repeat exactly, so they are held at zero
 // tolerance: a change that moves either has changed what the protocol
 // or the engine does, and must say so by editing the number. Heap
@@ -25,6 +28,9 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 	defer func(on bool) { ForceInvariants = on }(ForceInvariants)
 	ForceInvariants = false // the checker's ledger is the harness's garbage, not the simulator's
 
+	churn := Default()
+	script := dynamics.Standard(churn.N, churn.Warmup, churn.Duration, 0.15, 0, churn.Seed+101)
+	churn.Dynamics = &script
 	deep := Default()
 	deep.Topology, deep.N = "grid", 250
 	deep.Duration, deep.Warmup = 10*netsim.Minute, 5*netsim.Minute
@@ -36,13 +42,16 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 		// Measured mallocs/vs, in the comment, with the ceiling's history.
 		maxMallocsPerVS float64
 	}{
-		// 7.50 (9.98 with the TTL in the payloads and dedup rows growing
-		// from empty, 22.1 before the payload free lists, 66.5 before the
-		// send ring).
-		{"uniform63", Default(), 217296, 47612, 8.3},
-		// 52.77 (76.56 with the TTL in the payloads and dedup rows
-		// growing from empty).
-		{"grid250", deep, 290720, 94247, 58.0},
+		// 5.43 (7.50 with Trickle items, chunk store and assembler in
+		// maps and dedup spills in slices of their own, 9.98 with the TTL
+		// in the payloads and dedup rows growing from empty, 22.1 before
+		// the payload free lists, 66.5 before the send ring).
+		{"uniform63", Default(), 217296, 47612, 6.0},
+		// 5.71 (11.79 when a reboot allocated the mote's state again).
+		{"uniform63churn", churn, 264052, 56492, 6.3},
+		// 42.20 (52.77 with the maps and spill slices, 76.56 with the
+		// TTL in the payloads and dedup rows growing from empty).
+		{"grid250", deep, 290720, 94247, 46.4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Serial on purpose: runtime.MemStats.Mallocs is process-wide.

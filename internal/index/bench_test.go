@@ -180,10 +180,11 @@ func BenchmarkOwnerLookup(b *testing.B) {
 func BenchmarkChunksAndAssemble(b *testing.B) {
 	ix := Build(1, paperScaleInput(6))
 	b.ResetTimer()
+	var set ChunkSet
 	for i := 0; i < b.N; i++ {
-		asm := NewAssembler()
+		set.Clear()
 		for _, c := range ix.Chunks(6) {
-			asm.Offer(c)
+			offer(&set, c)
 		}
 	}
 }

@@ -7,7 +7,9 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"scoop/internal/netsim"
@@ -187,62 +189,97 @@ func (ix *Index) Chunks(perChunk int) []Chunk {
 	return chunks
 }
 
-// Assembler reassembles chunks into complete indices on a node. Nodes
-// may receive chunks from multiple index generations interleaved; only
-// a fully assembled generation becomes usable, and older generations
-// are discarded once a newer complete one exists (paper §5.3: nodes
-// with incomplete storage indices continue to use the older complete
-// one).
-type Assembler struct {
-	partial map[uint16]map[uint8]Chunk
+// ChunkSet is a node's mapping chunks in ascending (IndexID, Num)
+// order — the order of their Trickle keys — in one flat array. It is
+// both the store a node gossips from and the assembler: nodes may
+// receive chunks from several index generations interleaved, a
+// generation becomes usable once all its chunks are held, and the
+// owner drops superseded generations with DropBefore (paper §5.3:
+// nodes with incomplete storage indices continue to use the older
+// complete one). The zero value is an empty set.
+type ChunkSet struct {
+	chunks []Chunk
 }
 
-// NewAssembler returns an empty assembler.
-func NewAssembler() *Assembler {
-	return &Assembler{partial: make(map[uint16]map[uint8]Chunk)}
+// find returns the position of chunk num of generation id, or where it
+// would insert.
+func (s *ChunkSet) find(id uint16, num uint8) (int, bool) {
+	return slices.BinarySearchFunc(s.chunks, chunkKey(id, num), func(c Chunk, k uint32) int {
+		return cmp.Compare(chunkKey(c.IndexID, c.Num), k)
+	})
 }
 
-// Offer adds one received chunk. It returns the completed index when
-// this chunk was the last missing piece of its generation, else nil.
-func (a *Assembler) Offer(c Chunk) *Index {
-	m, ok := a.partial[c.IndexID]
-	if !ok {
-		m = make(map[uint8]Chunk)
-		a.partial[c.IndexID] = m
+func chunkKey(id uint16, num uint8) uint32 { return uint32(id)<<8 | uint32(num) }
+
+// Get returns chunk num of generation id, if held.
+func (s *ChunkSet) Get(id uint16, num uint8) (Chunk, bool) {
+	if i, ok := s.find(id, num); ok {
+		return s.chunks[i], true
 	}
-	m[c.Num] = c
-	if len(m) < int(c.Total) {
-		return nil
+	return Chunk{}, false
+}
+
+// Insert adds c, replacing a held chunk with the same IndexID and Num.
+func (s *ChunkSet) Insert(c Chunk) {
+	i, ok := s.find(c.IndexID, c.Num)
+	if ok {
+		s.chunks[i] = c
+		return
 	}
-	// Complete: stitch entries back together in chunk order.
-	ix := &Index{ID: c.IndexID, MinValue: c.MinValue, MaxValue: c.MaxValue, Local: c.Local}
-	for num := uint8(0); num < c.Total; num++ {
-		part, ok := m[num]
-		if !ok {
-			return nil // Total mismatch across generations; keep waiting
-		}
+	s.chunks = slices.Insert(s.chunks, i, c)
+}
+
+// Generation returns the held chunks of generation id in Num order. The
+// slice aliases the set: it is good until the next Insert, DropBefore
+// or Clear.
+func (s *ChunkSet) Generation(id uint16) []Chunk {
+	lo, _ := s.find(id, 0)
+	hi := lo
+	for hi < len(s.chunks) && s.chunks[hi].IndexID == id {
+		hi++
+	}
+	return s.chunks[lo:hi]
+}
+
+// Complete returns generation id stitched into an index when the set
+// holds chunks 0..total-1 of it, else nil.
+func (s *ChunkSet) Complete(id uint16, total uint8) *Index {
+	g := s.Generation(id)
+	if len(g) < int(total) || total == 0 || g[total-1].Num != total-1 {
+		return nil // nums are distinct and ascending: the last says whether any is missing
+	}
+	c, n := g[0], 0
+	for _, part := range g[:total] {
+		n += len(part.Entries)
+	}
+	ix := &Index{ID: id, MinValue: c.MinValue, MaxValue: c.MaxValue, Local: c.Local}
+	if n > 0 {
+		ix.Entries = make([]Entry, 0, n)
+	}
+	for _, part := range g[:total] {
 		ix.Entries = append(ix.Entries, part.Entries...)
-	}
-	delete(a.partial, c.IndexID)
-	// Drop stale partial generations.
-	for id := range a.partial {
-		if id <= c.IndexID {
-			delete(a.partial, id)
-		}
 	}
 	return ix
 }
 
-// HasChunk reports whether the assembler already holds chunk num of
-// generation id (used for Trickle suppression decisions).
-func (a *Assembler) HasChunk(id uint16, num uint8) bool {
-	m, ok := a.partial[id]
-	if !ok {
-		return false
-	}
-	_, ok = m[num]
-	return ok
+// Before returns the held chunks of generations older than id in key
+// order, aliasing the set like Generation.
+func (s *ChunkSet) Before(id uint16) []Chunk {
+	i, _ := s.find(id, 0)
+	return s.chunks[:i]
 }
 
-// Pending reports how many generations have partial state.
-func (a *Assembler) Pending() int { return len(a.partial) }
+// DropBefore drops every chunk of a generation older than id.
+func (s *ChunkSet) DropBefore(id uint16) {
+	i, _ := s.find(id, 0)
+	s.chunks = slices.Delete(s.chunks, 0, i)
+}
+
+// Len reports the number of chunks held.
+func (s *ChunkSet) Len() int { return len(s.chunks) }
+
+// Clear drops every chunk, keeping the array for reuse.
+func (s *ChunkSet) Clear() {
+	clear(s.chunks)
+	s.chunks = s.chunks[:0]
+}

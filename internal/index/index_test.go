@@ -2,11 +2,27 @@ package index
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"scoop/internal/netsim"
 )
+
+// offer is what a node does with a received chunk: keep it unless held
+// and, when that completes its generation, drop the older ones.
+func offer(s *ChunkSet, c Chunk) *Index {
+	if _, held := s.Get(c.IndexID, c.Num); held {
+		return nil
+	}
+	s.Insert(c)
+	ix := s.Complete(c.IndexID, c.Total)
+	if ix != nil {
+		s.DropBefore(c.IndexID)
+	}
+	return ix
+}
 
 func TestNewCompaction(t *testing.T) {
 	owners := []netsim.NodeID{2, 2, 2, 1, 5, 5, 2}
@@ -145,14 +161,14 @@ func TestChunksRoundTrip(t *testing.T) {
 		t.Fatalf("expected multiple chunks, got %d", len(chunks))
 	}
 	// Deliver in a shuffled order with duplicates.
-	asm := NewAssembler()
+	var set ChunkSet
 	order := r.Perm(len(chunks))
 	var got *Index
 	for _, i := range order {
-		if g := asm.Offer(chunks[i]); g != nil {
+		if g := offer(&set, chunks[i]); g != nil {
 			got = g
 		}
-		asm.Offer(chunks[i]) // duplicate must be harmless
+		offer(&set, chunks[i]) // duplicate must be harmless
 	}
 	if got == nil {
 		t.Fatal("assembly never completed")
@@ -183,11 +199,11 @@ func TestChunkAssembleProperty(t *testing.T) {
 		ix := New(9, 0, owners)
 		per := int(perChunkSeed%6) + 1
 		chunks := ix.Chunks(per)
-		asm := NewAssembler()
+		var set ChunkSet
 		r := rand.New(rand.NewSource(permSeed))
 		var got *Index
 		for _, i := range r.Perm(len(chunks)) {
-			if g := asm.Offer(chunks[i]); g != nil {
+			if g := offer(&set, chunks[i]); g != nil {
 				got = g
 			}
 		}
@@ -216,35 +232,40 @@ func TestAssemblerIncomplete(t *testing.T) {
 	}
 	ix = New(3, 0, owners)
 	chunks := ix.Chunks(2)
-	asm := NewAssembler()
+	var set ChunkSet
 	for _, c := range chunks[:len(chunks)-1] {
-		if asm.Offer(c) != nil {
+		if offer(&set, c) != nil {
 			t.Fatal("completed without all chunks")
 		}
 	}
-	if asm.Pending() != 1 {
-		t.Fatalf("pending = %d", asm.Pending())
+	if set.Len() != len(chunks)-1 || len(set.Generation(3)) != len(chunks)-1 {
+		t.Fatalf("holds %d chunks, %d of generation 3; want %d", set.Len(), len(set.Generation(3)), len(chunks)-1)
 	}
-	if !asm.HasChunk(3, 0) {
-		t.Fatal("HasChunk lost a chunk")
+	if _, ok := set.Get(3, 0); !ok {
+		t.Fatal("Get lost a chunk")
 	}
-	if asm.HasChunk(3, chunks[len(chunks)-1].Num) {
-		t.Fatal("HasChunk invented the missing chunk")
+	if _, ok := set.Get(3, chunks[len(chunks)-1].Num); ok {
+		t.Fatal("Get invented the missing chunk")
 	}
 }
 
 func TestAssemblerDropsStaleGenerations(t *testing.T) {
 	old := New(5, 0, []netsim.NodeID{1, 2, 1, 2, 1, 2, 1, 2})
 	cur := New(6, 0, []netsim.NodeID{3, 4, 3, 4, 3, 4, 3, 4})
-	asm := NewAssembler()
+	var set ChunkSet
 	// Partial old generation...
-	asm.Offer(old.Chunks(2)[0])
+	offer(&set, old.Chunks(2)[0])
 	// ...then the new generation completes.
+	var got *Index
 	for _, c := range cur.Chunks(2) {
-		asm.Offer(c)
+		got = offer(&set, c)
 	}
-	if asm.Pending() != 0 {
-		t.Fatalf("stale partial generation retained (pending=%d)", asm.Pending())
+	if got == nil || got.ID != 6 {
+		t.Fatalf("generation 6 did not complete: %v", got)
+	}
+	if len(set.Before(6)) != 0 || len(set.Generation(5)) != 0 || set.Len() != len(cur.Chunks(2)) {
+		t.Fatalf("stale partial generation retained: %d chunks held, %d of generation 5",
+			set.Len(), len(set.Generation(5)))
 	}
 }
 
@@ -254,8 +275,8 @@ func TestLocalIndexChunks(t *testing.T) {
 	if len(chunks) != 1 || !chunks[0].Local {
 		t.Fatalf("local chunks = %+v", chunks)
 	}
-	asm := NewAssembler()
-	got := asm.Offer(chunks[0])
+	var set ChunkSet
+	got := offer(&set, chunks[0])
 	if got == nil || !got.Local || got.ID != 9 {
 		t.Fatalf("assembled local = %+v", got)
 	}
@@ -280,4 +301,163 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	New(1, 0, nil)
+}
+
+// refAssembler is the map-of-maps assembler the chunk set replaced,
+// kept as its reference model: per generation a map of the chunks
+// offered, a generation complete when it holds Total of them, stale
+// generations dropped on completion.
+type refAssembler struct {
+	partial map[uint16]map[uint8]Chunk
+}
+
+func (a *refAssembler) Offer(c Chunk) *Index {
+	m, ok := a.partial[c.IndexID]
+	if !ok {
+		m = make(map[uint8]Chunk)
+		a.partial[c.IndexID] = m
+	}
+	m[c.Num] = c
+	if len(m) < int(c.Total) {
+		return nil
+	}
+	ix := &Index{ID: c.IndexID, MinValue: c.MinValue, MaxValue: c.MaxValue, Local: c.Local}
+	for num := uint8(0); num < c.Total; num++ {
+		part, ok := m[num]
+		if !ok {
+			return nil
+		}
+		ix.Entries = append(ix.Entries, part.Entries...)
+	}
+	delete(a.partial, c.IndexID)
+	for id := range a.partial {
+		if id <= c.IndexID {
+			delete(a.partial, id)
+		}
+	}
+	return ix
+}
+
+// refNode is a node's chunk handling before the chunk set: the gossip
+// store a map by key beside the assembler, a chunk of a generation
+// older than the current index refused, and the store purged below the
+// current index on every completion.
+type refNode struct {
+	held map[uint32]Chunk
+	asm  refAssembler
+	cur  *Index
+}
+
+func (n *refNode) onChunk(c Chunk) (held, stale bool) {
+	k := chunkKey(c.IndexID, c.Num)
+	if _, ok := n.held[k]; ok {
+		return true, false
+	}
+	if n.cur != nil && c.IndexID < n.cur.ID {
+		return false, true
+	}
+	n.held[k] = c
+	if complete := n.asm.Offer(c); complete != nil {
+		if n.cur == nil || complete.ID > n.cur.ID {
+			n.cur = complete
+		}
+		for k, c := range n.held {
+			if c.IndexID < n.cur.ID {
+				delete(n.held, k)
+			}
+		}
+	}
+	return false, false
+}
+
+// setNode is the same handling on the chunk set (core.Node.handleChunk).
+type setNode struct {
+	set ChunkSet
+	cur *Index
+}
+
+func (n *setNode) onChunk(c Chunk) (held, stale bool) {
+	if _, ok := n.set.Get(c.IndexID, c.Num); ok {
+		return true, false
+	}
+	if n.cur != nil && c.IndexID < n.cur.ID {
+		return false, true
+	}
+	n.set.Insert(c)
+	if complete := n.set.Complete(c.IndexID, c.Total); complete != nil {
+		if n.cur == nil || complete.ID > n.cur.ID {
+			n.cur = complete
+		}
+		n.set.DropBefore(n.cur.ID)
+	}
+	return false, false
+}
+
+// TestChunkSetMatchesAssembler feeds a node on the chunk set and one on
+// the map and reference assembler the same stream of chunks — six
+// generations of different sizes, delivered out of order, mostly from
+// the newest few, with duplicates, stale stragglers and now and then a
+// chunk of the same generation cut to another size, so Totals
+// disagree — and requires what the node acts on to agree after every
+// chunk: the held / stale answer, the index in use, and the chunks
+// held, in key order. (The two may differ in a generation completing
+// twice, which leaves the index in use as it was.)
+func TestChunkSetMatchesAssembler(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var gens, recut [][]Chunk
+		for id := uint16(1); id <= 6; id++ {
+			owners := make([]netsim.NodeID, 1+r.Intn(40))
+			for i := range owners {
+				owners[i] = netsim.NodeID(r.Intn(4))
+			}
+			ix := New(id, 0, owners)
+			if r.Intn(8) == 0 {
+				ix = NewLocal(id)
+			}
+			gens = append(gens, ix.Chunks(1+r.Intn(4)))
+			recut = append(recut, ix.Chunks(1+r.Intn(4)))
+		}
+		ref := &refNode{held: map[uint32]Chunk{}, asm: refAssembler{partial: map[uint16]map[uint8]Chunk{}}}
+		got := &setNode{}
+		completions := 0
+		for step := 0; step < 400; step++ {
+			g := min(step/60+r.Intn(3)-1, len(gens)-1) // drift toward newer generations
+			g = max(g, 0)
+			from := gens
+			if r.Intn(12) == 0 {
+				from = recut
+			}
+			c := from[g][r.Intn(len(from[g]))]
+			prev := got.cur
+			wh, ws := ref.onChunk(c)
+			gh, gs := got.onChunk(c)
+			if gh != wh || gs != ws {
+				t.Fatalf("seed %d step %d: chunk %d/%d of %d: held %v stale %v, reference %v %v",
+					seed, step, c.IndexID, c.Num, c.Total, gh, gs, wh, ws)
+			}
+			if !reflect.DeepEqual(got.cur, ref.cur) {
+				t.Fatalf("seed %d step %d: index in use %+v, reference %+v", seed, step, got.cur, ref.cur)
+			}
+			if got.cur != prev {
+				completions++
+			}
+			keys := make([]uint32, 0, len(ref.held))
+			for k := range ref.held {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			if len(keys) != got.set.Len() {
+				t.Fatalf("seed %d step %d: %d chunks held, reference %d", seed, step, got.set.Len(), len(keys))
+			}
+			for i, k := range keys {
+				if c := got.set.chunks[i]; chunkKey(c.IndexID, c.Num) != k || !reflect.DeepEqual(c, ref.held[k]) {
+					t.Fatalf("seed %d step %d: chunk %d of the set is %d/%d, reference key %#x", seed, step, i, c.IndexID, c.Num, k)
+				}
+			}
+		}
+		if completions < 2 {
+			t.Fatalf("seed %d: %d indexes adopted; the stream proves nothing", seed, completions)
+		}
+	}
 }

@@ -14,9 +14,8 @@ import (
 // deterministically.
 //
 // Two body shapes are provably order-independent and exempt:
-// collecting keys into a slice (for sorting — the idiom
-// trickle.OnTimer uses) and deleting keys from the ranged map itself
-// (clearing). Anything else needs sorted keys or a reviewed
+// collecting keys into a slice (for sorting) and deleting keys from
+// the ranged map itself (clearing). Anything else needs sorted keys or a reviewed
 // //scoop:allow maprange <reason>.
 var Maprange = &Analyzer{
 	Name: "maprange",

@@ -23,8 +23,8 @@ func values(m map[int]float64) []float64 {
 	return out
 }
 
-// sortedKeys is the blessed idiom (trickle.OnTimer): the body only
-// collects keys, which are then sorted before use.
+// sortedKeys is the blessed idiom: the body only collects keys, which
+// are then sorted before use.
 func sortedKeys(m map[int]float64) []int {
 	var ks []int
 	for k := range m {
@@ -35,7 +35,7 @@ func sortedKeys(m map[int]float64) []int {
 }
 
 // filteredKeys collects keys behind a call-free condition — still
-// provably order-independent (core.resetChunks does this).
+// provably order-independent.
 func filteredKeys(m map[int]int, want int) []int {
 	var ks []int
 	for k, v := range m {

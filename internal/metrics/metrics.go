@@ -186,9 +186,15 @@ func NewCounters() *Counters {
 func (m *Counters) CountSend(id uint16, c Class, bytes int) {
 	m.sent[c]++
 	i := int(id)
-	m.sentBy = dense.Grow(m.sentBy, (i+1)*int(numClasses)-1)
+	// Grow only when out of range: storing the slice header back on
+	// every call would go through the GC write barrier each time.
+	if j := (i+1)*int(numClasses) - 1; j >= len(m.sentBy) {
+		m.sentBy = dense.Grow(m.sentBy, j)
+	}
 	m.sentBy[i*int(numClasses)+int(c)]++
-	m.sentBytesBy = dense.Grow(m.sentBytesBy, i)
+	if i >= len(m.sentBytesBy) {
+		m.sentBytesBy = dense.Grow(m.sentBytesBy, i)
+	}
 	m.sentBytesBy[i] += int64(bytes)
 	m.sentBytes += int64(bytes)
 	m.sentBytesC[c] += int64(bytes)
@@ -199,17 +205,23 @@ func (m *Counters) CountSend(id uint16, c Class, bytes int) {
 func (m *Counters) CountReceive(id uint16, c Class, bytes int) {
 	m.received[c]++
 	i := int(id)
-	m.recvBy = dense.Grow(m.recvBy, (i+1)*int(numClasses)-1)
+	if j := (i+1)*int(numClasses) - 1; j >= len(m.recvBy) {
+		m.recvBy = dense.Grow(m.recvBy, j)
+	}
 	m.recvBy[i*int(numClasses)+int(c)]++
 	m.recvBytes += int64(bytes)
-	m.recvBytesBy = dense.Grow(m.recvBytesBy, i)
+	if i >= len(m.recvBytesBy) {
+		m.recvBytesBy = dense.Grow(m.recvBytesBy, i)
+	}
 	m.recvBytesBy[i] += int64(bytes)
 }
 
 // CountSnoop records bytes a non-addressee overheard.
 func (m *Counters) CountSnoop(id uint16, bytes int) {
 	m.snoopBytes += int64(bytes)
-	m.snoopBytesBy = dense.Grow(m.snoopBytesBy, int(id))
+	if int(id) >= len(m.snoopBytesBy) {
+		m.snoopBytesBy = dense.Grow(m.snoopBytesBy, int(id))
+	}
 	m.snoopBytesBy[id] += int64(bytes)
 }
 

@@ -149,11 +149,15 @@ type regionState struct {
 	// on the sender's goroutine (§18). asks[id] marks the nodes this
 	// region can ever ask about — its own and their out-link neighbours
 	// — so the barrier skips ghosts nobody here could hear of (nil when
-	// serial: there are no ghosts).
-	heard  [][]audible
-	asks   []bool
-	ghosts []transmission // local frames started since the last barrier
-	outbox []outDelivery  // cross-region deliveries since the last barrier
+	// serial: there are no ghosts). A list is heard[id][:heardLen[id]]:
+	// the views keep their full length, so recording a frame stores an
+	// int32, not a slice header under the write barrier; only a list
+	// outgrowing its array stores a new view.
+	heard    [][]audible
+	heardLen []int32
+	asks     []bool
+	ghosts   []transmission // local frames started since the last barrier
+	outbox   []outDelivery  // cross-region deliveries since the last barrier
 
 	delivPool []*delivery
 	timerPool []*timerTask
@@ -167,29 +171,35 @@ type regionState struct {
 // its own through append. Few lists ever grow past it.
 const heardSlots = 4
 
-// newAudibleLists returns n empty audible lists, each with its first
-// heardSlots slots carved from one backing array rather than grown one
-// doubling at a time.
-func newAudibleLists(n int) [][]audible {
-	lists := make([][]audible, n)
+// initAudible gives the region n empty audible lists, each with its
+// first heardSlots slots carved from one backing array rather than
+// grown one doubling at a time.
+func (r *regionState) initAudible(n int) {
+	r.heard, r.heardLen = make([][]audible, n), make([]int32, n)
 	backing := make([]audible, n*heardSlots)
-	for id := range lists {
-		lists[id], backing = backing[:0:heardSlots], backing[heardSlots:]
+	for id := range r.heard {
+		r.heard[id], backing = backing[:heardSlots:heardSlots], backing[heardSlots:]
 	}
-	return lists
 }
+
+// audibleAt returns the frames in node id's audible list.
+func (r *regionState) audibleAt(id NodeID) []audible { return r.heard[id][:r.heardLen[id]] }
 
 // hear records tx as audible at node id over link li, dropping from
 // id's list the frames that ended by now.
 func (r *regionState) hear(id NodeID, li int32, tx transmission, now Time) {
 	l := r.heard[id]
 	kept := l[:0]
-	for _, old := range l {
+	for _, old := range l[:r.heardLen[id]] {
 		if old.end > now {
 			kept = append(kept, old)
 		}
 	}
-	r.heard[id] = append(kept, audible{src: tx.src, li: li, start: tx.start, end: tx.end})
+	kept = append(kept, audible{src: tx.src, li: li, start: tx.start, end: tx.end})
+	if cap(kept) != cap(l) { // the list outgrew its array
+		r.heard[id] = kept[:cap(kept)]
+	}
+	r.heardLen[id] = int32(len(kept))
 }
 
 // Network binds a topology, a simulator, per-node applications and the
@@ -318,7 +328,7 @@ func (n *Network) buildRegions() {
 		}
 	}
 	for _, reg := range n.regs {
-		reg.heard = newAudibleLists(n.Topo.N)
+		reg.initAudible(n.Topo.N)
 	}
 	for i, a := range n.api {
 		if a != nil {
@@ -667,7 +677,7 @@ func visible(start, floor Time) bool { return start < floor }
 // radios detect energy from transmissions too weak to decode.
 func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 	floor := gridFloor(now, n.window)
-	for _, tx := range reg.heard[id] {
+	for _, tx := range reg.audibleAt(id) {
 		if visible(tx.start, floor) && tx.end > now && tx.src != id &&
 			n.linkQuality(tx.li, tx.src, id) > 0.08 {
 			return true
@@ -709,7 +719,7 @@ func (n *Network) collided(reg *regionState, rng *rand.Rand, qs float64, src, ds
 func (n *Network) interferersAt(reg *regionState, qs float64, src, dst NodeID, start Time) []interferer {
 	floor := gridFloor(start, n.window)
 	sc := reg.scratch[:0]
-	for _, tx := range reg.heard[dst] {
+	for _, tx := range reg.audibleAt(dst) {
 		if tx.src == src || tx.src == dst {
 			continue
 		}
@@ -722,7 +732,9 @@ func (n *Network) interferersAt(reg *regionState, qs float64, src, dst NodeID, s
 		}
 		sc = append(sc, interferer{src: tx.src, start: tx.start, qi: qi})
 	}
-	reg.scratch = sc[:0]
+	if cap(sc) > cap(reg.scratch) { // grown: keep the new array
+		reg.scratch = sc[:0]
+	}
 	// Insertion sort by (src, start): a node transmits one frame at a
 	// time, so the key is unique; the list is tiny.
 	for i := 1; i < len(sc); i++ {
@@ -1214,7 +1226,9 @@ func (a *NodeAPI) step(gen uint64, try, defers int) {
 // SetTimer schedules Timer(id) to fire after d, replacing any pending
 // timer with the same id.
 func (a *NodeAPI) SetTimer(id int, d Time) {
-	a.timerGen = dense.Grow(a.timerGen, id)
+	if id >= len(a.timerGen) {
+		a.timerGen = dense.Grow(a.timerGen, id)
+	}
 	a.timerGen[id]++
 	reg := a.reg
 	var t *timerTask

@@ -170,6 +170,9 @@ func (t *NeighborTable) Contains(id netsim.NodeID) bool { return t.find(id) >= 0
 // Len reports the number of tracked neighbors.
 func (t *NeighborTable) Len() int { return len(t.entries) }
 
+// Clear forgets every neighbor, keeping the arrays for reuse.
+func (t *NeighborTable) Clear() { t.ids, t.entries = t.ids[:0], t.entries[:0] }
+
 // best orders entries by descending quality, then ascending ID.
 func best(a, b NeighborInfo) bool {
 	if a.Quality != b.Quality {
@@ -299,6 +302,9 @@ func (d *DescendantSet) Forget(dst netsim.NodeID) {
 
 // Len reports the number of tracked descendants.
 func (d *DescendantSet) Len() int { return len(d.entries) }
+
+// Clear forgets every descendant, keeping the arrays for reuse.
+func (d *DescendantSet) Clear() { d.origins, d.entries = d.origins[:0], d.entries[:0] }
 
 // Tracked returns the recorded descendants in table order without
 // copying: the set's own key array, read-only and good until the next

@@ -110,20 +110,30 @@ func NewTree(api *netsim.NodeAPI, isBase bool, cfg Config) *Tree {
 		api:         api,
 		cfg:         cfg,
 		Descendants: NewDescendantSet(cfg.DescendantCap),
-		parent:      netsim.NoNode,
 		// Who reports us is who hears us, about who we hear: start at
 		// the neighbor table's bound (and grow past it if need be).
 		outIDs: make([]netsim.NodeID, 0, cfg.NeighborCap),
 		outEst: make([]float64, 0, cfg.NeighborCap),
 	}
-	if isBase {
-		t.etx = 0
-		t.hops = 0
-	} else {
-		t.etx = 1e9
-		t.hops = 0xFF
-	}
+	t.Reset()
 	return t
+}
+
+// Reset returns the tree to the state NewTree built, in place: no
+// parent, no neighbours, descendants or outbound estimates, round 0 —
+// what a rebooted mote knows. The tables keep their arrays and the
+// beacon free list its beacons (allocation caches, not mote RAM); the
+// timer needs Start again.
+func (t *Tree) Reset() {
+	t.Neighbors.Clear()
+	t.Descendants.Clear()
+	t.parent, t.round, t.rebroadct, t.timerID = netsim.NoNode, 0, 0, 0
+	if t.isBase {
+		t.etx, t.hops = 0, 0
+	} else {
+		t.etx, t.hops = 1e9, 0xFF
+	}
+	t.outIDs, t.outEst = t.outIDs[:0], t.outEst[:0]
 }
 
 // Start arms the tree timer. The composing application must call

@@ -58,6 +58,12 @@ func (b *DataBuffer) Store(r Reading) {
 	}
 }
 
+// Clear empties the buffer, as NewDataBuffer returns it, keeping the
+// backing slice for reuse (a rebooting mote's path).
+func (b *DataBuffer) Clear() {
+	b.buf, b.next, b.wraps = b.buf[:0], 0, 0
+}
+
 // Len reports the number of readings currently stored.
 func (b *DataBuffer) Len() int { return len(b.buf) }
 
@@ -125,6 +131,12 @@ func (b *RecentBuffer) Add(v int) {
 	if b.count < len(b.buf) {
 		b.count++
 	}
+}
+
+// Clear empties the buffer in place, as NewRecentBuffer returns it.
+func (b *RecentBuffer) Clear() {
+	clear(b.buf)
+	b.next, b.count = 0, 0
 }
 
 // Len reports how many readings are buffered.

@@ -48,37 +48,35 @@ func DefaultConfig() Config {
 	}
 }
 
-type itemState struct {
+// item is one key and its timer state, held inline in Trickle.items.
+type item struct {
+	key     Key
 	tau     netsim.Time
-	heard   int // consistent transmissions heard this interval
 	fireAt  netsim.Time
 	endAt   netsim.Time
+	heard   int32 // consistent transmissions heard this interval
+	rounds  int32
 	fired   bool // sent (or suppressed) this interval already
-	rounds  int
 	retired bool
-}
-
-// liveItem is one non-retired item: its key and its state in items.
-type liveItem struct {
-	key Key
-	st  *itemState
 }
 
 // Trickle multiplexes any number of per-item Trickle timers onto a
 // single NodeAPI timer.
 //
-// A tick costs O(live items), never O(items ever added): retired items
-// stay in items (Has, Len and Reset keep their meaning) but leave live,
-// the only thing OnTimer and rearm walk (DESIGN.md §12).
+// Every item lives in one key-sorted array of inline states, retired
+// ones included (Has, Len and Reset keep their meaning), so a key is a
+// binary search and an item costs no allocation of its own. A tick
+// costs O(live items), never O(items ever added): live lists the
+// positions of the non-retired items, the only thing OnTimer and rearm
+// walk (DESIGN.md §12).
 type Trickle struct {
 	api     *netsim.NodeAPI
 	cfg     Config
 	timerID int
 	send    func(Key)
-	items   map[Key]*itemState
-	live    []liveItem  // non-retired items in ascending key order
-	due     []Key       // OnTimer's send list, reused across ticks
-	fresh   []itemState // unused states: a new key takes one, eight keys per allocation
+	items   []item  // every key added and not removed, in ascending key order
+	live    []int32 // positions in items of the non-retired items, ascending
+	due     []Key   // OnTimer's send list, reused across ticks
 }
 
 // New creates a Trickle instance. send is invoked from the timer
@@ -93,100 +91,135 @@ func New(api *netsim.NodeAPI, timerID int, cfg Config, send func(Key)) *Trickle 
 		cfg:     cfg,
 		timerID: timerID,
 		send:    send,
-		items:   make(map[Key]*itemState),
 	}
+}
+
+// Clear forgets every item, as New would leave the instance, keeping
+// its arrays for reuse (a rebooting owner's path). It does not touch
+// the timer.
+func (t *Trickle) Clear() {
+	t.items, t.live = t.items[:0], t.live[:0]
+}
+
+// find returns key's position in items, or where it would insert. Keys
+// mostly arrive in ascending order (query IDs, index generations), so
+// a key past the last one skips the search. Keys are distinct
+// integers, so any other key sits at least last−key places before the
+// end, and the search starts there: among dense keys (query IDs) a
+// recent one is a few steps from the end.
+func (t *Trickle) find(key Key) (int, bool) {
+	n := len(t.items)
+	if n == 0 || t.items[n-1].key < key {
+		return n, false
+	}
+	lo := 0
+	if d := t.items[n-1].key - key; d < Key(n) {
+		lo = n - 1 - int(d)
+	}
+	i, ok := slices.BinarySearchFunc(t.items[lo:], key, func(it item, k Key) int { return cmp.Compare(it.key, k) })
+	return lo + i, ok
+}
+
+// goLive adds the item at position i to live, keeping live ascending.
+func (t *Trickle) goLive(i int) {
+	j, _ := slices.BinarySearch(t.live, int32(i))
+	t.live = slices.Insert(t.live, j, int32(i))
 }
 
 // Add starts (or restarts) dissemination of key at the fast interval.
 func (t *Trickle) Add(key Key) {
-	st, ok := t.items[key]
-	if !ok {
-		if len(t.fresh) == 0 {
-			t.fresh = make([]itemState, 8)
+	i, ok := t.find(key)
+	switch {
+	case !ok:
+		// Positions at and past i move up one to make room.
+		for k := len(t.live) - 1; k >= 0 && int(t.live[k]) >= i; k-- {
+			t.live[k]++
 		}
-		st, t.fresh = &t.fresh[0], t.fresh[1:]
-		t.items[key] = st
+		t.items = slices.Insert(t.items, i, item{})
+		t.goLive(i)
+	case t.items[i].retired:
+		t.goLive(i)
 	}
-	*st = itemState{}
-	if i, ok := t.findLive(key); !ok {
-		t.live = slices.Insert(t.live, i, liveItem{key, st})
-	}
-	t.startInterval(st, t.cfg.TauLow)
+	it := &t.items[i]
+	*it = item{key: key}
+	t.startInterval(it, t.cfg.TauLow)
 	t.rearm()
-}
-
-// findLive returns key's position in live, or where it would insert.
-func (t *Trickle) findLive(key Key) (int, bool) {
-	return slices.BinarySearchFunc(t.live, key, func(it liveItem, k Key) int {
-		return cmp.Compare(it.key, k)
-	})
 }
 
 // Remove stops dissemination of key (e.g. the chunk belongs to a
 // superseded storage index).
 func (t *Trickle) Remove(key Key) {
-	delete(t.items, key)
-	if i, ok := t.findLive(key); ok {
-		t.live = slices.Delete(t.live, i, i+1)
+	if i, ok := t.find(key); ok {
+		if !t.items[i].retired {
+			j, _ := slices.BinarySearch(t.live, int32(i))
+			t.live = slices.Delete(t.live, j, j+1)
+		}
+		t.items = slices.Delete(t.items, i, i+1)
+		// Positions past i move down one.
+		for k := len(t.live) - 1; k >= 0 && int(t.live[k]) > i; k-- {
+			t.live[k]--
+		}
 	}
 	t.rearm()
 }
 
-// Has reports whether key is currently under dissemination.
+// Has reports whether key was added and not removed since: an item
+// still gossiping or one retired after MaxRounds intervals.
 func (t *Trickle) Has(key Key) bool {
-	_, ok := t.items[key]
+	_, ok := t.find(key)
 	return ok
 }
 
-// Len reports the number of items under dissemination.
+// Len reports the number of items added and not removed, retired ones
+// included.
 func (t *Trickle) Len() int { return len(t.items) }
 
 // Heard records a consistent transmission of key overheard from a
 // neighbor, feeding suppression.
 func (t *Trickle) Heard(key Key) {
-	if st, ok := t.items[key]; ok {
-		st.heard++
+	if i, ok := t.find(key); ok {
+		t.items[i].heard++
 	}
 }
 
 // Reset drops key's interval back to TauLow, used when an
 // inconsistency is detected (a neighbor has older data).
 func (t *Trickle) Reset(key Key) {
-	if st, ok := t.items[key]; ok {
-		st.rounds = 0
-		if st.retired {
-			st.retired = false
-			i, _ := t.findLive(key)
-			t.live = slices.Insert(t.live, i, liveItem{key, st})
+	if i, ok := t.find(key); ok {
+		it := &t.items[i]
+		it.rounds = 0
+		if it.retired {
+			it.retired = false
+			t.goLive(i)
 		}
-		t.startInterval(st, t.cfg.TauLow)
+		t.startInterval(it, t.cfg.TauLow)
 		t.rearm()
 	}
 }
 
-func (t *Trickle) startInterval(st *itemState, tau netsim.Time) {
+func (t *Trickle) startInterval(it *item, tau netsim.Time) {
 	if tau > t.cfg.TauHigh {
 		tau = t.cfg.TauHigh
 	}
-	st.tau = tau
-	st.heard = 0
-	st.fired = false
+	it.tau = tau
+	it.heard = 0
+	it.fired = false
 	now := t.api.Now()
 	// Fire at a uniform point in the second half of the interval.
 	half := tau / 2
-	st.fireAt = now + half + netsim.Time(t.api.RandIntn(int(half)+1))
-	st.endAt = now + tau
+	it.fireAt = now + half + netsim.Time(t.api.RandIntn(int(half)+1))
+	it.endAt = now + tau
 }
 
 // rearm schedules the shared timer for the earliest pending deadline.
 func (t *Trickle) rearm() {
 	var next netsim.Time = -1
 	now := t.api.Now()
-	for _, it := range t.live {
-		st := it.st
-		d := st.fireAt
-		if st.fired {
-			d = st.endAt
+	for _, i := range t.live {
+		it := &t.items[i]
+		d := it.fireAt
+		if it.fired {
+			d = it.endAt
 		}
 		if next < 0 || d < next {
 			next = d
@@ -213,33 +246,32 @@ func (t *Trickle) OnTimer() {
 	due := t.due[:0]
 	// Walk live in place, compacting out the items this tick retires.
 	w := 0
-	for _, it := range t.live {
-		st := it.st
-		if !st.fired && now >= st.fireAt {
-			st.fired = true
-			if st.heard < t.cfg.K {
+	for _, i := range t.live {
+		it := &t.items[i]
+		if !it.fired && now >= it.fireAt {
+			it.fired = true
+			if int(it.heard) < t.cfg.K {
 				due = append(due, it.key)
 			}
 		}
-		if now >= st.endAt {
-			st.rounds++
-			if t.cfg.MaxRounds > 0 && st.rounds >= t.cfg.MaxRounds {
-				st.retired = true
+		if now >= it.endAt {
+			it.rounds++
+			if t.cfg.MaxRounds > 0 && int(it.rounds) >= t.cfg.MaxRounds {
+				it.retired = true
 				continue
 			}
-			t.startInterval(st, st.tau*2)
+			t.startInterval(it, it.tau*2)
 		}
-		t.live[w] = it
+		t.live[w] = i
 		w++
 	}
-	clear(t.live[w:])
 	t.live = t.live[:w]
 	t.due = due
 	t.rearm()
 	// Send after rearming so a send callback that mutates the item set
 	// (Add/Remove) sees a consistent timer.
 	for _, key := range due {
-		if _, ok := t.items[key]; ok {
+		if t.Has(key) {
 			t.send(key)
 		}
 	}

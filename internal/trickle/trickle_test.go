@@ -207,19 +207,30 @@ func TestTrickleReAddRestartsFast(t *testing.T) {
 }
 
 // refTrickle is the pre-live-list implementation, kept as the reference
-// model: every tick collects every key ever added from the map, sorts
-// them and skips the retired ones, and rearm ranges the same map. Its
-// cost grows with run history; its behaviour is the specification.
+// model: one heap object per key in a map, every tick collects every
+// key ever added from the map, sorts them and skips the retired ones,
+// and rearm ranges the same map. Its cost grows with run history; its
+// behaviour is the specification.
 type refTrickle struct {
 	api     *netsim.NodeAPI
 	cfg     Config
 	timerID int
 	send    func(Key)
-	items   map[Key]*itemState
+	items   map[Key]*refState
+}
+
+type refState struct {
+	tau     netsim.Time
+	heard   int
+	fireAt  netsim.Time
+	endAt   netsim.Time
+	fired   bool
+	rounds  int
+	retired bool
 }
 
 func (t *refTrickle) Add(key Key) {
-	st := &itemState{}
+	st := &refState{}
 	t.items[key] = st
 	t.startInterval(st, t.cfg.TauLow)
 	t.rearm()
@@ -232,6 +243,7 @@ func (t *refTrickle) Remove(key Key) {
 
 func (t *refTrickle) Has(key Key) bool { _, ok := t.items[key]; return ok }
 func (t *refTrickle) Len() int         { return len(t.items) }
+func (t *refTrickle) Clear()           { t.items = make(map[Key]*refState) }
 
 func (t *refTrickle) Heard(key Key) {
 	if st, ok := t.items[key]; ok {
@@ -248,7 +260,7 @@ func (t *refTrickle) Reset(key Key) {
 	}
 }
 
-func (t *refTrickle) startInterval(st *itemState, tau netsim.Time) {
+func (t *refTrickle) startInterval(st *refState, tau netsim.Time) {
 	if tau > t.cfg.TauHigh {
 		tau = t.cfg.TauHigh
 	}
@@ -329,6 +341,7 @@ type gossip interface {
 	Remove(Key)
 	Reset(Key)
 	Heard(Key)
+	Clear()
 	OnTimer()
 	Has(Key) bool
 	Len() int
@@ -360,7 +373,7 @@ func (m *modelApp) Init(api *netsim.NodeAPI) {
 	}
 	if m.ref {
 		m.g = &refTrickle{api: api, cfg: m.cfg, timerID: trickleTimer, send: send,
-			items: make(map[Key]*itemState)}
+			items: make(map[Key]*refState)}
 	} else {
 		m.g = New(api, trickleTimer, m.cfg, send)
 	}
@@ -382,12 +395,15 @@ func newModel(ref bool, cfg Config, seed int64) (*modelApp, *netsim.Simulator) {
 	return m, sim
 }
 
-// TestOnTimerMatchesReferenceModel drives the live-list implementation
-// and the reference model with one random script of Add / Remove /
-// Reset / Heard / spurious OnTimer calls on a shared seed and requires
-// the same sends in the same order at the same times, the same timer
-// fires (so the same arms), the same number of scheduled events, the
-// same membership, and the same position in the node's random stream.
+// TestOnTimerMatchesReferenceModel drives the flat implementation and
+// the reference model with one random script of Add / Remove / Reset /
+// Heard / Clear / spurious OnTimer calls on a shared seed — keys from
+// a small range in any order, so items insert and delete mid-array as
+// well as at the end — and requires the same sends in the same order
+// at the same times, the same timer fires (so the same arms), the same
+// Len and the same Has of the op's key after every op, the same number
+// of scheduled events, the same membership, and the same position in
+// the node's random stream.
 func TestOnTimerMatchesReferenceModel(t *testing.T) {
 	cfgs := []Config{
 		{TauLow: 200, TauHigh: 3 * netsim.Second, K: 1, MaxRounds: 3},
@@ -402,25 +418,29 @@ func TestOnTimerMatchesReferenceModel(t *testing.T) {
 		at := netsim.Time(0)
 		for op := 0; op < 400; op++ {
 			at += netsim.Time(script.Intn(400))
-			kind, key := script.Intn(10), Key(script.Intn(16))
+			kind, key := script.Intn(61), Key(script.Intn(16))
 			for _, m := range []struct {
 				app *modelApp
 				sim *netsim.Simulator
 			}{{got, gotSim}, {want, wantSim}} {
 				g := m.app
 				m.sim.At(at, func() {
-					switch kind {
-					case 0, 1, 2, 3:
+					switch {
+					case kind < 24:
 						g.g.Add(key)
-					case 4:
+					case kind < 30:
 						g.g.Remove(key)
-					case 5, 6:
+					case kind < 42:
 						g.g.Reset(key)
-					case 7, 8:
+					case kind < 54:
 						g.g.Heard(key)
-					case 9:
+					case kind < 60:
 						g.g.OnTimer()
+					default:
+						g.g.Clear()
 					}
+					g.log = append(g.log, fmt.Sprintf("%d op %d key %d: Has %v Len %d",
+						g.api.Now(), kind, key, g.g.Has(key), g.g.Len()))
 				})
 			}
 		}
