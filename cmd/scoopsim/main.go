@@ -27,39 +27,33 @@ import (
 // can drive it.
 func parseFlags(args []string) (exp.Config, string, error) {
 	fs := flag.NewFlagSet("scoopsim", flag.ContinueOnError)
+	d := exp.Default()
+	wall := func(t netsim.Time) time.Duration { return time.Duration(t) * time.Millisecond }
 	var (
-		policyF  = fs.String("policy", "scoop", "storage policy: scoop, local, base, hash, hashsim")
-		source   = fs.String("source", "real", "data source: real, unique, equal, random, gaussian")
-		topology = fs.String("topology", "uniform", "topology: uniform, testbed, grid")
-		nodes    = fs.Int("nodes", 63, "network size including the basestation")
-		duration = fs.Duration("duration", 40*time.Minute, "virtual run time")
-		warmup   = fs.Duration("warmup", 10*time.Minute, "tree-stabilisation period")
-		sample   = fs.Duration("sample", 15*time.Second, "sensor sampling interval")
-		query    = fs.Duration("query", 15*time.Second, "query interval (0 disables)")
-		nodePct  = fs.Float64("nodepct", -1, "node-list queries over this fraction of nodes (<0: value-range queries)")
-		regions  = fs.Int("regions", 0, "parallel event-loop regions per trial (0/1: serial; results are identical for every value)")
-		trials   = fs.Int("trials", 3, "independent trials to average")
-		seed     = fs.Int64("seed", 1, "random seed")
+		policyF  = fs.String("policy", string(d.Policy), "storage policy: scoop, local, base, hash, hashsim")
+		source   = fs.String("source", d.Source, "data source: real, unique, equal, random, gaussian")
+		topology = fs.String("topology", d.Topology, "topology: uniform, testbed, grid")
+		nodes    = fs.Int("nodes", d.N, "network size including the basestation")
+		duration = fs.Duration("duration", wall(d.Duration), "virtual run time")
+		warmup   = fs.Duration("warmup", wall(d.Warmup), "tree-stabilisation period")
+		sample   = fs.Duration("sample", wall(d.SampleInterval), "sensor sampling interval")
+		query    = fs.Duration("query", wall(d.QueryInterval), "query interval (0 disables)")
+		nodePct  = fs.Float64("nodepct", d.NodePct, "node-list queries over this fraction of nodes (<0: value-range queries)")
+		regions  = fs.Int("regions", d.Regions, "parallel event-loop regions per trial (0/1: serial; results are identical for every value)")
+		trials   = fs.Int("trials", d.Trials, "independent trials to average")
+		seed     = fs.Int64("seed", d.Seed, "random seed")
 		traceF   = fs.String("trace", "", "write the first trial's flight-recorder events to this JSONL file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exp.Config{}, "", err
 	}
-	vt := func(d time.Duration) netsim.Time { return netsim.Time(d.Milliseconds()) }
-	return exp.Config{
-		Policy:         policy.Name(*policyF),
-		Source:         *source,
-		Topology:       *topology,
-		N:              *nodes,
-		Duration:       vt(*duration),
-		Warmup:         vt(*warmup),
-		SampleInterval: vt(*sample),
-		QueryInterval:  vt(*query),
-		NodePct:        *nodePct,
-		Regions:        *regions,
-		Trials:         *trials,
-		Seed:           *seed,
-	}, *traceF, nil
+	vt := func(w time.Duration) netsim.Time { return netsim.Time(w.Milliseconds()) }
+	cfg := d
+	cfg.Policy, cfg.Source, cfg.Topology, cfg.N = policy.Name(*policyF), *source, *topology, *nodes
+	cfg.Duration, cfg.Warmup = vt(*duration), vt(*warmup)
+	cfg.SampleInterval, cfg.QueryInterval, cfg.NodePct = vt(*sample), vt(*query), *nodePct
+	cfg.Regions, cfg.Trials, cfg.Seed = *regions, *trials, *seed
+	return cfg, *traceF, nil
 }
 
 // run executes the experiment; with a trace path the flight recorder

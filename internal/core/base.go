@@ -159,7 +159,9 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.qGos = trickle.New(api, timerQuery, b.cfg.QueryTrickle, b.sendQuery)
 	if b.cfg.Preload != nil {
 		b.cur = b.cfg.Preload
-		b.records = append(b.records, indexRecord{ix: b.cfg.Preload, at: 0})
+		if len(b.records) == 0 { // a restart keeps the history it has
+			b.records = append(b.records, indexRecord{ix: b.cfg.Preload, at: 0})
+		}
 	}
 	b.tree.Start(timerTree)
 	if !b.cfg.DisableRemap {

@@ -330,7 +330,11 @@ func (b *Base) recoverOpenQueries() {
 			msg.Op, msg.Track = e.aq.Op, true
 		}
 		msg.ID = e.qid
-		b.address(pq, msg, b.targets(e.wq))
+		targets := b.targets(e.wq)
+		if e.plan == query.PlanFlood {
+			targets = b.allNodes() // as IssueAgg asked: its stragglers still fold in
+		}
+		b.address(pq, msg, targets)
 		b.pending = dense.Grow(b.pending, int(e.qid))
 		b.pending[e.qid] = pq
 		b.relStart(e.qid, pq)

@@ -186,6 +186,13 @@ func TestConfigValidate(t *testing.T) {
 		{"nodepct-high", func(c *Config) { c.NodePct = 1.5 }, "node-query"},
 		{"neg-reindex", func(c *Config) { c.ReindexInterval = -1 }, "reindex"},
 		{"neg-window", func(c *Config) { c.WindowInterval = -1 }, "window"},
+		// 90 000 ticks × 6 attempts wrap the 16-bit wire query ID.
+		{"query-ids", func(c *Config) {
+			c.N, c.Warmup, c.Duration = 16, 30*netsim.Second, 2*netsim.Minute
+			c.QueryInterval, c.QueryDeadline, c.QueryRetryMax = 1, 1, 5
+		}, "query IDs"},
+		{"query-ids-no-deadline", func(c *Config) { c.QueryInterval = 20 }, "query IDs"},
+		{"empty-sampler", func(c *Config) { c.Sampler = ramp{5, 5} }, "sampler domain"},
 		{"bad-script", func(c *Config) {
 			s := dynamics.Script{Events: []dynamics.Event{{At: 0, Kind: dynamics.NodeDown, Node: 0}}}
 			c.Dynamics = &s

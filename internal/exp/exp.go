@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -27,6 +28,11 @@ type Config struct {
 	Source   string // workload source name
 	N        int    // network size including the basestation
 	Topology string // "uniform" (paper's simulation), "testbed", "grid"
+
+	// Sampler, when non-nil, replaces the source Source names with a
+	// caller's own (the scoop facade's custom signal). Its domain must
+	// hold at least two values.
+	Sampler workload.Source
 
 	Duration netsim.Time // total run length (paper: 40 min)
 	Warmup   netsim.Time // tree-stabilisation period (paper: 10 min)
@@ -198,6 +204,11 @@ func (c Config) Validate() error {
 	if !slices.Contains(workload.SourceNames(), c.Source) {
 		return fmt.Errorf("exp: unknown source %q (want one of %v)", c.Source, workload.SourceNames())
 	}
+	if c.Sampler != nil {
+		if lo, hi := c.Sampler.Domain(); hi <= lo {
+			return fmt.Errorf("exp: sampler domain [%d,%d] needs lo < hi", lo, hi)
+		}
+	}
 	if _, err := netsim.Layout(c.Topology); err != nil {
 		return err
 	}
@@ -245,6 +256,20 @@ func (c Config) Validate() error {
 	}
 	if c.QueryRetryMax < 0 {
 		return fmt.Errorf("exp: negative query retry budget %d", c.QueryRetryMax)
+	}
+	if c.QueryInterval > 0 {
+		// Every query tick and every deadline retry takes the next
+		// 16-bit wire ID from the basestation's one counter; past 65 535
+		// the IDs wrap and queries settle twice.
+		ticks := int64((c.Duration - c.Warmup) / c.QueryInterval)
+		var retries int64
+		if c.QueryDeadline > 0 {
+			retries = int64(c.QueryRetryMax)
+		}
+		if ticks > 0 && retries >= math.MaxUint16/ticks { // ticks·(1+retries) > MaxUint16
+			return fmt.Errorf("exp: %d queries of up to %d attempts each exhaust the basestation's %d query IDs",
+				ticks, retries+1, math.MaxUint16)
+		}
 	}
 	if c.Faults != "" {
 		// Resolve once with the base seed purely to validate the name
@@ -424,6 +449,15 @@ func (c Config) windowInterval() netsim.Time {
 	return 0
 }
 
+// source returns the data source the motes sample: Sampler when set,
+// else the one Source names, drawing from seed.
+func (c Config) source(seed int64) (workload.Source, error) {
+	if c.Sampler != nil {
+		return c.Sampler, nil
+	}
+	return workload.NewSource(c.Source, c.N, seed)
+}
+
 // runAnalyticalHash evaluates the HASH policy analytically over the
 // same topologies and workload volumes, as the paper does ("we
 // evaluate the cost of this HASH approach analytically"). The pure
@@ -434,7 +468,7 @@ func (c Config) windowInterval() netsim.Time {
 // lived inside its simulator's cost conditions.
 func runAnalyticalHash(cfg Config) (Result, error) {
 	res := Result{Config: cfg}
-	src, err := workload.NewSource(cfg.Source, cfg.N, cfg.Seed)
+	src, err := cfg.source(cfg.Seed)
 	if err != nil {
 		return Result{}, err
 	}

@@ -122,7 +122,7 @@ func (t *Trial) build() error {
 		t.dyn = &merged
 	}
 
-	src, err := workload.NewSource(cfg.Source, cfg.N, t.seed+13)
+	src, err := cfg.source(t.seed + 13)
 	if err != nil {
 		return err
 	}
@@ -262,16 +262,24 @@ func (t *Trial) purged(id netsim.NodeID, p *netsim.Packet) {
 	}
 }
 
-// stats returns the live merged counters; under parallelism it is only
+// Stats returns the live merged counters; under parallelism it is only
 // callable from control-plane events (regions quiesce at barriers) and
-// after the run.
-func (t *Trial) stats() core.RunStats {
+// between Run calls.
+func (t *Trial) Stats() core.RunStats {
 	var m core.RunStats
 	for _, sh := range t.shards {
 		m.Add(sh)
 	}
 	return m
 }
+
+// Base returns the trial's basestation, for a caller that steps the run
+// and issues its own queries between Run calls.
+func (t *Trial) Base() *core.Base { return t.base }
+
+// Network returns the trial's radio network: its clock, its counters
+// and the kill, revive and restart controls.
+func (t *Trial) Network() *netsim.Network { return t.net }
 
 // Run drives the trial to virtual time until; events at until still
 // run. The first call arms the drive stage's schedules — the
@@ -343,11 +351,11 @@ func (t *Trial) arm() {
 // armWindows samples the run's statistics every win after warm-up into
 // the transition timeline.
 func (t *Trial) armWindows(win netsim.Time) {
-	prevStats := t.stats()
+	prevStats := t.Stats()
 	prevB := t.net.CountersBreakdown()
 	var tick func()
 	tick = func() {
-		cur := t.stats()
+		cur := t.Stats()
 		b := t.net.CountersBreakdown()
 		now := t.sim.Now()
 		t.res.Timeline.Windows = append(t.res.Timeline.Windows, metrics.TransitionWindow{
@@ -457,7 +465,7 @@ func (t *Trial) Finish() (TrialResult, error) {
 	}
 
 	tr.Breakdown = t.ctr.Snapshot()
-	tr.Stats = t.stats()
+	tr.Stats = t.Stats()
 	tr.ReplyBytes = t.ctr.SentBytesClass(metrics.Reply)
 	tr.AggReplyBytes = t.ctr.SentBytesClass(metrics.AggReply)
 	tr.Energy = metrics.DefaultEnergyModel().Energy(t.ctr, t.cfg.N, float64(t.cfg.Duration)/1000)

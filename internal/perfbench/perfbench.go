@@ -24,7 +24,6 @@ import (
 	"scoop/internal/index"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
-	"scoop/internal/policy"
 	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
@@ -184,6 +183,21 @@ func benchNetsimQueue(b *testing.B) {
 	}
 }
 
+// coreTrial is the SCOOP network the core benches drive: n nodes on the
+// grid layout, REAL data, a one-minute warm-up and no query ticker, as
+// exp builds and seeds it.
+func coreTrial(tb testing.TB, n int, deadline netsim.Time, retryMax int) *exp.Trial {
+	cfg := exp.Default()
+	cfg.N, cfg.Topology, cfg.Seed = n, "grid", 7
+	cfg.Warmup, cfg.Duration, cfg.QueryInterval = netsim.Minute, 10*netsim.Minute, 0
+	cfg.QueryDeadline, cfg.QueryRetryMax = deadline, retryMax
+	tr, err := exp.NewTrial(cfg, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 // benchCoreScoop measures the full protocol stack end to end: a SCOOP
 // network (base + nodes, sampling, summaries, index dissemination,
 // data routing) over four virtual minutes. Per-op numbers are per
@@ -191,26 +205,7 @@ func benchNetsimQueue(b *testing.B) {
 func benchCoreScoop(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		topo := netsim.GridTopology(n, 2.5, 7)
-		sim := netsim.NewSimulator(13)
-		net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
-		src, err := workload.NewSource("real", n, 17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lo, hi := src.Domain()
-		ccfg, err := policy.Config(policy.Scoop, n, lo, hi)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats := &core.RunStats{}
-		warm := netsim.Minute
-		net.Attach(0, core.NewBase(ccfg, stats, warm))
-		for id := 1; id < n; id++ {
-			net.Attach(netsim.NodeID(id), core.NewNode(ccfg, stats, src.Next, warm))
-		}
-		net.Start()
-		sim.Run(4 * netsim.Minute)
+		coreTrial(b, n, 0, 0).Run(4 * netsim.Minute)
 	}
 }
 
@@ -219,33 +214,11 @@ func benchCoreScoop(b *testing.B, n int) {
 // plus a reply from node 1 under the query's last wire ID — the fixture
 // for the per-reply hot path (benches below, TestReplyPathZeroAllocs).
 func replyFixture(tb testing.TB, deadline netsim.Time, retryMax int, settle netsim.Time) (*core.Base, *netsim.Packet) {
-	const n = 20
-	topo := netsim.GridTopology(n, 2.5, 7)
-	sim := netsim.NewSimulator(13)
-	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
-	src, err := workload.NewSource("real", n, 17)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	lo, hi := src.Domain()
-	ccfg, err := policy.Config(policy.Scoop, n, lo, hi)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ccfg.QueryDeadline = deadline
-	ccfg.QueryRetryMax = retryMax
-	stats := &core.RunStats{}
-	base := core.NewBase(ccfg, stats, netsim.Minute)
-	net.Attach(0, base)
-	for id := 1; id < n; id++ {
-		net.Attach(netsim.NodeID(id), core.NewNode(ccfg, stats, src.Next, netsim.Minute))
-	}
-	net.Start()
-	sim.Run(4 * netsim.Minute)
-	sim.At(sim.Now()+1, func() {
-		base.IssueQuery(workload.Query{ValueLo: lo, ValueHi: hi, TimeLo: 0, TimeHi: 4 * netsim.Minute})
-	})
-	sim.Run(sim.Now() + 1 + settle)
+	tr := coreTrial(tb, 20, deadline, retryMax)
+	tr.Run(4 * netsim.Minute)
+	base := tr.Base()
+	base.IssueQuery(workload.Query{ValueLo: 0, ValueHi: workload.RealMax, TimeLo: 0, TimeHi: 4 * netsim.Minute})
+	tr.Run(4*netsim.Minute + settle)
 	return base, &netsim.Packet{Class: metrics.Reply, Src: 1, Origin: 1,
 		Payload: &core.ReplyMsg{QueryID: base.LastQueryID(), Node: 1}}
 }

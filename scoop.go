@@ -9,7 +9,9 @@
 //
 // NewSimulation is the entry point: step-by-step control over one
 // simulated network — advance virtual time, issue queries, inspect the
-// storage index — the API the runnable examples build on. Whole
+// storage index — the API the runnable examples build on. A Simulation
+// is trial 0 of an internal/exp experiment stepped by hand, so its
+// defaults, bounds and seeding are exp.Default()'s and exp's. Whole
 // policy × workload experiments, the unit of the paper's figures, are
 // commands: cmd/scoopsim runs one, cmd/scoopsweep a grid of them.
 //
@@ -18,11 +20,10 @@
 package scoop
 
 import (
-	"fmt"
+	"math"
 	"time"
 
-	"scoop/internal/core"
-	"scoop/internal/metrics"
+	"scoop/internal/exp"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
 	"scoop/internal/workload"
@@ -115,7 +116,10 @@ type OwnerRange struct {
 	Owner  int
 }
 
-// SimulationConfig configures a hand-driven simulation.
+// SimulationConfig configures a hand-driven simulation. A zero field
+// keeps exp.Default()'s value: the paper's §6 run of 62 motes plus the
+// base on the uniform layout, REAL data, the Scoop policy, 15 s
+// sampling and a 10-minute warm-up.
 type SimulationConfig struct {
 	Source   Source
 	Topology Topology
@@ -124,119 +128,87 @@ type SimulationConfig struct {
 	Warmup   time.Duration // sampling starts after this
 	Seed     int64
 
-	// SampleInterval defaults to the paper's 15 s when zero; it must be
-	// at least the simulator's 1 ms tick.
+	// SampleInterval must be at least the simulator's 1 ms tick.
 	SampleInterval time.Duration
 	// Sampler, when non-nil, overrides Source with a custom per-node
 	// value function (e.g. a domain-specific signal). It receives the
 	// node ID and the virtual elapsed time.
 	Sampler func(node int, elapsed time.Duration) int
 	// Domain bounds the attribute values when Sampler is set
-	// (inclusive); ignored otherwise.
+	// (inclusive, lo < hi); ignored otherwise.
 	DomainLo, DomainHi int
 }
 
-// Simulation is a single simulated Scoop network under manual control.
-// It is not safe for concurrent use.
+// Simulation is a single simulated Scoop network under manual control:
+// trial 0 of an exp experiment, stepped by hand. It is not safe for
+// concurrent use.
 type Simulation struct {
-	sim   *netsim.Simulator
-	net   *netsim.Network
-	ctr   *metrics.Counters
-	base  *core.Base
-	stats *core.RunStats
-	n     int
-	qseq  int64
+	tr *exp.Trial
 }
 
-// NewSimulation builds a network ready to run. Defaults: REAL source,
-// uniform topology, 63 nodes, Scoop policy, 10-minute warmup.
+// NewSimulation builds a network ready to run from exp.Default() and
+// cfg's non-zero fields, with the harness's query ticker off: queries
+// are the caller's. Its errors are exp.Config.Validate's.
 func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 63
+	c := exp.Default()
+	c.Seed = cfg.Seed
+	c.QueryInterval = 0
+	// Duration bounds only the harness's own tickers, which stay off;
+	// the run lasts as long as the caller steps it.
+	c.Duration = math.MaxInt64
+	if cfg.Nodes != 0 {
+		c.N = cfg.Nodes
 	}
-	if cfg.Nodes < 2 || cfg.Nodes > netsim.MaxNodes {
-		return nil, fmt.Errorf("scoop: node count %d outside [2,%d]", cfg.Nodes, netsim.MaxNodes)
+	if cfg.Source != "" {
+		c.Source = string(cfg.Source)
 	}
-	if cfg.Source == "" {
-		cfg.Source = SourceReal
+	if cfg.Topology != "" {
+		c.Topology = string(cfg.Topology)
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyScoop
+	if cfg.Policy != "" {
+		c.Policy = policy.Name(cfg.Policy)
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 10 * time.Minute
+	if cfg.Warmup != 0 {
+		c.Warmup = vt(cfg.Warmup)
 	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = 15 * time.Second
+	if cfg.SampleInterval != 0 {
+		c.SampleInterval = vt(cfg.SampleInterval)
 	}
-	// exp.Config.Validate's bounds, on the virtual clock's 1 ms tick.
-	if cfg.Warmup < 0 {
-		return nil, fmt.Errorf("scoop: negative warmup %v", cfg.Warmup)
-	}
-	if vt(cfg.SampleInterval) <= 0 {
-		return nil, fmt.Errorf("scoop: sample interval %v is under the simulator's 1 ms tick", cfg.SampleInterval)
-	}
-	layout, err := netsim.Layout(string(cfg.Topology))
-	if err != nil {
-		return nil, err
-	}
-
-	var sampler core.Sampler
-	lo, hi := cfg.DomainLo, cfg.DomainHi
 	if cfg.Sampler != nil {
-		if hi <= lo {
-			return nil, fmt.Errorf("scoop: custom sampler needs a domain [lo,hi]")
-		}
-		user := cfg.Sampler
-		sampler = func(id netsim.NodeID, now netsim.Time) int {
-			v := user(int(id), time.Duration(now)*time.Millisecond)
-			if v < lo {
-				v = lo
-			}
-			if v > hi {
-				v = hi
-			}
-			return v
-		}
-	} else {
-		src, err := workload.NewSource(string(cfg.Source), cfg.Nodes, cfg.Seed+13)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi = src.Domain()
-		sampler = src.Next
+		c.Sampler = clampSampler{cfg.Sampler, cfg.DomainLo, cfg.DomainHi}
 	}
-
-	ccfg, err := policy.Config(policy.Name(cfg.Policy), cfg.Nodes, lo, hi)
+	tr, err := exp.NewTrial(c, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	ccfg.SampleInterval = vt(cfg.SampleInterval)
-
-	s := &Simulation{
-		sim:   netsim.NewSimulator(cfg.Seed ^ 0x53c00b),
-		ctr:   metrics.NewCounters(),
-		stats: &core.RunStats{},
-		n:     cfg.Nodes,
-	}
-	s.net = netsim.NewNetwork(s.sim, layout(cfg.Nodes, cfg.Seed), s.ctr, netsim.DefaultParams())
-	s.base = core.NewBase(ccfg, s.stats, vt(cfg.Warmup))
-	s.net.Attach(0, s.base)
-	for i := 1; i < cfg.Nodes; i++ {
-		s.net.Attach(netsim.NodeID(i), core.NewNode(ccfg, s.stats, sampler, vt(cfg.Warmup)))
-	}
-	s.net.Start()
-	return s, nil
+	return &Simulation{tr: tr}, nil
 }
+
+// clampSampler is SimulationConfig.Sampler as a workload source, its
+// values clamped into the configured domain.
+type clampSampler struct {
+	fn     func(node int, elapsed time.Duration) int
+	lo, hi int
+}
+
+func (s clampSampler) Next(id netsim.NodeID, now netsim.Time) int {
+	return min(max(s.fn(int(id), time.Duration(now)*time.Millisecond), s.lo), s.hi)
+}
+
+func (s clampSampler) Domain() (int, int) { return s.lo, s.hi }
+
+func (s clampSampler) Name() string { return "custom" }
+
+func (s *Simulation) now() netsim.Time { return s.tr.Network().Sim.Now() }
 
 // Run advances virtual time by d.
 func (s *Simulation) Run(d time.Duration) {
-	s.sim.Run(s.sim.Now() + vt(d))
+	s.tr.Run(s.now() + vt(d))
 }
 
 // Elapsed returns the virtual time since the simulation started.
 func (s *Simulation) Elapsed() time.Duration {
-	return time.Duration(s.sim.Now()) * time.Millisecond
+	return time.Duration(s.now()) * time.Millisecond
 }
 
 // QueryResult reports one query's outcome.
@@ -264,16 +236,13 @@ func (s *Simulation) QueryNodes(nodes []int, window, wait time.Duration) QueryRe
 }
 
 func (s *Simulation) query(q workload.Query, window, wait time.Duration) QueryResult {
-	tlo := s.sim.Now() - vt(window)
-	if tlo < 0 {
-		tlo = 0
-	}
-	q.TimeLo, q.TimeHi = tlo, s.sim.Now()
-	before := s.stats.TuplesReturned
-	tg := s.base.IssueQuery(q)
-	qid := s.base.LastQueryID()
+	base := s.tr.Base()
+	q.TimeLo, q.TimeHi = max(s.now()-vt(window), 0), s.now()
+	before := s.tr.Stats().TuplesReturned
+	tg := base.IssueQuery(q)
+	qid := base.LastQueryID()
 	s.Run(wait)
-	raw := s.base.QueryResults(qid)
+	raw := base.QueryResults(qid)
 	readings := make([]Reading, len(raw))
 	for i, r := range raw {
 		readings[i] = Reading{
@@ -284,7 +253,7 @@ func (s *Simulation) query(q workload.Query, window, wait time.Duration) QueryRe
 	}
 	return QueryResult{
 		Targets:  len(tg),
-		Tuples:   int(s.stats.TuplesReturned - before),
+		Tuples:   int(s.tr.Stats().TuplesReturned - before),
 		Readings: readings,
 	}
 }
@@ -292,17 +261,13 @@ func (s *Simulation) query(q workload.Query, window, wait time.Duration) QueryRe
 // QueryMax answers "largest value observed in the trailing window"
 // from stored summaries at zero network cost (paper §5.5).
 func (s *Simulation) QueryMax(window time.Duration) (int, bool) {
-	tlo := s.sim.Now() - vt(window)
-	if tlo < 0 {
-		tlo = 0
-	}
-	return s.base.QueryMax(tlo, s.sim.Now())
+	return s.tr.Base().QueryMax(max(s.now()-vt(window), 0), s.now())
 }
 
 // IndexRanges returns the active storage index as owner ranges, or nil
 // before the first index (or under a store-local index).
 func (s *Simulation) IndexRanges() []OwnerRange {
-	ix := s.base.CurrentIndex()
+	ix := s.tr.Base().CurrentIndex()
 	if ix == nil || ix.Local {
 		return nil
 	}
@@ -315,14 +280,14 @@ func (s *Simulation) IndexRanges() []OwnerRange {
 
 // Messages returns the current transmission breakdown.
 func (s *Simulation) Messages() Breakdown {
-	b := s.ctr.Snapshot()
+	b := s.tr.Network().CountersBreakdown()
 	return Breakdown{Data: b.Data, Summary: b.Summary, Mapping: b.Mapping,
 		Query: b.Query, Reply: b.Reply, Beacon: b.Beacon}
 }
 
 // Stats summarises delivery outcomes so far.
 func (s *Simulation) Stats() ExperimentResult {
-	st := s.stats
+	st := s.tr.Stats()
 	return ExperimentResult{
 		Breakdown:       s.Messages(),
 		Produced:        st.Produced,
@@ -339,17 +304,17 @@ func (s *Simulation) Stats() ExperimentResult {
 
 // KillNode fails a node (it stops sending and receiving), for
 // failure-injection scenarios.
-func (s *Simulation) KillNode(id int) { s.net.Kill(netsim.NodeID(id)) }
+func (s *Simulation) KillNode(id int) { s.tr.Network().Kill(netsim.NodeID(id)) }
 
 // ReviveNode brings a failed node back with whatever protocol state
 // it retained; timers that lapsed while it was dead stay silent. For
 // a realistic rejoin, use RestartNode.
-func (s *Simulation) ReviveNode(id int) { s.net.Revive(netsim.NodeID(id)) }
+func (s *Simulation) ReviveNode(id int) { s.tr.Network().Revive(netsim.NodeID(id)) }
 
 // RestartNode reboots a failed node: it rejoins with fresh protocol
 // state (routing table, storage index, buffers), like a power-cycled
 // mote. This is what churn-injection scenarios use.
-func (s *Simulation) RestartNode(id int) { s.net.Restart(netsim.NodeID(id)) }
+func (s *Simulation) RestartNode(id int) { s.tr.Network().Restart(netsim.NodeID(id)) }
 
 // Nodes returns the network size including the basestation.
-func (s *Simulation) Nodes() int { return s.n }
+func (s *Simulation) Nodes() int { return s.tr.Network().Topo.N }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scoop/internal/exp"
+	"scoop/internal/netsim"
 )
 
 func TestSimulationLifecycle(t *testing.T) {
@@ -134,7 +137,9 @@ func TestSimulationRejectsBadConfig(t *testing.T) {
 		{"sub-ms-sample", SimulationConfig{SampleInterval: 500 * time.Microsecond}, "sample interval"},
 		{"negative-warmup", SimulationConfig{Warmup: -time.Minute}, "warmup"},
 		{"bad-topology", SimulationConfig{Topology: "torus"}, "unknown topology"},
-		{"too-many-nodes", SimulationConfig{Nodes: 2000}, "node count"},
+		{"too-many-nodes", SimulationConfig{Nodes: 2000}, "network size"},
+		{"empty-sampler-domain", SimulationConfig{Sampler: func(int, time.Duration) int { return 1 },
+			DomainLo: 10, DomainHi: 3}, "sampler domain"},
 	} {
 		_, err := NewSimulation(tc.cfg)
 		if err == nil {
@@ -170,5 +175,50 @@ func TestBreakdownTotalExcludesBeacons(t *testing.T) {
 	b := Breakdown{Data: 1, Summary: 2, Mapping: 3, Query: 4, Reply: 5, Beacon: 100}
 	if b.Total() != 15 {
 		t.Fatalf("total = %f", b.Total())
+	}
+}
+
+// TestSimulationMatchesTrial holds the facade to the harness: a
+// hand-stepped Simulation is exp's trial 0 of the same config with the
+// query ticker off, counter for counter.
+func TestSimulationMatchesTrial(t *testing.T) {
+	wave := func(node int, elapsed time.Duration) int { return node*3 + int(elapsed/time.Minute)%40 }
+	for _, tc := range []struct {
+		name    string
+		sampler func(int, time.Duration) int
+	}{
+		{"gaussian", nil},
+		{"sampler", wave},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, err := NewSimulation(SimulationConfig{Nodes: 20, Seed: 7, Topology: TopologyGrid,
+				Source: SourceGaussian, Warmup: 2 * time.Minute, Sampler: tc.sampler, DomainLo: 0, DomainHi: 80})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Run(5 * time.Minute)
+			sim.Run(7 * time.Minute)
+
+			cfg := exp.Default()
+			cfg.N, cfg.Seed, cfg.Topology, cfg.Source = 20, 7, "grid", "gaussian"
+			cfg.Warmup, cfg.Duration, cfg.QueryInterval, cfg.Trials = 2*netsim.Minute, 12*netsim.Minute, 0, 1
+			if tc.sampler != nil {
+				cfg.Sampler = clampSampler{tc.sampler, 0, 80}
+			}
+			res, err := exp.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := res.PerTrial[0]
+			got := sim.tr.Stats()
+			got.Shared, got.ReindexWallNanos = nil, 0
+			want.Stats.Shared, want.Stats.ReindexWallNanos = nil, 0
+			if got != want.Stats {
+				t.Errorf("RunStats:\n facade %+v\n trial0 %+v", got, want.Stats)
+			}
+			if b := sim.tr.Network().CountersBreakdown(); b != want.Breakdown {
+				t.Errorf("breakdown: facade %+v, trial 0 %+v", b, want.Breakdown)
+			}
+		})
 	}
 }
