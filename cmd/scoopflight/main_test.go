@@ -97,6 +97,18 @@ func TestReadingFilter(t *testing.T) {
 	if !strings.Contains(out, "events: 2 kept of 6") {
 		t.Fatalf("reading filter count wrong:\n%s", out)
 	}
+
+	// Without @sampletime every sample of the producer passes, and
+	// only reading-carrying events do.
+	path := writeTrace(t, []trace.Event{
+		{T: 1500, Kind: trace.ReadingSampled, Node: 5, Producer: 5, SampleT: 1500},
+		{T: 3000, Kind: trace.ReadingSampled, Node: 5, Producer: 5, SampleT: 3000},
+		{T: 3100, Kind: trace.ReadingLost, Node: 2, Cause: metrics.DropTTL, Producer: 6, SampleT: 1500},
+		{T: 3200, Kind: trace.PacketSend, Node: 5, Class: metrics.Data, Size: 30},
+	})
+	if out := runCLI(t, "-reading", "5", path); !strings.Contains(out, "events: 2 kept of 4") {
+		t.Fatalf("wildcard reading filter wrong:\n%s", out)
+	}
 }
 
 func TestWindowTable(t *testing.T) {

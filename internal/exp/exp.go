@@ -145,9 +145,6 @@ type Config struct {
 	// an empty set disables tracing for that trial — the usual way to
 	// trace only trial 0 of a multi-trial cell. Ignored unless Trace.
 	TraceSinks func(trial int) []trace.Sink
-	// TraceReading, when non-nil, narrows the trace to the lifecycle
-	// of matching readings (see trace.Recorder.Follow).
-	TraceReading *trace.ReadingID
 
 	// Profile attaches a wall-clock attribution profiler to every
 	// trial's event loop and protocol hot paths (internal/prof,

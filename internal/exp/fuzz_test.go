@@ -8,7 +8,6 @@ import (
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
 	"scoop/internal/query"
-	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
 
@@ -130,20 +129,20 @@ func (r ramp) Name() string       { return "ramp" }
 //
 // names picks the policy, source, topology and fault scenario, three
 // bits each; flags switches DisableReindex, Trace, Profile, a
-// dynamics.Standard script (churn and drift in percent), a ramp Sampler
-// over [lo, hi] and a followed reading (bits 0–5); ops is a bit set of
+// dynamics.Standard script (churn and drift in percent) and a ramp
+// Sampler over [lo, hi] (bits 0–4); ops is a bit set of
 // aggregate operators; the int8 ratios are percent.
 func FuzzValidate(f *testing.F) {
 	const (
-		scoopUniform = 0                         // scoop, unique, uniform, no faults
-		realGrid     = 2<<3 | 2<<6               // scoop, real, grid
-		campaign     = realGrid | 5<<9           // ... plus the composed fault campaign
-		hashsimEqual = 4 | 1<<3 | 1<<6           // hashsim, equal, testbed
-		localRestart = 1 | 3<<3 | 4<<9           // local, gaussian, uniform, a basestation restart
-		hashsimFlood = 4 | 1<<6 | 5<<9           // hashsim, unique, testbed, the fault campaign
-		bogus        = 5 | 5<<3 | 3<<6 | 6<<9    // a misspelt name in every list
-		dynTrace     = 1<<3 | 1<<1               // a churn/drift script, traced
-		samplerProf  = 1<<4 | 1<<2 | 1<<0 | 1<<5 // ramp sampler, profiled, frozen index, followed reading
+		scoopUniform = 0                      // scoop, unique, uniform, no faults
+		realGrid     = 2<<3 | 2<<6            // scoop, real, grid
+		campaign     = realGrid | 5<<9        // ... plus the composed fault campaign
+		hashsimEqual = 4 | 1<<3 | 1<<6        // hashsim, equal, testbed
+		localRestart = 1 | 3<<3 | 4<<9        // local, gaussian, uniform, a basestation restart
+		hashsimFlood = 4 | 1<<6 | 5<<9        // hashsim, unique, testbed, the fault campaign
+		bogus        = 5 | 5<<3 | 3<<6 | 6<<9 // a misspelt name in every list
+		dynTrace     = 1<<3 | 1<<1            // a churn/drift script, traced
+		samplerProf  = 1<<4 | 1<<2 | 1<<0     // ramp sampler, profiled, frozen index
 	)
 	// seed, names, flags, n, regions, retries,
 	// dur, warm, sample, query, deadline, reindex, window (ms),
@@ -219,9 +218,6 @@ func FuzzValidate(f *testing.F) {
 		}
 		if flags&16 != 0 {
 			cfg.Sampler = ramp{int(lo), int(hi)}
-		}
-		if flags&32 != 0 {
-			cfg.TraceReading = &trace.ReadingID{Producer: uint16(max(cfg.N-1, 0)), Time: int64(cfg.Warmup + cfg.SampleInterval)}
 		}
 		if cfg.Validate() != nil || fuzzing && overBudget(cfg) {
 			return

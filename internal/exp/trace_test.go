@@ -89,25 +89,3 @@ func TestTraceRingDefault(t *testing.T) {
 		}
 	}
 }
-
-// TestTraceReadingFollow narrows a traced run to one producer's
-// readings and checks nothing else leaks through.
-func TestTraceReadingFollow(t *testing.T) {
-	cfg := tracedConfig()
-	cfg.Trials = 1
-	cfg.Trace = true
-	cfg.TraceReading = &trace.ReadingID{Producer: 3, Time: -1}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := res.PerTrial[0].Trace.Events()
-	if len(evs) == 0 {
-		t.Fatal("follow filter dropped everything")
-	}
-	for _, e := range evs {
-		if !e.Kind.CarriesReading() || e.Producer != 3 {
-			t.Fatalf("non-matching event passed the follow filter: %+v", e)
-		}
-	}
-}

@@ -180,7 +180,6 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 		}
 		if len(sinks) > 0 {
 			t.rec = trace.New(func() int64 { return int64(t.sim.Now()) }, sinks...)
-			t.rec.Follow(cfg.TraceReading)
 		}
 	}
 	t.net.Trace = t.rec

@@ -6,18 +6,22 @@ import "go/ast"
 // Simulation code is single-goroutine by contract: event-loop state,
 // per-node RNG streams and trace recorders are all unsynchronised, so
 // an unreviewed goroutine is a data race and a determinism hole at
-// once. The sanctioned seams are the region scheduler (netsim's
-// parallel event loop), where every worker is confined to its own
-// regionState and synchronised through barrier channels, and the
-// flight recorder's JSONL encoder (internal/trace), which touches only
-// the event blocks handed to it and the sink's writer, each handoff
-// ordered by a channel receive; the reindex fork-join in internal/index
-// writes disjoint rows and joins before any is read. Each site carries
-// a //scoop:allow goroutine annotation naming its argument, which is
-// exactly the review this rule forces.
+// once. There are three sanctioned seams (DESIGN.md §15):
+//
+//   - the region scheduler (netsim's parallel event loop), where every
+//     worker is confined to its own regionState and synchronised
+//     through barrier channels;
+//   - the reindex fork-join (internal/index's parallelFor), whose
+//     workers write disjoint rows and are joined before any is read;
+//   - the flight recorder's JSONL encoder (internal/trace), which
+//     touches only the event blocks handed to it and the sink's writer,
+//     each handoff ordered by a channel receive.
+//
+// Each site carries a //scoop:allow goroutine annotation naming its
+// argument, which is exactly the review this rule forces.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc:  "goroutine spawned in a deterministic package without a reviewed confinement argument (DESIGN.md §18)",
+	Doc:  "goroutine spawned in a deterministic package without a reviewed confinement argument (DESIGN.md §15)",
 	Run: func(pass *Pass) {
 		if !pass.Deterministic {
 			return
@@ -25,7 +29,7 @@ var Goroutine = &Analyzer{
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					pass.Reportf(g.Pos(), "go statement in a deterministic package: simulation state is unsynchronised, so concurrency needs a reviewed confinement argument (DESIGN.md §18)")
+					pass.Reportf(g.Pos(), "go statement in a deterministic package: simulation state is unsynchronised, so concurrency needs a reviewed confinement argument (DESIGN.md §15)")
 				}
 				return true
 			})

@@ -26,8 +26,8 @@
 //     payload reached from it may be kept but never written.
 //   - goroutine: no `go` statement in deterministic packages without
 //     a reviewed confinement argument — the region scheduler's
-//     barrier-synchronised workers and the flight recorder's JSONL
-//     encoder are the sanctioned seams.
+//     barrier-synchronised workers, the index's reindex fork-join and
+//     the flight recorder's JSONL encoder are the sanctioned seams.
 //
 // A finding is suppressed by an annotation on the same line or the
 // line above:

@@ -168,7 +168,7 @@ type Event struct {
 
 // Field presence masks: which Event fields each kind emits, driving
 // both the JSONL encoder (fields outside the mask are omitted) and the
-// Recorder's reading filter.
+// CarriesReading/CarriesClass predicates scoopflight filters by.
 const (
 	fPeer = 1 << iota
 	fClass
@@ -232,8 +232,8 @@ type Sink interface {
 	Close() error
 }
 
-// ReadingID identifies one reading — the (producer, sample time) pair
-// used across storage, invariant checking and tracing. A negative Time
+// ReadingID identifies one reading by its (producer, sample time)
+// pair, as scoopflight's -reading filter selects it. A negative Time
 // matches every reading the producer samples.
 type ReadingID struct {
 	Producer uint16
@@ -272,10 +272,9 @@ type family struct {
 // give each parallel region its own fork to emit through). The nil
 // Recorder is the disabled state: Emit returns immediately.
 type Recorder struct {
-	now    func() int64
-	sinks  []Sink
-	follow *ReadingID
-	prof   *prof.Profiler
+	now   func() int64
+	sinks []Sink
+	prof  *prof.Profiler
 
 	fam    *family // non-nil: stamped buffering mode (region-parallel)
 	buf    []stamped
@@ -289,17 +288,8 @@ func New(now func() int64, sinks ...Sink) *Recorder {
 	return &Recorder{now: now, sinks: sinks}
 }
 
-// Follow restricts recording to the lifecycle of one reading: only
-// reading-carrying events matching id pass; everything else is
-// filtered. A nil id removes the filter.
-func (r *Recorder) Follow(id *ReadingID) {
-	if r != nil {
-		r.follow = id
-	}
-}
-
-// SetProfiler attributes the wall time of Emit (filtering, stamping,
-// sink fan-out) to the trace-emit phase when a run is profiled. Safe
+// SetProfiler attributes the wall time of Emit (stamping, sink
+// fan-out) to the trace-emit phase when a run is profiled. Safe
 // on a nil Recorder; a nil profiler detaches.
 func (r *Recorder) SetProfiler(p *prof.Profiler) {
 	if r != nil {
@@ -321,11 +311,10 @@ func (r *Recorder) Buffer() {
 }
 
 // Fork returns a child Recorder for one region's goroutine, reading
-// the region's clock. The child shares the parent's follow filter and
-// buffers into the parent's merge; it has no sinks of its own. Buffer
-// must have been called first.
+// the region's clock. The child buffers into the parent's merge; it
+// has no sinks of its own. Buffer must have been called first.
 func (r *Recorder) Fork(now func() int64) *Recorder {
-	c := &Recorder{now: now, follow: r.follow, fam: r.fam}
+	c := &Recorder{now: now, fam: r.fam}
 	r.fam.recs = append(r.fam.recs, c)
 	return c
 }
@@ -380,13 +369,6 @@ func (r *Recorder) Emit(e Event) {
 		return
 	}
 	prev := r.prof.Enter(prof.PhaseTraceEmit)
-	if f := r.follow; f != nil {
-		if e.Kind.fields()&fReading == 0 || e.Producer != f.Producer ||
-			(f.Time >= 0 && e.SampleT != f.Time) {
-			r.prof.Exit(prev)
-			return
-		}
-	}
 	e.T = r.now()
 	if r.fam != nil {
 		st := &r.st

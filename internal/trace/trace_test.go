@@ -54,7 +54,6 @@ func TestRecorderStampsAndFansOut(t *testing.T) {
 func TestNilRecorderIsInert(t *testing.T) {
 	var rec *Recorder
 	rec.Emit(Event{Kind: PacketSend, Node: 1}) // must not panic
-	rec.Follow(&ReadingID{Producer: 1, Time: -1})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,31 +133,6 @@ func TestRingMultipleWrapsOverwriteOrder(t *testing.T) {
 			written++
 			check(written) // covers every phase offset, incl. next == 0
 		}
-	}
-}
-
-func TestFollowFiltersToOneReading(t *testing.T) {
-	ring := NewRing(16)
-	rec := New(fixedClock(), ring)
-	rec.Follow(&ReadingID{Producer: 5, Time: 1500})
-	rec.Emit(Event{Kind: ReadingSampled, Node: 5, Producer: 5, SampleT: 1500, Value: 42})
-	rec.Emit(Event{Kind: ReadingSampled, Node: 5, Producer: 5, SampleT: 3000, Value: 43}) // other sample
-	rec.Emit(Event{Kind: ReadingStored, Node: 8, Flag: StoreOwner, Producer: 5, SampleT: 1500, Value: 42})
-	rec.Emit(Event{Kind: ReadingLost, Node: 2, Cause: metrics.DropTTL, Producer: 6, SampleT: 1500}) // other producer
-	rec.Emit(Event{Kind: PacketSend, Node: 5, Class: metrics.Data, Size: 30})                       // not reading-scoped
-	evs := ring.Events()
-	if len(evs) != 2 || evs[0].Kind != ReadingSampled || evs[1].Kind != ReadingStored {
-		t.Fatalf("filtered events = %+v", evs)
-	}
-
-	// Wildcard time follows every sample from the producer.
-	ring2 := NewRing(16)
-	rec2 := New(fixedClock(), ring2)
-	rec2.Follow(&ReadingID{Producer: 5, Time: -1})
-	rec2.Emit(Event{Kind: ReadingSampled, Node: 5, Producer: 5, SampleT: 1500})
-	rec2.Emit(Event{Kind: ReadingSampled, Node: 5, Producer: 5, SampleT: 3000})
-	if len(ring2.Events()) != 2 {
-		t.Fatal("wildcard follow lost events")
 	}
 }
 
