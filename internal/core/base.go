@@ -64,12 +64,12 @@ type pendingQuery struct {
 // Base is the Scoop basestation application (node 0). The paper runs
 // it on a PC attached to a mote; it has ample CPU/memory.
 type Base struct {
+	tree  routing.Tree // first, by value, as in Node
 	api   *netsim.NodeAPI
 	cfg   Config
 	stats *RunStats
 	start netsim.Time // when indexing begins (after warm-up)
 
-	tree  *routing.Tree
 	store *storage.DataBuffer
 
 	latest     []*SummaryMsg // last summary per node, dense by node ID
@@ -140,7 +140,7 @@ func (b *Base) Store() *storage.DataBuffer { return b.store }
 // Init implements netsim.App.
 func (b *Base) Init(api *netsim.NodeAPI) {
 	b.api = api
-	b.tree = routing.NewTree(api, true, b.cfg.Tree)
+	b.tree.Init(api, true, b.cfg.Tree)
 	b.store = storage.NewDataBuffer(1 << 18)
 	b.latest = make([]*SummaryMsg, api.N())
 	b.latestHops = make([]uint8, api.N())

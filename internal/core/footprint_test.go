@@ -53,18 +53,19 @@ func nodeInitBytes(n int) uint64 {
 // byte. On the parent commit this test fails with 105 312 B at N = 100
 // against 236 784 B at N = 4000: the eager flash ring (98 304 B) in
 // both, the per-owner batch array and the tree's per-node link
-// estimates in the difference. The count itself is pinned: 2 808 B,
-// down from 3 040 B when the chunk store, the assembler and each
-// Trickle's items were maps, and from 3 536 B when the tree's
-// link-estimator entries were 32 bytes each
-// (routing.TestTreeFootprintIndependentOfN has that half, and the 16 B
-// its beacon free list added).
+// estimates in the difference. The count itself is pinned: 2 568 B,
+// the tree's tables but not its struct, which the Node holds by value
+// since it was 2 808 B (the 240-byte Tree object Init allocated then;
+// routing.TestTreeFootprintIndependentOfN counts the struct with its
+// tables). It was 3 040 B when the chunk store, the assembler and each
+// Trickle's items were maps, and 3 536 B when the tree's link-estimator
+// entries were 32 bytes each.
 func TestNodeFootprintIndependentOfN(t *testing.T) {
 	small, large := nodeInitBytes(100), nodeInitBytes(4000)
 	if small != large {
 		t.Fatalf("Node.Init allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
 	}
-	if small != 2808 {
-		t.Fatalf("Node.Init allocates %d B, want 2808; a booting mote holds no data yet", small)
+	if small != 2568 {
+		t.Fatalf("Node.Init allocates %d B, want 2568; a booting mote holds no data yet", small)
 	}
 }

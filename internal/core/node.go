@@ -33,13 +33,17 @@ func queryKey(id uint16) trickle.Key { return trickle.Key(id) }
 
 // Node is the Scoop application running on every non-base mote.
 type Node struct {
+	// tree leads the struct, by value: Snoop is the node's most
+	// frequent callback, and all it does is Tree.Observe, which reads
+	// what the Tree leads with — so a snoop's first line is the tree's.
+	tree routing.Tree
+
 	api    *netsim.NodeAPI
 	cfg    Config
 	stats  *RunStats
 	sample Sampler
 	start  netsim.Time // when sampling begins (after tree warm-up)
 
-	tree       *routing.Tree
 	recent     *storage.RecentBuffer
 	recentVals []int // sendSummary's copy of recent, reused
 	store      *storage.DataBuffer
@@ -73,8 +77,7 @@ type Node struct {
 	// it sends); regroup is rule 1's reusable sort buffer.
 	batchq   idTable[[]storage.Reading]
 	batchSID uint16
-	// samplesSinceSummary shares batchSID's word, keeping the Node at
-	// 896 bytes, a malloc size class (a word more rounds it up to 1 KB).
+	// samplesSinceSummary shares batchSID's word.
 	samplesSinceSummary int32
 	spareBatches        [][]storage.Reading
 	regroup             []storage.Reading
@@ -123,7 +126,7 @@ func (n *Node) PendingBatchReadings() []storage.Reading {
 }
 
 // Tree exposes the node's routing state for tests.
-func (n *Node) Tree() *routing.Tree { return n.tree }
+func (n *Node) Tree() *routing.Tree { return &n.tree }
 
 // Init implements netsim.App.
 //
@@ -151,7 +154,7 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	}
 	if n.api != api { // first boot: build
 		n.api = api
-		n.tree = routing.NewTree(api, false, n.cfg.Tree)
+		n.tree.Init(api, false, n.cfg.Tree)
 		n.recent = storage.NewRecentBuffer(n.cfg.RecentBufSize)
 		n.store = storage.NewDataBuffer(n.cfg.DataBufCap)
 		n.mapGos = trickle.New(api, timerMapping, n.cfg.MappingTrickle, n.sendChunk)

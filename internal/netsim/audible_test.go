@@ -56,9 +56,11 @@ func (l *frameLog) Close() error { return nil }
 const audibleRunFor = 12 * Second
 
 // runChatter runs one scripted chatter scenario on k regions: link
-// scaling, a blackout, a partition and a burst window flip on and off
-// mid-run, and check (when non-nil) is called from ~500 control events
-// at random and grid-aligned times with every region quiesced. The
+// scaling, kills, a revival, a reboot, a blackout, a partition and a
+// burst window flip on and off mid-run, and check (when non-nil) is
+// called from ~500 control events at random and grid-aligned times with
+// every region quiesced. After each scripted change, every link's
+// effective quality must equal the reference formula (quality). The
 // script depends on the seed alone, so runs with different k, tracing
 // on or off, see the same schedule.
 func runChatter(t *testing.T, topo *Topology, k int, seed int64, sink trace.Sink, check func(n *Network, now Time)) *Network {
@@ -81,12 +83,22 @@ func runChatter(t *testing.T, topo *Topology, k int, seed int64, sink trace.Sink
 
 	script := rand.New(rand.NewSource(seed ^ 0x5c00b))
 	n := topo.N
-	at := func(sec float64, fn func()) { sim.At(Seconds(sec), fn) }
+	at := func(sec float64, fn func()) {
+		sim.At(Seconds(sec), func() {
+			fn()
+			checkEffectiveQuality(t, net)
+		})
+	}
 	at(1.5, func() {
 		for i := 0; i < 4*n; i++ {
 			net.ScaleLink(NodeID(script.Intn(n)), NodeID(script.Intn(n)), 1.5*script.Float64())
 		}
 	})
+	down, reboot := NodeID(script.Intn(n)), NodeID(script.Intn(n))
+	at(2, func() { net.Kill(down) })
+	at(2.5, func() { net.Kill(reboot) })
+	at(6, func() { net.Revive(down) })
+	at(6.5, func() { net.Restart(reboot) })
 	lo := NodeID(script.Intn(n / 2))
 	hi := lo + NodeID(n/4)
 	at(3, func() { net.SetBlackout(lo, hi, true) })
@@ -117,6 +129,20 @@ func runChatter(t *testing.T, topo *Topology, k int, seed int64, sink trace.Sink
 	return net
 }
 
+// checkEffectiveQuality fails the test unless every link's entry in the
+// network's effective-quality array equals the reference formula.
+func checkEffectiveQuality(t *testing.T, n *Network) {
+	t.Helper()
+	for src := NodeID(0); int(src) < n.Topo.N; src++ {
+		for k, lk := range n.Topo.OutLinks(src) {
+			li := n.Topo.linkBase[src] + int32(k)
+			if got, want := n.eff[li], n.quality(src, lk.Dst); got != want {
+				t.Fatalf("t=%d: effective quality of %d→%d = %v, formula %v", n.Sim.Now(), src, lk.Dst, got, want)
+			}
+		}
+	}
+}
+
 // TestAudibleListsMatchBruteForce compares the per-receiver audible
 // lists' answers with a brute-force reference that scans every frame in
 // flight anywhere in the network. The reference's frame log comes from
@@ -125,7 +151,9 @@ func runChatter(t *testing.T, topo *Topology, k int, seed int64, sink trace.Sink
 // checkpoint, carrier sense is compared for every node and the
 // collision fold's interferer set for every directed link, each asked
 // of the region that would ask it in the engine: the node's own for
-// carrier sense, the sender's for a collision.
+// carrier sense, the sender's for a collision. Lists that outgrew
+// their inline slots are among those compared, and no node is ever in
+// its own list.
 func TestAudibleListsMatchBruteForce(t *testing.T) {
 	topos := []struct {
 		name string
@@ -151,8 +179,23 @@ func TestAudibleListsMatchBruteForce(t *testing.T) {
 		}
 
 		for _, k := range []int{1, 2, 4} {
-			var busy, interfering, offRegion int
+			var busy, interfering, offRegion, spilled int
 			check := func(n *Network, now Time) {
+				for _, reg := range n.regs {
+					for id := NodeID(0); int(id) < n.Topo.N; id++ {
+						if reg.heard[id].n > audibleSlots {
+							spilled++
+						}
+						inline, spill := reg.audibleAt(id)
+						for _, part := range [][]audible{inline, spill} {
+							for _, f := range part {
+								if f.src == id {
+									t.Fatalf("%s K=%d t=%d: node %d is in its own audible list", tc.name, k, now, id)
+								}
+							}
+						}
+					}
+				}
 				floor := gridFloor(now, n.window)
 				// Every frame on the air now and already visible, network-wide.
 				first := sort.Search(len(frames), func(i int) bool { return frames[i].start >= now-maxAir })
@@ -212,8 +255,9 @@ func TestAudibleListsMatchBruteForce(t *testing.T) {
 				}
 			}
 			runChatter(t, tc.make(), k, seed, nil, check)
-			if busy < 1000 || interfering < 1000 {
-				t.Fatalf("%s K=%d: %d busy answers, %d interferers; comparison has no power", tc.name, k, busy, interfering)
+			if busy < 1000 || interfering < 1000 || spilled == 0 {
+				t.Fatalf("%s K=%d: %d busy answers, %d interferers, %d spilled lists; comparison has no power",
+					tc.name, k, busy, interfering, spilled)
 			}
 			if k > 1 && offRegion == 0 {
 				t.Fatalf("%s K=%d: no interferer crossed a region boundary", tc.name, k)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"scoop/internal/dense"
@@ -96,15 +97,18 @@ type transmission struct {
 	start, end Time
 }
 
-// audible is one in-flight frame in a receiver's heard list, with the
-// index of the link it arrives over — what carrier sense and the
-// collision fold need to read its signal strength there in O(1). (li
-// sits in src's padding: 24 bytes, like the bare transmission.)
+// audible is one in-flight frame in a receiver's audible list: its
+// sender, the link it arrives over — what carrier sense and the
+// collision fold need to read its signal strength there in O(1) — and
+// its airtime. 16 bytes, three to an audibleList.
 type audible struct {
-	src        NodeID
-	li         int32
-	start, end Time
+	start Time
+	li    int32
+	src   NodeID
+	air   uint16 // end - start, ms (txDuration bounds it)
 }
+
+func (a audible) end() Time { return a.start + Time(a.air) }
 
 // interferer is one candidate colliding frame during the collision
 // fold, keyed for the deterministic (src, start) fold order.
@@ -146,18 +150,16 @@ type regionState struct {
 	// fold scan only the receiver's list, so their cost follows the
 	// radio neighbourhood, not the network (DESIGN.md §12). The view is
 	// per region because a cross-region receiver's collision is resolved
-	// on the sender's goroutine (§18). asks[id] marks the nodes this
-	// region can ever ask about — its own and their out-link neighbours
-	// — so the barrier skips ghosts nobody here could hear of (nil when
-	// serial: there are no ghosts). A list is heard[id][:heardLen[id]]:
-	// the views keep their full length, so recording a frame stores an
-	// int32, not a slice header under the write barrier; only a list
-	// outgrowing its array stores a new view.
-	heard    [][]audible
-	heardLen []int32
-	asks     []bool
-	ghosts   []transmission // local frames started since the last barrier
-	outbox   []outDelivery  // cross-region deliveries since the last barrier
+	// on the sender's goroutine (§18). A list is one cache line, its
+	// frames past the inline slots in spill[id]. asks[id] marks the
+	// nodes this region can ever ask about — its own and their out-link
+	// neighbours — so the barrier skips ghosts nobody here could hear
+	// of (nil when serial: there are no ghosts).
+	heard  []audibleList
+	spill  [][]audible // room for heard[id]'s frames past the inline slots
+	asks   []bool
+	ghosts []transmission // local frames started since the last barrier
+	outbox []outDelivery  // cross-region deliveries since the last barrier
 
 	delivPool []*delivery
 	timerPool []*timerTask
@@ -166,40 +168,99 @@ type regionState struct {
 	scratch   []interferer // collision-fold gather buffer
 }
 
-// heardSlots is how many frames a node's audible list holds in its
-// region's shared backing array; a longer list spills to an array of
-// its own through append. Few lists ever grow past it.
-const heardSlots = 4
+// audibleSlots is how many frames a node's audible list holds inline;
+// a longer list keeps the rest in its region's spill. Lists hold about
+// one frame when a new one is heard, so few ever spill.
+const audibleSlots = 3
 
-// initAudible gives the region n empty audible lists, each with its
-// first heardSlots slots carved from one backing array rather than
-// grown one doubling at a time.
+// audibleList is one node's audible list: n frames, the first
+// min(n, audibleSlots) inline. 64 bytes, one cache line per receiver
+// of a frame (netsim.TestAudibleListLayout).
+type audibleList struct {
+	n     int32
+	_     [12]byte
+	slots [audibleSlots]audible
+}
+
+// initAudible gives the region n empty audible lists, each with the
+// first slot of its spill carved from one backing array, so a list
+// allocates only when it outgrows four frames.
 func (r *regionState) initAudible(n int) {
-	r.heard, r.heardLen = make([][]audible, n), make([]int32, n)
-	backing := make([]audible, n*heardSlots)
-	for id := range r.heard {
-		r.heard[id], backing = backing[:heardSlots:heardSlots], backing[heardSlots:]
+	r.heard, r.spill = make([]audibleList, n), make([][]audible, n)
+	backing := make([]audible, n)
+	for id := range r.spill {
+		r.spill[id] = backing[id : id+1 : id+1]
 	}
 }
 
-// audibleAt returns the frames in node id's audible list.
-func (r *regionState) audibleAt(id NodeID) []audible { return r.heard[id][:r.heardLen[id]] }
+// audibleAt returns the frames in node id's audible list: the inline
+// ones, then the spilled ones.
+func (r *regionState) audibleAt(id NodeID) (inline, spilled []audible) {
+	l := &r.heard[id]
+	if l.n <= audibleSlots {
+		return l.slots[:l.n], nil
+	}
+	return l.slots[:], r.spill[id][:l.n-audibleSlots]
+}
 
 // hear records tx as audible at node id over link li, dropping from
 // id's list the frames that ended by now.
 func (r *regionState) hear(id NodeID, li int32, tx transmission, now Time) {
-	l := r.heard[id]
-	kept := l[:0]
-	for _, old := range l[:r.heardLen[id]] {
-		if old.end > now {
-			kept = append(kept, old)
+	l := &r.heard[id]
+	f := audible{start: tx.start, li: li, src: tx.src, air: uint16(tx.end - tx.start)}
+	if l.n <= audibleSlots {
+		k := 0
+		for _, old := range l.slots[:l.n] {
+			if old.end() > now {
+				l.slots[k] = old
+				k++
+			}
+		}
+		if k < audibleSlots {
+			l.slots[k] = f
+			l.n = int32(k + 1)
+			return
+		}
+		l.n = int32(k)
+	}
+	r.hearSpilled(l, id, f, now)
+}
+
+// hearSpilled is hear for a list whose new frame does not fit inline:
+// the same compaction over the inline slots and the spill, in order.
+// A frame is written at or before the position it is read from.
+func (r *regionState) hearSpilled(l *audibleList, id NodeID, f audible, now Time) {
+	k := 0
+	for i := 0; i < int(l.n); i++ {
+		var old audible
+		if i < audibleSlots {
+			old = l.slots[i]
+		} else {
+			old = r.spill[id][i-audibleSlots]
+		}
+		if old.end() > now {
+			r.setFrame(l, id, k, old)
+			k++
 		}
 	}
-	kept = append(kept, audible{src: tx.src, li: li, start: tx.start, end: tx.end})
-	if cap(kept) != cap(l) { // the list outgrew its array
-		r.heard[id] = kept[:cap(kept)]
+	r.setFrame(l, id, k, f)
+	l.n = int32(k + 1)
+}
+
+// setFrame stores f as frame k of node id's list. When k is one past
+// the spill, the spill grows so that the list's capacity doubles.
+func (r *regionState) setFrame(l *audibleList, id NodeID, k int, f audible) {
+	if k < audibleSlots {
+		l.slots[k] = f
+		return
 	}
-	r.heardLen[id] = int32(len(kept))
+	sp, j := r.spill[id], k-audibleSlots
+	if j == len(sp) {
+		sp = make([]audible, 2*k-audibleSlots)
+		copy(sp, r.spill[id])
+		r.spill[id] = sp
+	}
+	sp[j] = f
 }
 
 // Network binds a topology, a simulator, per-node applications and the
@@ -237,11 +298,15 @@ type Network struct {
 	apps      []App
 	api       []*NodeAPI
 	dead      []bool
-	linkScale []float64 // per-link degradation factors, parallel to Topo.links
+	linkScale []float64 // per-link degradation factors, parallel to Topo.links; nil while all are 1
 	burstLoss float64   // correlated burst-loss fraction (0: no burst window active)
-	txSeq     []uint32
-	nextOseq  []uint64 // per-origin canonical schedule counters
-	started   bool
+	// eff[li] is link li's effectiveQuality, parallel to Topo.links: the
+	// one array transmit, carrier sense, the collision fold and the ack
+	// read. Every control-plane call that changes an input rewrites it.
+	eff      []float64
+	txSeq    []uint32
+	nextOseq []uint64 // per-origin canonical schedule counters
+	started  bool
 
 	// The active fault windows (SetBlackout, SetPartition): at most one
 	// of each. faults holds their block bits, so the per-link check on a
@@ -263,20 +328,18 @@ type Network struct {
 // panics from now on.
 func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, params Params) *Network {
 	topo.freeze()
-	n := &Network{
-		Sim:       sim,
-		Topo:      topo,
-		Counters:  counters,
-		Params:    params,
-		apps:      make([]App, topo.N),
-		api:       make([]*NodeAPI, topo.N),
-		dead:      make([]bool, topo.N),
-		txSeq:     make([]uint32, topo.N),
-		nextOseq:  make([]uint64, topo.N),
-		linkScale: make([]float64, len(topo.links)),
+	return &Network{
+		Sim:      sim,
+		Topo:     topo,
+		Counters: counters,
+		Params:   params,
+		apps:     make([]App, topo.N),
+		api:      make([]*NodeAPI, topo.N),
+		dead:     make([]bool, topo.N),
+		txSeq:    make([]uint32, topo.N),
+		nextOseq: make([]uint64, topo.N),
+		eff:      make([]float64, len(topo.links)), // filled by Start
 	}
-	n.ScaleAllLinks(1)
-	return n
 }
 
 // SetRegions partitions the network into k parallel regions (DESIGN.md
@@ -418,6 +481,7 @@ func (n *Network) Start() {
 	if n.regs == nil {
 		n.buildRegions()
 	}
+	n.refreshAll()
 	nn := n.Topo.N
 	if len(n.regs) > 1 {
 		for _, reg := range n.regs {
@@ -454,6 +518,7 @@ func (n *Network) Run(until Time) {
 // (between events when serial, at barriers when parallel).
 func (n *Network) Kill(id NodeID) {
 	n.dead[id] = true
+	n.refreshInto(id)
 	n.Trace.Emit(trace.Event{Kind: trace.NodeDown, Node: uint16(id)})
 	if n.OnPurge == nil {
 		return
@@ -476,7 +541,10 @@ func (n *Network) Kill(id NodeID) {
 
 // Revive brings a dead node back (its protocol state is whatever the
 // app retained).
-func (n *Network) Revive(id NodeID) { n.dead[id] = false }
+func (n *Network) Revive(id NodeID) {
+	n.dead[id] = false
+	n.refreshInto(id)
+}
 
 // Restart revives a dead node and reboots its application from
 // scratch: the send queue is drained, pending timers and in-flight
@@ -487,6 +555,7 @@ func (n *Network) Revive(id NodeID) { n.dead[id] = false }
 // leaves timers dead.
 func (n *Network) Restart(id NodeID) {
 	n.dead[id] = false
+	n.refreshInto(id)
 	a := n.api[id]
 	if a == nil {
 		return
@@ -528,13 +597,31 @@ func (n *Network) Dead(id NodeID) bool { return n.dead[id] }
 // A pair with no link has nothing to scale: the call is a no-op.
 func (n *Network) ScaleLink(src, dst NodeID, f float64) {
 	if li := n.Topo.linkIndex(src, dst); li >= 0 {
+		if n.linkScale == nil {
+			n.fillScale(1)
+		}
 		n.linkScale[li] = f
+		n.eff[li] = n.effectiveQuality(li, src, dst)
 	}
 }
 
 // ScaleAllLinks applies ScaleLink to every directed link, modelling a
 // network-wide interference epoch.
 func (n *Network) ScaleAllLinks(f float64) {
+	if f == 1 {
+		n.linkScale = nil
+	} else {
+		n.fillScale(f)
+	}
+	n.refreshAll()
+}
+
+// fillScale sets every link's factor to f. Only a network that scales
+// a link to other than 1 holds the array.
+func (n *Network) fillScale(f float64) {
+	if n.linkScale == nil {
+		n.linkScale = make([]float64, len(n.Topo.links))
+	}
 	for i := range n.linkScale {
 		n.linkScale[i] = f
 	}
@@ -581,6 +668,7 @@ func (n *Network) blocked(src, dst NodeID) uint8 {
 func (n *Network) SetBlackout(lo, hi NodeID, on bool) {
 	n.blackLo, n.blackHi = lo, hi
 	n.setFault(blockBlackout, on)
+	n.refreshAll()
 }
 
 // SetPartition switches a network partition on or off: every directed
@@ -590,6 +678,7 @@ func (n *Network) SetBlackout(lo, hi NodeID, on bool) {
 func (n *Network) SetPartition(boundary NodeID, on bool) {
 	n.partitionBoundary = boundary
 	n.setFault(blockPartition, on)
+	n.refreshAll()
 }
 
 // SetBurst sets the correlated burst-loss fraction: while f > 0, every
@@ -605,6 +694,7 @@ func (n *Network) SetBurst(f float64) {
 		f = 1
 	}
 	n.burstLoss = f
+	n.refreshAll()
 }
 
 // dropCause classifies a retry-exhaustion drop on the path src→dst: a
@@ -626,13 +716,20 @@ func (n *Network) dropCause(src, dst NodeID) metrics.DropCause {
 	return metrics.DropRetries
 }
 
-// linkQuality returns the effective delivery probability now over link
-// li, which runs src→dst.
-func (n *Network) linkQuality(li int32, src, dst NodeID) float64 {
-	if n.faults != 0 && n.blocked(src, dst) != 0 {
+// effectiveQuality returns the delivery probability of link li, which
+// runs src→dst, under the current control-plane state: 0 into a dead
+// or app-less node and across an active fault window, otherwise the
+// link's quality scaled by linkScale and the burst loss, clamped to
+// [0,1]. A 0 link loses its frame before the per-link draw, so the
+// sender's substream advances identically whatever the state elsewhere.
+func (n *Network) effectiveQuality(li int32, src, dst NodeID) float64 {
+	if n.dead[dst] || n.apps[dst] == nil || n.faults != 0 && n.blocked(src, dst) != 0 {
 		return 0
 	}
-	q := n.Topo.links[li].Quality * n.linkScale[li]
+	q := n.Topo.links[li].Quality
+	if n.linkScale != nil {
+		q *= n.linkScale[li]
+	}
 	if n.burstLoss > 0 {
 		q *= 1 - n.burstLoss
 	}
@@ -645,10 +742,41 @@ func (n *Network) linkQuality(li int32, src, dst NodeID) float64 {
 	return q
 }
 
+// refreshAll recomputes every link's effective quality. Before Start
+// it has nothing to do: Start fills the array.
+func (n *Network) refreshAll() {
+	if !n.started {
+		return
+	}
+	for src := NodeID(0); int(src) < n.Topo.N; src++ {
+		base := n.Topo.linkBase[src]
+		for k, lk := range n.Topo.OutLinks(src) {
+			li := base + int32(k)
+			n.eff[li] = n.effectiveQuality(li, src, lk.Dst)
+		}
+	}
+}
+
+// refreshInto recomputes the effective quality of every link into id
+// (once Start has filled the array).
+func (n *Network) refreshInto(id NodeID) {
+	if !n.started {
+		return
+	}
+	for src := NodeID(0); int(src) < n.Topo.N; src++ {
+		if li := n.Topo.linkIndex(src, id); li >= 0 {
+			n.eff[li] = n.effectiveQuality(li, src, id)
+		}
+	}
+}
+
 func (n *Network) txDuration(size int) Time {
 	d := n.Params.TxOverhead + Time(float64(size*8)/n.Params.BitsPerMs)
 	if d < Millisecond {
 		d = Millisecond
+	}
+	if d > math.MaxUint16 { // audible.air
+		panic(fmt.Sprintf("netsim: a %d-byte frame's airtime %d ms exceeds %d ms", size, d, math.MaxUint16))
 	}
 	return d
 }
@@ -677,9 +805,16 @@ func visible(start, floor Time) bool { return start < floor }
 // radios detect energy from transmissions too weak to decode.
 func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 	floor := gridFloor(now, n.window)
-	for _, tx := range reg.audibleAt(id) {
-		if visible(tx.start, floor) && tx.end > now && tx.src != id &&
-			n.linkQuality(tx.li, tx.src, id) > 0.08 {
+	inline, spilled := reg.audibleAt(id)
+	return n.anyBusy(inline, floor, now) || n.anyBusy(spilled, floor, now)
+}
+
+// anyBusy is channelBusyAt over one part of an audible list. A node is
+// never in its own list: a frame is heard only at its sender's
+// out-link neighbours.
+func (n *Network) anyBusy(frames []audible, floor, now Time) bool {
+	for _, tx := range frames {
+		if visible(tx.start, floor) && tx.end() > now && n.eff[tx.li] > 0.08 {
 			return true
 		}
 	}
@@ -715,22 +850,23 @@ func (n *Network) collided(reg *regionState, rng *rand.Rand, qs float64, src, ds
 // interferersAt returns, in (src, start) order, the visible frames
 // audible at dst that overlap a frame from src starting at start and
 // are strong enough to destroy it; qs is the effective quality of the
-// link src→dst the frame arrives over. The result aliases reg.scratch.
+// link src→dst the frame arrives over. dst's own frames are never in
+// its list (anyBusy). The result aliases reg.scratch.
 func (n *Network) interferersAt(reg *regionState, qs float64, src, dst NodeID, start Time) []interferer {
 	floor := gridFloor(start, n.window)
 	sc := reg.scratch[:0]
-	for _, tx := range reg.audibleAt(dst) {
-		if tx.src == src || tx.src == dst {
-			continue
+	inline, spilled := reg.audibleAt(dst)
+	for _, frames := range [2][]audible{inline, spilled} {
+		for _, tx := range frames {
+			if tx.src == src || !visible(tx.start, floor) || tx.end() <= start {
+				continue
+			}
+			qi := n.eff[tx.li]
+			if qi <= 0.1 || qs >= 2*qi {
+				continue // captured: interferer too weak to matter
+			}
+			sc = append(sc, interferer{src: tx.src, start: tx.start, qi: qi})
 		}
-		if !visible(tx.start, floor) || tx.end <= start {
-			continue
-		}
-		qi := n.linkQuality(tx.li, tx.src, dst)
-		if qi <= 0.1 || qs >= 2*qi {
-			continue // captured: interferer too weak to matter
-		}
-		sc = append(sc, interferer{src: tx.src, start: tx.start, qi: qi})
 	}
 	if cap(sc) > cap(reg.scratch) { // grown: keep the new array
 		reg.scratch = sc[:0]
@@ -895,24 +1031,7 @@ func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 		// it before resolving it is safe: a frame never interferes with
 		// itself and nothing is visible before the next grid point.
 		reg.hear(dst, li, tx, now)
-		j := int(dst)
-		if n.dead[j] || n.apps[j] == nil {
-			continue
-		}
-		if n.faults != 0 && n.blocked(src, dst) != 0 {
-			// Fault-blocked link: the frame dies before the per-link
-			// draw, exactly like a q=0 link, so the sender's substream
-			// advances identically whether or not a window is active
-			// elsewhere.
-			continue
-		}
-		q := lk.Quality * n.linkScale[li]
-		if n.burstLoss > 0 {
-			q *= 1 - n.burstLoss
-		}
-		if q > 1 {
-			q = 1
-		}
+		q := n.eff[li]
 		if q <= 0 || a.rng.Float64() >= q {
 			continue
 		}
@@ -934,11 +1053,11 @@ func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 			// the shared key lets the trace merge restore slot order.
 			oseq = n.oseqNext(src)
 		}
-		if rd := n.RegionOf(dst); parallel && rd != reg.id {
+		if parallel && n.RegionOf(dst) != reg.id {
 			if rc != nil {
 				rc.refs().pinned = true
 			}
-			reg.addOutSlot(int32(rd), tx.end, src, oseq, p, slot)
+			reg.addOutSlot(int32(n.RegionOf(dst)), tx.end, src, oseq, p, slot)
 		} else {
 			if d == nil {
 				d = reg.newDelivery(n, p)
@@ -953,7 +1072,7 @@ func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 			// are short and more robust than data frames.
 			aq := 0.0
 			if rev := n.Topo.revLink[li]; rev >= 0 {
-				aq = n.linkQuality(rev, dst, src) * n.Params.AckQualityBonus
+				aq = n.eff[rev] * n.Params.AckQualityBonus
 			}
 			if aq > 1 {
 				aq = 1

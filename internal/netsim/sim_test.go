@@ -388,6 +388,27 @@ func TestPacketLayout(t *testing.T) {
 	}
 }
 
+// A receiver's audible list is one cache line: a frame costs each of
+// its receivers one line of radio state.
+func TestAudibleListLayout(t *testing.T) {
+	if got := unsafe.Sizeof(audibleList{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(audibleList{}) = %d, want 64", got)
+	}
+}
+
+// An audible frame keeps its airtime in 16 bits, so a frame longer
+// than math.MaxUint16 ms is refused where its airtime is computed.
+func TestAirtimeBound(t *testing.T) {
+	n := &Network{Params: DefaultParams()}
+	n.txDuration(300_000) // 62 s on the air: fits
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 67 s frame did not panic")
+		}
+	}()
+	n.txDuration(320_000)
+}
+
 // At stores the closure in the event's Task through funcTask; a func
 // value is pointer-shaped, so the conversion must not box. The heap
 // slice is warmed first so append does not grow inside the measurement.

@@ -5,17 +5,17 @@
 // descendants list used to route packets down the tree.
 //
 // Both bounded tables are small flat arrays maintained in place
-// (DESIGN.md §12): an Observe on the per-delivery hot path is a linear
-// scan of at most the capacity (32 in the paper's experiments), with
-// no hashing, no allocation and no rebuild-from-scratch — at 1000
-// nodes every delivered or snooped frame lands here, each on a
+// (DESIGN.md §12), with no map, no allocation and no
+// rebuild-from-scratch on the per-delivery hot path — at 1000 nodes
+// every delivered or snooped frame lands in Observe, each on a
 // different node, so the path is laid out by the cache lines it
-// fetches: the Tree holds the neighbor table by value beside its clock
-// and id, and past the Tree a snoop reads the 2-byte id array and the
-// line of one 16-byte entry.
+// fetches: the Tree holds the neighbor table by value beside its clock,
+// the table finds an id through its inline index, and past the Tree a
+// snoop reads the line of one 16-byte entry.
 package routing
 
 import (
+	"fmt"
 	"slices"
 
 	"scoop/internal/netsim"
@@ -55,27 +55,59 @@ func (s *neighborState) quality() float64 {
 
 // NeighborTable tracks the nodes a mote can hear, estimating per-link
 // quality from sequence-number gaps. Capacity is bounded (32 in the
-// paper's experiments); the stalest entry is evicted when full, and
-// entries not heard from for evictAfter are dropped, "thus adapting to
-// changes in network connectivity". Entries live in a flat bounded
-// slice in insertion order, compacted in place on eviction. The keys
-// sit in their own parallel array: the per-snoop lookup scans 2-byte
-// ids (one cache line at capacity 32), then touches the one line its
-// 16-byte entry is on.
+// paper's experiments, MaxNeighborCap at most); the stalest entry is
+// evicted when full, and entries not heard from for evictAfter are
+// dropped, "thus adapting to changes in network connectivity". Entries
+// live in a flat bounded slice in insertion order, compacted in place
+// on eviction, keyed by a parallel id array. The per-snoop lookup goes
+// through index, an open-addressing table inline in the struct: a hit
+// reads one slot, usually the first probed, and then the one line its
+// 16-byte entry is on. A removal rebuilds the index from the ids.
 type NeighborTable struct {
+	entries    []neighborState // cap(entries) is the table's capacity
+	index      [indexSlots]uint16
 	ids        []netsim.NodeID // ids[i] keys entries[i]
-	entries    []neighborState
-	cap        int
 	evictAfter netsim.Time
 }
 
-// NewNeighborTable returns a table bounded to capacity entries.
+// The id index of a NeighborTable: indexSlots slots, each 0 (empty) or
+// an id in its low idBits bits and the id's entry position + 1 above
+// them. Every node id fits idBits (the constant below fails to compile
+// otherwise), so a slot's id is the whole id and a hit needs no second
+// look at the id array; at most half the slots are in use, so a probe
+// ends within a few slots.
+const (
+	idBits     = 10
+	idMask     = 1<<idBits - 1
+	indexSlots = 64
+
+	// MaxNeighborCap is the largest capacity NewNeighborTable accepts:
+	// the index stays at most half full, and a position + 1 fits the
+	// 16 - idBits bits above the id.
+	MaxNeighborCap = indexSlots / 2
+)
+
+const _ = uint(1<<idBits - netsim.MaxNodes) // every node id fits a slot
+
+// homeSlot is the first slot probed for id (Fibonacci hashing: grid
+// neighbours' ids differ by the row length, which a low-bits mask
+// would map onto the same slots).
+func homeSlot(id netsim.NodeID) int { return int(uint32(id) * 0x9E3779B1 >> 26) }
+
+// NewNeighborTable returns a table bounded to capacity entries, which
+// must lie in [1, MaxNeighborCap].
 func NewNeighborTable(capacity int, evictAfter netsim.Time) *NeighborTable {
-	if capacity <= 0 {
-		panic("routing: non-positive neighbor table capacity")
+	t := new(NeighborTable)
+	t.init(capacity, evictAfter)
+	return t
+}
+
+// init builds an empty table in place (a Tree holds its table by value).
+func (t *NeighborTable) init(capacity int, evictAfter netsim.Time) {
+	if capacity <= 0 || capacity > MaxNeighborCap {
+		panic(fmt.Sprintf("routing: neighbor table capacity %d outside [1, %d]", capacity, MaxNeighborCap))
 	}
-	return &NeighborTable{
-		cap:        capacity,
+	*t = NeighborTable{
 		evictAfter: evictAfter,
 		ids:        make([]netsim.NodeID, 0, capacity),
 		entries:    make([]neighborState, 0, capacity),
@@ -83,16 +115,47 @@ func NewNeighborTable(capacity int, evictAfter netsim.Time) *NeighborTable {
 }
 
 // find returns the index of id's entry, or -1.
-func (t *NeighborTable) find(id netsim.NodeID) int { return slices.Index(t.ids, id) }
+func (t *NeighborTable) find(id netsim.NodeID) int {
+	for h := homeSlot(id); ; h = (h + 1) % indexSlots {
+		s := t.index[h]
+		if s == 0 {
+			return -1
+		}
+		if s&idMask == uint16(id) {
+			return int(s>>idBits) - 1
+		}
+	}
+}
+
+// indexAdd records that id's entry is at position i.
+func (t *NeighborTable) indexAdd(id netsim.NodeID, i int) {
+	if id > idMask {
+		panic(fmt.Sprintf("routing: neighbor id %d is not below netsim.MaxNodes", id))
+	}
+	h := homeSlot(id)
+	for t.index[h] != 0 {
+		h = (h + 1) % indexSlots
+	}
+	t.index[h] = uint16(i+1)<<idBits | uint16(id)
+}
+
+// reindex rebuilds the index after entries moved.
+func (t *NeighborTable) reindex() {
+	t.index = [indexSlots]uint16{}
+	for i, id := range t.ids {
+		t.indexAdd(id, i)
+	}
+}
 
 // Observe records that a packet with sequence number seq was heard from
 // id at time now.
 func (t *NeighborTable) Observe(id netsim.NodeID, seq uint32, now netsim.Time) {
 	i := t.find(id)
 	if i < 0 {
-		if len(t.entries) >= t.cap {
+		if len(t.entries) == cap(t.entries) {
 			t.evictStalest()
 		}
+		t.indexAdd(id, len(t.ids))
 		t.ids = append(t.ids, id)
 		t.entries = append(t.entries, neighborState{
 			lastSeq: seq, received: 1, lastHeard: now,
@@ -138,6 +201,7 @@ func (t *NeighborTable) evictStalest() {
 func (t *NeighborTable) remove(i int) {
 	t.ids = slices.Delete(t.ids, i, i+1)
 	t.entries = slices.Delete(t.entries, i, i+1)
+	t.reindex()
 }
 
 // Expire drops entries not heard from within the eviction window.
@@ -152,7 +216,10 @@ func (t *NeighborTable) Expire(now netsim.Time) {
 			k++
 		}
 	}
-	t.ids, t.entries = t.ids[:k], t.entries[:k]
+	if k < len(t.ids) {
+		t.ids, t.entries = t.ids[:k], t.entries[:k]
+		t.reindex()
+	}
 }
 
 // Quality returns the current link-quality estimate for id (0 when
@@ -171,7 +238,10 @@ func (t *NeighborTable) Contains(id netsim.NodeID) bool { return t.find(id) >= 0
 func (t *NeighborTable) Len() int { return len(t.entries) }
 
 // Clear forgets every neighbor, keeping the arrays for reuse.
-func (t *NeighborTable) Clear() { t.ids, t.entries = t.ids[:0], t.entries[:0] }
+func (t *NeighborTable) Clear() {
+	t.ids, t.entries = t.ids[:0], t.entries[:0]
+	t.index = [indexSlots]uint16{}
+}
 
 // best orders entries by descending quality, then ascending ID.
 func best(a, b NeighborInfo) bool {

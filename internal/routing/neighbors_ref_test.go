@@ -108,8 +108,9 @@ func (t *refNeighbors) best(n int) []NeighborInfo {
 // TestNeighborTableMatchesReferenceModel drives the 16-byte-entry table
 // and the int-field reference through the same in-order, duplicate,
 // reordered and long-gap sequence numbers, with evictions and expiries,
-// and holds every observable — Len, IDs, Quality, Best — bit-equal
-// after every step, and the packed counters to their bound.
+// and holds every observable — Len, IDs, Tracked, Contains, Quality,
+// Best — bit-equal after every step, and the packed counters to their
+// bound.
 func TestNeighborTableMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 48; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -167,9 +168,16 @@ func TestNeighborTableMatchesReferenceModel(t *testing.T) {
 			if !slices.Equal(nt.Tracked(), ref.ids) {
 				t.Fatalf("seed %d step %d: Tracked = %v, reference %v", seed, step, nt.Tracked(), ref.ids)
 			}
-			for _, id := range pool {
-				if got, want := nt.Quality(id), ref.quality(id); got != want {
-					t.Fatalf("seed %d step %d: Quality(%d) = %v, reference %v", seed, step, id, got, want)
+			// Every pool id, tracked or not, and ids never observed
+			// (pool ids are 1 mod 7): the index's misses as well as its hits.
+			for _, p := range pool {
+				for _, id := range []netsim.NodeID{p, p + 1} {
+					if got, want := nt.Contains(id), slices.Contains(ref.ids, id); got != want {
+						t.Fatalf("seed %d step %d: Contains(%d) = %v, reference %v", seed, step, id, got, want)
+					}
+					if got, want := nt.Quality(id), ref.quality(id); got != want {
+						t.Fatalf("seed %d step %d: Quality(%d) = %v, reference %v", seed, step, id, got, want)
+					}
 				}
 			}
 			for _, n := range []int{0, 3, 8, capacity + 2} {

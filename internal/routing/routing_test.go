@@ -228,7 +228,8 @@ type treeApp struct {
 const beaconTimer = 1
 
 func (a *treeApp) Init(api *netsim.NodeAPI) {
-	a.tree = NewTree(api, a.base, DefaultConfig())
+	a.tree = new(Tree)
+	a.tree.Init(api, a.base, DefaultConfig())
 	a.tree.Start(beaconTimer)
 }
 func (a *treeApp) Receive(p *netsim.Packet) { a.tree.Observe(p) }
@@ -384,13 +385,23 @@ func TestBaseNeverPicksParent(t *testing.T) {
 	}
 }
 
+// NewNeighborTable accepts capacities in [1, MaxNeighborCap], the bound
+// its inline id index sets, and DefaultConfig's 32 among them.
 func TestNewNeighborTablePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewNeighborTable(0, 0)
+	for _, capacity := range []int{0, MaxNeighborCap + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewNeighborTable(%d, 0) did not panic", capacity)
+				}
+			}()
+			NewNeighborTable(capacity, 0)
+		}()
+	}
+	if c := DefaultConfig().NeighborCap; c > MaxNeighborCap {
+		t.Fatalf("DefaultConfig().NeighborCap = %d exceeds MaxNeighborCap = %d", c, MaxNeighborCap)
+	}
+	NewNeighborTable(MaxNeighborCap, 0)
 }
 
 func TestNewDescendantSetPanics(t *testing.T) {
@@ -444,15 +455,20 @@ func TestCycleDetectionIgnoresForwardedTraffic(t *testing.T) {
 	}
 }
 
-// treeMeter is an App that measures the bytes NewTree allocates.
-type treeMeter struct{ bytes uint64 }
+// treeMeter is an App that measures the bytes a Tree and its Init
+// allocate. It keeps the Tree, so the struct itself is on the heap and
+// counted, as it is inside a node application.
+type treeMeter struct {
+	tree  *Tree
+	bytes uint64
+}
 
 func (m *treeMeter) Init(api *netsim.NodeAPI) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tree := NewTree(api, false, DefaultConfig())
+	m.tree = new(Tree)
+	m.tree.Init(api, false, DefaultConfig())
 	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(tree)
 	m.bytes = after.TotalAlloc - before.TotalAlloc
 }
 func (*treeMeter) Receive(*netsim.Packet) {}
@@ -463,11 +479,12 @@ func (*treeMeter) Timer(int)              {}
 // bytes in a 100-node network and a 4000-node one (DESIGN.md §12, "no
 // per-node state sized by the network"). On the parent commit this test
 // fails with 2 960 B against 38 816 B — outEst/outSet were
-// indexed by every node ID. The count itself is pinned: 1 776 B, down
-// from 2 272 B when a link-estimator entry was 32 bytes (the 32-entry
-// table is 512 B now, not 1 024) and the table an object of its own;
-// the beacon free list's header added 16 (its array comes with the
-// first recycled beacon).
+// indexed by every node ID. The count itself is pinned: 1 888 B, of
+// which the Tree struct is 352 (a 328-byte struct in its size class)
+// and the neighbor table's and descendant set's 32-entry arrays 512 B
+// each. It was 1 776 B before the table's 128-byte inline id index
+// (the struct was 240 B), and 2 272 B when a link-estimator entry was
+// 32 bytes and the table an object of its own.
 func TestTreeFootprintIndependentOfN(t *testing.T) {
 	newTreeBytes := func(n int) uint64 {
 		// No links and no constructor bound (netsim.MaxNodes).
@@ -486,10 +503,10 @@ func TestTreeFootprintIndependentOfN(t *testing.T) {
 	}
 	small, large := newTreeBytes(100), newTreeBytes(4000)
 	if small != large {
-		t.Fatalf("NewTree allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
+		t.Fatalf("a Tree allocates %d B in a 100-node network, %d B in a 4000-node one", small, large)
 	}
-	if small != 1776 {
-		t.Fatalf("NewTree allocates %d B, want 1776", small)
+	if small != 1888 {
+		t.Fatalf("a Tree allocates %d B, want 1888", small)
 	}
 }
 

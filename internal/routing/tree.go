@@ -61,27 +61,31 @@ func DefaultConfig() Config {
 }
 
 // Tree is the per-node routing-tree state machine. It is composed into
-// a node application: the application forwards heard beacons and timer
-// ticks, and consults the tree for parent/descendant/neighbor routing
-// decisions.
+// a node application by value, built in place by Init: the application
+// forwards heard beacons and timer ticks, and consults the tree for
+// parent/descendant/neighbor routing decisions.
 //
 // Observe runs for every frame the node hears, 4 300 times a virtual
 // second at N = 1000, so what it reads leads the struct: the node's
 // region clock (NodeAPI.Clock, final before any Init runs), the neighbor
-// table by value, and the node's id — a snoop never loads the NodeAPI
-// or a table header of its own.
+// table by value with its inline id index, and the node's id — a snoop
+// never loads the NodeAPI or a table header of its own, and an
+// application that holds the Tree as its first field puts all of it on
+// the application's first lines.
 type Tree struct {
 	clock     *netsim.Simulator
 	Neighbors NeighborTable
 	id        netsim.NodeID
 	isBase    bool
+	hops      uint8
+	parent    netsim.NodeID
 
 	api         *netsim.NodeAPI
-	cfg         Config
 	Descendants *DescendantSet
+	// The two Config fields the tree reads after Init.
+	beaconInterval netsim.Time
+	minQuality     float64
 
-	parent    netsim.NodeID
-	hops      uint8
 	etx       float64
 	round     uint32 // highest round seen (base: last round sent)
 	rebroadct uint32 // last round this node re-broadcast
@@ -99,27 +103,28 @@ type Tree struct {
 	beacons netsim.FreeList[Beacon]
 }
 
-// NewTree creates the routing state for one node. isBase marks the
-// tree root (node 0 in Scoop).
-func NewTree(api *netsim.NodeAPI, isBase bool, cfg Config) *Tree {
-	t := &Tree{
-		clock:       api.Clock(),
-		Neighbors:   *NewNeighborTable(cfg.NeighborCap, cfg.EvictAfter), // inlined: built in place, no table object
-		id:          api.ID(),
-		isBase:      isBase,
-		api:         api,
-		cfg:         cfg,
-		Descendants: NewDescendantSet(cfg.DescendantCap),
+// Init builds the routing state for one node in place, so a node
+// application holds its Tree by value. isBase marks the tree root
+// (node 0 in Scoop).
+func (t *Tree) Init(api *netsim.NodeAPI, isBase bool, cfg Config) {
+	*t = Tree{
+		clock:          api.Clock(),
+		id:             api.ID(),
+		isBase:         isBase,
+		api:            api,
+		Descendants:    NewDescendantSet(cfg.DescendantCap),
+		beaconInterval: cfg.BeaconInterval,
+		minQuality:     cfg.MinQuality,
 		// Who reports us is who hears us, about who we hear: start at
 		// the neighbor table's bound (and grow past it if need be).
 		outIDs: make([]netsim.NodeID, 0, cfg.NeighborCap),
 		outEst: make([]float64, 0, cfg.NeighborCap),
 	}
+	t.Neighbors.init(cfg.NeighborCap, cfg.EvictAfter)
 	t.Reset()
-	return t
 }
 
-// Reset returns the tree to the state NewTree built, in place: no
+// Reset returns the tree to the state Init built, in place: no
 // parent, no neighbours, descendants or outbound estimates, round 0 —
 // what a rebooted mote knows. The tables keep their arrays and the
 // beacon free list its beacons (allocation caches, not mote RAM); the
@@ -144,7 +149,7 @@ func (t *Tree) Start(timerID int) {
 		// Early first beacon so trees form during the warm-up period.
 		t.api.SetTimer(timerID, netsim.Time(1+t.api.RandIntn(200)))
 	} else {
-		t.api.SetTimer(timerID, t.cfg.BeaconInterval+netsim.Time(t.api.RandIntn(2000)))
+		t.api.SetTimer(timerID, t.beaconInterval+netsim.Time(t.api.RandIntn(2000)))
 	}
 }
 
@@ -157,7 +162,7 @@ func (t *Tree) OnTimer() {
 	if t.isBase {
 		t.round++
 		t.broadcastBeacon()
-		t.api.SetTimer(t.timerID, t.cfg.BeaconInterval)
+		t.api.SetTimer(t.timerID, t.beaconInterval)
 		return
 	}
 	t.Neighbors.Expire(t.clock.Now())
@@ -171,7 +176,7 @@ func (t *Tree) OnTimer() {
 		t.rebroadct = t.round
 		t.broadcastBeacon()
 	}
-	t.api.SetTimer(t.timerID, t.cfg.BeaconInterval+netsim.Time(t.api.RandIntn(2000)))
+	t.api.SetTimer(t.timerID, t.beaconInterval+netsim.Time(t.api.RandIntn(2000)))
 }
 
 func (t *Tree) broadcastBeacon() {
@@ -234,7 +239,7 @@ func (t *Tree) onBeacon(from netsim.NodeID, b *Beacon) {
 		t.round = b.Round
 	}
 	q := t.OutQuality(from)
-	if q < t.cfg.MinQuality {
+	if q < t.minQuality {
 		return
 	}
 	cand := b.ETX + 1.0/q
