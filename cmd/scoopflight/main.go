@@ -176,9 +176,7 @@ func run(args []string, out io.Writer) error {
 
 	if *windowF > 0 {
 		s := telemetry.NewSeries(windowMS(*windowF))
-		for _, e := range kept {
-			s.Record(e)
-		}
+		trace.Feed(kept, s)
 		return s.WriteTable(out)
 	}
 

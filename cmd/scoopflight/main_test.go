@@ -19,9 +19,7 @@ func writeTrace(t *testing.T, events []trace.Event) string {
 		t.Fatal(err)
 	}
 	sink := trace.NewJSONL(f)
-	for _, e := range events {
-		sink.Record(e)
-	}
+	trace.Feed(events, sink)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"scoop"
@@ -79,12 +80,17 @@ func main() {
 	fmt.Printf("alarm readings found: %d\n", res.Tuples)
 
 	suspects := map[int]int{}
+	var ids []int
 	for _, r := range res.Readings {
+		if suspects[r.Node] == 0 {
+			ids = append(ids, r.Node)
+		}
 		suspects[r.Node]++
 	}
+	slices.Sort(ids)
 	fmt.Println("machines with high-class vibration:")
-	for m, c := range suspects {
-		fmt.Printf("  machine %2d: %d readings carried back\n", m, c)
+	for _, m := range ids {
+		fmt.Printf("  machine %2d: %d readings carried back\n", m, suspects[m])
 	}
 	if _, ok := suspects[faulty1]; ok {
 		fmt.Printf("→ machine %d correctly flagged (chronic fault)\n", faulty1)

@@ -44,12 +44,14 @@ type frameLog struct {
 	frames  []transmission
 }
 
-func (l *frameLog) Record(e trace.Event) {
-	if e.Kind == trace.PacketSend {
-		start := Time(e.T)
-		l.frames = append(l.frames, transmission{src: NodeID(e.Node), start: start,
-			end: start + l.airtime(int(e.Size))})
-	}
+func (l *frameLog) Record(b *trace.Block) {
+	b.Each(func(e trace.Event) {
+		if e.Kind == trace.PacketSend {
+			start := Time(e.T)
+			l.frames = append(l.frames, transmission{src: NodeID(e.Node), start: start,
+				end: start + l.airtime(int(e.Size))})
+		}
+	})
 }
 func (l *frameLog) Close() error { return nil }
 

@@ -914,25 +914,25 @@ func (d *delivery) Run() {
 	n := d.net
 	reg := d.reg
 	tr := reg.trace
+	// Only the region engine's buffering recorders use the sub-slot.
+	sub := tr != nil && len(n.regs) > 1
 	for _, s := range d.recv {
 		if n.dead[s.dst] {
 			continue // died mid-air; misses the frame
 		}
-		if tr != nil {
+		if sub {
 			tr.SetSub(s.gi)
 		}
 		if s.addressee {
 			reg.counters.CountReceive(uint16(s.dst), d.p.Class, d.p.Size)
 			if tr != nil {
-				tr.Emit(trace.Event{Kind: trace.PacketRecv, Node: uint16(s.dst),
-					Peer: uint16(d.p.Src), Class: d.p.Class, Size: int32(d.p.Size)})
+				tr.Packet(trace.PacketRecv, uint16(s.dst), uint16(d.p.Src), d.p.Class, d.p.Size)
 			}
 			n.apps[s.dst].Receive(&d.p)
 		} else {
 			reg.counters.CountSnoop(uint16(s.dst), d.p.Size)
 			if tr != nil {
-				tr.Emit(trace.Event{Kind: trace.PacketSnoop, Node: uint16(s.dst),
-					Peer: uint16(d.p.Src), Class: d.p.Class, Size: int32(d.p.Size)})
+				tr.Packet(trace.PacketSnoop, uint16(s.dst), uint16(d.p.Src), d.p.Class, d.p.Size)
 			}
 			n.apps[s.dst].Snoop(&d.p)
 		}
@@ -1015,8 +1015,7 @@ func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 
 	reg.counters.CountSend(uint16(src), p.Class, p.Size)
 	if reg.trace != nil {
-		reg.trace.Emit(trace.Event{Kind: trace.PacketSend, Node: uint16(src),
-			Peer: uint16(p.Dst), Class: p.Class, Size: int32(p.Size)})
+		reg.trace.Packet(trace.PacketSend, uint16(src), uint16(p.Dst), p.Class, p.Size)
 	}
 
 	delivered := false

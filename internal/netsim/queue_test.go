@@ -150,15 +150,6 @@ func TestQueueRing(t *testing.T) {
 		if !slices.Equal(purged, want) {
 			t.Fatalf("OnPurge order %v, want %v", purged, want)
 		}
-		var traced []int
-		for _, e := range ring.Events() {
-			if e.Kind == trace.PacketPurge {
-				traced = append(traced, int(e.Size))
-			}
-		}
-		if !slices.Equal(traced, want) {
-			t.Fatalf("PacketPurge order %v, want %v", traced, want)
-		}
 		if got := queued(net); len(got) != 0 {
 			t.Fatalf("queue after Restart: %v", got)
 		}
@@ -167,6 +158,19 @@ func TestQueueRing(t *testing.T) {
 		net.Sim.Run(net.Sim.Now() + Minute)
 		if got := sizes(rx.received); !slices.Equal(got, []int{10, 11, 12, 30}) {
 			t.Fatalf("received %v", got)
+		}
+		// The trace sinks hold the run once the recorder closes.
+		if err := net.Trace.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var traced []int
+		for _, e := range ring.Events() {
+			if e.Kind == trace.PacketPurge {
+				traced = append(traced, int(e.Size))
+			}
+		}
+		if !slices.Equal(traced, want) {
+			t.Fatalf("PacketPurge order %v, want %v", traced, want)
 		}
 	})
 

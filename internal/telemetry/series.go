@@ -111,8 +111,11 @@ func (s *Series) window(t int64) *Window {
 	return &s.windows[idx]
 }
 
-// Record implements trace.Sink.
-func (s *Series) Record(e trace.Event) {
+// Record implements trace.Sink: fold every event of the block.
+func (s *Series) Record(b *trace.Block) { b.Each(s.add) }
+
+// add counts e in the window covering its timestamp.
+func (s *Series) add(e trace.Event) {
 	w := s.window(e.T)
 	switch e.Kind {
 	case trace.PacketSend:

@@ -8,12 +8,15 @@ import (
 	"scoop/internal/trace"
 )
 
+// fold hands events to s the way a Recorder does, a block at a time.
+func fold(s *Series, events ...trace.Event) { trace.Feed(events, s) }
+
 func TestSeriesBucketsByWindow(t *testing.T) {
 	s := NewSeries(1000)
-	s.Record(trace.Event{T: 10, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
-	s.Record(trace.Event{T: 900, Kind: trace.PacketRecv, Class: metrics.Data, Size: 30})
-	s.Record(trace.Event{T: 2500, Kind: trace.PacketSend, Class: metrics.Query, Size: 24})
-	s.Record(trace.Event{T: 2600, Kind: trace.PacketDrop, Cause: metrics.DropCollision})
+	fold(s, trace.Event{T: 10, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
+	fold(s, trace.Event{T: 900, Kind: trace.PacketRecv, Class: metrics.Data, Size: 30})
+	fold(s, trace.Event{T: 2500, Kind: trace.PacketSend, Class: metrics.Query, Size: 24})
+	fold(s, trace.Event{T: 2600, Kind: trace.PacketDrop, Cause: metrics.DropCollision})
 	ws := s.Windows()
 	if len(ws) != 3 {
 		t.Fatalf("windows = %d, want 3 (contiguous with gap filled)", len(ws))
@@ -37,13 +40,13 @@ func TestSeriesBucketsByWindow(t *testing.T) {
 
 func TestSeriesReadingAndReindexCounters(t *testing.T) {
 	s := NewSeries(60_000)
-	s.Record(trace.Event{T: 1, Kind: trace.ReadingSampled, Producer: 3, SampleT: 1})
-	s.Record(trace.Event{T: 2, Kind: trace.ReadingStored, Producer: 3, SampleT: 1})
-	s.Record(trace.Event{T: 3, Kind: trace.ReadingLost, Producer: 4, SampleT: 2})
-	s.Record(trace.Event{T: 4, Kind: trace.ReadingDelivered, Producer: 3, SampleT: 1})
-	s.Record(trace.Event{T: 5, Kind: trace.QueryIssued, ID: 1})
-	s.Record(trace.Event{T: 6, Kind: trace.QueryAnswered, ID: 1, Value: 2})
-	s.Record(trace.Event{T: 7, Kind: trace.ReindexEnd, Size: 100, Value: 17, Aux: 3})
+	fold(s, trace.Event{T: 1, Kind: trace.ReadingSampled, Producer: 3, SampleT: 1})
+	fold(s, trace.Event{T: 2, Kind: trace.ReadingStored, Producer: 3, SampleT: 1})
+	fold(s, trace.Event{T: 3, Kind: trace.ReadingLost, Producer: 4, SampleT: 2})
+	fold(s, trace.Event{T: 4, Kind: trace.ReadingDelivered, Producer: 3, SampleT: 1})
+	fold(s, trace.Event{T: 5, Kind: trace.QueryIssued, ID: 1})
+	fold(s, trace.Event{T: 6, Kind: trace.QueryAnswered, ID: 1, Value: 2})
+	fold(s, trace.Event{T: 7, Kind: trace.ReindexEnd, Size: 100, Value: 17, Aux: 3})
 	w := s.Windows()[0]
 	if w.Sampled != 1 || w.Stored != 1 || w.Lost != 1 || w.Delivered != 1 {
 		t.Fatalf("reading counters = %+v", w)
@@ -62,9 +65,9 @@ func TestDeliveryRate(t *testing.T) {
 	if w.DeliveryRate() != 0 {
 		t.Fatal("empty window rate must be 0")
 	}
-	s.Record(trace.Event{T: 0, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
-	s.Record(trace.Event{T: 1, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
-	s.Record(trace.Event{T: 2, Kind: trace.PacketRecv, Class: metrics.Data, Size: 30})
+	fold(s, trace.Event{T: 0, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
+	fold(s, trace.Event{T: 1, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
+	fold(s, trace.Event{T: 2, Kind: trace.PacketRecv, Class: metrics.Data, Size: 30})
 	if got := s.Windows()[0].DeliveryRate(); got != 0.5 {
 		t.Fatalf("rate = %v, want 0.5", got)
 	}
@@ -90,8 +93,8 @@ func TestSeriesAsRecorderSink(t *testing.T) {
 // boundary belongs to the later window.
 func TestSeriesWindowBoundary(t *testing.T) {
 	s := NewSeries(1000)
-	s.Record(trace.Event{T: 999, Kind: trace.PacketRecv})
-	s.Record(trace.Event{T: 1000, Kind: trace.PacketRecv}) // exactly on the edge
+	fold(s, trace.Event{T: 999, Kind: trace.PacketRecv})
+	fold(s, trace.Event{T: 1000, Kind: trace.PacketRecv}) // exactly on the edge
 	ws := s.Windows()
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d, want 2", len(ws))
@@ -104,7 +107,7 @@ func TestSeriesWindowBoundary(t *testing.T) {
 	}
 	// Negative timestamps clamp into the first window rather than
 	// panicking or growing backwards.
-	s.Record(trace.Event{T: -5, Kind: trace.PacketRecv})
+	fold(s, trace.Event{T: -5, Kind: trace.PacketRecv})
 	if got := s.Windows()[0].Received; got != 2 {
 		t.Fatalf("negative-T event not clamped to window 0: %d", got)
 	}
@@ -115,8 +118,8 @@ func TestSeriesWindowBoundary(t *testing.T) {
 // [i*width, (i+1)*width).
 func TestSeriesEmptyIntermediateWindows(t *testing.T) {
 	s := NewSeries(500)
-	s.Record(trace.Event{T: 0, Kind: trace.PacketRecv})
-	s.Record(trace.Event{T: 2600, Kind: trace.PacketRecv})
+	fold(s, trace.Event{T: 0, Kind: trace.PacketRecv})
+	fold(s, trace.Event{T: 2600, Kind: trace.PacketRecv})
 	ws := s.Windows()
 	if len(ws) != 6 {
 		t.Fatalf("windows = %d, want 6", len(ws))
@@ -137,7 +140,7 @@ func TestSeriesEmptyIntermediateWindows(t *testing.T) {
 
 func TestWriteTable(t *testing.T) {
 	s := NewSeries(1000)
-	s.Record(trace.Event{T: 100, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
+	fold(s, trace.Event{T: 100, Kind: trace.PacketSend, Class: metrics.Data, Size: 30})
 	var sb strings.Builder
 	if err := s.WriteTable(&sb); err != nil {
 		t.Fatal(err)

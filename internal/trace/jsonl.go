@@ -6,7 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
+	"math/bits"
+	"slices"
 
 	"scoop/internal/metrics"
 )
@@ -16,86 +17,167 @@ import (
 // fully deterministic: fixed field order, integer values only, and
 // per-kind field presence (fields outside the kind's mask are
 // omitted), so identical event streams produce byte-identical output.
+// It is the JSONL sink's renderer applied to one event.
 func AppendJSON(b []byte, e Event) []byte {
-	b = append(b, `{"t":`...)
-	b = strconv.AppendInt(b, e.T, 10)
-	b = append(b, `,"kind":"`...)
-	b = append(b, e.Kind.String()...)
-	b = append(b, `","node":`...)
-	b = strconv.AppendInt(b, int64(e.Node), 10)
-	f := e.Kind.fields()
+	var r record
+	r.set(&e)
+	b = appendInt(append(b, `{"t":`...), e.T)
+	b = appendUint(append(b, kindHeads[r.kind]...), uint64(r.node))
+	return appendRest(b, r.kind.fields(), &r, &wide{sampleT: e.SampleT, value: e.Value, aux: e.Aux})
+}
+
+// Rendering tables: the fixed text that opens a kind's fields and the
+// quoted class and cause fields, each for every value a byte can hold,
+// and the integer formatter's digit pairs and powers of ten.
+var (
+	kindHeads   [256]string // `,"kind":"<name>","node":`
+	classFields [256]string // `,"class":"<name>"`
+	causeFields [256]string // `,"cause":"<name>"`
+	digitPairs  [200]byte   // "00" "01" … "99"
+	pow10       [20]uint64  // 10^i, up to the largest a uint64 holds
+)
+
+func init() {
+	for k := range kindHeads {
+		kindHeads[k] = `,"kind":"` + Kind(k).String() + `","node":`
+	}
+	for i := range classFields {
+		classFields[i] = `,"class":"` + metrics.Class(i).String() + `"`
+		causeFields[i] = `,"cause":"` + metrics.DropCause(i).String() + `"`
+	}
+	for i := 0; i < 100; i++ {
+		digitPairs[2*i], digitPairs[2*i+1] = '0'+byte(i/10), '0'+byte(i%10)
+	}
+	pow10[0] = 1
+	for i := 1; i < len(pow10); i++ {
+		pow10[i] = pow10[i-1] * 10
+	}
+}
+
+// maxLine bounds one rendered line, newline included: every field at
+// its longest (TestMaxLineBound).
+const maxLine = 320
+
+// fFrame is the fields a frame's per-receiver events share: an event
+// whose kind carries no others renders the same text after its node
+// for every receiver of one frame.
+const fFrame = fPeer | fClass | fCause | fSize
+
+// appendRest renders one compact event after its node — the fields in
+// its kind's mask f, then the closing brace — given its record and,
+// when its kind carries 64-bit quantities, its wide entry x.
+func appendRest(b []byte, f uint16, r *record, x *wide) []byte {
 	if f&fPeer != 0 {
 		b = append(b, `,"peer":`...)
-		b = strconv.AppendInt(b, int64(e.Peer), 10)
+		b = appendUint(b, uint64(r.peer))
 	}
 	if f&fClass != 0 {
-		b = append(b, `,"class":"`...)
-		b = append(b, e.Class.String()...)
-		b = append(b, '"')
+		b = append(b, classFields[r.class]...)
 	}
 	if f&fCause != 0 {
-		b = append(b, `,"cause":"`...)
-		b = append(b, e.Cause.String()...)
-		b = append(b, '"')
+		b = append(b, causeFields[r.cause]...)
 	}
 	if f&fFlag != 0 {
 		b = append(b, `,"flag":`...)
-		b = strconv.AppendInt(b, int64(e.Flag), 10)
+		b = appendUint(b, uint64(r.flag))
 	}
 	if f&fSize != 0 {
 		b = append(b, `,"size":`...)
-		b = strconv.AppendInt(b, int64(e.Size), 10)
+		b = appendInt(b, int64(r.size))
 	}
 	if f&fID != 0 {
 		b = append(b, `,"id":`...)
-		b = strconv.AppendInt(b, int64(e.ID), 10)
+		b = appendUint(b, uint64(r.id))
 	}
 	if f&fReading != 0 {
 		b = append(b, `,"producer":`...)
-		b = strconv.AppendInt(b, int64(e.Producer), 10)
+		b = appendUint(b, uint64(r.producer))
 		b = append(b, `,"samplet":`...)
-		b = strconv.AppendInt(b, e.SampleT, 10)
+		b = appendInt(b, x.sampleT)
 	}
 	if f&fValue != 0 {
 		b = append(b, `,"value":`...)
-		b = strconv.AppendInt(b, e.Value, 10)
+		b = appendInt(b, x.value)
 	}
 	if f&fAux != 0 {
 		b = append(b, `,"aux":`...)
-		b = strconv.AppendInt(b, e.Aux, 10)
+		b = appendInt(b, x.aux)
 	}
 	return append(b, '}')
 }
 
-// The JSONL sink hands events to its encoder in blocks of jsonlBlock,
-// out of a pool of jsonlPool blocks: one filling on the event loop,
-// the others queued for or being encoded, so the loop waits only when
-// the encoder is a whole pool behind.
-const (
-	jsonlBlock = 512
-	jsonlPool  = 3
-)
+// appendInt appends v in decimal, as strconv.AppendInt(b, v, 10) does.
+func appendInt(b []byte, v int64) []byte {
+	if v < 0 {
+		// -v wraps for math.MinInt64, and uint64 of the wrapped value is
+		// still its magnitude.
+		return appendUint(append(b, '-'), uint64(-v))
+	}
+	return appendUint(b, uint64(v))
+}
 
-// JSONL is a sink writing one JSON object per line. Record only copies
-// the event into a block; a full block goes to one encoder goroutine,
-// which formats and writes blocks strictly in the order they were
-// handed over, so the bytes are those of encoding every event inline.
-// The goroutine starts when the first block fills; a trace shorter
-// than a block is encoded by Close. Writes are buffered; Close flushes
-// and returns the first write error (later records are dropped).
+// appendUint appends u in decimal, two digits per division, written in
+// place at the end of b.
+func appendUint(b []byte, u uint64) []byte {
+	if u < 10 {
+		return append(b, '0'+byte(u))
+	}
+	if u < 100 {
+		return append(b, digitPairs[2*u], digitPairs[2*u+1])
+	}
+	if u < 1000 { // node ids and frame sizes
+		j := (u % 100) * 2
+		return append(b, '0'+byte(u/100), digitPairs[j], digitPairs[j+1])
+	}
+	// The digit count: bits.Len64(u)*1233>>12 is ⌊log10⌋ of u's leading
+	// power of two, one short of u's when u is at least the next power
+	// of ten.
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	l := len(b)
+	b = slices.Grow(b, n)[:l+n]
+	d := b[l:]
+	i := n
+	for u >= 100 {
+		q := u / 100
+		j := (u - q*100) * 2
+		i -= 2
+		d[i+1], d[i] = digitPairs[j+1], digitPairs[j]
+		u = q
+	}
+	if u >= 10 {
+		d[1], d[0] = digitPairs[2*u+1], digitPairs[2*u]
+	} else {
+		d[0] = '0' + byte(u)
+	}
+	return b
+}
+
+// jsonlPool is how many blocks the JSONL sink owns. Record copies each
+// hand-over into a free one, so the event loop waits only when the
+// encoder is a whole pool behind.
+const jsonlPool = 3
+
+// JSONL is a sink writing one JSON object per line. Record copies the
+// handed-over block into a block of the sink's own pool and passes it
+// to one encoder goroutine, which renders blocks strictly in the order
+// they were handed over, so the bytes are those of encoding every
+// event inline. The goroutine starts with the first block. Writes are
+// buffered; Close flushes and returns the first write error (later
+// blocks are dropped).
 type JSONL struct {
-	blk []Event // the block Record is filling
+	pool [jsonlPool]Block
 
-	full chan []Event // filled blocks, event loop → encoder; nil until started
-	free chan []Event // emptied blocks, encoder → event loop
-	done chan error   // the encoder's result, sent once it has drained full
+	full chan *Block // filled blocks, event loop → encoder; nil until started
+	free chan *Block // rendered blocks, encoder → event loop
+	done chan error  // the encoder's result, sent once it has drained full
 
 	closed bool
 	err    error
 
-	// Touched only by the encoder, or by Close when it never started.
-	w    *bufio.Writer
-	line []byte
+	w *bufio.Writer // touched only by the encoder, or by Close when it never started
 }
 
 // NewJSONL returns a JSONL sink over w. The writer belongs to the sink
@@ -103,42 +185,31 @@ type JSONL struct {
 // else may touch it before then. The caller retains ownership of any
 // underlying file: Close flushes but does not close it.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{
-		blk:  make([]Event, 0, jsonlBlock),
-		w:    bufio.NewWriter(w),
-		line: make([]byte, 0, 160),
-	}
+	return &JSONL{w: bufio.NewWriter(w)}
 }
 
-// Record implements Sink.
-func (s *JSONL) Record(e Event) {
-	s.blk = append(s.blk, e)
-	if len(s.blk) == jsonlBlock {
-		s.handoff()
-	}
-}
-
-// handoff sends the filled block to the encoder, starting it on the
-// first call, and takes an emptied block back.
-func (s *JSONL) handoff() {
+// Record implements Sink: b is copied into a free block of the pool,
+// which goes to the encoder.
+func (s *JSONL) Record(b *Block) {
 	if s.full == nil {
 		// Both channels hold every block of the pool, so neither side
 		// ever blocks on a send.
-		s.full = make(chan []Event, jsonlPool)
-		s.free = make(chan []Event, jsonlPool)
+		s.full = make(chan *Block, jsonlPool)
+		s.free = make(chan *Block, jsonlPool)
 		s.done = make(chan error, 1)
-		for i := 1; i < jsonlPool; i++ {
-			s.free <- make([]Event, 0, jsonlBlock)
+		for i := range s.pool {
+			s.free <- &s.pool[i]
 		}
 		//scoop:allow goroutine JSONL encoder: touches only the blocks it receives and the sink's writer, and a channel receive orders every handoff
 		go s.encode()
 	}
-	s.full <- s.blk
-	s.blk = <-s.free
+	c := <-s.free
+	c.copyFrom(b)
+	s.full <- c
 }
 
 // encode runs on the encoder goroutine until Close closes full. After
-// a write error it keeps returning blocks without encoding them, so
+// a write error it keeps returning blocks without rendering them, so
 // Record never waits on a failed writer.
 func (s *JSONL) encode() {
 	var err error
@@ -146,7 +217,7 @@ func (s *JSONL) encode() {
 		if err == nil {
 			err = s.write(blk)
 		}
-		s.free <- blk[:0]
+		s.free <- blk
 	}
 	if err == nil {
 		err = s.w.Flush()
@@ -154,33 +225,70 @@ func (s *JSONL) encode() {
 	s.done <- err
 }
 
-// write encodes blk one line at a time into the buffered writer.
-func (s *JSONL) write(blk []Event) error {
-	for _, e := range blk {
-		s.line = AppendJSON(s.line[:0], e)
-		s.line = append(s.line, '\n')
-		if _, err := s.w.Write(s.line); err != nil {
-			return err
-		}
-	}
-	return nil
+// frameKey is what the text after the node depends on for the kinds
+// whose fields are all in fFrame.
+type frameKey struct {
+	f     uint16
+	peer  uint16
+	class metrics.Class
+	cause metrics.DropCause
+	size  int32
 }
 
-// Close implements Sink: hand over the last partial block, wait for
-// the encoder to write and flush everything, and report the first
-// error seen. The encoder goroutine has finished when Close returns;
-// a second Close returns the same error.
+// write renders blk line by line straight into the buffered writer's
+// free space, flushing it whenever a longest line might not fit. A
+// frame's events share their timestamp, and its deliveries everything
+// after the node, so each of those two parts is rendered again only
+// when it changes.
+func (s *JSONL) write(blk *Block) error {
+	buf := s.w.AvailableBuffer()
+	var hb [32]byte
+	head, ht := hb[:0], int64(0)
+	var tb [80]byte // the longest tail: every fFrame field at its longest
+	tail, tk := tb[:0], frameKey{}
+	w := 0
+	for i := range blk.recs[:blk.n] {
+		if cap(buf)-len(buf) < maxLine {
+			if _, err := s.w.Write(buf); err != nil {
+				return err
+			}
+			if err := s.w.Flush(); err != nil {
+				return err
+			}
+			buf = s.w.AvailableBuffer()
+		}
+		r := &blk.recs[i]
+		x := blk.wideOf(r, &w)
+		if len(head) == 0 || r.t != ht {
+			head, ht = appendInt(append(hb[:0], `{"t":`...), r.t), r.t
+		}
+		buf = appendUint(append(append(buf, head...), kindHeads[r.kind]...), uint64(r.node))
+		f := r.kind.fields()
+		if f&^fFrame != 0 {
+			buf = append(appendRest(buf, f, r, x), '\n')
+			continue
+		}
+		if k := (frameKey{f, r.peer, r.class, r.cause, r.size}); len(tail) == 0 || k != tk {
+			tail, tk = append(appendRest(tb[:0], f, r, nil), '\n'), k
+		}
+		buf = append(buf, tail...)
+	}
+	_, err := s.w.Write(buf)
+	return err
+}
+
+// Close implements Sink: wait for the encoder to render and flush
+// every block handed over, and report the first error seen. The
+// encoder goroutine has finished when Close returns; a second Close
+// returns the same error.
 func (s *JSONL) Close() error {
 	if s.closed {
 		return s.err
 	}
 	s.closed = true
 	if s.full == nil {
-		if s.err = s.write(s.blk); s.err == nil {
-			s.err = s.w.Flush()
-		}
+		s.err = s.w.Flush()
 	} else {
-		s.full <- s.blk
 		close(s.full)
 		s.err = <-s.done
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -53,11 +54,139 @@ func extremeEvents(n int) []Event {
 	return evs
 }
 
-// The sink's output must be exactly the inline encoding, line after
-// line, whether the stream ends before, on or after a block boundary
-// and whether the encoder shares one thread with the loop or not.
+// appendJSONRef is a plain strconv-based encoder of the JSONL format,
+// the oracle the table-driven renderer is held to byte for byte.
+func appendJSONRef(b []byte, e Event) []byte {
+	b = append(b, `{"t":`...)
+	b = strconv.AppendInt(b, e.T, 10)
+	b = append(b, `,"kind":"`...)
+	b = append(b, e.Kind.String()...)
+	b = append(b, `","node":`...)
+	b = strconv.AppendInt(b, int64(e.Node), 10)
+	f := e.Kind.fields()
+	if f&fPeer != 0 {
+		b = append(b, `,"peer":`...)
+		b = strconv.AppendInt(b, int64(e.Peer), 10)
+	}
+	if f&fClass != 0 {
+		b = append(b, `,"class":"`...)
+		b = append(b, e.Class.String()...)
+		b = append(b, '"')
+	}
+	if f&fCause != 0 {
+		b = append(b, `,"cause":"`...)
+		b = append(b, e.Cause.String()...)
+		b = append(b, '"')
+	}
+	if f&fFlag != 0 {
+		b = append(b, `,"flag":`...)
+		b = strconv.AppendInt(b, int64(e.Flag), 10)
+	}
+	if f&fSize != 0 {
+		b = append(b, `,"size":`...)
+		b = strconv.AppendInt(b, int64(e.Size), 10)
+	}
+	if f&fID != 0 {
+		b = append(b, `,"id":`...)
+		b = strconv.AppendInt(b, int64(e.ID), 10)
+	}
+	if f&fReading != 0 {
+		b = append(b, `,"producer":`...)
+		b = strconv.AppendInt(b, int64(e.Producer), 10)
+		b = append(b, `,"samplet":`...)
+		b = strconv.AppendInt(b, e.SampleT, 10)
+	}
+	if f&fValue != 0 {
+		b = append(b, `,"value":`...)
+		b = strconv.AppendInt(b, e.Value, 10)
+	}
+	if f&fAux != 0 {
+		b = append(b, `,"aux":`...)
+		b = strconv.AppendInt(b, e.Aux, 10)
+	}
+	return append(b, '}')
+}
+
+// FuzzAppendJSON holds the renderer to the reference encoder for any
+// event, alone through AppendJSON and inside a block through the JSONL
+// sink's writer.
+func FuzzAppendJSON(f *testing.F) {
+	extremes := []struct {
+		i64 int64
+		u16 uint16
+		i32 int32
+	}{{0, 0, 0}, {math.MaxInt64, math.MaxUint16, math.MaxInt32}, {math.MinInt64, 1, math.MinInt32}, {-1, 9, -1}, {-615001, 10, 100}}
+	for k := 0; k < int(numKinds)+2; k++ {
+		for i, x := range extremes {
+			c := uint8(i + k)
+			f.Add(x.i64, uint8(k), x.u16, x.u16, c, c, c, x.i32, x.u16, x.u16, x.i64, x.i64, x.i64)
+		}
+	}
+	f.Fuzz(func(t *testing.T, tm int64, kind uint8, node, peer uint16, class, cause, flag uint8,
+		size int32, id, producer uint16, sampleT, value, aux int64) {
+		e := Event{T: tm, Kind: Kind(kind), Node: node, Peer: peer, Class: metrics.Class(class),
+			Cause: metrics.DropCause(cause), Flag: flag, Size: size, ID: id, Producer: producer,
+			SampleT: sampleT, Value: value, Aux: aux}
+		want := appendJSONRef(nil, e)
+		if got := AppendJSON(nil, e); !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON(%+v)\n got %s\nwant %s", e, got, want)
+		}
+		// Behind an event with wide fields, so the block's wide cursor is
+		// mid-way; again on another node, where a frame's events reuse
+		// the text after the node; then with another peer, where they
+		// must not.
+		again, other := e, e
+		again.Node++
+		other.Peer++
+		evs := []Event{{Kind: ReadingSampled, Value: 1}, e, again, other, {Kind: NodeDown}}
+		var blk Block
+		for i := range evs {
+			blk.add(&evs[i])
+		}
+		var buf bytes.Buffer
+		s := NewJSONL(&buf)
+		if err := s.write(&blk); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+		if len(lines) != len(evs) {
+			t.Fatalf("block of %d events rendered %d lines", len(evs), len(lines))
+		}
+		for i, ev := range evs {
+			if want := appendJSONRef(nil, ev); !bytes.Equal(lines[i], want) {
+				t.Fatalf("block line %d of %+v\n got %s\nwant %s", i, e, lines[i], want)
+			}
+		}
+	})
+}
+
+// maxLine must bound every line the renderer can produce, or the
+// encoder would render past the writer's free space.
+func TestMaxLineBound(t *testing.T) {
+	longest := 0
+	for k := 0; k < 256; k++ {
+		for c := 0; c < 256; c++ {
+			e := Event{T: math.MinInt64, Kind: Kind(k), Node: math.MaxUint16, Peer: math.MaxUint16,
+				Class: metrics.Class(c), Cause: metrics.DropCause(c), Flag: math.MaxUint8,
+				Size: math.MinInt32, ID: math.MaxUint16, Producer: math.MaxUint16,
+				SampleT: math.MinInt64, Value: math.MinInt64, Aux: math.MinInt64}
+			longest = max(longest, len(AppendJSON(nil, e))+1)
+		}
+	}
+	if longest > maxLine {
+		t.Fatalf("longest line is %d bytes, maxLine %d", longest, maxLine)
+	}
+}
+
+// The sink's output must be exactly the inline encoding — the reference
+// encoder applied event by event — whether the stream ends before, on
+// or after a block boundary and whether the encoder shares one thread
+// with the loop or not.
 func TestJSONLMatchesInlineEncoding(t *testing.T) {
-	const b = jsonlBlock
+	const b = BlockSize
 	events := extremeEvents(3*b + 7)
 	for _, procs := range []int{1, 8} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
@@ -65,18 +194,16 @@ func TestJSONLMatchesInlineEncoding(t *testing.T) {
 			for _, n := range []int{0, 1, b - 1, b, b + 1, 3*b + 7} {
 				var want []byte
 				for _, e := range events[:n] {
-					want = append(AppendJSON(want, e), '\n')
+					want = append(appendJSONRef(want, e), '\n')
 				}
 				var got bytes.Buffer
 				s := NewJSONL(&got)
-				for _, e := range events[:n] {
-					s.Record(e)
-				}
+				Feed(events[:n], s)
 				if err := s.Close(); err != nil {
 					t.Fatalf("n=%d: Close: %v", n, err)
 				}
 				if !bytes.Equal(got.Bytes(), want) {
-					t.Fatalf("n=%d: sink wrote %d bytes, inline encoding is %d (first difference at byte %d)",
+					t.Fatalf("n=%d: sink wrote %d bytes, reference encoding is %d (first difference at byte %d)",
 						n, got.Len(), len(want), firstDiff(got.Bytes(), want))
 				}
 			}
@@ -125,23 +252,21 @@ func waitGoroutines(t *testing.T, base int) {
 
 func TestJSONLWriteErrorSurfaces(t *testing.T) {
 	errBoom := errors.New("boom")
-	events := extremeEvents(jsonlBlock)
+	events := extremeEvents(BlockSize)
 
 	t.Run("encoder", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		s := NewJSONL(&failAfter{n: 10_000, err: errBoom})
-		for _, e := range events {
-			s.Record(e)
-		}
+		Feed(events, s)
 		if s.full == nil {
-			t.Fatal("a full block started no encoder")
+			t.Fatal("a block started no encoder")
 		}
 		// Twenty more blocks, far past the failure: Record must keep
 		// getting its blocks back from the failed encoder.
 		recorded := make(chan struct{})
 		go func() {
-			for i := 0; i < 20*jsonlBlock; i++ {
-				s.Record(events[i%len(events)])
+			for i := 0; i < 20; i++ {
+				Feed(events, s)
 			}
 			close(recorded)
 		}()
@@ -158,20 +283,18 @@ func TestJSONLWriteErrorSurfaces(t *testing.T) {
 		waitGoroutines(t, base)
 	})
 
-	t.Run("inline", func(t *testing.T) {
+	// A short trace stays in the write buffer until the final flush,
+	// whose error Close must still report.
+	t.Run("final flush", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		s := NewJSONL(&failAfter{n: 100, err: errBoom})
-		for _, e := range events[:jsonlBlock-1] {
-			s.Record(e)
-		}
-		if s.full != nil || runtime.NumGoroutine() > base {
-			t.Fatal("a trace shorter than one block started the encoder")
-		}
+		Feed(events[:10], s)
 		for i := 0; i < 2; i++ {
 			if err := s.Close(); !errors.Is(err, errBoom) {
 				t.Fatalf("Close #%d = %v, want %v", i+1, err, errBoom)
 			}
 		}
+		waitGoroutines(t, base)
 	})
 }
 
@@ -180,12 +303,17 @@ func TestJSONLWriteErrorSurfaces(t *testing.T) {
 func TestJSONLEnabledEmitAllocsZero(t *testing.T) {
 	s := NewJSONL(io.Discard)
 	rec := New(fixedClock(), s)
-	e := Event{Kind: PacketRecv, Node: 4, Peer: 0, Class: metrics.Data, Size: 30}
-	for i := 0; i < 2*jsonlBlock; i++ {
+	e := Event{Kind: ReadingStored, Node: 4, Producer: 3, SampleT: 615000, Value: 30}
+	for i := 0; i < 2*BlockSize; i++ {
 		rec.Emit(e)
+		rec.Packet(PacketRecv, 4, 0, metrics.Data, 30)
 	}
-	if allocs := testing.AllocsPerRun(4*jsonlBlock, func() { rec.Emit(e) }); allocs != 0 {
-		t.Fatalf("JSONL-sink Emit allocates %v per op, want 0", allocs)
+	allocs := testing.AllocsPerRun(4*BlockSize, func() {
+		rec.Emit(e)
+		rec.Packet(PacketRecv, 4, 0, metrics.Data, 30)
+	})
+	if allocs != 0 {
+		t.Fatalf("JSONL-sink Emit and Packet allocate %v per op, want 0", allocs)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package trace is the simulator's flight recorder: a deterministic,
 // sim-time-only structured event layer threaded through the whole
 // stack (netsim, core, index, dynamics). Emission sites hand typed
-// Events to a per-run Recorder, which stamps the virtual clock and
-// fans them out to pluggable sinks — a bounded in-memory ring, a
-// deterministic JSONL writer, or a windowed telemetry aggregator.
+// Events to a per-run Recorder, which stamps the virtual clock, appends
+// them to a block of compact records and hands each filled block to
+// pluggable sinks — a bounded in-memory ring, a deterministic JSONL
+// writer, or a windowed telemetry aggregator.
 //
 // Determinism contract (DESIGN.md §16): every emission site runs on
 // the simulation's single event-loop goroutine, event fields are
@@ -16,7 +17,8 @@
 // Emit on a nil Recorder returns immediately and Events are passed by
 // value, so the disabled path does no allocation and no work beyond
 // one branch — cheap enough to leave emission sites in the hot path
-// unconditionally.
+// unconditionally. On an enabled Recorder an emission is one append
+// to the current block; the sinks run once per block.
 package trace
 
 import (
@@ -225,10 +227,14 @@ func (k Kind) CarriesReading() bool { return k.fields()&fReading != 0 }
 // class — the packet subset scoopflight's -class filter operates on.
 func (k Kind) CarriesClass() bool { return k.fields()&fClass != 0 }
 
-// Sink consumes recorded events. Record is called from the simulation
-// goroutine only; Close flushes and releases resources.
+// Sink consumes recorded events a block at a time. Record is called
+// from the simulation goroutine only, once per filled block and once
+// more at Close for the last partial one, so a sink sees nothing of a
+// block until the block is handed over. The block is valid only during
+// the call: a sink keeps what it needs by copying. Close flushes and
+// releases resources.
 type Sink interface {
-	Record(e Event)
+	Record(b *Block)
 	Close() error
 }
 
@@ -266,15 +272,17 @@ type family struct {
 	ctl  stampState  // shared stamp for control-plane events
 }
 
-// Recorder stamps events with the virtual clock and fans them out to
-// its sinks. One Recorder belongs to one simulation run (single
-// goroutine; not safe for concurrent use — but see Buffer/Fork, which
-// give each parallel region its own fork to emit through). The nil
-// Recorder is the disabled state: Emit returns immediately.
+// Recorder stamps events with the virtual clock, appends them to its
+// block and hands the block to its sinks whenever it fills. One
+// Recorder belongs to one simulation run (single goroutine; not safe
+// for concurrent use — but see Buffer/Fork, which give each parallel
+// region its own fork to emit through). The nil Recorder is the
+// disabled state: Emit returns immediately.
 type Recorder struct {
 	now   func() int64
 	sinks []Sink
 	prof  *prof.Profiler
+	blk   Block // the events not yet handed to the sinks
 
 	fam    *family // non-nil: stamped buffering mode (region-parallel)
 	buf    []stamped
@@ -288,9 +296,10 @@ func New(now func() int64, sinks ...Sink) *Recorder {
 	return &Recorder{now: now, sinks: sinks}
 }
 
-// SetProfiler attributes the wall time of Emit (stamping, sink
-// fan-out) to the trace-emit phase when a run is profiled. Safe
-// on a nil Recorder; a nil profiler detaches.
+// SetProfiler attributes the wall time of each block hand-over (the
+// sinks' Record calls) to the trace-emit phase when a run is profiled;
+// the appends between hand-overs stay with the phase that emits them.
+// Safe on a nil Recorder; a nil profiler detaches.
 func (r *Recorder) SetProfiler(p *prof.Profiler) {
 	if r != nil {
 		r.prof = p
@@ -361,14 +370,13 @@ func (r *Recorder) SetSub(sub int32) {
 	st.idx = 0
 }
 
-// Emit stamps e with the current virtual time and hands it to every
-// sink (or, in buffering mode, to the stamped merge buffer). Safe (and
+// Emit stamps e with the current virtual time and appends it to the
+// block (or, in buffering mode, to the stamped merge buffer). Safe (and
 // free) on a nil Recorder.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	prev := r.prof.Enter(prof.PhaseTraceEmit)
 	e.T = r.now()
 	if r.fam != nil {
 		st := &r.st
@@ -377,12 +385,50 @@ func (r *Recorder) Emit(e Event) {
 		}
 		r.buf = append(r.buf, stamped{st: *st, e: e})
 		st.idx++
-		r.prof.Exit(prev)
 		return
 	}
-	for _, s := range r.sinks {
-		s.Record(e)
+	r.put(&e)
+}
+
+// Packet is Emit for an event of kind k with only the packet fields
+// node, peer, class and size — PacketSend, PacketRecv and PacketSnoop,
+// the radio's per-frame events — appended without building an Event.
+func (r *Recorder) Packet(k Kind, node, peer uint16, class metrics.Class, size int) {
+	if r == nil {
+		return
 	}
+	if r.fam != nil || k.fields()&fWide != 0 {
+		r.Emit(Event{Kind: k, Node: node, Peer: peer, Class: class, Size: int32(size)})
+		return
+	}
+	b := &r.blk
+	rec := &b.recs[b.n]
+	rec.t, rec.kind, rec.class, rec.cause, rec.flag = r.now(), k, class, 0, 0
+	rec.node, rec.peer, rec.id, rec.producer, rec.size = node, peer, 0, 0, int32(size)
+	b.n++
+	if b.n == BlockSize {
+		r.flush()
+	}
+}
+
+// put appends e, timestamp included, and hands the block over once full.
+func (r *Recorder) put(e *Event) {
+	r.blk.add(e)
+	if r.blk.full() {
+		r.flush()
+	}
+}
+
+// flush hands the block to every sink and empties it.
+func (r *Recorder) flush() {
+	if r.blk.n == 0 {
+		return
+	}
+	prev := r.prof.Enter(prof.PhaseTraceEmit)
+	for _, s := range r.sinks {
+		s.Record(&r.blk)
+	}
+	r.blk.n, r.blk.nw = 0, 0
 	r.prof.Exit(prev)
 }
 
@@ -402,11 +448,12 @@ func stampedLess(a, b *stamped) bool {
 	return a.st.idx < b.st.idx
 }
 
-// Close closes every sink, returning the first error. In buffering
-// mode (the parent of a region-parallel family), it first merge-sorts
-// every member's buffered events into canonical order and replays them
-// through the sinks — producing the same sink byte stream as a serial
-// run. Fork children close nothing.
+// Close hands the last partial block to the sinks and closes them,
+// returning the first error. In buffering mode (the parent of a
+// region-parallel family), it first merge-sorts every member's buffered
+// events into canonical order and replays them through the block path
+// a serial run's events take — producing the same blocks, and so the
+// same sink byte stream, as a serial run. Fork children close nothing.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
@@ -426,11 +473,10 @@ func (r *Recorder) Close() error {
 		// order is total and K-independent.
 		sort.Slice(all, func(i, j int) bool { return stampedLess(&all[i], &all[j]) })
 		for i := range all {
-			for _, s := range r.sinks {
-				s.Record(all[i].e)
-			}
+			r.put(&all[i].e)
 		}
 	}
+	r.flush()
 	var first error
 	for _, s := range r.sinks {
 		if err := s.Close(); err != nil && first == nil {
@@ -440,9 +486,11 @@ func (r *Recorder) Close() error {
 	return first
 }
 
-// Ring is a bounded in-memory sink keeping the most recent events.
+// Ring is a bounded in-memory sink keeping the most recent events, in
+// the compact form blocks hold them in.
 type Ring struct {
-	buf   []Event
+	recs  []record
+	wide  []wide // wide[i] holds recs[i]'s 64-bit quantities, if its kind carries any
 	next  int
 	wrap  bool
 	total int64
@@ -453,22 +501,32 @@ func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{recs: make([]record, 0, capacity), wide: make([]wide, 0, capacity)}
 }
 
-// Record implements Sink.
-func (r *Ring) Record(e Event) {
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		return
+// Record implements Sink: keep every event of the block, overwriting
+// the oldest once the ring is full.
+func (r *Ring) Record(b *Block) {
+	w := 0
+	for i := range b.recs[:b.n] {
+		rec := &b.recs[i]
+		var x wide
+		if p := b.wideOf(rec, &w); p != nil {
+			x = *p
+		}
+		r.total++
+		if len(r.recs) < cap(r.recs) {
+			r.recs = append(r.recs, *rec)
+			r.wide = append(r.wide, x)
+			continue
+		}
+		r.recs[r.next], r.wide[r.next] = *rec, x
+		r.next++
+		if r.next == len(r.recs) {
+			r.next = 0
+		}
+		r.wrap = true
 	}
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-	r.wrap = true
 }
 
 // Close implements Sink.
@@ -480,10 +538,14 @@ func (r *Ring) Total() int64 { return r.total }
 
 // Events returns the retained events in emission order (a copy).
 func (r *Ring) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
+	out := make([]Event, len(r.recs))
+	start := 0
 	if r.wrap {
-		out = append(out, r.buf[r.next:]...)
-		return append(out, r.buf[:r.next]...)
+		start = r.next
 	}
-	return append(out, r.buf...)
+	for k := range out {
+		i := (start + k) % len(r.recs)
+		out[k] = r.recs[i].event(&r.wide[i])
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,6 +38,12 @@ func TestRecorderStampsAndFansOut(t *testing.T) {
 	rec := New(fixedClock(), a, b)
 	rec.Emit(Event{Kind: PacketSend, Node: 3, Peer: 1, Class: metrics.Data, Size: 30})
 	rec.Emit(Event{Kind: NodeDown, Node: 7})
+	if a.Total() != 0 {
+		t.Fatal("a sink saw events before their block was handed over")
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range []*Ring{a, b} {
 		evs := r.Events()
 		if len(evs) != 2 {
@@ -48,6 +55,51 @@ func TestRecorderStampsAndFansOut(t *testing.T) {
 		if evs[0].Kind != PacketSend || evs[1].Kind != NodeDown {
 			t.Fatal("event order wrong")
 		}
+	}
+}
+
+// blockLog records the length of every block handed to it.
+type blockLog struct{ lens []int }
+
+func (l *blockLog) Record(b *Block) { l.lens = append(l.lens, b.n) }
+func (l *blockLog) Close() error    { return nil }
+
+// Sinks get whole blocks only, the moment one fills, and the partial
+// tail at Close; Emit and Packet fill the same blocks. A block is full
+// at BlockSize events, or sooner at blockWide events with wide fields.
+func TestRecorderHandsOverWholeBlocks(t *testing.T) {
+	var l blockLog
+	rec := New(fixedClock(), &l)
+	for i := 0; i < 2*BlockSize+5; i++ {
+		if i%8 == 0 {
+			rec.Emit(Event{Kind: ReadingSampled, Node: 1, Producer: 1, Value: int64(i)})
+		} else {
+			rec.Packet(PacketSnoop, 2, 1, metrics.Beacon, 24)
+		}
+		if want := (i + 1) / BlockSize; len(l.lens) != want {
+			t.Fatalf("after %d events: %d blocks handed over, want %d", i+1, len(l.lens), want)
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{BlockSize, BlockSize, 5}; !slices.Equal(l.lens, want) {
+		t.Fatalf("block lengths %v, want %v", l.lens, want)
+	}
+	if err := rec.Close(); err != nil || len(l.lens) != 3 {
+		t.Fatalf("a second Close handed over %d more blocks (err %v)", len(l.lens)-3, err)
+	}
+
+	l.lens = nil
+	rec = New(fixedClock(), &l)
+	for i := 0; i < 2*blockWide+1; i++ {
+		rec.Emit(Event{Kind: QueryRetry, ID: 1, Value: 2, Aux: 3})
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{blockWide, blockWide, 1}; !slices.Equal(l.lens, want) {
+		t.Fatalf("wide-only block lengths %v, want %v", l.lens, want)
 	}
 }
 
@@ -83,7 +135,7 @@ func TestRingEnabledEmitAllocsZero(t *testing.T) {
 func TestRingWraps(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{Kind: PacketSend, Node: uint16(i)})
+		Feed([]Event{{Kind: PacketSend, Node: uint16(i)}}, r)
 	}
 	if r.Total() != 5 {
 		t.Fatalf("total = %d", r.Total())
@@ -129,7 +181,7 @@ func TestRingMultipleWrapsOverwriteOrder(t *testing.T) {
 	written := 0
 	for lap := 0; lap < 3; lap++ {
 		for k := 0; k < cap; k++ {
-			r.Record(Event{Kind: PacketSend, Node: uint16(written)})
+			Feed([]Event{{Kind: PacketSend, Node: uint16(written)}}, r)
 			written++
 			check(written) // covers every phase offset, incl. next == 0
 		}
