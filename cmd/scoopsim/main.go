@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -95,23 +96,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scoopsim:", err)
 		os.Exit(1)
 	}
+	report(os.Stdout, res)
+}
 
-	b, s := res.Breakdown, res.Stats
-	fmt.Printf("policy=%s source=%s topology=%s nodes=%d trials=%d\n",
-		cfg.Policy, cfg.Source, cfg.Topology, cfg.N, cfg.Trials)
-	fmt.Printf("messages (mean/trial): total=%.0f\n", b.Total())
-	fmt.Printf("  data=%.0f summary=%.0f mapping=%.0f query=%.0f reply=%.0f (beacons=%.0f)\n",
+// report prints the run's message breakdown and delivery statistics,
+// headed by the configuration that ran.
+func report(w io.Writer, res exp.Result) {
+	b, s, c := res.Breakdown, res.Stats, res.Config
+	fmt.Fprintf(w, "policy=%s source=%s topology=%s nodes=%d trials=%d\n",
+		c.Policy, c.Source, c.Topology, c.N, c.Trials)
+	fmt.Fprintf(w, "messages (mean/trial): total=%.0f\n", b.Total())
+	fmt.Fprintf(w, "  data=%.0f summary=%.0f mapping=%.0f query=%.0f reply=%.0f (beacons=%.0f)\n",
 		b.Data, b.Summary, b.Mapping, b.Query, b.Reply, b.Beacon)
 	if s.Produced > 0 {
-		fmt.Printf("data:   produced=%d stored=%d success=%.0f%% owner-hit=%.0f%%\n",
+		fmt.Fprintf(w, "data:   produced=%d stored=%d success=%.0f%% owner-hit=%.0f%%\n",
 			s.Produced, s.StoredUnique, 100*s.DataSuccessRate(), 100*s.OwnerHitRate())
 	}
 	if s.QueriesIssued > 0 {
-		fmt.Printf("query:  issued=%d tuples=%d reply-success=%.0f%%\n",
+		fmt.Fprintf(w, "query:  issued=%d tuples=%d reply-success=%.0f%%\n",
 			s.QueriesIssued, s.TuplesReturned, 100*s.QuerySuccessRate())
 	}
 	if s.IndexesBuilt > 0 {
-		fmt.Printf("index:  built=%d suppressed=%d\n", s.IndexesBuilt, s.IndexesSuppressed)
+		fmt.Fprintf(w, "index:  built=%d suppressed=%d\n", s.IndexesBuilt, s.IndexesSuppressed)
 	}
-	fmt.Printf("root:   sent=%.0f received=%.0f\n", res.RootSent, res.RootRecv)
+	fmt.Fprintf(w, "root:   sent=%.0f received=%.0f\n", res.RootSent, res.RootRecv)
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scoop/internal/exp"
@@ -42,5 +44,27 @@ func TestParseFlagsRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+}
+
+// The report heads with the trial count that ran: -trials 0 runs one
+// trial and says so, and a negative count is rejected before any run.
+func TestReportPrintsTrialsRun(t *testing.T) {
+	cfg, _, err := parseFlags([]string{"-nodes", "10", "-duration", "2m", "-warmup", "1m", "-trials", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	report(&out, res)
+	if head, _, _ := strings.Cut(out.String(), "\n"); !strings.HasSuffix(head, " trials=1") {
+		t.Fatalf("report head %q, want trials=1", head)
+	}
+	cfg.Trials = -3
+	if _, err := run(cfg, ""); err == nil {
+		t.Fatal("-trials -3 ran")
 	}
 }

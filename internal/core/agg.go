@@ -66,14 +66,14 @@ func (n *Node) scheduleOwnPartial(q *QueryMsg) {
 	e.wantOwn = true
 	e.q = q
 	hops := int(n.tree.Hops())
-	if hops > n.cfg.MaxHops {
+	if hops > maxHops {
 		hops = 1 // routeless nodes answer early; the reply drops anyway
 	}
 	// Deep nodes answer first so ancestors can combine; the wide
 	// random spread desynchronises siblings, whose simultaneous
 	// partials would otherwise collide like a reply storm.
-	hold := n.cfg.AggCombineWindow / netsim.Time(1+hops)
-	jitter := netsim.Time(50 + n.api.RandIntn(int(n.cfg.AggCombineWindow/2)))
+	hold := aggCombineWindow / netsim.Time(1+hops)
+	jitter := netsim.Time(50 + n.api.RandIntn(int(aggCombineWindow/2)))
 	e.dueOwn = n.api.Now() + hold + jitter
 	n.armAggFlush(e.dueOwn)
 }
@@ -89,7 +89,7 @@ func (n *Node) onAggPartial(m *AggReplyMsg, hops uint8) {
 }
 
 func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
-	if int(hops) > n.cfg.MaxHops {
+	if int(hops) > maxHops {
 		return
 	}
 	if n.seenAggParts.Seen(m.Node, aggPartKey(m.QueryID, m.Seq)) {
@@ -105,7 +105,7 @@ func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
 	n.stats.AggCombined++
 	n.cfg.Trace.Emit(trace.Event{Kind: trace.AggCombined, Node: uint16(n.api.ID()),
 		Peer: uint16(m.Node), ID: m.QueryID, Value: int64(e.contribs)})
-	n.armAggFlush(n.api.Now() + n.cfg.AggFlushDelay)
+	n.armAggFlush(n.api.Now() + aggFlushDelay)
 }
 
 // aggEntry returns (allocating if needed) the combine buffer for qid.
@@ -167,7 +167,7 @@ func (n *Node) flushAggNow() {
 			// The partial folds a whole subtree; hold it until the
 			// parent comes back rather than losing it.
 			e.retries++
-			retry := now + n.cfg.AggFlushDelay
+			retry := now + aggFlushDelay
 			if next == 0 || retry < next {
 				next = retry
 			}
@@ -281,7 +281,7 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 		Covered:           covered,
 		AvgDepth:          b.avgDepth(targets),
 		ExpTuples:         expTuples,
-		MaxTuplesPerReply: b.cfg.ReplyMaxReadings,
+		MaxTuplesPerReply: replyMaxReadings,
 		Est:               est,
 		ErrBudget:         q.ErrBudget,
 		Force:             b.cfg.AggForcePlan,

@@ -257,7 +257,7 @@ func TestAggPartialDedupAndTTL(t *testing.T) {
 	}
 	over := &AggReplyMsg{QueryID: 501, Node: 2, Seq: 0, Contribs: 1,
 		Part: query.Partial{Count: 1, Sum: 1}}
-	n1.onAggPartial(over, uint8(cfg.MaxHops+1))
+	n1.onAggPartial(over, uint8(maxHops+1))
 	if 501 < len(n1.aggPending) && n1.aggPending[501] != nil {
 		t.Fatal("over-TTL partial accepted")
 	}

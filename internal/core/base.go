@@ -155,8 +155,8 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.builder = index.Builder{Trace: b.cfg.Trace}
 	b.statsInput = make([]index.NodeStat, api.N())
 	b.profProb = make([]float64, b.cfg.DomainMax-b.cfg.DomainMin+1)
-	b.mapGos = trickle.New(api, timerMapping, b.cfg.MappingTrickle, b.sendChunk)
-	b.qGos = trickle.New(api, timerQuery, b.cfg.QueryTrickle, b.sendQuery)
+	b.mapGos = trickle.New(api, timerMapping, mappingTrickle, b.sendChunk)
+	b.qGos = trickle.New(api, timerQuery, queryTrickle, b.sendQuery)
 	if b.cfg.Preload != nil {
 		b.cur = b.cfg.Preload
 		if len(b.records) == 0 { // a restart keeps the history it has
@@ -164,7 +164,7 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 		}
 	}
 	b.tree.Start(timerTree)
-	if !b.cfg.DisableRemap {
+	if b.cfg.Preload == nil { // a preloaded index is never recomputed
 		// First remap one summary interval after sampling starts, so
 		// the first wave of statistics has arrived; then every
 		// RemapInterval. A restart mid-run realigns to the next remap
@@ -324,7 +324,7 @@ func (b *Base) onReply(m *ReplyMsg) {
 func (b *Base) LastQueryID() uint16 { return b.qidNext }
 
 // QueryResults returns the tuples collected so far for the query
-// (replies carry at most ReplyMaxReadings tuples each, so large result
+// (replies carry at most replyMaxReadings tuples each, so large result
 // sets are truncated per responding node, as on real motes).
 func (b *Base) QueryResults(qid uint16) []storage.Reading {
 	if int(qid) < len(b.pending) && b.pending[qid] != nil {
@@ -347,12 +347,7 @@ func (b *Base) remap() {
 	in := b.buildInput()
 	b.stats.IndexesBuilt++
 	id := b.nextID + 1
-	var ix *index.Index
-	if b.cfg.StoreLocalFallback {
-		ix = b.builder.ChooseIndex(id, &in)
-	} else {
-		ix = b.builder.Build(id, &in)
-	}
+	ix := b.builder.Build(id, &in)
 	bs := b.builder.LastStats()
 	b.stats.ReindexValues += int64(bs.Values)
 	b.stats.ReindexRecomputed += int64(bs.Recomputed)
@@ -361,7 +356,7 @@ func (b *Base) remap() {
 		b.stats.ReindexFull++
 	}
 	b.stats.ReindexWallNanos += bs.WallNanos
-	if b.cur != nil && index.Similarity(ix, b.cur) >= b.cfg.SimilaritySuppress {
+	if b.cur != nil && index.Similarity(ix, b.cur) >= similaritySuppress {
 		b.stats.IndexesSuppressed++
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.IndexSuppressed, Node: uint16(b.api.ID()), ID: id})
 		return
@@ -371,7 +366,7 @@ func (b *Base) remap() {
 	b.records = append(b.records, indexRecord{ix: ix, at: b.api.Now()})
 	// Replace the gossip set with the new generation's chunks.
 	dropChunks(&b.chunks, id, b.mapGos)
-	chunks := ix.Chunks(b.cfg.ChunkEntries)
+	chunks := ix.Chunks(chunkEntries)
 	for _, c := range chunks {
 		b.chunks.Insert(c)
 		b.mapGos.Add(mapKey(c.IndexID, c.Num))
@@ -438,8 +433,8 @@ func (b *Base) buildInput() index.BuildInput {
 // sliding window of recent queries (paper §5.5).
 func (b *Base) queryProfile() index.QueryProfile {
 	window := b.queryLog
-	if len(window) > b.cfg.QueryStatsWindow {
-		window = window[len(window)-b.cfg.QueryStatsWindow:]
+	if len(window) > queryStatsWindow {
+		window = window[len(window)-queryStatsWindow:]
 	}
 	for i := range b.profProb {
 		b.profProb[i] = 0
@@ -671,9 +666,6 @@ func (b *Base) rangeTargets(vlo, vhi int, tlo, thi netsim.Time) ([]netsim.NodeID
 // optimisation; the base never discards summaries). ok is false when
 // no summary covers the window.
 func (b *Base) QueryMax(t0, t1 netsim.Time) (int, bool) {
-	if !b.cfg.SummaryShortcut {
-		return 0, false
-	}
 	best, found := 0, false
 	for _, s := range b.history {
 		if s.SentAt < t0 || s.SentAt > t1 {

@@ -35,8 +35,10 @@ const (
 	timerRel      = 10 // base: earliest pending-query deadline (reliability layer)
 )
 
-// Config carries every protocol parameter. Defaults (DefaultConfig)
-// are the paper's experimental settings (§6 table and in-text values).
+// Config carries the protocol parameters a caller varies. Defaults
+// (DefaultConfig) are the paper's experimental settings (§6 table and
+// in-text values); the parameters the paper fixes are the constants
+// below.
 type Config struct {
 	// SampleInterval is the sensor sampling period (paper: 15 s).
 	SampleInterval netsim.Time
@@ -46,39 +48,11 @@ type Config struct {
 	// (paper: 240 s).
 	RemapInterval netsim.Time
 
-	// RecentBufSize is the recent-readings ring size (paper: 30).
-	RecentBufSize int
-	// DataBufCap bounds each node's Flash data buffer, in readings.
-	DataBufCap int
-	// NBins is the summary histogram resolution (paper: 10).
-	NBins int
-	// NeighborReport is how many best neighbors a summary carries
-	// (paper: 12).
-	NeighborReport int
 	// BatchSize is the max readings per data message (paper: 5).
 	BatchSize int
 	// BatchTimeout flushes a pending batch even without an owner
 	// change, so readings are not held arbitrarily long.
 	BatchTimeout netsim.Time
-	// MaxHops is the data-message TTL guarding against transient
-	// routing loops.
-	MaxHops int
-
-	// ChunkEntries is the number of index entries per mapping message.
-	ChunkEntries int
-	// SimilaritySuppress suppresses dissemination of a new index whose
-	// per-value agreement with the current one is at least this
-	// fraction (paper §5.3: suppress "if it is very similar").
-	SimilaritySuppress float64
-	// StoreLocalFallback enables the basestation's store-local cost
-	// comparison (paper §4). The paper's experiments disable it.
-	StoreLocalFallback bool
-	// NeighborShortcut enables routing rule 3 (direct send to a
-	// neighbor, bypassing the tree). On by default; ablation knob.
-	NeighborShortcut bool
-	// SummaryShortcut lets the basestation answer suitable aggregate
-	// queries straight from stored summaries (paper §5.5).
-	SummaryShortcut bool
 
 	// StatStaleAfter, when > 0, makes index construction ignore node
 	// summaries older than this: a dead or partitioned node stops
@@ -88,20 +62,6 @@ type Config struct {
 	// experiments set it to a few summary intervals.
 	StatStaleAfter netsim.Time
 
-	// ReplyMaxReadings caps readings carried in one reply message.
-	ReplyMaxReadings int
-	// QueryStatsWindow is how many recent queries feed the query
-	// profile used by index construction.
-	QueryStatsWindow int
-
-	// AggCombineWindow spreads the answer wave of an aggregate query:
-	// a targeted node at depth h computes its local partial after
-	// roughly AggCombineWindow/(1+h), so deep nodes answer first and
-	// their parents fold the partials in before forwarding.
-	AggCombineWindow netsim.Time
-	// AggFlushDelay is how long a node holds a freshly merged partial
-	// for further combining before flushing it toward the base.
-	AggFlushDelay netsim.Time
 	// AggForcePlan pins the aggregate planner's physical plan
 	// (ablation figures and tests); query.PlanAuto lets it choose.
 	AggForcePlan query.Plan
@@ -125,16 +85,13 @@ type Config struct {
 	QueryRetryMax int
 
 	// Preload, when non-nil, installs a fixed storage index on every
-	// node and the basestation at time zero and skips dissemination.
-	// The comparator policies are exactly this: LOCAL preloads a
-	// store-local index, BASE preloads an all-values→base index, and
-	// the simulated HASH extension preloads a static hash index.
+	// node and the basestation at time zero and makes the run a static
+	// comparator: no summaries, no index recomputation, no index
+	// dissemination. The comparator policies are exactly this: LOCAL
+	// preloads a store-local index, BASE preloads an all-values→base
+	// index, and the simulated HASH extension preloads a static hash
+	// index.
 	Preload *index.Index
-	// DisableSummaries turns off statistics reporting (comparator
-	// policies have no summaries).
-	DisableSummaries bool
-	// DisableRemap turns off periodic index recomputation.
-	DisableRemap bool
 	// RemapLimit, when > 0, stops scheduling index recomputations
 	// after that many have run. RemapLimit 1 builds the first index
 	// from post-warm-up statistics and then freezes it — the ablation
@@ -159,10 +116,6 @@ type Config struct {
 
 	// Tree configures the routing-tree substrate.
 	Tree routing.Config
-	// MappingTrickle configures mapping-chunk dissemination.
-	MappingTrickle trickle.Config
-	// QueryTrickle configures query dissemination.
-	QueryTrickle trickle.Config
 }
 
 // DefaultConfig returns the paper's experimental parameters for a
@@ -173,43 +126,74 @@ func DefaultConfig(lo, hi int) Config {
 		SummaryInterval: 110 * netsim.Second,
 		RemapInterval:   240 * netsim.Second,
 
-		RecentBufSize:  30,
-		DataBufCap:     4096,
-		NBins:          10,
-		NeighborReport: 12,
-		BatchSize:      5,
-		BatchTimeout:   120 * netsim.Second,
-		MaxHops:        32,
-
-		ChunkEntries:       6,
-		SimilaritySuppress: 0.90,
-		StoreLocalFallback: false,
-		NeighborShortcut:   true,
-		SummaryShortcut:    true,
-
-		ReplyMaxReadings: 20,
-		QueryStatsWindow: 100,
-
-		AggCombineWindow: 4 * netsim.Second,
-		AggFlushDelay:    700 * netsim.Millisecond,
+		BatchSize:    5,
+		BatchTimeout: 120 * netsim.Second,
 
 		DomainMin: lo,
 		DomainMax: hi,
 
-		Tree: routing.DefaultConfig(),
-		MappingTrickle: trickle.Config{
-			TauLow:    500 * netsim.Millisecond,
-			TauHigh:   16 * netsim.Second,
-			K:         1,
-			MaxRounds: 6,
-		},
-		QueryTrickle: trickle.Config{
-			TauLow:    200 * netsim.Millisecond,
-			TauHigh:   2 * netsim.Second,
-			K:         1,
-			MaxRounds: 4,
-		},
+		Tree: routing.Config{BeaconInterval: 10 * netsim.Second},
 	}
+}
+
+// The protocol parameters every run shares: the paper's values (§6
+// table and in-text) where it gives one, this reproduction's own for
+// the rest. No experiment varies them.
+const (
+	// recentBufSize is the recent-readings ring a summary describes
+	// (paper §6: 30 readings).
+	recentBufSize = 30
+	// dataBufCap bounds each node's Flash data buffer, in readings
+	// (paper §5.5: owners scan their Flash buffer to answer queries).
+	dataBufCap = 4096
+	// nBins is the summary histogram resolution (paper §6: 10 bins).
+	nBins = 10
+	// neighborReport is how many best neighbors a summary carries
+	// (paper §6: 12).
+	neighborReport = 12
+	// maxHops is the TTL guarding relayed data, summaries, replies and
+	// partials against transient routing loops during parent switches.
+	maxHops = 32
+	// chunkEntries is the number of index entries per mapping message
+	// (paper §5.3: an index travels as a handful of small chunks).
+	chunkEntries = 6
+	// similaritySuppress suppresses dissemination of a new index whose
+	// per-value agreement with the current one is at least this
+	// fraction (paper §5.3: suppress "if it is very similar").
+	similaritySuppress = 0.90
+	// replyMaxReadings caps the readings one reply message carries, so
+	// a reply fits one mote packet.
+	replyMaxReadings = 20
+	// queryStatsWindow is how many recent queries feed the query
+	// profile index construction uses (paper §5.5).
+	queryStatsWindow = 100
+	// aggCombineWindow spreads the answer wave of an aggregate query:
+	// a targeted node at depth h computes its local partial after
+	// roughly aggCombineWindow/(1+h), so deep nodes answer first and
+	// their parents fold the partials in before forwarding.
+	aggCombineWindow = 4 * netsim.Second
+	// aggFlushDelay is how long a node holds a freshly merged partial
+	// for further combining before flushing it toward the base.
+	aggFlushDelay = 700 * netsim.Millisecond
+)
+
+// mappingTrickle disseminates index chunks (paper §5.3): fast initial
+// spread, intervals doubling to 16 s, retired after six.
+var mappingTrickle = trickle.Config{
+	TauLow:    500 * netsim.Millisecond,
+	TauHigh:   16 * netsim.Second,
+	K:         1,
+	MaxRounds: 6,
+}
+
+// queryTrickle disseminates queries (paper §5.5's selective Trickle):
+// a query matters for seconds, so its intervals stop at 2 s and it
+// retires after four.
+var queryTrickle = trickle.Config{
+	TauLow:    200 * netsim.Millisecond,
+	TauHigh:   2 * netsim.Second,
+	K:         1,
+	MaxRounds: 4,
 }
 
 // ReadingProbe observes the life of every reading — production,

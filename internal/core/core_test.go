@@ -234,8 +234,6 @@ func TestQueryBeforeFirstIndexTargetsEveryone(t *testing.T) {
 func TestPreloadedLocalIndexFloodsQueries(t *testing.T) {
 	cfg := testConfig()
 	cfg.Preload = index.NewLocal(1)
-	cfg.DisableSummaries = true
-	cfg.DisableRemap = true
 	tn := newTestNet(t, meshTopo(5, 0.95), cfg, nil, 8)
 	tn.sim.Run(6 * netsim.Minute)
 	// All data stays local.
@@ -257,8 +255,6 @@ func TestPreloadedBaseIndexSendsAllToBase(t *testing.T) {
 	cfg := testConfig()
 	owners := make([]netsim.NodeID, 21)
 	cfg.Preload = index.New(1, 0, owners)
-	cfg.DisableSummaries = true
-	cfg.DisableRemap = true
 	cfg.BatchSize = 1
 	tn := newTestNet(t, chainTopo(4, 0.95), cfg, nil, 9)
 	tn.sim.Run(8 * netsim.Minute)
@@ -284,8 +280,6 @@ func TestAnswerFromStoreNodeFilter(t *testing.T) {
 	cfg := testConfig()
 	owners := make([]netsim.NodeID, 21)
 	cfg.Preload = index.New(1, 0, owners)
-	cfg.DisableSummaries = true
-	cfg.DisableRemap = true
 	cfg.BatchSize = 1
 	tn := newTestNet(t, meshTopo(4, 0.95), cfg, nil, 10)
 	tn.sim.Run(8 * netsim.Minute)
@@ -323,24 +317,12 @@ func TestQueryMaxFromSummaries(t *testing.T) {
 	}
 }
 
-func TestSummaryShortcutDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.SummaryShortcut = false
-	tn := newTestNet(t, meshTopo(4, 0.95), cfg, nil, 12)
-	tn.sim.Run(8 * netsim.Minute)
-	if _, ok := tn.base.QueryMax(0, tn.sim.Now()); ok {
-		t.Fatal("QueryMax answered despite disabled shortcut")
-	}
-}
-
 func TestBatchingReducesDataMessages(t *testing.T) {
 	// All nodes produce a constant owned by one node; with batching 5
 	// the number of data messages must be far below the reading count.
 	sample := func(netsim.NodeID, netsim.Time) int { return 3 }
 	cfg := testConfig()
 	cfg.Preload = index.New(1, 0, ownersConst(21, 1)) // node 1 owns all
-	cfg.DisableSummaries = true
-	cfg.DisableRemap = true
 	tn := newTestNet(t, meshTopo(4, 0.95), cfg, sample, 13)
 	tn.sim.Run(15 * netsim.Minute)
 	readingsRouted := tn.stats.StoredAtOwner
@@ -358,8 +340,6 @@ func TestBatchingDisabled(t *testing.T) {
 	sample := func(netsim.NodeID, netsim.Time) int { return 3 }
 	cfg := testConfig()
 	cfg.Preload = index.New(1, 0, ownersConst(21, 1))
-	cfg.DisableSummaries = true
-	cfg.DisableRemap = true
 	cfg.BatchSize = 1
 	tn := newTestNet(t, meshTopo(4, 0.95), cfg, sample, 13)
 	tn.sim.Run(15 * netsim.Minute)
@@ -408,7 +388,7 @@ func TestDataTTLDropsLoopingPackets(t *testing.T) {
 	tn.nodes[1].handleData(&DataMsg{
 		Readings: oneReading(4, 2, tn.sim.Now()),
 		Owner:    2, SID: 1,
-	}, uint8(cfg.MaxHops)) // MaxHops transmissions before this one: one too many
+	}, uint8(maxHops)) // maxHops transmissions before this one: one too many
 	if tn.stats.LostData != lost+1 {
 		t.Fatal("over-TTL packet not dropped")
 	}
@@ -652,8 +632,6 @@ func TestOutOfDomainValuesStoredLocally(t *testing.T) {
 	sample := func(netsim.NodeID, netsim.Time) int { return 500 } // outside [0,20]
 	cfg := testConfig()
 	cfg.Preload = index.New(1, 0, ownersConst(21, 1))
-	cfg.DisableSummaries = true
-	cfg.DisableRemap = true
 	tn := newTestNet(t, meshTopo(3, 0.95), cfg, sample, 32)
 	tn.sim.Run(8 * netsim.Minute)
 	if tn.stats.StoredLocal != tn.stats.Produced {

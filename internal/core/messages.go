@@ -131,7 +131,7 @@ func querySize(q *QueryMsg) int {
 
 // ReplyMsg carries a node's matching tuples back to the basestation.
 // Count is the total number of matches; Readings is capped at
-// ReplyMaxReadings (packet size), as a mote reply would be. It is a
+// replyMaxReadings (packet size), as a mote reply would be. It is a
 // recycled payload (netsim.Packet) that owns Readings: back on its
 // sender's free list after the last delivery, so a forwarder copies it
 // into a reply of its own.

@@ -155,10 +155,10 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	if n.api != api { // first boot: build
 		n.api = api
 		n.tree.Init(api, false, n.cfg.Tree)
-		n.recent = storage.NewRecentBuffer(n.cfg.RecentBufSize)
-		n.store = storage.NewDataBuffer(n.cfg.DataBufCap)
-		n.mapGos = trickle.New(api, timerMapping, n.cfg.MappingTrickle, n.sendChunk)
-		n.qGos = trickle.New(api, timerQuery, n.cfg.QueryTrickle, n.sendQuery)
+		n.recent = storage.NewRecentBuffer(recentBufSize)
+		n.store = storage.NewDataBuffer(dataBufCap)
+		n.mapGos = trickle.New(api, timerMapping, mappingTrickle, n.sendChunk)
+		n.qGos = trickle.New(api, timerQuery, queryTrickle, n.sendQuery)
 	} else { // a reboot on the same radio: clear in place
 		n.tree.Reset()
 		n.recent.Clear()
@@ -192,7 +192,7 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	}
 	jitter := netsim.Time(api.RandIntn(int(n.cfg.SampleInterval)))
 	api.SetTimer(timerSample, start+jitter-api.Now())
-	if !n.cfg.DisableSummaries {
+	if n.cfg.Preload == nil { // a preloaded index needs no statistics
 		sjitter := netsim.Time(api.RandIntn(int(n.cfg.SummaryInterval)))
 		api.SetTimer(timerSummary, start+sjitter-api.Now())
 	}
@@ -248,12 +248,12 @@ func (n *Node) receive(p *netsim.Packet) {
 		}
 		// A summary is shared and immutable: the relay forwards the
 		// message it heard, the hop count riding in the frame header.
-		if int(p.Hops) <= n.cfg.MaxHops && !n.seenSummaries.Seen(m.Node, uint64(m.SentAt)) {
+		if int(p.Hops) <= maxHops && !n.seenSummaries.Seen(m.Node, uint64(m.SentAt)) {
 			n.forwardUp(p, m, metrics.Summary, summarySize(m))
 		}
 	case *ReplyMsg:
 		n.learnDescendant(p)
-		if int(p.Hops) <= n.cfg.MaxHops && !n.seenReplies.Seen(m.Node, uint64(m.QueryID)) {
+		if int(p.Hops) <= maxHops && !n.seenReplies.Seen(m.Node, uint64(m.QueryID)) {
 			fwd := n.newReply()
 			fwd.QueryID, fwd.Node, fwd.Count = m.QueryID, m.Node, m.Count
 			fwd.Readings = append(fwd.Readings, m.Readings...)
@@ -392,8 +392,8 @@ func (n *Node) loseReadings(rs []storage.Reading, cause metrics.DropCause) {
 func (n *Node) handleData(m *DataMsg, hops uint8) {
 	// TTL guard against transient routing loops. Unlike a relayed
 	// summary or reply, data counts the hop it arrived over: readings
-	// that took more than MaxHops transmissions to get here are dropped.
-	if int(hops) >= n.cfg.MaxHops {
+	// that took more than maxHops transmissions to get here are dropped.
+	if int(hops) >= maxHops {
 		n.loseReadings(m.Readings, metrics.DropTTL)
 		return
 	}
@@ -473,7 +473,7 @@ type dataHop struct {
 func (h *dataHop) route(from int) {
 	n, owner := h.n, h.msg.Owner
 	to := n.tree.Parent()
-	if from <= 3 && n.cfg.NeighborShortcut && n.tree.OutQuality(owner) >= 0.4 {
+	if from <= 3 && n.tree.OutQuality(owner) >= 0.4 {
 		// Rule 3: the owner is a direct neighbor — shortcut the tree.
 		// Only links of reasonable quality qualify: shortcutting over a
 		// barely-audible link wastes a full retransmission budget before
@@ -529,15 +529,15 @@ func (n *Node) sendSummary() {
 	if n.cur != nil {
 		lastID = n.cur.ID
 	}
-	n.recentVals = n.recent.AppendValues(slices.Grow(n.recentVals[:0], n.cfg.RecentBufSize))
+	n.recentVals = n.recent.AppendValues(slices.Grow(n.recentVals[:0], recentBufSize))
 	m := &SummaryMsg{
 		Node:        n.api.ID(),
-		Hist:        histogram.Build(n.recentVals, n.cfg.NBins),
+		Hist:        histogram.Build(n.recentVals, nBins),
 		Min:         min,
 		Max:         max,
 		Sum:         sum,
 		Rate:        float64(n.samplesSinceSummary) / (float64(n.cfg.SummaryInterval) / float64(netsim.Second)),
-		Neighbors:   n.tree.Neighbors.Best(make([]routing.NeighborInfo, 0, n.cfg.NeighborReport), n.cfg.NeighborReport),
+		Neighbors:   n.tree.Neighbors.Best(make([]routing.NeighborInfo, 0, neighborReport), neighborReport),
 		LastIndexID: lastID,
 		SentAt:      n.api.Now(),
 	}
@@ -645,7 +645,7 @@ func (n *Node) onQuery(q *QueryMsg) {
 // when some targeted node other than itself is plausibly reachable
 // through it (a known neighbor or recorded descendant). Asked from the
 // short side — the two bounded tables probe the bitmap, at most
-// NeighborCap + DescendantCap lookups — not by walking up to N target
+// neighborCap + descendantCap lookups — not by walking up to N target
 // bits through both tables.
 func (n *Node) shouldRelay(bm *Bitmap) bool {
 	me := n.api.ID()
@@ -676,13 +676,13 @@ func (n *Node) sendQuery(key trickle.Key) {
 
 // answer linearly scans the data buffer (paper §5.5) and sends a reply
 // toward the basestation — "even if no tuples matched the query". The
-// scan appends the first ReplyMaxReadings matches straight into the
+// scan appends the first replyMaxReadings matches straight into the
 // reply's own buffer and counts the rest.
 func (n *Node) answer(q *QueryMsg) {
 	m := n.newReply()
 	m.QueryID, m.Node = q.ID, n.api.ID()
 	n.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
-		if m.Count < n.cfg.ReplyMaxReadings {
+		if m.Count < replyMaxReadings {
 			m.Readings = append(m.Readings, r)
 		}
 		m.Count++

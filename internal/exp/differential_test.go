@@ -144,7 +144,6 @@ func differentialScenarios() []struct {
 		cfg.Duration = 6 * netsim.Minute
 		cfg.Warmup = 2 * netsim.Minute
 		cfg.Trials = 1
-		cfg.CheckInvariants = true
 		return cfg
 	}
 	churn := base()

@@ -126,14 +126,6 @@ type Config struct {
 	Trials int
 	Seed   int64
 
-	// CheckInvariants attaches the internal/invariant whole-run
-	// checker to every trial: conservation of readings, no aggregate
-	// double-count, index-generation monotonicity. A violation fails
-	// the run with a descriptive error. Tests-only machinery — it
-	// keeps per-reading state, so leave it off for benchmarks and
-	// artifact sweeps.
-	CheckInvariants bool
-
 	// Trace switches on the flight recorder: every trial gets its own
 	// trace.Recorder clocked by the trial's simulator, threaded
 	// through the network, the protocol stack and the dynamics
@@ -152,19 +144,19 @@ type Config struct {
 	// Profiling is observation-only: simulation outcomes are
 	// byte-identical with it on or off.
 	Profile bool
-
-	// Modify, when non-nil, adjusts the derived core configuration —
-	// the hook ablation benches use (batching off, shortcut off, …).
-	Modify func(*core.Config)
 }
 
 // traceRingCap bounds the default in-memory trace ring per trial.
 const traceRingCap = 4096
 
-// ForceInvariants turns invariant checking on for every Run in the
-// process regardless of Config, so a test binary can assert the whole
-// suite's runs are conservation-clean from one TestMain. Set before
-// the first Run; never set it in production binaries.
+// ForceInvariants attaches the internal/invariant whole-run checker to
+// every trial in the process: conservation of readings, no aggregate
+// double-count, index-generation monotonicity. A violation fails the
+// run with a descriptive error. A test binary sets it from one TestMain
+// so the whole suite's runs are conservation-clean, and the benchmark
+// sets it for its check runs. Set it before the first Run; it keeps
+// per-reading state, so never set it in production binaries or
+// artifact sweeps.
 var ForceInvariants bool
 
 // Default returns the paper's default parameters (§6 table): 62 nodes
@@ -253,6 +245,9 @@ func (c Config) Validate() error {
 	}
 	if c.QueryRetryMax < 0 {
 		return fmt.Errorf("exp: negative query retry budget %d", c.QueryRetryMax)
+	}
+	if c.Trials < 0 {
+		return fmt.Errorf("exp: negative trial count %d", c.Trials)
 	}
 	if c.QueryInterval > 0 {
 		// Every query tick and every deadline retry takes the next
@@ -369,14 +364,13 @@ func (r Result) BytesPerAnswer() float64 {
 
 // Run executes the experiment: Trials independent simulations (run
 // concurrently on separate goroutines, each with its own simulator,
-// counters and RNG streams) whose results are averaged.
+// counters and RNG streams) whose results are averaged. Trials 0 runs
+// one; Result.Config holds the count that ran.
 func Run(cfg Config) (Result, error) {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
-	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	cfg.Trials = max(cfg.Trials, 1)
 	if cfg.Policy == policy.Hash {
 		return runAnalyticalHash(cfg)
 	}

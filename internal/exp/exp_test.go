@@ -347,21 +347,6 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestModifyHook(t *testing.T) {
-	cfg := quick(policy.Scoop, "real")
-	called := false
-	cfg.Modify = func(c *core.Config) {
-		called = true
-		c.BatchSize = 1
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("Modify hook not invoked")
-	}
-}
-
 func TestUnknownConfigsRejected(t *testing.T) {
 	cfg := quick(policy.Scoop, "nope")
 	if _, err := Run(cfg); err == nil {

@@ -68,7 +68,6 @@ func TestSeedFuzz(t *testing.T) {
 				cfg.Warmup = 3 * netsim.Minute
 				cfg.Trials = 1
 				cfg.Seed = seed
-				cfg.CheckInvariants = true
 				sc.mut(&cfg, seed)
 				serial, err := Run(cfg)
 				if err != nil {
@@ -101,7 +100,6 @@ func TestSeedFuzz(t *testing.T) {
 func TestInvariantCheckerAcrossPolicies(t *testing.T) {
 	for _, p := range []policy.Name{policy.Scoop, policy.Local, policy.Base, policy.HashSim} {
 		cfg := quick(p, "real")
-		cfg.CheckInvariants = true
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -125,7 +123,7 @@ func (r ramp) Name() string       { return "ramp" }
 // error, the invariant checker included (TestMain forces it on). Runs
 // stay small: N ≤ 64 and at most two virtual minutes, with intervals
 // down to the 1 ms tick; while fuzzing, inputs past overBudget return
-// early. The function-valued fields (TraceSinks, Modify) stay nil.
+// early. The function-valued field TraceSinks stays nil.
 //
 // names picks the policy, source, topology and fault scenario, three
 // bits each; flags switches DisableReindex, Trace, Profile, a

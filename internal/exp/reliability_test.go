@@ -36,7 +36,6 @@ func TestReliabilityAcceptance(t *testing.T) {
 	base.Warmup = 2 * netsim.Minute
 	base.Trials = 1
 	base.Seed = 17
-	base.CheckInvariants = true
 	base.AggRatio = 0.5
 	base.LinkLoss = 0.4
 	base.QueryDeadline = 8 * netsim.Second

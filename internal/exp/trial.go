@@ -144,8 +144,7 @@ func (t *Trial) build() error {
 	if cfg.DisableReindex {
 		// Build the first index from post-warm-up statistics as usual,
 		// then freeze it: the network keeps a plausible static index, it
-		// just never adapts. (DisableRemap would never build one at all,
-		// degenerating into store-local.)
+		// just never adapts.
 		t.ccfg.RemapLimit = 1
 	}
 	if t.dyn.HasChurn() && t.ccfg.StatStaleAfter == 0 {
@@ -155,9 +154,6 @@ func (t *Trial) build() error {
 	t.ccfg.AggForcePlan = cfg.AggForce
 	t.ccfg.QueryDeadline = cfg.QueryDeadline
 	t.ccfg.QueryRetryMax = cfg.QueryRetryMax
-	if cfg.Modify != nil {
-		cfg.Modify(&t.ccfg)
-	}
 	return nil
 }
 
@@ -210,7 +206,7 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	// One RunStats shard per region, all on one SharedRunState holding
 	// the per-reading dedup table and the invariant probe.
 	var probe core.ReadingProbe // a nil interface unless invariants are on
-	if cfg.CheckInvariants || ForceInvariants {
+	if ForceInvariants {
 		t.chk = invariant.New()
 		probe = t.chk
 		t.net.OnPurge = t.purged

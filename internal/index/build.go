@@ -160,54 +160,3 @@ func (t *contribTable) cost(in *BuildInput, o netsim.NodeID, vi int) float64 {
 	}
 	return c
 }
-
-// fillXmits honors the BuildInput contract for direct cost queries:
-// when the caller set Graph instead of Xmits, run the sparse pass.
-func (in *BuildInput) fillXmits() {
-	if in.Xmits == nil && in.Graph != nil {
-		in.Xmits = in.Graph.Xmits()
-	}
-}
-
-// evalIndexCost sums the per-value cost of the index's owner choices
-// over a precomputed contributor table (FP-identical to the naive
-// BuildInput.Cost scan).
-func evalIndexCost(ct *contribTable, ix *Index, in *BuildInput) float64 {
-	total := 0.0
-	for i := 0; i < in.domainSize(); i++ {
-		o, ok := ix.Owner(in.MinValue + i)
-		if !ok {
-			o = in.Base // unmapped values default to the base
-		}
-		c := ct.cost(in, o, i)
-		if c >= Inf {
-			return Inf
-		}
-		total += c
-	}
-	return total
-}
-
-// StoreLocalCost estimates the expected messages per second of the
-// degenerate "store-local" policy: data costs nothing, but every query
-// floods the network (≈ one broadcast per node under Trickle) and
-// every node sends a reply up the tree (paper §4 and §6, LOCAL).
-func StoreLocalCost(in BuildInput) float64 {
-	if in.Query.Rate == 0 {
-		return 0
-	}
-	in.fillXmits()
-	flood := float64(in.N - 1) // every non-base node re-broadcasts once
-	replies := 0.0
-	for p := 0; p < in.N; p++ {
-		if netsim.NodeID(p) == in.Base {
-			continue
-		}
-		x := in.Xmits[p][in.Base]
-		if x >= Inf {
-			continue // unreachable nodes answer nothing
-		}
-		replies += x
-	}
-	return in.Query.Rate * (flood + replies)
-}

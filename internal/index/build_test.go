@@ -257,53 +257,6 @@ func TestBuildUnknownNodesDefaultToBase(t *testing.T) {
 	}
 }
 
-func TestChooseIndexPrefersLocalWhenQueriesRare(t *testing.T) {
-	// Strong data rates, almost no queries → store-local beats any
-	// single-owner mapping when producers are spread out.
-	in := BuildInput{
-		N:    4,
-		Base: 0,
-		Nodes: func() []NodeStat {
-			ns := make([]NodeStat, 4)
-			ns[1] = NodeStat{Hist: histogram.Build([]int{0, 5, 9}, 5), Rate: 10}
-			ns[2] = NodeStat{Hist: histogram.Build([]int{10, 15, 19}, 5), Rate: 10}
-			ns[3] = NodeStat{Hist: histogram.Build([]int{20, 25, 29}, 5), Rate: 10}
-			return ns
-		}(),
-		Query:    QueryProfile{Rate: 0.0001, MinValue: 0, Prob: uniformProb(30)},
-		Xmits:    chainGraph(0.8).Xmits(),
-		MinValue: 0,
-		MaxValue: 29,
-	}
-	// The optimal mapping assigns each producer its own values, which
-	// costs ~0 — so the cost-based index should actually win here.
-	ix := ChooseIndex(1, in)
-	if ix.Local {
-		t.Fatal("per-producer mapping costs nothing; local should not win")
-	}
-	// Now destroy locality: every node produces every value.
-	all := histogram.Build([]int{0, 10, 20, 29}, 5)
-	in.Nodes = []NodeStat{{}, {Hist: all, Rate: 10}, {Hist: all, Rate: 10}, {Hist: all, Rate: 10}}
-	ix = ChooseIndex(2, in)
-	if !ix.Local {
-		t.Fatal("with no locality and no queries, store-local must win")
-	}
-}
-
-func TestStoreLocalCostScalesWithQueryRate(t *testing.T) {
-	in := buildInput(3, 1, 1)
-	c1 := StoreLocalCost(in)
-	in.Query.Rate = 2
-	c2 := StoreLocalCost(in)
-	if c2 <= c1 || c2 < 1.9*c1 {
-		t.Fatalf("store-local cost %f → %f; should scale linearly", c1, c2)
-	}
-	in.Query.Rate = 0
-	if StoreLocalCost(in) != 0 {
-		t.Fatal("store-local costs nothing without queries")
-	}
-}
-
 func TestEvaluateIndexCostConsistentWithBuild(t *testing.T) {
 	in := buildInput(3, 1, 1)
 	best := Build(1, in)

@@ -95,26 +95,6 @@ func (b *Builder) Build(id uint16, in *BuildInput) *Index {
 	return New(id, in.MinValue, b.BuildOwners(in))
 }
 
-// ChooseIndex builds the cost-optimal index and returns it or the
-// store-local alternative, whichever is cheaper (paper §4: "the
-// basestation, therefore, also evaluates the expected cost of a
-// 'store-local' storage index and uses it if the expected cost is
-// lower"), costing both from the contributor table the build filled.
-func (b *Builder) ChooseIndex(id uint16, in *BuildInput) *Index {
-	ix := b.Build(id, in)
-	if StoreLocalCost(*in) < b.evaluate(ix, in) {
-		return NewLocal(id)
-	}
-	return ix
-}
-
-// evaluate returns the index's expected messages per second over the
-// builder's current contributor table (valid until the next BuildOwners
-// call).
-func (b *Builder) evaluate(ix *Index, in *BuildInput) float64 {
-	return evalIndexCost(&b.cts[b.ctCur()], ix, in)
-}
-
 // BuildOwners runs the paper's indexing algorithm: for every value in
 // the domain, try every node (the basestation included) as owner and
 // keep the cheapest; exact ties break toward the previous value's owner,

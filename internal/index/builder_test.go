@@ -334,30 +334,6 @@ func TestBuilderFullRebuildOnShapeChange(t *testing.T) {
 	}
 }
 
-// TestBuilderChooseIndexMatchesPackage: the builder's fused
-// choose-index path must agree with the package-level one.
-func TestBuilderChooseIndexMatchesPackage(t *testing.T) {
-	for seed := int64(10); seed < 16; seed++ {
-		w := newWorld(14, 30, seed)
-		in := w.input()
-		in.Graph = w.g
-		var b Builder
-		got := b.ChooseIndex(5, &in)
-
-		ref := w.input()
-		ref.Xmits = copyRows(w.g.Xmits())
-		want := ChooseIndex(5, ref)
-		if got.Local != want.Local || len(got.Entries) != len(want.Entries) {
-			t.Fatalf("seed %d: builder ChooseIndex %v, package %v", seed, got, want)
-		}
-		for i := range want.Entries {
-			if got.Entries[i] != want.Entries[i] {
-				t.Fatalf("seed %d: entry %d differs: %v vs %v", seed, i, got.Entries[i], want.Entries[i])
-			}
-		}
-	}
-}
-
 // TestBuilderGOMAXPROCSDeterminism pins the parallel owner search: a
 // scenario big enough that both the SPT fan-out and the dirty-value
 // argmin clear the parallel grain must build bit-identical owners at

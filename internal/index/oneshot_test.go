@@ -19,17 +19,24 @@ func Build(id uint16, in BuildInput) *Index {
 	return b.Build(id, &in)
 }
 
-// ChooseIndex is Builder.ChooseIndex on a fresh Builder.
-func ChooseIndex(id uint16, in BuildInput) *Index {
-	var b Builder
-	return b.ChooseIndex(id, &in)
-}
-
 // EvaluateIndexCost returns the total expected messages per second of
-// an arbitrary (non-local) index under the observed statistics.
+// an arbitrary (non-local) index under the observed statistics, by the
+// naive BuildInput.Cost scan.
 func EvaluateIndexCost(ix *Index, in BuildInput) float64 {
-	in.fillXmits()
-	var ct contribTable
-	ct.build(&in)
-	return evalIndexCost(&ct, ix, &in)
+	if in.Xmits == nil {
+		in.Xmits = in.Graph.Xmits()
+	}
+	total := 0.0
+	for v := in.MinValue; v <= in.MaxValue; v++ {
+		o, ok := ix.Owner(v)
+		if !ok {
+			o = in.Base // unmapped values default to the base
+		}
+		c := in.Cost(o, v)
+		if c >= Inf {
+			return Inf
+		}
+		total += c
+	}
+	return total
 }

@@ -273,7 +273,7 @@ func denseOf(g *Graph) *denseGraph {
 
 // XmitsDense is the original dense Floyd–Warshall pass, kept as the
 // reference implementation the sparse solver is equivalence-tested
-// against (and for ablation benches). Its results agree with Xmits up
+// against (and the dense side of the rebuild benches). Its results agree with Xmits up
 // to floating-point association: both compute shortest-path sums of
 // the same edge costs, but FW may round a different parenthesisation
 // of the same path.

@@ -18,8 +18,8 @@
 //   - Index-generation monotonicity: the basestation's disseminated
 //     index generations have strictly increasing IDs.
 //
-// The checker is wired into experiment runs by exp (Config
-// CheckInvariants, or force-enabled for the whole test binary); it is
+// The checker is wired into experiment runs by exp.ForceInvariants,
+// which a test binary sets; it is
 // plain bookkeeping on the trial goroutine and is never active in
 // benchmark or sweep-artifact runs.
 package invariant

@@ -89,7 +89,7 @@ const (
 	DropCollision DropCause = iota // frame destroyed by an overlapping transmission
 	DropQueue                      // send queue full (saturation)
 	DropRetries                    // unicast gave up after MaxAttempts
-	DropTTL                        // data message exceeded MaxHops
+	DropTTL                        // data message exceeded the hop limit
 	DropNoRoute                    // no parent/owner route available
 	DropRadio                      // link-layer send failed (ack never seen)
 	DropReboot                     // state lost to a node reboot

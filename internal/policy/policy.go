@@ -4,10 +4,11 @@
 // value→node hash, the GHT-style data-centric storage baseline).
 //
 // LOCAL and BASE are expressed as configurations of the full Scoop
-// protocol stack with a preloaded fixed index and statistics traffic
-// disabled, so all policies share identical radio, routing and
-// query-dissemination machinery — exactly the paper's setup, where all
-// policies ran on the same TinyOS networking stack.
+// protocol stack with a preloaded fixed index, which turns statistics
+// traffic and index recomputation off, so all policies share identical
+// radio, routing and query-dissemination machinery — exactly the
+// paper's setup, where all policies ran on the same TinyOS networking
+// stack.
 //
 // HASH exists in two forms. AnalyticalHash reproduces the paper's
 // treatment ("because we did not have a working implementation of
@@ -49,19 +50,13 @@ func Config(p Name, n, lo, hi int) (core.Config, error) {
 	cfg := core.DefaultConfig(lo, hi)
 	switch p {
 	case Scoop:
-		// Figure 3's SCOOP disables the store-local fallback (paper
-		// §6); DefaultConfig already does.
 		return cfg, nil
 	case Local:
 		cfg.Preload = index.NewLocal(1)
-		cfg.DisableSummaries = true
-		cfg.DisableRemap = true
 		return cfg, nil
 	case Base:
 		owners := make([]netsim.NodeID, hi-lo+1) // all zero: the base
 		cfg.Preload = index.New(1, lo, owners)
-		cfg.DisableSummaries = true
-		cfg.DisableRemap = true
 		// TinyDB-style collection ships every sample as it is taken;
 		// reading batching is Scoop's optimisation (paper §5.4), not
 		// the baseline's.
@@ -69,8 +64,6 @@ func Config(p Name, n, lo, hi int) (core.Config, error) {
 		return cfg, nil
 	case HashSim:
 		cfg.Preload = HashIndex(1, n, lo, hi)
-		cfg.DisableSummaries = true
-		cfg.DisableRemap = true
 		return cfg, nil
 	}
 	return core.Config{}, fmt.Errorf("policy: no runnable config for %q", p)

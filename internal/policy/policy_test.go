@@ -4,19 +4,65 @@ import (
 	"testing"
 	"testing/quick"
 
+	"scoop/internal/core"
+	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 )
+
+// runPolicy runs the policy's configuration on a five-node mesh long
+// enough for SCOOP to build its first index, and returns the run's
+// statistics.
+func runPolicy(t *testing.T, p Name) core.RunStats {
+	t.Helper()
+	cfg, err := Config(p, 5, 0, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SampleInterval = 5 * netsim.Second
+	cfg.SummaryInterval = 30 * netsim.Second
+	cfg.RemapInterval = 60 * netsim.Second
+	topo := netsim.NewTopology(5)
+	topo.Pos = make([]netsim.Point, 5)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 5; j++ {
+			if i != j {
+				topo.SetQuality(netsim.NodeID(i), netsim.NodeID(j), 0.95)
+			}
+		}
+	}
+	sim := netsim.NewSimulator(7)
+	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
+	stats := &core.RunStats{}
+	net.Attach(0, core.NewBase(cfg, stats, 2*netsim.Minute))
+	for i := 1; i < 5; i++ {
+		sample := func(id netsim.NodeID, _ netsim.Time) int { return int(id) }
+		net.Attach(netsim.NodeID(i), core.NewNode(cfg, stats, sample, 2*netsim.Minute))
+	}
+	net.Start()
+	sim.Run(8 * netsim.Minute)
+	return *stats
+}
+
+// A preloaded index is a static comparator: LOCAL, BASE and HASHSIM
+// send no summaries and build no index, while SCOOP adapts.
+func TestStaticPoliciesSendNoStatistics(t *testing.T) {
+	for _, p := range []Name{Local, Base, HashSim} {
+		if st := runPolicy(t, p); st.SummariesSent != 0 || st.IndexesBuilt != 0 {
+			t.Errorf("%s: %d summaries sent, %d indexes built; want none", p, st.SummariesSent, st.IndexesBuilt)
+		}
+	}
+	if st := runPolicy(t, Scoop); st.SummariesSent == 0 || st.IndexesBuilt == 0 {
+		t.Errorf("scoop: %d summaries sent, %d indexes built; want both > 0", st.SummariesSent, st.IndexesBuilt)
+	}
+}
 
 func TestConfigScoop(t *testing.T) {
 	cfg, err := Config(Scoop, 63, 0, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Preload != nil || cfg.DisableSummaries || cfg.DisableRemap {
+	if cfg.Preload != nil {
 		t.Fatal("scoop config must run the full protocol")
-	}
-	if cfg.StoreLocalFallback {
-		t.Fatal("experiments disable the store-local fallback (paper §6)")
 	}
 }
 
@@ -27,9 +73,6 @@ func TestConfigLocal(t *testing.T) {
 	}
 	if cfg.Preload == nil || !cfg.Preload.Local {
 		t.Fatal("local config must preload a store-local index")
-	}
-	if !cfg.DisableSummaries || !cfg.DisableRemap {
-		t.Fatal("local config must disable statistics traffic")
 	}
 }
 

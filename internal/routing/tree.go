@@ -39,26 +39,26 @@ func (b *Beacon) Recycle() {
 	}
 }
 
-// Config tunes the tree protocol. Zero value is unusable; use
-// DefaultConfig.
+// Config tunes the tree protocol: the base's beacon period (paper
+// experiments: 10 s), the one parameter tests shorten or stretch.
 type Config struct {
-	BeaconInterval netsim.Time // base's beacon period
-	NeighborCap    int         // neighbor table bound (paper: 32)
-	DescendantCap  int         // descendants list bound (paper: 32)
-	EvictAfter     netsim.Time // neighbor staleness bound
-	MinQuality     float64     // links below this are not parent candidates
+	BeaconInterval netsim.Time
 }
 
-// DefaultConfig returns the parameters used in the paper's experiments.
-func DefaultConfig() Config {
-	return Config{
-		BeaconInterval: 10 * netsim.Second,
-		NeighborCap:    32,
-		DescendantCap:  32,
-		EvictAfter:     90 * netsim.Second,
-		MinQuality:     0.25,
-	}
-}
+// The tree parameters every run shares; the paper gives the two bounds.
+const (
+	// neighborCap bounds the neighbor table (paper: 32).
+	neighborCap = 32
+	// descendantCap bounds the descendants list (paper: 32).
+	descendantCap = 32
+	// evictAfter is how long a silent neighbor stays in the table.
+	evictAfter = 90 * netsim.Second
+	// minQuality is the link quality below which a neighbor is no
+	// parent candidate.
+	minQuality = 0.25
+)
+
+const _ = uint(MaxNeighborCap - neighborCap) // the table fits its inline index
 
 // Tree is the per-node routing-tree state machine. It is composed into
 // a node application by value, built in place by Init: the application
@@ -82,9 +82,8 @@ type Tree struct {
 
 	api         *netsim.NodeAPI
 	Descendants *DescendantSet
-	// The two Config fields the tree reads after Init.
+	// The one Config field the tree reads after Init.
 	beaconInterval netsim.Time
-	minQuality     float64
 
 	etx       float64
 	round     uint32 // highest round seen (base: last round sent)
@@ -112,15 +111,14 @@ func (t *Tree) Init(api *netsim.NodeAPI, isBase bool, cfg Config) {
 		id:             api.ID(),
 		isBase:         isBase,
 		api:            api,
-		Descendants:    NewDescendantSet(cfg.DescendantCap),
+		Descendants:    NewDescendantSet(descendantCap),
 		beaconInterval: cfg.BeaconInterval,
-		minQuality:     cfg.MinQuality,
 		// Who reports us is who hears us, about who we hear: start at
 		// the neighbor table's bound (and grow past it if need be).
-		outIDs: make([]netsim.NodeID, 0, cfg.NeighborCap),
-		outEst: make([]float64, 0, cfg.NeighborCap),
+		outIDs: make([]netsim.NodeID, 0, neighborCap),
+		outEst: make([]float64, 0, neighborCap),
 	}
-	t.Neighbors.init(cfg.NeighborCap, cfg.EvictAfter)
+	t.Neighbors.init(neighborCap, evictAfter)
 	t.Reset()
 }
 
@@ -239,7 +237,7 @@ func (t *Tree) onBeacon(from netsim.NodeID, b *Beacon) {
 		t.round = b.Round
 	}
 	q := t.OutQuality(from)
-	if q < t.minQuality {
+	if q < minQuality {
 		return
 	}
 	cand := b.ETX + 1.0/q

@@ -160,6 +160,8 @@ func TestChurnCellRunsDeterministically(t *testing.T) {
 // three cells of the Figure 3 churn grid (16/4 virtual minutes) each
 // reported a vanished reading. Serial and Regions=4 must both be clean.
 func TestChurnKillMidAirIsLossAccounted(t *testing.T) {
+	defer func(was bool) { exp.ForceInvariants = was }(exp.ForceInvariants)
+	exp.ForceInvariants = true
 	for _, tc := range []struct {
 		seed int64
 		key  string
@@ -193,7 +195,6 @@ func TestChurnKillMidAirIsLossAccounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.CheckInvariants = true
 			if _, err := exp.Run(cfg); err != nil {
 				t.Errorf("seed %d regions %d %s: %v", tc.seed, regions, tc.key, err)
 			}

@@ -298,7 +298,7 @@ func (g Grid) config(c Cell) (exp.Config, error) {
 		cfg.SampleInterval = g.SampleInterval
 	}
 	cfg.QueryInterval = g.QueryInterval
-	cfg.Trials = g.Trials // exp.Run reads <= 0 as 1
+	cfg.Trials = g.Trials // exp.Run reads 0 as 1
 	cfg.Seed = CellSeed(g.Seed, c.Index)
 	cfg.Regions = g.Regions
 	cfg.ReindexInterval = g.ReindexInterval

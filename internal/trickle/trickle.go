@@ -26,7 +26,8 @@ import (
 // structure (e.g. index-id<<16 | chunk-no).
 type Key uint64
 
-// Config tunes Trickle. The zero value is unusable; use DefaultConfig.
+// Config tunes Trickle, one Config per disseminated kind (Levis et
+// al. fix τl, τh and k per instance). The zero value is unusable.
 type Config struct {
 	TauLow  netsim.Time // initial/reset interval
 	TauHigh netsim.Time // interval cap
@@ -35,17 +36,6 @@ type Config struct {
 	// Scoop retires query gossip quickly but keeps mapping chunks
 	// gossiping slowly until superseded.
 	MaxRounds int
-}
-
-// DefaultConfig returns the Trickle parameters used in the
-// experiments: fast initial spread, one-minute steady state.
-func DefaultConfig() Config {
-	return Config{
-		TauLow:    500 * netsim.Millisecond,
-		TauHigh:   60 * netsim.Second,
-		K:         1,
-		MaxRounds: 0,
-	}
 }
 
 // item is one key and its timer state, held inline in Trickle.items.

@@ -10,6 +10,17 @@ import (
 	"scoop/internal/netsim"
 )
 
+// DefaultConfig returns the Trickle parameters the tests run: fast
+// initial spread, one-minute steady state.
+func DefaultConfig() Config {
+	return Config{
+		TauLow:    500 * netsim.Millisecond,
+		TauHigh:   60 * netsim.Second,
+		K:         1,
+		MaxRounds: 0,
+	}
+}
+
 // harness runs one Trickle instance on node 0 of a 2-node network.
 type harness struct {
 	tr    *Trickle
