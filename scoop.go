@@ -9,11 +9,12 @@
 //
 // NewSimulation is the entry point: step-by-step control over one
 // simulated network — advance virtual time, issue queries, inspect the
-// storage index — the API the runnable examples build on. A Simulation
-// is trial 0 of an internal/exp experiment stepped by hand, so its
-// defaults, bounds and seeding are exp.Default()'s and exp's. Whole
-// policy × workload experiments, the unit of the paper's figures, are
-// commands: cmd/scoopsim runs one, cmd/scoopsweep a grid of them.
+// storage index. The package's examples walk through it, and go test
+// checks what they print. A Simulation is trial 0 of an internal/exp
+// experiment stepped by hand, so its defaults, bounds and seeding are
+// exp.Default()'s and exp's. Whole policy × workload experiments, the
+// unit of the paper's figures, are commands: cmd/scoopsim runs one,
+// cmd/scoopsweep a grid of them.
 //
 // All radio, protocol and workload behaviour lives in internal/
 // packages; this package is the stable facade.
@@ -91,6 +92,7 @@ type ExperimentResult struct {
 	// Delivery statistics.
 	Produced        int64
 	StoredUnique    int64
+	StoredLocal     int64   // readings stored by their producer
 	DataSuccess     float64 // fraction of readings durably stored
 	OwnerHitRate    float64 // routed readings reaching their owner
 	QuerySuccess    float64 // targeted nodes whose replies arrived
@@ -292,6 +294,7 @@ func (s *Simulation) Stats() ExperimentResult {
 		Breakdown:       s.Messages(),
 		Produced:        st.Produced,
 		StoredUnique:    st.StoredUnique,
+		StoredLocal:     st.StoredLocal,
 		DataSuccess:     st.DataSuccessRate(),
 		OwnerHitRate:    st.OwnerHitRate(),
 		QuerySuccess:    st.QuerySuccessRate(),

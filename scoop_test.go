@@ -155,6 +155,10 @@ func TestSimulationRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestSimulationKillRevive fails node 5, revives it, fails it again and
+// restarts it. A revived node keeps its state but its lapsed timers
+// stay silent, so it answers queries without sampling; a restarted
+// node reboots its timers and samples again.
 func TestSimulationKillRevive(t *testing.T) {
 	sim, err := NewSimulation(SimulationConfig{Nodes: 15, Seed: 17, Warmup: 2 * time.Minute})
 	if err != nil {
@@ -162,13 +166,40 @@ func TestSimulationKillRevive(t *testing.T) {
 	}
 	sim.Run(6 * time.Minute)
 	sim.KillNode(5)
-	sim.Run(6 * time.Minute)
+	sim.Run(2 * time.Minute)
+	before := sim.Stats().Produced
+	sim.Run(4 * time.Minute)
 	st := sim.Stats()
 	if st.DataSuccess < 0.5 {
 		t.Fatalf("network collapsed after one failure: %.2f", st.DataSuccess)
 	}
+	// The other 13 sensors' output over four minutes.
+	others := st.Produced - before
+	// Only node 5 can send a reply to a query addressed to it alone.
+	replies := func() float64 {
+		sent := sim.Messages().Reply
+		sim.QueryNodes([]int{5}, sim.Elapsed(), time.Minute)
+		return sim.Messages().Reply - sent
+	}
+	if n := replies(); n != 0 {
+		t.Fatalf("dead node 5 sent %.0f reply frames", n)
+	}
+
 	sim.ReviveNode(5)
 	sim.Run(4 * time.Minute)
+	if n := replies(); n == 0 {
+		t.Fatal("revived node 5 did not reply to a query")
+	}
+
+	sim.KillNode(5)
+	sim.Run(time.Minute)
+	sim.RestartNode(5)
+	before = sim.Stats().Produced
+	sim.Run(4 * time.Minute)
+	if got := sim.Stats().Produced - before; got <= others {
+		t.Fatalf("restarted node 5 samples nothing: %d readings in four minutes, the others alone make %d",
+			got, others)
+	}
 }
 
 func TestBreakdownTotalExcludesBeacons(t *testing.T) {
@@ -180,7 +211,8 @@ func TestBreakdownTotalExcludesBeacons(t *testing.T) {
 
 // TestSimulationMatchesTrial holds the facade to the harness: a
 // hand-stepped Simulation is exp's trial 0 of the same config with the
-// query ticker off, counter for counter.
+// query ticker off, counter for counter, and Stats reports each of
+// trial 0's counters under its own name.
 func TestSimulationMatchesTrial(t *testing.T) {
 	wave := func(node int, elapsed time.Duration) int { return node*3 + int(elapsed/time.Minute)%40 }
 	for _, tc := range []struct {
@@ -218,6 +250,24 @@ func TestSimulationMatchesTrial(t *testing.T) {
 			}
 			if b := sim.tr.Network().CountersBreakdown(); b != want.Breakdown {
 				t.Errorf("breakdown: facade %+v, trial 0 %+v", b, want.Breakdown)
+			}
+			ws, wb := &want.Stats, want.Breakdown
+			wantRes := ExperimentResult{
+				Breakdown: Breakdown{Data: wb.Data, Summary: wb.Summary, Mapping: wb.Mapping,
+					Query: wb.Query, Reply: wb.Reply, Beacon: wb.Beacon},
+				Produced:        ws.Produced,
+				StoredUnique:    ws.StoredUnique,
+				StoredLocal:     ws.StoredLocal,
+				DataSuccess:     ws.DataSuccessRate(),
+				OwnerHitRate:    ws.OwnerHitRate(),
+				QuerySuccess:    ws.QuerySuccessRate(),
+				QueriesIssued:   ws.QueriesIssued,
+				TuplesReturned:  ws.TuplesReturned,
+				IndexesBuilt:    ws.IndexesBuilt,
+				IndexSuppressed: ws.IndexesSuppressed,
+			}
+			if res := sim.Stats(); res != wantRes {
+				t.Errorf("Stats:\n facade %+v\n trial0 %+v", res, wantRes)
 			}
 		})
 	}
