@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	scooplint [-C dir] [-json] [packages...]
+//	scooplint [-C dir] [packages...]
 //
 // Packages default to ./... relative to -C (default: the current
 // directory). Findings print one per line as
@@ -12,13 +12,11 @@
 //	file:line: [rule] message
 //
 // and the exit status is 1 when there are findings, 2 on a load
-// error. With -json the findings are emitted as a JSON array instead
-// — CI uploads that as an artifact on failure (see .github/workflows/
-// ci.yml and DESIGN.md §15).
+// error. Tier-1's TestRepoClean runs it over the whole repo (DESIGN.md
+// §15).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,20 +30,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the -json artifact schema: one object per finding,
-// stable field names so CI tooling can rely on them.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scooplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (CI artifact mode)")
 	dir := fs.String("C", ".", "directory to resolve package patterns from")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -64,27 +51,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		base = *dir
 	}
-	if *jsonOut {
-		findings := []jsonFinding{} // never null, even when clean
-		for _, d := range diags {
-			findings = append(findings, jsonFinding{
-				File:    relPath(base, d.Pos.Filename),
-				Line:    d.Pos.Line,
-				Col:     d.Pos.Column,
-				Rule:    d.Rule,
-				Message: d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(stderr, "scooplint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s:%d: [%s] %s\n", relPath(base, d.Pos.Filename), d.Pos.Line, d.Rule, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s:%d: [%s] %s\n", relPath(base, d.Pos.Filename), d.Pos.Line, d.Rule, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "scooplint: %d finding(s)\n", len(diags))
@@ -94,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // relPath shortens file names relative to the invocation directory
-// when possible, keeping output stable for humans and CI alike.
+// when possible, keeping output stable.
 func relPath(base, name string) string {
 	if rel, err := filepath.Rel(base, name); err == nil && !filepath.IsAbs(rel) && rel != "" && !isDotDot(rel) {
 		return rel

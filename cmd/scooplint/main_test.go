@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -19,41 +18,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("clean run produced output:\n%s", stdout.String())
-	}
-}
-
-// TestJSONFindings drives the -json artifact mode against a fixture
-// package that is guaranteed dirty, and checks the schema CI relies
-// on: a JSON array of {file,line,col,rule,message}, exit status 1.
-func TestJSONFindings(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", "../..", "-json", "./internal/lint/testdata/src/walltime"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit %d on a dirty package, want 1; stderr:\n%s", code, stderr.String())
-	}
-	var findings []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		Rule    string `json:"rule"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
-		t.Fatalf("-json output is not a findings array: %v\n%s", err, stdout.String())
-	}
-	if len(findings) == 0 {
-		t.Fatal("no findings on the walltime fixture")
-	}
-	for _, f := range findings {
-		if f.Rule != "walltime" {
-			t.Errorf("unexpected rule %q in %+v", f.Rule, f)
-		}
-		if !strings.HasSuffix(f.File, "walltime.go") || f.Line == 0 || f.Col == 0 {
-			t.Errorf("bad position in %+v", f)
-		}
-		if !strings.Contains(f.Message, "wall-clock") {
-			t.Errorf("bad message in %+v", f)
-		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"scoop/internal/exp"
@@ -24,14 +25,19 @@ import (
 )
 
 // parseFlags builds the experiment configuration and the -trace path
-// from argv (without the program name). Separate from main so tests
-// can drive it.
-func parseFlags(args []string) (exp.Config, string, error) {
+// from argv (without the program name), writing usage and flag errors
+// to errw. Separate from main so tests can drive it.
+func parseFlags(args []string, errw io.Writer) (exp.Config, string, error) {
 	fs := flag.NewFlagSet("scoopsim", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	d := exp.Default()
 	wall := func(t netsim.Time) time.Duration { return time.Duration(t) * time.Millisecond }
+	var policies []string
+	for _, p := range policy.Names() {
+		policies = append(policies, string(p))
+	}
 	var (
-		policyF  = fs.String("policy", string(d.Policy), "storage policy: scoop, local, base, hash, hashsim")
+		policyF  = fs.String("policy", string(d.Policy), "storage policy: "+strings.Join(policies, ", "))
 		source   = fs.String("source", d.Source, "data source: real, unique, equal, random, gaussian")
 		topology = fs.String("topology", d.Topology, "topology: uniform, testbed, grid")
 		nodes    = fs.Int("nodes", d.N, "network size including the basestation")
@@ -84,19 +90,27 @@ func run(cfg exp.Config, tracePath string) (exp.Result, error) {
 }
 
 func main() {
-	cfg, tracePath, err := parseFlags(os.Args[1:])
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli is the command: it parses args, runs the experiment, reports it
+// to stdout and returns the exit status — 0, 1 for a configuration or
+// run error, 2 for bad flags.
+func cli(args []string, stdout, stderr io.Writer) int {
+	cfg, tracePath, err := parseFlags(args, stderr)
+	if err == flag.ErrHelp {
+		return 0
+	}
 	if err != nil {
-		if err == flag.ErrHelp {
-			os.Exit(0)
-		}
-		os.Exit(2)
+		return 2
 	}
 	res, err := run(cfg, tracePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scoopsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "scoopsim:", err)
+		return 1
 	}
-	report(os.Stdout, res)
+	report(stdout, res)
+	return 0
 }
 
 // report prints the run's message breakdown and delivery statistics,

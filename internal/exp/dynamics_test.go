@@ -7,7 +7,6 @@ import (
 	"scoop/internal/dynamics"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
-	"scoop/internal/policy"
 )
 
 // driftConfig is the shared shape of the drift-recovery experiments:
@@ -198,11 +197,9 @@ func TestConfigValidate(t *testing.T) {
 			s := dynamics.Script{Events: []dynamics.Event{{At: 0, Kind: dynamics.NodeDown, Node: 0}}}
 			c.Dynamics = &s
 		}, "non-base"},
-		{"hash-dynamics", func(c *Config) {
-			c.Policy = policy.Hash
-			s := dynamics.DataDrift(c.Warmup, c.Warmup, 1, 0.3)
-			c.Dynamics = &s
-		}, "hashsim"},
+		// The paper's analytical HASH is a column DeriveHash computes,
+		// not a policy a trial simulates.
+		{"hash", func(c *Config) { c.Policy = "hash" }, "unknown policy"},
 	}
 	for _, c := range bad {
 		cfg := Default()

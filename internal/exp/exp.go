@@ -187,8 +187,8 @@ func (c Config) Validate() error {
 	if c.N < 2 || c.N > netsim.MaxNodes {
 		return fmt.Errorf("exp: network size %d outside [2,%d] (the basestation plus at least one node, up to the simulator's bound)", c.N, netsim.MaxNodes)
 	}
-	if !slices.Contains([]policy.Name{policy.Scoop, policy.Local, policy.Base, policy.Hash, policy.HashSim}, c.Policy) {
-		return fmt.Errorf("exp: unknown policy %q", c.Policy)
+	if !slices.Contains(policy.Names(), c.Policy) {
+		return fmt.Errorf("exp: unknown policy %q (want one of %v)", c.Policy, policy.Names())
 	}
 	if !slices.Contains(workload.SourceNames(), c.Source) {
 		return fmt.Errorf("exp: unknown source %q (want one of %v)", c.Source, workload.SourceNames())
@@ -270,17 +270,7 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if err := c.Dynamics.Validate(c.N, c.Duration); err != nil {
-		return err
-	}
-	if c.Policy == policy.Hash && (!c.Dynamics.Empty() || c.Faults != "") {
-		// The paper's HASH is evaluated analytically; there is no
-		// simulation to perturb, and silently reporting unperturbed
-		// numbers under a churn/drift label would poison baselines.
-		// Use the simulated "hashsim" policy for dynamics runs.
-		return fmt.Errorf("exp: the analytical hash policy cannot run a dynamics script (use hashsim)")
-	}
-	return nil
+	return c.Dynamics.Validate(c.N, c.Duration)
 }
 
 // AggEval accounts the aggregate query engine's end-to-end quality
@@ -371,9 +361,6 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	cfg.Trials = max(cfg.Trials, 1)
-	if cfg.Policy == policy.Hash {
-		return runAnalyticalHash(cfg)
-	}
 	res := Result{Config: cfg, PerTrial: make([]TrialResult, cfg.Trials)}
 	var wg sync.WaitGroup
 	errs := make([]error, cfg.Trials)
@@ -449,16 +436,21 @@ func (c Config) source(seed int64) (workload.Source, error) {
 	return workload.NewSource(c.Source, c.N, seed)
 }
 
-// runAnalyticalHash evaluates the HASH policy analytically over the
-// same topologies and workload volumes, as the paper does ("we
-// evaluate the cost of this HASH approach analytically"). The pure
-// ETX model knows nothing about retransmissions, collisions or queue
-// drops, so its raw numbers are not comparable with simulated
-// policies; a simulated BASE run over the same topology calibrates
-// the radio-inflation factor, exactly as the paper's analytical HASH
-// lived inside its simulator's cost conditions.
-func runAnalyticalHash(cfg Config) (Result, error) {
-	res := Result{Config: cfg}
+// DeriveHash evaluates the paper's HASH the way the paper does
+// ("we evaluate the cost of this HASH approach analytically"), over the
+// topologies and workload volume of base, a BASE Result from Run. The
+// pure ETX model knows nothing of retransmissions, collisions or queue
+// drops, so each trial's analytical cost is scaled by that trial's
+// measured BASE data cost over the model's own: the radio inflation the
+// paper's analytical HASH met inside its simulator. The model prices
+// value-range queries of the paper's 1–5% widths; NodePct and
+// QueryWidth are not modelled. The result's Config is base's, and its
+// trials carry a Breakdown only.
+func DeriveHash(base Result) (Result, error) {
+	cfg := base.Config
+	if cfg.Policy != policy.Base {
+		return Result{}, fmt.Errorf("exp: the analytical hash derives from a base run, not %q", cfg.Policy)
+	}
 	src, err := cfg.source(cfg.Seed)
 	if err != nil {
 		return Result{}, err
@@ -472,29 +464,21 @@ func runAnalyticalHash(cfg Config) (Result, error) {
 	if cfg.QueryInterval > 0 {
 		w.Queries = float64(active) / float64(cfg.QueryInterval)
 	}
-	// Calibration run: simulated BASE under identical conditions.
-	baseCfg := cfg
-	baseCfg.Policy = policy.Base
-	baseRes, err := Run(baseCfg)
-	if err != nil {
-		return Result{}, err
-	}
 	layout, err := netsim.Layout(cfg.Topology)
 	if err != nil {
 		return Result{}, err
 	}
+	res := Result{Config: cfg}
 	var sum metrics.Breakdown
-	for t := 0; t < cfg.Trials; t++ {
-		topo := layout(cfg.N, cfg.Seed+int64(t)*7919)
+	for t, bt := range base.PerTrial {
+		topo := layout(cfg.N, cfg.Seed+int64(t)*7919) // NewTrial's topology
 		b := policy.AnalyticalHash(topo, w)
-		factor := 1.0
-		if ab := policy.AnalyticalBaseData(topo, w); ab > 0 && t < len(baseRes.PerTrial) {
-			factor = baseRes.PerTrial[t].Breakdown.Data / ab
+		if ab := policy.AnalyticalBaseData(topo, w); ab > 0 {
+			b = b.Scale(bt.Breakdown.Data / ab)
 		}
-		b = b.Scale(factor)
 		res.PerTrial = append(res.PerTrial, TrialResult{Breakdown: b})
 		sum = sum.Add(b)
 	}
-	res.Breakdown = sum.Scale(1.0 / float64(cfg.Trials))
+	res.Breakdown = sum.Scale(1.0 / float64(len(base.PerTrial)))
 	return res, nil
 }

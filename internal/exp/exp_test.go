@@ -124,22 +124,67 @@ func TestPolicyTrafficShapes(t *testing.T) {
 	}
 }
 
-// The analytical HASH model produces data-dominated cost with
-// symmetric query/reply terms and no statistics traffic.
+// The paper's HASH column, derived from a BASE run, is data-dominated,
+// splits its round trips evenly between queries and replies, and sends
+// no statistics traffic. Only a BASE run calibrates it.
 func TestAnalyticalHash(t *testing.T) {
-	r, err := Run(quick(policy.Hash, "real"))
+	base, err := Run(quick(policy.Base, "real"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := DeriveHash(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := r.Breakdown
-	if b.Data == 0 {
-		t.Fatal("hash has no data cost")
+	if b.Data == 0 || b.Data <= b.Query+b.Reply {
+		t.Fatalf("hash is not data-dominated: %+v", b)
 	}
 	if b.Summary != 0 || b.Mapping != 0 {
 		t.Fatal("hash has statistics overhead")
 	}
 	if b.Query != b.Reply {
 		t.Fatalf("hash round trips not split evenly: %f vs %f", b.Query, b.Reply)
+	}
+	if _, err := DeriveHash(Result{Config: atQuick(policy.Scoop, "real")}); err == nil {
+		t.Fatal("derived the hash column from a scoop run")
+	}
+}
+
+// The paper's method is an oracle for the simulated HASH: on a lossless
+// network, hashsim's data messages stay within a band of the calibrated
+// analytical HASH's, and it stores a band of its readings. The model
+// charges every reading its whole producer→owner path; hashsim loses
+// readings on the way, which then pay only part of theirs. Bands from a
+// census of seeds 1–30 at the Quick scale on each topology: the ratio
+// was 0.44–0.87 on uniform and 0.57–0.95 on grid, the stored share
+// 0.70–0.88 and 0.53–0.76. Without the calibration factor the ratio was
+// 0.90–1.71; with every value hashed to node 1, under 0.3.
+func TestHashSimMatchesAnalyticalHash(t *testing.T) {
+	for _, topo := range []string{"uniform", "grid"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			cfg := atQuick(policy.HashSim, "real")
+			cfg.Topology, cfg.Seed = topo, seed
+			sim, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Policy = policy.Base
+			base, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, err := DeriveHash(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := sim.Breakdown.Data / model.Breakdown.Data; r < 0.4 || r > 1 {
+				t.Errorf("%s seed %d: hashsim data / analytical data = %.3f, want within [0.4, 1]", topo, seed, r)
+			}
+			if s := sim.Stats.DataSuccessRate(); s < 0.5 || s > 0.9 {
+				t.Errorf("%s seed %d: hashsim stored %.3f of its readings, want within [0.5, 0.9]", topo, seed, s)
+			}
+		}
 	}
 }
 

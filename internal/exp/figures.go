@@ -127,19 +127,30 @@ func Figure3Left(scale Scale, seed int64) (Table, []Result) {
 }
 
 // Figure3Middle reproduces Figure 3 (middle): SCOOP vs LOCAL vs HASH
-// vs BASE over the REAL trace in simulation.
+// vs BASE over the REAL trace in simulation. HASH is the paper's
+// analytical model, derived from the BASE run (DeriveHash).
 func Figure3Middle(scale Scale, seed int64) (Table, []Result) {
 	t := Table{
 		Title:  "Figure 3 (middle): simulation, REAL trace, by storage method",
 		Header: breakdownHeader,
 	}
-	var results []Result
-	for _, p := range policy.Names() {
-		r := scale.run(seed, func(cfg *Config) { cfg.Policy = p })
-		results = append(results, r)
-		t.Rows = append(t.Rows, breakdownRow(string(p), r))
+	run := func(p policy.Name) Result { return scale.run(seed, func(cfg *Config) { cfg.Policy = p }) }
+	base := run(policy.Base)
+	results := []Result{run(policy.Scoop), run(policy.Local), mustDeriveHash(base), base}
+	for i, label := range []string{"scoop", "local", "hash", "base"} {
+		t.Rows = append(t.Rows, breakdownRow(label, results[i]))
 	}
 	return t, results
+}
+
+// mustDeriveHash is DeriveHash for the figures, whose BASE runs are
+// static configs, so an error is a bug.
+func mustDeriveHash(base Result) Result {
+	r, err := DeriveHash(base)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // Figure3Right reproduces Figure 3 (right): SCOOP over the five data
@@ -391,14 +402,16 @@ func FigureAgg(scale Scale, seed int64) (Table, map[string][]Result) {
 
 // FigureScale is the scale-tier extension figure (not in the paper,
 // which stops at ~100 nodes): SCOOP versus the analytical HASH
-// baseline on multi-hop grid topologies up to 1000 nodes — the
-// GHT/TAG regime. Reported per cell: total messages, messages per
-// node, end-to-end data delivery, and the simulator's own throughput
-// (wall-clock seconds and virtual-seconds-per-wall-second), which is
-// what bench/ measures as sim_rate on scale1000. Delivery degrading as
-// N grows is the finding, not a bug: the protocol's funnel toward one
-// basestation saturates the fixed-capacity MAC exactly as the paper's
-// saturation discussion predicts.
+// baseline, derived from a BASE run at each size, on multi-hop grid
+// topologies up to 1000 nodes — the GHT/TAG regime. Reported per cell:
+// total messages, messages per node, end-to-end data delivery, and the
+// simulator's own throughput on the SCOOP run (wall-clock seconds and
+// virtual-seconds-per-wall-second), which is what bench/ measures as
+// sim_rate on scale1000. Delivery degrading as N grows is the finding,
+// not a bug: the protocol's funnel toward one basestation saturates the
+// fixed-capacity MAC exactly as the paper's saturation discussion
+// predicts. byN[n] holds the SCOOP run, the derived HASH and its BASE
+// run.
 func FigureScale(scale Scale, seed int64) (Table, map[int][]Result) {
 	sizes := []int{65, 250, 1000}
 	t := Table{
@@ -408,36 +421,31 @@ func FigureScale(scale Scale, seed int64) (Table, map[int][]Result) {
 	}
 	byN := make(map[int][]Result)
 	for _, n := range sizes {
-		row := []string{fmt.Sprintf("%d", n)}
-		var scoopRes, hashRes Result
-		wall, simSec := 0.0, 0.0
-		for _, p := range []policy.Name{policy.Scoop, policy.Hash} {
-			start := time.Now() //scoop:allow walltime scale-figure throughput probe, printed to the operator only
-			r := scale.run(seed, func(cfg *Config) { cfg.Policy, cfg.N, cfg.Topology = p, n, "grid" })
-			if p == policy.Scoop {
-				wall = time.Since(start).Seconds() //scoop:allow walltime scale-figure throughput probe, printed to the operator only
-				// Trials run concurrently, so the throughput column is
-				// aggregate virtual seconds simulated per wall second.
-				simSec = float64(r.Config.Duration) / 1000 * float64(r.Config.Trials)
-				scoopRes = r
-			} else {
-				hashRes = r
-			}
-			byN[n] = append(byN[n], r)
+		run := func(p policy.Name) Result {
+			return scale.run(seed, func(cfg *Config) { cfg.Policy, cfg.N, cfg.Topology = p, n, "grid" })
 		}
+		start := time.Now() //scoop:allow walltime scale-figure throughput probe, printed to the operator only
+		scoopRes := run(policy.Scoop)
+		wall := time.Since(start).Seconds() //scoop:allow walltime scale-figure throughput probe, printed to the operator only
+		base := run(policy.Base)
+		hashRes := mustDeriveHash(base)
+		byN[n] = []Result{scoopRes, hashRes, base}
+		// Trials run concurrently, so the throughput column is
+		// aggregate virtual seconds simulated per wall second.
+		simSec := float64(scoopRes.Config.Duration) / 1000 * float64(scoopRes.Config.Trials)
 		rate := 0.0
 		if wall > 0 {
 			rate = simSec / wall
 		}
-		row = append(row,
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f", scoopRes.Breakdown.Total()),
 			fmt.Sprintf("%.1f", scoopRes.Breakdown.Total()/float64(n)),
 			fmt.Sprintf("%.0f%%", 100*scoopRes.Stats.DataSuccessRate()),
 			fmt.Sprintf("%.0f", hashRes.Breakdown.Total()),
 			fmt.Sprintf("%.1f", wall),
 			fmt.Sprintf("%.0f", rate),
-		)
-		t.Rows = append(t.Rows, row)
+		})
 	}
 	return t, byN
 }

@@ -73,14 +73,10 @@ type aggIssued struct {
 // protocol instance — the basestation as node 0, then each mote — and
 // what it returns is attached in its place; a wrapper that forwards
 // every call unchanged leaves the run the one Run makes. NewTrial
-// rejects what Validate rejects, and the analytical HASH policy, which
-// has nothing to simulate.
+// rejects what Validate rejects.
 func NewTrial(cfg Config, trial int, wrap func(id netsim.NodeID, app netsim.App) netsim.App) (*Trial, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Policy == policy.Hash {
-		return nil, fmt.Errorf("exp: the analytical hash policy has no trial to simulate (use hashsim)")
 	}
 	t := &Trial{cfg: cfg, trial: trial, seed: cfg.Seed + int64(trial)*7919}
 	if err := t.build(); err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"scoop/internal/dynamics"
 	"scoop/internal/netsim"
-	"scoop/internal/policy"
 )
 
 // countingApp forwards every callback to the protocol instance it
@@ -103,17 +102,11 @@ func TestTrialSlicesMatchRun(t *testing.T) {
 	}
 }
 
-// NewTrial turns away what Run would: an invalid configuration, and the
-// analytical HASH policy, which has no simulation to step.
+// NewTrial turns away what Run would: an invalid configuration.
 func TestNewTrialRejects(t *testing.T) {
 	bad := Default()
 	bad.Topology = "torus"
 	if _, err := NewTrial(bad, 0, nil); err == nil || !strings.Contains(err.Error(), "unknown topology") {
 		t.Errorf("invalid config: err = %v", err)
-	}
-	hash := Default()
-	hash.Policy = policy.Hash
-	if _, err := NewTrial(hash, 0, nil); err == nil || !strings.Contains(err.Error(), "hashsim") {
-		t.Errorf("analytical hash: err = %v", err)
 	}
 }

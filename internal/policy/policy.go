@@ -1,20 +1,21 @@
 // Package policy provides the comparator storage policies from the
 // paper's evaluation (§6): LOCAL (store locally, flood queries), BASE
-// (send everything to the basestation), and HASH (static uniform
+// (send everything to the basestation), and HASHSIM (static uniform
 // value→node hash, the GHT-style data-centric storage baseline).
 //
-// LOCAL and BASE are expressed as configurations of the full Scoop
-// protocol stack with a preloaded fixed index, which turns statistics
-// traffic and index recomputation off, so all policies share identical
-// radio, routing and query-dissemination machinery — exactly the
-// paper's setup, where all policies ran on the same TinyOS networking
-// stack.
+// LOCAL, BASE and HASHSIM are expressed as configurations of the full
+// Scoop protocol stack with a preloaded fixed index, which turns
+// statistics traffic and index recomputation off, so all policies share
+// identical radio, routing and query-dissemination machinery — exactly
+// the paper's setup, where all policies ran on the same TinyOS
+// networking stack.
 //
-// HASH exists in two forms. AnalyticalHash reproduces the paper's
-// treatment ("because we did not have a working implementation of
-// HASH … we evaluate the cost of this HASH approach analytically").
-// HashConfig additionally provides a fully simulated HASH as an
-// extension, which the paper could not run.
+// The paper evaluated HASH analytically ("because we did not have a
+// working implementation of HASH … we evaluate the cost of this HASH
+// approach analytically"); HASHSIM simulates it. AnalyticalHash and
+// AnalyticalBaseData keep the paper's method as pure functions of a
+// topology and a workload volume, from which exp.DeriveHash derives the
+// paper's HASH column out of a BASE run.
 package policy
 
 import (
@@ -29,23 +30,20 @@ import (
 // Name identifies a storage policy.
 type Name string
 
-// The four policies of the paper's evaluation, plus the simulated-HASH
-// extension.
+// The runnable policies: SCOOP and the paper's three comparators, HASH
+// simulated.
 const (
 	Scoop   Name = "scoop"
 	Local   Name = "local"
 	Base    Name = "base"
-	Hash    Name = "hash"    // analytical, as in the paper
-	HashSim Name = "hashsim" // extension: actually simulated
+	HashSim Name = "hashsim"
 )
 
-// Names lists the policies in the paper's display order.
-func Names() []Name { return []Name{Scoop, Local, Hash, Base} }
+// Names lists the runnable policies in the paper's display order.
+func Names() []Name { return []Name{Scoop, Local, HashSim, Base} }
 
 // Config returns the core protocol configuration implementing the
 // named policy over an n-node network and the value domain [lo,hi].
-// The analytical Hash policy has no runnable configuration; use
-// AnalyticalHash instead.
 func Config(p Name, n, lo, hi int) (core.Config, error) {
 	cfg := core.DefaultConfig(lo, hi)
 	switch p {
@@ -66,7 +64,7 @@ func Config(p Name, n, lo, hi int) (core.Config, error) {
 		cfg.Preload = HashIndex(1, n, lo, hi)
 		return cfg, nil
 	}
-	return core.Config{}, fmt.Errorf("policy: no runnable config for %q", p)
+	return core.Config{}, fmt.Errorf("policy: unknown policy %q", p)
 }
 
 // HashIndex builds the static uniform value→node index the HASH

@@ -22,18 +22,18 @@ func TestCellKeyAggMixBackwardCompatible(t *testing.T) {
 	}
 }
 
-// Aggregate mixes only make sense for the Scoop policy: BASE answers
-// at the basestation for free and analytical HASH has no simulation,
+// Aggregate mixes only make sense for the Scoop policy: the comparators
+// have no query planner and BASE answers at the basestation for free,
 // so the cross-product omits their mixed cells.
 func TestCellsSkipComparatorAggMix(t *testing.T) {
 	g := Default()
-	g.Policies = []policy.Name{policy.Scoop, policy.Base, policy.Hash}
+	g.Policies = []policy.Name{policy.Scoop, policy.Base, policy.HashSim}
 	g.Sizes = []int{16}
 	g.LossRates = []float64{0}
 	g.QueryMixes = []float64{0, 0.5}
 	cells := g.Cells()
 	if len(cells) != 4 {
-		t.Fatalf("cells = %d, want 4 (scoop×2 mixes + base + hash)", len(cells))
+		t.Fatalf("cells = %d, want 4 (scoop×2 mixes + base + hashsim)", len(cells))
 	}
 	for _, c := range cells {
 		if c.AggMix > 0 && c.Policy != policy.Scoop {

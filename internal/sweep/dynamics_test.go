@@ -25,41 +25,18 @@ func TestCellKeyBackwardCompatible(t *testing.T) {
 	}
 }
 
-// The analytical HASH policy cannot simulate perturbations, so the
-// cross-product omits hash×(churn|drift) cells rather than labelling
-// unperturbed numbers as perturbed.
-func TestCellsSkipAnalyticalHashDynamics(t *testing.T) {
-	g := Default()
-	g.Policies = []policy.Name{policy.Scoop, policy.Hash}
-	g.Sizes = []int{16}
-	g.LossRates = []float64{0}
-	g.ChurnRates = []float64{0, 0.1}
-	cells := g.Cells()
-	if len(cells) != 3 {
-		t.Fatalf("cells = %d, want 3 (scoop×2 churn + hash static)", len(cells))
-	}
-	for _, c := range cells {
-		if c.Policy == policy.Hash && c.Churn > 0 {
-			t.Fatalf("hash churn cell generated: %s", c.Key())
-		}
-		if _, err := g.config(c); err != nil {
-			t.Fatalf("cell %s invalid: %v", c.Key(), err)
-		}
-	}
-}
-
 // The frozen-index ablation only exists for Scoop; comparator
 // policies have no adaptive loop, so reindex-off cells for them would
 // duplicate the normal cell under a misleading key.
 func TestCellsSkipComparatorNoReindex(t *testing.T) {
 	g := Default()
-	g.Policies = []policy.Name{policy.Scoop, policy.Hash, policy.Base, policy.Local, policy.HashSim}
+	g.Policies = policy.Names()
 	g.Sizes = []int{16}
 	g.LossRates = []float64{0}
 	g.Reindex = []bool{true, false}
 	cells := g.Cells()
-	if len(cells) != 6 {
-		t.Fatalf("cells = %d, want 6 (5 policies + scoop noreindex)", len(cells))
+	if len(cells) != 5 {
+		t.Fatalf("cells = %d, want 5 (4 policies + scoop noreindex)", len(cells))
 	}
 	for _, c := range cells {
 		if c.NoReindex && c.Policy != policy.Scoop {

@@ -52,8 +52,8 @@ type Grid struct {
 	Reindex []bool
 	// QueryMixes is the aggregate-query fraction axis (0: pure tuple
 	// workload, the pre-agg default). Non-zero mixes apply to the
-	// Scoop policy only — BASE answers at the basestation for free and
-	// the analytical HASH has no simulation — so other cells are
+	// Scoop policy only — the comparators have no query planner, and
+	// BASE answers at the basestation for free — so other cells are
 	// omitted.
 	QueryMixes []float64
 	// Faults is the fault-scenario axis: each non-empty name resolves
@@ -67,13 +67,6 @@ type Grid struct {
 	// Faults; the off value is the pre-§19 default.
 	Retry   []bool
 	Sources []string // workload skews ("unique", "real", "random", ...)
-
-	// ScaleSizes is the scale-tier axis: for each size it appends
-	// scoop/hash/local cells on the multi-hop "grid" topology at zero
-	// injected loss over the first Source — the GHT/TAG regime up to
-	// netsim.MaxNodes (1024). Kept separate from Sizes so the paper's
-	// dense cross-product is not multiplied by thousand-node cells.
-	ScaleSizes []int
 
 	// Shared per-cell run parameters (see exp.Config).
 	Duration       netsim.Time
@@ -98,7 +91,7 @@ type Grid struct {
 	Regions int `json:"-"`
 }
 
-// Default returns a 24-cell quick-scale grid: the paper's four
+// Default returns a 24-cell quick-scale grid: the four runnable
 // policies × two network sizes × three loss rates over the REAL
 // workload on the uniform topology.
 func Default() Grid {
@@ -180,9 +173,8 @@ func orDefault[T any](axis []T, def T) []T {
 
 // scoopOnly reports whether the cell sets an axis only the Scoop policy
 // has a mechanism for: an adaptive loop to freeze, a query planner for
-// aggregate mixes (BASE answers for free at the basestation, analytical
-// HASH has no simulation), a query reliability layer for faults and
-// retries to exercise. On a comparator such a cell would repeat the
+// aggregate mixes, a query reliability layer for faults and retries to
+// exercise. On a comparator such a cell would repeat the
 // plain cell under a misleading key, so Cells omits it.
 func (c Cell) scoopOnly() bool {
 	return c.NoReindex || c.AggMix > 0 || c.Faults != "" || c.Retry
@@ -214,7 +206,7 @@ func (g Grid) Cells() []Cell {
 	product := len(policies) * len(topos) * len(sizes) * len(losses) *
 		len(churns) * len(drifts) * len(reindex) * len(mixes) *
 		len(faults) * len(retries) * len(sources)
-	cells := make([]Cell, 0, product+3*len(g.ScaleSizes))
+	cells := make([]Cell, 0, product)
 	for i := 0; i < product; i++ {
 		// Count in mixed radix, the innermost axis the fastest digit.
 		r := i
@@ -233,28 +225,8 @@ func (g Grid) Cells() []Cell {
 		if c.Policy != policy.Scoop && c.scoopOnly() {
 			continue
 		}
-		if c.Policy == policy.Hash && (c.Churn > 0 || c.Drift != 0) {
-			// Analytical HASH has no simulation to perturb; exp.Run
-			// rejects the combination, so the grid omits it (hashsim
-			// covers it).
-			continue
-		}
 		c.Index = len(cells)
 		cells = append(cells, c)
-	}
-	seen := make(map[string]bool, len(cells))
-	for _, c := range cells {
-		seen[c.Key()] = true
-	}
-	for _, n := range g.ScaleSizes {
-		for _, p := range []policy.Name{policy.Scoop, policy.Hash, policy.Local} {
-			c := Cell{Index: len(cells), Policy: p, Topology: "grid",
-				N: n, Source: sources[0]}
-			if seen[c.Key()] {
-				continue // already covered by the main grid
-			}
-			cells = append(cells, c)
-		}
 	}
 	return cells
 }

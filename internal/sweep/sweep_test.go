@@ -155,7 +155,6 @@ func TestRunRejectsBadCells(t *testing.T) {
 		{"source", func(g *Grid) { g.Sources = []string{"no-such-source"} }, "/no-such-source)"},
 		{"loss", func(g *Grid) { g.LossRates = []float64{0, 1.5} }, "/loss1.5/"},
 		{"size", func(g *Grid) { g.Sizes = []int{12, 1100} }, "/n1100/"},
-		{"scale-size", func(g *Grid) { g.ScaleSizes = []int{1100} }, "grid/n1100/"},
 		{"churn", func(g *Grid) { g.ChurnRates = []float64{1.5} }, "/churn1.5)"},
 		{"drift", func(g *Grid) { g.DriftRates = []float64{-2} }, "/drift-2)"},
 		{"fault", func(g *Grid) { g.Faults = []string{"", "earthquake"} }, "/faults-earthquake)"},
@@ -246,8 +245,9 @@ func TestCellResultJSONGolden(t *testing.T) {
 // The cell order fixes every cell's index and, through CellSeed, its
 // seed, so an artifact reproduces only while Cells enumerates exactly
 // as it did when the artifact was written. Both expectations were
-// captured from the commit whose Cells was an eleven-deep loop nest
-// with one "Scoop-only" continue per axis.
+// captured from the commit whose Cells skipped the analytical HASH under
+// churn and drift, run with hashsim in its place, an enumeration that
+// skip never touched.
 func TestCellsOrderGolden(t *testing.T) {
 	lines := func(g Grid) []string {
 		var out []string
@@ -256,10 +256,10 @@ func TestCellsOrderGolden(t *testing.T) {
 		}
 		return out
 	}
-	// Two values on the policy axis and every axis with a Scoop-only
-	// value; the first scale size repeats main-grid cells.
+	// Three values on the policy axis and every axis with a Scoop-only
+	// value.
 	small := Grid{
-		Policies:   []policy.Name{policy.Scoop, policy.Hash, policy.Base},
+		Policies:   []policy.Name{policy.Scoop, policy.HashSim, policy.Base},
 		Topologies: []string{"grid"},
 		Sizes:      []int{16},
 		LossRates:  []float64{0},
@@ -269,7 +269,6 @@ func TestCellsOrderGolden(t *testing.T) {
 		Faults:     []string{"", "blackout"},
 		Retry:      []bool{false, true},
 		Sources:    []string{"unique"},
-		ScaleSizes: []int{16, 65},
 	}
 	want := []string{
 		"0 scoop/grid/n16/loss0/unique",
@@ -304,23 +303,21 @@ func TestCellsOrderGolden(t *testing.T) {
 		"29 scoop/grid/n16/loss0/unique/churn0.15/noreindex/agg0.5/retry",
 		"30 scoop/grid/n16/loss0/unique/churn0.15/noreindex/agg0.5/faults-blackout",
 		"31 scoop/grid/n16/loss0/unique/churn0.15/noreindex/agg0.5/faults-blackout/retry",
-		"32 hash/grid/n16/loss0/unique",
-		"33 base/grid/n16/loss0/unique",
-		"34 base/grid/n16/loss0/unique/churn0.15",
-		"35 local/grid/n16/loss0/unique",
-		"36 scoop/grid/n65/loss0/unique",
-		"37 hash/grid/n65/loss0/unique",
-		"38 local/grid/n65/loss0/unique",
+		"32 hashsim/grid/n16/loss0/unique",
+		"33 hashsim/grid/n16/loss0/unique/churn0.15",
+		"34 base/grid/n16/loss0/unique",
+		"35 base/grid/n16/loss0/unique/churn0.15",
 	}
 	if got := lines(small); !slices.Equal(got, want) {
 		t.Errorf("small grid enumerates as\n%s\nwant\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
-	// Two values on all eleven axes pin the whole nesting order; 1108
-	// keys are held by count and digest rather than spelt out.
+	// Two or three values on all eleven axes pin the whole nesting
+	// order; 1152 keys are held by count and digest rather than spelt
+	// out.
 	full := Grid{
-		Policies:   []policy.Name{policy.Scoop, policy.Hash, policy.Base},
+		Policies:   []policy.Name{policy.Scoop, policy.HashSim, policy.Base},
 		Topologies: []string{"uniform", "grid"},
 		Sizes:      []int{16, 24},
 		LossRates:  []float64{0, 0.2},
@@ -331,13 +328,12 @@ func TestCellsOrderGolden(t *testing.T) {
 		Faults:     []string{"", "blackout"},
 		Retry:      []bool{false, true},
 		Sources:    []string{"real", "unique"},
-		ScaleSizes: []int{24, 65},
 	}
 	got := lines(full)
 	sum := sha256.Sum256([]byte(strings.Join(got, "\n") + "\n"))
-	const wantSum = "9e557bd7c07d0c520bf73ea382f6f1d3fbeed47e9566f12112ab3f73b1a37b7d"
-	if len(got) != 1108 || hex.EncodeToString(sum[:]) != wantSum {
-		t.Errorf("full grid: %d cells, digest %x; want 1108, %s", len(got), sum, wantSum)
+	const wantSum = "5eea4d4c7c18aac1d48bf38c4e9e1934b59970cdaf130175585edd7f5924a61f"
+	if len(got) != 1152 || hex.EncodeToString(sum[:]) != wantSum {
+		t.Errorf("full grid: %d cells, digest %x; want 1152, %s", len(got), sum, wantSum)
 	}
 }
 
@@ -365,7 +361,7 @@ func TestDiff(t *testing.T) {
 			r.Seed = 2
 			r.Cells[2].DataSuccess, r.Cells[2].Msgs, r.Cells[2].Index = 0.5, 3, 7
 			r.Cells[0].Seed = 9
-			r.Cells = []CellResult{cell(3, policy.Hash, 1), r.Cells[2], r.Cells[0]}
+			r.Cells = []CellResult{cell(3, policy.HashSim, 1), r.Cells[2], r.Cells[0]}
 		}, []string{
 			"seed: got 2, want 1",
 			"cell 0 scoop/uniform/n63/loss0/real: seed: got 9, want 0",
@@ -373,7 +369,7 @@ func TestDiff(t *testing.T) {
 			"cell 2 local/uniform/n63/loss0/real: index: got 7, want 2",
 			"cell 2 local/uniform/n63/loss0/real: msgs: got 3, want 3000",
 			"cell 2 local/uniform/n63/loss0/real: dataSuccess: got 0.5, want 0.9",
-			"cell 3 hash/uniform/n63/loss0/real: got it, want no such cell"}},
+			"cell 3 hashsim/uniform/n63/loss0/real: got it, want no such cell"}},
 	} {
 		got := Report{Name: want.Name, Seed: want.Seed, Cells: slices.Clone(want.Cells)}
 		tc.mutate(&got)

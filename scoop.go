@@ -33,14 +33,13 @@ import (
 // Policy selects a storage policy.
 type Policy string
 
-// Storage policies. PolicyHash is the paper's analytical GHT-style
-// baseline; PolicyHashSim is this implementation's fully simulated
-// extension of it.
+// Storage policies: SCOOP and the paper's comparators. PolicyHashSim
+// simulates the paper's GHT-style HASH baseline, which the paper
+// evaluated analytically only.
 const (
 	PolicyScoop   Policy = "scoop"
 	PolicyLocal   Policy = "local"
 	PolicyBase    Policy = "base"
-	PolicyHash    Policy = "hash"
 	PolicyHashSim Policy = "hashsim"
 )
 
