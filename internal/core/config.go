@@ -11,12 +11,10 @@ import (
 	"sync"
 
 	"scoop/internal/index"
-	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/prof"
 	"scoop/internal/query"
 	"scoop/internal/routing"
-	"scoop/internal/storage"
 	"scoop/internal/trace"
 	"scoop/internal/trickle"
 )
@@ -196,24 +194,14 @@ var queryTrickle = trickle.Config{
 	MaxRounds: 4,
 }
 
-// ReadingProbe observes the life of every reading — production,
-// storage events, loss-accounted drops — so an external checker can
-// assert conservation (internal/invariant). Probes are test harness
-// machinery: a nil Probe costs one predictable branch per event.
-type ReadingProbe interface {
-	ProducedReading(producer uint16, t int64)
-	StoredReading(producer uint16, t int64)
-	LostReading(producer uint16, t int64, reason string)
-}
-
 // SharedRunState is the per-reading slice of run accounting: the
-// storage dedup table and the invariant probe. It sits behind one mutex
-// because in a region-parallel run it sees events from every region (a
-// reading produced in one region is stored at an owner in another),
-// so it cannot live in any single region's RunStats shard. Both
-// accounts are set-valued — a reading's first-storage bit and its
-// probe lifecycle flags — so the cross-region arrival order the mutex
-// admits cannot change totals or verdicts, only interleaving.
+// storage dedup table. It sits behind one mutex because in a
+// region-parallel run it sees events from every region (a reading
+// produced in one region is stored at an owner in another), so it
+// cannot live in any single region's RunStats shard. The table is
+// set-valued — a reading's first-storage bit — so the cross-region
+// arrival order the mutex admits cannot change totals, only
+// interleaving.
 type SharedRunState struct {
 	mu sync.Mutex
 	// seen deduplicates storage events per reading, so the success rate
@@ -222,13 +210,7 @@ type SharedRunState struct {
 	// stored). Sample times per producer are almost always observed in
 	// increasing order, so the seenTable's max-key fast path makes this
 	// one row lookup per store event, no scan (DESIGN.md §12).
-	seen  seenTable
-	probe ReadingProbe
-}
-
-// NewSharedRunState builds the shared slice; probe may be nil.
-func NewSharedRunState(probe ReadingProbe) *SharedRunState {
-	return &SharedRunState{probe: probe}
+	seen seenTable
 }
 
 // RunStats aggregates end-to-end delivery outcomes across a run, the
@@ -237,9 +219,9 @@ func NewSharedRunState(probe ReadingProbe) *SharedRunState {
 // One RunStats is shared by all nodes of a region; all counters are
 // plain int64 adds, so a run's shards merge by field-wise sum (Add).
 type RunStats struct {
-	// Shared is the run's per-reading dedup and probe state, one for all
-	// shards of a run. A RunStats left without one makes its own on
-	// first use (no probe) — enough for a single-shard run.
+	// Shared is the run's per-reading dedup table, one for all shards of
+	// a run. A RunStats left without one makes its own on first use —
+	// enough for a single-shard run.
 	Shared *SharedRunState
 
 	Produced      int64 // readings sampled
@@ -360,9 +342,6 @@ func (s *RunStats) shared() *SharedRunState {
 func (s *RunStats) MarkStored(producer uint16, t int64) bool {
 	sh := s.shared()
 	sh.mu.Lock()
-	if sh.probe != nil {
-		sh.probe.StoredReading(producer, t)
-	}
 	dup := sh.seen.Seen(netsim.NodeID(producer), uint64(t))
 	sh.mu.Unlock()
 	if dup {
@@ -370,41 +349,6 @@ func (s *RunStats) MarkStored(producer uint16, t int64) bool {
 	}
 	s.StoredUnique++
 	return true
-}
-
-// noteProduced accounts one sampled reading.
-func (s *RunStats) noteProduced(producer uint16, t int64) {
-	s.Produced++
-	if sh := s.shared(); sh.probe != nil {
-		sh.mu.Lock()
-		sh.probe.ProducedReading(producer, t)
-		sh.mu.Unlock()
-	}
-}
-
-// loseReadings accounts a batch of readings as lost for the given
-// cause (sender-perceived: an ack loss can mark a reading lost that
-// was in fact stored; conservation checkers treat the accounts as
-// at-least-once).
-func (s *RunStats) loseReadings(rs []storage.Reading, cause metrics.DropCause) {
-	s.LostData += int64(len(rs))
-	s.probeLost(rs, cause)
-}
-
-// probeLost reports lost readings to the probe (if any) without
-// touching the deterministic counters — on its own, the reboot-purge
-// path, where LostData deliberately counts only radio-side losses.
-func (s *RunStats) probeLost(rs []storage.Reading, cause metrics.DropCause) {
-	sh := s.shared()
-	if sh.probe == nil || len(rs) == 0 {
-		return
-	}
-	reason := cause.String()
-	sh.mu.Lock()
-	for _, r := range rs {
-		sh.probe.LostReading(r.Producer, r.Time, reason)
-	}
-	sh.mu.Unlock()
 }
 
 // Stored returns all storage events (including retransmission

@@ -140,11 +140,9 @@ func (n *Node) Tree() *routing.Tree { return &n.tree }
 // (core.TestRestartClearsStateInPlace).
 func (n *Node) Init(api *netsim.NodeAPI) {
 	// Reboot accounting: readings batched in RAM when the mote loses
-	// power are gone for good — tell the conservation probe and the
-	// flight recorder before the buffers are cleared. (LostData itself
-	// counts only radio-path losses, as before.)
+	// power are gone for good — tell the flight recorder before the
+	// buffers are cleared. (LostData counts only send-path losses.)
 	for _, rs := range n.batchq.vals {
-		n.stats.probeLost(rs, metrics.DropReboot)
 		for _, r := range rs {
 			n.cfg.Trace.Emit(trace.Event{Kind: trace.ReadingLost,
 				Node: uint16(api.ID()), Cause: metrics.DropReboot,
@@ -311,7 +309,7 @@ func (n *Node) forwardUp(p *netsim.Packet, payload any, class metrics.Class, siz
 func (n *Node) takeSample() {
 	now := n.api.Now()
 	v := n.sample(n.api.ID(), now)
-	n.stats.noteProduced(uint16(n.api.ID()), int64(now))
+	n.stats.Produced++
 	n.cfg.Trace.Emit(trace.Event{Kind: trace.ReadingSampled, Node: uint16(n.api.ID()),
 		Producer: uint16(n.api.ID()), SampleT: int64(now), Value: int64(v)})
 	n.recent.Add(v)
@@ -375,9 +373,11 @@ func (n *Node) flushBatch() {
 }
 
 // loseReadings accounts a batch of readings as lost in RunStats and
-// emits one reading-lost trace event per reading.
+// emits one reading-lost trace event per reading. The account is
+// sender-perceived: an ack loss can mark a reading lost that was in
+// fact stored, so conservation treats it as at-least-once.
 func (n *Node) loseReadings(rs []storage.Reading, cause metrics.DropCause) {
-	n.stats.loseReadings(rs, cause)
+	n.stats.LostData += int64(len(rs))
 	if rec := n.cfg.Trace; rec != nil {
 		me := uint16(n.api.ID())
 		for _, r := range rs {

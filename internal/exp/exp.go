@@ -149,12 +149,14 @@ type Config struct {
 // traceRingCap bounds the default in-memory trace ring per trial.
 const traceRingCap = 4096
 
-// ForceInvariants attaches the internal/invariant whole-run checker to
-// every trial in the process: conservation of readings, no aggregate
-// double-count, index-generation monotonicity. A violation fails the
-// run with a descriptive error. A test binary sets it from one TestMain
-// so the whole suite's runs are conservation-clean, and the benchmark
-// sets it for its check runs. Set it before the first Run; it keeps
+// ForceInvariants attaches the whole-run invariant checker to every
+// trial in the process: conservation of readings, no aggregate
+// double-count, index-generation monotonicity. The checker is one more
+// sink of the trial's flight recorder, which a trial without a trace
+// then gets for the checker alone. A violation fails the run with a
+// descriptive error. A test binary sets it from one TestMain so the
+// whole suite's runs are conservation-clean, and the benchmark sets it
+// for its check runs. Set it before the first Run; it keeps
 // per-reading state, so never set it in production binaries or
 // artifact sweeps.
 var ForceInvariants bool

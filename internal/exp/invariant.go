@@ -1,32 +1,10 @@
-// Package invariant is a test-only, whole-run correctness checker for
-// Scoop simulations. It watches every reading's life through the
-// storage pipeline (via core.ReadingProbe) and, at run end, asserts
-// the system-level invariants that individual unit tests cannot see:
-//
-//   - Conservation of readings: every generated reading is stored at
-//     least once, dropped with a loss-accounted reason (radio loss,
-//     no-route, TTL, reboot), or demonstrably in flight at run end
-//     (batch buffers, send queues, frames on the air). Nothing
-//     vanishes silently.
-//   - Stored-exactly-once accounting: the deduplicated StoredUnique
-//     count equals the number of distinct readings with a storage
-//     event, and no "ghost" reading is stored that was never produced.
-//   - No aggregate double-count: for every issued in-network aggregate
-//     query, the contributors folded into the basestation's answer
-//     never exceed the targeted node set — seq-dedup'd resends must
-//     not count a subtree twice.
-//   - Index-generation monotonicity: the basestation's disseminated
-//     index generations have strictly increasing IDs.
-//
-// The checker is wired into experiment runs by exp.ForceInvariants,
-// which a test binary sets; it is
-// plain bookkeeping on the trial goroutine and is never active in
-// benchmark or sweep-artifact runs.
-package invariant
+package exp
 
 import (
 	"fmt"
 	"sort"
+
+	"scoop/internal/trace"
 )
 
 type readingKey struct {
@@ -41,19 +19,42 @@ type readingState struct {
 	inflight bool
 }
 
-// Checker accumulates per-reading and per-query evidence for one
-// trial. Not safe for concurrent use; each trial owns one.
-type Checker struct {
+// checker is the whole-run correctness checker for Scoop simulations.
+// It reads every reading's life off the flight recorder — the
+// reading-sampled, reading-stored and reading-lost events — and, at run
+// end, asserts the system-level invariants that individual unit tests
+// cannot see:
+//
+//   - Conservation of readings: every generated reading is stored at
+//     least once, dropped with a loss-accounted cause (radio loss,
+//     no-route, TTL, reboot, a receiver killed mid-air), or
+//     demonstrably in flight at run end (batch buffers, send queues,
+//     frames on the air). Nothing vanishes silently.
+//   - Stored-exactly-once accounting: the deduplicated StoredUnique
+//     count equals the number of distinct readings with a storage
+//     event, and no "ghost" reading is stored that was never produced.
+//   - No aggregate double-count: for every issued in-network aggregate
+//     query, the contributors folded into the basestation's answer
+//     never exceed the targeted node set — seq-dedup'd resends must
+//     not count a subtree twice.
+//   - Index-generation monotonicity: the basestation's disseminated
+//     index generations have strictly increasing IDs.
+//
+// ForceInvariants makes it one more sink of every trial's recorder; it
+// is plain bookkeeping on the trial goroutine and is never active in
+// benchmark timings or sweep-artifact runs. It accumulates per-reading
+// and per-query evidence for one trial. Not safe for concurrent use;
+// each trial owns one.
+type checker struct {
 	readings map[readingKey]*readingState
 	extra    []string // non-conservation violations, in detection order
 }
 
-// New returns an empty checker.
-func New() *Checker {
-	return &Checker{readings: make(map[readingKey]*readingState)}
+func newChecker() *checker {
+	return &checker{readings: make(map[readingKey]*readingState)}
 }
 
-func (c *Checker) state(p uint16, t int64) *readingState {
+func (c *checker) state(p uint16, t int64) *readingState {
 	k := readingKey{p, t}
 	s := c.readings[k]
 	if s == nil {
@@ -63,30 +64,38 @@ func (c *Checker) state(p uint16, t int64) *readingState {
 	return s
 }
 
-// ProducedReading implements core.ReadingProbe.
-func (c *Checker) ProducedReading(p uint16, t int64) {
-	s := c.state(p, t)
-	s.produced++
-	if s.produced > 1 {
-		c.extra = append(c.extra,
-			fmt.Sprintf("reading (node %d, t=%d) produced %d times (sample identity collision)", p, t, s.produced))
+// Record implements trace.Sink: it folds the block's reading-sampled,
+// reading-stored (every storage event, at-least-once duplicates
+// included) and reading-lost events, and skips the rest.
+func (c *checker) Record(b *trace.Block) { b.Each(c.fold) }
+
+func (c *checker) fold(e trace.Event) {
+	switch e.Kind {
+	case trace.ReadingSampled:
+		s := c.state(e.Producer, e.SampleT)
+		s.produced++
+		if s.produced > 1 {
+			c.extra = append(c.extra,
+				fmt.Sprintf("reading (node %d, t=%d) produced %d times (sample identity collision)", e.Producer, e.SampleT, s.produced))
+		}
+	case trace.ReadingStored:
+		c.state(e.Producer, e.SampleT).stored++
+	case trace.ReadingLost:
+		c.state(e.Producer, e.SampleT).lost++
 	}
 }
 
-// StoredReading implements core.ReadingProbe. Called on every storage
-// event including at-least-once duplicates.
-func (c *Checker) StoredReading(p uint16, t int64) { c.state(p, t).stored++ }
-
-// LostReading implements core.ReadingProbe.
-func (c *Checker) LostReading(p uint16, t int64, reason string) { c.state(p, t).lost++ }
+// Close implements trace.Sink; the verdict waits for the end-of-run
+// inputs (Violations).
+func (c *checker) Close() error { return nil }
 
 // InFlightReading marks a reading observed in a batch buffer, send
 // queue or in-air frame at run end.
-func (c *Checker) InFlightReading(p uint16, t int64) { c.state(p, t).inflight = true }
+func (c *checker) InFlightReading(p uint16, t int64) { c.state(p, t).inflight = true }
 
 // RecordIndexIDs checks the basestation's disseminated generations for
 // strictly increasing IDs.
-func (c *Checker) RecordIndexIDs(ids []uint16) {
+func (c *checker) RecordIndexIDs(ids []uint16) {
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
 			c.extra = append(c.extra,
@@ -97,16 +106,16 @@ func (c *Checker) RecordIndexIDs(ids []uint16) {
 
 // AggResult checks one aggregate query's answer assembly: contributors
 // folded at the basestation must not exceed the targeted node count.
-func (c *Checker) AggResult(qid uint16, contribs, expected int) {
+func (c *checker) AggResult(qid uint16, contribs, expected int) {
 	if contribs > expected {
 		c.extra = append(c.extra,
 			fmt.Sprintf("agg query %d: %d contributors folded for %d targeted nodes (double count)", qid, contribs, expected))
 	}
 }
 
-// VerdictInfo is one query's terminal state as the reliability layer
-// recorded it (adapted from core.VerdictRecord by the harness).
-type VerdictInfo struct {
+// verdictInfo is one query's terminal state as the reliability layer
+// recorded it (adapted from core.VerdictRecord by the trial).
+type verdictInfo struct {
 	QID          uint16
 	Terminal     bool    // reached a terminal verdict
 	Degraded     bool    // settled degraded (summary-estimate answer)
@@ -118,7 +127,7 @@ type VerdictInfo struct {
 // (DESIGN.md §19): every issued query reaches a terminal verdict
 // exactly once, and a degraded answer never reports a tighter error
 // bound than the summary math allows.
-func (c *Checker) QueryVerdicts(issued int, recs []VerdictInfo) {
+func (c *checker) QueryVerdicts(issued int, recs []verdictInfo) {
 	seen := make(map[uint16]int, len(recs))
 	for _, r := range recs {
 		seen[r.QID]++
@@ -150,7 +159,7 @@ const maxReported = 12
 // Violations returns every invariant breach found, deterministically
 // ordered, or nil. Call once, after the run (and after the in-flight
 // sweep).
-func (c *Checker) Violations() []string {
+func (c *checker) Violations() []string {
 	out := append([]string(nil), c.extra...)
 
 	keys := make([]readingKey, 0, len(c.readings))
@@ -188,7 +197,7 @@ func (c *Checker) Violations() []string {
 }
 
 // Stats reports bookkeeping totals (tests of the checker itself).
-func (c *Checker) Stats() (produced, stored, lost, inflight int) {
+func (c *checker) Stats() (produced, stored, lost, inflight int) {
 	for _, s := range c.readings {
 		if s.produced > 0 {
 			produced++

@@ -1,33 +1,46 @@
-package invariant
+package exp
 
 import (
 	"strings"
 	"testing"
+
+	"scoop/internal/metrics"
+	"scoop/internal/trace"
 )
+
+// reading is one reading-lifecycle event of kind k, as core emits it.
+func reading(k trace.Kind, producer uint16, t int64) trace.Event {
+	return trace.Event{Kind: k, Node: producer, Producer: producer, SampleT: t}
+}
 
 // clean drives every check with a sequence that satisfies it: readings
 // stored, lost or in flight; increasing index IDs; an aggregate that
 // counts each target once; every query settled once with an honest
 // bound. Each violating case below runs it first, so the one breach it
 // adds is the only difference from a clean run.
-func clean(c *Checker) {
-	c.ProducedReading(1, 100)
-	c.StoredReading(1, 100)
-	c.StoredReading(1, 100) // at-least-once duplicate
-	c.ProducedReading(2, 100)
-	c.LostReading(2, 100, "retries")
-	c.ProducedReading(3, 100)
+func clean(c *checker) {
+	lost := reading(trace.ReadingLost, 2, 100)
+	lost.Cause = metrics.DropRetries
+	trace.Feed([]trace.Event{
+		reading(trace.ReadingSampled, 1, 100),
+		reading(trace.ReadingStored, 1, 100),
+		reading(trace.ReadingStored, 1, 100), // at-least-once duplicate
+		reading(trace.ReadingSampled, 2, 100),
+		lost,
+		reading(trace.ReadingSampled, 3, 100),
+		{Kind: trace.PacketSend, Node: 3, Peer: 1}, // not a reading event
+	}, c)
 	c.InFlightReading(3, 100)
 	c.RecordIndexIDs([]uint16{1, 2, 5})
 	c.AggResult(7, 4, 4)
-	c.QueryVerdicts(2, []VerdictInfo{
+	c.QueryVerdicts(2, []verdictInfo{
 		{QID: 1, Terminal: true},
 		{QID: 2, Terminal: true, Degraded: true, ErrBound: 0.2, SummaryBound: 0.1},
 	})
 }
 
 func TestCleanRunHasNoViolations(t *testing.T) {
-	c := New()
+	c := newChecker()
 	clean(c)
 	if vs := c.Violations(); vs != nil {
 		t.Fatalf("clean run reported %q", vs)
@@ -42,43 +55,43 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 func TestEachCheckTripsAlone(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		breach func(c *Checker)
+		breach func(c *checker)
 		want   string
 	}{
-		{"vanished reading", func(c *Checker) {
-			c.ProducedReading(4, 200)
+		{"vanished reading", func(c *checker) {
+			trace.Feed([]trace.Event{reading(trace.ReadingSampled, 4, 200)}, c)
 		}, "reading (node 4, t=200) vanished"},
-		{"ghost reading", func(c *Checker) {
-			c.StoredReading(5, 200)
+		{"ghost reading", func(c *checker) {
+			trace.Feed([]trace.Event{reading(trace.ReadingStored, 5, 200)}, c)
 		}, "ghost reading (node 5, t=200)"},
-		{"reading produced twice", func(c *Checker) {
-			c.ProducedReading(1, 100)
+		{"reading produced twice", func(c *checker) {
+			trace.Feed([]trace.Event{reading(trace.ReadingSampled, 1, 100)}, c)
 		}, "produced 2 times"},
-		{"agg double count", func(c *Checker) {
+		{"agg double count", func(c *checker) {
 			c.AggResult(8, 5, 4)
 		}, "agg query 8: 5 contributors folded for 4 targeted nodes"},
-		{"index ID repeats", func(c *Checker) {
+		{"index ID repeats", func(c *checker) {
 			c.RecordIndexIDs([]uint16{3, 3})
 		}, "index generation 3 follows 3"},
-		{"index ID goes back", func(c *Checker) {
+		{"index ID goes back", func(c *checker) {
 			c.RecordIndexIDs([]uint16{1, 4, 2})
 		}, "index generation 2 follows 4"},
-		{"query settled twice", func(c *Checker) {
-			c.QueryVerdicts(1, []VerdictInfo{{QID: 9, Terminal: true}, {QID: 9, Terminal: true}})
+		{"query settled twice", func(c *checker) {
+			c.QueryVerdicts(1, []verdictInfo{{QID: 9, Terminal: true}, {QID: 9, Terminal: true}})
 		}, "query 9: settled more than once"},
-		{"query never settled", func(c *Checker) {
-			c.QueryVerdicts(2, []VerdictInfo{{QID: 9, Terminal: true}})
+		{"query never settled", func(c *checker) {
+			c.QueryVerdicts(2, []verdictInfo{{QID: 9, Terminal: true}})
 		}, "2 queries issued but 1 reached a verdict"},
-		{"non-terminal verdict", func(c *Checker) {
-			c.QueryVerdicts(1, []VerdictInfo{{QID: 9}})
+		{"non-terminal verdict", func(c *checker) {
+			c.QueryVerdicts(1, []verdictInfo{{QID: 9}})
 		}, "query 9: settled with non-terminal verdict"},
-		{"degraded bound too tight", func(c *Checker) {
-			c.QueryVerdicts(1, []VerdictInfo{
+		{"degraded bound too tight", func(c *checker) {
+			c.QueryVerdicts(1, []verdictInfo{
 				{QID: 9, Terminal: true, Degraded: true, ErrBound: 0.05, SummaryBound: 0.1}})
 		}, "query 9: degraded answer reports bound 0.0500 tighter than the summary bound 0.1000"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New()
+			c := newChecker()
 			clean(c)
 			tc.breach(c)
 			vs := c.Violations()
@@ -92,10 +105,12 @@ func TestEachCheckTripsAlone(t *testing.T) {
 // A systemic conservation failure is reported as maxReported examples
 // plus a count.
 func TestVanishedReadingsAreCapped(t *testing.T) {
-	c := New()
+	c := newChecker()
+	var evs []trace.Event
 	for i := 0; i < maxReported+3; i++ {
-		c.ProducedReading(uint16(i), 1)
+		evs = append(evs, reading(trace.ReadingSampled, uint16(i), 1))
 	}
+	trace.Feed(evs, c)
 	vs := c.Violations()
 	if len(vs) != maxReported+1 || !strings.Contains(vs[maxReported], "and 3 more vanished readings") {
 		t.Fatalf("violations = %q", vs)

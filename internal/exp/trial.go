@@ -3,12 +3,12 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"scoop/internal/core"
 	"scoop/internal/dynamics"
-	"scoop/internal/invariant"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
@@ -47,7 +47,7 @@ type Trial struct {
 	ring     *trace.Ring // the default sink, handed back on the result
 	pr       *prof.Profiler
 	regProfs []*prof.Profiler // per region, when profiling a parallel run
-	chk      *invariant.Checker
+	chk      *checker         // ForceInvariants: a sink of rec
 	shards   []*core.RunStats // one per region
 	base     *core.Base
 	nodes    []*core.Node // by node ID; nodes[0] is nil
@@ -154,25 +154,39 @@ func (t *Trial) build() error {
 }
 
 // attach puts the observers and the protocol stack on the network, in
-// the order they depend on each other: the flight recorder, the region
-// split (the parallel engine forks the recorder per region, and every
-// node binds to its region's simulator), the profiler, the statistics
-// shards with the invariant probe, then the basestation and the motes.
+// the order they depend on each other: the flight recorder with the
+// invariant checker among its sinks, the region split (the parallel
+// engine forks the recorder per region, and every node binds to its
+// region's simulator), the profiler, the statistics shards, then the
+// basestation and the motes.
 func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	cfg := &t.cfg
+	// One recorder per trial, clocked by this trial's simulator, fanned
+	// out to the configured sinks (default: a bounded in-memory ring).
+	var sinks []trace.Sink
 	if cfg.Trace {
-		// One recorder per trial, clocked by this trial's simulator, fanned
-		// out to the configured sinks (default: a bounded in-memory ring).
-		var sinks []trace.Sink
 		if cfg.TraceSinks != nil {
 			sinks = cfg.TraceSinks(t.trial)
 		} else {
 			t.ring = trace.NewRing(traceRingCap)
 			sinks = []trace.Sink{t.ring}
 		}
-		if len(sinks) > 0 {
-			t.rec = trace.New(func() int64 { return int64(t.sim.Now()) }, sinks...)
+	}
+	traced := len(sinks) > 0
+	if ForceInvariants {
+		// The checker reads the reading events core and purged emit.
+		t.chk = newChecker()
+		sinks = append(slices.Clip(sinks), t.chk)
+	}
+	if len(sinks) > 0 {
+		t.rec = trace.New(func() int64 { return int64(t.sim.Now()) }, sinks...)
+		if !traced {
+			// The checker alone: the radio's events and core's others
+			// would cost it an append each and a buffered copy on the
+			// region engine, to be skipped unread.
+			t.rec.Only(trace.ReadingSampled, trace.ReadingStored, trace.ReadingLost)
 		}
+		t.net.OnPurge = t.purged
 	}
 	t.net.Trace = t.rec
 	t.ccfg.Trace = t.rec
@@ -200,14 +214,8 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	}
 
 	// One RunStats shard per region, all on one SharedRunState holding
-	// the per-reading dedup table and the invariant probe.
-	var probe core.ReadingProbe // a nil interface unless invariants are on
-	if ForceInvariants {
-		t.chk = invariant.New()
-		probe = t.chk
-		t.net.OnPurge = t.purged
-	}
-	shared := core.NewSharedRunState(probe)
+	// the per-reading dedup table.
+	shared := &core.SharedRunState{}
 	t.shards = make([]*core.RunStats, nreg)
 	rcfgs := make([]core.Config, nreg)
 	for r := range t.shards {
@@ -237,19 +245,22 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	t.net.Start()
 }
 
-// purged tells the invariant checker about readings a purge destroys: a
-// reboot drains the send queue, and a kill strands the acked frames
-// still in the air towards the node; batched readings in either are
-// losses the radio-side accounting never sees.
+// purged reports the readings a purge destroys as lost: a reboot
+// drains the send queue, and a kill strands the acked frames still in
+// the air towards the node; batched readings in either are losses the
+// radio-side accounting never sees.
 func (t *Trial) purged(id netsim.NodeID, p *netsim.Packet) {
-	reason := "reboot-queue"
-	if p.Dst == id {
-		reason = "died-mid-air"
+	dm, ok := p.Payload.(*core.DataMsg)
+	if !ok {
+		return
 	}
-	if dm, ok := p.Payload.(*core.DataMsg); ok {
-		for _, r := range dm.Readings {
-			t.chk.LostReading(r.Producer, r.Time, reason)
-		}
+	cause := metrics.DropReboot
+	if p.Dst == id {
+		cause = metrics.DropKilled
+	}
+	for _, r := range dm.Readings {
+		t.rec.Emit(trace.Event{Kind: trace.ReadingLost, Node: uint16(id), Cause: cause,
+			Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 	}
 }
 
@@ -503,9 +514,9 @@ func (t *Trial) violations() []string {
 		// terminal verdict exactly once, and degraded answers never report
 		// tighter bounds than the summary math allows.
 		recs := t.base.VerdictLog()
-		infos := make([]invariant.VerdictInfo, len(recs))
+		infos := make([]verdictInfo, len(recs))
 		for i, r := range recs {
-			infos[i] = invariant.VerdictInfo{
+			infos[i] = verdictInfo{
 				QID:          r.QID,
 				Terminal:     r.Verdict != core.VerdictOpen,
 				Degraded:     r.Verdict == core.VerdictDegraded,

@@ -83,8 +83,8 @@ type DropCause uint8
 
 // Drop causes. The packet-level causes (collision, queue, retries) are
 // counted by the MAC in Counters; the reading-level causes (ttl,
-// noroute, radio, reboot) account end-to-end data loss in core and
-// feed reading-loss trace events and invariant probes.
+// noroute, radio, reboot, killed) label the reading-lost trace events
+// that account end-to-end data loss, which the invariant checker reads.
 const (
 	DropCollision DropCause = iota // frame destroyed by an overlapping transmission
 	DropQueue                      // send queue full (saturation)
@@ -96,6 +96,7 @@ const (
 	DropBlackout                   // link inside a scripted regional blackout
 	DropPartition                  // link across a scripted partition cut
 	DropBurst                      // correlated burst-loss window degraded the link
+	DropKilled                     // acked frame stranded in the air by its receiver's death
 	numDropCauses
 )
 
@@ -125,6 +126,8 @@ func (c DropCause) String() string {
 		return "partition"
 	case DropBurst:
 		return "burst"
+	case DropKilled:
+		return "killed"
 	}
 	return fmt.Sprintf("cause(%d)", uint8(c))
 }
@@ -143,7 +146,7 @@ func ParseDropCause(s string) (DropCause, bool) {
 // AllDropCauses lists every drop cause in enum order.
 func AllDropCauses() []DropCause {
 	return []DropCause{DropCollision, DropQueue, DropRetries, DropTTL, DropNoRoute, DropRadio, DropReboot,
-		DropBlackout, DropPartition, DropBurst}
+		DropBlackout, DropPartition, DropBurst, DropKilled}
 }
 
 // Counters accumulates per-class and per-node message counts for one

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"scoop/internal/dense"
 	"scoop/internal/metrics"
@@ -284,8 +286,9 @@ type Network struct {
 	// drains the send queue — a rebooted mote forgets its RAM), and an
 	// in-air frame unicast to id, already acked at the start of its
 	// airtime, that id will miss because Network.Kill took it down
-	// before the airtime ended (p.Dst == id). Invariant-checking
-	// harnesses use it to keep loss accounting conservative (p: this call only).
+	// before the airtime ended (p.Dst == id); several such frames come
+	// in (sender, sequence number) order. The experiment harness reports
+	// the readings they carry as lost (p: this call only).
 	OnPurge func(id NodeID, p *Packet)
 
 	// Trace, when non-nil, receives a flight-recorder event for every
@@ -525,6 +528,7 @@ func (n *Network) Kill(id NodeID) {
 	}
 	// The link-layer ack was resolved when each frame went on the air;
 	// delivery skips a receiver that is dead when it lands.
+	var stranded []*delivery
 	for _, reg := range n.regs {
 		for _, d := range reg.inflight {
 			if d.p.Dst != id {
@@ -532,10 +536,18 @@ func (n *Network) Kill(id NodeID) {
 			}
 			for _, s := range d.recv {
 				if s.dst == id {
-					n.OnPurge(id, &d.p)
+					stranded = append(stranded, d)
 				}
 			}
 		}
+	}
+	// In-flight lists are ordered by slot reuse, which differs with the
+	// region count; a frame's (sender, sequence number) does not.
+	slices.SortFunc(stranded, func(a, b *delivery) int {
+		return cmp.Or(cmp.Compare(a.p.Src, b.p.Src), cmp.Compare(a.p.Seq, b.p.Seq))
+	})
+	for _, d := range stranded {
+		n.OnPurge(id, &d.p)
 	}
 }
 

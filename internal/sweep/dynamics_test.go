@@ -1,13 +1,16 @@
 package sweep
 
 import (
+	"crypto/sha256"
 	"slices"
 	"strings"
 	"testing"
 
 	"scoop/internal/exp"
+	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
+	"scoop/internal/trace"
 )
 
 // Dynamics key components appear only when non-default, so keys from
@@ -133,9 +136,12 @@ func TestChurnCellRunsDeterministically(t *testing.T) {
 // A unicast frame whose receiver is killed inside the frame's airtime is
 // acked at the start of airtime and skipped at delivery, so the readings
 // it carries are lost with the sender believing them delivered.
-// Network.Kill reports such frames through OnPurge; before it did, these
-// three cells of the Figure 3 churn grid (16/4 virtual minutes) each
-// reported a vanished reading. Serial and Regions=4 must both be clean.
+// Network.Kill reports such frames through OnPurge, and the trial records
+// each reading in them as lost with cause killed. Of the Figure 3 churn
+// grid's cells (16/4 virtual minutes, seeds 1–12), six report vanished
+// readings without that hook; these are three of them, one per policy.
+// Each must hold a killed reading-lost event, run clean under the
+// invariant checker, and write the same trace serial and on 4 regions.
 func TestChurnKillMidAirIsLossAccounted(t *testing.T) {
 	defer func(was bool) { exp.ForceInvariants = was }(exp.ForceInvariants)
 	exp.ForceInvariants = true
@@ -143,9 +149,9 @@ func TestChurnKillMidAirIsLossAccounted(t *testing.T) {
 		seed int64
 		key  string
 	}{
-		{4, "base/uniform/n63/loss0.2/unique/churn0.15"},
-		{6, "base/uniform/n63/loss0/random/churn0.15"},
-		{7, "base/uniform/n63/loss0/random/churn0.15"},
+		{3, "scoop/uniform/n63/loss0.2/gaussian/churn0.15"},
+		{3, "hashsim/uniform/n63/loss0.2/unique/churn0.15"},
+		{7, "base/uniform/n63/loss0/unique/churn0.15"},
 	} {
 		g := Grid{
 			Policies:       []policy.Name{policy.Scoop, policy.Local, policy.Base, policy.HashSim},
@@ -166,15 +172,40 @@ func TestChurnKillMidAirIsLossAccounted(t *testing.T) {
 		if i < 0 {
 			t.Fatalf("grid has no cell %s", tc.key)
 		}
-		for _, regions := range []int{0, 4} {
+		var sums [2][sha256.Size]byte
+		for j, regions := range []int{0, 4} {
 			g.Regions = regions
 			cfg, err := g.config(cells[i])
 			if err != nil {
 				t.Fatal(err)
 			}
+			h := sha256.New()
+			var killed killedCount
+			cfg.Trace = true
+			cfg.TraceSinks = func(int) []trace.Sink { return []trace.Sink{trace.NewJSONL(h), &killed} }
 			if _, err := exp.Run(cfg); err != nil {
 				t.Errorf("seed %d regions %d %s: %v", tc.seed, regions, tc.key, err)
 			}
+			if killed == 0 {
+				t.Errorf("seed %d regions %d %s: no reading-lost event with cause killed", tc.seed, regions, tc.key)
+			}
+			h.Sum(sums[j][:0])
+		}
+		if sums[0] != sums[1] {
+			t.Errorf("seed %d %s: the 4-region trace differs from the serial one", tc.seed, tc.key)
 		}
 	}
 }
+
+// killedCount is a trace sink counting readings lost with cause killed.
+type killedCount int
+
+func (k *killedCount) Record(b *trace.Block) {
+	b.Each(func(e trace.Event) {
+		if e.Kind == trace.ReadingLost && e.Cause == metrics.DropKilled {
+			*k++
+		}
+	})
+}
+
+func (k *killedCount) Close() error { return nil }

@@ -48,7 +48,7 @@ const (
 	// Reading lifecycle (emitted by core node/base).
 	ReadingSampled   // sensor sample taken at the producer
 	ReadingStored    // reading stored (Flag: local/owner/base site)
-	ReadingLost      // reading loss-accounted (Cause: ttl, noroute, radio, reboot)
+	ReadingLost      // reading loss-accounted (Cause: ttl, noroute, radio, reboot, killed)
 	ReadingDelivered // reading carried back to the base by a query reply
 
 	// Query engine (emitted by core base/node).
@@ -282,7 +282,8 @@ type Recorder struct {
 	now   func() int64
 	sinks []Sink
 	prof  *prof.Profiler
-	blk   Block // the events not yet handed to the sinks
+	blk   Block  // the events not yet handed to the sinks
+	skip  uint64 // bit k set: drop events of kind k (Only)
 
 	fam    *family // non-nil: stamped buffering mode (region-parallel)
 	buf    []stamped
@@ -306,6 +307,16 @@ func (r *Recorder) SetProfiler(p *prof.Profiler) {
 	}
 }
 
+// Only keeps the Recorder to events of the given kinds: an emission of
+// any other kind returns at once, as on a nil Recorder, and never
+// reaches a block or a sink. Forks made after the call inherit it.
+func (r *Recorder) Only(kinds ...Kind) {
+	r.skip = ^uint64(0)
+	for _, k := range kinds {
+		r.skip &^= 1 << k
+	}
+}
+
 // Buffer switches the Recorder into stamped buffering mode for a
 // region-parallel run: emissions (on this Recorder and on every Fork)
 // are held with their canonical merge keys instead of streaming to the
@@ -323,7 +334,7 @@ func (r *Recorder) Buffer() {
 // the region's clock. The child buffers into the parent's merge; it
 // has no sinks of its own. Buffer must have been called first.
 func (r *Recorder) Fork(now func() int64) *Recorder {
-	c := &Recorder{now: now, fam: r.fam}
+	c := &Recorder{now: now, fam: r.fam, skip: r.skip}
 	r.fam.recs = append(r.fam.recs, c)
 	return c
 }
@@ -374,7 +385,7 @@ func (r *Recorder) SetSub(sub int32) {
 // block (or, in buffering mode, to the stamped merge buffer). Safe (and
 // free) on a nil Recorder.
 func (r *Recorder) Emit(e Event) {
-	if r == nil {
+	if r == nil || r.skip&(1<<e.Kind) != 0 {
 		return
 	}
 	e.T = r.now()
@@ -394,7 +405,7 @@ func (r *Recorder) Emit(e Event) {
 // node, peer, class and size — PacketSend, PacketRecv and PacketSnoop,
 // the radio's per-frame events — appended without building an Event.
 func (r *Recorder) Packet(k Kind, node, peer uint16, class metrics.Class, size int) {
-	if r == nil {
+	if r == nil || r.skip&(1<<k) != 0 {
 		return
 	}
 	if r.fam != nil || k.fields()&fWide != 0 {

@@ -67,6 +67,28 @@ func (l *blockLog) Close() error    { return nil }
 // Sinks get whole blocks only, the moment one fills, and the partial
 // tail at Close; Emit and Packet fill the same blocks. A block is full
 // at BlockSize events, or sooner at blockWide events with wide fields.
+// A recorder kept to some kinds drops every other emission, on its
+// forks too, before it reaches a block.
+func TestRecorderOnlyKeepsNamedKinds(t *testing.T) {
+	ring := NewRing(8)
+	rec := New(fixedClock(), ring)
+	rec.Only(ReadingLost)
+	rec.Buffer()
+	fork := rec.Fork(fixedClock())
+	for _, r := range []*Recorder{rec, fork} {
+		r.Packet(PacketSend, 3, 1, metrics.Data, 30)
+		r.Emit(Event{Kind: NodeDown, Node: 7})
+		r.Emit(Event{Kind: ReadingLost, Node: 2, Cause: metrics.DropKilled, Producer: 5, SampleT: 9})
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs := ring.Events()
+	if len(evs) != 2 || evs[0].Kind != ReadingLost || evs[1].Kind != ReadingLost {
+		t.Fatalf("kept %v, want the two reading-lost events", evs)
+	}
+}
+
 func TestRecorderHandsOverWholeBlocks(t *testing.T) {
 	var l blockLog
 	rec := New(fixedClock(), &l)
