@@ -2,14 +2,9 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
-	"slices"
-	"strings"
 	"testing"
 
 	"scoop/internal/metrics"
-	"scoop/internal/telemetry"
 	"scoop/internal/trace"
 )
 
@@ -95,9 +90,8 @@ func regionTrace(t *testing.T, evs []trace.Event, sinks ...trace.Sink) {
 
 // TestSinkFanOutAtBlockBoundaries: for traces ending before, on and
 // just past a block boundary, the JSONL bytes do not depend on the
-// sinks beside the JSONL sink or on the region count. The Ring beside
-// it keeps the tail of that JSONL, and the Series beside it holds the
-// windows a fold of that JSONL gives, as scoopflight -window prints them.
+// sinks beside the JSONL sink or on the region count, and the Ring
+// beside it keeps the tail of that JSONL.
 func TestSinkFanOutAtBlockBoundaries(t *testing.T) {
 	const ringCap = 100
 	for _, n := range []int{0, 1, trace.BlockSize, trace.BlockSize + 1} {
@@ -107,10 +101,10 @@ func TestSinkFanOutAtBlockBoundaries(t *testing.T) {
 		serialTrace(t, evs, trace.NewJSONL(&alone))
 
 		var fan bytes.Buffer
-		ring, series := trace.NewRing(ringCap), telemetry.NewSeries(1000)
-		serialTrace(t, evs, trace.NewJSONL(&fan), ring, series)
+		ring := trace.NewRing(ringCap)
+		serialTrace(t, evs, trace.NewJSONL(&fan), ring)
 		if !bytes.Equal(fan.Bytes(), alone.Bytes()) {
-			t.Fatalf("n=%d: JSONL beside a Ring and a Series wrote %d bytes, alone %d", n, fan.Len(), alone.Len())
+			t.Fatalf("n=%d: JSONL beside a Ring wrote %d bytes, alone %d", n, fan.Len(), alone.Len())
 		}
 
 		var regions bytes.Buffer
@@ -135,23 +129,6 @@ func TestSinkFanOutAtBlockBoundaries(t *testing.T) {
 			if got[i] != tail[i] {
 				t.Fatalf("n=%d: ring event %d = %+v, JSONL has %+v", n, i, got[i], tail[i])
 			}
-		}
-
-		refold := telemetry.NewSeries(series.Width())
-		trace.Feed(decoded, refold)
-		if !slices.Equal(refold.Windows(), series.Windows()) {
-			t.Fatalf("n=%d: the live Series' windows differ from a fold of its JSONL", n)
-		}
-		path := filepath.Join(t.TempDir(), "trace.jsonl")
-		if err := os.WriteFile(path, fan.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var live strings.Builder
-		if err := series.WriteTable(&live); err != nil {
-			t.Fatal(err)
-		}
-		if folded := runCLI(t, "-window", "1s", path); folded != live.String() {
-			t.Fatalf("n=%d: scoopflight -window folds\n%s\nthe live Series holds\n%s", n, folded, live.String())
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Command scoopflight replays and summarises flight-recorder traces —
 // the JSONL event streams scoopsim -trace and exp.Config.TraceSinks
 // write. It filters by node, message class, event kind, or one
-// reading's lifecycle, prints matching events, and aggregates into
-// windowed telemetry.
+// reading's lifecycle, prints matching events, and counts them per
+// fixed-width window of virtual time.
 //
 // Examples:
 //
@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -26,7 +27,6 @@ import (
 	"scoop/internal/core"
 	"scoop/internal/histogram"
 	"scoop/internal/metrics"
-	"scoop/internal/telemetry"
 	"scoop/internal/trace"
 )
 
@@ -105,7 +105,7 @@ func run(args []string, out io.Writer) error {
 		classF   = fs.String("class", "", "keep only packet events of this message class (data, summary, mapping, query, reply, aggreply, beacon)")
 		kindF    = fs.String("kind", "", "keep only these event kinds (comma-separated wire names)")
 		readingF = fs.String("reading", "", "follow one reading's lifecycle: producer[@sampletime]")
-		windowF  = fs.Duration("window", 0, "aggregate kept events into windows of this (virtual) width and print the telemetry table")
+		windowF  = fs.Duration("window", 0, "count kept events per window of this (virtual) width and print one row per window")
 		printF   = fs.Int("print", 0, "print this many kept events as JSONL (-1: all)")
 		verdictF = fs.String("verdict", "", "keep only query-verdict events that settled this way (complete, partial, degraded, failed)")
 		dwellF   = fs.Bool("dwell", false, "print per-kind sample→event dwell histograms (virtual ms from a reading's sample time to the event)")
@@ -117,6 +117,16 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("scoopflight: want exactly one trace file, got %d args", fs.NArg())
 	}
 
+	switch {
+	case *nodeF < -1 || *nodeF > math.MaxUint16:
+		return fmt.Errorf("scoopflight: -node %d is not a node ID (0..%d, or -1 for all)", *nodeF, math.MaxUint16)
+	case *printF < -1:
+		return fmt.Errorf("scoopflight: -print %d: want a count, or -1 for all", *printF)
+	case *windowF < 0:
+		return fmt.Errorf("scoopflight: -window %v is negative", *windowF)
+	case *windowF > 0 && *dwellF:
+		return fmt.Errorf("scoopflight: -window and -dwell are separate views; pick one")
+	}
 	flt := filter{node: *nodeF}
 	if *classF != "" {
 		c, ok := metrics.ParseClass(*classF)
@@ -175,9 +185,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *windowF > 0 {
-		s := telemetry.NewSeries(windowMS(*windowF))
-		trace.Feed(kept, s)
-		return s.WriteTable(out)
+		return windowTable(out, kept, windowMS(*windowF))
 	}
 
 	if *dwellF {
@@ -212,6 +220,62 @@ func dwellTables(out io.Writer, kept []trace.Event) error {
 	}
 	if !any {
 		fmt.Fprintln(out, "no reading-carrying events kept")
+	}
+	return nil
+}
+
+// window holds the counts of one -window row.
+type window struct {
+	sent, recv, drops, bytes         int64 // frames sent, heard by addressees, dropped or purged; bytes sent
+	sampled, stored, lost, delivered int64 // reading events
+	recomputed                       int64 // best-owner searches the index rebuilds re-ran
+}
+
+// windowTable renders one row per width-ms window of virtual time,
+// from the window holding time 0 to the one holding the last kept
+// event. Windows are [start, start+width): an event stamped on a
+// boundary counts in the later one, and windows with no events still
+// print. A packet-recv event does not say whether its frame was a
+// broadcast, so recv over sent is no delivery ratio and no column
+// computes one.
+func windowTable(out io.Writer, kept []trace.Event, width int64) error {
+	var ws []window
+	for _, e := range kept {
+		i := int(max(e.T, 0) / width)
+		for len(ws) <= i {
+			ws = append(ws, window{})
+		}
+		w := &ws[i]
+		switch e.Kind {
+		case trace.PacketSend:
+			w.sent++
+			w.bytes += int64(e.Size)
+		case trace.PacketRecv:
+			w.recv++
+		case trace.PacketDrop, trace.PacketPurge:
+			w.drops++
+		case trace.ReadingSampled:
+			w.sampled++
+		case trace.ReadingStored:
+			w.stored++
+		case trace.ReadingLost:
+			w.lost++
+		case trace.ReadingDelivered:
+			w.delivered++
+		case trace.ReindexEnd:
+			w.recomputed += e.Value
+		}
+	}
+	if _, err := fmt.Fprintf(out, "%10s %7s %7s %7s %9s %7s %7s %7s %7s %8s\n",
+		"window", "sent", "recv", "drops", "bytes", "sampled", "stored", "lost", "deliv", "reindex"); err != nil {
+		return err
+	}
+	for i, w := range ws {
+		if _, err := fmt.Fprintf(out, "%9ds %7d %7d %7d %9d %7d %7d %7d %7d %8d\n",
+			int64(i)*width/1000, w.sent, w.recv, w.drops, w.bytes,
+			w.sampled, w.stored, w.lost, w.delivered, w.recomputed); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -109,14 +109,68 @@ func TestReadingFilter(t *testing.T) {
 	}
 }
 
+// TestWindowTable pins the -window table: one row per window from the
+// one holding time 0 to the one holding the last kept event, empty
+// windows included, an event on a boundary in the later window and a
+// negative timestamp in the first.
 func TestWindowTable(t *testing.T) {
-	out := runCLI(t, "-window", "60s", fixture(t))
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 2 windows (0s, 60s)
-		t.Fatalf("want header + 2 windows:\n%s", out)
-	}
-	if !strings.Contains(lines[0], "rate") || !strings.HasPrefix(strings.TrimSpace(lines[1]), "0s") {
-		t.Fatalf("table malformed:\n%s", out)
+	const header = "    window    sent    recv   drops     bytes sampled  stored    lost   deliv  reindex\n"
+	for _, tc := range []struct {
+		name   string
+		events []trace.Event // nil: the shared fixture
+		args   []string
+		rows   string
+	}{
+		{"fixture", nil, []string{"-window", "60s"},
+			"        0s       1       1       1        30       1       1       0       0        0\n" +
+				"       60s       1       0       0        40       0       0       0       0        0\n"},
+		{"no-events-kept", nil, []string{"-window", "60s", "-kind", "query-issued"}, ""},
+		{"buckets", []trace.Event{
+			{T: 10, Kind: trace.PacketSend, Class: metrics.Data, Size: 30},
+			{T: 900, Kind: trace.PacketRecv, Class: metrics.Data, Size: 30},
+			{T: 2500, Kind: trace.PacketSend, Class: metrics.Query, Size: 24},
+			{T: 2600, Kind: trace.PacketDrop, Class: metrics.Query, Cause: metrics.DropCollision},
+		}, []string{"-window", "1s"},
+			"        0s       1       1       0        30       0       0       0       0        0\n" +
+				"        1s       0       0       0         0       0       0       0       0        0\n" +
+				"        2s       1       0       1        24       0       0       0       0        0\n"},
+		{"boundary", []trace.Event{
+			{T: -5, Kind: trace.PacketRecv},
+			{T: 999, Kind: trace.PacketRecv},
+			{T: 1000, Kind: trace.PacketRecv},
+		}, []string{"-window", "1s"},
+			"        0s       0       2       0         0       0       0       0       0        0\n" +
+				"        1s       0       1       0         0       0       0       0       0        0\n"},
+		{"empty-windows", []trace.Event{
+			{T: 0, Kind: trace.PacketPurge, Cause: metrics.DropReboot},
+			{T: 5200, Kind: trace.PacketRecv},
+		}, []string{"-window", "1s"},
+			"        0s       0       0       1         0       0       0       0       0        0\n" +
+				"        1s       0       0       0         0       0       0       0       0        0\n" +
+				"        2s       0       0       0         0       0       0       0       0        0\n" +
+				"        3s       0       0       0         0       0       0       0       0        0\n" +
+				"        4s       0       0       0         0       0       0       0       0        0\n" +
+				"        5s       0       1       0         0       0       0       0       0        0\n"},
+		{"reading-and-reindex-counters", []trace.Event{
+			{T: 1, Kind: trace.ReadingSampled, Producer: 3, SampleT: 1},
+			{T: 2, Kind: trace.ReadingStored, Producer: 3, SampleT: 1},
+			{T: 3, Kind: trace.ReadingLost, Producer: 4, SampleT: 2},
+			{T: 4, Kind: trace.ReadingDelivered, Producer: 3, SampleT: 1},
+			{T: 5, Kind: trace.QueryIssued, ID: 1},
+			{T: 6, Kind: trace.QueryAnswered, ID: 1, Value: 2},
+			{T: 7, Kind: trace.ReindexEnd, Size: 100, Value: 17, Aux: 3},
+		}, []string{"-window", "60s"},
+			"        0s       0       0       0         0       1       1       1       1       17\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := fixture(t)
+			if tc.events != nil {
+				path = writeTrace(t, tc.events)
+			}
+			if got, want := runCLI(t, append(tc.args, path)...), header+tc.rows; got != want {
+				t.Fatalf("got\n%swant\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -153,16 +207,24 @@ func TestDwellTables(t *testing.T) {
 	}
 }
 
+// TestBadFlags: each malformed flag fails before any output, even on a
+// trace that would otherwise print.
 func TestBadFlags(t *testing.T) {
+	path := fixture(t)
 	for _, args := range [][]string{
-		{"-class", "nope", "x.jsonl"},
-		{"-kind", "nope", "x.jsonl"},
-		{"-reading", "abc", "x.jsonl"},
+		{"-class", "nope", path},
+		{"-kind", "nope", path},
+		{"-reading", "abc", path},
+		{"-window", "-5s", path},
+		{"-node", "70000", path},
+		{"-node", "-2", path},
+		{"-print", "-5", path},
+		{"-window", "60s", "-dwell", path},
 		{},
 	} {
 		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
-			t.Errorf("run(%v) accepted bad input", args)
+		if err := run(args, &sb); err == nil || sb.Len() != 0 {
+			t.Errorf("run(%v) accepted bad input (err %v, output %q)", args, err, sb.String())
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"scoop/internal/netsim"
 	"scoop/internal/prof"
 	"scoop/internal/query"
-	"scoop/internal/storage"
 	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
@@ -50,9 +49,9 @@ func aggPartKey(qid uint16, seq uint8) uint64 {
 
 // scanPartial folds every stored reading matching the value and time
 // ranges into a partial aggregate.
-func scanPartial(store *storage.DataBuffer, vlo, vhi int, tlo, thi netsim.Time) query.Partial {
+func scanPartial(store *DataBuffer, vlo, vhi int, tlo, thi netsim.Time) query.Partial {
 	var p query.Partial
-	store.Select(vlo, vhi, int64(tlo), int64(thi), func(r storage.Reading) { p.Add(r.Value) })
+	store.Select(vlo, vhi, int64(tlo), int64(thi), func(r Reading) { p.Add(r.Value) })
 	return p
 }
 

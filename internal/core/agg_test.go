@@ -7,7 +7,6 @@ import (
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/query"
-	"scoop/internal/storage"
 )
 
 // aggGroundTruth merges every reading currently stored anywhere in
@@ -15,8 +14,8 @@ import (
 // value and time ranges — the oracle an exact aggregate plan must hit.
 func aggGroundTruth(tn *testNet, vlo, vhi int, tlo, thi netsim.Time) query.Partial {
 	var p query.Partial
-	scan := func(buf *storage.DataBuffer) {
-		buf.Scan(func(r storage.Reading) bool {
+	scan := func(buf *DataBuffer) {
+		buf.Scan(func(r Reading) bool {
 			if r.Time >= int64(tlo) && r.Time <= int64(thi) && r.Value >= vlo && r.Value <= vhi {
 				p.Add(r.Value)
 			}

@@ -10,7 +10,6 @@ import (
 	"scoop/internal/prof"
 	"scoop/internal/query"
 	"scoop/internal/routing"
-	"scoop/internal/storage"
 	"scoop/internal/trace"
 	"scoop/internal/trickle"
 	"scoop/internal/workload"
@@ -44,8 +43,8 @@ type pendingQuery struct {
 	answered bool   // aggregates only: counted in AggAnswered
 
 	// Tuple collector (PlanTuple).
-	readings []storage.Reading // tuples carried back (reply payloads are capped)
-	total    int               // total matches reported (uncapped node counts)
+	readings []Reading // tuples carried back (reply payloads are capped)
+	total    int       // total matches reported (uncapped node counts)
 
 	// Partial collector (PlanAgg, PlanFlood).
 	part     query.Partial
@@ -70,7 +69,7 @@ type Base struct {
 	stats *RunStats
 	start netsim.Time // when indexing begins (after warm-up)
 
-	store *storage.DataBuffer
+	store *DataBuffer
 
 	latest     []*SummaryMsg // last summary per node, dense by node ID
 	latestHops []uint8       // the header Hops latest[id] arrived with
@@ -135,13 +134,13 @@ func (b *Base) IndexHistory() []*index.Index {
 func (b *Base) SummaryCount() int { return b.latestN }
 
 // Store exposes the basestation's local data store for tests.
-func (b *Base) Store() *storage.DataBuffer { return b.store }
+func (b *Base) Store() *DataBuffer { return b.store }
 
 // Init implements netsim.App.
 func (b *Base) Init(api *netsim.NodeAPI) {
 	b.api = api
 	b.tree.Init(api, true, b.cfg.Tree)
-	b.store = storage.NewDataBuffer(1 << 18)
+	b.store = NewDataBuffer(1 << 18)
 	b.latest = make([]*SummaryMsg, api.N())
 	b.latestHops = make([]uint8, api.N())
 	b.latestN = 0
@@ -326,7 +325,7 @@ func (b *Base) LastQueryID() uint16 { return b.qidNext }
 // QueryResults returns the tuples collected so far for the query
 // (replies carry at most replyMaxReadings tuples each, so large result
 // sets are truncated per responding node, as on real motes).
-func (b *Base) QueryResults(qid uint16) []storage.Reading {
+func (b *Base) QueryResults(qid uint16) []Reading {
 	if int(qid) < len(b.pending) && b.pending[qid] != nil {
 		return b.pending[qid].readings
 	}
@@ -575,7 +574,7 @@ func (b *Base) AnswerFromStore(q workload.Query) int {
 		}
 	}
 	count := 0
-	b.store.Select(vlo, vhi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
+	b.store.Select(vlo, vhi, int64(q.TimeLo), int64(q.TimeHi), func(r Reading) {
 		if wanted == nil || wanted[netsim.NodeID(r.Producer)] {
 			count++
 		}
@@ -588,7 +587,7 @@ func (b *Base) AnswerFromStore(q workload.Query) int {
 
 func (b *Base) scanLocal(q *QueryMsg, pq *pendingQuery) {
 	count := 0
-	b.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
+	b.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r Reading) {
 		count++
 		pq.readings = append(pq.readings, r)
 	})

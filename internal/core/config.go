@@ -4,7 +4,8 @@
 // basestation (statistics collection, cost-based index construction,
 // Trickle dissemination, query dissemination and reply collection).
 // It composes the substrates: netsim for the radio, routing for the
-// tree, trickle for dissemination, histogram/index/storage for state.
+// tree, trickle for dissemination, histogram and index for state;
+// storage.go holds a node's Flash buffers.
 package core
 
 import (

@@ -7,7 +7,6 @@ import (
 	"scoop/internal/index"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
-	"scoop/internal/storage"
 	"scoop/internal/workload"
 )
 
@@ -21,8 +20,8 @@ func ownersConst(n int, o netsim.NodeID) []netsim.NodeID {
 }
 
 // oneReading wraps a single reading for hand-crafted data messages.
-func oneReading(v int, producer uint16, t netsim.Time) []storage.Reading {
-	return []storage.Reading{{Producer: producer, Value: v, Time: int64(t)}}
+func oneReading(v int, producer uint16, t netsim.Time) []Reading {
+	return []Reading{{Producer: producer, Value: v, Time: int64(t)}}
 }
 
 // testNet wires a base plus nodes over a given topology with perfect
@@ -168,7 +167,7 @@ func TestDataRoutedToOwner(t *testing.T) {
 		}
 		// The owner's buffer holds readings from other producers.
 		foreign := 0
-		tn.nodes[owner].Store().Scan(func(r storage.Reading) bool {
+		tn.nodes[owner].Store().Scan(func(r Reading) bool {
 			if netsim.NodeID(r.Producer) != owner {
 				foreign++
 			}
@@ -369,7 +368,7 @@ func TestRule1RewritesInFlight(t *testing.T) {
 	}, 0)
 	tn.sim.Run(tn.sim.Now() + 30*netsim.Second)
 	found := false
-	tn.nodes[2].Store().Scan(func(r storage.Reading) bool {
+	tn.nodes[2].Store().Scan(func(r Reading) bool {
 		if r.Value == 9 && r.Producer == 3 {
 			found = true
 		}

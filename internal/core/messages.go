@@ -9,7 +9,6 @@ import (
 	"scoop/internal/netsim"
 	"scoop/internal/query"
 	"scoop/internal/routing"
-	"scoop/internal/storage"
 )
 
 // SummaryMsg is the periodic statistics report every node sends up the
@@ -45,7 +44,7 @@ func summarySize(m *SummaryMsg) int {
 // delivery, so a forwarder copies the readings into a hop of its own.
 type DataMsg struct {
 	netsim.Refs
-	Readings []storage.Reading
+	Readings []Reading
 	Owner    netsim.NodeID
 	SID      uint16
 	hop      *dataHop
@@ -96,7 +95,7 @@ func mappingSize(m *MappingMsg) int { return 12 + 5*len(m.Chunk.Entries) }
 // QueryMsg is the query packet (paper §5.5): a bitmap of nodes expected
 // to answer, plus the value and time ranges of interest. A node-list
 // query has ValueLo > ValueHi (no value constraint, the convention
-// storage.DataBuffer.Select reads). Op selects what
+// DataBuffer.Select reads). Op selects what
 // comes back: query.OpSelect, the zero value, asks for the matching
 // tuples (ReplyMsg); any aggregate operator asks targeted nodes for
 // partial-aggregate state instead, which intermediate nodes combine on
@@ -140,7 +139,7 @@ type ReplyMsg struct {
 	QueryID  uint16
 	Node     netsim.NodeID
 	Count    int
-	Readings []storage.Reading
+	Readings []Reading
 	free     *netsim.FreeList[ReplyMsg]
 }
 

@@ -11,7 +11,6 @@ import (
 	"scoop/internal/netsim"
 	"scoop/internal/prof"
 	"scoop/internal/routing"
-	"scoop/internal/storage"
 	"scoop/internal/trace"
 	"scoop/internal/trickle"
 )
@@ -44,9 +43,9 @@ type Node struct {
 	sample Sampler
 	start  netsim.Time // when sampling begins (after tree warm-up)
 
-	recent     *storage.RecentBuffer
+	recent     *RecentBuffer
 	recentVals []int // sendSummary's copy of recent, reused
-	store      *storage.DataBuffer
+	store      *DataBuffer
 
 	cur    *index.Index   // newest complete storage index (nil: none yet)
 	chunks index.ChunkSet // gossip store and assembler, generations ≥ cur's
@@ -75,12 +74,12 @@ type Node struct {
 	// owners with a pending batch, and only those. A launched batch's
 	// buffer goes to spareBatches for the next one (its hop copies what
 	// it sends); regroup is rule 1's reusable sort buffer.
-	batchq   idTable[[]storage.Reading]
+	batchq   idTable[[]Reading]
 	batchSID uint16
 	// samplesSinceSummary shares batchSID's word.
 	samplesSinceSummary int32
-	spareBatches        [][]storage.Reading
-	regroup             []storage.Reading
+	spareBatches        [][]Reading
+	regroup             []Reading
 
 	pendingAnswers []*QueryMsg // queries awaiting the jittered reply
 
@@ -112,13 +111,13 @@ func NewNode(cfg Config, stats *RunStats, sample Sampler, startAt netsim.Time) *
 func (n *Node) CurrentIndex() *index.Index { return n.cur }
 
 // Store exposes the node's data buffer for tests.
-func (n *Node) Store() *storage.DataBuffer { return n.store }
+func (n *Node) Store() *DataBuffer { return n.store }
 
 // PendingBatchReadings returns the readings currently held in this
 // node's per-owner batch buffers — "in flight at run end" for the
 // conservation invariant. Test/diagnostic accessor.
-func (n *Node) PendingBatchReadings() []storage.Reading {
-	var out []storage.Reading
+func (n *Node) PendingBatchReadings() []Reading {
+	var out []Reading
 	for _, rs := range n.batchq.vals {
 		out = append(out, rs...)
 	}
@@ -153,8 +152,8 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	if n.api != api { // first boot: build
 		n.api = api
 		n.tree.Init(api, false, n.cfg.Tree)
-		n.recent = storage.NewRecentBuffer(recentBufSize)
-		n.store = storage.NewDataBuffer(dataBufCap)
+		n.recent = NewRecentBuffer(recentBufSize)
+		n.store = NewDataBuffer(dataBufCap)
 		n.mapGos = trickle.New(api, timerMapping, mappingTrickle, n.sendChunk)
 		n.qGos = trickle.New(api, timerQuery, queryTrickle, n.sendQuery)
 	} else { // a reboot on the same radio: clear in place
@@ -314,7 +313,7 @@ func (n *Node) takeSample() {
 		Producer: uint16(n.api.ID()), SampleT: int64(now), Value: int64(v)})
 	n.recent.Add(v)
 	n.samplesSinceSummary++
-	r := storage.Reading{Producer: uint16(n.api.ID()), Value: v, Time: int64(now)}
+	r := Reading{Producer: uint16(n.api.ID()), Value: v, Time: int64(now)}
 
 	owner, sid, ok := n.lookupOwner(v)
 	if !ok || owner == n.api.ID() {
@@ -336,7 +335,7 @@ func (n *Node) takeSample() {
 		if k := len(n.spareBatches); k > 0 {
 			*rs, n.spareBatches = n.spareBatches[k-1], n.spareBatches[:k-1]
 		} else {
-			*rs = make([]storage.Reading, 0, n.cfg.BatchSize)
+			*rs = make([]Reading, 0, n.cfg.BatchSize)
 		}
 	}
 	*rs = append(*rs, r)
@@ -376,7 +375,7 @@ func (n *Node) flushBatch() {
 // emits one reading-lost trace event per reading. The account is
 // sender-perceived: an ack loss can mark a reading lost that was in
 // fact stored, so conservation treats it as at-least-once.
-func (n *Node) loseReadings(rs []storage.Reading, cause metrics.DropCause) {
+func (n *Node) loseReadings(rs []Reading, cause metrics.DropCause) {
 	n.stats.LostData += int64(len(rs))
 	if rec := n.cfg.Trace; rec != nil {
 		me := uint16(n.api.ID())
@@ -403,10 +402,10 @@ func (n *Node) handleData(m *DataMsg, hops uint8) {
 	// (so runs are reproducible) by sorting a copy, out-of-domain values
 	// heading for the base (0), and send each run of it.
 	if n.cur != nil && !n.cur.Local && n.cur.ID > m.SID {
-		owner := func(r storage.Reading) netsim.NodeID { o, _ := n.cur.Owner(r.Value); return o }
+		owner := func(r Reading) netsim.NodeID { o, _ := n.cur.Owner(r.Value); return o }
 		n.regroup = append(n.regroup[:0], m.Readings...)
 		rs := n.regroup
-		slices.SortStableFunc(rs, func(a, b storage.Reading) int { return cmp.Compare(owner(a), owner(b)) })
+		slices.SortStableFunc(rs, func(a, b Reading) int { return cmp.Compare(owner(a), owner(b)) })
 		for len(rs) > 0 {
 			k := 1
 			for k < len(rs) && owner(rs[k]) == owner(rs[0]) {
@@ -424,7 +423,7 @@ func (n *Node) handleData(m *DataMsg, hops uint8) {
 // readings bound for owner under index sid, sending them with header
 // hops (0 where they were batched). Rules 3–6 copy them into a hop of
 // this node's own.
-func (n *Node) routeData(rs []storage.Reading, owner netsim.NodeID, sid uint16, hops uint8) {
+func (n *Node) routeData(rs []Reading, owner netsim.NodeID, sid uint16, hops uint8) {
 	me := n.api.ID()
 	// Rule 2: we are the owner.
 	if owner == me {
@@ -463,9 +462,9 @@ func (n *Node) routeData(rs []storage.Reading, owner netsim.NodeID, sid uint16, 
 type dataHop struct {
 	msg  DataMsg
 	n    *Node
-	rule int                // the routing rule (3, 5 or 6) that chose the frame in flight
-	hops uint8              // the frames' header Hops
-	buf  [5]storage.Reading // msg.Readings' array at the paper's batch size
+	rule int        // the routing rule (3, 5 or 6) that chose the frame in flight
+	hops uint8      // the frames' header Hops
+	buf  [5]Reading // msg.Readings' array at the paper's batch size
 }
 
 // route sends the hop by the first of rules 3, 5 and 6, from rule
@@ -681,7 +680,7 @@ func (n *Node) sendQuery(key trickle.Key) {
 func (n *Node) answer(q *QueryMsg) {
 	m := n.newReply()
 	m.QueryID, m.Node = q.ID, n.api.ID()
-	n.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
+	n.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r Reading) {
 		if m.Count < replyMaxReadings {
 			m.Readings = append(m.Readings, r)
 		}

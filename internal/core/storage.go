@@ -1,13 +1,14 @@
-// Package storage models a sensor node's Flash storage as the Scoop
-// paper uses it: a fixed-capacity circular buffer of stored readings
-// (the "data buffer", scanned linearly at query time) and a small
-// round-robin buffer of the node's own most recent readings (the
-// "recent-readings buffer", size 30 in the paper) from which summary
-// histograms are built.
+// A sensor node's Flash storage as the Scoop paper uses it: a
+// fixed-capacity circular buffer of stored readings (the "data
+// buffer", scanned linearly at query time) and a small round-robin
+// buffer of the node's own most recent readings (the "recent-readings
+// buffer", size 30 in the paper) from which summary histograms are
+// built.
 //
 // A reading records who produced it and when, so time-ranged queries
 // and owner re-assignment across storage-index generations both work.
-package storage
+
+package core
 
 // Reading is one stored sensor sample.
 type Reading struct {
@@ -32,7 +33,7 @@ type DataBuffer struct {
 // NewDataBuffer returns a buffer holding at most capacity readings.
 func NewDataBuffer(capacity int) *DataBuffer {
 	if capacity <= 0 {
-		panic("storage: non-positive capacity")
+		panic("core: non-positive capacity")
 	}
 	return &DataBuffer{cap: capacity}
 }
@@ -119,7 +120,7 @@ type RecentBuffer struct {
 // NewRecentBuffer returns a recent-readings buffer of the given size.
 func NewRecentBuffer(size int) *RecentBuffer {
 	if size <= 0 {
-		panic("storage: non-positive recent-buffer size")
+		panic("core: non-positive recent-buffer size")
 	}
 	return &RecentBuffer{buf: make([]int, size)}
 }

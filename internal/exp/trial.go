@@ -14,7 +14,6 @@ import (
 	"scoop/internal/policy"
 	"scoop/internal/prof"
 	"scoop/internal/query"
-	"scoop/internal/storage"
 	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
@@ -537,8 +536,8 @@ func aggGroundTruth(base *core.Base, nodes []*core.Node, q query.AggQuery) (floa
 	var part query.Partial
 	var values []int
 	wantValues := q.Op == query.OpQuantile
-	scan := func(buf *storage.DataBuffer) {
-		buf.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r storage.Reading) {
+	scan := func(buf *core.DataBuffer) {
+		buf.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r core.Reading) {
 			part.Add(r.Value)
 			if wantValues {
 				values = append(values, r.Value)

@@ -65,12 +65,13 @@ func TestPacketretainSharedReads(t *testing.T) {
 }
 
 // TestMaprangeNotDeterministic pins the deterministic-package gate:
-// the same fixture, loaded without the flag, must be silent.
+// the same fixture, with the flag cleared, must be silent.
 func TestMaprangeNotDeterministic(t *testing.T) {
 	pkgs, err := lint.Load("testdata/src/maprange", ".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkgs[0].Deterministic = false
 	if diags := lint.Run(pkgs, []*lint.Analyzer{lint.Maprange}); len(diags) != 0 {
 		t.Fatalf("maprange fired outside a deterministic package: %v", diags)
 	}
@@ -119,15 +120,21 @@ func TestAllowGrammar(t *testing.T) {
 	}
 }
 
-// TestLoadDeterministicFlag pins the deterministic-package list the
-// loader derives from import paths — the set the DESIGN.md §2
-// contract names.
+// TestLoadDeterministicFlag pins the rule the loader derives from
+// package directories: every package is bound by the DESIGN.md §2
+// contract except the exempt harness packages.
 func TestLoadDeterministicFlag(t *testing.T) {
 	for rel, want := range map[string]bool{
-		"../core":    true,
-		"../trickle": true,
-		"../netsim":  true,
-		"../sweep":   false,
+		"../core":               true,
+		"../trickle":            true,
+		"../netsim":             true,
+		"../metrics":            true,
+		"../prof":               true,
+		"../dense":              true,
+		"../../cmd/scoopflight": true,
+		"testdata/src/maprange": true,
+		"../exp":                false,
+		"../sweep":              false,
 	} {
 		pkgs, err := lint.Load(rel, ".")
 		if err != nil {
@@ -168,12 +175,14 @@ func TestGoroutine(t *testing.T) {
 }
 
 // TestGoroutineNotDeterministic pins the deterministic-package gate:
-// operator tooling (sweep, exp, cmd) may use goroutines freely.
+// the harness packages exempt from DESIGN.md §2 (exp, sweep) may use
+// goroutines freely.
 func TestGoroutineNotDeterministic(t *testing.T) {
 	pkgs, err := lint.Load("testdata/src/goroutine", ".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkgs[0].Deterministic = false
 	if diags := lint.Run(pkgs, []*lint.Analyzer{lint.Goroutine}); len(diags) != 0 {
 		t.Fatalf("goroutine fired outside a deterministic package: %v", diags)
 	}

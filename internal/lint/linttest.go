@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/token"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -23,9 +24,8 @@ type TB interface {
 }
 
 // AnalyzerTest loads the fixture package in dir, forces its
-// Deterministic flag to det (fixture paths are not in
-// deterministicDirs, so rules with a deterministic-package gate need
-// it on), runs the analyzers through the full pipeline — including
+// Deterministic flag to det (fixtures load as deterministic, like
+// every package exemptDirs does not list), runs the analyzers through the full pipeline — including
 // //scoop:allow suppression — and matches the findings against the
 // fixture's want comments.
 func AnalyzerTest(t TB, dir string, det bool, analyzers ...*Analyzer) {
@@ -72,10 +72,17 @@ func (ws *wantSet) match(d Diagnostic) bool {
 	return false
 }
 
+// reportUnmatched reports the expectations no finding met, in key
+// order, so a fixture's failures read the same on every run.
 func (ws *wantSet) reportUnmatched(t TB) {
 	t.Helper()
-	for _, line := range ws.byLine {
-		for _, w := range line {
+	keys := make([]string, 0, len(ws.byLine))
+	for k := range ws.byLine {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		for _, w := range ws.byLine[k] {
 			if !w.matched {
 				t.Errorf("%s: expected finding matching %q, got none", posString(w.pos), w.re)
 			}

@@ -268,7 +268,7 @@ func (l *loader) check(path string) (*Package, error) {
 		Files:         files,
 		Types:         tpkg,
 		Info:          info,
-		Deterministic: deterministicDirs[rel],
+		Deterministic: !exemptDirs[rel],
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil

@@ -61,7 +61,7 @@ func Classes() []Class {
 }
 
 // NumClasses is the number of message classes, for observers that keep
-// per-class tables (telemetry windows, trace summaries).
+// per-class tables.
 const NumClasses = int(numClasses)
 
 // ParseClass maps a class name (as produced by Class.String) back to

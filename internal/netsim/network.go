@@ -443,8 +443,9 @@ func (n *Network) MergeCounters(dst *metrics.Counters) {
 }
 
 // CountersBreakdown returns the live merged per-class breakdown across
-// all regions. Callable from the control plane at barriers (windowed
-// telemetry); equals Counters.Snapshot when serial.
+// all regions. Callable from the control plane at barriers (the
+// trial's transition-timeline windows); equals Counters.Snapshot when
+// serial.
 func (n *Network) CountersBreakdown() metrics.Breakdown {
 	if len(n.regs) <= 1 {
 		return n.Counters.Snapshot()

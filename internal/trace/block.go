@@ -110,7 +110,7 @@ func (b *Block) wideOf(r *record, w *int) *wide {
 
 // Feed hands events that already carry their timestamps to the sinks a
 // block at a time, as a Recorder hands its own, and leaves the sinks
-// open. It is how a decoded trace is folded again (scoopflight -window).
+// open. It is how tests drive a sink with a stream built by hand.
 func Feed(events []Event, sinks ...Sink) {
 	r := &Recorder{sinks: sinks}
 	for i := range events {

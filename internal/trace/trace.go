@@ -3,8 +3,8 @@
 // stack (netsim, core, index, dynamics). Emission sites hand typed
 // Events to a per-run Recorder, which stamps the virtual clock, appends
 // them to a block of compact records and hands each filled block to
-// pluggable sinks — a bounded in-memory ring, a deterministic JSONL
-// writer, or a windowed telemetry aggregator.
+// pluggable sinks — a bounded in-memory ring or a deterministic JSONL
+// writer.
 //
 // Determinism contract (DESIGN.md §16): every emission site runs on
 // the simulation's single event-loop goroutine, event fields are
