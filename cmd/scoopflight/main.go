@@ -124,6 +124,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("scoopflight: -print %d: want a count, or -1 for all", *printF)
 	case *windowF < 0:
 		return fmt.Errorf("scoopflight: -window %v is negative", *windowF)
+	case *windowF%time.Millisecond != 0:
+		return fmt.Errorf("scoopflight: -window %v is not a whole number of milliseconds, the trace clock's tick", *windowF)
 	case *windowF > 0 && *dwellF:
 		return fmt.Errorf("scoopflight: -window and -dwell are separate views; pick one")
 	}
@@ -185,7 +187,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *windowF > 0 {
-		return windowTable(out, kept, windowMS(*windowF))
+		return windowTable(out, kept, windowF.Milliseconds())
 	}
 
 	if *dwellF {
@@ -233,11 +235,11 @@ type window struct {
 
 // windowTable renders one row per width-ms window of virtual time,
 // from the window holding time 0 to the one holding the last kept
-// event. Windows are [start, start+width): an event stamped on a
-// boundary counts in the later one, and windows with no events still
-// print. A packet-recv event does not say whether its frame was a
-// broadcast, so recv over sent is no delivery ratio and no column
-// computes one.
+// event, each labelled with its exact start in seconds. Windows are
+// [start, start+width): an event stamped on a boundary counts in the
+// later one, and windows with no events still print. A packet-recv
+// event does not say whether its frame was a broadcast, so recv over
+// sent is no delivery ratio and no column computes one.
 func windowTable(out io.Writer, kept []trace.Event, width int64) error {
 	var ws []window
 	for _, e := range kept {
@@ -271,23 +273,14 @@ func windowTable(out io.Writer, kept []trace.Event, width int64) error {
 		return err
 	}
 	for i, w := range ws {
-		if _, err := fmt.Fprintf(out, "%9ds %7d %7d %7d %9d %7d %7d %7d %7d %8d\n",
-			int64(i)*width/1000, w.sent, w.recv, w.drops, w.bytes,
+		start := strconv.FormatFloat(float64(int64(i)*width)/1000, 'f', -1, 64) + "s"
+		if _, err := fmt.Fprintf(out, "%10s %7d %7d %7d %9d %7d %7d %7d %7d %8d\n",
+			start, w.sent, w.recv, w.drops, w.bytes,
 			w.sampled, w.stored, w.lost, w.delivered, w.recomputed); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// windowMS converts the -window duration to virtual milliseconds
-// (minimum 1 ms, the trace clock's resolution).
-func windowMS(d time.Duration) int64 {
-	ms := d.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
 }
 
 // summarise prints the whole-run digest: span, per-kind counts and the

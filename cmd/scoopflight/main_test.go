@@ -10,7 +10,8 @@ import (
 	"scoop/internal/trace"
 )
 
-// writeTrace builds a small JSONL trace fixture on disk.
+// writeTrace builds a small JSONL trace fixture on disk, recording
+// each event at its own time.
 func writeTrace(t *testing.T, events []trace.Event) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -18,9 +19,13 @@ func writeTrace(t *testing.T, events []trace.Event) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := trace.NewJSONL(f)
-	trace.Feed(events, sink)
-	if err := sink.Close(); err != nil {
+	var now int64
+	rec := trace.New(func() int64 { return now }, trace.NewJSONL(f))
+	for _, e := range events {
+		now = e.T
+		rec.Emit(e)
+	}
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -134,6 +139,15 @@ func TestWindowTable(t *testing.T) {
 			"        0s       1       1       0        30       0       0       0       0        0\n" +
 				"        1s       0       0       0         0       0       0       0       0        0\n" +
 				"        2s       1       0       1        24       0       0       0       0        0\n"},
+		// Rows carry their exact start, fractional seconds included.
+		{"fractional-width", []trace.Event{
+			{T: 10, Kind: trace.PacketRecv},
+			{T: 1600, Kind: trace.PacketRecv},
+			{T: 3100, Kind: trace.PacketRecv},
+		}, []string{"-window", "1500ms"},
+			"        0s       0       1       0         0       0       0       0       0        0\n" +
+				"      1.5s       0       1       0         0       0       0       0       0        0\n" +
+				"        3s       0       1       0         0       0       0       0       0        0\n"},
 		{"boundary", []trace.Event{
 			{T: -5, Kind: trace.PacketRecv},
 			{T: 999, Kind: trace.PacketRecv},
@@ -216,6 +230,7 @@ func TestBadFlags(t *testing.T) {
 		{"-kind", "nope", path},
 		{"-reading", "abc", path},
 		{"-window", "-5s", path},
+		{"-window", "1500us", path}, // the trace clock ticks in whole milliseconds
 		{"-node", "70000", path},
 		{"-node", "-2", path},
 		{"-print", "-5", path},

@@ -54,6 +54,15 @@ func parseFlags(args []string, errw io.Writer) (exp.Config, string, error) {
 	if err := fs.Parse(args); err != nil {
 		return exp.Config{}, "", err
 	}
+	// Virtual time ticks in whole milliseconds, as grid files say too
+	// (netsim.Time.UnmarshalText); a finer duration would be truncated.
+	for _, name := range []string{"duration", "warmup", "sample", "query"} {
+		if w := fs.Lookup(name).Value.(flag.Getter).Get().(time.Duration); w%time.Millisecond != 0 {
+			err := fmt.Errorf("-%s %v is not a whole number of milliseconds", name, w)
+			fmt.Fprintln(errw, "scoopsim:", err)
+			return exp.Config{}, "", err
+		}
+	}
 	vt := func(w time.Duration) netsim.Time { return netsim.Time(w.Milliseconds()) }
 	cfg := d
 	cfg.Policy, cfg.Source, cfg.Topology, cfg.N = policy.Name(*policyF), *source, *topology, *nodes

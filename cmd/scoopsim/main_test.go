@@ -49,6 +49,18 @@ func TestParseFlagsRejectsGarbage(t *testing.T) {
 	if _, _, err := parseFlags([]string{"-no-such-flag"}, io.Discard); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// Virtual time has millisecond ticks: a finer duration is refused,
+	// naming its flag, not truncated.
+	for _, name := range []string{"duration", "warmup", "sample", "query"} {
+		var errw strings.Builder
+		_, _, err := parseFlags([]string{"-" + name, "1500us"}, &errw)
+		if err == nil || !strings.Contains(errw.String(), "-"+name+" 1.5ms") {
+			t.Errorf("-%s 1500us: err %v, stderr %q; want a rejection naming the flag", name, err, errw.String())
+		}
+		if code := cli([]string{"-" + name, "1500us"}, io.Discard, io.Discard); code != 2 {
+			t.Errorf("-%s 1500us exits %d, want 2", name, code)
+		}
+	}
 }
 
 // The report heads with the trial count that ran: -trials 0 runs one

@@ -29,13 +29,10 @@ func aggGroundTruth(tn *testNet, vlo, vhi int, tlo, thi netsim.Time) query.Parti
 	return p
 }
 
-// aggTestConfig shortens batching so a quiesced time window exists
-// shortly after issue time.
-func aggTestConfig() Config {
-	cfg := testConfig()
-	cfg.BatchTimeout = 10 * netsim.Second
-	return cfg
-}
+// quiet is how long before issue time an exact query's window must
+// end for every reading in it to have settled into a store: a partial
+// batch waits out batchTimeout, and the flush has time to land.
+const quiet = batchTimeout + 30*netsim.Second
 
 // The headline acceptance test: the same AVG-over-range query on the
 // same seed and topology, answered once by the in-network aggregation
@@ -43,7 +40,7 @@ func aggTestConfig() Config {
 // truth exactly and spend at least 3x fewer reply-path bytes.
 func TestAggAvgInNetworkBeatsTupleBytes(t *testing.T) {
 	run := func(force query.Plan) (ans float64, gt query.Partial, replyBytes int64, tn *testNet) {
-		cfg := aggTestConfig()
+		cfg := testConfig()
 		cfg.AggForcePlan = force
 		// Perfect links: the answer must be bit-exact, so no reading
 		// may be duplicated by ack-loss retransmission.
@@ -51,12 +48,11 @@ func TestAggAvgInNetworkBeatsTupleBytes(t *testing.T) {
 		tn.sim.Run(10 * netsim.Minute)
 		now := tn.sim.Now()
 		// The window starts after the first index generation (built
-		// ~2:40) so it is index-covered, and ends 30s ago so it is
-		// quiescent: batches flush within 10s, every matching reading
-		// has settled into a store.
+		// ~2:40) so it is index-covered, and ends quiet ago so every
+		// matching reading has settled into a store.
 		q := query.AggQuery{
 			Op: query.OpAvg, ValueLo: 0, ValueHi: 20,
-			TimeLo: 4 * netsim.Minute, TimeHi: now - 30*netsim.Second,
+			TimeLo: 4 * netsim.Minute, TimeHi: now - quiet,
 		}
 		gt = aggGroundTruth(tn, q.ValueLo, q.ValueHi, q.TimeLo, q.TimeHi)
 		dec := tn.base.IssueAgg(q)
@@ -108,13 +104,13 @@ func TestAggAvgInNetworkBeatsTupleBytes(t *testing.T) {
 // and intermediate chain nodes actually combine (fewer partials reach
 // the base than nodes answered).
 func TestAggCountSumExactWithCombining(t *testing.T) {
-	cfg := aggTestConfig()
+	cfg := testConfig()
 	cfg.AggForcePlan = query.PlanAgg
 	tn := newTestNet(t, chainTopo(6, 1.0), cfg, nil, 7)
 	tn.sim.Run(10 * netsim.Minute)
 	now := tn.sim.Now()
 	vlo, vhi := 0, 20
-	tlo, thi := 4*netsim.Minute, now-30*netsim.Second
+	tlo, thi := 4*netsim.Minute, now-quiet
 	gt := aggGroundTruth(tn, vlo, vhi, tlo, thi)
 
 	for _, op := range []query.Op{query.OpCount, query.OpSum} {
@@ -140,7 +136,7 @@ func TestAggCountSumExactWithCombining(t *testing.T) {
 // into a zero-cost summary answer whose error bound is honoured; a
 // zero budget forces an exact network plan.
 func TestAggPlannerSelectsSummaryWithinBudget(t *testing.T) {
-	tn := newTestNet(t, meshTopo(5, 0.95), aggTestConfig(), nil, 9)
+	tn := newTestNet(t, meshTopo(5, 0.95), testConfig(), nil, 9)
 	tn.sim.Run(10 * netsim.Minute)
 	now := tn.sim.Now()
 	q := query.AggQuery{
@@ -188,7 +184,7 @@ func TestAggPlannerSelectsSummaryWithinBudget(t *testing.T) {
 // A window reaching back before the first index generation cannot be
 // index-routed: the planner floods.
 func TestAggFloodsUncoveredWindow(t *testing.T) {
-	tn := newTestNet(t, meshTopo(5, 0.95), aggTestConfig(), nil, 11)
+	tn := newTestNet(t, meshTopo(5, 0.95), testConfig(), nil, 11)
 	tn.sim.Run(8 * netsim.Minute)
 	dec := tn.base.IssueAgg(query.AggQuery{
 		Op: query.OpCount, ValueLo: 0, ValueHi: 20,
@@ -209,7 +205,7 @@ func TestAggFloodsUncoveredWindow(t *testing.T) {
 // quantile over the returned set — never an in-network plan, whose
 // partials cannot carry a quantile.
 func TestAggQuantilePlans(t *testing.T) {
-	tn := newTestNet(t, meshTopo(5, 0.95), aggTestConfig(), nil, 13)
+	tn := newTestNet(t, meshTopo(5, 0.95), testConfig(), nil, 13)
 	tn.sim.Run(10 * netsim.Minute)
 	q := query.AggQuery{
 		Op: query.OpQuantile, Quantile: 0.5,
@@ -243,7 +239,7 @@ func TestAggQuantilePlans(t *testing.T) {
 // Retransmitted partial-aggregate messages (same sender, query, seq)
 // must not double count, and over-TTL partials are dropped.
 func TestAggPartialDedupAndTTL(t *testing.T) {
-	cfg := aggTestConfig()
+	cfg := testConfig()
 	tn := newTestNet(t, chainTopo(3, 0.95), cfg, nil, 17)
 	tn.sim.Run(3 * netsim.Minute)
 	n1 := tn.nodes[1]
@@ -264,7 +260,7 @@ func TestAggPartialDedupAndTTL(t *testing.T) {
 
 // Duplicate aggregate query packets produce exactly one local answer.
 func TestDuplicateAggQueriesAnsweredOnce(t *testing.T) {
-	tn := newTestNet(t, meshTopo(3, 0.95), aggTestConfig(), nil, 19)
+	tn := newTestNet(t, meshTopo(3, 0.95), testConfig(), nil, 19)
 	tn.sim.Run(6 * netsim.Minute)
 	q := &QueryMsg{ID: 600, Op: query.OpCount, ValueLo: 0, ValueHi: 20,
 		TimeLo: 0, TimeHi: tn.sim.Now()}

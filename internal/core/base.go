@@ -73,7 +73,6 @@ type Base struct {
 
 	latest     []*SummaryMsg // last summary per node, dense by node ID
 	latestHops []uint8       // the header Hops latest[id] arrived with
-	latestN    int           // nodes with at least one summary
 	history    []*SummaryMsg // never discarded (paper §5.5)
 
 	cur        *index.Index
@@ -130,20 +129,16 @@ func (b *Base) IndexHistory() []*index.Index {
 	return out
 }
 
-// SummaryCount reports how many nodes the base holds a summary for.
-func (b *Base) SummaryCount() int { return b.latestN }
-
 // Store exposes the basestation's local data store for tests.
 func (b *Base) Store() *DataBuffer { return b.store }
 
 // Init implements netsim.App.
 func (b *Base) Init(api *netsim.NodeAPI) {
 	b.api = api
-	b.tree.Init(api, true, b.cfg.Tree)
+	b.tree.Init(api, true)
 	b.store = NewDataBuffer(1 << 18)
 	b.latest = make([]*SummaryMsg, api.N())
 	b.latestHops = make([]uint8, api.N())
-	b.latestN = 0
 	b.chunks.Clear()
 	b.queriesOut = nil
 	b.pending = nil
@@ -234,9 +229,6 @@ func (b *Base) Snoop(p *netsim.Packet) { b.tree.Observe(p) }
 
 func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
 	b.stats.SummariesReceived++
-	if b.latest[m.Node] == nil {
-		b.latestN++
-	}
 	b.latest[m.Node], b.latestHops[m.Node] = m, hops
 	b.history = append(b.history, m)
 	// Trickle inconsistency detection: a summary advertising an

@@ -15,7 +15,6 @@ import (
 	"scoop/internal/netsim"
 	"scoop/internal/prof"
 	"scoop/internal/query"
-	"scoop/internal/routing"
 	"scoop/internal/trace"
 	"scoop/internal/trickle"
 )
@@ -49,9 +48,6 @@ type Config struct {
 
 	// BatchSize is the max readings per data message (paper: 5).
 	BatchSize int
-	// BatchTimeout flushes a pending batch even without an owner
-	// change, so readings are not held arbitrarily long.
-	BatchTimeout netsim.Time
 
 	// StatStaleAfter, when > 0, makes index construction ignore node
 	// summaries older than this: a dead or partitioned node stops
@@ -112,9 +108,6 @@ type Config struct {
 	// behaviour; nil disables profiling at the cost of one branch per
 	// instrumented span.
 	Prof *prof.Profiler
-
-	// Tree configures the routing-tree substrate.
-	Tree routing.Config
 }
 
 // DefaultConfig returns the paper's experimental parameters for a
@@ -125,13 +118,10 @@ func DefaultConfig(lo, hi int) Config {
 		SummaryInterval: 110 * netsim.Second,
 		RemapInterval:   240 * netsim.Second,
 
-		BatchSize:    5,
-		BatchTimeout: 120 * netsim.Second,
+		BatchSize: 5,
 
 		DomainMin: lo,
 		DomainMax: hi,
-
-		Tree: routing.Config{BeaconInterval: 10 * netsim.Second},
 	}
 }
 
@@ -142,6 +132,9 @@ const (
 	// recentBufSize is the recent-readings ring a summary describes
 	// (paper §6: 30 readings).
 	recentBufSize = 30
+	// batchTimeout flushes a pending batch even without an owner
+	// change, so readings are not held arbitrarily long.
+	batchTimeout = 120 * netsim.Second
 	// dataBufCap bounds each node's Flash data buffer, in readings
 	// (paper §5.5: owners scan their Flash buffer to answer queries).
 	dataBufCap = 4096

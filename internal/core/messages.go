@@ -213,10 +213,6 @@ func (b *Bitmap) Has(id netsim.NodeID) bool {
 	return b.w[wi]&(1<<(uint(id)&63)) != 0
 }
 
-// Words exposes the raw bitmap words (64 node IDs per word, ascending)
-// so hot paths can iterate marked nodes without allocating.
-func (b *Bitmap) Words() []uint64 { return b.w }
-
 // Bytes returns the field's on-air size: the paper's 16-byte bitmap
 // for networks of up to 128 nodes, one byte per 8 nodes beyond that
 // (sized by the highest targeted node, as a wire encoding would be).

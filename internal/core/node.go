@@ -151,7 +151,7 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	}
 	if n.api != api { // first boot: build
 		n.api = api
-		n.tree.Init(api, false, n.cfg.Tree)
+		n.tree.Init(api, false)
 		n.recent = NewRecentBuffer(recentBufSize)
 		n.store = NewDataBuffer(dataBufCap)
 		n.mapGos = trickle.New(api, timerMapping, mappingTrickle, n.sendChunk)
@@ -327,7 +327,7 @@ func (n *Node) takeSample() {
 	}
 	// Batch readings destined for the same owner (paper: up to 5).
 	if len(n.batchq.ids) == 0 {
-		n.api.SetTimer(timerBatch, n.cfg.BatchTimeout)
+		n.api.SetTimer(timerBatch, batchTimeout)
 	}
 	n.batchSID = sid
 	rs := n.batchq.at(owner)

@@ -38,9 +38,7 @@ func TestForwardZeroAllocs(t *testing.T) {
 	topo := chainTopo(3, 1)
 	sim := netsim.NewSimulator(1)
 	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
-	cfg := testConfig()
-	cfg.Tree.BeaconInterval = 60 * netsim.Minute // no tree maintenance while measuring
-	node := NewNode(cfg, &RunStats{}, idSampler, 60*netsim.Minute)
+	node := NewNode(testConfig(), &RunStats{}, idSampler, 60*netsim.Minute)
 	sink := &sinkApp{}
 	net.Attach(0, sink)
 	net.Attach(1, node)
@@ -54,6 +52,7 @@ func TestForwardZeroAllocs(t *testing.T) {
 	if node.tree.Parent() != 0 {
 		t.Fatalf("node 1's parent is %d, want 0", node.tree.Parent())
 	}
+	node.api.CancelTimer(timerTree) // no tree maintenance while measuring
 
 	data := &netsim.Packet{Class: metrics.Data, Src: 2, Dst: 1, Origin: 2, OriginParent: 1,
 		Payload: &DataMsg{Readings: oneReading(7, 2, 0), Owner: 0, SID: 1}}

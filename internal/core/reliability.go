@@ -115,21 +115,6 @@ func (pq *pendingQuery) onClock() bool {
 	return pq != nil && pq.deadline != 0 && pq.verdict == VerdictOpen
 }
 
-// PendingOpen counts queries still on the deadline clock, holding live
-// collection state. The regression hook for the unbounded
-// pending-state fix: with the reliability layer on, every query
-// eventually settles and evicts, so this returns to zero even under
-// 100% reply loss.
-func (b *Base) PendingOpen() int {
-	n := 0
-	for _, pq := range b.pending {
-		if pq.onClock() {
-			n++
-		}
-	}
-	return n
-}
-
 // relArm arms (or pulls forward) the shared deadline timer.
 func (b *Base) relArm(at netsim.Time) {
 	if b.relNextAt != 0 && b.relNextAt <= at {

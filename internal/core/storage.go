@@ -24,10 +24,9 @@ type Reading struct {
 // the readings it holds, not for the Flash it could fill (DESIGN.md
 // §12). The zero value is unusable; use NewDataBuffer.
 type DataBuffer struct {
-	buf   []Reading // len < capacity: append order; len == capacity: ring
-	cap   int
-	next  int // ring slot the next Store overwrites (the oldest reading)
-	wraps int64
+	buf  []Reading // len < capacity: append order; len == capacity: ring
+	cap  int
+	next int // ring slot the next Store overwrites (the oldest reading)
 }
 
 // NewDataBuffer returns a buffer holding at most capacity readings.
@@ -51,7 +50,6 @@ func (b *DataBuffer) Store(r Reading) {
 		b.buf = append(b.buf, r)
 		return
 	}
-	b.wraps++
 	b.buf[b.next] = r
 	b.next++
 	if b.next == b.cap {
@@ -62,18 +60,11 @@ func (b *DataBuffer) Store(r Reading) {
 // Clear empties the buffer, as NewDataBuffer returns it, keeping the
 // backing slice for reuse (a rebooting mote's path).
 func (b *DataBuffer) Clear() {
-	b.buf, b.next, b.wraps = b.buf[:0], 0, 0
+	b.buf, b.next = b.buf[:0], 0
 }
 
 // Len reports the number of readings currently stored.
 func (b *DataBuffer) Len() int { return len(b.buf) }
-
-// Cap reports the buffer capacity.
-func (b *DataBuffer) Cap() int { return b.cap }
-
-// Overwritten reports how many readings have been lost to wrap-around,
-// for storage-burden experiments.
-func (b *DataBuffer) Overwritten() int64 { return b.wraps }
 
 // Scan linearly visits all stored readings oldest-first, calling fn for
 // each; fn returning false stops the scan. This mirrors the paper's

@@ -12,8 +12,8 @@ func TestDataBufferStoreAndScan(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Store(Reading{Producer: 1, Value: i, Time: int64(i)})
 	}
-	if b.Len() != 3 || b.Cap() != 4 {
-		t.Fatalf("len=%d cap=%d", b.Len(), b.Cap())
+	if b.Len() != 3 || b.cap != 4 {
+		t.Fatalf("len=%d cap=%d", b.Len(), b.cap)
 	}
 	var got []int
 	b.Scan(func(r Reading) bool { got = append(got, r.Value); return true })
@@ -32,9 +32,6 @@ func TestDataBufferWrapAround(t *testing.T) {
 	}
 	if b.Len() != 3 {
 		t.Fatalf("len = %d after wrap, want 3", b.Len())
-	}
-	if b.Overwritten() != 2 {
-		t.Fatalf("overwritten = %d, want 2", b.Overwritten())
 	}
 	var got []int
 	b.Scan(func(r Reading) bool { got = append(got, r.Value); return true })
@@ -248,15 +245,11 @@ type refRing struct {
 	buf   []Reading
 	next  int
 	count int
-	wraps int64
 }
 
 func newRefRing(capacity int) *refRing { return &refRing{buf: make([]Reading, capacity)} }
 
 func (b *refRing) Store(r Reading) {
-	if b.count == len(b.buf) {
-		b.wraps++
-	}
 	b.buf[b.next] = r
 	b.next = (b.next + 1) % len(b.buf)
 	if b.count < len(b.buf) {
@@ -309,9 +302,9 @@ func TestDataBufferMatchesReferenceRing(t *testing.T) {
 		b, ref := NewDataBuffer(capacity), newRefRing(capacity)
 		check := func(step int) {
 			t.Helper()
-			if b.Len() != ref.count || b.Cap() != len(ref.buf) || b.Overwritten() != ref.wraps {
-				t.Fatalf("seed %d step %d: len/cap/overwritten %d/%d/%d, reference %d/%d/%d", seed, step,
-					b.Len(), b.Cap(), b.Overwritten(), ref.count, len(ref.buf), ref.wraps)
+			if b.Len() != ref.count || b.cap != len(ref.buf) {
+				t.Fatalf("seed %d step %d: len/cap %d/%d, reference %d/%d", seed, step,
+					b.Len(), b.cap, ref.count, len(ref.buf))
 			}
 			if got, want := scan(b, -1), scan(ref, -1); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: Scan %v, reference %v", seed, step, got, want)

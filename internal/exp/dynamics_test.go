@@ -186,6 +186,7 @@ func TestConfigValidate(t *testing.T) {
 		{"neg-reindex", func(c *Config) { c.ReindexInterval = -1 }, "reindex"},
 		{"neg-window", func(c *Config) { c.WindowInterval = -1 }, "window"},
 		{"neg-trials", func(c *Config) { c.Trials = -3 }, "trial count"},
+		{"trace-without-sinks", func(c *Config) { c.Trace = true }, "Trace needs TraceSinks"},
 		// 90 000 ticks × 6 attempts wrap the 16-bit wire query ID.
 		{"query-ids", func(c *Config) {
 			c.N, c.Warmup, c.Duration = 16, 30*netsim.Second, 2*netsim.Minute

@@ -129,13 +129,13 @@ type Config struct {
 	// Trace switches on the flight recorder: every trial gets its own
 	// trace.Recorder clocked by the trial's simulator, threaded
 	// through the network, the protocol stack and the dynamics
-	// scheduler. With no TraceSinks factory, events land in a bounded
-	// in-memory ring surfaced as TrialResult.Trace.
+	// scheduler, and handing its events to the TraceSinks of the
+	// trial. Validate rejects Trace without TraceSinks.
 	Trace bool
-	// TraceSinks, when non-nil, builds the sink set for one trial
-	// (called once per trial, concurrently across trials). Returning
-	// an empty set disables tracing for that trial — the usual way to
-	// trace only trial 0 of a multi-trial cell. Ignored unless Trace.
+	// TraceSinks builds the sink set for one trial (called once per
+	// trial, concurrently across trials). Returning an empty set
+	// disables tracing for that trial — the usual way to trace only
+	// trial 0 of a multi-trial cell. Ignored unless Trace.
 	TraceSinks func(trial int) []trace.Sink
 
 	// Profile attaches a wall-clock attribution profiler to every
@@ -145,9 +145,6 @@ type Config struct {
 	// byte-identical with it on or off.
 	Profile bool
 }
-
-// traceRingCap bounds the default in-memory trace ring per trial.
-const traceRingCap = 4096
 
 // ForceInvariants attaches the whole-run invariant checker to every
 // trial in the process: conservation of readings, no aggregate
@@ -251,6 +248,9 @@ func (c Config) Validate() error {
 	if c.Trials < 0 {
 		return fmt.Errorf("exp: negative trial count %d", c.Trials)
 	}
+	if c.Trace && c.TraceSinks == nil {
+		return fmt.Errorf("exp: Trace needs TraceSinks")
+	}
 	if c.QueryInterval > 0 {
 		// Every query tick and every deadline retry takes the next
 		// 16-bit wire ID from the basestation's one counter; past 65 535
@@ -316,9 +316,6 @@ type TrialResult struct {
 	// comparisons across physical plans.
 	ReplyBytes    int64
 	AggReplyBytes int64
-	// Trace holds the last traceRingCap flight-recorder events when
-	// the config enabled tracing without a custom sink set.
-	Trace *trace.Ring
 	// Prof holds the wall-clock attribution snapshot when the config
 	// enabled profiling.
 	Prof *prof.Snapshot

@@ -8,8 +8,15 @@ import (
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
 	"scoop/internal/query"
+	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
+
+// discard is a trace sink that drops every block.
+type discard struct{}
+
+func (discard) Record(*trace.Block) {}
+func (discard) Close() error        { return nil }
 
 // TestSeedFuzz is a seed-randomised cross-engine differential fuzz:
 // short churn, drift and aggregate-mix runs across many seeds, each
@@ -123,7 +130,8 @@ func (r ramp) Name() string       { return "ramp" }
 // error, the invariant checker included (TestMain forces it on). Runs
 // stay small: N ≤ 64 and at most two virtual minutes, with intervals
 // down to the 1 ms tick; while fuzzing, inputs past overBudget return
-// early. The function-valued field TraceSinks stays nil.
+// early. When the Trace bit is set, TraceSinks hands every trial a
+// sink that drops what it is given.
 //
 // names picks the policy, source, topology and fault scenario, three
 // bits each; flags switches DisableReindex, Trace, Profile, a
@@ -218,6 +226,9 @@ func FuzzValidate(f *testing.F) {
 		}
 		if flags&16 != 0 {
 			cfg.Sampler = ramp{int(lo), int(hi)}
+		}
+		if cfg.Trace {
+			cfg.TraceSinks = func(int) []trace.Sink { return []trace.Sink{discard{}} }
 		}
 		if cfg.Validate() != nil || fuzzing && overBudget(cfg) {
 			return

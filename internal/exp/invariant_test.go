@@ -13,6 +13,18 @@ func reading(k trace.Kind, producer uint16, t int64) trace.Event {
 	return trace.Event{Kind: k, Node: producer, Producer: producer, SampleT: t}
 }
 
+// replay hands evs to c through a recorder whose clock reads each
+// event's own time, the path a trial's events take to its checker.
+func replay(c *checker, evs ...trace.Event) {
+	var now int64
+	rec := trace.New(func() int64 { return now }, c)
+	for _, e := range evs {
+		now = e.T
+		rec.Emit(e)
+	}
+	_ = rec.Close() // the checker's Close reports nothing
+}
+
 // clean drives every check with a sequence that satisfies it: readings
 // stored, lost or in flight; increasing index IDs; an aggregate that
 // counts each target once; every query settled once with an honest
@@ -21,15 +33,15 @@ func reading(k trace.Kind, producer uint16, t int64) trace.Event {
 func clean(c *checker) {
 	lost := reading(trace.ReadingLost, 2, 100)
 	lost.Cause = metrics.DropRetries
-	trace.Feed([]trace.Event{
+	replay(c,
 		reading(trace.ReadingSampled, 1, 100),
 		reading(trace.ReadingStored, 1, 100),
 		reading(trace.ReadingStored, 1, 100), // at-least-once duplicate
 		reading(trace.ReadingSampled, 2, 100),
 		lost,
 		reading(trace.ReadingSampled, 3, 100),
-		{Kind: trace.PacketSend, Node: 3, Peer: 1}, // not a reading event
-	}, c)
+		trace.Event{Kind: trace.PacketSend, Node: 3, Peer: 1}, // not a reading event
+	)
 	c.InFlightReading(3, 100)
 	c.RecordIndexIDs([]uint16{1, 2, 5})
 	c.AggResult(7, 4, 4)
@@ -59,13 +71,13 @@ func TestEachCheckTripsAlone(t *testing.T) {
 		want   string
 	}{
 		{"vanished reading", func(c *checker) {
-			trace.Feed([]trace.Event{reading(trace.ReadingSampled, 4, 200)}, c)
+			replay(c, reading(trace.ReadingSampled, 4, 200))
 		}, "reading (node 4, t=200) vanished"},
 		{"ghost reading", func(c *checker) {
-			trace.Feed([]trace.Event{reading(trace.ReadingStored, 5, 200)}, c)
+			replay(c, reading(trace.ReadingStored, 5, 200))
 		}, "ghost reading (node 5, t=200)"},
 		{"reading produced twice", func(c *checker) {
-			trace.Feed([]trace.Event{reading(trace.ReadingSampled, 1, 100)}, c)
+			replay(c, reading(trace.ReadingSampled, 1, 100))
 		}, "produced 2 times"},
 		{"agg double count", func(c *checker) {
 			c.AggResult(8, 5, 4)
@@ -110,7 +122,7 @@ func TestVanishedReadingsAreCapped(t *testing.T) {
 	for i := 0; i < maxReported+3; i++ {
 		evs = append(evs, reading(trace.ReadingSampled, uint16(i), 1))
 	}
-	trace.Feed(evs, c)
+	replay(c, evs...)
 	vs := c.Violations()
 	if len(vs) != maxReported+1 || !strings.Contains(vs[maxReported], "and 3 more vanished readings") {
 		t.Fatalf("violations = %q", vs)

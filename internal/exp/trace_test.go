@@ -44,15 +44,24 @@ func traceRun(t *testing.T, cfg Config) []byte {
 }
 
 // TestTraceByteIdentical pins the flight recorder's determinism
-// contract: the JSONL stream is a pure function of the configuration
-// and seed — identical across repeated runs and across GOMAXPROCS
-// settings (trial goroutine interleaving must not leak into trial 0's
-// single-threaded event order).
+// contract: the JSONL stream is in time order and a pure function of
+// the configuration and seed — identical across repeated runs and
+// across GOMAXPROCS settings (trial goroutine interleaving must not
+// leak into trial 0's single-threaded event order).
 func TestTraceByteIdentical(t *testing.T) {
 	cfg := tracedConfig()
 	first := traceRun(t, cfg)
 	if len(first) == 0 {
 		t.Fatal("traced run produced no events")
+	}
+	evs, err := trace.ReadJSONL(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].T < evs[i-1].T {
+			t.Fatalf("events out of time order at %d: %d < %d", i, evs[i].T, evs[i-1].T)
+		}
 	}
 	if again := traceRun(t, cfg); !bytes.Equal(first, again) {
 		t.Fatal("trace differs between identical runs")
@@ -62,30 +71,5 @@ func TestTraceByteIdentical(t *testing.T) {
 	runtime.GOMAXPROCS(prev)
 	if !bytes.Equal(first, serial) {
 		t.Fatal("trace differs between GOMAXPROCS settings")
-	}
-}
-
-// TestTraceRingDefault checks the no-sink path: events land in the
-// per-trial ring surfaced on the TrialResult.
-func TestTraceRingDefault(t *testing.T) {
-	cfg := tracedConfig()
-	cfg.Trials = 1
-	cfg.Trace = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := res.PerTrial[0].Trace
-	if ring == nil || ring.Total() == 0 {
-		t.Fatal("default trace ring missing or empty")
-	}
-	evs := ring.Events()
-	if len(evs) == 0 {
-		t.Fatal("ring returned no events")
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].T < evs[i-1].T {
-			t.Fatalf("ring events out of time order at %d: %d < %d", i, evs[i].T, evs[i-1].T)
-		}
 	}
 }

@@ -43,7 +43,6 @@ type Trial struct {
 
 	// attach
 	rec      *trace.Recorder
-	ring     *trace.Ring // the default sink, handed back on the result
 	pr       *prof.Profiler
 	regProfs []*prof.Profiler // per region, when profiling a parallel run
 	chk      *checker         // ForceInvariants: a sink of rec
@@ -161,15 +160,10 @@ func (t *Trial) build() error {
 func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	cfg := &t.cfg
 	// One recorder per trial, clocked by this trial's simulator, fanned
-	// out to the configured sinks (default: a bounded in-memory ring).
+	// out to the configured sinks.
 	var sinks []trace.Sink
 	if cfg.Trace {
-		if cfg.TraceSinks != nil {
-			sinks = cfg.TraceSinks(t.trial)
-		} else {
-			t.ring = trace.NewRing(traceRingCap)
-			sinks = []trace.Sink{t.ring}
-		}
+		sinks = cfg.TraceSinks(t.trial)
 	}
 	traced := len(sinks) > 0
 	if ForceInvariants {
@@ -433,7 +427,6 @@ func (t *Trial) Finish() (TrialResult, error) {
 		if err := t.rec.Close(); err != nil {
 			return TrialResult{}, fmt.Errorf("exp: closing trace sinks (trial %d): %w", t.trial, err)
 		}
-		tr.Trace = t.ring
 	}
 	if t.pr != nil {
 		s := t.pr.Snapshot()

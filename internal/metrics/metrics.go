@@ -143,12 +143,6 @@ func ParseDropCause(s string) (DropCause, bool) {
 	return 0, false
 }
 
-// AllDropCauses lists every drop cause in enum order.
-func AllDropCauses() []DropCause {
-	return []DropCause{DropCollision, DropQueue, DropRetries, DropTTL, DropNoRoute, DropRadio, DropReboot,
-		DropBlackout, DropPartition, DropBurst, DropKilled}
-}
-
 // Counters accumulates per-class and per-node message counts for one
 // simulation run. Per-node tallies live in flat slices keyed by dense
 // node ID (grown on demand), so the per-transmission and per-delivery
@@ -277,53 +271,8 @@ func (m *Counters) ReceivedBy(id uint16, c Class) int64 {
 	return at(m.recvBy, int(id)*int(numClasses)+int(c))
 }
 
-// TotalSentBy returns all transmissions by node id, excluding beacons.
-func (m *Counters) TotalSentBy(id uint16) int64 {
-	var t int64
-	for c := Class(0); c < numClasses; c++ {
-		if c == Beacon {
-			continue
-		}
-		t += m.SentBy(id, c)
-	}
-	return t
-}
-
-// Total returns all transmissions excluding beacon (tree-maintenance)
-// traffic: the paper's comparison metric.
-func (m *Counters) Total() int64 {
-	var t int64
-	for c := Class(0); c < numClasses; c++ {
-		if c == Beacon {
-			continue
-		}
-		t += m.sent[c]
-	}
-	return t
-}
-
-// TotalWithBeacons returns all transmissions including beacons.
-func (m *Counters) TotalWithBeacons() int64 {
-	var t int64
-	for c := Class(0); c < numClasses; c++ {
-		t += m.sent[c]
-	}
-	return t
-}
-
 // Drops returns the drop count recorded under the given cause.
 func (m *Counters) Drops(cause DropCause) int64 { return m.dropped[cause] }
-
-// DropCauses returns all causes with nonzero drops, in enum order.
-func (m *Counters) DropCauses() []DropCause {
-	causes := make([]DropCause, 0, NumDropCauses)
-	for c := DropCause(0); c < numDropCauses; c++ {
-		if m.dropped[c] != 0 {
-			causes = append(causes, c)
-		}
-	}
-	return causes
-}
 
 // addInto element-wise adds src into dst, growing dst as needed.
 func addInto(dst, src []int64) []int64 {

@@ -38,15 +38,6 @@ func (w TransitionWindow) DeliveryRatio() float64 {
 	return float64(w.StoredUnique) / float64(w.Produced)
 }
 
-// QueryDeliveryRatio is the fraction of expected query replies that
-// arrived during the window.
-func (w TransitionWindow) QueryDeliveryRatio() float64 {
-	if w.RepliesExpected == 0 {
-		return 0
-	}
-	return float64(w.RepliesReceived) / float64(w.RepliesExpected)
-}
-
 // MisrouteRatio is the fraction of routed readings that missed their
 // owner and washed up at the base — under a stale index this is what
 // rises first.

@@ -26,10 +26,6 @@ func TestWindowRatios(t *testing.T) {
 	if zero.DeliveryRatio() != 0 || zero.MisrouteRatio() != 0 || zero.CostPerReading() != 0 {
 		t.Fatal("zero window must not divide by zero")
 	}
-	w.RepliesExpected, w.RepliesReceived = 4, 3
-	if got := w.QueryDeliveryRatio(); got != 0.75 {
-		t.Fatalf("query delivery = %v", got)
-	}
 }
 
 func TestSummarizeSpans(t *testing.T) {

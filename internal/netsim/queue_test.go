@@ -37,6 +37,19 @@ func ringNetTo(seed int64, rx App, sinks ...trace.Sink) (*Network, *metrics.Coun
 	return net, ctr
 }
 
+// purgeLog is a trace sink collecting the Size of every PacketPurge
+// event, in order.
+type purgeLog struct{ sizes []int }
+
+func (l *purgeLog) Record(b *trace.Block) {
+	b.Each(func(e trace.Event) {
+		if e.Kind == trace.PacketPurge {
+			l.sizes = append(l.sizes, int(e.Size))
+		}
+	})
+}
+func (l *purgeLog) Close() error { return nil }
+
 // countApp counts deliveries and keeps nothing.
 type countApp struct{ received int }
 
@@ -128,8 +141,8 @@ func TestQueueRing(t *testing.T) {
 	})
 
 	t.Run("Restart purges head first", func(t *testing.T) {
-		ring, rx := trace.NewRing(64), &recorder{}
-		net, _ := ringNetTo(3, rx, ring)
+		purges, rx := &purgeLog{}, &recorder{}
+		net, _ := ringNetTo(3, rx, purges)
 		a := net.api[0]
 		var purged []int
 		net.OnPurge = func(id NodeID, p *Packet) { purged = append(purged, p.Size) }
@@ -163,14 +176,8 @@ func TestQueueRing(t *testing.T) {
 		if err := net.Trace.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var traced []int
-		for _, e := range ring.Events() {
-			if e.Kind == trace.PacketPurge {
-				traced = append(traced, int(e.Size))
-			}
-		}
-		if !slices.Equal(traced, want) {
-			t.Fatalf("PacketPurge order %v, want %v", traced, want)
+		if !slices.Equal(purges.sizes, want) {
+			t.Fatalf("PacketPurge order %v, want %v", purges.sizes, want)
 		}
 	})
 

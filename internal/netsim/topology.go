@@ -161,15 +161,6 @@ func (t *Topology) Neighbors(i NodeID) []NodeID {
 	return out
 }
 
-// AvgDegreeFraction reports the mean fraction of other nodes each node
-// can reach, the paper's "can communicate with 20% of the nodes" figure.
-func (t *Topology) AvgDegreeFraction() float64 {
-	if t.N <= 1 {
-		return 0
-	}
-	return float64(len(t.links)) / float64(t.N*(t.N-1))
-}
-
 // linkQuality derives the delivery probability of a directed link from
 // distance, with lognormal-ish jitter and asymmetry. Pairs beyond
 // rng*range have no link and draw nothing. Audible links are clamped

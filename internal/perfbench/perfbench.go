@@ -3,13 +3,14 @@
 // fan-out and the full core protocol stack at several network sizes,
 // the event queue at the scale tier's depth and delay mix,
 // the basestation's warm reindex, the per-reply path through the query
-// reliability layer, trace emission into the ring and JSONL sinks and one trial's
-// set-up. Two callers: the root BenchmarkHotPaths (`go test -bench`) and
-// bench/, the repo's benchmark, which times four of them by name for
-// its isolated per-layer metrics. The zero-allocation contracts are
-// plain tests next to the code they pin (TestReplyPathZeroAllocs here,
-// the AllocsPerRun tests in trace, prof and trickle); end-to-end sim
-// rate and allocations per virtual second are bench/'s to measure.
+// reliability layer, trace emission into a counting sink and into the
+// JSONL sink, and one trial's set-up. Two callers: the root
+// BenchmarkHotPaths (`go test -bench`) and bench/, the repo's
+// benchmark, which times four of them by name for its isolated
+// per-layer metrics. The zero-allocation contracts are plain tests
+// next to the code they pin (TestReplyPathZeroAllocs here, the
+// AllocsPerRun tests in trace, prof and trickle); end-to-end sim rate
+// and allocations per virtual second are bench/'s to measure.
 package perfbench
 
 import (
@@ -70,13 +71,22 @@ func benchExpSetup(b *testing.B) {
 	}
 }
 
-// benchTraceRing pins the enabled-path cost with the default ring
-// sink: stamping, fan-out and ring insertion must stay zero allocs/op
-// so tracing never perturbs the allocation behaviour it observes.
+// blockCount is a sink that counts the blocks handed to it and keeps
+// nothing, so benchTraceRing times the recorder alone.
+type blockCount struct{ n int }
+
+func (c *blockCount) Record(*trace.Block) { c.n++ }
+func (c *blockCount) Close() error        { return nil }
+
+// benchTraceRing pins the enabled-path cost of the recorder itself:
+// stamping, the append to the block and the block's hand-over to one
+// sink must stay zero allocs/op so tracing never perturbs the
+// allocation behaviour it observes. The name is the one bench/ looks
+// up for trace.emit_ring_ns.
 func benchTraceRing(b *testing.B) {
 	b.ReportAllocs()
 	var now int64
-	rec := trace.New(func() int64 { now++; return now }, trace.NewRing(4096))
+	rec := trace.New(func() int64 { now++; return now }, &blockCount{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.Emit(trace.Event{Kind: trace.PacketSend, Node: 1, Peer: 2,

@@ -81,7 +81,7 @@ const (
 	idMask     = 1<<idBits - 1
 	indexSlots = 64
 
-	// MaxNeighborCap is the largest capacity NewNeighborTable accepts:
+	// MaxNeighborCap is the largest capacity a table accepts:
 	// the index stays at most half full, and a position + 1 fits the
 	// 16 - idBits bits above the id.
 	MaxNeighborCap = indexSlots / 2
@@ -94,15 +94,9 @@ const _ = uint(1<<idBits - netsim.MaxNodes) // every node id fits a slot
 // would map onto the same slots).
 func homeSlot(id netsim.NodeID) int { return int(uint32(id) * 0x9E3779B1 >> 26) }
 
-// NewNeighborTable returns a table bounded to capacity entries, which
-// must lie in [1, MaxNeighborCap].
-func NewNeighborTable(capacity int, evictAfter netsim.Time) *NeighborTable {
-	t := new(NeighborTable)
-	t.init(capacity, evictAfter)
-	return t
-}
-
-// init builds an empty table in place (a Tree holds its table by value).
+// init builds an empty table in place (a Tree holds its table by
+// value), bounded to capacity entries, which must lie in
+// [1, MaxNeighborCap].
 func (t *NeighborTable) init(capacity int, evictAfter netsim.Time) {
 	if capacity <= 0 || capacity > MaxNeighborCap {
 		panic(fmt.Sprintf("routing: neighbor table capacity %d outside [1, %d]", capacity, MaxNeighborCap))

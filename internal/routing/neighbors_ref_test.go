@@ -116,7 +116,8 @@ func TestNeighborTableMatchesReferenceModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		capacity := []int{1, 3, 8, 32}[seed%4]
 		evictAfter := []netsim.Time{0, 90 * netsim.Second}[seed/4%2]
-		nt := NewNeighborTable(capacity, evictAfter)
+		var nt NeighborTable
+		nt.init(capacity, evictAfter)
 		ref := &refNeighbors{cap: capacity, evictAfter: evictAfter}
 		pool := make([]netsim.NodeID, 2*capacity+3) // more senders than rows: evictions
 		seq := make([]uint32, len(pool))

@@ -10,11 +10,9 @@ import (
 	"scoop/internal/netsim"
 )
 
-// DefaultConfig returns the beacon period of the paper's experiments.
-func DefaultConfig() Config { return Config{BeaconInterval: 10 * netsim.Second} }
-
 func TestNeighborTableQualityFromGaps(t *testing.T) {
-	nt := NewNeighborTable(8, 0)
+	var nt NeighborTable
+	nt.init(8, 0)
 	// Hear seq 1,2,4,5: one gap of one → 4 received, 1 missed.
 	for _, s := range []uint32{1, 2, 4, 5} {
 		nt.Observe(3, s, 0)
@@ -27,7 +25,8 @@ func TestNeighborTableQualityFromGaps(t *testing.T) {
 }
 
 func TestNeighborTableReorderTolerated(t *testing.T) {
-	nt := NewNeighborTable(8, 0)
+	var nt NeighborTable
+	nt.init(8, 0)
 	for _, s := range []uint32{1, 3, 2, 4} {
 		nt.Observe(3, s, 0)
 	}
@@ -40,7 +39,8 @@ func TestNeighborTableReorderTolerated(t *testing.T) {
 }
 
 func TestNeighborTableCapacityEviction(t *testing.T) {
-	nt := NewNeighborTable(4, 0)
+	var nt NeighborTable
+	nt.init(4, 0)
 	for i := 0; i < 6; i++ {
 		nt.Observe(netsim.NodeID(i), 1, netsim.Time(i))
 	}
@@ -61,7 +61,8 @@ func TestNeighborTableCapacityEviction(t *testing.T) {
 // first — also when every entry was heard at this very instant.
 func TestNeighborTableFullAlwaysAdmits(t *testing.T) {
 	for _, evictAfter := range []netsim.Time{0, 90 * netsim.Second} {
-		nt := NewNeighborTable(3, evictAfter)
+		var nt NeighborTable
+		nt.init(3, evictAfter)
 		nt.Observe(7, 1, 100)
 		nt.Observe(5, 1, 100)
 		nt.Observe(9, 1, 100)
@@ -79,7 +80,8 @@ func TestNeighborTableFullAlwaysAdmits(t *testing.T) {
 }
 
 func TestNeighborTableExpire(t *testing.T) {
-	nt := NewNeighborTable(8, 100)
+	var nt NeighborTable
+	nt.init(8, 100)
 	nt.Observe(1, 1, 0)
 	nt.Observe(2, 1, 90)
 	nt.Expire(150)
@@ -95,7 +97,8 @@ func TestNeighborTableExpire(t *testing.T) {
 // entry from the middle (Expire) or the front (eviction) may not hand a
 // surviving neighbor another neighbor's counters.
 func TestNeighborTableKeysFollowEntries(t *testing.T) {
-	nt := NewNeighborTable(3, 100)
+	var nt NeighborTable
+	nt.init(3, 100)
 	for s := uint32(1); s <= 4; s++ {
 		nt.Observe(10, s, 50) // 4/6
 	}
@@ -123,7 +126,8 @@ func TestNeighborTableKeysFollowEntries(t *testing.T) {
 }
 
 func TestNeighborTableBestSorted(t *testing.T) {
-	nt := NewNeighborTable(8, 0)
+	var nt NeighborTable
+	nt.init(8, 0)
 	// Node 1: perfect. Node 2: 50%.
 	for s := uint32(1); s <= 10; s++ {
 		nt.Observe(1, s, 0)
@@ -144,7 +148,8 @@ func TestNeighborTableBestSorted(t *testing.T) {
 }
 
 func TestNeighborTableWindowing(t *testing.T) {
-	nt := NewNeighborTable(4, 0)
+	var nt NeighborTable
+	nt.init(4, 0)
 	// Long perfect run, then a bad patch: quality must drop below a
 	// pure all-time average.
 	for s := uint32(1); s <= 60; s++ {
@@ -232,7 +237,7 @@ const beaconTimer = 1
 
 func (a *treeApp) Init(api *netsim.NodeAPI) {
 	a.tree = new(Tree)
-	a.tree.Init(api, a.base, DefaultConfig())
+	a.tree.Init(api, a.base)
 	a.tree.Start(beaconTimer)
 }
 func (a *treeApp) Receive(p *netsim.Packet) { a.tree.Observe(p) }
@@ -388,21 +393,22 @@ func TestBaseNeverPicksParent(t *testing.T) {
 	}
 }
 
-// NewNeighborTable accepts capacities in [1, MaxNeighborCap], the bound
+// A neighbor table accepts capacities in [1, MaxNeighborCap], the bound
 // its inline id index sets (the tree's neighborCap is held to it at
 // compile time).
 func TestNewNeighborTablePanics(t *testing.T) {
+	var nt NeighborTable
 	for _, capacity := range []int{0, MaxNeighborCap + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("NewNeighborTable(%d, 0) did not panic", capacity)
+					t.Fatalf("a table of capacity %d did not panic", capacity)
 				}
 			}()
-			NewNeighborTable(capacity, 0)
+			nt.init(capacity, 0)
 		}()
 	}
-	NewNeighborTable(MaxNeighborCap, 0)
+	nt.init(MaxNeighborCap, 0)
 }
 
 func TestNewDescendantSetPanics(t *testing.T) {
@@ -468,7 +474,7 @@ func (m *treeMeter) Init(api *netsim.NodeAPI) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m.tree = new(Tree)
-	m.tree.Init(api, false, DefaultConfig())
+	m.tree.Init(api, false)
 	runtime.ReadMemStats(&after)
 	m.bytes = after.TotalAlloc - before.TotalAlloc
 }

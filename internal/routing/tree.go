@@ -39,14 +39,12 @@ func (b *Beacon) Recycle() {
 	}
 }
 
-// Config tunes the tree protocol: the base's beacon period (paper
-// experiments: 10 s), the one parameter tests shorten or stretch.
-type Config struct {
-	BeaconInterval netsim.Time
-}
-
-// The tree parameters every run shares; the paper gives the two bounds.
+// The tree parameters every run shares; the paper gives the two bounds
+// and the beacon period.
 const (
+	// beaconInterval is the base's beacon period, and about how often a
+	// node maintains its tree (paper experiments: 10 s).
+	beaconInterval = 10 * netsim.Second
 	// neighborCap bounds the neighbor table (paper: 32).
 	neighborCap = 32
 	// descendantCap bounds the descendants list (paper: 32).
@@ -82,8 +80,6 @@ type Tree struct {
 
 	api         *netsim.NodeAPI
 	Descendants *DescendantSet
-	// The one Config field the tree reads after Init.
-	beaconInterval netsim.Time
 
 	etx       float64
 	round     uint32 // highest round seen (base: last round sent)
@@ -105,14 +101,13 @@ type Tree struct {
 // Init builds the routing state for one node in place, so a node
 // application holds its Tree by value. isBase marks the tree root
 // (node 0 in Scoop).
-func (t *Tree) Init(api *netsim.NodeAPI, isBase bool, cfg Config) {
+func (t *Tree) Init(api *netsim.NodeAPI, isBase bool) {
 	*t = Tree{
-		clock:          api.Clock(),
-		id:             api.ID(),
-		isBase:         isBase,
-		api:            api,
-		Descendants:    NewDescendantSet(descendantCap),
-		beaconInterval: cfg.BeaconInterval,
+		clock:       api.Clock(),
+		id:          api.ID(),
+		isBase:      isBase,
+		api:         api,
+		Descendants: NewDescendantSet(descendantCap),
 		// Who reports us is who hears us, about who we hear: start at
 		// the neighbor table's bound (and grow past it if need be).
 		outIDs: make([]netsim.NodeID, 0, neighborCap),
@@ -147,7 +142,7 @@ func (t *Tree) Start(timerID int) {
 		// Early first beacon so trees form during the warm-up period.
 		t.api.SetTimer(timerID, netsim.Time(1+t.api.RandIntn(200)))
 	} else {
-		t.api.SetTimer(timerID, t.beaconInterval+netsim.Time(t.api.RandIntn(2000)))
+		t.api.SetTimer(timerID, beaconInterval+netsim.Time(t.api.RandIntn(2000)))
 	}
 }
 
@@ -160,7 +155,7 @@ func (t *Tree) OnTimer() {
 	if t.isBase {
 		t.round++
 		t.broadcastBeacon()
-		t.api.SetTimer(t.timerID, t.beaconInterval)
+		t.api.SetTimer(t.timerID, beaconInterval)
 		return
 	}
 	t.Neighbors.Expire(t.clock.Now())
@@ -174,7 +169,7 @@ func (t *Tree) OnTimer() {
 		t.rebroadct = t.round
 		t.broadcastBeacon()
 	}
-	t.api.SetTimer(t.timerID, t.beaconInterval+netsim.Time(t.api.RandIntn(2000)))
+	t.api.SetTimer(t.timerID, beaconInterval+netsim.Time(t.api.RandIntn(2000)))
 }
 
 func (t *Tree) broadcastBeacon() {

@@ -107,14 +107,3 @@ func (b *Block) wideOf(r *record, w *int) *wide {
 	*w++
 	return x
 }
-
-// Feed hands events that already carry their timestamps to the sinks a
-// block at a time, as a Recorder hands its own, and leaves the sinks
-// open. It is how tests drive a sink with a stream built by hand.
-func Feed(events []Event, sinks ...Sink) {
-	r := &Recorder{sinks: sinks}
-	for i := range events {
-		r.put(&events[i])
-	}
-	r.flush()
-}

@@ -197,11 +197,7 @@ func TestJSONLMatchesInlineEncoding(t *testing.T) {
 					want = append(appendJSONRef(want, e), '\n')
 				}
 				var got bytes.Buffer
-				s := NewJSONL(&got)
-				Feed(events[:n], s)
-				if err := s.Close(); err != nil {
-					t.Fatalf("n=%d: Close: %v", n, err)
-				}
+				serialTrace(t, events[:n], NewJSONL(&got))
 				if !bytes.Equal(got.Bytes(), want) {
 					t.Fatalf("n=%d: sink wrote %d bytes, reference encoding is %d (first difference at byte %d)",
 						n, got.Len(), len(want), firstDiff(got.Bytes(), want))
@@ -257,7 +253,14 @@ func TestJSONLWriteErrorSurfaces(t *testing.T) {
 	t.Run("encoder", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		s := NewJSONL(&failAfter{n: 10_000, err: errBoom})
-		Feed(events, s)
+		var now int64
+		rec := New(func() int64 { return now }, s)
+		emit := func() {
+			for _, e := range events {
+				emitTo(rec, &now, e)
+			}
+		}
+		emit()
 		if s.full == nil {
 			t.Fatal("a block started no encoder")
 		}
@@ -266,7 +269,7 @@ func TestJSONLWriteErrorSurfaces(t *testing.T) {
 		recorded := make(chan struct{})
 		go func() {
 			for i := 0; i < 20; i++ {
-				Feed(events, s)
+				emit()
 			}
 			close(recorded)
 		}()
@@ -275,10 +278,11 @@ func TestJSONLWriteErrorSurfaces(t *testing.T) {
 		case <-time.After(time.Minute):
 			t.Fatal("Record blocked after the write error")
 		}
-		for i := 0; i < 2; i++ {
-			if err := s.Close(); !errors.Is(err, errBoom) {
-				t.Fatalf("Close #%d = %v, want %v", i+1, err, errBoom)
-			}
+		if err := rec.Close(); !errors.Is(err, errBoom) {
+			t.Fatalf("Close = %v, want %v", err, errBoom)
+		}
+		if err := s.Close(); !errors.Is(err, errBoom) {
+			t.Fatalf("a second Close = %v, want %v", err, errBoom)
 		}
 		waitGoroutines(t, base)
 	})
@@ -288,11 +292,16 @@ func TestJSONLWriteErrorSurfaces(t *testing.T) {
 	t.Run("final flush", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		s := NewJSONL(&failAfter{n: 100, err: errBoom})
-		Feed(events[:10], s)
-		for i := 0; i < 2; i++ {
-			if err := s.Close(); !errors.Is(err, errBoom) {
-				t.Fatalf("Close #%d = %v, want %v", i+1, err, errBoom)
-			}
+		var now int64
+		rec := New(func() int64 { return now }, s)
+		for _, e := range events[:10] {
+			emitTo(rec, &now, e)
+		}
+		if err := rec.Close(); !errors.Is(err, errBoom) {
+			t.Fatalf("Close = %v, want %v", err, errBoom)
+		}
+		if err := s.Close(); !errors.Is(err, errBoom) {
+			t.Fatalf("a second Close = %v, want %v", err, errBoom)
 		}
 		waitGoroutines(t, base)
 	})

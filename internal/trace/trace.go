@@ -3,8 +3,7 @@
 // stack (netsim, core, index, dynamics). Emission sites hand typed
 // Events to a per-run Recorder, which stamps the virtual clock, appends
 // them to a block of compact records and hands each filled block to
-// pluggable sinks — a bounded in-memory ring or a deterministic JSONL
-// writer.
+// pluggable sinks, such as the deterministic JSONL writer.
 //
 // Determinism contract (DESIGN.md §16): every emission site runs on
 // the simulation's single event-loop goroutine, event fields are
@@ -495,68 +494,4 @@ func (r *Recorder) Close() error {
 		}
 	}
 	return first
-}
-
-// Ring is a bounded in-memory sink keeping the most recent events, in
-// the compact form blocks hold them in.
-type Ring struct {
-	recs  []record
-	wide  []wide // wide[i] holds recs[i]'s 64-bit quantities, if its kind carries any
-	next  int
-	wrap  bool
-	total int64
-}
-
-// NewRing returns a ring holding up to capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{recs: make([]record, 0, capacity), wide: make([]wide, 0, capacity)}
-}
-
-// Record implements Sink: keep every event of the block, overwriting
-// the oldest once the ring is full.
-func (r *Ring) Record(b *Block) {
-	w := 0
-	for i := range b.recs[:b.n] {
-		rec := &b.recs[i]
-		var x wide
-		if p := b.wideOf(rec, &w); p != nil {
-			x = *p
-		}
-		r.total++
-		if len(r.recs) < cap(r.recs) {
-			r.recs = append(r.recs, *rec)
-			r.wide = append(r.wide, x)
-			continue
-		}
-		r.recs[r.next], r.wide[r.next] = *rec, x
-		r.next++
-		if r.next == len(r.recs) {
-			r.next = 0
-		}
-		r.wrap = true
-	}
-}
-
-// Close implements Sink.
-func (r *Ring) Close() error { return nil }
-
-// Total returns how many events were recorded overall (including those
-// the ring has since overwritten).
-func (r *Ring) Total() int64 { return r.total }
-
-// Events returns the retained events in emission order (a copy).
-func (r *Ring) Events() []Event {
-	out := make([]Event, len(r.recs))
-	start := 0
-	if r.wrap {
-		start = r.next
-	}
-	for k := range out {
-		i := (start + k) % len(r.recs)
-		out[k] = r.recs[i].event(&r.wide[i])
-	}
-	return out
 }

@@ -33,21 +33,27 @@ func TestKindStringsRoundTrip(t *testing.T) {
 	}
 }
 
+// collect keeps every event handed to it, in emission order.
+type collect struct{ evs []Event }
+
+func (c *collect) Record(b *Block) { b.Each(func(e Event) { c.evs = append(c.evs, e) }) }
+func (c *collect) Close() error    { return nil }
+
 func TestRecorderStampsAndFansOut(t *testing.T) {
-	a, b := NewRing(8), NewRing(8)
+	a, b := &collect{}, &collect{}
 	rec := New(fixedClock(), a, b)
 	rec.Emit(Event{Kind: PacketSend, Node: 3, Peer: 1, Class: metrics.Data, Size: 30})
 	rec.Emit(Event{Kind: NodeDown, Node: 7})
-	if a.Total() != 0 {
+	if len(a.evs) != 0 {
 		t.Fatal("a sink saw events before their block was handed over")
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*Ring{a, b} {
-		evs := r.Events()
+	for _, c := range []*collect{a, b} {
+		evs := c.evs
 		if len(evs) != 2 {
-			t.Fatalf("ring has %d events", len(evs))
+			t.Fatalf("sink has %d events", len(evs))
 		}
 		if evs[0].T != 0 || evs[1].T != 1 {
 			t.Fatalf("timestamps = %d,%d; want recorder-stamped 0,1", evs[0].T, evs[1].T)
@@ -70,8 +76,8 @@ func (l *blockLog) Close() error    { return nil }
 // A recorder kept to some kinds drops every other emission, on its
 // forks too, before it reaches a block.
 func TestRecorderOnlyKeepsNamedKinds(t *testing.T) {
-	ring := NewRing(8)
-	rec := New(fixedClock(), ring)
+	kept := &collect{}
+	rec := New(fixedClock(), kept)
 	rec.Only(ReadingLost)
 	rec.Buffer()
 	fork := rec.Fork(fixedClock())
@@ -83,7 +89,7 @@ func TestRecorderOnlyKeepsNamedKinds(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	evs := ring.Events()
+	evs := kept.evs
 	if len(evs) != 2 || evs[0].Kind != ReadingLost || evs[1].Kind != ReadingLost {
 		t.Fatalf("kept %v, want the two reading-lost events", evs)
 	}
@@ -140,73 +146,6 @@ func TestNilRecorderEmitAllocsZero(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled Emit allocates %v per op, want 0", allocs)
-	}
-}
-
-func TestRingEnabledEmitAllocsZero(t *testing.T) {
-	ring := NewRing(64)
-	rec := New(fixedClock(), ring)
-	allocs := testing.AllocsPerRun(1000, func() {
-		rec.Emit(Event{Kind: PacketRecv, Node: 4, Peer: 0, Class: metrics.Data, Size: 30})
-	})
-	if allocs != 0 {
-		t.Fatalf("ring-sink Emit allocates %v per op, want 0", allocs)
-	}
-}
-
-func TestRingWraps(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		Feed([]Event{{Kind: PacketSend, Node: uint16(i)}}, r)
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d", r.Total())
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d", len(evs))
-	}
-	for i, e := range evs {
-		if e.Node != uint16(i+2) {
-			t.Fatalf("evs[%d].Node = %d, want %d (oldest first)", i, e.Node, i+2)
-		}
-	}
-}
-
-// Overwrite order across several full laps: the ring must always
-// retain exactly the last cap events, oldest first, including when the
-// write count lands exactly on a capacity multiple (next == 0, where
-// an off-by-one in the wrap split would surface).
-func TestRingMultipleWrapsOverwriteOrder(t *testing.T) {
-	const cap = 4
-	r := NewRing(cap)
-	check := func(written int) {
-		t.Helper()
-		if r.Total() != int64(written) {
-			t.Fatalf("after %d writes: total = %d", written, r.Total())
-		}
-		evs := r.Events()
-		want := written
-		if want > cap {
-			want = cap
-		}
-		if len(evs) != want {
-			t.Fatalf("after %d writes: retained %d, want %d", written, len(evs), want)
-		}
-		for i, e := range evs {
-			if wantNode := written - want + i; e.Node != uint16(wantNode) {
-				t.Fatalf("after %d writes: evs[%d].Node = %d, want %d (oldest first)",
-					written, i, e.Node, wantNode)
-			}
-		}
-	}
-	written := 0
-	for lap := 0; lap < 3; lap++ {
-		for k := 0; k < cap; k++ {
-			Feed([]Event{{Kind: PacketSend, Node: uint16(written)}}, r)
-			written++
-			check(written) // covers every phase offset, incl. next == 0
-		}
 	}
 }
 

@@ -30,9 +30,6 @@ func (d *Drift) SetShift(frac float64) {
 	d.offset = int(math.Round(frac * float64(d.hi-d.lo)))
 }
 
-// Shift returns the current offset in domain units (for tests).
-func (d *Drift) Shift() int { return d.offset }
-
 // Next implements Source: the wrapped sample plus the current offset,
 // clamped to the domain.
 func (d *Drift) Next(id netsim.NodeID, t netsim.Time) int {

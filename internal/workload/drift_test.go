@@ -12,8 +12,8 @@ func TestDriftOffsetsAndClamps(t *testing.T) {
 		t.Fatalf("zero-shift sample = %d, want 5", got)
 	}
 	d.SetShift(0.30)
-	if d.Shift() != 9 {
-		t.Fatalf("offset = %d, want 9 (30%% of 31)", d.Shift())
+	if d.offset != 9 {
+		t.Fatalf("offset = %d, want 9 (30%% of 31)", d.offset)
 	}
 	if got := d.Next(5, 0); got != 14 {
 		t.Fatalf("shifted sample = %d, want 14", got)

@@ -145,9 +145,6 @@ func (g *Gaussian) Domain() (int, int) { return 0, 100 }
 // Name implements Source.
 func (g *Gaussian) Name() string { return "gaussian" }
 
-// Mean exposes node id's mean (for tests).
-func (g *Gaussian) Mean(id netsim.NodeID) float64 { return g.means[id] }
-
 // Real is the synthetic stand-in for the paper's indoor light trace.
 // Node values combine a shared slow "daylight" drift, a fixed offset
 // per spatial cluster (nearby nodes see similar light), a per-node

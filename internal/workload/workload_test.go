@@ -78,7 +78,7 @@ func TestGaussianCentersOnMean(t *testing.T) {
 			sum += float64(s.Next(id, 0))
 		}
 		mean := sum / samples
-		want := s.Mean(id)
+		want := s.means[id]
 		// Clamping skews edge means slightly; tolerate 3 units.
 		if math.Abs(mean-want) > 3 {
 			t.Fatalf("node %d sample mean %f, node mean %f", id, mean, want)
@@ -89,7 +89,7 @@ func TestGaussianCentersOnMean(t *testing.T) {
 func TestGaussianVarianceRoughlyTen(t *testing.T) {
 	s := NewGaussian(1, 6)
 	// Pick a node whose mean is interior so clamping is negligible.
-	if s.Mean(0) < 20 || s.Mean(0) > 80 {
+	if s.means[0] < 20 || s.means[0] > 80 {
 		s = NewGaussian(1, 8)
 	}
 	var sum, sq float64
