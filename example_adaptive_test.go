@@ -45,11 +45,11 @@ func ExampleSimulation_IndexRanges() {
 	// Output:
 	// phase 1: 15 minutes of sampling, zero queries
 	//   basestation owns 36/151 of the domain; 0/21 of the hot band [60,80]
-	//   indexes built: 4 (suppressed 0), messages so far: 5409
+	//   indexes built: 4 (suppressed 0), messages so far: 4976
 	//
 	// phase 2: querying [60,80] every 5 seconds for 10 minutes
 	//   basestation owns 45/151 of the domain; 21/21 of the hot band [60,80]
-	//   indexes built: 6 (suppressed 0), messages so far: 14273
+	//   indexes built: 6 (suppressed 0), messages so far: 13088
 }
 
 // report prints who owns the hot band and the basestation's share of

@@ -57,7 +57,7 @@ func ExampleSimulation_KillNode() {
 	//   readings produced: 1508 → 3188
 	//   data success rate: 93% → 97%
 	//   dead node now owns 33 values: the basestation keeps its last summary
-	//   full-domain query: 23 targets, 742 tuples
+	//   full-domain query: 24 targets, 477 tuples
 }
 
 // biggestOwner returns the non-base node owning the widest slice of

@@ -66,47 +66,43 @@ func ExampleNewSimulation() {
 	//   [ 27.. 35] → node 7
 	//   [ 36.. 37] → node 4
 	//   [ 38.. 39] → node 7
-	//   [ 40.. 44] → node 4
+	//   [ 40.. 41] → node 6
+	//   [ 42.. 44] → node 4
 	//   [ 45.. 50] → node 3
 	//   [ 51.. 58] → node 4
 	//   [ 59.. 70] → node 8
-	//   [ 71.. 71] → node 10
-	//   [ 72.. 73] → node 11
-	//   [ 74.. 79] → node 12
-	//   [ 80.. 80] → node 15
-	//   [ 81.. 81] → node 12
-	//   [ 82.. 83] → node 13
-	//   [ 84.. 89] → node 15
+	//   [ 71.. 75] → node 14
+	//   [ 76.. 79] → node 12
+	//   [ 80.. 86] → node 13
+	//   [ 87.. 89] → node 15
 	//   [ 90.. 90] → node 16
 	//   [ 91..103] → node 23
-	//   [104..104] → node 22
-	//   [105..106] → node 20
+	//   [104..106] → node 20
 	//   [107..115] → node 18
 	//   [116..116] → node 19
 	//   [117..117] → node 29
 	//   [118..121] → node 26
 	//   [122..129] → node 28
-	//   [130..131] → node 27
-	//   [132..135] → node 25
-	//   [136..145] → node 24
-	//   [146..150] → node 25
+	//   [130..135] → node 25
+	//   [136..144] → node 24
+	//   [145..150] → node 25
 	//
 	// == query: values in [100,150] over the last 5 minutes ==
-	// nodes contacted: 13 of 29
-	// matching tuples: 129 (carried back: 96)
-	//   node 29 read 115 at t=18m18s
-	//   node 29 read 115 at t=18m48s
-	//   node 18 read 115 at t=17m22s
+	// nodes contacted: 12 of 29
+	// matching tuples: 161 (carried back: 108)
+	//   node 29 read 113 at t=18m3s
 	//   node 18 read 109 at t=18m52s
+	//   node 18 read 115 at t=17m22s
 	//   node 18 read 114 at t=17m7s
 	//   node 29 read 111 at t=19m3s
 	//   node 29 read 109 at t=19m18s
-	//   node 29 read 111 at t=19m3s
-	//   … and 88 more
+	//   node 26 read 107 at t=19m11s
+	//   node 26 read 107 at t=19m26s
+	//   … and 100 more
 	//
 	// max value in last 10 min (from summaries, zero messages): 150
 	//
 	// == run statistics ==
 	// readings produced: 1798, durably stored: 95%
-	// messages: 4339 (data 2041, summary 1124, mapping 1065, query 28, reply 81)
+	// messages: 3797 (data 1456, summary 1177, mapping 1054, query 35, reply 75)
 }

@@ -88,6 +88,7 @@ type Base struct {
 	queryLog     []loggedQuery
 	pending      []*pendingQuery // dense by query ID
 	seenAggParts seenTable       // partial-aggregate message dedup
+	storedData   seenTable       // every reading in store, by producer and sample time
 	qidNext      uint16
 	remaps       int // scheduled remaps run so far (RemapLimit bookkeeping)
 
@@ -143,6 +144,7 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.queriesOut = nil
 	b.pending = nil
 	b.seenAggParts.reset()
+	b.storedData.reset()
 	b.retryOf = nil
 	b.relNextAt = 0
 	b.graph = index.NewGraph(api.N())
@@ -262,9 +264,13 @@ func resetChunks(chunks *index.ChunkSet, curID uint16, g *trickle.Trickle) {
 }
 
 // onData implements routing rule 4: data arriving at the basestation
-// is stored here, never routed back down.
+// is stored here, never routed back down, and only once: the PC keeps
+// the key of every reading it stores, so every later copy is dropped.
 func (b *Base) onData(m *DataMsg) {
 	for _, r := range m.Readings {
+		if b.storedData.Seen(netsim.NodeID(r.Producer), uint64(r.Time)) {
+			continue
+		}
 		b.store.Store(r)
 		b.stats.MarkStored(r.Producer, r.Time)
 		site := trace.StoreOwner

@@ -73,7 +73,8 @@ type Node struct {
 	// straddle a range boundary — see DESIGN.md §6). batchq holds the
 	// owners with a pending batch, and only those. A launched batch's
 	// buffer goes to spareBatches for the next one (its hop copies what
-	// it sends); regroup is rule 1's reusable sort buffer.
+	// it sends); regroup holds a received batch's fresh readings, which
+	// rule 1 sorts in place.
 	batchq   idTable[[]Reading]
 	batchSID uint16
 	// samplesSinceSummary shares batchSID's word.
@@ -85,10 +86,11 @@ type Node struct {
 
 	// Forwarding dedup: ack loss makes upstream senders retransmit
 	// packets we already relayed; re-forwarding every copy amplifies
-	// exponentially along the path.
+	// exponentially along the path (DESIGN.md §7).
 	seenSummaries seenTable
 	seenReplies   seenTable
 	seenAggParts  seenTable
+	seenData      dataSeen
 
 	// Free lists of the recycled payloads this node sends (netsim.Refs):
 	// data hops, replies and mapping chunks come back here after their
@@ -174,6 +176,7 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	n.seenSummaries.reset()
 	n.seenReplies.reset()
 	n.seenAggParts.reset()
+	n.seenData = dataSeen{}
 	n.batchq.clear()
 	n.cur = n.cfg.Preload
 	n.batchSID = 0
@@ -396,15 +399,28 @@ func (n *Node) handleData(m *DataMsg, hops uint8) {
 		n.loseReadings(m.Readings, metrics.DropTTL)
 		return
 	}
+	// Duplicate suppression (DESIGN.md §7): the readings of this copy
+	// that are not stored here and were not accepted before at this hop
+	// count go on, copied into the node's scratch buffer (the payload is
+	// borrowed).
+	fresh := n.regroup[:0]
+	for _, r := range m.Readings {
+		if n.seenData.accept(r, hops) {
+			fresh = append(fresh, r)
+		}
+	}
+	n.regroup = fresh
+	if len(fresh) == 0 {
+		return
+	}
 	hops++ // what this node's frames carry
 	// Rule 1: a newer index here rewrites the destination. Readings in
 	// one batch may now map to different owners; regroup in owner order
-	// (so runs are reproducible) by sorting a copy, out-of-domain values
-	// heading for the base (0), and send each run of it.
+	// (so runs are reproducible), out-of-domain values heading for the
+	// base (0), and send each run.
 	if n.cur != nil && !n.cur.Local && n.cur.ID > m.SID {
 		owner := func(r Reading) netsim.NodeID { o, _ := n.cur.Owner(r.Value); return o }
-		n.regroup = append(n.regroup[:0], m.Readings...)
-		rs := n.regroup
+		rs := fresh
 		slices.SortStableFunc(rs, func(a, b Reading) int { return cmp.Compare(owner(a), owner(b)) })
 		for len(rs) > 0 {
 			k := 1
@@ -416,7 +432,7 @@ func (n *Node) handleData(m *DataMsg, hops uint8) {
 		}
 		return
 	}
-	n.routeData(m.Readings, m.Owner, m.SID, hops)
+	n.routeData(fresh, m.Owner, m.SID, hops)
 }
 
 // routeData applies rules 2–6 (rule 4 lives in the basestation app) to
@@ -425,9 +441,13 @@ func (n *Node) handleData(m *DataMsg, hops uint8) {
 // this node's own.
 func (n *Node) routeData(rs []Reading, owner netsim.NodeID, sid uint16, hops uint8) {
 	me := n.api.ID()
-	// Rule 2: we are the owner.
+	// Rule 2: we are the owner. A reading is stored once: a copy the
+	// dedup cache no longer remembers is looked up in Flash.
 	if owner == me {
 		for _, r := range rs {
+			if n.seenData.store(r) || n.store.Holds(r) {
+				continue
+			}
 			n.store.Store(r)
 			n.stats.MarkStored(r.Producer, r.Time)
 			site := trace.StoreOwner

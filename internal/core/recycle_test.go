@@ -26,6 +26,36 @@ func (s *sinkApp) Receive(p *netsim.Packet) {
 func (s *sinkApp) Snoop(*netsim.Packet) {}
 func (s *sinkApp) Timer(int)            {}
 
+// relayFixture is a perfect chain 0—1—2 with a Scoop node at 1 whose
+// parent is node 0, a sinkApp. Node 1 neither samples nor maintains its
+// tree during a test; what it relays reaches the returned sink.
+func relayFixture(t *testing.T) (*netsim.Simulator, *netsim.Network, *Node, *sinkApp) {
+	t.Helper()
+	sim := netsim.NewSimulator(1)
+	net := netsim.NewNetwork(sim, chainTopo(3, 1), metrics.NewCounters(), netsim.DefaultParams())
+	node := NewNode(testConfig(), &RunStats{}, idSampler, 60*netsim.Minute)
+	sink := &sinkApp{}
+	net.Attach(0, sink)
+	net.Attach(1, node)
+	net.Attach(2, &sinkApp{})
+	net.Start()
+	adoptParent(t, sim, node, 1)
+	return sim, net, node, sink
+}
+
+// adoptParent makes node 0 node 1's parent: node 0's beacon of the
+// given round reports hearing 1 well. Tree maintenance is then stopped.
+func adoptParent(t *testing.T, sim *netsim.Simulator, node *Node, round uint32) {
+	t.Helper()
+	node.Receive(&netsim.Packet{Class: metrics.Beacon, Src: 0, Origin: 0, OriginParent: netsim.NoNode, Seq: round,
+		Payload: &routing.Beacon{Round: round, Estimates: []routing.NeighborInfo{{ID: 1, Quality: 1}}}})
+	sim.Run(sim.Now() + 10*netsim.Second) // the beacon's re-broadcast
+	if node.tree.Parent() != 0 {
+		t.Fatalf("node 1's parent is %d, want 0", node.tree.Parent())
+	}
+	node.api.CancelTimer(timerTree)
+}
+
 // TestForwardZeroAllocs holds the forwarding half of the payload rule
 // (DESIGN.md §12) to zero allocations in steady state: node 1 relays a
 // data batch, a reply and a summary from node 2 to its parent 0. Each
@@ -35,27 +65,9 @@ func (s *sinkApp) Timer(int)            {}
 // summary is shared: the relay forwards the message it heard, one hop
 // further in the frame header.
 func TestForwardZeroAllocs(t *testing.T) {
-	topo := chainTopo(3, 1)
-	sim := netsim.NewSimulator(1)
-	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
-	node := NewNode(testConfig(), &RunStats{}, idSampler, 60*netsim.Minute)
-	sink := &sinkApp{}
-	net.Attach(0, sink)
-	net.Attach(1, node)
-	net.Attach(2, &sinkApp{})
-	net.Start()
-
-	// Node 0's beacon makes it node 1's parent: it reports hearing 1 well.
-	node.Receive(&netsim.Packet{Class: metrics.Beacon, Src: 0, Origin: 0, OriginParent: netsim.NoNode, Seq: 1,
-		Payload: &routing.Beacon{Round: 1, Estimates: []routing.NeighborInfo{{ID: 1, Quality: 1}}}})
-	sim.Run(10 * netsim.Second) // the beacon's re-broadcast
-	if node.tree.Parent() != 0 {
-		t.Fatalf("node 1's parent is %d, want 0", node.tree.Parent())
-	}
-	node.api.CancelTimer(timerTree) // no tree maintenance while measuring
-
-	data := &netsim.Packet{Class: metrics.Data, Src: 2, Dst: 1, Origin: 2, OriginParent: 1,
-		Payload: &DataMsg{Readings: oneReading(7, 2, 0), Owner: 0, SID: 1}}
+	sim, _, node, sink := relayFixture(t)
+	batch := &DataMsg{Readings: oneReading(7, 2, 0), Owner: 0, SID: 1}
+	data := &netsim.Packet{Class: metrics.Data, Src: 2, Dst: 1, Origin: 2, OriginParent: 1, Payload: batch}
 	reply := &ReplyMsg{Node: 2, Count: 3, Readings: oneReading(7, 2, 0)}
 	replyPkt := &netsim.Packet{Class: metrics.Reply, Src: 2, Dst: 1, Origin: 2, OriginParent: 1, Payload: reply}
 	summary := &SummaryMsg{Node: 2}
@@ -64,8 +76,9 @@ func TestForwardZeroAllocs(t *testing.T) {
 	relay := func() {
 		seq++
 		data.Seq, replyPkt.Seq, summaryPkt.Seq = seq, seq, seq
-		reply.QueryID++  // a new query each time: replies are deduplicated per query
-		summary.SentAt++ // and summaries per send time
+		batch.Readings[0].Time++ // a new reading each time: data is deduplicated per reading,
+		reply.QueryID++          // replies per query
+		summary.SentAt++         // and summaries per send time
 		node.Receive(data)
 		node.Receive(replyPkt)
 		node.Receive(summaryPkt)

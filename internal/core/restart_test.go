@@ -88,7 +88,7 @@ func sameState(a, b reflect.Value, path string) string {
 }
 
 // scratchFields names the scratch buffers sameState skips: sendSummary's
-// copy of the recent readings, rule 1's regroup buffer, the spare batch
+// copy of the recent readings, handleData's regroup buffer, the spare batch
 // buffers and Trickle's send list.
 var scratchFields = map[string]bool{"recentVals": true, "regroup": true, "spareBatches": true, "due": true}
 

@@ -140,3 +140,77 @@ func (s *seenTable) reset() {
 	s.rows.clear()
 	s.spill = s.spill[:0]
 }
+
+// dataSeenCap is how many readings a node's data-dedup cache holds:
+// enough for the copies of one reading to meet within it on the paths
+// this simulator sees, at 12 bytes a reading (DESIGN.md §7, §12).
+const dataSeenCap = 32
+
+// A copy's arrival hop count is a bit of a uint32 mask, so the TTL may
+// not exceed 32 (the constant shift overflows if it does).
+const _ = uint32(1) << (maxHops - 1)
+
+// seenReading is one reading in a node's data-dedup cache.
+type seenReading struct {
+	t        uint32 // sample time in ms, truncated: the cache spans seconds
+	producer uint16
+	stored   bool   // stored here: every later copy is dropped
+	hops     uint32 // bit h: a copy that arrived with header Hops h was accepted
+}
+
+// dataSeen is a node's data-frame dedup cache: the dataSeenCap readings
+// it heard most recently, the oldest replaced first. A copy is keyed by
+// its reading and the header hop count it arrived with — CTP's (origin,
+// seqno, THL) — so a link-layer retransmission is dropped, while a copy
+// that comes back one detour later (a failed rule-5 send falling back
+// to rule 6, the parent) is routed again: every copy dropped has an
+// accepted twin that was stored, loss-accounted or sent on one hop
+// further (DESIGN.md §7). It is RAM: a reboot empties it.
+type dataSeen struct {
+	e    [dataSeenCap]seenReading
+	n    uint8 // entries in use
+	next uint8 // the entry a new reading replaces once all are in use
+}
+
+// find returns r's entry, replacing the oldest with an empty one for r
+// when r is not held.
+func (c *dataSeen) find(r Reading) *seenReading {
+	t, p := uint32(r.Time), r.Producer
+	for i := range c.e[:c.n] {
+		if e := &c.e[i]; e.t == t && e.producer == p {
+			return e
+		}
+	}
+	var e *seenReading
+	if c.n < dataSeenCap {
+		e = &c.e[c.n]
+		c.n++
+	} else {
+		e = &c.e[c.next]
+		c.next = (c.next + 1) % dataSeenCap
+	}
+	*e = seenReading{t: t, producer: p}
+	return e
+}
+
+// accept reports whether a copy of r that arrived with header hops is
+// new here — not stored, and no copy accepted with the same hop count —
+// and records it (check-and-mark).
+func (c *dataSeen) accept(r Reading, hops uint8) bool {
+	e := c.find(r)
+	bit := uint32(1) << hops
+	if e.hops&bit != 0 {
+		return false
+	}
+	e.hops |= bit
+	return true
+}
+
+// store records r as stored here, every hop bit set so no later copy
+// is accepted, and reports whether it already was.
+func (c *dataSeen) store(r Reading) (was bool) {
+	e := c.find(r)
+	was = e.stored
+	e.stored, e.hops = true, ^uint32(0)
+	return was
+}

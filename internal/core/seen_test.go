@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scoop/internal/dense"
+	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 )
 
@@ -142,5 +143,103 @@ func FuzzSeenTable(f *testing.F) {
 		if !slices.IsSorted(s.rows.ids) || len(s.rows.ids) != len(ref) {
 			t.Fatalf("table holds rows %v for %d origins", s.rows.ids, len(ref))
 		}
+	})
+}
+
+// TestDataDedup holds the data-frame dedup of DESIGN.md §7 on node 1 of
+// relayFixture, relaying toward node 0 (owner 0) or storing as owner 1.
+func TestDataDedup(t *testing.T) {
+	type fixture struct {
+		sim  *netsim.Simulator
+		net  *netsim.Network
+		node *Node
+		sink *sinkApp
+		seq  uint32
+	}
+	setup := func(t *testing.T) *fixture {
+		f := &fixture{}
+		f.sim, f.net, f.node, f.sink = relayFixture(t)
+		return f
+	}
+	// deliver hands node 1 one frame from node 2, sent with header hops,
+	// carrying rs for owner, and lets the relay go out.
+	deliver := func(f *fixture, hops uint8, owner netsim.NodeID, rs ...Reading) {
+		f.seq++
+		f.node.Receive(&netsim.Packet{Class: metrics.Data, Hops: hops, Src: 2, Dst: 1, Origin: 2, OriginParent: 1,
+			Seq: f.seq, Payload: &DataMsg{Readings: rs, Owner: owner, SID: 1}})
+		f.sim.Run(f.sim.Now() + netsim.Second)
+	}
+	r := Reading{Producer: 2, Value: 7, Time: 1000}
+	relayed := func(t *testing.T, f *fixture, want int) {
+		t.Helper()
+		if got := f.sink.got[metrics.Data]; got != want {
+			t.Fatalf("node 0 received %d data frames, want %d", got, want)
+		}
+	}
+
+	t.Run("retransmission", func(t *testing.T) {
+		// An ack lost on the link 2 → 1: node 2 sends the same frame
+		// again, with the same header hops.
+		f := setup(t)
+		deliver(f, 2, 0, r)
+		deliver(f, 2, 0, r)
+		relayed(t, f, 1)
+		// A batch holding it and a new reading goes on with the new one.
+		s := Reading{Producer: 2, Value: 8, Time: 2000}
+		deliver(f, 2, 0, r, s)
+		relayed(t, f, 2)
+		if got := f.node.regroup; len(got) != 1 || got[0] != s {
+			t.Fatalf("relayed readings %v, want [%v]", got, s)
+		}
+	})
+
+	t.Run("bounce", func(t *testing.T) {
+		// Node 1 sent the reading down by rule 5, the child's send
+		// failed and it fell back to rule 6, its parent: the copy comes
+		// back two hops further on and must be routed again, or no node
+		// would hold the reading.
+		f := setup(t)
+		deliver(f, 2, 0, r)
+		deliver(f, 4, 0, r)
+		relayed(t, f, 2)
+		deliver(f, 4, 0, r) // a retransmission of the bounce
+		relayed(t, f, 2)
+	})
+
+	t.Run("stored once", func(t *testing.T) {
+		f := setup(t)
+		deliver(f, 2, 1, r)
+		deliver(f, 5, 1, r) // another path: a new hop count, still a copy
+		// More readings than the cache holds push r out of it; a late
+		// copy is then found in Flash.
+		for k := range dataSeenCap {
+			deliver(f, 1, 1, Reading{Producer: 3, Value: 7, Time: int64(k)})
+		}
+		deliver(f, 7, 1, r)
+		if n, at := f.node.store.Len(), f.node.stats.StoredAtOwner; n != dataSeenCap+1 || at != dataSeenCap+1 {
+			t.Fatalf("the owner holds %d readings and counts %d stores, want %d", n, at, dataSeenCap+1)
+		}
+		relayed(t, f, 0)
+
+		// The base, a PC, keeps every stored reading's key.
+		tn := newTestNet(t, chainTopo(2, 1), testConfig(), nil, 1)
+		tn.base.onData(&DataMsg{Readings: []Reading{r}, Owner: 0})
+		for k := range 4 * dataSeenCap {
+			tn.base.onData(&DataMsg{Readings: []Reading{{Producer: 3, Value: 7, Time: int64(k)}}, Owner: 0})
+		}
+		tn.base.onData(&DataMsg{Readings: []Reading{r}, Owner: 0})
+		if n := tn.base.store.Len(); n != 4*dataSeenCap+1 {
+			t.Fatalf("the base holds %d readings, want %d", n, 4*dataSeenCap+1)
+		}
+	})
+
+	t.Run("reboot", func(t *testing.T) {
+		// RAM is lost: after a reboot the same copy is routed again.
+		f := setup(t)
+		deliver(f, 2, 0, r)
+		f.net.Restart(1)
+		adoptParent(t, f.sim, f.node, 2)
+		deliver(f, 2, 0, r)
+		relayed(t, f, 2)
 	})
 }

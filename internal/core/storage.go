@@ -57,6 +57,17 @@ func (b *DataBuffer) Store(r Reading) {
 	}
 }
 
+// Holds reports whether a reading of r's producer and sample time is
+// stored.
+func (b *DataBuffer) Holds(r Reading) bool {
+	for i := range b.buf {
+		if b.buf[i].Time == r.Time && b.buf[i].Producer == r.Producer {
+			return true
+		}
+	}
+	return false
+}
+
 // Clear empties the buffer, as NewDataBuffer returns it, keeping the
 // backing slice for reuse (a rebooting mote's path).
 func (b *DataBuffer) Clear() {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scoop/internal/trace"
@@ -17,6 +18,16 @@ type readingState struct {
 	stored   int
 	lost     int
 	inflight bool
+	at       []storeSite // where it is stored, one entry a node and boot
+	twice    bool        // stored again at a node holding it
+	twiceAt  uint16      // the first such node
+}
+
+// storeSite is a node that stored a reading, in the boot it stored it
+// in: a reboot erases a mote's Flash and the basestation's store.
+type storeSite struct {
+	node uint16
+	boot uint32
 }
 
 // checker is the whole-run correctness checker for Scoop simulations.
@@ -30,9 +41,11 @@ type readingState struct {
 //     no-route, TTL, reboot, a receiver killed mid-air), or
 //     demonstrably in flight at run end (batch buffers, send queues,
 //     frames on the air). Nothing vanishes silently.
-//   - Stored-exactly-once accounting: the deduplicated StoredUnique
-//     count equals the number of distinct readings with a storage
-//     event, and no "ghost" reading is stored that was never produced.
+//   - Stored at most once per node: a node stores a reading it holds
+//     no second time — data dedup drops every later copy (DESIGN.md
+//     §7). A reboot erases the node's store, so the boot after it may
+//     store the reading again.
+//   - No "ghost" reading is stored that was never produced.
 //   - No aggregate double-count: for every issued in-network aggregate
 //     query, the contributors folded into the basestation's answer
 //     never exceed the targeted node set — seq-dedup'd resends must
@@ -47,11 +60,12 @@ type readingState struct {
 // each trial owns one.
 type checker struct {
 	readings map[readingKey]*readingState
-	extra    []string // non-conservation violations, in detection order
+	boots    map[uint16]uint32 // reboots seen, by node
+	extra    []string          // non-conservation violations, in detection order
 }
 
 func newChecker() *checker {
-	return &checker{readings: make(map[readingKey]*readingState)}
+	return &checker{readings: make(map[readingKey]*readingState), boots: make(map[uint16]uint32)}
 }
 
 func (c *checker) state(p uint16, t int64) *readingState {
@@ -65,8 +79,8 @@ func (c *checker) state(p uint16, t int64) *readingState {
 }
 
 // Record implements trace.Sink: it folds the block's reading-sampled,
-// reading-stored (every storage event, at-least-once duplicates
-// included) and reading-lost events, and skips the rest.
+// reading-stored, reading-lost and node-restart events, and skips the
+// rest.
 func (c *checker) Record(b *trace.Block) { b.Each(c.fold) }
 
 func (c *checker) fold(e trace.Event) {
@@ -79,9 +93,20 @@ func (c *checker) fold(e trace.Event) {
 				fmt.Sprintf("reading (node %d, t=%d) produced %d times (sample identity collision)", e.Producer, e.SampleT, s.produced))
 		}
 	case trace.ReadingStored:
-		c.state(e.Producer, e.SampleT).stored++
+		s := c.state(e.Producer, e.SampleT)
+		s.stored++
+		site := storeSite{e.Node, c.boots[e.Node]}
+		if slices.Contains(s.at, site) {
+			if !s.twice {
+				s.twice, s.twiceAt = true, e.Node
+			}
+		} else {
+			s.at = append(s.at, site)
+		}
 	case trace.ReadingLost:
 		c.state(e.Producer, e.SampleT).lost++
+	case trace.NodeRestart:
+		c.boots[e.Node]++
 	}
 }
 
@@ -172,9 +197,16 @@ func (c *checker) Violations() []string {
 		}
 		return keys[i].T < keys[j].T
 	})
-	conservation := 0
+	conservation, twice := 0, 0
 	for _, k := range keys {
 		s := c.readings[k]
+		if s.twice {
+			twice++
+			if twice <= maxReported {
+				out = append(out, fmt.Sprintf(
+					"reading (node %d, t=%d) stored twice at node %d", k.Producer, k.T, s.twiceAt))
+			}
+		}
 		switch {
 		case s.produced == 0 && s.stored > 0:
 			out = append(out, fmt.Sprintf(
@@ -189,6 +221,9 @@ func (c *checker) Violations() []string {
 	}
 	if conservation > maxReported {
 		out = append(out, fmt.Sprintf("… and %d more vanished readings", conservation-maxReported))
+	}
+	if twice > maxReported {
+		out = append(out, fmt.Sprintf("… and %d more readings stored twice at one node", twice-maxReported))
 	}
 	if len(out) == 0 {
 		return nil

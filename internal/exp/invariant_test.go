@@ -26,17 +26,21 @@ func replay(c *checker, evs ...trace.Event) {
 }
 
 // clean drives every check with a sequence that satisfies it: readings
-// stored, lost or in flight; increasing index IDs; an aggregate that
-// counts each target once; every query settled once with an honest
-// bound. Each violating case below runs it first, so the one breach it
-// adds is the only difference from a clean run.
+// stored (once a node and boot), lost or in flight; increasing index
+// IDs; an aggregate that counts each target once; every query settled
+// once with an honest bound. Each violating case below runs it first,
+// so the one breach it adds is the only difference from a clean run.
 func clean(c *checker) {
 	lost := reading(trace.ReadingLost, 2, 100)
 	lost.Cause = metrics.DropRetries
+	atBase := reading(trace.ReadingStored, 1, 100)
+	atBase.Node = 0
 	replay(c,
 		reading(trace.ReadingSampled, 1, 100),
 		reading(trace.ReadingStored, 1, 100),
-		reading(trace.ReadingStored, 1, 100), // at-least-once duplicate
+		atBase, // a copy stored at a second node
+		trace.Event{Kind: trace.NodeRestart, Node: 0},
+		atBase, // and again after that node's reboot erased its store
 		reading(trace.ReadingSampled, 2, 100),
 		lost,
 		reading(trace.ReadingSampled, 3, 100),
@@ -79,6 +83,9 @@ func TestEachCheckTripsAlone(t *testing.T) {
 		{"reading produced twice", func(c *checker) {
 			replay(c, reading(trace.ReadingSampled, 1, 100))
 		}, "produced 2 times"},
+		{"reading stored twice at one node", func(c *checker) {
+			replay(c, reading(trace.ReadingStored, 1, 100))
+		}, "reading (node 1, t=100) stored twice at node 1"},
 		{"agg double count", func(c *checker) {
 			c.AggResult(8, 5, 4)
 		}, "agg query 8: 5 contributors folded for 4 targeted nodes"},

@@ -167,7 +167,8 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	}
 	traced := len(sinks) > 0
 	if ForceInvariants {
-		// The checker reads the reading events core and purged emit.
+		// The checker reads the reading events core and purged emit,
+		// and the reboots that erase a node's store.
 		t.chk = newChecker()
 		sinks = append(slices.Clip(sinks), t.chk)
 	}
@@ -177,7 +178,7 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 			// The checker alone: the radio's events and core's others
 			// would cost it an append each and a buffered copy on the
 			// region engine, to be skipped unread.
-			t.rec.Only(trace.ReadingSampled, trace.ReadingStored, trace.ReadingLost)
+			t.rec.Only(trace.ReadingSampled, trace.ReadingStored, trace.ReadingLost, trace.NodeRestart)
 		}
 		t.net.OnPurge = t.purged
 	}

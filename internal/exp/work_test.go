@@ -42,16 +42,22 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 		// Measured mallocs/vs, in the comment, with the ceiling's history.
 		maxMallocsPerVS float64
 	}{
-		// 5.43 (7.50 with Trickle items, chunk store and assembler in
-		// maps and dedup spills in slices of their own, 9.98 with the TTL
-		// in the payloads and dedup rows growing from empty, 22.1 before
-		// the payload free lists, 66.5 before the send ring).
-		{"uniform63", Default(), 217296, 47612, 6.0},
-		// 5.71 (11.79 when a reboot allocated the mote's state again).
-		{"uniform63churn", churn, 264052, 56492, 6.3},
-		// 42.20 (52.77 with the maps and spill slices, 76.56 with the
-		// TTL in the payloads and dedup rows growing from empty).
-		{"grid250", deep, 290720, 94247, 46.4},
+		// 5.33 (5.43 before data frames were deduplicated, 7.50 with
+		// Trickle items, chunk store and assembler in maps and dedup
+		// spills in slices of their own, 9.98 with the TTL in the
+		// payloads and dedup rows growing from empty, 22.1 before the
+		// payload free lists, 66.5 before the send ring). Data dedup
+		// took the counts from 217 296 events and 47 612 frames.
+		{"uniform63", Default(), 208685, 44900, 6.0},
+		// 5.61 (5.71 before data dedup, 11.79 when a reboot allocated
+		// the mote's state again; 264 052 events and 56 492 frames
+		// before data dedup).
+		{"uniform63churn", churn, 253906, 52313, 6.3},
+		// 42.23 (42.20 before data dedup, 52.77 with the maps and spill
+		// slices, 76.56 with the TTL in the payloads and dedup rows
+		// growing from empty; 290 720 events and 94 247 frames before
+		// data dedup).
+		{"grid250", deep, 283304, 91278, 46.4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Serial on purpose: runtime.MemStats.Mallocs is process-wide.
@@ -94,11 +100,12 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 // 2 099 objects: two 4.9 KB math/rand tables and their two Rands a node.
 func TestSetupFootprint(t *testing.T) {
 	const (
-		// Measured 369 408 B and 1 797 objects (393 960 B and 1 845 with
-		// the dense Quality matrix and index.Graph); the object ceiling
-		// is PR 24's parent's 2 106 less three a node.
-		maxBytes   = 450_000
-		maxMallocs = 2106 - 3*63
+		// Measured 393 400 B in 1 420 objects, 24 KB of it the nodes'
+		// inline data-dedup caches (DESIGN.md §12). The ceilings are the
+		// measurement plus 5 % of the bytes and plus 40 objects, fewer
+		// than one a node.
+		maxBytes   = 413_000
+		maxMallocs = 1_460
 	)
 	cfg := Default()
 	bytes, mallocs := setupFootprint(t, cfg)

@@ -472,9 +472,6 @@ func (n *Network) Attach(id NodeID, app App) {
 	n.api[id] = a
 }
 
-// App returns the application attached to id (nil if none).
-func (n *Network) App(id NodeID) App { return n.apps[id] }
-
 // Start initialises all attached applications. Nodes without an app
 // are inert (they neither send nor receive).
 func (n *Network) Start() {

@@ -180,9 +180,6 @@ func (s *Simulator) Now() Time { return s.now }
 // or off. Set before Run.
 func (s *Simulator) SetProfiler(p *prof.Profiler) { s.prof = p }
 
-// Profiler returns the attached profiler (nil when profiling is off).
-func (s *Simulator) Profiler() *prof.Profiler { return s.prof }
-
 // The heap is 4-ary: at the scale tier's depth (≈6k 40-byte events
 // once the wheel holds the near ones) it has half the levels of a
 // binary heap and a node's children are 160 adjacent bytes. Both sifts

@@ -285,9 +285,6 @@ func (t *Tree) Hops() uint8 { return t.hops }
 // ETX returns the node's expected-transmissions-to-base estimate.
 func (t *Tree) ETX() float64 { return t.etx }
 
-// Round returns the latest beacon round seen.
-func (t *Tree) Round() uint32 { return t.round }
-
 // RecordUpstream notes that a packet from origin was routed through us
 // by child, updating the descendants list.
 func (t *Tree) RecordUpstream(origin, child netsim.NodeID) {
