@@ -46,7 +46,6 @@ func parseFlags(args []string, errw io.Writer) (exp.Config, string, error) {
 		sample   = fs.Duration("sample", wall(d.SampleInterval), "sensor sampling interval")
 		query    = fs.Duration("query", wall(d.QueryInterval), "query interval (0 disables)")
 		nodePct  = fs.Float64("nodepct", d.NodePct, "node-list queries over this fraction of nodes (<0: value-range queries)")
-		regions  = fs.Int("regions", d.Regions, "parallel event-loop regions per trial (0/1: serial; results are identical for every value)")
 		trials   = fs.Int("trials", d.Trials, "independent trials to average")
 		seed     = fs.Int64("seed", d.Seed, "random seed")
 		traceF   = fs.String("trace", "", "write the first trial's flight-recorder events to this JSONL file")
@@ -68,7 +67,7 @@ func parseFlags(args []string, errw io.Writer) (exp.Config, string, error) {
 	cfg.Policy, cfg.Source, cfg.Topology, cfg.N = policy.Name(*policyF), *source, *topology, *nodes
 	cfg.Duration, cfg.Warmup = vt(*duration), vt(*warmup)
 	cfg.SampleInterval, cfg.QueryInterval, cfg.NodePct = vt(*sample), vt(*query), *nodePct
-	cfg.Regions, cfg.Trials, cfg.Seed = *regions, *trials, *seed
+	cfg.Trials, cfg.Seed = *trials, *seed
 	return cfg, *traceF, nil
 }
 

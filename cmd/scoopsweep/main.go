@@ -11,7 +11,7 @@
 //	scoopsweep -check testdata/sweep-ci-baseline.json testdata/sweep-ci.grid.json
 //
 // The same grid always produces byte-identical artifacts, whatever
-// -parallel and -regions are, so -check gates on byte equality with a
+// -parallel is, so -check gates on byte equality with a
 // committed artifact and prints the differing cells when it fails;
 // -out <artifact> regenerates one after an intentional protocol change.
 package main
@@ -48,7 +48,6 @@ func parseArgs(args []string, errw io.Writer) (cli, error) {
 		fs.PrintDefaults()
 	}
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max cells running concurrently")
-	regions := fs.Int("regions", 0, "parallel event-loop regions per cell network (0/1: serial; results are identical for every value)")
 	out := fs.String("out", "", "artifact path (default sweep-<name>.json)")
 	check := fs.String("check", "", "committed artifact the fresh one must equal byte for byte (exit 1 with a per-cell diff otherwise)")
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +65,6 @@ func parseArgs(args []string, errw io.Writer) (cli, error) {
 	default:
 		return cli{}, fmt.Errorf("unexpected arguments after the grid file: %s", strings.Join(fs.Args()[1:], " "))
 	}
-	g.Regions = *regions
 
 	path := *out
 	if path == "" {

@@ -42,7 +42,7 @@ func TestParseArgsGridSpec(t *testing.T) {
 		"topologies": ["uniform", "grid"], "sizes": [12, 24], "lossRates": [0, 0.25],
 		"sources": ["real", "unique"], "duration": "8m", "warmup": "2m",
 		"trials": 2, "seed": 99}`)
-	c, err := parseArgs([]string{"-parallel", "3", "-regions", "4", grid}, io.Discard)
+	c, err := parseArgs([]string{"-parallel", "3", grid}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestParseArgsGridSpec(t *testing.T) {
 	if len(g.Cells()) != 2*2*2*2*2 {
 		t.Fatalf("grid expands to %d cells", len(g.Cells()))
 	}
-	if g.Seed != 99 || g.Trials != 2 || g.Regions != 4 || c.parallel != 3 {
+	if g.Seed != 99 || g.Trials != 2 || c.parallel != 3 {
 		t.Fatalf("parsed grid: %+v parallel=%d", g, c.parallel)
 	}
 	if c.out != "sweep-ci.json" {
@@ -74,7 +74,7 @@ func TestParseArgsRejectsBadInput(t *testing.T) {
 	}
 }
 
-// The command line is the four run-mode flags and nothing else.
+// The command line is the three run-mode flags and nothing else.
 func TestUsageListsRunModeFlagsOnly(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-h"}, io.Discard, &stderr); code != 0 {
@@ -86,7 +86,7 @@ func TestUsageListsRunModeFlagsOnly(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if got := strings.Join(flags, " "); got != "-check -out -parallel -regions" {
+	if got := strings.Join(flags, " "); got != "-check -out -parallel" {
 		t.Fatalf("flags: %s\n%s", got, stderr.String())
 	}
 }

@@ -9,8 +9,6 @@
 package core
 
 import (
-	"sync"
-
 	"scoop/internal/index"
 	"scoop/internal/netsim"
 	"scoop/internal/prof"
@@ -188,35 +186,20 @@ var queryTrickle = trickle.Config{
 	MaxRounds: 4,
 }
 
-// SharedRunState is the per-reading slice of run accounting: the
-// storage dedup table. It sits behind one mutex because in a
-// region-parallel run it sees events from every region (a reading
-// produced in one region is stored at an owner in another), so it
-// cannot live in any single region's RunStats shard. The table is
-// set-valued — a reading's first-storage bit — so the cross-region
-// arrival order the mutex admits cannot change totals, only
-// interleaving.
-type SharedRunState struct {
-	mu sync.Mutex
+// RunStats aggregates end-to-end delivery outcomes across a run, the
+// numbers behind the paper's "93% of data messages stored" and "78% of
+// query results retrieved" and the 85%-found-owner routing result.
+// One RunStats is shared by all nodes of a run; all counters are plain
+// int64 adds, so an experiment's trials merge by field-wise sum (Add).
+type RunStats struct {
 	// seen deduplicates storage events per reading, so the success rate
 	// is not inflated by at-least-once retransmission duplicates (an ack
 	// loss makes the sender retry a reading the receiver already
 	// stored). Sample times per producer are almost always observed in
 	// increasing order, so the seenTable's max-key fast path makes this
-	// one row lookup per store event, no scan (DESIGN.md §12).
+	// one row lookup per store event, no scan (DESIGN.md §12). Add does
+	// not merge it: it belongs to the run that marks readings.
 	seen seenTable
-}
-
-// RunStats aggregates end-to-end delivery outcomes across a run, the
-// numbers behind the paper's "93% of data messages stored" and "78% of
-// query results retrieved" and the 85%-found-owner routing result.
-// One RunStats is shared by all nodes of a region; all counters are
-// plain int64 adds, so a run's shards merge by field-wise sum (Add).
-type RunStats struct {
-	// Shared is the run's per-reading dedup table, one for all shards of
-	// a run. A RunStats left without one makes its own on first use —
-	// enough for a single-shard run.
-	Shared *SharedRunState
 
 	Produced      int64 // readings sampled
 	StoredLocal   int64 // readings stored by their producer
@@ -274,8 +257,8 @@ type RunStats struct {
 	DegradedAnswers      int64 // answers served via summary degradation
 }
 
-// Add folds src's counters into s field by field — how a run's shards
-// and an experiment's trials merge. TestRunStatsAddCoversEveryCounter
+// Add folds src's counters into s field by field — how an
+// experiment's trials merge. TestRunStatsAddCoversEveryCounter
 // fails when a new counter is missing here.
 func (s *RunStats) Add(src *RunStats) {
 	s.Produced += src.Produced
@@ -321,24 +304,11 @@ func (s *RunStats) Add(src *RunStats) {
 	s.DegradedAnswers += src.DegradedAnswers
 }
 
-// shared returns the run's per-reading state, making a private one for
-// a RunStats that was handed none.
-func (s *RunStats) shared() *SharedRunState {
-	if s.Shared == nil {
-		s.Shared = &SharedRunState{}
-	}
-	return s.Shared
-}
-
 // MarkStored records that the reading (producer, sampled at time t)
 // was stored somewhere, and reports whether this is its first storage
 // event. Nodes call it on every store; duplicates return false.
 func (s *RunStats) MarkStored(producer uint16, t int64) bool {
-	sh := s.shared()
-	sh.mu.Lock()
-	dup := sh.seen.Seen(netsim.NodeID(producer), uint64(t))
-	sh.mu.Unlock()
-	if dup {
+	if s.seen.Seen(netsim.NodeID(producer), uint64(t)) {
 		return false
 	}
 	s.StoredUnique++

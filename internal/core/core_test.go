@@ -480,7 +480,7 @@ func TestRunStatsRates(t *testing.T) {
 
 // TestRunStatsAddCoversEveryCounter: Add lists its fields by hand, so a
 // counter added to RunStats and forgotten there would silently read 0
-// in multi-trial and Regions > 1 results. Every exported int64 field
+// in multi-trial results and in exp.Trial.Stats. Every exported int64 field
 // gets a distinct value and must come out summed.
 func TestRunStatsAddCoversEveryCounter(t *testing.T) {
 	var src RunStats

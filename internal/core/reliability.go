@@ -283,8 +283,8 @@ func (b *Base) relDropWire(w uint16) {
 // FinalizeVerdicts settles every still-open query — the harness calls
 // it once after the simulator stops, so queries issued too late for
 // their deadline still reach a terminal verdict exactly once. It runs
-// post-run and therefore emits no trace events (region-parallel trace
-// merge is closed by then); counters and the verdict log are enough.
+// post-run and emits no trace events, so the trace ends with the last
+// simulated event; counters and the verdict log are enough.
 func (b *Base) FinalizeVerdicts() {
 	for id, pq := range b.pending {
 		if pq.onClock() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestPendingEvictsUnderTotalReplyLoss(t *testing.T) {
 					Part: query.Partial{Count: 1, Sum: 7, Min: 7, Max: 7}, Nodes: nodes})
 			}
 			settled("after late replies")
-			if *tn.stats != before {
+			if !reflect.DeepEqual(*tn.stats, before) {
 				t.Fatalf("late replies moved counters:\n before %+v\n after  %+v", before, *tn.stats)
 			}
 		})

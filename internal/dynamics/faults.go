@@ -11,9 +11,8 @@ import (
 // reliability campaign (DESIGN.md §19): regional blackouts, network
 // partitions, correlated burst loss and basestation restarts. Like
 // every other script builder they are pure functions of their
-// parameters plus a seed, so a fault run is exactly reproducible and
-// byte-identical across region counts — all fault events are
-// control-plane (applied at barriers), never mid-window.
+// parameters plus a seed, so a fault run is exactly reproducible: all
+// fault events are control-plane events, applied between node events.
 
 // Blackout scripts one regional blackout: every link into or out of
 // the node stripe [lo, hi] is blocked from start to end.

@@ -115,12 +115,9 @@ type Config struct {
 	// set and disables the timeline otherwise.
 	WindowInterval netsim.Time
 
-	// Regions partitions every trial's radio network into this many
-	// spatially contiguous regions, each advanced by its own worker
-	// goroutine under the conservative lookahead coordinator
-	// (DESIGN.md §18). Results are bit-identical for every value: 0 or
-	// 1 keeps the serial single-heap engine, and the differential
-	// harness holds K>1 to byte-equality with it.
+	// Regions is read by nothing: every value runs the one serial
+	// event loop. The field stays because the benchmark module
+	// compiles against it; Validate still refuses a negative value.
 	Regions int
 
 	Trials int

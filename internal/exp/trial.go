@@ -42,13 +42,12 @@ type Trial struct {
 	ccfg    core.Config
 
 	// attach
-	rec      *trace.Recorder
-	pr       *prof.Profiler
-	regProfs []*prof.Profiler // per region, when profiling a parallel run
-	chk      *checker         // ForceInvariants: a sink of rec
-	shards   []*core.RunStats // one per region
-	base     *core.Base
-	nodes    []*core.Node // by node ID; nodes[0] is nil
+	rec   *trace.Recorder
+	pr    *prof.Profiler
+	chk   *checker // ForceInvariants: a sink of rec
+	stats core.RunStats
+	base  *core.Base
+	nodes []*core.Node // by node ID; nodes[0] is nil
 
 	// drive
 	armed  bool
@@ -153,10 +152,8 @@ func (t *Trial) build() error {
 
 // attach puts the observers and the protocol stack on the network, in
 // the order they depend on each other: the flight recorder with the
-// invariant checker among its sinks, the region split (the parallel
-// engine forks the recorder per region, and every node binds to its
-// region's simulator), the profiler, the statistics shards, then the
-// basestation and the motes.
+// invariant checker among its sinks, the profiler, then the basestation
+// and the motes.
 func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	cfg := &t.cfg
 	// One recorder per trial, clocked by this trial's simulator, fanned
@@ -176,8 +173,7 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 		t.rec = trace.New(func() int64 { return int64(t.sim.Now()) }, sinks...)
 		if !traced {
 			// The checker alone: the radio's events and core's others
-			// would cost it an append each and a buffered copy on the
-			// region engine, to be skipped unread.
+			// would cost it an append each, to be skipped unread.
 			t.rec.Only(trace.ReadingSampled, trace.ReadingStored, trace.ReadingLost, trace.NodeRestart)
 		}
 		t.net.OnPurge = t.purged
@@ -185,55 +181,24 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	t.net.Trace = t.rec
 	t.ccfg.Trace = t.rec
 
-	if cfg.Regions > 1 {
-		t.net.SetRegions(cfg.Regions)
-	}
-	nreg := t.net.Regions()
-
-	// Observation-only: the profiler hangs off the simulators and config
-	// without touching protocol state. A region-parallel run profiles
-	// every region's event loop plus the control plane.
+	// Observation-only: the profiler hangs off the simulator and config
+	// without touching protocol state.
 	if cfg.Profile {
 		t.pr = prof.New()
 		t.sim.SetProfiler(t.pr)
 		t.ccfg.Prof = t.pr
 		t.rec.SetProfiler(t.pr)
-		if nreg > 1 {
-			t.regProfs = make([]*prof.Profiler, nreg)
-			for r := range t.regProfs {
-				t.regProfs[r] = prof.New()
-				t.net.RegionSim(r).SetProfiler(t.regProfs[r])
-			}
-		}
-	}
-
-	// One RunStats shard per region, all on one SharedRunState holding
-	// the per-reading dedup table.
-	shared := &core.SharedRunState{}
-	t.shards = make([]*core.RunStats, nreg)
-	rcfgs := make([]core.Config, nreg)
-	for r := range t.shards {
-		t.shards[r] = &core.RunStats{Shared: shared}
-		rcfgs[r] = t.ccfg
-		if nreg > 1 {
-			rcfgs[r].Trace = t.net.RegionTrace(r)
-			if t.regProfs != nil {
-				rcfgs[r].Prof = t.regProfs[r]
-			}
-		}
 	}
 
 	if wrap == nil {
 		wrap = func(_ netsim.NodeID, app netsim.App) netsim.App { return app }
 	}
-	baseReg := t.net.RegionOf(0)
-	t.base = core.NewBase(rcfgs[baseReg], t.shards[baseReg], cfg.Warmup)
+	t.base = core.NewBase(t.ccfg, &t.stats, cfg.Warmup)
 	t.net.Attach(0, wrap(0, t.base))
 	t.nodes = make([]*core.Node, cfg.N)
 	for i := 1; i < cfg.N; i++ {
 		id := netsim.NodeID(i)
-		r := t.net.RegionOf(id)
-		t.nodes[i] = core.NewNode(rcfgs[r], t.shards[r], t.sampler.Next, cfg.Warmup)
+		t.nodes[i] = core.NewNode(t.ccfg, &t.stats, t.sampler.Next, cfg.Warmup)
 		t.net.Attach(id, wrap(id, t.nodes[i]))
 	}
 	t.net.Start()
@@ -258,14 +223,10 @@ func (t *Trial) purged(id netsim.NodeID, p *netsim.Packet) {
 	}
 }
 
-// Stats returns the live merged counters; under parallelism it is only
-// callable from control-plane events (regions quiesce at barriers) and
-// between Run calls.
+// Stats returns the live run counters.
 func (t *Trial) Stats() core.RunStats {
 	var m core.RunStats
-	for _, sh := range t.shards {
-		m.Add(sh)
-	}
+	m.Add(&t.stats)
 	return m
 }
 
@@ -287,7 +248,7 @@ func (t *Trial) Run(until netsim.Time) {
 		t.armed = true
 		t.arm()
 	}
-	t.net.Run(until)
+	t.sim.Run(until)
 }
 
 // arm schedules the drive stage's control-plane events.
@@ -348,11 +309,11 @@ func (t *Trial) arm() {
 // the transition timeline.
 func (t *Trial) armWindows(win netsim.Time) {
 	prevStats := t.Stats()
-	prevB := t.net.CountersBreakdown()
+	prevB := t.ctr.Snapshot()
 	var tick func()
 	tick = func() {
 		cur := t.Stats()
-		b := t.net.CountersBreakdown()
+		b := t.ctr.Snapshot()
 		now := t.sim.Now()
 		t.res.Timeline.Windows = append(t.res.Timeline.Windows, metrics.TransitionWindow{
 			Start:           int64(now - win),
@@ -415,13 +376,11 @@ func (t *Trial) issueQuery() {
 }
 
 // Finish settles the trial and collects its result: every still-open
-// query gets its terminal verdict, the trace sinks close, profiles and
-// per-region counters merge, aggregate answers are scored against
-// ground truth, and the invariant checker gives its verdict. Call it
-// once, after the last Run.
+// query gets its terminal verdict, the trace sinks close, aggregate
+// answers are scored against ground truth, and the invariant checker
+// gives its verdict. Call it once, after the last Run.
 func (t *Trial) Finish() (TrialResult, error) {
-	// Settle before the stats shards are merged and read (no trace events
-	// are emitted post-run, so region-parallel byte identity holds).
+	// Settle before the stats are read.
 	t.base.FinalizeVerdicts()
 	tr := &t.res
 	if t.rec != nil {
@@ -431,14 +390,8 @@ func (t *Trial) Finish() (TrialResult, error) {
 	}
 	if t.pr != nil {
 		s := t.pr.Snapshot()
-		for _, rp := range t.regProfs {
-			s.Merge(rp.Snapshot())
-		}
 		tr.Prof = &s
 	}
-	// Fold the per-region counter shards into the merged view the
-	// accounting below reads (nothing to fold when serial).
-	t.net.MergeCounters(t.ctr)
 
 	// An aggregate over an empty match set has no defined answer; when
 	// ground truth agrees nothing matched, that is a correct (error-free)

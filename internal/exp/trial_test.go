@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"scoop/internal/dynamics"
@@ -12,22 +10,22 @@ import (
 )
 
 // countingApp forwards every callback to the protocol instance it
-// wraps and counts them; the count is shared across region goroutines.
+// wraps and counts them.
 type countingApp struct {
 	app netsim.App
-	n   *atomic.Int64
+	n   *int64
 }
 
-func (c countingApp) Init(api *netsim.NodeAPI) { c.n.Add(1); c.app.Init(api) }
-func (c countingApp) Receive(p *netsim.Packet) { c.n.Add(1); c.app.Receive(p) }
-func (c countingApp) Snoop(p *netsim.Packet)   { c.n.Add(1); c.app.Snoop(p) }
-func (c countingApp) Timer(id int)             { c.n.Add(1); c.app.Timer(id) }
+func (c countingApp) Init(api *netsim.NodeAPI) { *c.n++; c.app.Init(api) }
+func (c countingApp) Receive(p *netsim.Packet) { *c.n++; c.app.Receive(p) }
+func (c countingApp) Snoop(p *netsim.Packet)   { *c.n++; c.app.Snoop(p) }
+func (c countingApp) Timer(id int)             { *c.n++; c.app.Timer(id) }
 
 // TestTrialSlicesMatchRun holds the seam a caller steps a run through to
 // the run Run makes: a trial built with a pass-through wrapper on every
-// node and driven in 360 slices finishes with trial 0's result, on the
-// serial engine and on four regions, for a plain cell, a faulted
-// aggregate cell with retries, and a churn-and-drift cell.
+// node and driven in 360 slices finishes with trial 0's result, for a
+// plain cell, a faulted aggregate cell with retries, and a
+// churn-and-drift cell.
 func TestTrialSlicesMatchRun(t *testing.T) {
 	const slices = 360
 	base := func() Config {
@@ -52,51 +50,47 @@ func TestTrialSlicesMatchRun(t *testing.T) {
 		name string
 		cfg  Config
 	}{{"scoop", base()}, {"faults-retry-agg", faults}, {"churn-drift", dyn}} {
-		for _, k := range []int{0, 4} {
-			cfg := sc.cfg
-			cfg.Regions = k
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := res.PerTrial[0]
+		cfg := sc.cfg
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.PerTrial[0]
 
-			var calls atomic.Int64
-			tr, err := NewTrial(cfg, 0, func(_ netsim.NodeID, app netsim.App) netsim.App {
-				return countingApp{app: app, n: &calls}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i <= slices; i++ {
-				tr.Run(cfg.Duration * netsim.Time(i) / slices)
-			}
-			got, err := tr.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
+		var calls int64
+		tr, err := NewTrial(cfg, 0, func(_ netsim.NodeID, app netsim.App) netsim.App {
+			return countingApp{app: app, n: &calls}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= slices; i++ {
+			tr.Run(cfg.Duration * netsim.Time(i) / slices)
+		}
+		got, err := tr.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			label := fmt.Sprintf("%s/regions%d", sc.name, k)
-			if calls.Load() == 0 {
-				t.Errorf("%s: the wrapper saw no callbacks", label)
-			}
-			// The one wall-clock counter differs between any two runs.
-			got.Stats.ReindexWallNanos, want.Stats.ReindexWallNanos = 0, 0
-			for _, f := range []struct {
-				name      string
-				got, want any
-			}{
-				{"Stats", got.Stats, want.Stats},
-				{"Breakdown", got.Breakdown, want.Breakdown},
-				{"Agg", got.Agg, want.Agg},
-				{"Energy", got.Energy, want.Energy},
-				{"RootSent", got.RootSent, want.RootSent},
-				{"RootRecv", got.RootRecv, want.RootRecv},
-				{"Timeline", got.Timeline, want.Timeline},
-			} {
-				if !reflect.DeepEqual(f.got, f.want) {
-					t.Errorf("%s: %s stepped %+v, Run %+v", label, f.name, f.got, f.want)
-				}
+		if calls == 0 {
+			t.Errorf("%s: the wrapper saw no callbacks", sc.name)
+		}
+		// The one wall-clock counter differs between any two runs.
+		got.Stats.ReindexWallNanos, want.Stats.ReindexWallNanos = 0, 0
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"Stats", got.Stats, want.Stats},
+			{"Breakdown", got.Breakdown, want.Breakdown},
+			{"Agg", got.Agg, want.Agg},
+			{"Energy", got.Energy, want.Energy},
+			{"RootSent", got.RootSent, want.RootSent},
+			{"RootRecv", got.RootRecv, want.RootRecv},
+			{"Timeline", got.Timeline, want.Timeline},
+		} {
+			if !reflect.DeepEqual(f.got, f.want) {
+				t.Errorf("%s: %s stepped %+v, Run %+v", sc.name, f.name, f.got, f.want)
 			}
 		}
 	}

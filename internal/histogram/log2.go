@@ -38,7 +38,7 @@ func (h *Log2) Record(v int64) {
 }
 
 // Merge folds another histogram into h (bucket-wise sum; max of max).
-// Used to combine per-region profiler shards into one artifact.
+// The benchmark module sums its per-call latency accumulators with it.
 func (h *Log2) Merge(o Log2) {
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]

@@ -56,7 +56,7 @@ func TestDocNamesResolver(t *testing.T) {
 		{"`netsim.no_such_metric`", false},
 		{"`exp.Config.Validate`", true}, // pkg.Name.Member
 		{"`core.TestForwardZeroAllocs`", true},
-		{"`TestDifferential*`", true},         // test-name prefix
+		{"`TestScaleTier*`", true},            // test-name prefix
 		{"`netsim.k2_speedup`", true},         // a BENCHMARK.json metric
 		{"`rand.IntN`", true},                 // standard library
 		{"`Network.Restart`", true},           // Type.Member

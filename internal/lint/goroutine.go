@@ -6,11 +6,8 @@ import "go/ast"
 // Simulation code is single-goroutine by contract: event-loop state,
 // per-node RNG streams and trace recorders are all unsynchronised, so
 // an unreviewed goroutine is a data race and a determinism hole at
-// once. There are three sanctioned seams (DESIGN.md §15):
+// once. There are two sanctioned seams (DESIGN.md §15):
 //
-//   - the region scheduler (netsim's parallel event loop), where every
-//     worker is confined to its own regionState and synchronised
-//     through barrier channels;
 //   - the reindex fork-join (internal/index's parallelFor), whose
 //     workers write disjoint rows and are joined before any is read;
 //   - the flight recorder's JSONL encoder (internal/trace), which

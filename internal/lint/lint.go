@@ -25,9 +25,8 @@
 //     reached from it, slices included — copy, never retain. A shared
 //     payload reached from it may be kept but never written.
 //   - goroutine: no `go` statement in deterministic packages without
-//     a reviewed confinement argument — the region scheduler's
-//     barrier-synchronised workers, the index's reindex fork-join and
-//     the flight recorder's JSONL encoder are the sanctioned seams.
+//     a reviewed confinement argument — the index's reindex fork-join
+//     and the flight recorder's JSONL encoder are the sanctioned seams.
 //
 // A finding is suppressed by an annotation on the same line or the
 // line above:

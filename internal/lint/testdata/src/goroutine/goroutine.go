@@ -26,9 +26,9 @@ func notSpawned(work func()) {
 	f()
 }
 
-// regionWorker is the blessed pattern: a reviewed confinement
-// argument on the spawn site, as the netsim region scheduler does.
-func regionWorker(run func()) {
-	//scoop:allow goroutine worker confined to its own regionState; barrier channels carry the happens-before edges
+// rowWorker is the blessed pattern: a reviewed confinement argument
+// on the spawn site, as the index's reindex fork-join does.
+func rowWorker(run func()) {
+	//scoop:allow goroutine worker writes only its own rows; the join orders every read after it
 	go run()
 }

@@ -57,26 +57,19 @@ func (l *frameLog) Close() error { return nil }
 
 const audibleRunFor = 12 * Second
 
-// runChatter runs one scripted chatter scenario on k regions: link
-// scaling, kills, a revival, a reboot, a blackout, a partition and a
-// burst window flip on and off mid-run, and check (when non-nil) is
-// called from ~500 control events at random and grid-aligned times with
-// every region quiesced. After each scripted change, every link's
-// effective quality must equal the reference formula (quality). The
-// script depends on the seed alone, so runs with different k, tracing
-// on or off, see the same schedule.
-func runChatter(t *testing.T, topo *Topology, k int, seed int64, sink trace.Sink, check func(n *Network, now Time)) *Network {
+// runChatter runs one scripted chatter scenario: link scaling, kills,
+// a revival, a reboot, a blackout, a partition and a burst window flip
+// on and off mid-run, and check (when non-nil) is called from ~500
+// control events at random and grid-aligned times. After each scripted
+// change, every link's effective quality must equal the reference
+// formula (quality). The script depends on the seed alone, so runs
+// with tracing on or off see the same schedule.
+func runChatter(t *testing.T, topo *Topology, seed int64, sink trace.Sink, check func(n *Network, now Time)) *Network {
 	t.Helper()
 	sim := NewSimulator(seed)
 	net := NewNetwork(sim, topo, metrics.NewCounters(), DefaultParams())
 	if sink != nil {
 		net.Trace = trace.New(func() int64 { return int64(sim.Now()) }, sink)
-	}
-	if k > 1 {
-		net.SetRegions(k)
-		if net.Regions() != k {
-			t.Fatalf("wanted %d regions, got %d", k, net.Regions())
-		}
 	}
 	for i := 0; i < topo.N; i++ {
 		net.Attach(NodeID(i), &chatterApp{topo: topo})
@@ -110,7 +103,7 @@ func runChatter(t *testing.T, topo *Topology, k int, seed int64, sink trace.Sink
 	at(7, func() { net.SetPartition(cut, false) })
 	at(8, func() { net.SetBurst(0.6) })
 	at(9.5, func() { net.SetBurst(0) })
-	w := LookaheadWindow(net.Params)
+	w := gridPitch(net.Params)
 	for i := 0; i < 500; i++ {
 		tc := Time(script.Int63n(int64(audibleRunFor)))
 		if i%5 == 0 {
@@ -122,7 +115,7 @@ func runChatter(t *testing.T, topo *Topology, k int, seed int64, sink trace.Sink
 			}
 		})
 	}
-	net.Run(audibleRunFor)
+	sim.Run(audibleRunFor)
 	if net.Trace != nil {
 		if err := net.Trace.Close(); err != nil {
 			t.Fatal(err)
@@ -148,14 +141,11 @@ func checkEffectiveQuality(t *testing.T, n *Network) {
 // TestAudibleListsMatchBruteForce compares the per-receiver audible
 // lists' answers with a brute-force reference that scans every frame in
 // flight anywhere in the network. The reference's frame log comes from
-// the serial engine's trace — independent of the lists — and is valid
-// for every K because runs are identical across region counts. At each
+// a traced run of the same scenario — independent of the lists. At each
 // checkpoint, carrier sense is compared for every node and the
-// collision fold's interferer set for every directed link, each asked
-// of the region that would ask it in the engine: the node's own for
-// carrier sense, the sender's for a collision. Lists that outgrew
-// their inline slots are among those compared, and no node is ever in
-// its own list.
+// collision fold's interferer set for every directed link. Lists that
+// outgrew their inline slots are among those compared, and no node is
+// ever in its own list.
 func TestAudibleListsMatchBruteForce(t *testing.T) {
 	topos := []struct {
 		name string
@@ -167,7 +157,7 @@ func TestAudibleListsMatchBruteForce(t *testing.T) {
 	for _, tc := range topos {
 		const seed = 42
 		log := &frameLog{airtime: (&Network{Params: DefaultParams()}).txDuration}
-		runChatter(t, tc.make(), 1, seed, log, nil)
+		runChatter(t, tc.make(), seed, log, nil)
 		frames := log.frames
 		sort.SliceStable(frames, func(i, j int) bool { return frames[i].start < frames[j].start })
 		if len(frames) < 2000 {
@@ -180,101 +170,89 @@ func TestAudibleListsMatchBruteForce(t *testing.T) {
 			}
 		}
 
-		for _, k := range []int{1, 2, 4} {
-			var busy, interfering, offRegion, spilled int
-			check := func(n *Network, now Time) {
-				for _, reg := range n.regs {
-					for id := NodeID(0); int(id) < n.Topo.N; id++ {
-						if reg.heard[id].n > audibleSlots {
-							spilled++
-						}
-						inline, spill := reg.audibleAt(id)
-						for _, part := range [][]audible{inline, spill} {
-							for _, f := range part {
-								if f.src == id {
-									t.Fatalf("%s K=%d t=%d: node %d is in its own audible list", tc.name, k, now, id)
-								}
-							}
+		var busy, interfering, spilled int
+		check := func(n *Network, now Time) {
+			for id := NodeID(0); int(id) < n.Topo.N; id++ {
+				if n.heard[id].n > audibleSlots {
+					spilled++
+				}
+				inline, spill := n.audibleAt(id)
+				for _, part := range [][]audible{inline, spill} {
+					for _, f := range part {
+						if f.src == id {
+							t.Fatalf("%s t=%d: node %d is in its own audible list", tc.name, now, id)
 						}
 					}
 				}
-				floor := gridFloor(now, n.window)
-				// Every frame on the air now and already visible, network-wide.
-				first := sort.Search(len(frames), func(i int) bool { return frames[i].start >= now-maxAir })
-				var air []transmission
-				for _, f := range frames[first:] {
-					if f.start >= floor {
-						break
-					}
-					if f.end > now {
-						air = append(air, f)
+			}
+			floor := gridFloor(now, n.window)
+			// Every frame on the air now and already visible, network-wide.
+			first := sort.Search(len(frames), func(i int) bool { return frames[i].start >= now-maxAir })
+			var air []transmission
+			for _, f := range frames[first:] {
+				if f.start >= floor {
+					break
+				}
+				if f.end > now {
+					air = append(air, f)
+				}
+			}
+			for id := NodeID(0); int(id) < n.Topo.N; id++ {
+				want := false
+				for _, f := range air {
+					if f.src != id && n.quality(f.src, id) > 0.08 {
+						want = true
 					}
 				}
-				for id := NodeID(0); int(id) < n.Topo.N; id++ {
-					want := false
+				if got := n.channelBusyAt(id, now); got != want {
+					t.Fatalf("%s t=%d: channelBusyAt(%d) = %v, brute force %v", tc.name, now, id, got, want)
+				}
+				if want {
+					busy++
+				}
+			}
+			for src := NodeID(0); int(src) < n.Topo.N; src++ {
+				for _, lk := range n.Topo.OutLinks(src) {
+					dst := lk.Dst
+					qs := n.quality(src, dst)
+					var want []interferer
 					for _, f := range air {
-						if f.src != id && n.quality(f.src, id) > 0.08 {
-							want = true
+						if f.src == src || f.src == dst {
+							continue
+						}
+						if qi := n.quality(f.src, dst); qi > 0.1 && qs < 2*qi {
+							want = append(want, interferer{src: f.src, start: f.start, qi: qi})
 						}
 					}
-					if got := n.channelBusyAt(n.api[id].reg, id, now); got != want {
-						t.Fatalf("%s K=%d t=%d: channelBusyAt(%d) = %v, brute force %v", tc.name, k, now, id, got, want)
-					}
-					if want {
-						busy++
-					}
-				}
-				for src := NodeID(0); int(src) < n.Topo.N; src++ {
-					reg := n.api[src].reg
-					for _, lk := range n.Topo.OutLinks(src) {
-						dst := lk.Dst
-						qs := n.quality(src, dst)
-						var want []interferer
-						for _, f := range air {
-							if f.src == src || f.src == dst {
-								continue
-							}
-							if qi := n.quality(f.src, dst); qi > 0.1 && qs < 2*qi {
-								want = append(want, interferer{src: f.src, start: f.start, qi: qi})
-								if n.RegionOf(f.src) != reg.id {
-									offRegion++
-								}
-							}
+					sort.Slice(want, func(i, j int) bool {
+						if want[i].src != want[j].src {
+							return want[i].src < want[j].src
 						}
-						sort.Slice(want, func(i, j int) bool {
-							if want[i].src != want[j].src {
-								return want[i].src < want[j].src
-							}
-							return want[i].start < want[j].start
-						})
-						got := n.interferers(reg, src, dst, now)
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s K=%d t=%d: interferers(%d→%d) = %+v, brute force %+v",
-								tc.name, k, now, src, dst, got, want)
-						}
-						interfering += len(want)
+						return want[i].start < want[j].start
+					})
+					got := n.interferers(src, dst, now)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s t=%d: interferers(%d→%d) = %+v, brute force %+v",
+							tc.name, now, src, dst, got, want)
 					}
+					interfering += len(want)
 				}
 			}
-			runChatter(t, tc.make(), k, seed, nil, check)
-			if busy < 1000 || interfering < 1000 || spilled == 0 {
-				t.Fatalf("%s K=%d: %d busy answers, %d interferers, %d spilled lists; comparison has no power",
-					tc.name, k, busy, interfering, spilled)
-			}
-			if k > 1 && offRegion == 0 {
-				t.Fatalf("%s K=%d: no interferer crossed a region boundary", tc.name, k)
-			}
+		}
+		runChatter(t, tc.make(), seed, nil, check)
+		if busy < 1000 || interfering < 1000 || spilled == 0 {
+			t.Fatalf("%s: %d busy answers, %d interferers, %d spilled lists; comparison has no power",
+				tc.name, busy, interfering, spilled)
 		}
 	}
 }
 
 // pulseApp broadcasts one fixed-size frame every period, first at
-// first, and counts the broadcasts it receives.
+// first.
 type pulseApp struct {
 	api           *NodeAPI
 	first, period Time
 	size          int
-	received      int
 }
 
 func (p *pulseApp) Init(api *NodeAPI) {
@@ -287,28 +265,25 @@ func (p *pulseApp) Timer(int) {
 	p.api.Broadcast(&Packet{Class: metrics.Data, Size: p.size})
 	p.api.SetTimer(0, p.period)
 }
-func (p *pulseApp) Receive(*Packet) { p.received++ }
+func (p *pulseApp) Receive(*Packet) {}
 func (p *pulseApp) Snoop(*Packet)   {}
 
-// TestCrossRegionCollisionUsesSendersView pins the trap in DESIGN.md
-// §18: a collision at a receiver in another region is resolved on the
-// sender's goroutine, so the sender's region must hold the frames
-// audible at that receiver — including ghosts of the receiver's own
-// region. Sender S sits in region 0; receiver R and interferer I in
-// region 1; S cannot hear I, so carrier sense never separates them.
-// When I starts 1 ms before the last grid point before S's frame, it is
-// visible and destroys some of S's frames at R; when it starts on that
-// grid point it is not visible yet and destroys none. Both engines must
-// agree exactly.
-func TestCrossRegionCollisionUsesSendersView(t *testing.T) {
-	w := LookaheadWindow(DefaultParams())
+// TestCollisionVisibilityGridEdge pins the radio's detection latency
+// at the collision fold: a frame is visible from the first grid point
+// after it starts. Sender S and interferer I both reach receiver R; S
+// cannot hear I, so carrier sense never separates them. When I starts
+// 1 ms before the last grid point before S's frame, it is visible and
+// destroys some of S's frames at R; when it starts on that grid point
+// it is not visible yet and destroys none.
+func TestCollisionVisibilityGridEdge(t *testing.T) {
+	w := gridPitch(DefaultParams())
 	const backoff = 5 * Millisecond
 	const rounds = 200
 	period := 25 * w
 	sStart := 100 * w // on a grid point
-	run := func(regions int, iStart Time) (fromS int, collisions int64) {
+	run := func(iStart Time) (collisions int64) {
 		topo := NewTopology(4)
-		topo.Pos = []Point{{0, 0}, {1, 0}, {5, 0}, {6, 0}} // S, filler | R, I
+		topo.Pos = []Point{{0, 0}, {1, 0}, {5, 0}, {6, 0}} // S, filler, R, I
 		const S, R, I = 0, 2, 3
 		topo.SetQuality(S, R, 1)
 		topo.SetQuality(I, R, 0.9)
@@ -317,21 +292,13 @@ func TestCrossRegionCollisionUsesSendersView(t *testing.T) {
 		params.BackoffMin, params.BackoffMax = backoff, backoff // frames start exactly timer+backoff
 		counters := metrics.NewCounters()
 		net := NewNetwork(sim, topo, counters, params)
-		if regions > 1 {
-			net.SetRegions(regions)
-			if net.RegionOf(S) != 0 || net.RegionOf(R) != 1 || net.RegionOf(I) != 1 {
-				t.Fatalf("regions S=%d R=%d I=%d; want 0 1 1", net.RegionOf(S), net.RegionOf(R), net.RegionOf(I))
-			}
-		}
-		r := &pulseApp{}
 		net.Attach(S, &pulseApp{first: sStart - backoff, period: period, size: 30})
 		net.Attach(1, &pulseApp{})
-		net.Attach(R, r)
+		net.Attach(R, &pulseApp{})
 		net.Attach(I, &pulseApp{first: iStart - backoff, period: period, size: 120})
 		net.Start()
-		net.Run(sStart + rounds*period - w)
-		net.MergeCounters(counters)
-		return r.received, counters.Drops(metrics.DropCollision)
+		sim.Run(sStart + rounds*period - w)
+		return counters.Drops(metrics.DropCollision)
 	}
 	for _, c := range []struct {
 		name    string
@@ -341,17 +308,44 @@ func TestCrossRegionCollisionUsesSendersView(t *testing.T) {
 		{"interferer started before the last grid point", sStart - 1, true},
 		{"interferer started on the last grid point", sStart, false},
 	} {
-		recv1, coll1 := run(1, c.iStart)
-		recv2, coll2 := run(2, c.iStart)
-		if recv1 != recv2 || coll1 != coll2 {
-			t.Fatalf("%s: serial received %d with %d collisions, 2-region %d with %d",
-				c.name, recv1, coll1, recv2, coll2)
+		coll := run(c.iStart)
+		if c.collide && (coll < rounds/3 || coll > rounds) {
+			t.Fatalf("%s: %d collisions in %d rounds, want about 0.63 of them", c.name, coll, rounds)
 		}
-		if c.collide && (coll1 < rounds/3 || coll1 > rounds) {
-			t.Fatalf("%s: %d collisions in %d rounds, want about 0.63 of them", c.name, coll1, rounds)
+		if !c.collide && coll != 0 {
+			t.Fatalf("%s: %d collisions from a frame not yet visible", c.name, coll)
 		}
-		if !c.collide && coll1 != 0 {
-			t.Fatalf("%s: %d collisions from a frame not yet visible", c.name, coll1)
+	}
+}
+
+// TestGridPitch pins the visibility grid's pitch: the radio's fixed
+// per-frame overhead, floored at one millisecond, independent of
+// everything else in Params.
+func TestGridPitch(t *testing.T) {
+	p := DefaultParams()
+	if w := gridPitch(p); w != p.TxOverhead {
+		t.Fatalf("default pitch = %d, want TxOverhead %d", w, p.TxOverhead)
+	}
+	p.TxOverhead = 0
+	if w := gridPitch(p); w != Millisecond {
+		t.Fatalf("zero-overhead pitch = %d, want the 1ms floor", w)
+	}
+	p.TxOverhead = 3 * Millisecond
+	if w := gridPitch(p); w != 3*Millisecond {
+		t.Fatalf("pitch = %d, want 3ms", w)
+	}
+}
+
+// TestGridMath checks gridFloor across edges: the largest multiple of w
+// at or before t.
+func TestGridMath(t *testing.T) {
+	const w = 8 * Millisecond
+	cases := []struct{ t, floor Time }{
+		{0, 0}, {1, 0}, {7, 0}, {8, 8}, {9, 8}, {16, 16}, {8001, 8000},
+	}
+	for _, c := range cases {
+		if got := gridFloor(c.t, w); got != c.floor {
+			t.Errorf("gridFloor(%d) = %d, want %d", c.t, got, c.floor)
 		}
 	}
 }

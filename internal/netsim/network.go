@@ -14,10 +14,7 @@ import (
 )
 
 // App is the protocol logic running on one simulated node. All methods
-// are invoked from the node's region event loop (never concurrently
-// with each other; in a region-parallel run, different regions' apps
-// run concurrently but an app only ever runs on its own region's
-// goroutine).
+// are invoked from the simulator's one event loop, never concurrently.
 type App interface {
 	// Init is called once before the simulation starts.
 	Init(api *NodeAPI)
@@ -56,8 +53,8 @@ type Params struct {
 	// TxOverhead is fixed per-packet airtime (preamble, channel
 	// acquisition). It doubles as the radio's detection latency: a
 	// transmission becomes visible to carrier sense and the collision
-	// model from the next TxOverhead grid point after it starts (the
-	// region-parallel lookahead window, DESIGN.md §18).
+	// model from the next TxOverhead grid point after it starts
+	// (gridPitch, visible).
 	TxOverhead Time
 	// Collisions enables the overlapping-transmission collision model.
 	Collisions bool
@@ -120,58 +117,8 @@ type interferer struct {
 	qi    float64
 }
 
-// outDelivery is one cross-region packet delivery waiting for the next
-// barrier: the coordinator converts it into a pooled delivery task in
-// the target region's heap. It carries the same canonical (origin,
-// oseq) key as the sender-region copy, so the merged trace interleaves
-// all of a transmission's receiver callbacks in global slot order.
-type outDelivery struct {
-	to     int32 // target region
-	at     Time  // end of airtime
-	origin NodeID
-	oseq   uint64
-	p      Packet
-	recv   []recvSlot
-}
-
-// regionState is one region of the (possibly K=1) partitioned engine:
-// its event heap and clock, its counters and trace shard, its share of
-// the radio state, and its task pools. With K=1 the single region
-// aliases the Network's own simulator, counters and recorder, so the
-// serial engine is byte-for-byte the pre-partition code path.
-type regionState struct {
-	id       int
-	sim      *Simulator
-	counters *metrics.Counters
-	trace    *trace.Recorder
-
-	// heard[id] is this region's view of the in-flight frames audible
-	// at node id — those whose sender has id among its out-links: the
-	// region's own frames from transmit time, other regions' ghosts from
-	// the barrier after they start. Carrier sense and the collision
-	// fold scan only the receiver's list, so their cost follows the
-	// radio neighbourhood, not the network (DESIGN.md §12). The view is
-	// per region because a cross-region receiver's collision is resolved
-	// on the sender's goroutine (§18). A list is one cache line, its
-	// frames past the inline slots in spill[id]. asks[id] marks the
-	// nodes this region can ever ask about — its own and their out-link
-	// neighbours — so the barrier skips ghosts nobody here could hear
-	// of (nil when serial: there are no ghosts).
-	heard  []audibleList
-	spill  [][]audible // room for heard[id]'s frames past the inline slots
-	asks   []bool
-	ghosts []transmission // local frames started since the last barrier
-	outbox []outDelivery  // cross-region deliveries since the last barrier
-
-	delivPool []*delivery
-	timerPool []*timerTask
-	stepPool  []*stepTask
-	inflight  []*delivery  // scheduled, not yet run (in-air frames)
-	scratch   []interferer // collision-fold gather buffer
-}
-
 // audibleSlots is how many frames a node's audible list holds inline;
-// a longer list keeps the rest in its region's spill. Lists hold about
+// a longer list keeps the rest in the network's spill. Lists hold about
 // one frame when a new one is heard, so few ever spill.
 const audibleSlots = 3
 
@@ -184,31 +131,32 @@ type audibleList struct {
 	slots [audibleSlots]audible
 }
 
-// initAudible gives the region n empty audible lists, each with the
+// initAudible gives every node an empty audible list, each with the
 // first slot of its spill carved from one backing array, so a list
 // allocates only when it outgrows four frames.
-func (r *regionState) initAudible(n int) {
-	r.heard, r.spill = make([]audibleList, n), make([][]audible, n)
-	backing := make([]audible, n)
-	for id := range r.spill {
-		r.spill[id] = backing[id : id+1 : id+1]
+func (n *Network) initAudible() {
+	nn := n.Topo.N
+	n.heard, n.spill = make([]audibleList, nn), make([][]audible, nn)
+	backing := make([]audible, nn)
+	for id := range n.spill {
+		n.spill[id] = backing[id : id+1 : id+1]
 	}
 }
 
 // audibleAt returns the frames in node id's audible list: the inline
 // ones, then the spilled ones.
-func (r *regionState) audibleAt(id NodeID) (inline, spilled []audible) {
-	l := &r.heard[id]
+func (n *Network) audibleAt(id NodeID) (inline, spilled []audible) {
+	l := &n.heard[id]
 	if l.n <= audibleSlots {
 		return l.slots[:l.n], nil
 	}
-	return l.slots[:], r.spill[id][:l.n-audibleSlots]
+	return l.slots[:], n.spill[id][:l.n-audibleSlots]
 }
 
 // hear records tx as audible at node id over link li, dropping from
 // id's list the frames that ended by now.
-func (r *regionState) hear(id NodeID, li int32, tx transmission, now Time) {
-	l := &r.heard[id]
+func (n *Network) hear(id NodeID, li int32, tx transmission, now Time) {
+	l := &n.heard[id]
 	f := audible{start: tx.start, li: li, src: tx.src, air: uint16(tx.end - tx.start)}
 	if l.n <= audibleSlots {
 		k := 0
@@ -225,42 +173,42 @@ func (r *regionState) hear(id NodeID, li int32, tx transmission, now Time) {
 		}
 		l.n = int32(k)
 	}
-	r.hearSpilled(l, id, f, now)
+	n.hearSpilled(l, id, f, now)
 }
 
 // hearSpilled is hear for a list whose new frame does not fit inline:
 // the same compaction over the inline slots and the spill, in order.
 // A frame is written at or before the position it is read from.
-func (r *regionState) hearSpilled(l *audibleList, id NodeID, f audible, now Time) {
+func (n *Network) hearSpilled(l *audibleList, id NodeID, f audible, now Time) {
 	k := 0
 	for i := 0; i < int(l.n); i++ {
 		var old audible
 		if i < audibleSlots {
 			old = l.slots[i]
 		} else {
-			old = r.spill[id][i-audibleSlots]
+			old = n.spill[id][i-audibleSlots]
 		}
 		if old.end() > now {
-			r.setFrame(l, id, k, old)
+			n.setFrame(l, id, k, old)
 			k++
 		}
 	}
-	r.setFrame(l, id, k, f)
+	n.setFrame(l, id, k, f)
 	l.n = int32(k + 1)
 }
 
 // setFrame stores f as frame k of node id's list. When k is one past
 // the spill, the spill grows so that the list's capacity doubles.
-func (r *regionState) setFrame(l *audibleList, id NodeID, k int, f audible) {
+func (n *Network) setFrame(l *audibleList, id NodeID, k int, f audible) {
 	if k < audibleSlots {
 		l.slots[k] = f
 		return
 	}
-	sp, j := r.spill[id], k-audibleSlots
+	sp, j := n.spill[id], k-audibleSlots
 	if j == len(sp) {
 		sp = make([]audible, 2*k-audibleSlots)
-		copy(sp, r.spill[id])
-		r.spill[id] = sp
+		copy(sp, n.spill[id])
+		n.spill[id] = sp
 	}
 	sp[j] = f
 }
@@ -295,7 +243,7 @@ type Network struct {
 	// transmission, delivery, snoop, drop, purge and node kill/restart.
 	// Hot-path emission sites are guarded by a nil check, so the
 	// disabled path costs one branch and zero allocations. Set before
-	// Start (and before SetRegions when partitioning).
+	// Start.
 	Trace *trace.Recorder
 
 	apps      []App
@@ -318,10 +266,22 @@ type Network struct {
 	blackLo, blackHi  NodeID // blackout stripe [lo, hi]
 	partitionBoundary NodeID // cut between {id < boundary} and the rest
 
-	nregions int // requested K (0/1: serial)
-	part     *Partition
-	regs     []*regionState
-	window   Time // visibility grid pitch = conservative lookahead
+	window Time // visibility grid pitch (gridPitch)
+
+	// heard[id] is the list of in-flight frames audible at node id —
+	// those whose sender has id among its out-links — from transmit
+	// time on. Carrier sense and the collision fold scan only the
+	// receiver's list, so their cost follows the radio neighbourhood,
+	// not the network (DESIGN.md §12). A list is one cache line, its
+	// frames past the inline slots in spill[id]. Start fills both.
+	heard []audibleList
+	spill [][]audible
+
+	delivPool []*delivery
+	timerPool []*timerTask
+	stepPool  []*stepTask
+	inflight  []*delivery  // scheduled, not yet run (in-air frames)
+	scratch   []interferer // collision-fold gather buffer
 }
 
 // NewNetwork creates a network over topo driven by sim. counters may be
@@ -345,130 +305,14 @@ func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, para
 	}
 }
 
-// SetRegions partitions the network into k parallel regions (DESIGN.md
-// §18) and builds the per-region engines immediately, so callers can
-// wire per-region observers (stats shards, profilers) before attaching
-// apps. k ≤ 1 — the default for networks that never call SetRegions —
-// keeps the serial single-heap engine. Call after setting Trace and
-// before Attach/Start.
-func (n *Network) SetRegions(k int) {
-	if n.started {
-		panic("netsim: SetRegions after Start")
-	}
-	if n.regs != nil {
-		panic("netsim: SetRegions called twice")
-	}
-	n.nregions = k
-	n.buildRegions()
-}
-
-func (n *Network) buildRegions() {
-	k := n.nregions
-	if k < 1 {
-		k = 1
-	}
-	n.window = LookaheadWindow(n.Params)
-	n.part = PartitionTopology(n.Topo, k)
-	k = n.part.K
-	n.regs = make([]*regionState, k)
-	if k == 1 {
-		n.regs[0] = &regionState{id: 0, sim: n.Sim, counters: n.Counters, trace: n.Trace}
-	} else {
-		if n.Trace != nil {
-			// Parallel tracing: the shared recorder switches to stamped
-			// buffering, each region emits through its own fork, and
-			// Close merge-sorts everything into canonical order.
-			n.Trace.Buffer()
-		}
-		for r := 0; r < k; r++ {
-			reg := &regionState{
-				id:       r,
-				counters: metrics.NewCounters(),
-				sim:      NewSimulator(n.Sim.seed),
-			}
-			if n.Trace != nil {
-				sim := reg.sim
-				reg.trace = n.Trace.Fork(func() int64 { return int64(sim.Now()) })
-			}
-			n.regs[r] = reg
-		}
-	}
-	for _, reg := range n.regs {
-		reg.initAudible(n.Topo.N)
-	}
-	for i, a := range n.api {
-		if a != nil {
-			a.reg = n.regs[n.part.region[i]]
-			a.sim = a.reg.sim
-		}
-	}
-}
-
-// Regions returns the effective region count (1 until SetRegions asks
-// for more).
-func (n *Network) Regions() int {
-	if n.regs == nil {
-		return 1
-	}
-	return len(n.regs)
-}
-
-// RegionOf returns the region node id belongs to (0 when serial).
-func (n *Network) RegionOf(id NodeID) int {
-	if n.part == nil {
-		return 0
-	}
-	return n.part.RegionOf(id)
-}
-
-// RegionSim returns region r's simulator (the control simulator when
-// serial). Per-region profilers attach here.
-func (n *Network) RegionSim(r int) *Simulator { return n.regs[r].sim }
-
-// RegionTrace returns region r's trace recorder fork (the shared
-// recorder when serial, nil when tracing is off). Apps in region r
-// must emit through it.
-func (n *Network) RegionTrace(r int) *trace.Recorder { return n.regs[r].trace }
-
-// MergeCounters folds every region's counter shard into dst. Serial
-// runs count directly into the Network's shared Counters, so there is
-// nothing to fold.
-func (n *Network) MergeCounters(dst *metrics.Counters) {
-	if len(n.regs) <= 1 {
-		return
-	}
-	for _, reg := range n.regs {
-		dst.Merge(reg.counters)
-	}
-}
-
-// CountersBreakdown returns the live merged per-class breakdown across
-// all regions. Callable from the control plane at barriers (the
-// trial's transition-timeline windows); equals Counters.Snapshot when
-// serial.
-func (n *Network) CountersBreakdown() metrics.Breakdown {
-	if len(n.regs) <= 1 {
-		return n.Counters.Snapshot()
-	}
-	var b metrics.Breakdown
-	for _, reg := range n.regs {
-		b = b.Add(reg.counters.Snapshot())
-	}
-	return b
-}
-
 // Attach installs app on node id. Must be called before Start.
 func (n *Network) Attach(id NodeID, app App) {
 	if n.started {
 		panic("netsim: Attach after Start")
 	}
 	n.apps[id] = app
-	a := &NodeAPI{net: n, id: id, sim: n.Sim}
+	a := &NodeAPI{net: n, id: id}
 	a.rng = NodeStream(&a.pcg, n.Sim.seed, id)
-	if n.regs != nil {
-		a.reg = n.regs[n.part.region[id]]
-		a.sim = a.reg.sim
-	}
 	n.api[id] = a
 }
 
@@ -479,23 +323,9 @@ func (n *Network) Start() {
 		panic("netsim: double Start")
 	}
 	n.started = true
-	if n.regs == nil {
-		n.buildRegions()
-	}
+	n.window = gridPitch(n.Params)
+	n.initAudible()
 	n.refreshAll()
-	nn := n.Topo.N
-	if len(n.regs) > 1 {
-		for _, reg := range n.regs {
-			reg.asks = make([]bool, nn)
-		}
-		for i := 0; i < nn; i++ {
-			asks := n.regs[n.part.region[i]].asks
-			asks[i] = true
-			for _, lk := range n.Topo.OutLinks(NodeID(i)) {
-				asks[lk.Dst] = true
-			}
-		}
-	}
 	for i, app := range n.apps {
 		if app != nil {
 			app.Init(n.api[i])
@@ -503,20 +333,9 @@ func (n *Network) Start() {
 	}
 }
 
-// Run drives the simulation to `until`: the serial event loop when the
-// network is unpartitioned, the windowed region coordinator otherwise
-// (parallel.go). Events scheduled exactly at `until` still run.
-func (n *Network) Run(until Time) {
-	if len(n.regs) <= 1 {
-		n.Sim.Run(until)
-		return
-	}
-	n.runParallel(until)
-}
-
 // Kill marks a node dead: it stops sending, receiving and firing
-// timers. Used for failure-injection experiments. Control-plane only
-// (between events when serial, at barriers when parallel).
+// timers. Used for failure-injection experiments. Control-plane only:
+// call it between events.
 func (n *Network) Kill(id NodeID) {
 	n.dead[id] = true
 	n.refreshInto(id)
@@ -527,20 +346,18 @@ func (n *Network) Kill(id NodeID) {
 	// The link-layer ack was resolved when each frame went on the air;
 	// delivery skips a receiver that is dead when it lands.
 	var stranded []*delivery
-	for _, reg := range n.regs {
-		for _, d := range reg.inflight {
-			if d.p.Dst != id {
-				continue
-			}
-			for _, s := range d.recv {
-				if s.dst == id {
-					stranded = append(stranded, d)
-				}
+	for _, d := range n.inflight {
+		if d.p.Dst != id {
+			continue
+		}
+		for _, s := range d.recv {
+			if s.dst == id {
+				stranded = append(stranded, d)
 			}
 		}
 	}
-	// In-flight lists are ordered by slot reuse, which differs with the
-	// region count; a frame's (sender, sequence number) does not.
+	// The in-flight list is ordered by slot reuse, an accident of the
+	// pool; the purges come in (sender, sequence number) order.
 	slices.SortFunc(stranded, func(a, b *delivery) int {
 		return cmp.Or(cmp.Compare(a.p.Src, b.p.Src), cmp.Compare(a.p.Seq, b.p.Seq))
 	})
@@ -671,9 +488,8 @@ func (n *Network) blocked(src, dst NodeID) uint8 {
 // SetBlackout switches a regional blackout over the node stripe
 // [lo, hi] on or off: every directed link into or out of the stripe is
 // blocked while the window is active. Blocked links lose frames before
-// any random draw, so the sender's substream advances identically for
-// every region count. Control-plane only (dynamics events at barriers);
-// windows of the same primitive must not overlap: one stripe is active
+// any random draw. Control-plane only (dynamics events between node
+// events); windows of the same primitive must not overlap: one stripe is active
 // at a time, and switching off names the stripe that was switched on.
 func (n *Network) SetBlackout(lo, hi NodeID, on bool) {
 	n.blackLo, n.blackHi = lo, hi
@@ -792,30 +608,39 @@ func (n *Network) txDuration(size int) Time {
 }
 
 // oseqNext allocates the next canonical schedule-sequence value for
-// events originated by node id. All of id's scheduling happens on id's
-// region goroutine (or the control plane at a barrier), so the counter
-// needs no lock.
+// events originated by node id.
 func (n *Network) oseqNext(id NodeID) uint64 {
 	n.nextOseq[id]++
 	return n.nextOseq[id]
 }
 
+// gridPitch is the visibility grid's pitch W = max(TxOverhead, 1ms):
+// the radio's detection latency. Every frame's airtime is at least
+// TxOverhead, so a frame is still on the air at the first grid point
+// after it starts.
+func gridPitch(p Params) Time {
+	return max(p.TxOverhead, Millisecond)
+}
+
+// gridFloor returns the latest visibility grid point at or before t
+// for grid pitch w.
+func gridFloor(t, w Time) Time { return t - t%w }
+
 // visible reports whether a frame begun at start is visible to carrier
 // sense and the collision model at virtual time `floor` =
 // gridFloor(now): radios detect a frame only from the next visibility
 // grid point after it starts. The rule depends on the fixed grid alone,
-// so every region — having exchanged ghost transmissions at the barrier
-// on or before that grid point — computes the same answer regardless
-// of K.
+// not on which of two frames begun between grid points was scheduled
+// first.
 func visible(start, floor Time) bool { return start < floor }
 
 // channelBusyAt reports whether any visible in-flight transmission is
 // audible at node id right now (for carrier sense). The sense
 // threshold is deliberately lower than the interference threshold:
 // radios detect energy from transmissions too weak to decode.
-func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
+func (n *Network) channelBusyAt(id NodeID, now Time) bool {
 	floor := gridFloor(now, n.window)
-	inline, spilled := reg.audibleAt(id)
+	inline, spilled := n.audibleAt(id)
 	return n.anyBusy(inline, floor, now) || n.anyBusy(spilled, floor, now)
 }
 
@@ -841,12 +666,12 @@ func (n *Network) anyBusy(frames []audible, floor, now Time) bool {
 // one compound survival product in deterministic (src, start) order —
 // one random draw from the sender's stream per receiver — so the
 // outcome is independent of the order interference state accumulated
-// in (the region-parallel determinism contract).
-func (n *Network) collided(reg *regionState, rng *rand.Rand, qs float64, src, dst NodeID, start Time) bool {
+// in.
+func (n *Network) collided(rng *rand.Rand, qs float64, src, dst NodeID, start Time) bool {
 	if !n.Params.Collisions {
 		return false
 	}
-	sc := n.interferersAt(reg, qs, src, dst, start)
+	sc := n.interferersAt(qs, src, dst, start)
 	if len(sc) == 0 {
 		return false
 	}
@@ -861,11 +686,11 @@ func (n *Network) collided(reg *regionState, rng *rand.Rand, qs float64, src, ds
 // audible at dst that overlap a frame from src starting at start and
 // are strong enough to destroy it; qs is the effective quality of the
 // link src→dst the frame arrives over. dst's own frames are never in
-// its list (anyBusy). The result aliases reg.scratch.
-func (n *Network) interferersAt(reg *regionState, qs float64, src, dst NodeID, start Time) []interferer {
+// its list (anyBusy). The result aliases n.scratch.
+func (n *Network) interferersAt(qs float64, src, dst NodeID, start Time) []interferer {
 	floor := gridFloor(start, n.window)
-	sc := reg.scratch[:0]
-	inline, spilled := reg.audibleAt(dst)
+	sc := n.scratch[:0]
+	inline, spilled := n.audibleAt(dst)
 	for _, frames := range [2][]audible{inline, spilled} {
 		for _, tx := range frames {
 			if tx.src == src || !visible(tx.start, floor) || tx.end() <= start {
@@ -878,8 +703,8 @@ func (n *Network) interferersAt(reg *regionState, qs float64, src, dst NodeID, s
 			sc = append(sc, interferer{src: tx.src, start: tx.start, qi: qi})
 		}
 	}
-	if cap(sc) > cap(reg.scratch) { // grown: keep the new array
-		reg.scratch = sc[:0]
+	if cap(sc) > cap(n.scratch) { // grown: keep the new array
+		n.scratch = sc[:0]
 	}
 	// Insertion sort by (src, start): a node transmits one frame at a
 	// time, so the key is unique; the list is tiny.
@@ -892,29 +717,22 @@ func (n *Network) interferersAt(reg *regionState, qs float64, src, dst NodeID, s
 	return sc
 }
 
-// recvSlot is one receiver of an in-air frame. gi is the receiver's
-// index in the sender's out-link list — the global slot order, which
-// stamps parallel trace emissions so merged traces reproduce the
-// serial fan-out order.
+// recvSlot is one receiver of an in-air frame.
 type recvSlot struct {
 	dst       NodeID
-	gi        int32
 	addressee bool
 }
 
 // delivery is the pooled end-of-airtime task for one transmission: a
-// single cloned packet fanned out to every receiver in its region.
-// Replacing the per-receiver clone + closure of the original design,
-// it is what makes delivery allocation-free in steady state. A
-// transmission heard across region boundaries becomes one delivery per
-// region, all sharing the sender's canonical (origin, oseq) key.
+// single cloned packet fanned out to every receiver. Replacing the
+// per-receiver clone + closure of the original design, it is what
+// makes delivery allocation-free in steady state.
 type delivery struct {
 	net  *Network
-	reg  *regionState
 	p    Packet   // header copy taken at transmit time
 	rc   Recycled // p.Payload's reference until the last receiver returns (nil: none)
 	recv []recvSlot
-	idx  int // position in reg.inflight
+	idx  int // position in net.inflight
 }
 
 // Run implements Task: deliver to every receiver, in the ascending
@@ -922,58 +740,52 @@ type delivery struct {
 // event order of the pre-pooling design), then recycle.
 func (d *delivery) Run() {
 	n := d.net
-	reg := d.reg
-	tr := reg.trace
-	// Only the region engine's buffering recorders use the sub-slot.
-	sub := tr != nil && len(n.regs) > 1
+	tr := n.Trace
 	for _, s := range d.recv {
 		if n.dead[s.dst] {
 			continue // died mid-air; misses the frame
 		}
-		if sub {
-			tr.SetSub(s.gi)
-		}
 		if s.addressee {
-			reg.counters.CountReceive(uint16(s.dst), d.p.Class, d.p.Size)
+			n.Counters.CountReceive(uint16(s.dst), d.p.Class, d.p.Size)
 			if tr != nil {
 				tr.Packet(trace.PacketRecv, uint16(s.dst), uint16(d.p.Src), d.p.Class, d.p.Size)
 			}
 			n.apps[s.dst].Receive(&d.p)
 		} else {
-			reg.counters.CountSnoop(uint16(s.dst), d.p.Size)
+			n.Counters.CountSnoop(uint16(s.dst), d.p.Size)
 			if tr != nil {
 				tr.Packet(trace.PacketSnoop, uint16(s.dst), uint16(d.p.Src), d.p.Class, d.p.Size)
 			}
 			n.apps[s.dst].Snoop(&d.p)
 		}
 	}
-	reg.releaseDelivery(d)
+	n.releaseDelivery(d)
 }
 
-func (r *regionState) newDelivery(n *Network, p *Packet) *delivery {
+func (n *Network) newDelivery(p *Packet) *delivery {
 	var d *delivery
-	if k := len(r.delivPool); k > 0 {
-		d = r.delivPool[k-1]
-		r.delivPool = r.delivPool[:k-1]
+	if k := len(n.delivPool); k > 0 {
+		d = n.delivPool[k-1]
+		n.delivPool = n.delivPool[:k-1]
 	} else {
-		d = &delivery{net: n, reg: r}
+		d = &delivery{net: n}
 	}
 	d.p = *p
 	d.recv = d.recv[:0]
-	d.idx = len(r.inflight)
-	r.inflight = append(r.inflight, d)
+	d.idx = len(n.inflight)
+	n.inflight = append(n.inflight, d)
 	return d
 }
 
-func (r *regionState) releaseDelivery(d *delivery) {
+func (n *Network) releaseDelivery(d *delivery) {
 	// Swap-remove from the in-flight list.
-	last := len(r.inflight) - 1
-	r.inflight[d.idx] = r.inflight[last]
-	r.inflight[d.idx].idx = d.idx
-	r.inflight = r.inflight[:last]
+	last := len(n.inflight) - 1
+	n.inflight[d.idx] = n.inflight[last]
+	n.inflight[d.idx].idx = d.idx
+	n.inflight = n.inflight[:last]
 	rc := d.rc
 	d.p, d.rc = Packet{}, nil
-	r.delivPool = append(r.delivPool, d)
+	n.delivPool = append(n.delivPool, d)
 	if rc != nil {
 		Release(rc)
 	}
@@ -983,10 +795,8 @@ func (r *regionState) releaseDelivery(d *delivery) {
 // the air (transmitted, not yet delivered), valid only during the call.
 // Diagnostic/invariant use; control-plane only.
 func (n *Network) ForEachInFlight(fn func(p *Packet)) {
-	for _, reg := range n.regs {
-		for _, d := range reg.inflight {
-			fn(&d.p)
-		}
+	for _, d := range n.inflight {
+		fn(&d.p)
 	}
 }
 
@@ -1006,32 +816,26 @@ func (n *Network) ForEachQueued(fn func(id NodeID, p *Packet)) {
 
 // transmit puts job's frame on the air from a's node and returns
 // whether dst received it (for unicast ack modelling). It fans the
-// frame out to every audible neighbour — same-region receivers onto one
-// pooled delivery task, which holds a reference on a recycled payload,
-// cross-region receivers into per-region outbox entries the coordinator
-// schedules at the next barrier, which pin it. Every random draw
+// frame out to every audible neighbour on one pooled delivery task,
+// which holds a reference on a recycled payload. Every random draw
 // (per-link loss, collision folds, the ack) comes from the sender's
-// substream, in out-link order, so the resolution is identical for
-// every K.
+// substream, in out-link order.
 func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 	p, rc := &job.p, job.rc
 	src := a.id
-	reg := a.reg
 	n.txSeq[src]++
 	p.Seq = n.txSeq[src]
-	now := a.sim.Now()
+	now := n.Sim.Now()
 	dur := n.txDuration(p.Size)
 	tx := transmission{src: src, start: now, end: now + dur}
 
-	reg.counters.CountSend(uint16(src), p.Class, p.Size)
-	if reg.trace != nil {
-		reg.trace.Packet(trace.PacketSend, uint16(src), uint16(p.Dst), p.Class, p.Size)
+	n.Counters.CountSend(uint16(src), p.Class, p.Size)
+	if n.Trace != nil {
+		n.Trace.Packet(trace.PacketSend, uint16(src), uint16(p.Dst), p.Class, p.Size)
 	}
 
 	delivered := false
-	parallel := len(n.regs) > 1
 	var d *delivery
-	var oseq uint64
 	base := n.Topo.linkBase[src]
 	for gi, lk := range n.Topo.OutLinks(src) {
 		dst := lk.Dst
@@ -1039,43 +843,28 @@ func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 		// On the air at dst whatever becomes of the frame there. Hearing
 		// it before resolving it is safe: a frame never interferes with
 		// itself and nothing is visible before the next grid point.
-		reg.hear(dst, li, tx, now)
+		n.hear(dst, li, tx, now)
 		q := n.eff[li]
 		if q <= 0 || a.rng.Float64() >= q {
 			continue
 		}
-		if n.collided(reg, &a.rng, q, src, dst, tx.start) {
-			reg.counters.CountDrop(metrics.DropCollision)
-			if reg.trace != nil {
-				reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(dst),
+		if n.collided(&a.rng, q, src, dst, tx.start) {
+			n.Counters.CountDrop(metrics.DropCollision)
+			if n.Trace != nil {
+				n.Trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(dst),
 					Peer: uint16(src), Class: p.Class, Cause: metrics.DropCollision,
 					Size: int32(p.Size)})
 			}
 			continue
 		}
 		isAddressee := p.Dst == Broadcast || p.Dst == dst
-		slot := recvSlot{dst: dst, gi: int32(gi), addressee: isAddressee}
-		if oseq == 0 {
-			// One canonical key per transmission, shared by the local
-			// delivery and every cross-region copy: the copies live in
-			// different heaps, so the duplicate key never collides, and
-			// the shared key lets the trace merge restore slot order.
-			oseq = n.oseqNext(src)
-		}
-		if parallel && n.RegionOf(dst) != reg.id {
-			if rc != nil {
-				rc.refs().pinned = true
+		if d == nil {
+			d = n.newDelivery(p)
+			if d.rc = rc; rc != nil {
+				Hold(rc)
 			}
-			reg.addOutSlot(int32(n.RegionOf(dst)), tx.end, src, oseq, p, slot)
-		} else {
-			if d == nil {
-				d = reg.newDelivery(n, p)
-				if d.rc = rc; rc != nil {
-					Hold(rc)
-				}
-			}
-			d.recv = append(d.recv, slot)
 		}
+		d.recv = append(d.recv, recvSlot{dst: dst, addressee: isAddressee})
 		if isAddressee && p.Dst == dst {
 			// Model the link-layer ack on the reverse link; ack frames
 			// are short and more robust than data frames.
@@ -1094,34 +883,11 @@ func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 			delivered = true
 		}
 	}
-	if parallel {
-		reg.ghosts = append(reg.ghosts, tx)
-	}
 	if d != nil {
 		// Deliver at end of airtime; a node that dies mid-air misses it.
-		a.sim.scheduleOrigin(tx.end, src, oseq, d, prof.PhaseRadio)
+		n.Sim.scheduleOrigin(tx.end, src, n.oseqNext(src), d, prof.PhaseRadio)
 	}
 	return delivered
-}
-
-// addOutSlot appends one cross-region receiver slot, reusing the
-// window's outbox entry for the same transmission and target region.
-func (r *regionState) addOutSlot(to int32, at Time, origin NodeID, oseq uint64, p *Packet, slot recvSlot) {
-	for i := len(r.outbox) - 1; i >= 0; i-- {
-		e := &r.outbox[i]
-		if e.oseq == oseq && e.origin == origin {
-			if e.to == to {
-				e.recv = append(e.recv, slot)
-				return
-			}
-			continue
-		}
-		break
-	}
-	r.outbox = append(r.outbox, outDelivery{
-		to: to, at: at, origin: origin, oseq: oseq, p: *p,
-		recv: append(make([]recvSlot, 0, 4), slot),
-	})
 }
 
 // sendJob is one queued outgoing frame, held by value from Send to jobDone.
@@ -1141,7 +907,7 @@ type timerTask struct {
 
 func (t *timerTask) Run() {
 	a, id, gen := t.a, t.id, t.gen
-	a.reg.timerPool = append(a.reg.timerPool, t)
+	a.net.timerPool = append(a.net.timerPool, t)
 	if gen != a.timerGen[id] || a.net.dead[a.id] {
 		return
 	}
@@ -1158,7 +924,7 @@ type stepTask struct {
 
 func (s *stepTask) Run() {
 	a, gen, try, defers := s.a, s.gen, s.try, s.defers
-	a.reg.stepPool = append(a.reg.stepPool, s)
+	a.net.stepPool = append(a.net.stepPool, s)
 	a.step(gen, try, defers)
 }
 
@@ -1173,8 +939,6 @@ func (s *stepTask) Run() {
 // paper describes.
 type NodeAPI struct {
 	net      *Network
-	reg      *regionState
-	sim      *Simulator // the node's region clock (== net.Sim when serial), set by Attach
 	id       NodeID
 	pcg      rand.PCG  // per-node substream, held inline: all protocol randomness
 	rng      rand.Rand // draws from pcg
@@ -1198,19 +962,17 @@ func (a *NodeAPI) ID() NodeID { return a.id }
 // N returns the network size (including the basestation).
 func (a *NodeAPI) N() int { return a.net.Topo.N }
 
-// Now returns the current virtual time (the node's region clock).
-func (a *NodeAPI) Now() Time { return a.sim.Now() }
+// Now returns the current virtual time.
+func (a *NodeAPI) Now() Time { return a.net.Sim.Now() }
 
-// Clock returns the simulator whose Now is this node's Now — the
-// node's region engine, the network's own when serial — for a layer
-// that reads the time on every frame to keep beside its state. It is
-// final once Start runs Init; node code reads it and schedules nothing
-// on it.
-func (a *NodeAPI) Clock() *Simulator { return a.sim }
+// Clock returns the network's simulator, for a layer that reads the
+// time on every frame to keep beside its state. Node code reads it and
+// schedules nothing on it.
+func (a *NodeAPI) Clock() *Simulator { return a.net.Sim }
 
 // RandIntn returns a uniform int in [0,n) from the node's substream,
-// whose draw order is fixed by the node's own event order, never by
-// global interleaving — the region-parallel determinism contract.
+// whose draw order is fixed by the node's own event order (DESIGN.md
+// §2).
 func (a *NodeAPI) RandIntn(n int) int { return a.rng.IntN(n) }
 
 // Send enqueues a copy of p (the caller's *Packet is free again on
@@ -1236,9 +998,9 @@ func (a *NodeAPI) Broadcast(p *Packet) {
 
 func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done interface{ SendDone(ok bool) }) {
 	if a.qlen >= a.net.Params.QueueCap {
-		a.reg.counters.CountDrop(metrics.DropQueue)
-		if a.reg.trace != nil {
-			a.reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
+		a.net.Counters.CountDrop(metrics.DropQueue)
+		if a.net.Trace != nil {
+			a.net.Trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
 				Peer: uint16(p.Dst), Class: p.Class, Cause: metrics.DropQueue,
 				Size: int32(p.Size)})
 		}
@@ -1291,16 +1053,16 @@ func (a *NodeAPI) jobDone(ok bool) {
 
 // scheduleStep arms one pooled MAC step after delay d.
 func (a *NodeAPI) scheduleStep(d Time, gen uint64, try, defers int) {
-	reg := a.reg
+	n := a.net
 	var s *stepTask
-	if k := len(reg.stepPool); k > 0 {
-		s = reg.stepPool[k-1]
-		reg.stepPool = reg.stepPool[:k-1]
+	if k := len(n.stepPool); k > 0 {
+		s = n.stepPool[k-1]
+		n.stepPool = n.stepPool[:k-1]
 	} else {
 		s = &stepTask{}
 	}
 	s.a, s.gen, s.try, s.defers = a, gen, try, defers
-	a.sim.scheduleOrigin(a.sim.Now()+d, a.id, a.net.oseqNext(a.id), s, prof.PhaseMAC)
+	n.Sim.scheduleOrigin(n.Sim.Now()+d, a.id, n.oseqNext(a.id), s, prof.PhaseMAC)
 }
 
 // attempt drives the head-of-queue job through backoff, carrier sense,
@@ -1324,7 +1086,7 @@ func (a *NodeAPI) step(gen uint64, try, defers int) {
 		return
 	}
 	if net.Params.CarrierSense && defers < net.Params.MaxDefers &&
-		net.channelBusyAt(a.reg, a.id, a.sim.Now()) {
+		net.channelBusyAt(a.id, net.Sim.Now()) {
 		// Channel busy: defer without spending a transmission.
 		a.scheduleStep(a.randBetween(net.Params.BackoffMin, net.Params.BackoffMax),
 			gen, try, defers+1)
@@ -1338,9 +1100,9 @@ func (a *NodeAPI) step(gen uint64, try, defers int) {
 	}
 	if try >= net.Params.MaxAttempts {
 		cause := net.dropCause(a.id, j.p.Dst)
-		a.reg.counters.CountDrop(cause)
-		if a.reg.trace != nil {
-			a.reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
+		net.Counters.CountDrop(cause)
+		if net.Trace != nil {
+			net.Trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
 				Peer: uint16(j.p.Dst), Class: j.p.Class, Cause: cause,
 				Size: int32(j.p.Size)})
 		}
@@ -1358,16 +1120,16 @@ func (a *NodeAPI) SetTimer(id int, d Time) {
 		a.timerGen = dense.Grow(a.timerGen, id)
 	}
 	a.timerGen[id]++
-	reg := a.reg
+	n := a.net
 	var t *timerTask
-	if k := len(reg.timerPool); k > 0 {
-		t = reg.timerPool[k-1]
-		reg.timerPool = reg.timerPool[:k-1]
+	if k := len(n.timerPool); k > 0 {
+		t = n.timerPool[k-1]
+		n.timerPool = n.timerPool[:k-1]
 	} else {
 		t = &timerTask{}
 	}
 	t.a, t.id, t.gen = a, id, a.timerGen[id]
-	a.sim.scheduleOrigin(a.sim.Now()+d, a.id, a.net.oseqNext(a.id), t, prof.PhaseMAC)
+	n.Sim.scheduleOrigin(n.Sim.Now()+d, a.id, n.oseqNext(a.id), t, prof.PhaseMAC)
 }
 
 // CancelTimer drops any pending timer with the given id.

@@ -73,15 +73,9 @@ type Packet struct {
 // Refs is the reference count a recycled payload embeds. Its sender
 // holds one reference from creation until it is done with the payload
 // (Hold, then Release); netsim holds one per send-queue slot, until the
-// slot is popped or drained, and one per same-region delivery task,
-// until its last receiver returns. The last Release recycles the
-// payload. A payload heard across a region boundary is pinned instead:
-// its ghost delivery runs on another region's goroutine, so it is never
-// recycled and the count is only ever touched on the sender's.
-type Refs struct {
-	n      int32
-	pinned bool
-}
+// slot is popped or drained, and one per delivery task, until its last
+// receiver returns. The last Release recycles the payload.
+type Refs struct{ n int32 }
 
 func (r *Refs) refs() *Refs { return r }
 
@@ -96,15 +90,14 @@ type Recycled interface {
 // Hold takes a reference on p.
 func Hold(p Recycled) { p.refs().n++ }
 
-// Release drops a reference on p, recycling p when it was the last and
-// no cross-region delivery pinned it.
+// Release drops a reference on p, recycling p when it was the last.
 func Release(p Recycled) {
 	r := p.refs()
 	r.n--
 	switch {
 	case r.n < 0:
 		panic("netsim: payload released more often than held")
-	case r.n == 0 && !r.pinned:
+	case r.n == 0:
 		p.Recycle()
 	}
 }

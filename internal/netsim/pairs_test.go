@@ -33,6 +33,6 @@ func inStripe(id, lo, hi NodeID) bool { return id >= lo && id <= hi }
 
 // interferers is interferersAt for the frame a transmit from src would
 // put on the link src→dst at start.
-func (n *Network) interferers(reg *regionState, src, dst NodeID, start Time) []interferer {
-	return n.interferersAt(reg, n.quality(src, dst), src, dst, start)
+func (n *Network) interferers(src, dst NodeID, start Time) []interferer {
+	return n.interferersAt(n.quality(src, dst), src, dst, start)
 }

@@ -45,9 +45,9 @@ func (l *lifeApp) Snoop(*Packet) {}
 func (l *lifeApp) Timer(int)     {}
 
 // lifeNet builds n nodes at x = pos[i] joined by perfect directed links,
-// on k regions, each node running a lifeApp; when log is non-nil every
-// app notes its receptions there.
-func lifeNet(t *testing.T, pos []float64, links [][2]NodeID, k, queueCap int, log *[]string) (*Network, []*lifeApp) {
+// each node running a lifeApp; when log is non-nil every app notes its
+// receptions there.
+func lifeNet(t *testing.T, pos []float64, links [][2]NodeID, queueCap int, log *[]string) (*Network, []*lifeApp) {
 	t.Helper()
 	topo := NewTopology(len(pos))
 	topo.Pos = make([]Point, len(pos))
@@ -60,9 +60,6 @@ func lifeNet(t *testing.T, pos []float64, links [][2]NodeID, k, queueCap int, lo
 	p := DefaultParams()
 	p.QueueCap = queueCap
 	net := NewNetwork(NewSimulator(3), topo, metrics.NewCounters(), p)
-	if k > 1 {
-		net.SetRegions(k)
-	}
 	apps := make([]*lifeApp, len(pos))
 	for i := range apps {
 		apps[i] = &lifeApp{name: string(rune('0' + i)), log: log}
@@ -96,17 +93,16 @@ func sendCounted(a *NodeAPI, dst NodeID, log *[]string, done interface{ SendDone
 // TestRecycledPayloadLifetime holds netsim's half of the payload rule
 // (DESIGN.md §12): a recycled payload is recycled exactly once, and only
 // after the job that sent it is done and its last delivery has returned —
-// whatever path the frame takes through the send queue — while one heard
-// across a region boundary is pinned and never recycled.
+// whatever path the frame takes through the send queue.
 func TestRecycledPayloadLifetime(t *testing.T) {
 	line := [][2]NodeID{{0, 1}} // 0 → 1 with no way back: no ack ever
 	star := [][2]NodeID{{0, 1}, {0, 2}}
 
 	t.Run("unicast retried to MaxAttempts", func(t *testing.T) {
 		var log []string
-		net, _ := lifeNet(t, []float64{0, 1}, line, 1, 32, &log)
+		net, _ := lifeNet(t, []float64{0, 1}, line, 32, &log)
 		c := sendCounted(net.api[0], 1, &log, logDone(&log))
-		net.Run(Minute)
+		net.Sim.Run(Minute)
 		// Five attempts are heard and retried; the sixth fails the job
 		// before its frame lands, so the payload outlives the verdict.
 		want := []string{"recv 1", "recv 1", "recv 1", "recv 1", "recv 1", "done fail", "recv 1", "recycle"}
@@ -117,9 +113,9 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 
 	t.Run("broadcast", func(t *testing.T) {
 		var log []string
-		net, apps := lifeNet(t, []float64{0, 1, 2}, star, 1, 32, &log)
+		net, apps := lifeNet(t, []float64{0, 1, 2}, star, 32, &log)
 		c := sendCounted(net.api[0], Broadcast, &log, nil)
-		net.Run(Minute)
+		net.Sim.Run(Minute)
 		if want := []string{"recv 1", "recv 2", "recycle"}; !slices.Equal(log, want) || c.recycled != 1 {
 			t.Fatalf("log %v (recycled %d), want %v", log, c.recycled, want)
 		}
@@ -130,7 +126,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 
 	t.Run("QueueCap drop", func(t *testing.T) {
 		var log []string
-		net, apps := lifeNet(t, []float64{0, 1}, line, 1, 4, &log)
+		net, apps := lifeNet(t, []float64{0, 1}, line, 4, &log)
 		a := net.api[0]
 		for i := 0; i < 4; i++ {
 			a.Send(&Packet{Class: metrics.Data, Dst: 1, Size: 20}, nil)
@@ -139,7 +135,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 		if want := []string{"done fail", "recycle"}; !slices.Equal(log, want) || c.recycled != 1 {
 			t.Fatalf("dropped at the queue: log %v (recycled %d), want %v", log, c.recycled, want)
 		}
-		net.Run(Minute)
+		net.Sim.Run(Minute)
 		if c.recycled != 1 || apps[1].stale != 0 {
 			t.Fatalf("after the run: recycled %d, %d stale receptions", c.recycled, apps[1].stale)
 		}
@@ -150,7 +146,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 	// sender's reference until its last verdict.
 	t.Run("completion re-sends the payload", func(t *testing.T) {
 		var log []string
-		net, _ := lifeNet(t, []float64{0, 1}, line, 1, 32, &log)
+		net, _ := lifeNet(t, []float64{0, 1}, line, 32, &log)
 		a := net.api[0]
 		c := &countedPayload{log: &log}
 		p := &Packet{Class: metrics.Data, Dst: 1, Size: 20, Payload: c}
@@ -167,7 +163,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 		}
 		Hold(c)
 		a.Send(p, fallback)
-		net.Run(Minute)
+		net.Sim.Run(Minute)
 		var recvs, dones int
 		for _, e := range log {
 			switch e {
@@ -186,7 +182,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 
 	t.Run("Restart drain", func(t *testing.T) {
 		var log []string
-		net, apps := lifeNet(t, []float64{0, 1}, line, 1, 32, &log)
+		net, apps := lifeNet(t, []float64{0, 1}, line, 32, &log)
 		net.OnPurge = func(id NodeID, p *Packet) {
 			if p.Payload.(*countedPayload).recycled == 0 {
 				log = append(log, "purge")
@@ -203,7 +199,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 		if want := []string{"purge", "purge", "purge", "recycle", "recycle", "recycle"}; !slices.Equal(log, want) {
 			t.Fatalf("log %v, want %v", log, want)
 		}
-		net.Run(Minute)
+		net.Sim.Run(Minute)
 		for i, c := range cs {
 			if c.recycled != 1 {
 				t.Fatalf("payload %d recycled %d times", i, c.recycled)
@@ -216,13 +212,13 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 
 	t.Run("Kill mid-air", func(t *testing.T) {
 		var log []string
-		net, apps := lifeNet(t, []float64{0, 1, 2}, star, 1, 32, &log)
+		net, apps := lifeNet(t, []float64{0, 1, 2}, star, 32, &log)
 		c := sendCounted(net.api[0], Broadcast, &log, nil)
 		for net.Counters.Sent(metrics.Data) == 0 {
 			net.Sim.Step()
 		}
 		net.Kill(1) // the frame is on the air: node 1 misses it
-		net.Run(Minute)
+		net.Sim.Run(Minute)
 		if want := []string{"recv 2", "recycle"}; !slices.Equal(log, want) || c.recycled != 1 {
 			t.Fatalf("log %v (recycled %d), want %v", log, c.recycled, want)
 		}
@@ -233,13 +229,13 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 
 	t.Run("dead-node drain", func(t *testing.T) {
 		var log []string
-		net, apps := lifeNet(t, []float64{0, 1}, line, 1, 32, &log)
+		net, apps := lifeNet(t, []float64{0, 1}, line, 32, &log)
 		var cs []*countedPayload
 		for i := 0; i < 3; i++ {
 			cs = append(cs, sendCounted(net.api[0], 1, &log, logDone(&log)))
 		}
 		net.Kill(0) // the next MAC step drains the queue, completions included
-		net.Run(Minute)
+		net.Sim.Run(Minute)
 		want := []string{"done fail", "recycle", "done fail", "recycle", "done fail", "recycle"}
 		if !slices.Equal(log, want) || apps[1].got != 0 {
 			t.Fatalf("log %v, %d receptions; want %v and none", log, apps[1].got, want)
@@ -247,32 +243,6 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 		for i, c := range cs {
 			if c.recycled != 1 {
 				t.Fatalf("payload %d recycled %d times", i, c.recycled)
-			}
-		}
-	})
-
-	// Two regions of two nodes each on a line: node 0 is heard only in
-	// its own region, node 1 across the boundary too. No log: receivers
-	// run on their regions' goroutines, and each app counts alone.
-	t.Run("cross-region pin at K=2", func(t *testing.T) {
-		net, apps := lifeNet(t, []float64{0, 1, 10, 11},
-			[][2]NodeID{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}}, 2, 32, nil)
-		if r := net.RegionOf; r(0) != r(1) || r(1) == r(2) || r(2) != r(3) {
-			t.Fatalf("regions %d %d %d %d, want {0,1} and {2,3}", r(0), r(1), r(2), r(3))
-		}
-		local := sendCounted(net.api[0], Broadcast, nil, nil)
-		crossing := sendCounted(net.api[1], Broadcast, nil, nil)
-		net.Run(Minute)
-		if apps[0].got != 1 || apps[1].got != 1 || apps[2].got != 1 || apps[3].got != 0 {
-			t.Fatalf("receptions %d %d %d %d, want 1 1 1 0", apps[0].got, apps[1].got, apps[2].got, apps[3].got)
-		}
-		if local.recycled != 1 || crossing.recycled != 0 {
-			t.Fatalf("recycled: in-region %d times (want 1), across regions %d times (want 0: pinned)",
-				local.recycled, crossing.recycled)
-		}
-		for i, a := range apps {
-			if a.stale != 0 {
-				t.Fatalf("node %d saw a recycled payload", i)
 			}
 		}
 	})

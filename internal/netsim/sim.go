@@ -6,25 +6,22 @@
 // (snooping), and it accounts every transmission by message class so
 // experiments can reproduce the paper's message-count figures.
 //
-// The simulator is deterministic for a given seed, whether it runs
-// serially (one event heap, one goroutine) or region-parallel
-// (DESIGN.md §18): the topology is spatially partitioned into K
-// regions, each with its own heap, clock and goroutine, advancing in
-// conservative lookahead windows. Determinism across K rests on three
-// K-independent conventions enforced here and in network.go:
+// The simulator is deterministic for a given seed: one event queue,
+// run by one goroutine. Three conventions, enforced here and in
+// network.go, fix a run's order and its radio outcomes (DESIGN.md §2):
 //
 //   - every event carries a canonical (time, origin, oseq) key, where
 //     origin is the node whose state machine produced the event (-1
 //     for control/harness events, which sort first at equal times) and
 //     oseq is a per-origin schedule counter — queue order never depends
-//     on which region popped what when;
+//     on how the queue stores its events;
 //   - every random draw comes from the per-node substream of the node
 //     whose protocol logic is drawing, so draw order within a stream is
 //     fixed by that node's own event order;
 //   - radio visibility is windowed on a fixed time grid, so carrier
 //     sense and interference depend only on transmissions begun before
-//     the current grid point — state every region has seen at the last
-//     barrier — never on same-window cross-region timing.
+//     the current grid point, never on which of two frames begun
+//     between grid points was scheduled first.
 //
 // The event loop is allocation-conscious (DESIGN.md §12): events are
 // plain structs (no interface boxing) in a two-tier queue — a 256 ms
@@ -118,8 +115,7 @@ func eventLess(a, b *event) bool {
 // heap and stays there until it is popped. pop returns the
 // eventLess-smaller of the two fronts, so the tiers cannot change
 // dispatch order. Two invariants carry the wheel, and every loop that
-// moves the clock (Run, runWindow, the region coordinator's exchange
-// and advanceRegions) keeps them:
+// moves the clock (Run and Step) keeps them:
 //
 //   - now ≤ at for every pending event (push clamps; the clock only
 //     moves to a popped event's time, or forward over a stretch with no
@@ -127,8 +123,6 @@ func eventLess(a, b *event) bool {
 //     [now, now+wheelSpan);
 //   - hence a slot holds events of one at only, and walking the slots
 //     circularly from now mod wheelSpan visits them in time order.
-//
-// Halt is terminal: nothing is popped from a halted simulator again.
 type Simulator struct {
 	now    Time
 	events []event                // far tier: 4-ary min-heap ordered by (at, origin, oseq)
@@ -138,9 +132,8 @@ type Simulator struct {
 	occ    [wheelSpan / 64]uint64 // bit i set: slot i is non-empty
 	seq    uint64                 // control-plane oseq counter
 	seed   int64                  // what the nodes' substreams derive from
-	halted bool
-	prof   *prof.Profiler   // nil: profiling off (the default)
-	heads  [wheelSpan]int32 // slot i's bucket: a list through nodes, -1 empty
+	prof   *prof.Profiler         // nil: profiling off (the default)
+	heads  [wheelSpan]int32       // slot i's bucket: a list through nodes, -1 empty
 }
 
 // The wheel spans 256 virtual ms: MAC backoffs, carrier-sense deferrals,
@@ -326,8 +319,7 @@ func (s *Simulator) popHeap() event {
 
 // scheduleOrigin enqueues a node-origin event carrying its canonical
 // (origin, oseq) key. The caller owns oseq allocation: network.go hands
-// out per-origin counters, and all scheduling for origin X happens in
-// X's region, so the counters need no locking.
+// out per-origin counters.
 func (s *Simulator) scheduleOrigin(t Time, origin NodeID, oseq uint64, task Task, ph prof.Phase) {
 	if t < s.now {
 		t = s.now
@@ -353,26 +345,18 @@ func (s *Simulator) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
 // dispatch pops the earliest event if it is due at or before limit,
 // moves the clock to it and runs its body, and reports whether it did:
-// the one pop-and-run site every loop below shares, each with its own
-// limit. stamp, when non-nil, receives the event's canonical key before
-// the body runs (region loops position their trace recorder with it).
-// Under a profiler the pop records the queue depth (both tiers, popped
-// event included), and the body accrues to the event's phase until
-// EndEvent returns attribution to the heap phase. The profiler's
+// the one pop-and-run site Run and Step share, each with its own
+// limit. Under a profiler the pop records the queue depth (both tiers,
+// popped event included), and the body accrues to the event's phase
+// until EndEvent returns attribution to the heap phase. The profiler's
 // methods are nil-safe; the check here only spares the unprofiled loop
 // two calls per event.
-func (s *Simulator) dispatch(limit Time, stamp func(origin int32, oseq uint64)) bool {
-	if s.halted {
-		return false
-	}
+func (s *Simulator) dispatch(limit Time) bool {
 	e, ok := s.pop(limit)
 	if !ok {
 		return false
 	}
 	s.now = e.at
-	if stamp != nil {
-		stamp(e.origin, e.oseq)
-	}
 	p := s.prof
 	if p == nil {
 		e.task.Run()
@@ -388,70 +372,33 @@ func (s *Simulator) dispatch(limit Time, stamp func(origin int32, oseq uint64)) 
 const maxTime = Time(1<<63 - 1)
 
 // Run processes events in time order until the clock reaches `until`
-// or the queue drains. Events scheduled exactly at `until` still run.
-// If an event calls Halt, the loop stops with the clock at that event's
-// time: later same-tick events never ran, so the clock must not claim
-// the run reached `until`.
+// or the queue drains; the clock ends at `until`. Events scheduled
+// exactly at `until` still run.
 func (s *Simulator) Run(until Time) {
 	s.prof.LoopBegin()
-	for s.dispatch(until, nil) {
+	for s.dispatch(until) {
 	}
 	s.prof.LoopEnd()
-	if !s.halted && s.now < until {
+	if s.now < until {
 		s.now = until
 	}
 }
 
-// runWindow processes events strictly before end — the conservative
-// lookahead window the parallel coordinator granted this region. The
-// clock is left at the last executed event; the coordinator advances it
-// to the barrier time after cross-region exchange. stamp positions the
-// region's buffering recorder at each event (see dispatch), so merged
-// parallel traces reproduce the serial emission order.
-func (s *Simulator) runWindow(end Time, stamp func(origin int32, oseq uint64)) {
-	s.prof.LoopBegin()
-	for s.dispatch(end-1, stamp) {
-	}
-	s.prof.LoopEnd()
-}
-
 // Step runs the single earliest pending event, returning false if the
-// queue is empty or the simulator halted. Mainly useful in tests.
+// queue is empty. Mainly useful in tests.
 func (s *Simulator) Step() bool {
 	s.prof.LoopBegin()
-	ran := s.dispatch(maxTime, nil)
+	ran := s.dispatch(maxTime)
 	s.prof.LoopEnd()
 	return ran
 }
 
-// Halt stops the event loop after the current event returns.
-func (s *Simulator) Halt() { s.halted = true }
-
-// Halted reports whether Halt was called.
-func (s *Simulator) Halted() bool { return s.halted }
-
 // Pending reports the number of queued events, both tiers.
 func (s *Simulator) Pending() int { return len(s.events) + s.near }
 
-// nextAt returns the earliest pending event time, or (0, false) when
-// the queue is empty.
-func (s *Simulator) nextAt() (Time, bool) {
-	if s.near > 0 {
-		at := s.nodes[s.heads[s.nearSlot()]].e.at
-		if len(s.events) > 0 && s.events[0].at < at {
-			at = s.events[0].at
-		}
-		return at, true
-	}
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].at, true
-}
-
 // NodeStream seeds p as node id's substream of seed — one splitmix64
 // round over (seed, id), then the id: statistically independent streams,
-// stable across K, GOMAXPROCS and attach order — and returns the Rand
+// stable across GOMAXPROCS and attach order — and returns the Rand
 // over it. NodeAPI's and a workload source's streams are made here.
 func NodeStream(p *rand.PCG, seed int64, id NodeID) rand.Rand {
 	z := uint64(seed) + (uint64(id)+1)*0x9e3779b97f4a7c15

@@ -86,23 +86,6 @@ func TestSimulatorAfterNesting(t *testing.T) {
 	}
 }
 
-func TestSimulatorHalt(t *testing.T) {
-	s := NewSimulator(1)
-	var count int
-	for i := 0; i < 10; i++ {
-		s.At(Time(i), func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run(100)
-	if count != 3 {
-		t.Fatalf("ran %d events after halt, want 3", count)
-	}
-}
-
 func TestSimulatorStep(t *testing.T) {
 	s := NewSimulator(1)
 	n := 0
@@ -262,18 +245,11 @@ func (q *queueRef) scheduleRandom() {
 	q.schedule(q.delay(), int32(q.r.Intn(len(q.oseq)))-1)
 }
 
-// agree holds Pending and nextAt to the reference.
+// agree holds Pending to the reference.
 func (q *queueRef) agree(where string) {
 	q.t.Helper()
 	if got := q.s.Pending(); got != len(q.pending) {
 		q.t.Fatalf("%s: Pending = %d, reference holds %d", where, got, len(q.pending))
-	}
-	at, ok := q.s.nextAt()
-	if ok != (len(q.pending) > 0) {
-		q.t.Fatalf("%s: nextAt ok = %v with %d pending", where, ok, len(q.pending))
-	}
-	if ok && at != q.pending[0].at {
-		q.t.Fatalf("%s: nextAt = %d, reference front is at %d", where, at, q.pending[0].at)
 	}
 }
 
@@ -297,8 +273,8 @@ func (tk *queueTask) Run() {
 }
 
 // The two-tier queue against its reference, over random schedules and
-// every loop that pops: dispatch order, Pending and nextAt must match
-// at every step.
+// every loop that pops: dispatch order and Pending must match at every
+// step.
 func TestEventHeapOrdering(t *testing.T) {
 	// A lone wheel event is found from every clock position, the slots
 	// behind now in its own bitmap word included.
@@ -308,9 +284,6 @@ func TestEventHeapOrdering(t *testing.T) {
 			lone.now = now
 			ran := false
 			lone.At(now+d, func() { ran = true })
-			if at, ok := lone.nextAt(); !ok || at != now+d {
-				t.Fatalf("now %d: nextAt = %d, %v with one event at %d", now, at, ok, now+d)
-			}
 			lone.Run(now + d)
 			if !ran || lone.Pending() != 0 {
 				t.Fatalf("now %d: event at %d ran = %v, %d pending", now, now+d, ran, lone.Pending())
@@ -343,22 +316,19 @@ func TestEventHeapOrdering(t *testing.T) {
 					t.Fatalf("seed %d: Run(%d) left an event at %d", seed, until, q.pending[0].at)
 				}
 			default:
-				// A window ending exactly on a pending event (the front,
-				// or whichever comes up a little later): it must not run.
+				// Run exactly to a pending event's time (the front, or
+				// whichever comes up a little later): the events due
+				// then run too.
 				end := front
 				if q.r.Intn(2) == 0 {
 					end = q.pending[q.r.Intn(len(q.pending))].at
 				}
-				before := q.ran
-				s.runWindow(end, nil)
-				if len(q.pending) == 0 || q.pending[0].at < end {
-					t.Fatalf("seed %d: runWindow(%d) left work before its end", seed, end)
+				s.Run(end)
+				if s.now != end {
+					t.Fatalf("seed %d: Run(%d) left the clock at %d", seed, end, s.now)
 				}
-				if end == front && q.ran != before {
-					t.Fatalf("seed %d: runWindow(%d) ran the event at its end", seed, end)
-				}
-				if s.now < end {
-					s.now = end // what advanceRegions does at the barrier
+				if len(q.pending) > 0 && q.pending[0].at <= end {
+					t.Fatalf("seed %d: Run(%d) left the event at %d", seed, end, q.pending[0].at)
 				}
 			}
 			q.agree("between loops")

@@ -8,17 +8,14 @@ import (
 	"scoop/internal/metrics"
 )
 
-// linklessNetwork is an n-node network of k regions on a topology with
-// no links, every node attached: last to first when reversed.
-func linklessNetwork(n int, seed int64, k int, reversed bool) *Network {
+// linklessNetwork is an n-node network on a topology with no links,
+// every node attached: last to first when reversed.
+func linklessNetwork(n int, seed int64, reversed bool) *Network {
 	topo := &Topology{N: n, Pos: make([]Point, n)}
 	for i := range topo.Pos {
 		topo.Pos[i] = Point{X: float64(i % 32), Y: float64(i / 32)}
 	}
 	net := NewNetwork(NewSimulator(seed), topo, metrics.NewCounters(), DefaultParams())
-	if k > 1 {
-		net.SetRegions(k)
-	}
 	for i := 0; i < n; i++ {
 		id := i
 		if reversed {
@@ -40,7 +37,7 @@ func TestAttachFootprint(t *testing.T) {
 	objs, bytes := ^uint64(0), ^uint64(0)
 	for rep := 0; rep < 3; rep++ { // smallest of three: a stray runtime allocation cannot count
 		var before, after runtime.MemStats
-		net := linklessNetwork(n, 1, 0, false)
+		net := linklessNetwork(n, 1, false)
 		runtime.ReadMemStats(&before)
 		for i := 0; i < n; i++ {
 			net.Attach(NodeID(i), inertApp{}) // again: Attach replaces
@@ -74,7 +71,7 @@ func TestSubstreamsIndependent(t *testing.T) {
 	)
 	var worstChi2, worstCorr float64
 	for _, seed := range []int64{1, 2 ^ 0x53c00b, 1 << 40} {
-		net := linklessNetwork(n, seed, 0, false)
+		net := linklessNetwork(n, seed, false)
 		prev := make([]float64, draws)
 		cur := make([]float64, draws)
 		for id := 0; id < n; id++ {
@@ -124,11 +121,10 @@ func correlation(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// TestSubstreamsStableAcrossK: node i's stream is a function of
-// (simulator seed, i) alone — the same first draws on the serial
-// engine, on 2 and 4 regions, and when the nodes are attached last to
-// first.
-func TestSubstreamsStableAcrossK(t *testing.T) {
+// TestSubstreamsStableAcrossAttachOrder: node i's stream is a function
+// of (simulator seed, i) alone — the same first draws when the nodes
+// are attached last to first.
+func TestSubstreamsStableAcrossAttachOrder(t *testing.T) {
 	const n, draws = 256, 8
 	first := func(net *Network) [n][draws]int {
 		net.Start()
@@ -140,20 +136,11 @@ func TestSubstreamsStableAcrossK(t *testing.T) {
 		}
 		return out
 	}
-	want := first(linklessNetwork(n, 7, 0, false))
-	for _, k := range []int{2, 4} {
-		net := linklessNetwork(n, 7, k, false)
-		if net.Regions() != k {
-			t.Fatalf("wanted %d regions, got %d", k, net.Regions())
-		}
-		if got := first(net); got != want {
-			t.Errorf("K = %d: first draws differ from the serial engine's", k)
-		}
-	}
-	if got := first(linklessNetwork(n, 7, 0, true)); got != want {
+	want := first(linklessNetwork(n, 7, false))
+	if got := first(linklessNetwork(n, 7, true)); got != want {
 		t.Error("reversed Attach order: first draws differ")
 	}
-	if other := first(linklessNetwork(n, 8, 0, false)); other == want {
+	if other := first(linklessNetwork(n, 8, false)); other == want {
 		t.Error("a different simulator seed produced the same streams")
 	}
 }

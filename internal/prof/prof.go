@@ -235,22 +235,6 @@ func (p *Profiler) Snapshot() Snapshot {
 	}
 }
 
-// Merge folds another snapshot into s: wall, counts, event totals and
-// the depth histogram sum. Region-parallel runs merge every region's
-// profiler (and the control plane's) into the one attribution artifact
-// the serial engine would have produced — wall totals then reflect
-// aggregate CPU time across worker goroutines, not elapsed wall-clock
-// time.
-func (s *Snapshot) Merge(o Snapshot) {
-	s.LoopNs += o.LoopNs
-	s.Events += o.Events
-	for p := 0; p < int(NumPhases); p++ {
-		s.Wall[p] += o.Wall[p]
-		s.Count[p] += o.Count[p]
-	}
-	s.Depth.Merge(o.Depth)
-}
-
 // AttributedNs returns the summed per-phase wall time. By
 // construction it equals LoopNs up to clock granularity.
 func (s *Snapshot) AttributedNs() int64 {

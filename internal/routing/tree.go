@@ -64,8 +64,8 @@ const _ = uint(MaxNeighborCap - neighborCap) // the table fits its inline index
 // parent/descendant/neighbor routing decisions.
 //
 // Observe runs for every frame the node hears, 4 300 times a virtual
-// second at N = 1000, so what it reads leads the struct: the node's
-// region clock (NodeAPI.Clock, final before any Init runs), the neighbor
+// second at N = 1000, so what it reads leads the struct: the network's
+// clock (NodeAPI.Clock), the neighbor
 // table by value with its inline id index, and the node's id — a snoop
 // never loads the NodeAPI or a table header of its own, and an
 // application that holds the Tree as its first field puts all of it on

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"path/filepath"
 	"testing"
 )
@@ -50,21 +49,5 @@ func TestFaultCampaignBaseline(t *testing.T) {
 	if ratio := lifted.Query / cleanRef.Query; ratio > 2 {
 		t.Errorf("blackout+retry query bytes %.0f are %.2fx the fault-free %.0f, budget is 2x",
 			lifted.Query, ratio, cleanRef.Query)
-	}
-}
-
-// TestFaultCampaignRegionsIdentical holds the fault campaign to the
-// same cross-engine bar as every other artifact: the 4-region parallel
-// engine must reproduce the serial campaign bytes exactly, fault
-// injection and all.
-func TestFaultCampaignRegionsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign twice is too slow for -short")
-	}
-	g := committedGrid(t, "sweep-faults.grid.json")
-	serial := artifact(t, g, Options{Parallel: 2})
-	g.Regions = 4
-	if !bytes.Equal(serial, artifact(t, g, Options{Parallel: 2})) {
-		t.Fatal("same fault campaign, different artifacts between the serial and 4-region engines")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // the offending key or value.
 var badGrids = []struct{ name, data, want string }{
 	{"unknown-key", `{"name": "x", "polices": ["scoop"]}`, `"polices"`},
-	{"regions-is-a-flag", `{"regions": 4}`, `"regions"`},
+	{"regions-is-not-a-key", `{"regions": 4}`, `"regions"`},
 	{"bad-duration", `{"duration": "8 minutes"}`, `"8 minutes"`},
 	{"negative-duration", `{"warmup": "-2m"}`, `"-2m"`},
 	{"sub-millisecond", `{"queryInterval": "1500us"}`, `"1500us"`},

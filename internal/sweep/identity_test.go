@@ -49,33 +49,30 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 //     paper's scale since — the determinism constraint of DESIGN.md
 //     §2/§12.
 //   - identity-n250 pins the scale-only code paths the N=65 cells cannot
-//     see (dense index rebuild batching, region partitioning). It was
-//     written by the 4-region engine and is checked on both, so the
-//     committed bytes are a standing proof that the parallel event loop
-//     reproduces the serial artifact: a failure on one engine only is a
-//     parallel-determinism bug.
+//     see (dense index rebuild batching, audible lists that spill). A
+//     region-parallel engine, since removed, wrote it; the serial event
+//     loop reproduces its bytes.
 //   - faults-baseline is the fault campaign (DESIGN.md §19); its
 //     headline numbers are asserted by TestFaultCampaignBaseline.
 //
-// A failure on every engine is a (possibly intentional) protocol
-// change: regenerate with
+// A failure is a (possibly intentional) protocol change: regenerate
+// with
 //
-//	go run ./cmd/scoopsweep [-regions 4] -out <artifact> <grid>
+//	go run ./cmd/scoopsweep -out <artifact> <grid>
 //
 // in the same commit and say why in the message.
 func TestCommittedArtifactsReproduce(t *testing.T) {
 	const root = "../../testdata"
 	for _, tc := range []struct {
 		dir, artifact, grid string
-		regions             []int
 		long                bool
 	}{
-		{dir: root, artifact: "sweep-ci-baseline.json", grid: "sweep-ci.grid.json", regions: []int{0}},
-		{dir: root, artifact: "sweep-dynamics-baseline.json", grid: "sweep-dynamics.grid.json", regions: []int{0}},
-		{dir: root, artifact: "sweep-agg-baseline.json", grid: "sweep-agg.grid.json", regions: []int{0}},
-		{dir: "testdata", artifact: "sweep-identity-n65.json", grid: "sweep-identity-n65.grid.json", regions: []int{0}},
-		{dir: "testdata", artifact: "sweep-identity-n250.json", grid: "sweep-identity-n250.grid.json", regions: []int{0, 4}, long: true},
-		{dir: "testdata", artifact: "sweep-faults-baseline.json", grid: "sweep-faults.grid.json", regions: []int{0}},
+		{dir: root, artifact: "sweep-ci-baseline.json", grid: "sweep-ci.grid.json"},
+		{dir: root, artifact: "sweep-dynamics-baseline.json", grid: "sweep-dynamics.grid.json"},
+		{dir: root, artifact: "sweep-agg-baseline.json", grid: "sweep-agg.grid.json"},
+		{dir: "testdata", artifact: "sweep-identity-n65.json", grid: "sweep-identity-n65.grid.json"},
+		{dir: "testdata", artifact: "sweep-identity-n250.json", grid: "sweep-identity-n250.grid.json", long: true},
+		{dir: "testdata", artifact: "sweep-faults-baseline.json", grid: "sweep-faults.grid.json"},
 	} {
 		t.Run(tc.artifact, func(t *testing.T) {
 			if tc.long && testing.Short() {
@@ -89,28 +86,12 @@ func TestCommittedArtifactsReproduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, regions := range tc.regions {
-				g.Regions = regions
-				if got := artifact(t, g, Options{}); !bytes.Equal(got, want) {
-					t.Errorf("regions=%d: not byte-identical to %s (got %d bytes, want %d); "+
-						"scoopsweep -check prints the differing cells",
-						regions, filepath.Join(tc.dir, tc.artifact), len(got), len(want))
-				}
+			if got := artifact(t, g, Options{}); !bytes.Equal(got, want) {
+				t.Errorf("not byte-identical to %s (got %d bytes, want %d); "+
+					"scoopsweep -check prints the differing cells",
+					filepath.Join(tc.dir, tc.artifact), len(got), len(want))
 			}
 		})
-	}
-}
-
-// TestRunRegionsIdentical pins the sweep-level guarantee behind the
-// Grid.Regions knob: the artifact is a pure function of the grid —
-// running every cell on the 4-region parallel engine must reproduce
-// the serial bytes exactly.
-func TestRunRegionsIdentical(t *testing.T) {
-	g := committedGrid(t, "sweep-identity-n65.grid.json")
-	serial := artifact(t, g, Options{Parallel: 1})
-	g.Regions = 4
-	if !bytes.Equal(serial, artifact(t, g, Options{Parallel: 2})) {
-		t.Fatal("same grid, different artifacts between the serial and 4-region engines")
 	}
 }
 

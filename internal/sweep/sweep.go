@@ -81,14 +81,6 @@ type Grid struct {
 	// Seed is the base seed; each cell runs with a seed mixed from it
 	// and the cell's index.
 	Seed int64
-
-	// Regions partitions every cell's network into this many parallel
-	// regions (exp.Config.Regions). A run-mode knob, not an axis:
-	// results are bit-identical for every value (DESIGN.md §18), so it
-	// enters neither cell keys nor the JSON artifact — the identity
-	// tests hold sweeps at Regions=4 to byte-equality with serial
-	// baselines.
-	Regions int `json:"-"`
 }
 
 // Default returns a 24-cell quick-scale grid: the four runnable
@@ -272,7 +264,6 @@ func (g Grid) config(c Cell) (exp.Config, error) {
 	cfg.QueryInterval = g.QueryInterval
 	cfg.Trials = g.Trials // exp.Run reads 0 as 1
 	cfg.Seed = CellSeed(g.Seed, c.Index)
-	cfg.Regions = g.Regions
 	cfg.ReindexInterval = g.ReindexInterval
 	cfg.DisableReindex = c.NoReindex
 	cfg.AggRatio = c.AggMix

@@ -62,35 +62,10 @@ func serialTrace(t *testing.T, evs []Event, sinks ...Sink) {
 	}
 }
 
-// regionTrace records evs as a four-region run does: each event
-// through one region's fork, keyed by its serial position, the regions
-// emitting one after another, and the parent's Close replaying the
-// merge into its sinks.
-func regionTrace(t *testing.T, evs []Event, sinks ...Sink) {
-	t.Helper()
-	const k = 4
-	parent := New(func() int64 { return 0 }, sinks...)
-	parent.Buffer()
-	var now [k]int64
-	var forks [k]*Recorder
-	for r := range forks {
-		forks[r] = parent.Fork(func() int64 { return now[r] })
-	}
-	for r := range forks {
-		for i := r; i < len(evs); i += k {
-			forks[r].SetStamp(int32(i), 1)
-			emitTo(forks[r], &now[r], evs[i])
-		}
-	}
-	if err := parent.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSinkFanOutAtBlockBoundaries: for traces ending before, on and
 // just past a block boundary, the JSONL bytes do not depend on the
-// sinks beside the JSONL sink or on the region count, and a collecting
-// sink beside it sees exactly the events that JSONL decodes to.
+// sinks beside the JSONL sink, and a collecting sink beside it sees
+// exactly the events that JSONL decodes to.
 func TestSinkFanOutAtBlockBoundaries(t *testing.T) {
 	for _, n := range []int{0, 1, BlockSize, BlockSize + 1} {
 		evs := fanOutStream(n)
@@ -103,12 +78,6 @@ func TestSinkFanOutAtBlockBoundaries(t *testing.T) {
 		serialTrace(t, evs, NewJSONL(&fan), kept)
 		if !bytes.Equal(fan.Bytes(), alone.Bytes()) {
 			t.Fatalf("n=%d: JSONL beside a collecting sink wrote %d bytes, alone %d", n, fan.Len(), alone.Len())
-		}
-
-		var regions bytes.Buffer
-		regionTrace(t, evs, NewJSONL(&regions))
-		if !bytes.Equal(regions.Bytes(), alone.Bytes()) {
-			t.Fatalf("n=%d: four regions replayed %d bytes, the serial recorder wrote %d", n, regions.Len(), alone.Len())
 		}
 
 		decoded, err := ReadJSONL(bytes.NewReader(fan.Bytes()))

@@ -21,8 +21,6 @@
 package trace
 
 import (
-	"sort"
-
 	"scoop/internal/metrics"
 	"scoop/internal/prof"
 )
@@ -245,49 +243,17 @@ type ReadingID struct {
 	Time     int64
 }
 
-// stampState is one canonical emission position for the region-parallel
-// trace merge (DESIGN.md §18): the (origin, oseq) key of the simulator
-// event being executed, the sub-slot within it (delivery fan-out index),
-// and a running emission index within the (origin, oseq, sub) cell.
-type stampState struct {
-	origin int32
-	oseq   uint64
-	sub    int32
-	idx    int32
-}
-
-// stamped is one buffered event plus its canonical merge key.
-type stamped struct {
-	st stampState
-	e  Event
-}
-
-// family links a buffering parent Recorder with its per-region forks:
-// they share the control-plane stamp (control events run at barriers
-// and may emit through several recorders) and the parent's Close
-// merge-sorts every member's buffer into the sinks.
-type family struct {
-	recs []*Recorder // parent first, then forks in creation order
-	ctl  stampState  // shared stamp for control-plane events
-}
-
 // Recorder stamps events with the virtual clock, appends them to its
 // block and hands the block to its sinks whenever it fills. One
 // Recorder belongs to one simulation run (single goroutine; not safe
-// for concurrent use — but see Buffer/Fork, which give each parallel
-// region its own fork to emit through). The nil Recorder is the
-// disabled state: Emit returns immediately.
+// for concurrent use). The nil Recorder is the disabled state: Emit
+// returns immediately.
 type Recorder struct {
 	now   func() int64
 	sinks []Sink
 	prof  *prof.Profiler
 	blk   Block  // the events not yet handed to the sinks
 	skip  uint64 // bit k set: drop events of kind k (Only)
-
-	fam    *family // non-nil: stamped buffering mode (region-parallel)
-	buf    []stamped
-	st     stampState
-	useCtl bool // emissions stamp with the family's shared control stamp
 }
 
 // New builds a Recorder over the given virtual clock (milliseconds)
@@ -308,7 +274,7 @@ func (r *Recorder) SetProfiler(p *prof.Profiler) {
 
 // Only keeps the Recorder to events of the given kinds: an emission of
 // any other kind returns at once, as on a nil Recorder, and never
-// reaches a block or a sink. Forks made after the call inherit it.
+// reaches a block or a sink.
 func (r *Recorder) Only(kinds ...Kind) {
 	r.skip = ^uint64(0)
 	for _, k := range kinds {
@@ -316,88 +282,17 @@ func (r *Recorder) Only(kinds ...Kind) {
 	}
 }
 
-// Buffer switches the Recorder into stamped buffering mode for a
-// region-parallel run: emissions (on this Recorder and on every Fork)
-// are held with their canonical merge keys instead of streaming to the
-// sinks, and Close replays them in canonical (time, origin, oseq, sub,
-// idx) order — the serial engine's emission order — before closing the
-// sinks. Call once, before Fork.
-func (r *Recorder) Buffer() {
-	if r == nil || r.fam != nil {
-		return
-	}
-	r.fam = &family{recs: []*Recorder{r}}
-}
-
-// Fork returns a child Recorder for one region's goroutine, reading
-// the region's clock. The child buffers into the parent's merge; it
-// has no sinks of its own. Buffer must have been called first.
-func (r *Recorder) Fork(now func() int64) *Recorder {
-	c := &Recorder{now: now, fam: r.fam, skip: r.skip}
-	r.fam.recs = append(r.fam.recs, c)
-	return c
-}
-
-// SetStamp positions this Recorder at the start of simulator event
-// (origin, oseq): emissions until the next SetStamp carry that key.
-// Called by the region event loop before each event body. No-op
-// outside buffering mode.
-func (r *Recorder) SetStamp(origin int32, oseq uint64) {
-	if r == nil || r.fam == nil {
-		return
-	}
-	r.st = stampState{origin: origin, oseq: oseq}
-	r.useCtl = false
-}
-
-// SetStampCtl positions the whole family at a control-plane event:
-// control bodies run at barriers and may emit through the parent and
-// any region fork, so they share one stamp cell with one running
-// index. Called on the parent only.
-func (r *Recorder) SetStampCtl(origin int32, oseq uint64) {
-	if r == nil || r.fam == nil {
-		return
-	}
-	r.fam.ctl = stampState{origin: origin, oseq: oseq}
-	for _, c := range r.fam.recs {
-		c.useCtl = true
-	}
-}
-
-// SetSub positions emissions within the current event at sub-slot sub
-// (a delivery's fan-out index): a transmission split across regions
-// keeps one canonical key, and the slot index restores the serial
-// receiver order in the merge. No-op outside buffering mode.
-func (r *Recorder) SetSub(sub int32) {
-	if r == nil || r.fam == nil {
-		return
-	}
-	st := &r.st
-	if r.useCtl {
-		st = &r.fam.ctl
-	}
-	st.sub = sub
-	st.idx = 0
-}
-
 // Emit stamps e with the current virtual time and appends it to the
-// block (or, in buffering mode, to the stamped merge buffer). Safe (and
-// free) on a nil Recorder.
+// block. Safe (and free) on a nil Recorder.
 func (r *Recorder) Emit(e Event) {
 	if r == nil || r.skip&(1<<e.Kind) != 0 {
 		return
 	}
 	e.T = r.now()
-	if r.fam != nil {
-		st := &r.st
-		if r.useCtl {
-			st = &r.fam.ctl
-		}
-		r.buf = append(r.buf, stamped{st: *st, e: e})
-		st.idx++
-		return
+	r.blk.add(&e)
+	if r.blk.full() {
+		r.flush()
 	}
-	r.put(&e)
 }
 
 // Packet is Emit for an event of kind k with only the packet fields
@@ -407,7 +302,7 @@ func (r *Recorder) Packet(k Kind, node, peer uint16, class metrics.Class, size i
 	if r == nil || r.skip&(1<<k) != 0 {
 		return
 	}
-	if r.fam != nil || k.fields()&fWide != 0 {
+	if k.fields()&fWide != 0 {
 		r.Emit(Event{Kind: k, Node: node, Peer: peer, Class: class, Size: int32(size)})
 		return
 	}
@@ -417,14 +312,6 @@ func (r *Recorder) Packet(k Kind, node, peer uint16, class metrics.Class, size i
 	rec.node, rec.peer, rec.id, rec.producer, rec.size = node, peer, 0, 0, int32(size)
 	b.n++
 	if b.n == BlockSize {
-		r.flush()
-	}
-}
-
-// put appends e, timestamp included, and hands the block over once full.
-func (r *Recorder) put(e *Event) {
-	r.blk.add(e)
-	if r.blk.full() {
 		r.flush()
 	}
 }
@@ -442,49 +329,11 @@ func (r *Recorder) flush() {
 	r.prof.Exit(prev)
 }
 
-func stampedLess(a, b *stamped) bool {
-	if a.e.T != b.e.T {
-		return a.e.T < b.e.T
-	}
-	if a.st.origin != b.st.origin {
-		return a.st.origin < b.st.origin
-	}
-	if a.st.oseq != b.st.oseq {
-		return a.st.oseq < b.st.oseq
-	}
-	if a.st.sub != b.st.sub {
-		return a.st.sub < b.st.sub
-	}
-	return a.st.idx < b.st.idx
-}
-
 // Close hands the last partial block to the sinks and closes them,
-// returning the first error. In buffering mode (the parent of a
-// region-parallel family), it first merge-sorts every member's buffered
-// events into canonical order and replays them through the block path
-// a serial run's events take — producing the same blocks, and so the
-// same sink byte stream, as a serial run. Fork children close nothing.
+// returning the first error.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
-	}
-	if f := r.fam; f != nil && f.recs[0] == r {
-		total := 0
-		for _, c := range f.recs {
-			total += len(c.buf)
-		}
-		all := make([]stamped, 0, total)
-		for _, c := range f.recs {
-			all = append(all, c.buf...)
-			c.buf = nil
-		}
-		// The canonical key is unique across the family (per-recorder
-		// idx streams never share an (origin, oseq, sub) cell), so this
-		// order is total and K-independent.
-		sort.Slice(all, func(i, j int) bool { return stampedLess(&all[i], &all[j]) })
-		for i := range all {
-			r.put(&all[i].e)
-		}
 	}
 	r.flush()
 	var first error

@@ -73,25 +73,21 @@ func (l *blockLog) Close() error    { return nil }
 // Sinks get whole blocks only, the moment one fills, and the partial
 // tail at Close; Emit and Packet fill the same blocks. A block is full
 // at BlockSize events, or sooner at blockWide events with wide fields.
-// A recorder kept to some kinds drops every other emission, on its
-// forks too, before it reaches a block.
+// A recorder kept to some kinds drops every other emission before it
+// reaches a block.
 func TestRecorderOnlyKeepsNamedKinds(t *testing.T) {
 	kept := &collect{}
 	rec := New(fixedClock(), kept)
 	rec.Only(ReadingLost)
-	rec.Buffer()
-	fork := rec.Fork(fixedClock())
-	for _, r := range []*Recorder{rec, fork} {
-		r.Packet(PacketSend, 3, 1, metrics.Data, 30)
-		r.Emit(Event{Kind: NodeDown, Node: 7})
-		r.Emit(Event{Kind: ReadingLost, Node: 2, Cause: metrics.DropKilled, Producer: 5, SampleT: 9})
-	}
+	rec.Packet(PacketSend, 3, 1, metrics.Data, 30)
+	rec.Emit(Event{Kind: NodeDown, Node: 7})
+	rec.Emit(Event{Kind: ReadingLost, Node: 2, Cause: metrics.DropKilled, Producer: 5, SampleT: 9})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	evs := kept.evs
-	if len(evs) != 2 || evs[0].Kind != ReadingLost || evs[1].Kind != ReadingLost {
-		t.Fatalf("kept %v, want the two reading-lost events", evs)
+	if len(evs) != 1 || evs[0].Kind != ReadingLost {
+		t.Fatalf("kept %v, want the one reading-lost event", evs)
 	}
 }
 

@@ -26,10 +26,9 @@ import (
 // are stateful (AR noise, spikes); all per-node state, including the
 // random stream it evolves by, is confined to that node — so a node's
 // sample sequence depends only on its own sampling history, never on
-// how other nodes' samples interleave. That is the region-parallel
-// determinism contract (DESIGN.md §18): concurrent Next calls for
-// nodes in different regions are safe and K-independent. Construction
-// (cluster layout, means) draws from a separate constructor stream.
+// how other nodes' samples interleave — the per-node stream convention
+// of DESIGN.md §2. Construction (cluster layout, means) draws from a
+// separate constructor stream.
 type Source interface {
 	// Next returns node id's sample at virtual time t.
 	Next(id netsim.NodeID, t netsim.Time) int

@@ -281,7 +281,7 @@ func (s *Simulation) IndexRanges() []OwnerRange {
 
 // Messages returns the current transmission breakdown.
 func (s *Simulation) Messages() Breakdown {
-	b := s.tr.Network().CountersBreakdown()
+	b := s.tr.Network().Counters.Snapshot()
 	return Breakdown{Data: b.Data, Summary: b.Summary, Mapping: b.Mapping,
 		Query: b.Query, Reply: b.Reply, Beacon: b.Beacon}
 }

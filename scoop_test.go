@@ -1,6 +1,7 @@
 package scoop
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -243,12 +244,11 @@ func TestSimulationMatchesTrial(t *testing.T) {
 			}
 			want := res.PerTrial[0]
 			got := sim.tr.Stats()
-			got.Shared, got.ReindexWallNanos = nil, 0
-			want.Stats.Shared, want.Stats.ReindexWallNanos = nil, 0
-			if got != want.Stats {
+			got.ReindexWallNanos, want.Stats.ReindexWallNanos = 0, 0
+			if !reflect.DeepEqual(got, want.Stats) {
 				t.Errorf("RunStats:\n facade %+v\n trial0 %+v", got, want.Stats)
 			}
-			if b := sim.tr.Network().CountersBreakdown(); b != want.Breakdown {
+			if b := sim.tr.Network().Counters.Snapshot(); b != want.Breakdown {
 				t.Errorf("breakdown: facade %+v, trial 0 %+v", b, want.Breakdown)
 			}
 			ws, wb := &want.Stats, want.Breakdown
