@@ -43,8 +43,9 @@ type pendingQuery struct {
 	answered bool   // aggregates only: counted in AggAnswered
 
 	// Tuple collector (PlanTuple).
-	readings []Reading // tuples carried back (reply payloads are capped)
-	total    int       // total matches reported (uncapped node counts)
+	readings  []Reading // tuples carried back, each once (reply payloads are capped)
+	delivered seenTable // readings' (producer, sample time) keys, for collect
+	total     int       // total matches the owners reported (uncapped node counts)
 
 	// Partial collector (PlanAgg, PlanFlood).
 	part     query.Partial
@@ -304,12 +305,12 @@ func (b *Base) onReply(m *ReplyMsg) {
 		return
 	}
 	pq.heard.Set(m.Node)
-	pq.readings = append(pq.readings, m.Readings...)
 	pq.total += m.Count
 	b.stats.RepliesReceived++
 	b.stats.TuplesReturned += int64(m.Count)
-	if rec := b.cfg.Trace; rec != nil {
-		for _, r := range m.Readings {
+	rec := b.cfg.Trace
+	for _, r := range m.Readings {
+		if pq.collect(r) && rec != nil {
 			rec.Emit(trace.Event{Kind: trace.ReadingDelivered, Node: uint16(b.api.ID()),
 				ID: qid, Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 		}
@@ -317,12 +318,24 @@ func (b *Base) onReply(m *ReplyMsg) {
 	b.settleIfComplete(qid, pq)
 }
 
+// collect adds r to the query's tuples and reports whether it was new:
+// a reading stored at two nodes comes back from both when the query
+// reaches both, and is delivered once.
+func (pq *pendingQuery) collect(r Reading) bool {
+	if pq.delivered.Seen(netsim.NodeID(r.Producer), uint64(r.Time)) {
+		return false
+	}
+	pq.readings = append(pq.readings, r)
+	return true
+}
+
 // LastQueryID returns the ID of the most recently issued query.
 func (b *Base) LastQueryID() uint16 { return b.qidNext }
 
-// QueryResults returns the tuples collected so far for the query
-// (replies carry at most replyMaxReadings tuples each, so large result
-// sets are truncated per responding node, as on real motes).
+// QueryResults returns the tuples collected so far for the query, each
+// reading once however many nodes returned it (replies carry at most
+// replyMaxReadings tuples each, so large result sets are truncated per
+// responding node, as on real motes).
 func (b *Base) QueryResults(qid uint16) []Reading {
 	if int(qid) < len(b.pending) && b.pending[qid] != nil {
 		return b.pending[qid].readings
@@ -587,7 +600,7 @@ func (b *Base) scanLocal(q *QueryMsg, pq *pendingQuery) {
 	count := 0
 	b.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r Reading) {
 		count++
-		pq.readings = append(pq.readings, r)
+		pq.collect(r)
 	})
 	pq.total += count
 	b.stats.TuplesReturned += int64(count)

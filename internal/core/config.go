@@ -215,7 +215,7 @@ type RunStats struct {
 	RepliesSent       int64 // replies launched by targeted nodes
 	RepliesForwarded  int64 // reply hop-forwards at intermediate nodes
 	RepliesReceived   int64
-	TuplesReturned    int64
+	TuplesReturned    int64 // matches the answering nodes reported, summed (a reading two nodes store counts twice)
 	SummariesSent     int64
 	SummariesReceived int64 // summaries that reached the base
 	IndexesBuilt      int64

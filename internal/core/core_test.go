@@ -7,6 +7,7 @@ import (
 	"scoop/internal/index"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
+	"scoop/internal/trace"
 	"scoop/internal/workload"
 )
 
@@ -658,5 +659,47 @@ func TestDuplicateQueriesAnsweredOnce(t *testing.T) {
 	tn.sim.Run(tn.sim.Now() + 30*netsim.Second)
 	if tn.stats.RepliesSent != 1 {
 		t.Fatalf("node replied %d times to one query", tn.stats.RepliesSent)
+	}
+}
+
+// deliveredLog is a trace sink counting reading-delivered events.
+type deliveredLog struct{ n int }
+
+func (l *deliveredLog) Record(b *trace.Block) {
+	b.Each(func(e trace.Event) {
+		if e.Kind == trace.ReadingDelivered {
+			l.n++
+		}
+	})
+}
+func (l *deliveredLog) Close() error { return nil }
+
+// A reading stored at two owners comes back from both when a query
+// reaches both. The query's tuples and its reading-delivered events
+// hold it once; TuplesReturned stays the owners' match count.
+func TestReplyDeliversReadingOnce(t *testing.T) {
+	cfg := testConfig()
+	var log deliveredLog
+	var tn *testNet
+	cfg.Trace = trace.New(func() int64 { return int64(tn.sim.Now()) }, &log)
+	tn = newTestNet(t, meshTopo(3, 1), cfg, nil, 5)
+	tn.sim.Run(netsim.Minute)
+	tn.base.IssueQuery(workload.Query{ValueLo: 0, ValueHi: 20, TimeLo: 0, TimeHi: netsim.Minute})
+	qid := tn.base.LastQueryID()
+	for _, owner := range []netsim.NodeID{1, 2} {
+		tn.base.onReply(&ReplyMsg{QueryID: qid, Node: owner, Count: 1, Readings: oneReading(7, 1, 30*netsim.Second)})
+	}
+	if err := cfg.Trace.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tn.base.QueryResults(qid); len(got) != 1 {
+		t.Errorf("query holds %d tuples %v, want the one reading once", len(got), got)
+	}
+	if log.n != 1 {
+		t.Errorf("%d reading-delivered events, want 1", log.n)
+	}
+	if tn.stats.RepliesReceived != 2 || tn.stats.TuplesReturned != 2 {
+		t.Errorf("replies %d, tuples returned %d; want 2 and 2 (each owner's match count)",
+			tn.stats.RepliesReceived, tn.stats.TuplesReturned)
 	}
 }

@@ -214,9 +214,13 @@ func (s *Simulation) Elapsed() time.Duration {
 
 // QueryResult reports one query's outcome.
 type QueryResult struct {
-	Targets  int       // nodes the basestation contacted
-	Tuples   int       // total matches reported (counts, not payloads)
-	Readings []Reading // tuples actually carried back (replies are capped)
+	Targets int // nodes the basestation contacted
+	// Tuples is the matches the answering nodes reported, summed: a
+	// count, not payloads, so a reading two nodes store counts twice.
+	Tuples int
+	// Readings are the tuples actually carried back (replies are
+	// capped), each reading once.
+	Readings []Reading
 }
 
 // QueryValues asks for readings with values in [lo,hi] sampled within
