@@ -75,6 +75,7 @@ type Base struct {
 	latest     []*SummaryMsg // last summary per node, dense by node ID
 	latestHops []uint8       // the header Hops latest[id] arrived with
 	history    []*SummaryMsg // never discarded (paper §5.5)
+	inHistory  seenTable     // history's (node, SentAt) keys: each summary kept once
 
 	cur        *index.Index
 	records    []indexRecord
@@ -231,9 +232,12 @@ func (b *Base) receive(p *netsim.Packet) {
 func (b *Base) Snoop(p *netsim.Packet) { b.tree.Observe(p) }
 
 func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
-	b.stats.SummariesReceived++
 	b.latest[m.Node], b.latestHops[m.Node] = m, hops
-	b.history = append(b.history, m)
+	// A copy retransmitted after a lost ack is counted and kept once.
+	if !b.inHistory.Seen(m.Node, uint64(m.SentAt)) {
+		b.stats.SummariesReceived++
+		b.history = append(b.history, m)
+	}
 	// Trickle inconsistency detection: a summary advertising an
 	// outdated index (a rebooted node reports 0) restarts fast gossip
 	// of the current generation's chunks, which would otherwise have

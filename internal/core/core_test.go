@@ -703,3 +703,19 @@ func TestReplyDeliversReadingOnce(t *testing.T) {
 			tn.stats.RepliesReceived, tn.stats.TuplesReturned)
 	}
 }
+
+// A summary whose ack was lost arrives again: the base counts it and
+// keeps it in its history once.
+func TestBaseCountsRetransmittedSummaryOnce(t *testing.T) {
+	tn := newTestNet(t, meshTopo(3, 1), testConfig(), nil, 6)
+	m := &SummaryMsg{Node: 1, Min: 3, Max: 9, SentAt: netsim.Minute}
+	tn.base.onSummary(m, 0)
+	tn.base.onSummary(m, 1) // the retransmitted copy
+	tn.base.onSummary(&SummaryMsg{Node: 2, SentAt: netsim.Minute}, 0)
+	if got := tn.stats.SummariesReceived; got != 2 {
+		t.Errorf("SummariesReceived = %d, want 2", got)
+	}
+	if got := len(tn.base.history); got != 2 {
+		t.Errorf("history holds %d summaries, want 2", got)
+	}
+}
