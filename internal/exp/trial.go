@@ -223,7 +223,8 @@ func (t *Trial) purged(id netsim.NodeID, p *netsim.Packet) {
 	}
 }
 
-// Stats returns the live run counters.
+// Stats returns a copy of the live run counters; the per-reading dedup
+// table stays with the run.
 func (t *Trial) Stats() core.RunStats {
 	var m core.RunStats
 	m.Add(&t.stats)

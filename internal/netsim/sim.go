@@ -75,9 +75,8 @@ type Task interface{ Run() }
 
 // ctlOrigin is the scheduling origin of control-plane events (the
 // public At/After API: harness closures, dynamics, query ticks). It
-// sorts before every node origin at equal times, matching the serial
-// convention that control events scheduled for time t run before node
-// events landing at t.
+// sorts before every node origin at equal times: control events
+// scheduled for time t run before node events landing at t.
 const ctlOrigin int32 = -1
 
 // event is one queue element: 40 bytes, of which only task's two words

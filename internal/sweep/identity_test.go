@@ -49,9 +49,7 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 //     paper's scale since — the determinism constraint of DESIGN.md
 //     §2/§12.
 //   - identity-n250 pins the scale-only code paths the N=65 cells cannot
-//     see (dense index rebuild batching, audible lists that spill). A
-//     region-parallel engine, since removed, wrote it; the serial event
-//     loop reproduces its bytes.
+//     see (dense index rebuild batching, audible lists that spill).
 //   - faults-baseline is the fault campaign (DESIGN.md §19); its
 //     headline numbers are asserted by TestFaultCampaignBaseline.
 //
