@@ -1,12 +1,15 @@
 // Command scoopsweep runs a parameter-sweep grid — the cross-product
 // of storage policy × topology × network size × link-loss rate ×
-// churn rate × data drift × reindexing × query mix × faults × retry ×
-// workload source — in parallel on a bounded worker pool and writes a
-// deterministic JSON artifact. The grid is a file (sweep.ReadGrid; the
-// committed ones are testdata/*.grid.json), not flags:
+// churn rate × any further cell field (drift, reindexing, query mix,
+// faults, retry, queried fraction, intervals) × workload source — in
+// parallel on a bounded worker pool, writes a deterministic JSON
+// artifact and prints the grid's tables from it. The grid is a file
+// (sweep.ReadGrid; the committed ones are testdata/*.grid.json), not
+// flags:
 //
 //	scoopsweep                                     # sweep.Default(), 24 cells
 //	scoopsweep testdata/sweep-dynamics.grid.json   # a declared grid
+//	scoopsweep -out /tmp/fig-4.json testdata/fig-4.grid.json   # the paper's Figure 4
 //	scoopsweep -parallel 8 -out sweep.json grid.json
 //	scoopsweep -check testdata/sweep-ci-baseline.json testdata/sweep-ci.grid.json
 //
@@ -130,6 +133,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d cells)\n", c.out, len(rep.Cells))
+	for _, t := range c.grid.Tables {
+		fmt.Fprint(stdout, "\n"+t.Render(rep))
+	}
 
 	if c.check != "" {
 		got, err := os.ReadFile(c.out)

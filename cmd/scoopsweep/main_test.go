@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,7 +14,8 @@ import (
 
 // oneCell is a grid file whose single cell runs in milliseconds.
 const oneCell = `{"name": "smoke", "policies": ["scoop"], "sizes": [12],
-	"duration": "4m", "warmup": "1m", "queryInterval": "15s", "seed": 3}`
+	"duration": "4m", "warmup": "1m", "queryInterval": "15s", "seed": 3,
+	"tables": [{"title": "Smoke", "rows": ["policy", "n"], "values": ["msgs"]}]}`
 
 func writeFile(t *testing.T, name, data string) string {
 	t.Helper()
@@ -91,9 +93,10 @@ func TestUsageListsRunModeFlagsOnly(t *testing.T) {
 	}
 }
 
-// End-to-end smoke test: a 1-cell sweep runs, writes its artifact, and
-// -check passes against that artifact; one edited number fails it with
-// a line naming the cell, the field and both values.
+// End-to-end smoke test: a 1-cell sweep runs, writes its artifact,
+// prints its table, and -check passes against that artifact; one edited
+// number fails it with a line naming the cell, the field and both
+// values.
 func TestRunWritesArtifactAndGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation cell")
@@ -111,6 +114,10 @@ func TestRunWritesArtifactAndGates(t *testing.T) {
 	}
 	if len(rep.Cells) != 1 || rep.Cells[0].Msgs <= 0 {
 		t.Fatalf("artifact: %+v", rep)
+	}
+	table := fmt.Sprintf("\nSmoke\npolicy  n   msgs\nscoop   12  %.0f\n", rep.Cells[0].Msgs)
+	if !strings.HasSuffix(stdout.String(), table) {
+		t.Fatalf("stdout does not end with the table %q:\n%s", table, stdout.String())
 	}
 
 	again := filepath.Join(dir, "again.json")

@@ -13,7 +13,7 @@ func quickAgg() Config {
 	cfg := Default()
 	cfg.N = 16
 	cfg.AggRatio = 1
-	Quick.apply(&cfg)
+	shorten(&cfg)
 	if testing.Short() {
 		cfg.Duration = 12 * netsim.Minute
 		cfg.Warmup = 4 * netsim.Minute

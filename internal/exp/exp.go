@@ -1,7 +1,6 @@
 // Package exp is the experiment harness: it assembles a topology, a
 // radio network, a workload and a storage policy into a runnable
-// trial, repeats trials concurrently, and provides one driver per
-// table/figure of the paper's evaluation (§6).
+// trial, and repeats trials concurrently.
 package exp
 
 import (
@@ -333,19 +332,6 @@ type Result struct {
 	// Per-class sent bytes on the reply path.
 	ReplyBytes    float64
 	AggReplyBytes float64
-}
-
-// BytesPerAnswer returns the mean reply-path bytes (tuple replies
-// plus combined partials) each answered aggregate cost. Query
-// dissemination is excluded: it is plan-invariant (every plan gossips
-// the same one query packet), so the reply path is where the physical
-// plans actually differ. 0 when nothing was answered.
-func (r Result) BytesPerAnswer() float64 {
-	if r.Agg.Answered == 0 {
-		return 0
-	}
-	total := (r.ReplyBytes + r.AggReplyBytes) * float64(len(r.PerTrial))
-	return total / float64(r.Agg.Answered)
 }
 
 // Run executes the experiment: Trials independent simulations (run

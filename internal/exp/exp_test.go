@@ -10,14 +10,21 @@ import (
 	"scoop/internal/policy"
 )
 
-// atQuick returns a single-trial configuration at the Quick scale
+// atQuick returns a single-trial configuration at the quick length
 // (22 virtual minutes, 6 of them warm-up).
 func atQuick(p policy.Name, source string) Config {
 	cfg := Default()
 	cfg.Policy = p
 	cfg.Source = source
-	Quick.apply(&cfg)
+	shorten(&cfg)
 	return cfg
+}
+
+// shorten cuts a configuration to one trial at the quick length.
+func shorten(cfg *Config) {
+	cfg.Trials = 1
+	cfg.Duration = 22 * netsim.Minute
+	cfg.Warmup = 6 * netsim.Minute
 }
 
 // quick is atQuick, shrunk further under -short (the full suite
@@ -43,9 +50,9 @@ func total(t *testing.T, cfg Config) float64 {
 
 // The paper's headline comparison (Figure 3, middle): under the
 // default workload SCOOP beats both send-to-base and store-local.
-// Always run at the Quick length: measured over 25 seeds (REAL, N=63),
+// Always run at the quick length: measured over 25 seeds (REAL, N=63),
 // the 8 active minutes of the -short length cannot carry the claim at
-// all (BASE/SCOOP 1.06–1.60, LOCAL/SCOOP 0.88–1.30), Quick gives
+// all (BASE/SCOOP 1.06–1.60, LOCAL/SCOOP 0.88–1.30), the quick length gives
 // BASE/SCOOP 1.36–1.86 (median 1.62) and LOCAL/SCOOP 1.13–1.58, and
 // the paper's 40/10 minutes 1.40–2.03 and 1.26–1.65.
 func TestPolicyOrderingOnReal(t *testing.T) {
@@ -156,7 +163,7 @@ func TestAnalyticalHash(t *testing.T) {
 // analytical HASH's, and it stores a band of its readings. The model
 // charges every reading its whole producer→owner path; hashsim loses
 // readings on the way, which then pay only part of theirs. Bands from a
-// census of seeds 1–30 at the Quick scale on each topology: the ratio
+// census of seeds 1–30 at the quick length on each topology: the ratio
 // was 0.44–0.87 on uniform and 0.57–0.95 on grid, the stored share
 // 0.70–0.88 and 0.53–0.76. Without the calibration factor the ratio was
 // 0.90–1.71; with every value hashed to node 1, under 0.3.
@@ -412,8 +419,14 @@ func TestRootSkewShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full runs")
 	}
-	_, results := RootSkew(Quick, 1)
-	scoopR, baseR, localR := results[0], results[1], results[2]
+	scoopR, err := Run(atQuick(policy.Scoop, "real"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseR, err := Run(atQuick(policy.Base, "real"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// BASE: the root transmits almost nothing but receives everything.
 	if baseR.RootSent > baseR.RootRecv/5 {
 		t.Fatalf("BASE root sent %.0f vs received %.0f; should be receive-dominated",
@@ -423,7 +436,6 @@ func TestRootSkewShape(t *testing.T) {
 	if scoopR.RootSent == 0 {
 		t.Fatal("SCOOP root sent nothing")
 	}
-	_ = localR
 }
 
 // The paper's energy discussion (§6). Two parts are robustly

@@ -14,8 +14,7 @@ func profQuick() Config {
 	cfg.Policy = policy.Scoop
 	cfg.Source = "real"
 	cfg.N = 20
-	Quick.apply(&cfg)
-	cfg.Trials = 1
+	shorten(&cfg)
 	return cfg
 }
 

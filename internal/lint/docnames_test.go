@@ -61,7 +61,8 @@ func TestDocNamesResolver(t *testing.T) {
 		{"`rand.IntN`", true},                 // standard library
 		{"`Network.Restart`", true},           // Type.Member
 		{"`exp.NewTrial(cfg, 0, nil)`", true}, // call arguments stripped
-		{"`queryMixes`", true},                // a JSON field name
+		{"`queryMixes`", false},               // deleted JSON field
+		{"`aggMix`", true},                    // a JSON field name
 		{"`cmd/scoopflight`", true},
 		{"`testdata/sweep-{ci,dynamics,agg}.grid.json`", true},
 		{"`cmd/scooplint.TestRepoClean`", true},

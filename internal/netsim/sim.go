@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"strings"
 	"time"
 
 	"scoop/internal/prof"
@@ -53,10 +54,20 @@ const (
 // Seconds converts a floating-point second count to virtual Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
 
+// MarshalText writes t as the Go duration string UnmarshalText reads,
+// whole minutes without the trailing "0s" ("15s", "2m"), so a Time in
+// a written artifact (a sweep cell's interval) reads back.
+func (t Time) MarshalText() ([]byte, error) {
+	s := (time.Duration(t) * time.Millisecond).String()
+	if strings.HasSuffix(s, "m0s") {
+		s = s[:len(s)-2]
+	}
+	return []byte(s), nil
+}
+
 // UnmarshalText reads a Go duration string ("15s", "22m") of whole,
 // non-negative milliseconds — how hand-written input files (sweep grid
-// files) spell virtual time. There is deliberately no MarshalText:
-// encoded artifacts keep Time as a plain integer.
+// files) spell virtual time.
 func (t *Time) UnmarshalText(text []byte) error {
 	d, err := time.ParseDuration(string(text))
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"strings"
 )
 
 // WriteFile persists the report as an indented JSON artifact
@@ -28,12 +27,26 @@ func ReadFile(path string) (r Report, err error) {
 	return r, err
 }
 
-// ReadGrid loads a grid file (see Grid for the format). It only
-// decodes: an unknown key, a value of the wrong type, a bad duration
-// or trailing data is an error here, while out-of-range and misspelt
-// axis values are rejected by Run, which names the offending cell.
+// ReadGrid loads a grid file (see Grid for the format). It decodes and
+// checks the file's shape: an unknown key, a value of the wrong type, a
+// bad duration, trailing data, an axis on an unknown cell field or a
+// field given twice, and a table naming an unknown field or metric
+// are errors here, while out-of-range and misspelt axis values are
+// rejected by Run, which names the offending cell.
 func ReadGrid(path string) (g Grid, err error) {
-	err = readJSON(path, &g)
+	if err = readJSON(path, &g); err != nil {
+		return g, err
+	}
+	if _, err = g.cells(); err == nil {
+		for _, t := range g.Tables {
+			if err = t.checkNames(); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
 	return g, err
 }
 
@@ -87,11 +100,12 @@ func Diff(got, want Report) []string {
 			continue
 		}
 		delete(fresh, key)
-		artifactFields(reflect.ValueOf(g), reflect.ValueOf(w), func(name string, gv, wv any) {
-			if gv != wv {
-				out = append(out, fmt.Sprintf("cell %d %s: %s: got %v, want %v", w.Index, key, name, gv, wv))
+		gv, wv := reflect.ValueOf(g), reflect.ValueOf(w)
+		for _, f := range resultFields {
+			if a, b := gv.FieldByIndex(f.index).Interface(), wv.FieldByIndex(f.index).Interface(); a != b {
+				out = append(out, fmt.Sprintf("cell %d %s: %s: got %v, want %v", w.Index, key, f.name, a, b))
 			}
-		})
+		}
 	}
 	for _, g := range got.Cells {
 		key := g.Key()
@@ -100,19 +114,4 @@ func Diff(got, want Report) []string {
 		}
 	}
 	return out
-}
-
-// artifactFields calls f with the JSON key and both values of every
-// field of the two like-typed structs that reaches the artifact, in
-// encoding order: embedded structs flattened in place, `json:"-"`
-// fields (wall-clock probes) skipped.
-func artifactFields(g, w reflect.Value, f func(name string, g, w any)) {
-	for i := 0; i < w.NumField(); i++ {
-		sf := w.Type().Field(i)
-		if sf.Anonymous {
-			artifactFields(g.Field(i), w.Field(i), f)
-		} else if name, _, _ := strings.Cut(sf.Tag.Get("json"), ","); name != "-" {
-			f(name, g.Field(i).Interface(), w.Field(i).Interface())
-		}
-	}
 }

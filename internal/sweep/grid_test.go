@@ -21,6 +21,21 @@ var badGrids = []struct{ name, data, want string }{
 	{"wrong-type", `{"sizes": ["sixteen"]}`, "Grid.Sizes"},
 	{"truncated", `{"name": "x", "sizes": [16`, "unexpected EOF"},
 	{"trailing", `{"name": "x"} {"name": "y"}`, "trailing data"},
+	{"driftRates-is-not-a-key", `{"driftRates": [0.3]}`, `"driftRates"`},
+	{"axis-unknown-field", `{"axes": [{"field": "colour", "values": [1]}]}`, `"colour"`},
+	{"axis-on-index", `{"axes": [{"field": "index", "values": [1]}]}`, `"index"`},
+	{"axis-no-values", `{"axes": [{"field": "drift", "values": []}]}`, `"drift" has no values`},
+	{"axis-wrong-type", `{"axes": [{"field": "retry", "values": ["yes"]}]}`, "Cell.retry"},
+	{"axis-interval-as-number", `{"axes": [{"field": "queryInterval", "values": [5000]}]}`, "Cell.queryInterval"},
+	{"axis-unknown-policy", `{"axes": [{"field": "retry", "values": [true], "policies": ["scop"]}]}`, `"scop"`},
+	{"axis-twice", `{"axes": [{"field": "drift", "values": [0]}, {"field": "drift", "values": [0.3]}]}`,
+		`"drift" given twice`},
+	{"named-axis-twice", `{"sizes": [16], "axes": [{"field": "n", "values": [24]}]}`, `"n" given twice`},
+	{"table-unknown-field", `{"tables": [{"title": "t", "rows": ["colour"], "values": ["msgs"]}]}`, `"colour"`},
+	{"table-unknown-column", `{"tables": [{"title": "t", "rows": ["n"], "column": "hue", "values": ["msgs"]}]}`, `"hue"`},
+	{"table-unknown-metric", `{"tables": [{"title": "t", "rows": ["n"], "values": ["speed"]}]}`, `"speed"`},
+	{"table-field-as-metric", `{"tables": [{"title": "t", "rows": ["n"], "values": ["policy"]}]}`, `metric "policy"`},
+	{"table-no-values", `{"tables": [{"title": "t", "rows": ["n"]}]}`, "no values"},
 }
 
 func TestReadGridRejects(t *testing.T) {
@@ -91,6 +106,11 @@ func FuzzReadGrid(f *testing.F) {
 	f.Add([]byte(`{"sizes": [1100], "churnRates": [1.5], "faults": ["earthquake"]}`))
 	f.Add([]byte(`{"duration": "2m", "warmup": "2m", "policies": ["hash"], "driftRates": [-0.5]}`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"policies": ["scoop", "base"], "axes": [{"field": "queryInterval", "values": ["5s", "45s"]},
+		{"field": "aggMix", "values": [0, 0.5], "policies": ["scoop"]}],
+		"tables": [{"title": "t", "rows": ["queryInterval"], "column": "policy", "values": ["msgs", "ownerHit"]}]}`))
+	f.Add([]byte(`{"axes": [{"field": "policy", "values": ["local"]}, {"field": "nodePct", "values": [0.05, 2]}],
+		"tables": [{"title": "t", "rows": ["nodePct"], "values": ["msgs"]}, {"title": "u", "rows": ["loss"], "values": ["msgs"]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g Grid
@@ -99,11 +119,13 @@ func FuzzReadGrid(f *testing.F) {
 		}
 		// Keep the fuzzer on parsing and validation, not on expanding
 		// or scripting an astronomically large grid.
+		axes, err := g.axes()
+		if err != nil {
+			return
+		}
 		product := 1.0
-		for _, n := range []int{len(g.Policies), len(g.Topologies), len(g.Sizes),
-			len(g.LossRates), len(g.ChurnRates), len(g.DriftRates), len(g.Reindex),
-			len(g.QueryMixes), len(g.Faults), len(g.Retry), len(g.Sources)} {
-			product *= float64(max(n, 1))
+		for _, a := range axes {
+			product *= float64(max(len(a.Values), 1))
 		}
 		if product > 1e4 || g.Duration > 600*netsim.Minute {
 			t.Skip()

@@ -34,15 +34,21 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 	return data
 }
 
-// TestCommittedArtifactsReproduce regenerates each of the six committed
-// artifacts from the grid file beside it and requires byte-for-byte
-// equality — not "within tolerance". Three live in this package's
-// testdata; the repo-root ones are the sweep gates:
+// TestCommittedArtifactsReproduce regenerates each of the thirteen
+// committed artifacts from the grid file beside it and requires
+// byte-for-byte equality — not "within tolerance". Three live in this
+// package's testdata; the repo-root ones are the sweep gates and the
+// paper's figures:
 //
 //   - sweep-ci-baseline (policy × size × loss × source), sweep-dynamics-
 //     baseline (the churn/drift/reindex axes with the frozen-index
 //     ablation cells) and sweep-agg-baseline (the query-mix axis through
 //     the cost-based planner and in-network aggregation).
+//   - fig-*.json are the paper's evaluation (PAPER.md §6) at its run
+//     length, one trial a cell: Figure 3 on the testbed and in
+//     simulation, Figures 4 and 5, the sample-interval and network-size
+//     sweeps, and the churn/drift extension. scoopsweep prints each
+//     figure's tables; TestFigureShapes reads them.
 //   - identity-n65 was generated BEFORE the scale-tier hot-path overhaul
 //     (object pooling, dense node indices, flattened link tables), so
 //     reproducing it proves no simulated behaviour has changed at the
@@ -71,10 +77,17 @@ func TestCommittedArtifactsReproduce(t *testing.T) {
 		{dir: "testdata", artifact: "sweep-identity-n65.json", grid: "sweep-identity-n65.grid.json"},
 		{dir: "testdata", artifact: "sweep-identity-n250.json", grid: "sweep-identity-n250.grid.json", long: true},
 		{dir: "testdata", artifact: "sweep-faults-baseline.json", grid: "sweep-faults.grid.json"},
+		{dir: root, artifact: "fig-3-testbed.json", grid: "fig-3-testbed.grid.json", long: true},
+		{dir: root, artifact: "fig-3.json", grid: "fig-3.grid.json", long: true},
+		{dir: root, artifact: "fig-4.json", grid: "fig-4.grid.json", long: true},
+		{dir: root, artifact: "fig-5.json", grid: "fig-5.grid.json", long: true},
+		{dir: root, artifact: "fig-sample.json", grid: "fig-sample.grid.json", long: true},
+		{dir: root, artifact: "fig-scaling.json", grid: "fig-scaling.grid.json", long: true},
+		{dir: root, artifact: "fig-churn.json", grid: "fig-churn.grid.json", long: true},
 	} {
 		t.Run(tc.artifact, func(t *testing.T) {
 			if tc.long && testing.Short() {
-				t.Skip("N=250 cell is too slow for -short")
+				t.Skip("paper-scale or N=250 cells are too slow for -short")
 			}
 			want, err := os.ReadFile(filepath.Join(tc.dir, tc.artifact))
 			if err != nil {

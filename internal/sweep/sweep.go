@@ -1,10 +1,11 @@
-// Package sweep turns the one-figure-at-a-time experiment harness into
-// a grid engine: it expands the full cross-product of storage policy ×
-// topology × network size × link-loss rate × churn rate × drift ×
-// reindexing × query mix × workload source into independent cells,
-// runs them on a bounded worker pool, and captures per-cell message
-// counts, delivery rates, aggregate answer quality, transition metrics
-// and wall-clock timing.
+// Package sweep turns the experiment harness into a grid engine: it
+// expands the cross-product of a grid's axes — storage policy ×
+// topology × network size × link-loss rate × churn rate × any further
+// cell field × workload source — into independent cells, runs them on
+// a bounded worker pool, and captures per-cell message counts, delivery
+// rates, aggregate answer quality, transition metrics and wall-clock
+// timing. A grid's tables print the report as pivots; the paper's
+// figures are grid files (testdata/fig-*.grid.json).
 //
 // Every cell derives its own seed from (base seed, cell index), so a
 // sweep is reproducible regardless of how many workers run it or in
@@ -16,8 +17,12 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,9 +33,10 @@ import (
 )
 
 // Grid declares a parameter sweep: the axes whose cross-product forms
-// the cells, plus the run parameters every cell shares. Default is the
-// stock grid; in the zero value every axis is its single default and
-// the run parameters are exp.Default's, with queries off.
+// the cells, the run parameters every cell shares, and the tables
+// printed from the finished report. Default is the stock grid; in the
+// zero value every axis is its single default and the run parameters
+// are exp.Default's, with queries off.
 //
 // A grid file (ReadGrid) is this struct as a JSON object keyed by
 // field name, first letter lowered: {"name": "ci", "sizes": [16, 24],
@@ -38,34 +44,19 @@ import (
 type Grid struct {
 	Name string // artifact label ("ci", "nightly", ...)
 
-	// Axes. Cells are enumerated with Policies outermost and Sources
-	// innermost; an empty axis means "the single default value".
+	// Named axes, shorthand for the Axes entries of the Cell fields
+	// policy, topology, n, loss, churn and source. Cells enumerates
+	// them in that order, Axes between churn and source, with the
+	// policy outermost; an empty named axis is its field's single
+	// default value.
 	Policies   []policy.Name
 	Topologies []string
 	Sizes      []int     // network sizes including the basestation
 	LossRates  []float64 // network-wide link degradation, each in [0,1)
 	ChurnRates []float64 // fraction of nodes cycled per churn round (0: static membership)
-	DriftRates []float64 // total data-distribution walk, as a domain fraction (0: stationary)
-	// Reindex toggles periodic index rebuilds (empty: on). The "off"
-	// value applies to the Scoop policy only — comparators have no
-	// adaptive loop to freeze, so those cells are omitted.
-	Reindex []bool
-	// QueryMixes is the aggregate-query fraction axis (0: pure tuple
-	// workload, the pre-agg default). Non-zero mixes apply to the
-	// Scoop policy only — the comparators have no query planner, and
-	// BASE answers at the basestation for free — so other cells are
-	// omitted.
-	QueryMixes []float64
-	// Faults is the fault-scenario axis: each non-empty name resolves
-	// through dynamics.FaultScenario ("blackout", "partition", "burst",
-	// "baserestart", "campaign"); "" is the fault-free default. Fault
-	// cells apply to the Scoop policy only — the comparators have no
-	// reliability layer to exercise — so other cells are omitted.
-	Faults []string
-	// Retry toggles the query reliability layer (deadline retries plus
-	// summary degradation, DESIGN.md §19) per cell. Scoop-only, like
-	// Faults; the off value is the pre-§19 default.
-	Retry   []bool
+	// Axes are the further axes, over any Cell field, in file order:
+	// {"field": "drift", "values": [0, 0.3]}.
+	Axes    []Axis
 	Sources []string // workload skews ("unique", "real", "random", ...)
 
 	// Shared per-cell run parameters (see exp.Config).
@@ -81,6 +72,20 @@ type Grid struct {
 	// Seed is the base seed; each cell runs with a seed mixed from it
 	// and the cell's index.
 	Seed int64
+
+	// Tables are the pivots of the finished report scoopsweep prints.
+	Tables []Table
+}
+
+// Axis is one dimension of a grid: a Cell field, named by its JSON key,
+// and the values it takes, each spelt as that field is in an artifact.
+type Axis struct {
+	Field  string            `json:"field"`
+	Values []json.RawMessage `json:"values"`
+	// Policies, when set, confines the axis's non-zero values to these
+	// policies; Cells omits the cells that pair a non-zero value with
+	// another policy, which has no mechanism for the value to exercise.
+	Policies []policy.Name `json:"policies,omitempty"`
 }
 
 // Default returns a 24-cell quick-scale grid: the four runnable
@@ -104,8 +109,8 @@ func Default() Grid {
 }
 
 // Cell is one grid point. Its JSON form opens every CellResult in an
-// artifact; the dynamics, query-mix and fault fields are omitted at
-// their defaults so artifacts older than those axes keep their bytes.
+// artifact; every field after loss is omitted at its zero value, the
+// run's default, so artifacts older than a field keep their bytes.
 type Cell struct {
 	Index    int         `json:"index"`
 	Policy   policy.Name `json:"policy"`
@@ -113,7 +118,9 @@ type Cell struct {
 	N        int         `json:"n"`
 	Loss     float64     `json:"loss"`
 	Churn    float64     `json:"churn,omitempty"`
-	Drift    float64     `json:"drift,omitempty"`
+	// Drift is the total data-distribution walk, as a domain fraction
+	// (0: stationary).
+	Drift float64 `json:"drift,omitempty"`
 	// NoReindex freezes the first index (negative polarity so the
 	// zero value — and every pre-dynamics baseline artifact — means
 	// "reindexing on", the protocol default).
@@ -121,18 +128,27 @@ type Cell struct {
 	// AggMix is the aggregate fraction of the query stream (0: pure
 	// tuple workload, the pre-agg default).
 	AggMix float64 `json:"aggMix,omitempty"`
-	// Faults names the injected fault scenario ("": fault-free).
+	// Faults names the injected fault scenario, resolved through
+	// dynamics.FaultScenario ("": fault-free).
 	Faults string `json:"faults,omitempty"`
 	// Retry arms the query reliability layer (deadline retries plus
-	// summary degradation); false is the pre-§19 default.
-	Retry  bool   `json:"retry,omitempty"`
-	Source string `json:"source"`
+	// summary degradation, DESIGN.md §19); false is the pre-§19
+	// default.
+	Retry bool `json:"retry,omitempty"`
+	// NodePct switches to node-list queries over this fraction of the
+	// nodes (Figure 4; 0: value-range queries).
+	NodePct float64 `json:"nodePct,omitempty"`
+	// QueryInterval and SampleInterval override the grid's (0: the
+	// grid's value).
+	QueryInterval  netsim.Time `json:"queryInterval,omitempty"`
+	SampleInterval netsim.Time `json:"sampleInterval,omitempty"`
+	Source         string      `json:"source"`
 }
 
 // Key returns the cell's stable identity, independent of its index —
-// the join key Diff matches artifact cells on. Dynamics components
-// appear only when non-default, so keys from pre-dynamics baseline
-// artifacts still match their cells.
+// the join key Diff matches artifact cells on. Components after the
+// source appear only when non-default, so keys from artifacts older
+// than a field still match their cells.
 func (c Cell) Key() string {
 	k := fmt.Sprintf("%s/%s/n%d/loss%g/%s", c.Policy, c.Topology, c.N, c.Loss, c.Source)
 	if c.Churn > 0 {
@@ -153,74 +169,190 @@ func (c Cell) Key() string {
 	if c.Retry {
 		k += "/retry"
 	}
+	if c.NodePct != 0 {
+		k += fmt.Sprintf("/nodes%g", c.NodePct)
+	}
+	if c.QueryInterval != 0 {
+		k += fmt.Sprintf("/query%gs", float64(c.QueryInterval)/float64(netsim.Second))
+	}
+	if c.SampleInterval != 0 {
+		k += fmt.Sprintf("/sample%gs", float64(c.SampleInterval)/float64(netsim.Second))
+	}
 	return k
 }
 
-func orDefault[T any](axis []T, def T) []T {
-	if len(axis) == 0 {
-		return []T{def}
+// field is one artifact key of a struct type: its JSON name and index
+// path, embedded structs flattened in place and `json:"-"` fields
+// (wall-clock probes) skipped.
+type field struct {
+	name  string
+	index []int
+}
+
+func fieldsOf(t reflect.Type) []field {
+	var out []field
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if sf.Anonymous {
+			for _, f := range fieldsOf(sf.Type) {
+				out = append(out, field{f.name, append([]int{i}, f.index...)})
+			}
+		} else if name, _, _ := strings.Cut(sf.Tag.Get("json"), ","); name != "-" {
+			out = append(out, field{name, []int{i}})
+		}
 	}
-	return axis
+	return out
 }
 
-// scoopOnly reports whether the cell sets an axis only the Scoop policy
-// has a mechanism for: an adaptive loop to freeze, a query planner for
-// aggregate mixes, a query reliability layer for faults and retries to
-// exercise. On a comparator such a cell would repeat the
-// plain cell under a misleading key, so Cells omits it.
-func (c Cell) scoopOnly() bool {
-	return c.NoReindex || c.AggMix > 0 || c.Faults != "" || c.Retry
+// cellFields are Cell's artifact keys, and resultFields CellResult's,
+// in artifact order.
+var (
+	cellFields   = fieldsOf(reflect.TypeFor[Cell]())
+	resultFields = fieldsOf(reflect.TypeFor[CellResult]())
+)
+
+func lookup(fields []field, name string) (field, bool) {
+	for _, f := range fields {
+		if f.name == name {
+			return f, true
+		}
+	}
+	return field{}, false
 }
 
-// pick returns the axis value selected by the lowest digit of the
-// mixed-radix number *r and shifts that digit out.
-func pick[T any](axis []T, r *int) T {
-	v := axis[*r%len(axis)]
-	*r /= len(axis)
-	return v
+// shorthand is the Axis a named Grid axis stands for: its values, or
+// the field's default alone when it is empty.
+func shorthand[T any](name string, values []T, def T) Axis {
+	if len(values) == 0 {
+		values = []T{def}
+	}
+	a := Axis{Field: name}
+	for _, v := range values {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			panic(err) // plain strings and numbers
+		}
+		a.Values = append(a.Values, raw)
+	}
+	return a
 }
 
-// Cells expands the grid's cross-product in deterministic order
-// (Policies outermost, then topology, size, loss, churn, drift,
-// reindex, query mix, faults, retry, with Sources innermost).
+// axes normalises the grid into its one axis list, in enumeration
+// order. A field may be given once: by its named axis or in Axes.
+func (g Grid) axes() ([]Axis, error) {
+	inAxes := make(map[string]bool, len(g.Axes))
+	for _, a := range g.Axes {
+		if inAxes[a.Field] {
+			return nil, fmt.Errorf("sweep: axis %q given twice", a.Field)
+		}
+		inAxes[a.Field] = true
+	}
+	var out []Axis
+	var err error
+	named := func(a Axis, given int) {
+		switch {
+		case inAxes[a.Field] && given > 0:
+			err = fmt.Errorf("sweep: axis %q given twice, by name and in axes", a.Field)
+		case !inAxes[a.Field]:
+			out = append(out, a)
+		}
+	}
+	named(shorthand("policy", g.Policies, policy.Scoop), len(g.Policies))
+	named(shorthand("topology", g.Topologies, "uniform"), len(g.Topologies))
+	named(shorthand("n", g.Sizes, 63), len(g.Sizes))
+	named(shorthand("loss", g.LossRates, 0.0), len(g.LossRates))
+	named(shorthand("churn", g.ChurnRates, 0.0), len(g.ChurnRates))
+	out = append(out, g.Axes...)
+	named(shorthand("source", g.Sources, "real"), len(g.Sources))
+	return out, err
+}
+
+// resolved is an Axis bound to Cell: the field's index path and each
+// value decoded into it.
+type resolved struct {
+	index    []int
+	values   []reflect.Value
+	policies []policy.Name
+}
+
+// resolve decodes every value of a onto a Cell as the object
+// {"<field>": <value>}, so a value is spelt as in an artifact and an
+// unknown field is refused.
+func resolve(a Axis) (resolved, error) {
+	f, ok := lookup(cellFields, a.Field)
+	if !ok || a.Field == "index" {
+		return resolved{}, fmt.Errorf("sweep: axis on unknown cell field %q", a.Field)
+	}
+	if len(a.Values) == 0 {
+		return resolved{}, fmt.Errorf("sweep: axis %q has no values", a.Field)
+	}
+	for _, p := range a.Policies {
+		if !slices.Contains(policy.Names(), p) {
+			return resolved{}, fmt.Errorf("sweep: axis %q: unknown policy %q", a.Field, p)
+		}
+	}
+	r := resolved{index: f.index, policies: a.Policies}
+	for _, raw := range a.Values {
+		var c Cell
+		obj := fmt.Appendf(nil, `{%q: %s}`, a.Field, raw)
+		if err := decode(obj, &c); err != nil {
+			return resolved{}, fmt.Errorf("sweep: axis %q: value %s: %w", a.Field, raw, err)
+		}
+		r.values = append(r.values, reflect.ValueOf(c).FieldByIndex(f.index))
+	}
+	return r, nil
+}
+
+// Cells expands the grid's cross-product in deterministic order (see
+// Grid). A grid ReadGrid or Run would refuse expands to no cells.
 func (g Grid) Cells() []Cell {
-	policies := orDefault(g.Policies, policy.Scoop)
-	topos := orDefault(g.Topologies, "uniform")
-	sizes := orDefault(g.Sizes, 63)
-	losses := orDefault(g.LossRates, 0)
-	churns := orDefault(g.ChurnRates, 0)
-	drifts := orDefault(g.DriftRates, 0)
-	reindex := orDefault(g.Reindex, true)
-	mixes := orDefault(g.QueryMixes, 0)
-	faults := orDefault(g.Faults, "")
-	retries := orDefault(g.Retry, false)
-	sources := orDefault(g.Sources, "real")
-	product := len(policies) * len(topos) * len(sizes) * len(losses) *
-		len(churns) * len(drifts) * len(reindex) * len(mixes) *
-		len(faults) * len(retries) * len(sources)
+	cells, _ := g.cells()
+	return cells
+}
+
+func (g Grid) cells() ([]Cell, error) {
+	list, err := g.axes()
+	if err != nil {
+		return nil, err
+	}
+	axes := make([]resolved, len(list))
+	product := 1
+	for i, a := range list {
+		if axes[i], err = resolve(a); err != nil {
+			return nil, err
+		}
+		product *= len(axes[i].values)
+	}
 	cells := make([]Cell, 0, product)
 	for i := 0; i < product; i++ {
 		// Count in mixed radix, the innermost axis the fastest digit.
 		r := i
 		var c Cell
-		c.Source = pick(sources, &r)
-		c.Retry = pick(retries, &r)
-		c.Faults = pick(faults, &r)
-		c.AggMix = pick(mixes, &r)
-		c.NoReindex = !pick(reindex, &r)
-		c.Drift = pick(drifts, &r)
-		c.Churn = pick(churns, &r)
-		c.Loss = pick(losses, &r)
-		c.N = pick(sizes, &r)
-		c.Topology = pick(topos, &r)
-		c.Policy = pick(policies, &r)
-		if c.Policy != policy.Scoop && c.scoopOnly() {
+		cv := reflect.ValueOf(&c).Elem()
+		for k := len(axes) - 1; k >= 0; k-- {
+			a := axes[k]
+			cv.FieldByIndex(a.index).Set(a.values[r%len(a.values)])
+			r /= len(a.values)
+		}
+		if omitted(cv, c.Policy, axes) {
 			continue
 		}
 		c.Index = len(cells)
 		cells = append(cells, c)
 	}
-	return cells
+	return cells, nil
+}
+
+// omitted reports whether the cell sets a non-zero value on an axis
+// confined to policies other than its own.
+func omitted(cv reflect.Value, p policy.Name, axes []resolved) bool {
+	for _, a := range axes {
+		if len(a.policies) > 0 && !cv.FieldByIndex(a.index).IsZero() &&
+			!slices.Contains(a.policies, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // CellSeed derives the seed for cell index from the base seed with a
@@ -261,7 +393,16 @@ func (g Grid) config(c Cell) (exp.Config, error) {
 	if g.SampleInterval > 0 {
 		cfg.SampleInterval = g.SampleInterval
 	}
+	if c.SampleInterval > 0 {
+		cfg.SampleInterval = c.SampleInterval
+	}
 	cfg.QueryInterval = g.QueryInterval
+	if c.QueryInterval > 0 {
+		cfg.QueryInterval = c.QueryInterval
+	}
+	if c.NodePct != 0 {
+		cfg.NodePct = c.NodePct
+	}
 	cfg.Trials = g.Trials // exp.Run reads 0 as 1
 	cfg.Seed = CellSeed(g.Seed, c.Index)
 	cfg.ReindexInterval = g.ReindexInterval
@@ -392,9 +533,17 @@ type Options struct {
 // plan expands the grid and assembles every cell's configuration,
 // refusing the whole grid on the first cell that does not validate.
 func (g Grid) plan() ([]Cell, []exp.Config, error) {
-	cells := g.Cells()
+	cells, err := g.cells()
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(cells) == 0 {
 		return nil, nil, fmt.Errorf("sweep: empty grid")
+	}
+	for _, t := range g.Tables {
+		if err := t.check(cells); err != nil {
+			return nil, nil, err
+		}
 	}
 	cfgs := make([]exp.Config, len(cells))
 	for i, c := range cells {

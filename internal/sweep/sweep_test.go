@@ -30,6 +30,17 @@ func tinyGrid() Grid {
 	return g
 }
 
+// scoopOnly confines an axis to the Scoop policy, as the grid files do
+// for the mechanisms only Scoop has.
+var scoopOnly = []policy.Name{policy.Scoop}
+
+// axis is an Axis over Go values, each spelt as JSON encodes it.
+func axis(field string, policies []policy.Name, values ...any) Axis {
+	a := shorthand(field, values, nil)
+	a.Policies = policies
+	return a
+}
+
 func TestCellsCrossProduct(t *testing.T) {
 	g := Default()
 	cells := g.Cells()
@@ -156,8 +167,12 @@ func TestRunRejectsBadCells(t *testing.T) {
 		{"loss", func(g *Grid) { g.LossRates = []float64{0, 1.5} }, "/loss1.5/"},
 		{"size", func(g *Grid) { g.Sizes = []int{12, 1100} }, "/n1100/"},
 		{"churn", func(g *Grid) { g.ChurnRates = []float64{1.5} }, "/churn1.5)"},
-		{"drift", func(g *Grid) { g.DriftRates = []float64{-2} }, "/drift-2)"},
-		{"fault", func(g *Grid) { g.Faults = []string{"", "earthquake"} }, "/faults-earthquake)"},
+		{"drift", func(g *Grid) { g.Axes = []Axis{axis("drift", nil, -2)} }, "/drift-2)"},
+		{"fault", func(g *Grid) { g.Axes = []Axis{axis("faults", scoopOnly, "", "earthquake")} }, "/faults-earthquake)"},
+		{"node-pct", func(g *Grid) { g.Axes = []Axis{axis("nodePct", nil, 1.5)} }, "/nodes1.5)"},
+		{"table", func(g *Grid) {
+			g.Tables = []Table{{Title: "by size", Rows: []string{"n"}, Values: []string{"msgs"}}}
+		}, "share a row and column"},
 		{"policy", func(g *Grid) { g.Policies = []policy.Name{policy.Scoop, "scop"} }, "(scop/"},
 		{"topology", func(g *Grid) { g.Topologies = []string{"torus"} }, "/torus/"},
 		{"warmup", func(g *Grid) { g.Warmup = g.Duration }, "warmup"},
@@ -179,12 +194,21 @@ func TestRunRejectsBadCells(t *testing.T) {
 	}
 }
 
+// An artifact reads back as written, interval cells included: a
+// netsim.Time is written as the duration text a grid file spells it in.
 func TestWriteReadRoundTrip(t *testing.T) {
-	rep := Report{Name: "rt", Seed: 3, Cells: []CellResult{{
-		Cell: Cell{Index: 0, Policy: "scoop", Topology: "uniform", N: 12,
-			Loss: 0.1, Source: "real"},
-		Seed: 42, Msgs: 100, DataSuccess: 0.9,
-	}}}
+	g := Grid{LossRates: []float64{0.1}, Axes: []Axis{
+		axis("queryInterval", nil, "5s", "1m30s"),
+		axis("sampleInterval", nil, "2m"),
+	}}
+	rep := Report{Name: "rt", Seed: 3}
+	for _, c := range g.Cells() {
+		rep.Cells = append(rep.Cells, CellResult{Cell: c, Seed: 42, Msgs: 100, DataSuccess: 0.9})
+	}
+	if len(rep.Cells) != 2 || rep.Cells[1].QueryInterval != 90*netsim.Second ||
+		rep.Cells[1].SampleInterval != 2*netsim.Minute {
+		t.Fatalf("interval axes expand to %+v", rep.Cells)
+	}
 	path := filepath.Join(t.TempDir(), "sweep-rt.json")
 	if err := WriteFile(path, rep); err != nil {
 		t.Fatal(err)
@@ -193,8 +217,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != rep.Name || got.Seed != rep.Seed || len(got.Cells) != 1 ||
-		got.Cells[0] != rep.Cells[0] {
+	if got.Name != rep.Name || got.Seed != rep.Seed || !slices.Equal(got.Cells, rep.Cells) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
@@ -202,12 +225,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 // Every committed artifact's bytes hang on this encoding: CellResult's
 // keys, their order, and which ones omitempty drops. The literal was
 // captured from the commit before Cell was embedded (when CellResult
-// declared the twelve identity fields itself).
+// declared the twelve identity fields itself); the node-query fraction
+// and the two intervals joined it with the figure grids, and omitempty
+// keeps them out of every older artifact.
 func TestCellResultJSONGolden(t *testing.T) {
 	r := CellResult{
 		Cell: Cell{Index: 1, Policy: "scoop", Topology: "grid", N: 65, Loss: 0.1,
 			Churn: 0.15, Drift: 0.3, NoReindex: true, AggMix: 0.5,
-			Faults: "blackout", Retry: true, Source: "real"},
+			Faults: "blackout", Retry: true, NodePct: 0.25, QueryInterval: 5 * netsim.Second,
+			SampleInterval: 2 * netsim.Minute, Source: "real"},
 		Seed: 42,
 		Msgs: 1000.5, Data: 2, Summary: 3, Mapping: 4, Query: 5, Reply: 6, AggReply: 7, Beacon: 8,
 		DataSuccess: 0.9, QuerySuccess: 0.8, OwnerHit: 0.7,
@@ -218,7 +244,7 @@ func TestCellResultJSONGolden(t *testing.T) {
 		WallMS: 20, ReindexBuilds: 21, ReindexValues: 22, ReindexRecomputed: 23,
 		ReindexSPT: 24, ReindexWallMS: 25,
 	}
-	const want = `{"index":1,"policy":"scoop","topology":"grid","n":65,"loss":0.1,"churn":0.15,"drift":0.3,"noReindex":true,"aggMix":0.5,"faults":"blackout","retry":true,"source":"real","seed":42,"msgs":1000.5,"data":2,"summary":3,"mapping":4,"query":5,"reply":6,"aggReply":7,"beacon":8,"dataSuccess":0.9,"querySuccess":0.8,"ownerHit":0.7,"aggAnswered":0.6,"aggErr":0.05,"planSummary":9,"planAgg":10,"planTuple":11,"planFlood":12,"completeness":0.95,"verdictComplete":13,"verdictPartial":14,"verdictDegraded":15,"verdictFailed":16,"retries":17,"aggFirstMS":18.5,"perturbed":true,"reconvS":19.5,"deliveryDuring":0.4,"deliveryAfter":0.85}`
+	const want = `{"index":1,"policy":"scoop","topology":"grid","n":65,"loss":0.1,"churn":0.15,"drift":0.3,"noReindex":true,"aggMix":0.5,"faults":"blackout","retry":true,"nodePct":0.25,"queryInterval":"5s","sampleInterval":"2m","source":"real","seed":42,"msgs":1000.5,"data":2,"summary":3,"mapping":4,"query":5,"reply":6,"aggReply":7,"beacon":8,"dataSuccess":0.9,"querySuccess":0.8,"ownerHit":0.7,"aggAnswered":0.6,"aggErr":0.05,"planSummary":9,"planAgg":10,"planTuple":11,"planFlood":12,"completeness":0.95,"verdictComplete":13,"verdictPartial":14,"verdictDegraded":15,"verdictFailed":16,"retries":17,"aggFirstMS":18.5,"perturbed":true,"reconvS":19.5,"deliveryDuring":0.4,"deliveryAfter":0.85}`
 	got, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -264,11 +290,13 @@ func TestCellsOrderGolden(t *testing.T) {
 		Sizes:      []int{16},
 		LossRates:  []float64{0},
 		ChurnRates: []float64{0, 0.15},
-		Reindex:    []bool{true, false},
-		QueryMixes: []float64{0, 0.5},
-		Faults:     []string{"", "blackout"},
-		Retry:      []bool{false, true},
-		Sources:    []string{"unique"},
+		Axes: []Axis{
+			axis("noReindex", scoopOnly, false, true),
+			axis("aggMix", scoopOnly, 0, 0.5),
+			axis("faults", scoopOnly, "", "blackout"),
+			axis("retry", scoopOnly, false, true),
+		},
+		Sources: []string{"unique"},
 	}
 	want := []string{
 		"0 scoop/grid/n16/loss0/unique",
@@ -322,12 +350,14 @@ func TestCellsOrderGolden(t *testing.T) {
 		Sizes:      []int{16, 24},
 		LossRates:  []float64{0, 0.2},
 		ChurnRates: []float64{0, 0.15},
-		DriftRates: []float64{0, 0.3},
-		Reindex:    []bool{true, false},
-		QueryMixes: []float64{0, 0.5},
-		Faults:     []string{"", "blackout"},
-		Retry:      []bool{false, true},
-		Sources:    []string{"real", "unique"},
+		Axes: []Axis{
+			axis("drift", nil, 0, 0.3),
+			axis("noReindex", scoopOnly, false, true),
+			axis("aggMix", scoopOnly, 0, 0.5),
+			axis("faults", scoopOnly, "", "blackout"),
+			axis("retry", scoopOnly, false, true),
+		},
+		Sources: []string{"real", "unique"},
 	}
 	got := lines(full)
 	sum := sha256.Sum256([]byte(strings.Join(got, "\n") + "\n"))
