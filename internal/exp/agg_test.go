@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"scoop/internal/core"
 	"scoop/internal/netsim"
 	"scoop/internal/policy"
 	"scoop/internal/query"
@@ -128,6 +129,37 @@ func TestValidateRejectsBadAggConfig(t *testing.T) {
 		mod(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("config accepted: %+v", cfg)
+		}
+	}
+}
+
+// A reading stored at two nodes is one reading of an aggregate's ground
+// truth, as the base's tuple plan folds it once: the truth counts
+// (producer, sample time) pairs, not stored copies.
+func TestAggGroundTruthCountsEachReadingOnce(t *testing.T) {
+	cfg := Default()
+	cfg.N = 4
+	tr, err := NewTrial(cfg, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := core.Reading{Producer: 3, Value: 100, Time: 5000}
+	tr.nodes[1].Store().Store(twice)
+	tr.nodes[2].Store().Store(twice)
+	tr.base.Store().Store(core.Reading{Producer: 3, Value: 40, Time: 6000})
+	for _, tc := range []struct {
+		op   query.Op
+		want float64
+	}{
+		{query.OpCount, 2},
+		{query.OpSum, 140},
+		{query.OpAvg, 70},
+		{query.OpQuantile, 100},
+	} {
+		q := query.AggQuery{Op: tc.op, Quantile: 0.5, ValueLo: 0, ValueHi: 1000,
+			TimeLo: 0, TimeHi: 10 * netsim.Second}
+		if got, ok := tr.aggGroundTruth(q); !ok || got != tc.want {
+			t.Errorf("op %v: truth %v (ok %v), want %v", tc.op, got, ok, tc.want)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"scoop/internal/core"
@@ -54,7 +54,10 @@ type Trial struct {
 	gen    workload.Generator
 	mixed  *workload.MixedGen
 	aggLog []aggIssued
-	res    TrialResult // Timeline and Agg.Issued fill in while it runs
+	// aggScratch collects an aggregate's matching readings for its
+	// ground truth.
+	aggScratch []core.Reading
+	res        TrialResult // Timeline and Agg.Issued fill in while it runs
 }
 
 // aggIssued is an aggregate query as issued, with the ground truth
@@ -366,7 +369,7 @@ func (t *Trial) issueQuery() {
 		aq := *req.Agg
 		aq.TimeLo = max(aq.TimeLo, cfg.Warmup)
 		var rec aggIssued
-		rec.gt, rec.gtValid = aggGroundTruth(t.base, t.nodes, aq)
+		rec.gt, rec.gtValid = t.aggGroundTruth(aq)
 		t.base.IssueAgg(aq)
 		rec.qid = t.base.LastQueryID()
 		t.res.Agg.Issued++
@@ -476,33 +479,41 @@ func (t *Trial) violations() []string {
 	return chk.Violations()
 }
 
-// aggGroundTruth evaluates the aggregate's true answer over every
-// reading currently stored anywhere (node stores plus the base's)
-// matching the value and time ranges. ok is false when nothing
-// matches (and for COUNT the zero answer is still valid).
-func aggGroundTruth(base *core.Base, nodes []*core.Node, q query.AggQuery) (float64, bool) {
-	var part query.Partial
-	var values []int
-	wantValues := q.Op == query.OpQuantile
+// aggGroundTruth evaluates the aggregate's true answer over the
+// readings stored anywhere (node stores plus the base's) matching the
+// value and time ranges, each (producer, sample time) once however many
+// nodes store a copy, as the base's tuple plan folds it. ok is false
+// when nothing matches (and for COUNT the zero answer is still valid).
+// The matches collect in the trial's scratch buffer, so a query costs
+// no allocation once the buffer has grown.
+func (t *Trial) aggGroundTruth(q query.AggQuery) (float64, bool) {
+	found := t.aggScratch[:0]
 	scan := func(buf *core.DataBuffer) {
 		buf.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r core.Reading) {
-			part.Add(r.Value)
-			if wantValues {
-				values = append(values, r.Value)
-			}
+			found = append(found, r)
 		})
 	}
-	scan(base.Store())
-	for _, n := range nodes[1:] {
+	scan(t.base.Store())
+	for _, n := range t.nodes[1:] {
 		scan(n.Store())
 	}
-	if wantValues {
-		if len(values) == 0 {
+	slices.SortFunc(found, func(a, b core.Reading) int {
+		return cmp.Or(cmp.Compare(a.Producer, b.Producer), cmp.Compare(a.Time, b.Time))
+	})
+	found = slices.CompactFunc(found, func(a, b core.Reading) bool {
+		return a.Producer == b.Producer && a.Time == b.Time
+	})
+	t.aggScratch = found
+	if q.Op == query.OpQuantile {
+		if len(found) == 0 {
 			return 0, false
 		}
-		sort.Ints(values)
-		idx := min(int(q.Quantile*float64(len(values))), len(values)-1)
-		return float64(values[idx]), true
+		slices.SortFunc(found, func(a, b core.Reading) int { return cmp.Compare(a.Value, b.Value) })
+		return float64(found[min(int(q.Quantile*float64(len(found))), len(found)-1)].Value), true
+	}
+	var part query.Partial
+	for _, r := range found {
+		part.Add(r.Value)
 	}
 	return part.Answer(q.Op)
 }
