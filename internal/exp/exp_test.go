@@ -73,8 +73,8 @@ func TestPolicyOrderingOnReal(t *testing.T) {
 // Figure 3 (right): UNIQUE is SCOOP's best case (perfect locality);
 // GAUSSIAN — spatially uncorrelated producers — is the worst of the
 // localized sources. REAL vs RANDOM is within single-trial noise at
-// this scale, so only the robust orderings are asserted; EXPERIMENTS.md
-// records the full-scale picture.
+// this scale, so only the robust orderings are asserted; the Figure 3
+// tables of testdata/fig-3.json record the paper-scale picture.
 func TestSourceOrdering(t *testing.T) {
 	unique := total(t, quick(policy.Scoop, "unique"))
 	real := total(t, quick(policy.Scoop, "real"))
@@ -415,29 +415,6 @@ func TestUnknownConfigsRejected(t *testing.T) {
 	}
 }
 
-func TestRootSkewShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three full runs")
-	}
-	scoopR, err := Run(atQuick(policy.Scoop, "real"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseR, err := Run(atQuick(policy.Base, "real"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// BASE: the root transmits almost nothing but receives everything.
-	if baseR.RootSent > baseR.RootRecv/5 {
-		t.Fatalf("BASE root sent %.0f vs received %.0f; should be receive-dominated",
-			baseR.RootSent, baseR.RootRecv)
-	}
-	// SCOOP's root sends mapping/query traffic, unlike BASE's.
-	if scoopR.RootSent == 0 {
-		t.Fatal("SCOOP root sent nothing")
-	}
-}
-
 // The paper's energy discussion (§6). Two parts are robustly
 // reproducible under a byte-accurate radio-energy model: the SCOOP
 // root's always-on radio drains its battery in about two weeks
@@ -446,7 +423,7 @@ func TestRootSkewShape(t *testing.T) {
 // dominates node energy ("up to 90% … due to communication"). The
 // paper's 3× node-lifetime gap between SCOOP and LOCAL does not
 // emerge from byte counts (LOCAL's replies are mostly empty and
-// small) — see EXPERIMENTS.md.
+// small) — the energy table of testdata/fig-3.json shows both.
 func TestEnergyShape(t *testing.T) {
 	scoop, err := Run(quick(policy.Scoop, "real"))
 	if err != nil {

@@ -52,3 +52,35 @@ func TestLossRatesArtifact(t *testing.T) {
 		}
 	}
 }
+
+// The root-load table, REAL source: BASE's root transmits almost
+// nothing but receives everything; SCOOP's root sends mapping and query
+// traffic; LOCAL's root sends its query floods and receives far more
+// replies than it sends.
+func TestRootSkewShape(t *testing.T) {
+	cells := figure(t, "fig-3.json")
+	scoop := cells["scoop/uniform/n63/loss0/real"]
+	base := cells["base/uniform/n63/loss0/real"]
+	local := cells["local/uniform/n63/loss0/real"]
+	if base.RootRecv == 0 || base.RootSent > base.RootRecv/5 {
+		t.Errorf("BASE root sent %.0f vs received %.0f; should be receive-dominated", base.RootSent, base.RootRecv)
+	}
+	if scoop.RootSent == 0 {
+		t.Error("SCOOP root sent nothing")
+	}
+	if local.RootSent == 0 || local.RootSent > local.RootRecv/5 {
+		t.Errorf("LOCAL root sent %.0f vs received %.0f; should send its floods and be reply-dominated",
+			local.RootSent, local.RootRecv)
+	}
+}
+
+// The energy table: every Figure 3 cell accounts its average node's and
+// its root's energy.
+func TestEnergyTableArtifact(t *testing.T) {
+	for key, c := range figure(t, "fig-3.json") {
+		if c.RootJ <= 0 || c.NodeJ <= 0 || c.RootDays <= 0 || c.NodeDays <= 0 {
+			t.Errorf("%s: missing energy accounting: node %.3f J %.0f d, root %.3f J %.0f d",
+				key, c.NodeJ, c.NodeDays, c.RootJ, c.RootDays)
+		}
+	}
+}

@@ -458,6 +458,18 @@ type CellResult struct {
 	QuerySuccess float64 `json:"querySuccess"`
 	OwnerHit     float64 `json:"ownerHit"`
 
+	// Root load (mean per trial, beacons excluded) and the energy
+	// report's extrapolated lifetimes (metrics.EnergyReport): the
+	// average node's and the root's joules and days, and the share of
+	// the average node's energy spent on the radio.
+	RootSent   float64 `json:"rootSent"`
+	RootRecv   float64 `json:"rootRecv"`
+	NodeJ      float64 `json:"nodeJ"`
+	NodeDays   float64 `json:"nodeDays"`
+	RootJ      float64 `json:"rootJ"`
+	RootDays   float64 `json:"rootDays"`
+	CommsShare float64 `json:"commsShare"`
+
 	// Aggregate-engine quality (aggMix > 0 cells only): answered
 	// fraction, mean absolute relative answer error, and the planner's
 	// decision mix.
@@ -627,6 +639,14 @@ func runCell(c Cell, cfg exp.Config) (CellResult, error) {
 		DataSuccess:  res.Stats.DataSuccessRate(),
 		QuerySuccess: res.Stats.QuerySuccessRate(),
 		OwnerHit:     res.Stats.OwnerHitRate(),
+
+		RootSent:   res.RootSent,
+		RootRecv:   res.RootRecv,
+		NodeJ:      res.Energy.AvgNodeJ,
+		NodeDays:   res.Energy.AvgNodeDays,
+		RootJ:      res.Energy.RootJ,
+		RootDays:   res.Energy.RootDays,
+		CommsShare: res.Energy.CommsFraction,
 
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 

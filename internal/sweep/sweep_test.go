@@ -227,7 +227,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 // captured from the commit before Cell was embedded (when CellResult
 // declared the twelve identity fields itself); the node-query fraction
 // and the two intervals joined it with the figure grids, and omitempty
-// keeps them out of every older artifact.
+// keeps them out of every older artifact; the root-load and energy
+// metrics joined every artifact at the same time.
 func TestCellResultJSONGolden(t *testing.T) {
 	r := CellResult{
 		Cell: Cell{Index: 1, Policy: "scoop", Topology: "grid", N: 65, Loss: 0.1,
@@ -237,6 +238,7 @@ func TestCellResultJSONGolden(t *testing.T) {
 		Seed: 42,
 		Msgs: 1000.5, Data: 2, Summary: 3, Mapping: 4, Query: 5, Reply: 6, AggReply: 7, Beacon: 8,
 		DataSuccess: 0.9, QuerySuccess: 0.8, OwnerHit: 0.7,
+		RootSent: 26, RootRecv: 27, NodeJ: 28.5, NodeDays: 29, RootJ: 30.5, RootDays: 31, CommsShare: 0.32,
 		AggAnswered: 0.6, AggErr: 0.05, PlanSummary: 9, PlanAgg: 10, PlanTuple: 11, PlanFlood: 12,
 		Completeness: 0.95, VerdictComplete: 13, VerdictPartial: 14, VerdictDegraded: 15,
 		VerdictFailed: 16, Retries: 17, AggFirstMS: 18.5,
@@ -244,7 +246,7 @@ func TestCellResultJSONGolden(t *testing.T) {
 		WallMS: 20, ReindexBuilds: 21, ReindexValues: 22, ReindexRecomputed: 23,
 		ReindexSPT: 24, ReindexWallMS: 25,
 	}
-	const want = `{"index":1,"policy":"scoop","topology":"grid","n":65,"loss":0.1,"churn":0.15,"drift":0.3,"noReindex":true,"aggMix":0.5,"faults":"blackout","retry":true,"nodePct":0.25,"queryInterval":"5s","sampleInterval":"2m","source":"real","seed":42,"msgs":1000.5,"data":2,"summary":3,"mapping":4,"query":5,"reply":6,"aggReply":7,"beacon":8,"dataSuccess":0.9,"querySuccess":0.8,"ownerHit":0.7,"aggAnswered":0.6,"aggErr":0.05,"planSummary":9,"planAgg":10,"planTuple":11,"planFlood":12,"completeness":0.95,"verdictComplete":13,"verdictPartial":14,"verdictDegraded":15,"verdictFailed":16,"retries":17,"aggFirstMS":18.5,"perturbed":true,"reconvS":19.5,"deliveryDuring":0.4,"deliveryAfter":0.85}`
+	const want = `{"index":1,"policy":"scoop","topology":"grid","n":65,"loss":0.1,"churn":0.15,"drift":0.3,"noReindex":true,"aggMix":0.5,"faults":"blackout","retry":true,"nodePct":0.25,"queryInterval":"5s","sampleInterval":"2m","source":"real","seed":42,"msgs":1000.5,"data":2,"summary":3,"mapping":4,"query":5,"reply":6,"aggReply":7,"beacon":8,"dataSuccess":0.9,"querySuccess":0.8,"ownerHit":0.7,"rootSent":26,"rootRecv":27,"nodeJ":28.5,"nodeDays":29,"rootJ":30.5,"rootDays":31,"commsShare":0.32,"aggAnswered":0.6,"aggErr":0.05,"planSummary":9,"planAgg":10,"planTuple":11,"planFlood":12,"completeness":0.95,"verdictComplete":13,"verdictPartial":14,"verdictDegraded":15,"verdictFailed":16,"retries":17,"aggFirstMS":18.5,"perturbed":true,"reconvS":19.5,"deliveryDuring":0.4,"deliveryAfter":0.85}`
 	got, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
