@@ -17,12 +17,6 @@ func TestByteAccounting(t *testing.T) {
 	if m.ReceivedBytes() != 30 || m.ReceivedBytesBy(2) != 30 {
 		t.Fatal("received bytes wrong")
 	}
-	other := NewCounters()
-	other.CountSend(1, Data, 5)
-	m.Merge(other)
-	if m.SentBytes() != 55 || m.SentBytesBy(1) != 55 {
-		t.Fatal("merged bytes wrong")
-	}
 }
 
 func TestNodeEnergyComposition(t *testing.T) {

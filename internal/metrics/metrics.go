@@ -274,37 +274,6 @@ func (m *Counters) ReceivedBy(id uint16, c Class) int64 {
 // Drops returns the drop count recorded under the given cause.
 func (m *Counters) Drops(cause DropCause) int64 { return m.dropped[cause] }
 
-// addInto element-wise adds src into dst, growing dst as needed.
-func addInto(dst, src []int64) []int64 {
-	dst = dense.Grow(dst, len(src)-1)
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
-}
-
-// Merge adds other's counts into m. Useful when averaging trials.
-func (m *Counters) Merge(other *Counters) {
-	for c := Class(0); c < numClasses; c++ {
-		m.sent[c] += other.sent[c]
-		m.received[c] += other.received[c]
-	}
-	m.sentBy = addInto(m.sentBy, other.sentBy)
-	m.recvBy = addInto(m.recvBy, other.recvBy)
-	m.sentBytes += other.sentBytes
-	for c := Class(0); c < numClasses; c++ {
-		m.sentBytesC[c] += other.sentBytesC[c]
-	}
-	m.recvBytes += other.recvBytes
-	m.snoopBytes += other.snoopBytes
-	m.sentBytesBy = addInto(m.sentBytesBy, other.sentBytesBy)
-	m.recvBytesBy = addInto(m.recvBytesBy, other.recvBytesBy)
-	m.snoopBytesBy = addInto(m.snoopBytesBy, other.snoopBytesBy)
-	for c := DropCause(0); c < numDropCauses; c++ {
-		m.dropped[c] += other.dropped[c]
-	}
-}
-
 // Breakdown is a fixed snapshot of per-class transmission counts, the
 // unit the figures in the paper plot.
 type Breakdown struct {

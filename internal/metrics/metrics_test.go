@@ -3,7 +3,6 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestCountersSendReceive(t *testing.T) {
@@ -80,76 +79,6 @@ func TestParseClass(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, b := NewCounters(), NewCounters()
-	a.CountSend(1, Data, 10)
-	b.CountSend(1, Data, 10)
-	b.CountSend(2, Summary, 10)
-	b.CountReceive(0, Summary, 10)
-	b.CountDrop(DropQueue)
-	a.Merge(b)
-	if a.Sent(Data) != 2 || a.Sent(Summary) != 1 {
-		t.Fatal("merged sends wrong")
-	}
-	if a.SentBy(1, Data) != 2 || a.SentBy(2, Summary) != 1 {
-		t.Fatal("merged per-node sends wrong")
-	}
-	if a.Received(Summary) != 1 || a.Drops(DropQueue) != 1 {
-		t.Fatal("merged receives/drops wrong")
-	}
-}
-
-// TestMergeBytesAndDrops covers the byte-tally and per-cause merge
-// paths the sweep engine relies on when folding per-trial counters.
-func TestMergeBytesAndDrops(t *testing.T) {
-	a, b := NewCounters(), NewCounters()
-	a.CountSend(1, Data, 100)
-	a.CountSnoop(2, 40)
-	a.CountDrop(DropRetries)
-	b.CountSend(3, Reply, 60)
-	b.CountReceive(1, Reply, 60)
-	b.CountSnoop(2, 10)
-	b.CountDrop(DropRetries)
-	b.CountDrop(DropTTL)
-	a.Merge(b)
-	if a.SentBytes() != 160 || a.SentBytesClass(Data) != 100 || a.SentBytesClass(Reply) != 60 {
-		t.Fatalf("merged sent bytes: total=%d data=%d reply=%d",
-			a.SentBytes(), a.SentBytesClass(Data), a.SentBytesClass(Reply))
-	}
-	if a.ReceivedBytes() != 60 || a.ReceivedBytesBy(1) != 60 {
-		t.Fatalf("merged recv bytes: %d / %d", a.ReceivedBytes(), a.ReceivedBytesBy(1))
-	}
-	if a.SnoopedBytes() != 50 || a.SnoopedBytesBy(2) != 50 {
-		t.Fatalf("merged snoop bytes: %d / %d", a.SnoopedBytes(), a.SnoopedBytesBy(2))
-	}
-	if a.SentBytesBy(1) != 100 || a.SentBytesBy(3) != 60 {
-		t.Fatalf("merged per-node sent bytes: %d / %d", a.SentBytesBy(1), a.SentBytesBy(3))
-	}
-	if a.Drops(DropRetries) != 2 || a.Drops(DropTTL) != 1 {
-		t.Fatalf("merged drops: retries=%d ttl=%d", a.Drops(DropRetries), a.Drops(DropTTL))
-	}
-	if want := [numDropCauses]int64{DropRetries: 2, DropTTL: 1}; a.dropped != want {
-		t.Fatalf("merged drops by cause = %v, want %v", a.dropped, want)
-	}
-}
-
-// TestMergeGrowsDense verifies Merge grows the destination's per-node
-// tables when the source saw higher node IDs than the destination.
-func TestMergeGrowsDense(t *testing.T) {
-	a, b := NewCounters(), NewCounters()
-	a.CountSend(1, Data, 10)
-	b.CountSend(40, Query, 25)
-	b.CountReceive(41, Query, 25)
-	b.CountSnoop(42, 25)
-	a.Merge(b)
-	if a.SentBy(40, Query) != 1 || a.ReceivedBy(41, Query) != 1 {
-		t.Fatal("merge did not grow per-node count tables")
-	}
-	if a.SentBytesBy(40) != 25 || a.ReceivedBytesBy(41) != 25 || a.SnoopedBytesBy(42) != 25 {
-		t.Fatal("merge did not grow per-node byte tables")
-	}
-}
-
 func TestSnapshotAndBreakdown(t *testing.T) {
 	m := NewCounters()
 	for i := 0; i < 3; i++ {
@@ -215,32 +144,5 @@ func TestClassStrings(t *testing.T) {
 	}
 	if len(Classes()) != 7 {
 		t.Fatalf("classes = %v", Classes())
-	}
-}
-
-// Property: Merge is equivalent to counting everything on one counter.
-func TestMergeEquivalenceProperty(t *testing.T) {
-	f := func(events []uint16) bool {
-		single, a, b := NewCounters(), NewCounters(), NewCounters()
-		for i, e := range events {
-			node := uint16(e % 8)
-			class := Class(e % uint16(numClasses))
-			single.CountSend(node, class, 10)
-			if i%2 == 0 {
-				a.CountSend(node, class, 10)
-			} else {
-				b.CountSend(node, class, 10)
-			}
-		}
-		a.Merge(b)
-		for c := Class(0); c < numClasses; c++ {
-			if single.Sent(c) != a.Sent(c) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
