@@ -1,11 +1,9 @@
 // Command scoopsweep runs a parameter-sweep grid — the cross-product
-// of storage policy × topology × network size × link-loss rate ×
-// churn rate × any further cell field (drift, reindexing, query mix,
-// faults, retry, queried fraction, intervals) × workload source — in
-// parallel on a bounded worker pool, writes a deterministic JSON
-// artifact and prints the grid's tables from it. The grid is a file
-// (sweep.ReadGrid; the committed ones are testdata/*.grid.json), not
-// flags:
+// of storage policy × topology × size × loss × churn × any further
+// cell field × workload source — on a bounded worker pool, writes a
+// deterministic JSON artifact and prints the grid's tables from it.
+// The grid is a file (sweep.ReadGrid; the committed ones are
+// testdata/*.grid.json), not flags:
 //
 //	scoopsweep                                     # sweep.Default(), 24 cells
 //	scoopsweep testdata/sweep-dynamics.grid.json   # a declared grid

@@ -315,10 +315,6 @@ func (s *RunStats) MarkStored(producer uint16, t int64) bool {
 	return true
 }
 
-// Stored returns all storage events (including retransmission
-// duplicates); see StoredUnique for the deduplicated count.
-func (s *RunStats) Stored() int64 { return s.StoredLocal + s.StoredAtOwner + s.StoredAtBase }
-
 // DataSuccessRate returns the fraction of produced readings stored at
 // least once — the paper's "data messages are successfully stored
 // about 93% of the time".

@@ -50,14 +50,12 @@ type Trial struct {
 	nodes []*core.Node // by node ID; nodes[0] is nil
 
 	// drive
-	armed  bool
-	gen    workload.Generator
-	mixed  *workload.MixedGen
-	aggLog []aggIssued
-	// aggScratch collects an aggregate's matching readings for its
-	// ground truth.
-	aggScratch []core.Reading
-	res        TrialResult // Timeline and Agg.Issued fill in while it runs
+	armed      bool
+	gen        workload.Generator
+	mixed      *workload.MixedGen
+	aggLog     []aggIssued
+	aggScratch []core.Reading // an aggregate's matching readings (aggGroundTruth)
+	res        TrialResult    // Timeline and Agg.Issued fill in while it runs
 }
 
 // aggIssued is an aggregate query as issued, with the ground truth

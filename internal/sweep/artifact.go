@@ -37,14 +37,7 @@ func ReadGrid(path string) (g Grid, err error) {
 	if err = readJSON(path, &g); err != nil {
 		return g, err
 	}
-	if _, err = g.cells(); err == nil {
-		for _, t := range g.Tables {
-			if err = t.checkNames(); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	if _, err = g.cells(); err != nil {
 		err = fmt.Errorf("%s: %w", path, err)
 	}
 	return g, err

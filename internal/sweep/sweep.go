@@ -17,6 +17,7 @@
 package sweep
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -228,10 +229,7 @@ func shorthand[T any](name string, values []T, def T) Axis {
 	}
 	a := Axis{Field: name}
 	for _, v := range values {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			panic(err) // plain strings and numbers
-		}
+		raw, _ := json.Marshal(v) // plain strings and numbers: cannot fail
 		a.Values = append(a.Values, raw)
 	}
 	return a
@@ -270,9 +268,9 @@ func (g Grid) axes() ([]Axis, error) {
 // resolved is an Axis bound to Cell: the field's index path and each
 // value decoded into it.
 type resolved struct {
-	index    []int
-	values   []reflect.Value
-	policies []policy.Name
+	Axis
+	index  []int
+	values []reflect.Value
 }
 
 // resolve decodes every value of a onto a Cell as the object
@@ -291,7 +289,7 @@ func resolve(a Axis) (resolved, error) {
 			return resolved{}, fmt.Errorf("sweep: axis %q: unknown policy %q", a.Field, p)
 		}
 	}
-	r := resolved{index: f.index, policies: a.Policies}
+	r := resolved{Axis: a, index: f.index}
 	for _, raw := range a.Values {
 		var c Cell
 		obj := fmt.Appendf(nil, `{%q: %s}`, a.Field, raw)
@@ -310,6 +308,8 @@ func (g Grid) Cells() []Cell {
 	return cells
 }
 
+// cells is Cells, refusing a grid whose axes or tables do not fit
+// Cell and CellResult.
 func (g Grid) cells() ([]Cell, error) {
 	list, err := g.axes()
 	if err != nil {
@@ -334,25 +334,24 @@ func (g Grid) cells() ([]Cell, error) {
 			cv.FieldByIndex(a.index).Set(a.values[r%len(a.values)])
 			r /= len(a.values)
 		}
-		if omitted(cv, c.Policy, axes) {
-			continue
+		// A non-zero value on an axis confined to other policies
+		// omits the cell.
+		omit := false
+		for _, a := range axes {
+			omit = omit || len(a.Policies) > 0 && !cv.FieldByIndex(a.index).IsZero() &&
+				!slices.Contains(a.Policies, c.Policy)
 		}
-		c.Index = len(cells)
-		cells = append(cells, c)
+		if !omit {
+			c.Index = len(cells)
+			cells = append(cells, c)
+		}
+	}
+	for _, t := range g.Tables {
+		if err := t.check(cells); err != nil {
+			return nil, err
+		}
 	}
 	return cells, nil
-}
-
-// omitted reports whether the cell sets a non-zero value on an axis
-// confined to policies other than its own.
-func omitted(cv reflect.Value, p policy.Name, axes []resolved) bool {
-	for _, a := range axes {
-		if len(a.policies) > 0 && !cv.FieldByIndex(a.index).IsZero() &&
-			!slices.Contains(a.policies, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // CellSeed derives the seed for cell index from the base seed with a
@@ -384,25 +383,13 @@ func (g Grid) config(c Cell) (exp.Config, error) {
 	cfg.N = c.N
 	cfg.LinkLoss = c.Loss
 	cfg.Source = c.Source
-	if g.Duration > 0 {
-		cfg.Duration = g.Duration
-	}
-	if g.Warmup > 0 {
-		cfg.Warmup = g.Warmup
-	}
-	if g.SampleInterval > 0 {
-		cfg.SampleInterval = g.SampleInterval
-	}
-	if c.SampleInterval > 0 {
-		cfg.SampleInterval = c.SampleInterval
-	}
-	cfg.QueryInterval = g.QueryInterval
-	if c.QueryInterval > 0 {
-		cfg.QueryInterval = c.QueryInterval
-	}
-	if c.NodePct != 0 {
-		cfg.NodePct = c.NodePct
-	}
+	// A zero value defers to the next: the cell's, the grid's,
+	// exp.Default's.
+	cfg.Duration = cmp.Or(g.Duration, cfg.Duration)
+	cfg.Warmup = cmp.Or(g.Warmup, cfg.Warmup)
+	cfg.SampleInterval = cmp.Or(c.SampleInterval, g.SampleInterval, cfg.SampleInterval)
+	cfg.QueryInterval = cmp.Or(c.QueryInterval, g.QueryInterval)
+	cfg.NodePct = cmp.Or(c.NodePct, cfg.NodePct)
 	cfg.Trials = g.Trials // exp.Run reads 0 as 1
 	cfg.Seed = CellSeed(g.Seed, c.Index)
 	cfg.ReindexInterval = g.ReindexInterval
@@ -551,11 +538,6 @@ func (g Grid) plan() ([]Cell, []exp.Config, error) {
 	}
 	if len(cells) == 0 {
 		return nil, nil, fmt.Errorf("sweep: empty grid")
-	}
-	for _, t := range g.Tables {
-		if err := t.check(cells); err != nil {
-			return nil, nil, err
-		}
 	}
 	cfgs := make([]exp.Config, len(cells))
 	for i, c := range cells {

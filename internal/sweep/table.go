@@ -24,20 +24,21 @@ type Table struct {
 	Values []string `json:"values"`
 }
 
-// checkNames refuses a table naming a field or metric the artifact
-// does not have.
-func (t Table) checkNames() error {
-	if len(t.Values) == 0 {
-		return fmt.Errorf("sweep: table %q has no values", t.Title)
-	}
-	keys := t.Rows
+// check refuses a table naming a field or metric the artifact does not
+// have, or on which two of the cells share a row and a column group,
+// so that every printed value is one cell's.
+func (t Table) check(cells []Cell) error {
+	fields := t.Rows
 	if t.Column != "" {
-		keys = append(slices.Clone(keys), t.Column)
+		fields = append(slices.Clone(fields), t.Column)
 	}
-	for _, name := range keys {
+	for _, name := range fields {
 		if _, ok := lookup(cellFields, name); !ok {
 			return fmt.Errorf("sweep: table %q: unknown cell field %q", t.Title, name)
 		}
+	}
+	if len(t.Values) == 0 {
+		return fmt.Errorf("sweep: table %q has no values", t.Title)
 	}
 	for _, name := range t.Values {
 		_, cell := lookup(cellFields, name)
@@ -45,20 +46,9 @@ func (t Table) checkNames() error {
 			return fmt.Errorf("sweep: table %q: unknown metric %q", t.Title, name)
 		}
 	}
-	return nil
-}
-
-// check is checkNames, and also refuses a table on which two of the
-// grid's cells share a row and a column group, so that every printed
-// value is one cell's.
-func (t Table) check(cells []Cell) error {
-	if err := t.checkNames(); err != nil {
-		return err
-	}
-	seen := make(map[string]Cell, len(cells))
+	seen := make(map[[2]string]Cell, len(cells))
 	for _, c := range cells {
-		v := reflect.ValueOf(CellResult{Cell: c})
-		k := strings.Join(t.label(v), "\x00") + "\x00" + t.group(v)
+		k := t.keys(CellResult{Cell: c})
 		if prev, dup := seen[k]; dup {
 			return fmt.Errorf("sweep: table %q: cells %s and %s share a row and column", t.Title, prev.Key(), c.Key())
 		}
@@ -67,49 +57,46 @@ func (t Table) check(cells []Cell) error {
 	return nil
 }
 
-// label is a cell's row key and group its column key, each field as
-// the artifact spells it.
-func (t Table) label(v reflect.Value) []string {
-	out := make([]string, len(t.Rows))
-	for i, name := range t.Rows {
-		out[i] = artifactText(v, name)
+// keys is a cell's row and column group, each field as the artifact
+// spells it, strings unquoted.
+func (t Table) keys(c CellResult) [2]string {
+	v := reflect.ValueOf(c)
+	text := func(names ...string) string {
+		var out []string
+		for _, name := range names {
+			f, _ := lookup(resultFields, name)
+			// Plain strings, numbers and times: Marshal cannot fail.
+			b, _ := json.Marshal(v.FieldByIndex(f.index).Interface())
+			s, err := strconv.Unquote(string(b))
+			if err != nil {
+				s = string(b)
+			}
+			out = append(out, s)
+		}
+		return strings.Join(out, "\t")
 	}
-	return out
-}
-
-func (t Table) group(v reflect.Value) string {
 	if t.Column == "" {
-		return ""
+		return [2]string{text(t.Rows...), ""}
 	}
-	return artifactText(v, t.Column)
+	return [2]string{text(t.Rows...), text(t.Column)}
 }
 
 // Render prints the pivot of r with aligned columns: the title, a
 // header, and one line per row. A row and column group that no cell
-// fills print "-". A metric prints whole from 100 up and to three
-// significant digits below.
+// fills print "-".
 func (t Table) Render(r Report) string {
-	type row struct {
-		label []string
-		at    map[string]CellResult
-	}
-	var rows []*row
-	byLabel := make(map[string]*row)
-	var groups []string
+	var rows, groups []string
+	at := make(map[[2]string]CellResult)
 	for _, c := range r.Cells {
-		v := reflect.ValueOf(c)
-		label, g := t.label(v), t.group(v)
-		if !slices.Contains(groups, g) {
-			groups = append(groups, g)
+		k := t.keys(c)
+		if !slices.Contains(rows, k[0]) {
+			rows = append(rows, k[0])
 		}
-		k := strings.Join(label, "\x00")
-		if byLabel[k] == nil {
-			byLabel[k] = &row{label: label, at: make(map[string]CellResult)}
-			rows = append(rows, byLabel[k])
+		if !slices.Contains(groups, k[1]) {
+			groups = append(groups, k[1])
 		}
-		byLabel[k].at[g] = c
+		at[k] = c
 	}
-
 	header := slices.Clone(t.Rows)
 	for _, g := range groups {
 		for _, m := range t.Values {
@@ -127,16 +114,16 @@ func (t Table) Render(r Report) string {
 	sb.WriteString(t.Title + "\n")
 	tw := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, strings.Join(header, "\t"))
-	for _, rw := range rows {
-		line := slices.Clone(rw.label)
+	for _, row := range rows {
+		line := []string{row}
 		for _, g := range groups {
-			c, ok := rw.at[g]
+			c, ok := at[[2]string{row, g}]
 			for _, m := range t.Values {
 				if !ok {
 					line = append(line, "-")
-					continue
+				} else {
+					line = append(line, metricText(c, m))
 				}
-				line = append(line, metricText(reflect.ValueOf(c), m))
 			}
 		}
 		fmt.Fprintln(tw, strings.Join(line, "\t"))
@@ -145,27 +132,16 @@ func (t Table) Render(r Report) string {
 	return sb.String()
 }
 
-// artifactText is the named field of v, a CellResult, as the artifact
-// spells it, strings unquoted.
-func artifactText(v reflect.Value, name string) string {
+// metricText prints a metric whole from 100 up and to three
+// significant digits below.
+func metricText(c CellResult, name string) string {
 	f, _ := lookup(resultFields, name)
-	b, err := json.Marshal(v.FieldByIndex(f.index).Interface())
-	if err != nil {
-		panic(err) // plain strings, numbers and times
+	x := reflect.ValueOf(c).FieldByIndex(f.index)
+	switch {
+	case x.Kind() != reflect.Float64:
+		return fmt.Sprint(x.Interface())
+	case math.Abs(x.Float()) >= 100:
+		return strconv.FormatFloat(x.Float(), 'f', 0, 64)
 	}
-	if s, err := strconv.Unquote(string(b)); err == nil {
-		return s
-	}
-	return string(b)
-}
-
-func metricText(v reflect.Value, name string) string {
-	f, _ := lookup(resultFields, name)
-	if x := v.FieldByIndex(f.index); x.Kind() == reflect.Float64 {
-		if math.Abs(x.Float()) >= 100 {
-			return strconv.FormatFloat(x.Float(), 'f', 0, 64)
-		}
-		return strconv.FormatFloat(x.Float(), 'g', 3, 64)
-	}
-	return artifactText(v, name)
+	return strconv.FormatFloat(x.Float(), 'g', 3, 64)
 }
