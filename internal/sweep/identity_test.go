@@ -89,6 +89,9 @@ func TestCommittedArtifactsReproduce(t *testing.T) {
 			if tc.long && testing.Short() {
 				t.Skip("paper-scale or N=250 cells are too slow for -short")
 			}
+			// In parallel, one grid's cells fill the cores another
+			// grid's last cells leave idle.
+			t.Parallel()
 			want, err := os.ReadFile(filepath.Join(tc.dir, tc.artifact))
 			if err != nil {
 				t.Fatal(err)
