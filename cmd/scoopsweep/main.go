@@ -7,7 +7,7 @@
 //
 //	scoopsweep                                     # sweep.Default(), 24 cells
 //	scoopsweep testdata/sweep-dynamics.grid.json   # a declared grid
-//	scoopsweep -out /tmp/fig-4.json testdata/fig-4.grid.json   # the paper's Figure 4
+//	scoopsweep testdata/fig-4.grid.json            # the paper's Figure 4
 //	scoopsweep -parallel 8 -out sweep.json grid.json
 //	scoopsweep -check testdata/sweep-ci-baseline.json testdata/sweep-ci.grid.json
 //
