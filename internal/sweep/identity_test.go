@@ -48,7 +48,7 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 //     length, one trial a cell: Figure 3 on the testbed and in
 //     simulation, Figures 4 and 5, the sample-interval and network-size
 //     sweeps, and the churn/drift extension. scoopsweep prints each
-//     figure's tables; TestFigureShapes reads them.
+//     figure's tables; figures_test.go reads them.
 //   - identity-n65 was generated BEFORE the scale-tier hot-path overhaul
 //     (object pooling, dense node indices, flattened link tables), so
 //     reproducing it proves no simulated behaviour has changed at the
