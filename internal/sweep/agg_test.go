@@ -30,7 +30,7 @@ func TestCellsSkipComparatorAggMix(t *testing.T) {
 	g.Policies = []policy.Name{policy.Scoop, policy.Base, policy.HashSim}
 	g.Sizes = []int{16}
 	g.LossRates = []float64{0}
-	g.Axes = []Axis{axis("aggMix", scoopOnly, 0, 0.5)}
+	g.Axes = []Axis{axis("aggMix", 0, 0.5)}
 	cells := g.Cells()
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d, want 4 (scoop×2 mixes + base + hashsim)", len(cells))
@@ -55,7 +55,7 @@ func TestAggMixCellEndToEnd(t *testing.T) {
 	g.Policies = []policy.Name{policy.Scoop}
 	g.Sizes = []int{12}
 	g.LossRates = []float64{0}
-	g.Axes = []Axis{axis("aggMix", scoopOnly, 0.5)}
+	g.Axes = []Axis{axis("aggMix", 0.5)}
 	g.Duration = 10 * netsim.Minute
 	g.Warmup = 3 * netsim.Minute
 	rep, err := Run(g, Options{Parallel: 1})

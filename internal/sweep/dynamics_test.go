@@ -28,15 +28,14 @@ func TestCellKeyBackwardCompatible(t *testing.T) {
 }
 
 // The frozen-index ablation only exists for Scoop; comparator
-// policies have no adaptive loop, so the grid files confine the axis
-// to Scoop, and reindex-off cells for the others, which would
-// duplicate the normal cell under a misleading key, are omitted.
+// policies have no adaptive loop, so their reindex-off cells, which
+// would duplicate the normal cell under a misleading key, are omitted.
 func TestCellsSkipComparatorNoReindex(t *testing.T) {
 	g := Default()
 	g.Policies = policy.Names()
 	g.Sizes = []int{16}
 	g.LossRates = []float64{0}
-	g.Axes = []Axis{axis("noReindex", scoopOnly, false, true)}
+	g.Axes = []Axis{axis("noReindex", false, true)}
 	cells := g.Cells()
 	if len(cells) != 5 {
 		t.Fatalf("cells = %d, want 5 (4 policies + scoop noreindex)", len(cells))
@@ -54,7 +53,7 @@ func TestCellsExpandDynamicsAxes(t *testing.T) {
 	g.Sizes = []int{16}
 	g.LossRates = []float64{0}
 	g.ChurnRates = []float64{0, 0.1}
-	g.Axes = []Axis{axis("drift", nil, 0, 0.4), axis("noReindex", scoopOnly, false, true)}
+	g.Axes = []Axis{axis("drift", 0, 0.4), axis("noReindex", false, true)}
 	cells := g.Cells()
 	if len(cells) != 8 {
 		t.Fatalf("cells = %d, want 8", len(cells))
@@ -92,7 +91,7 @@ func TestChurnCellRunsDeterministically(t *testing.T) {
 		Policies:        []policy.Name{policy.Scoop},
 		Sizes:           []int{16},
 		ChurnRates:      []float64{0.15},
-		Axes:            []Axis{axis("drift", nil, 0.3)},
+		Axes:            []Axis{axis("drift", 0.3)},
 		Sources:         []string{"unique"},
 		Duration:        14 * netsim.Minute,
 		Warmup:          3 * netsim.Minute,

@@ -84,3 +84,68 @@ func TestEnergyTableArtifact(t *testing.T) {
 		}
 	}
 }
+
+// byPolicy reads a committed figure artifact's message totals per
+// policy, in cell order, which is the order of the figure's axis.
+func byPolicy(t *testing.T, name string) map[string][]float64 {
+	t.Helper()
+	rep, err := ReadFile(filepath.Join("../../testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]float64{}
+	for _, c := range rep.Cells {
+		out[string(c.Policy)] = append(out[string(c.Policy)], c.Msgs)
+	}
+	return out
+}
+
+// Figure 4: SCOOP's cost rises with the fraction of nodes queried, from
+// below LOCAL's to above it, while BASE, which sends no queries, costs
+// the same at every fraction. Every cell runs at the grid's shared
+// seed, so a BASE total that moves is seed noise leaking into the
+// figure.
+func TestFigure4Artifact(t *testing.T) {
+	msgs := byPolicy(t, "fig-4.json")
+	scoop, local, base := msgs["scoop"], msgs["local"], msgs["base"]
+	if len(scoop) != 7 || len(local) != 7 || len(base) != 7 {
+		t.Fatalf("fig-4 has %d/%d/%d scoop/local/base cells, want 7 each", len(scoop), len(local), len(base))
+	}
+	for i := 1; i < len(scoop); i++ {
+		if scoop[i] <= scoop[i-1] {
+			t.Errorf("SCOOP at fraction step %d: %.0f msgs, not above %.0f", i, scoop[i], scoop[i-1])
+		}
+		if base[i] != base[0] {
+			t.Errorf("BASE at fraction step %d: %.0f msgs, want %.0f as at every fraction", i, base[i], base[0])
+		}
+	}
+	if scoop[0] >= local[0] || scoop[6] <= local[6] {
+		t.Errorf("SCOOP %.0f → %.0f should start below LOCAL (%.0f) and end above it (%.0f)",
+			scoop[0], scoop[6], local[0], local[6])
+	}
+}
+
+// Figure 5: the longer the query interval, the cheaper querying gets:
+// LOCAL's floods fall fastest, SCOOP's cost falls too, and BASE, which
+// never queries, is flat. LOCAL, which stores without routing, crosses
+// SCOOP: dearer at the shortest interval, cheapest at the longest.
+func TestFigure5Artifact(t *testing.T) {
+	msgs := byPolicy(t, "fig-5.json")
+	scoop, local, base := msgs["scoop"], msgs["local"], msgs["base"]
+	if len(scoop) != 5 || len(local) != 5 || len(base) != 5 {
+		t.Fatalf("fig-5 has %d/%d/%d scoop/local/base cells, want 5 each", len(scoop), len(local), len(base))
+	}
+	for i := 1; i < len(scoop); i++ {
+		if scoop[i] >= scoop[i-1] || local[i] >= local[i-1] {
+			t.Errorf("interval step %d: SCOOP %.0f → %.0f, LOCAL %.0f → %.0f; both should fall",
+				i, scoop[i-1], scoop[i], local[i-1], local[i])
+		}
+		if base[i] != base[0] {
+			t.Errorf("BASE at interval step %d: %.0f msgs, want %.0f as at every interval", i, base[i], base[0])
+		}
+	}
+	if scoop[0] >= local[0] || local[4] >= scoop[4] || local[4] >= base[4] {
+		t.Errorf("LOCAL %.0f → %.0f should start above SCOOP (%.0f) and end below SCOOP (%.0f) and BASE (%.0f)",
+			local[0], local[4], scoop[0], scoop[4], base[4])
+	}
+}

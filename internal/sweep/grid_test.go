@@ -27,7 +27,6 @@ var badGrids = []struct{ name, data, want string }{
 	{"axis-no-values", `{"axes": [{"field": "drift", "values": []}]}`, `"drift" has no values`},
 	{"axis-wrong-type", `{"axes": [{"field": "retry", "values": ["yes"]}]}`, "Cell.retry"},
 	{"axis-interval-as-number", `{"axes": [{"field": "queryInterval", "values": [5000]}]}`, "Cell.queryInterval"},
-	{"axis-unknown-policy", `{"axes": [{"field": "retry", "values": [true], "policies": ["scop"]}]}`, `"scop"`},
 	{"axis-twice", `{"axes": [{"field": "drift", "values": [0]}, {"field": "drift", "values": [0.3]}]}`,
 		`"drift" given twice`},
 	{"named-axis-twice", `{"sizes": [16], "axes": [{"field": "n", "values": [24]}]}`, `"n" given twice`},
@@ -107,7 +106,7 @@ func FuzzReadGrid(f *testing.F) {
 	f.Add([]byte(`{"duration": "2m", "warmup": "2m", "policies": ["hash"], "driftRates": [-0.5]}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"policies": ["scoop", "base"], "axes": [{"field": "queryInterval", "values": ["5s", "45s"]},
-		{"field": "aggMix", "values": [0, 0.5], "policies": ["scoop"]}],
+		{"field": "aggMix", "values": [0, 0.5]}], "sharedSeed": true,
 		"tables": [{"title": "t", "rows": ["queryInterval"], "column": "policy", "values": ["msgs", "ownerHit"]}]}`))
 	f.Add([]byte(`{"axes": [{"field": "policy", "values": ["local"]}, {"field": "nodePct", "values": [0.05, 2]}],
 		"tables": [{"title": "t", "rows": ["nodePct"], "values": ["msgs"]}, {"title": "u", "rows": ["loss"], "values": ["msgs"]}]}`))

@@ -49,11 +49,13 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 //     simulation, Figures 4 and 5, the sample-interval and network-size
 //     sweeps, and the churn/drift extension. scoopsweep prints each
 //     figure's tables; figures_test.go reads them.
-//   - identity-n65 was generated BEFORE the scale-tier hot-path overhaul
-//     (object pooling, dense node indices, flattened link tables), so
-//     reproducing it proves no simulated behaviour has changed at the
-//     paper's scale since — the determinism constraint of DESIGN.md
-//     §2/§12.
+//   - identity-n65 holds the values generated BEFORE the scale-tier
+//     hot-path overhaul (object pooling, dense node indices, flattened
+//     link tables), so reproducing it proves no simulated behaviour has
+//     changed at the paper's scale since — the determinism constraint of
+//     DESIGN.md §2/§12. It was rewritten once since, only to add the
+//     root-load and energy keys: decoded with those keys zeroed, the
+//     rewritten file showed no Diff against its predecessor.
 //   - identity-n250 pins the scale-only code paths the N=65 cells cannot
 //     see (dense index rebuild batching, audible lists that spill).
 //   - faults-baseline is the fault campaign (DESIGN.md §19); its

@@ -7,9 +7,10 @@
 // timing. A grid's tables print the report as pivots; the paper's
 // figures are grid files (testdata/fig-*.grid.json).
 //
-// Every cell derives its own seed from (base seed, cell index), so a
-// sweep is reproducible regardless of how many workers run it or in
-// which order cells are scheduled: the same base seed always yields a
+// Every cell derives its own seed from (base seed, cell index), or
+// under SharedSeed runs at the base seed itself, so a sweep is
+// reproducible regardless of how many workers run it or in which order
+// cells are scheduled: the same base seed always yields a
 // byte-identical JSON artifact. Committed artifacts double as
 // baselines: a grid file (ReadGrid) beside each one regenerates it, CI
 // requires the bytes to match, and Diff names the cells and fields
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -73,6 +73,11 @@ type Grid struct {
 	// Seed is the base seed; each cell runs with a seed mixed from it
 	// and the cell's index.
 	Seed int64
+	// SharedSeed runs every cell at Seed itself, so the cells share
+	// their topology and workload draws and differ only in their axis
+	// values: a figure compares policies and settings on the same
+	// network, as the paper's do.
+	SharedSeed bool
 
 	// Tables are the pivots of the finished report scoopsweep prints.
 	Tables []Table
@@ -83,10 +88,6 @@ type Grid struct {
 type Axis struct {
 	Field  string            `json:"field"`
 	Values []json.RawMessage `json:"values"`
-	// Policies, when set, confines the axis's non-zero values to these
-	// policies; Cells omits the cells that pair a non-zero value with
-	// another policy, which has no mechanism for the value to exercise.
-	Policies []policy.Name `json:"policies,omitempty"`
 }
 
 // Default returns a 24-cell quick-scale grid: the four runnable
@@ -180,6 +181,15 @@ func (c Cell) Key() string {
 		k += fmt.Sprintf("/sample%gs", float64(c.SampleInterval)/float64(netsim.Second))
 	}
 	return k
+}
+
+// scoopOnly reports whether the cell sets a field only the Scoop policy
+// has a mechanism for: an adaptive loop to freeze, a query planner for
+// aggregate mixes, a query reliability layer for faults and retries to
+// exercise. On a comparator such a cell would repeat the plain cell
+// under a misleading key, so Cells omits it.
+func (c Cell) scoopOnly() bool {
+	return c.NoReindex || c.AggMix > 0 || c.Faults != "" || c.Retry
 }
 
 // field is one artifact key of a struct type: its JSON name and index
@@ -284,11 +294,6 @@ func resolve(a Axis) (resolved, error) {
 	if len(a.Values) == 0 {
 		return resolved{}, fmt.Errorf("sweep: axis %q has no values", a.Field)
 	}
-	for _, p := range a.Policies {
-		if !slices.Contains(policy.Names(), p) {
-			return resolved{}, fmt.Errorf("sweep: axis %q: unknown policy %q", a.Field, p)
-		}
-	}
 	r := resolved{Axis: a, index: f.index}
 	for _, raw := range a.Values {
 		var c Cell
@@ -302,7 +307,8 @@ func resolve(a Axis) (resolved, error) {
 }
 
 // Cells expands the grid's cross-product in deterministic order (see
-// Grid). A grid ReadGrid or Run would refuse expands to no cells.
+// Grid), omitting a comparator's scoopOnly cells. A grid ReadGrid or
+// Run would refuse expands to no cells.
 func (g Grid) Cells() []Cell {
 	cells, _ := g.cells()
 	return cells
@@ -334,17 +340,11 @@ func (g Grid) cells() ([]Cell, error) {
 			cv.FieldByIndex(a.index).Set(a.values[r%len(a.values)])
 			r /= len(a.values)
 		}
-		// A non-zero value on an axis confined to other policies
-		// omits the cell.
-		omit := false
-		for _, a := range axes {
-			omit = omit || len(a.Policies) > 0 && !cv.FieldByIndex(a.index).IsZero() &&
-				!slices.Contains(a.Policies, c.Policy)
+		if c.Policy != policy.Scoop && c.scoopOnly() {
+			continue
 		}
-		if !omit {
-			c.Index = len(cells)
-			cells = append(cells, c)
-		}
+		c.Index = len(cells)
+		cells = append(cells, c)
 	}
 	for _, t := range g.Tables {
 		if err := t.check(cells); err != nil {
@@ -392,6 +392,9 @@ func (g Grid) config(c Cell) (exp.Config, error) {
 	cfg.NodePct = cmp.Or(c.NodePct, cfg.NodePct)
 	cfg.Trials = g.Trials // exp.Run reads 0 as 1
 	cfg.Seed = CellSeed(g.Seed, c.Index)
+	if g.SharedSeed {
+		cfg.Seed = g.Seed
+	}
 	cfg.ReindexInterval = g.ReindexInterval
 	cfg.DisableReindex = c.NoReindex
 	cfg.AggRatio = c.AggMix

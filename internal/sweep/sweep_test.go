@@ -30,15 +30,9 @@ func tinyGrid() Grid {
 	return g
 }
 
-// scoopOnly confines an axis to the Scoop policy, as the grid files do
-// for the mechanisms only Scoop has.
-var scoopOnly = []policy.Name{policy.Scoop}
-
 // axis is an Axis over Go values, each spelt as JSON encodes it.
-func axis(field string, policies []policy.Name, values ...any) Axis {
-	a := shorthand(field, values, nil)
-	a.Policies = policies
-	return a
+func axis(field string, values ...any) Axis {
+	return shorthand(field, values, nil)
 }
 
 func TestCellsCrossProduct(t *testing.T) {
@@ -90,6 +84,28 @@ func TestCellSeedsDistinctAndStable(t *testing.T) {
 	}
 	if CellSeed(1, 5) != CellSeed(1, 5) {
 		t.Fatal("CellSeed is not a pure function")
+	}
+}
+
+// Under SharedSeed every cell runs at the base seed, and the result
+// records it; without it, each cell runs at its own CellSeed.
+func TestSharedSeed(t *testing.T) {
+	g := tinyGrid()
+	for _, shared := range []bool{false, true} {
+		g.SharedSeed = shared
+		cells, cfgs, err := g.plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			want := CellSeed(g.Seed, cells[i].Index)
+			if shared {
+				want = g.Seed
+			}
+			if cfg.Seed != want {
+				t.Errorf("sharedSeed %v: cell %s runs at seed %d, want %d", shared, cells[i].Key(), cfg.Seed, want)
+			}
+		}
 	}
 }
 
@@ -167,9 +183,9 @@ func TestRunRejectsBadCells(t *testing.T) {
 		{"loss", func(g *Grid) { g.LossRates = []float64{0, 1.5} }, "/loss1.5/"},
 		{"size", func(g *Grid) { g.Sizes = []int{12, 1100} }, "/n1100/"},
 		{"churn", func(g *Grid) { g.ChurnRates = []float64{1.5} }, "/churn1.5)"},
-		{"drift", func(g *Grid) { g.Axes = []Axis{axis("drift", nil, -2)} }, "/drift-2)"},
-		{"fault", func(g *Grid) { g.Axes = []Axis{axis("faults", scoopOnly, "", "earthquake")} }, "/faults-earthquake)"},
-		{"node-pct", func(g *Grid) { g.Axes = []Axis{axis("nodePct", nil, 1.5)} }, "/nodes1.5)"},
+		{"drift", func(g *Grid) { g.Axes = []Axis{axis("drift", -2)} }, "/drift-2)"},
+		{"fault", func(g *Grid) { g.Axes = []Axis{axis("faults", "", "earthquake")} }, "/faults-earthquake)"},
+		{"node-pct", func(g *Grid) { g.Axes = []Axis{axis("nodePct", 1.5)} }, "/nodes1.5)"},
 		{"table", func(g *Grid) {
 			g.Tables = []Table{{Title: "by size", Rows: []string{"n"}, Values: []string{"msgs"}}}
 		}, "share a row and column"},
@@ -198,8 +214,8 @@ func TestRunRejectsBadCells(t *testing.T) {
 // netsim.Time is written as the duration text a grid file spells it in.
 func TestWriteReadRoundTrip(t *testing.T) {
 	g := Grid{LossRates: []float64{0.1}, Axes: []Axis{
-		axis("queryInterval", nil, "5s", "1m30s"),
-		axis("sampleInterval", nil, "2m"),
+		axis("queryInterval", "5s", "1m30s"),
+		axis("sampleInterval", "2m"),
 	}}
 	rep := Report{Name: "rt", Seed: 3}
 	for _, c := range g.Cells() {
@@ -293,10 +309,10 @@ func TestCellsOrderGolden(t *testing.T) {
 		LossRates:  []float64{0},
 		ChurnRates: []float64{0, 0.15},
 		Axes: []Axis{
-			axis("noReindex", scoopOnly, false, true),
-			axis("aggMix", scoopOnly, 0, 0.5),
-			axis("faults", scoopOnly, "", "blackout"),
-			axis("retry", scoopOnly, false, true),
+			axis("noReindex", false, true),
+			axis("aggMix", 0, 0.5),
+			axis("faults", "", "blackout"),
+			axis("retry", false, true),
 		},
 		Sources: []string{"unique"},
 	}
@@ -353,11 +369,11 @@ func TestCellsOrderGolden(t *testing.T) {
 		LossRates:  []float64{0, 0.2},
 		ChurnRates: []float64{0, 0.15},
 		Axes: []Axis{
-			axis("drift", nil, 0, 0.3),
-			axis("noReindex", scoopOnly, false, true),
-			axis("aggMix", scoopOnly, 0, 0.5),
-			axis("faults", scoopOnly, "", "blackout"),
-			axis("retry", scoopOnly, false, true),
+			axis("drift", 0, 0.3),
+			axis("noReindex", false, true),
+			axis("aggMix", 0, 0.5),
+			axis("faults", "", "blackout"),
+			axis("retry", false, true),
 		},
 		Sources: []string{"real", "unique"},
 	}
