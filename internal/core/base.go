@@ -103,7 +103,7 @@ type Base struct {
 	openLog   []openQuery
 
 	// Reindex pipeline state, reused across rebuilds: the link-quality
-	// graph (Reset each epoch), the incremental index builder with its
+	// graph (Reset each epoch), the index builder with its
 	// solver/contributor/owner scratch, and the per-node statistics
 	// slice buildInput refills.
 	graph      *index.Graph

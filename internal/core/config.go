@@ -228,9 +228,9 @@ type RunStats struct {
 	// operator visibility only — it must never enter a committed
 	// artifact); the other counters are deterministic.
 	ReindexValues     int64 // value-domain entries across all rebuilds
-	ReindexRecomputed int64 // values whose best-owner search re-ran
-	ReindexSPTSources int64 // Dijkstra sources relaxed (0 when links were stable)
-	ReindexFull       int64 // rebuilds that ran without usable incremental state
+	ReindexRecomputed int64 // values whose best-owner search re-ran (every value)
+	ReindexSPTSources int64 // Dijkstra sources solved (N per rebuild)
+	ReindexFull       int64 // full rebuilds (every rebuild)
 	ReindexWallNanos  int64 // wall-clock spent building indexes
 
 	// Aggregate query engine counters.

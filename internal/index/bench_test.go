@@ -33,7 +33,7 @@ func paperScaleInput(seed int64) BuildInput {
 	return BuildInput{
 		N: n, Base: 0, Nodes: nodes,
 		Query:    QueryProfile{Rate: 1.0 / 15, MinValue: 0, Prob: uniformProb(151)},
-		Xmits:    g.Xmits(),
+		Graph:    g,
 		MinValue: 0, MaxValue: 150,
 	}
 }
@@ -80,7 +80,7 @@ func BenchmarkBuild128Nodes(b *testing.B) {
 	}
 	in.N = 128
 	in.Nodes = nodes
-	in.Xmits = g.Xmits()
+	in.Graph = g
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(uint16(i+1), in)
@@ -128,16 +128,14 @@ func BenchmarkRebuildPipelineDense1000(b *testing.B) {
 	g, in := rebuildBenchScenario(1000, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := in
-		in.Xmits = g.XmitsDense()
-		naiveOwners(in)
+		naiveOwners(in, g.XmitsDense())
 	}
 }
 
-// BenchmarkRebuildPipelineSparse1000 is the same full (cold) rebuild
-// through the new pipeline — sparse SPT plus the contributor-table
-// owner search — without incremental credit (fresh Builder per op;
-// the steady-state warm path is perfbench's index/rebuild/n1000).
+// BenchmarkRebuildPipelineSparse1000 is the same rebuild through the
+// Builder — sparse SPT plus the streamed contributor-table owner
+// search — cold (fresh Builder per op; the warm path is perfbench's
+// index/rebuild/n1000).
 func BenchmarkRebuildPipelineSparse1000(b *testing.B) {
 	g, in := rebuildBenchScenario(1000, 11)
 	b.ResetTimer()
@@ -149,7 +147,7 @@ func BenchmarkRebuildPipelineSparse1000(b *testing.B) {
 	}
 }
 
-// BenchmarkXmitsAllPairs measures the Floyd–Warshall ETX pass alone.
+// BenchmarkXmitsAllPairs measures the all-pairs ETX pass, Graph.Xmits, alone.
 func BenchmarkXmitsAllPairs(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	g := NewGraph(63)

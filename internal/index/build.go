@@ -44,11 +44,8 @@ type BuildInput struct {
 	// slice (not a map) keeps cost summation order deterministic.
 	Nodes []NodeStat
 	Query QueryProfile
-	// Xmits is the all-pairs expected-transmission matrix. Callers
-	// may leave it nil and set Graph instead; the build then runs the
-	// sparse shortest-path pass itself (with a Builder, reusing its
-	// scratch) and fills Xmits in.
-	Xmits    [][]float64
+	// Graph is the link observations; the build runs the sparse
+	// shortest-path pass over it.
 	Graph    *Graph
 	MinValue int // attribute value domain, inclusive
 	MaxValue int
@@ -56,35 +53,6 @@ type BuildInput struct {
 
 // domainSize returns the number of values under consideration.
 func (in BuildInput) domainSize() int { return in.MaxValue - in.MinValue + 1 }
-
-// Cost returns the expected number of messages per second if value v
-// is stored at owner o — the inner computation of the paper's Figure 2:
-//
-//	cost(o,v) = Σ_p P(p produces v)·rate_p·xmits(p→o)
-//	          + P(user queries v)·queryRate·xmits(base→o→base)
-func (in BuildInput) Cost(o netsim.NodeID, v int) float64 {
-	cost := 0.0
-	for p := range in.Nodes {
-		st := &in.Nodes[p]
-		prob := st.Hist.Prob(v)
-		if prob == 0 || st.Rate == 0 || netsim.NodeID(p) == o {
-			continue
-		}
-		x := in.Xmits[p][o]
-		if x >= Inf {
-			return Inf
-		}
-		cost += prob * st.Rate * x
-	}
-	if qp := in.Query.ProbOf(v); qp > 0 && in.Query.Rate > 0 && o != in.Base {
-		x := RoundTrip(in.Xmits, in.Base, o)
-		if x >= Inf {
-			return Inf
-		}
-		cost += qp * in.Query.Rate * x
-	}
-	return cost
-}
 
 // contiguityTolerance lets the previous value's owner keep the next
 // value when it is within this fraction of the optimum. Neighbouring
@@ -111,8 +79,7 @@ type contribTable struct {
 }
 
 // build fills the table from the input's histograms, reusing the
-// receiver's slices across rebuilds (the Builder double-buffers two
-// tables so the previous build's weights survive for dirty diffing).
+// receiver's slices across rebuilds.
 func (t *contribTable) build(in *BuildInput) {
 	V := in.domainSize()
 	if cap(t.off) < V+1 {
@@ -135,28 +102,4 @@ func (t *contribTable) build(in *BuildInput) {
 		}
 		t.off[i+1] = int32(len(t.prods))
 	}
-}
-
-// cost mirrors BuildInput.Cost over the precomputed contributors.
-func (t *contribTable) cost(in *BuildInput, o netsim.NodeID, vi int) float64 {
-	c := 0.0
-	for k := t.off[vi]; k < t.off[vi+1]; k++ {
-		p := t.prods[k]
-		if netsim.NodeID(p) == o {
-			continue
-		}
-		x := in.Xmits[p][o]
-		if x >= Inf {
-			return Inf
-		}
-		c += t.weights[k] * x
-	}
-	if qp := in.Query.ProbOf(in.MinValue + vi); qp > 0 && in.Query.Rate > 0 && o != in.Base {
-		x := RoundTrip(in.Xmits, in.Base, o)
-		if x >= Inf {
-			return Inf
-		}
-		c += qp * in.Query.Rate * x
-	}
-	return c
 }

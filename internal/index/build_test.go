@@ -136,7 +136,7 @@ func buildInput(producer netsim.NodeID, dataRate, qRate float64) BuildInput {
 		Base:     0,
 		Nodes:    nodeStats(4, producer, NodeStat{Hist: hist, Rate: dataRate}),
 		Query:    QueryProfile{Rate: qRate, MinValue: 0, Prob: prob},
-		Xmits:    chainGraph(0.8).Xmits(),
+		Graph:    chainGraph(0.8),
 		MinValue: 0,
 		MaxValue: 29,
 	}
@@ -191,7 +191,7 @@ func TestBuildP3ProducerPreferred(t *testing.T) {
 			return ns
 		}(),
 		Query:    QueryProfile{MinValue: 0},
-		Xmits:    chainGraph(0.8).Xmits(),
+		Graph:    chainGraph(0.8),
 		MinValue: 0,
 		MaxValue: 24,
 	}
@@ -226,14 +226,14 @@ func TestBuildP4NetworkAware(t *testing.T) {
 		Base:     0,
 		Nodes:    nodeStats(4, 1, NodeStat{Hist: histogram.Build([]int{5, 5, 5}, 5), Rate: 1}),
 		Query:    QueryProfile{MinValue: 0},
-		Xmits:    x,
+		Graph:    g,
 		MinValue: 0,
 		MaxValue: 9,
 	}
 	// With no queries the producer owns its value; costs for 2 vs 3
 	// differ only by link quality.
-	c2 := in.Cost(2, 5)
-	c3 := in.Cost(3, 5)
+	c2 := cost(in, x, 2, 5)
+	c3 := cost(in, x, 3, 5)
 	if c2 >= c3 {
 		t.Fatalf("good-link owner cost %f not below lossy-link owner cost %f", c2, c3)
 	}
@@ -247,7 +247,7 @@ func TestBuildUnknownNodesDefaultToBase(t *testing.T) {
 		Base:     0,
 		Nodes:    make([]NodeStat, 4),
 		Query:    QueryProfile{MinValue: 0},
-		Xmits:    chainGraph(0.8).Xmits(),
+		Graph:    chainGraph(0.8),
 		MinValue: 0,
 		MaxValue: 9,
 	}
@@ -301,18 +301,19 @@ func TestBuildPerValueOptimalityProperty(t *testing.T) {
 		in := BuildInput{
 			N: n, Base: 0, Nodes: nodes,
 			Query:    QueryProfile{Rate: r.Float64(), MinValue: 0, Prob: uniformProb(20)},
-			Xmits:    g.Xmits(),
+			Graph:    g,
 			MinValue: 0, MaxValue: 19,
 		}
+		x := g.Xmits()
 		owners := BuildOwners(in)
 		for i, o := range owners {
 			v := in.MinValue + i
-			c := in.Cost(o, v)
+			c := cost(in, x, o, v)
 			for alt := 0; alt < n; alt++ {
 				// The contiguity preference may keep the previous
 				// owner when it is within the documented tolerance of
 				// the optimum — never worse than that.
-				if in.Cost(netsim.NodeID(alt), v)*(1+contiguityTolerance) < c-1e-12 {
+				if cost(in, x, netsim.NodeID(alt), v)*(1+contiguityTolerance) < c-1e-12 {
 					return false
 				}
 			}

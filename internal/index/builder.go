@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -10,30 +11,29 @@ import (
 
 // BuildStats describes what one index rebuild actually did — the
 // probe the basestation surfaces through core.RunStats so sweeps and
-// perf tooling can report reindex cost.
+// perf tooling can report reindex cost. Every rebuild recomputes every
+// value and solves every source, so Recomputed is Values, SPTSources
+// is the network size and FullRebuild is true.
 type BuildStats struct {
 	Values      int   // value-domain size of the build
 	Recomputed  int   // values whose best-owner search re-ran
-	SPTSources  int   // Dijkstra sources relaxed (0: link graph unchanged)
+	SPTSources  int   // Dijkstra sources solved
 	Edges       int   // usable links in the sparse adjacency
-	FullRebuild bool  // no usable previous state (or caller-provided xmits)
+	FullRebuild bool  // always true: no state carries over between builds
 	WallNanos   int64 // wall-clock cost of the rebuild
 }
 
-// Builder is the basestation's reusable index-construction pipeline:
-// the sparse shortest-path solver, the contributor tables and the
-// per-value best-owner cache all live in scratch buffers that survive
-// across rebuilds, so a steady-state reindex allocates (almost)
-// nothing and recomputes only what changed.
-//
-// Between rebuilds the Builder tracks dirty values: a value's
-// best-owner search re-runs only when its contributor weights, its
-// query-profile entry, the query round-trip table, or the xmits row of
-// one of its contributors changed at all, so the incremental result is
-// bit-identical to a from-scratch BuildOwners — the property
-// TestBuilderMatchesScratch pins. The sequential contiguity pass
-// (which couples value i to value i-1's owner) always re-runs over the
-// whole domain; only the parallelizable argmin search is skipped.
+// rowBatch is how many contributors' xmits rows one rebuild holds at a
+// time: 256 KB at N = 1000, where the whole matrix would be 8 MB.
+const rowBatch = 32
+
+// Builder is the basestation's reusable index-construction pipeline.
+// The sparse adjacency, the contributor table, a batch of xmits rows
+// and the V×N per-value cost accumulator are scratch buffers that
+// survive across rebuilds, so a steady-state reindex allocates almost
+// nothing. The N×N xmits matrix is never held: the largest buffer is
+// the accumulator, N² costs only when the domain is as large as the
+// network (UNIQUE).
 //
 // The zero value is ready to use. A Builder must not be shared between
 // goroutines.
@@ -45,41 +45,19 @@ type Builder struct {
 	// FullRebuild).
 	Trace *trace.Recorder
 
-	// Sparse shortest-path state. The adjacency is double-buffered so an
-	// unchanged link graph skips the pass; the xmits matrix is not: a
-	// row is solved into worker scratch and compared before it is
-	// copied in (solveAllPairs), which is what rowChanged records.
-	adj      [2]csr
-	cur      int // index of the adjacency of the latest xmits
-	xmits    xbuf
-	workers  []spWorker
-	haveAdj  bool // adj[cur] holds the previous build's graph
-	external bool // last build used caller-provided xmits (no CSR state)
+	adj     csr
+	ct      contribTable
+	workers []spWorker // per-worker Dijkstra heap and distance row
 
-	// Cost-model state, double-buffered for dirty diffing.
-	cts   [2]contribTable
-	qprob [2][]float64
-	qrate [2]float64
-	rt    [2][]float64 // RoundTrip(base, o) per candidate owner
-
-	// Per-value cache: the argmin owner and its cost from the last
-	// build (pre-contiguity), and the final owner assignment.
-	best     []netsim.NodeID
-	bestCost []float64
-	owners   []netsim.NodeID
-
-	prevValid bool
-	prevN     int
-	prevBase  netsim.NodeID
-	prevMin   int
-	prevMax   int
-
-	// Rebuild scratch.
-	rowChanged []bool
-	dirtyIdx   []int32
-	costsW     [][]float64 // per-worker cost accumulators
-	infsW      [][]bool    // per-worker unreachability flags
-	ctFlip     int         // which cost-model buffer is current
+	cidx    []int32   // node → its position in contrib, or -1
+	contrib []int32   // nodes that produce some value, ascending
+	others  []int32   // every other node
+	baseRow []float64 // xmits(base→o)
+	rt      []float64 // xmits(o→base), then the round trip base→o→base
+	rows    []float64 // one batch of contributors' xmits rows, n apart
+	cursor  []int32   // per value: its next contributor entry to fold
+	acc     []float64 // cost of value vi at owner o in acc[vi*n+o]
+	owners  []netsim.NodeID
 
 	stats BuildStats
 }
@@ -87,318 +65,180 @@ type Builder struct {
 // LastStats reports what the most recent rebuild did.
 func (b *Builder) LastStats() BuildStats { return b.stats }
 
-// Build runs the incremental pipeline and compacts the result into an
-// Index. in.Xmits may be nil when in.Graph is set; the builder then
-// computes the matrix itself (and fills in.Xmits for the caller's
-// follow-up cost evaluations).
+// Build runs the pipeline and compacts the result into an Index.
 func (b *Builder) Build(id uint16, in *BuildInput) *Index {
 	return New(id, in.MinValue, b.BuildOwners(in))
 }
 
-// BuildOwners runs the paper's indexing algorithm: for every value in
-// the domain, try every node (the basestation included) as owner and
-// keep the cheapest; exact ties break toward the previous value's owner,
-// then toward the lower node ID, so results are deterministic and
-// compact. Only dirty values are recomputed when previous state is
-// compatible. The returned slice is builder-owned scratch, invalidated
-// by the next call.
+// BuildOwners runs the paper's indexing algorithm (Figure 2): for every
+// value v in the domain, try every node o (the basestation included) as
+// owner and keep the cheapest, where
+//
+//	cost(o,v) = Σ_p P(p produces v)·rate_p·xmits(p→o)
+//	          + P(user queries v)·queryRate·xmits(base→o→base)
+//
+// and the query term is absent for o = base. Exact ties break toward
+// the base, then the lower node ID; the contiguity pass then lets the
+// previous value's owner keep v within contiguityTolerance, so results
+// are deterministic and compact.
+//
+// Only three kinds of xmits row are needed: the base's, each
+// contributor's, and xmits(o→base) for every other o. The contributors'
+// rows are solved in ascending producer order, a batch at a time, and
+// each batch is folded into the per-value accumulator before the next
+// is solved; every other node's Dijkstra stops once the base pops. Each
+// accumulator entry sums its terms in ascending producer order with the
+// query term last, the order of the naive scan, so the owners are the
+// ones that scan computes from the full matrix bit for bit.
+//
+// The returned slice is builder-owned scratch, invalidated by the next
+// call.
 func (b *Builder) BuildOwners(in *BuildInput) []netsim.NodeID {
 	start := time.Now() //scoop:allow walltime BuildStats wall probe, json:"-" everywhere — never enters artifacts (DESIGN.md §14)
-	n := in.N
-	V := in.domainSize()
-	b.stats = BuildStats{Values: V}
+	n, V, base := in.N, in.domainSize(), int(in.Base)
+	b.stats = BuildStats{Values: V, Recomputed: V, SPTSources: n, FullRebuild: true}
 	b.Trace.Emit(trace.Event{Kind: trace.ReindexBegin, Node: uint16(in.Base), Value: int64(V)})
 
-	full := !b.prevValid || b.prevN != n || b.prevBase != in.Base ||
-		b.prevMin != in.MinValue || b.prevMax != in.MaxValue
+	b.adj.build(in.Graph)
+	b.stats.Edges = len(b.adj.to)
+	b.ct.build(in)
+	ct := &b.ct
 
-	// 1. Shortest paths. Caller-provided matrices bypass the sparse
-	// solver entirely (one-shot use from tests and the analytical
-	// policies); row history is then unusable, so everything dirties.
-	rowsChangedAny := false
-	if in.Xmits == nil && in.Graph == nil {
-		panic("index: BuildInput needs either Xmits or Graph")
+	// Split the nodes into contributors and the rest. Per-worker
+	// scratch is sized serially, before any fan-out.
+	b.cidx = resize(b.cidx, n)
+	for p := range b.cidx {
+		b.cidx[p] = -1
 	}
-	if in.Xmits != nil {
-		full = true
-		b.external = true
-		b.haveAdj = false
-	} else {
-		if b.external {
-			full = true
-			b.external = false
+	for _, p := range ct.prods {
+		b.cidx[p] = 0
+	}
+	b.contrib, b.others = b.contrib[:0], b.others[:0]
+	for p := range b.cidx {
+		if b.cidx[p] < 0 {
+			b.others = append(b.others, int32(p))
+			continue
 		}
-		next := 1 - b.cur
-		b.adj[next].build(in.Graph)
-		b.stats.Edges = len(b.adj[next].to)
-		// An unchanged link graph leaves the matrix exact: every xmits
-		// row is clean, no SPT work.
-		if full || !b.haveAdj || !b.adj[next].equal(&b.adj[b.cur]) {
-			b.xmits.ensure(n)
-			var changed []bool
-			if !full {
-				b.rowChanged = slices.Grow(b.rowChanged[:0], n)[:n]
-				changed = b.rowChanged
-			}
-			rowsChangedAny = solveAllPairs(&b.adj[next], b.xmits.rows, changed, &b.workers)
-			b.stats.SPTSources = n
-			b.cur = next
-		}
-		b.haveAdj = true
-		in.Xmits = b.xmits.rows
+		b.cidx[p] = int32(len(b.contrib))
+		b.contrib = append(b.contrib, int32(p))
 	}
-
-	// 2. Cost-model inputs: contributor table, query profile, query
-	// round trips — all double-buffered for the dirty diff.
-	b.swapCostModel(in, n, V)
-
-	// 3. Dirty set. A topology-scale change — more than half the
-	// domain dirty — is promoted to a full rebuild: the bookkeeping
-	// buys nothing and the result is identical either way.
-	b.dirtyIdx = b.dirtyIdx[:0]
-	if !full {
-		b.collectDirty(V, rowsChangedAny)
-		if 2*len(b.dirtyIdx) > V {
-			full = true
-			b.dirtyIdx = b.dirtyIdx[:0]
-		}
-	}
-	if full {
-		for i := 0; i < V; i++ {
-			b.dirtyIdx = append(b.dirtyIdx, int32(i))
-		}
-	}
-	b.stats.FullRebuild = full
-	b.stats.Recomputed = len(b.dirtyIdx)
-
-	// 4. Parallel per-value best-owner search over the dirty set.
-	if cap(b.best) < V {
-		b.best = make([]netsim.NodeID, V)
-		b.bestCost = make([]float64, V)
-		b.owners = make([]netsim.NodeID, V)
-	}
-	b.best, b.bestCost, b.owners = b.best[:V], b.bestCost[:V], b.owners[:V]
-	b.argminDirty(in, n)
-
-	// 5. Sequential contiguity pass (paper §5.3 range compaction).
-	ct := &b.cts[b.ctCur()]
-	prev := netsim.NodeID(0)
-	hasPrev := false
-	for i := 0; i < V; i++ {
-		best, bestCost := b.best[i], b.bestCost[i]
-		if hasPrev && prev != best {
-			if c := ct.cost(in, prev, i); c <= bestCost*(1+contiguityTolerance) {
-				best = prev
-			}
-		}
-		b.owners[i] = best
-		prev, hasPrev = best, true
-	}
-
-	b.prevValid, b.prevN, b.prevBase = true, n, in.Base
-	b.prevMin, b.prevMax = in.MinValue, in.MaxValue
-	b.stats.WallNanos = time.Since(start).Nanoseconds() //scoop:allow walltime BuildStats wall probe, json:"-" everywhere — never enters artifacts (DESIGN.md §14)
-	if b.Trace != nil {
-		flag := uint8(0)
-		if full {
-			flag = 1
-		}
-		b.Trace.Emit(trace.Event{Kind: trace.ReindexEnd, Node: uint16(in.Base), Flag: flag,
-			Size: int32(V), Value: int64(b.stats.Recomputed), Aux: int64(b.stats.SPTSources)})
-	}
-	return b.owners
-}
-
-// swapCostModel rebuilds the contributor table, query-probability row
-// and round-trip table into the spare buffers, making the previous
-// build's versions available for the dirty diff.
-func (b *Builder) swapCostModel(in *BuildInput, n, V int) {
-	k := b.ctCur() ^ 1
-	b.cts[k].build(in)
-	if cap(b.qprob[k]) < V {
-		b.qprob[k] = make([]float64, V)
-	}
-	b.qprob[k] = b.qprob[k][:V]
-	for i := 0; i < V; i++ {
-		b.qprob[k][i] = in.Query.ProbOf(in.MinValue + i)
-	}
-	b.qrate[k] = in.Query.Rate
-	if cap(b.rt[k]) < n {
-		b.rt[k] = make([]float64, n)
-	}
-	b.rt[k] = b.rt[k][:n]
-	for o := 0; o < n; o++ {
-		b.rt[k][o] = RoundTrip(in.Xmits, in.Base, netsim.NodeID(o))
-	}
-	b.ctFlip ^= 1
-}
-
-// collectDirty appends every value whose cost inputs changed since the
-// previous build. rtAll short-circuits the per-owner round-trip check:
-// the argmin scans every candidate owner, so any changed round trip
-// dirties every queried value.
-func (b *Builder) collectDirty(V int, rowsChangedAny bool) {
-	k := b.ctCur()
-	cur, old := &b.cts[k], &b.cts[k^1]
-	qp, qpOld := b.qprob[k], b.qprob[k^1]
-	rateChanged := differ(b.qrate[k], b.qrate[k^1])
-	rtChanged := false
-	if len(b.rt[k]) != len(b.rt[k^1]) {
-		rtChanged = true
-	} else {
-		for o := range b.rt[k] {
-			if differ(b.rt[k][o], b.rt[k^1][o]) {
-				rtChanged = true
-				break
-			}
-		}
-	}
-	for i := 0; i < V; i++ {
-		if b.valueDirty(i, cur, old, qp, qpOld, rateChanged, rtChanged, rowsChangedAny) {
-			b.dirtyIdx = append(b.dirtyIdx, int32(i))
-		}
-	}
-}
-
-func (b *Builder) valueDirty(i int, cur, old *contribTable, qp, qpOld []float64,
-	rateChanged, rtChanged, rowsChangedAny bool) bool {
-	// Query-profile entry changed (including appearing/disappearing).
-	if differ(qp[i], qpOld[i]) {
-		return true
-	}
-	queried := qp[i] > 0 && b.qrate[b.ctCur()] > 0
-	if queried && (rateChanged || rtChanged) {
-		return true
-	}
-	if !queried && rateChanged && qp[i] > 0 {
-		// Rate flipped between zero and non-zero: the query term
-		// appeared or vanished.
-		return true
-	}
-	// Contributor list or weights changed.
-	clo, chi := cur.off[i], cur.off[i+1]
-	olo, ohi := old.off[i], old.off[i+1]
-	if chi-clo != ohi-olo {
-		return true
-	}
-	for k := int32(0); k < chi-clo; k++ {
-		if cur.prods[clo+k] != old.prods[olo+k] ||
-			differ(cur.weights[clo+k], old.weights[olo+k]) {
-			return true
-		}
-	}
-	// A contributor's xmits row changed: its term moves for some owner.
-	if rowsChangedAny {
-		for k := clo; k < chi; k++ {
-			if b.rowChanged[cur.prods[k]] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// argminDirty runs the per-value best-owner search for every dirty
-// value, fanned out across the worker pool. For each value the cost of
-// all candidate owners accumulates simultaneously (one contiguous
-// xmits row per contributor), which both vectorises well and preserves
-// the exact floating-point accumulation order of the scalar
-// contribTable.cost: contributors in ascending producer order, query
-// term last.
-func (b *Builder) argminDirty(in *BuildInput, n int) {
-	dirty := b.dirtyIdx
-	if len(dirty) == 0 {
-		return
-	}
-	k := b.ctCur()
-	ct := &b.cts[k]
-	qp, qrate, rt := b.qprob[k], b.qrate[k], b.rt[k]
-	rows := in.Xmits
-	base := int(in.Base)
-
-	avgContribs := 1 + len(ct.prods)/b.stats.Values
-	work := len(dirty) * n * (1 + avgContribs)
-	// Per-worker scratch is sized serially, before the fan-out.
 	maxW := maxWorkers()
-	for len(b.costsW) < maxW {
-		b.costsW = append(b.costsW, nil)
-		b.infsW = append(b.infsW, nil)
+	if len(b.workers) < maxW {
+		b.workers = append(b.workers, make([]spWorker, maxW-len(b.workers))...)
 	}
-	for w := 0; w < maxW; w++ {
-		if cap(b.costsW[w]) < n {
-			b.costsW[w] = make([]float64, n)
-			b.infsW[w] = make([]bool, n)
+	for w := range b.workers {
+		b.workers[w].row = resize(b.workers[w].row, n)
+	}
+	b.baseRow, b.rt = resize(b.baseRow, n), resize(b.rt, n)
+	b.rows = resize(b.rows, min(rowBatch, len(b.contrib))*n)
+	b.acc = resize(b.acc, V*n)
+	clear(b.acc)
+	b.cursor = append(b.cursor[:0], ct.off[:V]...)
+
+	// 1. The base's row, serially.
+	dijkstra(&b.adj, int32(base), b.baseRow, &b.workers[0].heap, -1)
+
+	// 2. One fork-join for the rest. Each worker solves its share of
+	// the non-contributors (each search stopping when the base pops, for
+	// xmits(o→base)), then steps through the contributors' batches with
+	// the others: it solves its share of the batch's rows, waits until
+	// every row is solved, folds its share of the values, and waits
+	// again before the next batch overwrites the rows. parallelFor gives
+	// each of maxW goroutines one share [w, w+1), or runs one call with
+	// all of them inline, which needs no waits.
+	// Roughly E + n per Dijkstra source and n per folded entry.
+	work := n*(len(b.adj.to)+n) + len(ct.prods)*n
+	bar := newBarrier(maxW)
+	parallelFor(maxW, maxW, work, func(worker, a, z int) {
+		share := func(items int) (int, int) { return a * items / maxW, z * items / maxW }
+		wait := func() {
+			if z-a < maxW {
+				bar.wait()
+			}
 		}
+		w := &b.workers[worker]
+		lo, hi := share(len(b.others))
+		for _, o := range b.others[lo:hi] {
+			dijkstra(&b.adj, o, w.row, &w.heap, int32(base))
+			b.rt[o] = w.row[base]
+		}
+		for first := 0; first < len(b.contrib); first += rowBatch {
+			srcs := b.contrib[first:min(first+rowBatch, len(b.contrib))]
+			lo, hi := share(len(srcs))
+			for k := lo; k < hi; k++ {
+				row := b.rows[k*n : (k+1)*n]
+				dijkstra(&b.adj, srcs[k], row, &w.heap, -1)
+				b.rt[srcs[k]] = row[base]
+			}
+			wait()
+			last := srcs[len(srcs)-1]
+			lo, hi = share(V)
+			for vi := lo; vi < hi; vi++ {
+				costs := b.acc[vi*n : (vi+1)*n]
+				e := b.cursor[vi]
+				for ; e < ct.off[vi+1] && ct.prods[e] <= last; e++ {
+					k := int(b.cidx[ct.prods[e]]) - first
+					wt := ct.weights[e]
+					// xmits(p→p) is exactly 0, so a producer storing its
+					// own value adds wt·0, a floating-point no-op.
+					for o, x := range b.rows[k*n : (k+1)*n] {
+						if x >= Inf {
+							costs[o] = math.Inf(1)
+						} else {
+							costs[o] += wt * x
+						}
+					}
+				}
+				b.cursor[vi] = e
+			}
+			wait()
+		}
+	})
+	for o := range b.rt {
+		b.rt[o] += b.baseRow[o]
 	}
-	parallelFor(maxW, len(dirty), work, func(worker, lo, hi int) {
-		costs := b.costsW[worker][:n]
-		infs := b.infsW[worker][:n]
-		for di := lo; di < hi; di++ {
-			vi := int(dirty[di])
-			for o := 0; o < n; o++ {
-				costs[o], infs[o] = 0, false
-			}
-			// Data terms: one axpy over each contributor's xmits row.
-			// X[p][p] is exactly 0, so the scalar path's "producer
-			// stores its own value for free" skip needs no special
-			// case — adding w·0 is a floating-point no-op.
-			for e := ct.off[vi]; e < ct.off[vi+1]; e++ {
-				row := rows[ct.prods[e]]
-				w := ct.weights[e]
-				for o := 0; o < n; o++ {
-					if x := row[o]; x >= Inf {
-						infs[o] = true
-					} else {
-						costs[o] += w * x
-					}
-				}
-			}
-			// Query term (paper Figure 2's round trip), owners != base.
-			if p := qp[vi]; p > 0 && qrate > 0 {
-				f := p * qrate
-				for o := 0; o < n; o++ {
-					if o == base {
-						continue
-					}
-					if rt[o] >= Inf {
-						infs[o] = true
-					} else {
-						costs[o] += f * rt[o]
-					}
-				}
-			}
-			// Argmin with the documented tie-break: the base wins
-			// exact ties, then the lower node ID.
-			best := base
-			bestCost := costs[base]
-			if infs[base] {
-				bestCost = Inf
-			}
-			for o := 0; o < n; o++ {
+
+	// 3. Per value, serially: the query term, the argmin, and the
+	// contiguity pass (paper §5.3 range compaction), which couples value
+	// i to value i-1's owner.
+	b.owners = resize(b.owners, V)
+	qrate := in.Query.Rate
+	prev := netsim.NodeID(0)
+	for vi := 0; vi < V; vi++ {
+		costs := b.acc[vi*n : (vi+1)*n]
+		if p := in.Query.ProbOf(in.MinValue + vi); p > 0 && qrate > 0 {
+			f := p * qrate
+			for o, rt := range b.rt {
 				if o == base {
 					continue
 				}
-				c := costs[o]
-				if infs[o] {
-					c = Inf
-				}
-				if c < bestCost {
-					best, bestCost = o, c
+				if rt >= Inf {
+					costs[o] = math.Inf(1)
+				} else {
+					costs[o] += f * rt
 				}
 			}
-			b.best[vi] = netsim.NodeID(best)
-			b.bestCost[vi] = bestCost
 		}
-	})
+		at := func(o int) float64 { return min(costs[o], Inf) }
+		best, bestCost := base, at(base)
+		for o := range costs {
+			if c := at(o); o != base && c < bestCost {
+				best, bestCost = o, c
+			}
+		}
+		if vi > 0 && int(prev) != best && at(int(prev)) <= bestCost*(1+contiguityTolerance) {
+			best = int(prev)
+		}
+		b.owners[vi] = netsim.NodeID(best)
+		prev = b.owners[vi]
+	}
+
+	b.stats.WallNanos = time.Since(start).Nanoseconds() //scoop:allow walltime BuildStats wall probe, json:"-" everywhere — never enters artifacts (DESIGN.md §14)
+	b.Trace.Emit(trace.Event{Kind: trace.ReindexEnd, Node: uint16(in.Base), Flag: 1,
+		Size: int32(V), Value: int64(b.stats.Recomputed), Aux: int64(b.stats.SPTSources)})
+	return b.owners
 }
 
-// ctCur is the current cost-model buffer index (independent of the
-// xmits buffer index, which only advances when the graph changes).
-func (b *Builder) ctCur() int { return b.ctFlip }
-
-// differ reports whether two cost inputs changed for dirty tracking:
-// any bit difference counts, except that any two unreachable (≥ Inf)
-// values are equal.
-func differ(a, c float64) bool {
-	return a != c && !(a >= Inf && c >= Inf)
-}
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }

@@ -1,9 +1,9 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"testing"
 
@@ -12,36 +12,92 @@ import (
 	"scoop/internal/netsim"
 )
 
-// naiveOwners is the pre-overhaul reference: the paper's Figure 2 loop
-// over BuildInput.Cost with no contributor table, no incremental state
-// and no parallelism. The incremental Builder must reproduce it bit
-// for bit (same xmits matrix in, same owners out).
-func naiveOwners(in BuildInput) []netsim.NodeID {
+// costFn returns cost(·, v) of the paper's Figure 2 as a function of
+// the owner, read from the full xmits matrix x:
+//
+//	cost(o,v) = Σ_p P(p produces v)·rate_p·xmits(p→o)
+//	          + P(user queries v)·queryRate·xmits(base→o→base)
+//
+// The producers of v are found once, in ascending order; each owner's
+// cost is then the scalar left fold over them, Inf as soon as a term
+// is.
+func costFn(in BuildInput, x [][]float64, v int) func(o netsim.NodeID) float64 {
+	var ps []int
+	var ws []float64
+	for p := range in.Nodes {
+		st := &in.Nodes[p]
+		if prob := st.Hist.Prob(v); prob != 0 && st.Rate != 0 {
+			ps = append(ps, p)
+			ws = append(ws, prob*st.Rate)
+		}
+	}
+	return func(o netsim.NodeID) float64 {
+		c := 0.0
+		for k, p := range ps {
+			if netsim.NodeID(p) == o {
+				continue
+			}
+			if x[p][o] >= Inf {
+				return Inf
+			}
+			c += ws[k] * x[p][o]
+		}
+		if qp := in.Query.ProbOf(v); qp > 0 && in.Query.Rate > 0 && o != in.Base {
+			rt := RoundTrip(x, in.Base, o)
+			if rt >= Inf {
+				return Inf
+			}
+			c += qp * in.Query.Rate * rt
+		}
+		return c
+	}
+}
+
+// cost is costFn for one owner.
+func cost(in BuildInput, x [][]float64, o netsim.NodeID, v int) float64 {
+	return costFn(in, x, v)(o)
+}
+
+// naiveOwners is the reference the Builder is held to: the paper's
+// Figure 2 loop, one scalar cost per (owner, value) from the full xmits
+// matrix x of in.Graph, with no batching, no accumulator and no
+// parallelism. The Builder must reproduce it bit for bit.
+func naiveOwners(in BuildInput, x [][]float64) []netsim.NodeID {
 	owners := make([]netsim.NodeID, in.domainSize())
 	prev := netsim.NodeID(0)
-	hasPrev := false
 	for i := range owners {
-		v := in.MinValue + i
+		costOf := costFn(in, x, in.MinValue+i)
 		best := in.Base
-		bestCost := in.Cost(in.Base, v)
+		bestCost := costOf(in.Base)
 		for o := 0; o < in.N; o++ {
 			oid := netsim.NodeID(o)
 			if oid == in.Base {
 				continue
 			}
-			if c := in.Cost(oid, v); c < bestCost {
+			if c := costOf(oid); c < bestCost {
 				best, bestCost = oid, c
 			}
 		}
-		if hasPrev && prev != best {
-			if c := in.Cost(prev, v); c <= bestCost*(1+contiguityTolerance) {
-				best = prev
-			}
+		if i > 0 && prev != best && costOf(prev) <= bestCost*(1+contiguityTolerance) {
+			best = prev
 		}
 		owners[i] = best
-		prev, hasPrev = best, true
+		prev = best
 	}
 	return owners
+}
+
+// checkOwners builds in with b and fails unless the owners equal
+// naiveOwners'.
+func checkOwners(t *testing.T, b *Builder, in BuildInput, what string) {
+	t.Helper()
+	got := b.BuildOwners(&in)
+	want := naiveOwners(in, in.Graph.Xmits())
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: owner[%d] = %d, naive scan %d", what, i, got[i], want[i])
+		}
+	}
 }
 
 // world is the mutable scenario the property test evolves: per-node
@@ -192,217 +248,109 @@ func (w *world) apply(e dynamics.Event) {
 	}
 }
 
-// TestBuilderMatchesScratch is the incremental-rebuild property test:
-// across randomized churn/drift event sequences (built by the
-// internal/dynamics script generator), every rebuild of a warm Builder
-// must produce exactly the owners a from-scratch naive build computes
-// from the same inputs — including the steps where nothing changed at
-// all and the builder recomputes nothing.
-//
-// Every rebuild after a seed's first that re-ran the shortest-path pass
-// must also leave rowChanged exactly as the old two-buffer Builder's
-// diffRows computed it from the previous and the new matrix; each seed
-// ends on a rebuild where exactly one node's reported links changed.
+// TestBuilderMatchesScratch: across randomized churn/drift event
+// sequences (built by the internal/dynamics script generator), every
+// rebuild of a warm Builder produces exactly the owners the naive scan
+// computes from the same inputs, including the steps where nothing
+// changed. Every seventh node's statistics are withheld, as when its
+// summaries were lost: it still reports links, so its Dijkstra stops at
+// the base. The larger worlds have more contributors than one row
+// batch holds.
 func TestBuilderMatchesScratch(t *testing.T) {
-	sawIncremental, sawZeroDirty, sawSPTSkip := false, false, false
+	sawEarlyExit, sawBatches := false, false
 	for seed := int64(1); seed <= 6; seed++ {
-		n := 16 + int(seed)*7
+		n := 16 + int(seed)*9
 		w := newWorld(n, 60, seed)
 		script := dynamics.Standard(n, 60_000, 1_200_000, 0.2, 0.5, seed)
 		var b Builder
-		var prev [][]float64 // the previous rebuild's xmits matrix
-		rebuild := func(step int) {
-			in := w.input()
-			in.Graph = w.g
-			got := append([]netsim.NodeID(nil), b.BuildOwners(&in)...)
-			st := b.LastStats()
-
-			ref := in
-			ref.Graph = nil
-			ref.Xmits = copyRows(in.Xmits)
-			want := naiveOwners(ref)
-
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d step %d: incremental owner[%d] = %d, scratch = %d (recomputed %d/%d, full=%v)",
-						seed, step, i, got[i], want[i], st.Recomputed, st.Values, st.FullRebuild)
-				}
-			}
-			if prev != nil && st.SPTSources > 0 {
-				if want := diffRowsRef(prev, ref.Xmits); !slices.Equal(b.rowChanged, want) {
-					t.Fatalf("seed %d step %d: rowChanged %v, two-buffer diffRows %v", seed, step, b.rowChanged, want)
-				}
-			}
-			prev = ref.Xmits
-			if !st.FullRebuild && st.Recomputed < st.Values {
-				sawIncremental = true
-			}
-			if st.Recomputed == 0 {
-				sawZeroDirty = true
-			}
-			if st.SPTSources == 0 {
-				sawSPTSkip = true
-			}
-		}
 		events := script.Events
-		// Process events in batches, with repeated no-change rebuilds
-		// interleaved so the zero-dirty fast path is exercised too.
-		step := 0
-		for len(events) > 0 || step < 3 {
-			batch := 0
-			if len(events) > 0 {
-				batch = 1 + w.r.Intn(3)
-				if batch > len(events) {
-					batch = len(events)
-				}
+		// Process events in batches that grow with the world (its
+		// script does); the last two rebuilds change nothing.
+		for step, idle := 0, 0; idle < 2; step++ {
+			if len(events) == 0 {
+				idle++
+			} else {
+				batch := min(1+w.r.Intn(n/12), len(events))
 				for _, e := range events[:batch] {
 					w.apply(e)
 				}
 				events = events[batch:]
 			}
-			step++
-			rebuild(step)
-		}
-		// Exactly one node's reported links change: the live node whose
-		// summary names the most neighbours reports each of them at a
-		// third lower quality.
-		reporter, most := -1, 0
-		for v := 0; v < n; v++ {
-			cnt := 0
-			for k := range w.links {
-				if k[1] == v && w.centers[k[0]] >= 0 {
-					cnt++
+			in := w.input()
+			for i := 7; i < n; i += 7 {
+				in.Nodes[i] = NodeStat{}
+			}
+			in.Graph = w.g
+			checkOwners(t, &b, in, fmt.Sprintf("seed %d step %d", seed, step))
+			if b.LastStats().Recomputed != b.LastStats().Values {
+				t.Fatalf("seed %d step %d: recomputed %d of %d values", seed, step, b.LastStats().Recomputed, b.LastStats().Values)
+			}
+			for _, o := range b.others {
+				if o != 0 && w.centers[o] >= 0 {
+					sawEarlyExit = true
 				}
 			}
-			if w.centers[v] >= 0 && cnt > most {
-				reporter, most = v, cnt
-			}
-		}
-		for k, q := range w.links {
-			if k[1] == reporter {
-				w.links[k] = q * 2 / 3
-			}
-		}
-		rebuild(step + 1)
-		if b.LastStats().SPTSources == 0 || !slices.Contains(b.rowChanged, true) {
-			t.Fatalf("seed %d: node %d's %d reported links changed, but no xmits row did", seed, reporter, most)
+			sawBatches = sawBatches || len(b.contrib) > rowBatch
 		}
 	}
-	if !sawIncremental {
-		t.Error("no step exercised a partial (incremental) recompute")
+	if !sawEarlyExit {
+		t.Error("no live node without statistics: the early-exit search never ran")
 	}
-	if !sawZeroDirty {
-		t.Error("no step exercised the zero-dirty fast path")
-	}
-	if !sawSPTSkip {
-		t.Error("no step skipped the shortest-path pass on an unchanged graph")
+	if !sawBatches {
+		t.Errorf("no rebuild had more than %d contributors: only one row batch ever ran", rowBatch)
 	}
 }
 
-// TestBuilderFullRebuildOnShapeChange: a network-size or domain change
-// must abandon incremental state.
+// TestBuilderFullRebuildOnShapeChange: a warm Builder whose network
+// size or value domain grows or shrinks between rebuilds still equals
+// the naive scan; no scratch from the earlier shape leaks in.
 func TestBuilderFullRebuildOnShapeChange(t *testing.T) {
-	w := newWorld(20, 40, 3)
 	var b Builder
-	in := w.input()
-	in.Graph = w.g
-	b.BuildOwners(&in)
-	if !b.LastStats().FullRebuild {
-		t.Fatal("first build must be full")
-	}
-	in2 := w.input()
-	in2.Graph = w.g
-	b.BuildOwners(&in2)
-	if b.LastStats().FullRebuild {
-		t.Fatal("unchanged rebuild reported full")
-	}
-	w2 := newWorld(24, 40, 4)
-	in3 := w2.input()
-	in3.Graph = w2.g
-	got := append([]netsim.NodeID(nil), b.BuildOwners(&in3)...)
-	if !b.LastStats().FullRebuild {
-		t.Fatal("network-size change did not force a full rebuild")
-	}
-	ref := in3
-	ref.Graph = nil
-	ref.Xmits = copyRows(in3.Xmits)
-	want := naiveOwners(ref)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("owner[%d] after shape change = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestBuilderGOMAXPROCSDeterminism pins the parallel owner search: a
-// scenario big enough that both the SPT fan-out and the dirty-value
-// argmin clear the parallel grain must build bit-identical owners at
-// GOMAXPROCS=1 and GOMAXPROCS=8 (forced, so single-core CI still
-// exercises the concurrent path).
-func TestBuilderGOMAXPROCSDeterminism(t *testing.T) {
-	run := func(procs int) []netsim.NodeID {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		w := newWorld(300, 151, 21)
-		var b Builder
+	for _, sh := range []struct{ n, domain int }{{20, 40}, {24, 40}, {12, 30}, {30, 70}} {
+		w := newWorld(sh.n, sh.domain, int64(sh.n))
 		in := w.input()
 		in.Graph = w.g
-		first := append([]netsim.NodeID(nil), b.BuildOwners(&in)...)
-		// One incremental step too, so the dirty argmin path is pinned
-		// as well as the full one.
-		for i := 1; i < 20; i++ {
-			w.centers[i] = (w.centers[i] + 30) % w.domain
-			w.histDirt[i] = true
-		}
-		in2 := w.input()
-		in2.Graph = w.g
-		return append(first, b.BuildOwners(&in2)...)
-	}
-	serial := run(1)
-	parallel := run(8)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("owner %d differs across GOMAXPROCS: %d vs %d", i, serial[i], parallel[i])
-		}
+		checkOwners(t, &b, in, fmt.Sprintf("n = %d, domain = %d", sh.n, sh.domain))
 	}
 }
 
-// diffRowsRef is the two-buffer Builder's diffRows, the reference for
-// rowChanged: row p changed when any entry differs (differ) from the
-// previous matrix's.
-func diffRowsRef(prev, cur [][]float64) []bool {
-	out := make([]bool, len(cur))
-	for p := range cur {
-		for j := range cur[p] {
-			if differ(cur[p][j], prev[p][j]) {
-				out[p] = true
-				break
+// TestBuilderGOMAXPROCSDeterminism pins the parallel rebuild: at N =
+// 400 the contributors span several row batches and the work clears
+// the parallel grain, so at GOMAXPROCS 8 (forced, so single-core CI
+// still runs the concurrent path) parallelFor forks and the workers
+// meet at the barrier twice a batch. Both builds must equal the naive
+// scan, and so each other, bit for bit.
+func TestBuilderGOMAXPROCSDeterminism(t *testing.T) {
+	g, in := rebuildBenchScenario(400, 21)
+	in.Graph = g
+	want := naiveOwners(in, g.Xmits())
+	for _, procs := range []int{1, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		var b Builder
+		got := b.BuildOwners(&in)
+		runtime.GOMAXPROCS(prev)
+		if len(b.contrib) <= rowBatch {
+			t.Fatalf("%d contributors fit one row batch of %d", len(b.contrib), rowBatch)
+		}
+		if work := in.N * (len(b.adj.to) + in.N); work < parallelGrain {
+			t.Fatalf("the shortest-path work %d is under the parallel grain %d", work, parallelGrain)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("GOMAXPROCS %d: owner[%d] = %d, naive scan %d", procs, i, got[i], want[i])
 			}
 		}
 	}
-	return out
 }
 
-func copyRows(rows [][]float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = append([]float64(nil), r...)
-	}
-	return out
-}
-
-// TestBuilderHoldsOneMatrix: the basestation's reindex state at
-// N = 1000 — NewGraph, then two rebuilds of one Builder with the link
-// graph changed between them, so the second re-runs the shortest-path
-// pass row against row — allocates the one xmits matrix (8 MB) and,
-// beside it, only what grows with n, the reports and the value domain:
-// 4.2–5.9 MB measured across GOMAXPROCS 1 and 8 and the race detector
-// (the report list, two adjacencies with their sort scratch, two
-// contributor tables, per-worker scratch). The 7 MiB allowance is less
-// than one more n×n float64 array, so any second matrix fails. On the
-// parent commit this test fails with 26 598 368 B: the dense Graph and
-// the Builder's second xmits buffer, 8 MB each.
-func TestBuilderHoldsOneMatrix(t *testing.T) {
+// TestBuilderHoldsNoMatrix: the basestation's reindex state at N = 1000
+// and V = 151 — NewGraph, then two rebuilds of one Builder with the
+// link graph changed between them — allocates less than one N×N
+// float64 xmits matrix (8 MB): the report list, the adjacency with its
+// sort scratch, the contributor table, one batch of rows, the V×N
+// accumulator and per-worker scratch. Any design that holds the whole
+// matrix fails it.
+func TestBuilderHoldsNoMatrix(t *testing.T) {
 	const n = 1000
 	_, in := rebuildBenchScenario(n, 11)
 	type link struct {
@@ -433,12 +381,25 @@ func TestBuilderHoldsOneMatrix(t *testing.T) {
 		links[0].q /= 2
 	}
 	runtime.ReadMemStats(&after)
-	if b.LastStats().SPTSources != n || len(b.rowChanged) != n {
-		t.Fatal("the second rebuild did not re-run the shortest-path pass row against row")
-	}
 	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("NewGraph + 2 rebuilds at N = %d, E = %d: %d B", n, len(links), bytes)
-	if budget := uint64(8*n*n + 7<<20); bytes > budget {
-		t.Fatalf("NewGraph + 2 rebuilds allocate %d B, want ≤ %d (one %d B xmits matrix + 7 MiB)", bytes, budget, 8*n*n)
+	t.Logf("NewGraph + 2 rebuilds at N = %d, V = %d, E = %d: %d B", n, in.domainSize(), len(links), bytes)
+	if budget := uint64(8 * n * n); bytes >= budget {
+		t.Fatalf("NewGraph + 2 rebuilds allocate %d B, want < %d (one N×N xmits matrix)", bytes, budget)
+	}
+}
+
+// TestBuilderWarmRebuildAllocs: once a Builder's scratch has reached
+// its size, a rebuild at GOMAXPROCS 1 allocates only its barrier and
+// the closure it hands parallelFor, however many row batches it
+// solves.
+func TestBuilderWarmRebuildAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, in := rebuildBenchScenario(300, 5)
+	in.Graph = g
+	var b Builder
+	b.BuildOwners(&in)
+	allocs := testing.AllocsPerRun(5, func() { b.BuildOwners(&in) })
+	if allocs > 2 {
+		t.Fatalf("warm rebuild: %v allocations, want ≤ 2", allocs)
 	}
 }

@@ -63,16 +63,26 @@ const minUsableQuality = 0.125
 // graph is sparse: per-source Dijkstra over a CSR adjacency is
 // O(n·(E + n log n)) instead of the dense Floyd–Warshall's O(n³),
 // which is what keeps 1000-node index rebuilds off the simulation's
-// critical path. Convenience wrapper with fresh scratch per call; the
-// basestation's Builder keeps its scratch across rebuilds.
+// critical path. The whole matrix is for the analytical policies and
+// the tests: the basestation's Builder solves only the rows a rebuild
+// reads and never holds all of them.
 func (g *Graph) Xmits() [][]float64 {
 	var adj csr
-	var x xbuf
-	var workers []spWorker
 	adj.build(g)
-	x.ensure(g.N)
-	solveAllPairs(&adj, x.rows, nil, &workers)
-	return x.rows
+	n := g.N
+	flat := make([]float64, n*n)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	maxW := maxWorkers()
+	heaps := make([]spHeap, maxW)
+	parallelFor(maxW, n, n*(len(adj.to)+n), func(worker, lo, hi int) {
+		for src := lo; src < hi; src++ {
+			dijkstra(&adj, int32(src), rows[src], &heaps[worker], -1)
+		}
+	})
+	return rows
 }
 
 // RoundTrip returns xmits(base→o→base) given a precomputed matrix:

@@ -86,26 +86,6 @@ func countingSort(dst, src []linkReport, count []int32, key func(linkReport) int
 	return dst
 }
 
-// equal reports whether two CSR snapshots describe the same weighted
-// graph (exact float comparison: the dirty-tracking layer treats any
-// changed edge as a changed graph).
-func (c *csr) equal(o *csr) bool {
-	if c.n != o.n || len(c.to) != len(o.to) {
-		return false
-	}
-	for i := range c.head {
-		if c.head[i] != o.head[i] {
-			return false
-		}
-	}
-	for i := range c.to {
-		if c.to[i] != o.to[i] || c.w[i] != o.w[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // spItem is one heap entry: a tentative distance to a node.
 type spItem struct {
 	d  float64
@@ -165,8 +145,11 @@ func (h *spHeap) pop() spItem {
 // dijkstra fills dist (one row of the all-pairs matrix, length c.n)
 // with left-fold shortest-path sums from src, leaving unreachable
 // nodes at exactly Inf. Lazy-deletion variant: stale heap entries are
-// skipped on pop. heap is caller-owned scratch.
-func dijkstra(c *csr, src int32, dist []float64, heap *spHeap) {
+// skipped on pop. heap is caller-owned scratch. A stop ≥ 0 ends the
+// search when stop pops: a distance is final once popped, so
+// dist[stop] is then the full search's bit for bit, and only the
+// entries of nodes popped before it are.
+func dijkstra(c *csr, src int32, dist []float64, heap *spHeap, stop int32) {
 	for i := range dist {
 		dist[i] = Inf
 	}
@@ -177,6 +160,9 @@ func dijkstra(c *csr, src int32, dist []float64, heap *spHeap) {
 		it := heap.pop()
 		if it.d > dist[it.id] {
 			continue // stale entry superseded by a shorter path
+		}
+		if it.id == stop {
+			return
 		}
 		for e := c.head[it.id]; e < c.head[it.id+1]; e++ {
 			v := c.to[e]
@@ -205,7 +191,9 @@ func maxWorkers() int { return runtime.GOMAXPROCS(0) }
 // and runs fn(worker, lo, hi) concurrently with worker < workers
 // (the caller's scratch bound). totalWork below parallelGrain (or a
 // single worker) runs inline. fn must write only to item-indexed
-// state, which makes the result independent of scheduling.
+// state, and read another item's state only after a barrier both
+// items' workers pass, which makes the result independent of
+// scheduling.
 func parallelFor(workers, items, totalWork int, fn func(worker, lo, hi int)) {
 	if workers > items {
 		workers = items
@@ -226,7 +214,7 @@ func parallelFor(workers, items, totalWork int, fn func(worker, lo, hi int)) {
 			hi = items
 		}
 		wg.Add(1)
-		//scoop:allow goroutine fork-join over disjoint row ranges; wg.Wait joins before any result is read
+		//scoop:allow goroutine fork-join over disjoint item ranges, which meet only at a barrier; wg.Wait joins before any result is read
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			fn(w, lo, hi)
@@ -235,67 +223,39 @@ func parallelFor(workers, items, totalWork int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// spWorker is one worker's scratch: its Dijkstra heap and, when rows
-// are compared before they are stored, the row it solves into.
+// barrier makes n goroutines wait for each other: wait returns once
+// all n have called it, and the barrier is then ready for the next
+// round. What a goroutine wrote before its wait is visible to every
+// other after theirs.
+type barrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	n, left int
+	round   int
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n, left: n}
+	b.cond.L = &b.mu
+	return b
+}
+
+func (b *barrier) wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.left--; b.left == 0 {
+		b.left, b.round = b.n, b.round+1
+		b.cond.Broadcast()
+		return
+	}
+	for r := b.round; r == b.round; {
+		b.cond.Wait()
+	}
+}
+
+// spWorker is one worker's scratch: its Dijkstra heap and a distance
+// row.
 type spWorker struct {
 	heap spHeap
 	row  []float64
-}
-
-// solveAllPairs runs per-source Dijkstra for every row of the matrix.
-// rows must hold adj.n slices of length adj.n; workers grows to one
-// scratch per worker. With changed nil every row is solved in place.
-// Otherwise each row is solved into its worker's scratch row,
-// changed[src] records whether it differs from the stored one (differ,
-// any entry), and it is copied in; the result reports whether any row
-// changed. Workers write disjoint rows, so the result is
-// scheduling-independent.
-func solveAllPairs(adj *csr, rows [][]float64, changed []bool, workers *[]spWorker) bool {
-	n := adj.n
-	maxW := maxWorkers()
-	if len(*workers) < maxW {
-		*workers = append(*workers, make([]spWorker, maxW-len(*workers))...)
-	}
-	// Rough per-source cost: one heap operation per edge plus the row
-	// init; n sources total.
-	work := n * (len(adj.to) + n)
-	parallelFor(maxW, n, work, func(worker, lo, hi int) {
-		w := &(*workers)[worker]
-		if changed != nil {
-			w.row = slices.Grow(w.row[:0], n)[:n]
-		}
-		for src := lo; src < hi; src++ {
-			if changed == nil {
-				dijkstra(adj, int32(src), rows[src], &w.heap)
-				continue
-			}
-			dijkstra(adj, int32(src), w.row, &w.heap)
-			changed[src] = !slices.EqualFunc(w.row, rows[src], func(a, b float64) bool { return !differ(a, b) })
-			copy(rows[src], w.row)
-		}
-	})
-	return slices.Contains(changed, true)
-}
-
-// xbuf is one all-pairs distance matrix: a flat backing array plus its
-// row views.
-type xbuf struct {
-	flat []float64
-	rows [][]float64
-}
-
-// ensure sizes the buffer for an n-node matrix, reusing backing
-// storage when possible.
-func (x *xbuf) ensure(n int) {
-	if cap(x.flat) < n*n {
-		x.flat = make([]float64, n*n)
-	}
-	x.flat = x.flat[:n*n]
-	if cap(x.rows) < n {
-		x.rows = make([][]float64, n)
-	}
-	x.rows = x.rows[:n]
-	for i := 0; i < n; i++ {
-		x.rows[i] = x.flat[i*n : (i+1)*n : (i+1)*n]
-	}
 }

@@ -9,7 +9,8 @@ import "go/ast"
 // once. There are two sanctioned seams (DESIGN.md §15):
 //
 //   - the reindex fork-join (internal/index's parallelFor), whose
-//     workers write disjoint rows and are joined before any is read;
+//     workers write disjoint rows, read each other's only after a
+//     barrier, and are joined before any result is read;
 //   - the flight recorder's JSONL encoder (internal/trace), which
 //     touches only the event blocks handed to it and the sink's writer,
 //     each handoff ordered by a channel receive.

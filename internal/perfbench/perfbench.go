@@ -325,9 +325,7 @@ func (s *rebuildScenario) refreshHist(i int) {
 }
 
 // step applies one epoch's worth of drift and returns the rebuild
-// input (graph mode, so the builder runs the sparse SPT pass).
-// moveLink additionally shifts one link-quality estimate, which
-// forces the shortest-path pass to re-run that epoch.
+// input. moveLink additionally shifts one link-quality estimate.
 func (s *rebuildScenario) step(moveLink bool) index.BuildInput {
 	// ~3% of nodes report a shifted distribution.
 	for k := 0; k < 1+s.n/32; k++ {
@@ -356,17 +354,15 @@ func (s *rebuildScenario) step(moveLink bool) index.BuildInput {
 }
 
 // rebuildEpochsPerOp makes every benchmark op an identical unit of
-// work — three stats-only epochs (SPT skipped or cheap dirty subset)
-// plus one link-moving epoch (full SPT) — so ns/op and allocs/op do
-// not depend on which b.N the harness happens to pick. A modulo
-// schedule instead ("every 4th op moves a link") made the measured
-// epoch mix a function of b.N.
+// work — three stats-only epochs plus one link-moving epoch, each a
+// full rebuild (every source solved, every value recomputed) — so
+// ns/op and allocs/op do not depend on which b.N the harness happens
+// to pick.
 const rebuildEpochsPerOp = 4
 
 // benchIndexRebuild measures steady-state basestation reindexing:
-// sparse shortest paths (when links moved), dirty-value tracking and
-// the incremental owner search, via a warm Builder exactly as
-// core.Base drives it. Per-op numbers are per four-epoch cycle —
+// sparse shortest paths and the streamed per-value owner search, via a
+// warm Builder exactly as core.Base drives it. Per-op numbers are per four-epoch cycle —
 // three stats-drift rebuilds plus one link-move rebuild. GOMAXPROCS
 // is pinned to 1 for the duration: bench's index.rebuild_n1000_ms
 // needs a number that does not scale with the machine's core count
@@ -377,9 +373,8 @@ func benchIndexRebuild(b *testing.B, n int) {
 	b.ReportAllocs()
 	s := newRebuildScenario(n)
 	var bl index.Builder
-	// Warm cycle outside the timer: first (full) build, plus one
-	// link-move epoch so both xmits buffers and all worker scratch
-	// reach steady-state size.
+	// Warm cycle outside the timer, so all scratch reaches its
+	// steady-state size.
 	for e := 0; e < rebuildEpochsPerOp; e++ {
 		in := s.step(e == rebuildEpochsPerOp-1)
 		bl.BuildOwners(&in)

@@ -61,6 +61,11 @@ func artifact(t *testing.T, g Grid, opts Options) []byte {
 //   - faults-baseline is the fault campaign (DESIGN.md §19); its
 //     headline numbers are asserted by TestFaultCampaignBaseline.
 //
+// A build with -race skips the seven figures: their cells run the same
+// worker pool the small grids and identity-n250 already exercise under
+// the race detector, at many times the cost. CI holds the figures'
+// bytes at GOMAXPROCS 1 and 8 in a step without -race.
+//
 // A failure is a (possibly intentional) protocol change: regenerate
 // with
 //
@@ -71,7 +76,7 @@ func TestCommittedArtifactsReproduce(t *testing.T) {
 	const root = "../../testdata"
 	for _, tc := range []struct {
 		dir, artifact, grid string
-		long                bool
+		long, figure        bool
 	}{
 		{dir: root, artifact: "sweep-ci-baseline.json", grid: "sweep-ci.grid.json"},
 		{dir: root, artifact: "sweep-dynamics-baseline.json", grid: "sweep-dynamics.grid.json"},
@@ -79,17 +84,20 @@ func TestCommittedArtifactsReproduce(t *testing.T) {
 		{dir: "testdata", artifact: "sweep-identity-n65.json", grid: "sweep-identity-n65.grid.json"},
 		{dir: "testdata", artifact: "sweep-identity-n250.json", grid: "sweep-identity-n250.grid.json", long: true},
 		{dir: "testdata", artifact: "sweep-faults-baseline.json", grid: "sweep-faults.grid.json"},
-		{dir: root, artifact: "fig-3-testbed.json", grid: "fig-3-testbed.grid.json", long: true},
-		{dir: root, artifact: "fig-3.json", grid: "fig-3.grid.json", long: true},
-		{dir: root, artifact: "fig-4.json", grid: "fig-4.grid.json", long: true},
-		{dir: root, artifact: "fig-5.json", grid: "fig-5.grid.json", long: true},
-		{dir: root, artifact: "fig-sample.json", grid: "fig-sample.grid.json", long: true},
-		{dir: root, artifact: "fig-scaling.json", grid: "fig-scaling.grid.json", long: true},
-		{dir: root, artifact: "fig-churn.json", grid: "fig-churn.grid.json", long: true},
+		{dir: root, artifact: "fig-3-testbed.json", grid: "fig-3-testbed.grid.json", long: true, figure: true},
+		{dir: root, artifact: "fig-3.json", grid: "fig-3.grid.json", long: true, figure: true},
+		{dir: root, artifact: "fig-4.json", grid: "fig-4.grid.json", long: true, figure: true},
+		{dir: root, artifact: "fig-5.json", grid: "fig-5.grid.json", long: true, figure: true},
+		{dir: root, artifact: "fig-sample.json", grid: "fig-sample.grid.json", long: true, figure: true},
+		{dir: root, artifact: "fig-scaling.json", grid: "fig-scaling.grid.json", long: true, figure: true},
+		{dir: root, artifact: "fig-churn.json", grid: "fig-churn.grid.json", long: true, figure: true},
 	} {
 		t.Run(tc.artifact, func(t *testing.T) {
 			if tc.long && testing.Short() {
 				t.Skip("paper-scale or N=250 cells are too slow for -short")
+			}
+			if tc.figure && raceEnabled {
+				t.Skip("the figures run no goroutine seam the small grids do not; CI holds their bytes without -race")
 			}
 			// In parallel, one grid's cells fill the cores another
 			// grid's last cells leave idle.

@@ -503,7 +503,7 @@ type CellResult struct {
 
 	// Reindex cost probe (index.BuildStats via core.RunStats, summed
 	// across the cell's trials): how much index-construction work the
-	// basestation did, and what the incremental pipeline skipped.
+	// basestation did.
 	// Operator visibility only — like WallMS these stay out of the
 	// JSON artifact, both because ReindexWallMS is machine-dependent
 	// and so pre-overhaul baselines remain byte-comparable.
