@@ -171,7 +171,7 @@ func TestConfigValidate(t *testing.T) {
 		want   string
 	}{
 		{"small-n", func(c *Config) { c.N = 1 }, "network size 1 outside"},
-		// Past netsim.MaxNodes NewTopology panics inside a trial goroutine.
+		// Past netsim.MaxNodes NewTopology panics inside a trial.
 		{"large-n", func(c *Config) { c.N = 1100 }, "outside [2,1024]"},
 		{"bad-policy", func(c *Config) { c.Policy = "scop" }, "unknown policy"},
 		{"bad-source", func(c *Config) { c.Source = "bogus" }, "unknown source"},

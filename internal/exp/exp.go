@@ -1,13 +1,12 @@
 // Package exp is the experiment harness: it assembles a topology, a
 // radio network, a workload and a storage policy into a runnable
-// trial, and repeats trials concurrently.
+// trial, and repeats trials in order.
 package exp
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"scoop/internal/core"
 	"scoop/internal/dynamics"
@@ -129,9 +128,9 @@ type Config struct {
 	// trial. Validate rejects Trace without TraceSinks.
 	Trace bool
 	// TraceSinks builds the sink set for one trial (called once per
-	// trial, concurrently across trials). Returning an empty set
-	// disables tracing for that trial — the usual way to trace only
-	// trial 0 of a multi-trial cell. Ignored unless Trace.
+	// trial, in trial order). Returning an empty set disables tracing
+	// for that trial — the usual way to trace only trial 0 of a
+	// multi-trial cell. Ignored unless Trace.
 	TraceSinks func(trial int) []trace.Sink
 
 	// Profile attaches a wall-clock attribution profiler to every
@@ -175,7 +174,7 @@ func Default() Config {
 
 // Validate rejects configurations that would otherwise yield silent
 // nonsense runs (a negative loss rate, a warm-up longer than the run)
-// or fail inside a trial goroutine (a network past netsim.MaxNodes, a
+// or fail inside a trial (a network past netsim.MaxNodes, a
 // misspelt policy, source or topology). Run calls it; drivers building
 // configs by hand can call it early.
 func (c Config) Validate() error {
@@ -334,34 +333,24 @@ type Result struct {
 	AggReplyBytes float64
 }
 
-// Run executes the experiment: Trials independent simulations (run
-// concurrently on separate goroutines, each with its own simulator,
-// counters and RNG streams) whose results are averaged. Trials 0 runs
-// one; Result.Config holds the count that ran.
+// Run executes the experiment: Trials independent simulations, run one
+// after another on the caller's goroutine (each with its own
+// simulator, counters and RNG streams), whose results are averaged. It
+// returns the first trial's error. Trials 0 runs one; Result.Config
+// holds the count that ran.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	cfg.Trials = max(cfg.Trials, 1)
 	res := Result{Config: cfg, PerTrial: make([]TrialResult, cfg.Trials)}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Trials)
-	for t := 0; t < cfg.Trials; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			tr, err := NewTrial(cfg, t, nil)
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			tr.Run(cfg.Duration)
-			res.PerTrial[t], errs[t] = tr.Finish()
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for t := range cfg.Trials {
+		tr, err := NewTrial(cfg, t, nil)
 		if err != nil {
+			return Result{}, err
+		}
+		tr.Run(cfg.Duration)
+		if res.PerTrial[t], err = tr.Finish(); err != nil {
 			return Result{}, err
 		}
 	}

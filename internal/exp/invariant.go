@@ -54,7 +54,7 @@ type storeSite struct {
 //     index generations have strictly increasing IDs.
 //
 // ForceInvariants makes it one more sink of every trial's recorder; it
-// is plain bookkeeping on the trial goroutine and is never active in
+// is plain bookkeeping on the trial's event loop and is never active in
 // benchmark timings or sweep-artifact runs. It accumulates per-reading
 // and per-query evidence for one trial. Not safe for concurrent use;
 // each trial owns one.
@@ -229,23 +229,4 @@ func (c *checker) Violations() []string {
 		return nil
 	}
 	return out
-}
-
-// Stats reports bookkeeping totals (tests of the checker itself).
-func (c *checker) Stats() (produced, stored, lost, inflight int) {
-	for _, s := range c.readings {
-		if s.produced > 0 {
-			produced++
-		}
-		if s.stored > 0 {
-			stored++
-		}
-		if s.lost > 0 {
-			lost++
-		}
-		if s.inflight {
-			inflight++
-		}
-	}
-	return
 }

@@ -46,8 +46,8 @@ func traceRun(t *testing.T, cfg Config) []byte {
 // TestTraceByteIdentical pins the flight recorder's determinism
 // contract: the JSONL stream is in time order and a pure function of
 // the configuration and seed — identical across repeated runs and
-// across GOMAXPROCS settings (trial goroutine interleaving must not
-// leak into trial 0's single-threaded event order).
+// across GOMAXPROCS settings (the index's fork-join and the encoder's
+// goroutine must not leak into the single-threaded event order).
 func TestTraceByteIdentical(t *testing.T) {
 	cfg := tracedConfig()
 	first := traceRun(t, cfg)

@@ -50,10 +50,9 @@ import (
 // exemptDirs are the module-relative package directories outside the
 // DESIGN.md §2 determinism contract. Every other package is bound by
 // it, so a package added later is held to §2 unless it is exempted
-// here on purpose. exp and sweep fan trials and cells out over
-// goroutines; bench times runs from outside and is its own module.
+// here on purpose. sweep fans cells out over goroutines; bench times
+// runs from outside and is its own module.
 var exemptDirs = map[string]bool{
-	"internal/exp":   true,
 	"internal/sweep": true,
 	"bench":          true,
 }

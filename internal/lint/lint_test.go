@@ -133,7 +133,7 @@ func TestLoadDeterministicFlag(t *testing.T) {
 		"../dense":              true,
 		"../../cmd/scoopflight": true,
 		"testdata/src/maprange": true,
-		"../exp":                false,
+		"../exp":                true,
 		"../sweep":              false,
 	} {
 		pkgs, err := lint.Load(rel, ".")

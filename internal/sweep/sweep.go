@@ -525,7 +525,7 @@ type Report struct {
 // Options tunes Run.
 type Options struct {
 	// Parallel bounds concurrently running cells; <=0 means NumCPU.
-	// Note each cell may itself run Trials goroutines (exp.Run).
+	// A cell runs its trials in order on its worker (exp.Run).
 	Parallel int
 	// Progress, when non-nil, is called once per finished cell, from
 	// the worker goroutine that ran it.

@@ -110,34 +110,38 @@ func TestSharedSeed(t *testing.T) {
 }
 
 // The acceptance property: the artifact bytes depend only on the grid
-// and base seed, never on worker count or scheduling order.
+// and base seed, never on worker count or scheduling order — also when
+// each cell runs its trials one after another.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	g := tinyGrid()
-	serial, err := Run(g, Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(g, Options{Parallel: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := json.MarshalIndent(serial, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.MarshalIndent(parallel, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("serial and 8-way sweeps differ:\n%s\n----\n%s", a, b)
-	}
-	for _, c := range serial.Cells {
-		if c.Msgs <= 0 {
-			t.Fatalf("cell %s ran but moved no messages", c.Key())
+	twoTrials := tinyGrid()
+	twoTrials.Trials = 2
+	for _, g := range []Grid{tinyGrid(), twoTrials} {
+		serial, err := Run(g, Options{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.WallMS <= 0 {
-			t.Fatalf("cell %s captured no timing", c.Key())
+		parallel, err := Run(g, Options{Parallel: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := json.MarshalIndent(serial, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.MarshalIndent(parallel, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("trials %d: serial and 8-way sweeps differ:\n%s\n----\n%s", g.Trials, a, b)
+		}
+		for _, c := range serial.Cells {
+			if c.Msgs <= 0 {
+				t.Fatalf("trials %d: cell %s ran but moved no messages", g.Trials, c.Key())
+			}
+			if c.WallMS <= 0 {
+				t.Fatalf("trials %d: cell %s captured no timing", g.Trials, c.Key())
+			}
 		}
 	}
 }
