@@ -230,7 +230,7 @@ func dwellTables(out io.Writer, kept []trace.Event) error {
 type window struct {
 	sent, recv, drops, bytes         int64 // frames sent, heard by addressees, dropped or purged; bytes sent
 	sampled, stored, lost, delivered int64 // reading events
-	recomputed                       int64 // best-owner searches the index rebuilds re-ran
+	reindexes                        int64 // index rebuilds finished
 }
 
 // windowTable renders one row per width-ms window of virtual time,
@@ -265,7 +265,7 @@ func windowTable(out io.Writer, kept []trace.Event, width int64) error {
 		case trace.ReadingDelivered:
 			w.delivered++
 		case trace.ReindexEnd:
-			w.recomputed += e.Value
+			w.reindexes++
 		}
 	}
 	if _, err := fmt.Fprintf(out, "%10s %7s %7s %7s %9s %7s %7s %7s %7s %8s\n",
@@ -276,7 +276,7 @@ func windowTable(out io.Writer, kept []trace.Event, width int64) error {
 		start := strconv.FormatFloat(float64(int64(i)*width)/1000, 'f', -1, 64) + "s"
 		if _, err := fmt.Fprintf(out, "%10s %7d %7d %7d %9d %7d %7d %7d %7d %8d\n",
 			start, w.sent, w.recv, w.drops, w.bytes,
-			w.sampled, w.stored, w.lost, w.delivered, w.recomputed); err != nil {
+			w.sampled, w.stored, w.lost, w.delivered, w.reindexes); err != nil {
 			return err
 		}
 	}

@@ -172,9 +172,10 @@ func TestWindowTable(t *testing.T) {
 			{T: 4, Kind: trace.ReadingDelivered, Producer: 3, SampleT: 1},
 			{T: 5, Kind: trace.QueryIssued, ID: 1},
 			{T: 6, Kind: trace.QueryAnswered, ID: 1, Value: 2},
-			{T: 7, Kind: trace.ReindexEnd, Size: 100, Value: 17, Aux: 3},
+			{T: 7, Kind: trace.ReindexEnd, Size: 100},
+			{T: 8, Kind: trace.ReindexEnd, Size: 100},
 		}, []string{"-window", "60s"},
-			"        0s       0       0       0         0       1       1       1       1       17\n"},
+			"        0s       0       0       0         0       1       1       1       1        2\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := fixture(t)

@@ -111,10 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				line += fmt.Sprintf(" compl=%.3f retries=%d", r.Completeness, r.Retries)
 			}
 			if r.ReindexBuilds > 0 {
-				// Reindex cost: values recomputed vs total across the
-				// cell's rebuilds, SPT sources relaxed, wall time.
-				line += fmt.Sprintf(" reindex=%d/%dv/%dspt/%.0fms",
-					r.ReindexRecomputed, r.ReindexValues, r.ReindexSPT, r.ReindexWallMS)
+				// Reindex cost: the cell's rebuilds (b) and their wall time.
+				line += fmt.Sprintf(" reindex=%db/%.0fms", r.ReindexBuilds, r.ReindexWallMS)
 			}
 			fmt.Fprintln(stderr, line)
 		},

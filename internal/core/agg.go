@@ -303,7 +303,6 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 		pq.issued, pq.answered = b.api.Now(), true
 		b.pending = dense.Grow(b.pending, int(b.qidNext))
 		b.pending[b.qidNext] = pq
-		b.stats.AggAnswered++
 		b.relRegister(b.qidNext, pq, wq)
 
 	case query.PlanTuple:
@@ -326,7 +325,6 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 		b.issue(pq, queryPacket(wq, q.Op, b.relOn()), wq, targets)
 		if pq.expected == 0 {
 			pq.answered = true
-			b.stats.AggAnswered++
 		}
 	}
 	return dec
@@ -363,10 +361,8 @@ func (b *Base) aggReply(m *AggReplyMsg) {
 	pq.part.Merge(m.Part)
 	pq.contribs += int(m.Contribs)
 	b.stats.AggPartialsReceived++
-	b.stats.AggContributors += int64(m.Contribs)
 	if !pq.answered {
 		pq.answered = true
-		b.stats.AggAnswered++
 		b.stats.AggFirstAnswerMS += int64(b.api.Now() - pq.issued)
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryAnswered, Node: uint16(b.api.ID()),
 			ID: qid, Value: int64(pq.contribs)})

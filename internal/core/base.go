@@ -40,7 +40,7 @@ type pendingQuery struct {
 	issued   netsim.Time
 	expected int    // targeted nodes (the base excluded)
 	heard    Bitmap // owners heard, across attempts: reply dedup and the retry layer's silent set
-	answered bool   // aggregates only: counted in AggAnswered
+	answered bool   // aggregates only: an answer is in hand (AggFirstAnswerMS has its sample)
 
 	// Tuple collector (PlanTuple).
 	readings  []Reading // tuples carried back, each once (reply payloads are capped)
@@ -362,14 +362,7 @@ func (b *Base) remap() {
 	b.stats.IndexesBuilt++
 	id := b.nextID + 1
 	ix := b.builder.Build(id, &in)
-	bs := b.builder.LastStats()
-	b.stats.ReindexValues += int64(bs.Values)
-	b.stats.ReindexRecomputed += int64(bs.Recomputed)
-	b.stats.ReindexSPTSources += int64(bs.SPTSources)
-	if bs.FullRebuild {
-		b.stats.ReindexFull++
-	}
-	b.stats.ReindexWallNanos += bs.WallNanos
+	b.stats.ReindexWallNanos += b.builder.LastStats().WallNanos
 	if b.cur != nil && index.Similarity(ix, b.cur) >= similaritySuppress {
 		b.stats.IndexesSuppressed++
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.IndexSuppressed, Node: uint16(b.api.ID()), ID: id})

@@ -211,9 +211,7 @@ type RunStats struct {
 	StoredUnique      int64
 	QueriesIssued     int64
 	RepliesExpected   int64 // targeted nodes across all queries
-	QueriesHeard      int64 // query packets first heard by a targeted node
 	RepliesSent       int64 // replies launched by targeted nodes
-	RepliesForwarded  int64 // reply hop-forwards at intermediate nodes
 	RepliesReceived   int64
 	TuplesReturned    int64 // matches the answering nodes reported, summed (a reading two nodes store counts twice)
 	SummariesSent     int64
@@ -222,16 +220,11 @@ type RunStats struct {
 	IndexesSuppressed int64
 	SummaryAnswered   int64 // queries answered from summaries alone
 
-	// Reindex cost probe (index.BuildStats, summed across rebuilds):
-	// how much work the basestation's index-construction pipeline
-	// actually did. ReindexWallNanos is wall-clock (machine-dependent,
+	// ReindexWallNanos is the wall-clock time spent building indexes
+	// (index.BuildStats, summed across rebuilds): machine-dependent,
 	// operator visibility only — it must never enter a committed
-	// artifact); the other counters are deterministic.
-	ReindexValues     int64 // value-domain entries across all rebuilds
-	ReindexRecomputed int64 // values whose best-owner search re-ran (every value)
-	ReindexSPTSources int64 // Dijkstra sources solved (N per rebuild)
-	ReindexFull       int64 // full rebuilds (every rebuild)
-	ReindexWallNanos  int64 // wall-clock spent building indexes
+	// artifact.
+	ReindexWallNanos int64
 
 	// Aggregate query engine counters.
 	AggQueriesIssued    int64 // aggregate queries issued at the base
@@ -239,8 +232,6 @@ type RunStats struct {
 	AggRepliesSent      int64 // partial-aggregate flushes launched by nodes
 	AggPartialsReceived int64 // partial-aggregate messages reaching the base
 	AggCombined         int64 // descendant partials merged at intermediate nodes
-	AggContributors     int64 // distinct nodes folded into answers at the base
-	AggAnswered         int64 // agg queries with at least one partial back
 	AggFirstAnswerMS    int64 // summed time-to-first-partial, virtual ms
 	PlanSummaryChosen   int64 // per-plan decision counts
 	PlanAggChosen       int64
@@ -269,9 +260,7 @@ func (s *RunStats) Add(src *RunStats) {
 	s.StoredUnique += src.StoredUnique
 	s.QueriesIssued += src.QueriesIssued
 	s.RepliesExpected += src.RepliesExpected
-	s.QueriesHeard += src.QueriesHeard
 	s.RepliesSent += src.RepliesSent
-	s.RepliesForwarded += src.RepliesForwarded
 	s.RepliesReceived += src.RepliesReceived
 	s.TuplesReturned += src.TuplesReturned
 	s.SummariesSent += src.SummariesSent
@@ -279,18 +268,12 @@ func (s *RunStats) Add(src *RunStats) {
 	s.IndexesBuilt += src.IndexesBuilt
 	s.IndexesSuppressed += src.IndexesSuppressed
 	s.SummaryAnswered += src.SummaryAnswered
-	s.ReindexValues += src.ReindexValues
-	s.ReindexRecomputed += src.ReindexRecomputed
-	s.ReindexSPTSources += src.ReindexSPTSources
-	s.ReindexFull += src.ReindexFull
 	s.ReindexWallNanos += src.ReindexWallNanos
 	s.AggQueriesIssued += src.AggQueriesIssued
 	s.AggQueriesHeard += src.AggQueriesHeard
 	s.AggRepliesSent += src.AggRepliesSent
 	s.AggPartialsReceived += src.AggPartialsReceived
 	s.AggCombined += src.AggCombined
-	s.AggContributors += src.AggContributors
-	s.AggAnswered += src.AggAnswered
 	s.AggFirstAnswerMS += src.AggFirstAnswerMS
 	s.PlanSummaryChosen += src.PlanSummaryChosen
 	s.PlanAggChosen += src.PlanAggChosen

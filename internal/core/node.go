@@ -257,7 +257,6 @@ func (n *Node) receive(p *netsim.Packet) {
 			fwd := n.newReply()
 			fwd.QueryID, fwd.Node, fwd.Count = m.QueryID, m.Node, m.Count
 			fwd.Readings = append(fwd.Readings, m.Readings...)
-			n.stats.RepliesForwarded++
 			n.forwardUp(p, fwd, metrics.Reply, replySize(m))
 			netsim.Release(fwd)
 		}
@@ -652,7 +651,6 @@ func (n *Node) onQuery(q *QueryMsg) {
 		n.scheduleOwnPartial(q)
 		return
 	}
-	n.stats.QueriesHeard++
 	// Jitter the reply so a widely-targeted query does not trigger a
 	// synchronized reply storm (the paper notes it takes several
 	// seconds for the first replies to come back).

@@ -242,11 +242,11 @@ func (b *Base) settle(qid uint16, pq *pendingQuery, emit bool) {
 		rec.ErrBound = pq.est.ErrBound
 		b.stats.QueryVerdictDegraded++
 		b.stats.DegradedAnswers++
-		// AggAnswered counts partial-plan answers only; a tuple-plan
-		// aggregate never enters it.
-		if pq.plan != query.PlanTuple && !pq.answered {
+		// A degraded answer is an answer: a later partial is not the
+		// first (AggFirstAnswerMS). A tuple-plan aggregate never
+		// counts one.
+		if pq.plan != query.PlanTuple {
 			pq.answered = true
-			b.stats.AggAnswered++
 		}
 	case rec.Got > 0 || pq.total > 0:
 		rec.Verdict = VerdictPartial

@@ -9,18 +9,12 @@ import (
 	"scoop/internal/trace"
 )
 
-// BuildStats describes what one index rebuild actually did — the
-// probe the basestation surfaces through core.RunStats so sweeps and
-// perf tooling can report reindex cost. Every rebuild recomputes every
-// value and solves every source, so Recomputed is Values, SPTSources
-// is the network size and FullRebuild is true.
+// BuildStats is the wall-clock probe of one index rebuild, which the
+// basestation sums into core.RunStats.ReindexWallNanos for sweeps and
+// perf tooling. Every rebuild recomputes every value and solves every
+// source, so it carries no work counters.
 type BuildStats struct {
-	Values      int   // value-domain size of the build
-	Recomputed  int   // values whose best-owner search re-ran
-	SPTSources  int   // Dijkstra sources solved
-	Edges       int   // usable links in the sparse adjacency
-	FullRebuild bool  // always true: no state carries over between builds
-	WallNanos   int64 // wall-clock cost of the rebuild
+	WallNanos int64 // wall-clock cost of the rebuild
 }
 
 // rowBatch is how many contributors' xmits rows one rebuild holds at a
@@ -41,8 +35,7 @@ type Builder struct {
 	// Trace, when non-nil, receives ReindexBegin/ReindexEnd events
 	// for every BuildOwners call. The wall-clock probe in BuildStats
 	// never enters the trace (DESIGN.md §16): ReindexEnd carries only
-	// the deterministic counters (Values, Recomputed, SPTSources,
-	// FullRebuild).
+	// the value-domain size.
 	Trace *trace.Recorder
 
 	adj     csr
@@ -96,11 +89,9 @@ func (b *Builder) Build(id uint16, in *BuildInput) *Index {
 func (b *Builder) BuildOwners(in *BuildInput) []netsim.NodeID {
 	start := time.Now() //scoop:allow walltime BuildStats wall probe, json:"-" everywhere — never enters artifacts (DESIGN.md §14)
 	n, V, base := in.N, in.domainSize(), int(in.Base)
-	b.stats = BuildStats{Values: V, Recomputed: V, SPTSources: n, FullRebuild: true}
 	b.Trace.Emit(trace.Event{Kind: trace.ReindexBegin, Node: uint16(in.Base), Value: int64(V)})
 
 	b.adj.build(in.Graph)
-	b.stats.Edges = len(b.adj.to)
 	b.ct.build(in)
 	ct := &b.ct
 
@@ -234,8 +225,7 @@ func (b *Builder) BuildOwners(in *BuildInput) []netsim.NodeID {
 	}
 
 	b.stats.WallNanos = time.Since(start).Nanoseconds() //scoop:allow walltime BuildStats wall probe, json:"-" everywhere — never enters artifacts (DESIGN.md §14)
-	b.Trace.Emit(trace.Event{Kind: trace.ReindexEnd, Node: uint16(in.Base), Flag: 1,
-		Size: int32(V), Value: int64(b.stats.Recomputed), Aux: int64(b.stats.SPTSources)})
+	b.Trace.Emit(trace.Event{Kind: trace.ReindexEnd, Node: uint16(in.Base), Size: int32(V)})
 	return b.owners
 }
 

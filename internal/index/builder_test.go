@@ -282,9 +282,6 @@ func TestBuilderMatchesScratch(t *testing.T) {
 			}
 			in.Graph = w.g
 			checkOwners(t, &b, in, fmt.Sprintf("seed %d step %d", seed, step))
-			if b.LastStats().Recomputed != b.LastStats().Values {
-				t.Fatalf("seed %d step %d: recomputed %d of %d values", seed, step, b.LastStats().Recomputed, b.LastStats().Values)
-			}
 			for _, o := range b.others {
 				if o != 0 && w.centers[o] >= 0 {
 					sawEarlyExit = true

@@ -501,17 +501,13 @@ type CellResult struct {
 	// artifact.
 	WallMS float64 `json:"-"`
 
-	// Reindex cost probe (index.BuildStats via core.RunStats, summed
-	// across the cell's trials): how much index-construction work the
-	// basestation did.
-	// Operator visibility only — like WallMS these stay out of the
-	// JSON artifact, both because ReindexWallMS is machine-dependent
+	// Reindex cost probe (core.RunStats, summed across the cell's
+	// trials): the index rebuilds the basestation ran and their wall
+	// time. Operator visibility only — like WallMS these stay out of
+	// the JSON artifact, both because ReindexWallMS is machine-dependent
 	// and so pre-overhaul baselines remain byte-comparable.
-	ReindexBuilds     int64   `json:"-"`
-	ReindexValues     int64   `json:"-"`
-	ReindexRecomputed int64   `json:"-"`
-	ReindexSPT        int64   `json:"-"`
-	ReindexWallMS     float64 `json:"-"`
+	ReindexBuilds int64   `json:"-"`
+	ReindexWallMS float64 `json:"-"`
 }
 
 // Report is a finished sweep: the artifact WriteFile persists and Diff
@@ -635,11 +631,8 @@ func runCell(c Cell, cfg exp.Config) (CellResult, error) {
 
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 
-		ReindexBuilds:     res.Stats.IndexesBuilt,
-		ReindexValues:     res.Stats.ReindexValues,
-		ReindexRecomputed: res.Stats.ReindexRecomputed,
-		ReindexSPT:        res.Stats.ReindexSPTSources,
-		ReindexWallMS:     float64(res.Stats.ReindexWallNanos) / 1e6,
+		ReindexBuilds: res.Stats.IndexesBuilt,
+		ReindexWallMS: float64(res.Stats.ReindexWallNanos) / 1e6,
 	}
 	if c.Faults != "" || c.Retry {
 		s := &res.Stats

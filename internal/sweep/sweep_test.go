@@ -263,8 +263,7 @@ func TestCellResultJSONGolden(t *testing.T) {
 		Completeness: 0.95, VerdictComplete: 13, VerdictPartial: 14, VerdictDegraded: 15,
 		VerdictFailed: 16, Retries: 17, AggFirstMS: 18.5,
 		Perturbed: true, ReconvS: 19.5, DeliveryDuring: 0.4, DeliveryAfter: 0.85,
-		WallMS: 20, ReindexBuilds: 21, ReindexValues: 22, ReindexRecomputed: 23,
-		ReindexSPT: 24, ReindexWallMS: 25,
+		WallMS: 20, ReindexBuilds: 21, ReindexWallMS: 25,
 	}
 	const want = `{"index":1,"policy":"scoop","topology":"grid","n":65,"loss":0.1,"churn":0.15,"drift":0.3,"noReindex":true,"aggMix":0.5,"faults":"blackout","retry":true,"nodePct":0.25,"queryInterval":"5s","sampleInterval":"2m","source":"real","seed":42,"msgs":1000.5,"data":2,"summary":3,"mapping":4,"query":5,"reply":6,"aggReply":7,"beacon":8,"dataSuccess":0.9,"querySuccess":0.8,"ownerHit":0.7,"rootSent":26,"rootRecv":27,"nodeJ":28.5,"nodeDays":29,"rootJ":30.5,"rootDays":31,"commsShare":0.32,"aggAnswered":0.6,"aggErr":0.05,"planSummary":9,"planAgg":10,"planTuple":11,"planFlood":12,"completeness":0.95,"verdictComplete":13,"verdictPartial":14,"verdictDegraded":15,"verdictFailed":16,"retries":17,"aggFirstMS":18.5,"perturbed":true,"reconvS":19.5,"deliveryDuring":0.4,"deliveryAfter":0.85}`
 	got, err := json.Marshal(r)

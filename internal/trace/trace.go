@@ -60,7 +60,7 @@ const (
 	// Index dissemination and reconstruction (core base + index.Builder).
 	ChunkSent       // one mapping chunk broadcast (Trickle transmit)
 	ReindexBegin    // basestation index recomputation started
-	ReindexEnd      // recomputation finished (BuildStats in Size/Value/Aux/Flag)
+	ReindexEnd      // recomputation finished (value-domain size in Size)
 	IndexAdopted    // the freshly built index replaced the current one
 	IndexSuppressed // the freshly built index was too similar; kept the old one
 
@@ -162,7 +162,7 @@ type Event struct {
 	SampleT  int64  // ... and sample time (virtual ms)
 
 	Value int64 // primary quantity (reading value, match count, chunk num)
-	Aux   int64 // secondary quantity (attempt number, recompute count)
+	Aux   int64 // secondary quantity (attempt number, target count)
 }
 
 // Field presence masks: which Event fields each kind emits, driving
@@ -199,7 +199,7 @@ var kindFields = [numKinds]uint16{
 	AggResent:        fID | fAux,
 	ChunkSent:        fID | fValue,
 	ReindexBegin:     fValue,
-	ReindexEnd:       fFlag | fSize | fValue | fAux,
+	ReindexEnd:       fSize,
 	IndexAdopted:     fID | fValue,
 	IndexSuppressed:  fID,
 	Perturb:          fFlag | fValue,

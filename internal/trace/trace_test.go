@@ -152,7 +152,7 @@ var roundTripEvents = []Event{
 	{Kind: PacketDrop, Node: 7, Peer: 3, Class: metrics.Data, Cause: metrics.DropCollision, Size: 30},
 	{Kind: ReadingStored, Node: 9, Flag: StoreOwner, Producer: 4, SampleT: 615000, Value: -12},
 	{Kind: QueryPlanned, Flag: 2, ID: 11, Value: 880, Aux: 3},
-	{Kind: ReindexEnd, Flag: 1, Size: 100, Value: 100, Aux: 37},
+	{Kind: ReindexEnd, Size: 100},
 	{Kind: NodeRestart, Node: 44},
 }
 
@@ -191,9 +191,9 @@ func TestJSONLEncodingIsStable(t *testing.T) {
 	if got := string(AppendJSON(nil, e)); got != want {
 		t.Fatalf("encoding changed:\n got %s\nwant %s", got, want)
 	}
-	// ReindexEnd omits reading identity but keeps stats fields.
-	e2 := Event{T: 5, Kind: ReindexEnd, Flag: 0, Size: 100, Value: 100, Aux: 4}
-	want2 := `{"t":5,"kind":"reindex-end","node":0,"flag":0,"size":100,"value":100,"aux":4}`
+	// ReindexEnd carries the value-domain size alone.
+	e2 := Event{T: 5, Kind: ReindexEnd, Size: 100}
+	want2 := `{"t":5,"kind":"reindex-end","node":0,"size":100}`
 	if got := string(AppendJSON(nil, e2)); got != want2 {
 		t.Fatalf("encoding changed:\n got %s\nwant %s", got, want2)
 	}
