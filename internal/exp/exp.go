@@ -336,8 +336,8 @@ type Result struct {
 // Run executes the experiment: Trials independent simulations, run one
 // after another on the caller's goroutine (each with its own
 // simulator, counters and RNG streams), whose results are averaged. It
-// returns the first trial's error. Trials 0 runs one; Result.Config
-// holds the count that ran.
+// stops at the first trial that fails and returns its error. Trials 0
+// runs one; Result.Config holds the count that ran.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

@@ -290,11 +290,11 @@ func TestScalesTo100Nodes(t *testing.T) {
 	}
 }
 
-// TestRunFoldsTrials holds Run's fold of PerTrial into a
-// Result, field by field through reflection, so a field added to both
-// without a fold fails here: Stats is the sum by RunStats.Add, every
-// leaf of Agg the sum, and every other leaf the mean. The aggregate mix
-// makes each leaf non-zero in some trial, so a missing fold shows.
+// TestRunFoldsTrials holds Run's fold of PerTrial into a Result, field
+// by field through reflection, so a field added to both without a fold
+// fails here: Stats is the sum by RunStats.Add, every leaf of Agg the
+// sum, and every other leaf the mean. The aggregate mix makes each leaf
+// non-zero in some trial, so a missing fold shows.
 func TestRunFoldsTrials(t *testing.T) {
 	cfg := quick(policy.Scoop, "real")
 	cfg.Trials = 3
