@@ -154,7 +154,7 @@ func (n *Node) flushAggNow() {
 				}
 				continue
 			}
-			e.part.Merge(scanPartial(n.store, e.q.ValueLo, e.q.ValueHi, e.q.TimeLo, e.q.TimeHi))
+			e.part.Merge(scanPartial(&n.store, e.q.ValueLo, e.q.ValueHi, e.q.TimeLo, e.q.TimeHi))
 			e.contribs++
 			if e.q.Track {
 				e.nodes.Set(n.api.ID())
@@ -261,7 +261,7 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 	// the plan decision — attributes to the planner phase.
 	profPrev := b.cfg.Prof.Enter(prof.PhasePlanner)
 	targets, covered := b.rangeTargets(q.ValueLo, q.ValueHi, q.TimeLo, q.TimeHi)
-	snaps := b.summarySnapshots()
+	snaps := b.latestSummaries(q.TimeLo, q.TimeHi)
 	est := query.EstimateFromSummaries(q, snaps)
 	countEst := est
 	if q.Op != query.OpCount {
@@ -437,20 +437,6 @@ func (b *Base) AggContribs(qid uint16) (got, expected int) {
 		return pq.contribs, pq.expected
 	}
 	return 0, 0
-}
-
-// summarySnapshots adapts the retained summary history to the
-// estimator's view.
-func (b *Base) summarySnapshots() []query.SummarySnapshot {
-	out := make([]query.SummarySnapshot, 0, len(b.history))
-	for _, s := range b.history {
-		out = append(out, query.SummarySnapshot{
-			Node: uint16(s.Node), SentAt: s.SentAt,
-			Min: s.Min, Max: s.Max, Sum: s.Sum,
-			Rate: s.Rate, Hist: s.Hist,
-		})
-	}
-	return out
 }
 
 // avgDepth estimates the mean routing-tree depth of the target set

@@ -76,16 +76,23 @@ type Base struct {
 	latestHops []uint8       // the header Hops latest[id] arrived with
 	history    []*SummaryMsg // never discarded (paper §5.5)
 	inHistory  seenTable     // history's (node, SentAt) keys: each summary kept once
+	// The history indexed by node: newest[id] is 1 + the history index of
+	// node id's summary with the latest SentAt, older[i] 1 + that of the
+	// next earlier one by the same node (0: none). The planner walks a
+	// node's chain from its newest summary to the latest one inside a
+	// query's window.
+	newest, older []int32
+	snaps         []query.SummarySnapshot // latestSummaries' result, reused
 
 	cur        *index.Index
 	records    []indexRecord
 	nextID     uint16
 	chunks     index.ChunkSet // the current generation's, under gossip
-	mapGos     *trickle.Trickle
-	qGos       *trickle.Trickle
+	mapGos     trickle.Trickle
+	qGos       trickle.Trickle
 	queriesOut []*QueryMsg // queries under gossip, dense by wire query ID
 
-	mappings netsim.FreeList[MappingMsg] // recycled chunk payloads (netsim.Refs)
+	mappings *netsim.FreeList[MappingMsg] // the network's, for recycled chunk payloads (netsim.Pool)
 
 	queryLog     []loggedQuery
 	pending      []*pendingQuery // dense by query ID
@@ -141,6 +148,9 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.tree.Init(api, true)
 	b.store = NewDataBuffer(1 << 18)
 	b.latest = make([]*SummaryMsg, api.N())
+	if b.newest == nil { // a restart keeps the history it has, and its index
+		b.newest = make([]int32, api.N())
+	}
 	b.latestHops = make([]uint8, api.N())
 	b.chunks.Clear()
 	b.queriesOut = nil
@@ -153,8 +163,9 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.builder = index.Builder{Trace: b.cfg.Trace}
 	b.statsInput = make([]index.NodeStat, api.N())
 	b.profProb = make([]float64, b.cfg.DomainMax-b.cfg.DomainMin+1)
-	b.mapGos = trickle.New(api, timerMapping, mappingTrickle, b.sendChunk)
-	b.qGos = trickle.New(api, timerQuery, queryTrickle, b.sendQuery)
+	b.mapGos.Init(api, timerMapping, mappingTrickle, b)
+	b.qGos.Init(api, timerQuery, queryTrickle, b)
+	b.mappings = netsim.Pool[MappingMsg](api)
 	if b.cfg.Preload != nil {
 		b.cur = b.cfg.Preload
 		if len(b.records) == 0 { // a restart keeps the history it has
@@ -236,15 +247,53 @@ func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
 	// A copy retransmitted after a lost ack is counted and kept once.
 	if !b.inHistory.Seen(m.Node, uint64(m.SentAt)) {
 		b.stats.SummariesReceived++
-		b.history = append(b.history, m)
+		b.keepSummary(m)
 	}
 	// Trickle inconsistency detection: a summary advertising an
 	// outdated index (a rebooted node reports 0) restarts fast gossip
 	// of the current generation's chunks, which would otherwise have
 	// retired after MaxRounds and left the node index-less forever.
 	if b.cur != nil && m.LastIndexID < b.cur.ID {
-		resetChunks(&b.chunks, b.cur.ID, b.mapGos)
+		resetChunks(&b.chunks, b.cur.ID, &b.mapGos)
 	}
+}
+
+// keepSummary appends m to the history and links it into its node's
+// chain, which runs from the latest SentAt to the earliest. Summaries
+// mostly arrive in their node's SentAt order, so the link is almost
+// always at the head.
+func (b *Base) keepSummary(m *SummaryMsg) {
+	b.history = append(b.history, m)
+	b.older = append(b.older, 0)
+	at := &b.newest[m.Node]
+	for *at > 0 && b.history[*at-1].SentAt >= m.SentAt {
+		at = &b.older[*at-1]
+	}
+	b.older[len(b.older)-1], *at = *at, int32(len(b.history))
+}
+
+// latestSummaries returns, in ascending node order, each node's retained
+// summary with the latest SentAt in [t0, t1], as the planner's
+// snapshots: O(N) for a window reaching the present, not the whole
+// history. The result is the base's scratch, good until the next call.
+func (b *Base) latestSummaries(t0, t1 netsim.Time) []query.SummarySnapshot {
+	out := b.snaps[:0]
+	for _, i := range b.newest {
+		for i > 0 && b.history[i-1].SentAt > t1 {
+			i = b.older[i-1]
+		}
+		if i == 0 || b.history[i-1].SentAt < t0 {
+			continue
+		}
+		s := b.history[i-1]
+		out = append(out, query.SummarySnapshot{
+			Node: uint16(s.Node), SentAt: s.SentAt,
+			Min: s.Min, Max: s.Max, Sum: s.Sum,
+			Rate: s.Rate, Hist: s.Hist,
+		})
+	}
+	b.snaps = out
+	return out
 }
 
 // dropChunks stops gossiping every chunk of a generation older than id
@@ -259,12 +308,14 @@ func dropChunks(chunks *index.ChunkSet, id uint16, g *trickle.Trickle) {
 }
 
 // resetChunks drops every mapping chunk of generation curID back to
-// the fast Trickle interval, in key order (each reset draws
-// randomness). Shared by the base and node inconsistency-detection
-// paths so the Trickle rule cannot drift between them.
+// the fast Trickle interval, in key order (each restart draws
+// randomness) by adding it again: every key of the set was added to g,
+// and one that retired after MaxRounds is no longer in it. Shared by
+// the base and node inconsistency-detection paths so the Trickle rule
+// cannot drift between them.
 func resetChunks(chunks *index.ChunkSet, curID uint16, g *trickle.Trickle) {
 	for _, c := range chunks.Generation(curID) {
-		g.Reset(mapKey(c.IndexID, c.Num))
+		g.Add(mapKey(c.IndexID, c.Num))
 	}
 }
 
@@ -372,7 +423,7 @@ func (b *Base) remap() {
 	b.cur = ix
 	b.records = append(b.records, indexRecord{ix: ix, at: b.api.Now()})
 	// Replace the gossip set with the new generation's chunks.
-	dropChunks(&b.chunks, id, b.mapGos)
+	dropChunks(&b.chunks, id, &b.mapGos)
 	chunks := ix.Chunks(chunkEntries)
 	for _, c := range chunks {
 		b.chunks.Insert(c)
@@ -688,6 +739,15 @@ func (b *Base) QueryMax(t0, t1 netsim.Time) (int, bool) {
 	return best, found
 }
 
+// Gossip implements trickle.Sender for the base's two Trickles.
+func (b *Base) Gossip(timerID int, key trickle.Key) {
+	if timerID == timerMapping {
+		b.sendChunk(key)
+	} else {
+		b.sendQuery(key)
+	}
+}
+
 // sendChunk is the mapping-Trickle transmit callback. Wall time
 // attributes to the chunk-dissemination phase.
 func (b *Base) sendChunk(key trickle.Key) {
@@ -701,7 +761,7 @@ func (b *Base) sendChunkNow(key trickle.Key) {
 	if !ok {
 		return
 	}
-	m := newMapping(&b.mappings, c)
+	m := newMapping(b.mappings, c)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.ChunkSent, Node: uint16(b.api.ID()),
 		ID: c.IndexID, Value: int64(c.Num)})
 	b.api.Broadcast(&netsim.Packet{

@@ -31,6 +31,8 @@ const (
 	timerRel      = 10 // base: earliest pending-query deadline (reliability layer)
 )
 
+const _ = uint(netsim.MaxTimerID - timerRel) // every timer id fits a NodeAPI
+
 // Config carries the protocol parameters a caller varies. Defaults
 // (DefaultConfig) are the paper's experimental settings (§6 table and
 // in-text values); the parameters the paper fixes are the constants

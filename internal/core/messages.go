@@ -40,7 +40,7 @@ func summarySize(m *SummaryMsg) int {
 // Owner and SID may be rewritten in flight by nodes holding a newer
 // storage index (routing rule 1). It is a recycled payload
 // (netsim.Packet): it travels inside the sender's dataHop, which owns
-// Readings and goes back to the sender's free list after the last
+// Readings and goes back to the network's free list after the last
 // delivery, so a forwarder copies the readings into a hop of its own.
 type DataMsg struct {
 	netsim.Refs
@@ -64,7 +64,7 @@ func dataSize(m *DataMsg) int { return 10 + 4*len(m.Readings) }
 
 // MappingMsg is one storage-index chunk under Trickle dissemination
 // (paper §5.3). It is a recycled payload (netsim.Packet), back on its
-// sender's free list after the last delivery; the chunk's Entries are
+// network's free list after the last delivery; the chunk's Entries are
 // shared — the index they slice is immutable — so a receiver keeps the
 // Chunk by value.
 type MappingMsg struct {
@@ -132,7 +132,7 @@ func querySize(q *QueryMsg) int {
 // Count is the total number of matches; Readings is capped at
 // replyMaxReadings (packet size), as a mote reply would be. It is a
 // recycled payload (netsim.Packet) that owns Readings: back on its
-// sender's free list after the last delivery, so a forwarder copies it
+// network's free list after the last delivery, so a forwarder copies it
 // into a reply of its own.
 type ReplyMsg struct {
 	netsim.Refs

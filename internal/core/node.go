@@ -43,13 +43,13 @@ type Node struct {
 	sample Sampler
 	start  netsim.Time // when sampling begins (after tree warm-up)
 
-	recent     *RecentBuffer
+	recent     RecentBuffer
 	recentVals []int // sendSummary's copy of recent, reused
-	store      *DataBuffer
+	store      DataBuffer
 
 	cur    *index.Index   // newest complete storage index (nil: none yet)
 	chunks index.ChunkSet // gossip store and assembler, generations ≥ cur's
-	mapGos *trickle.Trickle
+	mapGos trickle.Trickle
 
 	// Query state is indexed by dense query ID (the basestation issues
 	// IDs sequentially), replacing the per-delivery hash maps of the
@@ -57,7 +57,7 @@ type Node struct {
 	// known from its first packet on, so every later copy only feeds
 	// Trickle suppression and a node answers each query ID once.
 	queries []*QueryMsg
-	qGos    *trickle.Trickle
+	qGos    trickle.Trickle
 
 	// In-network partial-aggregate combining: the per-query combine
 	// buffer, per-query flush sequence numbers, and the shared flush
@@ -92,20 +92,44 @@ type Node struct {
 	seenAggParts  seenTable
 	seenData      dataSeen
 
-	// Free lists of the recycled payloads this node sends (netsim.Refs):
-	// data hops, replies and mapping chunks come back here after their
-	// last delivery. They are allocation caches, not mote RAM, so a
-	// reboot keeps them.
-	hops     netsim.FreeList[dataHop]
-	replies  netsim.FreeList[ReplyMsg]
-	mappings netsim.FreeList[MappingMsg]
+	// The network's free lists of the recycled payloads this node sends
+	// (netsim.Pool): data hops, replies and mapping chunks go back there
+	// after their last delivery. They are allocation caches, not mote
+	// RAM, so a reboot keeps them.
+	hops     *netsim.FreeList[dataHop]
+	replies  *netsim.FreeList[ReplyMsg]
+	mappings *netsim.FreeList[MappingMsg]
 }
 
 // NewNode creates a Scoop node that begins sampling at the absolute
 // virtual time startAt (the paper spends the first 10 minutes
 // stabilising the routing tree before sampling starts).
 func NewNode(cfg Config, stats *RunStats, sample Sampler, startAt netsim.Time) *Node {
-	return &Node{cfg: cfg, stats: stats, sample: sample, start: startAt}
+	return NewNodes(2, cfg, stats, sample, startAt)[1]
+}
+
+// NewNodes returns the motes of an n-node network, nodes[id] for ids 1
+// to n-1 (nodes[0] is nil: the basestation), each as NewNode returns
+// it, built for one network's set-up: the nodes are one array, and the
+// fixed-size parts of each — the routing tree's tables (routing.Carve)
+// and the recent-readings ring — are carved from one slab per type. Set-up makes as many objects for 1000
+// motes as for 63 (DESIGN.md §12). What a mote fills only once it runs
+// (its flash ring, its Trickles' items) it allocates then.
+func NewNodes(n int, cfg Config, stats *RunStats, sample Sampler, startAt netsim.Time) []*Node {
+	motes := make([]Node, n-1)
+	nodes := make([]*Node, n)
+	trees := make([]*routing.Tree, n-1)
+	recent := make([]int, (n-1)*recentBufSize)
+	for i := range motes {
+		m := &motes[i]
+		m.cfg, m.stats, m.sample, m.start = cfg, stats, sample, startAt
+		m.recent.buf, recent = recent[:recentBufSize:recentBufSize], recent[recentBufSize:]
+		m.store.cap = dataBufCap
+		trees[i] = &m.tree
+		nodes[i+1] = m
+	}
+	routing.Carve(trees)
+	return nodes
 }
 
 // CurrentIndex exposes the node's active storage index (nil before the
@@ -113,7 +137,7 @@ func NewNode(cfg Config, stats *RunStats, sample Sampler, startAt netsim.Time) *
 func (n *Node) CurrentIndex() *index.Index { return n.cur }
 
 // Store exposes the node's data buffer for tests.
-func (n *Node) Store() *DataBuffer { return n.store }
+func (n *Node) Store() *DataBuffer { return &n.store }
 
 // PendingBatchReadings returns the readings currently held in this
 // node's per-owner batch buffers — "in flight at run end" for the
@@ -154,10 +178,9 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	if n.api != api { // first boot: build
 		n.api = api
 		n.tree.Init(api, false)
-		n.recent = NewRecentBuffer(recentBufSize)
-		n.store = NewDataBuffer(dataBufCap)
-		n.mapGos = trickle.New(api, timerMapping, mappingTrickle, n.sendChunk)
-		n.qGos = trickle.New(api, timerQuery, queryTrickle, n.sendQuery)
+		n.mapGos.Init(api, timerMapping, mappingTrickle, n)
+		n.qGos.Init(api, timerQuery, queryTrickle, n)
+		n.hops, n.replies, n.mappings = netsim.Pool[dataHop](api), netsim.Pool[ReplyMsg](api), netsim.Pool[MappingMsg](api)
 	} else { // a reboot on the same radio: clear in place
 		n.tree.Reset()
 		n.recent.Clear()
@@ -244,7 +267,7 @@ func (n *Node) receive(p *netsim.Packet) {
 		// our current generation so it catches up (mapping chunks
 		// retire after MaxRounds and would otherwise stay silent).
 		if n.cur != nil && !n.cur.Local && m.LastIndexID < n.cur.ID {
-			resetChunks(&n.chunks, n.cur.ID, n.mapGos)
+			resetChunks(&n.chunks, n.cur.ID, &n.mapGos)
 		}
 		// A summary is shared and immutable: the relay forwards the
 		// message it heard, the hop count riding in the frame header.
@@ -477,7 +500,8 @@ func (n *Node) routeData(rs []Reading, owner netsim.NodeID, sid uint16, hops uin
 // hop count, and the completion the MAC reports to. A failed rule falls
 // back to the next by re-sending the same hop: a sent msg never
 // changes. The hop holds the sender's reference on msg until its last
-// verdict; the last delivery then returns it to the node's free list.
+// verdict; the last delivery then returns it to the network's free
+// list.
 type dataHop struct {
 	msg  DataMsg
 	n    *Node
@@ -589,7 +613,7 @@ func (n *Node) handleChunk(c index.Chunk) {
 	if n.cur != nil && c.IndexID < n.cur.ID {
 		// A neighbor is gossiping a stale generation: speed up our own
 		// gossip so it catches up (Trickle inconsistency rule).
-		resetChunks(&n.chunks, n.cur.ID, n.mapGos)
+		resetChunks(&n.chunks, n.cur.ID, &n.mapGos)
 		return
 	}
 	n.chunks.Insert(c)
@@ -598,7 +622,16 @@ func (n *Node) handleChunk(c index.Chunk) {
 		if n.cur == nil || complete.ID > n.cur.ID {
 			n.cur = complete
 		}
-		dropChunks(&n.chunks, n.cur.ID, n.mapGos) // superseded generations
+		dropChunks(&n.chunks, n.cur.ID, &n.mapGos) // superseded generations
+	}
+}
+
+// Gossip implements trickle.Sender for the node's two Trickles.
+func (n *Node) Gossip(timerID int, key trickle.Key) {
+	if timerID == timerMapping {
+		n.sendChunk(key)
+	} else {
+		n.sendQuery(key)
 	}
 }
 
@@ -617,7 +650,7 @@ func (n *Node) sendChunkNow(key trickle.Key) {
 	}
 	n.cfg.Trace.Emit(trace.Event{Kind: trace.ChunkSent, Node: uint16(n.api.ID()),
 		ID: c.IndexID, Value: int64(c.Num)})
-	m := newMapping(&n.mappings, c)
+	m := newMapping(n.mappings, c)
 	n.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Mapping,
 		Origin:       n.api.ID(),
@@ -639,6 +672,12 @@ func (n *Node) onQuery(q *QueryMsg) {
 		n.qGos.Heard(key)
 		return
 	}
+	if int(q.ID) >= cap(n.queries) {
+		// A run issues tens to hundreds of queries: start the table at
+		// queryTableMin IDs and let append double it, not regrow it every
+		// few IDs.
+		n.queries = slices.Grow(n.queries, max(int(q.ID)+1, queryTableMin)-len(n.queries))
+	}
 	n.queries = dense.Grow(n.queries, int(q.ID))
 	n.queries[q.ID] = q
 	if n.shouldRelay(&q.Bitmap) {
@@ -657,6 +696,9 @@ func (n *Node) onQuery(q *QueryMsg) {
 	n.api.SetTimer(timerReply, netsim.Time(50+n.api.RandIntn(int(4*netsim.Second))))
 	n.pendingAnswers = append(n.pendingAnswers, q)
 }
+
+// queryTableMin is the query-ID capacity a node's query table starts at.
+const queryTableMin = 64
 
 // shouldRelay reports whether this node re-broadcasts a query: only
 // when some targeted node other than itself is plausibly reachable
@@ -720,11 +762,11 @@ func (n *Node) answer(q *QueryMsg) {
 	netsim.Release(m)
 }
 
-// newReply takes a ReplyMsg off the node's free list, with the sender's
-// reference held.
+// newReply takes a ReplyMsg off the network's free list, with the
+// sender's reference held.
 func (n *Node) newReply() *ReplyMsg {
 	m := n.replies.Get()
-	m.free = &n.replies
+	m.free = n.replies
 	netsim.Hold(m)
 	return m
 }

@@ -60,8 +60,8 @@ func adoptParent(t *testing.T, sim *netsim.Simulator, node *Node, round uint32) 
 // (DESIGN.md §12) to zero allocations in steady state: node 1 relays a
 // data batch, a reply and a summary from node 2 to its parent 0. Each
 // relay copies a borrowed payload into a hop or reply of node 1's own,
-// taken off its free list, and the relayed frame's last delivery puts
-// it back — neither the received payload nor its readings are kept. A
+// taken off the network's free list, and the relayed frame's last
+// delivery puts it back — neither the received payload nor its readings are kept. A
 // summary is shared: the relay forwards the message it heard, one hop
 // further in the frame header.
 func TestForwardZeroAllocs(t *testing.T) {

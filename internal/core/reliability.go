@@ -311,7 +311,7 @@ func (b *Base) recoverOpenQueries() {
 		msg := queryPacket(e.wq, query.OpSelect, false)
 		if e.plan != query.PlanTuple {
 			pq.q = e.aq
-			pq.est = query.EstimateFromSummaries(e.aq, b.summarySnapshots())
+			pq.est = query.EstimateFromSummaries(e.aq, b.latestSummaries(e.aq.TimeLo, e.aq.TimeHi))
 			msg.Op, msg.Track = e.aq.Op, true
 		}
 		msg.ID = e.qid

@@ -125,9 +125,10 @@ func TestPendingEvictsUnderTotalReplyLoss(t *testing.T) {
 				t.Fatalf("last query ID %d, want 3 queries + %d retries", last, tn.stats.QueryRetries)
 			}
 			for id := uint16(1); id <= last; id++ {
-				if tn.base.queriesOut[id] != nil || tn.base.qGos.Has(queryKey(id)) || tn.base.retryOf[id] != 0 {
+				gossiped := slices.Contains(gossipKeys(&tn.base.qGos), queryKey(id))
+				if tn.base.queriesOut[id] != nil || gossiped || tn.base.retryOf[id] != 0 {
 					t.Fatalf("wire query %d survives settling: out=%v gossiped=%v retryOf=%d", id,
-						tn.base.queriesOut[id] != nil, tn.base.qGos.Has(queryKey(id)), tn.base.retryOf[id])
+						tn.base.queriesOut[id] != nil, gossiped, tn.base.retryOf[id])
 				}
 			}
 			before := *tn.stats

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scoop/internal/netsim"
+	"scoop/internal/trickle"
 	"scoop/internal/workload"
 )
 
@@ -14,14 +15,15 @@ import (
 // what they hold, not where. Slices compare by length and elements (a
 // nil slice equals an empty one, capacity is not state), pointers by
 // what they point at, and the fields that are wiring or allocation
-// caches rather than RAM — the NodeAPI and clock, callbacks, the shared
-// config, run statistics and sampler, the payload free lists and the
-// scratch buffers every use overwrites (scratchFields) — are skipped.
+// caches rather than RAM — the NodeAPI and clock, callbacks and a
+// Trickle's Sender (the node itself), the shared config, run
+// statistics and sampler, the payload free lists and the scratch
+// buffers every use overwrites (scratchFields) — are skipped.
 // It returns the path of the first difference, or "".
 func sameState(a, b reflect.Value, path string) string {
 	t := a.Type()
 	switch {
-	case t.Kind() == reflect.Func, t.Kind() == reflect.Chan,
+	case t.Kind() == reflect.Func, t.Kind() == reflect.Chan, t == reflect.TypeFor[trickle.Sender](),
 		t == reflect.TypeOf(&netsim.NodeAPI{}), t == reflect.TypeOf(&netsim.Simulator{}),
 		t == reflect.TypeOf(&RunStats{}), t == reflect.TypeOf(Config{}),
 		strings.HasPrefix(t.Name(), "FreeList["), scratchFields[path[strings.LastIndexByte(path, '.')+1:]]:
@@ -87,6 +89,17 @@ func sameState(a, b reflect.Value, path string) string {
 	return ""
 }
 
+// gossipKeys returns the keys g is gossiping, read from its item array:
+// a Trickle holds exactly its live keys and has no accessor for them.
+func gossipKeys(g *trickle.Trickle) []trickle.Key {
+	items := reflect.ValueOf(g).Elem().FieldByName("items")
+	keys := make([]trickle.Key, items.Len())
+	for i := range keys {
+		keys[i] = trickle.Key(items.Index(i).FieldByName("key").Uint())
+	}
+	return keys
+}
+
 // scratchFields names the scratch buffers sameState skips: sendSummary's
 // copy of the recent readings, handleData's regroup buffer, the spare batch
 // buffers and Trickle's send list.
@@ -108,11 +121,13 @@ func TestRestartClearsStateInPlace(t *testing.T) {
 			tn.base.IssueQuery(workload.Query{ValueLo: 0, ValueHi: 20, TimeLo: 0, TimeHi: tn.sim.Now()})
 		})
 	}
-	tn.sim.Run(9 * netsim.Minute)
+	// Reboot 2 s after the last query, while the node still gossips it:
+	// a Trickle forgets an item once it retires.
+	tn.sim.Run(8*netsim.Minute + 42*netsim.Second)
 	node := tn.nodes[2] // relays summaries, data and replies for 3 and 4
 	switch {
 	case !node.tree.HasRoute(), node.tree.Neighbors.Len() == 0, node.tree.Descendants.Len() == 0,
-		node.chunks.Len() == 0, node.mapGos.Len() == 0, node.qGos.Len() == 0, len(node.queries) == 0,
+		node.chunks.Len() == 0, len(gossipKeys(&node.qGos)) == 0, len(node.queries) == 0,
 		node.store.Len() == 0, node.recent.Len() == 0, node.cur == nil,
 		len(node.seenSummaries.rows.ids) == 0, len(node.seenReplies.rows.ids) == 0, len(node.seenSummaries.spill) == 0:
 		t.Fatal("the node holds too little state before the reboot for the comparison to mean anything")

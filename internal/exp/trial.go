@@ -196,10 +196,9 @@ func (t *Trial) attach(wrap func(id netsim.NodeID, app netsim.App) netsim.App) {
 	}
 	t.base = core.NewBase(t.ccfg, &t.stats, cfg.Warmup)
 	t.net.Attach(0, wrap(0, t.base))
-	t.nodes = make([]*core.Node, cfg.N)
+	t.nodes = core.NewNodes(cfg.N, t.ccfg, &t.stats, t.sampler.Next, cfg.Warmup)
 	for i := 1; i < cfg.N; i++ {
 		id := netsim.NodeID(i)
-		t.nodes[i] = core.NewNode(t.ccfg, &t.stats, t.sampler.Next, cfg.Warmup)
 		t.net.Attach(id, wrap(id, t.nodes[i]))
 	}
 	t.net.Start()

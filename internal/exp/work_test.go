@@ -42,22 +42,25 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 		// Measured mallocs/vs, in the comment, with the ceiling's history.
 		maxMallocsPerVS float64
 	}{
-		// 5.33 (5.43 before data frames were deduplicated, 7.50 with
+		// 3.71 (5.33 with a free list per sender and set-up allocating
+		// per node, 5.43 before data frames were deduplicated, 7.50 with
 		// Trickle items, chunk store and assembler in maps and dedup
 		// spills in slices of their own, 9.98 with the TTL in the
 		// payloads and dedup rows growing from empty, 22.1 before the
 		// payload free lists, 66.5 before the send ring). Data dedup
 		// took the counts from 217 296 events and 47 612 frames.
-		{"uniform63", Default(), 208685, 44900, 6.0},
-		// 5.61 (5.71 before data dedup, 11.79 when a reboot allocated
-		// the mote's state again; 264 052 events and 56 492 frames
-		// before data dedup).
-		{"uniform63churn", churn, 253906, 52313, 6.3},
-		// 42.23 (42.20 before data dedup, 52.77 with the maps and spill
-		// slices, 76.56 with the TTL in the payloads and dedup rows
-		// growing from empty; 290 720 events and 94 247 frames before
+		{"uniform63", Default(), 208685, 44900, 4.1},
+		// 3.86 (5.61 with per-sender free lists and per-node set-up,
+		// 5.71 before data dedup, 11.79 when a reboot allocated the
+		// mote's state again; 264 052 events and 56 492 frames before
 		// data dedup).
-		{"grid250", deep, 283304, 91278, 46.4},
+		{"uniform63churn", churn, 253906, 52313, 4.3},
+		// 18.18 (42.23 with per-sender free lists, retired Trickle items
+		// kept and per-node set-up, 42.20 before data dedup, 52.77 with
+		// the maps and spill slices, 76.56 with the TTL in the payloads
+		// and dedup rows growing from empty; 290 720 events and 94 247
+		// frames before data dedup).
+		{"grid250", deep, 283304, 91278, 20.0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Serial on purpose: runtime.MemStats.Mallocs is process-wide.
@@ -83,7 +86,10 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 			if tx != tc.wantTx {
 				t.Errorf("%d transmissions, want exactly %d", tx, tc.wantTx)
 			}
-			if mallocs > tc.maxMallocsPerVS {
+			// The race detector's runtime allocates beside the
+			// simulator's (grid250 reads 20.6 under -race), so the
+			// ceiling holds only in a normal build.
+			if mallocs > tc.maxMallocsPerVS && !raceEnabled {
 				t.Errorf("%.2f mallocs per virtual second, ceiling %.1f", mallocs, tc.maxMallocsPerVS)
 			}
 		})
@@ -96,16 +102,17 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 // runs. Every sweep cell and each of the suite's small networks pays
 // this. Bytes and objects repeat to within a few; the smallest of three
 // is held under a ceiling (DESIGN.md §12, "A draw stays on the node's
-// line"). On the parent commit this test fails with 1 096 600 B and
-// 2 099 objects: two 4.9 KB math/rand tables and their two Rands a node.
+// line" and "Set-up allocates per network"). When a node's set-up was
+// its own objects this test failed with 393 400 B in 1 420 objects;
+// before that with 1 096 600 B and 2 099 objects: two 4.9 KB math/rand
+// tables and their two Rands a node.
 func TestSetupFootprint(t *testing.T) {
 	const (
-		// Measured 393 400 B in 1 420 objects, 24 KB of it the nodes'
+		// Measured 383 744 B in 110 objects, 24 KB of it the nodes'
 		// inline data-dedup caches (DESIGN.md §12). The ceilings are the
-		// measurement plus 5 % of the bytes and plus 40 objects, fewer
-		// than one a node.
-		maxBytes   = 413_000
-		maxMallocs = 1_460
+		// measurement plus 5 % of the bytes and plus 40 objects.
+		maxBytes   = 403_000
+		maxMallocs = 150
 	)
 	cfg := Default()
 	bytes, mallocs := setupFootprint(t, cfg)
@@ -146,21 +153,31 @@ func setupFootprint(t *testing.T, cfg Config) (bytes, mallocs uint64) {
 
 // TestSetupFootprintLinearInN: on the grid, where degree is bounded,
 // quadrupling the nodes may at most quintuple what a trial's set-up
-// allocates — per-node and per-link state, no N×N array (DESIGN.md §12).
-// Measured 1 320 136 B against 5 578 880 B (×4.23). On the parent
-// commit this test fails with 2 231 416 B against 21 024 680 B (×9.42):
-// the topology's Quality matrix and the basestation's dense index.Graph,
-// 8 MB each at N = 1000.
+// allocates — per-node and per-link state, no N×N array (DESIGN.md §12)
+// — and adds at most 40 objects to it: per-node state is carved from
+// one slab per type, and what grows by doubling (the event queue, the
+// timer-task blocks) allocates about log₂ 4 = 2 times more. Measured
+// 1 387 200 B in 121 objects against 5 795 368 B in 146 (×4.18, +25).
+// When each node's state was its own objects it failed with 5 336
+// objects against 21 108; and with 2 231 416 B against 21 024 680 B
+// (×9.42) when the topology held a Quality matrix and the basestation a
+// dense index.Graph, 8 MB each at N = 1000.
 func TestSetupFootprintLinearInN(t *testing.T) {
+	const maxExtraObjects = 40
 	cfg := Default()
 	cfg.Topology = "grid"
 	cfg.N = 250
-	small, _ := setupFootprint(t, cfg)
+	small, smallObjs := setupFootprint(t, cfg)
 	cfg.N = 1000
-	large, _ := setupFootprint(t, cfg)
-	t.Logf("grid set-up allocates %d B at N = 250, %d B at N = 1000", small, large)
+	large, largeObjs := setupFootprint(t, cfg)
+	t.Logf("grid set-up allocates %d B in %d objects at N = 250, %d B in %d objects at N = 1000",
+		small, smallObjs, large, largeObjs)
 	if ratio := float64(large) / float64(small); ratio > 5 {
-		t.Fatalf("grid set-up allocates %d B at N = 250 and %d B at N = 1000: ×%.2f, want ≤ ×5 (linear in N)",
+		t.Errorf("grid set-up allocates %d B at N = 250 and %d B at N = 1000: ×%.2f, want ≤ ×5 (linear in N)",
 			small, large, ratio)
+	}
+	if largeObjs > smallObjs+maxExtraObjects {
+		t.Errorf("grid set-up allocates %d objects at N = 250 and %d at N = 1000, want at most %d more (not per node)",
+			smallObjs, largeObjs, maxExtraObjects)
 	}
 }

@@ -8,16 +8,16 @@ import (
 
 // Floatfold bans floating-point accumulation across map iteration
 // order, module-wide. This is the exact bug class of the one
-// nondeterminism ever shipped: query.latestPerNode folded histogram
-// mass over a randomly-ordered Go map, flipping the last bits of
-// aggErr between runs of the same seed (DESIGN.md §2). Float addition
+// nondeterminism ever shipped: the aggregate planner's per-node summary
+// pick folded histogram mass over a randomly-ordered Go map, flipping
+// the last bits of aggErr between runs of the same seed (DESIGN.md §2). Float addition
 // is not associative, so a fold whose accumulator outlives the loop
 // body produces order-dependent bits even when every other rule is
 // obeyed — and unlike maprange this can corrupt artifacts from any
 // package, so the rule has no deterministic-package carve-out.
 var Floatfold = &Analyzer{
 	Name: "floatfold",
-	Doc:  "floating-point accumulation inside a map-range loop (the query.latestPerNode bug class)",
+	Doc:  "floating-point accumulation inside a map-range loop (the planner's summary-pick bug class)",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -81,5 +81,5 @@ func checkFold(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt) {
 		// that survive across iterations see the map's order.
 		return
 	}
-	pass.Reportf(as.Pos(), "floating-point accumulation into %s across map iteration order: float addition is not associative, so the result's bits depend on Go's randomized map order (the query.latestPerNode bug, DESIGN.md §2) — iterate sorted keys", types.ExprString(lhs))
+	pass.Reportf(as.Pos(), "floating-point accumulation into %s across map iteration order: float addition is not associative, so the result's bits depend on Go's randomized map order (the planner's summary-pick bug, DESIGN.md §2) — iterate sorted keys", types.ExprString(lhs))
 }

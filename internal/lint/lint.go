@@ -11,8 +11,9 @@
 //     unless the body provably only collects keys for sorting (or
 //     clears the map).
 //   - floatfold: no floating-point accumulation across a map-range
-//     loop anywhere in the module — the exact query.latestPerNode bug
-//     class that once flipped aggErr bits in committed artifacts.
+//     loop anywhere in the module — the exact bug class of the
+//     planner's summary pick that once flipped aggErr bits in
+//     committed artifacts.
 //   - walltime: no time.Now/Since/Until outside the wall-clock
 //     accounting packages (prof, sweep) — simulations are pure
 //     functions of their seed.

@@ -321,9 +321,9 @@ func (r *retention) isPayloadOf(x ast.Expr) bool {
 // takes how the value escapes and the callback it was borrowed in.
 var retainMsg = [...]string{
 	borrowPacket:  "%s retains a simulator-owned *netsim.Packet: it is valid only during the %s callback — copy the struct, never the pointer (DESIGN.md §12)",
-	borrowPayload: "%s retains a recycled payload: it goes back to its sender's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
-	borrowSlice:   "%s retains a recycled payload's slice: the buffer goes back to its sender's free list after the %s callback — copy the elements, append(dst, s...) (DESIGN.md §12)",
-	borrowCopy:    "%s retains a struct copy of a recycled payload: its slice fields still point into the payload, which goes back to its sender's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
+	borrowPayload: "%s retains a recycled payload: it goes back to its network's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
+	borrowSlice:   "%s retains a recycled payload's slice: the buffer goes back to its network's free list after the %s callback — copy the elements, append(dst, s...) (DESIGN.md §12)",
+	borrowCopy:    "%s retains a struct copy of a recycled payload: its slice fields still point into the payload, which goes back to its network's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
 	borrowShared:  "%s writes a shared payload reached from the %s callback: it is immutable once sent — relays forward it as heard and the basestation keeps it — so change a copy (DESIGN.md §12)",
 }
 

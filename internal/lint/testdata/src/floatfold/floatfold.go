@@ -1,4 +1,4 @@
-// Package floatfold is a scooplint fixture: the query.latestPerNode
+// Package floatfold is a scooplint fixture: the planner's summary-pick
 // bug class — floating-point folds whose accumulator survives a
 // map-range loop. Loaded without the deterministic flag: the rule is
 // module-wide because any package can corrupt artifacts this way.

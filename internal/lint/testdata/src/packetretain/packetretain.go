@@ -3,7 +3,7 @@
 // Since the §12 pooling overhaul the packet lives in a pool and is
 // recycled the moment the callback returns — a retained pointer reads
 // someone else's packet later. A recycled payload reached from it goes
-// back to its sender's free list the same way, with its slices.
+// back to its network's free list the same way, with its slices.
 package packetretain
 
 import (
@@ -102,7 +102,7 @@ func (h *harness) wire(net *netsim.Network) {
 func keepInFlight(p *netsim.Packet) { stash = p }
 
 // msg is a recycled payload: it embeds netsim.Refs, so after its last
-// delivery it goes back to its sender's free list and is zeroed there.
+// delivery it goes back to its network's free list and is zeroed there.
 type msg struct {
 	netsim.Refs
 	Readings []int

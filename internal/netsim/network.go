@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"scoop/internal/dense"
 	"scoop/internal/metrics"
 	"scoop/internal/prof"
 	"scoop/internal/trace"
@@ -247,7 +246,7 @@ type Network struct {
 	Trace *trace.Recorder
 
 	apps      []App
-	api       []*NodeAPI
+	api       []NodeAPI // one slab, every node's; node id's is live once Attach installs its app
 	dead      []bool
 	linkScale []float64 // per-link degradation factors, parallel to Topo.links; nil while all are 1
 	burstLoss float64   // correlated burst-loss fraction (0: no burst window active)
@@ -277,11 +276,15 @@ type Network struct {
 	heard []audibleList
 	spill [][]audible
 
-	delivPool []*delivery
-	timerPool []*timerTask
-	stepPool  []*stepTask
-	inflight  []*delivery  // scheduled, not yet run (in-air frames)
-	scratch   []interferer // collision-fold gather buffer
+	// The network's free lists: its own tasks, and through Pool the
+	// recycled payloads its nodes send, one list per type.
+	deliveries FreeList[delivery]
+	timers     FreeList[timerTask]
+	steps      FreeList[stepTask]
+	pools      []any // *FreeList[T] by payload type T
+
+	inflight []*delivery  // scheduled, not yet run (in-air frames)
+	scratch  []interferer // collision-fold gather buffer
 }
 
 // NewNetwork creates a network over topo driven by sim. counters may be
@@ -297,7 +300,7 @@ func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, para
 		Counters: counters,
 		Params:   params,
 		apps:     make([]App, topo.N),
-		api:      make([]*NodeAPI, topo.N),
+		api:      make([]NodeAPI, topo.N),
 		dead:     make([]bool, topo.N),
 		txSeq:    make([]uint32, topo.N),
 		nextOseq: make([]uint64, topo.N),
@@ -305,15 +308,17 @@ func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, para
 	}
 }
 
-// Attach installs app on node id. Must be called before Start.
+// Attach installs app on node id, whose NodeAPI is the id-th of the
+// network's slab: attaching allocates nothing. Must be called before
+// Start.
 func (n *Network) Attach(id NodeID, app App) {
 	if n.started {
 		panic("netsim: Attach after Start")
 	}
 	n.apps[id] = app
-	a := &NodeAPI{net: n, id: id}
+	a := &n.api[id]
+	*a = NodeAPI{net: n, id: id}
 	a.rng = NodeStream(&a.pcg, n.Sim.seed, id)
-	n.api[id] = a
 }
 
 // Start initialises all attached applications. Nodes without an app
@@ -328,7 +333,7 @@ func (n *Network) Start() {
 	n.refreshAll()
 	for i, app := range n.apps {
 		if app != nil {
-			app.Init(n.api[i])
+			app.Init(&n.api[i])
 		}
 	}
 }
@@ -383,10 +388,10 @@ func (n *Network) Revive(id NodeID) {
 func (n *Network) Restart(id NodeID) {
 	n.dead[id] = false
 	n.refreshInto(id)
-	a := n.api[id]
-	if a == nil {
+	if n.apps[id] == nil {
 		return
 	}
+	a := &n.api[id]
 	if n.OnPurge != nil {
 		for k := 0; k < a.qlen; k++ {
 			n.OnPurge(id, &a.slot(k).p)
@@ -411,9 +416,7 @@ func (n *Network) Restart(id NodeID) {
 	for t := range a.timerGen {
 		a.timerGen[t]++
 	}
-	if n.apps[id] != nil {
-		n.apps[id].Init(a)
-	}
+	n.apps[id].Init(a)
 }
 
 // Dead reports whether id is currently dead.
@@ -763,13 +766,8 @@ func (d *delivery) Run() {
 }
 
 func (n *Network) newDelivery(p *Packet) *delivery {
-	var d *delivery
-	if k := len(n.delivPool); k > 0 {
-		d = n.delivPool[k-1]
-		n.delivPool = n.delivPool[:k-1]
-	} else {
-		d = &delivery{net: n}
-	}
+	d := n.deliveries.Get()
+	d.net = n
 	d.p = *p
 	d.recv = d.recv[:0]
 	d.idx = len(n.inflight)
@@ -785,7 +783,7 @@ func (n *Network) releaseDelivery(d *delivery) {
 	n.inflight = n.inflight[:last]
 	rc := d.rc
 	d.p, d.rc = Packet{}, nil
-	n.delivPool = append(n.delivPool, d)
+	n.deliveries.Put(d)
 	if rc != nil {
 		Release(rc)
 	}
@@ -804,10 +802,8 @@ func (n *Network) ForEachInFlight(fn func(p *Packet)) {
 // head job (transmission attempts in progress) first; p is valid only
 // during the call. Diagnostic/invariant use; control-plane only.
 func (n *Network) ForEachQueued(fn func(id NodeID, p *Packet)) {
-	for i, a := range n.api {
-		if a == nil {
-			continue
-		}
+	for i := range n.api {
+		a := &n.api[i]
 		for k := 0; k < a.qlen; k++ {
 			fn(NodeID(i), &a.slot(k).p)
 		}
@@ -907,7 +903,7 @@ type timerTask struct {
 
 func (t *timerTask) Run() {
 	a, id, gen := t.a, t.id, t.gen
-	a.net.timerPool = append(a.net.timerPool, t)
+	a.net.timers.Put(t)
 	if gen != a.timerGen[id] || a.net.dead[a.id] {
 		return
 	}
@@ -924,7 +920,7 @@ type stepTask struct {
 
 func (s *stepTask) Run() {
 	a, gen, try, defers := s.a, s.gen, s.try, s.defers
-	a.net.stepPool = append(a.net.stepPool, s)
+	a.net.steps.Put(s)
 	a.step(gen, try, defers)
 }
 
@@ -940,9 +936,9 @@ func (s *stepTask) Run() {
 type NodeAPI struct {
 	net      *Network
 	id       NodeID
-	pcg      rand.PCG  // per-node substream, held inline: all protocol randomness
-	rng      rand.Rand // draws from pcg
-	timerGen []uint64  // per-timer-ID arm generation, grown on demand
+	pcg      rand.PCG               // per-node substream, held inline: all protocol randomness
+	rng      rand.Rand              // draws from pcg
+	timerGen [MaxTimerID + 1]uint64 // per-timer-ID arm generation
 	busy     bool
 	jobGen   uint64 // invalidates in-flight attempt events on job change
 
@@ -1054,13 +1050,7 @@ func (a *NodeAPI) jobDone(ok bool) {
 // scheduleStep arms one pooled MAC step after delay d.
 func (a *NodeAPI) scheduleStep(d Time, gen uint64, try, defers int) {
 	n := a.net
-	var s *stepTask
-	if k := len(n.stepPool); k > 0 {
-		s = n.stepPool[k-1]
-		n.stepPool = n.stepPool[:k-1]
-	} else {
-		s = &stepTask{}
-	}
+	s := n.steps.Get()
 	s.a, s.gen, s.try, s.defers = a, gen, try, defers
 	n.Sim.scheduleOrigin(n.Sim.Now()+d, a.id, n.oseqNext(a.id), s, prof.PhaseMAC)
 }
@@ -1113,31 +1103,22 @@ func (a *NodeAPI) step(gen uint64, try, defers int) {
 		gen, try+1, defers)
 }
 
+// MaxTimerID is the highest timer id a node may arm (core's highest is
+// 10): a NodeAPI holds every id's arm generation inline.
+const MaxTimerID = 10
+
 // SetTimer schedules Timer(id) to fire after d, replacing any pending
-// timer with the same id.
+// timer with the same id; id is at most MaxTimerID.
 func (a *NodeAPI) SetTimer(id int, d Time) {
-	if id >= len(a.timerGen) {
-		a.timerGen = dense.Grow(a.timerGen, id)
-	}
 	a.timerGen[id]++
 	n := a.net
-	var t *timerTask
-	if k := len(n.timerPool); k > 0 {
-		t = n.timerPool[k-1]
-		n.timerPool = n.timerPool[:k-1]
-	} else {
-		t = &timerTask{}
-	}
+	t := n.timers.Get()
 	t.a, t.id, t.gen = a, id, a.timerGen[id]
 	n.Sim.scheduleOrigin(n.Sim.Now()+d, a.id, n.oseqNext(a.id), t, prof.PhaseMAC)
 }
 
 // CancelTimer drops any pending timer with the given id.
-func (a *NodeAPI) CancelTimer(id int) {
-	if id < len(a.timerGen) {
-		a.timerGen[id]++
-	}
-}
+func (a *NodeAPI) CancelTimer(id int) { a.timerGen[id]++ }
 
 func (a *NodeAPI) randBetween(lo, hi Time) Time {
 	if hi <= lo {

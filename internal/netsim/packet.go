@@ -1,6 +1,10 @@
 package netsim
 
-import "scoop/internal/metrics"
+import (
+	"slices"
+
+	"scoop/internal/metrics"
+)
 
 // NodeID identifies a node. The basestation is always node 0, matching
 // the paper's single-basestation deployments.
@@ -48,10 +52,10 @@ const MaxNodes = 1024
 //
 //   - Recycled (the default): borrowed for the length of the call, like
 //     the *Packet. A receiver copies whatever it keeps, slice fields
-//     included — the object goes back to its sender's free list after
-//     its last delivery and is zeroed there. A type that embeds Refs is
-//     reference counted and reused (see Recycled); scooplint's
-//     packetretain flags a kept pointer or slice of one.
+//     included — the object is zeroed and goes back to its network's
+//     free list of its type (Pool) after its last delivery. A type
+//     that embeds Refs is reference counted and reused (see Recycled);
+//     scooplint's packetretain flags a kept pointer or slice of one.
 //   - Shared: immutable once sent, so any receiver may keep it. Query
 //     and summary messages are shared (Trickle relays the query it
 //     heard, the basestation keeps every summary), as are the entries
@@ -102,18 +106,36 @@ func Release(p Recycled) {
 	}
 }
 
-// freeListCap bounds every free list: a node keeps at most this many
-// spare payloads of one type, however many a burst had in flight.
-const freeListCap = 8
+// freeListBlock is the first block a free list allocates when it runs
+// dry. Each later block is as large as all before it together, so a
+// list that ends up with m objects — the most its network ever had out
+// at once, under twice that with the last block's spares — made them
+// in about log₂(m/freeListBlock) allocations, whatever the network's
+// size.
+const freeListBlock = 64
 
-// FreeList is a sender's LIFO of recycled payloads of one type.
-type FreeList[T any] struct{ items []*T }
+// FreeList is a network's LIFO of recycled objects of one type: its own
+// delivery, timer and MAC-step tasks, and, through Pool, each payload
+// type its nodes send. It lives as long as its Network, nothing is
+// package-level, and reuse never depends on the collector (DESIGN.md
+// §12).
+type FreeList[T any] struct {
+	items []*T
+	made  int // objects allocated, in blocks
+}
 
-// Get pops the most recently recycled payload, or allocates a zero one.
+// Get pops the most recently recycled object, first refilling an empty
+// list with a block of zero ones.
 func (l *FreeList[T]) Get() *T {
 	k := len(l.items)
 	if k == 0 {
-		return new(T)
+		k = max(freeListBlock, l.made)
+		l.made += k
+		block := make([]T, k)
+		l.items = slices.Grow(l.items, l.made) // room for every object made: Put never grows it
+		for i := range block {
+			l.items = append(l.items, &block[i])
+		}
 	}
 	x := l.items[k-1]
 	l.items[k-1] = nil
@@ -121,12 +143,21 @@ func (l *FreeList[T]) Get() *T {
 	return x
 }
 
-// Put pushes x, already zeroed by its Recycle, unless the list is full.
-func (l *FreeList[T]) Put(x *T) {
-	if l.items == nil {
-		l.items = make([]*T, 0, freeListCap)
+// Put pushes x, already zeroed by its Recycle.
+func (l *FreeList[T]) Put(x *T) { l.items = append(l.items, x) }
+
+// Pool returns a's network's free list of payload type T, made on first
+// use. Every node sending a T shares the list: a payload recycled after
+// its last delivery goes back to it, whichever node sent it. Callers
+// look it up once, at Init, and keep the pointer.
+func Pool[T any](a *NodeAPI) *FreeList[T] {
+	n := a.net
+	for _, p := range n.pools {
+		if l, ok := p.(*FreeList[T]); ok {
+			return l
+		}
 	}
-	if len(l.items) < freeListCap {
-		l.items = append(l.items, x)
-	}
+	l := new(FreeList[T])
+	n.pools = append(n.pools, l)
+	return l
 }

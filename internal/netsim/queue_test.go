@@ -14,7 +14,7 @@ func ringNet(t *testing.T, seed int64) (*Network, *NodeAPI, *recorder, *metrics.
 	t.Helper()
 	rx := &recorder{}
 	net, ctr := ringNetTo(seed, rx)
-	return net, net.api[0], rx, ctr
+	return net, &net.api[0], rx, ctr
 }
 
 // ringNetTo is ringNet with the receiving app supplied, and the flight
@@ -143,7 +143,7 @@ func TestQueueRing(t *testing.T) {
 	t.Run("Restart purges head first", func(t *testing.T) {
 		purges, rx := &purgeLog{}, &recorder{}
 		net, _ := ringNetTo(3, rx, purges)
-		a := net.api[0]
+		a := &net.api[0]
 		var purged []int
 		net.OnPurge = func(id NodeID, p *Packet) { purged = append(purged, p.Size) }
 		// Lap the ring once so the purge starts mid-array.
@@ -242,7 +242,7 @@ func TestQueueRing(t *testing.T) {
 func TestSendPathZeroAllocs(t *testing.T) {
 	rx := &countApp{}
 	net, _ := ringNetTo(7, rx)
-	a := net.api[0]
+	a := &net.api[0]
 	frame := func() {
 		a.Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, nil)
 		net.Sim.Run(net.Sim.Now() + Second)

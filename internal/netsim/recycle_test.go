@@ -101,7 +101,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 	t.Run("unicast retried to MaxAttempts", func(t *testing.T) {
 		var log []string
 		net, _ := lifeNet(t, []float64{0, 1}, line, 32, &log)
-		c := sendCounted(net.api[0], 1, &log, logDone(&log))
+		c := sendCounted(&net.api[0], 1, &log, logDone(&log))
 		net.Sim.Run(Minute)
 		// Five attempts are heard and retried; the sixth fails the job
 		// before its frame lands, so the payload outlives the verdict.
@@ -114,7 +114,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 	t.Run("broadcast", func(t *testing.T) {
 		var log []string
 		net, apps := lifeNet(t, []float64{0, 1, 2}, star, 32, &log)
-		c := sendCounted(net.api[0], Broadcast, &log, nil)
+		c := sendCounted(&net.api[0], Broadcast, &log, nil)
 		net.Sim.Run(Minute)
 		if want := []string{"recv 1", "recv 2", "recycle"}; !slices.Equal(log, want) || c.recycled != 1 {
 			t.Fatalf("log %v (recycled %d), want %v", log, c.recycled, want)
@@ -127,7 +127,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 	t.Run("QueueCap drop", func(t *testing.T) {
 		var log []string
 		net, apps := lifeNet(t, []float64{0, 1}, line, 4, &log)
-		a := net.api[0]
+		a := &net.api[0]
 		for i := 0; i < 4; i++ {
 			a.Send(&Packet{Class: metrics.Data, Dst: 1, Size: 20}, nil)
 		}
@@ -147,7 +147,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 	t.Run("completion re-sends the payload", func(t *testing.T) {
 		var log []string
 		net, _ := lifeNet(t, []float64{0, 1}, line, 32, &log)
-		a := net.api[0]
+		a := &net.api[0]
 		c := &countedPayload{log: &log}
 		p := &Packet{Class: metrics.Data, Dst: 1, Size: 20, Payload: c}
 		sends := 1
@@ -190,7 +190,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 		}
 		var cs []*countedPayload
 		for i := 0; i < 3; i++ {
-			cs = append(cs, sendCounted(net.api[0], 1, &log, logDone(&log)))
+			cs = append(cs, sendCounted(&net.api[0], 1, &log, logDone(&log)))
 		}
 		net.Kill(0)
 		net.Restart(0)
@@ -213,7 +213,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 	t.Run("Kill mid-air", func(t *testing.T) {
 		var log []string
 		net, apps := lifeNet(t, []float64{0, 1, 2}, star, 32, &log)
-		c := sendCounted(net.api[0], Broadcast, &log, nil)
+		c := sendCounted(&net.api[0], Broadcast, &log, nil)
 		for net.Counters.Sent(metrics.Data) == 0 {
 			net.Sim.Step()
 		}
@@ -232,7 +232,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 		net, apps := lifeNet(t, []float64{0, 1}, line, 32, &log)
 		var cs []*countedPayload
 		for i := 0; i < 3; i++ {
-			cs = append(cs, sendCounted(net.api[0], 1, &log, logDone(&log)))
+			cs = append(cs, sendCounted(&net.api[0], 1, &log, logDone(&log)))
 		}
 		net.Kill(0) // the next MAC step drains the queue, completions included
 		net.Sim.Run(Minute)

@@ -27,31 +27,52 @@ func linklessNetwork(n int, seed int64, reversed bool) *Network {
 }
 
 // TestAttachFootprint is the machine-independent guard of DESIGN.md
-// §12's "a draw stays on the node's line": attaching a node allocates
-// its NodeAPI and nothing else — the generator and the Rand over it are
-// fields, not objects — and that one object stays under 512 B. On the
-// parent commit this test fails with 3 allocations and 5 553 B a node
-// (math/rand's 607-word table behind two pointers).
+// §12's "a draw stays on the node's line": every node's NodeAPI, with
+// its generator and the Rand over it as fields, is one element of the
+// network's slab. NewNetwork allocates as many objects for 1000 nodes as
+// for 10, under 512 B a node more, and attaching allocates nothing. On
+// the parent commit Attach allocated each NodeAPI, one object a node;
+// before that, 3 allocations and 5 553 B a node (math/rand's 607-word
+// table behind two pointers).
 func TestAttachFootprint(t *testing.T) {
-	const n = 1000
-	objs, bytes := ^uint64(0), ^uint64(0)
-	for rep := 0; rep < 3; rep++ { // smallest of three: a stray runtime allocation cannot count
+	const small, large = 10, 1000
+	build := func(n int) (objs, bytes uint64) {
+		objs, bytes = ^uint64(0), ^uint64(0)
+		topo := &Topology{N: n, Pos: make([]Point, n)}
+		for rep := 0; rep < 3; rep++ { // smallest of three: a stray runtime allocation cannot count
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			net := NewNetwork(NewSimulator(1), topo, nil, DefaultParams())
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(net)
+			objs = min(objs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return objs, bytes
+	}
+	objsSmall, bytesSmall := build(small)
+	objsLarge, bytesLarge := build(large)
+	if objsSmall != objsLarge {
+		t.Errorf("NewNetwork allocates %d objects at N = %d, %d at N = %d; want the same", objsSmall, small, objsLarge, large)
+	}
+	if per := (bytesLarge - bytesSmall) / (large - small); per >= 512 {
+		t.Errorf("NewNetwork allocates %d B a node, want < 512", per)
+	}
+
+	objs := ^uint64(0)
+	for rep := 0; rep < 3; rep++ {
 		var before, after runtime.MemStats
-		net := linklessNetwork(n, 1, false)
+		net := linklessNetwork(large, 1, false)
 		runtime.ReadMemStats(&before)
-		for i := 0; i < n; i++ {
+		for i := 0; i < large; i++ {
 			net.Attach(NodeID(i), inertApp{}) // again: Attach replaces
 		}
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(net)
 		objs = min(objs, after.Mallocs-before.Mallocs)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	if objs != n {
-		t.Errorf("%d Attach calls allocate %d objects, want one each", n, objs)
-	}
-	if per := bytes / n; per >= 512 {
-		t.Errorf("Attach allocates %d B a node, want < 512", per)
+	if objs != 0 {
+		t.Errorf("%d Attach calls allocate %d objects, want none", large, objs)
 	}
 }
 

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 
 	"scoop/internal/histogram"
 	"scoop/internal/netsim"
@@ -108,36 +109,9 @@ func rangeMean(h histogram.Histogram, lo, hi int) (mean, halfW float64, ok bool)
 	return weighted / mass, float64(w) / 2, true
 }
 
-// latestPerNode reduces a summary history to each node's freshest
-// snapshot inside the query's time window, in ascending node order.
-// The order is load-bearing: estimates sum floating-point mass across
-// nodes, and iterating a map here made the final bits of aggregate
-// answers depend on Go's randomized map order — the one nondeterminism
-// ever observed in committed sweep artifacts (DESIGN.md §2, §9).
-func latestPerNode(snaps []SummarySnapshot, t0, t1 netsim.Time) []SummarySnapshot {
-	byNode := make(map[uint16]SummarySnapshot)
-	maxNode := uint16(0)
-	for _, s := range snaps {
-		if s.SentAt < t0 || s.SentAt > t1 {
-			continue
-		}
-		if cur, ok := byNode[s.Node]; !ok || s.SentAt > cur.SentAt {
-			byNode[s.Node] = s
-			if s.Node > maxNode {
-				maxNode = s.Node
-			}
-		}
-	}
-	out := make([]SummarySnapshot, 0, len(byNode))
-	for id := uint16(0); len(out) < len(byNode); id++ {
-		if s, ok := byNode[id]; ok {
-			out = append(out, s)
-		}
-		if id == maxNode {
-			break
-		}
-	}
-	return out
+// inWindow reports whether s was sent inside q's time window.
+func (q AggQuery) inWindow(s *SummarySnapshot) bool {
+	return s.SentAt >= q.TimeLo && s.SentAt <= q.TimeHi
 }
 
 // relErr converts an absolute uncertainty into the relative bound the
@@ -166,18 +140,20 @@ func withFloor(bound float64) float64 {
 }
 
 // EstimateFromSummaries answers q approximately from retained summary
-// snapshots, at zero radio cost. The estimate is invalid when no
-// summary falls inside the query window or the operator cannot be
-// served (OpSelect). Counting operators scale histogram mass by each
-// node's reported production rate over the window, so the estimate
-// tracks the true population even though each histogram only covers
-// the recent-readings buffer.
-func EstimateFromSummaries(q AggQuery, snaps []SummarySnapshot) Estimate {
-	if !q.Op.Aggregate() {
-		return Estimate{}
-	}
-	latest := latestPerNode(snaps, q.TimeLo, q.TimeHi)
-	if len(latest) == 0 {
+// snapshots, at zero radio cost. latest holds at most one snapshot a
+// node, each node's freshest inside the query window, in ascending
+// node order; a snapshot outside the window is skipped. The order is
+// load-bearing: estimates sum floating-point mass across nodes, and
+// picking them from a map made the final bits of aggregate answers
+// depend on Go's randomized map order — the one nondeterminism ever
+// observed in committed sweep artifacts (DESIGN.md §2, §9). The
+// estimate is invalid when no summary falls inside the query window or
+// the operator cannot be served (OpSelect). Counting operators scale
+// histogram mass by each node's reported production rate over the
+// window, so the estimate tracks the true population even though each
+// histogram only covers the recent-readings buffer.
+func EstimateFromSummaries(q AggQuery, latest []SummarySnapshot) Estimate {
+	if !q.Op.Aggregate() || !slices.ContainsFunc(latest, func(s SummarySnapshot) bool { return q.inWindow(&s) }) {
 		return Estimate{}
 	}
 	windowSec := float64(q.TimeHi-q.TimeLo) / float64(netsim.Second)
@@ -189,6 +165,9 @@ func EstimateFromSummaries(q AggQuery, snaps []SummarySnapshot) Estimate {
 	case OpCount, OpSum, OpAvg:
 		var cnt, cntLo, cntHi, sum, sumAbsErr float64
 		for _, s := range latest {
+			if !q.inWindow(&s) {
+				continue
+			}
 			est, lob, hib := rangeMass(s.Hist, q.ValueLo, q.ValueHi)
 			if hib == 0 {
 				continue
@@ -228,6 +207,9 @@ func EstimateFromSummaries(q AggQuery, snaps []SummarySnapshot) Estimate {
 	case OpMin, OpMax:
 		best, bestW, found := 0.0, 0.0, false
 		for _, s := range latest {
+			if !q.inWindow(&s) {
+				continue
+			}
 			v, w, ok := extremeInRange(s.Hist, q.ValueLo, q.ValueHi, q.Op == OpMax)
 			if !ok {
 				continue
@@ -307,7 +289,7 @@ func quantileFromSummaries(q AggQuery, latest []SummarySnapshot, windowSec float
 	mass := make([]float64, span)
 	maxW, total := 0.0, 0.0
 	for _, s := range latest {
-		if s.Hist.Empty() || s.Hist.Total() == 0 {
+		if !q.inWindow(&s) || s.Hist.Empty() || s.Hist.Total() == 0 {
 			continue
 		}
 		weight := s.Rate * windowSec

@@ -19,8 +19,8 @@ import (
 // beacons, exactly as Woo et al.'s link estimator and CTP do. A beacon
 // travels as *Beacon, one object: Estimates slices its own est array.
 // It is a recycled payload (netsim.Packet): after its last delivery it
-// goes back to the sending tree's free list, so a receiver copies what
-// it keeps.
+// goes back to its network's free list of beacons, so a receiver
+// copies what it keeps.
 type Beacon struct {
 	netsim.Refs
 	Round     uint32  // dissemination round, incremented by the base
@@ -79,7 +79,7 @@ type Tree struct {
 	parent    netsim.NodeID
 
 	api         *netsim.NodeAPI
-	Descendants *DescendantSet
+	Descendants DescendantSet
 
 	etx       float64
 	round     uint32 // highest round seen (base: last round sent)
@@ -95,33 +95,51 @@ type Tree struct {
 	outIDs []netsim.NodeID
 	outEst []float64
 
-	beacons netsim.FreeList[Beacon]
+	beacons *netsim.FreeList[Beacon] // the network's (netsim.Pool)
+}
+
+// Carve gives each of trees the arrays of its bounded tables — the
+// neighbor table's ids and entries, the descendant set's, the outbound
+// estimates' — from one slab per element type, so a network's set-up
+// allocates four arrays for all its trees rather than six a tree. Init
+// keeps the arrays a tree already has and carves a tree that has none
+// on its own.
+func Carve(trees []*Tree) {
+	n := len(trees)
+	ids := make([]netsim.NodeID, n*(2*neighborCap+descendantCap))
+	states := make([]neighborState, n*neighborCap)
+	desc := make([]descendant, n*descendantCap)
+	est := make([]float64, n*neighborCap)
+	for _, t := range trees {
+		t.Neighbors.ids, ids = ids[:0:neighborCap], ids[neighborCap:]
+		t.Neighbors.entries, states = states[:0:neighborCap], states[neighborCap:]
+		t.Neighbors.evictAfter = evictAfter
+		t.Descendants.origins, ids = ids[:0:descendantCap], ids[descendantCap:]
+		t.Descendants.entries, desc = desc[:0:descendantCap], desc[descendantCap:]
+		t.Descendants.cap = descendantCap
+		// Who reports us is who hears us, about who we hear: start at
+		// the neighbor table's bound (and grow past it if need be).
+		t.outIDs, ids = ids[:0:neighborCap], ids[neighborCap:]
+		t.outEst, est = est[:0:neighborCap], est[neighborCap:]
+	}
 }
 
 // Init builds the routing state for one node in place, so a node
 // application holds its Tree by value. isBase marks the tree root
 // (node 0 in Scoop).
 func (t *Tree) Init(api *netsim.NodeAPI, isBase bool) {
-	*t = Tree{
-		clock:       api.Clock(),
-		id:          api.ID(),
-		isBase:      isBase,
-		api:         api,
-		Descendants: NewDescendantSet(descendantCap),
-		// Who reports us is who hears us, about who we hear: start at
-		// the neighbor table's bound (and grow past it if need be).
-		outIDs: make([]netsim.NodeID, 0, neighborCap),
-		outEst: make([]float64, 0, neighborCap),
+	if t.Neighbors.entries == nil {
+		Carve([]*Tree{t})
 	}
-	t.Neighbors.init(neighborCap, evictAfter)
+	t.clock, t.id, t.isBase, t.api = api.Clock(), api.ID(), isBase, api
+	t.beacons = netsim.Pool[Beacon](api)
 	t.Reset()
 }
 
 // Reset returns the tree to the state Init built, in place: no
 // parent, no neighbours, descendants or outbound estimates, round 0 —
-// what a rebooted mote knows. The tables keep their arrays and the
-// beacon free list its beacons (allocation caches, not mote RAM); the
-// timer needs Start again.
+// what a rebooted mote knows. The tables keep their arrays
+// (allocation caches, not mote RAM); the timer needs Start again.
 func (t *Tree) Reset() {
 	t.Neighbors.Clear()
 	t.Descendants.Clear()
@@ -174,7 +192,7 @@ func (t *Tree) OnTimer() {
 
 func (t *Tree) broadcastBeacon() {
 	b := t.beacons.Get()
-	b.Round, b.Hops, b.ETX, b.free = t.round, t.hops, t.etx, &t.beacons
+	b.Round, b.Hops, b.ETX, b.free = t.round, t.hops, t.etx, t.beacons
 	b.Estimates = t.Neighbors.Best(b.est[:0], len(b.est))
 	netsim.Hold(b)
 	t.api.Broadcast(&netsim.Packet{

@@ -12,7 +12,7 @@ import (
 // suppression. This is exactly the path new index epochs ride from
 // the basestation across lossy links (core wraps the same package).
 type gossiper struct {
-	tr   *Trickle
+	tr   Trickle
 	api  *netsim.NodeAPI
 	cfg  Config
 	held map[Key]bool
@@ -28,14 +28,14 @@ func newGossiper(cfg Config) *gossiper {
 
 func (g *gossiper) Init(api *netsim.NodeAPI) {
 	g.api = api
-	g.tr = New(api, gossipTimer, g.cfg, func(k Key) {
+	g.tr.Init(api, gossipTimer, g.cfg, sendFunc(func(k Key) {
 		g.api.Broadcast(&netsim.Packet{
 			Class:   metrics.Mapping,
 			Origin:  g.api.ID(),
 			Size:    24,
 			Payload: &keyMsg{k: k},
 		})
-	})
+	}))
 }
 
 func (g *gossiper) add(k Key) {
@@ -125,9 +125,10 @@ func TestNewGenerationPropagatesUnderLoss(t *testing.T) {
 
 func time90s() netsim.Time { return 90 * netsim.Second }
 
-// MaxRounds retires an item, and Reset revives it — the inconsistency
-// path nodes use when a neighbor gossips a stale generation.
-func TestResetRevivesRetiredItemUnderLoss(t *testing.T) {
+// MaxRounds retires an item, and adding it again revives it — the
+// inconsistency path nodes use when a neighbor gossips a stale
+// generation (core.resetChunks).
+func TestAddRevivesRetiredItemUnderLoss(t *testing.T) {
 	cfg := Config{TauLow: 250 * netsim.Millisecond, TauHigh: netsim.Second, K: 1, MaxRounds: 3}
 	sim, gs := lossyLine(2, 1, cfg, 13)
 	gs[0].add(9)
@@ -135,14 +136,18 @@ func TestResetRevivesRetiredItemUnderLoss(t *testing.T) {
 	if !gs[1].held[9] {
 		t.Fatal("item never crossed a perfect link")
 	}
+	if len(gs[0].tr.items) != 0 {
+		t.Fatalf("the sender still holds %d items after MaxRounds", len(gs[0].tr.items))
+	}
 	// Retired: long silence follows. Drop the receiver's copy and
-	// reset the sender; the item must cross again despite loss.
+	// add the key at the sender again; the item must cross again
+	// despite loss.
 	delete(gs[1].held, 9)
 	gs[1].tr.Remove(9)
-	gs[0].tr.Reset(9)
+	gs[0].tr.Add(9)
 	sim.Run(sim.Now() + 30*netsim.Second)
 	if !gs[1].held[9] {
-		t.Fatal("reset did not redisseminate the retired item")
+		t.Fatal("adding the retired item again did not redisseminate it")
 	}
 }
 

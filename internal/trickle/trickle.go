@@ -10,9 +10,9 @@
 // TauHigh; hearing an inconsistency resets tau to TauLow so new data
 // spreads fast.
 //
-// The package is transport-agnostic: the owner supplies a Send
-// callback that actually broadcasts the item (and may itself decline,
-// as Scoop's bitmap-filtered query re-broadcast does).
+// The package is transport-agnostic: the owner supplies a Sender that
+// actually broadcasts the item (and may itself decline, as Scoop's
+// bitmap-filtered query re-broadcast does).
 package trickle
 
 import (
@@ -38,57 +38,77 @@ type Config struct {
 	MaxRounds int
 }
 
+// Sender transmits an item whose transmission is due and not
+// suppressed. OnTimer calls Gossip with the instance's timer id, so one
+// owner serves several instances, and an owner held by pointer is an
+// interface value without an allocation (a method value would be one).
+type Sender interface {
+	Gossip(timerID int, key Key)
+}
+
+// minItems is the capacity an instance's item array and send list start
+// at, so the few keys an instance holds at once cost one allocation,
+// not one per doubling.
+const minItems = 8
+
 // item is one key and its timer state, held inline in Trickle.items.
 type item struct {
+	key    Key
+	tau    netsim.Time
+	fireAt netsim.Time
+	endAt  netsim.Time
+	heard  int32 // consistent transmissions heard this interval
+	rounds int32
+	fired  bool // sent (or suppressed) this interval already
+}
+
+// due is a key OnTimer sends after rearming, and whether it retired in
+// the same tick.
+type due struct {
 	key     Key
-	tau     netsim.Time
-	fireAt  netsim.Time
-	endAt   netsim.Time
-	heard   int32 // consistent transmissions heard this interval
-	rounds  int32
-	fired   bool // sent (or suppressed) this interval already
 	retired bool
 }
 
 // Trickle multiplexes any number of per-item Trickle timers onto a
 // single NodeAPI timer.
 //
-// Every item lives in one key-sorted array of inline states, retired
-// ones included (Has, Len and Reset keep their meaning), so a key is a
-// binary search and an item costs no allocation of its own. A tick
-// costs O(live items), never O(items ever added): live lists the
-// positions of the non-retired items, the only thing OnTimer and rearm
-// walk (DESIGN.md §12).
+// The items live in one key-sorted array of inline states, so a key is
+// a binary search and an item costs no allocation of its own. An item
+// that retires after MaxRounds intervals is deleted, as Levis et al.
+// keep timer state only for what is still disseminated: the array holds
+// exactly the live keys, and a tick costs O(live items), never O(items
+// ever added) (DESIGN.md §12). A Trickle is held by value and built in
+// place by Init.
 type Trickle struct {
 	api     *netsim.NodeAPI
 	cfg     Config
 	timerID int
-	send    func(Key)
-	items   []item  // every key added and not removed, in ascending key order
-	live    []int32 // positions in items of the non-retired items, ascending
-	due     []Key   // OnTimer's send list, reused across ticks
+	send    Sender
+	items   []item // the live keys, ascending
+	due     []due  // OnTimer's send list, empty between ticks
 }
 
-// New creates a Trickle instance. send is invoked from the timer
-// context whenever an item's transmission is due and not suppressed.
-// The owner must route the NodeAPI timer with timerID to OnTimer.
-func New(api *netsim.NodeAPI, timerID int, cfg Config, send func(Key)) *Trickle {
+// Init builds a Trickle instance in place, keeping the arrays it
+// already has. send is told from the timer context whenever an item's
+// transmission is due and not suppressed. The owner must route the
+// NodeAPI timer with timerID to OnTimer.
+func (t *Trickle) Init(api *netsim.NodeAPI, timerID int, cfg Config, send Sender) {
 	if cfg.K <= 0 || cfg.TauLow <= 0 || cfg.TauHigh < cfg.TauLow {
 		panic("trickle: invalid config")
 	}
-	return &Trickle{
-		api:     api,
-		cfg:     cfg,
-		timerID: timerID,
-		send:    send,
-	}
+	t.api, t.cfg, t.timerID, t.send = api, cfg, timerID, send
+	t.Clear()
 }
 
-// Clear forgets every item, as New would leave the instance, keeping
-// its arrays for reuse (a rebooting owner's path). It does not touch
-// the timer.
+// Clear forgets every item, as Init leaves the instance, keeping its
+// arrays for reuse (a rebooting owner's path); called from OnTimer's
+// send loop, it also unsends the keys that retired in that tick. It
+// does not touch the timer.
 func (t *Trickle) Clear() {
-	t.items, t.live = t.items[:0], t.live[:0]
+	t.items = t.items[:0]
+	for i := range t.due {
+		t.due[i].retired = false
+	}
 }
 
 // find returns key's position in items, or where it would insert. Keys
@@ -110,25 +130,15 @@ func (t *Trickle) find(key Key) (int, bool) {
 	return lo + i, ok
 }
 
-// goLive adds the item at position i to live, keeping live ascending.
-func (t *Trickle) goLive(i int) {
-	j, _ := slices.BinarySearch(t.live, int32(i))
-	t.live = slices.Insert(t.live, j, int32(i))
-}
-
-// Add starts (or restarts) dissemination of key at the fast interval.
+// Add starts (or restarts) dissemination of key at the fast interval:
+// a new key, a live one, or one that retired.
 func (t *Trickle) Add(key Key) {
 	i, ok := t.find(key)
-	switch {
-	case !ok:
-		// Positions at and past i move up one to make room.
-		for k := len(t.live) - 1; k >= 0 && int(t.live[k]) >= i; k-- {
-			t.live[k]++
+	if !ok {
+		if t.items == nil {
+			t.items = make([]item, 0, minItems)
 		}
 		t.items = slices.Insert(t.items, i, item{})
-		t.goLive(i)
-	case t.items[i].retired:
-		t.goLive(i)
 	}
 	it := &t.items[i]
 	*it = item{key: key}
@@ -140,50 +150,24 @@ func (t *Trickle) Add(key Key) {
 // superseded storage index).
 func (t *Trickle) Remove(key Key) {
 	if i, ok := t.find(key); ok {
-		if !t.items[i].retired {
-			j, _ := slices.BinarySearch(t.live, int32(i))
-			t.live = slices.Delete(t.live, j, j+1)
-		}
 		t.items = slices.Delete(t.items, i, i+1)
-		// Positions past i move down one.
-		for k := len(t.live) - 1; k >= 0 && int(t.live[k]) > i; k-- {
-			t.live[k]--
+	}
+	// A key that retired this tick and is removed before its turn in
+	// OnTimer's send loop is not sent.
+	for i := range t.due {
+		if t.due[i].key == key {
+			t.due[i].retired = false
 		}
 	}
 	t.rearm()
 }
 
-// Has reports whether key was added and not removed since: an item
-// still gossiping or one retired after MaxRounds intervals.
-func (t *Trickle) Has(key Key) bool {
-	_, ok := t.find(key)
-	return ok
-}
-
-// Len reports the number of items added and not removed, retired ones
-// included.
-func (t *Trickle) Len() int { return len(t.items) }
-
 // Heard records a consistent transmission of key overheard from a
-// neighbor, feeding suppression.
+// neighbor, feeding suppression. A retired key has no interval to
+// suppress in.
 func (t *Trickle) Heard(key Key) {
 	if i, ok := t.find(key); ok {
 		t.items[i].heard++
-	}
-}
-
-// Reset drops key's interval back to TauLow, used when an
-// inconsistency is detected (a neighbor has older data).
-func (t *Trickle) Reset(key Key) {
-	if i, ok := t.find(key); ok {
-		it := &t.items[i]
-		it.rounds = 0
-		if it.retired {
-			it.retired = false
-			t.goLive(i)
-		}
-		t.startInterval(it, t.cfg.TauLow)
-		t.rearm()
 	}
 }
 
@@ -205,7 +189,7 @@ func (t *Trickle) startInterval(it *item, tau netsim.Time) {
 func (t *Trickle) rearm() {
 	var next netsim.Time = -1
 	now := t.api.Now()
-	for _, i := range t.live {
+	for i := range t.items {
 		it := &t.items[i]
 		d := it.fireAt
 		if it.fired {
@@ -233,36 +217,46 @@ func (t *Trickle) rearm() {
 // simulations to be reproducible.
 func (t *Trickle) OnTimer() {
 	now := t.api.Now()
-	due := t.due[:0]
-	// Walk live in place, compacting out the items this tick retires.
+	sends := t.due[:0]
+	// Walk the items in place, compacting out the ones this tick retires.
 	w := 0
-	for _, i := range t.live {
-		it := &t.items[i]
+	for i := range t.items {
+		it := t.items[i]
+		fired := false
 		if !it.fired && now >= it.fireAt {
 			it.fired = true
-			if int(it.heard) < t.cfg.K {
-				due = append(due, it.key)
+			if fired = int(it.heard) < t.cfg.K; fired {
+				if sends == nil {
+					sends = make([]due, 0, minItems)
+				}
+				sends = append(sends, due{key: it.key})
 			}
 		}
 		if now >= it.endAt {
 			it.rounds++
 			if t.cfg.MaxRounds > 0 && int(it.rounds) >= t.cfg.MaxRounds {
-				it.retired = true
+				if fired {
+					sends[len(sends)-1].retired = true
+				}
 				continue
 			}
-			t.startInterval(it, it.tau*2)
+			t.startInterval(&it, it.tau*2)
 		}
-		t.live[w] = i
+		t.items[w] = it
 		w++
 	}
-	t.live = t.live[:w]
-	t.due = due
+	t.items = t.items[:w]
+	t.due = sends
 	t.rearm()
 	// Send after rearming so a send callback that mutates the item set
-	// (Add/Remove) sees a consistent timer.
-	for _, key := range due {
-		if t.Has(key) {
-			t.send(key)
+	// (Add/Remove/Clear) sees a consistent timer. A key goes out if it
+	// is still live, or retired this tick and was not removed since.
+	for i := range sends {
+		if d := sends[i]; d.retired {
+			t.send.Gossip(t.timerID, d.key)
+		} else if _, ok := t.find(d.key); ok {
+			t.send.Gossip(t.timerID, d.key)
 		}
 	}
+	t.due = sends[:0]
 }

@@ -3,6 +3,7 @@ package trickle
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,6 +22,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// sendFunc is a Sender that calls itself.
+type sendFunc func(Key)
+
+func (f sendFunc) Gossip(_ int, k Key) { f(k) }
+
 // harness runs one Trickle instance on node 0 of a 2-node network.
 type harness struct {
 	tr    *Trickle
@@ -31,7 +37,8 @@ type harness struct {
 const trickleTimer = 9
 
 func (h *harness) Init(api *netsim.NodeAPI) {
-	h.tr = New(api, trickleTimer, h.cfg, func(k Key) { h.sends = append(h.sends, k) })
+	h.tr = new(Trickle)
+	h.tr.Init(api, trickleTimer, h.cfg, sendFunc(func(k Key) { h.sends = append(h.sends, k) }))
 }
 func (h *harness) Receive(p *netsim.Packet) {}
 func (h *harness) Snoop(p *netsim.Packet)   {}
@@ -124,20 +131,6 @@ func TestTrickleKThreshold(t *testing.T) {
 	}
 }
 
-func TestTrickleResetRestoresFastGossip(t *testing.T) {
-	cfg := Config{TauLow: 500 * netsim.Millisecond, TauHigh: 32 * netsim.Second, K: 1}
-	h, sim := newHarness(cfg, 5)
-	h.tr.Add(1)
-	sim.Run(40 * netsim.Second) // let it back off to TauHigh
-	slowSends := len(h.sends)
-	h.tr.Reset(1)
-	sim.Run(sim.Now() + 4*netsim.Second)
-	fastSends := len(h.sends) - slowSends
-	if fastSends < 2 {
-		t.Fatalf("only %d sends in 4s after reset; want fast gossip again", fastSends)
-	}
-}
-
 func TestTrickleMaxRoundsRetires(t *testing.T) {
 	cfg := Config{TauLow: netsim.Second, TauHigh: netsim.Second, K: 1, MaxRounds: 3}
 	h, sim := newHarness(cfg, 6)
@@ -155,8 +148,8 @@ func TestTrickleRemove(t *testing.T) {
 	h.tr.Add(2)
 	sim.Run(3 * netsim.Second)
 	h.tr.Remove(1)
-	if h.tr.Has(1) || !h.tr.Has(2) {
-		t.Fatal("Remove removed the wrong item")
+	if got := liveKeys(h.tr); !slices.Equal(got, []Key{2}) {
+		t.Fatalf("after Remove(1) the Trickle holds %v, want [2]", got)
 	}
 	before := len(h.sends)
 	sim.Run(sim.Now() + 5*netsim.Second)
@@ -165,9 +158,15 @@ func TestTrickleRemove(t *testing.T) {
 			t.Fatal("removed item still gossiping")
 		}
 	}
-	if h.tr.Len() != 1 {
-		t.Fatalf("len = %d", h.tr.Len())
+}
+
+// liveKeys returns the keys t holds, in its order.
+func liveKeys(t *Trickle) []Key {
+	keys := []Key{}
+	for _, it := range t.items {
+		keys = append(keys, it.key)
 	}
+	return keys
 }
 
 func TestTrickleMultipleItemsIndependent(t *testing.T) {
@@ -189,7 +188,6 @@ func TestTrickleHeardUnknownKeyIgnored(t *testing.T) {
 	cfg := DefaultConfig()
 	h, sim := newHarness(cfg, 9)
 	h.tr.Heard(99) // must not panic
-	h.tr.Reset(99)
 	sim.Run(netsim.Second)
 }
 
@@ -201,7 +199,7 @@ func TestTrickleInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	_ = h
-	New(nil, 1, Config{TauLow: 10, TauHigh: 5, K: 1}, nil)
+	new(Trickle).Init(nil, 1, Config{TauLow: 10, TauHigh: 5, K: 1}, nil)
 }
 
 func TestTrickleReAddRestartsFast(t *testing.T) {
@@ -217,17 +215,23 @@ func TestTrickleReAddRestartsFast(t *testing.T) {
 	}
 }
 
-// refTrickle is the pre-live-list implementation, kept as the reference
-// model: one heap object per key in a map, every tick collects every
-// key ever added from the map, sorts them and skips the retired ones,
-// and rearm ranges the same map. Its cost grows with run history; its
-// behaviour is the specification.
+// refTrickle is the map-based implementation, kept as the reference
+// model: one heap object per key in a map, retired keys kept and
+// skipped, every tick collects every key ever added from the map, sorts
+// them, and rearm ranges the same map. Its cost grows with run history;
+// its behaviour is the specification. It counts the corners retiring
+// by deletion must get right, so the test can require that the script
+// reached each of them.
 type refTrickle struct {
 	api     *netsim.NodeAPI
 	cfg     Config
 	timerID int
 	send    func(Key)
 	items   map[Key]*refState
+
+	sameTick     int // sends of keys that fired and retired in one tick
+	readded      int // Adds of a retired key
+	heardRetired int // Heards of a retired key
 }
 
 type refState struct {
@@ -241,6 +245,9 @@ type refState struct {
 }
 
 func (t *refTrickle) Add(key Key) {
+	if st, ok := t.items[key]; ok && st.retired {
+		t.readded++
+	}
 	st := &refState{}
 	t.items[key] = st
 	t.startInterval(st, t.cfg.TauLow)
@@ -252,23 +259,27 @@ func (t *refTrickle) Remove(key Key) {
 	t.rearm()
 }
 
-func (t *refTrickle) Has(key Key) bool { _, ok := t.items[key]; return ok }
-func (t *refTrickle) Len() int         { return len(t.items) }
-func (t *refTrickle) Clear()           { t.items = make(map[Key]*refState) }
+func (t *refTrickle) Clear() { t.items = make(map[Key]*refState) }
 
 func (t *refTrickle) Heard(key Key) {
 	if st, ok := t.items[key]; ok {
+		if st.retired {
+			t.heardRetired++
+		}
 		st.heard++
 	}
 }
 
-func (t *refTrickle) Reset(key Key) {
-	if st, ok := t.items[key]; ok {
-		st.rounds = 0
-		st.retired = false
-		t.startInterval(st, t.cfg.TauLow)
-		t.rearm()
+// live returns the keys still gossiping, ascending.
+func (t *refTrickle) live() []Key {
+	keys := []Key{}
+	for key, st := range t.items {
+		if !st.retired {
+			keys = append(keys, key)
+		}
 	}
+	slices.Sort(keys)
+	return keys
 }
 
 func (t *refTrickle) startInterval(st *refState, tau netsim.Time) {
@@ -318,6 +329,7 @@ func (t *refTrickle) OnTimer() {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var due []Key
+	retiredNow := map[Key]*refState{}
 	for _, key := range keys {
 		st := t.items[key]
 		if st.retired {
@@ -333,6 +345,7 @@ func (t *refTrickle) OnTimer() {
 			st.rounds++
 			if t.cfg.MaxRounds > 0 && st.rounds >= t.cfg.MaxRounds {
 				st.retired = true
+				retiredNow[key] = st
 				continue
 			}
 			t.startInterval(st, st.tau*2)
@@ -340,7 +353,10 @@ func (t *refTrickle) OnTimer() {
 	}
 	t.rearm()
 	for _, key := range due {
-		if _, ok := t.items[key]; ok {
+		if st, ok := t.items[key]; ok {
+			if st == retiredNow[key] && st.retired {
+				t.sameTick++
+			}
 			t.send(key)
 		}
 	}
@@ -350,25 +366,53 @@ func (t *refTrickle) OnTimer() {
 type gossip interface {
 	Add(Key)
 	Remove(Key)
-	Reset(Key)
 	Heard(Key)
 	Clear()
 	OnTimer()
-	Has(Key) bool
-	Len() int
 }
 
 // modelApp hosts one implementation on node 0 and logs everything
 // observable from outside: each timer fire and each send, with its
-// virtual time. Sends of keys divisible by 5 remove the key and sends
-// of keys ≡ 3 mod 7 add a neighbour key, so the send loop runs against
-// an item set that mutates under it.
+// virtual time. Sends of keys divisible by 5 remove the key, sends of
+// keys ≡ 3 mod 7 add the next key, sends of keys ≡ 4 mod 11 remove it
+// and sends of keys ≡ 6 mod 13 clear the set, so the send loop runs
+// against an item set that mutates under it, a key still to be sent
+// in the same tick included. set is what core's ChunkSet is to
+// its Trickle: every key added and not removed since the last Clear,
+// live or retired, which a revival adds again in ascending order
+// (core.resetChunks).
 type modelApp struct {
-	ref bool
+	ref *refTrickle // the reference side
+	got *Trickle    // the side under test
 	cfg Config
 	g   gossip
+	set map[Key]bool
 	api *netsim.NodeAPI
 	log []string
+}
+
+func (m *modelApp) add(k Key)    { m.set[k] = true; m.g.Add(k) }
+func (m *modelApp) remove(k Key) { delete(m.set, k); m.g.Remove(k) }
+func (m *modelApp) clear()       { clear(m.set); m.g.Clear() }
+
+// revive adds every key of the set again, in key order.
+func (m *modelApp) revive() {
+	keys := make([]Key, 0, len(m.set))
+	for k := range m.set {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		m.g.Add(k)
+	}
+}
+
+// live returns the keys still gossiping, ascending.
+func (m *modelApp) live() []Key {
+	if m.ref != nil {
+		return m.ref.live()
+	}
+	return liveKeys(m.got)
 }
 
 func (m *modelApp) Init(api *netsim.NodeAPI) {
@@ -377,16 +421,23 @@ func (m *modelApp) Init(api *netsim.NodeAPI) {
 		m.log = append(m.log, fmt.Sprintf("%d send %d", api.Now(), k))
 		switch {
 		case k%5 == 0:
-			m.g.Remove(k)
+			m.remove(k)
 		case k%7 == 3:
-			m.g.Add(k + 1)
+			m.add(k + 1)
+		case k%11 == 4:
+			m.remove(k + 1)
+		case k%13 == 6:
+			m.clear()
 		}
 	}
-	if m.ref {
-		m.g = &refTrickle{api: api, cfg: m.cfg, timerID: trickleTimer, send: send,
+	if m.ref != nil {
+		m.ref = &refTrickle{api: api, cfg: m.cfg, timerID: trickleTimer, send: send,
 			items: make(map[Key]*refState)}
+		m.g = m.ref
 	} else {
-		m.g = New(api, trickleTimer, m.cfg, send)
+		m.got = new(Trickle)
+		m.got.Init(api, trickleTimer, m.cfg, sendFunc(send))
+		m.g = m.got
 	}
 }
 func (m *modelApp) Receive(p *netsim.Packet) {}
@@ -400,27 +451,36 @@ func newModel(ref bool, cfg Config, seed int64) (*modelApp, *netsim.Simulator) {
 	topo := netsim.NewTopology(1)
 	sim := netsim.NewSimulator(seed)
 	net := netsim.NewNetwork(sim, topo, metrics.NewCounters(), netsim.DefaultParams())
-	m := &modelApp{ref: ref, cfg: cfg}
+	m := &modelApp{cfg: cfg, set: map[Key]bool{}}
+	if ref {
+		m.ref = &refTrickle{} // Init builds it
+	}
 	net.Attach(0, m)
 	net.Start()
 	return m, sim
 }
 
 // TestOnTimerMatchesReferenceModel drives the flat implementation and
-// the reference model with one random script of Add / Remove / Reset /
-// Heard / Clear / spurious OnTimer calls on a shared seed — keys from
-// a small range in any order, so items insert and delete mid-array as
-// well as at the end — and requires the same sends in the same order
-// at the same times, the same timer fires (so the same arms), the same
-// Len and the same Has of the op's key after every op, the same number
-// of scheduled events, the same membership, and the same position in
-// the node's random stream.
+// the reference model with one random script of Add / Remove / Heard /
+// Clear / spurious OnTimer calls and revivals on a shared seed — keys
+// from a small range in any order, so items insert and delete
+// mid-array as well as at the end — and requires the same sends in the
+// same order at the same times, the same timer fires (so the same
+// arms), the same live keys after every op, the same number of
+// scheduled events and the same position in the node's random stream.
+// The reference keeps retired keys; the flat one deletes them. Four
+// corners of that difference must each occur: a key that fires and
+// retires in one tick (still sent: the fourth config's 2 ms interval
+// fires at its end half the time), a retired key added again, Heard on
+// a retired key, and a revival in the way core.resetChunks does one.
 func TestOnTimerMatchesReferenceModel(t *testing.T) {
 	cfgs := []Config{
 		{TauLow: 200, TauHigh: 3 * netsim.Second, K: 1, MaxRounds: 3},
 		{TauLow: 500, TauHigh: 8 * netsim.Second, K: 2, MaxRounds: 0},
 		{TauLow: 100, TauHigh: 100, K: 1, MaxRounds: 1},
+		{TauLow: 2, TauHigh: 6, K: 1, MaxRounds: 1},
 	}
+	var sameTick, readded, heardRetired, revived int
 	for seed := int64(1); seed <= 40; seed++ {
 		cfg := cfgs[seed%int64(len(cfgs))]
 		got, gotSim := newModel(false, cfg, seed)
@@ -438,20 +498,23 @@ func TestOnTimerMatchesReferenceModel(t *testing.T) {
 				m.sim.At(at, func() {
 					switch {
 					case kind < 24:
-						g.g.Add(key)
+						g.add(key)
 					case kind < 30:
-						g.g.Remove(key)
+						g.remove(key)
 					case kind < 42:
-						g.g.Reset(key)
+						if g.ref != nil {
+							revived += len(g.set) - len(g.ref.live())
+						}
+						g.revive()
 					case kind < 54:
 						g.g.Heard(key)
 					case kind < 60:
 						g.g.OnTimer()
 					default:
-						g.g.Clear()
+						g.clear()
 					}
-					g.log = append(g.log, fmt.Sprintf("%d op %d key %d: Has %v Len %d",
-						g.api.Now(), kind, key, g.g.Has(key), g.g.Len()))
+					g.log = append(g.log, fmt.Sprintf("%d op %d key %d: live %v",
+						g.api.Now(), kind, key, g.live()))
 				})
 			}
 		}
@@ -472,23 +535,26 @@ func TestOnTimerMatchesReferenceModel(t *testing.T) {
 		if g, w := gotSim.Pending(), wantSim.Pending(); g != w {
 			t.Fatalf("seed %d: %d events pending, reference has %d (different timer arms)", seed, g, w)
 		}
-		if g, w := got.g.Len(), want.g.Len(); g != w {
-			t.Fatalf("seed %d: Len %d, reference %d", seed, g, w)
-		}
-		for k := Key(0); k < 20; k++ {
-			if got.g.Has(k) != want.g.Has(k) {
-				t.Fatalf("seed %d: Has(%d) differs from reference", seed, k)
-			}
+		if g, w := got.live(), want.live(); !slices.Equal(g, w) {
+			t.Fatalf("seed %d: live keys %v, reference %v", seed, g, w)
 		}
 		if g, w := got.api.RandIntn(1<<30), want.api.RandIntn(1<<30); g != w {
 			t.Fatalf("seed %d: random stream position differs from reference", seed)
 		}
+		sameTick += want.ref.sameTick
+		readded += want.ref.readded
+		heardRetired += want.ref.heardRetired
+	}
+	t.Logf("corners reached: %d same-tick fire-and-retire sends, %d retired keys added again, %d Heards of a retired key, %d retired keys revived",
+		sameTick, readded, heardRetired, revived)
+	if sameTick == 0 || readded == 0 || heardRetired == 0 || revived == 0 {
+		t.Fatal("the script missed a corner of retiring by deletion")
 	}
 }
 
 // TestOnTimerIgnoresRetired pins the tick cost to the live item count:
-// with one live item and 10 000 retired ones a tick visits one item and
-// allocates nothing.
+// 10 000 items retire and are gone, and with one live item left a tick
+// visits one item and allocates nothing.
 func TestOnTimerIgnoresRetired(t *testing.T) {
 	cfg := Config{TauLow: 100, TauHigh: 100, K: 1, MaxRounds: 1}
 	topo := netsim.NewTopology(1)
@@ -498,17 +564,16 @@ func TestOnTimerIgnoresRetired(t *testing.T) {
 	h := &harness{cfg: cfg}
 	net.Attach(0, h)
 	net.Start()
-	h.tr.send = func(Key) { sends++ }
+	h.tr.send = sendFunc(func(Key) { sends++ })
 	for k := Key(1); k <= 10000; k++ {
 		h.tr.Add(k)
 	}
 	sim.Run(netsim.Second) // MaxRounds 1: every item retires after one interval
-	if len(h.tr.live) != 0 || h.tr.Len() != 10000 || sim.Pending() != 0 {
-		t.Fatalf("after retirement: live %d, Len %d, pending %d; want 0, 10000, 0",
-			len(h.tr.live), h.tr.Len(), sim.Pending())
+	if len(h.tr.items) != 0 || sim.Pending() != 0 {
+		t.Fatalf("after retirement: %d items, %d pending; want 0, 0", len(h.tr.items), sim.Pending())
 	}
-	// One immortal item: Reset every tick from the send callback.
-	h.tr.send = func(k Key) { sends++; h.tr.Reset(k) }
+	// One immortal item: added again every tick from the send callback.
+	h.tr.send = sendFunc(func(k Key) { sends++; h.tr.Add(k) })
 	h.tr.Add(0)
 	sends = 0
 	allocs := testing.AllocsPerRun(200, func() {
@@ -517,12 +582,92 @@ func TestOnTimerIgnoresRetired(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("OnTimer allocates %.1f/op with 10000 retired items; want 0", allocs)
+		t.Fatalf("OnTimer allocates %.1f/op after 10000 items retired; want 0", allocs)
 	}
-	if len(h.tr.live) != 1 || h.tr.Len() != 10001 {
-		t.Fatalf("live %d, Len %d; want 1, 10001", len(h.tr.live), h.tr.Len())
+	if got := liveKeys(h.tr); !slices.Equal(got, []Key{0}) {
+		t.Fatalf("the Trickle holds %v; want [0]", got)
 	}
 	if sends == 0 {
 		t.Fatal("the live item never sent")
+	}
+}
+
+// TestAddGossipRetireZeroAllocs: once warm, a cycle that adds 200 keys
+// in scattered order, gossips every one of them until it retires and
+// leaves the Trickle empty allocates nothing. The item array and the
+// send list keep their capacity, and the timer tasks go back to the
+// network's free list.
+func TestAddGossipRetireZeroAllocs(t *testing.T) {
+	cfg := Config{TauLow: 100, TauHigh: 400, K: 1, MaxRounds: 3}
+	h, sim := newHarness(cfg, 12)
+	sends := 0
+	h.tr.send = sendFunc(func(Key) { sends++ })
+	cycle := func() {
+		for i := Key(0); i < 200; i++ {
+			h.tr.Add(i * 37 % 200)
+		}
+		sim.Run(sim.Now() + 10*netsim.Second)
+		if len(h.tr.items) != 0 {
+			t.Fatalf("%d items left after MaxRounds", len(h.tr.items))
+		}
+	}
+	cycle() // warm the arrays, the timer pool and the event queue
+	allocs := testing.AllocsPerRun(20, cycle)
+	if allocs != 0 {
+		t.Fatalf("an add-gossip-retire cycle over 200 keys allocates %.1f objects; want 0", allocs)
+	}
+	if sends < 21*200*cfg.MaxRounds {
+		t.Fatalf("%d sends over 21 cycles of 200 keys; every key should send each round", sends)
+	}
+}
+
+// TestSendLoopHonoursMutations: keys 1 and 2 fire and retire in the same
+// tick, and key 1's send callback changes the set before key 2's turn.
+// Key 2 goes out unless the callback removed it (or cleared the set)
+// and did not add it again — what the reference's membership check
+// after rearming decides, although key 2 is no longer held once it
+// retired.
+func TestSendLoopHonoursMutations(t *testing.T) {
+	cfg := Config{TauLow: 2, TauHigh: 2, K: 1, MaxRounds: 1}
+	for _, tc := range []struct {
+		name   string
+		mutate func(tr *Trickle)
+		want   []Key
+		live   []Key
+	}{
+		{"untouched", func(*Trickle) {}, []Key{1, 2}, []Key{}},
+		{"removed", func(tr *Trickle) { tr.Remove(2) }, []Key{1}, []Key{}},
+		{"cleared", func(tr *Trickle) { tr.Clear() }, []Key{1}, []Key{}},
+		{"removed and added", func(tr *Trickle) { tr.Remove(2); tr.Add(2) }, []Key{1, 2}, []Key{2}},
+		{"added", func(tr *Trickle) { tr.Add(2) }, []Key{1, 2}, []Key{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); ; seed++ {
+				if seed > 64 {
+					t.Fatal("no seed fires both keys at the end of their interval")
+				}
+				h, sim := newHarness(cfg, seed)
+				var sends []Key
+				h.tr.send = sendFunc(func(k Key) {
+					sends = append(sends, k)
+					if k == 1 {
+						tc.mutate(h.tr)
+					}
+				})
+				h.tr.Add(1)
+				h.tr.Add(2)
+				if it := h.tr.items; it[0].fireAt != it[0].endAt || it[1].fireAt != it[1].endAt {
+					continue // a key fires before it retires
+				}
+				sim.Run(sim.Now() + 2)
+				if !slices.Equal(sends, tc.want) {
+					t.Fatalf("seed %d: sent %v, want %v", seed, sends, tc.want)
+				}
+				if got := liveKeys(h.tr); !slices.Equal(got, tc.live) {
+					t.Fatalf("seed %d: holds %v after the tick, want %v", seed, got, tc.live)
+				}
+				return
+			}
+		})
 	}
 }
