@@ -91,7 +91,7 @@ func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
 	if int(hops) > maxHops {
 		return
 	}
-	if n.seenAggParts.Seen(m.Node, aggPartKey(m.QueryID, m.Seq)) {
+	if n.seenAggParts.Seen(&n.net.seen, m.Node, aggPartKey(m.QueryID, m.Seq)) {
 		return
 	}
 	e := n.aggEntry(m.QueryID)
@@ -109,7 +109,7 @@ func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
 
 // aggEntry returns (allocating if needed) the combine buffer for qid.
 func (n *Node) aggEntry(qid uint16) *aggCombine {
-	n.aggPending = dense.Grow(n.aggPending, int(qid))
+	n.aggPending = extend(&n.net.combines, n.aggPending, int(qid), queryTableMin)
 	if n.aggPending[qid] == nil {
 		n.aggPending[qid] = &aggCombine{}
 	}
@@ -190,7 +190,7 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 	if !n.tree.HasRoute() {
 		return // retries exhausted; the partial is lost
 	}
-	n.aggSeq = dense.Grow(n.aggSeq, int(qid))
+	n.aggSeq = extend(&n.net.seqs, n.aggSeq, int(qid), queryTableMin)
 	seq := n.aggSeq[qid]
 	n.aggSeq[qid] = seq + 1
 	m := &AggReplyMsg{
@@ -345,7 +345,7 @@ func (b *Base) aggReply(m *AggReplyMsg) {
 	}
 	// The per-sender (query, seq) dedup stays keyed on the wire ID:
 	// node flush sequence numbers are per wire query.
-	if b.seenAggParts.Seen(m.Node, aggPartKey(m.QueryID, m.Seq)) {
+	if b.seenAggParts.Seen(&b.net.seen, m.Node, aggPartKey(m.QueryID, m.Seq)) {
 		return
 	}
 	if !m.Nodes.Empty() {

@@ -92,7 +92,7 @@ type Base struct {
 	qGos       trickle.Trickle
 	queriesOut []*QueryMsg // queries under gossip, dense by wire query ID
 
-	mappings *netsim.FreeList[MappingMsg] // the network's, for recycled chunk payloads (netsim.Pool)
+	net *shared // the network's free lists and blocks (netsim.Shared)
 
 	queryLog     []loggedQuery
 	pending      []*pendingQuery // dense by query ID
@@ -165,7 +165,8 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.profProb = make([]float64, b.cfg.DomainMax-b.cfg.DomainMin+1)
 	b.mapGos.Init(api, timerMapping, mappingTrickle, b)
 	b.qGos.Init(api, timerQuery, queryTrickle, b)
-	b.mappings = netsim.Pool[MappingMsg](api)
+	b.net = netsim.Shared[shared](api)
+	b.chunks.Shared = &b.net.gens
 	if b.cfg.Preload != nil {
 		b.cur = b.cfg.Preload
 		if len(b.records) == 0 { // a restart keeps the history it has
@@ -245,7 +246,7 @@ func (b *Base) Snoop(p *netsim.Packet) { b.tree.Observe(p) }
 func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
 	b.latest[m.Node], b.latestHops[m.Node] = m, hops
 	// A copy retransmitted after a lost ack is counted and kept once.
-	if !b.inHistory.Seen(m.Node, uint64(m.SentAt)) {
+	if !b.inHistory.Seen(&b.net.seen, m.Node, uint64(m.SentAt)) {
 		b.stats.SummariesReceived++
 		b.keepSummary(m)
 	}
@@ -324,7 +325,7 @@ func resetChunks(chunks *index.ChunkSet, curID uint16, g *trickle.Trickle) {
 // the key of every reading it stores, so every later copy is dropped.
 func (b *Base) onData(m *DataMsg) {
 	for _, r := range m.Readings {
-		if b.storedData.Seen(netsim.NodeID(r.Producer), uint64(r.Time)) {
+		if b.storedData.Seen(&b.net.seen, netsim.NodeID(r.Producer), uint64(r.Time)) {
 			continue
 		}
 		b.store.Store(r)
@@ -377,7 +378,7 @@ func (b *Base) onReply(m *ReplyMsg) {
 // a reading stored at two nodes comes back from both when the query
 // reaches both, and is delivered once.
 func (pq *pendingQuery) collect(r Reading) bool {
-	if pq.delivered.Seen(netsim.NodeID(r.Producer), uint64(r.Time)) {
+	if pq.delivered.Seen(nil, netsim.NodeID(r.Producer), uint64(r.Time)) {
 		return false
 	}
 	pq.readings = append(pq.readings, r)
@@ -761,7 +762,7 @@ func (b *Base) sendChunkNow(key trickle.Key) {
 	if !ok {
 		return
 	}
-	m := newMapping(b.mappings, c)
+	m := newMapping(&b.net.mappings, c)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.ChunkSent, Node: uint16(b.api.ID()),
 		ID: c.IndexID, Value: int64(c.Num)})
 	b.api.Broadcast(&netsim.Packet{

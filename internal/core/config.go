@@ -293,7 +293,7 @@ func (s *RunStats) Add(src *RunStats) {
 // was stored somewhere, and reports whether this is its first storage
 // event. Nodes call it on every store; duplicates return false.
 func (s *RunStats) MarkStored(producer uint16, t int64) bool {
-	if s.seen.Seen(netsim.NodeID(producer), uint64(t)) {
+	if s.seen.Seen(nil, netsim.NodeID(producer), uint64(t)) {
 		return false
 	}
 	s.StoredUnique++

@@ -18,7 +18,8 @@ import (
 // index it holds. It is a shared payload (netsim.Packet): the
 // basestation keeps every summary it receives, so none is reused, and a
 // relay forwards the very message it heard (its TTL is the frame
-// header's Hops).
+// header's Hops). A sent summary is one object: Hist.Counts and
+// Neighbors slice its own arrays (DESIGN.md §12).
 type SummaryMsg struct {
 	Node          netsim.NodeID
 	Hist          histogram.Histogram
@@ -27,6 +28,9 @@ type SummaryMsg struct {
 	Neighbors     []routing.NeighborInfo
 	LastIndexID   uint16
 	SentAt        netsim.Time
+
+	bins [nBins]uint16                        // Hist.Counts' array
+	nbrs [neighborReport]routing.NeighborInfo // Neighbors' array
 }
 
 // summarySize approximates the on-air bytes of a summary message:
@@ -56,7 +60,7 @@ func (m *DataMsg) Recycle() {
 		n, rs := h.n, m.Readings
 		clear(rs)
 		*h = dataHop{msg: DataMsg{Readings: rs[:0]}}
-		n.hops.Put(h)
+		n.net.hops.Put(h)
 	}
 }
 

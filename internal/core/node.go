@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"scoop/internal/dense"
 	"scoop/internal/histogram"
 	"scoop/internal/index"
 	"scoop/internal/metrics"
@@ -92,13 +91,10 @@ type Node struct {
 	seenAggParts  seenTable
 	seenData      dataSeen
 
-	// The network's free lists of the recycled payloads this node sends
-	// (netsim.Pool): data hops, replies and mapping chunks go back there
-	// after their last delivery. They are allocation caches, not mote
-	// RAM, so a reboot keeps them.
-	hops     *netsim.FreeList[dataHop]
-	replies  *netsim.FreeList[ReplyMsg]
-	mappings *netsim.FreeList[MappingMsg]
+	// The network's free lists and blocks (netsim.Shared): data hops,
+	// replies and mapping chunks go back to its lists after their last
+	// delivery, and the node's arrays grow in its blocks.
+	net *shared
 }
 
 // NewNode creates a Scoop node that begins sampling at the absolute
@@ -112,9 +108,11 @@ func NewNode(cfg Config, stats *RunStats, sample Sampler, startAt netsim.Time) *
 // to n-1 (nodes[0] is nil: the basestation), each as NewNode returns
 // it, built for one network's set-up: the nodes are one array, and the
 // fixed-size parts of each — the routing tree's tables (routing.Carve)
-// and the recent-readings ring — are carved from one slab per type. Set-up makes as many objects for 1000
-// motes as for 63 (DESIGN.md §12). What a mote fills only once it runs
-// (its flash ring, its Trickles' items) it allocates then.
+// and the recent-readings ring — are carved from one slab per type.
+// Set-up makes as many objects for 1000 motes as for 63 (DESIGN.md
+// §12). What a mote fills only once it runs (its flash ring, its
+// Trickles' items, its dedup rows) it takes then, from its network's
+// blocks.
 func NewNodes(n int, cfg Config, stats *RunStats, sample Sampler, startAt netsim.Time) []*Node {
 	motes := make([]Node, n-1)
 	nodes := make([]*Node, n)
@@ -173,14 +171,15 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 				Node: uint16(api.ID()), Cause: metrics.DropReboot,
 				Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 		}
-		n.spareBatches = append(n.spareBatches, rs[:0])
+		n.spareBatches = append(netsim.Grow(&n.net.batches, n.spareBatches, spareMin), rs[:0])
 	}
 	if n.api != api { // first boot: build
 		n.api = api
 		n.tree.Init(api, false)
 		n.mapGos.Init(api, timerMapping, mappingTrickle, n)
 		n.qGos.Init(api, timerQuery, queryTrickle, n)
-		n.hops, n.replies, n.mappings = netsim.Pool[dataHop](api), netsim.Pool[ReplyMsg](api), netsim.Pool[MappingMsg](api)
+		n.net = netsim.Shared[shared](api)
+		n.store.blocks, n.chunks.Shared = &n.net.readings, &n.net.gens
 	} else { // a reboot on the same radio: clear in place
 		n.tree.Reset()
 		n.recent.Clear()
@@ -271,12 +270,12 @@ func (n *Node) receive(p *netsim.Packet) {
 		}
 		// A summary is shared and immutable: the relay forwards the
 		// message it heard, the hop count riding in the frame header.
-		if int(p.Hops) <= maxHops && !n.seenSummaries.Seen(m.Node, uint64(m.SentAt)) {
+		if int(p.Hops) <= maxHops && !n.seenSummaries.Seen(&n.net.seen, m.Node, uint64(m.SentAt)) {
 			n.forwardUp(p, m, metrics.Summary, summarySize(m))
 		}
 	case *ReplyMsg:
 		n.learnDescendant(p)
-		if int(p.Hops) <= maxHops && !n.seenReplies.Seen(m.Node, uint64(m.QueryID)) {
+		if int(p.Hops) <= maxHops && !n.seenReplies.Seen(&n.net.seen, m.Node, uint64(m.QueryID)) {
 			fwd := n.newReply()
 			fwd.QueryID, fwd.Node, fwd.Count = m.QueryID, m.Node, m.Count
 			fwd.Readings = append(fwd.Readings, m.Readings...)
@@ -355,19 +354,19 @@ func (n *Node) takeSample() {
 		n.api.SetTimer(timerBatch, batchTimeout)
 	}
 	n.batchSID = sid
-	rs := n.batchq.at(owner)
+	rs := n.batchq.at(owner, &n.net.seen.ids, &n.net.batches)
 	if *rs == nil {
 		if k := len(n.spareBatches); k > 0 {
 			*rs, n.spareBatches = n.spareBatches[k-1], n.spareBatches[:k-1]
 		} else {
-			*rs = make([]Reading, 0, n.cfg.BatchSize)
+			*rs = n.net.readings.Take(n.cfg.BatchSize)
 		}
 	}
 	*rs = append(*rs, r)
 	if full := *rs; len(full) >= n.cfg.BatchSize {
 		n.batchq.remove(owner)
 		n.routeData(full, owner, sid, 0)
-		n.spareBatches = append(n.spareBatches, full[:0])
+		n.spareBatches = append(netsim.Grow(&n.net.batches, n.spareBatches, spareMin), full[:0])
 	}
 }
 
@@ -390,7 +389,7 @@ func (n *Node) flushBatch() {
 	for i, owner := range n.batchq.ids {
 		rs := n.batchq.vals[i]
 		n.routeData(rs, owner, n.batchSID, 0)
-		n.spareBatches = append(n.spareBatches, rs[:0])
+		n.spareBatches = append(netsim.Grow(&n.net.batches, n.spareBatches, spareMin), rs[:0])
 	}
 	n.batchq.clear()
 	n.api.CancelTimer(timerBatch)
@@ -428,7 +427,7 @@ func (n *Node) handleData(m *DataMsg, hops uint8) {
 	fresh := n.regroup[:0]
 	for _, r := range m.Readings {
 		if n.seenData.accept(r, hops) {
-			fresh = append(fresh, r)
+			fresh = append(netsim.Grow(&n.net.readings, fresh, n.cfg.BatchSize), r)
 		}
 	}
 	n.regroup = fresh
@@ -484,7 +483,7 @@ func (n *Node) routeData(rs []Reading, owner netsim.NodeID, sid uint16, hops uin
 		}
 		return
 	}
-	h := n.hops.Get()
+	h := n.net.hops.Get()
 	h.n, h.msg.hop = n, h
 	if h.msg.Readings == nil { // a new hop: its own array, unless a batch outgrows it
 		h.msg.Readings = h.buf[:0]
@@ -571,18 +570,21 @@ func (n *Node) sendSummary() {
 	if n.cur != nil {
 		lastID = n.cur.ID
 	}
-	n.recentVals = n.recent.AppendValues(slices.Grow(n.recentVals[:0], recentBufSize))
+	if n.recentVals == nil {
+		n.recentVals = n.net.values.Take(recentBufSize)
+	}
+	n.recentVals = n.recent.AppendValues(n.recentVals[:0])
 	m := &SummaryMsg{
 		Node:        n.api.ID(),
-		Hist:        histogram.Build(n.recentVals, nBins),
 		Min:         min,
 		Max:         max,
 		Sum:         sum,
 		Rate:        float64(n.samplesSinceSummary) / (float64(n.cfg.SummaryInterval) / float64(netsim.Second)),
-		Neighbors:   n.tree.Neighbors.Best(make([]routing.NeighborInfo, 0, neighborReport), neighborReport),
 		LastIndexID: lastID,
 		SentAt:      n.api.Now(),
 	}
+	m.Hist = histogram.Fill(n.recentVals, m.bins[:])
+	m.Neighbors = n.tree.Neighbors.Best(m.nbrs[:0], neighborReport)
 	n.samplesSinceSummary = 0
 	n.stats.SummariesSent++
 	n.api.Send(&netsim.Packet{
@@ -650,7 +652,7 @@ func (n *Node) sendChunkNow(key trickle.Key) {
 	}
 	n.cfg.Trace.Emit(trace.Event{Kind: trace.ChunkSent, Node: uint16(n.api.ID()),
 		ID: c.IndexID, Value: int64(c.Num)})
-	m := newMapping(n.mappings, c)
+	m := newMapping(&n.net.mappings, c)
 	n.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Mapping,
 		Origin:       n.api.ID(),
@@ -672,13 +674,9 @@ func (n *Node) onQuery(q *QueryMsg) {
 		n.qGos.Heard(key)
 		return
 	}
-	if int(q.ID) >= cap(n.queries) {
-		// A run issues tens to hundreds of queries: start the table at
-		// queryTableMin IDs and let append double it, not regrow it every
-		// few IDs.
-		n.queries = slices.Grow(n.queries, max(int(q.ID)+1, queryTableMin)-len(n.queries))
-	}
-	n.queries = dense.Grow(n.queries, int(q.ID))
+	// A run issues tens to hundreds of queries: the table starts at
+	// queryTableMin IDs and doubles, not regrowing every few IDs.
+	n.queries = extend(&n.net.queries, n.queries, int(q.ID), queryTableMin)
 	n.queries[q.ID] = q
 	if n.shouldRelay(&q.Bitmap) {
 		n.qGos.Add(key)
@@ -694,11 +692,15 @@ func (n *Node) onQuery(q *QueryMsg) {
 	// synchronized reply storm (the paper notes it takes several
 	// seconds for the first replies to come back).
 	n.api.SetTimer(timerReply, netsim.Time(50+n.api.RandIntn(int(4*netsim.Second))))
-	n.pendingAnswers = append(n.pendingAnswers, q)
+	n.pendingAnswers = append(netsim.Grow(&n.net.queries, n.pendingAnswers, spareMin), q)
 }
 
 // queryTableMin is the query-ID capacity a node's query table starts at.
 const queryTableMin = 64
+
+// spareMin is the capacity a node's spare-batch and pending-answer lists
+// start at.
+const spareMin = 4
 
 // shouldRelay reports whether this node re-broadcasts a query: only
 // when some targeted node other than itself is plausibly reachable
@@ -765,8 +767,8 @@ func (n *Node) answer(q *QueryMsg) {
 // newReply takes a ReplyMsg off the network's free list, with the
 // sender's reference held.
 func (n *Node) newReply() *ReplyMsg {
-	m := n.replies.Get()
-	m.free = n.replies
+	m := n.net.replies.Get()
+	m.free = &n.net.replies
 	netsim.Hold(m)
 	return m
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"scoop/internal/metrics"
@@ -96,5 +97,49 @@ func TestForwardZeroAllocs(t *testing.T) {
 	if sink.summary != summary || sink.summaryHops != summaryPkt.Hops+1 {
 		t.Fatalf("the relayed summary is %p with header Hops %d, want the received %p with Hops %d",
 			sink.summary, sink.summaryHops, summary, summaryPkt.Hops+1)
+	}
+}
+
+// TestRelayedSummaryZeroAllocs holds a relay's summary path through
+// Node.receive to zero allocations once its dedup table and the
+// network's blocks have grown: after each reboot, node 1 relays summaries
+// from 200 origins new to its table, 12 in-order send times each, every
+// one heard twice (the second copy a retransmission it drops), and
+// allocates nothing — the table refills the arrays it kept, and the
+// relay forwards the shared message it heard.
+func TestRelayedSummaryZeroAllocs(t *testing.T) {
+	sim, net, node, sink := relayFixture(t)
+	summary := &SummaryMsg{}
+	pkt := &netsim.Packet{Class: metrics.Summary, Hops: 1, Src: 2, Dst: 1, OriginParent: 2, Payload: summary}
+	relayAll := func() {
+		for o := netsim.NodeID(3); o < 203; o++ {
+			for at := netsim.Time(1); at <= 12; at++ {
+				summary.Node, summary.SentAt, pkt.Origin = o, at, o
+				for range 2 {
+					pkt.Seq++
+					node.Receive(pkt)
+				}
+				sim.Run(sim.Now() + 100*netsim.Millisecond)
+			}
+		}
+	}
+	relayAll() // grows the table and the network's blocks
+	// The fewest of three boots, so a runtime allocation (a collector
+	// worker starting) between the two readings cannot count.
+	least := ^uint64(0)
+	for boot := uint32(2); boot <= 4; boot++ {
+		net.Restart(1)
+		adoptParent(t, sim, node, boot)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		relayAll()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 && !raceEnabled {
+		t.Fatalf("relaying 2400 summaries from 200 origins after a reboot allocates %d objects, want 0", least)
+	}
+	if got := sink.got[metrics.Summary]; got != 4*200*12 {
+		t.Fatalf("the parent received %d summaries, want %d (each once per boot)", got, 4*200*12)
 	}
 }

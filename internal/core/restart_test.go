@@ -17,7 +17,8 @@ import (
 // what they point at, and the fields that are wiring or allocation
 // caches rather than RAM — the NodeAPI and clock, callbacks and a
 // Trickle's Sender (the node itself), the shared config, run
-// statistics and sampler, the payload free lists and the scratch
+// statistics and sampler, the network's free lists and blocks
+// (networkShared) and the scratch
 // buffers every use overwrites (scratchFields) — are skipped.
 // It returns the path of the first difference, or "".
 func sameState(a, b reflect.Value, path string) string {
@@ -26,7 +27,8 @@ func sameState(a, b reflect.Value, path string) string {
 	case t.Kind() == reflect.Func, t.Kind() == reflect.Chan, t == reflect.TypeFor[trickle.Sender](),
 		t == reflect.TypeOf(&netsim.NodeAPI{}), t == reflect.TypeOf(&netsim.Simulator{}),
 		t == reflect.TypeOf(&RunStats{}), t == reflect.TypeOf(Config{}),
-		strings.HasPrefix(t.Name(), "FreeList["), scratchFields[path[strings.LastIndexByte(path, '.')+1:]]:
+		strings.HasPrefix(t.Name(), "FreeList["), scratchFields[path[strings.LastIndexByte(path, '.')+1:]],
+		t.Kind() == reflect.Pointer && networkShared[strings.SplitN(t.Elem().Name(), "[", 2)[0]]:
 		return ""
 	}
 	switch t.Kind() {
@@ -105,6 +107,11 @@ func gossipKeys(g *trickle.Trickle) []trickle.Key {
 // buffers and Trickle's send list.
 var scratchFields = map[string]bool{"recentVals": true, "regroup": true, "spareBatches": true, "due": true}
 
+// networkShared names the types of what a node points to that its
+// network owns — free lists, blocks and the shared index generations —
+// which a reboot keeps and sameState skips.
+var networkShared = map[string]bool{"shared": true, "seenBlocks": true, "blocks": true, "Blocks": true, "Generations": true}
+
 // TestRestartClearsStateInPlace reboots a relay mid-run through
 // Network.Restart. Its tree, tables, Trickles, chunk set, buffers,
 // dedup and query state all hold something by then; after the reboot
@@ -127,8 +134,8 @@ func TestRestartClearsStateInPlace(t *testing.T) {
 	node := tn.nodes[2] // relays summaries, data and replies for 3 and 4
 	switch {
 	case !node.tree.HasRoute(), node.tree.Neighbors.Len() == 0, node.tree.Descendants.Len() == 0,
-		node.chunks.Len() == 0, len(gossipKeys(&node.qGos)) == 0, len(node.queries) == 0,
-		node.store.Len() == 0, node.recent.Len() == 0, node.cur == nil,
+		node.cur == nil, len(node.chunks.Generation(node.cur.ID)) == 0, len(gossipKeys(&node.qGos)) == 0,
+		len(node.queries) == 0, node.store.Len() == 0, node.recent.Len() == 0,
 		len(node.seenSummaries.rows.ids) == 0, len(node.seenReplies.rows.ids) == 0, len(node.seenSummaries.spill) == 0:
 		t.Fatal("the node holds too little state before the reboot for the comparison to mean anything")
 	}

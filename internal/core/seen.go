@@ -17,18 +17,18 @@ type idTable[V any] struct {
 	vals []V
 }
 
-// at returns id's slot, inserting a zero one when absent. The pointer
-// is valid until the next insertion or removal.
-func (t *idTable[V]) at(id netsim.NodeID) *V {
+// idTableMin is the capacity a table starts at: most stay this small.
+const idTableMin = 8
+
+// at returns id's slot, inserting a zero one when absent, the arrays
+// growing in ids and vals. The pointer is valid until the next
+// insertion or removal.
+func (t *idTable[V]) at(id netsim.NodeID, ids *netsim.Blocks[netsim.NodeID], vals *netsim.Blocks[V]) *V {
 	i, ok := slices.BinarySearch(t.ids, id)
 	if !ok {
-		if t.ids == nil {
-			// Most tables stay this small; skip append's 1-2-4 steps.
-			t.ids, t.vals = make([]netsim.NodeID, 0, 8), make([]V, 0, 8)
-		}
 		var zero V
-		t.ids = slices.Insert(t.ids, i, id)
-		t.vals = slices.Insert(t.vals, i, zero)
+		t.ids = slices.Insert(netsim.Grow(ids, t.ids, idTableMin), i, id)
+		t.vals = slices.Insert(netsim.Grow(vals, t.vals, idTableMin), i, zero)
 	}
 	return &t.vals[i]
 }
@@ -72,14 +72,16 @@ const seenSpill = 4
 // duplicates (link-layer retransmissions) and the rare out-of-order key
 // scan the row newest-first. All rows spill into one array: a row that
 // fills its segment moves to the array's end at twice the size, leaving
-// the old segment unused until the next reset.
+// the old segment unused until the next reset. Rows and the spill array
+// grow in the blocks Seen is given: the network's, or nil for a table
+// outside any network, which makes its arrays on its own.
 type seenTable struct {
 	rows  idTable[seenRow]
 	spill []uint64
 }
 
-// record appends key as r's newest.
-func (s *seenTable) record(r *seenRow, key uint64) {
+// record appends key as r's newest, the spill array growing in keys.
+func (s *seenTable) record(r *seenRow, key uint64, keys *netsim.Blocks[uint64]) {
 	if r.n < uint8(len(r.newest)) {
 		r.newest[r.n] = key
 		r.n++
@@ -90,8 +92,8 @@ func (s *seenTable) record(r *seenRow, key uint64) {
 		off := int32(len(s.spill))
 		if need := int(off + room); need > cap(s.spill) {
 			// Double, where append would grow a long array by a quarter.
-			grown := make([]uint64, off, max(2*cap(s.spill), need))
-			copy(grown, s.spill)
+			grown := append(keys.Take(max(2*cap(s.spill), need)), s.spill...)
+			keys.Put(s.spill)
 			s.spill = grown
 		}
 		s.spill = s.spill[:off+room]
@@ -121,16 +123,22 @@ func (s *seenTable) has(r *seenRow, key uint64) bool {
 }
 
 // Seen reports whether (origin, key) was recorded before, recording it
-// if not (check-and-mark).
-func (s *seenTable) Seen(origin netsim.NodeID, key uint64) bool {
-	r := s.rows.at(origin)
+// if not (check-and-mark). The table grows in b (nil: on its own).
+func (s *seenTable) Seen(b *seenBlocks, origin netsim.NodeID, key uint64) bool {
+	var ids *netsim.Blocks[netsim.NodeID]
+	var rows *netsim.Blocks[seenRow]
+	var keys *netsim.Blocks[uint64]
+	if b != nil {
+		ids, rows, keys = &b.ids, &b.rows, &b.keys
+	}
+	r := s.rows.at(origin, ids, rows)
 	switch {
 	case r.n == 0 || key > r.max:
 		r.max = key
 	case s.has(r, key):
 		return true
 	}
-	s.record(r, key)
+	s.record(r, key, keys)
 	return false
 }
 

@@ -31,79 +31,127 @@ func (s *refSeen) Seen(origin netsim.NodeID, key uint64) bool {
 
 func (s *refSeen) reset() { s.rows = nil }
 
-// TestSeenMatchesReferenceModel feeds the sparse table and the dense one
-// the same random (origin, key) stream — per-origin keys mostly rising,
-// mixed with immediate duplicates, old duplicates, never-seen keys below
-// the maximum, key 0, and a reset now and then — and requires the same
-// answer from every call.
+// TestSeenMatchesReferenceModel feeds six sparse tables growing in one
+// network's blocks, as nodes' do, and a dense reference each the same
+// random (origin, key) streams — per-origin keys mostly rising, mixed
+// with immediate duplicates, old duplicates, never-seen keys below the
+// maximum, key 0, and a reset now and then — and requires the same
+// answer from every call. Arrays one table puts back are taken by
+// another, so a stale alias would show as a wrong answer; the counts make
+// sure out-of-order keys are asked after a table's spill array moved to
+// another array, and keys recorded before a reset are asked after it.
 func TestSeenMatchesReferenceModel(t *testing.T) {
+	type side struct {
+		got     seenTable
+		want    refSeen
+		next    []uint64    // per-origin rising key
+		history [][2]uint64 // every (origin, key) asked since the last reset
+		before  map[[2]uint64]bool
+		moved   bool // the spill array moved since the last reset
+	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var got seenTable
-		var want refSeen
+		var blocks seenBlocks
+		var sides [6]side
+		for i := range sides {
+			sides[i].next = make([]uint64, 1024)
+		}
 		origins := 1 + rng.Intn(60)
-		next := make([]uint64, 1024) // per-origin rising key
-		var history [][2]uint64      // every (origin, key) asked since the last reset
-		var dups, lateFresh int
-		for step := 0; step < 3000; step++ {
+		var dups, lateFresh, lateAfterMove, afterReset int
+		for step := 0; step < 12000; step++ {
+			sd := &sides[rng.Intn(len(sides))]
 			var origin netsim.NodeID
 			var key uint64
 			switch p := rng.Intn(100); {
 			case p < 1:
-				got.reset()
-				want.reset()
-				history = history[:0]
+				sd.before = map[[2]uint64]bool{}
+				for _, h := range sd.history {
+					sd.before[h] = true
+				}
+				sd.got.reset()
+				sd.want.reset()
+				sd.history, sd.moved = sd.history[:0], false
 				continue
-			case p < 60 || len(history) == 0: // in order
+			case p < 60 || len(sd.history) == 0: // in order
 				origin = netsim.NodeID(rng.Intn(origins) * (1 + rng.Intn(17)) % 1024)
-				next[origin] += uint64(rng.Intn(3)) // +0 repeats the last key (or asks key 0 first)
-				key = next[origin]
+				sd.next[origin] += uint64(rng.Intn(3)) // +0 repeats the last key (or asks key 0 first)
+				key = sd.next[origin]
 			case p < 75: // link-layer retransmission: the key just asked
-				h := history[len(history)-1]
+				h := sd.history[len(sd.history)-1]
 				origin, key = netsim.NodeID(h[0]), h[1]
 			case p < 90: // an old duplicate
-				h := history[rng.Intn(len(history))]
+				h := sd.history[rng.Intn(len(sd.history))]
 				origin, key = netsim.NodeID(h[0]), h[1]
 			default: // out of order: somewhere below the origin's maximum
-				h := history[rng.Intn(len(history))]
+				h := sd.history[rng.Intn(len(sd.history))]
 				origin, key = netsim.NodeID(h[0]), uint64(rng.Int63n(int64(h[1])+1))
 			}
-			history = append(history, [2]uint64{uint64(origin), key})
-			g, w := got.Seen(origin, key), want.Seen(origin, key)
+			k := [2]uint64{uint64(origin), key}
+			sd.history = append(sd.history, k)
+			spill := sd.got.spill
+			g, w := sd.got.Seen(&blocks, origin, key), sd.want.Seen(origin, key)
 			if g != w {
 				t.Fatalf("seed %d step %d: Seen(%d, %d) = %v, reference %v", seed, step, origin, key, g, w)
 			}
-			if w {
+			if cap(spill) > 0 && (cap(sd.got.spill) != cap(spill) || &sd.got.spill[:1][0] != &spill[:1][0]) {
+				sd.moved = true
+			}
+			switch {
+			case w:
 				dups++
-			} else if key < next[origin] {
+			case key < sd.next[origin]:
 				lateFresh++
+				if sd.moved {
+					lateAfterMove++
+				}
+			}
+			if sd.before[k] {
+				afterReset++
 			}
 		}
-		if dups < 500 || lateFresh < 20 {
-			t.Fatalf("seed %d: %d duplicates, %d fresh out-of-order keys; comparison has no power", seed, dups, lateFresh)
+		if dups < 1000 || lateFresh < 40 || lateAfterMove < 10 || afterReset < 10 {
+			t.Fatalf("seed %d: %d duplicates, %d fresh out-of-order keys (%d after a spill moved), %d keys asked again after a reset; comparison has no power",
+				seed, dups, lateFresh, lateAfterMove, afterReset)
 		}
-		if !slices.IsSorted(got.rows.ids) || len(got.rows.ids) != len(got.rows.vals) {
-			t.Fatalf("seed %d: table holds ids %v for %d rows", seed, got.rows.ids, len(got.rows.vals))
+		for _, sd := range sides {
+			if !slices.IsSorted(sd.got.rows.ids) || len(sd.got.rows.ids) != len(sd.got.rows.vals) {
+				t.Fatalf("seed %d: table holds ids %v for %d rows", seed, sd.got.rows.ids, len(sd.got.rows.vals))
+			}
 		}
 	}
 }
 
 // TestSeenRepeatedKeyAllocsZero pins the steady state of the per-delivery
 // path: a retransmitted copy from a known origin is recognised without
-// allocating, however many origins the table holds.
+// allocating, however many origins the table holds; and once the
+// network's blocks have grown, a table that is reset and fills again —
+// new origins, in-order keys and duplicates — allocates nothing either.
 func TestSeenRepeatedKeyAllocsZero(t *testing.T) {
+	var blocks seenBlocks
 	var s seenTable
 	for o := netsim.NodeID(1); o <= 500; o++ {
 		for k := uint64(1); k <= 20; k++ {
-			s.Seen(o*2, k)
+			s.Seen(&blocks, o*2, k)
 		}
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if !s.Seen(400, 20) || !s.Seen(400, 3) {
+		if !s.Seen(&blocks, 400, 20) || !s.Seen(&blocks, 400, 3) {
 			t.Fatal("recorded key not recognised")
 		}
 	}); allocs != 0 {
 		t.Fatalf("Seen of a repeated key allocates %v times per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.reset()
+		for o := netsim.NodeID(1); o <= 300; o++ {
+			for k := uint64(1); k <= 12; k++ {
+				if s.Seen(&blocks, o*3, k) || !s.Seen(&blocks, o*3, k) {
+					t.Fatal("a new key read as seen, or a recorded one as new")
+				}
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("refilling a reset table allocates %v times per cycle", allocs)
 	}
 }
 
@@ -121,6 +169,7 @@ func FuzzSeenTable(f *testing.F) {
 	f.Add([]byte{9, 0, 1, 9, 0, 2, 9, 0, 3, 9, 0, 4, 9, 0, 5, // a row spilling past its first array…
 		9, 0, 6, 9, 0, 7, 9, 0, 8, 9, 0, 9, 9, 0, 1}) // …then its oldest key again
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		var blocks seenBlocks
 		var s seenTable
 		ref := map[netsim.NodeID]map[uint64]bool{}
 		for ; len(ops) >= 3; ops = ops[3:] {
@@ -136,7 +185,7 @@ func FuzzSeenTable(f *testing.F) {
 			}
 			want := ref[origin][key]
 			ref[origin][key] = true
-			if got := s.Seen(origin, key); got != want {
+			if got := s.Seen(&blocks, origin, key); got != want {
 				t.Fatalf("Seen(%d, %d) = %v, want %v", origin, key, got, want)
 			}
 		}

@@ -10,6 +10,8 @@
 
 package core
 
+import "scoop/internal/netsim"
+
 // Reading is one stored sensor sample.
 type Reading struct {
 	Producer uint16 // node that sampled the value
@@ -22,11 +24,13 @@ type Reading struct {
 // Flash log. The backing slice grows with what is stored, up to the
 // capacity, and is a ring from then on: a mote's log costs memory for
 // the readings it holds, not for the Flash it could fill (DESIGN.md
-// §12). The zero value is unusable; use NewDataBuffer.
+// §12). A mote's log grows in its network's blocks. The zero value is
+// unusable; use NewDataBuffer.
 type DataBuffer struct {
-	buf  []Reading // len < capacity: append order; len == capacity: ring
-	cap  int
-	next int // ring slot the next Store overwrites (the oldest reading)
+	buf    []Reading // len < capacity: append order; len == capacity: ring
+	cap    int
+	next   int                     // ring slot the next Store overwrites (the oldest reading)
+	blocks *netsim.Blocks[Reading] // where buf grows (nil: on its own)
 }
 
 // NewDataBuffer returns a buffer holding at most capacity readings.
@@ -43,8 +47,8 @@ func (b *DataBuffer) Store(r Reading) {
 		if len(b.buf) == cap(b.buf) {
 			// Double, but never past the capacity: a full log occupies
 			// what the capacity says, not append's next size step.
-			grown := make([]Reading, len(b.buf), min(max(2*len(b.buf), 32), b.cap))
-			copy(grown, b.buf)
+			grown := append(b.blocks.Take(min(max(2*len(b.buf), 32), b.cap)), b.buf...)
+			b.blocks.Put(b.buf)
 			b.buf = grown
 		}
 		b.buf = append(b.buf, r)

@@ -31,6 +31,17 @@ func Build(values []int, nBins int) Histogram {
 	if len(values) == 0 {
 		return Histogram{}
 	}
+	return Fill(values, make([]uint16, nBins))
+}
+
+// Fill is Build counting into the caller's bins, one per element of
+// counts, which it zeroes first: a summary holds its bins inline. The
+// order of values does not matter. It returns the zero Histogram when
+// values is empty.
+func Fill(values []int, counts []uint16) Histogram {
+	if len(values) == 0 {
+		return Histogram{}
+	}
 	min, max := values[0], values[0]
 	for _, v := range values[1:] {
 		if v < min {
@@ -40,8 +51,9 @@ func Build(values []int, nBins int) Histogram {
 			max = v
 		}
 	}
-	h := Histogram{Min: min, Max: max, Counts: make([]uint16, nBins)}
-	w := h.binWidth()
+	clear(counts)
+	h := Histogram{Min: min, Max: max, Counts: counts}
+	w, nBins := h.binWidth(), len(counts)
 	for _, v := range values {
 		bin := (v - min) / w
 		if bin >= nBins {

@@ -196,9 +196,23 @@ func (ix *Index) Chunks(perChunk int) []Chunk {
 // generation becomes usable once all its chunks are held, and the
 // owner drops superseded generations with DropBefore (paper §5.3:
 // nodes with incomplete storage indices continue to use the older
-// complete one). The zero value is an empty set.
+// complete one). The zero value is an empty set that assembles its own
+// indices; a set given its network's Generations shares them.
 type ChunkSet struct {
 	chunks []Chunk
+	// Shared, when non-nil, is the network's: the chunk array grows in
+	// its blocks and Complete adopts its one index per generation.
+	Shared *Generations
+}
+
+// Generations is what the chunk sets of one network share: the blocks
+// their chunk arrays grow in, and one immutable *Index per generation
+// completed. Every node that completes generation id adopts the index
+// the first one stitched, rather than building its own copy, so a
+// network holds each generation once (DESIGN.md §12).
+type Generations struct {
+	chunks netsim.Blocks[Chunk]
+	built  []*Index // ascending ID
 }
 
 // find returns the position of chunk num of generation id, or where it
@@ -219,6 +233,10 @@ func (s *ChunkSet) Get(id uint16, num uint8) (Chunk, bool) {
 	return Chunk{}, false
 }
 
+// chunkSetMin is the capacity a chunk array starts at: a generation's
+// few chunks fit it.
+const chunkSetMin = 8
+
 // Insert adds c, replacing a held chunk with the same IndexID and Num.
 func (s *ChunkSet) Insert(c Chunk) {
 	i, ok := s.find(c.IndexID, c.Num)
@@ -226,6 +244,11 @@ func (s *ChunkSet) Insert(c Chunk) {
 		s.chunks[i] = c
 		return
 	}
+	var b *netsim.Blocks[Chunk]
+	if s.Shared != nil {
+		b = &s.Shared.chunks
+	}
+	s.chunks = netsim.Grow(b, s.chunks, chunkSetMin)
 	s.chunks = slices.Insert(s.chunks, i, c)
 }
 
@@ -242,24 +265,61 @@ func (s *ChunkSet) Generation(id uint16) []Chunk {
 }
 
 // Complete returns generation id stitched into an index when the set
-// holds chunks 0..total-1 of it, else nil.
+// holds chunks 0..total-1 of it, else nil. With Shared set, the index
+// is the network's one for id: the first set to complete it stitches
+// it, and every later one whose chunks stitch to it entry for entry
+// adopts it (a set whose chunks disagree gets its own). No holder may
+// write it.
 func (s *ChunkSet) Complete(id uint16, total uint8) *Index {
 	g := s.Generation(id)
 	if len(g) < int(total) || total == 0 || g[total-1].Num != total-1 {
 		return nil // nums are distinct and ascending: the last says whether any is missing
 	}
+	g = g[:total]
+	if s.Shared == nil {
+		return stitch(id, g)
+	}
+	built := s.Shared.built
+	i, ok := slices.BinarySearchFunc(built, id, func(ix *Index, id uint16) int { return cmp.Compare(ix.ID, id) })
+	if !ok {
+		s.Shared.built = slices.Insert(built, i, stitch(id, g))
+		return s.Shared.built[i]
+	}
+	if ix := built[i]; stitches(ix, g) {
+		return ix
+	}
+	return stitch(id, g) // chunks that disagree with the network's: this set's own
+}
+
+// stitch builds generation id from its chunks g, in Num order.
+func stitch(id uint16, g []Chunk) *Index {
 	c, n := g[0], 0
-	for _, part := range g[:total] {
+	for _, part := range g {
 		n += len(part.Entries)
 	}
 	ix := &Index{ID: id, MinValue: c.MinValue, MaxValue: c.MaxValue, Local: c.Local}
 	if n > 0 {
 		ix.Entries = make([]Entry, 0, n)
 	}
-	for _, part := range g[:total] {
+	for _, part := range g {
 		ix.Entries = append(ix.Entries, part.Entries...)
 	}
 	return ix
+}
+
+// stitches reports whether stitching chunks g gives ix, entry for entry.
+func stitches(ix *Index, g []Chunk) bool {
+	c, rest := g[0], ix.Entries
+	if ix.MinValue != c.MinValue || ix.MaxValue != c.MaxValue || ix.Local != c.Local {
+		return false
+	}
+	for _, part := range g {
+		if len(part.Entries) > len(rest) || !slices.Equal(part.Entries, rest[:len(part.Entries)]) {
+			return false
+		}
+		rest = rest[len(part.Entries):]
+	}
+	return len(rest) == 0
 }
 
 // Before returns the held chunks of generations older than id in key
@@ -274,9 +334,6 @@ func (s *ChunkSet) DropBefore(id uint16) {
 	i, _ := s.find(id, 0)
 	s.chunks = slices.Delete(s.chunks, 0, i)
 }
-
-// Len reports the number of chunks held.
-func (s *ChunkSet) Len() int { return len(s.chunks) }
 
 // Clear drops every chunk, keeping the array for reuse.
 func (s *ChunkSet) Clear() {

@@ -238,8 +238,8 @@ func TestAssemblerIncomplete(t *testing.T) {
 			t.Fatal("completed without all chunks")
 		}
 	}
-	if set.Len() != len(chunks)-1 || len(set.Generation(3)) != len(chunks)-1 {
-		t.Fatalf("holds %d chunks, %d of generation 3; want %d", set.Len(), len(set.Generation(3)), len(chunks)-1)
+	if len(set.chunks) != len(chunks)-1 || len(set.Generation(3)) != len(chunks)-1 {
+		t.Fatalf("holds %d chunks, %d of generation 3; want %d", len(set.chunks), len(set.Generation(3)), len(chunks)-1)
 	}
 	if _, ok := set.Get(3, 0); !ok {
 		t.Fatal("Get lost a chunk")
@@ -263,9 +263,9 @@ func TestAssemblerDropsStaleGenerations(t *testing.T) {
 	if got == nil || got.ID != 6 {
 		t.Fatalf("generation 6 did not complete: %v", got)
 	}
-	if len(set.Before(6)) != 0 || len(set.Generation(5)) != 0 || set.Len() != len(cur.Chunks(2)) {
+	if len(set.Before(6)) != 0 || len(set.Generation(5)) != 0 || len(set.chunks) != len(cur.Chunks(2)) {
 		t.Fatalf("stale partial generation retained: %d chunks held, %d of generation 5",
-			set.Len(), len(set.Generation(5)))
+			len(set.chunks), len(set.Generation(5)))
 	}
 }
 
@@ -401,7 +401,11 @@ func (n *setNode) onChunk(c Chunk) (held, stale bool) {
 // disagree — and requires what the node acts on to agree after every
 // chunk: the held / stale answer, the index in use, and the chunks
 // held, in key order. (The two may differ in a generation completing
-// twice, which leaves the index in use as it was.)
+// twice, which leaves the index in use as it was.) Two more nodes share
+// one network's Generations: one hears the same stream, one hears it a
+// few chunks late. Each must use an index equal, entry for entry, to
+// what a node on a private chunk set assembles from its stream, and the
+// late one must adopt the first one's index rather than build its own.
 func TestChunkSetMatchesAssembler(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -420,7 +424,11 @@ func TestChunkSetMatchesAssembler(t *testing.T) {
 		}
 		ref := &refNode{held: map[uint32]Chunk{}, asm: refAssembler{partial: map[uint16]map[uint8]Chunk{}}}
 		got := &setNode{}
-		completions := 0
+		shared := &Generations{}
+		first, late, latePrivate := &setNode{set: ChunkSet{Shared: shared}}, &setNode{set: ChunkSet{Shared: shared}}, &setNode{}
+		firstUsed := map[*Index]bool{}
+		var stream []Chunk
+		completions, adopted := 0, 0
 		for step := 0; step < 400; step++ {
 			g := min(step/60+r.Intn(3)-1, len(gens)-1) // drift toward newer generations
 			g = max(g, 0)
@@ -442,13 +450,29 @@ func TestChunkSetMatchesAssembler(t *testing.T) {
 			if got.cur != prev {
 				completions++
 			}
+			first.onChunk(c)
+			if !reflect.DeepEqual(first.cur, got.cur) {
+				t.Fatalf("seed %d step %d: shared index in use %+v, private %+v", seed, step, first.cur, got.cur)
+			}
+			firstUsed[first.cur] = true
+			if stream = append(stream, c); len(stream) > 5 {
+				lc, prevLate := stream[len(stream)-6], late.cur
+				late.onChunk(lc)
+				latePrivate.onChunk(lc)
+				if !reflect.DeepEqual(late.cur, latePrivate.cur) {
+					t.Fatalf("seed %d step %d: late shared index %+v, private %+v", seed, step, late.cur, latePrivate.cur)
+				}
+				if late.cur != prevLate && firstUsed[late.cur] {
+					adopted++
+				}
+			}
 			keys := make([]uint32, 0, len(ref.held))
 			for k := range ref.held {
 				keys = append(keys, k)
 			}
 			slices.Sort(keys)
-			if len(keys) != got.set.Len() {
-				t.Fatalf("seed %d step %d: %d chunks held, reference %d", seed, step, got.set.Len(), len(keys))
+			if len(keys) != len(got.set.chunks) {
+				t.Fatalf("seed %d step %d: %d chunks held, reference %d", seed, step, len(got.set.chunks), len(keys))
 			}
 			for i, k := range keys {
 				if c := got.set.chunks[i]; chunkKey(c.IndexID, c.Num) != k || !reflect.DeepEqual(c, ref.held[k]) {
@@ -456,8 +480,50 @@ func TestChunkSetMatchesAssembler(t *testing.T) {
 				}
 			}
 		}
-		if completions < 2 {
-			t.Fatalf("seed %d: %d indexes adopted; the stream proves nothing", seed, completions)
+		if completions < 2 || adopted < 1 {
+			t.Fatalf("seed %d: %d indexes used, %d adopted from the network; the stream proves nothing", seed, completions, adopted)
 		}
+	}
+}
+
+// TestSharedGenerationAllocsZero: a warm node — its chunk array grown
+// by an earlier generation — that assembles a generation another node
+// of its network completed first adopts that node's *Index, and neither
+// holds chunks nor assembles at any allocation.
+func TestSharedGenerationAllocsZero(t *testing.T) {
+	owners := make([]netsim.NodeID, 60)
+	for i := range owners {
+		owners[i] = netsim.NodeID(i % 7)
+	}
+	gen1, gen2 := New(1, 0, owners).Chunks(MaxEntriesPerChunk), New(2, 0, owners[:50]).Chunks(MaxEntriesPerChunk)
+	gens := &Generations{}
+	a, b := ChunkSet{Shared: gens}, ChunkSet{Shared: gens}
+	var built *Index
+	for _, c := range gen2 {
+		a.Insert(c)
+		built = a.Complete(2, c.Total)
+	}
+	if built == nil {
+		t.Fatal("generation 2 never completed")
+	}
+	for _, c := range gen1 { // b's array grows here
+		b.Insert(c)
+	}
+	var got *Index
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.DropBefore(2)
+		for _, c := range gen2 {
+			b.Insert(c)
+			got = b.Complete(2, c.Total)
+		}
+		b.Clear()
+		for _, c := range gen1 {
+			b.Insert(c)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm node assembling a shared generation allocates %v objects, want 0", allocs)
+	}
+	if got != built {
+		t.Fatalf("the warm node assembled %p, want the network's %p", got, built)
 	}
 }

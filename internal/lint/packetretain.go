@@ -30,8 +30,10 @@ import (
 // and the basestation keeps every summary, so a write through one
 // reached from a tracked packet changes what every other holder sees.
 // Assigning or incrementing through it (m.Min = …, m.Hops++, including
-// through a pointer or slice taken from it), clearing or copying into
-// its slices, and calling a pointer method on it or on one of its
+// through a pointer, slice or array pointer taken from it), clearing or
+// copying into its slices, appending to one (a summary's Hist.Counts
+// and Neighbors slice arrays inside the message, so spare room is the
+// payload's), and calling a pointer method on it or on one of its
 // fields are findings; a pointer method of the same package is
 // followed instead, and only its writes count.
 //
@@ -245,7 +247,7 @@ func (r *retention) classify(e ast.Expr) borrow {
 		if (k == borrowPayload || k == borrowCopy) && isSlice(info.TypeOf(e)) {
 			return borrowSlice
 		}
-		if k == borrowShared && isRef(info.TypeOf(e)) {
+		if (k == borrowShared || r.intoShared(e)) && isRef(info.TypeOf(e)) { // m.Neighbors, m.Hist.Counts
 			return borrowShared
 		}
 	case *ast.UnaryExpr: // &m.Bitmap
@@ -259,6 +261,11 @@ func (r *retention) classify(e ast.Expr) borrow {
 	case *ast.SliceExpr: // m.Readings[i:j]
 		if k := r.classify(e.X); k == borrowSlice || k == borrowShared {
 			return k
+		}
+	case *ast.CallExpr: // (*[10]uint16)(m.Hist.Counts)
+		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 &&
+			r.classify(e.Args[0]) == borrowShared && isRef(info.TypeOf(e)) {
+			return borrowShared
 		}
 	}
 	return borrowNone
@@ -406,6 +413,9 @@ func (r *retention) check() {
 		case *ast.CallExpr:
 			switch builtinName(info, n) {
 			case "append":
+				if dst := n.Args[0]; r.classify(dst) == borrowShared { // into the payload's spare room
+					r.report(dst, borrowShared, "appending to "+types.ExprString(dst))
+				}
 				for i, arg := range n.Args[1:] {
 					k := r.classify(arg)
 					spread := n.Ellipsis.IsValid() && i == len(n.Args)-2

@@ -2,7 +2,9 @@
 // callback can write a shared payload — core's QueryMsg and SummaryMsg,
 // immutable once sent. A relay forwards the summary it heard and the
 // basestation keeps it, so a write here changes what every other
-// holder of the message sees.
+// holder of the message sees. A summary's histogram bins and neighbour
+// list are arrays inside the message, so a write through an array
+// pointer to them, or an append into spare room of an alias, is one.
 package sharedwrite
 
 import (
@@ -28,11 +30,15 @@ func (r *relay) Receive(p *netsim.Packet) {
 		m.Hist.Counts[0]--                                        // want `decrementing m\.Hist\.Counts\[0\] writes a shared payload`
 		m.Neighbors[1].Quality = 1                                // want `assigning to m\.Neighbors\[1\]\.Quality writes a shared payload`
 		*m = core.SummaryMsg{}                                    // want `assigning to \*m writes a shared payload`
-		m.Neighbors = append(m.Neighbors, routing.NeighborInfo{}) // want `assigning to m\.Neighbors writes a shared payload`
+		m.Neighbors = append(m.Neighbors, routing.NeighborInfo{}) // want `assigning to m\.Neighbors writes a shared payload` `appending to m\.Neighbors writes a shared payload`
 		copy(m.Neighbors, r.nb)                                   // want `calling copy on m\.Neighbors writes a shared payload`
 		nb := m.Neighbors                                         // an alias into the payload: tracked
 		nb[0].ID = 3                                              // want `assigning to nb\[0\]\.ID writes a shared payload`
 		clear(nb)                                                 // want `calling clear on nb writes a shared payload`
+		bins := (*[10]uint16)(m.Hist.Counts)                      // the summary's inline bin array: tracked
+		bins[9] = 0                                               // want `assigning to bins\[9\] writes a shared payload`
+		spare := m.Neighbors[:0]                                  // an alias of the inline neighbour array: tracked
+		r.nb = append(spare, r.nb...)                             // want `appending to spare writes a shared payload`
 		min := &m.Min                                             // a pointer into the payload: tracked
 		*min = 1                                                  // want `assigning to \*min writes a shared payload`
 		r.bump(m)                                                 // followed into bump, which writes

@@ -276,12 +276,14 @@ type Network struct {
 	heard []audibleList
 	spill [][]audible
 
-	// The network's free lists: its own tasks, and through Pool the
-	// recycled payloads its nodes send, one list per type.
+	// The network's free lists of its own tasks, the blocks its nodes'
+	// send rings grow in, and through Shared what the protocol layers'
+	// nodes share: one *T by type T.
 	deliveries FreeList[delivery]
 	timers     FreeList[timerTask]
 	steps      FreeList[stepTask]
-	pools      []any // *FreeList[T] by payload type T
+	rings      Blocks[sendJob]
+	shared     []any
 
 	inflight []*delivery  // scheduled, not yet run (in-air frames)
 	scratch  []interferer // collision-fold gather buffer
@@ -943,8 +945,9 @@ type NodeAPI struct {
 	jobGen   uint64 // invalidates in-flight attempt events on job change
 
 	// The send queue is a ring: qlen jobs, the one under transmission at
-	// queue[qhead]. It grows on demand up to Params.QueueCap and is kept
-	// across drains and reboots; a popped slot is zeroed.
+	// queue[qhead]. It grows on demand up to Params.QueueCap, in the
+	// network's blocks, and is kept across drains and reboots; a popped
+	// slot is zeroed.
 	queue       []sendJob
 	qhead, qlen int
 }
@@ -1006,10 +1009,12 @@ func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done interface{ SendDone(o
 		return
 	}
 	if a.qlen == len(a.queue) { // full ring: double it, head first
-		grown := make([]sendJob, min(max(4, 2*a.qlen), a.net.Params.QueueCap))
+		size := min(max(4, 2*a.qlen), a.net.Params.QueueCap)
+		grown := a.net.rings.Take(size)[:size]
 		for k := range a.queue {
 			grown[k] = *a.slot(k)
 		}
+		a.net.rings.Put(a.queue)
 		a.queue, a.qhead = grown, 0
 	}
 	rc, _ := p.Payload.(Recycled)

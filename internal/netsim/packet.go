@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"slices"
+	"unsafe"
 
 	"scoop/internal/metrics"
 )
@@ -150,14 +151,118 @@ func (l *FreeList[T]) Put(x *T) { l.items = append(l.items, x) }
 // use. Every node sending a T shares the list: a payload recycled after
 // its last delivery goes back to it, whichever node sent it. Callers
 // look it up once, at Init, and keep the pointer.
-func Pool[T any](a *NodeAPI) *FreeList[T] {
+func Pool[T any](a *NodeAPI) *FreeList[T] { return Shared[FreeList[T]](a) }
+
+// Shared returns a's network's one T, made zero on first use: what every
+// node of the network shares, such as a free list (Pool) or the Blocks
+// its arrays grow in. Callers look it up once and keep the pointer.
+func Shared[T any](a *NodeAPI) *T {
 	n := a.net
-	for _, p := range n.pools {
-		if l, ok := p.(*FreeList[T]); ok {
-			return l
+	for _, p := range n.shared {
+		if x, ok := p.(*T); ok {
+			return x
 		}
 	}
-	l := new(FreeList[T])
-	n.pools = append(n.pools, l)
-	return l
+	x := new(T)
+	n.shared = append(n.shared, x)
+	return x
+}
+
+// Blocks is a network's store of arrays of T. An array a node takes on
+// first use, or regrows (Grow), is carved from the newest block; a block
+// that runs out is followed by one as large as all before it together —
+// at least freeListBlock elements, at most blockBytes unless one array
+// needs more — so arrays of T cost a few allocations a network, however
+// many nodes hold one. An array its holder gives back (Put, as Grow does
+// with the one it outgrew) is handed out again by the next Take of its
+// capacity; nothing goes back to the runtime before the network does
+// (DESIGN.md §12). An array past soloBytes is made on its own instead.
+// The zero value is empty; a nil *Blocks makes each
+// array on its own and lets the collector have what is put back, for
+// state outside any network.
+type Blocks[T any] struct {
+	free  []T              // the newest block's uncarved tail
+	made  int              // elements allocated, in blocks
+	spare []spareArrays[T] // arrays put back, one list per capacity
+}
+
+// spareArrays is a Blocks' list of put-back arrays of capacity n.
+type spareArrays[T any] struct {
+	n      int
+	arrays [][]T
+}
+
+// blockBytes caps a block that doubling would make larger, so the tail a
+// network never carves stays small: the runtime zeroes, and so makes
+// resident, memory it reuses for a block.
+const blockBytes = 64 << 10
+
+// soloBytes is the size past which an array is made on its own, not
+// carved, and left to the collector when put back: a network holds few
+// such arrays, each regrown rarely, and what one outgrows would
+// otherwise stay with the network unused.
+const soloBytes = 1 << 10
+
+// size is the bytes of one T, at least 1.
+func (b *Blocks[T]) size() int {
+	var zero T
+	return max(1, int(unsafe.Sizeof(zero)))
+}
+
+// soloLen is the longest array of T b carves.
+func (b *Blocks[T]) soloLen() int { return soloBytes / b.size() }
+
+// Take returns an empty slice of capacity n: an array put back at that
+// capacity, or one carved from the newest block, first starting a block
+// when the tail is too short. Appending past n reallocates rather than
+// running into a neighbour's array.
+func (b *Blocks[T]) Take(n int) []T {
+	if b == nil || n > b.soloLen() {
+		return make([]T, 0, n)
+	}
+	for i := range b.spare {
+		if l := &b.spare[i]; l.n == n && len(l.arrays) > 0 {
+			k := len(l.arrays) - 1
+			s := l.arrays[k]
+			l.arrays[k] = nil
+			l.arrays = l.arrays[:k]
+			return s
+		}
+	}
+	if n > len(b.free) {
+		k := max(freeListBlock, min(b.made, blockBytes/b.size()), n)
+		b.made += k
+		b.free = make([]T, k)
+	}
+	s := b.free[:0:n]
+	b.free = b.free[n:]
+	return s
+}
+
+// Put gives s's array back for a later Take of its capacity, zeroing it
+// so it keeps nothing alive. The caller must not use the array again.
+func (b *Blocks[T]) Put(s []T) {
+	if b == nil || cap(s) == 0 || cap(s) > b.soloLen() {
+		return
+	}
+	clear(s[:cap(s)])
+	for i := range b.spare {
+		if l := &b.spare[i]; l.n == cap(s) {
+			l.arrays = append(l.arrays, s[:0])
+			return
+		}
+	}
+	b.spare = append(b.spare, spareArrays[T]{n: cap(s), arrays: [][]T{s[:0]}})
+}
+
+// Grow returns s with room for one more element: s itself when it has
+// it, else a copy of s in an array taken from b, of twice s's capacity,
+// or of capacity first when s has none, s's own array put back.
+func Grow[T any](b *Blocks[T], s []T, first int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	t := append(b.Take(max(2*cap(s), first)), s...)
+	b.Put(s)
+	return t
 }

@@ -125,3 +125,73 @@ func TestTimerRearmZeroAllocs(t *testing.T) {
 		t.Fatalf("%d fires while warming, %d while measured: the timers did not run", fires, after-fires)
 	}
 }
+
+// TestBlocksCarveAndReuse: Shared hands every node of a network one
+// value per type; Blocks carve arrays of exactly the capacity asked from
+// blocks that double up to blockBytes, an array put back is the next
+// one taken at its capacity, zeroed, Grow keeps the elements and puts
+// the outgrown array back, and an array past soloBytes is made on its
+// own and not kept when put back.
+func TestBlocksCarveAndReuse(t *testing.T) {
+	net := linklessNetwork(3, 1, false)
+	type arrays struct{ ints Blocks[int64] }
+	b := &Shared[arrays](&net.api[0]).ints
+	if &Shared[arrays](&net.api[2]).ints != b {
+		t.Fatal("two nodes of one network got different shared values of one type")
+	}
+
+	// 2 000 arrays of 8: blocks of 64, 64, 128, …, 4 096 elements, the
+	// last as large as all before it, then 8 192 (blockBytes): 16 000
+	// elements in 9 allocations.
+	held := make([][]int64, 2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range held {
+		held[i] = append(b.Take(8), int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if objs := after.Mallocs - before.Mallocs; b.made != 16384 || objs > 9 && !raceEnabled {
+		t.Fatalf("2 000 arrays of 8 took %d elements in %d allocations, want 16 384 in 9", b.made, objs)
+	}
+	for i, s := range held {
+		if cap(s) != 8 || s[0] != int64(i) {
+			t.Fatalf("array %d: capacity %d holding %v", i, cap(s), s)
+		}
+	}
+	if grown := append(held[0][:8], 1); &grown[0] == &held[0][0] || held[1][0] != 1 {
+		t.Fatal("appending past a carved array's capacity ran into its neighbour")
+	}
+
+	b.Put(held[5])
+	if s := b.Take(8); &s[:1][0] != &held[5][:1][0] || s[:1][0] != 0 {
+		t.Fatal("Take did not hand out the array put back at its capacity, zeroed")
+	}
+	if s := b.Take(8); &s[:1][0] == &held[5][:1][0] {
+		t.Fatal("an array put back once was handed out twice")
+	}
+	g := held[7][:8]
+	for i := range g {
+		g[i] = int64(i)
+	}
+	grown := Grow(b, g, 4)
+	if cap(grown) != 16 || len(grown) != 8 || grown[7] != 7 {
+		t.Fatalf("Grow of a full 8 gave capacity %d holding %v", cap(grown), grown)
+	}
+	if s := b.Take(8); &s[:1][0] != &g[0] {
+		t.Fatal("Grow did not put the outgrown array back")
+	}
+	if s := Grow(b, grown, 4); &s[0] != &grown[0] {
+		t.Fatal("Grow replaced an array that had room")
+	}
+
+	solo := b.Take(soloBytes/8 + 1)
+	b.Put(solo)
+	if s := b.Take(soloBytes/8 + 1); &s[:1][0] == &solo[:1][0] {
+		t.Fatal("an array past soloBytes was kept when put back")
+	}
+	var none *Blocks[int64]
+	if s := none.Take(3); cap(s) != 3 {
+		t.Fatalf("a nil Blocks made capacity %d, want 3", cap(s))
+	}
+	none.Put(make([]int64, 4))
+}

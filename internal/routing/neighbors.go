@@ -94,20 +94,6 @@ const _ = uint(1<<idBits - netsim.MaxNodes) // every node id fits a slot
 // would map onto the same slots).
 func homeSlot(id netsim.NodeID) int { return int(uint32(id) * 0x9E3779B1 >> 26) }
 
-// init builds an empty table in place (a Tree holds its table by
-// value), bounded to capacity entries, which must lie in
-// [1, MaxNeighborCap].
-func (t *NeighborTable) init(capacity int, evictAfter netsim.Time) {
-	if capacity <= 0 || capacity > MaxNeighborCap {
-		panic(fmt.Sprintf("routing: neighbor table capacity %d outside [1, %d]", capacity, MaxNeighborCap))
-	}
-	*t = NeighborTable{
-		evictAfter: evictAfter,
-		ids:        make([]netsim.NodeID, 0, capacity),
-		entries:    make([]neighborState, 0, capacity),
-	}
-}
-
 // find returns the index of id's entry, or -1.
 func (t *NeighborTable) find(id netsim.NodeID) int {
 	for h := homeSlot(id); ; h = (h + 1) % indexSlots {
@@ -305,18 +291,6 @@ type DescendantSet struct {
 	cap     int
 	origins []netsim.NodeID // origins[i] keys entries[i]
 	entries []descendant
-}
-
-// NewDescendantSet returns a set bounded to capacity entries.
-func NewDescendantSet(capacity int) *DescendantSet {
-	if capacity <= 0 {
-		panic("routing: non-positive descendant set capacity")
-	}
-	return &DescendantSet{
-		cap:     capacity,
-		origins: make([]netsim.NodeID, 0, capacity),
-		entries: make([]descendant, 0, capacity),
-	}
 }
 
 func (d *DescendantSet) find(origin netsim.NodeID) int { return slices.Index(d.origins, origin) }

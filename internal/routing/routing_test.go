@@ -166,7 +166,7 @@ func TestNeighborTableWindowing(t *testing.T) {
 }
 
 func TestDescendantSetRecordAndNextHop(t *testing.T) {
-	d := NewDescendantSet(8)
+	d := newDescendantSet(8)
 	d.Record(9, 3, 0)
 	d.Record(10, 3, 1)
 	d.Record(11, 4, 2)
@@ -190,7 +190,7 @@ func TestDescendantSetRecordAndNextHop(t *testing.T) {
 }
 
 func TestDescendantSetBounded(t *testing.T) {
-	d := NewDescendantSet(3)
+	d := newDescendantSet(3)
 	for i := 0; i < 10; i++ {
 		d.Record(netsim.NodeID(i), 1, netsim.Time(i))
 	}
@@ -210,7 +210,7 @@ func TestDescendantSetBounded(t *testing.T) {
 func TestDescendantSetCapacityProperty(t *testing.T) {
 	f := func(origins []uint8, capSeed uint8) bool {
 		capacity := int(capSeed%16) + 1
-		d := NewDescendantSet(capacity)
+		d := newDescendantSet(capacity)
 		for i, o := range origins {
 			d.Record(netsim.NodeID(o), 1, netsim.Time(i))
 			if d.Len() > capacity {
@@ -391,33 +391,6 @@ func TestBaseNeverPicksParent(t *testing.T) {
 	if apps[0].tree.ETX() != 0 {
 		t.Fatalf("base ETX = %f", apps[0].tree.ETX())
 	}
-}
-
-// A neighbor table accepts capacities in [1, MaxNeighborCap], the bound
-// its inline id index sets (the tree's neighborCap is held to it at
-// compile time).
-func TestNewNeighborTablePanics(t *testing.T) {
-	var nt NeighborTable
-	for _, capacity := range []int{0, MaxNeighborCap + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("a table of capacity %d did not panic", capacity)
-				}
-			}()
-			nt.init(capacity, 0)
-		}()
-	}
-	nt.init(MaxNeighborCap, 0)
-}
-
-func TestNewDescendantSetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDescendantSet(0)
 }
 
 // Cycle detection must only trust a parent's own beacon advertisement.

@@ -56,7 +56,11 @@ const (
 	minQuality = 0.25
 )
 
-const _ = uint(MaxNeighborCap - neighborCap) // the table fits its inline index
+const (
+	_ = uint(MaxNeighborCap - neighborCap) // the table fits its inline index
+	_ = uint(neighborCap - 1)              // both tables hold something
+	_ = uint(descendantCap - 1)
+)
 
 // Tree is the per-node routing-tree state machine. It is composed into
 // a node application by value, built in place by Init: the application

@@ -47,9 +47,18 @@ type Sender interface {
 }
 
 // minItems is the capacity an instance's item array and send list start
-// at, so the few keys an instance holds at once cost one allocation,
-// not one per doubling.
+// at, so the few keys an instance holds at once take one array, not one
+// per doubling.
 const minItems = 8
+
+// blocks is where a network's Trickles grow their item arrays and send
+// lists (netsim.Shared): an instance takes its arrays on first use and
+// looks the blocks up only then, so a network's Trickles cost
+// allocations by the items they hold in all, not one per node.
+type blocks struct {
+	items netsim.Blocks[item]
+	due   netsim.Blocks[due]
+}
 
 // item is one key and its timer state, held inline in Trickle.items.
 type item struct {
@@ -135,8 +144,8 @@ func (t *Trickle) find(key Key) (int, bool) {
 func (t *Trickle) Add(key Key) {
 	i, ok := t.find(key)
 	if !ok {
-		if t.items == nil {
-			t.items = make([]item, 0, minItems)
+		if len(t.items) == cap(t.items) {
+			t.items = netsim.Grow(&netsim.Shared[blocks](t.api).items, t.items, minItems)
 		}
 		t.items = slices.Insert(t.items, i, item{})
 	}
@@ -226,8 +235,8 @@ func (t *Trickle) OnTimer() {
 		if !it.fired && now >= it.fireAt {
 			it.fired = true
 			if fired = int(it.heard) < t.cfg.K; fired {
-				if sends == nil {
-					sends = make([]due, 0, minItems)
+				if len(sends) == cap(sends) {
+					sends = netsim.Grow(&netsim.Shared[blocks](t.api).due, sends, minItems)
 				}
 				sends = append(sends, due{key: it.key})
 			}
