@@ -176,7 +176,8 @@ func Shared[T any](a *NodeAPI) *T {
 // many nodes hold one. An array its holder gives back (Put, as Grow does
 // with the one it outgrew) is handed out again by the next Take of its
 // capacity; nothing goes back to the runtime before the network does
-// (DESIGN.md §12). An array past soloBytes is made on its own instead.
+// (DESIGN.md §12). An array of soloBytes or more is made on its own
+// instead.
 // The zero value is empty; a nil *Blocks makes each
 // array on its own and lets the collector have what is put back, for
 // state outside any network.
@@ -195,9 +196,9 @@ type spareArrays[T any] struct {
 // blockBytes caps a block that doubling would make larger, so the tail a
 // network never carves stays small: the runtime zeroes, and so makes
 // resident, memory it reuses for a block.
-const blockBytes = 64 << 10
+const blockBytes = 16 << 10
 
-// soloBytes is the size past which an array is made on its own, not
+// soloBytes is the size from which an array is made on its own, not
 // carved, and left to the collector when put back: a network holds few
 // such arrays, each regrown rarely, and what one outgrows would
 // otherwise stay with the network unused.
@@ -210,7 +211,7 @@ func (b *Blocks[T]) size() int {
 }
 
 // soloLen is the longest array of T b carves.
-func (b *Blocks[T]) soloLen() int { return soloBytes / b.size() }
+func (b *Blocks[T]) soloLen() int { return (soloBytes - 1) / b.size() }
 
 // Take returns an empty slice of capacity n: an array put back at that
 // capacity, or one carved from the newest block, first starting a block
