@@ -109,7 +109,7 @@ func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
 
 // aggEntry returns (allocating if needed) the combine buffer for qid.
 func (n *Node) aggEntry(qid uint16) *aggCombine {
-	n.aggPending = extend(&n.net.combines, n.aggPending, int(qid), queryTableMin)
+	n.aggPending = dense.Grow(n.aggPending, int(qid))
 	if n.aggPending[qid] == nil {
 		n.aggPending[qid] = &aggCombine{}
 	}
@@ -190,7 +190,7 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 	if !n.tree.HasRoute() {
 		return // retries exhausted; the partial is lost
 	}
-	n.aggSeq = extend(&n.net.seqs, n.aggSeq, int(qid), queryTableMin)
+	n.aggSeq = dense.Grow(n.aggSeq, int(qid))
 	seq := n.aggSeq[qid]
 	n.aggSeq[qid] = seq + 1
 	m := &AggReplyMsg{

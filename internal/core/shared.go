@@ -23,9 +23,7 @@ type shared struct {
 	readings netsim.Blocks[Reading]   // batches, regroup buffers, flash rings
 	batches  netsim.Blocks[[]Reading] // batchq values and spare batches
 	queries  netsim.Blocks[*QueryMsg] // query tables and pending answers
-	combines netsim.Blocks[*aggCombine]
-	seqs     netsim.Blocks[uint8]
-	values   netsim.Blocks[int] // summaries' copy of the recent readings
+	values   netsim.Blocks[int]       // summaries' copy of the recent readings
 	gens     index.Generations
 }
 
