@@ -110,7 +110,7 @@ var scratchFields = map[string]bool{"recentVals": true, "regroup": true, "spareB
 // networkShared names the types of what a node points to that its
 // network owns — free lists, blocks and the shared index generations —
 // which a reboot keeps and sameState skips.
-var networkShared = map[string]bool{"shared": true, "seenBlocks": true, "blocks": true, "Blocks": true, "Generations": true}
+var networkShared = map[string]bool{"shared": true, "Blocks": true, "Generations": true}
 
 // TestRestartClearsStateInPlace reboots a relay mid-run through
 // Network.Restart. Its tree, tables, Trickles, chunk set, buffers,
