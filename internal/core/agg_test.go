@@ -15,12 +15,11 @@ import (
 func aggGroundTruth(tn *testNet, vlo, vhi int, tlo, thi netsim.Time) query.Partial {
 	var p query.Partial
 	scan := func(buf *DataBuffer) {
-		buf.Scan(func(r Reading) bool {
+		for _, r := range whole(buf) {
 			if r.Time >= int64(tlo) && r.Time <= int64(thi) && r.Value >= vlo && r.Value <= vhi {
 				p.Add(r.Value)
 			}
-			return true
-		})
+		}
 	}
 	scan(tn.base.Store())
 	for _, n := range tn.nodes[1:] {
@@ -144,7 +143,7 @@ func TestAggPlannerSelectsSummaryWithinBudget(t *testing.T) {
 		TimeLo: 3 * netsim.Minute, TimeHi: now,
 		ErrBudget: 2.0,
 	}
-	queriesBefore := tn.ctr.Sent(metrics.Query)
+	queriesBefore := tn.ctr.Snapshot().Query
 	dec := tn.base.IssueAgg(q)
 	if dec.Plan != query.PlanSummary {
 		t.Fatalf("generous budget chose %v, want summary", dec.Plan)
@@ -163,8 +162,8 @@ func TestAggPlannerSelectsSummaryWithinBudget(t *testing.T) {
 		t.Fatalf("summary answer %v vs truth %v breaks bound %v", ans, want, dec.EstError)
 	}
 	tn.sim.Run(tn.sim.Now() + 10*netsim.Second)
-	if got := tn.ctr.Sent(metrics.Query); got != queriesBefore {
-		t.Fatalf("summary plan cost %d query packets", got-queriesBefore)
+	if got := tn.ctr.Snapshot().Query; got != queriesBefore {
+		t.Fatalf("summary plan cost %v query packets", got-queriesBefore)
 	}
 	if tn.stats.PlanSummaryChosen != 1 {
 		t.Fatalf("PlanSummaryChosen = %d", tn.stats.PlanSummaryChosen)

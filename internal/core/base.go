@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"scoop/internal/dense"
 	"scoop/internal/index"
@@ -126,7 +126,7 @@ func NewBase(cfg Config, stats *RunStats, startAt netsim.Time) *Base {
 }
 
 // CurrentIndex exposes the active storage index (nil before the first
-// build). Test/diagnostic accessor.
+// build), which the scoop facade reports.
 func (b *Base) CurrentIndex() *index.Index { return b.cur }
 
 // IndexHistory exposes all disseminated index generations with their
@@ -139,7 +139,8 @@ func (b *Base) IndexHistory() []*index.Index {
 	return out
 }
 
-// Store exposes the basestation's local data store for tests.
+// Store exposes the basestation's local data store, which the
+// experiment harness reads for an aggregate query's ground truth.
 func (b *Base) Store() *DataBuffer { return b.store }
 
 // Init implements netsim.App.
@@ -689,7 +690,6 @@ func (b *Base) rangeTargets(vlo, vhi int, tlo, thi netsim.Time) ([]netsim.NodeID
 		// node.
 		return b.allNodes(), false
 	}
-	seen := make(map[netsim.NodeID]bool)
 	var out []netsim.NodeID
 	for i, rec := range b.records {
 		end := netsim.Time(1 << 62)
@@ -709,15 +709,14 @@ func (b *Base) rangeTargets(vlo, vhi int, tlo, thi netsim.Time) ([]netsim.NodeID
 		if rec.ix.Local {
 			return b.allNodes(), false
 		}
-		for _, o := range rec.ix.Owners(vlo, vhi) {
-			if !seen[o] {
-				seen[o] = true
-				out = append(out, o)
+		for _, e := range rec.ix.Entries {
+			if e.Hi >= vlo && e.Lo <= vhi {
+				out = append(out, e.Owner)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
+	slices.Sort(out)
+	return slices.Compact(out), true
 }
 
 // QueryMax answers "maximum value in [t0,t1]" directly from stored

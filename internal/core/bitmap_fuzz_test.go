@@ -16,9 +16,6 @@ func checkBitmap(t *testing.T, b *Bitmap, m map[netsim.NodeID]bool) {
 		want = append(want, id)
 	}
 	slices.Sort(want)
-	if got := b.IDs(); !slices.Equal(got, want) {
-		t.Fatalf("IDs() = %v, want %v", got, want)
-	}
 	if b.Count() != len(want) || b.Empty() != (len(want) == 0) {
 		t.Fatalf("Count() = %d, Empty() = %v for %d marked nodes", b.Count(), b.Empty(), len(want))
 	}
@@ -39,7 +36,7 @@ func checkBitmap(t *testing.T, b *Bitmap, m map[netsim.NodeID]bool) {
 
 // FuzzBitmap drives two query bitmaps through a sequence of Set, Or and
 // AndNot operations — each three bytes: the operation and its operands,
-// then a node id — against a map model, checking Has, Count, IDs,
+// then a node id — against a map model, checking Has, Count,
 // Bytes, Intersects and Empty after every step.
 func FuzzBitmap(f *testing.F) {
 	f.Add([]byte{})

@@ -123,7 +123,7 @@ func TestIndexBuiltAndDisseminated(t *testing.T) {
 		t.Fatal("base never built an index")
 	}
 	for i := 1; i < 4; i++ {
-		ix := tn.nodes[i].CurrentIndex()
+		ix := tn.nodes[i].cur
 		if ix == nil {
 			t.Fatalf("node %d never assembled an index", i)
 		}
@@ -174,12 +174,11 @@ func TestDataRoutedToOwner(t *testing.T) {
 		}
 		// The owner's buffer holds readings from other producers.
 		foreign := 0
-		tn.nodes[owner].Store().Scan(func(r Reading) bool {
+		for _, r := range whole(tn.nodes[owner].Store()) {
 			if netsim.NodeID(r.Producer) != owner {
 				foreign++
 			}
-			return true
-		})
+		}
 		if foreign == 0 {
 			t.Fatal("owner holds no foreign readings")
 		}
@@ -246,7 +245,7 @@ func TestPreloadedLocalIndexFloodsQueries(t *testing.T) {
 	if tn.stats.StoredLocal != tn.stats.Produced {
 		t.Fatalf("local policy stored %d of %d locally", tn.stats.StoredLocal, tn.stats.Produced)
 	}
-	if tn.ctr.Sent(metrics.Data) != 0 {
+	if tn.ctr.Snapshot().Data != 0 {
 		t.Fatal("local policy sent data messages")
 	}
 	targets := tn.base.IssueQuery(workload.Query{
@@ -264,7 +263,7 @@ func TestPreloadedBaseIndexSendsAllToBase(t *testing.T) {
 	cfg.BatchSize = 1
 	tn := newTestNet(t, chainTopo(4, 0.95), cfg, nil, 9)
 	tn.sim.Run(8 * netsim.Minute)
-	if tn.base.Store().Len() == 0 {
+	if len(tn.base.store.buf) == 0 {
 		t.Fatal("base stored nothing")
 	}
 	if tn.stats.StoredLocal != 0 {
@@ -277,7 +276,7 @@ func TestPreloadedBaseIndexSendsAllToBase(t *testing.T) {
 	if n == 0 {
 		t.Fatal("base store answered no tuples")
 	}
-	if tn.ctr.Sent(metrics.Query) != 0 {
+	if tn.ctr.Snapshot().Query != 0 {
 		t.Fatal("BASE policy sent query messages")
 	}
 }
@@ -303,7 +302,7 @@ func TestAnswerFromStoreNodeFilter(t *testing.T) {
 func TestQueryMaxFromSummaries(t *testing.T) {
 	tn := newTestNet(t, meshTopo(5, 0.95), testConfig(), nil, 11)
 	tn.sim.Run(8 * netsim.Minute)
-	sent := tn.ctr.Sent(metrics.Query)
+	sent := tn.ctr.Snapshot().Query
 	max, ok := tn.base.QueryMax(0, tn.sim.Now())
 	if !ok {
 		t.Fatal("QueryMax found no summaries")
@@ -312,7 +311,7 @@ func TestQueryMaxFromSummaries(t *testing.T) {
 	if max < 1 || max > 4 {
 		t.Fatalf("max = %d, want within [1,4]", max)
 	}
-	if tn.ctr.Sent(metrics.Query) != sent {
+	if tn.ctr.Snapshot().Query != sent {
 		t.Fatal("QueryMax cost network traffic")
 	}
 	if tn.stats.SummaryAnswered != 1 {
@@ -332,13 +331,13 @@ func TestBatchingReducesDataMessages(t *testing.T) {
 	tn := newTestNet(t, meshTopo(4, 0.95), cfg, sample, 13)
 	tn.sim.Run(15 * netsim.Minute)
 	readingsRouted := tn.stats.StoredAtOwner
-	msgs := tn.ctr.Sent(metrics.Data)
+	msgs := tn.ctr.Snapshot().Data
 	if readingsRouted == 0 {
 		t.Fatal("nothing stored at owner")
 	}
 	// Mesh: one hop; ~1 message per 5 readings plus retries.
 	if float64(msgs) > 0.6*float64(readingsRouted) {
-		t.Fatalf("%d data msgs for %d routed readings; batching ineffective", msgs, readingsRouted)
+		t.Fatalf("%v data msgs for %d routed readings; batching ineffective", msgs, readingsRouted)
 	}
 }
 
@@ -349,9 +348,9 @@ func TestBatchingDisabled(t *testing.T) {
 	cfg.BatchSize = 1
 	tn := newTestNet(t, meshTopo(4, 0.95), cfg, sample, 13)
 	tn.sim.Run(15 * netsim.Minute)
-	msgs := tn.ctr.Sent(metrics.Data)
+	msgs := tn.ctr.Snapshot().Data
 	if float64(msgs) < 0.9*float64(tn.stats.StoredAtOwner) {
-		t.Fatalf("unbatched run sent only %d msgs for %d readings", msgs, tn.stats.StoredAtOwner)
+		t.Fatalf("unbatched run sent only %v msgs for %d readings", msgs, tn.stats.StoredAtOwner)
 	}
 }
 
@@ -375,12 +374,11 @@ func TestRule1RewritesInFlight(t *testing.T) {
 	}, 0)
 	tn.sim.Run(tn.sim.Now() + 30*netsim.Second)
 	found := false
-	tn.nodes[2].Store().Scan(func(r Reading) bool {
+	for _, r := range whole(tn.nodes[2].Store()) {
 		if r.Value == 9 && r.Producer == 3 {
 			found = true
 		}
-		return true
-	})
+	}
 	if !found {
 		t.Fatal("rule 1 did not redirect the reading to the newer owner")
 	}
@@ -445,10 +443,6 @@ func TestBitmap(t *testing.T) {
 	}
 	if b.Count() != 3 {
 		t.Fatalf("count = %d", b.Count())
-	}
-	ids := b.IDs()
-	if len(ids) != 3 || ids[0] != 0 || ids[1] != 7 || ids[2] != 127 {
-		t.Fatalf("ids = %v", ids)
 	}
 }
 
@@ -575,7 +569,7 @@ func TestIncompleteIndexKeepsOlderGeneration(t *testing.T) {
 	tn := newTestNet(t, meshTopo(4, 0.95), testConfig(), nil, 30)
 	tn.sim.Run(8 * netsim.Minute)
 	node := tn.nodes[2]
-	old := node.CurrentIndex()
+	old := node.cur
 	if old == nil {
 		t.Fatal("no index adopted")
 	}
@@ -591,14 +585,14 @@ func TestIncompleteIndexKeepsOlderGeneration(t *testing.T) {
 		t.Fatalf("test index too small to chunk (%d)", len(chunks))
 	}
 	node.onChunk(chunks[0])
-	if node.CurrentIndex().ID != old.ID {
+	if node.cur.ID != old.ID {
 		t.Fatal("node adopted an incomplete index")
 	}
 	// Delivering the rest completes the switch.
 	for _, c := range chunks[1:] {
 		node.onChunk(c)
 	}
-	if node.CurrentIndex().ID != newer.ID {
+	if node.cur.ID != newer.ID {
 		t.Fatal("node did not adopt the completed index")
 	}
 }

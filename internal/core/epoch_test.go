@@ -90,15 +90,15 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	tn.net.Restart(3)
 	// A reboot loses RAM: the node must come back index-less and
 	// re-learn the current generation from Trickle redissemination.
-	if tn.nodes[3].CurrentIndex() != nil {
+	if tn.nodes[3].cur != nil {
 		t.Fatal("restarted node kept its pre-crash index")
 	}
 	tn.sim.Run(tn.sim.Now() + 5*netsim.Minute)
 
-	if tn.nodes[3].CurrentIndex() == nil {
+	if tn.nodes[3].cur == nil {
 		t.Fatal("restarted node never re-assembled an index")
 	}
-	if !tn.nodes[3].Tree().HasRoute() {
+	if !tn.nodes[3].tree.HasRoute() {
 		t.Fatal("restarted node never re-formed a route")
 	}
 	if tn.stats.Produced <= produced {

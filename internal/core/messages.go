@@ -291,16 +291,3 @@ func (b *Bitmap) AndNot(other *Bitmap) Bitmap {
 	}
 	return out
 }
-
-// IDs returns all marked nodes in ascending order.
-func (b *Bitmap) IDs() []netsim.NodeID {
-	out := make([]netsim.NodeID, 0, b.Count())
-	for wi, w := range b.w {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			out = append(out, netsim.NodeID(wi*64+bit))
-			w &= w - 1
-		}
-	}
-	return out
-}

@@ -130,11 +130,8 @@ func NewNodes(n int, cfg Config, stats *RunStats, sample Sampler, startAt netsim
 	return nodes
 }
 
-// CurrentIndex exposes the node's active storage index (nil before the
-// first complete one arrives). Test/diagnostic accessor.
-func (n *Node) CurrentIndex() *index.Index { return n.cur }
-
-// Store exposes the node's data buffer for tests.
+// Store exposes the node's data buffer, which the experiment harness
+// reads for an aggregate query's ground truth.
 func (n *Node) Store() *DataBuffer { return &n.store }
 
 // PendingBatchReadings returns the readings currently held in this
@@ -147,9 +144,6 @@ func (n *Node) PendingBatchReadings() []Reading {
 	}
 	return out
 }
-
-// Tree exposes the node's routing state for tests.
-func (n *Node) Tree() *routing.Tree { return &n.tree }
 
 // Init implements netsim.App.
 //

@@ -12,7 +12,7 @@ import (
 // sinkApp counts what it receives by class and keeps nothing but the
 // last summary it heard (a shared payload) and that frame's hop count.
 type sinkApp struct {
-	got         [metrics.NumClasses]int
+	got         [metrics.Beacon + 1]int // by class; Beacon is the last
 	summary     *SummaryMsg
 	summaryHops uint8
 }

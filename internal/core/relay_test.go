@@ -98,8 +98,8 @@ func TestShouldRelayMatchesBitmapWalk(t *testing.T) {
 				}
 				got, want := node.shouldRelay(&bm), shouldRelayWalk(node, &bm)
 				if got != want {
-					t.Fatalf("N=%d me=%d neighbors=%v descendants=%v targets=%v: shouldRelay = %v, bitmap walk says %v",
-						size, me, node.tree.Neighbors.IDs(), node.tree.Descendants.IDs(), bm.IDs(), got, want)
+					t.Fatalf("N=%d me=%d, %d targets: shouldRelay = %v, bitmap walk says %v",
+						size, me, bm.Count(), got, want)
 				}
 				if want {
 					relayed[1]++

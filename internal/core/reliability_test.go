@@ -36,11 +36,11 @@ func TestBitmapSetOps(t *testing.T) {
 	}
 	diff := a.AndNot(&b)
 	if diff.Count() != 1 || !diff.Has(3) || diff.Has(70) {
-		t.Fatalf("AndNot = %v, want {3}", diff.IDs())
+		t.Fatalf("AndNot: %d nodes, want {3}", diff.Count())
 	}
 	a.Or(&b)
 	if a.Count() != 3 || !a.Has(200) {
-		t.Fatalf("Or = %v, want {3,70,200}", a.IDs())
+		t.Fatalf("Or: %d nodes, want {3,70,200}", a.Count())
 	}
 	var c Bitmap
 	d := c.AndNot(&a)

@@ -133,9 +133,9 @@ func TestRestartClearsStateInPlace(t *testing.T) {
 	tn.sim.Run(8*netsim.Minute + 42*netsim.Second)
 	node := tn.nodes[2] // relays summaries, data and replies for 3 and 4
 	switch {
-	case !node.tree.HasRoute(), node.tree.Neighbors.Len() == 0, node.tree.Descendants.Len() == 0,
+	case !node.tree.HasRoute(), node.tree.Neighbors.Len() == 0, len(node.tree.Descendants.Tracked()) == 0,
 		node.cur == nil, len(node.chunks.Generation(node.cur.ID)) == 0, len(gossipKeys(&node.qGos)) == 0,
-		len(node.queries) == 0, node.store.Len() == 0, node.recent.Len() == 0,
+		len(node.queries) == 0, len(node.store.buf) == 0, node.recent.Len() == 0,
 		len(node.seenSummaries.rows.ids) == 0, len(node.seenReplies.rows.ids) == 0, len(node.seenSummaries.spill) == 0:
 		t.Fatal("the node holds too little state before the reboot for the comparison to mean anything")
 	}

@@ -265,7 +265,7 @@ func TestDataDedup(t *testing.T) {
 			deliver(f, 1, 1, Reading{Producer: 3, Value: 7, Time: int64(k)})
 		}
 		deliver(f, 7, 1, r)
-		if n, at := f.node.store.Len(), f.node.stats.StoredAtOwner; n != dataSeenCap+1 || at != dataSeenCap+1 {
+		if n, at := len(f.node.store.buf), f.node.stats.StoredAtOwner; n != dataSeenCap+1 || at != dataSeenCap+1 {
 			t.Fatalf("the owner holds %d readings and counts %d stores, want %d", n, at, dataSeenCap+1)
 		}
 		relayed(t, f, 0)
@@ -277,7 +277,7 @@ func TestDataDedup(t *testing.T) {
 			tn.base.onData(&DataMsg{Readings: []Reading{{Producer: 3, Value: 7, Time: int64(k)}}, Owner: 0})
 		}
 		tn.base.onData(&DataMsg{Readings: []Reading{r}, Owner: 0})
-		if n := tn.base.store.Len(); n != 4*dataSeenCap+1 {
+		if n := len(tn.base.store.buf); n != 4*dataSeenCap+1 {
 			t.Fatalf("the base holds %d readings, want %d", n, 4*dataSeenCap+1)
 		}
 	})

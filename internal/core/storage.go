@@ -1,6 +1,6 @@
 // A sensor node's Flash storage as the Scoop paper uses it: a
 // fixed-capacity circular buffer of stored readings (the "data
-// buffer", scanned linearly at query time) and a small round-robin
+// buffer", scanned linearly at query time by Select) and a small round-robin
 // buffer of the node's own most recent readings (the "recent-readings
 // buffer", size 30 in the paper) from which summary histograms are
 // built.
@@ -78,26 +78,6 @@ func (b *DataBuffer) Clear() {
 	b.buf, b.next = b.buf[:0], 0
 }
 
-// Len reports the number of readings currently stored.
-func (b *DataBuffer) Len() int { return len(b.buf) }
-
-// Scan linearly visits all stored readings oldest-first, calling fn for
-// each; fn returning false stops the scan. This mirrors the paper's
-// linear Flash scan at query time.
-func (b *DataBuffer) Scan(fn func(Reading) bool) {
-	// next is 0 until the buffer is full, so both runs are oldest-first.
-	for _, r := range b.buf[b.next:] {
-		if !fn(r) {
-			return
-		}
-	}
-	for _, r := range b.buf[:b.next] {
-		if !fn(r) {
-			return
-		}
-	}
-}
-
 // Select calls fn, oldest-first, for every stored reading with Time in
 // [tmin,tmax] and Value in [vmin,vmax] (inclusive bounds): the one
 // window test behind every query-time scan. An inverted value range
@@ -123,14 +103,6 @@ type RecentBuffer struct {
 	count int
 }
 
-// NewRecentBuffer returns a recent-readings buffer of the given size.
-func NewRecentBuffer(size int) *RecentBuffer {
-	if size <= 0 {
-		panic("core: non-positive recent-buffer size")
-	}
-	return &RecentBuffer{buf: make([]int, size)}
-}
-
 // Add records one reading, evicting the oldest when full.
 func (b *RecentBuffer) Add(v int) {
 	b.buf[b.next] = v
@@ -140,7 +112,7 @@ func (b *RecentBuffer) Add(v int) {
 	}
 }
 
-// Clear empties the buffer in place, as NewRecentBuffer returns it.
+// Clear empties the buffer in place, keeping its size.
 func (b *RecentBuffer) Clear() {
 	clear(b.buf)
 	b.next, b.count = 0, 0

@@ -1,22 +1,39 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// whole lists every stored reading oldest-first: Select with an
+// inverted value range and an unbounded window is the whole log.
+func whole(s selecter) []Reading { return collect(s, 1, 0, math.MinInt64, math.MaxInt64) }
+
+// values lists the stored values oldest-first.
+func values(b *DataBuffer) []int {
+	var out []int
+	for _, r := range whole(b) {
+		out = append(out, r.Value)
+	}
+	return out
+}
+
+// newRecentBuffer returns an empty recent-readings buffer of n slots,
+// as a node's slab carves one.
+func newRecentBuffer(n int) *RecentBuffer { return &RecentBuffer{buf: make([]int, n)} }
+
 func TestDataBufferStoreAndScan(t *testing.T) {
 	b := NewDataBuffer(4)
 	for i := 0; i < 3; i++ {
 		b.Store(Reading{Producer: 1, Value: i, Time: int64(i)})
 	}
-	if b.Len() != 3 || b.cap != 4 {
-		t.Fatalf("len=%d cap=%d", b.Len(), b.cap)
+	if len(b.buf) != 3 || b.cap != 4 {
+		t.Fatalf("len=%d cap=%d", len(b.buf), b.cap)
 	}
-	var got []int
-	b.Scan(func(r Reading) bool { got = append(got, r.Value); return true })
+	got := values(b)
 	want := []int{0, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -30,11 +47,10 @@ func TestDataBufferWrapAround(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Store(Reading{Value: i, Time: int64(i)})
 	}
-	if b.Len() != 3 {
-		t.Fatalf("len = %d after wrap, want 3", b.Len())
+	if len(b.buf) != 3 {
+		t.Fatalf("len = %d after wrap, want 3", len(b.buf))
 	}
-	var got []int
-	b.Scan(func(r Reading) bool { got = append(got, r.Value); return true })
+	got := values(b)
 	want := []int{2, 3, 4}
 	for i := range want {
 		if got[i] != want[i] {
@@ -43,22 +59,13 @@ func TestDataBufferWrapAround(t *testing.T) {
 	}
 }
 
-func TestDataBufferScanEarlyStop(t *testing.T) {
-	b := NewDataBuffer(10)
-	for i := 0; i < 10; i++ {
-		b.Store(Reading{Value: i})
-	}
-	n := 0
-	b.Scan(func(r Reading) bool { n++; return n < 4 })
-	if n != 4 {
-		t.Fatalf("visited %d, want 4", n)
-	}
+// selecter is what DataBuffer and its reference ring share.
+type selecter interface {
+	Select(vmin, vmax int, tmin, tmax int64, fn func(Reading))
 }
 
 // collect gathers what Select hands its callback.
-func collect(s interface {
-	Select(vmin, vmax int, tmin, tmax int64, fn func(Reading))
-}, vmin, vmax int, tmin, tmax int64) []Reading {
+func collect(s selecter, vmin, vmax int, tmin, tmax int64) []Reading {
 	var out []Reading
 	s.Select(vmin, vmax, tmin, tmax, func(r Reading) { out = append(out, r) })
 	return out
@@ -112,7 +119,7 @@ func TestNewDataBufferPanics(t *testing.T) {
 	NewDataBuffer(0)
 }
 
-// Property: after any sequence of stores, Scan yields exactly the last
+// Property: after any sequence of stores, the log holds exactly the last
 // min(n, cap) values in insertion order.
 func TestDataBufferWindowProperty(t *testing.T) {
 	f := func(vals []int16, capSeed uint8) bool {
@@ -121,8 +128,7 @@ func TestDataBufferWindowProperty(t *testing.T) {
 		for i, v := range vals {
 			b.Store(Reading{Value: int(v), Time: int64(i)})
 		}
-		var got []int
-		b.Scan(func(r Reading) bool { got = append(got, r.Value); return true })
+		got := values(b)
 		start := 0
 		if len(vals) > capacity {
 			start = len(vals) - capacity
@@ -144,7 +150,7 @@ func TestDataBufferWindowProperty(t *testing.T) {
 }
 
 func TestRecentBufferRoundRobin(t *testing.T) {
-	b := NewRecentBuffer(3)
+	b := newRecentBuffer(3)
 	for i := 1; i <= 5; i++ {
 		b.Add(i * 10)
 	}
@@ -161,7 +167,7 @@ func TestRecentBufferRoundRobin(t *testing.T) {
 }
 
 func TestRecentBufferMinMaxSum(t *testing.T) {
-	b := NewRecentBuffer(10)
+	b := newRecentBuffer(10)
 	if _, _, _, ok := b.MinMaxSum(); ok {
 		t.Fatal("MinMaxSum on empty buffer reported ok")
 	}
@@ -175,7 +181,7 @@ func TestRecentBufferMinMaxSum(t *testing.T) {
 }
 
 func TestRecentBufferPartialFill(t *testing.T) {
-	b := NewRecentBuffer(30)
+	b := newRecentBuffer(30)
 	b.Add(7)
 	if b.Len() != 1 {
 		t.Fatalf("len = %d", b.Len())
@@ -185,21 +191,12 @@ func TestRecentBufferPartialFill(t *testing.T) {
 	}
 }
 
-func TestNewRecentBufferPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRecentBuffer(-1)
-}
-
 // Property: AppendValues is the last readings added, oldest-first, and
 // MinMaxSum agrees with a direct computation over them.
 func TestRecentBufferMinMaxSumProperty(t *testing.T) {
 	f := func(vals []int16, size uint8) bool {
 		n := int(size%30) + 1
-		b := NewRecentBuffer(n)
+		b := newRecentBuffer(n)
 		for _, v := range vals {
 			b.Add(int(v))
 		}
@@ -279,19 +276,11 @@ func (b *refRing) Select(vmin, vmax int, tmin, tmax int64, fn func(Reading)) {
 }
 
 // TestDataBufferMatchesReferenceRing drives the grow-on-demand buffer
-// and the eager ring with the same random Store / Scan / early-stopped
-// Scan / Select stream and requires the same answer from every call,
+// and the eager ring with the same random Store / whole-log Select /
+// windowed Select stream and requires the same answer from every call,
 // through the fill → wrap boundary and several laps past it. Capacities
 // 1 and 2 and a stream that ends exactly at fill are the edge cases.
 func TestDataBufferMatchesReferenceRing(t *testing.T) {
-	scan := func(s interface{ Scan(func(Reading) bool) }, limit int) []Reading {
-		var out []Reading
-		s.Scan(func(r Reading) bool {
-			out = append(out, r)
-			return limit < 0 || len(out) < limit
-		})
-		return out
-	}
 	for seed := int64(0); seed < 48; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := []int{1, 2, 3, 8, 9, 37, 64, 200}[seed%8]
@@ -302,16 +291,12 @@ func TestDataBufferMatchesReferenceRing(t *testing.T) {
 		b, ref := NewDataBuffer(capacity), newRefRing(capacity)
 		check := func(step int) {
 			t.Helper()
-			if b.Len() != ref.count || b.cap != len(ref.buf) {
+			if len(b.buf) != ref.count || b.cap != len(ref.buf) {
 				t.Fatalf("seed %d step %d: len/cap %d/%d, reference %d/%d", seed, step,
-					b.Len(), b.cap, ref.count, len(ref.buf))
+					len(b.buf), b.cap, ref.count, len(ref.buf))
 			}
-			if got, want := scan(b, -1), scan(ref, -1); !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: Scan %v, reference %v", seed, step, got, want)
-			}
-			limit := 1 + rng.Intn(capacity)
-			if got, want := scan(b, limit), scan(ref, limit); !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: Scan stopped at %d %v, reference %v", seed, step, limit, got, want)
+			if got, want := whole(b), whole(ref); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: whole log %v, reference %v", seed, step, got, want)
 			}
 			vlo, tlo := rng.Intn(50), int64(rng.Intn(stores+1))
 			vhi, thi := vlo+rng.Intn(50), tlo+int64(rng.Intn(stores+1))
@@ -350,7 +335,7 @@ func TestDataBufferStoreAtCapacityAllocsZero(t *testing.T) {
 // histogram — and neither read allocates once the caller's buffer has
 // the ring's size.
 func TestRecentBufferReadsAllocsZero(t *testing.T) {
-	b := NewRecentBuffer(30)
+	b := newRecentBuffer(30)
 	for v := 0; v < 45; v++ {
 		b.Add(v)
 	}

@@ -31,6 +31,9 @@ func TestTargetsAcrossGenerations(t *testing.T) {
 	gen1 := index.New(1, 0, ownersSplit(1, 3)) // 0-10 → 1, 11-20 → 3
 	gen2 := index.New(2, 0, ownersSplit(2, 4)) // 0-10 → 2, 11-20 → 4
 	local := index.NewLocal(3)
+	// Values 0..5 → 3 3 2 2 1 3: owner 3 recurs in two entries that are
+	// not adjacent.
+	recur := index.New(4, 0, []netsim.NodeID{3, 3, 2, 2, 1, 3})
 
 	cases := []struct {
 		name    string
@@ -96,6 +99,20 @@ func TestTargetsAcrossGenerations(t *testing.T) {
 			},
 			q:       workload.Query{ValueLo: 0, ValueHi: 10, TimeLo: 110 * sec, TimeHi: 150 * sec},
 			want:    []netsim.NodeID{1},
+			covered: true,
+		},
+		{
+			name:    "an owner recurring non-contiguously is listed once",
+			records: []indexRecord{{ix: recur, at: 100 * sec}},
+			q:       workload.Query{ValueLo: 1, ValueHi: 5, TimeLo: 110 * sec, TimeHi: 150 * sec},
+			want:    []netsim.NodeID{1, 2, 3},
+			covered: true,
+		},
+		{
+			name:    "a range outside the domain has no owner",
+			records: []indexRecord{{ix: recur, at: 100 * sec}},
+			q:       workload.Query{ValueLo: 100, ValueHi: 200, TimeLo: 110 * sec, TimeHi: 150 * sec},
+			want:    []netsim.NodeID{},
 			covered: true,
 		},
 		{

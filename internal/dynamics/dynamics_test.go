@@ -8,13 +8,24 @@ import (
 	"scoop/internal/netsim"
 )
 
-// bootApp counts Init calls so restarts are observable.
-type bootApp struct{ inits int }
+// bootApp counts Init calls, so restarts are observable, and the ticks
+// of a 100 ms timer, which stop while the node is dead.
+type bootApp struct {
+	api          *netsim.NodeAPI
+	inits, ticks int
+}
 
-func (a *bootApp) Init(*netsim.NodeAPI)   { a.inits++ }
+func (a *bootApp) Init(api *netsim.NodeAPI) {
+	a.api = api
+	a.inits++
+	api.SetTimer(0, 100*netsim.Millisecond)
+}
 func (a *bootApp) Receive(*netsim.Packet) {}
 func (a *bootApp) Snoop(*netsim.Packet)   {}
-func (a *bootApp) Timer(int)              {}
+func (a *bootApp) Timer(int) {
+	a.ticks++
+	a.api.SetTimer(0, 100*netsim.Millisecond)
+}
 
 // shifter records the sequence of shift values it was set to.
 type shifter struct{ got []float64 }
@@ -50,15 +61,15 @@ func TestAttachAppliesEventsInOrder(t *testing.T) {
 		Observer: func(e Event) { marks = append(marks, e.Kind.String()) }})
 
 	sim.Run(1500 * netsim.Millisecond)
-	if !net.Dead(2) {
-		t.Fatal("node 2 should be dead after the down event")
+	down := apps[2].ticks
+	sim.Run(2900 * netsim.Millisecond)
+	if apps[2].ticks != down {
+		t.Fatalf("node 2 ticked %d times after the down event", apps[2].ticks-down)
 	}
 	sim.Run(4 * netsim.Second)
-	if net.Dead(2) {
-		t.Fatal("node 2 should be restarted")
-	}
-	if apps[2].inits != 2 {
-		t.Fatalf("node 2 inits = %d, want 2 (start + restart)", apps[2].inits)
+	if apps[2].inits != 2 || apps[2].ticks == down {
+		t.Fatalf("node 2 inits = %d, %d ticks since down; want 2 (start + restart) and ticking again",
+			apps[2].inits, apps[2].ticks-down)
 	}
 	if !reflect.DeepEqual(data.got, []float64{0.25}) {
 		t.Fatalf("data shifts = %v", data.got)

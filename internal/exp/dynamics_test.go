@@ -32,6 +32,35 @@ func driftConfig(disableReindex bool) Config {
 	return cfg
 }
 
+// meanOver averages f over the windows of tl fully inside [from,to),
+// 0 when none is.
+func meanOver(tl metrics.Timeline, from, to int64, f func(metrics.TransitionWindow) float64) float64 {
+	sum, n := 0.0, 0
+	for _, w := range tl.Windows {
+		if w.Start >= from && w.End <= to {
+			sum += f(w)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// tailMean averages f over the last k windows of tl.
+func tailMean(tl metrics.Timeline, k int, f func(metrics.TransitionWindow) float64) float64 {
+	ws := tl.Windows[max(len(tl.Windows)-k, 0):]
+	if len(ws) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, w := range ws {
+		sum += f(w)
+	}
+	return sum / float64(len(ws))
+}
+
 // The acceptance experiment for the dynamics subsystem: with drift
 // enabled and ReindexInterval set, Scoop's post-drift data cost
 // measurably recovers toward its pre-drift level; with reindexing
@@ -51,9 +80,9 @@ func TestDriftRecoveryWithReindex(t *testing.T) {
 	cost := metrics.TransitionWindow.CostPerReading
 	// Steady pre-drift baseline: windows after the first index is up
 	// (≈ minute 9) and before the drift at minute 15.
-	pre := adaptive.MeanOver(int64(9*netsim.Minute), int64(15*netsim.Minute), cost)
-	adaptiveTail := adaptive.TailMean(3, cost)
-	frozenTail := frozen.TailMean(3, cost)
+	pre := meanOver(adaptive, int64(9*netsim.Minute), int64(15*netsim.Minute), cost)
+	adaptiveTail := tailMean(adaptive, 3, cost)
+	frozenTail := tailMean(frozen, 3, cost)
 	t.Logf("cost/reading: pre=%.3f adaptiveTail=%.3f frozenTail=%.3f", pre, adaptiveTail, frozenTail)
 
 	// Reindexing pulls the tail back near the pre-drift level…
@@ -71,10 +100,10 @@ func TestDriftRecoveryWithReindex(t *testing.T) {
 	// Misroutes: the adaptive run re-learns ownership, the frozen run
 	// keeps washing readings up at the base.
 	mis := metrics.TransitionWindow.MisrouteRatio
-	if a := adaptive.TailMean(3, mis); a > 0.1 {
+	if a := tailMean(adaptive, 3, mis); a > 0.1 {
 		t.Errorf("adaptive tail misroute ratio %.3f, want ~0", a)
 	}
-	if f := frozen.TailMean(3, mis); f < 0.25 {
+	if f := tailMean(frozen, 3, mis); f < 0.25 {
 		t.Errorf("frozen tail misroute ratio %.3f, want elevated", f)
 	}
 

@@ -58,8 +58,11 @@ func TestProfileDoesNotChangeOutcome(t *testing.T) {
 	if snap.Events == 0 || snap.LoopNs <= 0 {
 		t.Fatalf("empty snapshot: events=%d loop=%dns", snap.Events, snap.LoopNs)
 	}
-	if cov := snap.Coverage(); cov < prof.MinCoverage {
-		t.Fatalf("coverage %.3f below %.2f", cov, prof.MinCoverage)
+	// The attribution model yields ~1.0 structurally; anything below
+	// this floor means an instrumentation hole.
+	const minCoverage = 0.95
+	if cov := snap.Coverage(); cov < minCoverage {
+		t.Fatalf("coverage %.3f below %.2f", cov, minCoverage)
 	}
 	// A real SCOOP run exercises radio delivery, MAC steps, node and
 	// base receive paths.

@@ -418,12 +418,8 @@ func (t *Trial) Finish() (TrialResult, error) {
 	tr.ReplyBytes = t.ctr.SentBytesClass(metrics.Reply)
 	tr.AggReplyBytes = t.ctr.SentBytesClass(metrics.AggReply)
 	tr.Energy = metrics.DefaultEnergyModel().Energy(t.ctr, t.cfg.N, float64(t.cfg.Duration)/1000)
-	for _, c := range metrics.Classes() {
-		if c != metrics.Beacon {
-			tr.RootSent += t.ctr.SentBy(0, c)
-			tr.RootRecv += t.ctr.ReceivedBy(0, c)
-		}
-	}
+	tr.RootSent = t.ctr.RootSent()
+	tr.RootRecv = t.ctr.RootReceived()
 	return *tr, nil
 }
 

@@ -12,9 +12,6 @@
 // using integer arithmetic exactly as a mote would.
 package histogram
 
-// DefaultBins is the paper's histogram resolution (nBins = 10).
-const DefaultBins = 10
-
 // Histogram is a coarse fixed-width histogram over one node's recent
 // readings. It is the payload of a summary message.
 type Histogram struct {
@@ -122,14 +119,4 @@ func (h Histogram) Prob(v int) float64 {
 	pBin := float64(h.Counts[bin]) / float64(total)
 	pInBin := 1.0 / float64(w)
 	return pInBin * pBin
-}
-
-// Clone returns a deep copy (summaries are retained by the basestation
-// after the node reuses its buffers).
-func (h Histogram) Clone() Histogram {
-	c := h
-	if h.Counts != nil {
-		c.Counts = append([]uint16(nil), h.Counts...)
-	}
-	return c
 }

@@ -52,9 +52,6 @@ func (h *Log2) Merge(o Log2) {
 // Total returns the number of recorded samples.
 func (h *Log2) Total() int64 { return h.total }
 
-// Max returns the largest recorded sample (0 when empty).
-func (h *Log2) Max() int64 { return h.max }
-
 // Log2Bound returns the inclusive upper bound of bucket k: 0 for
 // bucket 0, 2^k − 1 otherwise.
 func Log2Bound(k int) int64 {

@@ -13,8 +13,8 @@ func TestLog2Record(t *testing.T) {
 	if h.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", h.Total())
 	}
-	if h.Max() != 1024 {
-		t.Fatalf("Max = %d, want 1024", h.Max())
+	if h.max != 1024 {
+		t.Fatalf("max = %d, want 1024", h.max)
 	}
 	bs := h.Buckets()
 	// 0 and -5 → [0,0]; 1 → [1,1]; 2,3 → [2,3]; 4,7 → [4,7];

@@ -77,24 +77,6 @@ func (ix *Index) Owner(v int) (netsim.NodeID, bool) {
 	return 0, false
 }
 
-// Owners returns the distinct owners of values in [lo,hi], the node
-// set a query for that range must contact.
-func (ix *Index) Owners(lo, hi int) []netsim.NodeID {
-	seen := make(map[netsim.NodeID]bool)
-	var out []netsim.NodeID
-	for _, e := range ix.Entries {
-		if e.Hi < lo || e.Lo > hi {
-			continue
-		}
-		if !seen[e.Owner] {
-			seen[e.Owner] = true
-			out = append(out, e.Owner)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Similarity returns the fraction of the value domain mapped to the
 // same owner by both indices. The basestation suppresses dissemination
 // of a new index that is very similar to the previous one (paper §5.3).
@@ -151,11 +133,6 @@ type Chunk struct {
 	Local    bool
 	Entries  []Entry
 }
-
-// MaxEntriesPerChunk is how many range entries fit one mapping message:
-// a TinyOS payload of ~24 usable bytes at 5 bytes per entry (2+2 value
-// bounds, 1 owner) after the chunk header.
-const MaxEntriesPerChunk = 4
 
 // Chunks splits the index into mapping messages of at most perChunk
 // entries each. A store-local index yields a single header-only chunk.

@@ -112,23 +112,6 @@ func TestEntriesCoverDomainProperty(t *testing.T) {
 	}
 }
 
-func TestOwnersRange(t *testing.T) {
-	ix := New(1, 0, []netsim.NodeID{3, 3, 7, 7, 1, 3})
-	got := ix.Owners(1, 4)
-	want := []netsim.NodeID{1, 3, 7}
-	if len(got) != len(want) {
-		t.Fatalf("owners = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("owners = %v, want %v", got, want)
-		}
-	}
-	if got := ix.Owners(100, 200); len(got) != 0 {
-		t.Fatalf("out-of-domain owners = %v", got)
-	}
-}
-
 func TestSimilarity(t *testing.T) {
 	a := New(1, 0, []netsim.NodeID{1, 1, 2, 2})
 	b := New(2, 0, []netsim.NodeID{1, 1, 2, 3})
@@ -149,6 +132,10 @@ func TestSimilarity(t *testing.T) {
 	}
 }
 
+// chunkEntries is the chunk size these tests split indices into; the
+// protocol's own size is core's.
+const chunkEntries = 4
+
 func TestChunksRoundTrip(t *testing.T) {
 	owners := make([]netsim.NodeID, 150)
 	r := rand.New(rand.NewSource(1))
@@ -156,7 +143,7 @@ func TestChunksRoundTrip(t *testing.T) {
 		owners[i] = netsim.NodeID(r.Intn(10))
 	}
 	ix := New(42, 0, owners)
-	chunks := ix.Chunks(MaxEntriesPerChunk)
+	chunks := ix.Chunks(chunkEntries)
 	if len(chunks) < 2 {
 		t.Fatalf("expected multiple chunks, got %d", len(chunks))
 	}
@@ -495,7 +482,7 @@ func TestSharedGenerationAllocsZero(t *testing.T) {
 	for i := range owners {
 		owners[i] = netsim.NodeID(i % 7)
 	}
-	gen1, gen2 := New(1, 0, owners).Chunks(MaxEntriesPerChunk), New(2, 0, owners[:50]).Chunks(MaxEntriesPerChunk)
+	gen1, gen2 := New(1, 0, owners).Chunks(chunkEntries), New(2, 0, owners[:50]).Chunks(chunkEntries)
 	gens := &Generations{}
 	a, b := ChunkSet{Shared: gens}, ChunkSet{Shared: gens}
 	var built *Index

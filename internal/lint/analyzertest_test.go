@@ -1,4 +1,4 @@
-package lint
+package lint_test
 
 import (
 	"fmt"
@@ -7,6 +7,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"testing"
+
+	"scoop/internal/lint"
 )
 
 // This file is a hand-rolled stand-in for x/tools analysistest (the
@@ -16,21 +19,14 @@ import (
 // expectations match one-to-one. Clean negative cases simply carry no
 // want comment — an unexpected finding there fails the test.
 
-// TB is the subset of *testing.T the harness needs; taking the
-// interface keeps package testing out of the scooplint binary.
-type TB interface {
-	Helper()
-	Errorf(format string, args ...any)
-}
-
-// AnalyzerTest loads the fixture package in dir, forces its
+// analyzerTest loads the fixture package in dir, forces its
 // Deterministic flag to det (fixtures load as deterministic, like
 // every package exemptDirs does not list), runs the analyzers through the full pipeline — including
 // //scoop:allow suppression — and matches the findings against the
 // fixture's want comments.
-func AnalyzerTest(t TB, dir string, det bool, analyzers ...*Analyzer) {
+func analyzerTest(t *testing.T, dir string, det bool, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	pkgs, err := Load(dir, ".")
+	pkgs, err := lint.Load(dir, ".")
 	if err != nil {
 		t.Errorf("loading fixture %s: %v", dir, err)
 		return
@@ -39,7 +35,7 @@ func AnalyzerTest(t TB, dir string, det bool, analyzers ...*Analyzer) {
 		p.Deterministic = det
 	}
 	wants := collectWants(t, pkgs)
-	diags := Run(pkgs, analyzers)
+	diags := lint.Run(pkgs, analyzers)
 	for _, d := range diags {
 		if !wants.match(d) {
 			t.Errorf("%s: unexpected finding: [%s] %s", posString(d.Pos), d.Rule, d.Message)
@@ -62,7 +58,7 @@ func wantKey(file string, line int) string { return fmt.Sprintf("%s:%d", file, l
 
 // match consumes the first unmatched expectation on the finding's
 // line whose regexp matches the message.
-func (ws *wantSet) match(d Diagnostic) bool {
+func (ws *wantSet) match(d lint.Diagnostic) bool {
 	for _, w := range ws.byLine[wantKey(d.Pos.Filename, d.Pos.Line)] {
 		if !w.matched && w.re.MatchString(d.Message) {
 			w.matched = true
@@ -74,7 +70,7 @@ func (ws *wantSet) match(d Diagnostic) bool {
 
 // reportUnmatched reports the expectations no finding met, in key
 // order, so a fixture's failures read the same on every run.
-func (ws *wantSet) reportUnmatched(t TB) {
+func (ws *wantSet) reportUnmatched(t *testing.T) {
 	t.Helper()
 	keys := make([]string, 0, len(ws.byLine))
 	for k := range ws.byLine {
@@ -95,7 +91,7 @@ var wantQuoted = regexp.MustCompile(`"(?:[^"\\]|\\.)*"` + "|`[^`]*`")
 // collectWants parses every `// want "re" "re" ...` comment. Each
 // quoted chunk (double quotes with Go escapes, or backquotes) is a
 // regexp matched against finding messages on that comment's line.
-func collectWants(t TB, pkgs []*Package) *wantSet {
+func collectWants(t *testing.T, pkgs []*lint.Package) *wantSet {
 	t.Helper()
 	ws := &wantSet{byLine: map[string][]*want{}}
 	for _, pkg := range pkgs {

@@ -1,43 +1,145 @@
-package lint
+package lint_test
 
 import (
-	"flag"
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"bufio"
+	"fmt"
 	"go/types"
-	"io/fs"
-	"path/filepath"
-	"sort"
+	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"scoop/internal/lint"
 )
 
-var census = flag.Bool("census", false, "TestExportCensus: list the exported names no product code uses")
+// module is the whole module, bench/ included, type-checked once per
+// test binary: the export gate and TestLoadRecursive share it.
+var module struct {
+	once sync.Once
+	pkgs []*lint.Package
+	err  error
+}
 
-// TestExportCensus lists every exported function, method, type,
-// variable and constant of the module that no non-test code uses,
-// bench/ included, as the simplicity rule counts callers: tests are
-// not callers. A method counts as used when its type implements an
-// interface that has it, since a call through the interface never
-// names the method. Struct fields are not counted: some are read by
-// reflection (encoding/json). Each name is marked with whether any
-// test file spells it. It only reports, so it runs on request:
-//
-//	go test ./internal/lint -run ExportCensus -census -v
+func loadModule(t *testing.T) []*lint.Package {
+	t.Helper()
+	module.once.Do(func() { module.pkgs, module.err = lint.Load("../..", "./...") })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.pkgs
+}
+
+// TestExportCensus is the export gate (DESIGN.md §15): every exported
+// name of the module that no non-test code uses, bench/ counted as a
+// caller, must be listed in testdata/exports.txt with its reason class,
+// and every entry there must still name such an export.
 func TestExportCensus(t *testing.T) {
-	if !*census {
-		t.Skip("run with -census")
+	for _, p := range census(loadModule(t), readAllowlist(t, "testdata/exports.txt")) {
+		t.Error(p)
 	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
+// TestExportCensusFixture holds the gate's own rules to a fixture
+// package and allowlist, each case named in the fixture's comments.
+func TestExportCensusFixture(t *testing.T) {
+	pkgs, err := lint.Load("testdata/src/census", ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pkg = "scoop/internal/lint/testdata/src/census."
+	got := census(pkgs, readAllowlist(t, "testdata/src/census/exports.txt"))
+	want := []string{
+		"exports.txt:4: " + pkg + "Classless: entry has no reason class (facade, reference or probe)",
+		"exports.txt:5: " + pkg + "Guessed: unknown reason class \"guess\" (facade, reference or probe)",
+		"exports.txt:6: " + pkg + "Gone: listed, but no such exported name",
+		"exports.txt:7: " + pkg + "Called: listed, but product code uses it",
+		pkg + "TestOnly: exported, no product caller, not in exports.txt",
+		pkg + "Uncalled: exported, no product caller, not in exports.txt",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("census of the fixture:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// reasonClasses are why an export with no product caller may stay:
+// the scoop package's public API, an oracle a test checks the product
+// against, or state a test in another package cannot observe otherwise.
+var reasonClasses = []string{"facade", "reference", "probe"}
+
+// allowEntry is one allowlist line: "<import path>.<Name> <class>
+// [note]", where Name is a package-level name or Type.Method.
+type allowEntry struct {
+	line        int
+	name, class string
+}
+
+// readAllowlist parses an allowlist, skipping blank and # lines.
+func readAllowlist(t *testing.T, path string) []allowEntry {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []allowEntry
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		e := allowEntry{line: n, name: fields[0]}
+		if len(fields) > 1 {
+			e.class = fields[1]
+		}
+		out = append(out, e)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// census checks pkgs against the allowlist and returns its problems,
+// allowlist lines first, then unlisted names, each group in order.
+func census(pkgs []*lint.Package, allow []allowEntry) []string {
+	uses := exportUses(pkgs)
+	var probs []string
+	listed := map[string]bool{}
+	for _, e := range allow {
+		listed[e.name] = true
+		at := fmt.Sprintf("exports.txt:%d: %s: ", e.line, e.name)
+		used, exists := uses[e.name]
+		switch {
+		case e.class == "":
+			probs = append(probs, at+"entry has no reason class (facade, reference or probe)")
+		case !slices.Contains(reasonClasses, e.class):
+			probs = append(probs, at+fmt.Sprintf("unknown reason class %q (facade, reference or probe)", e.class))
+		case !exists:
+			probs = append(probs, at+"listed, but no such exported name")
+		case used:
+			probs = append(probs, at+"listed, but product code uses it")
+		}
+	}
+	var unlisted []string
+	for name, used := range uses {
+		if !used && !listed[name] {
+			unlisted = append(unlisted, name+": exported, no product caller, not in exports.txt")
+		}
+	}
+	slices.Sort(unlisted)
+	return append(probs, unlisted...)
+}
+
+// exportUses maps every exported function, type, variable, constant
+// and method of exported types in pkgs ("path.Name", "path.Type.Method")
+// to whether non-test code of pkgs uses it. Tests are not callers:
+// Load reads no test file. A method counts as used when its type
+// implements an interface that has it, since a call through the
+// interface never names the method. Struct fields are not counted:
+// some are read by reflection (encoding/json). Commands are skipped.
+func exportUses(pkgs []*lint.Package) map[string]bool {
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	addIfaces := func(s *types.Scope) {
@@ -85,15 +187,7 @@ func TestExportCensus(t *testing.T) {
 		return false
 	}
 
-	inTests := testIdents(t, root)
-	var out []string
-	report := func(p *Package, name, ident string) {
-		where := "no reference"
-		if inTests[ident] {
-			where = "tests"
-		}
-		out = append(out, p.Path+": "+name+" ("+where+")")
-	}
+	out := map[string]bool{}
 	for _, p := range pkgs {
 		if p.Types.Name() == "main" {
 			continue
@@ -104,9 +198,7 @@ func TestExportCensus(t *testing.T) {
 			if !obj.Exported() {
 				continue
 			}
-			if !used[obj] {
-				report(p, name, name)
-			}
+			out[p.Path+"."+name] = used[obj]
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -116,49 +208,11 @@ func TestExportCensus(t *testing.T) {
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				if m.Exported() && !used[m] && !viaInterface(named, m) {
-					report(p, name+"."+m.Name(), m.Name())
+				if m := named.Method(i); m.Exported() {
+					out[p.Path+"."+name+"."+m.Name()] = used[m] || viaInterface(named, m)
 				}
 			}
 		}
 	}
-	sort.Strings(out)
-	for _, line := range out {
-		t.Log(line)
-	}
-	t.Logf("%d exported names without a product caller", len(out))
-}
-
-// testIdents returns every identifier the module's test files spell.
-func testIdents(t *testing.T, root string) map[string]bool {
-	t.Helper()
-	names := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				names[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return names
+	return out
 }

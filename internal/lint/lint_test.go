@@ -13,21 +13,21 @@ import (
 // exercising suppression through the full pipeline.
 
 func TestMaprange(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/maprange", true, lint.Maprange)
+	analyzerTest(t, "testdata/src/maprange", true, lint.Maprange)
 }
 
 func TestFloatfold(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/floatfold", false, lint.Floatfold)
+	analyzerTest(t, "testdata/src/floatfold", false, lint.Floatfold)
 }
 
 func TestWalltime(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/walltime", false, lint.Walltime)
+	analyzerTest(t, "testdata/src/walltime", false, lint.Walltime)
 }
 
 // The walltime exemption is a directory quarantine: profiler-shaped
 // code outside internal/prof is still flagged...
 func TestWalltimeQuarantineBoundary(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/wallprof", false, lint.Walltime)
+	analyzerTest(t, "testdata/src/wallprof", false, lint.Walltime)
 }
 
 // ...while internal/prof itself — whose subject matter is wall time —
@@ -46,22 +46,22 @@ func TestWalltimeExemptsProf(t *testing.T) {
 }
 
 func TestGlobalrand(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/globalrand", true, lint.Globalrand)
+	analyzerTest(t, "testdata/src/globalrand", true, lint.Globalrand)
 }
 
 func TestPacketretain(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/packetretain", false, lint.Packetretain)
+	analyzerTest(t, "testdata/src/packetretain", false, lint.Packetretain)
 }
 
 // A shared payload reached from a packet may be kept but not written:
 // one fixture of writes that must each fire, one of reads, keeps and
 // copies that must stay silent.
 func TestPacketretainSharedWrites(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/sharedwrite", false, lint.Packetretain)
+	analyzerTest(t, "testdata/src/sharedwrite", false, lint.Packetretain)
 }
 
 func TestPacketretainSharedReads(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/sharedread", false, lint.Packetretain)
+	analyzerTest(t, "testdata/src/sharedread", false, lint.Packetretain)
 }
 
 // TestMaprangeNotDeterministic pins the deterministic-package gate:
@@ -122,29 +122,36 @@ func TestAllowGrammar(t *testing.T) {
 
 // TestLoadDeterministicFlag pins the rule the loader derives from
 // package directories: every package is bound by the DESIGN.md §2
-// contract except the exempt harness packages.
+// contract except the exempt harness packages. Module packages are
+// read from the shared whole-module load.
 func TestLoadDeterministicFlag(t *testing.T) {
+	byRel := map[string]*lint.Package{}
+	for _, p := range loadModule(t) {
+		byRel[p.Rel] = p
+	}
+	fixture, err := lint.Load("testdata/src/maprange", ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRel[fixture[0].Rel] = fixture[0]
 	for rel, want := range map[string]bool{
-		"../core":               true,
-		"../trickle":            true,
-		"../netsim":             true,
-		"../metrics":            true,
-		"../prof":               true,
-		"../dense":              true,
-		"../../cmd/scoopflight": true,
-		"testdata/src/maprange": true,
-		"../exp":                true,
-		"../sweep":              false,
+		"internal/core":                       true,
+		"internal/trickle":                    true,
+		"internal/netsim":                     true,
+		"internal/metrics":                    true,
+		"internal/prof":                       true,
+		"internal/dense":                      true,
+		"cmd/scoopflight":                     true,
+		"internal/lint/testdata/src/maprange": true,
+		"internal/exp":                        true,
+		"internal/sweep":                      false,
 	} {
-		pkgs, err := lint.Load(rel, ".")
-		if err != nil {
-			t.Fatalf("%s: %v", rel, err)
+		p := byRel[rel]
+		if p == nil {
+			t.Fatalf("%s: not loaded", rel)
 		}
-		if len(pkgs) != 1 {
-			t.Fatalf("%s: got %d packages", rel, len(pkgs))
-		}
-		if pkgs[0].Deterministic != want {
-			t.Errorf("%s: Deterministic=%v, want %v", pkgs[0].Path, pkgs[0].Deterministic, want)
+		if p.Deterministic != want {
+			t.Errorf("%s: Deterministic=%v, want %v", p.Path, p.Deterministic, want)
 		}
 	}
 }
@@ -152,10 +159,7 @@ func TestLoadDeterministicFlag(t *testing.T) {
 // TestLoadRecursive checks ./... expansion skips testdata and finds
 // the real packages.
 func TestLoadRecursive(t *testing.T) {
-	pkgs, err := lint.Load("../..", "./internal/...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	seen := map[string]bool{}
 	for _, p := range pkgs {
 		seen[p.Rel] = true
@@ -171,7 +175,7 @@ func TestLoadRecursive(t *testing.T) {
 }
 
 func TestGoroutine(t *testing.T) {
-	lint.AnalyzerTest(t, "testdata/src/goroutine", true, lint.Goroutine)
+	analyzerTest(t, "testdata/src/goroutine", true, lint.Goroutine)
 }
 
 // TestGoroutineNotDeterministic pins the deterministic-package gate:

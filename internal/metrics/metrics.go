@@ -55,15 +55,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// Classes lists all message classes in display order.
-func Classes() []Class {
-	return []Class{Data, Summary, Mapping, Query, Reply, AggReply, Beacon}
-}
-
-// NumClasses is the number of message classes, for observers that keep
-// per-class tables.
-const NumClasses = int(numClasses)
-
 // ParseClass maps a class name (as produced by Class.String) back to
 // the Class, reporting whether the name was recognised.
 func ParseClass(s string) (Class, bool) {
@@ -81,10 +72,11 @@ func ParseClass(s string) (Class, bool) {
 // values.
 type DropCause uint8
 
-// Drop causes. The packet-level causes (collision, queue, retries) are
-// counted by the MAC in Counters; the reading-level causes (ttl,
-// noroute, radio, reboot, killed) label the reading-lost trace events
-// that account end-to-end data loss, which the invariant checker reads.
+// Drop causes. The packet-level causes (collision, queue, retries and
+// the scripted link faults) label the MAC's packet-drop trace events;
+// the reading-level causes (ttl, noroute, radio, reboot, killed) label
+// the reading-lost trace events that account end-to-end data loss,
+// which the invariant checker reads.
 const (
 	DropCollision DropCause = iota // frame destroyed by an overlapping transmission
 	DropQueue                      // send queue full (saturation)
@@ -143,16 +135,20 @@ func ParseDropCause(s string) (DropCause, bool) {
 	return 0, false
 }
 
-// Counters accumulates per-class and per-node message counts for one
-// simulation run. Per-node tallies live in flat slices keyed by dense
-// node ID (grown on demand), so the per-transmission and per-delivery
-// counting paths do no hashing and no steady-state allocation — at
-// 1000 nodes these are among the hottest calls in the simulator.
+// Counters accumulates the message accounting of one simulation run:
+// per-class transmissions (the paper's cost metric), the root's load,
+// and the byte tallies the energy model reads. Per-node byte tallies
+// live in flat slices keyed by dense node ID (grown on demand), so the
+// per-transmission and per-delivery counting paths do no hashing and
+// no steady-state allocation — at 1000 nodes these are among the
+// hottest calls in the simulator.
 type Counters struct {
-	sent     [numClasses]int64 // transmissions, including retries
-	received [numClasses]int64 // link-layer deliveries to the addressee
-	sentBy   []int64           // [id*numClasses + class]
-	recvBy   []int64           // [id*numClasses + class]
+	sent [numClasses]int64 // transmissions, including retries
+
+	// The root's (node 0, the basestation's) non-beacon transmissions
+	// and deliveries: the load at the root that the paper compares
+	// across storage policies.
+	rootSent, rootRecv int64
 
 	// Byte tallies feed the energy model (radio cost is per bit).
 	// Snooped bytes are frames overheard by non-addressees — they cost
@@ -166,10 +162,6 @@ type Counters struct {
 	sentBytesBy  []int64
 	recvBytesBy  []int64
 	snoopBytesBy []int64
-
-	// Delivery bookkeeping for loss-rate experiments, keyed by the
-	// closed DropCause enum.
-	dropped [numDropCauses]int64
 }
 
 // NewCounters returns empty counters ready for use. Per-node tables
@@ -182,13 +174,12 @@ func NewCounters() *Counters {
 // size by node id.
 func (m *Counters) CountSend(id uint16, c Class, bytes int) {
 	m.sent[c]++
+	if id == 0 && c != Beacon {
+		m.rootSent++
+	}
 	i := int(id)
 	// Grow only when out of range: storing the slice header back on
 	// every call would go through the GC write barrier each time.
-	if j := (i+1)*int(numClasses) - 1; j >= len(m.sentBy) {
-		m.sentBy = dense.Grow(m.sentBy, j)
-	}
-	m.sentBy[i*int(numClasses)+int(c)]++
 	if i >= len(m.sentBytesBy) {
 		m.sentBytesBy = dense.Grow(m.sentBytesBy, i)
 	}
@@ -200,12 +191,10 @@ func (m *Counters) CountSend(id uint16, c Class, bytes int) {
 // CountReceive records one successful delivery of class c and frame
 // size to node id.
 func (m *Counters) CountReceive(id uint16, c Class, bytes int) {
-	m.received[c]++
-	i := int(id)
-	if j := (i+1)*int(numClasses) - 1; j >= len(m.recvBy) {
-		m.recvBy = dense.Grow(m.recvBy, j)
+	if id == 0 && c != Beacon {
+		m.rootRecv++
 	}
-	m.recvBy[i*int(numClasses)+int(c)]++
+	i := int(id)
 	m.recvBytes += int64(bytes)
 	if i >= len(m.recvBytesBy) {
 		m.recvBytesBy = dense.Grow(m.recvBytesBy, i)
@@ -252,27 +241,12 @@ func (m *Counters) SentBytesBy(id uint16) int64 { return at(m.sentBytesBy, int(i
 // ReceivedBytesBy returns the bytes delivered to node id.
 func (m *Counters) ReceivedBytesBy(id uint16) int64 { return at(m.recvBytesBy, int(id)) }
 
-// CountDrop records a lost packet under the given cause.
-func (m *Counters) CountDrop(cause DropCause) { m.dropped[cause]++ }
+// RootSent returns the root's non-beacon transmissions, retries
+// included.
+func (m *Counters) RootSent() int64 { return m.rootSent }
 
-// Sent returns the number of transmissions of class c across all nodes.
-func (m *Counters) Sent(c Class) int64 { return m.sent[c] }
-
-// Received returns the number of deliveries of class c across all nodes.
-func (m *Counters) Received(c Class) int64 { return m.received[c] }
-
-// SentBy returns the number of transmissions of class c by node id.
-func (m *Counters) SentBy(id uint16, c Class) int64 {
-	return at(m.sentBy, int(id)*int(numClasses)+int(c))
-}
-
-// ReceivedBy returns the number of deliveries of class c to node id.
-func (m *Counters) ReceivedBy(id uint16, c Class) int64 {
-	return at(m.recvBy, int(id)*int(numClasses)+int(c))
-}
-
-// Drops returns the drop count recorded under the given cause.
-func (m *Counters) Drops(cause DropCause) int64 { return m.dropped[cause] }
+// RootReceived returns the non-beacon deliveries to the root.
+func (m *Counters) RootReceived() int64 { return m.rootRecv }
 
 // Breakdown is a fixed snapshot of per-class transmission counts, the
 // unit the figures in the paper plot.

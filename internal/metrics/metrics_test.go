@@ -10,18 +10,16 @@ func TestCountersSendReceive(t *testing.T) {
 	m.CountSend(1, Data, 10)
 	m.CountSend(1, Data, 10)
 	m.CountSend(2, Query, 10)
+	m.CountSend(0, Query, 10)
+	m.CountSend(0, Beacon, 10)
 	m.CountReceive(0, Data, 10)
-	if m.Sent(Data) != 2 || m.Sent(Query) != 1 || m.Sent(Reply) != 0 {
-		t.Fatalf("sent counts wrong: %d %d", m.Sent(Data), m.Sent(Query))
+	m.CountReceive(0, Beacon, 10)
+	m.CountReceive(1, Data, 10)
+	if b := m.Snapshot(); b.Data != 2 || b.Query != 2 || b.Reply != 0 || b.Beacon != 1 {
+		t.Fatalf("sent counts wrong: %+v", b)
 	}
-	if m.Received(Data) != 1 {
-		t.Fatalf("received = %d", m.Received(Data))
-	}
-	if m.SentBy(1, Data) != 2 || m.SentBy(2, Query) != 1 || m.SentBy(3, Data) != 0 {
-		t.Fatal("per-node sends wrong")
-	}
-	if m.ReceivedBy(0, Data) != 1 || m.ReceivedBy(1, Data) != 0 {
-		t.Fatal("per-node receives wrong")
+	if m.RootSent() != 1 || m.RootReceived() != 1 {
+		t.Fatalf("root sent %d, received %d; want 1 and 1 (beacons excluded)", m.RootSent(), m.RootReceived())
 	}
 }
 
@@ -36,19 +34,6 @@ func TestTotalExcludesBeacons(t *testing.T) {
 	}
 	if b.Beacon != 2 {
 		t.Fatalf("beacons = %v", b.Beacon)
-	}
-}
-
-func TestDrops(t *testing.T) {
-	m := NewCounters()
-	m.CountDrop(DropCollision)
-	m.CountDrop(DropCollision)
-	m.CountDrop(DropQueue)
-	if m.Drops(DropCollision) != 2 || m.Drops(DropQueue) != 1 || m.Drops(DropRetries) != 0 {
-		t.Fatal("drop counts wrong")
-	}
-	if want := [numDropCauses]int64{DropCollision: 2, DropQueue: 1}; m.dropped != want {
-		t.Fatalf("drops by cause = %v, want %v", m.dropped, want)
 	}
 }
 
@@ -68,7 +53,7 @@ func TestDropCauseStrings(t *testing.T) {
 }
 
 func TestParseClass(t *testing.T) {
-	for _, c := range Classes() {
+	for c := Class(0); c < numClasses; c++ {
 		got, ok := ParseClass(c.String())
 		if !ok || got != c {
 			t.Fatalf("ParseClass(%q) = %v, %v", c.String(), got, ok)
@@ -142,7 +127,7 @@ func TestClassStrings(t *testing.T) {
 	if Class(99).String() == "" {
 		t.Fatal("unknown class has empty name")
 	}
-	if len(Classes()) != 7 {
-		t.Fatalf("classes = %v", Classes())
+	if numClasses != 7 {
+		t.Fatalf("%d classes, want 7", numClasses)
 	}
 }

@@ -94,39 +94,6 @@ func (t *Timeline) span() (first, last int64, ok bool) {
 	return first, last, true
 }
 
-// MeanOver averages f over the windows fully inside [from,to). It
-// returns 0 when no window qualifies.
-func (t *Timeline) MeanOver(from, to int64, f func(TransitionWindow) float64) float64 {
-	sum, n := 0.0, 0
-	for _, w := range t.Windows {
-		if w.Start >= from && w.End <= to {
-			sum += f(w)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// TailMean averages f over the last k windows (all windows when k
-// exceeds their number).
-func (t *Timeline) TailMean(k int, f func(TransitionWindow) float64) float64 {
-	ws := t.Windows
-	if k < len(ws) {
-		ws = ws[len(ws)-k:]
-	}
-	sum := 0.0
-	for _, w := range ws {
-		sum += f(w)
-	}
-	if len(ws) == 0 {
-		return 0
-	}
-	return sum / float64(len(ws))
-}
-
 // TransitionSummary condenses a timeline around its perturbed span.
 type TransitionSummary struct {
 	// Delivery ratios before the first mark, between first and last

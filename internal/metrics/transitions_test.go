@@ -94,24 +94,3 @@ func TestSummarizeNeedsMarksAndBaseline(t *testing.T) {
 		t.Fatal("no pre-mark window: must not summarize")
 	}
 }
-
-func TestMeanOverAndTailMean(t *testing.T) {
-	tl := Timeline{Windows: []TransitionWindow{
-		win(0, 100, 10, 10, 0, 0, 10),
-		win(100, 200, 10, 10, 0, 0, 20),
-		win(200, 300, 10, 10, 0, 0, 30),
-	}}
-	cost := TransitionWindow.CostPerReading
-	if got := tl.MeanOver(0, 200, cost); got != 1.5 {
-		t.Fatalf("mean [0,200) = %v", got)
-	}
-	if got := tl.MeanOver(500, 600, cost); got != 0 {
-		t.Fatalf("empty span mean = %v", got)
-	}
-	if got := tl.TailMean(2, cost); got != 2.5 {
-		t.Fatalf("tail mean = %v", got)
-	}
-	if got := tl.TailMean(10, cost); got != 2.0 {
-		t.Fatalf("oversized tail mean = %v", got)
-	}
-}

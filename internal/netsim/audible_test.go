@@ -79,7 +79,7 @@ func runChatter(t *testing.T, topo *Topology, seed int64, sink trace.Sink, check
 	script := rand.New(rand.NewSource(seed ^ 0x5c00b))
 	n := topo.N
 	at := func(sec float64, fn func()) {
-		sim.At(Seconds(sec), func() {
+		sim.At(Time(sec*float64(Second)), func() {
 			fn()
 			checkEffectiveQuality(t, net)
 		})
@@ -296,9 +296,11 @@ func TestCollisionVisibilityGridEdge(t *testing.T) {
 		net.Attach(1, &pulseApp{})
 		net.Attach(R, &pulseApp{})
 		net.Attach(I, &pulseApp{first: iStart - backoff, period: period, size: 120})
+		drops := logDrops(net)
 		net.Start()
 		sim.Run(sStart + rounds*period - w)
-		return counters.Drops(metrics.DropCollision)
+		net.Trace.Close()
+		return drops.by[metrics.DropCollision]
 	}
 	for _, c := range []struct {
 		name    string

@@ -421,9 +421,6 @@ func (n *Network) Restart(id NodeID) {
 	n.apps[id].Init(a)
 }
 
-// Dead reports whether id is currently dead.
-func (n *Network) Dead(id NodeID) bool { return n.dead[id] }
-
 // ScaleLink multiplies the delivery probability of the directed link
 // src→dst by f (clamped to [0,1] at use). Used to inject interference.
 // A pair with no link has nothing to scale: the call is a no-op.
@@ -847,7 +844,6 @@ func (n *Network) transmit(a *NodeAPI, job *sendJob) bool {
 			continue
 		}
 		if n.collided(&a.rng, q, src, dst, tx.start) {
-			n.Counters.CountDrop(metrics.DropCollision)
 			if n.Trace != nil {
 				n.Trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(dst),
 					Peer: uint16(src), Class: p.Class, Cause: metrics.DropCollision,
@@ -997,7 +993,6 @@ func (a *NodeAPI) Broadcast(p *Packet) {
 
 func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done interface{ SendDone(ok bool) }) {
 	if a.qlen >= a.net.Params.QueueCap {
-		a.net.Counters.CountDrop(metrics.DropQueue)
 		if a.net.Trace != nil {
 			a.net.Trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
 				Peer: uint16(p.Dst), Class: p.Class, Cause: metrics.DropQueue,
@@ -1095,7 +1090,6 @@ func (a *NodeAPI) step(gen uint64, try, defers int) {
 	}
 	if try >= net.Params.MaxAttempts {
 		cause := net.dropCause(a.id, j.p.Dst)
-		net.Counters.CountDrop(cause)
 		if net.Trace != nil {
 			net.Trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
 				Peer: uint16(j.p.Dst), Class: j.p.Class, Cause: cause,

@@ -65,11 +65,11 @@ func TestUnicastPerfectLink(t *testing.T) {
 	if len(recs[1].received) != 1 {
 		t.Fatalf("node 1 received %d packets, want 1", len(recs[1].received))
 	}
-	if got := ctr.Sent(metrics.Data); got != 1 {
-		t.Fatalf("counted %d data transmissions, want 1", got)
+	if got := ctr.Snapshot().Data; got != 1 {
+		t.Fatalf("counted %v data transmissions, want 1", got)
 	}
-	if ctr.Received(metrics.Data) != 1 {
-		t.Fatalf("counted %d data receives, want 1", ctr.Received(metrics.Data))
+	if ctr.ReceivedBytesBy(1) != 30 {
+		t.Fatalf("counted %d bytes delivered to node 1, want 30", ctr.ReceivedBytesBy(1))
 	}
 }
 
@@ -82,7 +82,7 @@ func TestUnicastRetransmitsOnLoss(t *testing.T) {
 		ok := false
 		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, doneFunc(func(b bool) { ok = b }))
 		net.Sim.Run(Minute)
-		attempts += ctr.Sent(metrics.Data)
+		attempts += int64(ctr.Snapshot().Data)
 		if ok {
 			successes++
 		}
@@ -105,6 +105,7 @@ func TestUnicastRespectsMaxAttempts(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		net.Attach(NodeID(i), &recorder{})
 	}
+	drops := logDrops(net)
 	net.Start()
 	var done, ok bool
 	net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, doneFunc(func(b bool) { done, ok = true, b }))
@@ -112,10 +113,11 @@ func TestUnicastRespectsMaxAttempts(t *testing.T) {
 	if !done || ok {
 		t.Fatalf("done=%v ok=%v; want done and failed", done, ok)
 	}
-	if got := ctr.Sent(metrics.Data); got != 3 {
-		t.Fatalf("attempts = %d, want exactly MaxAttempts=3", got)
+	if got := ctr.Snapshot().Data; got != 3 {
+		t.Fatalf("attempts = %v, want exactly MaxAttempts=3", got)
 	}
-	if ctr.Drops(metrics.DropRetries) != 1 {
+	net.Trace.Close()
+	if drops.by[metrics.DropRetries] != 1 {
 		t.Fatalf("retries drop not recorded")
 	}
 }
@@ -124,8 +126,8 @@ func TestBroadcastNoRetry(t *testing.T) {
 	net, recs, ctr := newTestNet(pairTopology(1, 1, 1, 1), 4)
 	net.api[1].Broadcast(&Packet{Class: metrics.Query, Size: 30})
 	net.Sim.Run(Minute)
-	if got := ctr.Sent(metrics.Query); got != 1 {
-		t.Fatalf("broadcast sent %d times, want 1", got)
+	if got := ctr.Snapshot().Query; got != 1 {
+		t.Fatalf("broadcast sent %v times, want 1", got)
 	}
 	if len(recs[0].received) != 1 || len(recs[2].received) != 1 {
 		t.Fatalf("broadcast deliveries: node0=%d node2=%d, want 1 each",
@@ -164,7 +166,7 @@ func TestDeadNodeNeitherSendsNorReceives(t *testing.T) {
 		t.Fatal("dead node received a packet")
 	}
 	// Sender still spends transmissions trying.
-	if ctr.Sent(metrics.Data) == 0 {
+	if ctr.Snapshot().Data == 0 {
 		t.Fatal("sender did not transmit")
 	}
 	net.Revive(1)
@@ -319,13 +321,15 @@ func TestCollisionsDropOverlapping(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			net.Attach(NodeID(i), &recorder{})
 		}
+		drops := logDrops(net)
 		net.Start()
 		for i := 0; i < 10; i++ {
 			net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 200}, nil)
 			net.api[2].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 200}, nil)
 		}
 		sim.Run(Minute)
-		collisions += ctr.Drops(metrics.DropCollision)
+		net.Trace.Close()
+		collisions += drops.by[metrics.DropCollision]
 	}
 	if collisions == 0 {
 		t.Fatal("no collisions under heavy hidden-terminal load")
@@ -345,13 +349,15 @@ func TestCollisionsDisabled(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		net.Attach(NodeID(i), &recorder{})
 	}
+	drops := logDrops(net)
 	net.Start()
 	for i := 0; i < 10; i++ {
 		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 200}, nil)
 		net.api[2].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 200}, nil)
 	}
 	sim.Run(Minute)
-	if ctr.Drops(metrics.DropCollision) != 0 {
+	net.Trace.Close()
+	if drops.by[metrics.DropCollision] != 0 {
 		t.Fatal("collisions recorded while disabled")
 	}
 }
@@ -394,7 +400,7 @@ func TestNetworkDeterminism(t *testing.T) {
 			}
 		}
 		sim.Run(Minute)
-		return ctr.Sent(metrics.Data)*1000 + ctr.Received(metrics.Data)
+		return int64(ctr.Snapshot().Data)*1000 + ctr.ReceivedBytes()
 	}
 	if run() != run() {
 		t.Fatal("identical seeds produced different traffic")
@@ -411,17 +417,19 @@ func TestQueueCapDropsOnOverflow(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		net.Attach(NodeID(i), &recorder{})
 	}
+	drops := logDrops(net)
 	net.Start()
 	// Enqueue far more than the cap in one instant.
 	for i := 0; i < 20; i++ {
 		net.api[0].Send(&Packet{Class: metrics.Data, Dst: 1, Size: 30}, nil)
 	}
 	sim.Run(Minute)
-	if ctr.Drops(metrics.DropQueue) == 0 {
+	net.Trace.Close()
+	if drops.by[metrics.DropQueue] == 0 {
 		t.Fatal("no queue drops despite 20 sends into a 4-deep queue")
 	}
 	// But the queue keeps draining: some packets were sent.
-	if ctr.Sent(metrics.Data) == 0 {
+	if ctr.Snapshot().Data == 0 {
 		t.Fatal("nothing transmitted")
 	}
 }

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
+	"scoop/internal/histogram"
 	"scoop/internal/metrics"
 	"scoop/internal/prof"
 )
@@ -63,10 +65,10 @@ func TestProfilerAttributionAndDwell(t *testing.T) {
 	if snap.Depth.Total() != 3 {
 		t.Fatalf("depth samples = %d, want 3", snap.Depth.Total())
 	}
-	// Both events are queued when the first pops; the nested one pops
-	// alone.
-	if max := snap.Depth.Max(); max != 2 {
-		t.Fatalf("max heap depth = %d, want 2", max)
+	// Both events are queued when the first pops; the second and the
+	// nested one pop alone.
+	if got, want := snap.Depth.Buckets(), []histogram.Log2Bucket{{Lo: 1, Hi: 1, Count: 2}, {Lo: 2, Hi: 3, Count: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("heap depths %v, want %v", got, want)
 	}
 	if snap.LoopNs < snap.AttributedNs() {
 		t.Fatalf("attributed %d ns exceeds loop %d ns", snap.AttributedNs(), snap.LoopNs)
@@ -91,8 +93,9 @@ func TestProfilerDepthCountsBothTiers(t *testing.T) {
 	}
 	s.Run(Minute)
 	snap := p.Snapshot()
-	if max := snap.Depth.Max(); max != 3 {
-		t.Fatalf("max recorded depth = %d, want 3", max)
+	// Depths 3, 2 and 1: counting the heap alone would give 2, 1 and 0.
+	if got, want := snap.Depth.Buckets(), []histogram.Log2Bucket{{Lo: 1, Hi: 1, Count: 1}, {Lo: 2, Hi: 3, Count: 2}}; !slices.Equal(got, want) {
+		t.Fatalf("recorded depths %v, want %v", got, want)
 	}
 }
 

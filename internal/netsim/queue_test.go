@@ -50,6 +50,27 @@ func (l *purgeLog) Record(b *trace.Block) {
 }
 func (l *purgeLog) Close() error { return nil }
 
+// dropLog is a trace sink counting PacketDrop events by cause. The
+// Recorder hands events over a block at a time, so read it after the
+// Recorder's Close.
+type dropLog struct{ by [metrics.NumDropCauses]int64 }
+
+func (l *dropLog) Record(b *trace.Block) {
+	b.Each(func(e trace.Event) {
+		if e.Kind == trace.PacketDrop {
+			l.by[e.Cause]++
+		}
+	})
+}
+func (l *dropLog) Close() error { return nil }
+
+// logDrops turns net's flight recorder on with a dropLog as its sink.
+func logDrops(net *Network) *dropLog {
+	l := &dropLog{}
+	net.Trace = trace.New(func() int64 { return int64(net.Sim.Now()) }, l)
+	return l
+}
+
 // countApp counts deliveries and keeps nothing.
 type countApp struct{ received int }
 
@@ -117,19 +138,23 @@ func TestQueueRing(t *testing.T) {
 	})
 
 	t.Run("drop at exactly QueueCap", func(t *testing.T) {
-		net, a, rx, ctr := ringNet(t, 2)
+		drops, rx := &dropLog{}, &recorder{}
+		net, _ := ringNetTo(2, rx, drops)
+		a := &net.api[0]
 		var verdicts []bool
 		done := doneFunc(func(ok bool) { verdicts = append(verdicts, ok) })
 		for i := 0; i < 4; i++ {
 			a.Send(data(20+i), done)
 		}
-		if ctr.Drops(metrics.DropQueue) != 0 || len(verdicts) != 0 {
-			t.Fatalf("dropped below QueueCap: %d drops, verdicts %v", ctr.Drops(metrics.DropQueue), verdicts)
+		net.Trace.Close()
+		if drops.by[metrics.DropQueue] != 0 || len(verdicts) != 0 {
+			t.Fatalf("dropped below QueueCap: %d drops, verdicts %v", drops.by[metrics.DropQueue], verdicts)
 		}
 		a.Send(data(99), done)
-		if ctr.Drops(metrics.DropQueue) != 1 || !slices.Equal(verdicts, []bool{false}) {
+		net.Trace.Close()
+		if drops.by[metrics.DropQueue] != 1 || !slices.Equal(verdicts, []bool{false}) {
 			t.Fatalf("fifth send: %d queue drops, verdicts %v; want 1 and [false]",
-				ctr.Drops(metrics.DropQueue), verdicts)
+				drops.by[metrics.DropQueue], verdicts)
 		}
 		net.Sim.Run(Minute)
 		if got := sizes(rx.received); !slices.Equal(got, []int{20, 21, 22, 23}) {
@@ -187,7 +212,7 @@ func TestQueueRing(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			a.Send(data(20+i), nil)
 		}
-		for ctr.Sent(metrics.Data) == 0 {
+		for ctr.Snapshot().Data == 0 {
 			net.Sim.Run(net.Sim.Now() + Millisecond)
 		}
 		if got := queued(net); !slices.Equal(got, []int{20, 21, 22}) {

@@ -214,7 +214,7 @@ func TestRecycledPayloadLifetime(t *testing.T) {
 		var log []string
 		net, apps := lifeNet(t, []float64{0, 1, 2}, star, 32, &log)
 		c := sendCounted(&net.api[0], Broadcast, &log, nil)
-		for net.Counters.Sent(metrics.Data) == 0 {
+		for net.Counters.Snapshot().Data == 0 {
 			net.Sim.Step()
 		}
 		net.Kill(1) // the frame is on the air: node 1 misses it

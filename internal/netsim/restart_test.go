@@ -86,9 +86,9 @@ func TestRestartDrainsSendQueue(t *testing.T) {
 	}
 	net.Kill(0)
 	net.Restart(0)
-	sent := ctr.Sent(metrics.Data)
+	sent := ctr.Snapshot().Data
 	sim.Run(sim.Now() + 10*Second)
-	if got := ctr.Sent(metrics.Data); got != sent {
-		t.Fatalf("stale queued frames transmitted after restart: %d", got-sent)
+	if got := ctr.Snapshot().Data; got != sent {
+		t.Fatalf("stale queued frames transmitted after restart: %v", got-sent)
 	}
 }

@@ -51,9 +51,6 @@ const (
 	Minute      Time = 60 * Second
 )
 
-// Seconds converts a floating-point second count to virtual Time.
-func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
 // MarshalText writes t as the Go duration string UnmarshalText reads,
 // whole minutes without the trailing "0s" ("15s", "2m"), so a Time in
 // a written artifact (a sweep cell's interval) reads back.

@@ -165,15 +165,6 @@ func TestSimulatorMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestSeconds(t *testing.T) {
-	if Seconds(1.5) != 1500*Millisecond {
-		t.Fatalf("Seconds(1.5) = %d", Seconds(1.5))
-	}
-	if Seconds(0) != 0 {
-		t.Fatalf("Seconds(0) = %d", Seconds(0))
-	}
-}
-
 // queueRef is the reference model of the two-tier event queue: every
 // pending event in one list kept sorted by eventLess, its front the
 // first. Each scheduled event is a queueTask, so the harness sees the

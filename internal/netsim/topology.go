@@ -151,16 +151,6 @@ func (t *Topology) freeze() {
 	}
 }
 
-// Neighbors returns the nodes that can hear i at all.
-func (t *Topology) Neighbors(i NodeID) []NodeID {
-	links := t.OutLinks(i)
-	out := make([]NodeID, len(links))
-	for k, l := range links {
-		out[k] = l.Dst
-	}
-	return out
-}
-
 // linkQuality derives the delivery probability of a directed link from
 // distance, with lognormal-ish jitter and asymmetry. Pairs beyond
 // rng*range have no link and draw nothing. Audible links are clamped

@@ -251,7 +251,8 @@ func TestLinkQualityProperty(t *testing.T) {
 func TestNeighborsListsAudible(t *testing.T) {
 	topo := UniformTopology(40, 7, 3.2, 13)
 	for i := 0; i < topo.N; i++ {
-		for _, nb := range topo.Neighbors(NodeID(i)) {
+		for _, l := range topo.OutLinks(NodeID(i)) {
+			nb := l.Dst
 			if topo.Quality(NodeID(i), nb) == 0 {
 				t.Fatalf("neighbor %d of %d has zero quality", nb, i)
 			}

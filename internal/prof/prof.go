@@ -245,11 +245,6 @@ func (s *Snapshot) AttributedNs() int64 {
 	return t
 }
 
-// MinCoverage is the floor on Coverage a profiled run must reach. The
-// attribution model yields ~1.0 structurally; anything below this
-// means an instrumentation hole.
-const MinCoverage = 0.95
-
 // Coverage returns the fraction of loop wall time attributed to named
 // phases (1.0 structurally; bench reports it as prof.coverage).
 func (s *Snapshot) Coverage() float64 {

@@ -1,6 +1,11 @@
 package prof
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"scoop/internal/histogram"
+)
 
 // Every phase has a name of its own (bench/ and test failures print
 // them), and an out-of-range value does not index past the table.
@@ -62,8 +67,8 @@ func TestAttributionStructure(t *testing.T) {
 	if s.Count[PhaseMAC] != 1 || s.Count[PhaseRadio] != 1 || s.Count[PhaseReindex] != 1 {
 		t.Fatalf("counts = %v", s.Count)
 	}
-	if s.Depth.Total() != 2 || s.Depth.Max() != 5 {
-		t.Fatalf("depth histogram: total=%d max=%d", s.Depth.Total(), s.Depth.Max())
+	if got, want := s.Depth.Buckets(), []histogram.Log2Bucket{{Lo: 2, Hi: 3, Count: 1}, {Lo: 4, Hi: 7, Count: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("depth histogram %v, want %v", got, want)
 	}
 	if s.LoopNs <= 0 {
 		t.Fatalf("LoopNs = %d, want > 0", s.LoopNs)

@@ -266,13 +266,6 @@ func (t *NeighborTable) Best(dst []NeighborInfo, n int) []NeighborInfo {
 // Observe or Expire.
 func (t *NeighborTable) Tracked() []netsim.NodeID { return t.ids }
 
-// IDs returns all tracked neighbor IDs in ascending order.
-func (t *NeighborTable) IDs() []netsim.NodeID {
-	ids := append(make([]netsim.NodeID, 0, len(t.ids)), t.ids...)
-	slices.Sort(ids)
-	return ids
-}
-
 // descendant is one DescendantSet entry: its origin is reached via
 // child.
 type descendant struct {
@@ -338,9 +331,6 @@ func (d *DescendantSet) Forget(dst netsim.NodeID) {
 	}
 }
 
-// Len reports the number of tracked descendants.
-func (d *DescendantSet) Len() int { return len(d.entries) }
-
 // Clear forgets every descendant, keeping the arrays for reuse.
 func (d *DescendantSet) Clear() { d.origins, d.entries = d.origins[:0], d.entries[:0] }
 
@@ -348,10 +338,3 @@ func (d *DescendantSet) Clear() { d.origins, d.entries = d.origins[:0], d.entrie
 // copying: the set's own key array, read-only and good until the next
 // Record or Forget.
 func (d *DescendantSet) Tracked() []netsim.NodeID { return d.origins }
-
-// IDs returns all descendants in ascending order.
-func (d *DescendantSet) IDs() []netsim.NodeID {
-	ids := append(make([]netsim.NodeID, 0, len(d.origins)), d.origins...)
-	slices.Sort(ids)
-	return ids
-}

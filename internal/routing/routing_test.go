@@ -10,6 +10,13 @@ import (
 	"scoop/internal/netsim"
 )
 
+// sortedIDs lists the neighbors nt tracks in ascending order.
+func sortedIDs(nt *NeighborTable) []netsim.NodeID {
+	ids := slices.Clone(nt.Tracked())
+	slices.Sort(ids)
+	return ids
+}
+
 func TestNeighborTableQualityFromGaps(t *testing.T) {
 	var nt NeighborTable
 	nt.init(8, 0)
@@ -67,13 +74,13 @@ func TestNeighborTableFullAlwaysAdmits(t *testing.T) {
 		nt.Observe(5, 1, 100)
 		nt.Observe(9, 1, 100)
 		nt.Observe(4, 1, 100) // all four heard at t=100: 7 was inserted first
-		if ids := nt.IDs(); !slices.Equal(ids, []netsim.NodeID{4, 5, 9}) {
+		if ids := sortedIDs(&nt); !slices.Equal(ids, []netsim.NodeID{4, 5, 9}) {
 			t.Fatalf("evictAfter %d: tie evicted the wrong entry, table %v", evictAfter, ids)
 		}
 		nt.Observe(5, 2, 200)
 		nt.Observe(4, 2, 200) // 9 is now the stalest, though inserted after 5
 		nt.Observe(6, 1, 200)
-		if ids := nt.IDs(); !slices.Equal(ids, []netsim.NodeID{4, 5, 6}) {
+		if ids := sortedIDs(&nt); !slices.Equal(ids, []netsim.NodeID{4, 5, 6}) {
 			t.Fatalf("evictAfter %d: stalest entry not evicted, table %v", evictAfter, ids)
 		}
 	}
@@ -118,7 +125,7 @@ func TestNeighborTableKeysFollowEntries(t *testing.T) {
 	nt.Observe(50, 1, 80) // full: evicts 10, the stalest
 	if nt.Contains(10) || nt.Quality(30) != q30 || nt.Quality(40) != 1.0/3 || nt.Quality(50) != 1.0/3 {
 		t.Fatalf("after eviction: ids %v, q30 %v q40 %v q50 %v",
-			nt.IDs(), nt.Quality(30), nt.Quality(40), nt.Quality(50))
+			sortedIDs(&nt), nt.Quality(30), nt.Quality(40), nt.Quality(50))
 	}
 	if best := nt.Best(nil, 1); len(best) != 1 || best[0].ID != 30 {
 		t.Fatalf("Best(1) = %+v, want node 30", best)
@@ -194,8 +201,8 @@ func TestDescendantSetBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Record(netsim.NodeID(i), 1, netsim.Time(i))
 	}
-	if d.Len() != 3 {
-		t.Fatalf("len = %d, want 3", d.Len())
+	if len(d.entries) != 3 {
+		t.Fatalf("len = %d, want 3", len(d.entries))
 	}
 	// Most recent three survive.
 	for _, id := range []netsim.NodeID{7, 8, 9} {
@@ -213,7 +220,7 @@ func TestDescendantSetCapacityProperty(t *testing.T) {
 		d := newDescendantSet(capacity)
 		for i, o := range origins {
 			d.Record(netsim.NodeID(o), 1, netsim.Time(i))
-			if d.Len() > capacity {
+			if len(d.entries) > capacity {
 				return false
 			}
 			if _, ok := d.NextHop(netsim.NodeID(o)); !ok {
@@ -330,8 +337,8 @@ func TestTreePathsTerminateAtBase(t *testing.T) {
 		if !tr.HasRoute() {
 			continue
 		}
-		if tr.ETX() < 1 {
-			t.Fatalf("node %d ETX %f below one hop", i, tr.ETX())
+		if tr.etx < 1 {
+			t.Fatalf("node %d ETX %f below one hop", i, tr.etx)
 		}
 		cur, steps := netsim.NodeID(i), 0
 		for cur != 0 {
@@ -388,8 +395,8 @@ func TestBaseNeverPicksParent(t *testing.T) {
 	if apps[0].tree.Parent() != netsim.NoNode {
 		t.Fatal("basestation picked a parent")
 	}
-	if apps[0].tree.ETX() != 0 {
-		t.Fatalf("base ETX = %f", apps[0].tree.ETX())
+	if apps[0].tree.etx != 0 {
+		t.Fatalf("base ETX = %f", apps[0].tree.etx)
 	}
 }
 

@@ -304,9 +304,6 @@ func (t *Tree) Parent() netsim.NodeID { return t.parent }
 // Hops returns the node's tree depth estimate.
 func (t *Tree) Hops() uint8 { return t.hops }
 
-// ETX returns the node's expected-transmissions-to-base estimate.
-func (t *Tree) ETX() float64 { return t.etx }
-
 // RecordUpstream notes that a packet from origin was routed through us
 // by child, updating the descendants list.
 func (t *Tree) RecordUpstream(origin, child netsim.NodeID) {

@@ -171,7 +171,7 @@ func TestSuppressionUnderLoss(t *testing.T) {
 		a.add(7)
 		b.add(7)
 		sim.Run(time90s())
-		return ctr.Sent(metrics.Mapping)
+		return int64(ctr.Snapshot().Mapping)
 	}
 	good := countSends(1.0, 21)
 	lossy := countSends(0.4, 22)
