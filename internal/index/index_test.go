@@ -112,6 +112,42 @@ func TestEntriesCoverDomainProperty(t *testing.T) {
 	}
 }
 
+// A range query contacts the owners of the entries overlapping it. An
+// owner that recurs non-contiguously holds two entries, and each entry
+// names the owner Owner reports for every value it covers; a range
+// outside the domain overlaps no entry and no value in it has an owner.
+func TestOwnersRange(t *testing.T) {
+	ix := New(1, 0, []netsim.NodeID{3, 3, 7, 7, 1, 3})
+	var got []netsim.NodeID
+	for _, e := range ix.Entries {
+		if e.Hi < 1 || e.Lo > 4 {
+			continue
+		}
+		got = append(got, e.Owner)
+		for v := max(e.Lo, 1); v <= min(e.Hi, 4); v++ {
+			if o, ok := ix.Owner(v); !ok || o != e.Owner {
+				t.Fatalf("Owner(%d) = %d, %v; entry %+v says %d", v, o, ok, e, e.Owner)
+			}
+		}
+	}
+	if want := []netsim.NodeID{3, 7, 1}; !slices.Equal(got, want) {
+		t.Fatalf("owners of [1,4] by entry = %v, want %v", got, want)
+	}
+	if n := len(ix.Entries); n != 4 || ix.Entries[0].Owner != ix.Entries[3].Owner {
+		t.Fatalf("entries = %+v, want owner 3 in two non-adjacent entries", ix.Entries)
+	}
+	for _, e := range ix.Entries {
+		if e.Hi >= 100 && e.Lo <= 200 {
+			t.Fatalf("entry %+v overlaps out-of-domain range [100,200]", e)
+		}
+	}
+	for v := 100; v <= 200; v++ {
+		if o, ok := ix.Owner(v); ok {
+			t.Fatalf("out-of-domain Owner(%d) = %d", v, o)
+		}
+	}
+}
+
 func TestSimilarity(t *testing.T) {
 	a := New(1, 0, []netsim.NodeID{1, 1, 2, 2})
 	b := New(2, 0, []netsim.NodeID{1, 1, 2, 3})

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,31 @@ func TestTotalExcludesBeacons(t *testing.T) {
 	}
 	if b.Beacon != 2 {
 		t.Fatalf("beacons = %v", b.Beacon)
+	}
+}
+
+// Drops are tallied by cause from trace events into a table of
+// NumDropCauses entries indexed by the cause: every named cause has a
+// slot and the first value past the table has no name.
+func TestDrops(t *testing.T) {
+	var by [NumDropCauses]int64
+	for _, name := range []string{"collision", "collision", "queue"} {
+		c, ok := ParseDropCause(name)
+		if !ok {
+			t.Fatalf("ParseDropCause(%q) failed", name)
+		}
+		by[c]++
+	}
+	if want := [NumDropCauses]int64{DropCollision: 2, DropQueue: 1}; by != want {
+		t.Fatalf("drops by cause = %v, want %v", by, want)
+	}
+	for c := DropCause(0); int(c) < NumDropCauses; c++ {
+		if strings.HasPrefix(c.String(), "cause(") {
+			t.Fatalf("cause %d inside the table has no name", c)
+		}
+	}
+	if got := DropCause(NumDropCauses).String(); got != fmt.Sprintf("cause(%d)", NumDropCauses) {
+		t.Fatalf("cause past the table is named %q", got)
 	}
 }
 

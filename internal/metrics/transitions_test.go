@@ -64,6 +64,38 @@ func TestSummarizeSpans(t *testing.T) {
 	}
 }
 
+// Summarize's span figures are plain means over the windows of each
+// span: the windows before the first mark, and the tail of windows from
+// the last mark on. A span with no window reads 0.
+func TestMeanOverAndTailMean(t *testing.T) {
+	ws := []TransitionWindow{
+		win(0, 100, 10, 10, 0, 0, 10),
+		win(100, 200, 10, 10, 0, 0, 20),
+		win(200, 300, 10, 10, 0, 0, 30),
+	}
+	tl := Timeline{Windows: ws}
+	tl.AddMark(200, "data-shift")
+	s, ok := tl.Summarize(0.05)
+	if !ok {
+		t.Fatal("summarize failed")
+	}
+	if s.CostBefore != 1.5 {
+		t.Fatalf("mean over [0,200) = %v, want 1.5", s.CostBefore)
+	}
+	if s.CostDuring != 0 || s.DeliveryDuring != 0 {
+		t.Fatalf("empty span means = %v / %v, want 0", s.CostDuring, s.DeliveryDuring)
+	}
+	if s.CostAfter != 3 {
+		t.Fatalf("tail mean from 200 = %v, want 3", s.CostAfter)
+	}
+
+	tl = Timeline{Windows: ws}
+	tl.AddMark(100, "data-shift")
+	if s, _ = tl.Summarize(0.05); s.CostAfter != 2.5 {
+		t.Fatalf("tail mean from 100 = %v, want 2.5", s.CostAfter)
+	}
+}
+
 func TestSummarizeNeverRecovers(t *testing.T) {
 	tl := Timeline{Windows: []TransitionWindow{
 		win(0, 100, 10, 10, 0, 0, 10),
