@@ -107,13 +107,22 @@ func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
 	n.armAggFlush(n.api.Now() + aggFlushDelay)
 }
 
-// aggEntry returns (allocating if needed) the combine buffer for qid.
+// aggEntry returns the combine buffer for qid, taking one off the
+// network's free list if the query has none.
 func (n *Node) aggEntry(qid uint16) *aggCombine {
-	n.aggPending = dense.Grow(n.aggPending, int(qid))
+	n.aggPending = extend(n.aggPending, int(qid), queryTableMin)
 	if n.aggPending[qid] == nil {
-		n.aggPending[qid] = &aggCombine{}
+		n.aggPending[qid] = n.net.combines.Get()
 	}
 	return n.aggPending[qid]
+}
+
+// releaseCombine zeroes a flushed or dropped combine buffer and puts it
+// back on the network's free list, keeping its bitmap's spill array.
+func (n *Node) releaseCombine(e *aggCombine) {
+	e.nodes.reset()
+	*e = aggCombine{nodes: e.nodes}
+	n.net.combines.Put(e)
 }
 
 // armAggFlush arms (or pulls forward) the shared flush timer.
@@ -174,6 +183,7 @@ func (n *Node) flushAggNow() {
 		}
 		n.aggPending[qid] = nil
 		n.sendAggReply(qid, e)
+		n.releaseCombine(e)
 	}
 	if next != 0 {
 		n.armAggFlush(next)
@@ -190,56 +200,52 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 	if !n.tree.HasRoute() {
 		return // retries exhausted; the partial is lost
 	}
-	n.aggSeq = dense.Grow(n.aggSeq, int(qid))
+	n.aggSeq = extend(n.aggSeq, int(qid), queryTableMin)
 	seq := n.aggSeq[qid]
 	n.aggSeq[qid] = seq + 1
-	m := &AggReplyMsg{
-		QueryID:  qid,
-		Node:     n.api.ID(),
-		Seq:      seq,
-		Contribs: uint16(e.contribs),
-		Part:     e.part,
-		Nodes:    e.nodes,
-	}
-	n.stats.AggRepliesSent++
+	m := n.net.partials.Get()
+	m.QueryID, m.Node, m.Seq = qid, n.api.ID(), seq
+	m.Contribs, m.Part = uint16(e.contribs), e.part
+	m.Nodes.copyFrom(&e.nodes)
 	// onAggPartial already counted one hop per merge; a fresh local
 	// partial starts at zero.
-	(&aggSend{n: n, m: m, hops: e.hops, to: n.tree.Parent()}).send()
+	m.n, m.hops, m.to = n, e.hops, n.tree.Parent()
+	netsim.Hold(m) // the sender's, until the last verdict
+	n.stats.AggRepliesSent++
+	m.send()
 }
 
-// aggSend sends one partial to the parent chosen at launch, re-sending
-// the identical message to the SAME destination on link-layer failure:
-// per-receiver (sender, query, seq) dedup then makes duplicates
-// idempotent, so at-least-once delivery cannot double count.
-// (Re-routing a resend to a new parent could double count: the first
-// frame may have been delivered with only its ack lost.)
-type aggSend struct {
-	n       *Node
-	m       *AggReplyMsg
-	hops    uint8 // the frame's header Hops
-	to      netsim.NodeID
-	attempt int
-}
-
-func (s *aggSend) send() {
-	s.n.api.Send(&netsim.Packet{
+// send puts the partial on the air to the parent chosen at launch.
+// SendDone re-sends the identical message to the SAME destination on
+// link-layer failure: per-receiver (sender, query, seq) dedup then
+// makes duplicates idempotent, so at-least-once delivery cannot double
+// count. (Re-routing a resend to a new parent could double count: the
+// first frame may have been delivered with only its ack lost.)
+func (m *AggReplyMsg) send() {
+	n := m.n
+	n.api.Send(&netsim.Packet{
 		Class:        metrics.AggReply,
-		Hops:         s.hops,
-		Dst:          s.to,
-		Origin:       s.n.api.ID(),
-		OriginParent: s.n.tree.Parent(),
-		Size:         aggReplySize(s.m),
-		Payload:      s.m,
-	}, s)
+		Hops:         m.hops,
+		Dst:          m.to,
+		Origin:       n.api.ID(),
+		OriginParent: n.tree.Parent(),
+		Size:         aggReplySize(m),
+		Payload:      m,
+	}, m)
 }
 
-func (s *aggSend) SendDone(ok bool) {
-	if !ok && s.attempt < aggSendRetries {
-		s.attempt++
-		s.n.cfg.Trace.Emit(trace.Event{Kind: trace.AggResent, Node: uint16(s.n.api.ID()),
-			ID: s.m.QueryID, Aux: int64(s.attempt)})
-		s.send()
+// SendDone is the link layer's verdict on the partial's frame: a failed
+// send is resent while the budget lasts, and the last verdict drops the
+// sender's reference.
+func (m *AggReplyMsg) SendDone(ok bool) {
+	if !ok && m.attempt < aggSendRetries {
+		m.attempt++
+		m.n.cfg.Trace.Emit(trace.Event{Kind: trace.AggResent, Node: uint16(m.n.api.ID()),
+			ID: m.QueryID, Aux: int64(m.attempt)})
+		m.send()
+		return
 	}
+	netsim.Release(m)
 }
 
 // ---------------------------------------------------------------------
@@ -288,7 +294,8 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 	})
 	b.cfg.Prof.Exit(profPrev)
 
-	pq := &pendingQuery{plan: dec.Plan, q: q, est: est}
+	pq := b.queries.new()
+	pq.plan, pq.q, pq.est = dec.Plan, q, est
 	wq := workload.Query{
 		ValueLo: q.ValueLo, ValueHi: q.ValueHi,
 		TimeLo: q.TimeLo, TimeHi: q.TimeHi,
@@ -322,7 +329,7 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 		// The base folds in its own store (owned plus washed-up
 		// readings) at zero radio cost.
 		pq.part = scanPartial(b.store, q.ValueLo, q.ValueHi, q.TimeLo, q.TimeHi)
-		b.issue(pq, queryPacket(wq, q.Op, b.relOn()), wq, targets)
+		b.issue(pq, b.queryPacket(wq, q.Op, b.relOn()), wq, targets)
 		if pq.expected == 0 {
 			pq.answered = true
 		}

@@ -72,10 +72,14 @@ type Base struct {
 
 	store *DataBuffer
 
-	latest     []*SummaryMsg // last summary per node, dense by node ID
-	latestHops []uint8       // the header Hops latest[id] arrived with
-	history    []*SummaryMsg // never discarded (paper §5.5)
-	inHistory  seenTable     // history's (node, SentAt) keys: each summary kept once
+	// The summaries the base keeps are its own copies (kept), carved
+	// from a slab: a received SummaryMsg goes back to its network's
+	// free list after its last delivery.
+	latest     []*SummaryMsg    // the copy of the last summary received per node, dense by node ID
+	latestHops []uint8          // the header Hops latest[id] arrived with
+	history    []*SummaryMsg    // never discarded (paper §5.5)
+	inHistory  seenTable        // history's (node, SentAt) keys: each summary kept once
+	kept       slab[SummaryMsg] // history's copies
 	// The history indexed by node: newest[id] is 1 + the history index of
 	// node id's summary with the latest SentAt, older[i] 1 + that of the
 	// next earlier one by the same node (0: none). The planner walks a
@@ -95,9 +99,13 @@ type Base struct {
 	net *shared // the network's free lists and blocks (netsim.Shared)
 
 	queryLog     []loggedQuery
-	pending      []*pendingQuery // dense by query ID
-	seenAggParts seenTable       // partial-aggregate message dedup
-	storedData   seenTable       // every reading in store, by producer and sample time
+	pending      []*pendingQuery    // dense by query ID
+	queries      slab[pendingQuery] // pending's records: QueryResults reads one after it settles
+	packets      slab[QueryMsg]     // every query packet issued, retries included: nodes keep them
+	all          []netsim.NodeID    // every non-base node ID (allNodes), built on first use
+	owners       []netsim.NodeID    // rangeTargets' owner set, reused
+	seenAggParts seenTable          // partial-aggregate message dedup
+	storedData   seenTable          // every reading in store, by producer and sample time
 	qidNext      uint16
 	remaps       int // scheduled remaps run so far (RemapLimit bookkeeping)
 
@@ -245,12 +253,18 @@ func (b *Base) receive(p *netsim.Packet) {
 func (b *Base) Snoop(p *netsim.Packet) { b.tree.Observe(p) }
 
 func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
-	b.latest[m.Node], b.latestHops[m.Node] = m, hops
-	// A copy retransmitted after a lost ack is counted and kept once.
-	if !b.inHistory.Seen(&b.net.seen, m.Node, uint64(m.SentAt)) {
+	// A copy retransmitted after a lost ack is counted and kept once;
+	// the last copy received is the node's latest, duplicates included.
+	var c *SummaryMsg
+	if b.inHistory.Seen(&b.net.seen, m.Node, uint64(m.SentAt)) {
+		c = b.keptCopy(m.Node, m.SentAt)
+	} else {
 		b.stats.SummariesReceived++
-		b.keepSummary(m)
+		c = b.kept.new()
+		c.keep(m)
+		b.keepSummary(c)
 	}
+	b.latest[m.Node], b.latestHops[m.Node] = c, hops
 	// Trickle inconsistency detection: a summary advertising an
 	// outdated index (a rebooted node reports 0) restarts fast gossip
 	// of the current generation's chunks, which would otherwise have
@@ -260,10 +274,10 @@ func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
 	}
 }
 
-// keepSummary appends m to the history and links it into its node's
-// chain, which runs from the latest SentAt to the earliest. Summaries
-// mostly arrive in their node's SentAt order, so the link is almost
-// always at the head.
+// keepSummary appends the base's copy m to the history and links it
+// into its node's chain, which runs from the latest SentAt to the
+// earliest. Summaries mostly arrive in their node's SentAt order, so
+// the link is almost always at the head.
 func (b *Base) keepSummary(m *SummaryMsg) {
 	b.history = append(b.history, m)
 	b.older = append(b.older, 0)
@@ -272,6 +286,17 @@ func (b *Base) keepSummary(m *SummaryMsg) {
 		at = &b.older[*at-1]
 	}
 	b.older[len(b.older)-1], *at = *at, int32(len(b.history))
+}
+
+// keptCopy returns the history's copy of node's summary sent at sentAt,
+// found down the node's chain: a duplicate is usually of a recent one.
+func (b *Base) keptCopy(node netsim.NodeID, sentAt netsim.Time) *SummaryMsg {
+	for i := b.newest[node]; i > 0; i = b.older[i-1] {
+		if s := b.history[i-1]; s.SentAt == sentAt {
+			return s
+		}
+	}
+	panic("core: a summary the base saw is missing from its history")
 }
 
 // latestSummaries returns, in ascending node order, each node's retained
@@ -367,7 +392,7 @@ func (b *Base) onReply(m *ReplyMsg) {
 	b.stats.TuplesReturned += int64(m.Count)
 	rec := b.cfg.Trace
 	for _, r := range m.Readings {
-		if pq.collect(r) && rec != nil {
+		if pq.collect(r, b.net) && rec != nil {
 			rec.Emit(trace.Event{Kind: trace.ReadingDelivered, Node: uint16(b.api.ID()),
 				ID: qid, Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 		}
@@ -377,12 +402,13 @@ func (b *Base) onReply(m *ReplyMsg) {
 
 // collect adds r to the query's tuples and reports whether it was new:
 // a reading stored at two nodes comes back from both when the query
-// reaches both, and is delivered once.
-func (pq *pendingQuery) collect(r Reading) bool {
-	if pq.delivered.Seen(nil, netsim.NodeID(r.Producer), uint64(r.Time)) {
+// reaches both, and is delivered once. The tuples and their keys grow
+// in the network's blocks.
+func (pq *pendingQuery) collect(r Reading, net *shared) bool {
+	if pq.delivered.Seen(&net.seen, netsim.NodeID(r.Producer), uint64(r.Time)) {
 		return false
 	}
-	pq.readings = append(pq.readings, r)
+	pq.readings = append(netsim.Grow(&net.readings, pq.readings, 1), r) // doubling from one, as append would
 	return true
 }
 
@@ -531,7 +557,8 @@ func (b *Base) queryProfile() index.QueryProfile {
 }
 
 // IssueQuery disseminates a user query and registers reply tracking.
-// It returns the set of targeted nodes (diagnostics/tests).
+// It returns the set of targeted nodes (diagnostics/tests), which the
+// caller must not modify and which is good until the next query.
 func (b *Base) IssueQuery(q workload.Query) []netsim.NodeID {
 	b.stats.QueriesIssued++
 	lg := loggedQuery{at: b.api.Now()}
@@ -540,7 +567,9 @@ func (b *Base) IssueQuery(q workload.Query) []netsim.NodeID {
 	}
 	b.queryLog = append(b.queryLog, lg)
 	targets := b.targets(q)
-	b.issueTuple(&pendingQuery{plan: query.PlanTuple}, q, targets)
+	pq := b.queries.new()
+	pq.plan = query.PlanTuple
+	b.issueTuple(pq, q, targets)
 	return targets
 }
 
@@ -548,7 +577,7 @@ func (b *Base) IssueQuery(q workload.Query) []netsim.NodeID {
 // target set (shared by IssueQuery and the aggregate planner's tuple
 // plan).
 func (b *Base) issueTuple(pq *pendingQuery, q workload.Query, targets []netsim.NodeID) {
-	msg := queryPacket(q, query.OpSelect, false)
+	msg := b.queryPacket(q, query.OpSelect, false)
 	// The base also scans its own store (readings it owns plus
 	// washed-up data) at no message cost.
 	b.scanLocal(msg, pq)
@@ -558,8 +587,9 @@ func (b *Base) issueTuple(pq *pendingQuery, q workload.Query, targets []netsim.N
 
 // queryPacket builds the packet asking for q with operator op; issue
 // (or recovery) fills in the ID and the bitmap.
-func queryPacket(q workload.Query, op query.Op, track bool) *QueryMsg {
-	msg := &QueryMsg{Op: op, TimeLo: q.TimeLo, TimeHi: q.TimeHi, Track: track}
+func (b *Base) queryPacket(q workload.Query, op query.Op, track bool) *QueryMsg {
+	msg := b.packets.new()
+	*msg = QueryMsg{Op: op, TimeLo: q.TimeLo, TimeHi: q.TimeHi, Track: track}
 	if q.IsNodeQuery() {
 		msg.ValueLo, msg.ValueHi = 1, 0 // no value constraint
 	} else {
@@ -650,7 +680,7 @@ func (b *Base) scanLocal(q *QueryMsg, pq *pendingQuery) {
 	count := 0
 	b.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r Reading) {
 		count++
-		pq.collect(r)
+		pq.collect(r, b.net)
 	})
 	pq.total += count
 	b.stats.TuplesReturned += int64(count)
@@ -660,7 +690,8 @@ func (b *Base) scanLocal(q *QueryMsg, pq *pendingQuery) {
 // node list, or the owners of the value range under every index
 // generation active in the query's time window (paper §5.5). Time
 // ranges predating the first index — or overlapping a store-local
-// generation — involve every node.
+// generation — involve every node. A range's set is good until the
+// next query.
 func (b *Base) targets(q workload.Query) []netsim.NodeID {
 	if q.IsNodeQuery() {
 		return q.Nodes
@@ -669,28 +700,31 @@ func (b *Base) targets(q workload.Query) []netsim.NodeID {
 	return ids
 }
 
-// allNodes returns every non-base node ID.
+// allNodes returns every non-base node ID, built once per base; the
+// caller must not modify it.
 func (b *Base) allNodes() []netsim.NodeID {
-	n := b.api.N()
-	out := make([]netsim.NodeID, 0, n-1)
-	for i := 1; i < n; i++ {
-		out = append(out, netsim.NodeID(i))
+	if b.all == nil {
+		n := b.api.N()
+		b.all = make([]netsim.NodeID, 0, n-1)
+		for i := 1; i < n; i++ {
+			b.all = append(b.all, netsim.NodeID(i))
+		}
 	}
-	return out
+	return b.all
 }
 
 // rangeTargets resolves a value range over a time window to the owner
 // node set, and reports whether index generations with non-local
 // mappings cover the whole window. An uncovered window (pre-first-
 // index time, or a store-local generation in range) targets every
-// node.
+// node. The set is the base's, good until the next call.
 func (b *Base) rangeTargets(vlo, vhi int, tlo, thi netsim.Time) ([]netsim.NodeID, bool) {
 	if len(b.records) == 0 || tlo < b.records[0].at {
 		// Data from before the first index is stored locally on every
 		// node.
 		return b.allNodes(), false
 	}
-	var out []netsim.NodeID
+	out := b.owners[:0]
 	for i, rec := range b.records {
 		end := netsim.Time(1 << 62)
 		if i+1 < len(b.records) {
@@ -716,7 +750,8 @@ func (b *Base) rangeTargets(vlo, vhi int, tlo, thi netsim.Time) ([]netsim.NodeID
 		}
 	}
 	slices.Sort(out)
-	return slices.Compact(out), true
+	b.owners = slices.Compact(out)
+	return b.owners, true
 }
 
 // QueryMax answers "maximum value in [t0,t1]" directly from stored

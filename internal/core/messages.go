@@ -15,12 +15,15 @@ import (
 // routing tree (paper §5.2): a coarse histogram over recent readings,
 // min/max/sum of those readings, the node's production rate, its
 // best-connected neighbors, and the ID of the last complete storage
-// index it holds. It is a shared payload (netsim.Packet): the
-// basestation keeps every summary it receives, so none is reused, and a
-// relay forwards the very message it heard (its TTL is the frame
-// header's Hops). A sent summary is one object: Hist.Counts and
-// Neighbors slice its own arrays (DESIGN.md §12).
+// index it holds. It is a recycled payload (netsim.Packet), one object:
+// Hist.Counts and Neighbors slice its own arrays (DESIGN.md §12). A
+// relay forwards the very message it heard, its send holding a
+// reference (the TTL is the frame header's Hops), so no receiver writes
+// it; the basestation copies what it keeps into summaries of its own,
+// and the message goes back to its network's free list after its last
+// delivery.
 type SummaryMsg struct {
+	netsim.Refs
 	Node          netsim.NodeID
 	Hist          histogram.Histogram
 	Min, Max, Sum int
@@ -31,6 +34,37 @@ type SummaryMsg struct {
 
 	bins [nBins]uint16                        // Hist.Counts' array
 	nbrs [neighborReport]routing.NeighborInfo // Neighbors' array
+	free *netsim.FreeList[SummaryMsg]
+}
+
+// Recycle implements netsim.Recycled.
+func (m *SummaryMsg) Recycle() {
+	if free := m.free; free != nil {
+		*m = SummaryMsg{}
+		free.Put(m)
+	}
+}
+
+// keep makes m a copy of the received summary r, its Hist.Counts and
+// Neighbors slicing m's own arrays: what the basestation keeps of a
+// summary.
+func (m *SummaryMsg) keep(r *SummaryMsg) {
+	*m = SummaryMsg{
+		Node:        r.Node,
+		Hist:        histogram.Histogram{Min: r.Hist.Min, Max: r.Hist.Max},
+		Min:         r.Min,
+		Max:         r.Max,
+		Sum:         r.Sum,
+		Rate:        r.Rate,
+		LastIndexID: r.LastIndexID,
+		SentAt:      r.SentAt,
+	}
+	if r.Hist.Counts != nil {
+		m.Hist.Counts = append(m.bins[:0], r.Hist.Counts...)
+	}
+	if r.Neighbors != nil {
+		m.Neighbors = append(m.nbrs[:0], r.Neighbors...)
+	}
 }
 
 // summarySize approximates the on-air bytes of a summary message:
@@ -107,16 +141,16 @@ func mappingSize(m *MappingMsg) int { return 12 + 5*len(m.Chunk.Entries) }
 // shared payload (netsim.Packet): every relay keeps the query it heard
 // and re-broadcasts that same object under Trickle.
 type QueryMsg struct {
-	ID               uint16
-	Bitmap           Bitmap
-	Op               query.Op
-	ValueLo, ValueHi int
-	TimeLo, TimeHi   netsim.Time
+	ID uint16
+	Op query.Op
 	// Track asks targeted nodes to carry a contributor bitmap in their
 	// partials so the base can tell which owners a combined partial
 	// folds in — the reliability layer's retry targeting needs it. Set
 	// only on aggregate queries, and only when Config.QueryDeadline > 0.
-	Track bool
+	Track            bool
+	Bitmap           Bitmap
+	ValueLo, ValueHi int
+	TimeLo, TimeHi   netsim.Time
 }
 
 // querySize is the paper's tuple-query packet plus one operator byte
@@ -165,8 +199,12 @@ func replySize(m *ReplyMsg) int { return 8 + 4*len(m.Readings) }
 // sender so retransmitted duplicates are dropped without double
 // counting; Contribs counts the distinct targeted nodes folded into
 // Part. Its frame's Hops is the largest hop count any merged partial
-// has travelled.
+// has travelled. It is a recycled payload (netsim.Packet) that owns its
+// contributor bitmap and carries its own resend state: the sender holds
+// its reference until the link layer's last verdict (SendDone), and
+// the last delivery puts it back on its network's free list.
 type AggReplyMsg struct {
+	netsim.Refs
 	QueryID  uint16
 	Node     netsim.NodeID
 	Seq      uint8
@@ -176,6 +214,24 @@ type AggReplyMsg struct {
 	// partial folds in. Carried only for Track queries; empty (and
 	// free on the air) otherwise.
 	Nodes Bitmap
+
+	// The resend state (SendDone): the sending node, the
+	// frames' header Hops, the parent chosen at launch and the resends
+	// made so far.
+	n       *Node
+	hops    uint8
+	to      netsim.NodeID
+	attempt int
+}
+
+// Recycle implements netsim.Recycled, keeping the contributor bitmap's
+// spill array for the next partial.
+func (m *AggReplyMsg) Recycle() {
+	if n := m.n; n != nil {
+		m.Nodes.reset()
+		*m = AggReplyMsg{Nodes: m.Nodes}
+		n.net.partials.Put(m)
+	}
 }
 
 // aggReplySize is a fixed 22 bytes — ids/seq/contribs header plus the
@@ -190,44 +246,59 @@ func aggReplySize(m *AggReplyMsg) int {
 	return n
 }
 
-// Bitmap is the node bitmap in query packets. The paper's fixed
-// 128-bit field "puts an upper bound to the size of the sensor
-// network; 128 nodes in our current implementation" (paper §5.5); the
-// scale tier (DESIGN.md §12) replaces it with a variable-length bitmap
-// whose on-air size (Bytes) keeps the paper's 16-byte floor — so
-// query packets at N ≤ 128 are byte-for-byte the paper's — and grows
-// with the highest targeted node beyond that.
+// Bitmap is the node bitmap in query packets and in the contributor
+// sets of aggregate partials. The paper's fixed 128-bit field "puts an
+// upper bound to the size of the sensor network; 128 nodes in our
+// current implementation" (paper §5.5): lo holds it inline, so at
+// N ≤ 128 a bitmap is part of the value that holds it and copies with
+// it. The scale tier (DESIGN.md §12) spills nodes 128 and up into hi,
+// grown only when such a node is marked; a struct copy shares hi. The
+// on-air size (Bytes) keeps the paper's 16-byte floor — so query
+// packets at N ≤ 128 are byte-for-byte the paper's — and grows with
+// the highest targeted node beyond that.
 type Bitmap struct {
-	w []uint64
+	lo [2]uint64 // nodes 0–127, the paper's field
+	hi []uint64  // hi[i] holds nodes 128+64i to 191+64i
 }
 
-// Set marks node id, growing the bitmap as needed.
+// word returns the bitmap's word wi, 0 past its end.
+func (b *Bitmap) word(wi int) uint64 {
+	if wi < len(b.lo) {
+		return b.lo[wi]
+	}
+	if wi -= len(b.lo); wi < len(b.hi) {
+		return b.hi[wi]
+	}
+	return 0
+}
+
+// at returns a pointer to word wi, growing hi to hold it.
+func (b *Bitmap) at(wi int) *uint64 {
+	if wi < len(b.lo) {
+		return &b.lo[wi]
+	}
+	b.hi = dense.Grow(b.hi, wi-len(b.lo))
+	return &b.hi[wi-len(b.lo)]
+}
+
+// Set marks node id, spilling past node 127 as needed.
 func (b *Bitmap) Set(id netsim.NodeID) {
-	wi := int(id) >> 6
-	b.w = dense.Grow(b.w, wi)
-	b.w[wi] |= 1 << (uint(id) & 63)
+	*b.at(int(id) >> 6) |= 1 << (uint(id) & 63)
 }
 
 // Has reports whether node id is marked.
 func (b *Bitmap) Has(id netsim.NodeID) bool {
-	wi := int(id) >> 6
-	if wi >= len(b.w) {
-		return false
-	}
-	return b.w[wi]&(1<<(uint(id)&63)) != 0
+	return b.word(int(id)>>6)&(1<<(uint(id)&63)) != 0
 }
 
 // Bytes returns the field's on-air size: the paper's 16-byte bitmap
 // for networks of up to 128 nodes, one byte per 8 nodes beyond that
 // (sized by the highest targeted node, as a wire encoding would be).
 func (b *Bitmap) Bytes() int {
-	for wi := len(b.w) - 1; wi >= 0; wi-- {
-		if w := b.w[wi]; w != 0 {
+	for wi := len(b.lo) + len(b.hi) - 1; wi >= len(b.lo); wi-- {
+		if w := b.word(wi); w != 0 {
 			hi := wi*64 + 63 - bits.LeadingZeros64(w)
-			if n := hi/8 + 1; n > 16 {
-				return n
-			}
-			return 16
+			return hi/8 + 1
 		}
 	}
 	return 16
@@ -235,8 +306,8 @@ func (b *Bitmap) Bytes() int {
 
 // Count returns the number of marked nodes.
 func (b *Bitmap) Count() int {
-	n := 0
-	for _, w := range b.w {
+	n := bits.OnesCount64(b.lo[0]) + bits.OnesCount64(b.lo[1])
+	for _, w := range b.hi {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -244,7 +315,10 @@ func (b *Bitmap) Count() int {
 
 // Empty reports whether no node is marked.
 func (b *Bitmap) Empty() bool {
-	for _, w := range b.w {
+	if b.lo != [2]uint64{} {
+		return false
+	}
+	for _, w := range b.hi {
 		if w != 0 {
 			return false
 		}
@@ -254,22 +328,22 @@ func (b *Bitmap) Empty() bool {
 
 // Or folds other's marked nodes into b.
 func (b *Bitmap) Or(other *Bitmap) {
-	if len(other.w) > 0 {
-		b.w = dense.Grow(b.w, len(other.w)-1)
-	}
-	for i, w := range other.w {
-		b.w[i] |= w
+	b.lo[0] |= other.lo[0]
+	b.lo[1] |= other.lo[1]
+	for i, w := range other.hi {
+		if w != 0 {
+			*b.at(len(b.lo) + i) |= w
+		}
 	}
 }
 
 // Intersects reports whether b and other share any marked node.
 func (b *Bitmap) Intersects(other *Bitmap) bool {
-	n := len(b.w)
-	if len(other.w) < n {
-		n = len(other.w)
+	if b.lo[0]&other.lo[0] != 0 || b.lo[1]&other.lo[1] != 0 {
+		return true
 	}
-	for i := 0; i < n; i++ {
-		if b.w[i]&other.w[i] != 0 {
+	for i, w := range b.hi {
+		if i < len(other.hi) && w&other.hi[i] != 0 {
 			return true
 		}
 	}
@@ -279,15 +353,24 @@ func (b *Bitmap) Intersects(other *Bitmap) bool {
 // AndNot returns the nodes marked in b but not in other — the silent
 // set the reliability layer re-asks.
 func (b *Bitmap) AndNot(other *Bitmap) Bitmap {
-	var out Bitmap
-	for i, w := range b.w {
-		if i < len(other.w) {
-			w &^= other.w[i]
-		}
-		if w != 0 {
-			out.w = dense.Grow(out.w, i)
-			out.w[i] = w
+	out := Bitmap{lo: [2]uint64{b.lo[0] &^ other.lo[0], b.lo[1] &^ other.lo[1]}}
+	for i, w := range b.hi {
+		if w &^= other.word(len(b.lo) + i); w != 0 {
+			*out.at(len(b.lo) + i) = w
 		}
 	}
 	return out
+}
+
+// copyFrom makes b mark what other marks, reusing b's spill array: a
+// recycled message or combine buffer owns its bitmap.
+func (b *Bitmap) copyFrom(other *Bitmap) {
+	b.lo = other.lo
+	b.hi = append(b.hi[:0], other.hi...)
+}
+
+// reset unmarks every node, keeping the spill array for reuse.
+func (b *Bitmap) reset() {
+	clear(b.hi)
+	*b = Bitmap{hi: b.hi[:0]}
 }

@@ -92,8 +92,9 @@ type Node struct {
 	seenData      dataSeen
 
 	// The network's free lists and blocks (netsim.Shared): data hops,
-	// replies and mapping chunks go back to its lists after their last
-	// delivery, and the node's arrays grow in its blocks.
+	// summaries, replies, partials and mapping chunks go back to its
+	// lists after their last delivery, as combine buffers do once
+	// flushed, and the node's arrays grow in its blocks.
 	net *shared
 }
 
@@ -184,7 +185,12 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 	n.chunks.Clear()
 	clear(n.queries)
 	n.queries = n.queries[:0]
-	clear(n.aggPending)
+	for i, e := range n.aggPending {
+		if e != nil {
+			n.aggPending[i] = nil
+			n.releaseCombine(e)
+		}
+	}
 	n.aggPending, n.aggSeq = n.aggPending[:0], n.aggSeq[:0]
 	clear(n.pendingAnswers)
 	n.pendingAnswers = n.pendingAnswers[:0]
@@ -262,8 +268,8 @@ func (n *Node) receive(p *netsim.Packet) {
 		if n.cur != nil && !n.cur.Local && m.LastIndexID < n.cur.ID {
 			resetChunks(&n.chunks, n.cur.ID, &n.mapGos)
 		}
-		// A summary is shared and immutable: the relay forwards the
-		// message it heard, the hop count riding in the frame header.
+		// The relay forwards the message it heard, its send holding a
+		// reference, the hop count riding in the frame header.
 		if int(p.Hops) <= maxHops && !n.seenSummaries.Seen(&n.net.seen, m.Node, uint64(m.SentAt)) {
 			n.forwardUp(p, m, metrics.Summary, summarySize(m))
 		}
@@ -272,7 +278,9 @@ func (n *Node) receive(p *netsim.Packet) {
 		if int(p.Hops) <= maxHops && !n.seenReplies.Seen(&n.net.seen, m.Node, uint64(m.QueryID)) {
 			fwd := n.newReply()
 			fwd.QueryID, fwd.Node, fwd.Count = m.QueryID, m.Node, m.Count
-			fwd.Readings = append(fwd.Readings, m.Readings...)
+			for _, r := range m.Readings {
+				n.addReading(fwd, r)
+			}
 			n.forwardUp(p, fwd, metrics.Reply, replySize(m))
 			netsim.Release(fwd)
 		}
@@ -568,15 +576,14 @@ func (n *Node) sendSummary() {
 		n.recentVals = n.net.values.Take(recentBufSize)
 	}
 	n.recentVals = n.recent.AppendValues(n.recentVals[:0])
-	m := &SummaryMsg{
-		Node:        n.api.ID(),
-		Min:         min,
-		Max:         max,
-		Sum:         sum,
-		Rate:        float64(n.samplesSinceSummary) / (float64(n.cfg.SummaryInterval) / float64(netsim.Second)),
-		LastIndexID: lastID,
-		SentAt:      n.api.Now(),
-	}
+	m := n.net.summaries.Get()
+	m.free = &n.net.summaries
+	netsim.Hold(m)
+	m.Node = n.api.ID()
+	m.Min, m.Max, m.Sum = min, max, sum
+	m.Rate = float64(n.samplesSinceSummary) / (float64(n.cfg.SummaryInterval) / float64(netsim.Second))
+	m.LastIndexID = lastID
+	m.SentAt = n.api.Now()
 	m.Hist = histogram.Fill(n.recentVals, m.bins[:])
 	m.Neighbors = n.tree.Neighbors.Best(m.nbrs[:0], neighborReport)
 	n.samplesSinceSummary = 0
@@ -589,6 +596,7 @@ func (n *Node) sendSummary() {
 		Size:         summarySize(m),
 		Payload:      m,
 	}, nil)
+	netsim.Release(m)
 }
 
 // onChunk processes one received mapping message (paper §5.3).
@@ -670,7 +678,7 @@ func (n *Node) onQuery(q *QueryMsg) {
 	}
 	// A run issues tens to hundreds of queries: the table starts at
 	// queryTableMin IDs and doubles, not regrowing every few IDs.
-	n.queries = extend(&n.net.queries, n.queries, int(q.ID), queryTableMin)
+	n.queries = extend(n.queries, int(q.ID), queryTableMin)
 	n.queries[q.ID] = q
 	if n.shouldRelay(&q.Bitmap) {
 		n.qGos.Add(key)
@@ -689,7 +697,12 @@ func (n *Node) onQuery(q *QueryMsg) {
 	n.pendingAnswers = append(netsim.Grow(&n.net.queries, n.pendingAnswers, spareMin), q)
 }
 
-// queryTableMin is the query-ID capacity a node's query table starts at.
+// queryTableMin is the query-ID capacity a node's query table, and its
+// combine buffers and flush sequence numbers, start at. The tables grow
+// outside the network's blocks: every node outgrows its table at about
+// the same query ID, so an outgrown table carved from the blocks would
+// stay there as a spare no node asks for again; made on its own, it
+// goes to the collector.
 const queryTableMin = 64
 
 // spareMin is the capacity a node's spare-batch and pending-answer lists
@@ -738,7 +751,7 @@ func (n *Node) answer(q *QueryMsg) {
 	m.QueryID, m.Node = q.ID, n.api.ID()
 	n.store.Select(q.ValueLo, q.ValueHi, int64(q.TimeLo), int64(q.TimeHi), func(r Reading) {
 		if m.Count < replyMaxReadings {
-			m.Readings = append(m.Readings, r)
+			n.addReading(m, r)
 		}
 		m.Count++
 	})
@@ -765,4 +778,13 @@ func (n *Node) newReply() *ReplyMsg {
 	m.free = &n.net.replies
 	netsim.Hold(m)
 	return m
+}
+
+// addReading appends r to the reply m's readings. The array grows in
+// the network's blocks, doubling from two, and stays with the reply
+// through every recycling; the one it outgrew goes back for the next
+// reply that grows. A reply of no tuples holds none, and one that holds
+// the most a reply carries grows no more.
+func (n *Node) addReading(m *ReplyMsg, r Reading) {
+	m.Readings = append(netsim.Grow(&n.net.readings, m.Readings, 2), r)
 }

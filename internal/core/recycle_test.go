@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"scoop/internal/metrics"
@@ -10,7 +9,9 @@ import (
 )
 
 // sinkApp counts what it receives by class and keeps nothing but the
-// last summary it heard (a shared payload) and that frame's hop count.
+// last summary it heard and that frame's hop count. The summary is
+// kept for its identity only: a summary a node sent is recycled after
+// its last delivery.
 type sinkApp struct {
 	got         [metrics.Beacon + 1]int // by class; Beacon is the last
 	summary     *SummaryMsg
@@ -63,8 +64,8 @@ func adoptParent(t *testing.T, sim *netsim.Simulator, node *Node, round uint32) 
 // relay copies a borrowed payload into a hop or reply of node 1's own,
 // taken off the network's free list, and the relayed frame's last
 // delivery puts it back — neither the received payload nor its readings are kept. A
-// summary is shared: the relay forwards the message it heard, one hop
-// further in the frame header.
+// summary the relay forwards as heard, one hop further in the frame
+// header, its send holding a reference.
 func TestForwardZeroAllocs(t *testing.T) {
 	sim, _, node, sink := relayFixture(t)
 	batch := &DataMsg{Readings: oneReading(7, 2, 0), Owner: 0, SID: 1}
@@ -106,7 +107,7 @@ func TestForwardZeroAllocs(t *testing.T) {
 // from 200 origins new to its table, 12 in-order send times each, every
 // one heard twice (the second copy a retransmission it drops), and
 // allocates nothing — the table refills the arrays it kept, and the
-// relay forwards the shared message it heard.
+// relay forwards the message it heard.
 func TestRelayedSummaryZeroAllocs(t *testing.T) {
 	sim, net, node, sink := relayFixture(t)
 	summary := &SummaryMsg{}
@@ -124,18 +125,10 @@ func TestRelayedSummaryZeroAllocs(t *testing.T) {
 		}
 	}
 	relayAll() // grows the table and the network's blocks
-	// The fewest of three boots, so a runtime allocation (a collector
-	// worker starting) between the two readings cannot count.
-	least := ^uint64(0)
-	for boot := uint32(2); boot <= 4; boot++ {
+	least := leastMallocs(func(k int) {
 		net.Restart(1)
-		adoptParent(t, sim, node, boot)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		relayAll()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
-	}
+		adoptParent(t, sim, node, uint32(2+k))
+	}, relayAll)
 	if least != 0 && !raceEnabled {
 		t.Fatalf("relaying 2400 summaries from 200 origins after a reboot allocates %d objects, want 0", least)
 	}

@@ -14,8 +14,8 @@ import (
 // neighbor table and the descendant set. Kept as the reference.
 func shouldRelayWalk(n *Node, bm *Bitmap) bool {
 	me := n.api.ID()
-	for wi, w := range bm.w {
-		for w != 0 {
+	for wi := range len(bm.lo) + len(bm.hi) {
+		for w := bm.word(wi); w != 0; {
 			id := netsim.NodeID(wi*64 + bits.TrailingZeros64(w))
 			w &= w - 1
 			if id == me {

@@ -201,12 +201,13 @@ func (b *Base) relDeadline(qid uint16, pq *pendingQuery) {
 	}
 	pq.attempt++
 	b.qidNext++
-	m := *pq.msg
+	m := b.packets.new()
+	*m = *pq.msg
 	m.ID, m.Bitmap = b.qidNext, silent
 	b.retryOf = dense.Grow(b.retryOf, int(m.ID))
 	b.retryOf[m.ID] = qid
-	pq.wires = append(pq.wires, m.ID)
-	b.gossip(&m)
+	pq.wires = append(netsim.Grow(&b.net.wires, pq.wires, wiresMin), m.ID)
+	b.gossip(m)
 	b.stats.QueryRetries++
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryRetry, Node: uint16(b.api.ID()),
 		ID: qid, Value: int64(silent.Count()), Aux: int64(pq.attempt)})
@@ -265,8 +266,13 @@ func (b *Base) settle(qid uint16, pq *pendingQuery, emit bool) {
 	for _, w := range pq.wires {
 		b.relDropWire(w)
 	}
+	b.net.wires.Put(pq.wires)
+	pq.delivered.release(&b.net.seen) // collect reads it no more
 	pq.wires, pq.msg, pq.heard = nil, nil, Bitmap{}
 }
+
+// wiresMin is the capacity a query's retry wire-ID list starts at.
+const wiresMin = 4
 
 // relDropWire evicts one wire query ID from the outbound table, query
 // gossip and the retry mapping.
@@ -307,8 +313,9 @@ func (b *Base) recoverOpenQueries() {
 		if e.closed {
 			continue
 		}
-		pq := &pendingQuery{plan: e.plan, issued: b.api.Now(), attempt: e.attempt, logIdx: i + 1}
-		msg := queryPacket(e.wq, query.OpSelect, false)
+		pq := b.queries.new()
+		*pq = pendingQuery{plan: e.plan, issued: b.api.Now(), attempt: e.attempt, logIdx: i + 1}
+		msg := b.queryPacket(e.wq, query.OpSelect, false)
 		if e.plan != query.PlanTuple {
 			pq.q = e.aq
 			pq.est = query.EstimateFromSummaries(e.aq, b.latestSummaries(e.aq.TimeLo, e.aq.TimeHi))

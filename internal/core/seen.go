@@ -142,6 +142,15 @@ func (s *seenTable) Seen(b *seenBlocks, origin netsim.NodeID, key uint64) bool {
 	return false
 }
 
+// release empties the table, putting its arrays back in b for other
+// tables: a table that will record nothing more.
+func (s *seenTable) release(b *seenBlocks) {
+	b.ids.Put(s.rows.ids)
+	b.rows.Put(s.rows.vals)
+	b.keys.Put(s.spill)
+	*s = seenTable{}
+}
+
 // reset forgets everything (the reboot path: dedup state is RAM),
 // keeping the arrays for reuse.
 func (s *seenTable) reset() {

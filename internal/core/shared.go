@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"scoop/internal/index"
 	"scoop/internal/netsim"
 )
@@ -15,15 +17,19 @@ import (
 // lists and blocks are allocation caches, not mote RAM: a reboot keeps
 // them.
 type shared struct {
-	hops     netsim.FreeList[dataHop]
-	replies  netsim.FreeList[ReplyMsg]
-	mappings netsim.FreeList[MappingMsg]
+	hops      netsim.FreeList[dataHop]
+	replies   netsim.FreeList[ReplyMsg]
+	mappings  netsim.FreeList[MappingMsg]
+	summaries netsim.FreeList[SummaryMsg]
+	partials  netsim.FreeList[AggReplyMsg]
+	combines  netsim.FreeList[aggCombine] // nodes' per-query combine buffers
 
 	seen     seenBlocks
-	readings netsim.Blocks[Reading]   // batches, regroup buffers, flash rings
+	readings netsim.Blocks[Reading]   // batches, regroup buffers, flash rings, replies, query results
 	batches  netsim.Blocks[[]Reading] // batchq values and spare batches
-	queries  netsim.Blocks[*QueryMsg] // query tables and pending answers
+	queries  netsim.Blocks[*QueryMsg] // pending answers
 	values   netsim.Blocks[int]       // summaries' copy of the recent readings
+	wires    netsim.Blocks[uint16]    // the base's retry wire IDs of a query
 	gens     index.Generations
 }
 
@@ -35,21 +41,49 @@ type seenBlocks struct {
 	keys netsim.Blocks[uint64]
 }
 
-// extend returns s lengthened with zero values to hold index i, its
-// array taken from b when it must grow — at least first long and twice
-// its old capacity, the old one put back — so a dense table indexed by
-// query ID takes a few arrays in a run.
-func extend[T any](b *netsim.Blocks[T], s []T, i, first int) []T {
+// extend returns s lengthened with zero values to hold index i,
+// regrown when it must be in an array of its own, at least first long
+// and twice its old capacity, so a dense table indexed by query ID takes
+// a few arrays in a run and an outgrown one goes to the collector.
+func extend[T any](s []T, i, first int) []T {
 	if i < len(s) {
 		return s
 	}
 	if i >= cap(s) {
-		t := append(b.Take(max(first, 2*cap(s), i+1)), s...)
-		b.Put(s)
-		s = t
+		s = append(make([]T, 0, max(first, 2*cap(s), i+1)), s...)
 	}
 	k := len(s)
 	s = s[:i+1]
 	clear(s[k:])
 	return s
+}
+
+// slab carves objects of T that are kept, never recycled — the
+// basestation's copies of the summaries it keeps, its query packets and
+// query records — from blocks, the first of about 1 KB and each later
+// one as large as all before it together, up to 8 KB: keeping m objects
+// costs one allocation per 8 KB of them, nothing before the first, and
+// the newest block's tail is all that is made and unused.
+type slab[T any] struct {
+	free []T // the newest block's uncarved tail
+	made int // objects allocated, in blocks
+}
+
+const (
+	slabFirst = 1 << 10
+	slabMax   = 8 << 10
+)
+
+// new returns a zero T carved from the newest block.
+func (s *slab[T]) new() *T {
+	if len(s.free) == 0 {
+		var zero T
+		size := max(1, int(unsafe.Sizeof(zero)))
+		k := max(1, slabFirst/size, min(s.made, slabMax/size))
+		s.made += k
+		s.free = make([]T, k)
+	}
+	x := &s.free[0]
+	s.free = s.free[1:]
+	return x
 }

@@ -68,7 +68,7 @@ func TestProfileDoesNotChangeOutcome(t *testing.T) {
 	// base receive paths.
 	for _, ph := range []prof.Phase{prof.PhaseRadio, prof.PhaseMAC, prof.PhaseNodeRecv, prof.PhaseBaseRecv} {
 		if snap.Count[ph] == 0 {
-			t.Fatalf("phase %s never attributed: counts %v", ph, snap.Count)
+			t.Fatalf("phase %d never attributed: counts %v", ph, snap.Count)
 		}
 	}
 }

@@ -11,10 +11,13 @@ import (
 // TestWorkPerVirtualSecond holds the simulator's work on fixed cells to
 // a budget: the paper's SCOOP/REAL, uniform N = 63, 40 virtual minutes;
 // the same cell under the fig3 sweep's churn-0.15 script, whose reboots
-// must clear a mote's state in place rather than allocate it again; and
-// a grid N = 250 whose deeper tree makes most traffic relayed traffic
-// (summaries, replies and data hops through the dedup tables), all at
-// seed 1. Heap events dispatched and frames put on the air are
+// must clear a mote's state in place rather than allocate it again; a
+// grid N = 250 whose deeper tree makes most traffic relayed traffic
+// (summaries, replies and data hops through the dedup tables); and the
+// read side, uniform N = 100 at loss 0.2 with a query every 3 s, half
+// of them aggregates, under an 8 s deadline and 2 retries — bench's
+// query-heavy100 without its fault script, cut to 10 + 5 minutes — all
+// at seed 1. Heap events dispatched and frames put on the air are
 // machine-independent and repeat exactly, so they are held at zero
 // tolerance: a change that moves either has changed what the protocol
 // or the engine does, and must say so by editing the number. Heap
@@ -34,6 +37,11 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 	deep := Default()
 	deep.Topology, deep.N = "grid", 250
 	deep.Duration, deep.Warmup = 10*netsim.Minute, 5*netsim.Minute
+	reads := Default()
+	reads.N, reads.LinkLoss = 100, 0.2
+	reads.Duration, reads.Warmup = 10*netsim.Minute, 5*netsim.Minute
+	reads.QueryInterval, reads.AggRatio, reads.AggErrBudget = 3*netsim.Second, 0.5, 0.05
+	reads.QueryDeadline, reads.QueryRetryMax = 8*netsim.Second, 2
 	for _, tc := range []struct {
 		name       string
 		cfg        Config
@@ -42,9 +50,11 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 		// Measured mallocs/vs, in the comment, with the ceiling's history.
 		maxMallocsPerVS float64
 	}{
-		// 1.69 (3.71 while summaries were three objects and dedup rows,
-		// chunk sets, assembled indices and first-use buffers were
-		// allocated per node, 5.33 with a free list per sender and
+		// 0.47 (1.44 while every summary, reply array, partial and
+		// query record was an object of its own, 1.69 as recorded
+		// before that, 3.71 while summaries were three objects and
+		// dedup rows, chunk sets, assembled indices and first-use
+		// buffers were allocated per node, 5.33 with a free list per sender and
 		// set-up allocating per node, 5.43 before data frames were
 		// deduplicated, 7.50 with Trickle items, chunk store and
 		// assembler in maps and dedup spills in slices of their own,
@@ -52,20 +62,28 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 		// empty, 22.1 before the payload free lists, 66.5 before the
 		// send ring). Data dedup took the counts from 217 296 events and
 		// 47 612 frames.
-		{"uniform63", Default(), 208685, 44900, 1.86},
-		// 1.74 (3.86 with per-node arrays and three-object summaries,
+		{"uniform63", Default(), 208685, 44900, 0.52},
+		// 0.60 (1.49 with a summary, reply array, partial and query
+		// record per message, 1.74 as recorded before that, 3.86 with
+		// per-node arrays and three-object summaries,
 		// 5.61 with per-sender free lists and per-node set-up,
 		// 5.71 before data dedup, 11.79 when a reboot allocated the
 		// mote's state again; 264 052 events and 56 492 frames before
 		// data dedup).
-		{"uniform63churn", churn, 253906, 52313, 1.92},
-		// 3.92 (18.18 with per-node arrays and three-object summaries,
+		{"uniform63churn", churn, 253906, 52313, 0.66},
+		// 2.45 (3.87 with a summary, reply array, partial and query
+		// record per message, 3.92 as recorded before that, 18.18 with
+		// per-node arrays and three-object summaries,
 		// 42.23 with per-sender free lists, retired Trickle items
 		// kept and per-node set-up, 42.20 before data dedup, 52.77 with
 		// the maps and spill slices, 76.56 with the TTL in the payloads
 		// and dedup rows growing from empty; 290 720 events and 94 247
 		// frames before data dedup).
-		{"grid250", deep, 283304, 91278, 4.32},
+		{"grid250", deep, 283304, 91278, 2.70},
+		// 2.28 (6.88 with a summary, reply array, partial, combine
+		// buffer, query packet and query record per message and the
+		// contributor and retry bitmaps in arrays of their own).
+		{"reads100", reads, 546388, 115225, 2.51},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Serial on purpose: runtime.MemStats.Mallocs is process-wide.
@@ -95,7 +113,7 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 			// simulator's (grid250 reads 20.6 under -race), so the
 			// ceiling holds only in a normal build.
 			if mallocs > tc.maxMallocsPerVS && !raceEnabled {
-				t.Errorf("%.2f mallocs per virtual second, ceiling %.1f", mallocs, tc.maxMallocsPerVS)
+				t.Errorf("%.2f mallocs per virtual second, ceiling %.2f", mallocs, tc.maxMallocsPerVS)
 			}
 		})
 	}

@@ -8,7 +8,6 @@ package index
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -111,14 +110,6 @@ func Similarity(a, b *Index) float64 {
 		}
 	}
 	return float64(same) / float64(total)
-}
-
-// String renders the index compactly for logs and debugging.
-func (ix *Index) String() string {
-	if ix.Local {
-		return fmt.Sprintf("index#%d(store-local)", ix.ID)
-	}
-	return fmt.Sprintf("index#%d[%d..%d] %d ranges", ix.ID, ix.MinValue, ix.MaxValue, len(ix.Entries))
 }
 
 // Chunk is one mapping message: a slice of a storage index small

@@ -82,10 +82,6 @@ type Diagnostic struct {
 	Message string
 }
 
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Message)
-}
-
 // Analyzer is one named rule. Run inspects the package behind the
 // pass and reports findings; suppression and ordering are handled by
 // the runner.

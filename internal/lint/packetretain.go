@@ -25,17 +25,24 @@ import (
 // buffers) or letting a struct copy of it escape, since the copy's
 // slice fields still point into the payload.
 //
-// A shared payload — core's QueryMsg and SummaryMsg — may be kept, but
-// it is immutable once sent: a relay forwards the very message it heard
-// and the basestation keeps every summary, so a write through one
-// reached from a tracked packet changes what every other holder sees.
-// Assigning or incrementing through it (m.Min = …, m.Hops++, including
-// through a pointer, slice or array pointer taken from it), clearing or
-// copying into its slices, appending to one (a summary's Hist.Counts
-// and Neighbors slice arrays inside the message, so spare room is the
-// payload's), and calling a pointer method on it or on one of its
-// fields are findings; a pointer method of the same package is
-// followed instead, and only its writes count.
+// A payload a relay forwards as heard is immutable once sent: core's
+// QueryMsg, a shared payload that every relay and node may keep, and
+// its SummaryMsg, a recycled one the basestation copies. A write
+// through one reached from a tracked packet changes what every other
+// holder sees. Assigning or incrementing through it (m.Min = …,
+// m.Hops++, including through a pointer, slice or array pointer taken
+// from it), clearing or copying into its slices, appending to one (a
+// summary's Hist.Counts and Neighbors slice arrays inside the message,
+// so spare room is the payload's), and calling a pointer method on it
+// or on one of its fields are findings; a pointer method of the same
+// package is followed instead, and only its writes count. Keeping a
+// summary, or a slice or pointer into one, is a recycled-payload
+// finding; keeping a query is not.
+//
+// Handing a recycled payload to the network in a new frame
+// (&netsim.Packet{Payload: m}) is not keeping it — Send holds a
+// reference per queued frame — but the frame then counts as the
+// payload: keeping it past the callback is the finding.
 //
 // The analyzer tracks the packet parameters of any method or function
 // named Receive, Snoop or Observe (routing's per-frame hook) and of any
@@ -116,6 +123,7 @@ const (
 	borrowSlice          // a slice field of a recycled payload (or a reslice of one)
 	borrowCopy           // a struct copy of a recycled payload that has slice fields
 	borrowShared         // a shared payload, or a pointer, slice or map reached through one
+	borrowHeard          // a recycled payload relays forward as heard, or a pointer, slice or map reached through one
 )
 
 // visit is a parameter checked as tracked with one borrow kind.
@@ -125,18 +133,26 @@ type visit struct {
 }
 
 // sharedPayloads names core's shared payload types (netsim.Packet).
-var sharedPayloads = map[string]bool{"QueryMsg": true, "SummaryMsg": true}
+var sharedPayloads = map[string]bool{"QueryMsg": true}
 
-// isSharedPtr reports whether t points to a shared payload type.
-func isSharedPtr(t types.Type) bool {
+// heardPayloads names core's recycled payload types that a relay
+// forwards as heard.
+var heardPayloads = map[string]bool{"SummaryMsg": true}
+
+// isCorePtr reports whether t points to a core type named in names.
+func isCorePtr(t types.Type, names map[string]bool) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
 	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Pkg() != nil && sharedPayloads[named.Obj().Name()] &&
+	return ok && named.Obj().Pkg() != nil && names[named.Obj().Name()] &&
 		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/core")
 }
+
+// readOnly reports whether a value of kind k is, or points into, a
+// payload relays forward as heard.
+func readOnly(k borrow) bool { return k == borrowShared || k == borrowHeard }
 
 // isRef reports whether a value of type t refers to memory it does not
 // hold: a pointer, slice or map.
@@ -235,40 +251,80 @@ func (r *retention) classify(e ast.Expr) borrow {
 		return r.tracked[info.ObjectOf(e)]
 	case *ast.TypeAssertExpr: // p.Payload.(*T)
 		if e.Type != nil && r.isPayloadOf(e.X) {
-			switch t := info.TypeOf(e.Type); {
-			case isRecycledPtr(t):
-				return borrowPayload
-			case isSharedPtr(t):
-				return borrowShared
-			}
+			return payloadKind(info.TypeOf(e.Type))
 		}
-	case *ast.SelectorExpr: // m.Readings
+	case *ast.SelectorExpr: // m.Readings, m.Neighbors, m.Hist.Counts
 		k := r.classify(e.X)
+		ro := k
+		if !readOnly(ro) {
+			ro = r.inside(e)
+		}
+		if readOnly(ro) && isRef(info.TypeOf(e)) {
+			return ro
+		}
 		if (k == borrowPayload || k == borrowCopy) && isSlice(info.TypeOf(e)) {
 			return borrowSlice
 		}
-		if (k == borrowShared || r.intoShared(e)) && isRef(info.TypeOf(e)) { // m.Neighbors, m.Hist.Counts
-			return borrowShared
+	case *ast.UnaryExpr:
+		if e.Op != token.AND {
+			break
 		}
-	case *ast.UnaryExpr: // &m.Bitmap
-		if e.Op == token.AND && r.intoShared(e.X) {
-			return borrowShared
+		if k := r.inside(e.X); k != borrowNone { // &m.Bitmap
+			return k
+		}
+		if lit, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok { // &netsim.Packet{Payload: m}
+			return r.classify(lit)
+		}
+	case *ast.CompositeLit: // netsim.Packet{Payload: m}: the frame carries the payload
+		if v := packetPayload(info, e); v != nil {
+			return r.classify(v)
 		}
 	case *ast.StarExpr: // *m
-		if r.classify(e.X) == borrowPayload && hasSliceField(info.TypeOf(e)) {
+		if k := r.classify(e.X); (k == borrowPayload || k == borrowHeard) && hasSliceField(info.TypeOf(e)) {
 			return borrowCopy
 		}
 	case *ast.SliceExpr: // m.Readings[i:j]
-		if k := r.classify(e.X); k == borrowSlice || k == borrowShared {
+		if k := r.classify(e.X); k == borrowSlice || readOnly(k) {
 			return k
 		}
 	case *ast.CallExpr: // (*[10]uint16)(m.Hist.Counts)
-		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 &&
-			r.classify(e.Args[0]) == borrowShared && isRef(info.TypeOf(e)) {
-			return borrowShared
+		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 && isRef(info.TypeOf(e)) {
+			if k := r.classify(e.Args[0]); readOnly(k) {
+				return k
+			}
 		}
 	}
 	return borrowNone
+}
+
+// payloadKind classifies a payload pointer type a type switch or
+// assertion binds.
+func payloadKind(t types.Type) borrow {
+	switch {
+	case isCorePtr(t, heardPayloads):
+		return borrowHeard
+	case isRecycledPtr(t):
+		return borrowPayload
+	case isCorePtr(t, sharedPayloads):
+		return borrowShared
+	}
+	return borrowNone
+}
+
+// packetPayload returns the Payload value of a netsim.Packet literal,
+// or nil.
+func packetPayload(info *types.Info, lit *ast.CompositeLit) ast.Expr {
+	if !isNetsimNamed(info.TypeOf(lit), "Packet") {
+		return nil
+	}
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Payload" {
+				return kv.Value
+			}
+		}
+	}
+	return nil
 }
 
 // sharedReceiver reports whether the method selection sel, called on x,
@@ -280,23 +336,27 @@ func (r *retention) sharedReceiver(sel *types.Selection, x ast.Expr) bool {
 		return false // a value receiver works on a copy
 	}
 	if _, ptr := r.pass.Info.TypeOf(x).Underlying().(*types.Pointer); ptr {
-		return r.classify(x) == borrowShared
+		return readOnly(r.classify(x))
 	}
-	return r.intoShared(x)
+	return r.inside(x) != borrowNone
 }
 
-// intoShared reports whether the location e names lies inside a shared
-// payload: a field, element or pointee reached from a tracked shared
-// value (the tracked variable itself is only a local binding).
-func (r *retention) intoShared(e ast.Expr) bool {
-	inside := false
+// inside reports whether the location e names lies inside a payload
+// relays forward as heard — a field, element or pointee reached from a
+// tracked read-only value (the tracked variable itself is only a local
+// binding) — and if so the kind of that value, else borrowNone.
+func (r *retention) inside(e ast.Expr) borrow {
+	in := false
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
-			return inside && r.tracked[r.pass.Info.ObjectOf(x)] == borrowShared
+			if k := r.tracked[r.pass.Info.ObjectOf(x)]; in && readOnly(k) {
+				return k
+			}
+			return borrowNone
 		case *ast.SelectorExpr:
 			if sel := r.pass.Info.Selections[x]; sel == nil || sel.Kind() != types.FieldVal {
-				return false
+				return borrowNone
 			}
 			e = x.X
 		case *ast.IndexExpr:
@@ -304,16 +364,16 @@ func (r *retention) intoShared(e ast.Expr) bool {
 		case *ast.StarExpr:
 			e = x.X
 		default:
-			return false
+			return borrowNone
 		}
-		inside = true
+		in = true
 	}
 }
 
 // writesShared reports a write to the location e names when it lies
-// inside a shared payload.
+// inside a payload relays forward as heard.
 func (r *retention) writesShared(e ast.Expr, verb string) {
-	if r.intoShared(e) {
+	if r.inside(e) != borrowNone {
 		r.report(e, borrowShared, verb+" "+types.ExprString(e))
 	}
 }
@@ -331,7 +391,8 @@ var retainMsg = [...]string{
 	borrowPayload: "%s retains a recycled payload: it goes back to its network's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
 	borrowSlice:   "%s retains a recycled payload's slice: the buffer goes back to its network's free list after the %s callback — copy the elements, append(dst, s...) (DESIGN.md §12)",
 	borrowCopy:    "%s retains a struct copy of a recycled payload: its slice fields still point into the payload, which goes back to its network's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
-	borrowShared:  "%s writes a shared payload reached from the %s callback: it is immutable once sent — relays forward it as heard and the basestation keeps it — so change a copy (DESIGN.md §12)",
+	borrowShared:  "%s writes a payload reached from the %s callback that relays forward as heard: it is immutable once sent, so change a copy (DESIGN.md §12)",
+	borrowHeard:   "%s retains a recycled payload, or a slice or pointer into one: it goes back to its network's free list after the %s callback — copy the fields you keep (DESIGN.md §12)",
 }
 
 func (r *retention) report(n ast.Node, k borrow, how string) {
@@ -366,12 +427,10 @@ func (r *retention) check() {
 		case *ast.TypeSwitchStmt: // switch m := p.Payload.(type)
 			if a, ok := n.Assign.(*ast.AssignStmt); ok && r.isPayloadOf(a.Rhs[0].(*ast.TypeAssertExpr).X) {
 				for _, clause := range n.Body.List {
-					switch obj := info.Implicits[clause]; {
-					case obj == nil:
-					case isRecycledPtr(obj.Type()):
-						r.tracked[obj] = borrowPayload
-					case isSharedPtr(obj.Type()):
-						r.tracked[obj] = borrowShared
+					if obj := info.Implicits[clause]; obj != nil {
+						if k := payloadKind(obj.Type()); k != borrowNone {
+							r.tracked[obj] = k
+						}
 					}
 				}
 			}
@@ -413,19 +472,19 @@ func (r *retention) check() {
 		case *ast.CallExpr:
 			switch builtinName(info, n) {
 			case "append":
-				if dst := n.Args[0]; r.classify(dst) == borrowShared { // into the payload's spare room
+				if dst := n.Args[0]; readOnly(r.classify(dst)) { // into the payload's spare room
 					r.report(dst, borrowShared, "appending to "+types.ExprString(dst))
 				}
 				for i, arg := range n.Args[1:] {
 					k := r.classify(arg)
 					spread := n.Ellipsis.IsValid() && i == len(n.Args)-2
-					if k != borrowNone && !(spread && k == borrowSlice) {
+					if k != borrowNone && !(spread && (k == borrowSlice || k == borrowHeard)) {
 						r.retained(arg, k, "appending to a slice")
 					}
 				}
 				return true
 			case "copy", "clear":
-				if dst := n.Args[0]; r.classify(dst) == borrowShared {
+				if dst := n.Args[0]; readOnly(r.classify(dst)) {
 					r.report(dst, borrowShared, "calling "+builtinName(info, n)+" on "+types.ExprString(dst))
 				}
 			}
@@ -435,12 +494,13 @@ func (r *retention) check() {
 				r.retained(n, k, "sending on a channel")
 			}
 		case *ast.CompositeLit:
+			payload := packetPayload(info, n) // the frame is tracked in its place
 			for _, elt := range n.Elts {
 				v := elt
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					v = kv.Value
 				}
-				if k := r.classify(v); k != borrowNone {
+				if k := r.classify(v); k != borrowNone && v != payload {
 					r.retained(v, k, "storing in a composite literal")
 				}
 			}

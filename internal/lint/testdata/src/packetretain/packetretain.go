@@ -7,6 +7,7 @@
 package packetretain
 
 import (
+	"scoop/internal/core"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 )
@@ -180,3 +181,30 @@ func (n *node) inspect(m *msg, rs []int) {
 }
 
 func (n *node) forward(m *msg) { n.owner = m.Owner }
+
+// A summary is recycled, and a relay forwards it as heard: the
+// basestation keeps a copy of its own, never the message nor a struct
+// copy whose Hist.Counts and Neighbors still slice the message's
+// arrays. Forwarding it in a new frame is not keeping it — Send holds
+// a reference — but keeping that frame is.
+type base struct {
+	api     *netsim.NodeAPI
+	latest  []*core.SummaryMsg
+	copies  []core.SummaryMsg
+	counts  []uint16
+	frame   *netsim.Packet
+	history []core.SummaryMsg
+}
+
+func (b *base) Receive(p *netsim.Packet) {
+	if m, ok := p.Payload.(*core.SummaryMsg); ok {
+		b.latest[m.Node] = m              // want `storing in b\.latest\[m\.Node\] retains a recycled payload, or a slice or pointer into one`
+		b.copies = append(b.copies, *m)   // want `appending to a slice retains a struct copy of a recycled payload`
+		b.counts = m.Hist.Counts          // want `storing in b\.counts retains a recycled payload, or a slice or pointer into one`
+		fwd := &netsim.Packet{Payload: m} // a frame of the relay's own: tracked as the payload
+		b.frame = fwd                     // want `storing in b\.frame retains a recycled payload, or a slice or pointer into one`
+		b.api.Send(&netsim.Packet{Payload: m}, nil)
+		b.history = append(b.history, core.SummaryMsg{Node: m.Node, Min: m.Min})
+		b.counts = append(b.counts[:0], m.Hist.Counts...)
+	}
+}

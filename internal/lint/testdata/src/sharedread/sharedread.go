@@ -1,8 +1,10 @@
 // Package sharedread is a scooplint fixture that must stay silent: a
-// Receive callback may read a shared payload (core's QueryMsg and
-// SummaryMsg), keep it, forward it and pass it down the stack; it may
-// change a copy, never the message. A pointer method declared outside
-// this package cannot be followed, so it is called on a copy.
+// Receive callback may read a payload relays forward as heard (core's
+// QueryMsg and SummaryMsg), forward it in a frame of its own and pass
+// it down the stack, and keep a shared one (QueryMsg); it may change a
+// copy, never the message. A summary is recycled, so what is kept of
+// it is copied. A pointer method declared outside this package cannot
+// be followed, so it is called on a copy.
 package sharedread
 
 import (
@@ -14,7 +16,6 @@ import (
 type node struct {
 	api     *netsim.NodeAPI
 	history []*core.SummaryMsg
-	latest  map[netsim.NodeID]*core.SummaryMsg
 	queries []*core.QueryMsg
 	nb      []routing.NeighborInfo
 	sum     int
@@ -26,8 +27,7 @@ type node struct {
 func (n *node) Receive(p *netsim.Packet) {
 	switch m := p.Payload.(type) {
 	case *core.SummaryMsg:
-		n.history = append(n.history, m) // kept: shared payloads may be
-		n.latest[m.Node] = m
+		n.history = append(n.history, &core.SummaryMsg{Node: m.Node, Sum: m.Sum}) // copied fields
 		n.sum += m.Sum
 		n.hops = p.Hops + 1
 		n.nb = append(n.nb[:0], m.Neighbors...)
@@ -41,8 +41,8 @@ func (n *node) Receive(p *netsim.Packet) {
 		n.forward(p, m)
 		m = nil // rebinding the local is not a write
 	case *core.QueryMsg:
-		n.queries = append(n.queries, m)
-		bm := m.Bitmap // a copy of the field
+		n.queries = append(n.queries, m) // kept: a shared payload may be
+		bm := m.Bitmap                   // a copy of the field
 		n.marked = bm.Has(n.api.ID()) || n.inRange(&m.ValueLo, &m.ValueHi)
 		n.scratch.Or(&m.Bitmap) // writes the receiver, reads the payload
 		go func() { n.sum += m.ValueHi }()

@@ -1,10 +1,11 @@
 // Package sharedwrite is a scooplint fixture: every way a Receive
-// callback can write a shared payload — core's QueryMsg and SummaryMsg,
-// immutable once sent. A relay forwards the summary it heard and the
-// basestation keeps it, so a write here changes what every other
-// holder of the message sees. A summary's histogram bins and neighbour
-// list are arrays inside the message, so a write through an array
-// pointer to them, or an append into spare room of an alias, is one.
+// callback can write a payload relays forward as heard — core's
+// QueryMsg (shared) and SummaryMsg (recycled), immutable once sent. A
+// relay forwards the message it heard, so a write here changes what
+// every other holder of the message sees. A summary's histogram bins
+// and neighbour list are arrays inside the message, so a write through
+// an array pointer to them, or an append into spare room of an alias,
+// is one.
 package sharedwrite
 
 import (
@@ -24,37 +25,37 @@ type relay struct {
 func (r *relay) Receive(p *netsim.Packet) {
 	switch m := p.Payload.(type) {
 	case *core.SummaryMsg:
-		m.Min = 0                                                 // want `assigning to m\.Min writes a shared payload reached from the Receive callback`
-		m.Sum += 3                                                // want `assigning to m\.Sum writes a shared payload`
-		m.LastIndexID++                                           // want `incrementing m\.LastIndexID writes a shared payload`
-		m.Hist.Counts[0]--                                        // want `decrementing m\.Hist\.Counts\[0\] writes a shared payload`
-		m.Neighbors[1].Quality = 1                                // want `assigning to m\.Neighbors\[1\]\.Quality writes a shared payload`
-		*m = core.SummaryMsg{}                                    // want `assigning to \*m writes a shared payload`
-		m.Neighbors = append(m.Neighbors, routing.NeighborInfo{}) // want `assigning to m\.Neighbors writes a shared payload` `appending to m\.Neighbors writes a shared payload`
-		copy(m.Neighbors, r.nb)                                   // want `calling copy on m\.Neighbors writes a shared payload`
+		m.Min = 0                                                 // want `assigning to m\.Min writes a payload reached from the Receive callback that relays forward as heard`
+		m.Sum += 3                                                // want `assigning to m\.Sum writes a payload`
+		m.LastIndexID++                                           // want `incrementing m\.LastIndexID writes a payload`
+		m.Hist.Counts[0]--                                        // want `decrementing m\.Hist\.Counts\[0\] writes a payload`
+		m.Neighbors[1].Quality = 1                                // want `assigning to m\.Neighbors\[1\]\.Quality writes a payload`
+		*m = core.SummaryMsg{}                                    // want `assigning to \*m writes a payload`
+		m.Neighbors = append(m.Neighbors, routing.NeighborInfo{}) // want `assigning to m\.Neighbors writes a payload` `appending to m\.Neighbors writes a payload`
+		copy(m.Neighbors, r.nb)                                   // want `calling copy on m\.Neighbors writes a payload`
 		nb := m.Neighbors                                         // an alias into the payload: tracked
-		nb[0].ID = 3                                              // want `assigning to nb\[0\]\.ID writes a shared payload`
-		clear(nb)                                                 // want `calling clear on nb writes a shared payload`
+		nb[0].ID = 3                                              // want `assigning to nb\[0\]\.ID writes a payload`
+		clear(nb)                                                 // want `calling clear on nb writes a payload`
 		bins := (*[10]uint16)(m.Hist.Counts)                      // the summary's inline bin array: tracked
-		bins[9] = 0                                               // want `assigning to bins\[9\] writes a shared payload`
+		bins[9] = 0                                               // want `assigning to bins\[9\] writes a payload`
 		spare := m.Neighbors[:0]                                  // an alias of the inline neighbour array: tracked
-		r.nb = append(spare, r.nb...)                             // want `appending to spare writes a shared payload`
+		r.nb = append(spare, r.nb...)                             // want `appending to spare writes a payload`
 		min := &m.Min                                             // a pointer into the payload: tracked
-		*min = 1                                                  // want `assigning to \*min writes a shared payload`
+		*min = 1                                                  // want `assigning to \*min writes a payload`
 		r.bump(m)                                                 // followed into bump, which writes
-		go func() { m.Max = 0 }()                                 // want `assigning to m\.Max writes a shared payload`
+		go func() { m.Max = 0 }()                                 // want `assigning to m\.Max writes a payload`
 	case *core.QueryMsg:
 		q := p.Payload.(*core.QueryMsg)
-		q.Bitmap.Set(4)          // want `calling pointer method Set on q\.Bitmap writes a shared payload`
-		q.ValueLo, r.hops = 0, 1 // want `assigning to q\.ValueLo writes a shared payload`
+		q.Bitmap.Set(4)          // want `calling pointer method Set on q\.Bitmap writes a payload`
+		q.ValueLo, r.hops = 0, 1 // want `assigning to q\.ValueLo writes a payload`
 		r.widen(&m.Bitmap)       // followed into widen, which writes through the pointer
 	}
 }
 
 func (r *relay) bump(m *core.SummaryMsg) {
-	m.Rate *= 2 // want `assigning to m\.Rate writes a shared payload`
+	m.Rate *= 2 // want `assigning to m\.Rate writes a payload`
 }
 
 func (r *relay) widen(b *core.Bitmap) {
-	b.Or(b) // want `calling pointer method Or on b writes a shared payload`
+	b.Or(b) // want `calling pointer method Or on b writes a payload`
 }

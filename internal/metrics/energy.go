@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // EnergyModel converts radio activity into Joules, using the hardware
 // numbers from the paper's §2.1: radio around 700 nJ per transmitted
 // bit (two orders of magnitude above Flash), reception of comparable
@@ -97,10 +95,4 @@ func (e EnergyModel) Energy(m *Counters, n int, seconds float64) EnergyReport {
 		r.CommsFraction = comms / (comms + idle)
 	}
 	return r
-}
-
-// String renders the report compactly.
-func (r EnergyReport) String() string {
-	return fmt.Sprintf("avg-node %.1f J (%.0f days), root %.1f J (%.0f days), comms share %.0f%%",
-		r.AvgNodeJ, r.AvgNodeDays, r.RootJ, r.RootDays, 100*r.CommsFraction)
 }

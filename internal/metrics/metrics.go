@@ -11,7 +11,6 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
 
 	"scoop/internal/dense"
 )
@@ -302,12 +301,4 @@ func (b Breakdown) Scale(f float64) Breakdown {
 		AggReply: b.AggReply * f,
 		Beacon:   b.Beacon * f,
 	}
-}
-
-// String renders the breakdown as a compact single-line report.
-func (b Breakdown) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "total=%.0f data=%.0f summary=%.0f mapping=%.0f query=%.0f reply=%.0f aggreply=%.0f",
-		b.Total(), b.Data, b.Summary, b.Mapping, b.Query, b.Reply, b.AggReply)
-	return sb.String()
 }

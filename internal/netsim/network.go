@@ -889,7 +889,7 @@ type sendJob struct {
 	p          Packet
 	rc         Recycled // p.Payload when recycled: the slot's reference
 	requireAck bool
-	done       interface{ SendDone(ok bool) }
+	done       Completion
 }
 
 // timerTask is the pooled scheduled form of one armed timer.
@@ -970,12 +970,19 @@ func (a *NodeAPI) Clock() *Simulator { return a.net.Sim }
 // §2).
 func (a *NodeAPI) RandIntn(n int) int { return a.rng.IntN(n) }
 
+// Completion is told the link layer's verdict on a frame given to
+// Send: true once an ack came back, false when the retransmissions ran
+// out or, at once, when the send queue was full. A queued frame's slot
+// drops its reference on a recycled payload only after the verdict, so
+// a completion may re-send the payload.
+type Completion interface{ SendDone(ok bool) }
+
 // Send enqueues a copy of p (the caller's *Packet is free again on
 // return) for unicast to p.Dst with CSMA backoff, link-layer acks and
 // bounded retransmission. Every transmission attempt is counted as one
 // message of p.Class (the paper's cost metric counts transmissions).
 // done, if non-nil, is told of eventual link-layer success.
-func (a *NodeAPI) Send(p *Packet, done interface{ SendDone(ok bool) }) {
+func (a *NodeAPI) Send(p *Packet, done Completion) {
 	if p.Dst == Broadcast {
 		panic("netsim: Send with broadcast destination; use Broadcast")
 	}
@@ -991,7 +998,7 @@ func (a *NodeAPI) Broadcast(p *Packet) {
 	a.enqueue(p, false, nil)
 }
 
-func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done interface{ SendDone(ok bool) }) {
+func (a *NodeAPI) enqueue(p *Packet, requireAck bool, done Completion) {
 	if a.qlen >= a.net.Params.QueueCap {
 		if a.net.Trace != nil {
 			a.net.Trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(a.id),
@@ -1125,5 +1132,3 @@ func (a *NodeAPI) randBetween(lo, hi Time) Time {
 	}
 	return lo + Time(a.rng.Int64N(int64(hi-lo)))
 }
-
-func (a *NodeAPI) String() string { return fmt.Sprintf("node(%d)", a.id) }

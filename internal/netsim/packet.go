@@ -40,7 +40,7 @@ const MaxNodes = 1024
 // transient routing loops (paper §5.1): the transmissions the frame's
 // content made before this one, 0 from its origin; a relay sends the
 // received Hops + 1. It lives in the header, not the payload, so a relay
-// can forward a shared payload as heard.
+// can forward a payload as heard.
 //
 // Ownership: the *Packet passed to App.Receive and App.Snoop is owned
 // by the simulator and recycled through a pool once the delivery
@@ -58,9 +58,11 @@ const MaxNodes = 1024
 //     that embeds Refs is reference counted and reused (see Recycled);
 //     scooplint's packetretain flags a kept pointer or slice of one.
 //   - Shared: immutable once sent, so any receiver may keep it. Query
-//     and summary messages are shared (Trickle relays the query it
-//     heard, the basestation keeps every summary), as are the entries
-//     of a mapping chunk.
+//     messages are shared (Trickle relays the query it heard, and every
+//     node keeps it), as are the entries of a mapping chunk.
+//
+// A relay may forward a recycled payload as heard, in a frame of its
+// own: the send holds a reference (core's summaries travel so).
 type Packet struct {
 	Class metrics.Class // message class for accounting
 	Hops  uint8         // forwarding TTL (in Class's padding: the frame stays 40 bytes)

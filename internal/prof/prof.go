@@ -77,28 +77,6 @@ const (
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{
-	PhaseHeap:       "heap",
-	PhaseRadio:      "radio",
-	PhaseMAC:        "mac-timer",
-	PhaseNodeRecv:   "node-recv",
-	PhaseBaseRecv:   "base-recv",
-	PhaseReindex:    "reindex",
-	PhasePlanner:    "planner",
-	PhaseAggCombine: "agg-combine",
-	PhaseChunk:      "chunk",
-	PhaseTraceEmit:  "trace-emit",
-	PhaseHarness:    "harness",
-}
-
-// String returns the phase's name.
-func (p Phase) String() string {
-	if p < NumPhases {
-		return phaseNames[p]
-	}
-	return "invalid"
-}
-
 // Profiler accumulates wall-clock attribution for one simulation run.
 // It belongs to the run's single event-loop goroutine (not safe for
 // concurrent use). The nil Profiler is the disabled state: every

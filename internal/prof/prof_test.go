@@ -7,22 +7,6 @@ import (
 	"scoop/internal/histogram"
 )
 
-// Every phase has a name of its own (bench/ and test failures print
-// them), and an out-of-range value does not index past the table.
-func TestPhaseNamesRoundTrip(t *testing.T) {
-	seen := map[string]Phase{}
-	for p := Phase(0); p < NumPhases; p++ {
-		name := p.String()
-		if q, dup := seen[name]; dup || name == "" || name == "invalid" {
-			t.Fatalf("phase %d is named %q (also phase %d)", p, name, q)
-		}
-		seen[name] = p
-	}
-	if got := NumPhases.String(); got != "invalid" {
-		t.Fatalf("NumPhases.String() = %q, want \"invalid\"", got)
-	}
-}
-
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
 	p.LoopBegin()

@@ -133,11 +133,4 @@ func TestPlanStrings(t *testing.T) {
 			t.Fatalf("%d.String() = %q", p, p.String())
 		}
 	}
-	opWant := map[Op]string{OpSelect: "select", OpCount: "count", OpSum: "sum",
-		OpMin: "min", OpMax: "max", OpAvg: "avg", OpQuantile: "quantile"}
-	for o, s := range opWant {
-		if o.String() != s {
-			t.Fatalf("%d.String() = %q", o, o.String())
-		}
-	}
 }

@@ -13,8 +13,6 @@
 package query
 
 import (
-	"fmt"
-
 	"scoop/internal/netsim"
 )
 
@@ -33,27 +31,6 @@ const (
 	OpQuantile // approximate quantile, served from summaries only
 	numOps
 )
-
-// String returns the lower-case operator name.
-func (o Op) String() string {
-	switch o {
-	case OpSelect:
-		return "select"
-	case OpCount:
-		return "count"
-	case OpSum:
-		return "sum"
-	case OpMin:
-		return "min"
-	case OpMax:
-		return "max"
-	case OpAvg:
-		return "avg"
-	case OpQuantile:
-		return "quantile"
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
 
 // Aggregate reports whether the operator reduces tuples to a scalar
 // (everything but OpSelect).

@@ -9,7 +9,8 @@ import (
 
 // Request is one generated user request: always a range/time query,
 // optionally lifted to an aggregate. Agg is nil for plain tuple
-// requests ("SELECT *").
+// requests ("SELECT *"); MixedGen points it at its own AggQuery, valid
+// until its next NextRequest.
 type Request struct {
 	Query Query
 	Agg   *query.AggQuery
@@ -41,6 +42,7 @@ type MixedGen struct {
 	Quantile float64
 
 	next int
+	agg  query.AggQuery // the last request's aggregate (Request.Agg)
 }
 
 // NewMixedGen wraps tuple so a fraction aggRatio of requests are
@@ -55,7 +57,9 @@ func NewMixedGen(tuple Generator, aggRatio, errBudget float64, seed int64) *Mixe
 	}
 }
 
-// NextRequest returns the request issued at time now.
+// NextRequest returns the request issued at time now. Its Agg, when
+// set, points at the generator's own AggQuery, which the next call
+// overwrites: a caller keeping it copies it.
 func (g *MixedGen) NextRequest(now netsim.Time) Request {
 	q := g.Tuple.Next(now)
 	if g.rng.Float64() >= g.AggRatio {
@@ -67,7 +71,7 @@ func (g *MixedGen) NextRequest(now netsim.Time) Request {
 	}
 	op := ops[g.next%len(ops)]
 	g.next++
-	aq := &query.AggQuery{
+	g.agg = query.AggQuery{
 		Op:        op,
 		ValueLo:   q.ValueLo,
 		ValueHi:   q.ValueHi,
@@ -76,7 +80,7 @@ func (g *MixedGen) NextRequest(now netsim.Time) Request {
 		ErrBudget: g.ErrBudget,
 	}
 	if op == query.OpQuantile {
-		aq.Quantile = g.Quantile
+		g.agg.Quantile = g.Quantile
 	}
-	return Request{Query: q, Agg: aq}
+	return Request{Query: q, Agg: &g.agg}
 }
