@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"scoop/internal/dense"
@@ -12,15 +14,17 @@ import (
 	"scoop/internal/workload"
 )
 
-// aggCombine is one query's in-network combining buffer on a node:
-// the merged partial state, how many targeted nodes it folds in, the
-// deepest hop count any merged partial travelled (loop TTL), and —
-// for targeted nodes — the deadline for folding in the local scan.
+// aggCombine is one query's in-network combining buffer on a node: its
+// query ID, the merged partial state, how many targeted nodes it folds
+// in, the deepest hop count any merged partial travelled (loop TTL),
+// and — for targeted nodes — the deadline for folding in the local
+// scan.
 type aggCombine struct {
 	part     query.Partial
 	contribs int
 	hops     uint8
 	wantOwn  bool
+	qid      uint16
 	dueOwn   netsim.Time
 	q        *QueryMsg // set while wantOwn, for the local scan
 	retries  int       // flush attempts deferred for lack of a route
@@ -40,12 +44,6 @@ const (
 	aggRouteRetries = 12 // flush deferrals while no parent is known
 	aggSendRetries  = 1  // app-level resends of one launched partial
 )
-
-// aggPartKey builds the per-sender (query, seq) dedup key for combined
-// partial-aggregate messages (the sender is the seenTable row).
-func aggPartKey(qid uint16, seq uint8) uint64 {
-	return uint64(qid)<<8 | uint64(seq)
-}
 
 // scanPartial folds every stored reading matching the value and time
 // ranges into a partial aggregate.
@@ -91,7 +89,7 @@ func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
 	if int(hops) > maxHops {
 		return
 	}
-	if n.seenAggParts.Seen(&n.net.seen, m.Node, aggPartKey(m.QueryID, m.Seq)) {
+	if n.seenAggParts.Seen(&n.net.seen, partRow(m.Node, m.Seq), m.QueryID) {
 		return
 	}
 	e := n.aggEntry(m.QueryID)
@@ -110,11 +108,13 @@ func (n *Node) aggPartial(m *AggReplyMsg, hops uint8) {
 // aggEntry returns the combine buffer for qid, taking one off the
 // network's free list if the query has none.
 func (n *Node) aggEntry(qid uint16) *aggCombine {
-	n.aggPending = extend(n.aggPending, int(qid), queryTableMin)
-	if n.aggPending[qid] == nil {
-		n.aggPending[qid] = n.net.combines.Get()
+	i, ok := slices.BinarySearchFunc(n.aggPending, qid, func(e *aggCombine, id uint16) int { return cmp.Compare(e.qid, id) })
+	if !ok {
+		e := n.net.combines.Get()
+		e.qid = qid
+		n.aggPending = slices.Insert(netsim.Grow(&n.net.pending, n.aggPending, spareMin), i, e)
 	}
-	return n.aggPending[qid]
+	return n.aggPending[i]
 }
 
 // releaseCombine zeroes a flushed or dropped combine buffer and puts it
@@ -147,20 +147,18 @@ func (n *Node) flushAggNow() {
 	now := n.api.Now()
 	n.aggFlushAt = 0
 	var next netsim.Time
-	// The dense buffer is walked in ascending query-ID order — the
-	// same order the pre-scale-tier map-and-sort produced.
-	for id := range n.aggPending {
-		e := n.aggPending[id]
-		if e == nil {
-			continue
-		}
-		qid := uint16(id)
+	// The live buffers are walked in ascending query-ID order — the
+	// same order the pre-scale-tier map-and-sort produced — and those
+	// held stay, in order.
+	held := n.aggPending[:0]
+	for _, e := range n.aggPending {
 		if e.wantOwn {
 			if now < e.dueOwn {
 				// Hold the whole buffer until the local scan folds in.
 				if next == 0 || e.dueOwn < next {
 					next = e.dueOwn
 				}
+				held = append(held, e)
 				continue
 			}
 			e.part.Merge(scanPartial(&n.store, e.q.ValueLo, e.q.ValueHi, e.q.TimeLo, e.q.TimeHi))
@@ -179,12 +177,14 @@ func (n *Node) flushAggNow() {
 			if next == 0 || retry < next {
 				next = retry
 			}
+			held = append(held, e)
 			continue
 		}
-		n.aggPending[qid] = nil
-		n.sendAggReply(qid, e)
+		n.sendAggReply(e.qid, e)
 		n.releaseCombine(e)
 	}
+	clear(n.aggPending[len(held):])
+	n.aggPending = held
 	if next != 0 {
 		n.armAggFlush(next)
 	}
@@ -200,9 +200,7 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 	if !n.tree.HasRoute() {
 		return // retries exhausted; the partial is lost
 	}
-	n.aggSeq = extend(n.aggSeq, int(qid), queryTableMin)
-	seq := n.aggSeq[qid]
-	n.aggSeq[qid] = seq + 1
+	seq := n.nextSeq(qid)
 	m := n.net.partials.Get()
 	m.QueryID, m.Node, m.Seq = qid, n.api.ID(), seq
 	m.Contribs, m.Part = uint16(e.contribs), e.part
@@ -213,6 +211,18 @@ func (n *Node) sendAggReply(qid uint16, e *aggCombine) {
 	netsim.Hold(m) // the sender's, until the last verdict
 	n.stats.AggRepliesSent++
 	m.send()
+}
+
+// nextSeq returns the sequence number of the node's next flush of qid
+// and counts the flush: 0 for the first since boot, wrapping after 255.
+func (n *Node) nextSeq(qid uint16) uint8 {
+	i, ok := slices.BinarySearchFunc(n.aggSeq, qid, func(e uint32, id uint16) int { return cmp.Compare(uint16(e>>8), id) })
+	if !ok {
+		n.aggSeq = slices.Insert(netsim.Grow(&n.net.seen.ids32, n.aggSeq, spareMin), i, uint32(qid)<<8)
+	}
+	seq := uint8(n.aggSeq[i])
+	n.aggSeq[i] = uint32(qid)<<8 | uint32(seq+1)
+	return seq
 }
 
 // send puts the partial on the air to the parent chosen at launch.
@@ -352,7 +362,7 @@ func (b *Base) aggReply(m *AggReplyMsg) {
 	}
 	// The per-sender (query, seq) dedup stays keyed on the wire ID:
 	// node flush sequence numbers are per wire query.
-	if b.seenAggParts.Seen(&b.net.seen, m.Node, aggPartKey(m.QueryID, m.Seq)) {
+	if b.seenAggParts.Seen(&b.net.seen, partRow(m.Node, m.Seq), m.QueryID) {
 		return
 	}
 	if !m.Nodes.Empty() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"scoop/internal/metrics"
@@ -246,14 +247,87 @@ func TestAggPartialDedupAndTTL(t *testing.T) {
 		Part: query.Partial{Count: 4, Sum: 40, Min: 5, Max: 15}}
 	n1.onAggPartial(m, 0)
 	n1.onAggPartial(m, 0) // retransmission duplicate
-	if e := n1.aggPending[500]; e == nil || e.part.Count != 4 || e.contribs != 1 {
-		t.Fatalf("dedup failed: %+v", n1.aggPending[500])
+	if len(n1.aggPending) != 1 || n1.aggPending[0].qid != 500 || n1.aggPending[0].part.Count != 4 || n1.aggPending[0].contribs != 1 {
+		t.Fatalf("dedup failed: %+v", n1.aggPending)
 	}
 	over := &AggReplyMsg{QueryID: 501, Node: 2, Seq: 0, Contribs: 1,
 		Part: query.Partial{Count: 1, Sum: 1}}
 	n1.onAggPartial(over, uint8(maxHops+1))
-	if 501 < len(n1.aggPending) && n1.aggPending[501] != nil {
+	if len(n1.aggPending) != 1 {
 		t.Fatal("over-TTL partial accepted")
+	}
+}
+
+// partialLog is an App that logs the (query, seq) of every partial it
+// receives, in order.
+type partialLog struct{ got [][2]int }
+
+func (l *partialLog) Init(*netsim.NodeAPI) {}
+func (l *partialLog) Receive(p *netsim.Packet) {
+	if m, ok := p.Payload.(*AggReplyMsg); ok {
+		l.got = append(l.got, [2]int{int(m.QueryID), int(m.Seq)})
+	}
+}
+func (l *partialLog) Snoop(*netsim.Packet) {}
+func (l *partialLog) Timer(int)            {}
+
+// TestFlushVisitsLiveBuffersInOrder: a node's combine buffers are the
+// live ones only, ascending by query ID whatever order they were made
+// in; a flush launches the ready ones in that order and keeps the held
+// one, in place; and a partial arriving after its query's flush opens a
+// new buffer, launched with the next flush sequence number.
+func TestFlushVisitsLiveBuffersInOrder(t *testing.T) {
+	sim := netsim.NewSimulator(1)
+	net := netsim.NewNetwork(sim, chainTopo(3, 1), metrics.NewCounters(), netsim.DefaultParams())
+	node := NewNode(testConfig(), &RunStats{}, idSampler, 60*netsim.Minute)
+	log := &partialLog{}
+	net.Attach(0, log)
+	net.Attach(1, node)
+	net.Attach(2, &sinkApp{})
+	net.Start()
+	adoptParent(t, sim, node, 1)
+	partial := func(qid uint16, from netsim.NodeID) {
+		node.onAggPartial(&AggReplyMsg{QueryID: qid, Node: from, Contribs: 1,
+			Part: query.Partial{Count: 1, Sum: 1, Min: 1, Max: 1}}, 1)
+	}
+	pending := func(want ...int) {
+		t.Helper()
+		var got []int
+		for _, e := range node.aggPending {
+			got = append(got, int(e.qid))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("at %v the live buffers are for queries %v, want %v", sim.Now(), got, want)
+		}
+	}
+	sent := func(want ...[2]int) {
+		t.Helper()
+		if !slices.Equal(log.got, want) {
+			t.Fatalf("at %v the parent heard partials %v, want %v", sim.Now(), log.got, want)
+		}
+	}
+	for _, q := range []uint16{900, 5, 300, 64, 70} {
+		partial(q, 2)
+	}
+	e := node.aggEntry(300) // held for its own scan, due long after the flush
+	e.wantOwn, e.dueOwn, e.q = true, sim.Now()+10*netsim.Second, &QueryMsg{ID: 300, ValueHi: 20, TimeHi: sim.Now()}
+	pending(5, 64, 70, 300, 900)
+
+	sim.Run(sim.Now() + 2*netsim.Second) // the flush, aggFlushDelay after the partials
+	sent([2]int{5, 0}, [2]int{64, 0}, [2]int{70, 0}, [2]int{900, 0})
+	pending(300)
+
+	partial(5, 3) // late: query 5 flushed already
+	pending(5, 300)
+	sim.Run(sim.Now() + 2*netsim.Second)
+	sent([2]int{5, 0}, [2]int{64, 0}, [2]int{70, 0}, [2]int{900, 0}, [2]int{5, 1})
+	pending(300)
+
+	sim.Run(sim.Now() + 10*netsim.Second)
+	sent([2]int{5, 0}, [2]int{64, 0}, [2]int{70, 0}, [2]int{900, 0}, [2]int{5, 1}, [2]int{300, 0})
+	pending()
+	if want := []uint32{5<<8 | 2, 64<<8 | 1, 70<<8 | 1, 300<<8 | 1, 900<<8 | 1}; !slices.Equal(node.aggSeq, want) {
+		t.Fatalf("next flush sequence numbers %x, want %x", node.aggSeq, want)
 	}
 }
 

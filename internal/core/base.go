@@ -104,7 +104,7 @@ type Base struct {
 	packets      slab[QueryMsg]     // every query packet issued, retries included: nodes keep them
 	all          []netsim.NodeID    // every non-base node ID (allNodes), built on first use
 	owners       []netsim.NodeID    // rangeTargets' owner set, reused
-	seenAggParts seenTable          // partial-aggregate message dedup
+	seenAggParts bitTable           // partial-aggregate message dedup (partRow)
 	storedData   seenTable          // every reading in store, by producer and sample time
 	qidNext      uint16
 	remaps       int // scheduled remaps run so far (RemapLimit bookkeeping)

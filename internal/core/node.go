@@ -50,19 +50,22 @@ type Node struct {
 	chunks index.ChunkSet // gossip store and assembler, generations ≥ cur's
 	mapGos trickle.Trickle
 
-	// Query state is indexed by dense query ID (the basestation issues
-	// IDs sequentially), replacing the per-delivery hash maps of the
-	// pre-scale-tier code (DESIGN.md §12). A query of either kind is
-	// known from its first packet on, so every later copy only feeds
-	// Trickle suppression and a node answers each query ID once.
-	queries []*QueryMsg
-	qGos    trickle.Trickle
+	// Query state is sized to the live queries (DESIGN.md §12). A query
+	// of either kind is known from its first packet on — heard records
+	// every query ID since boot, a bit each — so every later copy only
+	// feeds Trickle suppression and a node answers each query ID once.
+	// gossiped holds the queries qGos still disseminates, ascending by
+	// ID: a query whose Trickle key retires is dropped.
+	heard    qidSet
+	gossiped []*QueryMsg
+	qGos     trickle.Trickle
 
-	// In-network partial-aggregate combining: the per-query combine
-	// buffer, per-query flush sequence numbers, and the shared flush
-	// deadline (0 when the timer is unarmed). All dense by query ID.
+	// In-network partial-aggregate combining: the live combine buffers,
+	// ascending by query ID; each flushed query's next flush sequence
+	// number (qid<<8 | seq, ascending), for every query ID flushed since
+	// boot; and the shared flush deadline (0 when the timer is unarmed).
 	aggPending []*aggCombine
-	aggSeq     []uint8
+	aggSeq     []uint32
 	aggFlushAt netsim.Time
 
 	// Pending data batches, one per destination owner (paper §5.4
@@ -74,7 +77,7 @@ type Node struct {
 	// buffer goes to spareBatches for the next one (its hop copies what
 	// it sends); regroup holds a received batch's fresh readings, which
 	// rule 1 sorts in place.
-	batchq   idTable[[]Reading]
+	batchq   idTable[netsim.NodeID, []Reading]
 	batchSID uint16
 	// samplesSinceSummary shares batchSID's word.
 	samplesSinceSummary int32
@@ -87,8 +90,8 @@ type Node struct {
 	// packets we already relayed; re-forwarding every copy amplifies
 	// exponentially along the path (DESIGN.md §7).
 	seenSummaries seenTable
-	seenReplies   seenTable
-	seenAggParts  seenTable
+	seenReplies   bitTable // rows: origins
+	seenAggParts  bitTable // rows: senders and flush sequence numbers (partRow)
 	seenData      dataSeen
 
 	// The network's free lists and blocks (netsim.Shared): data hops,
@@ -183,14 +186,13 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 		n.qGos.Clear()
 	}
 	n.chunks.Clear()
-	clear(n.queries)
-	n.queries = n.queries[:0]
-	for i, e := range n.aggPending {
-		if e != nil {
-			n.aggPending[i] = nil
-			n.releaseCombine(e)
-		}
+	n.heard.reset()
+	clear(n.gossiped)
+	n.gossiped = n.gossiped[:0]
+	for _, e := range n.aggPending {
+		n.releaseCombine(e)
 	}
+	clear(n.aggPending)
 	n.aggPending, n.aggSeq = n.aggPending[:0], n.aggSeq[:0]
 	clear(n.pendingAnswers)
 	n.pendingAnswers = n.pendingAnswers[:0]
@@ -235,13 +237,15 @@ func (n *Node) Timer(id int) {
 		n.mapGos.OnTimer()
 	case timerQuery:
 		n.qGos.OnTimer()
+		n.dropRetired()
 	case timerBatch:
 		n.flushBatch()
 	case timerReply:
 		for _, q := range n.pendingAnswers {
 			n.answer(q)
 		}
-		n.pendingAnswers = n.pendingAnswers[:0] // n.queries holds them anyway
+		clear(n.pendingAnswers)
+		n.pendingAnswers = n.pendingAnswers[:0]
 	case timerAggFlush:
 		n.flushAgg()
 	}
@@ -275,7 +279,7 @@ func (n *Node) receive(p *netsim.Packet) {
 		}
 	case *ReplyMsg:
 		n.learnDescendant(p)
-		if int(p.Hops) <= maxHops && !n.seenReplies.Seen(&n.net.seen, m.Node, uint64(m.QueryID)) {
+		if int(p.Hops) <= maxHops && !n.seenReplies.Seen(&n.net.seen, uint32(m.Node), m.QueryID) {
 			fwd := n.newReply()
 			fwd.QueryID, fwd.Node, fwd.Count = m.QueryID, m.Node, m.Count
 			for _, r := range m.Readings {
@@ -672,15 +676,13 @@ func (n *Node) sendChunkNow(key trickle.Key) {
 // a partial scheduled into the combine buffer.
 func (n *Node) onQuery(q *QueryMsg) {
 	key := queryKey(q.ID)
-	if int(q.ID) < len(n.queries) && n.queries[q.ID] != nil {
+	if n.heard.add(q.ID, &n.net.seen.keys) {
 		n.qGos.Heard(key)
 		return
 	}
-	// A run issues tens to hundreds of queries: the table starts at
-	// queryTableMin IDs and doubles, not regrowing every few IDs.
-	n.queries = extend(n.queries, int(q.ID), queryTableMin)
-	n.queries[q.ID] = q
 	if n.shouldRelay(&q.Bitmap) {
+		i, _ := slices.BinarySearchFunc(n.gossiped, q.ID, byQueryID)
+		n.gossiped = slices.Insert(netsim.Grow(&n.net.queries, n.gossiped, spareMin), i, q)
 		n.qGos.Add(key)
 	}
 	if !q.Bitmap.Has(n.api.ID()) {
@@ -697,17 +699,32 @@ func (n *Node) onQuery(q *QueryMsg) {
 	n.pendingAnswers = append(netsim.Grow(&n.net.queries, n.pendingAnswers, spareMin), q)
 }
 
-// queryTableMin is the query-ID capacity a node's query table, and its
-// combine buffers and flush sequence numbers, start at. The tables grow
-// outside the network's blocks: every node outgrows its table at about
-// the same query ID, so an outgrown table carved from the blocks would
-// stay there as a spare no node asks for again; made on its own, it
-// goes to the collector.
-const queryTableMin = 64
-
-// spareMin is the capacity a node's spare-batch and pending-answer lists
-// start at.
+// spareMin is the capacity a node's spare-batch, pending-answer and
+// gossiped-query lists start at.
 const spareMin = 4
+
+// byQueryID orders a query against a query ID.
+func byQueryID(q *QueryMsg, id uint16) int { return cmp.Compare(q.ID, id) }
+
+// dropRetired forgets the queries whose Trickle key retired in the tick
+// just run: the query Trickle retires keys only there (a key that fires
+// as it retires has been sent by then), so gossiped holds exactly the
+// keys qGos holds. Every key qGos holds is in gossiped, so the two are
+// the same set when they are the same length: a tick that retires
+// nothing costs one comparison.
+func (n *Node) dropRetired() {
+	if len(n.gossiped) == n.qGos.Len() {
+		return
+	}
+	live := n.gossiped[:0]
+	for _, q := range n.gossiped {
+		if n.qGos.Holds(queryKey(q.ID)) {
+			live = append(live, q)
+		}
+	}
+	clear(n.gossiped[len(live):])
+	n.gossiped = live
+}
 
 // shouldRelay reports whether this node re-broadcasts a query: only
 // when some targeted node other than itself is plausibly reachable
@@ -729,10 +746,11 @@ func (n *Node) shouldRelay(bm *Bitmap) bool {
 
 // sendQuery is the query-Trickle transmit callback.
 func (n *Node) sendQuery(key trickle.Key) {
-	if int(key) >= len(n.queries) || n.queries[key] == nil {
+	i, ok := slices.BinarySearchFunc(n.gossiped, uint16(key), byQueryID)
+	if !ok {
 		return
 	}
-	q := n.queries[key]
+	q := n.gossiped[i]
 	n.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Query,
 		Origin:       n.api.ID(),

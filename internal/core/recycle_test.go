@@ -136,3 +136,46 @@ func TestRelayedSummaryZeroAllocs(t *testing.T) {
 		t.Fatalf("the parent received %d summaries, want %d (each once per boot)", got, 4*200*12)
 	}
 }
+
+// TestRelayedReplyZeroAllocs holds a relay's reply path through
+// Node.receive to zero allocations once its dedup table and the
+// network's blocks have grown: after each reboot, node 1 relays the
+// replies of 200 origins to 200 queries, query by query as a relay
+// hears them, every one heard twice (the second copy a retransmission
+// it drops), and allocates nothing. Each origin's row widens word by
+// word as the query IDs rise, moving the rows after it along the spill,
+// within the arrays the table kept.
+func TestRelayedReplyZeroAllocs(t *testing.T) {
+	sim, net, node, sink := relayFixture(t)
+	reply := &ReplyMsg{Count: 1, Readings: oneReading(7, 2, 0)}
+	pkt := &netsim.Packet{Class: metrics.Reply, Hops: 1, Src: 2, Dst: 1, OriginParent: 2, Payload: reply}
+	relayAll := func() {
+		for q := uint16(1); q <= 200; q++ {
+			for o := netsim.NodeID(3); o < 203; o++ {
+				reply.QueryID, reply.Node, pkt.Origin = q, o, o
+				for range 2 {
+					pkt.Seq++
+					node.Receive(pkt)
+				}
+				if o%8 == 0 {
+					sim.Run(sim.Now() + netsim.Second)
+				}
+			}
+		}
+		sim.Run(sim.Now() + netsim.Second)
+	}
+	relayAll() // grows the table and the network's blocks
+	if d := bitTableLayout(&node.seenReplies); d != "" || len(node.seenReplies.spill) != 200*3 {
+		t.Fatalf("the table's layout: %q, %d spilled words, want 600 (4 words a row)", d, len(node.seenReplies.spill))
+	}
+	least := leastMallocs(func(k int) {
+		net.Restart(1)
+		adoptParent(t, sim, node, uint32(2+k))
+	}, relayAll)
+	if least != 0 && !raceEnabled {
+		t.Fatalf("relaying 40 000 replies from 200 origins after a reboot allocates %d objects, want 0", least)
+	}
+	if got := sink.got[metrics.Reply]; got != 4*200*200 {
+		t.Fatalf("the parent received %d replies, want %d (each once per boot)", got, 4*200*200)
+	}
+}

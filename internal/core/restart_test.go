@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"scoop/internal/metrics"
 	"scoop/internal/netsim"
+	"scoop/internal/query"
 	"scoop/internal/trickle"
 	"scoop/internal/workload"
 )
@@ -114,7 +116,9 @@ var networkShared = map[string]bool{"shared": true, "Blocks": true, "Generations
 
 // TestRestartClearsStateInPlace reboots a relay mid-run through
 // Network.Restart. Its tree, tables, Trickles, chunk set, buffers,
-// dedup and query state all hold something by then; after the reboot
+// dedup and query state — heard query IDs and reply dedup past their
+// inline words, a live combine buffer and flush sequence numbers among
+// it — all hold something by then; after the reboot
 // the node must hold exactly what a never-run node holds after its
 // first Init at the same instant ("RAM is lost"), and a reboot must
 // allocate no more than the three timers it arms (tree, sampling,
@@ -128,15 +132,33 @@ func TestRestartClearsStateInPlace(t *testing.T) {
 			tn.base.IssueQuery(workload.Query{ValueLo: 0, ValueHi: 20, TimeLo: 0, TimeHi: tn.sim.Now()})
 		})
 	}
+	node := tn.nodes[2] // relays summaries, data and replies for 3 and 4
+	// Partials from 3: one flushed before the reboot, one still combining
+	// at it. A query and a reply with a high ID make the node's query
+	// record and reply dedup spill past their inline words.
+	partial := func(qid uint16, seq uint8) {
+		node.onAggPartial(&AggReplyMsg{QueryID: qid, Node: 3, Seq: seq, Contribs: 1,
+			Part: query.Partial{Count: 1, Sum: 1, Min: 1, Max: 1}}, 1)
+	}
+	tn.sim.At(8*netsim.Minute+30*netsim.Second, func() { partial(299, 0) })
+	tn.sim.At(8*netsim.Minute+41500*netsim.Millisecond, func() {
+		partial(300, 1) // flushed aggFlushDelay later, after the reboot
+		q := &QueryMsg{ID: 300, ValueHi: 20, TimeHi: tn.sim.Now()}
+		q.Bitmap.Set(3)
+		node.onQuery(q)
+		node.Receive(&netsim.Packet{Class: metrics.Reply, Hops: 1, Src: 3, Dst: 2, Origin: 4, OriginParent: 3,
+			Payload: &ReplyMsg{QueryID: 300, Node: 4}})
+	})
 	// Reboot 2 s after the last query, while the node still gossips it:
 	// a Trickle forgets an item once it retires.
 	tn.sim.Run(8*netsim.Minute + 42*netsim.Second)
-	node := tn.nodes[2] // relays summaries, data and replies for 3 and 4
 	switch {
 	case !node.tree.HasRoute(), node.tree.Neighbors.Len() == 0, len(node.tree.Descendants.Tracked()) == 0,
 		node.cur == nil, len(node.chunks.Generation(node.cur.ID)) == 0, len(gossipKeys(&node.qGos)) == 0,
-		len(node.queries) == 0, len(node.store.buf) == 0, node.recent.Len() == 0,
-		len(node.seenSummaries.rows.ids) == 0, len(node.seenReplies.rows.ids) == 0, len(node.seenSummaries.spill) == 0:
+		len(node.heard.hi) == 0, len(node.gossiped) == 0, len(node.store.buf) == 0, node.recent.Len() == 0,
+		len(node.seenSummaries.rows.ids) == 0, len(node.seenSummaries.spill) == 0,
+		len(node.seenReplies.rows.ids) == 0, len(node.seenReplies.spill) == 0, len(node.seenAggParts.rows.ids) < 2,
+		len(node.aggPending) == 0, len(node.aggSeq) == 0:
 		t.Fatal("the node holds too little state before the reboot for the comparison to mean anything")
 	}
 

@@ -1,40 +1,46 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"scoop/internal/netsim"
 )
 
-// idTable is a small flat table keyed by node ID: a sorted key array
-// with the values in a parallel one, like routing.NeighborTable's. It
-// holds an entry only for the IDs actually put in it, so a node's
-// tables follow what it has heard rather than the size of the network
-// (DESIGN.md §12), and a walk visits them in ascending ID order — the
-// order a dense array indexed by ID would give.
-type idTable[V any] struct {
-	ids  []netsim.NodeID // ascending; ids[i] keys vals[i]
+// idTable is a small flat table keyed by node ID (or another small
+// integer): a sorted key array with the values in a parallel one, like
+// routing.NeighborTable's. It holds an entry only for the IDs actually
+// put in it, so a node's tables follow what it has heard rather than
+// the size of the network (DESIGN.md §12), and a walk visits them in
+// ascending ID order — the order a dense array indexed by ID would give.
+type idTable[K cmp.Ordered, V any] struct {
+	ids  []K // ascending; ids[i] keys vals[i]
 	vals []V
 }
 
 // idTableMin is the capacity a table starts at: most stay this small.
 const idTableMin = 8
 
-// at returns id's slot, inserting a zero one when absent, the arrays
-// growing in ids and vals. The pointer is valid until the next
-// insertion or removal.
-func (t *idTable[V]) at(id netsim.NodeID, ids *netsim.Blocks[netsim.NodeID], vals *netsim.Blocks[V]) *V {
+// index returns id's position, inserting a zero entry there when absent,
+// the arrays growing in ids and vals.
+func (t *idTable[K, V]) index(id K, ids *netsim.Blocks[K], vals *netsim.Blocks[V]) int {
 	i, ok := slices.BinarySearch(t.ids, id)
 	if !ok {
 		var zero V
 		t.ids = slices.Insert(netsim.Grow(ids, t.ids, idTableMin), i, id)
 		t.vals = slices.Insert(netsim.Grow(vals, t.vals, idTableMin), i, zero)
 	}
-	return &t.vals[i]
+	return i
+}
+
+// at returns id's slot, inserting a zero one when absent. The pointer is
+// valid until the next insertion or removal.
+func (t *idTable[K, V]) at(id K, ids *netsim.Blocks[K], vals *netsim.Blocks[V]) *V {
+	return &t.vals[t.index(id, ids, vals)]
 }
 
 // remove deletes id's entry, if any.
-func (t *idTable[V]) remove(id netsim.NodeID) {
+func (t *idTable[K, V]) remove(id K) {
 	if i, ok := slices.BinarySearch(t.ids, id); ok {
 		t.ids = slices.Delete(t.ids, i, i+1)
 		t.vals = slices.Delete(t.vals, i, i+1)
@@ -42,7 +48,7 @@ func (t *idTable[V]) remove(id netsim.NodeID) {
 }
 
 // clear empties the table, keeping its arrays for reuse.
-func (t *idTable[V]) clear() {
+func (t *idTable[K, V]) clear() {
 	clear(t.vals)
 	t.ids, t.vals = t.ids[:0], t.vals[:0]
 }
@@ -76,7 +82,7 @@ const seenSpill = 4
 // grow in the blocks Seen is given: the network's, or nil for a table
 // outside any network, which makes its arrays on its own.
 type seenTable struct {
-	rows  idTable[seenRow]
+	rows  idTable[netsim.NodeID, seenRow]
 	spill []uint64
 }
 
@@ -156,6 +162,140 @@ func (s *seenTable) release(b *seenBlocks) {
 func (s *seenTable) reset() {
 	s.rows.clear()
 	s.spill = s.spill[:0]
+}
+
+// bitTable is the forwarding dedup of replies and aggregate partials:
+// an exact set of (row, query ID) pairs, one row per origin (or per
+// sender and flush sequence number) actually heard from. A row holds
+// its query IDs as a bitset over the words from the lowest ID recorded
+// to the highest, the first word inline and the others in the table's
+// spill array, which holds every row's words in row order with no gap:
+// a row that widens shifts the rows after it, so the array is exactly
+// the words the rows use and nothing is left behind (DESIGN.md §12).
+// An origin's query IDs cluster, so a key costs a few bits, where a
+// seenTable row spends 64 on each.
+type bitTable struct {
+	rows  idTable[uint32, bitRow]
+	spill []uint64
+}
+
+// bitRow is one row of a bitTable: the bits of the query IDs
+// [64*base, 64*(base+n)), word 0 inline and words 1 to n-1 at
+// spill[off:].
+type bitRow struct {
+	lo   uint64
+	off  uint32
+	base uint16 // the window's first word
+	n    uint16 // words in the window, 0 before the first key
+}
+
+// partRow is a partial-aggregate dedup row: one per sender and flush
+// sequence number, its keys the query IDs, so each (sender, query, seq)
+// a relay or the base accepts is one bit.
+func partRow(sender netsim.NodeID, seq uint8) uint32 {
+	return uint32(seq)<<16 | uint32(sender)
+}
+
+// Seen reports whether (row, key) was recorded before, recording it if
+// not (check-and-mark). The table grows in b.
+func (t *bitTable) Seen(b *seenBlocks, row uint32, key uint16) bool {
+	i := t.rows.index(row, &b.ids32, &b.bitRows)
+	r := &t.rows.vals[i]
+	w := int(key >> 6)
+	switch {
+	case r.n == 0: // a new row: its empty segment is where the next row's starts
+		r.base, r.n, r.off = uint16(w), 1, uint32(len(t.spill))
+		if i+1 < len(t.rows.vals) {
+			r.off = t.rows.vals[i+1].off
+		}
+	case w < int(r.base) || w >= int(r.base)+int(r.n):
+		t.widen(i, w, &b.keys)
+	}
+	p := &r.lo
+	if k := w - int(r.base); k > 0 {
+		p = &t.spill[int(r.off)+k-1]
+	}
+	bit := uint64(1) << (key & 63)
+	if *p&bit != 0 {
+		return true
+	}
+	*p |= bit
+	return false
+}
+
+// widen stretches row i's window to cover word w: the words it gains
+// open at the end of its segment, the rows after it move up by as many,
+// and a window that grows downward shifts its words up to make word 0
+// the new first.
+func (t *bitTable) widen(i, w int, keys *netsim.Blocks[uint64]) {
+	r := &t.rows.vals[i]
+	base := min(int(r.base), w)
+	n := max(int(r.base)+int(r.n), w+1) - base
+	d, old := n-int(r.n), int(r.n)-1
+	end, size := int(r.off)+old, len(t.spill)
+	t.spill = growBy(keys, t.spill, d)
+	copy(t.spill[end+d:], t.spill[end:size])
+	clear(t.spill[end : end+d])
+	for j := i + 1; j < len(t.rows.vals); j++ {
+		t.rows.vals[j].off += uint32(d)
+	}
+	if shift := int(r.base) - base; shift > 0 { // then d == shift
+		seg := t.spill[r.off : int(r.off)+n-1]
+		copy(seg[shift:], seg[:old])
+		clear(seg[:shift])
+		seg[shift-1], r.lo = r.lo, 0
+	}
+	r.base, r.n = uint16(base), uint16(n)
+}
+
+// reset forgets everything (the reboot path), keeping the arrays.
+func (t *bitTable) reset() {
+	t.rows.clear()
+	t.spill = t.spill[:0]
+}
+
+// qidSet is an exact set of query IDs: a bitset, its first word inline
+// and the others growing in the network's blocks — a node's record of
+// every query it has heard since boot, a bit each.
+type qidSet struct {
+	lo uint64
+	hi []uint64 // words 1, 2, …
+}
+
+// add records id and reports whether it was recorded before.
+func (s *qidSet) add(id uint16, keys *netsim.Blocks[uint64]) bool {
+	p := &s.lo
+	if w := int(id >> 6); w > 0 {
+		if w > len(s.hi) {
+			s.hi = growBy(keys, s.hi, w-len(s.hi))
+		}
+		p = &s.hi[w-1]
+	}
+	bit := uint64(1) << (id & 63)
+	was := *p&bit != 0
+	*p |= bit
+	return was
+}
+
+// reset empties the set, keeping its array.
+func (s *qidSet) reset() { *s = qidSet{hi: s.hi[:0]} }
+
+// wordsMin is the capacity a spill of bitset words starts at.
+const wordsMin = 4
+
+// growBy returns s lengthened by d zero words: in place when the array
+// has room, else copied into one taken from keys, at least twice as
+// large, s's own put back.
+func growBy(keys *netsim.Blocks[uint64], s []uint64, d int) []uint64 {
+	k := len(s)
+	if k+d > cap(s) {
+		t := append(keys.Take(max(2*cap(s), k+d, wordsMin)), s...)
+		keys.Put(s)
+		s = t
+	}
+	s = s[:k+d]
+	clear(s[k:])
+	return s
 }
 
 // dataSeenCap is how many readings a node's data-dedup cache holds:

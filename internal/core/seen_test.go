@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -193,6 +194,193 @@ func FuzzSeenTable(f *testing.F) {
 			t.Fatalf("table holds rows %v for %d origins", s.rows.ids, len(ref))
 		}
 	})
+}
+
+// bitTableLayout reports how t's rows and spill disagree, or "": rows
+// ascending by key, and every row's spilled words in row order with no
+// gap, filling the spill exactly.
+func bitTableLayout(t *bitTable) string {
+	if !slices.IsSorted(t.rows.ids) || len(t.rows.ids) != len(t.rows.vals) {
+		return fmt.Sprintf("row keys %v for %d rows", t.rows.ids, len(t.rows.vals))
+	}
+	off := 0
+	for i, r := range t.rows.vals {
+		if r.n == 0 || int(r.off) != off {
+			return fmt.Sprintf("row %d (key %d) holds %d words at %d, want them at %d", i, t.rows.ids[i], r.n, r.off, off)
+		}
+		off += int(r.n) - 1
+	}
+	if off != len(t.spill) {
+		return fmt.Sprintf("rows use %d spilled words, the spill holds %d", off, len(t.spill))
+	}
+	return ""
+}
+
+// TestBitTableMatchesReferenceModel feeds six tables growing in one
+// network's blocks, as nodes' do, and a set each the same random
+// (row, key) streams — per-row query IDs mostly rising, with immediate
+// and old duplicates, never-seen IDs below the row's lowest (its window
+// grows downward), jumps of several words, rows keyed by sender and
+// flush sequence number, and a reset now and then — and requires the
+// same answer from every call and a gapless spill after it. Arrays one
+// table puts back are taken by another, so a stale alias would show as
+// a wrong answer; the counts make sure every corner is reached.
+func TestBitTableMatchesReferenceModel(t *testing.T) {
+	type side struct {
+		got     bitTable
+		want    map[[2]uint32]bool
+		next    map[uint32]uint16 // per-row rising key
+		history [][2]uint32       // every (row, key) asked since the last reset
+		before  map[[2]uint32]bool
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var blocks seenBlocks
+		var sides [6]side
+		for i := range sides {
+			sides[i].want, sides[i].next = map[[2]uint32]bool{}, map[uint32]uint16{}
+		}
+		origins := 1 + rng.Intn(60)
+		var dups, below, jumps, afterReset int
+		for step := 0; step < 12000; step++ {
+			sd := &sides[rng.Intn(len(sides))]
+			var row uint32
+			var key uint16
+			switch p := rng.Intn(100); {
+			case p < 1:
+				sd.before = map[[2]uint32]bool{}
+				for _, h := range sd.history {
+					sd.before[h] = true
+				}
+				sd.got.reset()
+				clear(sd.want)
+				sd.history = sd.history[:0]
+				continue
+			case p < 60 || len(sd.history) == 0: // in order, now and then a few words on
+				row = partRow(netsim.NodeID(rng.Intn(origins)*(1+rng.Intn(17))%1024), uint8(rng.Intn(3)/2))
+				step := uint16(rng.Intn(3))
+				if rng.Intn(20) == 0 {
+					step = uint16(64 + rng.Intn(200))
+					jumps++
+				}
+				if _, ok := sd.next[row]; !ok {
+					sd.next[row] = uint16(100 + rng.Intn(400)) // room below for late keys
+				}
+				sd.next[row] += step
+				key = sd.next[row]
+			case p < 75: // link-layer retransmission: the pair just asked
+				h := sd.history[len(sd.history)-1]
+				row, key = h[0], uint16(h[1])
+			case p < 90: // an old duplicate
+				h := sd.history[rng.Intn(len(sd.history))]
+				row, key = h[0], uint16(h[1])
+			default: // out of order: anywhere below the row's highest, often below its lowest
+				h := sd.history[rng.Intn(len(sd.history))]
+				row, key = h[0], uint16(rng.Intn(int(sd.next[h[0]])+1))
+			}
+			k := [2]uint32{row, uint32(key)}
+			lowest := -1
+			if i, ok := slices.BinarySearch(sd.got.rows.ids, row); ok {
+				lowest = 64 * int(sd.got.rows.vals[i].base)
+			}
+			sd.history = append(sd.history, k)
+			g, w := sd.got.Seen(&blocks, row, key), sd.want[k]
+			sd.want[k] = true
+			if g != w {
+				t.Fatalf("seed %d step %d: Seen(%#x, %d) = %v, reference %v", seed, step, row, key, g, w)
+			}
+			if d := bitTableLayout(&sd.got); d != "" {
+				t.Fatalf("seed %d step %d: after Seen(%#x, %d): %s", seed, step, row, key, d)
+			}
+			switch {
+			case w:
+				dups++
+			case int(key) < lowest:
+				below++
+			}
+			if sd.before[k] {
+				afterReset++
+			}
+		}
+		if dups < 1000 || below < 40 || jumps < 40 || afterReset < 10 {
+			t.Fatalf("seed %d: %d duplicates, %d fresh keys below a row's window, %d jumps, %d keys asked again after a reset; comparison has no power",
+				seed, dups, below, jumps, afterReset)
+		}
+	}
+}
+
+// FuzzBitTable holds the table to exact set membership over arbitrary
+// op streams: Seen answers true exactly when (row, key) was recorded
+// since the last reset, however a row's keys arrive — repeated, out of
+// order, far below or above its window. Each op is three bytes: 0xFF
+// resets, anything else picks one of 255 rows (senders spread over the
+// ID space, the top bit a flush sequence number), and the next two
+// bytes are a 16-bit key, so duplicates are common.
+func FuzzBitTable(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 1, 0, 1})                       // an immediate duplicate
+	f.Add([]byte{1, 0, 200, 1, 0, 3, 1, 0, 200, 1, 0, 3}) // out of order across words, then both again
+	f.Add([]byte{1, 0, 0, 2, 0, 0, 0xFF, 0, 0, 1, 0, 0})  // key 0 from two rows, reset, again
+	f.Add([]byte{9, 1, 0, 9, 0, 1, 3, 0, 2, 9, 2, 0,      // one row widening down and up…
+		9, 0, 1, 0x89, 0, 1, 3, 0, 2}) // …its neighbour shifted, the same key in a seq-1 row
+	f.Add([]byte{5, 0xFF, 0xFF, 5, 0, 0, 5, 0xFF, 0xFF}) // the widest window
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var blocks seenBlocks
+		var s bitTable
+		ref := map[[2]uint32]bool{}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			if ops[0] == 0xFF {
+				s.reset()
+				clear(ref)
+				continue
+			}
+			row := partRow(netsim.NodeID(ops[0]&0x7F)*8, ops[0]>>7)
+			key := uint16(ops[1])<<8 | uint16(ops[2])
+			k := [2]uint32{row, uint32(key)}
+			want := ref[k]
+			ref[k] = true
+			if got := s.Seen(&blocks, row, key); got != want {
+				t.Fatalf("Seen(%#x, %d) = %v, want %v", row, key, got, want)
+			}
+			if d := bitTableLayout(&s); d != "" {
+				t.Fatalf("after Seen(%#x, %d): %s", row, key, d)
+			}
+		}
+	})
+}
+
+// TestQidSetMatchesReferenceModel holds a node's record of heard query
+// IDs to a set: every ID, in any order, from 0 to 65 535, reports
+// whether it was added before, across resets and sets that share the
+// network's blocks.
+func TestQidSetMatchesReferenceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var blocks seenBlocks
+	var sets [3]qidSet
+	refs := [3]map[uint16]bool{{}, {}, {}}
+	var dups, high int
+	for step := 0; step < 40000; step++ {
+		i := rng.Intn(len(sets))
+		if rng.Intn(500) == 0 {
+			sets[i].reset()
+			clear(refs[i])
+			continue
+		}
+		id := uint16(rng.Intn(300))
+		if rng.Intn(50) == 0 {
+			id, high = uint16(rng.Intn(1<<16)), high+1
+		}
+		want := refs[i][id]
+		refs[i][id] = true
+		if want {
+			dups++
+		}
+		if got := sets[i].add(id, &blocks.keys); got != want {
+			t.Fatalf("step %d: set %d add(%d) = %v, want %v", step, i, id, got, want)
+		}
+	}
+	if dups < 1000 || high < 100 {
+		t.Fatalf("%d repeated IDs, %d far ones; comparison has no power", dups, high)
+	}
 }
 
 // TestDataDedup holds the data-frame dedup of DESIGN.md §7 on node 1 of

@@ -25,37 +25,24 @@ type shared struct {
 	combines  netsim.FreeList[aggCombine] // nodes' per-query combine buffers
 
 	seen     seenBlocks
-	readings netsim.Blocks[Reading]   // batches, regroup buffers, flash rings, replies, query results
-	batches  netsim.Blocks[[]Reading] // batchq values and spare batches
-	queries  netsim.Blocks[*QueryMsg] // pending answers
-	values   netsim.Blocks[int]       // summaries' copy of the recent readings
-	wires    netsim.Blocks[uint16]    // the base's retry wire IDs of a query
+	readings netsim.Blocks[Reading]     // batches, regroup buffers, flash rings, replies, query results
+	batches  netsim.Blocks[[]Reading]   // batchq values and spare batches
+	queries  netsim.Blocks[*QueryMsg]   // pending answers and the queries a node gossips
+	pending  netsim.Blocks[*aggCombine] // nodes' live combine buffers
+	values   netsim.Blocks[int]         // summaries' copy of the recent readings
+	wires    netsim.Blocks[uint16]      // the base's retry wire IDs of a query
 	gens     index.Generations
 }
 
-// seenBlocks is where dedup tables and the batch queue grow: row keys,
-// dedup rows and their older keys.
+// seenBlocks is where dedup tables, the batch queue and a node's query
+// records grow: row keys, dedup rows, their older keys and bitset words,
+// and flush sequence numbers.
 type seenBlocks struct {
-	ids  netsim.Blocks[netsim.NodeID]
-	rows netsim.Blocks[seenRow]
-	keys netsim.Blocks[uint64]
-}
-
-// extend returns s lengthened with zero values to hold index i,
-// regrown when it must be in an array of its own, at least first long
-// and twice its old capacity, so a dense table indexed by query ID takes
-// a few arrays in a run and an outgrown one goes to the collector.
-func extend[T any](s []T, i, first int) []T {
-	if i < len(s) {
-		return s
-	}
-	if i >= cap(s) {
-		s = append(make([]T, 0, max(first, 2*cap(s), i+1)), s...)
-	}
-	k := len(s)
-	s = s[:i+1]
-	clear(s[k:])
-	return s
+	ids     netsim.Blocks[netsim.NodeID]
+	rows    netsim.Blocks[seenRow]
+	keys    netsim.Blocks[uint64]
+	bitRows netsim.Blocks[bitRow]
+	ids32   netsim.Blocks[uint32] // bitTable row keys and Node.aggSeq
 }
 
 // slab carves objects of T that are kept, never recycled — the

@@ -50,28 +50,32 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 		// Measured mallocs/vs, in the comment, with the ceiling's history.
 		maxMallocsPerVS float64
 	}{
-		// 0.47 (1.44 while every summary, reply array, partial and
-		// query record was an object of its own, 1.69 as recorded
-		// before that, 3.71 while summaries were three objects and
-		// dedup rows, chunk sets, assembled indices and first-use
-		// buffers were allocated per node, 5.33 with a free list per sender and
-		// set-up allocating per node, 5.43 before data frames were
-		// deduplicated, 7.50 with Trickle items, chunk store and
-		// assembler in maps and dedup spills in slices of their own,
-		// 9.98 with the TTL in the payloads and dedup rows growing from
-		// empty, 22.1 before the payload free lists, 66.5 before the
-		// send ring). Data dedup took the counts from 217 296 events and
-		// 47 612 frames.
-		{"uniform63", Default(), 208685, 44900, 0.52},
-		// 0.60 (1.49 with a summary, reply array, partial and query
+		// 0.39 (0.47 while a node's query tables were dense by query
+		// ID, its reply dedup kept 64-bit keys and audible-list spills
+		// were made on their own, 1.44 while every summary, reply
+		// array, partial and query record was an object of its own,
+		// 1.69 as recorded before that, 3.71 while summaries were
+		// three objects and dedup rows, chunk sets, assembled indices
+		// and first-use buffers were allocated per node, 5.33 with a
+		// free list per sender and set-up allocating per node, 5.43
+		// before data frames were deduplicated, 7.50 with Trickle
+		// items, chunk store and assembler in maps and dedup spills in
+		// slices of their own, 9.98 with the TTL in the payloads and
+		// dedup rows growing from empty, 22.1 before the payload free
+		// lists, 66.5 before the send ring). Data dedup took the counts
+		// from 217 296 events and 47 612 frames.
+		{"uniform63", Default(), 208685, 44900, 0.43},
+		// 0.54 (0.60 with dense query tables and 64-bit reply keys,
+		// 1.49 with a summary, reply array, partial and query
 		// record per message, 1.74 as recorded before that, 3.86 with
 		// per-node arrays and three-object summaries,
 		// 5.61 with per-sender free lists and per-node set-up,
 		// 5.71 before data dedup, 11.79 when a reboot allocated the
 		// mote's state again; 264 052 events and 56 492 frames before
 		// data dedup).
-		{"uniform63churn", churn, 253906, 52313, 0.66},
-		// 2.45 (3.87 with a summary, reply array, partial and query
+		{"uniform63churn", churn, 253906, 52313, 0.59},
+		// 1.48 (2.45 with dense query tables and 64-bit reply keys,
+		// 3.87 with a summary, reply array, partial and query
 		// record per message, 3.92 as recorded before that, 18.18 with
 		// per-node arrays and three-object summaries,
 		// 42.23 with per-sender free lists, retired Trickle items
@@ -79,11 +83,13 @@ func TestWorkPerVirtualSecond(t *testing.T) {
 		// the maps and spill slices, 76.56 with the TTL in the payloads
 		// and dedup rows growing from empty; 290 720 events and 94 247
 		// frames before data dedup).
-		{"grid250", deep, 283304, 91278, 2.70},
-		// 2.28 (6.88 with a summary, reply array, partial, combine
-		// buffer, query packet and query record per message and the
-		// contributor and retry bitmaps in arrays of their own).
-		{"reads100", reads, 546388, 115225, 2.51},
+		{"grid250", deep, 283304, 91278, 1.63},
+		// 1.47 (2.28 with dense query tables, combine buffers and flush
+		// sequence numbers and 64-bit reply and partial keys, 6.88
+		// with a summary, reply array, partial, combine buffer, query
+		// packet and query record per message and the contributor and
+		// retry bitmaps in arrays of their own).
+		{"reads100", reads, 546388, 115225, 1.62},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Serial on purpose: runtime.MemStats.Mallocs is process-wide.

@@ -197,7 +197,9 @@ func (n *Network) hearSpilled(l *audibleList, id NodeID, f audible, now Time) {
 }
 
 // setFrame stores f as frame k of node id's list. When k is one past
-// the spill, the spill grows so that the list's capacity doubles.
+// the spill, the spill grows so that the list's capacity doubles, in
+// the network's blocks; the outgrown spill goes back to them, unless it
+// is the first slot initAudible carved.
 func (n *Network) setFrame(l *audibleList, id NodeID, k int, f audible) {
 	if k < audibleSlots {
 		l.slots[k] = f
@@ -205,9 +207,12 @@ func (n *Network) setFrame(l *audibleList, id NodeID, k int, f audible) {
 	}
 	sp, j := n.spill[id], k-audibleSlots
 	if j == len(sp) {
-		sp = make([]audible, 2*k-audibleSlots)
-		copy(sp, n.spill[id])
-		n.spill[id] = sp
+		grown := n.audibles.Take(2*k - audibleSlots)
+		grown = append(grown, sp...)[:cap(grown)]
+		if cap(sp) > 1 {
+			n.audibles.Put(sp)
+		}
+		n.spill[id], sp = grown, grown
 	}
 	sp[j] = f
 }
@@ -272,9 +277,11 @@ type Network struct {
 	// time on. Carrier sense and the collision fold scan only the
 	// receiver's list, so their cost follows the radio neighbourhood,
 	// not the network (DESIGN.md §12). A list is one cache line, its
-	// frames past the inline slots in spill[id]. Start fills both.
-	heard []audibleList
-	spill [][]audible
+	// frames past the inline slots in spill[id], which grows in
+	// audibles. Start fills both.
+	heard    []audibleList
+	spill    [][]audible
+	audibles Blocks[audible]
 
 	// The network's free lists of its own tasks, the blocks its nodes'
 	// send rings grow in, and through Shared what the protocol layers'

@@ -260,12 +260,18 @@ func (b *Blocks[T]) Put(s []T) {
 
 // Grow returns s with room for one more element: s itself when it has
 // it, else a copy of s in an array taken from b, of twice s's capacity,
-// or of capacity first when s has none, s's own array put back.
+// or of capacity first when s has none, s's own array put back. A
+// doubling that would pass the longest array b carves stops there, so
+// an array goes solo only once it has used all a carved one holds.
 func Grow[T any](b *Blocks[T], s []T, first int) []T {
 	if len(s) < cap(s) {
 		return s
 	}
-	t := append(b.Take(max(2*cap(s), first)), s...)
+	n := max(2*cap(s), first)
+	if l := b.soloLen(); cap(s) < l && n > l {
+		n = l
+	}
+	t := append(b.Take(n), s...)
 	b.Put(s)
 	return t
 }

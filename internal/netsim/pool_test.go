@@ -130,8 +130,9 @@ func TestTimerRearmZeroAllocs(t *testing.T) {
 // value per type; Blocks carve arrays of exactly the capacity asked from
 // blocks that double up to blockBytes, an array put back is the next
 // one taken at its capacity, zeroed, Grow keeps the elements and puts
-// the outgrown array back, and an array of soloBytes or more is made
-// on its own and not kept when put back.
+// the outgrown array back, stopping a doubling at the longest array the
+// blocks carve, and an array of soloBytes or more is made on its own
+// and not kept when put back.
 func TestBlocksCarveAndReuse(t *testing.T) {
 	net := linklessNetwork(3, 1, false)
 	type arrays struct{ ints Blocks[int64] }
@@ -182,6 +183,12 @@ func TestBlocksCarveAndReuse(t *testing.T) {
 	}
 	if s := Grow(b, grown, 4); &s[0] != &grown[0] {
 		t.Fatal("Grow replaced an array that had room")
+	}
+	longest := b.soloLen()
+	if s := Grow(b, b.Take(64)[:64], 4); cap(s) != longest {
+		t.Fatalf("Grow of a full 64 gave capacity %d, want the longest carved array, %d", cap(s), longest)
+	} else if s = Grow(b, s[:longest], 4); cap(s) != 2*longest {
+		t.Fatalf("Grow of a full %d gave capacity %d, want %d", longest, cap(s), 2*longest)
 	}
 
 	solo := b.Take(soloBytes / 8)

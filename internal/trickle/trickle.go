@@ -171,6 +171,16 @@ func (t *Trickle) Remove(key Key) {
 	t.rearm()
 }
 
+// Holds reports whether key is live: added, and neither retired nor
+// removed since.
+func (t *Trickle) Holds(key Key) bool {
+	_, ok := t.find(key)
+	return ok
+}
+
+// Len returns the number of live keys.
+func (t *Trickle) Len() int { return len(t.items) }
+
 // Heard records a consistent transmission of key overheard from a
 // neighbor, feeding suppression. A retired key has no interval to
 // suppress in.

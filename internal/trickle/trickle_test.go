@@ -141,6 +141,41 @@ func TestTrickleMaxRoundsRetires(t *testing.T) {
 	}
 }
 
+// TestTrickleHolds: a key is held from Add until it is removed, retires
+// or the instance is cleared, and held again once added again; Len
+// counts the held keys.
+func TestTrickleHolds(t *testing.T) {
+	cfg := Config{TauLow: netsim.Second, TauHigh: netsim.Second, K: 1, MaxRounds: 3}
+	h, sim := newHarness(cfg, 6)
+	holds := func(want ...Key) {
+		t.Helper()
+		for k := Key(0); k < 5; k++ {
+			if got := h.tr.Holds(k); got != slices.Contains(want, k) {
+				t.Fatalf("at %v Holds(%d) = %v, want the held keys to be %v", sim.Now(), k, got, want)
+			}
+		}
+		if h.tr.Len() != len(want) {
+			t.Fatalf("at %v Len() = %d, want %d", sim.Now(), h.tr.Len(), len(want))
+		}
+	}
+	holds()
+	h.tr.Add(1)
+	h.tr.Add(3)
+	h.tr.Add(2)
+	holds(1, 2, 3)
+	h.tr.Remove(2)
+	holds(1, 3)
+	sim.Run(2500 * netsim.Millisecond)
+	h.tr.Add(4)
+	holds(1, 3, 4)
+	sim.Run(3 * netsim.Second) // 1 and 3, added at 0, retire after three one-second rounds; 4 lives on
+	holds(4)
+	h.tr.Add(1)
+	holds(1, 4)
+	h.tr.Clear()
+	holds()
+}
+
 func TestTrickleRemove(t *testing.T) {
 	cfg := Config{TauLow: netsim.Second, TauHigh: netsim.Second, K: 1}
 	h, sim := newHarness(cfg, 7)
