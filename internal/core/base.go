@@ -102,6 +102,7 @@ type Base struct {
 	pending      []*pendingQuery    // dense by query ID
 	queries      slab[pendingQuery] // pending's records: QueryResults reads one after it settles
 	packets      slab[QueryMsg]     // every query packet issued, retries included: nodes keep them
+	words        slab[uint64]       // query and heard bitmaps' words past node 127 (Bitmap.fit)
 	all          []netsim.NodeID    // every non-base node ID (allNodes), built on first use
 	owners       []netsim.NodeID    // rangeTargets' owner set, reused
 	seenAggParts bitTable           // partial-aggregate message dedup (partRow)
@@ -174,7 +175,7 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.profProb = make([]float64, b.cfg.DomainMax-b.cfg.DomainMin+1)
 	b.mapGos.Init(api, timerMapping, mappingTrickle, b)
 	b.qGos.Init(api, timerQuery, queryTrickle, b)
-	b.net = netsim.Shared[shared](api)
+	b.net = sharedOf(api)
 	b.chunks.Shared = &b.net.gens
 	if b.cfg.Preload != nil {
 		b.cur = b.cfg.Preload
@@ -601,6 +602,9 @@ func (b *Base) queryPacket(q workload.Query, op query.Op, track bool) *QueryMsg 
 // address marks every non-base target in msg's bitmap, counts it into
 // pq.expected, and keeps msg as the packet pq's retries narrow.
 func (b *Base) address(pq *pendingQuery, msg *QueryMsg, targets []netsim.NodeID) {
+	top := netsim.NodeID(b.api.N() - 1)
+	msg.Bitmap.fit(top, &b.words)
+	pq.heard.fit(top, &b.words)
 	for _, id := range targets {
 		if id == b.api.ID() {
 			continue

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"scoop/internal/dense"
 	"scoop/internal/histogram"
 	"scoop/internal/index"
 	"scoop/internal/netsim"
@@ -272,13 +271,30 @@ func (b *Bitmap) word(wi int) uint64 {
 	return 0
 }
 
-// at returns a pointer to word wi, growing hi to hold it.
+// at returns a pointer to word wi, growing hi to hold it: in one step,
+// to exactly that word, so a caller that marks several words marks the
+// highest first, or sizes the bitmap beforehand (fit).
 func (b *Bitmap) at(wi int) *uint64 {
 	if wi < len(b.lo) {
 		return &b.lo[wi]
 	}
-	b.hi = dense.Grow(b.hi, wi-len(b.lo))
+	if k := wi - len(b.lo); k >= len(b.hi) {
+		b.hi = append(b.hi, make([]uint64, k+1-len(b.hi))...)
+	}
 	return &b.hi[wi-len(b.lo)]
+}
+
+// fit sizes hi to hold node id's word, carved from words when it must
+// grow: the basestation fits a query's bitmaps to the network's highest
+// node before it marks the targets in ascending order.
+func (b *Bitmap) fit(id netsim.NodeID, words *slab[uint64]) {
+	k := int(id)>>6 + 1 - len(b.lo)
+	if k <= len(b.hi) {
+		return
+	}
+	hi := words.take(k)
+	copy(hi, b.hi)
+	b.hi = hi
 }
 
 // Set marks node id, spilling past node 127 as needed.
@@ -326,12 +342,12 @@ func (b *Bitmap) Empty() bool {
 	return true
 }
 
-// Or folds other's marked nodes into b.
+// Or folds other's marked nodes into b, the highest word first.
 func (b *Bitmap) Or(other *Bitmap) {
 	b.lo[0] |= other.lo[0]
 	b.lo[1] |= other.lo[1]
-	for i, w := range other.hi {
-		if w != 0 {
+	for i := len(other.hi) - 1; i >= 0; i-- {
+		if w := other.hi[i]; w != 0 {
 			*b.at(len(b.lo) + i) |= w
 		}
 	}
@@ -354,8 +370,8 @@ func (b *Bitmap) Intersects(other *Bitmap) bool {
 // set the reliability layer re-asks.
 func (b *Bitmap) AndNot(other *Bitmap) Bitmap {
 	out := Bitmap{lo: [2]uint64{b.lo[0] &^ other.lo[0], b.lo[1] &^ other.lo[1]}}
-	for i, w := range b.hi {
-		if w &^= other.word(len(b.lo) + i); w != 0 {
+	for i := len(b.hi) - 1; i >= 0; i-- { // the highest word first: out grows once
+		if w := b.hi[i] &^ other.word(len(b.lo)+i); w != 0 {
 			*out.at(len(b.lo) + i) = w
 		}
 	}

@@ -176,7 +176,7 @@ func (n *Node) Init(api *netsim.NodeAPI) {
 		n.tree.Init(api, false)
 		n.mapGos.Init(api, timerMapping, mappingTrickle, n)
 		n.qGos.Init(api, timerQuery, queryTrickle, n)
-		n.net = netsim.Shared[shared](api)
+		n.net = sharedOf(api)
 		n.store.blocks, n.chunks.Shared = &n.net.readings, &n.net.gens
 	} else { // a reboot on the same radio: clear in place
 		n.tree.Reset()

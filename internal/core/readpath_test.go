@@ -240,3 +240,41 @@ func TestAnswerAndRelayZeroAllocs(t *testing.T) {
 		t.Fatalf("the parent received %d replies, want %d", got, 4*2*queries)
 	}
 }
+
+// TestQueryBitmapsGrowOnce: at N = 1000 the basestation addresses a
+// query to all 999 motes in ascending ID order and marks each one
+// heard, as their replies would. Both bitmaps are fitted to the
+// network's highest node before the first mark, their words carved
+// from the base's slab, so a query allocates at most one object, a new
+// slab block — where regrowing each bitmap 1.5× at a time as the IDs
+// rose made six arrays a bitmap.
+func TestQueryBitmapsGrowOnce(t *testing.T) {
+	const n = 1000
+	topo := netsim.NewTopology(n)
+	topo.Pos = make([]netsim.Point, n)
+	net := netsim.NewNetwork(netsim.NewSimulator(1), topo, metrics.NewCounters(), netsim.DefaultParams())
+	base := NewBase(testConfig(), &RunStats{}, 60*netsim.Minute)
+	net.Attach(0, base)
+	net.Start()
+	targets := make([]netsim.NodeID, 0, n-1)
+	for id := netsim.NodeID(1); id < n; id++ {
+		targets = append(targets, id)
+	}
+	var pq *pendingQuery
+	var msg *QueryMsg
+	least := leastMallocs(func(int) { pq, msg = base.queries.new(), base.packets.new() }, func() {
+		base.address(pq, msg, targets)
+		for _, id := range targets {
+			pq.heard.Set(id)
+		}
+	})
+	if least > 1 && !raceEnabled {
+		t.Fatalf("addressing a query to %d nodes and hearing each allocates %d objects, want at most 1", n-1, least)
+	}
+	if pq.expected != n-1 || msg.Bitmap.Count() != n-1 || pq.heard.Count() != n-1 {
+		t.Fatalf("expected %d, %d marked, %d heard; want %d each", pq.expected, msg.Bitmap.Count(), pq.heard.Count(), n-1)
+	}
+	if got, want := msg.Bitmap.Bytes(), (n-1)/8+1; got != want {
+		t.Fatalf("the query's bitmap is %d bytes on the air, want %d", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"scoop/internal/metrics"
@@ -177,5 +178,46 @@ func TestRelayedReplyZeroAllocs(t *testing.T) {
 	}
 	if got := sink.got[metrics.Reply]; got != 4*200*200 {
 		t.Fatalf("the parent received %d replies, want %d (each once per boot)", got, 4*200*200)
+	}
+}
+
+// TestRelayedSummaryGrowthLogarithmic holds a fresh relay's summary
+// dedup to O(log keys) allocations: node 1 relays 20 send times from
+// each of 200 origins, round by round as summaries come, each heard
+// twice. Its table's rows and gapless spill double in the network's
+// blocks, every row's segment widening in turn, so 4 000 keys cost a
+// few objects per doubling — the blocks, their lists of arrays put
+// back, the arrays past what they carve, the relay's send ring and the
+// MAC's pools — not one per origin or per row that outgrows its
+// segment.
+func TestRelayedSummaryGrowthLogarithmic(t *testing.T) {
+	sim, _, node, sink := relayFixture(t)
+	summary := &SummaryMsg{}
+	pkt := &netsim.Packet{Class: metrics.Summary, Hops: 1, Src: 2, Dst: 1, OriginParent: 2, Payload: summary}
+	const origins, rounds = 200, 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for at := netsim.Time(1); at <= rounds; at++ {
+		for o := netsim.NodeID(3); o < 3+origins; o++ {
+			summary.Node, summary.SentAt, pkt.Origin = o, at, o
+			for range 2 {
+				pkt.Seq++
+				node.Receive(pkt)
+			}
+			sim.Run(sim.Now() + 100*netsim.Millisecond)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	objs := after.Mallocs - before.Mallocs
+	t.Logf("%d summaries from %d origins relayed: %d objects", origins*rounds, origins, objs)
+	const ceiling = 5 * 12 // five per doubling of the keys
+	if objs > ceiling && !raceEnabled {
+		t.Fatalf("relaying %d summaries from %d origins allocates %d objects, want at most %d", origins*rounds, origins, objs, ceiling)
+	}
+	if d := seenTableLayout(&node.seenSummaries); d != "" || len(node.seenSummaries.rows.vals) != origins {
+		t.Fatalf("the table's layout: %q with %d rows, want %d", d, len(node.seenSummaries.rows.vals), origins)
+	}
+	if got := sink.got[metrics.Summary]; got != origins*rounds {
+		t.Fatalf("the parent received %d summaries, want %d (each once)", got, origins*rounds)
 	}
 }

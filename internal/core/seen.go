@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"scoop/internal/netsim"
@@ -53,79 +54,39 @@ func (t *idTable[K, V]) clear() {
 	t.ids, t.vals = t.ids[:0], t.vals[:0]
 }
 
-// seenRow is one origin's dedup history: every key recorded, the
-// newest two inline and the older ones spilled, oldest first, to the
-// row's segment of its table's shared spill array — most rows hold a
-// handful, so a row of two keys never spills — plus the maximum key
-// seen, which gives an O(1) fast path for the common case: per-origin
-// keys (summary timestamps, query IDs, flush sequence numbers) arrive
-// in increasing order, so a fresh key is usually above every key
-// recorded before and needs no scan at all.
-type seenRow struct {
-	max    uint64
-	newest [2]uint64 // newest[n-1] the last key recorded
-	n      uint8     // keys in newest (0 only before the first)
-	// The older keys are spill[off : off+old], in a segment of room keys.
-	off, old, room int32
+// seenRow is one origin's dedup history: every key recorded, in
+// ascending order, at spill[off : off+n] in a segment of seenRoom(n)
+// keys of its table's shared spill array. Per-origin keys (summary
+// send times, sample times) mostly arrive in increasing order, so a
+// fresh key usually goes at the end without a search, and a duplicate
+// (a link-layer retransmission) or the rare out-of-order key is found
+// by binary search.
+type seenRow struct{ off, n uint32 }
+
+// seenRoom is the segment a row of n keys holds: none before its first
+// key, then the power of two at or above n, from 2.
+func seenRoom(n uint32) uint32 {
+	if n == 0 {
+		return 0
+	}
+	return max(2, uint32(1)<<bits.Len32(n-1))
 }
 
-// seenSpill is the size of a row's first spill segment.
-const seenSpill = 4
-
-// seenTable is the forwarding-dedup store: one row per origin actually
-// heard from, replacing the old flat hash maps on the per-delivery path
-// (DESIGN.md §12). New in-order keys append without scanning;
-// duplicates (link-layer retransmissions) and the rare out-of-order key
-// scan the row newest-first. All rows spill into one array: a row that
-// fills its segment moves to the array's end at twice the size, leaving
-// the old segment unused until the next reset. Rows and the spill array
-// grow in the blocks Seen is given: the network's, or nil for a table
-// outside any network, which makes its arrays on its own.
+// seenTable is the dedup store keyed by send or sample time — a relay's
+// summary forwarding, the readings stored in the run and at the
+// basestation, and a query's collected tuples: one row per origin
+// actually heard from, replacing the old flat hash maps on the
+// per-delivery path (DESIGN.md §12). Times are not dense, so a row
+// keeps every key. The spill array holds every row's segment in row
+// order with no gap, as bitTable's does: a row that fills its segment
+// doubles it and moves the rows after it along, so nothing is
+// abandoned, and the spill is at most twice the keys. Rows and the
+// spill array grow by doubling in the blocks Seen is given: the
+// network's, or nil for a table outside any network, which makes its
+// arrays on its own.
 type seenTable struct {
 	rows  idTable[netsim.NodeID, seenRow]
 	spill []uint64
-}
-
-// record appends key as r's newest, the spill array growing in keys.
-func (s *seenTable) record(r *seenRow, key uint64, keys *netsim.Blocks[uint64]) {
-	if r.n < uint8(len(r.newest)) {
-		r.newest[r.n] = key
-		r.n++
-		return
-	}
-	if r.old == r.room {
-		room := max(2*r.room, seenSpill)
-		off := int32(len(s.spill))
-		if need := int(off + room); need > cap(s.spill) {
-			// Double, where append would grow a long array by a quarter.
-			grown := append(keys.Take(max(2*cap(s.spill), need)), s.spill...)
-			keys.Put(s.spill)
-			s.spill = grown
-		}
-		s.spill = s.spill[:off+room]
-		copy(s.spill[off:], s.spill[r.off:r.off+r.old])
-		r.off, r.room = off, room
-	}
-	s.spill[r.off+r.old] = r.newest[0]
-	r.old++
-	r.newest[0], r.newest[1] = r.newest[1], key
-}
-
-// has reports whether r recorded key, scanning newest-first, where
-// recent keys cluster.
-func (s *seenTable) has(r *seenRow, key uint64) bool {
-	for k := int(r.n) - 1; k >= 0; k-- {
-		if r.newest[k] == key {
-			return true
-		}
-	}
-	older := s.spill[r.off : r.off+r.old]
-	for k := len(older) - 1; k >= 0; k-- {
-		if older[k] == key {
-			return true
-		}
-	}
-	return false
 }
 
 // Seen reports whether (origin, key) was recorded before, recording it
@@ -135,17 +96,45 @@ func (s *seenTable) Seen(b *seenBlocks, origin netsim.NodeID, key uint64) bool {
 	var rows *netsim.Blocks[seenRow]
 	var keys *netsim.Blocks[uint64]
 	if b != nil {
-		ids, rows, keys = &b.ids, &b.rows, &b.keys
+		ids, rows, keys = &b.ids, &b.rows, &b.spill
 	}
-	r := s.rows.at(origin, ids, rows)
-	switch {
-	case r.n == 0 || key > r.max:
-		r.max = key
-	case s.has(r, key):
-		return true
+	i := s.rows.index(origin, ids, rows)
+	r := &s.rows.vals[i]
+	at := int(r.n)
+	if at > 0 && key <= s.spill[r.off+r.n-1] {
+		var found bool
+		if at, found = slices.BinarySearch(s.spill[r.off:r.off+r.n], key); found {
+			return true
+		}
 	}
-	s.record(r, key, keys)
+	if r.n == seenRoom(r.n) {
+		s.widen(i, keys)
+	}
+	row := s.spill[r.off : r.off+r.n+1]
+	copy(row[at+1:], row[at:])
+	row[at] = key
+	r.n++
 	return false
+}
+
+// widen doubles full row i's segment (a new row's first: its empty
+// segment is where the next row's starts), the rows after it moving up
+// by as many keys, the spill growing in keys.
+func (s *seenTable) widen(i int, keys *netsim.Blocks[uint64]) {
+	r := &s.rows.vals[i]
+	if r.n == 0 {
+		r.off = uint32(len(s.spill))
+		if i+1 < len(s.rows.vals) {
+			r.off = s.rows.vals[i+1].off
+		}
+	}
+	d := seenRoom(r.n+1) - seenRoom(r.n)
+	end, size := int(r.off+r.n), len(s.spill)
+	s.spill = growBy(keys, s.spill, int(d))
+	copy(s.spill[end+int(d):], s.spill[end:size])
+	for j := i + 1; j < len(s.rows.vals); j++ {
+		s.rows.vals[j].off += d
+	}
 }
 
 // release empties the table, putting its arrays back in b for other
@@ -153,7 +142,7 @@ func (s *seenTable) Seen(b *seenBlocks, origin netsim.NodeID, key uint64) bool {
 func (s *seenTable) release(b *seenBlocks) {
 	b.ids.Put(s.rows.ids)
 	b.rows.Put(s.rows.vals)
-	b.keys.Put(s.spill)
+	b.spill.Put(s.spill)
 	*s = seenTable{}
 }
 

@@ -32,15 +32,45 @@ func (s *refSeen) Seen(origin netsim.NodeID, key uint64) bool {
 
 func (s *refSeen) reset() { s.rows = nil }
 
+// seenTableLayout reports how s's rows and spill disagree, or "": rows
+// ascending by origin, each row's keys ascending in a segment of
+// seenRoom keys, and the segments in row order with no gap, filling
+// the spill exactly.
+func seenTableLayout(s *seenTable) string {
+	if !slices.IsSorted(s.rows.ids) || len(s.rows.ids) != len(s.rows.vals) {
+		return fmt.Sprintf("row keys %v for %d rows", s.rows.ids, len(s.rows.vals))
+	}
+	off := uint32(0)
+	for i, r := range s.rows.vals {
+		if r.n == 0 || r.off != off {
+			return fmt.Sprintf("row %d (origin %d) holds %d keys at %d, want them at %d", i, s.rows.ids[i], r.n, r.off, off)
+		}
+		keys := s.spill[r.off : r.off+r.n]
+		for k := 1; k < len(keys); k++ {
+			if keys[k-1] >= keys[k] {
+				return fmt.Sprintf("row %d (origin %d) holds key %d before %d", i, s.rows.ids[i], keys[k-1], keys[k])
+			}
+		}
+		off += seenRoom(r.n)
+	}
+	if int(off) != len(s.spill) {
+		return fmt.Sprintf("rows use %d spilled keys, the spill holds %d", off, len(s.spill))
+	}
+	return ""
+}
+
 // TestSeenMatchesReferenceModel feeds six sparse tables growing in one
 // network's blocks, as nodes' do, and a dense reference each the same
 // random (origin, key) streams — per-origin keys mostly rising, mixed
 // with immediate duplicates, old duplicates, never-seen keys below the
 // maximum, key 0, and a reset now and then — and requires the same
-// answer from every call. Arrays one table puts back are taken by
-// another, so a stale alias would show as a wrong answer; the counts make
-// sure out-of-order keys are asked after a table's spill array moved to
-// another array, and keys recorded before a reset are asked after it.
+// answer from every call and a gapless spill after it. Arrays one table
+// puts back are taken by another, so a stale alias would show as a
+// wrong answer; the counts make sure out-of-order keys are asked after
+// a table's spill array moved to another array, keys recorded before a
+// reset are asked after it, and tables pass 25 rows (the rows' first
+// solo array before rows were 8 bytes) and rows pass 127 keys (a 1 KB
+// spill) — seeds with few origins grow long rows, the others many rows.
 func TestSeenMatchesReferenceModel(t *testing.T) {
 	type side struct {
 		got     seenTable
@@ -57,14 +87,18 @@ func TestSeenMatchesReferenceModel(t *testing.T) {
 		for i := range sides {
 			sides[i].next = make([]uint64, 1024)
 		}
-		origins := 1 + rng.Intn(60)
+		var rows, longest int // the most rows in a table, keys in a row
+		origins, spread := 1+rng.Intn(60), 17
+		if seed%2 == 0 { // few origins, long rows
+			origins, spread = 1+rng.Intn(3), 1
+		}
 		var dups, lateFresh, lateAfterMove, afterReset int
 		for step := 0; step < 12000; step++ {
 			sd := &sides[rng.Intn(len(sides))]
 			var origin netsim.NodeID
 			var key uint64
 			switch p := rng.Intn(100); {
-			case p < 1:
+			case p < 1 && (spread > 1 || rng.Intn(8) == 0): // long rows see fewer resets
 				sd.before = map[[2]uint64]bool{}
 				for _, h := range sd.history {
 					sd.before[h] = true
@@ -74,7 +108,7 @@ func TestSeenMatchesReferenceModel(t *testing.T) {
 				sd.history, sd.moved = sd.history[:0], false
 				continue
 			case p < 60 || len(sd.history) == 0: // in order
-				origin = netsim.NodeID(rng.Intn(origins) * (1 + rng.Intn(17)) % 1024)
+				origin = netsim.NodeID(rng.Intn(origins) * (1 + rng.Intn(spread)) % 1024)
 				sd.next[origin] += uint64(rng.Intn(3)) // +0 repeats the last key (or asks key 0 first)
 				key = sd.next[origin]
 			case p < 75: // link-layer retransmission: the key just asked
@@ -93,6 +127,13 @@ func TestSeenMatchesReferenceModel(t *testing.T) {
 			g, w := sd.got.Seen(&blocks, origin, key), sd.want.Seen(origin, key)
 			if g != w {
 				t.Fatalf("seed %d step %d: Seen(%d, %d) = %v, reference %v", seed, step, origin, key, g, w)
+			}
+			if d := seenTableLayout(&sd.got); d != "" {
+				t.Fatalf("seed %d step %d: after Seen(%d, %d): %s", seed, step, origin, key, d)
+			}
+			rows = max(rows, len(sd.got.rows.vals))
+			for _, r := range sd.got.rows.vals {
+				longest = max(longest, int(r.n))
 			}
 			if cap(spill) > 0 && (cap(sd.got.spill) != cap(spill) || &sd.got.spill[:1][0] != &spill[:1][0]) {
 				sd.moved = true
@@ -114,10 +155,8 @@ func TestSeenMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("seed %d: %d duplicates, %d fresh out-of-order keys (%d after a spill moved), %d keys asked again after a reset; comparison has no power",
 				seed, dups, lateFresh, lateAfterMove, afterReset)
 		}
-		for _, sd := range sides {
-			if !slices.IsSorted(sd.got.rows.ids) || len(sd.got.rows.ids) != len(sd.got.rows.vals) {
-				t.Fatalf("seed %d: table holds ids %v for %d rows", seed, sd.got.rows.ids, len(sd.got.rows.vals))
-			}
+		if seed%2 == 0 && longest <= 127 || seed%2 == 1 && origins > 10 && rows <= 25 {
+			t.Fatalf("seed %d: at most %d rows in a table and %d keys in a row; the layout was not stretched", seed, rows, longest)
 		}
 	}
 }

@@ -35,14 +35,28 @@ type shared struct {
 }
 
 // seenBlocks is where dedup tables, the batch queue and a node's query
-// records grow: row keys, dedup rows, their older keys and bitset words,
-// and flush sequence numbers.
+// records grow: row keys, dedup rows, their keys and bitset words, and
+// flush sequence numbers.
 type seenBlocks struct {
 	ids     netsim.Blocks[netsim.NodeID]
 	rows    netsim.Blocks[seenRow]
 	keys    netsim.Blocks[uint64]
+	spill   netsim.Blocks[uint64] // seenTable keys, carved up to seenSpillLongest (sharedOf)
 	bitRows netsim.Blocks[bitRow]
 	ids32   netsim.Blocks[uint32] // bitTable row keys and Node.aggSeq
+}
+
+// seenSpillLongest is the longest seenTable spill carved, 16 KB: every
+// relay's summary dedup grows through the same doublings as it relays
+// more origins' send times, at its own pace, so an outgrown spill is
+// soon another relay's (DESIGN.md §12).
+const seenSpillLongest = 2 << 10
+
+// sharedOf returns the shared value of api's network.
+func sharedOf(api *netsim.NodeAPI) *shared {
+	s := netsim.Shared[shared](api)
+	s.seen.spill.Longest = seenSpillLongest
+	return s
 }
 
 // slab carves objects of T that are kept, never recycled — the
@@ -62,15 +76,19 @@ const (
 )
 
 // new returns a zero T carved from the newest block.
-func (s *slab[T]) new() *T {
-	if len(s.free) == 0 {
+func (s *slab[T]) new() *T { return &s.take(1)[0] }
+
+// take returns n zero Ts carved from the newest block, first starting a
+// block when the tail is too short; appending past n reallocates.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
 		var zero T
 		size := max(1, int(unsafe.Sizeof(zero)))
-		k := max(1, slabFirst/size, min(s.made, slabMax/size))
+		k := max(n, slabFirst/size, min(s.made, slabMax/size))
 		s.made += k
 		s.free = make([]T, k)
 	}
-	x := &s.free[0]
-	s.free = s.free[1:]
+	x := s.free[:n:n]
+	s.free = s.free[n:]
 	return x
 }

@@ -1,7 +1,9 @@
 // Package dense holds the one helper behind the scale tier's
 // dense-index convention (DESIGN.md §12): grow-on-demand flat slices
-// keyed by node or query ID, shared so the idiom cannot drift between
-// packages.
+// keyed by node or query ID — the byte counters of internal/metrics and
+// the basestation's tables of pending queries, gossiped queries and
+// retry wire IDs — shared so the idiom cannot drift between packages.
+// Bitsets grow otherwise: core.Bitmap once, to the word asked for.
 package dense
 
 // Grow returns s extended with zero values so index i is valid.

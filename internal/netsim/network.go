@@ -284,12 +284,18 @@ type Network struct {
 	audibles Blocks[audible]
 
 	// The network's free lists of its own tasks, the blocks its nodes'
-	// send rings grow in, and through Shared what the protocol layers'
-	// nodes share: one *T by type T.
+	// send rings and its deliveries' receiver lists are carved from, and
+	// through Shared what the protocol layers' nodes share: one *T by
+	// type T. A ring is carved whole up to QueueCap slots, so an
+	// outgrown one goes back for the next node that needs its size; a
+	// receiver list is maxOut slots, taken once per delivery the free
+	// list makes.
 	deliveries FreeList[delivery]
 	timers     FreeList[timerTask]
 	steps      FreeList[stepTask]
 	rings      Blocks[sendJob]
+	recvs      Blocks[recvSlot]
+	maxOut     int // the topology's largest out-degree
 	shared     []any
 
 	inflight []*delivery  // scheduled, not yet run (in-air frames)
@@ -303,6 +309,10 @@ type Network struct {
 // panics from now on.
 func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, params Params) *Network {
 	topo.freeze()
+	maxOut := 0
+	for i := range topo.N {
+		maxOut = max(maxOut, len(topo.OutLinks(NodeID(i))))
+	}
 	return &Network{
 		Sim:      sim,
 		Topo:     topo,
@@ -314,6 +324,8 @@ func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, para
 		txSeq:    make([]uint32, topo.N),
 		nextOseq: make([]uint64, topo.N),
 		eff:      make([]float64, len(topo.links)), // filled by Start
+		rings:    Blocks[sendJob]{Longest: params.QueueCap},
+		maxOut:   maxOut,
 	}
 }
 
@@ -738,10 +750,10 @@ type recvSlot struct {
 // makes delivery allocation-free in steady state.
 type delivery struct {
 	net  *Network
-	p    Packet   // header copy taken at transmit time
-	rc   Recycled // p.Payload's reference until the last receiver returns (nil: none)
-	recv []recvSlot
-	idx  int // position in net.inflight
+	p    Packet     // header copy taken at transmit time
+	rc   Recycled   // p.Payload's reference until the last receiver returns (nil: none)
+	recv []recvSlot // maxOut slots from the delivery's first use: transmit never grows it
+	idx  int        // position in net.inflight
 }
 
 // Run implements Task: deliver to every receiver, in the ascending
@@ -773,7 +785,10 @@ func (d *delivery) Run() {
 
 func (n *Network) newDelivery(p *Packet) *delivery {
 	d := n.deliveries.Get()
-	d.net = n
+	if d.net == nil { // new from the free list's block
+		d.net = n
+		d.recv = n.recvs.Take(n.maxOut)
+	}
 	d.p = *p
 	d.recv = d.recv[:0]
 	d.idx = len(n.inflight)

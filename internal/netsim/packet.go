@@ -179,11 +179,17 @@ func Shared[T any](a *NodeAPI) *T {
 // with the one it outgrew) is handed out again by the next Take of its
 // capacity; nothing goes back to the runtime before the network does
 // (DESIGN.md §12). An array of soloBytes or more is made on its own
-// instead.
+// instead, unless Longest says to carve it.
 // The zero value is empty; a nil *Blocks makes each
 // array on its own and lets the collector have what is put back, for
 // state outside any network.
 type Blocks[T any] struct {
+	// Longest, when above soloBytes' worth of T, is the longest array
+	// carved: for arrays that nodes outgrow at different times, such as
+	// a network's send rings (whole, up to QueueCap slots) and summary
+	// dedup spills, so an outgrown one is soon taken again.
+	Longest int
+
 	free  []T              // the newest block's uncarved tail
 	made  int              // elements allocated, in blocks
 	spare []spareArrays[T] // arrays put back, one list per capacity
@@ -213,7 +219,13 @@ func (b *Blocks[T]) size() int {
 }
 
 // soloLen is the longest array of T b carves.
-func (b *Blocks[T]) soloLen() int { return (soloBytes - 1) / b.size() }
+func (b *Blocks[T]) soloLen() int {
+	n := (soloBytes - 1) / b.size()
+	if b != nil {
+		n = max(n, b.Longest)
+	}
+	return n
+}
 
 // Take returns an empty slice of capacity n: an array put back at that
 // capacity, or one carved from the newest block, first starting a block

@@ -131,8 +131,8 @@ func TestTimerRearmZeroAllocs(t *testing.T) {
 // blocks that double up to blockBytes, an array put back is the next
 // one taken at its capacity, zeroed, Grow keeps the elements and puts
 // the outgrown array back, stopping a doubling at the longest array the
-// blocks carve, and an array of soloBytes or more is made on its own
-// and not kept when put back.
+// blocks carve, and an array of soloBytes or more — or past Longest,
+// when that is set — is made on its own and not kept when put back.
 func TestBlocksCarveAndReuse(t *testing.T) {
 	net := linklessNetwork(3, 1, false)
 	type arrays struct{ ints Blocks[int64] }
@@ -195,6 +195,22 @@ func TestBlocksCarveAndReuse(t *testing.T) {
 	b.Put(solo)
 	if s := b.Take(soloBytes / 8); &s[:1][0] == &solo[:1][0] {
 		t.Fatal("an array of soloBytes was kept when put back")
+	}
+	// Longest carves longer arrays, and keeps them when put back; an
+	// array past it is still made on its own.
+	wide := &Blocks[int64]{Longest: 4 * soloBytes / 8}
+	carved := wide.Take(2 * soloBytes / 8)
+	wide.Put(carved)
+	if s := wide.Take(2 * soloBytes / 8); &s[:1][0] != &carved[:1][0] {
+		t.Fatal("an array under Longest was not kept when put back")
+	}
+	if s := Grow(wide, wide.Take(3 * soloBytes / 8)[:3*soloBytes/8], 4); cap(s) != wide.Longest {
+		t.Fatalf("Grow of a full %d gave capacity %d, want Longest, %d", 3*soloBytes/8, cap(s), wide.Longest)
+	}
+	solo = wide.Take(8 * soloBytes / 8)
+	wide.Put(solo)
+	if s := wide.Take(8 * soloBytes / 8); &s[:1][0] == &solo[:1][0] {
+		t.Fatal("an array past Longest was kept when put back")
 	}
 	var none *Blocks[int64]
 	if s := none.Take(3); cap(s) != 3 {

@@ -280,3 +280,62 @@ func TestSendPathZeroAllocs(t *testing.T) {
 		t.Fatalf("delivered %d of 102 frames", rx.received)
 	}
 }
+
+// TestFullQueueZeroAllocs: node 0 of a star, heard by every other node
+// — the topology's largest out-degree — fills its send queue to
+// QueueCap with broadcasts, lets it drain, and fills it again. Its ring
+// grows to QueueCap slots in the network's blocks, and each delivery
+// takes a receiver list of the largest out-degree when the free list
+// first hands it out, so transmit never grows one: after the first
+// cycle a cycle allocates nothing.
+func TestFullQueueZeroAllocs(t *testing.T) {
+	const leaves = 40
+	topo := NewTopology(leaves + 1)
+	topo.Pos = make([]Point, leaves+1)
+	for i := NodeID(1); i <= leaves; i++ {
+		topo.SetQuality(0, i, 1)
+		topo.SetQuality(i, 0, 1)
+	}
+	net := NewNetwork(NewSimulator(1), topo, metrics.NewCounters(), DefaultParams())
+	apps := make([]countApp, leaves+1)
+	for i := range apps {
+		net.Attach(NodeID(i), &apps[i])
+	}
+	net.Start()
+	a := &net.api[0]
+	cycle := func() {
+		for a.qlen < net.Params.QueueCap {
+			a.Broadcast(&Packet{Class: metrics.Data, Size: 30})
+		}
+		for a.qlen > 0 {
+			net.Sim.Run(net.Sim.Now() + Second)
+		}
+	}
+	cycle() // grows the ring and the free lists
+	if len(a.queue) != net.Params.QueueCap || net.maxOut != leaves {
+		t.Fatalf("a ring of %d slots and a largest out-degree of %d, want %d and %d",
+			len(a.queue), net.maxOut, net.Params.QueueCap, leaves)
+	}
+	used := 0
+	for _, d := range net.deliveries.items {
+		if d.net == nil {
+			continue // never handed out
+		}
+		used++
+		if cap(d.recv) != leaves {
+			t.Fatalf("a delivery's receiver list holds %d slots, want the largest out-degree, %d", cap(d.recv), leaves)
+		}
+	}
+	if used == 0 {
+		t.Fatal("no delivery came back to the free list")
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 && !raceEnabled {
+		t.Fatalf("filling a %d-slot queue with broadcasts heard by %d nodes and draining it allocates %v objects, want 0",
+			net.Params.QueueCap, leaves, allocs)
+	}
+	for i := 1; i <= leaves; i++ {
+		if got, want := apps[i].received, 12*net.Params.QueueCap; got != want {
+			t.Fatalf("node %d received %d broadcasts, want %d", i, got, want)
+		}
+	}
+}
