@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"scoop/internal/dense"
 	"scoop/internal/metrics"
 	"scoop/internal/netsim"
 	"scoop/internal/prof"
@@ -304,7 +303,7 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 	})
 	b.cfg.Prof.Exit(profPrev)
 
-	pq := b.queries.new()
+	pq := carve(&b.queries)
 	pq.plan, pq.q, pq.est = dec.Plan, q, est
 	wq := workload.Query{
 		ValueLo: q.ValueLo, ValueHi: q.ValueHi,
@@ -318,8 +317,7 @@ func (b *Base) IssueAgg(q query.AggQuery) query.Decision {
 		b.stats.SummaryAnswered++
 		b.qidNext++
 		pq.issued, pq.answered = b.api.Now(), true
-		b.pending = dense.Grow(b.pending, int(b.qidNext))
-		b.pending[b.qidNext] = pq
+		b.wire(b.qidNext).pq = pq
 		b.relRegister(b.qidNext, pq, wq)
 
 	case query.PlanTuple:
@@ -390,10 +388,10 @@ func (b *Base) aggReply(m *AggReplyMsg) {
 // aggregate returns the record of an issued aggregate query; nil for
 // an unknown ID and for a plain tuple query.
 func (b *Base) aggregate(qid uint16) *pendingQuery {
-	if int(qid) >= len(b.pending) || b.pending[qid] == nil || !b.pending[qid].q.Op.Aggregate() {
-		return nil
+	if pq := b.query(qid); pq != nil && pq.q.Op.Aggregate() {
+		return pq
 	}
-	return b.pending[qid]
+	return nil
 }
 
 // AggAnswer evaluates the current answer of an issued aggregate

@@ -61,6 +61,16 @@ type pendingQuery struct {
 	logIdx   int         // 1+index into the durable journal; 0 = none
 }
 
+// wireQuery is what the basestation holds for one wire query ID, a
+// first issue or a retry: the record of the query first issued under
+// it, the packet under query gossip with it, and the query a retry
+// re-asks (0: none). Settling drops the last two (relDropWire).
+type wireQuery struct {
+	pq      *pendingQuery
+	out     *QueryMsg
+	retryOf uint16
+}
+
 // Base is the Scoop basestation application (node 0). The paper runs
 // it on a PC attached to a mote; it has ample CPU/memory.
 type Base struct {
@@ -73,13 +83,13 @@ type Base struct {
 	store *DataBuffer
 
 	// The summaries the base keeps are its own copies (kept), carved
-	// from a slab: a received SummaryMsg goes back to its network's
-	// free list after its last delivery.
-	latest     []*SummaryMsg    // the copy of the last summary received per node, dense by node ID
-	latestHops []uint8          // the header Hops latest[id] arrived with
-	history    []*SummaryMsg    // never discarded (paper §5.5)
-	inHistory  seenTable        // history's (node, SentAt) keys: each summary kept once
-	kept       slab[SummaryMsg] // history's copies
+	// from blocks of its own: a received SummaryMsg goes back to its
+	// network's free list after its last delivery.
+	latest     []*SummaryMsg             // the copy of the last summary received per node, dense by node ID
+	latestHops []uint8                   // the header Hops latest[id] arrived with
+	history    []*SummaryMsg             // never discarded (paper §5.5)
+	inHistory  seenTable                 // history's (node, SentAt) keys: each summary kept once
+	kept       netsim.Blocks[SummaryMsg] // history's copies
 	// The history indexed by node: newest[id] is 1 + the history index of
 	// node id's summary with the latest SentAt, older[i] 1 + that of the
 	// next earlier one by the same node (0: none). The planner walks a
@@ -88,32 +98,29 @@ type Base struct {
 	newest, older []int32
 	snaps         []query.SummarySnapshot // latestSummaries' result, reused
 
-	cur        *index.Index
-	records    []indexRecord
-	nextID     uint16
-	chunks     index.ChunkSet // the current generation's, under gossip
-	mapGos     trickle.Trickle
-	qGos       trickle.Trickle
-	queriesOut []*QueryMsg // queries under gossip, dense by wire query ID
+	cur     *index.Index
+	records []indexRecord
+	nextID  uint16
+	chunks  index.ChunkSet // the current generation's, under gossip
+	mapGos  trickle.Trickle
+	qGos    trickle.Trickle
 
 	net *shared // the network's free lists and blocks (netsim.Shared)
 
 	queryLog     []loggedQuery
-	pending      []*pendingQuery    // dense by query ID
-	queries      slab[pendingQuery] // pending's records: QueryResults reads one after it settles
-	packets      slab[QueryMsg]     // every query packet issued, retries included: nodes keep them
-	words        slab[uint64]       // query and heard bitmaps' words past node 127 (Bitmap.fit)
-	all          []netsim.NodeID    // every non-base node ID (allNodes), built on first use
-	owners       []netsim.NodeID    // rangeTargets' owner set, reused
-	seenAggParts bitTable           // partial-aggregate message dedup (partRow)
-	storedData   seenTable          // every reading in store, by producer and sample time
+	byWire       []wireQuery                 // dense by wire query ID (wire)
+	queries      netsim.Blocks[pendingQuery] // byWire's records: QueryResults reads one after it settles
+	packets      netsim.Blocks[QueryMsg]     // every query packet issued, retries included: nodes keep them
+	all          []netsim.NodeID             // every non-base node ID (allNodes), built on first use
+	owners       []netsim.NodeID             // rangeTargets' owner set, reused
+	seenAggParts bitTable                    // partial-aggregate message dedup (partRow)
+	storedData   seenTable                   // every reading in store, by producer and sample time
 	qidNext      uint16
 	remaps       int // scheduled remaps run so far (RemapLimit bookkeeping)
 
-	// Reliability layer (DESIGN.md §19). retryOf and relNextAt are RAM
-	// (lost on restart); openLog and verdicts are journal state that
-	// survives like the query log does.
-	retryOf   []uint16    // dense wire ID -> original query ID; 0 = none
+	// Reliability layer (DESIGN.md §19). byWire's retry mappings and
+	// relNextAt are RAM (lost on restart); openLog and verdicts are
+	// journal state that survives like the query log does.
 	relNextAt netsim.Time // armed deadline of timerRel; 0 = unarmed
 	verdicts  []VerdictRecord
 	openLog   []openQuery
@@ -156,18 +163,17 @@ func (b *Base) Store() *DataBuffer { return b.store }
 func (b *Base) Init(api *netsim.NodeAPI) {
 	b.api = api
 	b.tree.Init(api, true)
-	b.store = NewDataBuffer(1 << 18)
+	b.net = sharedOf(api)
+	b.store = NewDataBuffer(1<<18, &b.net.readings)
 	b.latest = make([]*SummaryMsg, api.N())
 	if b.newest == nil { // a restart keeps the history it has, and its index
 		b.newest = make([]int32, api.N())
 	}
 	b.latestHops = make([]uint8, api.N())
 	b.chunks.Clear()
-	b.queriesOut = nil
-	b.pending = nil
+	b.byWire = nil
 	b.seenAggParts.reset()
 	b.storedData.reset()
-	b.retryOf = nil
 	b.relNextAt = 0
 	b.graph = index.NewGraph(api.N())
 	b.builder = index.Builder{Trace: b.cfg.Trace}
@@ -175,7 +181,6 @@ func (b *Base) Init(api *netsim.NodeAPI) {
 	b.profProb = make([]float64, b.cfg.DomainMax-b.cfg.DomainMin+1)
 	b.mapGos.Init(api, timerMapping, mappingTrickle, b)
 	b.qGos.Init(api, timerQuery, queryTrickle, b)
-	b.net = sharedOf(api)
 	b.chunks.Shared = &b.net.gens
 	if b.cfg.Preload != nil {
 		b.cur = b.cfg.Preload
@@ -261,7 +266,7 @@ func (b *Base) onSummary(m *SummaryMsg, hops uint8) {
 		c = b.keptCopy(m.Node, m.SentAt)
 	} else {
 		b.stats.SummariesReceived++
-		c = b.kept.new()
+		c = carve(&b.kept)
 		c.keep(m)
 		b.keepSummary(c)
 	}
@@ -356,7 +361,7 @@ func (b *Base) onData(m *DataMsg) {
 			continue
 		}
 		b.store.Store(r)
-		b.stats.MarkStored(r.Producer, r.Time)
+		b.stats.markStored(&b.net.seen, r.Producer, r.Time)
 		site := trace.StoreOwner
 		if m.Owner == b.api.ID() {
 			b.stats.StoredAtOwner++
@@ -371,15 +376,30 @@ func (b *Base) onData(m *DataMsg) {
 	}
 }
 
+// wire returns wire query ID id's entry, growing the table to hold it.
+func (b *Base) wire(id uint16) *wireQuery {
+	b.byWire = dense.Grow(b.byWire, int(id))
+	return &b.byWire[id]
+}
+
+// query returns the record of the query first issued as qid; nil for
+// an unknown ID and for a retry's.
+func (b *Base) query(qid uint16) *pendingQuery {
+	if int(qid) < len(b.byWire) {
+		return b.byWire[qid].pq
+	}
+	return nil
+}
+
 // collecting resolves a reply's wire query ID to the query still
 // collecting for it; nil for an unknown query and for one that already
 // settled (reliability layer), whose late replies are dropped.
 func (b *Base) collecting(wire uint16) (uint16, *pendingQuery) {
 	qid := b.resolveWire(wire)
-	if int(qid) >= len(b.pending) || b.pending[qid] == nil || b.pending[qid].verdict != VerdictOpen {
-		return qid, nil
+	if pq := b.query(qid); pq != nil && pq.verdict == VerdictOpen {
+		return qid, pq
 	}
-	return qid, b.pending[qid]
+	return qid, nil
 }
 
 func (b *Base) onReply(m *ReplyMsg) {
@@ -421,8 +441,8 @@ func (b *Base) LastQueryID() uint16 { return b.qidNext }
 // replyMaxReadings tuples each, so large result sets are truncated per
 // responding node, as on real motes).
 func (b *Base) QueryResults(qid uint16) []Reading {
-	if int(qid) < len(b.pending) && b.pending[qid] != nil {
-		return b.pending[qid].readings
+	if pq := b.query(qid); pq != nil {
+		return pq.readings
 	}
 	return nil
 }
@@ -568,7 +588,7 @@ func (b *Base) IssueQuery(q workload.Query) []netsim.NodeID {
 	}
 	b.queryLog = append(b.queryLog, lg)
 	targets := b.targets(q)
-	pq := b.queries.new()
+	pq := carve(&b.queries)
 	pq.plan = query.PlanTuple
 	b.issueTuple(pq, q, targets)
 	return targets
@@ -589,7 +609,7 @@ func (b *Base) issueTuple(pq *pendingQuery, q workload.Query, targets []netsim.N
 // queryPacket builds the packet asking for q with operator op; issue
 // (or recovery) fills in the ID and the bitmap.
 func (b *Base) queryPacket(q workload.Query, op query.Op, track bool) *QueryMsg {
-	msg := b.packets.new()
+	msg := carve(&b.packets)
 	*msg = QueryMsg{Op: op, TimeLo: q.TimeLo, TimeHi: q.TimeHi, Track: track}
 	if q.IsNodeQuery() {
 		msg.ValueLo, msg.ValueHi = 1, 0 // no value constraint
@@ -603,8 +623,8 @@ func (b *Base) queryPacket(q workload.Query, op query.Op, track bool) *QueryMsg 
 // pq.expected, and keeps msg as the packet pq's retries narrow.
 func (b *Base) address(pq *pendingQuery, msg *QueryMsg, targets []netsim.NodeID) {
 	top := netsim.NodeID(b.api.N() - 1)
-	msg.Bitmap.fit(top, &b.words)
-	pq.heard.fit(top, &b.words)
+	pq.heard.fit(top, &b.net.seen.keys) // first: the words a settled query put back
+	msg.Bitmap.fit(top, &b.net.seen.keys)
 	for _, id := range targets {
 		if id == b.api.ID() {
 			continue
@@ -624,8 +644,7 @@ func (b *Base) issue(pq *pendingQuery, msg *QueryMsg, wq workload.Query, targets
 	msg.ID = b.qidNext
 	pq.issued = b.api.Now()
 	b.address(pq, msg, targets)
-	b.pending = dense.Grow(b.pending, int(msg.ID))
-	b.pending[msg.ID] = pq
+	b.wire(msg.ID).pq = pq
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.QueryIssued, Node: uint16(b.api.ID()),
 		Flag: uint8(pq.plan), ID: msg.ID, Value: int64(pq.expected)})
 	if pq.expected > 0 {
@@ -638,8 +657,7 @@ func (b *Base) issue(pq *pendingQuery, msg *QueryMsg, wq workload.Query, targets
 // retry) and kicks off its dissemination immediately rather than
 // waiting for the first Trickle fire.
 func (b *Base) gossip(msg *QueryMsg) {
-	b.queriesOut = dense.Grow(b.queriesOut, int(msg.ID))
-	b.queriesOut[msg.ID] = msg
+	b.wire(msg.ID).out = msg
 	key := queryKey(msg.ID)
 	b.qGos.Add(key)
 	b.sendQuery(key)
@@ -815,10 +833,10 @@ func (b *Base) sendChunkNow(key trickle.Key) {
 
 // sendQuery is the query-Trickle transmit callback.
 func (b *Base) sendQuery(key trickle.Key) {
-	if int(key) >= len(b.queriesOut) || b.queriesOut[key] == nil {
+	if int(key) >= len(b.byWire) || b.byWire[key].out == nil {
 		return
 	}
-	q := b.queriesOut[key]
+	q := b.byWire[key].out
 	b.api.Broadcast(&netsim.Packet{
 		Class:        metrics.Query,
 		Origin:       b.api.ID(),

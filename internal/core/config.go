@@ -289,11 +289,12 @@ func (s *RunStats) Add(src *RunStats) {
 	s.DegradedAnswers += src.DegradedAnswers
 }
 
-// MarkStored records that the reading (producer, sampled at time t)
+// markStored records that the reading (producer, sampled at time t)
 // was stored somewhere, and reports whether this is its first storage
-// event. Nodes call it on every store; duplicates return false.
-func (s *RunStats) MarkStored(producer uint16, t int64) bool {
-	if s.seen.Seen(nil, netsim.NodeID(producer), uint64(t)) {
+// event. Nodes call it on every store, the record growing in their
+// network's blocks b; duplicates return false.
+func (s *RunStats) markStored(b *seenBlocks, producer uint16, t int64) bool {
+	if s.seen.Seen(b, netsim.NodeID(producer), uint64(t)) {
 		return false
 	}
 	s.StoredUnique++

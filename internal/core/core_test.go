@@ -448,17 +448,18 @@ func TestBitmap(t *testing.T) {
 
 func TestRunStatsRates(t *testing.T) {
 	s := &RunStats{}
+	var blocks seenBlocks
 	if s.DataSuccessRate() != 0 || s.QuerySuccessRate() != 0 || s.OwnerHitRate() != 0 {
 		t.Fatal("zero stats produced nonzero rates")
 	}
 	s.Produced = 10
-	if !s.MarkStored(1, 100) {
+	if !s.markStored(&blocks, 1, 100) {
 		t.Fatal("first store not unique")
 	}
-	if s.MarkStored(1, 100) {
+	if s.markStored(&blocks, 1, 100) {
 		t.Fatal("duplicate store counted unique")
 	}
-	if !s.MarkStored(2, 100) {
+	if !s.markStored(&blocks, 2, 100) {
 		t.Fatal("different producer considered duplicate")
 	}
 	if s.StoredUnique != 2 {

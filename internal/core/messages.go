@@ -254,7 +254,8 @@ func aggReplySize(m *AggReplyMsg) int {
 // grown only when such a node is marked; a struct copy shares hi. The
 // on-air size (Bytes) keeps the paper's 16-byte floor — so query
 // packets at N ≤ 128 are byte-for-byte the paper's — and grows with
-// the highest targeted node beyond that.
+// the highest targeted node beyond that. A node's record of the query
+// IDs it has heard is a Bitmap too, a bit per ID since boot.
 type Bitmap struct {
 	lo [2]uint64 // nodes 0–127, the paper's field
 	hi []uint64  // hi[i] holds nodes 128+64i to 191+64i
@@ -284,17 +285,25 @@ func (b *Bitmap) at(wi int) *uint64 {
 	return &b.hi[wi-len(b.lo)]
 }
 
-// fit sizes hi to hold node id's word, carved from words when it must
-// grow: the basestation fits a query's bitmaps to the network's highest
-// node before it marks the targets in ascending order.
-func (b *Bitmap) fit(id netsim.NodeID, words *slab[uint64]) {
-	k := int(id)>>6 + 1 - len(b.lo)
-	if k <= len(b.hi) {
-		return
+// fit sizes hi to hold node id's word, growing it in keys (growBy)
+// when it must: the basestation fits a query's bitmaps to the network's
+// highest node before it marks the targets in ascending order, and a
+// node its record of heard query IDs to each new one.
+func (b *Bitmap) fit(id netsim.NodeID, keys *netsim.Blocks[uint64]) {
+	if k := int(id)>>6 + 1 - len(b.lo); k > len(b.hi) {
+		b.hi = growBy(keys, b.hi, k-len(b.hi))
 	}
-	hi := words.take(k)
-	copy(hi, b.hi)
-	b.hi = hi
+}
+
+// add marks node id, first fitting hi to it in keys, and reports
+// whether it was marked before (check-and-mark).
+func (b *Bitmap) add(id netsim.NodeID, keys *netsim.Blocks[uint64]) bool {
+	if b.Has(id) {
+		return true
+	}
+	b.fit(id, keys)
+	b.Set(id)
+	return false
 }
 
 // Set marks node id, spilling past node 127 as needed.

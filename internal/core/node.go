@@ -56,7 +56,7 @@ type Node struct {
 	// feeds Trickle suppression and a node answers each query ID once.
 	// gossiped holds the queries qGos still disseminates, ascending by
 	// ID: a query whose Trickle key retires is dropped.
-	heard    qidSet
+	heard    Bitmap // query IDs, grown in the network's blocks (add)
 	gossiped []*QueryMsg
 	qGos     trickle.Trickle
 
@@ -350,7 +350,7 @@ func (n *Node) takeSample() {
 		// No (usable) index yet → store-local default; or we own v.
 		n.store.Store(r)
 		n.stats.StoredLocal++
-		n.stats.MarkStored(r.Producer, r.Time)
+		n.stats.markStored(&n.net.seen, r.Producer, r.Time)
 		n.cfg.Trace.Emit(trace.Event{Kind: trace.ReadingStored, Node: uint16(n.api.ID()),
 			Flag: trace.StoreLocal, Producer: r.Producer, SampleT: r.Time, Value: int64(r.Value)})
 		return
@@ -476,7 +476,7 @@ func (n *Node) routeData(rs []Reading, owner netsim.NodeID, sid uint16, hops uin
 				continue
 			}
 			n.store.Store(r)
-			n.stats.MarkStored(r.Producer, r.Time)
+			n.stats.markStored(&n.net.seen, r.Producer, r.Time)
 			site := trace.StoreOwner
 			if netsim.NodeID(r.Producer) == me {
 				n.stats.StoredLocal++
@@ -676,7 +676,7 @@ func (n *Node) sendChunkNow(key trickle.Key) {
 // a partial scheduled into the combine buffer.
 func (n *Node) onQuery(q *QueryMsg) {
 	key := queryKey(q.ID)
-	if n.heard.add(q.ID, &n.net.seen.keys) {
+	if n.heard.add(netsim.NodeID(q.ID), &n.net.seen.keys) {
 		n.qGos.Heard(key)
 		return
 	}

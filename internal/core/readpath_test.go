@@ -8,6 +8,7 @@ import (
 	"scoop/internal/netsim"
 	"scoop/internal/query"
 	"scoop/internal/trace"
+	"scoop/internal/workload"
 )
 
 // leastMallocs returns the fewest objects run allocates in three calls,
@@ -29,9 +30,9 @@ func leastMallocs(boot func(int), run func()) uint64 {
 // TestSummaryPathAllocs holds a summary's whole way to zero objects a
 // message: node 2 sends one from the network's free list, node 1 relays
 // the message it heard, and the basestation copies what it keeps, while
-// node 1 sends its own. What the base keeps costs one object per 8 KB
-// of copies (its slab) and the doubling of its history, not one a
-// summary; and every copy it keeps is its own, with Hist.Counts and
+// node 1 sends its own. What the base keeps costs one object per block
+// of 64 copies (its netsim.Blocks) and the doubling of its history, not
+// one a summary; and every copy it keeps is its own, with Hist.Counts and
 // Neighbors slicing its own arrays, never the recycled message.
 func TestSummaryPathAllocs(t *testing.T) {
 	sim := netsim.NewSimulator(1)
@@ -244,16 +245,21 @@ func TestAnswerAndRelayZeroAllocs(t *testing.T) {
 // TestQueryBitmapsGrowOnce: at N = 1000 the basestation addresses a
 // query to all 999 motes in ascending ID order and marks each one
 // heard, as their replies would. Both bitmaps are fitted to the
-// network's highest node before the first mark, their words carved
-// from the base's slab, so a query allocates at most one object, a new
-// slab block — where regrowing each bitmap 1.5× at a time as the IDs
-// rose made six arrays a bitmap.
+// network's highest node before the first mark, their words taken from
+// the network's blocks, so a query allocates at most one object, a new
+// block — where regrowing each bitmap 1.5× at a time as the IDs rose
+// made six arrays a bitmap. A settled query puts its heard words back,
+// so after the first query every query issued and settled hears into
+// the words the one before it put back; its packet's words are its own,
+// since nodes keep the packet.
 func TestQueryBitmapsGrowOnce(t *testing.T) {
 	const n = 1000
 	topo := netsim.NewTopology(n)
 	topo.Pos = make([]netsim.Point, n)
 	net := netsim.NewNetwork(netsim.NewSimulator(1), topo, metrics.NewCounters(), netsim.DefaultParams())
-	base := NewBase(testConfig(), &RunStats{}, 60*netsim.Minute)
+	cfg := testConfig()
+	cfg.QueryDeadline, cfg.QueryRetryMax = netsim.Minute, 2
+	base := NewBase(cfg, &RunStats{}, 60*netsim.Minute)
 	net.Attach(0, base)
 	net.Start()
 	targets := make([]netsim.NodeID, 0, n-1)
@@ -262,7 +268,7 @@ func TestQueryBitmapsGrowOnce(t *testing.T) {
 	}
 	var pq *pendingQuery
 	var msg *QueryMsg
-	least := leastMallocs(func(int) { pq, msg = base.queries.new(), base.packets.new() }, func() {
+	least := leastMallocs(func(int) { pq, msg = carve(&base.queries), carve(&base.packets) }, func() {
 		base.address(pq, msg, targets)
 		for _, id := range targets {
 			pq.heard.Set(id)
@@ -276,5 +282,27 @@ func TestQueryBitmapsGrowOnce(t *testing.T) {
 	}
 	if got, want := msg.Bitmap.Bytes(), (n-1)/8+1; got != want {
 		t.Fatalf("the query's bitmap is %d bytes on the air, want %d", got, want)
+	}
+
+	words := func(b *Bitmap) *uint64 { return &b.hi[:1][0] }
+	var heard, sent *uint64
+	for k := range 20 {
+		base.IssueQuery(workload.Query{Nodes: targets})
+		qid := base.LastQueryID()
+		pq := base.query(qid)
+		for _, id := range targets[k:] {
+			pq.heard.Set(id)
+		}
+		if k > 0 && words(&pq.heard) != heard {
+			t.Fatalf("query %d hears into new words, not those query %d put back", k, k-1)
+		}
+		if w := words(&base.byWire[qid].out.Bitmap); w == sent || w == words(&pq.heard) {
+			t.Fatalf("query %d's packet shares its bitmap words", k)
+		}
+		heard, sent = words(&pq.heard), words(&base.byWire[qid].out.Bitmap)
+		base.FinalizeVerdicts()
+		if pq.verdict == VerdictOpen || len(pq.heard.hi) != 0 {
+			t.Fatalf("query %d settled %v, holding %d heard words", k, pq.verdict, len(pq.heard.hi))
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"scoop/internal/dense"
 	"scoop/internal/netsim"
 	"scoop/internal/query"
 	"scoop/internal/trace"
@@ -150,16 +149,17 @@ func (b *Base) relStart(qid uint16, pq *pendingQuery) {
 // resolveWire maps a reply's wire query ID back to the original query
 // it retries (identity for first-issue IDs).
 func (b *Base) resolveWire(qid uint16) uint16 {
-	if int(qid) < len(b.retryOf) && b.retryOf[qid] != 0 {
-		return b.retryOf[qid]
+	if int(qid) < len(b.byWire) && b.byWire[qid].retryOf != 0 {
+		return b.byWire[qid].retryOf
 	}
 	return qid
 }
 
 // relTimer fires at the earliest pending deadline: retry or settle
-// every due query, then re-arm for the next one. The pending table is
+// every due query, then re-arm for the next one. The wire table is
 // dense by query ID, so the walk order — and therefore the retry
-// wire-ID assignment — is deterministic.
+// wire-ID assignment — is deterministic. A retry's wire ID grows the
+// table past the walk's end: it holds no record to walk.
 func (b *Base) relTimer() {
 	now := b.api.Now()
 	b.relNextAt = 0
@@ -169,7 +169,8 @@ func (b *Base) relTimer() {
 	// fault-campaign baseline and trace JSONL observe the IDs that
 	// order hands out.
 	for _, partials := range [2]bool{false, true} {
-		for id, pq := range b.pending {
+		for id := range b.byWire {
+			pq := b.byWire[id].pq
 			if !pq.onClock() || (pq.plan != query.PlanTuple) != partials {
 				continue
 			}
@@ -201,11 +202,10 @@ func (b *Base) relDeadline(qid uint16, pq *pendingQuery) {
 	}
 	pq.attempt++
 	b.qidNext++
-	m := b.packets.new()
+	m := carve(&b.packets)
 	*m = *pq.msg
 	m.ID, m.Bitmap = b.qidNext, silent
-	b.retryOf = dense.Grow(b.retryOf, int(m.ID))
-	b.retryOf[m.ID] = qid
+	b.wire(m.ID).retryOf = qid
 	pq.wires = append(netsim.Grow(&b.net.wires, pq.wires, wiresMin), m.ID)
 	b.gossip(m)
 	b.stats.QueryRetries++
@@ -267,6 +267,7 @@ func (b *Base) settle(qid uint16, pq *pendingQuery, emit bool) {
 		b.relDropWire(w)
 	}
 	b.net.wires.Put(pq.wires)
+	b.net.seen.keys.Put(pq.heard.hi)
 	pq.delivered.release(&b.net.seen) // collect reads it no more
 	pq.wires, pq.msg, pq.heard = nil, nil, Bitmap{}
 }
@@ -277,13 +278,15 @@ const wiresMin = 4
 // relDropWire evicts one wire query ID from the outbound table, query
 // gossip and the retry mapping.
 func (b *Base) relDropWire(w uint16) {
-	if int(w) < len(b.queriesOut) && b.queriesOut[w] != nil {
-		b.queriesOut[w] = nil
+	if int(w) >= len(b.byWire) {
+		return
+	}
+	e := &b.byWire[w]
+	if e.out != nil {
+		e.out = nil
 		b.qGos.Remove(queryKey(w))
 	}
-	if int(w) < len(b.retryOf) {
-		b.retryOf[w] = 0
-	}
+	e.retryOf = 0
 }
 
 // FinalizeVerdicts settles every still-open query — the harness calls
@@ -292,9 +295,9 @@ func (b *Base) relDropWire(w uint16) {
 // post-run and emits no trace events, so the trace ends with the last
 // simulated event; counters and the verdict log are enough.
 func (b *Base) FinalizeVerdicts() {
-	for id, pq := range b.pending {
-		if pq.onClock() {
-			b.settle(uint16(id), pq, false)
+	for id, w := range b.byWire {
+		if w.pq.onClock() {
+			b.settle(uint16(id), w.pq, false)
 		}
 	}
 }
@@ -313,7 +316,7 @@ func (b *Base) recoverOpenQueries() {
 		if e.closed {
 			continue
 		}
-		pq := b.queries.new()
+		pq := carve(&b.queries)
 		*pq = pendingQuery{plan: e.plan, issued: b.api.Now(), attempt: e.attempt, logIdx: i + 1}
 		msg := b.queryPacket(e.wq, query.OpSelect, false)
 		if e.plan != query.PlanTuple {
@@ -327,8 +330,7 @@ func (b *Base) recoverOpenQueries() {
 			targets = b.allNodes() // as IssueAgg asked: its stragglers still fold in
 		}
 		b.address(pq, msg, targets)
-		b.pending = dense.Grow(b.pending, int(e.qid))
-		b.pending[e.qid] = pq
+		b.wire(e.qid).pq = pq
 		b.relStart(e.qid, pq)
 	}
 }

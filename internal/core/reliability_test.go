@@ -57,6 +57,9 @@ func relConfig() Config {
 	return cfg
 }
 
+// wireOnClock reports whether w holds a query still on the deadline clock.
+func wireOnClock(w wireQuery) bool { return w.pq.onClock() }
+
 // queryShapes are the three ways a query collects its answer; the one
 // §19 state machine must treat them alike.
 var queryShapes = []struct {
@@ -115,7 +118,7 @@ func TestPendingEvictsUnderTotalReplyLoss(t *testing.T) {
 				if len(seen) != 3 || terminal != 3 {
 					t.Fatalf("%s: %d verdict records, counters sum to %d; want 3 and 3", when, len(seen), terminal)
 				}
-				if slices.ContainsFunc(tn.base.pending, (*pendingQuery).onClock) {
+				if slices.ContainsFunc(tn.base.byWire, wireOnClock) {
 					t.Fatalf("%s: a pending query still holds collection state", when)
 				}
 			}
@@ -126,9 +129,9 @@ func TestPendingEvictsUnderTotalReplyLoss(t *testing.T) {
 			}
 			for id := uint16(1); id <= last; id++ {
 				gossiped := slices.Contains(gossipKeys(&tn.base.qGos), queryKey(id))
-				if tn.base.queriesOut[id] != nil || gossiped || tn.base.retryOf[id] != 0 {
+				if w := tn.base.byWire[id]; w.out != nil || gossiped || w.retryOf != 0 {
 					t.Fatalf("wire query %d survives settling: out=%v gossiped=%v retryOf=%d", id,
-						tn.base.queriesOut[id] != nil, gossiped, tn.base.retryOf[id])
+						w.out != nil, gossiped, w.retryOf)
 				}
 			}
 			before := *tn.stats
@@ -167,11 +170,11 @@ func TestRetryWireOrderTuplesBeforePartials(t *testing.T) {
 		t.Fatalf("%d retries, last query ID %d; want both queries retried once (IDs 3 and 4)",
 			tn.stats.QueryRetries, tn.base.LastQueryID())
 	}
-	if tn.base.retryOf[3] != 2 || tn.base.retryOf[4] != 1 {
+	if tn.base.byWire[3].retryOf != 2 || tn.base.byWire[4].retryOf != 1 {
 		t.Fatalf("retry wire 3 -> query %d, wire 4 -> query %d; want the tuple query (2) retried before the lower-ID aggregate (1)",
-			tn.base.retryOf[3], tn.base.retryOf[4])
+			tn.base.byWire[3].retryOf, tn.base.byWire[4].retryOf)
 	}
-	if m := tn.base.queriesOut[4]; m.Op != query.OpCount || !m.Track {
+	if m := tn.base.byWire[4].out; m.Op != query.OpCount || !m.Track {
 		t.Fatalf("aggregate retry packet %+v lost its operator or Track flag", m)
 	}
 }
@@ -238,7 +241,7 @@ func TestDegradedAggAnswerFromSummaries(t *testing.T) {
 	if rec.ErrBound < rec.SummaryBound {
 		t.Fatalf("degraded bound %v tighter than summary bound %v", rec.ErrBound, rec.SummaryBound)
 	}
-	if slices.ContainsFunc(tn.base.pending, (*pendingQuery).onClock) {
+	if slices.ContainsFunc(tn.base.byWire, wireOnClock) {
 		t.Fatal("a pending aggregate is still open after settling")
 	}
 }
@@ -265,7 +268,7 @@ func TestBaseRestartRecoversOpenQueries(t *testing.T) {
 	if rec.Verdict == VerdictOpen || rec.Verdict == VerdictFailed {
 		t.Fatalf("recovered query settled %v; want it re-asked and answered", rec.Verdict)
 	}
-	if slices.ContainsFunc(tn.base.pending, (*pendingQuery).onClock) {
+	if slices.ContainsFunc(tn.base.byWire, wireOnClock) {
 		t.Fatal("a pending query is open after recovery settled")
 	}
 }

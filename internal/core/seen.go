@@ -81,24 +81,16 @@ func seenRoom(n uint32) uint32 {
 // order with no gap, as bitTable's does: a row that fills its segment
 // doubles it and moves the rows after it along, so nothing is
 // abandoned, and the spill is at most twice the keys. Rows and the
-// spill array grow by doubling in the blocks Seen is given: the
-// network's, or nil for a table outside any network, which makes its
-// arrays on its own.
+// spill array grow by doubling in the network's blocks Seen is given.
 type seenTable struct {
 	rows  idTable[netsim.NodeID, seenRow]
 	spill []uint64
 }
 
 // Seen reports whether (origin, key) was recorded before, recording it
-// if not (check-and-mark). The table grows in b (nil: on its own).
+// if not (check-and-mark). The table grows in b.
 func (s *seenTable) Seen(b *seenBlocks, origin netsim.NodeID, key uint64) bool {
-	var ids *netsim.Blocks[netsim.NodeID]
-	var rows *netsim.Blocks[seenRow]
-	var keys *netsim.Blocks[uint64]
-	if b != nil {
-		ids, rows, keys = &b.ids, &b.rows, &b.spill
-	}
-	i := s.rows.index(origin, ids, rows)
+	i := s.rows.index(origin, &b.ids, &b.rows)
 	r := &s.rows.vals[i]
 	at := int(r.n)
 	if at > 0 && key <= s.spill[r.off+r.n-1] {
@@ -108,7 +100,7 @@ func (s *seenTable) Seen(b *seenBlocks, origin netsim.NodeID, key uint64) bool {
 		}
 	}
 	if r.n == seenRoom(r.n) {
-		s.widen(i, keys)
+		s.widen(i, &b.spill)
 	}
 	row := s.spill[r.off : r.off+r.n+1]
 	copy(row[at+1:], row[at:])
@@ -242,32 +234,6 @@ func (t *bitTable) reset() {
 	t.rows.clear()
 	t.spill = t.spill[:0]
 }
-
-// qidSet is an exact set of query IDs: a bitset, its first word inline
-// and the others growing in the network's blocks — a node's record of
-// every query it has heard since boot, a bit each.
-type qidSet struct {
-	lo uint64
-	hi []uint64 // words 1, 2, …
-}
-
-// add records id and reports whether it was recorded before.
-func (s *qidSet) add(id uint16, keys *netsim.Blocks[uint64]) bool {
-	p := &s.lo
-	if w := int(id >> 6); w > 0 {
-		if w > len(s.hi) {
-			s.hi = growBy(keys, s.hi, w-len(s.hi))
-		}
-		p = &s.hi[w-1]
-	}
-	bit := uint64(1) << (id & 63)
-	was := *p&bit != 0
-	*p |= bit
-	return was
-}
-
-// reset empties the set, keeping its array.
-func (s *qidSet) reset() { *s = qidSet{hi: s.hi[:0]} }
 
 // wordsMin is the capacity a spill of bitset words starts at.
 const wordsMin = 4

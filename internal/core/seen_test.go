@@ -387,16 +387,19 @@ func FuzzBitTable(f *testing.F) {
 	})
 }
 
-// TestQidSetMatchesReferenceModel holds a node's record of heard query
-// IDs to a set: every ID, in any order, from 0 to 65 535, reports
-// whether it was added before, across resets and sets that share the
-// network's blocks.
-func TestQidSetMatchesReferenceModel(t *testing.T) {
+// TestHeardBitmapMatchesReferenceModel holds a node's record of heard
+// query IDs, a Bitmap grown in the network's blocks (Bitmap.add), to a
+// set: every ID, in any order, from 0 to 65 535 — the word edges 0, 63,
+// 64, 127 and 128 and IDs above 1 000 among them — reports whether it
+// was added before, across resets and bitmaps that share the network's
+// blocks.
+func TestHeardBitmapMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var blocks seenBlocks
-	var sets [3]qidSet
+	var sets [3]Bitmap
 	refs := [3]map[uint16]bool{{}, {}, {}}
-	var dups, high int
+	edges := []uint16{0, 63, 64, 127, 128}
+	var dups, high, edge int
 	for step := 0; step < 40000; step++ {
 		i := rng.Intn(len(sets))
 		if rng.Intn(500) == 0 {
@@ -405,20 +408,26 @@ func TestQidSetMatchesReferenceModel(t *testing.T) {
 			continue
 		}
 		id := uint16(rng.Intn(300))
-		if rng.Intn(50) == 0 {
-			id, high = uint16(rng.Intn(1<<16)), high+1
+		switch rng.Intn(50) {
+		case 0:
+			id, high = uint16(1000+rng.Intn(1<<16-1000)), high+1
+		case 1:
+			id, edge = edges[rng.Intn(len(edges))], edge+1
 		}
 		want := refs[i][id]
 		refs[i][id] = true
 		if want {
 			dups++
 		}
-		if got := sets[i].add(id, &blocks.keys); got != want {
+		if got := sets[i].add(netsim.NodeID(id), &blocks.keys); got != want {
 			t.Fatalf("step %d: set %d add(%d) = %v, want %v", step, i, id, got, want)
 		}
+		if got := sets[i].Count(); got != len(refs[i]) {
+			t.Fatalf("step %d: set %d counts %d IDs, want %d", step, i, got, len(refs[i]))
+		}
 	}
-	if dups < 1000 || high < 100 {
-		t.Fatalf("%d repeated IDs, %d far ones; comparison has no power", dups, high)
+	if dups < 1000 || high < 100 || edge < 100 {
+		t.Fatalf("%d repeated IDs, %d far ones, %d at word edges; comparison has no power", dups, high, edge)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"unsafe"
-
 	"scoop/internal/index"
 	"scoop/internal/netsim"
 )
@@ -34,13 +32,13 @@ type shared struct {
 	gens     index.Generations
 }
 
-// seenBlocks is where dedup tables, the batch queue and a node's query
-// records grow: row keys, dedup rows, their keys and bitset words, and
-// flush sequence numbers.
+// seenBlocks is where dedup tables, the batch queue and query records
+// grow: row keys, dedup rows, their keys and bitset words, and flush
+// sequence numbers.
 type seenBlocks struct {
 	ids     netsim.Blocks[netsim.NodeID]
 	rows    netsim.Blocks[seenRow]
-	keys    netsim.Blocks[uint64]
+	keys    netsim.Blocks[uint64] // bitTable and Bitmap words past the inline ones
 	spill   netsim.Blocks[uint64] // seenTable keys, carved up to seenSpillLongest (sharedOf)
 	bitRows netsim.Blocks[bitRow]
 	ids32   netsim.Blocks[uint32] // bitTable row keys and Node.aggSeq
@@ -59,36 +57,7 @@ func sharedOf(api *netsim.NodeAPI) *shared {
 	return s
 }
 
-// slab carves objects of T that are kept, never recycled — the
+// carve returns a zero T carved from b for a holder that keeps it: the
 // basestation's copies of the summaries it keeps, its query packets and
-// query records — from blocks, the first of about 1 KB and each later
-// one as large as all before it together, up to 8 KB: keeping m objects
-// costs one allocation per 8 KB of them, nothing before the first, and
-// the newest block's tail is all that is made and unused.
-type slab[T any] struct {
-	free []T // the newest block's uncarved tail
-	made int // objects allocated, in blocks
-}
-
-const (
-	slabFirst = 1 << 10
-	slabMax   = 8 << 10
-)
-
-// new returns a zero T carved from the newest block.
-func (s *slab[T]) new() *T { return &s.take(1)[0] }
-
-// take returns n zero Ts carved from the newest block, first starting a
-// block when the tail is too short; appending past n reallocates.
-func (s *slab[T]) take(n int) []T {
-	if len(s.free) < n {
-		var zero T
-		size := max(1, int(unsafe.Sizeof(zero)))
-		k := max(n, slabFirst/size, min(s.made, slabMax/size))
-		s.made += k
-		s.free = make([]T, k)
-	}
-	x := s.free[:n:n]
-	s.free = s.free[n:]
-	return x
-}
+// its query records, which nothing puts back.
+func carve[T any](b *netsim.Blocks[T]) *T { return &b.Take(1)[:1][0] }

@@ -24,21 +24,22 @@ type Reading struct {
 // Flash log. The backing slice grows with what is stored, up to the
 // capacity, and is a ring from then on: a mote's log costs memory for
 // the readings it holds, not for the Flash it could fill (DESIGN.md
-// §12). A mote's log grows in its network's blocks. The zero value is
-// unusable; use NewDataBuffer.
+// §12). A log grows in its network's blocks, a mote's and the
+// basestation's alike. The zero value is unusable; use NewDataBuffer.
 type DataBuffer struct {
 	buf    []Reading // len < capacity: append order; len == capacity: ring
 	cap    int
 	next   int                     // ring slot the next Store overwrites (the oldest reading)
-	blocks *netsim.Blocks[Reading] // where buf grows (nil: on its own)
+	blocks *netsim.Blocks[Reading] // where buf grows
 }
 
-// NewDataBuffer returns a buffer holding at most capacity readings.
-func NewDataBuffer(capacity int) *DataBuffer {
+// NewDataBuffer returns a buffer holding at most capacity readings,
+// growing in blocks.
+func NewDataBuffer(capacity int, blocks *netsim.Blocks[Reading]) *DataBuffer {
 	if capacity <= 0 {
 		panic("core: non-positive capacity")
 	}
-	return &DataBuffer{cap: capacity}
+	return &DataBuffer{cap: capacity, blocks: blocks}
 }
 
 // Store appends r, overwriting the oldest reading when full.

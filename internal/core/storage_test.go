@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"scoop/internal/netsim"
 )
 
 // whole lists every stored reading oldest-first: Select with an
@@ -26,7 +28,7 @@ func values(b *DataBuffer) []int {
 func newRecentBuffer(n int) *RecentBuffer { return &RecentBuffer{buf: make([]int, n)} }
 
 func TestDataBufferStoreAndScan(t *testing.T) {
-	b := NewDataBuffer(4)
+	b := NewDataBuffer(4, new(netsim.Blocks[Reading]))
 	for i := 0; i < 3; i++ {
 		b.Store(Reading{Producer: 1, Value: i, Time: int64(i)})
 	}
@@ -43,7 +45,7 @@ func TestDataBufferStoreAndScan(t *testing.T) {
 }
 
 func TestDataBufferWrapAround(t *testing.T) {
-	b := NewDataBuffer(3)
+	b := NewDataBuffer(3, new(netsim.Blocks[Reading]))
 	for i := 0; i < 5; i++ {
 		b.Store(Reading{Value: i, Time: int64(i)})
 	}
@@ -72,7 +74,7 @@ func collect(s selecter, vmin, vmax int, tmin, tmax int64) []Reading {
 }
 
 func TestDataBufferSelect(t *testing.T) {
-	b := NewDataBuffer(100)
+	b := NewDataBuffer(100, new(netsim.Blocks[Reading]))
 	for i := 0; i < 50; i++ {
 		b.Store(Reading{Producer: uint16(i % 3), Value: i % 10, Time: int64(i * 100)})
 	}
@@ -104,7 +106,7 @@ func TestDataBufferSelect(t *testing.T) {
 }
 
 func TestDataBufferSelectEmpty(t *testing.T) {
-	b := NewDataBuffer(5)
+	b := NewDataBuffer(5, new(netsim.Blocks[Reading]))
 	if got := collect(b, 0, 100, 0, 100); len(got) != 0 {
 		t.Fatalf("select on empty buffer returned %d readings", len(got))
 	}
@@ -116,7 +118,7 @@ func TestNewDataBufferPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDataBuffer(0)
+	NewDataBuffer(0, new(netsim.Blocks[Reading]))
 }
 
 // Property: after any sequence of stores, the log holds exactly the last
@@ -124,7 +126,7 @@ func TestNewDataBufferPanics(t *testing.T) {
 func TestDataBufferWindowProperty(t *testing.T) {
 	f := func(vals []int16, capSeed uint8) bool {
 		capacity := int(capSeed%20) + 1
-		b := NewDataBuffer(capacity)
+		b := NewDataBuffer(capacity, new(netsim.Blocks[Reading]))
 		for i, v := range vals {
 			b.Store(Reading{Value: int(v), Time: int64(i)})
 		}
@@ -288,7 +290,7 @@ func TestDataBufferMatchesReferenceRing(t *testing.T) {
 		if seed%8 >= 4 {
 			stores += rng.Intn(capacity)
 		}
-		b, ref := NewDataBuffer(capacity), newRefRing(capacity)
+		b, ref := NewDataBuffer(capacity, new(netsim.Blocks[Reading])), newRefRing(capacity)
 		check := func(step int) {
 			t.Helper()
 			if len(b.buf) != ref.count || b.cap != len(ref.buf) {
@@ -319,7 +321,7 @@ func TestDataBufferMatchesReferenceRing(t *testing.T) {
 // TestDataBufferStoreAtCapacityAllocsZero pins the steady state: once
 // the log is full, Store overwrites in place.
 func TestDataBufferStoreAtCapacityAllocsZero(t *testing.T) {
-	b := NewDataBuffer(100)
+	b := NewDataBuffer(100, new(netsim.Blocks[Reading]))
 	for i := 0; i < 100; i++ {
 		b.Store(Reading{Value: i})
 	}

@@ -1,9 +1,10 @@
 // Package dense holds the one helper behind the scale tier's
 // dense-index convention (DESIGN.md §12): grow-on-demand flat slices
 // keyed by node or query ID — the byte counters of internal/metrics and
-// the basestation's tables of pending queries, gossiped queries and
-// retry wire IDs — shared so the idiom cannot drift between packages.
-// Bitsets grow otherwise: core.Bitmap once, to the word asked for.
+// the basestation's one table by wire query ID (its query records,
+// gossiped packets and retry mappings) — shared so the idiom cannot
+// drift between packages. Bitsets grow otherwise: core.Bitmap in its
+// network's blocks, to the word asked for.
 package dense
 
 // Grow returns s extended with zero values so index i is valid.

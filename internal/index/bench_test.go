@@ -178,7 +178,7 @@ func BenchmarkOwnerLookup(b *testing.B) {
 func BenchmarkChunksAndAssemble(b *testing.B) {
 	ix := Build(1, paperScaleInput(6))
 	b.ResetTimer()
-	var set ChunkSet
+	set := ChunkSet{Shared: &Generations{}}
 	for i := 0; i < b.N; i++ {
 		set.Clear()
 		for _, c := range ix.Chunks(6) {

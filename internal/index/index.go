@@ -164,12 +164,12 @@ func (ix *Index) Chunks(perChunk int) []Chunk {
 // generation becomes usable once all its chunks are held, and the
 // owner drops superseded generations with DropBefore (paper §5.3:
 // nodes with incomplete storage indices continue to use the older
-// complete one). The zero value is an empty set that assembles its own
-// indices; a set given its network's Generations shares them.
+// complete one). A set is empty until its first Insert and must be
+// given its network's Generations before it.
 type ChunkSet struct {
 	chunks []Chunk
-	// Shared, when non-nil, is the network's: the chunk array grows in
-	// its blocks and Complete adopts its one index per generation.
+	// Shared is the network's: the chunk array grows in its blocks and
+	// Complete adopts its one index per generation.
 	Shared *Generations
 }
 
@@ -212,12 +212,7 @@ func (s *ChunkSet) Insert(c Chunk) {
 		s.chunks[i] = c
 		return
 	}
-	var b *netsim.Blocks[Chunk]
-	if s.Shared != nil {
-		b = &s.Shared.chunks
-	}
-	s.chunks = netsim.Grow(b, s.chunks, chunkSetMin)
-	s.chunks = slices.Insert(s.chunks, i, c)
+	s.chunks = slices.Insert(netsim.Grow(&s.Shared.chunks, s.chunks, chunkSetMin), i, c)
 }
 
 // Generation returns the held chunks of generation id in Num order. The
@@ -233,20 +228,16 @@ func (s *ChunkSet) Generation(id uint16) []Chunk {
 }
 
 // Complete returns generation id stitched into an index when the set
-// holds chunks 0..total-1 of it, else nil. With Shared set, the index
-// is the network's one for id: the first set to complete it stitches
-// it, and every later one whose chunks stitch to it entry for entry
-// adopts it (a set whose chunks disagree gets its own). No holder may
-// write it.
+// holds chunks 0..total-1 of it, else nil. The index is the network's
+// one for id: the first set to complete it stitches it, and every later
+// one whose chunks stitch to it entry for entry adopts it (a set whose
+// chunks disagree gets its own). No holder may write it.
 func (s *ChunkSet) Complete(id uint16, total uint8) *Index {
 	g := s.Generation(id)
 	if len(g) < int(total) || total == 0 || g[total-1].Num != total-1 {
 		return nil // nums are distinct and ascending: the last says whether any is missing
 	}
 	g = g[:total]
-	if s.Shared == nil {
-		return stitch(id, g)
-	}
 	built := s.Shared.built
 	i, ok := slices.BinarySearchFunc(built, id, func(ix *Index, id uint16) int { return cmp.Compare(ix.ID, id) })
 	if !ok {

@@ -184,7 +184,7 @@ func TestChunksRoundTrip(t *testing.T) {
 		t.Fatalf("expected multiple chunks, got %d", len(chunks))
 	}
 	// Deliver in a shuffled order with duplicates.
-	var set ChunkSet
+	set := ChunkSet{Shared: &Generations{}}
 	order := r.Perm(len(chunks))
 	var got *Index
 	for _, i := range order {
@@ -222,7 +222,7 @@ func TestChunkAssembleProperty(t *testing.T) {
 		ix := New(9, 0, owners)
 		per := int(perChunkSeed%6) + 1
 		chunks := ix.Chunks(per)
-		var set ChunkSet
+		set := ChunkSet{Shared: &Generations{}}
 		r := rand.New(rand.NewSource(permSeed))
 		var got *Index
 		for _, i := range r.Perm(len(chunks)) {
@@ -255,7 +255,7 @@ func TestAssemblerIncomplete(t *testing.T) {
 	}
 	ix = New(3, 0, owners)
 	chunks := ix.Chunks(2)
-	var set ChunkSet
+	set := ChunkSet{Shared: &Generations{}}
 	for _, c := range chunks[:len(chunks)-1] {
 		if offer(&set, c) != nil {
 			t.Fatal("completed without all chunks")
@@ -275,7 +275,7 @@ func TestAssemblerIncomplete(t *testing.T) {
 func TestAssemblerDropsStaleGenerations(t *testing.T) {
 	old := New(5, 0, []netsim.NodeID{1, 2, 1, 2, 1, 2, 1, 2})
 	cur := New(6, 0, []netsim.NodeID{3, 4, 3, 4, 3, 4, 3, 4})
-	var set ChunkSet
+	set := ChunkSet{Shared: &Generations{}}
 	// Partial old generation...
 	offer(&set, old.Chunks(2)[0])
 	// ...then the new generation completes.
@@ -298,7 +298,7 @@ func TestLocalIndexChunks(t *testing.T) {
 	if len(chunks) != 1 || !chunks[0].Local {
 		t.Fatalf("local chunks = %+v", chunks)
 	}
-	var set ChunkSet
+	set := ChunkSet{Shared: &Generations{}}
 	got := offer(&set, chunks[0])
 	if got == nil || !got.Local || got.ID != 9 {
 		t.Fatalf("assembled local = %+v", got)
@@ -427,8 +427,8 @@ func (n *setNode) onChunk(c Chunk) (held, stale bool) {
 // twice, which leaves the index in use as it was.) Two more nodes share
 // one network's Generations: one hears the same stream, one hears it a
 // few chunks late. Each must use an index equal, entry for entry, to
-// what a node on a private chunk set assembles from its stream, and the
-// late one must adopt the first one's index rather than build its own.
+// what a node whose chunk set has Generations of its own assembles from
+// its stream, and the late one must adopt the first one's index rather than build its own.
 func TestChunkSetMatchesAssembler(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -446,9 +446,9 @@ func TestChunkSetMatchesAssembler(t *testing.T) {
 			recut = append(recut, ix.Chunks(1+r.Intn(4)))
 		}
 		ref := &refNode{held: map[uint32]Chunk{}, asm: refAssembler{partial: map[uint16]map[uint8]Chunk{}}}
-		got := &setNode{}
+		got := &setNode{set: ChunkSet{Shared: &Generations{}}}
 		shared := &Generations{}
-		first, late, latePrivate := &setNode{set: ChunkSet{Shared: shared}}, &setNode{set: ChunkSet{Shared: shared}}, &setNode{}
+		first, late, latePrivate := &setNode{set: ChunkSet{Shared: shared}}, &setNode{set: ChunkSet{Shared: shared}}, &setNode{set: ChunkSet{Shared: &Generations{}}}
 		firstUsed := map[*Index]bool{}
 		var stream []Chunk
 		completions, adopted := 0, 0

@@ -179,10 +179,7 @@ func Shared[T any](a *NodeAPI) *T {
 // with the one it outgrew) is handed out again by the next Take of its
 // capacity; nothing goes back to the runtime before the network does
 // (DESIGN.md §12). An array of soloBytes or more is made on its own
-// instead, unless Longest says to carve it.
-// The zero value is empty; a nil *Blocks makes each
-// array on its own and lets the collector have what is put back, for
-// state outside any network.
+// instead, unless Longest says to carve it. The zero value is empty.
 type Blocks[T any] struct {
 	// Longest, when above soloBytes' worth of T, is the longest array
 	// carved: for arrays that nodes outgrow at different times, such as
@@ -219,20 +216,14 @@ func (b *Blocks[T]) size() int {
 }
 
 // soloLen is the longest array of T b carves.
-func (b *Blocks[T]) soloLen() int {
-	n := (soloBytes - 1) / b.size()
-	if b != nil {
-		n = max(n, b.Longest)
-	}
-	return n
-}
+func (b *Blocks[T]) soloLen() int { return max((soloBytes-1)/b.size(), b.Longest) }
 
 // Take returns an empty slice of capacity n: an array put back at that
 // capacity, or one carved from the newest block, first starting a block
 // when the tail is too short. Appending past n reallocates rather than
 // running into a neighbour's array.
 func (b *Blocks[T]) Take(n int) []T {
-	if b == nil || n > b.soloLen() {
+	if n > b.soloLen() {
 		return make([]T, 0, n)
 	}
 	for i := range b.spare {
@@ -257,7 +248,7 @@ func (b *Blocks[T]) Take(n int) []T {
 // Put gives s's array back for a later Take of its capacity, zeroing it
 // so it keeps nothing alive. The caller must not use the array again.
 func (b *Blocks[T]) Put(s []T) {
-	if b == nil || cap(s) == 0 || cap(s) > b.soloLen() {
+	if cap(s) == 0 || cap(s) > b.soloLen() {
 		return
 	}
 	clear(s[:cap(s)])

@@ -212,9 +212,4 @@ func TestBlocksCarveAndReuse(t *testing.T) {
 	if s := wide.Take(8 * soloBytes / 8); &s[:1][0] == &solo[:1][0] {
 		t.Fatal("an array past Longest was kept when put back")
 	}
-	var none *Blocks[int64]
-	if s := none.Take(3); cap(s) != 3 {
-		t.Fatalf("a nil Blocks made capacity %d, want 3", cap(s))
-	}
-	none.Put(make([]int64, 4))
 }
